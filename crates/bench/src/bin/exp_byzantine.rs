@@ -1,10 +1,10 @@
 //! E20 — live Byzantine adversaries over real TCP: seeded runs on a
-//! 7-node loopback mesh with `f = 2` malicious nodes cycling through the
-//! attack registry (per-recipient equivocation, lying witnesses, selective
-//! mutism, codec garbage, gate sprays, stale-HELLO replays, re-dial
-//! storms, and the combined mix).
+//! 7-node authenticated loopback mesh with `f = 2` malicious nodes cycling
+//! through the attack registry (per-recipient equivocation, lying
+//! witnesses, selective mutism, codec garbage, gate sprays, stale-HELLO
+//! replays, re-dial storms, client sprays, and the combined mix).
 //!
-//! Usage: `exp_byzantine [--smoke] [--runs N] [--seed N] [--metrics ADDR]
+//! Usage: `exp_byzantine [--smoke] [--seed N] [--runs N] [--metrics ADDR]
 //! [--metrics-wait-scrapes N]`
 //!
 //! Every run proves three things online: the per-instance safety monitor
@@ -16,278 +16,9 @@
 //! per-gate rejection counts) lands in `BENCH_byzantine.json` and — via
 //! `--metrics` — in the live Prometheus endpoint as
 //! `exp_byzantine_slowdown_permille{attack=...}`. Exits nonzero on any
-//! violation, divergence, non-convergence, or scrape failure.
-
-use std::sync::Arc;
-
-use rbvc_bench::experiments::byzantine::{run_campaign, ByzantineConfig};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::{scrape_once, MetricsServer, Registry};
-use serde_json::json;
+//! violation, divergence, non-convergence, or scrape failure. The campaign
+//! is `rbvc_bench::experiments::byzantine`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let runs_override: Option<usize> = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2016);
-    let metrics_addr = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wait_scrapes: Option<u64> = args
-        .iter()
-        .position(|a| a == "--metrics-wait-scrapes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-
-    let mut cfg = if smoke { ByzantineConfig::smoke(seed) } else { ByzantineConfig::full(50, seed) };
-    if let Some(r) = runs_override {
-        cfg.runs = r;
-    }
-    println!(
-        "E20 — Byzantine adversaries on the wire: {}-node loopback TCP mesh, \
-         f = {} malicious nodes per run cycling the attack registry, {} \
-         instance(s) × {} VA rounds, {} seeded runs, seed {seed}{}",
-        cfg.n,
-        cfg.f,
-        cfg.instances,
-        cfg.va_rounds,
-        cfg.runs,
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Live exposition: bind before the campaign so the whole run is
-    // scrapeable (gate-reject and stale-HELLO counters move mid-run; the
-    // per-attack slowdown gauges appear as each mix finishes aggregating).
-    let server = metrics_addr.as_ref().map(|addr| {
-        let s = MetricsServer::serve(addr.as_str(), Registry::global().clone())
-            .expect("bind metrics endpoint");
-        println!("serving /metrics on http://{}", s.addr());
-        s
-    });
-    let scrape_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = server.as_ref().map(|s| {
-        use std::sync::atomic::Ordering;
-        let addr = s.addr();
-        let ok = Arc::clone(&scrape_ok);
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if let Ok(body) = scrape_once(addr) {
-                    if body.contains("# TYPE") {
-                        ok.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-    });
-
-    let out = run_campaign(&cfg);
-    scrape_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
-
-    let rows: Vec<Vec<String>> = out
-        .reports
-        .iter()
-        .map(|r| {
-            vec![
-                r.attack.clone(),
-                r.runs.to_string(),
-                fnum(r.slowdown),
-                fnum(r.clean_p50_ms),
-                fnum(r.attack_p50_ms),
-                fnum(r.clean_p99_ms),
-                fnum(r.attack_p99_ms),
-                format!("{}", r.gates_from_byz.iter().sum::<u64>()),
-                format!("{}", r.gates_from_honest.iter().sum::<u64>()),
-                r.stale_hellos.to_string(),
-                fnum(r.client_attack_p50_ms),
-                format!("{}", r.client_rejects + r.client_redirects),
-            ]
-        })
-        .collect();
-    print_table(
-        "E20 (Byzantine adversaries on the wire)",
-        &[
-            "attack",
-            "runs",
-            "slowdown",
-            "clean p50 ms",
-            "atk p50 ms",
-            "clean p99 ms",
-            "atk p99 ms",
-            "rej (byz)",
-            "rej (honest)",
-            "stale HELLO",
-            "cli p50 ms",
-            "cli rej+redir",
-        ],
-        &rows,
-    );
-    println!(
-        "{}/{} runs converged, {}/{} bit-identical to the in-proc baseline, \
-         {} monitor violation(s), {} honest-attributed rejection(s), {:.1}s wall",
-        out.converged_runs,
-        out.runs,
-        out.identical_runs,
-        out.runs,
-        out.monitor_violations,
-        out.honest_attributed_rejections,
-        out.wall_secs
-    );
-
-    let doc = json!({
-        "transport": if cfg.auth.is_some() { "tcp-loopback-authenticated" } else { "tcp-loopback" },
-        "seed": seed,
-        "smoke": smoke,
-        "n": cfg.n,
-        "f": cfg.f,
-        "dimension": cfg.d,
-        "instances": cfg.instances,
-        "va_rounds": cfg.va_rounds,
-        "runs": out.runs,
-        "converged_runs": out.converged_runs,
-        "identical_runs": out.identical_runs,
-        "monitor_violations": out.monitor_violations,
-        "honest_attributed_rejections": out.honest_attributed_rejections,
-        "client_honest_rejections": out.client_honest_rejections,
-        "client_reply_errors": out.client_reply_errors,
-        "clean_auth_rejects": out.clean_auth_rejects,
-        "wall_secs": out.wall_secs,
-        "attacks": out.reports.iter().map(|r| json!({
-            "attack": r.attack.clone(),
-            "runs": r.runs,
-            "honest_wall_secs": json!({ "clean": r.clean_secs, "attack": r.attack_secs }),
-            "slowdown": r.slowdown,
-            "latency_ms": json!({
-                "clean": json!({ "p50": r.clean_p50_ms, "p99": r.clean_p99_ms }),
-                "attack": json!({ "p50": r.attack_p50_ms, "p99": r.attack_p99_ms }),
-            }),
-            "gate_rejections": json!({
-                "from_byzantine": json!({
-                    "decode": r.gates_from_byz[0],
-                    "auth": r.gates_from_byz[1],
-                    "instance": r.gates_from_byz[2],
-                    "kind": r.gates_from_byz[3],
-                }),
-                "from_honest": json!({
-                    "decode": r.gates_from_honest[0],
-                    "auth": r.gates_from_honest[1],
-                    "instance": r.gates_from_honest[2],
-                    "kind": r.gates_from_honest[3],
-                }),
-            }),
-            "attacker_activity": json!({
-                "frames_mutated": r.stats.frames_mutated,
-                "frames_dropped": r.stats.frames_dropped,
-                "garbage_injected": r.stats.garbage_injected,
-                "gate_sprays": r.stats.gate_sprays,
-                "hello_replays": r.stats.hello_replays,
-                "redial_storms": r.stats.redial_storms,
-                "client_sprays": r.stats.client_sprays,
-            }),
-            "client_plane": json!({
-                "latency_ms": json!({
-                    "clean": json!({ "p50": r.client_clean_p50_ms, "p99": r.client_clean_p99_ms }),
-                    "attack": json!({ "p50": r.client_attack_p50_ms, "p99": r.client_attack_p99_ms }),
-                }),
-                "port_rejects": r.client_rejects,
-                "table_redirects": r.client_redirects,
-            }),
-            "stale_hellos_refused": r.stale_hellos,
-            "auth_rejects": r.auth_rejects,
-        })).collect::<Vec<_>>(),
-        "metrics_endpoint": server.as_ref().map(|s| json!({
-            "addr": s.addr().to_string(),
-            "mid_run_scrape_ok": scrape_ok.load(std::sync::atomic::Ordering::SeqCst),
-        })),
-    });
-    let doc = with_envelope("E20", "Byzantine adversaries on the wire", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_byzantine.json", &rendered).expect("write BENCH_byzantine.json");
-    println!("wrote BENCH_byzantine.json");
-
-    let mut failed = false;
-    if out.converged_runs < out.runs {
-        eprintln!(
-            "FAIL: {}/{} runs did not converge within the sweep budget",
-            out.runs - out.converged_runs,
-            out.runs
-        );
-        failed = true;
-    }
-    if out.identical_runs < out.runs {
-        eprintln!(
-            "FAIL: {}/{} runs diverged from the honest in-proc baseline",
-            out.runs - out.identical_runs,
-            out.runs
-        );
-        failed = true;
-    }
-    if out.monitor_violations > 0 {
-        eprintln!(
-            "FAIL: the online safety monitor fired {} time(s) under attack",
-            out.monitor_violations
-        );
-        failed = true;
-    }
-    if out.honest_attributed_rejections > 0 {
-        eprintln!(
-            "FAIL: {} gate rejection(s) attributed to honest senders",
-            out.honest_attributed_rejections
-        );
-        failed = true;
-    }
-    if out.client_honest_rejections > 0 {
-        eprintln!(
-            "FAIL: {} client-port rejection(s) during clean references (honest traffic)",
-            out.client_honest_rejections
-        );
-        failed = true;
-    }
-    if out.client_reply_errors > 0 {
-        eprintln!(
-            "FAIL: {} honest-client repl(ies) were wrong or timed out",
-            out.client_reply_errors
-        );
-        failed = true;
-    }
-    if out.clean_auth_rejects > 0 {
-        eprintln!(
-            "FAIL: {} handshake rejection(s) during clean references (honest links)",
-            out.clean_auth_rejects
-        );
-        failed = true;
-    }
-    if metrics_addr.is_some() && !scrape_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: the metrics endpoint never served a valid Prometheus dump mid-run");
-        failed = true;
-    }
-    // Hold the endpoint open for the CI curl: the slowdown gauges only
-    // exist after aggregation, so external scrapers are counted from here.
-    if let (Some(s), Some(n)) = (&server, wait_scrapes) {
-        let baseline = s.scrapes();
-        let t0 = std::time::Instant::now();
-        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
-        while s.scrapes() < baseline + n && t0.elapsed() < std::time::Duration::from_secs(20) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::byzantine::SCENARIO);
 }

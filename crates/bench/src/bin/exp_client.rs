@@ -1,7 +1,7 @@
 //! E21 — open-loop client saturation: external worker sessions drive the
 //! `rbvc-client` front-end (sessions, dedup, redirect routing,
-//! backpressure) against a 7-node loopback TCP mesh with Poisson arrivals,
-//! sweeping the offered rate until the service saturates.
+//! backpressure) against a 7-node authenticated loopback TCP mesh with
+//! Poisson arrivals, sweeping the offered rate until the service saturates.
 //!
 //! Usage: `exp_client [--smoke] [--seed N] [--metrics ADDR]
 //! [--metrics-wait-scrapes N]`
@@ -15,218 +15,9 @@
 //! `BENCH_client.json`; with `--metrics`, the client-table gauges
 //! (`client_sessions`, `client_dedup_hits`, `client_redirects`) and the
 //! per-step sweep gauges are served live. Exits nonzero on any monitor
-//! violation, wrong reply, dedup mismatch, or scrape failure.
-
-use std::sync::Arc;
-
-use rbvc_bench::experiments::client::{run_sweep, ClientExpConfig};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::{scrape_once, MetricsServer, Registry};
-use serde_json::json;
+//! violation, wrong reply, dedup mismatch, or scrape failure. The campaign
+//! is `rbvc_bench::experiments::client`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2016);
-    let metrics_addr = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wait_scrapes: Option<u64> = args
-        .iter()
-        .position(|a| a == "--metrics-wait-scrapes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-
-    let cfg = if smoke { ClientExpConfig::smoke(seed) } else { ClientExpConfig::full(seed) };
-    println!(
-        "E21 — open-loop client saturation: {}-node loopback TCP mesh, {} \
-         session(s) × {} Poisson arrivals per rate step, rates {:?} req/s, \
-         admission {}+{} per owner, seed {seed}{}",
-        cfg.n,
-        cfg.sessions,
-        cfg.requests_per_session,
-        cfg.rates,
-        cfg.max_inflight,
-        cfg.queue_cap,
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Live exposition: bind before the sweep so the client-table gauges
-    // (sessions, dedup hits, redirects) and per-step sweep gauges are
-    // scrapeable while the workers run.
-    let server = metrics_addr.as_ref().map(|addr| {
-        let s = MetricsServer::serve(addr.as_str(), Registry::global().clone())
-            .expect("bind metrics endpoint");
-        println!("serving /metrics on http://{}", s.addr());
-        s
-    });
-    let scrape_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = server.as_ref().map(|s| {
-        use std::sync::atomic::Ordering;
-        let addr = s.addr();
-        let ok = Arc::clone(&scrape_ok);
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if let Ok(body) = scrape_once(addr) {
-                    if body.contains("client_sessions") && body.contains("client_dedup_hits") {
-                        ok.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-    });
-
-    let out = run_sweep(&cfg);
-    scrape_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
-
-    let rows: Vec<Vec<String>> = out
-        .steps
-        .iter()
-        .map(|s| {
-            vec![
-                format!("{:.0}", s.offered_rate),
-                format!("{:.1}", s.achieved_offered),
-                s.submitted.to_string(),
-                s.decided.to_string(),
-                format!("{:.3}", s.goodput),
-                fnum(s.decided_per_sec),
-                fnum(s.p50_ms),
-                fnum(s.p99_ms),
-                s.shed.to_string(),
-                s.dedup_hits.to_string(),
-                s.redirects.to_string(),
-                s.instances.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E21 (open-loop client saturation)",
-        &[
-            "rate req/s",
-            "offered",
-            "submitted",
-            "decided",
-            "goodput",
-            "decided/s",
-            "p50 ms",
-            "p99 ms",
-            "shed",
-            "dedup",
-            "redirects",
-            "instances",
-        ],
-        &rows,
-    );
-    match out.saturation_rate {
-        Some(rate) => println!(
-            "saturation at {rate:.0} req/s offered (goodput < 0.9 or p99 knee); \
-             {} monitor violation(s), {:.1}s wall",
-            out.monitor_violations, out.wall_secs
-        ),
-        None => println!(
-            "no saturation inside the sweep; {} monitor violation(s), {:.1}s wall",
-            out.monitor_violations, out.wall_secs
-        ),
-    }
-
-    let doc = json!({
-        "transport": "tcp-loopback-authenticated",
-        "seed": seed,
-        "smoke": smoke,
-        "n": cfg.n,
-        "dimension": cfg.d,
-        "client_f": cfg.f,
-        "rounds": cfg.rounds,
-        "sessions": cfg.sessions,
-        "requests_per_session": cfg.requests_per_session,
-        "admission": json!({ "max_inflight": cfg.max_inflight, "queue_cap": cfg.queue_cap }),
-        "monitor_violations": out.monitor_violations,
-        "saturation_offered_per_sec": out.saturation_rate,
-        "wall_secs": out.wall_secs,
-        "steps": out.steps.iter().map(|s| json!({
-            "offered_rate": s.offered_rate,
-            "achieved_offered": s.achieved_offered,
-            "submitted": s.submitted,
-            "decided": s.decided,
-            "goodput": s.goodput,
-            "decided_per_sec": s.decided_per_sec,
-            "latency_ms": json!({ "p50": s.p50_ms, "p99": s.p99_ms, "max": s.max_ms }),
-            "shed": s.shed,
-            "dedup_hits": s.dedup_hits,
-            "redirects": s.redirects,
-            "reply_errors": s.reply_errors,
-            "dedup_mismatches": s.dedup_mismatches,
-            "instances": s.instances,
-            "wall_secs": s.wall_secs,
-        })).collect::<Vec<_>>(),
-        "metrics_endpoint": server.as_ref().map(|s| json!({
-            "addr": s.addr().to_string(),
-            "mid_run_scrape_ok": scrape_ok.load(std::sync::atomic::Ordering::SeqCst),
-        })),
-    });
-    let doc = with_envelope("E21", "open-loop client saturation", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_client.json", &rendered).expect("write BENCH_client.json");
-    println!("wrote BENCH_client.json");
-
-    let mut failed = false;
-    if out.monitor_violations > 0 {
-        eprintln!(
-            "FAIL: the online agreement monitor fired {} time(s)",
-            out.monitor_violations
-        );
-        failed = true;
-    }
-    for s in &out.steps {
-        if s.decided == 0 {
-            eprintln!("FAIL: rate step {:.0} req/s decided nothing", s.offered_rate);
-            failed = true;
-        }
-        if s.reply_errors > 0 {
-            eprintln!(
-                "FAIL: {} repl(ies) at {:.0} req/s strayed from the submitted value",
-                s.reply_errors, s.offered_rate
-            );
-            failed = true;
-        }
-        if s.dedup_mismatches > 0 {
-            eprintln!(
-                "FAIL: {} idempotence replay(s) at {:.0} req/s were not bit-identical",
-                s.dedup_mismatches, s.offered_rate
-            );
-            failed = true;
-        }
-    }
-    if metrics_addr.is_some() && !scrape_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!(
-            "FAIL: the metrics endpoint never served the client gauges \
-             (client_sessions / client_dedup_hits) mid-run"
-        );
-        failed = true;
-    }
-    // Hold the endpoint open for the CI curl.
-    if let (Some(s), Some(n)) = (&server, wait_scrapes) {
-        let baseline = s.scrapes();
-        let t0 = std::time::Instant::now();
-        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
-        while s.scrapes() < baseline + n && t0.elapsed() < std::time::Duration::from_secs(20) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::client::SCENARIO);
 }

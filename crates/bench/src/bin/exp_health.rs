@@ -1,8 +1,8 @@
 //! E22 — the self-diagnosis campaign: seeded stalls (muted peer, severed
 //! links, fsync throttle, mid-run kill) injected into live 7-node
-//! loopback TCP meshes with the health subsystem armed.
+//! authenticated loopback TCP meshes with the health subsystem armed.
 //!
-//! Usage: `exp_health [--smoke] [--runs N] [--seed N] [--flight-dir DIR]
+//! Usage: `exp_health [--smoke] [--seed N] [--runs N] [--flight-dir DIR]
 //! [--metrics ADDR] [--metrics-wait-scrapes N]`
 //!
 //! Every faulted run must be detected within the budget and blamed on
@@ -17,266 +17,8 @@
 //! mid-run) and `/status` (the nodes' self-published snapshots). Exits
 //! nonzero on a diagnosis rate below 95 %, any false positive, misblame,
 //! violation, non-termination, flight-replay failure, or scrape failure.
-
-use std::sync::Arc;
-
-use rbvc_bench::experiments::health::{default_runs, run_campaign, HealthCampaignConfig};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::{scrape_path, MetricsServer, Registry, StatusBoard};
-use serde_json::json;
+//! The campaign is `rbvc_bench::experiments::health`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let runs_override: Option<usize> = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2016);
-    let flight_dir: std::path::PathBuf = args
-        .iter()
-        .position(|a| a == "--flight-dir")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "target/flight".into(), Into::into);
-    let metrics_addr = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wait_scrapes: Option<u64> = args
-        .iter()
-        .position(|a| a == "--metrics-wait-scrapes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-
-    let mut cfg =
-        if smoke { HealthCampaignConfig::smoke(seed) } else { HealthCampaignConfig::full(default_runs(false), seed) };
-    if let Some(r) = runs_override {
-        cfg.runs = r;
-    }
-    cfg.flight_dir = Some(flight_dir.clone());
-    let status = StatusBoard::new();
-    cfg.status = Some(status.clone());
-    println!(
-        "E22 — self-diagnosing runtime: {} seeded runs cycling \
-         clean/muted/severed/fsync/kill on {}-node loopback TCP meshes \
-         (f = {}, stall deadline {} ms, fsync throttle {} ms), seed {seed}{}",
-        cfg.runs,
-        cfg.n,
-        cfg.f,
-        cfg.deadline.as_millis(),
-        cfg.fsync_throttle.as_millis(),
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Live exposition: bind before the campaign so the runtime's own
-    // health series (stall gauges with blame labels, link EWMA gauges)
-    // and the nodes' /status snapshots are scrapeable while stalls are
-    // actually in flight.
-    let server = metrics_addr.as_ref().map(|addr| {
-        let s =
-            MetricsServer::serve_with_status(addr.as_str(), Registry::global().clone(), status)
-                .expect("bind metrics endpoint");
-        println!("serving /metrics and /status on http://{}", s.addr());
-        s
-    });
-    let scrape_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let status_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = server.as_ref().map(|s| {
-        use std::sync::atomic::Ordering;
-        let addr = s.addr();
-        let ok = Arc::clone(&scrape_ok);
-        let sok = Arc::clone(&status_ok);
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if let Ok(body) = scrape_path(addr, "/metrics") {
-                    if body.contains("# TYPE") {
-                        ok.store(true, Ordering::SeqCst);
-                    }
-                }
-                if let Ok(body) = scrape_path(addr, "/status") {
-                    // The board carries per-node snapshots once any node
-                    // publishes; an empty board is still valid JSON.
-                    if body.contains("\"nodes\"") {
-                        sok.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-    });
-
-    let out = run_campaign(&cfg);
-    scrape_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
-
-    let rows: Vec<Vec<String>> = out
-        .reports
-        .iter()
-        .map(|r| {
-            let (p50, max) = if r.detect_ms.is_empty() {
-                (f64::NAN, f64::NAN)
-            } else {
-                (r.detect_ms[r.detect_ms.len() / 2], r.detect_ms[r.detect_ms.len() - 1])
-            };
-            vec![
-                r.class.to_string(),
-                r.runs.to_string(),
-                r.diagnosed.to_string(),
-                r.terminated.to_string(),
-                r.misblamed.to_string(),
-                fnum(p50),
-                fnum(max),
-                r.stalls_raised.to_string(),
-                r.cleared.to_string(),
-                r.victim_fsync_reports.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E22 (self-diagnosing runtime stall campaign)",
-        &[
-            "class",
-            "runs",
-            "diagnosed",
-            "terminated",
-            "misblamed",
-            "detect p50 ms",
-            "detect max ms",
-            "stalls",
-            "cleared",
-            "victim fsync",
-        ],
-        &rows,
-    );
-    println!(
-        "diagnosis rate {:.1}%, {} clean-run false positive(s), {} monitor \
-         violation(s), flight dump {} / replay {}, {:.1}s wall",
-        out.diagnosis_rate() * 100.0,
-        out.false_positives,
-        out.monitor_violations,
-        if out.flight.dumped { "ok" } else { "MISSING" },
-        if out.flight.replayed { "ok" } else { "FAILED" },
-        out.wall_secs
-    );
-
-    let doc = json!({
-        "transport": "tcp-loopback-authenticated",
-        "seed": seed,
-        "smoke": smoke,
-        "n": cfg.n,
-        "f": cfg.f,
-        "dimension": cfg.d,
-        "instances": cfg.instances,
-        "runs": out.runs,
-        "stall_deadline_ms": cfg.deadline.as_millis() as u64,
-        "fsync_throttle_ms": cfg.fsync_throttle.as_millis() as u64,
-        "detect_budget_ms": cfg.detect_budget.as_millis() as u64,
-        "diagnosis_rate": out.diagnosis_rate(),
-        "false_positives": out.false_positives,
-        "monitor_violations": out.monitor_violations,
-        "wall_secs": out.wall_secs,
-        "classes": out.reports.iter().map(|r| json!({
-            "class": r.class,
-            "runs": r.runs,
-            "diagnosed": r.diagnosed,
-            "terminated": r.terminated,
-            "misblamed": r.misblamed,
-            "stalls_raised": r.stalls_raised,
-            "cleared": r.cleared,
-            "victim_fsync_reports": r.victim_fsync_reports,
-            "detect_ms": r.detect_ms.clone(),
-        })).collect::<Vec<_>>(),
-        "flight": json!({
-            "dumped": out.flight.dumped,
-            "replayed": out.flight.replayed,
-            "violations_in_dump": out.flight.violations_in_dump,
-            "reason": out.flight.reason.clone(),
-            "dir": flight_dir.display().to_string(),
-        }),
-        "metrics_endpoint": server.as_ref().map(|s| json!({
-            "addr": s.addr().to_string(),
-            "mid_run_scrape_ok": scrape_ok.load(std::sync::atomic::Ordering::SeqCst),
-            "status_scrape_ok": status_ok.load(std::sync::atomic::Ordering::SeqCst),
-        })),
-    });
-    let doc = with_envelope("E22", "self-diagnosing runtime stall campaign", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_health.json", &rendered).expect("write BENCH_health.json");
-    println!("wrote BENCH_health.json");
-
-    let mut failed = false;
-    if out.diagnosis_rate() < 0.95 {
-        eprintln!(
-            "FAIL: only {:.1}% of faulted runs were diagnosed with correct blame",
-            out.diagnosis_rate() * 100.0
-        );
-        failed = true;
-    }
-    if out.false_positives > 0 {
-        eprintln!("FAIL: {} stall(s) raised in clean runs", out.false_positives);
-        failed = true;
-    }
-    for r in &out.reports {
-        if r.misblamed > 0 {
-            eprintln!(
-                "FAIL: {} stall report(s) in class '{}' named an innocent node",
-                r.misblamed, r.class
-            );
-            failed = true;
-        }
-        if r.terminated < r.runs {
-            eprintln!(
-                "FAIL: {}/{} '{}' runs left honest survivors undecided",
-                r.runs - r.terminated,
-                r.runs,
-                r.class
-            );
-            failed = true;
-        }
-    }
-    if out.monitor_violations > 0 {
-        eprintln!(
-            "FAIL: the online safety monitor fired {} time(s) among survivors",
-            out.monitor_violations
-        );
-        failed = true;
-    }
-    if !out.flight.dumped || !out.flight.replayed {
-        eprintln!(
-            "FAIL: flight-recorder cross-check (dumped={}, replayed={}, reason='{}')",
-            out.flight.dumped, out.flight.replayed, out.flight.reason
-        );
-        failed = true;
-    }
-    if metrics_addr.is_some() && !scrape_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: the metrics endpoint never served a valid Prometheus dump mid-run");
-        failed = true;
-    }
-    if metrics_addr.is_some() && !status_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: the /status endpoint never served a board snapshot mid-run");
-        failed = true;
-    }
-    // Hold the endpoint open for the CI curl of /metrics and /status.
-    if let (Some(s), Some(n)) = (&server, wait_scrapes) {
-        let baseline = s.scrapes();
-        let t0 = std::time::Instant::now();
-        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
-        while s.scrapes() < baseline + n && t0.elapsed() < std::time::Duration::from_secs(20) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::health::SCENARIO);
 }

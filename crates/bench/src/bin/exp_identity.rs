@@ -1,7 +1,7 @@
 //! E23 — the impersonation campaign: live identity attacks against the
 //! keyed link-identity layer, over real TCP with real adversaries.
 //!
-//! Usage: `exp_identity [--smoke] [--runs N] [--seed N] [--metrics ADDR]
+//! Usage: `exp_identity [--smoke] [--seed N] [--runs N] [--metrics ADDR]
 //! [--metrics-wait-scrapes N]`
 //!
 //! Seeded 7-node, `f = 2` runs cycle the full attack registry — the five
@@ -14,337 +14,9 @@
 //! rejection is attributed to honest traffic, every identity mix's
 //! forgeries are refused (`auth_rejects > 0`), and authenticated mesh
 //! construction stays within an absolute budget. Results land in
-//! `BENCH_identity.json`; exits nonzero on any gate failure.
-
-use std::sync::Arc;
-
-use rbvc_bench::experiments::identity::{
-    default_runs, run, IdentityConfig, HANDSHAKE_BUDGET_MS,
-};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::{scrape_once, scrape_path, MetricsServer, Registry, StatusBoard};
-use serde_json::json;
+//! `BENCH_identity.json`; exits nonzero on any gate failure. The campaign
+//! is `rbvc_bench::experiments::identity`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let runs_override: Option<usize> = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2016);
-    let metrics_addr = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wait_scrapes: Option<u64> = args
-        .iter()
-        .position(|a| a == "--metrics-wait-scrapes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-
-    let mut cfg =
-        if smoke { IdentityConfig::smoke(seed) } else { IdentityConfig::full(default_runs(false), seed) };
-    if let Some(r) = runs_override {
-        cfg.campaign.runs = r;
-    }
-    println!(
-        "E23 — impersonation on the wire: {}-node authenticated loopback TCP \
-         mesh, f = {} compromised nodes per run cycling {} attack mix(es) \
-         ({} identity forgery families), {} instance(s) × {} VA rounds, {} \
-         seeded runs, seed {seed}{}",
-        cfg.campaign.n,
-        cfg.campaign.f,
-        cfg.campaign.attacks.len(),
-        rbvc_bench::experiments::identity::IDENTITY_ATTACKS.len(),
-        cfg.campaign.instances,
-        cfg.campaign.va_rounds,
-        cfg.campaign.runs,
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Live exposition: bind before the campaign so the whole run is
-    // scrapeable — `auth.reject_total` moves mid-run as forgeries are
-    // refused, and the nodes publish per-link auth state to `/status`.
-    let status = StatusBoard::new();
-    cfg.campaign.status = Some(status.clone());
-    let server = metrics_addr.as_ref().map(|addr| {
-        let s = MetricsServer::serve_with_status(
-            addr.as_str(),
-            Registry::global().clone(),
-            status.clone(),
-        )
-        .expect("bind metrics endpoint");
-        println!("serving /metrics and /status on http://{}", s.addr());
-        s
-    });
-    let scrape_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let status_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = server.as_ref().map(|s| {
-        use std::sync::atomic::Ordering;
-        let addr = s.addr();
-        let ok = Arc::clone(&scrape_ok);
-        let sok = Arc::clone(&status_ok);
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if let Ok(body) = scrape_once(addr) {
-                    if body.contains("# TYPE") {
-                        ok.store(true, Ordering::SeqCst);
-                    }
-                }
-                if let Ok(body) = scrape_path(addr, "/status") {
-                    // A snapshot showing an authenticated link proves the
-                    // auth state actually rides the board rows.
-                    if body.contains("\"authenticated\"") {
-                        sok.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-    });
-
-    let out = run(&cfg);
-    scrape_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
-    let camp = &out.campaign;
-
-    let rows: Vec<Vec<String>> = camp
-        .reports
-        .iter()
-        .map(|r| {
-            vec![
-                r.attack.clone(),
-                r.runs.to_string(),
-                fnum(r.slowdown),
-                fnum(r.clean_p50_ms),
-                fnum(r.attack_p50_ms),
-                fnum(r.clean_p99_ms),
-                fnum(r.attack_p99_ms),
-                r.auth_rejects.to_string(),
-                format!("{}", r.gates_from_byz.iter().sum::<u64>()),
-                format!("{}", r.gates_from_honest.iter().sum::<u64>()),
-                r.stale_hellos.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E23 (impersonation on the wire)",
-        &[
-            "attack",
-            "runs",
-            "slowdown",
-            "clean p50 ms",
-            "atk p50 ms",
-            "clean p99 ms",
-            "atk p99 ms",
-            "auth rej",
-            "rej (byz)",
-            "rej (honest)",
-            "stale HELLO",
-        ],
-        &rows,
-    );
-    println!(
-        "{}/{} runs converged, {}/{} bit-identical to the in-proc baseline, \
-         {} monitor violation(s), {} honest-attributed rejection(s), \
-         {} clean-phase handshake reject(s), {:.1}s wall",
-        camp.converged_runs,
-        camp.runs,
-        camp.identical_runs,
-        camp.runs,
-        camp.monitor_violations,
-        camp.honest_attributed_rejections,
-        camp.clean_auth_rejects,
-        camp.wall_secs
-    );
-    println!(
-        "handshake overhead ({} trials, n = {}): authenticated {} ms vs \
-         plaintext {} ms per mesh ({}x, budget {} ms)",
-        out.overhead.trials,
-        out.overhead.n,
-        fnum(out.overhead.auth_ms),
-        fnum(out.overhead.plain_ms),
-        fnum(out.overhead.ratio),
-        HANDSHAKE_BUDGET_MS,
-    );
-
-    let doc = json!({
-        "transport": "tcp-loopback-authenticated",
-        "seed": seed,
-        "smoke": smoke,
-        "n": cfg.campaign.n,
-        "f": cfg.campaign.f,
-        "dimension": cfg.campaign.d,
-        "instances": cfg.campaign.instances,
-        "va_rounds": cfg.campaign.va_rounds,
-        "runs": camp.runs,
-        "converged_runs": camp.converged_runs,
-        "identical_runs": camp.identical_runs,
-        "monitor_violations": camp.monitor_violations,
-        "honest_attributed_rejections": camp.honest_attributed_rejections,
-        "client_honest_rejections": camp.client_honest_rejections,
-        "client_reply_errors": camp.client_reply_errors,
-        "clean_auth_rejects": camp.clean_auth_rejects,
-        "silent_identity_mixes": out.silent_identity_mixes(),
-        "wall_secs": camp.wall_secs,
-        "handshake_overhead": json!({
-            "trials": out.overhead.trials,
-            "mesh_n": out.overhead.n,
-            "plain_ms": out.overhead.plain_ms,
-            "auth_ms": out.overhead.auth_ms,
-            "ratio": out.overhead.ratio,
-            "budget_ms": HANDSHAKE_BUDGET_MS,
-            "bounded": out.overhead.bounded(),
-        }),
-        "attacks": camp.reports.iter().map(|r| json!({
-            "attack": r.attack.clone(),
-            "runs": r.runs,
-            "honest_wall_secs": json!({ "clean": r.clean_secs, "attack": r.attack_secs }),
-            "slowdown": r.slowdown,
-            "latency_ms": json!({
-                "clean": json!({ "p50": r.clean_p50_ms, "p99": r.clean_p99_ms }),
-                "attack": json!({ "p50": r.attack_p50_ms, "p99": r.attack_p99_ms }),
-            }),
-            "auth_rejects": r.auth_rejects,
-            "gate_rejections": json!({
-                "from_byzantine": json!({
-                    "decode": r.gates_from_byz[0],
-                    "auth": r.gates_from_byz[1],
-                    "instance": r.gates_from_byz[2],
-                    "kind": r.gates_from_byz[3],
-                }),
-                "from_honest": json!({
-                    "decode": r.gates_from_honest[0],
-                    "auth": r.gates_from_honest[1],
-                    "instance": r.gates_from_honest[2],
-                    "kind": r.gates_from_honest[3],
-                }),
-            }),
-            "attacker_activity": json!({
-                "frames_mutated": r.stats.frames_mutated,
-                "frames_dropped": r.stats.frames_dropped,
-                "garbage_injected": r.stats.garbage_injected,
-                "gate_sprays": r.stats.gate_sprays,
-                "hello_replays": r.stats.hello_replays,
-                "redial_storms": r.stats.redial_storms,
-                "client_sprays": r.stats.client_sprays,
-                "impersonations": r.stats.impersonations,
-                "handshake_replays": r.stats.hs_replays,
-                "nonce_reflections": r.stats.nonce_reflects,
-                "mac_flips": r.stats.mac_flips,
-                "downgrades": r.stats.downgrades,
-            }),
-            "stale_hellos_refused": r.stale_hellos,
-        })).collect::<Vec<_>>(),
-        "metrics_endpoint": server.as_ref().map(|s| json!({
-            "addr": s.addr().to_string(),
-            "mid_run_scrape_ok": scrape_ok.load(std::sync::atomic::Ordering::SeqCst),
-            "status_auth_state_ok": status_ok.load(std::sync::atomic::Ordering::SeqCst),
-        })),
-    });
-    let doc = with_envelope("E23", "impersonation on the wire", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_identity.json", &rendered).expect("write BENCH_identity.json");
-    println!("wrote BENCH_identity.json");
-
-    let mut failed = false;
-    if camp.converged_runs < camp.runs {
-        eprintln!(
-            "FAIL: {}/{} runs did not converge within the sweep budget",
-            camp.runs - camp.converged_runs,
-            camp.runs
-        );
-        failed = true;
-    }
-    if camp.identical_runs < camp.runs {
-        eprintln!(
-            "FAIL: {}/{} runs diverged from the honest in-proc baseline",
-            camp.runs - camp.identical_runs,
-            camp.runs
-        );
-        failed = true;
-    }
-    if camp.monitor_violations > 0 {
-        eprintln!(
-            "FAIL: the online safety monitor fired {} time(s) under attack",
-            camp.monitor_violations
-        );
-        failed = true;
-    }
-    if camp.honest_attributed_rejections > 0 {
-        eprintln!(
-            "FAIL: {} gate rejection(s) attributed to honest senders",
-            camp.honest_attributed_rejections
-        );
-        failed = true;
-    }
-    if camp.client_honest_rejections > 0 {
-        eprintln!(
-            "FAIL: {} client-port rejection(s) during clean references (honest traffic)",
-            camp.client_honest_rejections
-        );
-        failed = true;
-    }
-    if camp.client_reply_errors > 0 {
-        eprintln!(
-            "FAIL: {} honest-client repl(ies) were wrong or timed out",
-            camp.client_reply_errors
-        );
-        failed = true;
-    }
-    if camp.clean_auth_rejects > 0 {
-        eprintln!(
-            "FAIL: {} handshake rejection(s) during clean references (honest links)",
-            camp.clean_auth_rejects
-        );
-        failed = true;
-    }
-    let silent = out.silent_identity_mixes();
-    if !silent.is_empty() {
-        eprintln!(
-            "FAIL: identity mix(es) whose forgeries were never refused: {}",
-            silent.join(", ")
-        );
-        failed = true;
-    }
-    if !out.overhead.bounded() {
-        eprintln!(
-            "FAIL: authenticated mesh construction took {:.1} ms (budget {} ms)",
-            out.overhead.auth_ms, HANDSHAKE_BUDGET_MS
-        );
-        failed = true;
-    }
-    if metrics_addr.is_some() && !scrape_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: the metrics endpoint never served a valid Prometheus dump mid-run");
-        failed = true;
-    }
-    if metrics_addr.is_some() && !status_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: /status never showed an authenticated link mid-run");
-        failed = true;
-    }
-    // Hold the endpoint open for the CI curl: the reject counters only
-    // settle after aggregation, so external scrapers are counted from here.
-    if let (Some(s), Some(n)) = (&server, wait_scrapes) {
-        let baseline = s.scrapes();
-        let t0 = std::time::Instant::now();
-        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
-        while s.scrapes() < baseline + n && t0.elapsed() < std::time::Duration::from_secs(20) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::identity::SCENARIO);
 }

@@ -13,16 +13,10 @@
 //!   events match the service's own gate counters, and violation events
 //!   match the safety monitor. Exits nonzero on any mismatch.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use rbvc_bench::experiments::service::{
-    run_service_with_obs, ServiceConfig, TransportKind,
-};
-use rbvc_obs::{
-    kernel_snapshot, render_report, reset_kernel_timers, set_kernel_timing, JsonlRecorder, Obs,
-    Recorder, Registry, TraceSummary,
-};
+use rbvc_bench::experiments::service::{run_service, ServiceConfig, TraceFile, TransportKind};
+use rbvc_obs::{render_report, Obs, TraceSummary};
 use rbvc_transport::service::GATE_NAMES;
 use rbvc_transport::{encode_frame, in_proc_mesh, ConsensusService, Frame, Payload, Transport};
 
@@ -123,24 +117,15 @@ fn inject_byzantine_frames(obs: Obs) -> [u64; 4] {
 
 fn smoke() {
     let path = std::env::temp_dir().join(format!("rbvc_exp_obs_smoke_{}.jsonl", std::process::id()));
-    let recorder = Arc::new(JsonlRecorder::create(&path).expect("create trace"));
-    let obs = Obs::new(Arc::clone(&recorder) as Arc<dyn Recorder>);
-    Registry::global().reset();
-    reset_kernel_timers();
-    set_kernel_timing(true);
+    let trace = TraceFile::create(&path).expect("create trace");
 
     // A clean traced mesh run plus a deliberately Byzantine gate exercise,
     // both into one trace.
     let cfg = ServiceConfig::smoke(2016);
-    let out = run_service_with_obs(&cfg, TransportKind::InProc, Some(obs.clone()));
-    let gate_counters = inject_byzantine_frames(obs);
-    for line in Registry::global().to_jsonl_lines() {
-        recorder.write_raw(&line);
-    }
-    for k in kernel_snapshot() {
-        recorder.write_raw(&k.to_json_line());
-    }
-    recorder.flush();
+    let (n, instances) = (cfg.mesh.n, cfg.mesh.instances);
+    let out = run_service(&cfg, TransportKind::InProc, Some(trace.obs()));
+    let gate_counters = inject_byzantine_frames(trace.obs());
+    trace.finish();
 
     let text = std::fs::read_to_string(&path).expect("read trace back");
     let summary = match TraceSummary::parse(&text) {
@@ -164,10 +149,10 @@ fn smoke() {
     };
 
     check(
-        out.decided == cfg.instances && out.monitor_violations == 0 && out.errors == 0,
+        out.decided == instances && out.monitor_violations == 0 && out.errors == 0,
         format!(
             "mesh run clean: {}/{} decided, {} violations, {} errors",
-            out.decided, cfg.instances, out.monitor_violations, out.errors
+            out.decided, instances, out.monitor_violations, out.errors
         ),
     );
     // Protocol layers emit their own decide events (e.g. Verified
@@ -184,10 +169,10 @@ fn smoke() {
         })
         .count();
     check(
-        service_decides == cfg.instances * cfg.n,
+        service_decides == instances * n,
         format!(
             "service decide events == decided instances x nodes ({} == {} x {})",
-            service_decides, cfg.instances, cfg.n
+            service_decides, instances, n
         ),
     );
     let gate_events = service_gate_events(&summary);

@@ -1,7 +1,8 @@
 //! E18 — crash-recovery campaign: seeded kill/restart of a WAL-durable
-//! consensus service over loopback TCP, with log-corruption injection.
+//! consensus service over authenticated loopback TCP, with log-corruption
+//! injection.
 //!
-//! Usage: `exp_recovery [--smoke] [runs] [seed]`
+//! Usage: `exp_recovery [--smoke] [--seed N] [--runs N]`
 //!
 //! Each seeded run kills one node of a durable mesh mid-consensus, on
 //! every third run also corrupts its write-ahead log (torn-tail truncation
@@ -12,135 +13,9 @@
 //! divergences. The default profile is 50 runs on a 4-node mesh; `--smoke`
 //! shrinks to 6 runs on 3 nodes for CI. Prints the campaign table, writes
 //! `BENCH_recovery.json`, and exits nonzero if any run violated safety,
-//! diverged on replay, or failed to reproduce the baseline decisions.
-
-use rbvc_bench::experiments::recovery::{default_runs, run_campaign, RecoveryConfig};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::Registry;
-use serde_json::json;
+//! diverged on replay, or failed to reproduce the baseline decisions. The
+//! campaign is `rbvc_bench::experiments::recovery`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let positional: Vec<&String> = args.iter().skip(1).filter(|a| *a != "--smoke").collect();
-    let runs: usize = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| default_runs(smoke));
-    let seed: u64 = positional.get(1).and_then(|a| a.parse().ok()).unwrap_or(2016);
-    let cfg = if smoke {
-        let mut c = RecoveryConfig::smoke(seed);
-        c.runs = runs;
-        c
-    } else {
-        RecoveryConfig::full(runs, seed)
-    };
-    println!(
-        "E18 — crash-recovery campaign: {} seeded kill/restart runs on a \
-         {}-node durable loopback TCP mesh ({} VA instances per run, WAL \
-         corruption every {} runs), seed {seed}{}",
-        cfg.runs,
-        cfg.n,
-        cfg.instances,
-        cfg.corrupt_every,
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // The campaign reads the global `wal.fsync` counter as a delta; reset
-    // the registry first so the report reflects this process's runs alone.
-    Registry::global().reset();
-    let out = run_campaign(&cfg);
-
-    print_table(
-        "E18 (crash-recovery campaign)",
-        &[
-            "runs",
-            "converged",
-            "identical",
-            "corrupted",
-            "torn",
-            "violations",
-            "divergences",
-            "replayed recs",
-            "recs/s replay",
-            "fsyncs",
-            "wall s",
-        ],
-        &[vec![
-            out.runs.to_string(),
-            out.converged_runs.to_string(),
-            out.identical_runs.to_string(),
-            out.corrupted_runs.to_string(),
-            out.torn_runs.to_string(),
-            out.monitor_violations.to_string(),
-            out.replay_divergences.to_string(),
-            out.replay_records.to_string(),
-            fnum(out.replay_records_per_sec()),
-            out.fsyncs.to_string(),
-            fnum(out.wall_secs),
-        ]],
-    );
-
-    let doc = json!({
-        "transport": "tcp-loopback",
-        "seed": seed,
-        "smoke": smoke,
-        "n": cfg.n,
-        "dimension": cfg.d,
-        "va_rounds": cfg.va_rounds,
-        "instances_per_run": cfg.instances,
-        "corrupt_every": cfg.corrupt_every,
-        "runs": out.runs,
-        "converged_runs": out.converged_runs,
-        "identical_runs": out.identical_runs,
-        "corrupted_runs": out.corrupted_runs,
-        "torn_runs": out.torn_runs,
-        "monitor_violations": out.monitor_violations,
-        "replay_divergences": out.replay_divergences,
-        "replay": json!({
-            "records": out.replay_records,
-            "torn_bytes": out.torn_bytes,
-            "recover_us_total": out.recover_us_total,
-            "records_per_sec": out.replay_records_per_sec(),
-        }),
-        "wal_fsyncs": out.fsyncs,
-        "wall_secs": out.wall_secs,
-        "baseline_identical": out.identical_runs == out.runs,
-    });
-    let doc = with_envelope("E18", "crash-recovery campaign", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_recovery.json", &rendered).expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
-
-    let mut failed = false;
-    if out.converged_runs < out.runs {
-        eprintln!(
-            "FAIL: {}/{} runs failed to reconverge after recovery",
-            out.runs - out.converged_runs,
-            out.runs
-        );
-        failed = true;
-    }
-    if out.identical_runs < out.runs {
-        eprintln!(
-            "FAIL: {}/{} runs diverged from the uninterrupted baseline",
-            out.runs - out.identical_runs,
-            out.runs
-        );
-        failed = true;
-    }
-    if out.monitor_violations > 0 {
-        eprintln!(
-            "FAIL: the online safety monitor fired {} time(s) across the campaign",
-            out.monitor_violations
-        );
-        failed = true;
-    }
-    if out.replay_divergences > 0 {
-        eprintln!("FAIL: {} WAL replay divergence(s)", out.replay_divergences);
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::recovery::SCENARIO);
 }

@@ -1,9 +1,10 @@
-//! E17 — consensus-service load generator: a loopback TCP mesh running
-//! hundreds of concurrent SyncBvc / Verified-Averaging instances through
-//! `rbvc-transport`, with online per-instance safety monitoring.
+//! E17 — consensus-service load generator: an authenticated loopback TCP
+//! mesh running hundreds of concurrent SyncBvc / Verified-Averaging
+//! instances through `rbvc-transport`, with online per-instance safety
+//! monitoring.
 //!
-//! Usage: `exp_service [--smoke] [--trace FILE] [--attrib] [--window N]
-//! [--metrics ADDR] [--metrics-wait-scrapes N] [instances] [seed]`
+//! Usage: `exp_service [--smoke] [--seed N] [--instances N] [--window N]
+//! [--trace FILE] [--attrib] [--metrics ADDR] [--metrics-wait-scrapes N]`
 //!
 //! The default profile is a 7-node mesh (SyncBvc at `f = 2`) under 210
 //! concurrent instances; `--smoke` shrinks to a 4-node, 12-instance mesh
@@ -13,316 +14,18 @@
 //! on any safety violation, undecided instance, transport/service error,
 //! or identity mismatch.
 //!
-//! `--trace FILE` records the load run as a JSONL trace through
-//! `rbvc-obs`: every structured protocol event, followed by a dump of the
-//! metrics registry and the hot-kernel timing cells. Feed the file to
+//! `--trace FILE` records the load run as a JSONL trace (feed it to
 //! `exp_obs` for the per-run report, or `exp_trace` for the critical-path
-//! attribution; `--attrib` runs the attribution inline, prints its table,
-//! and embeds the result in `BENCH_service.json`. Tracing observes the run
-//! without changing decisions (same seed, same values).
-//!
-//! `--metrics ADDR` (e.g. `127.0.0.1:9184`, port 0 for ephemeral) serves
-//! the live metrics registry in Prometheus text format for the whole run;
-//! a background self-scrape validates the page mid-run and the run fails
-//! if it never sees a valid dump. `--metrics-wait-scrapes N` keeps the
-//! endpoint up after the run until it has answered `N` requests (so CI can
-//! curl a short smoke run without racing its exit).
-
-use std::sync::Arc;
-
-use rbvc_bench::experiments::service::{
-    cross_transport_identity, run_service_with_obs, ServiceConfig, ServiceOutcome, TransportKind,
-};
-use rbvc_bench::report::{fnum, print_table, with_envelope};
-use rbvc_obs::{
-    assemble, kernel_snapshot, render_attribution, reset_kernel_timers, scrape_once,
-    set_kernel_timing, JsonlRecorder, MetricsServer, Obs, Recorder, Registry, TraceSummary,
-};
-use serde_json::json;
-
-fn row(out: &ServiceOutcome) -> Vec<String> {
-    vec![
-        out.transport.to_string(),
-        format!("{}", out.n),
-        format!(
-            "{}/{} ({} bvc + {} va)",
-            out.decided,
-            out.instances,
-            out.bvc_instances,
-            out.instances - out.bvc_instances
-        ),
-        fnum(out.decided_per_sec),
-        fnum(out.p50_ms),
-        fnum(out.p99_ms),
-        format!("{}", out.bytes_sent),
-        out.monitor_violations.to_string(),
-        out.errors.to_string(),
-    ]
-}
+//! attribution); `--attrib` runs the attribution inline and embeds it in
+//! the report. `--metrics ADDR` (e.g. `127.0.0.1:9184`, port 0 for
+//! ephemeral) serves the live metrics registry in Prometheus text format
+//! for the whole run; the run fails if a background self-scrape never sees
+//! a valid dump. `--metrics-wait-scrapes N` keeps the endpoint up after
+//! the run until it has answered `N` requests (so CI can curl a short
+//! smoke run without racing its exit). The CLI, the endpoint and the
+//! report writer are `rbvc_bench::campaign::main`; the campaign itself is
+//! `rbvc_bench::experiments::service`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let window_override: Option<usize> = args
-        .iter()
-        .position(|a| a == "--window")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let attrib = args.iter().any(|a| a == "--attrib");
-    let metrics_addr = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wait_scrapes: Option<u64> = args
-        .iter()
-        .position(|a| a == "--metrics-wait-scrapes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let mut skip_next = false;
-    let positional: Vec<&String> = args
-        .iter()
-        .skip(1)
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--trace" || *a == "--window" || *a == "--metrics"
-                || *a == "--metrics-wait-scrapes"
-            {
-                skip_next = true;
-                return false;
-            }
-            *a != "--smoke" && *a != "--attrib"
-        })
-        .collect();
-    if attrib && trace_path.is_none() {
-        eprintln!("FAIL: --attrib requires --trace FILE (the trace is its input)");
-        std::process::exit(2);
-    }
-    let instances: usize = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(if smoke { 12 } else { 210 });
-    let seed: u64 = positional.get(1).and_then(|a| a.parse().ok()).unwrap_or(2016);
-    let mut cfg = if smoke {
-        let mut c = ServiceConfig::smoke(seed);
-        c.instances = instances;
-        c
-    } else {
-        ServiceConfig::load(instances, seed)
-    };
-    if let Some(w) = window_override {
-        cfg.window = w;
-    }
-    println!(
-        "E17 — service load generator: {}-node loopback TCP mesh, {} concurrent \
-         instances (every 3rd SyncBvc at f = {}, rest Verified Averaging at \
-         f = 0), online per-instance safety monitor (ε-agreement + box \
-         validity), seed {seed}{}",
-        cfg.n,
-        cfg.instances,
-        cfg.f_bvc,
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Identity gate: the transport must not influence decisions. Runs at a
-    // small scale so the check stays cheap even in the full profile.
-    let mut id_cfg = ServiceConfig::smoke(seed ^ 0x5eed);
-    id_cfg.instances = 6;
-    let (identical, id_tcp, id_inproc) = cross_transport_identity(&id_cfg);
-    println!(
-        "identity check (n = {}, {} instances): tcp {} in-process",
-        id_cfg.n,
-        id_cfg.instances,
-        if identical { "==" } else { "!=" }
-    );
-
-    // The load profile itself, over real sockets — traced when asked.
-    // The registry and kernel timers are reset first so the dump reflects
-    // this run alone, not the identity check above.
-    let recorder = trace_path.as_ref().map(|p| {
-        Arc::new(JsonlRecorder::create(p).expect("create trace file"))
-    });
-    let obs = recorder.as_ref().map(|r| {
-        Registry::global().reset();
-        reset_kernel_timers();
-        set_kernel_timing(true);
-        Obs::new(Arc::clone(r) as Arc<dyn Recorder>)
-    });
-    // Live exposition: bind before the run so the whole run is scrapeable,
-    // and self-scrape from a background thread to prove the page is served
-    // *while* the mesh is hot (CI additionally curls it from outside).
-    let server = metrics_addr.as_ref().map(|addr| {
-        let s = MetricsServer::serve(addr.as_str(), Registry::global().clone())
-            .expect("bind metrics endpoint");
-        println!("serving /metrics on http://{}", s.addr());
-        s
-    });
-    let scrape_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = server.as_ref().map(|s| {
-        use std::sync::atomic::Ordering;
-        let addr = s.addr();
-        let ok = Arc::clone(&scrape_ok);
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if let Ok(body) = scrape_once(addr) {
-                    if body.contains("# TYPE") {
-                        ok.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        })
-    });
-    let out = run_service_with_obs(&cfg, TransportKind::Tcp, obs);
-    scrape_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(h) = scraper {
-        let _ = h.join();
-    }
-    if let Some(rec) = &recorder {
-        for line in Registry::global().to_jsonl_lines() {
-            rec.write_raw(&line);
-        }
-        for k in kernel_snapshot() {
-            rec.write_raw(&k.to_json_line());
-        }
-        rec.flush();
-        println!("wrote trace to {}", trace_path.as_deref().unwrap_or("?"));
-    }
-    // Critical-path attribution: read the trace back and reconstruct every
-    // decided instance's submit→decide chain (see `rbvc_obs::trace`).
-    let attribution = if attrib {
-        let path = trace_path.as_deref().expect("checked at parse time");
-        let text = std::fs::read_to_string(path).expect("read trace back");
-        let summary = TraceSummary::parse(&text).expect("parse trace");
-        let a = assemble(&summary);
-        println!("{}", render_attribution(&a));
-        Some(a)
-    } else {
-        None
-    };
-    print_table(
-        "E17 (service load generator)",
-        &[
-            "transport",
-            "n",
-            "decided",
-            "decided/s",
-            "p50 ms",
-            "p99 ms",
-            "bytes sent",
-            "violations",
-            "errors",
-        ],
-        &[row(&id_tcp), row(&id_inproc), row(&out)],
-    );
-
-    // The sent/received byte counters rarely agree exactly: each node
-    // snapshots its own counters *before* the end-of-run barrier, so
-    // frames a peer has written but this node has not yet read off the
-    // socket (plus batches still in kernel buffers) are counted as sent
-    // but not yet as received. That gap is traffic in flight at shutdown,
-    // not loss — the trace assembler confirms it by finding the same
-    // frames as trailing unread sends (`in_flight_tx`).
-    let bytes_in_flight = out.bytes_sent.saturating_sub(out.bytes_received);
-    println!(
-        "bytes on wire: {} sent, {} received, {} in flight at the shutdown snapshot",
-        out.bytes_sent, out.bytes_received, bytes_in_flight
-    );
-
-    let doc = json!({
-        "transport": "tcp-loopback",
-        "seed": seed,
-        "smoke": smoke,
-        "n": out.n,
-        "f_bvc": cfg.f_bvc,
-        "dimension": cfg.d,
-        "va_rounds": cfg.va_rounds,
-        "window": cfg.window,
-        "instances": out.instances,
-        "bvc_instances": out.bvc_instances,
-        "va_instances": out.instances - out.bvc_instances,
-        "decided": out.decided,
-        "wall_secs": out.wall_secs,
-        "decided_per_sec": out.decided_per_sec,
-        "latency_ms": json!({ "p50": out.p50_ms, "p99": out.p99_ms, "max": out.max_ms }),
-        "bytes_on_wire": json!({
-            "sent": out.bytes_sent,
-            "received": out.bytes_received,
-            "in_flight_at_shutdown": bytes_in_flight,
-        }),
-        "monitor_violations": out.monitor_violations,
-        "service_errors": out.errors,
-        "cross_transport_identical": identical,
-        "attribution": attribution.as_ref().map(rbvc_obs::Attribution::to_json),
-        "metrics_endpoint": server.as_ref().map(|s| json!({
-            "addr": s.addr().to_string(),
-            "mid_run_scrape_ok": scrape_ok.load(std::sync::atomic::Ordering::SeqCst),
-        })),
-    });
-    let doc = with_envelope("E17", "service load generator", doc);
-    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write("BENCH_service.json", &rendered).expect("write BENCH_service.json");
-    println!("wrote BENCH_service.json");
-
-    let mut failed = false;
-    if !identical {
-        eprintln!("FAIL: TCP and in-process decisions diverged on one seed");
-        failed = true;
-    }
-    if out.monitor_violations > 0 {
-        eprintln!("FAIL: the online safety monitor fired {} time(s)", out.monitor_violations);
-        failed = true;
-    }
-    if out.decided < out.instances {
-        eprintln!(
-            "FAIL: only {}/{} instances fully decided within the poll budget",
-            out.decided, out.instances
-        );
-        failed = true;
-    }
-    if out.errors > 0 {
-        eprintln!("FAIL: {} transport/service error(s) on a clean loopback mesh", out.errors);
-        failed = true;
-    }
-    if metrics_addr.is_some() && !scrape_ok.load(std::sync::atomic::Ordering::SeqCst) {
-        eprintln!("FAIL: the metrics endpoint never served a valid Prometheus dump mid-run");
-        failed = true;
-    }
-    if let Some(a) = &attribution {
-        if a.unpaired_rx != 0 || a.unpaired_tx_mid != 0 {
-            eprintln!(
-                "FAIL: span pairing broken — {} unpaired rx, {} mid-stream tx gaps",
-                a.unpaired_rx, a.unpaired_tx_mid
-            );
-            failed = true;
-        }
-        if a.incomplete_chains != 0 {
-            eprintln!("FAIL: {} critical-path chains incomplete", a.incomplete_chains);
-            failed = true;
-        }
-    }
-    // Hold the endpoint open until external scrapers (the CI curl) have
-    // been answered `n` *further* times — the self-scrape's own count is
-    // excluded — bounded so a missing scraper cannot hang the run.
-    if let (Some(s), Some(n)) = (&server, wait_scrapes) {
-        let baseline = s.scrapes();
-        let t0 = std::time::Instant::now();
-        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
-        while s.scrapes() < baseline + n && t0.elapsed() < std::time::Duration::from_secs(20) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    rbvc_bench::campaign::main(&rbvc_bench::experiments::service::SCENARIO);
 }

@@ -23,15 +23,9 @@
 //! in aggregate the median chain total must bracket the measured p50.
 //! Exits nonzero on any violation.
 
-use std::sync::Arc;
-
-use rbvc_bench::experiments::service::{
-    percentile, run_service_with_obs, ServiceConfig, TransportKind,
-};
-use rbvc_obs::{
-    assemble, kernel_snapshot, render_attribution, reset_kernel_timers, set_kernel_timing,
-    JsonlRecorder, Obs, Recorder, Registry, TraceSummary,
-};
+use rbvc_bench::campaign::percentile;
+use rbvc_bench::experiments::service::{run_service, ServiceConfig, TraceFile, TransportKind};
+use rbvc_obs::{assemble, render_attribution, TraceSummary};
 
 /// Parse + assemble one trace file and print the report. Returns the
 /// assembled attribution for further checks.
@@ -59,31 +53,18 @@ fn smoke(seed: u64) -> Result<(), String> {
     let cfg = ServiceConfig::smoke(seed);
     println!(
         "exp_trace --smoke: {}-node TCP mesh, {} instances, seed {seed}, trace {}",
-        cfg.n,
-        cfg.instances,
+        cfg.mesh.n,
+        cfg.mesh.instances,
         path.display()
     );
-    Registry::global().reset();
-    reset_kernel_timers();
-    set_kernel_timing(true);
-    let rec = Arc::new(
-        JsonlRecorder::create(&path).map_err(|e| format!("create trace: {e}"))?,
-    );
-    let obs = Obs::new(Arc::clone(&rec) as Arc<dyn Recorder>);
-    let out = run_service_with_obs(&cfg, TransportKind::Tcp, Some(obs));
-    for line in Registry::global().to_jsonl_lines() {
-        rec.write_raw(&line);
-    }
-    for k in kernel_snapshot() {
-        rec.write_raw(&k.to_json_line());
-    }
-    rec.flush();
-    set_kernel_timing(false);
+    let trace = TraceFile::create(&path).map_err(|e| format!("create trace: {e}"))?;
+    let out = run_service(&cfg, TransportKind::Tcp, Some(trace.obs()));
+    trace.finish();
 
-    if out.decided < cfg.instances {
+    if out.decided < cfg.mesh.instances {
         return Err(format!(
             "only {}/{} instances decided — cannot judge the trace",
-            out.decided, cfg.instances
+            out.decided, cfg.mesh.instances
         ));
     }
     let a = attribute_file(&path.to_string_lossy())?;
@@ -104,7 +85,7 @@ fn smoke(seed: u64) -> Result<(), String> {
         ));
     }
     // Completeness: one complete chain per (instance, node).
-    let expect = cfg.instances * cfg.n;
+    let expect = cfg.mesh.instances * cfg.mesh.n;
     if a.chains.len() != expect || a.incomplete_chains != 0 {
         return Err(format!(
             "expected {expect} complete chains, got {} ({} incomplete)",

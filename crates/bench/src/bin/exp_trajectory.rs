@@ -1,5 +1,6 @@
 //! `exp_trajectory` — one-line-per-experiment summary of every
-//! `BENCH_*.json` the systems campaigns write, keyed off the shared
+//! `BENCH_*.json` the systems campaigns write (the scenario table
+//! `rbvc_bench::campaign::SCENARIOS`), keyed off the shared
 //! report envelope (`schema_version` / `experiment` / `title` /
 //! `git_rev` / `generated_unix_s`).
 //!
@@ -11,18 +12,9 @@
 //! trajectory stand" view for a fresh checkout — which campaigns have
 //! been run, at which commit, how long ago, and their headline verdicts.
 
+use rbvc_bench::campaign::SCENARIOS;
 use rbvc_bench::report::print_table;
 use serde_json::Value;
-
-/// The systems campaign reports, in experiment order.
-const REPORTS: [&str; 6] = [
-    "BENCH_service.json",
-    "BENCH_recovery.json",
-    "BENCH_byzantine.json",
-    "BENCH_client.json",
-    "BENCH_health.json",
-    "BENCH_identity.json",
-];
 
 fn get_str(doc: &Value, key: &str) -> String {
     doc.get(key).and_then(Value::as_str).unwrap_or("?").to_string()
@@ -92,7 +84,7 @@ fn headline(doc: &Value) -> String {
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for name in REPORTS {
+    for name in SCENARIOS.map(|sc| sc.report) {
         let path = std::path::Path::new(&dir).join(name);
         let row = match std::fs::read_to_string(&path) {
             Ok(text) => match serde_json::from_str(&text) {
@@ -103,21 +95,11 @@ fn main() {
                     age(get_u64(&doc, "generated_unix_s")),
                     headline(&doc),
                 ],
-                Err(_) => vec![
-                    "?".to_string(),
-                    name.to_string(),
-                    "?".to_string(),
-                    "?".to_string(),
-                    "unparseable JSON".to_string(),
-                ],
+                Err(_) => ["?", name, "?", "?", "unparseable JSON"].map(String::from).to_vec(),
             },
-            Err(_) => vec![
-                "—".to_string(),
-                name.to_string(),
-                "—".to_string(),
-                "—".to_string(),
-                "absent (campaign not run)".to_string(),
-            ],
+            Err(_) => {
+                ["—", name, "—", "—", "absent (campaign not run)"].map(String::from).to_vec()
+            }
         };
         rows.push(row);
     }

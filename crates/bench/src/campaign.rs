@@ -1,0 +1,624 @@
+//! The campaign harness: everything the systems campaigns E17, E18 and
+//! E20–E23 share, so each of them is one [`Scenario`] entry.
+//!
+//! A scenario supplies what is its own — the fault it injects, its
+//! per-run verdict, its table, JSON payload and gates (all returned as a
+//! [`Report`] from [`Scenario::run`]). The harness owns the rest: the
+//! [`MeshProfile`] with its seeded inputs, instance builder, authenticated
+//! loopback mesh, in-process baseline oracle and monitor factory; the
+//! round-robin [`sweep`] and [`thread_per_node`] drivers; and [`main`],
+//! which parses the one CLI grammar, serves `/metrics` + `/status` with a
+//! mid-run self-scrape, prints the table, writes the enveloped
+//! `BENCH_*.json`, turns the gate list into the exit code, and holds the
+//! endpoint open for `--metrics-wait-scrapes`.
+
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::Rng;
+use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
+use rbvc_core::{DecisionRule, SyncBvc};
+use rbvc_linalg::{Norm, Tol, VecD};
+use rbvc_obs::{scrape_path, MetricsServer, Registry, StatusBoard};
+use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
+use rbvc_transport::service::{ConsensusService, InstanceProto};
+use rbvc_transport::transport::{in_proc_mesh, Transport};
+use rbvc_transport::{tcp_mesh_loopback_authenticated, Lockstep, TcpEndpoint};
+use serde_json::{json, Value};
+
+use crate::experiments::{byzantine, client, health, identity, recovery, service};
+use crate::report::{print_table, with_envelope};
+use crate::workloads::max_edge;
+
+/// Every systems campaign, in experiment order (`exp_trajectory` walks it).
+pub const SCENARIOS: [&Scenario; 6] = [
+    &service::SCENARIO,
+    &recovery::SCENARIO,
+    &byzantine::SCENARIO,
+    &client::SCENARIO,
+    &health::SCENARIO,
+    &identity::SCENARIO,
+];
+
+/// Agreement tolerance of the online monitors (E18 tightens it to 0).
+pub const AGREEMENT_EPS: f64 = 1e-9;
+
+/// The mesh shape and workload seed every campaign is parameterised by.
+#[derive(Debug, Clone)]
+pub struct MeshProfile {
+    /// Mesh size (number of processes / endpoints).
+    pub n: usize,
+    /// Byzantine faults the instances tolerate (`n ≥ 3f + 1`).
+    pub f: usize,
+    /// Vector dimension.
+    pub d: usize,
+    /// Pre-registered instances per run, ids `1..=instances` (0 for E21,
+    /// whose instances are created by client submits).
+    pub instances: usize,
+    /// Averaging rounds per Verified-Averaging instance.
+    pub rounds: usize,
+    /// Campaign seed; run `r` derives [`MeshProfile::run_seed`].
+    pub seed: u64,
+    /// Receive-wait per service poll.
+    pub poll_timeout: Duration,
+}
+
+/// Which protocol an instance slot runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Proto {
+    /// Relaxed Verified Averaging tolerating `f` faults (`f = 0` waits for
+    /// all `n` states — the delivery-order-independent regime).
+    Va {
+        /// Faults tolerated.
+        f: usize,
+    },
+    /// SyncBvc at the profile's `f` under the lockstep synchronizer, which
+    /// force-advances a round after `timeout_ticks` polls (`u32::MAX` on an
+    /// all-honest mesh: a partial-inbox advance would diverge).
+    Bvc {
+        /// Lockstep round timeout, one tick per poll.
+        timeout_ticks: u32,
+    },
+}
+
+/// A 32-byte mesh-auth seed derived from a campaign seed.
+#[must_use]
+pub fn mesh_seed(seed: u64) -> [u8; 32] {
+    rbvc_transport::sha256(&seed.to_le_bytes())
+}
+
+impl MeshProfile {
+    /// The seed of run `run` of a multi-run campaign.
+    #[must_use]
+    pub fn run_seed(&self, run: usize) -> u64 {
+        self.seed.wrapping_add(run as u64 * 7919)
+    }
+
+    /// Seeded inputs, `[instance][node]`, uniform in `[-8, 8)^d`.
+    pub fn inputs(&self, rand: &mut StdRng) -> Vec<Vec<VecD>> {
+        (0..self.instances)
+            .map(|_| {
+                (0..self.n)
+                    .map(|_| VecD((0..self.d).map(|_| rand.gen_range(-8.0..8.0)).collect()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Build process `id`'s state machine for one instance.
+    #[must_use]
+    pub fn instance(&self, proto: Proto, id: usize, input: VecD) -> InstanceProto {
+        match proto {
+            Proto::Va { f } => InstanceProto::Va(VerifiedAveraging::new(
+                id,
+                self.n,
+                f,
+                input,
+                DeltaMode::MinDelta(Norm::L2),
+                self.rounds,
+                Tol::default(),
+            )),
+            Proto::Bvc { timeout_ticks } => {
+                let rule = DecisionRule::MinDeltaPoint(Norm::L2);
+                let bvc = SyncBvc::new(id, self.n, self.f, self.d, input, rule, Tol::default());
+                InstanceProto::Bvc(
+                    Lockstep::new(bvc, self.n, self.f + 1).with_timeout_ticks(timeout_ticks),
+                )
+            }
+        }
+    }
+
+    /// Register every instance of `inputs` on `svc` (process `id`), slot
+    /// `k` (0-based) running `proto(k)` under instance id `k + 1`.
+    pub fn register<T: Transport>(
+        &self,
+        svc: &mut ConsensusService<T>,
+        id: usize,
+        inputs: &[Vec<VecD>],
+        proto: impl Fn(usize) -> Proto,
+    ) {
+        for (k, per_node) in inputs.iter().enumerate() {
+            svc.add_instance(k as u64 + 1, self.instance(proto(k), id, per_node[id].clone()))
+                .expect("unique instance ids");
+        }
+    }
+
+    /// Stand up the authenticated loopback TCP mesh (pairwise keys derived
+    /// from `key`) and return it with its listen addresses, which a
+    /// restarted victim rebinds and the wire attacks dial.
+    ///
+    /// # Panics
+    /// If loopback sockets are unavailable or a handshake fails.
+    #[must_use]
+    pub fn tcp_mesh(&self, key: &[u8; 32]) -> (Vec<TcpEndpoint>, Vec<SocketAddr>) {
+        let mesh = tcp_mesh_loopback_authenticated(self.n, key).expect("loopback TCP mesh");
+        let addrs = mesh.iter().map(TcpEndpoint::listen_addr).collect();
+        (mesh, addrs)
+    }
+
+    /// The decision oracle: the same instances over the in-process
+    /// transport with every node honest. `silent` slots hold an endpoint
+    /// (so sends to them succeed) but run no service. Returns per-node
+    /// decisions, or `None` if the mesh is stuck after `max_sweeps`.
+    #[must_use]
+    pub fn baseline(
+        &self,
+        proto: Proto,
+        inputs: &[Vec<VecD>],
+        silent: &[usize],
+        max_sweeps: usize,
+    ) -> Option<Vec<BTreeMap<u64, VecD>>> {
+        let mut nodes: Vec<_> = in_proc_mesh(self.n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, ep)| {
+                let mut svc = ConsensusService::new(ep);
+                if !silent.contains(&i) {
+                    self.register(&mut svc, i, inputs, |_| proto);
+                    svc.start().expect("start baseline service");
+                }
+                svc
+            })
+            .collect();
+        sweep(&mut nodes, max_sweeps, |_, i, svc| {
+            silent.contains(&i) || {
+                let _ = svc.poll(self.poll_timeout);
+                svc.all_decided()
+            }
+        })
+        .then(|| nodes.iter().map(|svc| self.decisions(svc)).collect())
+    }
+
+    /// `svc`'s decisions on the pre-registered instances, by instance id.
+    pub fn decisions<T: Transport>(&self, svc: &ConsensusService<T>) -> BTreeMap<u64, VecD> {
+        (1..=self.instances as u64).filter_map(|k| svc.decision(k).map(|v| (k, v))).collect()
+    }
+}
+
+/// The one per-instance safety-monitor factory: ε-agreement across the `n`
+/// nodes, plus — when the instance inputs are known — box validity over
+/// `inputs[instance − 1]` with slack `δ* ≤` max pairwise input distance.
+/// Changing what the campaigns assert online is an edit here.
+#[must_use]
+pub fn monitor(n: usize, eps: f64, inputs: Option<Vec<Vec<VecD>>>) -> ServiceMonitor<Vec<f64>> {
+    ServiceMonitor::new(move |inst| match &inputs {
+        Some(all) => {
+            let points = &all[inst as usize - 1];
+            let flat: Vec<Vec<f64>> = points.iter().map(|v| v.as_slice().to_vec()).collect();
+            let validity = box_validity(&flat, max_edge(points));
+            SafetyMonitor::new(n, epsilon_agreement(eps), validity)
+        }
+        None => SafetyMonitor::agreement_only(n, epsilon_agreement(eps)),
+    })
+}
+
+/// Round-robin sweep driver: call `step(sweep, node, &mut nodes[node])` for
+/// every node in order, sweep after sweep, until one sweep has every step
+/// report done (`true`) or `max_sweeps` are spent. Single-threaded, so the
+/// schedule is deterministic and a node that never decides cannot spin.
+pub fn sweep<S>(
+    nodes: &mut [S],
+    max_sweeps: usize,
+    mut step: impl FnMut(usize, usize, &mut S) -> bool,
+) -> bool {
+    (0..max_sweeps).any(|sweep| {
+        let mut done = true;
+        for (i, node) in nodes.iter_mut().enumerate() {
+            done &= step(sweep, i, node);
+        }
+        done
+    })
+}
+
+/// Thread-per-node driver: run `body(node, state)` on its own thread for
+/// every element of `nodes` while `coordinate` runs on the calling thread,
+/// then join. For campaigns where wall-clock behaviour is the subject (a
+/// shared sweep thread would smear one node's latency over everybody).
+///
+/// # Panics
+/// If a node thread panicked.
+pub fn thread_per_node<S: Send, R: Send, C>(
+    nodes: Vec<S>,
+    body: impl Fn(usize, S) -> R + Sync,
+    coordinate: impl FnOnce() -> C,
+) -> (Vec<R>, C) {
+    thread::scope(|scope| {
+        let body = &body;
+        let handles: Vec<_> = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, node)| scope.spawn(move || body(i, node)))
+            .collect();
+        let coordinated = coordinate();
+        (handles.into_iter().map(|h| h.join().expect("node thread")).collect(), coordinated)
+    })
+}
+
+/// Nearest-rank percentile of an ascending-sorted sample (NaN if empty).
+#[must_use]
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// `‖reply − value‖∞` of a client reply: every honest input of a client
+/// instance is the client's value, so the decision must be the value itself.
+#[must_use]
+pub fn reply_error(reply: &VecD, value: &VecD) -> f64 {
+    reply.as_slice().iter().zip(value.as_slice()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+}
+
+/// One pass/fail condition of a campaign; a failed gate prints
+/// `FAIL: {fail}` and makes the binary exit 1.
+#[derive(Debug)]
+pub struct Gate {
+    /// Whether the condition held.
+    pub ok: bool,
+    /// What to print when it did not.
+    pub fail: String,
+}
+
+/// Shorthand constructor for a [`Gate`].
+pub fn gate(ok: bool, fail: impl Into<String>) -> Gate {
+    Gate { ok, fail: fail.into() }
+}
+
+/// What a scenario hands back to [`main`].
+#[derive(Debug)]
+pub struct Report {
+    /// Column headers of the campaign table.
+    pub headers: Vec<&'static str>,
+    /// Rows of the campaign table.
+    pub rows: Vec<Vec<String>>,
+    /// Summary lines printed under the table.
+    pub notes: Vec<String>,
+    /// The campaign's own `BENCH_*.json` keys (the harness adds the
+    /// envelope, `transport` / `seed` / `smoke`, and `metrics_endpoint`).
+    pub payload: Value,
+    /// The pass criteria.
+    pub gates: Vec<Gate>,
+}
+
+impl Report {
+    /// Record the online monitor's verdict, which every campaign reports
+    /// and gates on the same way: the `monitor_violations` key and the
+    /// zero-violations gate.
+    #[must_use]
+    pub fn with_monitor(mut self, violations: usize) -> Self {
+        let mut payload = fields(self.payload);
+        payload.push(("monitor_violations".to_string(), json!(violations)));
+        self.payload = Value::Object(payload);
+        let fail = format!("the online safety monitor fired {violations} time(s)");
+        self.gates.push(gate(violations == 0, fail));
+        self
+    }
+}
+
+/// One systems campaign, declared once: `exp_*` binaries, `exp_trajectory`
+/// and the tests all read this entry.
+pub struct Scenario {
+    /// Short experiment id (`"E17"`).
+    pub id: &'static str,
+    /// Human title (table heading and envelope `title`).
+    pub title: &'static str,
+    /// Report file written to the current directory.
+    pub report: &'static str,
+    /// Flags accepted beyond `--smoke` and `--seed N`, as the usage line
+    /// shows them (`"--runs N"`, `"--attrib"`); `--metrics ADDR` brings
+    /// `--metrics-wait-scrapes N` with it.
+    pub flags: &'static [&'static str],
+    /// Substrings one mid-run `/metrics` scrape must all contain.
+    pub metrics_probe: &'static [&'static str],
+    /// `(needle, key)`: a mid-run `/status` scrape must contain `needle`;
+    /// the verdict lands in `metrics_endpoint.{key}`.
+    pub status_probe: Option<(&'static str, &'static str)>,
+    /// Run the campaign. The board is the one `/status` serves.
+    pub run: fn(&Args, &StatusBoard) -> Report,
+}
+
+impl Scenario {
+    /// Whether the scenario takes `--metrics` (and so reports
+    /// `metrics_endpoint`).
+    fn serves_metrics(&self) -> bool {
+        self.flags.contains(&"--metrics ADDR")
+    }
+}
+
+/// The parsed command line.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Args {
+    /// `--smoke`: the CI-sized profile.
+    pub smoke: bool,
+    /// `--seed N` (default 2016).
+    pub seed: u64,
+    /// `--runs N`: seeded runs, overriding the profile's count.
+    pub runs: Option<usize>,
+    /// `--instances N` (E17): concurrent instances.
+    pub instances: Option<usize>,
+    /// `--window N` (E17): closed-loop submission window.
+    pub window: Option<usize>,
+    /// `--trace FILE` (E17): record the load run as a JSONL trace.
+    pub trace: Option<String>,
+    /// `--attrib` (E17): critical-path attribution of the trace.
+    pub attrib: bool,
+    /// `--flight-dir DIR` (E22): where flight-recorder dumps land.
+    pub flight_dir: Option<PathBuf>,
+    /// `--metrics ADDR`: serve the live registry for the whole run.
+    pub metrics: Option<String>,
+    /// `--metrics-wait-scrapes N`: after the run, keep the endpoint up
+    /// until it has answered `N` further requests.
+    pub wait_scrapes: Option<u64>,
+}
+
+/// Parse `argv` (without the program name) against the one grammar,
+/// accepting only `--smoke`, `--seed` and the flags in `allowed`.
+///
+/// # Errors
+/// A message naming the first unknown flag, missing value or unparseable
+/// value — bad input never falls back to a default run.
+pub fn parse_args(allowed: &[&str], argv: &[String]) -> Result<Args, String> {
+    fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| format!("{flag}: cannot parse {value:?} as a number"))
+    }
+    let declared = |flag: &str| allowed.iter().any(|a| a.split(' ').next() == Some(flag));
+    let mut args = Args { seed: 2016, ..Args::default() };
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        let known = matches!(flag, "--smoke" | "--seed")
+            || declared(flag)
+            || (flag == "--metrics-wait-scrapes" && declared("--metrics"));
+        if !known {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+        match flag {
+            "--smoke" => args.smoke = true,
+            "--attrib" => args.attrib = true,
+            _ => {
+                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                match flag {
+                    "--seed" => args.seed = num(flag, value)?,
+                    "--runs" => args.runs = Some(num(flag, value)?),
+                    "--instances" => args.instances = Some(num(flag, value)?),
+                    "--window" => args.window = Some(num(flag, value)?),
+                    "--metrics-wait-scrapes" => args.wait_scrapes = Some(num(flag, value)?),
+                    "--trace" => args.trace = Some(value.clone()),
+                    "--flight-dir" => args.flight_dir = Some(value.into()),
+                    "--metrics" => args.metrics = Some(value.clone()),
+                    other => unreachable!("flag {other} is declared but not in the grammar"),
+                }
+            }
+        }
+    }
+    if args.attrib && args.trace.is_none() {
+        return Err("--attrib requires --trace FILE (the trace is its input)".to_string());
+    }
+    Ok(args)
+}
+
+/// Assemble the report document: the shared envelope, then `transport` /
+/// `seed` / `smoke`, then the scenario's payload, then — for scenarios
+/// that take `--metrics` — `metrics_endpoint` (null when not serving).
+#[must_use]
+pub fn document(sc: &Scenario, args: &Args, payload: Value, endpoint: Option<Value>) -> Value {
+    let mut doc = fields(json!({
+        "transport": "tcp-loopback-authenticated",
+        "seed": args.seed,
+        "smoke": args.smoke,
+    }));
+    doc.extend(fields(payload));
+    if sc.serves_metrics() {
+        doc.push(("metrics_endpoint".to_string(), json!(endpoint)));
+    }
+    with_envelope(sc.id, sc.title, Value::Object(doc))
+}
+
+/// JSON object fields, in insertion order.
+pub(crate) type Fields = Vec<(String, Value)>;
+
+/// Unwrap a `json!({...})` literal into its fields, so callers can extend it.
+///
+/// # Panics
+/// If `object` is not a JSON object.
+pub(crate) fn fields(object: Value) -> Fields {
+    match object {
+        Value::Object(fields) => fields,
+        other => panic!("expected a JSON object, got {other:?}"),
+    }
+}
+
+/// The binary entry point shared by all six `exp_*` campaign wrappers.
+pub fn main(sc: &Scenario) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(sc.flags, &argv).unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        let mut flags = vec!["--smoke", "--seed N"];
+        flags.extend(sc.flags);
+        if sc.serves_metrics() {
+            flags.push("--metrics-wait-scrapes N");
+        }
+        eprintln!("{e}\nusage: {bin} [{}]", flags.join("] ["));
+        std::process::exit(2);
+    });
+    let smoke = if args.smoke { " (smoke)" } else { "" };
+    println!("{} — {}, seed {}{smoke}", sc.id, sc.title, args.seed);
+
+    // Live exposition: bind before the run so the whole run is scrapeable,
+    // and self-scrape from a background thread to prove the pages are
+    // served *while* the mesh is hot (CI additionally curls from outside).
+    let status = StatusBoard::new();
+    let server = args.metrics.as_deref().map(|addr| {
+        let s = MetricsServer::serve_with_status(addr, Registry::global().clone(), status.clone())
+            .expect("bind metrics endpoint");
+        println!("serving /metrics and /status on http://{}", s.addr());
+        s
+    });
+    let stop = AtomicBool::new(false);
+    let (report, scraped) = thread::scope(|scope| {
+        let scraper = server.as_ref().map(|s| {
+            let (addr, stop) = (s.addr(), &stop);
+            scope.spawn(move || {
+                let (mut metrics_ok, mut status_ok) = (false, false);
+                loop {
+                    // Read the flag first: the last pass scrapes once more
+                    // after the run, so a run shorter than one period (the
+                    // E17 smoke) is still probed with its series registered.
+                    let last = stop.load(Ordering::SeqCst);
+                    metrics_ok |= scrape_path(addr, "/metrics")
+                        .is_ok_and(|body| sc.metrics_probe.iter().all(|p| body.contains(p)));
+                    if let Some((needle, _)) = sc.status_probe {
+                        status_ok |=
+                            scrape_path(addr, "/status").is_ok_and(|body| body.contains(needle));
+                    }
+                    if last {
+                        return (metrics_ok, status_ok);
+                    }
+                    thread::sleep(Duration::from_millis(50));
+                }
+            })
+        });
+        let report = (sc.run)(&args, &status);
+        stop.store(true, Ordering::SeqCst);
+        (report, scraper.map(|h| h.join().expect("scraper thread")))
+    });
+
+    print_table(&format!("{} ({})", sc.id, sc.title), &report.headers, &report.rows);
+    for note in &report.notes {
+        println!("{note}");
+    }
+
+    let mut gates = report.gates;
+    let endpoint = server.as_ref().zip(scraped).map(|(s, (metrics_ok, status_ok))| {
+        gates.push(gate(
+            metrics_ok,
+            format!("no mid-run /metrics scrape contained {:?}", sc.metrics_probe),
+        ));
+        let mut doc = vec![
+            ("addr".to_string(), json!(s.addr().to_string())),
+            ("mid_run_scrape_ok".to_string(), json!(metrics_ok)),
+        ];
+        if let Some((needle, key)) = sc.status_probe {
+            gates.push(gate(status_ok, format!("no mid-run /status scrape contained {needle}")));
+            doc.push((key.to_string(), json!(status_ok)));
+        }
+        Value::Object(doc)
+    });
+    let doc = document(sc, &args, report.payload, endpoint);
+    let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
+    std::fs::write(sc.report, rendered).unwrap_or_else(|e| panic!("write {}: {e}", sc.report));
+    println!("wrote {}", sc.report);
+
+    let failed = gates.iter().filter(|g| !g.ok).inspect(|g| eprintln!("FAIL: {}", g.fail)).count();
+    // Hold the endpoint open until external scrapers (the CI curl) have
+    // been answered `n` *further* times — the self-scrape's own count is
+    // excluded — bounded so a missing scraper cannot hang the run.
+    if let (Some(s), Some(n)) = (&server, args.wait_scrapes) {
+        let (baseline, t0) = (s.scrapes(), Instant::now());
+        println!("waiting for {n} external scrape(s) on http://{} (20s budget)", s.addr());
+        while s.scrapes() < baseline + n && t0.elapsed() < Duration::from_secs(20) {
+            thread::sleep(Duration::from_millis(50));
+        }
+    }
+    if failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// Assert that `payload`, assembled into the report document, has exactly
+/// the top-level keys of the committed `BENCH_*.json` text.
+#[cfg(test)]
+pub(crate) fn assert_keys_match_committed(sc: &Scenario, payload: Value, committed: &str) {
+    fn keys(doc: &Value) -> std::collections::BTreeSet<String> {
+        doc.as_object().expect("object").iter().map(|(k, _)| k.clone()).collect()
+    }
+    let doc = document(sc, &Args::default(), payload, None);
+    let committed = serde_json::from_str(committed).expect("committed report parses");
+    assert_eq!(keys(&doc), keys(&committed), "{} top-level keys drifted", sc.report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_string()).collect()
+    }
+
+    #[test]
+    fn parser_accepts_the_declared_grammar() {
+        let args = parse_args(
+            &["--runs N", "--metrics ADDR"],
+            &argv(&["--smoke", "--runs", "3", "--seed", "7", "--metrics-wait-scrapes", "1"]),
+        )
+        .expect("valid command line");
+        let want = Args { smoke: true, seed: 7, runs: Some(3), wait_scrapes: Some(1), ..Args::default() };
+        assert_eq!(args, want);
+    }
+
+    #[test]
+    fn parser_rejects_unknown_flags_missing_and_non_numeric_values() {
+        let allowed = ["--runs N", "--trace FILE", "--attrib"];
+        for bad in [
+            &["--bogus"][..],
+            &["100", "7"],
+            &["--instances", "4"],
+            &["--metrics-wait-scrapes", "1"],
+            &["--runs"],
+            &["--runs", "many"],
+            &["--seed", "-1"],
+            &["--attrib"],
+        ] {
+            assert!(parse_args(&allowed, &argv(bad)).is_err(), "must reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        assert!((percentile(&xs, 50.0) - 3.0).abs() < 1e-12);
+        assert!((percentile(&xs, 99.0) - 4.0).abs() < 1e-12);
+        assert!(percentile(&[], 50.0).is_nan());
+    }
+
+    /// Every flag a scenario declares is one the parser implements.
+    #[test]
+    fn every_declared_flag_parses() {
+        for sc in SCENARIOS {
+            let words: Vec<String> = sc
+                .flags
+                .iter()
+                .flat_map(|f| f.split(' '))
+                .map(|w| if w.starts_with("--") { w } else { "1" }.to_string())
+                .collect();
+            assert!(parse_args(sc.flags, &words).is_ok(), "{}: {words:?}", sc.id);
+        }
+    }
+}

@@ -1,10 +1,10 @@
 //! E20 — live Byzantine adversaries over real TCP: the paper's universally
 //! quantified "survives f Byzantine nodes" claim, tested end to end through
-//! the wire codec, HELLO authentication, receive gates, and reconnection
+//! the wire codec, keyed link handshakes, receive gates, and reconnection
 //! machinery instead of only inside the simulator.
 //!
-//! Each seeded run stands up an `n = 7` loopback TCP mesh, samples `f = 2`
-//! malicious nodes, and wraps every endpoint in a
+//! Each seeded run stands up an `n = 7` authenticated loopback TCP mesh,
+//! samples `f = 2` malicious nodes, and wraps every endpoint in a
 //! [`ByzantineEndpoint`] — honest nodes under the passthrough policy,
 //! malicious ones under one of the attack registry's mixes (the runs cycle
 //! through all of them). Three phases per run:
@@ -20,53 +20,56 @@
 //! oracle the attack run must match: every registry mix equivocates or
 //! mutes the adversary's own states (see `rbvc_transport::byzantine`), so
 //! Byzantine-origin states never reach Bracha delivery at honest nodes and
-//! honest progress is a pure function of the honest inputs. An online
-//! [`ServiceMonitor`] checks agreement + box validity over the honest
-//! inputs during both TCP phases, and the campaign asserts the attack-run
-//! decisions are **bit-identical** to the baseline. The honest-path
-//! slowdown (wall clock, p50/p99 submit→decide latency) and the per-gate ×
-//! per-sender rejection attribution land in `BENCH_byzantine.json`.
+//! honest progress is a pure function of the honest inputs. The online
+//! monitor checks agreement + box validity over the honest inputs during
+//! both TCP phases, and the campaign asserts the attack-run decisions are
+//! **bit-identical** to the baseline. The honest-path slowdown (wall
+//! clock, p50/p99 submit→decide latency) and the per-gate × per-sender
+//! rejection attribution land in `BENCH_byzantine.json`. The E23 identity
+//! campaign drives the same machinery over its own mix list.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
 use rbvc_client::ClientHandle;
-use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
-use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
+use rbvc_linalg::VecD;
+use rbvc_obs::StatusBoard;
+use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::byzantine::{AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint};
-use rbvc_transport::service::{
-    ClientConfig, ConsensusService, InstanceProto, CLIENT_INSTANCE_BASE,
-};
-use rbvc_transport::tcp::TcpEndpoint;
-use rbvc_transport::transport::in_proc_mesh;
+use rbvc_transport::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
 use rbvc_transport::ClientPort;
+use serde_json::{json, Value};
 
-use crate::experiments::service::percentile;
-use crate::workloads::{max_edge, rng};
+use crate::campaign::{
+    fields, gate, mesh_seed, monitor, percentile, reply_error, sweep, Args, Fields, Gate,
+    MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
+};
+use crate::report::fnum;
+use crate::workloads::rng;
+
+/// The E20 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E20",
+    title: "Byzantine adversaries on the wire",
+    report: "BENCH_byzantine.json",
+    flags: &["--runs N", "--metrics ADDR"],
+    metrics_probe: &["# TYPE"],
+    status_probe: None,
+    run,
+};
 
 /// Campaign configuration.
 #[derive(Clone)]
 pub struct ByzantineConfig {
-    /// Mesh size (the paper regime `n > 3f` with room to spare: 7 > 6).
-    pub n: usize,
-    /// Byzantine nodes per run.
-    pub f: usize,
-    /// Vector dimension.
-    pub d: usize,
-    /// Concurrent VA instances per run (ids `1..=instances`).
-    pub instances: usize,
-    /// Averaging rounds per VA instance.
-    pub va_rounds: usize,
+    /// Mesh shape: the paper regime `n > 3f` with room to spare (7 > 6),
+    /// `f` Byzantine nodes per run, VA instances.
+    pub mesh: MeshProfile,
     /// Seeded runs (each picks its own Byzantine set and attack mix).
     pub runs: usize,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Receive-wait per service poll.
-    pub poll_timeout: Duration,
     /// Sweep budget per mesh phase before the run is declared stuck.
     pub max_sweeps: usize,
     /// Honest-client submits per TCP phase (session owned by an honest
@@ -74,22 +77,20 @@ pub struct ByzantineConfig {
     /// "client-spray" volleys hammer the same ports). `0` disables the
     /// client plane entirely.
     pub client_requests: usize,
-    /// Keyed link identity: `Some(seed)` runs both TCP phases over an
-    /// *authenticated* mesh (pairwise PSKs derived from the seed, keyed
-    /// challenge–response handshakes), and hands each Byzantine endpoint
-    /// its own keyring so the raw wire attacks speak the authenticated
-    /// protocol. `None` is the legacy plaintext HELLO mesh.
-    pub auth: Option<[u8; 32]>,
+    /// Mesh-auth seed: both TCP phases run keyed challenge–response
+    /// handshakes with pairwise PSKs derived from it, and each Byzantine
+    /// endpoint gets its own keyring so the raw wire attacks speak the
+    /// authenticated protocol.
+    pub auth: [u8; 32],
     /// The attack mixes this campaign cycles through (`run % len` picks).
     pub attacks: Vec<&'static str>,
     /// Shared `/status` board the services publish into (per-link auth
     /// state rides the snapshot rows); `None` skips publishing.
-    pub status: Option<rbvc_obs::StatusBoard>,
+    pub status: Option<StatusBoard>,
 }
 
 /// The classic E20 cycle: every pre-identity registry mix. The five
-/// identity mixes live in the E23 campaign (`exp_identity`), which needs
-/// an authenticated mesh to mean anything.
+/// identity mixes live in the E23 campaign (`exp_identity`).
 pub const E20_ATTACKS: [&str; 9] = [
     "equivocate",
     "lying-witness",
@@ -102,89 +103,49 @@ pub const E20_ATTACKS: [&str; 9] = [
     "combined",
 ];
 
-/// A 32-byte mesh-auth seed derived from a campaign seed.
-#[must_use]
-pub fn mesh_seed(seed: u64) -> [u8; 32] {
-    rbvc_transport::sha256(&seed.to_le_bytes())
-}
-
 impl ByzantineConfig {
-    /// The full campaign profile: 7 nodes, `f = 2`, two instances.
+    /// The full profile (50 runs, the acceptance floor, two instances) or
+    /// the CI profile — still 7 nodes and `f = 2` (shrinking the mesh would
+    /// change the Byzantine regime, which is the whole point), but one
+    /// instance, fewer rounds, and one run per classic mix so CI exercises
+    /// every attack.
     #[must_use]
-    pub fn full(runs: usize, seed: u64) -> Self {
+    pub fn profile(smoke: bool, seed: u64) -> Self {
+        let (instances, rounds, runs, client_requests) =
+            if smoke { (1, 2, E20_ATTACKS.len(), 2) } else { (2, 3, 50, 3) };
+        let poll_timeout = Duration::from_millis(1);
         ByzantineConfig {
-            n: 7,
-            f: 2,
-            d: 2,
-            instances: 2,
-            va_rounds: 3,
+            mesh: MeshProfile { n: 7, f: 2, d: 2, instances, rounds, seed, poll_timeout },
             runs,
-            seed,
-            poll_timeout: Duration::from_millis(1),
             max_sweeps: 40_000,
-            client_requests: 3,
-            auth: Some(mesh_seed(seed)),
-            attacks: E20_ATTACKS.to_vec(),
-            status: None,
-        }
-    }
-
-    /// CI-sized profile — still 7 nodes and `f = 2` (shrinking the mesh
-    /// would change the Byzantine regime, which is the whole point), but
-    /// one instance, fewer rounds, fewer runs.
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        ByzantineConfig {
-            n: 7,
-            f: 2,
-            d: 2,
-            instances: 1,
-            va_rounds: 2,
-            runs: default_runs(true),
-            seed,
-            poll_timeout: Duration::from_millis(1),
-            max_sweeps: 40_000,
-            client_requests: 2,
-            auth: Some(mesh_seed(seed)),
+            client_requests,
+            auth: mesh_seed(seed),
             attacks: E20_ATTACKS.to_vec(),
             status: None,
         }
     }
 }
 
-/// Default run counts: 9 for `--smoke` (one run per classic mix, so CI
-/// exercises every attack including the client-spray), 50 for the full
-/// campaign (the acceptance floor).
-#[must_use]
-pub fn default_runs(smoke: bool) -> usize {
-    if smoke {
-        E20_ATTACKS.len()
-    } else {
-        50
-    }
-}
-
-/// Per-attack aggregation across the campaign's runs.
-#[derive(Debug, Clone)]
+/// Per-attack aggregation across the campaign's runs. Latency samples are
+/// ms, sorted ascending once the campaign is done.
+#[derive(Debug, Clone, Default)]
 pub struct AttackReport {
     /// Registry name of the mix.
-    pub attack: String,
+    pub attack: &'static str,
     /// Runs that cycled onto this mix.
     pub runs: usize,
     /// Honest wall-clock seconds, summed over this mix's clean references.
     pub clean_secs: f64,
     /// Honest wall-clock seconds, summed over this mix's attack runs.
     pub attack_secs: f64,
-    /// Honest-path slowdown: attack wall over clean wall (1.0 = free).
-    pub slowdown: f64,
-    /// Median honest submit→decide latency, clean reference, ms.
-    pub clean_p50_ms: f64,
-    /// 99th-percentile honest submit→decide latency, clean reference, ms.
-    pub clean_p99_ms: f64,
-    /// Median honest submit→decide latency under attack, ms.
-    pub attack_p50_ms: f64,
-    /// 99th-percentile honest submit→decide latency under attack, ms.
-    pub attack_p99_ms: f64,
+    /// Honest submit→decide latencies, clean references.
+    pub clean_ms: Vec<f64>,
+    /// Honest submit→decide latencies under attack.
+    pub attack_ms: Vec<f64>,
+    /// Honest-client submit→reply latencies, clean references.
+    pub client_clean_ms: Vec<f64>,
+    /// Honest-client submit→reply latencies under attack.
+    pub client_attack_ms: Vec<f64>,
     /// Gate rejections at honest nodes attributed to Byzantine senders,
     /// `[decode, auth, instance, kind]`.
     pub gates_from_byz: [u64; 4],
@@ -196,16 +157,8 @@ pub struct AttackReport {
     /// Stale HELLO replays refused by the transport guard.
     pub stale_hellos: u64,
     /// Forged / replayed / downgraded handshakes refused by the keyed
-    /// link-identity layer during the attack runs (0 on a plaintext mesh).
+    /// link-identity layer during the attack runs.
     pub auth_rejects: u64,
-    /// Median honest-client submit→reply latency, clean reference, ms.
-    pub client_clean_p50_ms: f64,
-    /// 99th-percentile honest-client latency, clean reference, ms.
-    pub client_clean_p99_ms: f64,
-    /// Median honest-client submit→reply latency under attack, ms.
-    pub client_attack_p50_ms: f64,
-    /// 99th-percentile honest-client latency under attack, ms.
-    pub client_attack_p99_ms: f64,
     /// Client-port frame rejections during the attack runs (crafted spray
     /// frames counted at the port before they can touch the client table).
     pub client_rejects: u64,
@@ -215,13 +168,23 @@ pub struct AttackReport {
     pub client_redirects: u64,
 }
 
+impl AttackReport {
+    /// Honest-path slowdown: attack wall over clean wall (1.0 = free).
+    #[must_use]
+    pub fn slowdown(&self) -> f64 {
+        if self.clean_secs > 0.0 {
+            self.attack_secs / self.clean_secs
+        } else {
+            f64::NAN
+        }
+    }
+}
+
 /// Campaign outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ByzantineOutcome {
     /// Runs executed.
     pub runs: usize,
-    /// Byzantine nodes per run.
-    pub f: usize,
     /// Runs whose three phases all converged.
     pub converged_runs: usize,
     /// Runs whose attack-run honest decisions matched the in-proc baseline
@@ -250,140 +213,62 @@ pub struct ByzantineOutcome {
 }
 
 impl ByzantineOutcome {
-    /// The campaign's pass verdict: everything converged, every honest
-    /// decision matched the oracle, no monitor violation, every gate
-    /// rejection attributed to an attacker, and the client plane clean —
-    /// no clean-phase port reject, no wrong reply to the honest client.
+    /// The pass criteria beside a silent monitor: everything converged,
+    /// every honest decision matched the oracle, every gate rejection
+    /// attributed to an attacker, and the client and identity planes clean
+    /// — no clean-phase port or handshake reject, no wrong client reply.
     #[must_use]
-    pub fn clean(&self) -> bool {
-        self.converged_runs == self.runs
-            && self.identical_runs == self.runs
-            && self.monitor_violations == 0
-            && self.honest_attributed_rejections == 0
-            && self.client_honest_rejections == 0
-            && self.client_reply_errors == 0
-            && self.clean_auth_rejects == 0
+    pub fn gates(&self) -> Vec<Gate> {
+        let runs = self.runs;
+        vec![
+            gate(
+                self.converged_runs == runs,
+                format!(
+                    "{}/{runs} runs did not converge within the sweep budget",
+                    runs - self.converged_runs
+                ),
+            ),
+            gate(
+                self.identical_runs == runs,
+                format!(
+                    "{}/{runs} runs diverged from the honest in-proc baseline",
+                    runs - self.identical_runs
+                ),
+            ),
+            gate(
+                self.honest_attributed_rejections == 0,
+                format!(
+                    "{} gate rejection(s) attributed to honest senders",
+                    self.honest_attributed_rejections
+                ),
+            ),
+            gate(
+                self.client_honest_rejections == 0,
+                format!(
+                    "{} client-port rejection(s) during clean references (honest traffic)",
+                    self.client_honest_rejections
+                ),
+            ),
+            gate(
+                self.client_reply_errors == 0,
+                format!(
+                    "{} honest-client repl(ies) were wrong or timed out",
+                    self.client_reply_errors
+                ),
+            ),
+            gate(
+                self.clean_auth_rejects == 0,
+                format!(
+                    "{} handshake rejection(s) during clean references (honest links)",
+                    self.clean_auth_rejects
+                ),
+            ),
+        ]
     }
 }
 
-/// One run's raw facts (shared with the E23 identity campaign, which
-/// drives the same three-phase machinery over its own mix list).
-pub(crate) struct RunFacts {
-    pub(crate) attack: &'static str,
-    pub(crate) converged: bool,
-    pub(crate) identical: bool,
-    pub(crate) violations: usize,
-    pub(crate) clean_secs: f64,
-    pub(crate) attack_secs: f64,
-    pub(crate) clean_latencies: Vec<f64>,
-    pub(crate) attack_latencies: Vec<f64>,
-    pub(crate) gates_from_byz: [u64; 4],
-    pub(crate) gates_from_honest: [u64; 4],
-    pub(crate) stats: AttackStats,
-    pub(crate) stale_hellos: u64,
-    pub(crate) auth_rejects_clean: u64,
-    pub(crate) auth_rejects_attack: u64,
-    pub(crate) clean_client_latencies: Vec<f64>,
-    pub(crate) attack_client_latencies: Vec<f64>,
-    pub(crate) client_rejects_clean: u64,
-    pub(crate) client_rejects_attack: u64,
-    pub(crate) client_redirects_attack: u64,
-    pub(crate) client_reply_errors: u64,
-}
-
-fn va_instance(
-    cfg: &ByzantineConfig,
-    id: usize,
-    input: &VecD,
-) -> InstanceProto {
-    InstanceProto::Va(VerifiedAveraging::new(
-        id,
-        cfg.n,
-        cfg.f,
-        input.clone(),
-        DeltaMode::MinDelta(Norm::L2),
-        cfg.va_rounds,
-        Tol::default(),
-    ))
-}
-
-/// Stand up a TCP mesh on pre-bound loopback addresses, returning the
-/// addresses so the attack registry's raw-socket attacks know where the
-/// listeners live. `auth: Some(seed)` makes every link run the keyed
-/// challenge–response handshake.
-fn stable_tcp_mesh(n: usize, auth: Option<&[u8; 32]>) -> (Vec<TcpEndpoint>, Vec<SocketAddr>) {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback"))
-        .collect();
-    let addrs: Vec<SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
-    let auth = auth.copied();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(id, listener)| {
-            let addrs = addrs.clone();
-            thread::spawn(move || match auth {
-                Some(seed) => TcpEndpoint::connect_with_auth(id, listener, &addrs, &seed),
-                None => TcpEndpoint::connect(id, listener, &addrs),
-            })
-        })
-        .collect();
-    let mesh = handles
-        .into_iter()
-        .map(|h| h.join().expect("no panic").expect("tcp connect"))
-        .collect();
-    (mesh, addrs)
-}
-
-/// The honest-only in-process baseline: the decision oracle. Byzantine
-/// slots exist as endpoints (so sends to them don't error) but run no
-/// service and stay silent.
-fn baseline_decisions(
-    cfg: &ByzantineConfig,
-    inputs: &[Vec<VecD>],
-    byz: &[usize],
-) -> Option<Vec<BTreeMap<u64, VecD>>> {
-    let mut endpoints = in_proc_mesh(cfg.n);
-    let mut idle = Vec::new();
-    let mut services: Vec<(usize, ConsensusService<_>)> = Vec::new();
-    for i in (0..cfg.n).rev() {
-        let ep = endpoints.pop().expect("mesh endpoint");
-        if byz.contains(&i) {
-            idle.push(ep);
-        } else {
-            let mut svc = ConsensusService::new(ep);
-            for (j, per_node) in inputs.iter().enumerate() {
-                svc.add_instance(j as u64 + 1, va_instance(cfg, i, &per_node[i]))
-                    .expect("unique instance ids");
-            }
-            svc.start().expect("start baseline service");
-            services.push((i, svc));
-        }
-    }
-    services.sort_by_key(|(i, _)| *i);
-    for _ in 0..cfg.max_sweeps {
-        if services.iter().all(|(_, s)| s.all_decided()) {
-            let mut out = vec![BTreeMap::new(); cfg.n];
-            for (i, svc) in &services {
-                out[*i] = (1..=cfg.instances as u64)
-                    .filter_map(|k| svc.decision(k).map(|v| (k, v)))
-                    .collect();
-            }
-            drop(idle);
-            return Some(out);
-        }
-        for (_, svc) in &mut services {
-            let _ = svc.poll(cfg.poll_timeout);
-        }
-    }
-    None
-}
-
-/// One TCP mesh phase. `attack`: `Some(mix)` starts the Byzantine nodes'
-/// services behind attacking endpoints; `None` is the clean reference —
-/// the Byzantine slots stay idle so the honest trajectory matches the
-/// baseline exactly.
+/// One TCP mesh phase's measurements.
+#[derive(Default)]
 struct MeshRun {
     converged: bool,
     wall_secs: f64,
@@ -397,6 +282,25 @@ struct MeshRun {
     client_reply_errors: u64,
 }
 
+/// One run's raw facts.
+struct RunFacts {
+    attack: &'static str,
+    converged: bool,
+    identical: bool,
+    violations: usize,
+    clean: MeshRun,
+    attacked: MeshRun,
+    gates_from_byz: [u64; 4],
+    gates_from_honest: [u64; 4],
+    stale_hellos: u64,
+    auth_rejects_clean: u64,
+    auth_rejects_attack: u64,
+}
+
+/// One TCP mesh phase. `attack`: `Some(mix)` starts the Byzantine nodes'
+/// services behind attacking endpoints; `None` is the clean reference —
+/// the Byzantine slots stay idle so the honest trajectory matches the
+/// baseline exactly.
 fn run_tcp_mesh(
     cfg: &ByzantineConfig,
     inputs: &[Vec<VecD>],
@@ -405,25 +309,24 @@ fn run_tcp_mesh(
     run_seed: u64,
     monitor: &mut ServiceMonitor<Vec<f64>>,
 ) -> MeshRun {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let (endpoints, addrs) = stable_tcp_mesh(cfg.n, cfg.auth.as_ref());
+    let mesh = &cfg.mesh;
+    let (endpoints, addrs) = mesh.tcp_mesh(&cfg.auth);
     // One client port per node: the external submit plane. The attack
     // registry's "client-spray" mix targets these addresses, and an honest
     // client drives real submits through them during both TCP phases.
-    let mut ports: Vec<ClientPort> = (0..cfg.n)
+    let ports: Vec<ClientPort> = (0..mesh.n)
         .map(|_| {
             ClientPort::bind("127.0.0.1:0".parse().expect("loopback addr"))
                 .expect("bind client port")
         })
         .collect();
-    let client_addrs: Vec<SocketAddr> = ports.iter().map(|p| p.local_addr()).collect();
-    let mut active = vec![false; cfg.n];
-    let mut services: Vec<ConsensusService<ByzantineEndpoint<TcpEndpoint>>> = endpoints
+    let client_addrs: Vec<SocketAddr> = ports.iter().map(ClientPort::local_addr).collect();
+    let active = |i: usize| attack.is_some() || !byz.contains(&i);
+    let mut nodes: Vec<_> = endpoints
         .into_iter()
+        .zip(ports)
         .enumerate()
-        .map(|(i, ep)| {
+        .map(|(i, (ep, port))| {
             let is_byz = byz.contains(&i);
             let policy = match (is_byz, attack) {
                 (true, Some(mix)) => AttackRegistry::policy(
@@ -435,19 +338,17 @@ fn run_tcp_mesh(
             let mut wrapped = ByzantineEndpoint::new(ep, policy)
                 .with_wire_targets(&addrs)
                 .with_client_targets(&client_addrs);
-            if let (true, Some(seed)) = (is_byz, cfg.auth.as_ref()) {
+            if is_byz {
                 // The compromise model: the attacker knows its own pairwise
                 // keys (it is a mesh member) and nothing else — never the
                 // seed, never a key between two honest nodes.
-                let keyring: Vec<[u8; 32]> = (0..cfg.n)
-                    .map(|p| rbvc_transport::derive_pair_key(seed, i, p))
+                let keyring: Vec<[u8; 32]> = (0..mesh.n)
+                    .map(|p| rbvc_transport::derive_pair_key(&cfg.auth, i, p))
                     .collect();
                 wrapped = wrapped.with_identity_keys(keyring);
             }
             let mut svc = ConsensusService::new(wrapped);
-            if cfg.auth.is_some() {
-                svc.enable_auth();
-            }
+            svc.enable_auth();
             if let Some(board) = &cfg.status {
                 // Publish `/status` snapshots (per-link auth state) without
                 // arming a flight recorder; the stall deadlines are pushed
@@ -466,233 +367,153 @@ fn run_tcp_mesh(
             // Client instances must tolerate the run's f (in the clean
             // reference the Byzantine slots are idle, i.e. crashed).
             svc.enable_client(ClientConfig {
-                f: cfg.f,
-                rounds: cfg.va_rounds,
+                f: mesh.f,
+                rounds: mesh.rounds,
                 ..ClientConfig::default()
             });
-            for (j, per_node) in inputs.iter().enumerate() {
-                svc.add_instance(j as u64 + 1, va_instance(cfg, i, &per_node[i]))
-                    .expect("unique instance ids");
+            mesh.register(&mut svc, i, inputs, |_| Proto::Va { f: mesh.f });
+            if active(i) {
+                svc.start().expect("start service");
             }
-            active[i] = !is_byz || attack.is_some();
-            svc
+            (svc, port)
         })
         .collect();
-    for (i, svc) in services.iter_mut().enumerate() {
-        if active[i] {
-            svc.start().expect("start service");
-        }
-    }
 
     // The honest client: a session owned by an honest node, submitted
     // through the real client port while the mesh (and, in the attack
     // phase, the sprays) run. Latency is measured where it matters — at
     // the client — and every reply is checked against the submitted value.
-    let client_done = Arc::new(AtomicBool::new(cfg.client_requests == 0));
-    let client_thread = (cfg.client_requests > 0).then(|| {
-        let owner = (0..cfg.n).find(|i| !byz.contains(i)).expect("an honest node exists");
-        let addrs = client_addrs.clone();
-        let done = Arc::clone(&client_done);
-        let (requests, d) = (cfg.client_requests, cfg.d);
-        thread::spawn(move || {
-            let mut handle = ClientHandle::new(owner as u64, addrs);
-            let mut latencies = Vec::with_capacity(requests);
-            let mut errors = 0u64;
-            for k in 0..requests {
-                let value = VecD::from_slice(
-                    &(0..d).map(|j| (k * d + j) as f64 / 4.0 - 1.0).collect::<Vec<f64>>(),
-                );
-                let t0 = Instant::now();
-                match handle.submit(&value) {
-                    Ok(reply) => {
-                        latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                        let off = reply
-                            .as_slice()
-                            .iter()
-                            .zip(value.as_slice())
-                            .map(|(a, b)| (a - b).abs())
-                            .fold(0.0, f64::max);
-                        if off > 1e-6 {
-                            errors += 1;
-                        }
-                    }
-                    Err(_) => errors += 1,
+    let client_done = AtomicBool::new(false);
+    let owner = (0..mesh.n).find(|i| !byz.contains(i)).expect("an honest node exists");
+    let client = || {
+        let mut handle = ClientHandle::new(owner as u64, client_addrs.clone());
+        let mut latencies = Vec::with_capacity(cfg.client_requests);
+        let mut errors = 0u64;
+        for k in 0..cfg.client_requests {
+            let value = VecD((0..mesh.d).map(|j| (k * mesh.d + j) as f64 / 4.0 - 1.0).collect());
+            let t0 = Instant::now();
+            match handle.submit(&value) {
+                Ok(reply) if reply_error(&reply, &value) <= 1e-6 => {
+                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
                 }
+                _ => errors += 1,
             }
-            done.store(true, Ordering::SeqCst);
-            (latencies, errors)
-        })
-    });
+        }
+        client_done.store(true, Ordering::SeqCst);
+        (latencies, errors)
+    };
 
     // Single-thread round-robin sweep: deterministic scheduling, and the
     // Byzantine services get polled (driving their injections) without a
     // thread ever spinning on a node that may never decide. Termination is
     // *honest* convergence only — protocol instances plus the client's.
     let start = Instant::now();
-    let mut latencies_ms = Vec::new();
-    let mut sweeps = 0usize;
-    let converged = loop {
-        let mut honest_done = true;
-        for i in 0..cfg.n {
-            if !active[i] {
-                continue;
+    let mut run = MeshRun::default();
+    let ((client_latencies_ms, client_reply_errors), converged) = thread::scope(|scope| {
+        let client = scope.spawn(client);
+        let converged = sweep(&mut nodes, cfg.max_sweeps, |_, i, (svc, port)| {
+            if !active(i) {
+                return true;
             }
             let is_byz = byz.contains(&i);
-            for ev in services[i].poll(cfg.poll_timeout) {
+            for ev in svc.poll(mesh.poll_timeout) {
                 // Client instances have their own oracle (the reply check
                 // at the client); the per-instance safety envelope indexes
                 // the campaign's seeded inputs.
                 if !is_byz && ev.instance < CLIENT_INSTANCE_BASE {
                     monitor.observe(ev.instance, i, &ev.value.as_slice().to_vec());
-                    latencies_ms.push(ev.latency.as_secs_f64() * 1e3);
+                    run.latencies_ms.push(ev.latency.as_secs_f64() * 1e3);
                 }
             }
-            if !is_byz {
-                ports[i].pump(&mut services[i]);
-                honest_done &= services[i].all_decided();
+            is_byz || {
+                port.pump(svc);
+                svc.all_decided() && client_done.load(Ordering::SeqCst)
             }
-        }
-        if honest_done && client_done.load(Ordering::SeqCst) {
-            break true;
-        }
-        sweeps += 1;
-        if sweeps >= cfg.max_sweeps {
-            break false;
-        }
-    };
-    let wall_secs = start.elapsed().as_secs_f64();
-    let (mut client_latencies_ms, mut client_reply_errors) = (Vec::new(), 0u64);
-    if let Some(h) = client_thread {
-        let (lat, errors) = h.join().expect("client thread");
-        client_latencies_ms = lat;
-        client_reply_errors = errors;
-    }
+        });
+        (client.join().expect("client thread"), converged)
+    });
+    run.converged = converged;
+    run.wall_secs = start.elapsed().as_secs_f64();
+    run.client_latencies_ms = client_latencies_ms;
+    run.client_reply_errors = client_reply_errors;
 
-    let mut gates_by_sender = vec![[0u64; 4]; cfg.n];
-    let mut decisions = vec![BTreeMap::new(); cfg.n];
-    let mut stats = AttackStats::default();
-    let mut client_rejects = 0u64;
-    let mut client_redirects = 0u64;
-    for (i, svc) in services.iter().enumerate() {
+    run.gates_by_sender = vec![[0u64; 4]; mesh.n];
+    for (i, (svc, port)) in nodes.iter().enumerate() {
         if byz.contains(&i) {
-            stats += svc.transport().stats();
+            run.stats += svc.transport().stats();
+            run.decisions.push(BTreeMap::new());
             continue;
         }
-        client_rejects += ports[i].rejects();
-        client_redirects += svc.client_stats().redirects;
+        run.client_rejects += port.rejects();
+        run.client_redirects += svc.client_stats().redirects;
         for (sender, per_gate) in svc.gate_rejections_by_sender().iter().enumerate() {
-            for g in 0..4 {
-                gates_by_sender[sender][g] += per_gate[g];
-            }
+            add_gates(&mut run.gates_by_sender[sender], per_gate);
         }
-        decisions[i] = (1..=cfg.instances as u64)
-            .filter_map(|k| svc.decision(k).map(|v| (k, v)))
-            .collect();
+        run.decisions.push(mesh.decisions(svc));
     }
-    latencies_ms.sort_by(f64::total_cmp);
-    client_latencies_ms.sort_by(f64::total_cmp);
-    MeshRun {
-        converged,
-        wall_secs,
-        latencies_ms,
-        decisions,
-        gates_by_sender,
-        stats,
-        client_latencies_ms,
-        client_rejects,
-        client_redirects,
-        client_reply_errors,
+    run
+}
+
+/// Accumulate per-gate rejection counts `[decode, auth, instance, kind]`.
+fn add_gates(into: &mut [u64; 4], from: &[u64; 4]) {
+    for (sum, count) in into.iter_mut().zip(from) {
+        *sum += count;
     }
 }
 
 /// One seeded run: baseline, clean reference, attack — then the verdicts.
-pub(crate) fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
-    let run_seed = cfg.seed.wrapping_add(run as u64 * 7919);
+fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
+    let mesh = &cfg.mesh;
+    let run_seed = mesh.run_seed(run);
     let mut rand = rng(run_seed);
     let attack = cfg.attacks[run % cfg.attacks.len()];
-
-    // Per-instance, per-node seeded inputs.
-    let inputs: Vec<Vec<VecD>> = (0..cfg.instances)
-        .map(|_| {
-            (0..cfg.n)
-                .map(|_| {
-                    VecD::from_slice(
-                        &(0..cfg.d).map(|_| rand.gen_range(-8.0..8.0)).collect::<Vec<f64>>(),
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    let inputs = mesh.inputs(&mut rand);
 
     // Sample the f Byzantine nodes.
     let mut byz: Vec<usize> = Vec::new();
-    while byz.len() < cfg.f {
-        let c = rand.gen_range(0..cfg.n);
+    while byz.len() < mesh.f {
+        let c = rand.gen_range(0..mesh.n);
         if !byz.contains(&c) {
             byz.push(c);
         }
     }
     byz.sort_unstable();
 
-    // Safety envelope over the *honest* inputs: agreement plus box
-    // validity with the paper's δ* ≤ max-pairwise-distance slack.
+    // Safety envelope over the *honest* inputs only.
     let honest_inputs: Vec<Vec<VecD>> = inputs
         .iter()
         .map(|per_node| {
-            (0..cfg.n).filter(|i| !byz.contains(i)).map(|i| per_node[i].clone()).collect()
+            (0..mesh.n).filter(|i| !byz.contains(i)).map(|i| per_node[i].clone()).collect()
         })
         .collect();
-    let mk_monitor = || {
-        let honest_inputs = honest_inputs.clone();
-        let n = cfg.n;
-        ServiceMonitor::new(move |inst| {
-            let points = &honest_inputs[inst as usize - 1];
-            let flat: Vec<Vec<f64>> = points.iter().map(|v| v.as_slice().to_vec()).collect();
-            SafetyMonitor::new(n, epsilon_agreement(1e-9), box_validity(&flat, max_edge(points)))
-        })
-    };
+    let mk_monitor = || monitor(mesh.n, AGREEMENT_EPS, Some(honest_inputs.clone()));
 
     let stale_counter = rbvc_obs::Registry::global().counter("tcp.hello.stale_rejected_total");
     let auth_counter = rbvc_obs::Registry::global().counter("auth.reject_total");
     let stale_before = stale_counter.get();
     let auth_before = auth_counter.get();
 
-    let baseline = baseline_decisions(cfg, &inputs, &byz);
+    let baseline = mesh.baseline(Proto::Va { f: mesh.f }, &inputs, &byz, cfg.max_sweeps);
     let mut clean_monitor = mk_monitor();
     let clean = run_tcp_mesh(cfg, &inputs, &byz, None, run_seed, &mut clean_monitor);
     let auth_after_clean = auth_counter.get();
     let mut attack_monitor = mk_monitor();
     let attacked = run_tcp_mesh(cfg, &inputs, &byz, Some(attack), run_seed, &mut attack_monitor);
 
-    let stale_hellos = stale_counter.get().saturating_sub(stale_before);
-    let auth_rejects_clean = auth_after_clean.saturating_sub(auth_before);
-    let auth_rejects_attack = auth_counter.get().saturating_sub(auth_after_clean);
-
     let converged = baseline.is_some() && clean.converged && attacked.converged;
-    let identical = match &baseline {
-        Some(oracle) => {
-            converged && clean.decisions == *oracle && attacked.decisions == *oracle
-        }
-        None => false,
-    };
+    let identical = converged
+        && baseline.is_some_and(|oracle| clean.decisions == oracle && attacked.decisions == oracle);
 
     let mut gates_from_byz = [0u64; 4];
-    let mut gates_from_honest = [0u64; 4];
-    for (sender, per_gate) in attacked.gates_by_sender.iter().enumerate() {
-        let bucket = if byz.contains(&sender) {
-            &mut gates_from_byz
-        } else {
-            &mut gates_from_honest
-        };
-        for g in 0..4 {
-            bucket[g] += per_gate[g];
-        }
-    }
     // The clean reference must not reject anything at all.
+    let mut gates_from_honest = [0u64; 4];
     for per_gate in &clean.gates_by_sender {
-        for g in 0..4 {
-            gates_from_honest[g] += per_gate[g];
-        }
+        add_gates(&mut gates_from_honest, per_gate);
+    }
+    for (sender, per_gate) in attacked.gates_by_sender.iter().enumerate() {
+        let bucket =
+            if byz.contains(&sender) { &mut gates_from_byz } else { &mut gates_from_honest };
+        add_gates(bucket, per_gate);
     }
 
     RunFacts {
@@ -700,22 +521,13 @@ pub(crate) fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
         converged,
         identical,
         violations: clean_monitor.violation_count() + attack_monitor.violation_count(),
-        clean_secs: clean.wall_secs,
-        attack_secs: attacked.wall_secs,
-        clean_latencies: clean.latencies_ms,
-        attack_latencies: attacked.latencies_ms,
+        clean,
+        attacked,
         gates_from_byz,
         gates_from_honest,
-        stats: attacked.stats,
-        stale_hellos,
-        auth_rejects_clean,
-        auth_rejects_attack,
-        clean_client_latencies: clean.client_latencies_ms,
-        attack_client_latencies: attacked.client_latencies_ms,
-        client_rejects_clean: clean.client_rejects,
-        client_rejects_attack: attacked.client_rejects,
-        client_redirects_attack: attacked.client_redirects,
-        client_reply_errors: clean.client_reply_errors + attacked.client_reply_errors,
+        stale_hellos: stale_counter.get().saturating_sub(stale_before),
+        auth_rejects_clean: auth_after_clean.saturating_sub(auth_before),
+        auth_rejects_attack: auth_counter.get().saturating_sub(auth_after_clean),
     }
 }
 
@@ -725,154 +537,220 @@ pub(crate) fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
 /// rejection counters) so a live `/metrics` endpoint can surface it.
 #[must_use]
 pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
-    struct Accum {
-        runs: usize,
-        clean_secs: f64,
-        attack_secs: f64,
-        clean_lat: Vec<f64>,
-        attack_lat: Vec<f64>,
-        gates_from_byz: [u64; 4],
-        gates_from_honest: [u64; 4],
-        stats: AttackStats,
-        stale_hellos: u64,
-        auth_rejects: u64,
-        clean_client_lat: Vec<f64>,
-        attack_client_lat: Vec<f64>,
-        client_rejects: u64,
-        client_redirects: u64,
-    }
     let started = Instant::now();
-    let mut by_attack: BTreeMap<&'static str, Accum> = BTreeMap::new();
-    let mut converged_runs = 0;
-    let mut identical_runs = 0;
-    let mut monitor_violations = 0;
-    let mut honest_attributed: u64 = 0;
-    let mut client_honest_rejections: u64 = 0;
-    let mut client_reply_errors: u64 = 0;
-    let mut clean_auth_rejects: u64 = 0;
+    let mut by_attack: BTreeMap<&'static str, AttackReport> = BTreeMap::new();
+    let mut out = ByzantineOutcome { runs: cfg.runs, ..ByzantineOutcome::default() };
 
     for run in 0..cfg.runs {
         let facts = one_run(cfg, run);
-        if facts.converged {
-            converged_runs += 1;
-        }
-        if facts.identical {
-            identical_runs += 1;
-        }
-        monitor_violations += facts.violations;
-        honest_attributed += facts.gates_from_honest.iter().sum::<u64>();
-        client_honest_rejections += facts.client_rejects_clean;
-        client_reply_errors += facts.client_reply_errors;
-        clean_auth_rejects += facts.auth_rejects_clean;
+        out.converged_runs += usize::from(facts.converged);
+        out.identical_runs += usize::from(facts.identical);
+        out.monitor_violations += facts.violations;
+        out.honest_attributed_rejections += facts.gates_from_honest.iter().sum::<u64>();
+        out.client_honest_rejections += facts.clean.client_rejects;
+        out.client_reply_errors +=
+            facts.clean.client_reply_errors + facts.attacked.client_reply_errors;
+        out.clean_auth_rejects += facts.auth_rejects_clean;
         if !facts.converged || !facts.identical || facts.violations > 0 {
             eprintln!(
-                "E20 run {run} [{}]: converged={} identical={} violations={}",
+                "run {run} [{}]: converged={} identical={} violations={}",
                 facts.attack, facts.converged, facts.identical, facts.violations
             );
         }
-        let acc = by_attack.entry(facts.attack).or_insert_with(|| Accum {
-            runs: 0,
-            clean_secs: 0.0,
-            attack_secs: 0.0,
-            clean_lat: Vec::new(),
-            attack_lat: Vec::new(),
-            gates_from_byz: [0; 4],
-            gates_from_honest: [0; 4],
-            stats: AttackStats::default(),
-            stale_hellos: 0,
-            auth_rejects: 0,
-            clean_client_lat: Vec::new(),
-            attack_client_lat: Vec::new(),
-            client_rejects: 0,
-            client_redirects: 0,
-        });
+        let acc = by_attack.entry(facts.attack).or_default();
+        acc.attack = facts.attack;
         acc.runs += 1;
-        acc.clean_secs += facts.clean_secs;
-        acc.attack_secs += facts.attack_secs;
-        acc.clean_lat.extend(facts.clean_latencies);
-        acc.attack_lat.extend(facts.attack_latencies);
-        for g in 0..4 {
-            acc.gates_from_byz[g] += facts.gates_from_byz[g];
-            acc.gates_from_honest[g] += facts.gates_from_honest[g];
-        }
-        acc.stats += facts.stats;
+        acc.clean_secs += facts.clean.wall_secs;
+        acc.attack_secs += facts.attacked.wall_secs;
+        acc.clean_ms.extend(facts.clean.latencies_ms);
+        acc.attack_ms.extend(facts.attacked.latencies_ms);
+        acc.client_clean_ms.extend(facts.clean.client_latencies_ms);
+        acc.client_attack_ms.extend(facts.attacked.client_latencies_ms);
+        add_gates(&mut acc.gates_from_byz, &facts.gates_from_byz);
+        add_gates(&mut acc.gates_from_honest, &facts.gates_from_honest);
+        acc.stats += facts.attacked.stats;
         acc.stale_hellos += facts.stale_hellos;
         acc.auth_rejects += facts.auth_rejects_attack;
-        acc.clean_client_lat.extend(facts.clean_client_latencies);
-        acc.attack_client_lat.extend(facts.attack_client_latencies);
-        acc.client_rejects += facts.client_rejects_attack;
-        acc.client_redirects += facts.client_redirects_attack;
+        acc.client_rejects += facts.attacked.client_rejects;
+        acc.client_redirects += facts.attacked.client_redirects;
     }
 
-    let mut reports = Vec::new();
     for name in AttackRegistry::NAMES {
-        let Some(mut acc) = by_attack.remove(name) else {
+        let Some(mut report) = by_attack.remove(name) else {
             continue;
         };
-        acc.clean_lat.sort_by(f64::total_cmp);
-        acc.attack_lat.sort_by(f64::total_cmp);
-        acc.clean_client_lat.sort_by(f64::total_cmp);
-        acc.attack_client_lat.sort_by(f64::total_cmp);
-        let slowdown = if acc.clean_secs > 0.0 { acc.attack_secs / acc.clean_secs } else { f64::NAN };
-        let report = AttackReport {
-            attack: name.to_string(),
-            runs: acc.runs,
-            clean_secs: acc.clean_secs,
-            attack_secs: acc.attack_secs,
-            slowdown,
-            clean_p50_ms: percentile(&acc.clean_lat, 50.0),
-            clean_p99_ms: percentile(&acc.clean_lat, 99.0),
-            attack_p50_ms: percentile(&acc.attack_lat, 50.0),
-            attack_p99_ms: percentile(&acc.attack_lat, 99.0),
-            gates_from_byz: acc.gates_from_byz,
-            gates_from_honest: acc.gates_from_honest,
-            stats: acc.stats,
-            stale_hellos: acc.stale_hellos,
-            auth_rejects: acc.auth_rejects,
-            client_clean_p50_ms: percentile(&acc.clean_client_lat, 50.0),
-            client_clean_p99_ms: percentile(&acc.clean_client_lat, 99.0),
-            client_attack_p50_ms: percentile(&acc.attack_client_lat, 50.0),
-            client_attack_p99_ms: percentile(&acc.attack_client_lat, 99.0),
-            client_rejects: acc.client_rejects,
-            client_redirects: acc.client_redirects,
-        };
+        for sample in [
+            &mut report.clean_ms,
+            &mut report.attack_ms,
+            &mut report.client_clean_ms,
+            &mut report.client_attack_ms,
+        ] {
+            sample.sort_by(f64::total_cmp);
+        }
         publish_metrics(&report);
-        reports.push(report);
+        out.reports.push(report);
     }
-
-    ByzantineOutcome {
-        runs: cfg.runs,
-        f: cfg.f,
-        converged_runs,
-        identical_runs,
-        monitor_violations,
-        honest_attributed_rejections: honest_attributed,
-        client_honest_rejections,
-        client_reply_errors,
-        clean_auth_rejects,
-        reports,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    out.wall_secs = started.elapsed().as_secs_f64();
+    out
 }
 
 /// Publish one attack's aggregates into the global registry for the live
-/// `/metrics` endpoint (`exp_service --metrics` plumbing, reused by
-/// `exp_byzantine`).
+/// `/metrics` endpoint.
 fn publish_metrics(report: &AttackReport) {
     let reg = rbvc_obs::Registry::global();
-    let labels = [("attack", report.attack.as_str())];
-    if report.slowdown.is_finite() {
+    let labels = [("attack", report.attack)];
+    if report.slowdown().is_finite() {
         reg.gauge_with("exp.byzantine.slowdown_permille", &labels)
-            .set((report.slowdown * 1000.0) as i64);
+            .set((report.slowdown() * 1000.0) as i64);
     }
     reg.gauge_with("exp.byzantine.attack_p99_us", &labels)
-        .set((report.attack_p99_ms * 1000.0) as i64);
-    reg.counter_with("exp.byzantine.gate_rejects", &[("attack", report.attack.as_str()), ("origin", "byzantine")])
-        .add(report.gates_from_byz.iter().sum());
-    reg.counter_with("exp.byzantine.gate_rejects", &[("attack", report.attack.as_str()), ("origin", "honest")])
-        .add(report.gates_from_honest.iter().sum());
+        .set((percentile(&report.attack_ms, 99.0) * 1000.0) as i64);
+    for (origin, gates) in
+        [("byzantine", report.gates_from_byz), ("honest", report.gates_from_honest)]
+    {
+        reg.counter_with("exp.byzantine.gate_rejects", &[labels[0], ("origin", origin)])
+            .add(gates.iter().sum());
+    }
     reg.counter_with("exp.byzantine.client_rejects", &labels).add(report.client_rejects);
     reg.counter_with("exp.byzantine.client_redirects", &labels).add(report.client_redirects);
+}
+
+fn run(args: &Args, _status: &StatusBoard) -> Report {
+    let mut cfg = ByzantineConfig::profile(args.smoke, args.seed);
+    cfg.runs = args.runs.unwrap_or(cfg.runs);
+    println!(
+        "{}-node authenticated loopback TCP mesh, f = {} malicious nodes per run cycling the \
+         attack registry, {} instance(s) × {} VA rounds, {} seeded runs",
+        cfg.mesh.n, cfg.mesh.f, cfg.mesh.instances, cfg.mesh.rounds, cfg.runs
+    );
+    e20_report(&cfg, &run_campaign(&cfg))
+}
+
+/// The shared report plus what only E20 records: the honest client plane.
+fn e20_report(cfg: &ByzantineConfig, out: &ByzantineOutcome) -> Report {
+    report(cfg, out, |r, entry, _| {
+        let plane = json!({
+            "latency_ms": json!({
+                "clean": p50_p99(&r.client_clean_ms),
+                "attack": p50_p99(&r.client_attack_ms),
+            }),
+            "port_rejects": r.client_rejects,
+            "table_redirects": r.client_redirects,
+        });
+        entry.push(("client_plane".to_string(), plane));
+    })
+}
+
+fn p50_p99(sorted: &[f64]) -> Value {
+    json!({ "p50": percentile(sorted, 50.0), "p99": percentile(sorted, 99.0) })
+}
+
+fn gate_counts(g: &[u64; 4]) -> Value {
+    json!({ "decode": g[0], "auth": g[1], "instance": g[2], "kind": g[3] })
+}
+
+/// The table, payload and gates E20 and E23 share: one row and one
+/// `attacks[]` entry per mix. `extend(report, entry, activity)` adds the
+/// calling campaign's own keys to the entry and to its
+/// `attacker_activity` object.
+pub(crate) fn report(
+    cfg: &ByzantineConfig,
+    out: &ByzantineOutcome,
+    extend: impl Fn(&AttackReport, &mut Fields, &mut Fields),
+) -> Report {
+    let attacks: Vec<Value> = out
+        .reports
+        .iter()
+        .map(|r| {
+            let mut entry = fields(json!({
+                "attack": r.attack,
+                "runs": r.runs,
+                "honest_wall_secs": json!({ "clean": r.clean_secs, "attack": r.attack_secs }),
+                "slowdown": r.slowdown(),
+                "latency_ms": json!({
+                    "clean": p50_p99(&r.clean_ms),
+                    "attack": p50_p99(&r.attack_ms),
+                }),
+                "gate_rejections": json!({
+                    "from_byzantine": gate_counts(&r.gates_from_byz),
+                    "from_honest": gate_counts(&r.gates_from_honest),
+                }),
+                "stale_hellos_refused": r.stale_hellos,
+                "auth_rejects": r.auth_rejects,
+            }));
+            let mut activity = fields(json!({
+                "frames_mutated": r.stats.frames_mutated,
+                "frames_dropped": r.stats.frames_dropped,
+                "garbage_injected": r.stats.garbage_injected,
+                "gate_sprays": r.stats.gate_sprays,
+                "hello_replays": r.stats.hello_replays,
+                "redial_storms": r.stats.redial_storms,
+                "client_sprays": r.stats.client_sprays,
+            }));
+            extend(r, &mut entry, &mut activity);
+            entry.push(("attacker_activity".to_string(), Value::Object(activity)));
+            Value::Object(entry)
+        })
+        .collect();
+    Report {
+        headers: vec![
+            "attack", "runs", "slowdown", "clean p50 ms", "atk p50 ms", "clean p99 ms",
+            "atk p99 ms", "auth rej", "rej (byz)", "rej (honest)", "stale HELLO", "cli p50 ms",
+            "cli rej+redir",
+        ],
+        rows: out
+            .reports
+            .iter()
+            .map(|r| {
+                vec![
+                    r.attack.to_string(),
+                    r.runs.to_string(),
+                    fnum(r.slowdown()),
+                    fnum(percentile(&r.clean_ms, 50.0)),
+                    fnum(percentile(&r.attack_ms, 50.0)),
+                    fnum(percentile(&r.clean_ms, 99.0)),
+                    fnum(percentile(&r.attack_ms, 99.0)),
+                    r.auth_rejects.to_string(),
+                    r.gates_from_byz.iter().sum::<u64>().to_string(),
+                    r.gates_from_honest.iter().sum::<u64>().to_string(),
+                    r.stale_hellos.to_string(),
+                    fnum(percentile(&r.client_attack_ms, 50.0)),
+                    (r.client_rejects + r.client_redirects).to_string(),
+                ]
+            })
+            .collect(),
+        notes: vec![format!(
+            "{}/{} runs converged, {}/{} bit-identical to the in-proc baseline, {} monitor \
+             violation(s), {} honest-attributed rejection(s), {} clean-phase handshake \
+             reject(s), {:.1}s wall",
+            out.converged_runs,
+            out.runs,
+            out.identical_runs,
+            out.runs,
+            out.monitor_violations,
+            out.honest_attributed_rejections,
+            out.clean_auth_rejects,
+            out.wall_secs
+        )],
+        payload: json!({
+            "n": cfg.mesh.n,
+            "f": cfg.mesh.f,
+            "dimension": cfg.mesh.d,
+            "instances": cfg.mesh.instances,
+            "va_rounds": cfg.mesh.rounds,
+            "runs": out.runs,
+            "converged_runs": out.converged_runs,
+            "identical_runs": out.identical_runs,
+            "honest_attributed_rejections": out.honest_attributed_rejections,
+            "client_honest_rejections": out.client_honest_rejections,
+            "client_reply_errors": out.client_reply_errors,
+            "clean_auth_rejects": out.clean_auth_rejects,
+            "wall_secs": out.wall_secs,
+            "attacks": attacks,
+        }),
+        gates: out.gates(),
+    }
+    .with_monitor(out.monitor_violations)
 }
 
 #[cfg(test)]
@@ -881,23 +759,30 @@ mod tests {
 
     /// A two-run micro-campaign (equivocate + lying-witness) through the
     /// full three-phase machinery: zero violations, bit-identical honest
-    /// decisions, and every rejection attributed to an attacker.
+    /// decisions, every rejection attributed to an attacker, and the
+    /// committed artefact's keys.
     #[test]
     fn micro_campaign_is_clean_and_attributes_rejections() {
-        let mut cfg = ByzantineConfig::smoke(42);
+        let mut cfg = ByzantineConfig::profile(true, 42);
         cfg.runs = 2;
         let out = run_campaign(&cfg);
         assert_eq!(out.converged_runs, 2, "both runs must converge");
         assert_eq!(out.identical_runs, 2, "honest decisions must match the oracle");
         assert_eq!(out.monitor_violations, 0);
         assert_eq!(out.honest_attributed_rejections, 0);
-        assert!(out.clean());
         assert_eq!(out.reports.len(), 2);
         for r in &out.reports {
             assert!(r.stats.frames_mutated + r.stats.frames_dropped > 0, "{} attacked", r.attack);
             // The honest client was served in both phases of both runs.
-            assert!(r.client_clean_p50_ms > 0.0 && r.client_attack_p50_ms > 0.0);
+            assert!(!r.client_clean_ms.is_empty() && !r.client_attack_ms.is_empty());
         }
+        let report = e20_report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_byzantine.json"),
+        );
     }
 
     /// The client-spray mix alone: crafted client frames hammer the live
@@ -907,7 +792,7 @@ mod tests {
     /// admitted.
     #[test]
     fn client_spray_run_is_survived_and_every_spray_accounted() {
-        let cfg = ByzantineConfig::smoke(77);
+        let cfg = ByzantineConfig::profile(true, 77);
         let idx = AttackRegistry::NAMES
             .iter()
             .position(|m| *m == "client-spray")
@@ -917,15 +802,20 @@ mod tests {
         assert!(facts.converged, "run must converge under client sprays");
         assert!(facts.identical, "honest decisions must match the oracle");
         assert_eq!(facts.violations, 0);
-        assert_eq!(facts.client_reply_errors, 0, "honest client got wrong replies");
-        assert_eq!(facts.client_rejects_clean, 0, "clean phase must not reject");
-        assert!(facts.stats.client_sprays > 0, "the mix actually sprayed");
+        let (clean, attacked) = (&facts.clean, &facts.attacked);
+        assert_eq!(
+            clean.client_reply_errors + attacked.client_reply_errors,
+            0,
+            "honest client got wrong replies"
+        );
+        assert_eq!(clean.client_rejects, 0, "clean phase must not reject");
+        assert!(attacked.stats.client_sprays > 0, "the mix actually sprayed");
         assert!(
-            facts.client_rejects_attack + facts.client_redirects_attack > 0,
+            attacked.client_rejects + attacked.client_redirects > 0,
             "sprays must surface as port rejects or table redirects"
         );
         assert!(
-            !facts.attack_client_latencies.is_empty(),
+            !attacked.client_latencies_ms.is_empty(),
             "honest client must be served while the ports are sprayed"
         );
     }

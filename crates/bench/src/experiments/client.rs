@@ -19,7 +19,7 @@
 //! The sweep reports offered vs decided rate and p50/p99 latency per step,
 //! and detects the **saturation point**: the first offered rate where
 //! goodput (decided/submitted) drops below 0.9 or p99 latency leaves the
-//! knee (> 5× the first step's p99). An online [`ServiceMonitor`]
+//! knee (> 5× the first step's p99). An online agreement monitor
 //! (ε-agreement across all `n` nodes per client instance) watches every
 //! decision, and after the open-loop phase each worker replays its last
 //! answered request — the reply must come back bit-identical from the
@@ -28,33 +28,46 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
 use rbvc_client::{ClientHandle, RetryPolicy};
 use rbvc_linalg::VecD;
-use rbvc_sim::monitor::{epsilon_agreement, SafetyMonitor, ServiceMonitor};
+use rbvc_obs::StatusBoard;
 use rbvc_transport::service::{ClientConfig, ClientStats, ConsensusService};
-use rbvc_transport::{tcp_mesh_loopback_authenticated, ClientPort, TcpEndpoint};
+use rbvc_transport::ClientPort;
+use serde_json::json;
 
-use crate::experiments::service::percentile;
+use crate::campaign::{
+    gate, mesh_seed, monitor, percentile, reply_error, thread_per_node, Args, MeshProfile, Report,
+    Scenario, AGREEMENT_EPS,
+};
+use crate::report::fnum;
 use crate::workloads::rng;
+
+/// The E21 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E21",
+    title: "open-loop client saturation",
+    report: "BENCH_client.json",
+    flags: &["--metrics ADDR"],
+    // The client-table gauges are pre-registered when the services enable
+    // the client plane, so they must be scrapeable while the workers run.
+    metrics_probe: &["client_sessions", "client_dedup_hits"],
+    status_probe: None,
+    run,
+};
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct ClientExpConfig {
-    /// Mesh size (7-node TCP, the systems profile used across E17–E20).
-    pub n: usize,
-    /// Vector dimension of submitted values.
-    pub d: usize,
-    /// Fault tolerance each client instance is configured with (the mesh
-    /// is all-honest, so `f = 0` waits for all `n` states — the
-    /// delivery-order-independent regime).
-    pub f: usize,
-    /// Bracha round budget per client instance.
-    pub rounds: usize,
+    /// Mesh shape (the 7-node TCP systems profile). `f` and `rounds`
+    /// configure each client instance — the mesh is all-honest, so `f = 0`
+    /// waits for all `n` states, the delivery-order-independent regime —
+    /// and `d` is the dimension of submitted values.
+    pub mesh: MeshProfile,
     /// Worker sessions; session `s` is owned by node `s % n`, so owners
     /// spread across the mesh.
     pub sessions: usize,
@@ -66,10 +79,6 @@ pub struct ClientExpConfig {
     pub max_inflight: usize,
     /// Admission queue bound; beyond it requests are shed with `Busy`.
     pub queue_cap: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Receive-wait per service poll.
-    pub poll_timeout: Duration,
     /// How long each step waits for in-flight replies after the last
     /// scheduled arrival (shed requests never resolve; they count against
     /// goodput instead of stalling the sweep).
@@ -77,46 +86,37 @@ pub struct ClientExpConfig {
 }
 
 impl ClientExpConfig {
-    /// The full sweep: rates from well under capacity to well over it, so
-    /// the saturation point falls inside the sweep.
+    /// The full sweep — rates from well under capacity to well over it, so
+    /// the saturation point falls inside the sweep, against an admission
+    /// envelope smaller than one session's workload (at burst rates a
+    /// single owner sees more arrivals than it will hold, so the top end
+    /// genuinely sheds) — or the CI profile: still a 7-node TCP mesh (the
+    /// acceptance regime), but fewer sessions, fewer arrivals, and a
+    /// two-point sweep.
     #[must_use]
-    pub fn full(seed: u64) -> Self {
-        ClientExpConfig {
-            n: 7,
-            d: 2,
-            f: 0,
-            rounds: 2,
-            sessions: 6,
-            requests_per_session: 25,
-            rates: vec![25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0],
-            // An envelope smaller than one session's workload: at burst
-            // rates a single owner sees more arrivals than it will hold,
-            // so the sweep's top end genuinely sheds.
-            max_inflight: 8,
-            queue_cap: 8,
-            seed,
-            poll_timeout: Duration::from_millis(1),
-            drain_timeout: Duration::from_secs(5),
-        }
-    }
-
-    /// CI-sized profile: still a 7-node TCP mesh (the acceptance regime),
-    /// but fewer sessions, fewer arrivals, and a two-point sweep.
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        ClientExpConfig {
-            n: 7,
-            d: 2,
-            f: 0,
-            rounds: 2,
-            sessions: 3,
-            requests_per_session: 6,
-            rates: vec![40.0, 400.0],
-            max_inflight: 4,
-            queue_cap: 4,
-            seed,
-            poll_timeout: Duration::from_millis(1),
-            drain_timeout: Duration::from_secs(3),
+    pub fn profile(smoke: bool, seed: u64) -> Self {
+        let poll_timeout = Duration::from_millis(1);
+        let mesh = MeshProfile { n: 7, f: 0, d: 2, instances: 0, rounds: 2, seed, poll_timeout };
+        if smoke {
+            ClientExpConfig {
+                mesh,
+                sessions: 3,
+                requests_per_session: 6,
+                rates: vec![40.0, 400.0],
+                max_inflight: 4,
+                queue_cap: 4,
+                drain_timeout: Duration::from_secs(3),
+            }
+        } else {
+            ClientExpConfig {
+                mesh,
+                sessions: 6,
+                requests_per_session: 25,
+                rates: vec![25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0],
+                max_inflight: 8,
+                queue_cap: 8,
+                drain_timeout: Duration::from_secs(5),
+            }
         }
     }
 }
@@ -174,19 +174,6 @@ pub struct ClientOutcome {
     pub wall_secs: f64,
 }
 
-impl ClientOutcome {
-    /// Pass verdict: every step decided something, no monitor violation,
-    /// no wrong reply, no dedup mismatch.
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.monitor_violations == 0
-            && !self.steps.is_empty()
-            && self.steps.iter().all(|s| {
-                s.decided > 0 && s.reply_errors == 0 && s.dedup_mismatches == 0
-            })
-    }
-}
-
 /// What one worker session brings back from its thread.
 struct WorkerReport {
     submitted: usize,
@@ -202,12 +189,13 @@ struct WorkerReport {
 /// The deterministic value session `s` submits as its `k`-th request.
 fn workload_value(cfg: &ClientExpConfig, session: u64, k: usize) -> VecD {
     let mut r = rng(
-        cfg.seed
+        cfg.mesh
+            .seed
             .wrapping_mul(0x9e37_79b9)
             .wrapping_add(session << 20)
             .wrapping_add(k as u64),
     );
-    VecD::from_slice(&(0..cfg.d).map(|_| r.gen_range(-8.0..8.0)).collect::<Vec<f64>>())
+    VecD((0..cfg.mesh.d).map(|_| r.gen_range(-8.0..8.0)).collect())
 }
 
 /// One open-loop worker session: submit on the Poisson schedule, harvest
@@ -225,7 +213,7 @@ fn run_worker(
         backoff: Duration::from_millis(2),
         max_backoff: Duration::from_millis(50),
     });
-    let mut schedule_rng = rng(cfg.seed ^ (session.wrapping_mul(0x517c_c1b7_2722_0a95)));
+    let mut schedule_rng = rng(cfg.mesh.seed ^ (session.wrapping_mul(0x517c_c1b7_2722_0a95)));
     let mut exp_draw = move || {
         let u: f64 = schedule_rng.gen_range(0.0..1.0);
         Duration::from_secs_f64(-(1.0 - u).ln() / rate_per_session)
@@ -250,13 +238,7 @@ fn run_worker(
                 continue; // duplicate reply for an already-resolved request
             };
             latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
-            let off = decision
-                .as_slice()
-                .iter()
-                .zip(value.as_slice())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            if off > 1e-6 {
+            if reply_error(&decision, &value) > 1e-6 {
                 *reply_errors += 1;
             }
             replies.insert(reqno, decision);
@@ -311,86 +293,66 @@ fn run_worker(
 /// One rate step: fresh mesh, `sessions` open-loop workers, online
 /// agreement monitoring of every client-instance decision.
 fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
+    let mesh = &cfg.mesh;
     // Links are authenticated end-to-end: E21's load numbers include the
     // keyed-handshake cost, not a plaintext shortcut.
-    let endpoints =
-        tcp_mesh_loopback_authenticated(cfg.n, &crate::experiments::byzantine::mesh_seed(cfg.seed))
-            .expect("loopback TCP mesh");
-    let mut ports = Vec::with_capacity(cfg.n);
-    let mut addrs = Vec::with_capacity(cfg.n);
-    for _ in 0..cfg.n {
-        let port = ClientPort::bind("127.0.0.1:0".parse().expect("loopback addr"))
-            .expect("bind client port");
-        addrs.push(port.local_addr());
-        ports.push(port);
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
+    let (endpoints, _) = mesh.tcp_mesh(&mesh_seed(mesh.seed));
     let (ev_tx, ev_rx) = mpsc::channel::<(u64, usize, Vec<f64>)>();
-    type Node = (ConsensusService<TcpEndpoint>, ClientPort);
-    let nodes: Vec<thread::JoinHandle<Node>> = endpoints
+    let nodes: Vec<_> = endpoints
         .into_iter()
-        .zip(ports)
-        .enumerate()
-        .map(|(id, (ep, mut port))| {
-            let stop = Arc::clone(&stop);
-            let ev_tx = ev_tx.clone();
-            let cfg = cfg.clone();
-            thread::spawn(move || {
-                let mut svc = ConsensusService::new(ep);
-                svc.enable_auth();
-                svc.enable_client(ClientConfig {
-                    f: cfg.f,
-                    rounds: cfg.rounds,
-                    max_inflight: cfg.max_inflight,
-                    queue_cap: cfg.queue_cap,
-                });
-                svc.start_deferred();
-                while !stop.load(Ordering::Relaxed) {
-                    for ev in svc.poll(cfg.poll_timeout) {
-                        let _ = ev_tx.send((ev.instance, id, ev.value.as_slice().to_vec()));
-                    }
-                    port.pump(&mut svc);
-                }
-                (svc, port)
-            })
+        .map(|ep| {
+            let port = ClientPort::bind("127.0.0.1:0".parse().expect("loopback addr"))
+                .expect("bind client port");
+            (ep, port, ev_tx.clone())
         })
         .collect();
     drop(ev_tx);
+    let addrs: Vec<SocketAddr> = nodes.iter().map(|(_, port, _)| port.local_addr()).collect();
 
-    let n = cfg.n;
-    let mut monitor: ServiceMonitor<Vec<f64>> = ServiceMonitor::new(move |_inst| {
-        SafetyMonitor::agreement_only(n, epsilon_agreement(1e-9))
-    });
-
+    let stop = AtomicBool::new(false);
     let step_start = Instant::now();
     let rate_per_session = rate / cfg.sessions as f64;
-    let workers: Vec<thread::JoinHandle<WorkerReport>> = (0..cfg.sessions)
-        .map(|s| {
-            let cfg = cfg.clone();
-            let addrs = addrs.clone();
-            thread::spawn(move || run_worker(&cfg, s as u64, rate_per_session, addrs))
-        })
-        .collect();
-
-    let mut reports = Vec::with_capacity(cfg.sessions);
-    for w in workers {
-        reports.push(w.join().expect("worker thread"));
-    }
+    let node = |id: usize, (ep, mut port, ev_tx): (_, ClientPort, mpsc::Sender<_>)| {
+        let mut svc = ConsensusService::new(ep);
+        svc.enable_auth();
+        svc.enable_client(ClientConfig {
+            f: mesh.f,
+            rounds: mesh.rounds,
+            max_inflight: cfg.max_inflight,
+            queue_cap: cfg.queue_cap,
+        });
+        svc.start_deferred();
+        while !stop.load(Ordering::Relaxed) {
+            for ev in svc.poll(mesh.poll_timeout) {
+                let _ = ev_tx.send((ev.instance, id, ev.value.as_slice().to_vec()));
+            }
+            port.pump(&mut svc);
+        }
+        (svc.client_stats(), svc.instance_count())
+    };
+    let (served, reports) = thread_per_node(nodes, node, || {
+        let reports: Vec<WorkerReport> = thread::scope(|scope| {
+            let addrs = &addrs;
+            let workers: Vec<_> = (0..cfg.sessions as u64)
+                .map(|s| scope.spawn(move || run_worker(cfg, s, rate_per_session, addrs.clone())))
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker thread")).collect()
+        });
+        stop.store(true, Ordering::Relaxed);
+        reports
+    });
     // The arrival window is the slowest worker's schedule (workers run
     // concurrently); the drain is deliberately excluded.
     let open_loop_secs = reports.iter().map(|r| r.open_loop_secs).fold(0.0, f64::max);
-    stop.store(true, Ordering::Relaxed);
     let mut stats = ClientStats::default();
     let mut instances = 0usize;
-    for h in nodes {
-        let (svc, _port) = h.join().expect("node thread");
-        let s = svc.client_stats();
+    for (s, count) in served {
         stats.shed += s.shed;
         stats.dedup_hits += s.dedup_hits;
         stats.redirects += s.redirects;
-        instances += svc.instance_count();
+        instances += count;
     }
+    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, None);
     while let Ok((instance, process, value)) = ev_rx.recv() {
         monitor.observe(instance, process, &value);
     }
@@ -423,7 +385,7 @@ fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
         dedup_mismatches: reports.iter().map(|r| r.dedup_mismatches).sum(),
         // Every node runs every client instance; per-owner count is the
         // mesh-wide total over n.
-        instances: instances / cfg.n,
+        instances: instances / mesh.n,
     };
     (step, monitor.violation_count())
 }
@@ -475,16 +437,117 @@ fn publish_step(step: &RateStep) {
         .set((step.goodput * 1000.0) as i64);
 }
 
+fn run(args: &Args, _status: &StatusBoard) -> Report {
+    let cfg = ClientExpConfig::profile(args.smoke, args.seed);
+    println!(
+        "{}-node authenticated loopback TCP mesh, {} session(s) × {} Poisson arrivals per \
+         rate step, rates {:?} req/s, admission {}+{} per owner",
+        cfg.mesh.n,
+        cfg.sessions,
+        cfg.requests_per_session,
+        cfg.rates,
+        cfg.max_inflight,
+        cfg.queue_cap
+    );
+    report(&cfg, &run_sweep(&cfg))
+}
+
+fn report(cfg: &ClientExpConfig, out: &ClientOutcome) -> Report {
+    let saturation = match out.saturation_rate {
+        Some(rate) => format!("saturation at {rate:.0} req/s offered (goodput < 0.9 or p99 knee)"),
+        None => "no saturation inside the sweep".to_string(),
+    };
+    let mut gates = Vec::new();
+    for s in &out.steps {
+        let rate = s.offered_rate;
+        gates.push(gate(s.decided > 0, format!("rate step {rate:.0} req/s decided nothing")));
+        gates.push(gate(
+            s.reply_errors == 0,
+            format!(
+                "{} repl(ies) at {rate:.0} req/s strayed from the submitted value",
+                s.reply_errors
+            ),
+        ));
+        gates.push(gate(
+            s.dedup_mismatches == 0,
+            format!(
+                "{} idempotence replay(s) at {rate:.0} req/s were not bit-identical",
+                s.dedup_mismatches
+            ),
+        ));
+    }
+    Report {
+        headers: vec![
+            "rate req/s", "offered", "submitted", "decided", "goodput", "decided/s", "p50 ms",
+            "p99 ms", "shed", "dedup", "redirects", "instances",
+        ],
+        rows: out
+            .steps
+            .iter()
+            .map(|s| {
+                vec![
+                    format!("{:.0}", s.offered_rate),
+                    format!("{:.1}", s.achieved_offered),
+                    s.submitted.to_string(),
+                    s.decided.to_string(),
+                    format!("{:.3}", s.goodput),
+                    fnum(s.decided_per_sec),
+                    fnum(s.p50_ms),
+                    fnum(s.p99_ms),
+                    s.shed.to_string(),
+                    s.dedup_hits.to_string(),
+                    s.redirects.to_string(),
+                    s.instances.to_string(),
+                ]
+            })
+            .collect(),
+        notes: vec![format!(
+            "{saturation}; {} monitor violation(s), {:.1}s wall",
+            out.monitor_violations, out.wall_secs
+        )],
+        payload: json!({
+            "n": cfg.mesh.n,
+            "dimension": cfg.mesh.d,
+            "client_f": cfg.mesh.f,
+            "rounds": cfg.mesh.rounds,
+            "sessions": cfg.sessions,
+            "requests_per_session": cfg.requests_per_session,
+            "admission": json!({ "max_inflight": cfg.max_inflight, "queue_cap": cfg.queue_cap }),
+            "saturation_offered_per_sec": out.saturation_rate,
+            "wall_secs": out.wall_secs,
+            "steps": out.steps.iter().map(|s| json!({
+                "offered_rate": s.offered_rate,
+                "achieved_offered": s.achieved_offered,
+                "submitted": s.submitted,
+                "decided": s.decided,
+                "goodput": s.goodput,
+                "decided_per_sec": s.decided_per_sec,
+                "latency_ms": json!({ "p50": s.p50_ms, "p99": s.p99_ms, "max": s.max_ms }),
+                "shed": s.shed,
+                "dedup_hits": s.dedup_hits,
+                "redirects": s.redirects,
+                "reply_errors": s.reply_errors,
+                "dedup_mismatches": s.dedup_mismatches,
+                "instances": s.instances,
+                "wall_secs": s.wall_secs,
+            })).collect::<Vec<_>>(),
+        }),
+        gates,
+    }
+    .with_monitor(out.monitor_violations)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A single low-rate step end to end: everything offered decides,
     /// replies match the submitted values, the idempotence replays hit the
-    /// dedup cache, and the monitor stays silent.
+    /// dedup cache, the monitor stays silent, and the report has the
+    /// committed artefact's keys.
     #[test]
     fn low_rate_step_decides_everything_cleanly() {
-        let mut cfg = ClientExpConfig::smoke(5);
+        let mut cfg = ClientExpConfig::profile(true, 5);
         cfg.sessions = 2;
         cfg.requests_per_session = 3;
         cfg.rates = vec![30.0];
@@ -498,8 +561,14 @@ mod tests {
         assert!(s.dedup_hits >= 2, "one idempotence replay per session: {s:?}");
         assert_eq!(s.instances, 6, "one instance per unique request, none for replays");
         assert_eq!(out.monitor_violations, 0);
-        assert!(out.clean(), "{out:?}");
         assert!(out.saturation_rate.is_none(), "a single clean step never saturates");
+        let report = report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_client.json"),
+        );
     }
 
     /// Overload saturates: a tiny admission envelope under a hot open loop
@@ -510,7 +579,7 @@ mod tests {
     /// than any decision and must overflow.
     #[test]
     fn overload_is_shed_and_detected_as_saturation() {
-        let mut cfg = ClientExpConfig::smoke(9);
+        let mut cfg = ClientExpConfig::profile(true, 9);
         cfg.sessions = 2;
         cfg.requests_per_session = 30;
         cfg.max_inflight = 2;

@@ -30,25 +30,41 @@
 //! self-describing trace with the violation inside.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use rbvc_core::{DecisionRule, SyncBvc};
-use rbvc_linalg::{Norm, Tol, VecD};
+use rbvc_linalg::VecD;
 use rbvc_obs::{
     clock, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase, StallReport,
     StatusBoard, TraceSummary,
 };
-use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
-use rbvc_transport::lockstep::Lockstep;
-use rbvc_transport::service::{ConsensusService, HealthConfig, InstanceProto};
-use rbvc_transport::tcp::TcpEndpoint;
+use rbvc_sim::monitor::ServiceMonitor;
+use rbvc_transport::service::{ConsensusService, HealthConfig};
+use rbvc_transport::TcpEndpoint;
+use serde_json::json;
 
-use crate::workloads::{max_edge, rng};
+use crate::campaign::{
+    gate, mesh_seed, monitor, thread_per_node, Args, MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
+};
+use crate::report::fnum;
+use crate::workloads::rng;
+
+/// The E22 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E22",
+    title: "self-diagnosing runtime stall campaign",
+    report: "BENCH_health.json",
+    flags: &["--runs N", "--flight-dir DIR", "--metrics ADDR"],
+    metrics_probe: &["# TYPE"],
+    // The board carries per-node snapshots once any node publishes; an
+    // empty board is still valid JSON.
+    status_probe: Some(("\"nodes\"", "status_scrape_ok")),
+    run,
+};
 
 /// The five injected-stall classes, in cycling order.
 pub const CLASSES: [&str; 5] = ["clean", "muted", "severed", "fsync", "kill"];
@@ -56,20 +72,11 @@ pub const CLASSES: [&str; 5] = ["clean", "muted", "severed", "fsync", "kill"];
 /// Campaign configuration.
 #[derive(Clone)]
 pub struct HealthCampaignConfig {
-    /// Mesh size (paper regime `n > 3f`).
-    pub n: usize,
-    /// Fault tolerance the SyncBvc instances are configured for.
-    pub f: usize,
-    /// Vector dimension.
-    pub d: usize,
-    /// Concurrent lockstep instances per run.
-    pub instances: usize,
+    /// Mesh shape (paper regime `n > 3f`) running lockstep SyncBvc
+    /// instances configured for `f` faults.
+    pub mesh: MeshProfile,
     /// Seeded runs, cycling through [`CLASSES`].
     pub runs: usize,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Receive-wait per service poll.
-    pub poll_timeout: Duration,
     /// Stall-detection deadline. Must sit well below the force-advance
     /// horizon (`timeout_ticks` polls) or the lockstep timeout clears a
     /// stall before the detector may call it one.
@@ -99,21 +106,19 @@ pub struct HealthCampaignConfig {
     /// Flight-dump directory handed to every node (arming the always-on
     /// recorder during the runs); `None` disables the in-run recorders.
     /// The campaign's final cross-check phase always runs with its own.
-    pub flight_dir: Option<std::path::PathBuf>,
+    pub flight_dir: Option<PathBuf>,
 }
 
 impl HealthCampaignConfig {
-    /// Full campaign profile (the acceptance floor is 40 runs: 8/class).
+    /// The full profile (40 runs, the acceptance floor: 8 per class) or
+    /// the CI profile: one run per class on the same mesh shape and
+    /// deadlines (shrinking those would test a different detector).
     #[must_use]
-    pub fn full(runs: usize, seed: u64) -> Self {
+    pub fn profile(smoke: bool, seed: u64) -> Self {
+        let poll_timeout = Duration::from_millis(1);
         HealthCampaignConfig {
-            n: 7,
-            f: 2,
-            d: 2,
-            instances: 1,
-            runs,
-            seed,
-            poll_timeout: Duration::from_millis(1),
+            mesh: MeshProfile { n: 7, f: 2, d: 2, instances: 1, rounds: 0, seed, poll_timeout },
+            runs: if smoke { CLASSES.len() } else { 40 },
             deadline: Duration::from_millis(150),
             timeout_ticks: 600,
             warmup_polls: 0,
@@ -124,28 +129,10 @@ impl HealthCampaignConfig {
             flight_dir: None,
         }
     }
-
-    /// CI-sized profile: one run per class, same mesh shape and deadlines
-    /// (shrinking those would test a different detector).
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        HealthCampaignConfig { runs: default_runs(true), ..Self::full(0, seed) }
-    }
-}
-
-/// Default run counts: 5 for `--smoke` (one per class), 40 for the full
-/// campaign (8 per class).
-#[must_use]
-pub fn default_runs(smoke: bool) -> usize {
-    if smoke {
-        CLASSES.len()
-    } else {
-        40
-    }
 }
 
 /// Per-class aggregation across the campaign's runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassReport {
     /// Class name (one of [`CLASSES`]).
     pub class: &'static str,
@@ -221,19 +208,6 @@ impl HealthOutcome {
             diagnosed as f64 / faulted as f64
         }
     }
-
-    /// The acceptance verdict: ≥ 95 % of faulted runs diagnosed, zero
-    /// false positives, zero misblames, zero safety violations, every
-    /// run's survivors terminated, and the flight dump replayed.
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.diagnosis_rate() >= 0.95
-            && self.false_positives == 0
-            && self.monitor_violations == 0
-            && self.reports.iter().all(|r| r.terminated == r.runs && r.misblamed == 0)
-            && self.flight.dumped
-            && self.flight.replayed
-    }
 }
 
 /// What one node's polling thread brings home.
@@ -269,50 +243,6 @@ struct RunFacts {
     victim_fsync_reports: u64,
 }
 
-fn bvc_instance(cfg: &HealthCampaignConfig, node: usize, input: &VecD) -> InstanceProto {
-    InstanceProto::Bvc(
-        Lockstep::new(
-            SyncBvc::new(
-                node,
-                cfg.n,
-                cfg.f,
-                cfg.d,
-                input.clone(),
-                DecisionRule::MinDeltaPoint(Norm::L2),
-                Tol::default(),
-            ),
-            cfg.n,
-            cfg.f + 1,
-        )
-        .with_timeout_ticks(cfg.timeout_ticks),
-    )
-}
-
-/// Stand up an authenticated TCP mesh on pre-bound loopback addresses.
-/// E22 injects faults into *keyed* links so diagnosis is exercised on the
-/// same wire format production meshes run.
-fn stable_tcp_mesh(n: usize, seed: &[u8; 32]) -> (Vec<TcpEndpoint>, Vec<SocketAddr>) {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback"))
-        .collect();
-    let addrs: Vec<SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(id, listener)| {
-            let addrs = addrs.clone();
-            let seed = *seed;
-            thread::spawn(move || TcpEndpoint::connect_with_auth(id, listener, &addrs, &seed))
-        })
-        .collect();
-    let mesh = handles
-        .into_iter()
-        .map(|h| h.join().expect("no panic").expect("tcp connect"))
-        .collect();
-    (mesh, addrs)
-}
-
 /// Does `report` name only the victim? Empty blame lists frame nobody;
 /// the diagnosis predicate separately requires a report that *does* name
 /// the victim.
@@ -340,35 +270,24 @@ fn expected_phase(class: &str) -> StallPhase {
 /// inject the class's fault on the victim after its warm-up, harvest
 /// every node's stall reports, and judge the diagnosis.
 fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
-    let run_seed = cfg.seed.wrapping_add(run as u64 * 7919);
+    let mesh = &cfg.mesh;
+    let run_seed = mesh.run_seed(run);
     let mut rand = rng(run_seed);
     let class = CLASSES[run % CLASSES.len()];
+    let inputs = mesh.inputs(&mut rand);
+    let victim = rand.gen_range(0..mesh.n);
 
-    let inputs: Vec<Vec<VecD>> = (0..cfg.instances)
-        .map(|_| {
-            (0..cfg.n)
-                .map(|_| {
-                    VecD::from_slice(
-                        &(0..cfg.d).map(|_| rand.gen_range(-8.0..8.0)).collect::<Vec<f64>>(),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let victim = rand.gen_range(0..cfg.n);
-
-    let (mesh, _addrs) =
-        stable_tcp_mesh(cfg.n, &crate::experiments::byzantine::mesh_seed(run_seed));
-    let mut services: Vec<ConsensusService<TcpEndpoint>> = mesh
+    // Faults are injected into *keyed* links so diagnosis is exercised on
+    // the same wire format production meshes run.
+    let (endpoints, _) = mesh.tcp_mesh(&mesh_seed(run_seed));
+    let services: Vec<_> = endpoints
         .into_iter()
         .enumerate()
         .map(|(i, ep)| {
             let mut svc = ConsensusService::new(ep);
             svc.enable_auth();
-            for (j, per_node) in inputs.iter().enumerate() {
-                svc.add_instance(j as u64 + 1, bvc_instance(cfg, i, &per_node[i]))
-                    .expect("unique instance ids");
-            }
+            let proto = Proto::Bvc { timeout_ticks: cfg.timeout_ticks };
+            mesh.register(&mut svc, i, &inputs, |_| proto);
             svc.enable_health(HealthConfig {
                 stall: StallConfig {
                     deadline_us: u64::try_from(cfg.deadline.as_micros()).unwrap_or(u64::MAX),
@@ -384,91 +303,75 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
 
     // The injection timestamp, stamped by the victim's thread the moment
     // the fault lands (clean runs never stamp it).
-    let injected_at_us = Arc::new(Mutex::new(None::<u64>));
+    let injected_at_us = Mutex::new(None::<u64>);
     // Survivors that finished; the muted victim's thread parks on this so
-    // the scope can join without the victim polling.
-    let survivors_done = Arc::new(AtomicUsize::new(0));
-    let survivor_count = if class == "clean" { cfg.n } else { cfg.n - 1 };
+    // the threads can join without the victim polling.
+    let survivors_done = AtomicUsize::new(0);
+    let survivor_count = if class == "clean" { mesh.n } else { mesh.n - 1 };
     let budget = cfg.run_budget;
 
-    let facts: Vec<NodeFacts> = thread::scope(|scope| {
-        let handles: Vec<_> = services
-            .drain(..)
-            .enumerate()
-            .map(|(i, mut svc)| {
-                let is_victim = i == victim && class != "clean";
-                let injected_at_us = Arc::clone(&injected_at_us);
-                let survivors_done = Arc::clone(&survivors_done);
-                scope.spawn(move || {
-                    svc.start().expect("start service");
-                    let t0 = Instant::now();
-                    let mut polls = 0usize;
-                    let mut decisions: Vec<(u64, VecD)> = Vec::new();
-                    while !svc.all_decided() && t0.elapsed() < budget {
-                        if is_victim && polls == cfg.warmup_polls {
-                            *injected_at_us.lock().expect("stamp") = Some(clock::now_us());
-                            match class {
-                                "muted" => {
-                                    // Stop polling, keep the sockets open:
-                                    // peers should see a live link that
-                                    // owes a batch (barrier), not a dead
-                                    // one (wire).
-                                    while survivors_done.load(Ordering::SeqCst) < survivor_count
-                                        && t0.elapsed() < budget
-                                    {
-                                        thread::sleep(Duration::from_millis(5));
-                                    }
-                                    break;
-                                }
-                                "severed" => {
-                                    for j in (0..cfg.n).filter(|&j| j != i) {
-                                        svc.transport_mut().sever_link(j);
-                                    }
-                                }
-                                "fsync" => svc.set_fsync_throttle(cfg.fsync_throttle),
-                                "kill" => {
-                                    drop(svc);
-                                    return NodeFacts {
-                                        decided: false,
-                                        reports: Vec::new(),
-                                        stalls_raised: 0,
-                                        decisions: Vec::new(),
-                                    };
-                                }
-                                other => unreachable!("unknown class {other}"),
-                            }
+    let node = |i: usize, mut svc: ConsensusService<TcpEndpoint>| {
+        let is_victim = i == victim && class != "clean";
+        svc.start().expect("start service");
+        let t0 = Instant::now();
+        let mut polls = 0usize;
+        let mut decisions: Vec<(u64, VecD)> = Vec::new();
+        while !svc.all_decided() && t0.elapsed() < budget {
+            if is_victim && polls == cfg.warmup_polls {
+                *injected_at_us.lock().expect("stamp") = Some(clock::now_us());
+                match class {
+                    "muted" => {
+                        // Stop polling, keep the sockets open: peers should
+                        // see a live link that owes a batch (barrier), not
+                        // a dead one (wire).
+                        while survivors_done.load(Ordering::SeqCst) < survivor_count
+                            && t0.elapsed() < budget
+                        {
+                            thread::sleep(Duration::from_millis(5));
                         }
-                        let events = svc.poll(cfg.poll_timeout);
-                        if !is_victim {
-                            decisions.extend(events.into_iter().map(|ev| (ev.instance, ev.value)));
+                        break;
+                    }
+                    "severed" => {
+                        for j in (0..mesh.n).filter(|&j| j != i) {
+                            svc.transport_mut().sever_link(j);
                         }
-                        polls += 1;
                     }
-                    if !is_victim {
-                        survivors_done.fetch_add(1, Ordering::SeqCst);
+                    "fsync" => svc.set_fsync_throttle(cfg.fsync_throttle),
+                    "kill" => {
+                        drop(svc);
+                        return NodeFacts {
+                            decided: false,
+                            reports: Vec::new(),
+                            stalls_raised: 0,
+                            decisions,
+                        };
                     }
-                    NodeFacts {
-                        decided: svc.all_decided(),
-                        reports: svc.health_reports(),
-                        stalls_raised: svc.stalls_raised(),
-                        decisions,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("node thread")).collect()
-    });
+                    other => unreachable!("unknown class {other}"),
+                }
+            }
+            let events = svc.poll(mesh.poll_timeout);
+            if !is_victim {
+                decisions.extend(events.into_iter().map(|ev| (ev.instance, ev.value)));
+            }
+            polls += 1;
+        }
+        if !is_victim {
+            survivors_done.fetch_add(1, Ordering::SeqCst);
+        }
+        NodeFacts {
+            decided: svc.all_decided(),
+            reports: svc.health_reports(),
+            stalls_raised: svc.stalls_raised(),
+            decisions,
+        }
+    };
+    let (facts, ()) = thread_per_node(services, node, || ());
 
     // Safety envelope over the survivors' decisions, replayed in node
     // order. The victim is excluded in faulted runs (its thread collects
     // nothing): a node the mesh observes as crashed or severed carries no
     // agreement obligation toward the survivors.
-    let n = cfg.n;
-    let mut monitor = ServiceMonitor::new(move |inst: u64| {
-        let points = &inputs[inst as usize - 1];
-        let flat: Vec<Vec<f64>> = points.iter().map(|v| v.as_slice().to_vec()).collect();
-        SafetyMonitor::new(n, epsilon_agreement(1e-9), box_validity(&flat, max_edge(points)))
-    });
+    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, Some(inputs));
     for (i, f) in facts.iter().enumerate() {
         for (inst, value) in &f.decisions {
             let _ = monitor.observe(*inst, i, &value.as_slice().to_vec());
@@ -502,20 +405,6 @@ fn judge_run(
     };
     let terminated =
         facts.iter().enumerate().filter(|(i, _)| survivor(*i)).all(|(_, f)| f.decided);
-    let violations = monitor.violation_count();
-
-    if class == "clean" {
-        return RunFacts {
-            class,
-            terminated,
-            detect_ms: None,
-            misblamed: 0,
-            violations,
-            stalls_raised,
-            cleared,
-            victim_fsync_reports,
-        };
-    }
 
     let survivor_reports: Vec<&StallReport> = facts
         .iter()
@@ -523,8 +412,15 @@ fn judge_run(
         .filter(|(i, _)| survivor(*i))
         .flat_map(|(_, f)| &f.reports)
         .collect();
-    let misblamed = survivor_reports.iter().filter(|r| !blames_only(r, victim)).count();
+    // A clean run has no victim: any stall there is a false positive (the
+    // campaign counts `stalls_raised`), not a misblame.
+    let misblamed = if class == "clean" {
+        0
+    } else {
+        survivor_reports.iter().filter(|r| !blames_only(r, victim)).count()
+    };
     let budget_us = u64::try_from(cfg.detect_budget.as_micros()).unwrap_or(u64::MAX);
+    // Clean runs never stamp an injection, so they never report a latency.
     let detect_ms = injected_at_us.and_then(|t0| {
         survivor_reports
             .iter()
@@ -545,7 +441,7 @@ fn judge_run(
         terminated,
         detect_ms,
         misblamed,
-        violations,
+        violations: monitor.violation_count(),
         stalls_raised,
         cleared,
         victim_fsync_reports,
@@ -563,12 +459,7 @@ fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
     let obs = Obs::new(Arc::clone(&flight) as Arc<dyn Recorder>).with_node(99);
 
     let points = vec![VecD::from_slice(&[0.0, 0.0]), VecD::from_slice(&[1.0, 1.0])];
-    let flat: Vec<Vec<f64>> = points.iter().map(|v| v.as_slice().to_vec()).collect();
-    let edge = max_edge(&points);
-    let mut monitor = ServiceMonitor::new(move |_inst: u64| {
-        SafetyMonitor::new(2, epsilon_agreement(1e-9), box_validity(&flat, edge))
-    })
-    .with_obs(obs);
+    let mut monitor = monitor(2, AGREEMENT_EPS, Some(vec![points])).with_obs(obs);
     // Two decisions far outside any ε-ball: agreement must fire, the
     // violation event must hit the recorder, the recorder must dump.
     let _ = monitor.observe(1, 0, &vec![0.0, 0.0]);
@@ -584,23 +475,12 @@ fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
         })
         .and_then(|e| std::fs::read_to_string(e.path()).ok())
         .and_then(|text| TraceSummary::parse(&text).ok());
-    match parsed {
-        Some(s) => {
-            let reason = s.flight_reason.clone().unwrap_or_default();
-            FlightCheck {
-                dumped,
-                replayed: s.unknown_records == 0 && reason == "violation" && s.violations >= 1,
-                violations_in_dump: s.violations,
-                reason,
-            }
-        }
-        None => FlightCheck {
-            dumped,
-            replayed: false,
-            violations_in_dump: 0,
-            reason: String::new(),
-        },
-    }
+    let reason = parsed.as_ref().and_then(|s| s.flight_reason.clone()).unwrap_or_default();
+    let violations_in_dump = parsed.as_ref().map_or(0, |s| s.violations);
+    let replayed = parsed.is_some_and(|s| s.unknown_records == 0)
+        && reason == "violation"
+        && violations_in_dump >= 1;
+    FlightCheck { dumped, replayed, violations_in_dump, reason }
 }
 
 /// Run the campaign: `cfg.runs` seeded runs cycling the classes, then the
@@ -610,22 +490,7 @@ pub fn run_campaign(cfg: &HealthCampaignConfig) -> HealthOutcome {
     let start = Instant::now();
     let mut by_class: BTreeMap<&'static str, ClassReport> = CLASSES
         .iter()
-        .map(|&c| {
-            (
-                c,
-                ClassReport {
-                    class: c,
-                    runs: 0,
-                    diagnosed: 0,
-                    terminated: 0,
-                    misblamed: 0,
-                    detect_ms: Vec::new(),
-                    stalls_raised: 0,
-                    cleared: 0,
-                    victim_fsync_reports: 0,
-                },
-            )
-        })
+        .map(|&class| (class, ClassReport { class, ..ClassReport::default() }))
         .collect();
     let mut monitor_violations = 0usize;
     let mut false_positives = 0u64;
@@ -697,6 +562,129 @@ fn publish_metrics(out: &HealthOutcome) {
     }
 }
 
+fn run(args: &Args, status: &StatusBoard) -> Report {
+    let mut cfg = HealthCampaignConfig::profile(args.smoke, args.seed);
+    cfg.runs = args.runs.unwrap_or(cfg.runs);
+    cfg.flight_dir = Some(args.flight_dir.clone().unwrap_or_else(|| "target/flight".into()));
+    cfg.status = Some(status.clone());
+    println!(
+        "{} seeded runs cycling clean/muted/severed/fsync/kill on {}-node authenticated \
+         loopback TCP meshes (f = {}, stall deadline {} ms, fsync throttle {} ms)",
+        cfg.runs,
+        cfg.mesh.n,
+        cfg.mesh.f,
+        cfg.deadline.as_millis(),
+        cfg.fsync_throttle.as_millis()
+    );
+    report(&cfg, &run_campaign(&cfg))
+}
+
+fn report(cfg: &HealthCampaignConfig, out: &HealthOutcome) -> Report {
+    let rate = out.diagnosis_rate();
+    let mut gates = vec![
+        gate(
+            rate >= 0.95,
+            format!(
+                "only {:.1}% of faulted runs were diagnosed with correct blame",
+                rate * 100.0
+            ),
+        ),
+        gate(
+            out.false_positives == 0,
+            format!("{} stall(s) raised in clean runs", out.false_positives),
+        ),
+        gate(
+            out.flight.dumped && out.flight.replayed,
+            format!(
+                "flight-recorder cross-check (dumped={}, replayed={}, reason='{}')",
+                out.flight.dumped, out.flight.replayed, out.flight.reason
+            ),
+        ),
+    ];
+    for r in &out.reports {
+        gates.push(gate(
+            r.misblamed == 0,
+            format!("{} stall report(s) in class '{}' named an innocent node", r.misblamed, r.class),
+        ));
+        gates.push(gate(
+            r.terminated == r.runs,
+            format!(
+                "{}/{} '{}' runs left honest survivors undecided",
+                r.runs - r.terminated,
+                r.runs,
+                r.class
+            ),
+        ));
+    }
+    Report {
+        headers: vec![
+            "class", "runs", "diagnosed", "terminated", "misblamed", "detect p50 ms",
+            "detect max ms", "stalls", "cleared", "victim fsync",
+        ],
+        rows: out
+            .reports
+            .iter()
+            .map(|r| {
+                vec![
+                    r.class.to_string(),
+                    r.runs.to_string(),
+                    r.diagnosed.to_string(),
+                    r.terminated.to_string(),
+                    r.misblamed.to_string(),
+                    fnum(r.detect_ms.get(r.detect_ms.len() / 2).copied().unwrap_or(f64::NAN)),
+                    fnum(r.detect_ms.last().copied().unwrap_or(f64::NAN)),
+                    r.stalls_raised.to_string(),
+                    r.cleared.to_string(),
+                    r.victim_fsync_reports.to_string(),
+                ]
+            })
+            .collect(),
+        notes: vec![format!(
+            "diagnosis rate {:.1}%, {} clean-run false positive(s), {} monitor violation(s), \
+             flight dump {} / replay {}, {:.1}s wall",
+            rate * 100.0,
+            out.false_positives,
+            out.monitor_violations,
+            if out.flight.dumped { "ok" } else { "MISSING" },
+            if out.flight.replayed { "ok" } else { "FAILED" },
+            out.wall_secs
+        )],
+        payload: json!({
+            "n": cfg.mesh.n,
+            "f": cfg.mesh.f,
+            "dimension": cfg.mesh.d,
+            "instances": cfg.mesh.instances,
+            "runs": out.runs,
+            "stall_deadline_ms": cfg.deadline.as_millis() as u64,
+            "fsync_throttle_ms": cfg.fsync_throttle.as_millis() as u64,
+            "detect_budget_ms": cfg.detect_budget.as_millis() as u64,
+            "diagnosis_rate": rate,
+            "false_positives": out.false_positives,
+            "wall_secs": out.wall_secs,
+            "classes": out.reports.iter().map(|r| json!({
+                "class": r.class,
+                "runs": r.runs,
+                "diagnosed": r.diagnosed,
+                "terminated": r.terminated,
+                "misblamed": r.misblamed,
+                "stalls_raised": r.stalls_raised,
+                "cleared": r.cleared,
+                "victim_fsync_reports": r.victim_fsync_reports,
+                "detect_ms": r.detect_ms.clone(),
+            })).collect::<Vec<_>>(),
+            "flight": json!({
+                "dumped": out.flight.dumped,
+                "replayed": out.flight.replayed,
+                "violations_in_dump": out.flight.violations_in_dump,
+                "reason": out.flight.reason.clone(),
+                "dir": cfg.flight_dir.as_ref().map(|dir| dir.display().to_string()),
+            }),
+        }),
+        gates,
+    }
+    .with_monitor(out.monitor_violations)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,27 +694,36 @@ mod tests {
     /// horizon, but the same detector deadline ordering (deadline well
     /// under the horizon).
     fn tiny(seed: u64) -> HealthCampaignConfig {
+        let full = HealthCampaignConfig::profile(false, seed);
         HealthCampaignConfig {
-            n: 4,
-            f: 1,
+            mesh: MeshProfile { n: 4, f: 1, ..full.mesh.clone() },
             deadline: Duration::from_millis(60),
             timeout_ticks: 200,
-            warmup_polls: 0,
             fsync_throttle: Duration::from_millis(160),
             detect_budget: Duration::from_millis(1200),
             run_budget: Duration::from_secs(15),
-            ..HealthCampaignConfig::full(0, seed)
+            ..full
         }
     }
 
+    /// A one-run campaign (class cycle position 0 = clean) raises nothing,
+    /// terminates, and reports the committed artefact's keys.
     #[test]
     fn clean_run_raises_nothing_and_terminates() {
-        let cfg = tiny(11);
-        let f = one_run(&cfg, 0); // class cycle position 0 = clean
-        assert_eq!(f.class, "clean");
-        assert!(f.terminated, "a clean mesh decides");
-        assert_eq!(f.stalls_raised, 0, "no false positives");
-        assert_eq!(f.violations, 0);
+        let cfg = HealthCampaignConfig { runs: 1, ..tiny(11) };
+        let out = run_campaign(&cfg);
+        let clean = &out.reports[0];
+        assert_eq!((clean.class, clean.runs), ("clean", 1));
+        assert_eq!(clean.terminated, 1, "a clean mesh decides");
+        assert_eq!(out.false_positives, 0, "no false positives");
+        assert_eq!(out.monitor_violations, 0);
+        let report = report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_health.json"),
+        );
     }
 
     #[test]

@@ -28,17 +28,32 @@
 //!   exercised the layer);
 //! * the handshake overhead is bounded: standing up the 7-node
 //!   authenticated mesh stays within an absolute budget, measured against
-//!   a plaintext control.
+//!   a plaintext control (the one place a plaintext mesh remains).
 //!
-//! Results land in `BENCH_identity.json` (picked up by `exp_trajectory`).
+//! Results land in `BENCH_identity.json`.
 
 use std::time::Instant;
 
+use rbvc_obs::StatusBoard;
 use rbvc_transport::byzantine::AttackRegistry;
 use rbvc_transport::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated};
+use serde_json::{json, Value};
 
-use crate::experiments::byzantine::{
-    mesh_seed, run_campaign, ByzantineConfig, ByzantineOutcome,
+use crate::campaign::{fields, gate, mesh_seed, Args, Report, Scenario};
+use crate::experiments::byzantine::{self, run_campaign, ByzantineConfig, ByzantineOutcome};
+use crate::report::fnum;
+
+/// The E23 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E23",
+    title: "impersonation on the wire",
+    report: "BENCH_identity.json",
+    flags: &["--runs N", "--metrics ADDR"],
+    metrics_probe: &["# TYPE"],
+    // A snapshot showing an authenticated link proves the auth state
+    // actually rides the board rows.
+    status_probe: Some(("\"authenticated\"", "status_auth_state_ok")),
+    run,
 };
 
 /// The five identity mixes (registry names), in registry order.
@@ -55,44 +70,24 @@ pub const HANDSHAKE_BUDGET_MS: f64 = 2_000.0;
 /// handshake-overhead probe.
 #[derive(Clone)]
 pub struct IdentityConfig {
-    /// The underlying three-phase campaign config. `auth` is always
-    /// `Some` here — a plaintext E23 would be vacuous.
+    /// The underlying three-phase campaign config.
     pub campaign: ByzantineConfig,
     /// Mesh constructions per arm of the handshake-overhead probe.
     pub handshake_trials: usize,
 }
 
 impl IdentityConfig {
-    /// Full profile: 7 nodes, `f = 2`, the whole 14-mix registry cycled
-    /// `runs` times (42 by default — three passes over the registry).
+    /// The full profile — the whole 14-mix registry cycled three times (42
+    /// runs, clearing the acceptance floor of 40) — or the CI profile: one
+    /// run per identity mix, smaller instances.
     #[must_use]
-    pub fn full(runs: usize, seed: u64) -> Self {
-        let mut campaign = ByzantineConfig::full(runs, seed);
-        campaign.attacks = AttackRegistry::NAMES.to_vec();
-        campaign.auth = Some(mesh_seed(seed ^ 0xE23));
-        IdentityConfig { campaign, handshake_trials: 5 }
-    }
-
-    /// CI-sized profile: one run per identity mix, smaller instances.
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        let mut campaign = ByzantineConfig::smoke(seed);
-        campaign.attacks = IDENTITY_ATTACKS.to_vec();
-        campaign.runs = default_runs(true);
-        campaign.auth = Some(mesh_seed(seed ^ 0xE23));
-        IdentityConfig { campaign, handshake_trials: 2 }
-    }
-}
-
-/// Default run counts: one run per identity mix for `--smoke`, 42 for the
-/// full campaign (three passes over the 14-mix registry, clearing the
-/// acceptance floor of 40).
-#[must_use]
-pub fn default_runs(smoke: bool) -> usize {
-    if smoke {
-        IDENTITY_ATTACKS.len()
-    } else {
-        AttackRegistry::NAMES.len() * 3
+    pub fn profile(smoke: bool, seed: u64) -> Self {
+        let mut campaign = ByzantineConfig::profile(smoke, seed);
+        campaign.attacks =
+            if smoke { IDENTITY_ATTACKS.to_vec() } else { AttackRegistry::NAMES.to_vec() };
+        campaign.runs = if smoke { IDENTITY_ATTACKS.len() } else { AttackRegistry::NAMES.len() * 3 };
+        campaign.auth = mesh_seed(seed ^ 0xE23);
+        IdentityConfig { campaign, handshake_trials: if smoke { 2 } else { 5 } }
     }
 }
 
@@ -127,9 +122,10 @@ impl HandshakeOverhead {
 #[must_use]
 pub fn measure_handshake_overhead(n: usize, trials: usize, seed: u64) -> HandshakeOverhead {
     let auth_seed = mesh_seed(seed ^ 0x4853); // "HS"
+    let trials = trials.max(1);
     let mut plain_total = 0.0;
     let mut auth_total = 0.0;
-    for _ in 0..trials.max(1) {
+    for _ in 0..trials {
         let t0 = Instant::now();
         drop(tcp_mesh_loopback(n).expect("plaintext mesh"));
         plain_total += t0.elapsed().as_secs_f64() * 1e3;
@@ -137,7 +133,6 @@ pub fn measure_handshake_overhead(n: usize, trials: usize, seed: u64) -> Handsha
         drop(tcp_mesh_loopback_authenticated(n, &auth_seed).expect("authenticated mesh"));
         auth_total += t1.elapsed().as_secs_f64() * 1e3;
     }
-    let trials = trials.max(1);
     let plain_ms = plain_total / trials as f64;
     let auth_ms = auth_total / trials as f64;
     let ratio = if plain_ms > 0.0 { auth_ms / plain_ms } else { f64::NAN };
@@ -163,8 +158,8 @@ impl IdentityOutcome {
         self.campaign
             .reports
             .iter()
-            .filter(|r| IDENTITY_ATTACKS.contains(&r.attack.as_str()))
-            .map(|r| (r.attack.as_str(), r.auth_rejects, r.runs))
+            .filter(|r| IDENTITY_ATTACKS.contains(&r.attack))
+            .map(|r| (r.attack, r.auth_rejects, r.runs))
             .collect()
     }
 
@@ -178,57 +173,105 @@ impl IdentityOutcome {
             .map(|(name, _, _)| name)
             .collect()
     }
-
-    /// The campaign's pass verdict (see the module docs for the gates).
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.campaign.clean()
-            && self.silent_identity_mixes().is_empty()
-            && self.overhead.bounded()
-    }
 }
 
 /// Run the campaign: the three-phase mix cycle, then the
 /// handshake-overhead probe.
 #[must_use]
-pub fn run(cfg: &IdentityConfig) -> IdentityOutcome {
-    assert!(cfg.campaign.auth.is_some(), "E23 requires an authenticated mesh");
+pub fn run_identity(cfg: &IdentityConfig) -> IdentityOutcome {
     let campaign = run_campaign(&cfg.campaign);
-    let overhead =
-        measure_handshake_overhead(cfg.campaign.n, cfg.handshake_trials, cfg.campaign.seed);
+    let mesh = &cfg.campaign.mesh;
+    let overhead = measure_handshake_overhead(mesh.n, cfg.handshake_trials, mesh.seed);
     IdentityOutcome { campaign, overhead }
+}
+
+fn run(args: &Args, status: &StatusBoard) -> Report {
+    let mut cfg = IdentityConfig::profile(args.smoke, args.seed);
+    cfg.campaign.runs = args.runs.unwrap_or(cfg.campaign.runs);
+    // The nodes publish per-link auth state to the live `/status` board.
+    cfg.campaign.status = Some(status.clone());
+    let mesh = &cfg.campaign.mesh;
+    println!(
+        "{}-node authenticated loopback TCP mesh, f = {} compromised nodes per run cycling {} \
+         attack mix(es) ({} identity forgery families), {} instance(s) × {} VA rounds, {} \
+         seeded runs",
+        mesh.n,
+        mesh.f,
+        cfg.campaign.attacks.len(),
+        IDENTITY_ATTACKS.len(),
+        mesh.instances,
+        mesh.rounds,
+        cfg.campaign.runs
+    );
+    report(&cfg, &run_identity(&cfg))
+}
+
+/// E20's shared report plus what only E23 measures: the identity mixes'
+/// activity counters, the silent-mix check and the handshake overhead.
+fn report(cfg: &IdentityConfig, out: &IdentityOutcome) -> Report {
+    let mut report = byzantine::report(&cfg.campaign, &out.campaign, |r, _, activity| {
+        activity.extend(fields(json!({
+            "impersonations": r.stats.impersonations,
+            "handshake_replays": r.stats.hs_replays,
+            "nonce_reflections": r.stats.nonce_reflects,
+            "mac_flips": r.stats.mac_flips,
+            "downgrades": r.stats.downgrades,
+        })));
+    });
+    let (overhead, silent) = (&out.overhead, out.silent_identity_mixes());
+    report.notes.push(format!(
+        "handshake overhead ({} trials, n = {}): authenticated {} ms vs plaintext {} ms per \
+         mesh ({}x, budget {HANDSHAKE_BUDGET_MS} ms)",
+        overhead.trials,
+        overhead.n,
+        fnum(overhead.auth_ms),
+        fnum(overhead.plain_ms),
+        fnum(overhead.ratio),
+    ));
+    let mut payload = fields(report.payload);
+    payload.extend(fields(json!({
+        "silent_identity_mixes": silent.clone(),
+        "handshake_overhead": json!({
+            "trials": overhead.trials,
+            "mesh_n": overhead.n,
+            "plain_ms": overhead.plain_ms,
+            "auth_ms": overhead.auth_ms,
+            "ratio": overhead.ratio,
+            "budget_ms": HANDSHAKE_BUDGET_MS,
+            "bounded": overhead.bounded(),
+        }),
+    })));
+    report.payload = Value::Object(payload);
+    report.gates.push(gate(
+        silent.is_empty(),
+        format!("identity mix(es) whose forgeries were never refused: {}", silent.join(", ")),
+    ));
+    report.gates.push(gate(
+        overhead.bounded(),
+        format!(
+            "authenticated mesh construction took {:.1} ms (budget {HANDSHAKE_BUDGET_MS} ms)",
+            overhead.auth_ms
+        ),
+    ));
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// One run per identity mix, tiny instances: every forgery family is
     /// refused with rejects attributed, honest decisions stay bit-identical
-    /// to the oracle, and the overhead probe returns sane numbers.
+    /// to the oracle, the overhead probe returns sane numbers, and the
+    /// report has the committed artefact's keys.
     #[test]
     fn micro_identity_campaign_refuses_every_forgery_family() {
-        let mut campaign = ByzantineConfig::full(IDENTITY_ATTACKS.len(), 0xE23_0001);
-        campaign.attacks = IDENTITY_ATTACKS.to_vec();
-        campaign.auth = Some(mesh_seed(0xE23_0001));
-        campaign.instances = 1;
-        campaign.va_rounds = 2;
-        campaign.client_requests = 0;
-        campaign.poll_timeout = Duration::from_millis(1);
-        let cfg = IdentityConfig { campaign, handshake_trials: 1 };
-        let out = run(&cfg);
-        assert!(
-            out.campaign.clean(),
-            "campaign not clean: converged {}/{} identical {}/{} violations {} honest-gates {} clean-auth {}",
-            out.campaign.converged_runs,
-            out.campaign.runs,
-            out.campaign.identical_runs,
-            out.campaign.runs,
-            out.campaign.monitor_violations,
-            out.campaign.honest_attributed_rejections,
-            out.campaign.clean_auth_rejects,
-        );
+        let mut cfg = IdentityConfig::profile(true, 0xE23_0001);
+        cfg.campaign.client_requests = 0;
+        cfg.handshake_trials = 1;
+        let out = run_identity(&cfg);
+        let report = report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "campaign not clean: {:?}", report.gates);
         assert_eq!(out.identity_rows().len(), IDENTITY_ATTACKS.len(), "every mix must report");
         assert!(
             out.silent_identity_mixes().is_empty(),
@@ -237,6 +280,10 @@ mod tests {
             out.identity_rows(),
         );
         assert!(out.overhead.auth_ms > 0.0 && out.overhead.plain_ms > 0.0);
-        assert!(out.clean());
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_identity.json"),
+        );
     }
 }

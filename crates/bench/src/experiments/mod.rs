@@ -10,12 +10,20 @@
 //! | [`tverberg`] | E10 | Section 8 (Tverberg tightness under relaxed hulls) |
 //! | [`asynchrony`] | E11, E13 | Theorem 15 / Conjecture 4, ε-convergence |
 //! | [`chaos`] | E16 | unreliable-network campaign (robustness, not a paper artifact) |
-//! | [`service`] | E17 | multi-instance service load generation over real sockets (systems artifact) |
-//! | [`recovery`] | E18 | kill/restart crash-recovery campaign with WAL corruption injection (systems artifact) |
-//! | [`byzantine`] | E20 | live Byzantine adversaries over real TCP (robustness, systems artifact) |
-//! | [`client`] | E21 | open-loop client saturation sweep through the external front-end (systems artifact) |
-//! | [`health`] | E22 | seeded stall-injection campaign for the self-diagnosis subsystem (systems artifact) |
-//! | [`identity`] | E23 | impersonation campaign against the keyed link-identity layer (robustness, systems artifact) |
+//!
+//! The systems campaigns below are [`Scenario`](crate::campaign::Scenario)
+//! entries of the one campaign harness ([`crate::campaign`]): each module
+//! holds only its fault injection, per-run verdict, table, JSON payload
+//! and gates, and exports a `SCENARIO` that `campaign::SCENARIOS` lists.
+//!
+//! | module | experiments | systems artifact |
+//! |--------|-------------|------------------|
+//! | [`service`] | E17 | multi-instance service load generation over real sockets |
+//! | [`recovery`] | E18 | kill/restart crash-recovery campaign with WAL corruption injection |
+//! | [`byzantine`] | E20 | live Byzantine adversaries over real TCP (robustness) |
+//! | [`client`] | E21 | open-loop client saturation sweep through the external front-end |
+//! | [`health`] | E22 | seeded stall-injection campaign for the self-diagnosis subsystem |
+//! | [`identity`] | E23 | impersonation campaign against the keyed link-identity layer (robustness) |
 
 pub mod asynchrony;
 pub mod broadcast_ablation;

@@ -3,17 +3,18 @@
 //!
 //! Each seeded run picks a victim node and a kill point, runs an
 //! uninterrupted in-process baseline, then replays the same configuration
-//! over a loopback TCP mesh where every node writes through an
-//! `rbvc-store` WAL. Mid-run the victim's service is dropped on the floor
-//! (sockets close, listener dies), its log is optionally corrupted
+//! over an authenticated loopback TCP mesh where every node writes through
+//! an `rbvc-store` WAL. Mid-run the victim's service is dropped on the
+//! floor (sockets close, listener dies), its log is optionally corrupted
 //! (torn-tail truncation or a random bit flip past the magic — the
 //! recovery contract is longest-valid-prefix, never a panic), and the node
 //! is rebuilt with [`ConsensusService::recover`] on a fresh endpoint bound
-//! to the same address. The campaign asserts, per run:
+//! to the same address, re-dialing the mesh with the keyed handshake. The
+//! campaign asserts, per run:
 //!
 //! * the mesh still converges (every instance decides on every node);
 //! * decisions are **bit-identical** to the uninterrupted baseline;
-//! * the online [`ServiceMonitor`] stays clean — in particular the
+//! * the online monitor stays clean at `ε = 0` — in particular the
 //!   restarted node never re-decides differently (amnesia-freedom);
 //! * replay reports zero divergences (the regenerated outbound stream
 //!   FIFO-matches the logged one, and pinned decisions match the replayed
@@ -25,78 +26,68 @@
 //! SyncBvc round-timeout path is wall-clock driven and would diverge
 //! legitimately when a peer stalls).
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::Path;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
-use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_sim::monitor::{epsilon_agreement, SafetyMonitor, ServiceMonitor};
+use rbvc_linalg::VecD;
+use rbvc_obs::StatusBoard;
 use rbvc_store::Wal;
-use rbvc_transport::service::{ConsensusService, InstanceProto};
+use rbvc_transport::service::ConsensusService;
 use rbvc_transport::tcp::TcpEndpoint;
-use rbvc_transport::transport::in_proc_mesh;
+use serde_json::json;
 
+use crate::campaign::{
+    gate, mesh_seed, monitor, sweep, Args, MeshProfile, Proto, Report, Scenario,
+};
+use crate::report::fnum;
 use crate::workloads::rng;
+
+/// The E18 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E18",
+    title: "crash-recovery campaign",
+    report: "BENCH_recovery.json",
+    flags: &["--runs N"],
+    metrics_probe: &[],
+    status_probe: None,
+    run,
+};
+
+const PROTO: Proto = Proto::Va { f: 0 };
+/// Sweep budget per mesh phase before a run is declared stuck.
+const MAX_SWEEPS: usize = 20_000;
 
 /// Campaign shape.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Mesh size.
-    pub n: usize,
-    /// Vector dimension.
-    pub d: usize,
-    /// Verified-Averaging instances per run (all nodes run all of them).
-    pub instances: usize,
-    /// VA averaging rounds — high enough that convergence takes several
+    /// Mesh shape; `rounds` is high enough that convergence takes several
     /// poll sweeps, so the kill lands mid-round.
-    pub va_rounds: usize,
+    pub mesh: MeshProfile,
     /// Seeded kill/restart runs.
     pub runs: usize,
-    /// Base seed; run `r` uses `seed + r * 7919`.
-    pub seed: u64,
-    /// Per-node receive timeout per poll sweep.
-    pub poll_timeout: Duration,
     /// Corrupt the victim's WAL on every `corrupt_every`-th run (0 never).
     pub corrupt_every: usize,
 }
 
 impl RecoveryConfig {
-    /// Full campaign profile (the ISSUE floor is 50 seeded runs).
+    /// The full profile (50 runs on a 4-node mesh) or the CI smoke profile
+    /// (6 runs on 3 nodes).
     #[must_use]
-    pub fn full(runs: usize, seed: u64) -> Self {
+    pub fn profile(smoke: bool, seed: u64) -> Self {
+        let (n, instances, rounds, runs) = if smoke { (3, 2, 4, 6) } else { (4, 3, 6, 50) };
+        let poll_timeout = Duration::from_millis(1);
         RecoveryConfig {
-            n: 4,
-            d: 2,
-            instances: 3,
-            va_rounds: 6,
+            mesh: MeshProfile { n, f: 0, d: 2, instances, rounds, seed, poll_timeout },
             runs,
-            seed,
-            poll_timeout: Duration::from_millis(1),
-            corrupt_every: 3,
-        }
-    }
-
-    /// CI smoke profile.
-    #[must_use]
-    pub fn smoke(seed: u64) -> Self {
-        RecoveryConfig {
-            n: 3,
-            d: 2,
-            instances: 2,
-            va_rounds: 4,
-            runs: 6,
-            seed,
-            poll_timeout: Duration::from_millis(1),
             corrupt_every: 3,
         }
     }
 }
 
 /// Aggregate campaign outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryOutcome {
     /// Runs executed.
     pub runs: usize,
@@ -133,92 +124,17 @@ impl RecoveryOutcome {
         }
         self.replay_records as f64 / (self.recover_us_total as f64 / 1e6)
     }
-
-    /// The campaign's pass criterion.
-    #[must_use]
-    pub fn clean(&self) -> bool {
-        self.monitor_violations == 0
-            && self.replay_divergences == 0
-            && self.identical_runs == self.runs
-            && self.converged_runs == self.runs
-    }
 }
 
-fn va_instance(id: usize, n: usize, rounds: usize, input: &[f64]) -> InstanceProto {
-    InstanceProto::Va(VerifiedAveraging::new(
-        id,
-        n,
-        0,
-        VecD::from_slice(input),
-        DeltaMode::MinDelta(Norm::L2),
-        rounds,
-        Tol::default(),
-    ))
+fn va_spec(input: &VecD) -> Vec<u8> {
+    input.as_slice().iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
-fn va_spec(input: &[f64]) -> Vec<u8> {
-    input.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
-fn va_from_spec(id: usize, n: usize, rounds: usize, spec: &[u8]) -> InstanceProto {
-    let input: Vec<f64> = spec
+fn va_from_spec(spec: &[u8]) -> VecD {
+    VecD(spec
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    va_instance(id, n, rounds, &input)
-}
-
-/// Stand up a TCP mesh on stable addresses (returned so the victim can
-/// rebind after its crash).
-fn stable_tcp_mesh(n: usize) -> (Vec<TcpEndpoint>, Vec<SocketAddr>) {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback"))
-        .collect();
-    let addrs: Vec<SocketAddr> =
-        listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(id, listener)| {
-            let addrs = addrs.clone();
-            thread::spawn(move || TcpEndpoint::connect(id, listener, &addrs))
-        })
-        .collect();
-    let mesh = handles
-        .into_iter()
-        .map(|h| h.join().expect("no panic").expect("tcp connect"))
-        .collect();
-    (mesh, addrs)
-}
-
-/// Uninterrupted baseline over the in-process transport: decisions per
-/// `(node, instance)`.
-fn baseline_decisions(cfg: &RecoveryConfig, inputs: &[Vec<Vec<f64>>]) -> Vec<Vec<VecD>> {
-    let mut services: Vec<ConsensusService<_>> =
-        in_proc_mesh(cfg.n).into_iter().map(ConsensusService::new).collect();
-    for (i, svc) in services.iter_mut().enumerate() {
-        for (j, input) in inputs[i].iter().enumerate() {
-            svc.add_instance(j as u64, va_instance(i, cfg.n, cfg.va_rounds, input))
-                .expect("register");
-        }
-        svc.start().expect("start");
-    }
-    let mut spins = 0;
-    while services.iter().any(|s| !s.all_decided()) {
-        for svc in &mut services {
-            let _ = svc.poll(cfg.poll_timeout);
-        }
-        spins += 1;
-        assert!(spins < 20_000, "baseline failed to converge");
-    }
-    services
-        .iter()
-        .map(|svc| {
-            (0..cfg.instances)
-                .map(|j| svc.decision(j as u64).expect("baseline decided"))
-                .collect()
-        })
-        .collect()
+        .collect())
 }
 
 /// Corrupt a WAL file the way a crash does: damage the **tail**. Either a
@@ -227,26 +143,23 @@ fn baseline_decisions(cfg: &RecoveryConfig, inputs: &[Vec<Vec<f64>>]) -> Vec<Vec
 /// a long valid prefix, which is the recovery contract — a flip in the
 /// *middle* of the log would legitimately discard everything after it
 /// (including instance registrations), and prefix replay cannot mask that;
-/// it is detected, not recovered from. Returns the bytes touched/removed.
-fn corrupt_wal(path: &Path, rng: &mut rand::rngs::StdRng) -> u64 {
-    let Ok(mut data) = std::fs::read(path) else { return 0 };
+/// it is detected, not recovered from.
+fn corrupt_wal(path: &Path, rng: &mut rand::rngs::StdRng) {
+    let Ok(mut data) = std::fs::read(path) else { return };
     if data.len() <= 9 {
-        return 0;
+        return;
     }
     if rng.gen_bool(0.5) {
         // Torn tail: the crash cut the final write short.
         let cut = rng.gen_range(1..=24.min(data.len() - 8));
         data.truncate(data.len() - cut);
-        std::fs::write(path, &data).expect("rewrite truncated wal");
-        cut as u64
     } else {
         // Tail-sector bit rot: one flipped bit near the end of the file.
         let tail_start = data.len().saturating_sub(32).max(8);
         let off = rng.gen_range(tail_start..data.len());
         data[off] ^= 1 << rng.gen_range(0..8u32);
-        std::fs::write(path, &data).expect("rewrite flipped wal");
-        1
     }
+    std::fs::write(path, &data).expect("rewrite corrupted wal");
 }
 
 /// Facts gathered from one seeded kill/restart run.
@@ -262,112 +175,90 @@ struct RunFacts {
 }
 
 fn one_run(cfg: &RecoveryConfig, run: usize, dir: &Path) -> RunFacts {
-    let run_seed = cfg.seed.wrapping_add(run as u64 * 7919);
-    let mut rand = rng(run_seed);
-    let inputs: Vec<Vec<Vec<f64>>> = (0..cfg.n)
-        .map(|_| {
-            (0..cfg.instances)
-                .map(|_| (0..cfg.d).map(|_| rand.gen_range(-8.0..8.0)).collect())
-                .collect()
+    let mesh = &cfg.mesh;
+    let mut rand = rng(mesh.run_seed(run));
+    let inputs = mesh.inputs(&mut rand);
+    let victim = rand.gen_range(0..mesh.n);
+    let kill_at = rand.gen_range(1..=4usize);
+    let corrupted = cfg.corrupt_every != 0 && run % cfg.corrupt_every == cfg.corrupt_every - 1;
+
+    let baseline = mesh.baseline(PROTO, &inputs, &[], MAX_SWEEPS);
+
+    // Durable authenticated TCP mesh.
+    let key = mesh_seed(mesh.run_seed(run));
+    let (endpoints, addrs) = mesh.tcp_mesh(&key);
+    let wal_path = |i: usize| dir.join(format!("node{i}.wal"));
+    let mut services: Vec<Option<ConsensusService<TcpEndpoint>>> = endpoints
+        .into_iter()
+        .enumerate()
+        .map(|(i, ep)| {
+            let mut svc = ConsensusService::new(ep);
+            svc.enable_auth();
+            svc.attach_wal(Wal::open(wal_path(i)).expect("open wal").0);
+            for (k, per_node) in inputs.iter().enumerate() {
+                let input = &per_node[i];
+                svc.add_instance_durable(
+                    k as u64 + 1,
+                    mesh.instance(PROTO, i, input.clone()),
+                    va_spec(input),
+                )
+                .expect("register durable");
+            }
+            svc.start().expect("start");
+            Some(svc)
         })
         .collect();
-    let victim = rand.gen_range(0..cfg.n);
-    let kill_at = rand.gen_range(1..=4usize);
-    let corrupt = cfg.corrupt_every != 0 && run % cfg.corrupt_every == cfg.corrupt_every - 1;
 
-    let baseline = baseline_decisions(cfg, &inputs);
-
-    // Durable TCP mesh.
-    let (endpoints, addrs) = stable_tcp_mesh(cfg.n);
-    let mut services: Vec<Option<ConsensusService<TcpEndpoint>>> = Vec::new();
-    for (i, ep) in endpoints.into_iter().enumerate() {
-        let mut svc = ConsensusService::new(ep);
-        let (wal, _) = Wal::open(dir.join(format!("node{i}.wal"))).expect("open wal");
-        svc.attach_wal(wal);
-        for (j, input) in inputs[i].iter().enumerate() {
-            svc.add_instance_durable(
-                j as u64,
-                va_instance(i, cfg.n, cfg.va_rounds, input),
-                va_spec(input),
-            )
-            .expect("register durable");
-        }
-        svc.start().expect("start");
-        services.push(Some(svc));
-    }
-
-    let n = cfg.n;
-    let mut monitor: ServiceMonitor<Vec<f64>> = ServiceMonitor::new(move |_| {
-        SafetyMonitor::agreement_only(n, epsilon_agreement(0.0))
-    });
-    let mut facts = RunFacts {
-        converged: false,
-        identical: false,
-        violations: 0,
-        divergences: 0,
-        replay_records: 0,
-        torn_bytes: 0,
-        recover_us: 0,
-        corrupted: corrupt,
-    };
-
-    let mut sweep = 0usize;
-    loop {
-        if sweep == kill_at {
+    let mut monitor = monitor(mesh.n, 0.0, Some(inputs.clone()));
+    let (mut divergences, mut replay_records, mut torn_bytes, mut recover_us) = (0, 0, 0, 0);
+    let converged = sweep(&mut services, MAX_SWEEPS, |sweep, i, slot| {
+        if sweep == kill_at && i == victim {
             // Kill: service, WAL handle, sockets, listener all drop.
-            let dead = services[victim].take();
-            drop(dead);
-            let wal_path = dir.join(format!("node{victim}.wal"));
-            if corrupt {
-                corrupt_wal(&wal_path, &mut rand);
+            drop(slot.take());
+            if corrupted {
+                corrupt_wal(&wal_path(victim), &mut rand);
             }
-            let (wal, report) = Wal::open(&wal_path).expect("reopen wal");
-            facts.replay_records += report.records.len() as u64;
-            facts.torn_bytes += report.torn_bytes;
+            let (wal, report) = Wal::open(wal_path(victim)).expect("reopen wal");
+            replay_records += report.records.len() as u64;
+            torn_bytes += report.torn_bytes;
             let listener = TcpListener::bind(addrs[victim]).expect("rebind victim addr");
-            let endpoint = TcpEndpoint::connect(victim, listener, &addrs).expect("re-dial mesh");
-            let (nn, rounds) = (cfg.n, cfg.va_rounds);
+            let endpoint = TcpEndpoint::connect_with_auth(victim, listener, &addrs, &key)
+                .expect("re-dial mesh");
             let t0 = Instant::now();
-            let svc = ConsensusService::recover(endpoint, wal, &report, |_, spec| {
-                Ok(va_from_spec(victim, nn, rounds, spec))
+            let mut svc = ConsensusService::recover(endpoint, wal, &report, |_, spec| {
+                Ok(mesh.instance(PROTO, victim, va_from_spec(spec)))
             })
             .expect("recover");
-            facts.recover_us +=
-                u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            facts.divergences += svc.replay_divergences();
+            recover_us += u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+            svc.enable_auth();
+            divergences += svc.replay_divergences();
             for ev in svc.recovered_decisions() {
                 monitor.observe(ev.instance, victim, &ev.value.as_slice().to_vec());
             }
-            services[victim] = Some(svc);
+            *slot = Some(svc);
         }
-        let mut all_decided = true;
-        for (i, svc) in services.iter_mut().enumerate() {
-            let Some(svc) = svc.as_mut() else { continue };
-            for ev in svc.poll(cfg.poll_timeout) {
-                monitor.observe(ev.instance, i, &ev.value.as_slice().to_vec());
-            }
-            all_decided &= svc.all_decided();
+        let svc = slot.as_mut().expect("the victim's slot is refilled at once");
+        for ev in svc.poll(mesh.poll_timeout) {
+            monitor.observe(ev.instance, i, &ev.value.as_slice().to_vec());
         }
-        sweep += 1;
-        if all_decided && sweep > kill_at {
-            facts.converged = true;
-            break;
-        }
-        if sweep > 20_000 {
-            break;
-        }
-    }
+        svc.all_decided() && sweep >= kill_at
+    });
 
     // Bit-identity against the uninterrupted baseline, node by node.
-    facts.identical = facts.converged
-        && services.iter().enumerate().all(|(i, svc)| {
-            let svc = svc.as_ref().expect("all slots refilled");
-            (0..cfg.instances).all(|j| {
-                svc.decision(j as u64).as_ref() == Some(&baseline[i][j])
-            })
+    let identical = converged
+        && baseline.is_some_and(|oracle| {
+            services.iter().flatten().zip(&oracle).all(|(svc, want)| mesh.decisions(svc) == *want)
         });
-    facts.violations = monitor.violation_count();
-    facts
+    RunFacts {
+        converged,
+        identical,
+        violations: monitor.violation_count(),
+        divergences,
+        replay_records,
+        torn_bytes,
+        recover_us,
+        corrupted,
+    }
 }
 
 /// Run the campaign; per-run scratch WALs live under a private temp dir.
@@ -376,24 +267,12 @@ pub fn run_campaign(cfg: &RecoveryConfig) -> RecoveryOutcome {
     let scratch = std::env::temp_dir().join(format!(
         "rbvc-exp-recovery-{}-{}",
         std::process::id(),
-        cfg.seed
+        cfg.mesh.seed
     ));
-    let fsyncs_before = rbvc_obs::Registry::global().counter("wal.fsync").get();
+    let fsyncs = rbvc_obs::Registry::global().counter("wal.fsync");
+    let fsyncs_before = fsyncs.get();
     let t0 = Instant::now();
-    let mut out = RecoveryOutcome {
-        runs: cfg.runs,
-        corrupted_runs: 0,
-        torn_runs: 0,
-        identical_runs: 0,
-        converged_runs: 0,
-        monitor_violations: 0,
-        replay_divergences: 0,
-        replay_records: 0,
-        torn_bytes: 0,
-        recover_us_total: 0,
-        fsyncs: 0,
-        wall_secs: 0.0,
-    };
+    let mut out = RecoveryOutcome { runs: cfg.runs, ..RecoveryOutcome::default() };
     for run in 0..cfg.runs {
         let dir = scratch.join(format!("run{run}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -415,36 +294,100 @@ pub fn run_campaign(cfg: &RecoveryConfig) -> RecoveryOutcome {
         out.replay_records += facts.replay_records;
         out.torn_bytes += facts.torn_bytes;
         out.recover_us_total += facts.recover_us;
-        let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&scratch);
-    out.fsyncs = rbvc_obs::Registry::global()
-        .counter("wal.fsync")
-        .get()
-        .saturating_sub(fsyncs_before);
+    out.fsyncs = fsyncs.get().saturating_sub(fsyncs_before);
     out.wall_secs = t0.elapsed().as_secs_f64();
     out
 }
 
-/// Default run count for the binary's smoke / full modes (kept here so the
-/// binary and CI share one convention).
-#[must_use]
-pub fn default_runs(smoke: bool) -> usize {
-    if smoke {
-        6
-    } else {
-        50
+fn run(args: &Args, _status: &StatusBoard) -> Report {
+    let mut cfg = RecoveryConfig::profile(args.smoke, args.seed);
+    cfg.runs = args.runs.unwrap_or(cfg.runs);
+    println!(
+        "{} seeded kill/restart runs on a {}-node durable authenticated loopback TCP mesh \
+         ({} VA instances per run, WAL corruption every {} runs)",
+        cfg.runs, cfg.mesh.n, cfg.mesh.instances, cfg.corrupt_every
+    );
+    report(&cfg, &run_campaign(&cfg))
+}
+
+fn report(cfg: &RecoveryConfig, out: &RecoveryOutcome) -> Report {
+    let runs = out.runs;
+    Report {
+        headers: vec![
+            "runs", "converged", "identical", "corrupted", "torn", "violations", "divergences",
+            "replayed recs", "recs/s replay", "fsyncs", "wall s",
+        ],
+        rows: vec![vec![
+            runs.to_string(),
+            out.converged_runs.to_string(),
+            out.identical_runs.to_string(),
+            out.corrupted_runs.to_string(),
+            out.torn_runs.to_string(),
+            out.monitor_violations.to_string(),
+            out.replay_divergences.to_string(),
+            out.replay_records.to_string(),
+            fnum(out.replay_records_per_sec()),
+            out.fsyncs.to_string(),
+            fnum(out.wall_secs),
+        ]],
+        notes: Vec::new(),
+        payload: json!({
+            "n": cfg.mesh.n,
+            "dimension": cfg.mesh.d,
+            "va_rounds": cfg.mesh.rounds,
+            "instances_per_run": cfg.mesh.instances,
+            "corrupt_every": cfg.corrupt_every,
+            "runs": runs,
+            "converged_runs": out.converged_runs,
+            "identical_runs": out.identical_runs,
+            "corrupted_runs": out.corrupted_runs,
+            "torn_runs": out.torn_runs,
+            "replay_divergences": out.replay_divergences,
+            "replay": json!({
+                "records": out.replay_records,
+                "torn_bytes": out.torn_bytes,
+                "recover_us_total": out.recover_us_total,
+                "records_per_sec": out.replay_records_per_sec(),
+            }),
+            "wal_fsyncs": out.fsyncs,
+            "wall_secs": out.wall_secs,
+            "baseline_identical": out.identical_runs == runs,
+        }),
+        gates: vec![
+            gate(
+                out.converged_runs == runs,
+                format!(
+                    "{}/{runs} runs failed to reconverge after recovery",
+                    runs - out.converged_runs
+                ),
+            ),
+            gate(
+                out.identical_runs == runs,
+                format!(
+                    "{}/{runs} runs diverged from the uninterrupted baseline",
+                    runs - out.identical_runs
+                ),
+            ),
+            gate(
+                out.replay_divergences == 0,
+                format!("{} WAL replay divergence(s)", out.replay_divergences),
+            ),
+        ],
     }
+    .with_monitor(out.monitor_violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A two-run micro-campaign (one of them corrupted) must stay clean.
+    /// A two-run micro-campaign (one of them corrupted) must stay clean and
+    /// report the committed artefact's keys.
     #[test]
     fn micro_campaign_is_clean() {
-        let mut cfg = RecoveryConfig::smoke(99);
+        let mut cfg = RecoveryConfig::profile(true, 99);
         cfg.runs = 2;
         cfg.corrupt_every = 2;
         let out = run_campaign(&cfg);
@@ -455,5 +398,12 @@ mod tests {
         assert_eq!(out.corrupted_runs, 1);
         assert!(out.replay_records > 0);
         assert!(out.fsyncs > 0, "durable runs must fsync");
+        let report = report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_recovery.json"),
+        );
     }
 }

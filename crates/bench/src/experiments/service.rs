@@ -4,32 +4,55 @@
 //!
 //! Each process of the mesh runs one [`ConsensusService`] on its own OS
 //! thread; the coordinator thread ingests decision events over a channel,
-//! feeds them to a [`ServiceMonitor`] *while the mesh is still running*,
-//! and times each instance from service start to its last (n-th) decision.
-//! The same harness runs over loopback TCP and the in-process transport,
-//! which is what the cross-transport identity check exploits: both must
-//! decide bit-identically on one seed.
+//! feeds them to a [`ServiceMonitor`](rbvc_sim::monitor::ServiceMonitor)
+//! *while the mesh is still running*, and times each instance from service
+//! start to its last (n-th) decision. The same harness runs over
+//! authenticated loopback TCP and the in-process transport, which is what
+//! the cross-transport identity check exploits: both must decide
+//! bit-identically on one seed.
+//!
+//! `--trace FILE` records the load run as a JSONL trace through `rbvc-obs`
+//! ([`TraceFile`]); `--attrib` reads it back, reconstructs every decided
+//! instance's submit→decide critical path, and embeds the attribution in
+//! `BENCH_service.json`. Tracing observes the run without changing
+//! decisions (same seed, same values).
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::{mpsc, Arc, Barrier};
-use std::thread;
 use std::time::{Duration, Instant};
 
-use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
-use rbvc_core::{DecisionRule, SyncBvc};
-use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_obs::Obs;
-use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
-use rbvc_transport::service::{ConsensusService, InstanceProto};
+use rbvc_linalg::VecD;
+use rbvc_obs::{
+    assemble, kernel_snapshot, render_attribution, reset_kernel_timers, set_kernel_timing,
+    Attribution, JsonlRecorder, Obs, Recorder, Registry, StatusBoard, TraceSummary,
+};
+use rbvc_transport::service::ConsensusService;
 use rbvc_transport::transport::{in_proc_mesh, Transport};
-use rbvc_transport::{tcp_mesh_loopback, Lockstep};
+use serde_json::json;
 
-use crate::workloads::{max_edge, random_points, rng};
+use crate::campaign::{
+    gate, mesh_seed, monitor, percentile, thread_per_node, Args, MeshProfile, Proto, Report,
+    Scenario, AGREEMENT_EPS,
+};
+use crate::report::fnum;
+use crate::workloads::rng;
+
+/// The E17 scenario entry.
+pub const SCENARIO: Scenario = Scenario {
+    id: "E17",
+    title: "service load generator",
+    report: "BENCH_service.json",
+    flags: &["--instances N", "--window N", "--trace FILE", "--attrib", "--metrics ADDR"],
+    metrics_probe: &["# TYPE"],
+    status_probe: None,
+    run,
+};
 
 /// Which transport carries the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Real sockets over loopback TCP.
+    /// Real sockets over authenticated loopback TCP.
     Tcp,
     /// The in-process channel transport.
     InProc,
@@ -47,23 +70,11 @@ impl std::fmt::Display for TransportKind {
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Mesh size (number of processes / endpoints).
-    pub n: usize,
-    /// Fault tolerance of the SyncBvc instances (`n ≥ 3f + 1` required);
-    /// the Verified-Averaging instances run at `f = 0` (wait-for-all), the
-    /// regime whose decisions are delivery-order independent.
-    pub f_bvc: usize,
-    /// Vector dimension.
-    pub d: usize,
-    /// Total concurrent instances (every 3rd is SyncBvc, the rest VA).
-    pub instances: usize,
-    /// Averaging rounds per VA instance.
-    pub va_rounds: usize,
-    /// Workload seed (inputs are a pure function of `seed` and the
-    /// instance index).
-    pub seed: u64,
-    /// Receive-wait per service poll.
-    pub poll_timeout: Duration,
+    /// Mesh shape. `f` is the tolerance of the SyncBvc instances (every
+    /// 3rd slot); the Verified-Averaging instances run at `f = 0`
+    /// (wait-for-all), the regime whose decisions are delivery-order
+    /// independent. Inputs are a pure function of `seed`.
+    pub mesh: MeshProfile,
     /// Poll budget per node before the run is declared stuck.
     pub max_polls: usize,
     /// Closed-loop submission window: how many launched instances each node
@@ -76,18 +87,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The full load profile from the issue: a 7-node mesh (so the SyncBvc
-    /// instances run at `f = 2`) under `instances` concurrent instances.
+    /// The full load profile: a 7-node mesh (so the SyncBvc instances run
+    /// at `f = 2`) under 210 concurrent instances.
     #[must_use]
-    pub fn load(instances: usize, seed: u64) -> Self {
+    pub fn load(seed: u64) -> Self {
+        let poll_timeout = Duration::from_millis(1);
         ServiceConfig {
-            n: 7,
-            f_bvc: 2,
-            d: 2,
-            instances,
-            va_rounds: 3,
-            seed,
-            poll_timeout: Duration::from_millis(1),
+            mesh: MeshProfile { n: 7, f: 2, d: 2, instances: 210, rounds: 3, seed, poll_timeout },
             max_polls: 600_000,
             window: 96,
         }
@@ -96,14 +102,9 @@ impl ServiceConfig {
     /// A CI-sized profile: 4 nodes, `f = 1`, few instances.
     #[must_use]
     pub fn smoke(seed: u64) -> Self {
+        let poll_timeout = Duration::from_millis(1);
         ServiceConfig {
-            n: 4,
-            f_bvc: 1,
-            d: 2,
-            instances: 12,
-            va_rounds: 2,
-            seed,
-            poll_timeout: Duration::from_millis(1),
+            mesh: MeshProfile { n: 4, f: 1, d: 2, instances: 12, rounds: 2, seed, poll_timeout },
             max_polls: 200_000,
             window: 4,
         }
@@ -112,15 +113,17 @@ impl ServiceConfig {
     /// Number of SyncBvc instances in the mix (every 3rd slot).
     #[must_use]
     pub fn bvc_instances(&self) -> usize {
-        self.instances.div_ceil(3)
+        self.mesh.instances.div_ceil(3)
     }
+}
 
-    /// Seeded inputs for instance slot `k` (1 vector per process) — the
-    /// same on every node and every transport.
-    #[must_use]
-    pub fn inputs_for(&self, k: usize) -> Vec<VecD> {
-        let mut r = rng(self.seed.wrapping_mul(0x9e37_79b9).wrapping_add(k as u64));
-        random_points(&mut r, self.n, self.d, 5.0)
+/// Slot `k`'s protocol: every 3rd slot is a SyncBvc under the lockstep
+/// synchronizer, the rest are Verified Averaging at `f = 0`.
+fn slot_proto(k: usize) -> Proto {
+    if k.is_multiple_of(3) {
+        Proto::Bvc { timeout_ticks: u32::MAX }
+    } else {
+        Proto::Va { f: 0 }
     }
 }
 
@@ -169,41 +172,6 @@ pub struct ServiceOutcome {
     pub decisions: Vec<BTreeMap<u64, VecD>>,
 }
 
-/// Build instance slot `k` for process `id`: every 3rd slot is a SyncBvc
-/// under the lockstep synchronizer, the rest are Verified Averaging.
-fn build_instance(cfg: &ServiceConfig, k: usize, id: usize, input: VecD) -> InstanceProto {
-    if k.is_multiple_of(3) {
-        InstanceProto::Bvc(
-            Lockstep::new(
-                SyncBvc::new(
-                    id,
-                    cfg.n,
-                    cfg.f_bvc,
-                    cfg.d,
-                    input,
-                    DecisionRule::MinDeltaPoint(Norm::L2),
-                    Tol::default(),
-                ),
-                cfg.n,
-                cfg.f_bvc + 1,
-            )
-            // All-honest mesh: the crash-tolerance timeout must never fire
-            // (a partial-inbox advance would diverge across transports).
-            .with_timeout_ticks(u32::MAX),
-        )
-    } else {
-        InstanceProto::Va(VerifiedAveraging::new(
-            id,
-            cfg.n,
-            0,
-            input,
-            DeltaMode::MinDelta(Norm::L2),
-            cfg.va_rounds,
-            Tol::default(),
-        ))
-    }
-}
-
 /// A decision event crossing from a node thread to the coordinator.
 struct Event {
     instance: u64,
@@ -215,103 +183,74 @@ struct Event {
     at: Duration,
 }
 
-/// Run one full mesh: spawn `n` service threads over the given endpoints,
-/// monitor decisions online, and aggregate. When `obs` is given, every
-/// service (and the coordinator's safety monitor) traces through it.
-fn run_mesh<T: Transport + 'static>(
+/// Run one full mesh: one service thread per endpoint, decisions monitored
+/// online on the calling thread, then aggregate. When `obs` is given,
+/// every service (and the coordinator's safety monitor) traces through it.
+fn run_mesh<T: Transport>(
     cfg: &ServiceConfig,
     transport: TransportKind,
     endpoints: Vec<T>,
     obs: Option<Obs>,
 ) -> ServiceOutcome {
-    let all_inputs: Vec<Vec<VecD>> = (0..cfg.instances).map(|k| cfg.inputs_for(k)).collect();
+    let mesh = &cfg.mesh;
+    let inputs = mesh.inputs(&mut rng(mesh.seed));
     let (tx, rx) = mpsc::channel::<Event>();
     // Endpoints stay open until the whole mesh is done: a node that decides
     // early and drops its socket would reset links its slower peers are
     // still draining (spurious teardown errors, possibly lost frames).
-    let done = Arc::new(Barrier::new(cfg.n));
+    let done = Barrier::new(mesh.n);
     let start = Instant::now();
-
-    let handles: Vec<thread::JoinHandle<NodeReport>> = endpoints
-        .into_iter()
-        .enumerate()
-        .map(|(id, ep)| {
-            let tx = tx.clone();
-            let cfg = cfg.clone();
-            let all_inputs = all_inputs.clone();
-            let done = Arc::clone(&done);
-            let obs = obs.clone();
-            thread::spawn(move || {
-                let mut svc = ConsensusService::new(ep);
-                if let Some(obs) = obs {
-                    svc.set_obs(obs);
-                }
-                for (k, inputs) in all_inputs.iter().enumerate() {
-                    svc.add_instance(k as u64 + 1, build_instance(&cfg, k, id, inputs[id].clone()))
-                        .expect("unique instance ids");
-                }
-                // Closed-loop submission: keep `window` instances in flight,
-                // launching the next one whenever one decides locally.
-                svc.start_deferred();
-                let window = cfg.window.clamp(1, cfg.instances.max(1));
-                let mut next = 0usize;
-                while next < window.min(cfg.instances) {
-                    svc.launch(next as u64 + 1).expect("launch");
-                    next += 1;
-                }
-                svc.flush().expect("flush initial window");
-                for _ in 0..cfg.max_polls {
-                    if svc.all_decided() {
-                        break;
-                    }
-                    for ev in svc.poll(cfg.poll_timeout) {
-                        if next < cfg.instances {
-                            svc.launch(next as u64 + 1).expect("launch");
-                            next += 1;
-                        }
-                        let _ = tx.send(Event {
-                            instance: ev.instance,
-                            process: ev.process,
-                            value: ev.value.as_slice().to_vec(),
-                            latency: ev.latency,
-                            at: start.elapsed(),
-                        });
-                    }
-                }
-                // Snapshot before the barrier: peers closing their sockets
-                // afterwards must not count against this node.
-                let report = NodeReport {
-                    decisions: (0..cfg.instances as u64)
-                        .filter_map(|k| svc.decision(k + 1).map(|v| (k + 1, v)))
-                        .collect(),
-                    bytes_sent: svc.transport().bytes_sent(),
-                    bytes_received: svc.transport().bytes_received(),
-                    errors: svc.errors().total() + svc.transport().errors().total(),
-                };
-                done.wait();
-                report
-            })
-        })
-        .collect();
-    drop(tx); // the channel closes when the last node thread exits
-
-    // Online safety monitoring: one SafetyMonitor per instance, built on
-    // that instance's first decision with its own inputs (box validity is
-    // per-instance; the slack bounds how far a relaxed decision may leave
-    // the input box: δ* ≤ max pairwise input distance).
-    let cfg_mon = cfg.clone();
-    let mut monitor: ServiceMonitor<Vec<f64>> = ServiceMonitor::new(move |inst| {
-        let inputs: Vec<Vec<f64>> = cfg_mon
-            .inputs_for(inst as usize - 1)
-            .iter()
-            .map(|v| v.as_slice().to_vec())
-            .collect();
-        let slack = max_edge(&cfg_mon.inputs_for(inst as usize - 1));
-        SafetyMonitor::new(cfg_mon.n, epsilon_agreement(1e-9), box_validity(&inputs, slack))
-    });
+    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, Some(inputs.clone()));
     if let Some(obs) = &obs {
         monitor = monitor.with_obs(obs.clone());
     }
+
+    let node = |id: usize, (ep, tx): (T, mpsc::Sender<Event>)| {
+        let mut svc = ConsensusService::new(ep);
+        svc.enable_auth();
+        if let Some(obs) = &obs {
+            svc.set_obs(obs.clone());
+        }
+        mesh.register(&mut svc, id, &inputs, slot_proto);
+        // Closed-loop submission: keep `window` instances in flight,
+        // launching the next one whenever one decides locally.
+        svc.start_deferred();
+        let window = cfg.window.clamp(1, mesh.instances.max(1)).min(mesh.instances);
+        let mut next = 0usize;
+        while next < window {
+            next += 1;
+            svc.launch(next as u64).expect("launch");
+        }
+        svc.flush().expect("flush initial window");
+        for _ in 0..cfg.max_polls {
+            if svc.all_decided() {
+                break;
+            }
+            for ev in svc.poll(mesh.poll_timeout) {
+                if next < mesh.instances {
+                    next += 1;
+                    svc.launch(next as u64).expect("launch");
+                }
+                let _ = tx.send(Event {
+                    instance: ev.instance,
+                    process: ev.process,
+                    value: ev.value.as_slice().to_vec(),
+                    latency: ev.latency,
+                    at: start.elapsed(),
+                });
+            }
+        }
+        // Snapshot before the barrier: peers closing their sockets
+        // afterwards must not count against this node.
+        let report = NodeReport {
+            decisions: mesh.decisions(&svc),
+            bytes_sent: svc.transport().bytes_sent(),
+            bytes_received: svc.transport().bytes_received(),
+            errors: svc.errors().total() + svc.transport().errors().total(),
+        };
+        done.wait();
+        report
+    };
 
     // (instance → nodes decided so far, latest arrival); an instance counts
     // as fully decided once all n nodes reported it. Latencies are the
@@ -319,22 +258,22 @@ fn run_mesh<T: Transport + 'static>(
     let mut progress: BTreeMap<u64, (usize, Duration)> = BTreeMap::new();
     let mut latencies: Vec<f64> = Vec::new();
     let mut last_decision_at = Duration::ZERO;
-    while let Ok(ev) = rx.recv() {
-        monitor.observe(ev.instance, ev.process, &ev.value);
-        latencies.push(ev.latency.as_secs_f64() * 1e3);
-        let entry = progress.entry(ev.instance).or_insert((0, Duration::ZERO));
-        entry.0 += 1;
-        entry.1 = entry.1.max(ev.at);
-        if entry.0 == cfg.n {
-            last_decision_at = last_decision_at.max(entry.1);
+    let nodes: Vec<_> = endpoints.into_iter().map(|ep| (ep, tx.clone())).collect();
+    drop(tx); // the channel closes when the last node thread is done with its clone
+    let (reports, ()) = thread_per_node(nodes, node, || {
+        while let Ok(ev) = rx.recv() {
+            monitor.observe(ev.instance, ev.process, &ev.value);
+            latencies.push(ev.latency.as_secs_f64() * 1e3);
+            let entry = progress.entry(ev.instance).or_insert((0, Duration::ZERO));
+            entry.0 += 1;
+            entry.1 = entry.1.max(ev.at);
+            if entry.0 == mesh.n {
+                last_decision_at = last_decision_at.max(entry.1);
+            }
         }
-    }
+    });
 
-    let reports: Vec<NodeReport> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
-    let decided = progress.values().filter(|(c, _)| *c == cfg.n).count();
+    let decided = progress.values().filter(|(c, _)| *c == mesh.n).count();
     let wall_secs = if decided > 0 {
         last_decision_at.as_secs_f64()
     } else {
@@ -343,8 +282,8 @@ fn run_mesh<T: Transport + 'static>(
     latencies.sort_by(f64::total_cmp);
     ServiceOutcome {
         transport,
-        n: cfg.n,
-        instances: cfg.instances,
+        n: mesh.n,
+        instances: mesh.instances,
         bvc_instances: cfg.bvc_instances(),
         decided,
         wall_secs,
@@ -360,58 +299,218 @@ fn run_mesh<T: Transport + 'static>(
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (NaN if empty).
-#[must_use]
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Run the load generator over the chosen transport.
+/// Run the load generator over the chosen transport. With `obs`, every
+/// node's service (gate rejections, per-instance protocol events, decides
+/// with latencies) and the coordinator's safety monitor trace through it.
 ///
 /// # Panics
 /// On transport construction failure (e.g. loopback sockets unavailable) or
 /// a node thread panicking.
 #[must_use]
-pub fn run_service(cfg: &ServiceConfig, kind: TransportKind) -> ServiceOutcome {
-    run_service_with_obs(cfg, kind, None)
-}
-
-/// Like [`run_service`], but with an optional structured-event sink: every
-/// node's service (gate rejections, per-instance protocol events, decides
-/// with latencies) and the coordinator's safety monitor trace through it.
-/// Tracing never changes decisions — only observes them.
-///
-/// # Panics
-/// Same conditions as [`run_service`].
-#[must_use]
-pub fn run_service_with_obs(
-    cfg: &ServiceConfig,
-    kind: TransportKind,
-    obs: Option<Obs>,
-) -> ServiceOutcome {
+pub fn run_service(cfg: &ServiceConfig, kind: TransportKind, obs: Option<Obs>) -> ServiceOutcome {
     match kind {
         TransportKind::Tcp => {
-            let eps = tcp_mesh_loopback(cfg.n).expect("loopback TCP mesh");
+            let (eps, _) = cfg.mesh.tcp_mesh(&mesh_seed(cfg.mesh.seed));
             run_mesh(cfg, kind, eps, obs)
         }
-        TransportKind::InProc => run_mesh(cfg, kind, in_proc_mesh(cfg.n), obs),
+        TransportKind::InProc => run_mesh(cfg, kind, in_proc_mesh(cfg.mesh.n), obs),
     }
 }
 
 /// Cross-transport identity check: the same seed must decide bit-identically
-/// over TCP and in-process. Returns the two outcomes plus the verdict.
+/// over TCP and in-process. Returns the verdict plus the two outcomes.
 #[must_use]
-pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, ServiceOutcome, ServiceOutcome) {
-    let tcp = run_service(cfg, TransportKind::Tcp);
-    let inproc = run_service(cfg, TransportKind::InProc);
+pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 2]) {
+    let tcp = run_service(cfg, TransportKind::Tcp, None);
+    let inproc = run_service(cfg, TransportKind::InProc, None);
     let identical = tcp.decisions == inproc.decisions
-        && tcp.decided == cfg.instances
-        && inproc.decided == cfg.instances;
-    (identical, tcp, inproc)
+        && tcp.decided == cfg.mesh.instances
+        && inproc.decided == cfg.mesh.instances;
+    (identical, [tcp, inproc])
+}
+
+/// A JSONL trace of one run: every structured event the run emits through
+/// [`TraceFile::obs`], then the metrics registry and hot-kernel timing
+/// cells. `exp_obs` and `exp_trace` read the file back.
+pub struct TraceFile {
+    recorder: Arc<JsonlRecorder>,
+}
+
+impl TraceFile {
+    /// Start a trace at `path`. Resets the global registry and the kernel
+    /// timers, so the dump reflects this run alone, and turns kernel
+    /// timing on.
+    ///
+    /// # Errors
+    /// Propagates file-creation failure.
+    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+        let recorder = Arc::new(JsonlRecorder::create(path)?);
+        Registry::global().reset();
+        reset_kernel_timers();
+        set_kernel_timing(true);
+        Ok(TraceFile { recorder })
+    }
+
+    /// The event sink to hand to the run.
+    #[must_use]
+    pub fn obs(&self) -> Obs {
+        Obs::new(Arc::clone(&self.recorder) as Arc<dyn Recorder>)
+    }
+
+    /// Append the registry and kernel dumps, flush, and stop kernel timing.
+    pub fn finish(&self) {
+        for line in Registry::global().to_jsonl_lines() {
+            self.recorder.write_raw(&line);
+        }
+        for k in kernel_snapshot() {
+            self.recorder.write_raw(&k.to_json_line());
+        }
+        self.recorder.flush();
+        set_kernel_timing(false);
+    }
+}
+
+fn run(args: &Args, _status: &StatusBoard) -> Report {
+    let seed = args.seed;
+    let mut cfg = if args.smoke { ServiceConfig::smoke(seed) } else { ServiceConfig::load(seed) };
+    cfg.mesh.instances = args.instances.unwrap_or(cfg.mesh.instances);
+    cfg.window = args.window.unwrap_or(cfg.window);
+    println!(
+        "{}-node authenticated loopback TCP mesh, {} concurrent instances (every 3rd \
+         SyncBvc at f = {}, rest Verified Averaging at f = 0), online per-instance safety \
+         monitor (ε-agreement + box validity)",
+        cfg.mesh.n, cfg.mesh.instances, cfg.mesh.f
+    );
+
+    // Identity gate: the transport must not influence decisions. Runs at a
+    // small scale so the check stays cheap even in the full profile.
+    let mut id_cfg = ServiceConfig::smoke(seed ^ 0x5eed);
+    id_cfg.mesh.instances = 6;
+    let (identical, references) = cross_transport_identity(&id_cfg);
+    println!(
+        "identity check (n = {}, {} instances): tcp {} in-process",
+        id_cfg.mesh.n,
+        id_cfg.mesh.instances,
+        if identical { "==" } else { "!=" }
+    );
+
+    // The load profile itself, over real sockets — traced when asked.
+    let trace = args.trace.as_ref().map(|p| TraceFile::create(p).expect("create trace file"));
+    let out = run_service(&cfg, TransportKind::Tcp, trace.as_ref().map(TraceFile::obs));
+    // Critical-path attribution: read the trace back and reconstruct every
+    // decided instance's submit→decide chain (see `rbvc_obs::trace`).
+    let attribution = args.trace.as_ref().zip(trace).and_then(|(path, trace)| {
+        trace.finish();
+        println!("wrote trace to {path}");
+        args.attrib.then(|| {
+            let text = std::fs::read_to_string(path).expect("read trace back");
+            let a = assemble(&TraceSummary::parse(&text).expect("parse trace"));
+            println!("{}", render_attribution(&a));
+            a
+        })
+    });
+    report(&cfg, &references, &out, identical, attribution.as_ref())
+}
+
+fn row(out: &ServiceOutcome) -> Vec<String> {
+    vec![
+        out.transport.to_string(),
+        out.n.to_string(),
+        format!(
+            "{}/{} ({} bvc + {} va)",
+            out.decided,
+            out.instances,
+            out.bvc_instances,
+            out.instances - out.bvc_instances
+        ),
+        fnum(out.decided_per_sec),
+        fnum(out.p50_ms),
+        fnum(out.p99_ms),
+        out.bytes_sent.to_string(),
+        out.monitor_violations.to_string(),
+        out.errors.to_string(),
+    ]
+}
+
+/// Table, payload and gates of one load run (`references` are the
+/// identity-check rows shown above it).
+fn report(
+    cfg: &ServiceConfig,
+    references: &[ServiceOutcome],
+    out: &ServiceOutcome,
+    identical: bool,
+    attribution: Option<&Attribution>,
+) -> Report {
+    // The sent/received byte counters rarely agree exactly: each node
+    // snapshots its own counters *before* the end-of-run barrier, so
+    // frames a peer has written but this node has not yet read off the
+    // socket (plus batches still in kernel buffers) are counted as sent
+    // but not yet as received. That gap is traffic in flight at shutdown,
+    // not loss — the trace assembler confirms it by finding the same
+    // frames as trailing unread sends (`in_flight_tx`).
+    let in_flight = out.bytes_sent.saturating_sub(out.bytes_received);
+    let mut gates = vec![
+        gate(identical, "TCP and in-process decisions diverged on one seed"),
+        gate(
+            out.decided == out.instances,
+            format!(
+                "only {}/{} instances fully decided within the poll budget",
+                out.decided, out.instances
+            ),
+        ),
+        gate(
+            out.errors == 0,
+            format!("{} transport/service error(s) on a clean loopback mesh", out.errors),
+        ),
+    ];
+    if let Some(a) = attribution {
+        gates.push(gate(
+            a.unpaired_rx == 0 && a.unpaired_tx_mid == 0,
+            format!(
+                "span pairing broken — {} unpaired rx, {} mid-stream tx gaps",
+                a.unpaired_rx, a.unpaired_tx_mid
+            ),
+        ));
+        gates.push(gate(
+            a.incomplete_chains == 0,
+            format!("{} critical-path chains incomplete", a.incomplete_chains),
+        ));
+    }
+    Report {
+        headers: vec![
+            "transport", "n", "decided", "decided/s", "p50 ms", "p99 ms", "bytes sent",
+            "violations", "errors",
+        ],
+        rows: references.iter().chain([out]).map(row).collect(),
+        notes: vec![format!(
+            "bytes on wire: {} sent, {} received, {in_flight} in flight at the shutdown snapshot",
+            out.bytes_sent, out.bytes_received
+        )],
+        payload: json!({
+            "n": out.n,
+            "f_bvc": cfg.mesh.f,
+            "dimension": cfg.mesh.d,
+            "va_rounds": cfg.mesh.rounds,
+            "window": cfg.window,
+            "instances": out.instances,
+            "bvc_instances": out.bvc_instances,
+            "va_instances": out.instances - out.bvc_instances,
+            "decided": out.decided,
+            "wall_secs": out.wall_secs,
+            "decided_per_sec": out.decided_per_sec,
+            "latency_ms": json!({ "p50": out.p50_ms, "p99": out.p99_ms, "max": out.max_ms }),
+            "bytes_on_wire": json!({
+                "sent": out.bytes_sent,
+                "received": out.bytes_received,
+                "in_flight_at_shutdown": in_flight,
+            }),
+            "service_errors": out.errors,
+            "cross_transport_identical": identical,
+            "attribution": attribution.map(Attribution::to_json),
+        }),
+        gates,
+    }
+    .with_monitor(out.monitor_violations)
 }
 
 #[cfg(test)]
@@ -419,25 +518,25 @@ mod tests {
     use super::*;
 
     /// The smoke profile decides everything over the in-process transport
-    /// with a clean monitor — the same path `exp_service --smoke` takes.
+    /// with a clean monitor — the same path `exp_service --smoke` takes —
+    /// and reports the committed artefact's keys.
     #[test]
     fn smoke_profile_decides_cleanly_in_process() {
         let cfg = ServiceConfig::smoke(11);
-        let out = run_service(&cfg, TransportKind::InProc);
-        assert_eq!(out.decided, cfg.instances, "all instances fully decided");
+        let out = run_service(&cfg, TransportKind::InProc, None);
+        assert_eq!(out.decided, cfg.mesh.instances, "all instances fully decided");
         assert_eq!(out.monitor_violations, 0);
         assert_eq!(out.errors, 0);
         assert!(out.p50_ms <= out.p99_ms || out.instances < 2);
         for node in &out.decisions[1..] {
             assert_eq!(node, &out.decisions[0], "mesh-wide identical decisions");
         }
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((percentile(&xs, 50.0) - 3.0).abs() < 1e-12);
-        assert!((percentile(&xs, 99.0) - 4.0).abs() < 1e-12);
-        assert!(percentile(&[], 50.0).is_nan());
+        let report = report(&cfg, &[], &out, true, None);
+        assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
+        crate::campaign::assert_keys_match_committed(
+            &SCENARIO,
+            report.payload,
+            include_str!("../../../../BENCH_service.json"),
+        );
     }
 }

@@ -7,10 +7,12 @@
 //! recorded paper-vs-measured outcomes).
 //!
 //! The library half hosts reusable workload generators, experiment
-//! functions returning typed rows, and a plain-text table printer; the
-//! `src/bin/exp_*` binaries are thin wrappers, so integration tests can
+//! functions returning typed rows, a plain-text table printer, and the
+//! [`campaign`] harness the systems campaigns (E17–E23) are scenarios of;
+//! the `src/bin/exp_*` binaries are thin wrappers, so integration tests can
 //! assert on the same rows the binaries print.
 
+pub mod campaign;
 pub mod experiments;
 pub mod report;
 pub mod workloads;

@@ -14,7 +14,7 @@ use rbvc_sim::asynch::{
 };
 use rbvc_sim::config::{ProcessId, SystemConfig};
 use rbvc_sim::sync::{RoundEngine, SyncNode};
-use rbvc_sim::trace::ExecutionTrace;
+use rbvc_obs::ExecutionTrace;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ProtocolError;

@@ -11,8 +11,8 @@
 //!   sink ([`JsonlRecorder`]).
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]) —
 //!   lock-free handles over atomics, log2-bucket histograms with exact
-//!   merge, and the legacy [`ExecutionTrace`] counters (re-exported into
-//!   `rbvc_sim::trace` for compatibility).
+//!   merge, and the [`ExecutionTrace`] counters the `rbvc-sim` engines and
+//!   `rbvc_core::runner` report.
 //! * **Kernel timing** ([`Kernel`], [`time_kernel`]) — process-wide
 //!   monotonic spans around the hot geometry kernels (simplex LP, Wolfe
 //!   nearest point, Γ and Ψ oracles), off by default.

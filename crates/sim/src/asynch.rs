@@ -14,7 +14,7 @@ use rbvc_obs::{Event, EventKind, Obs};
 use crate::config::{ProcessId, SystemConfig};
 use crate::monitor::SafetyMonitor;
 use crate::net::NetworkFaults;
-use crate::trace::ExecutionTrace;
+use rbvc_obs::ExecutionTrace;
 
 /// Steps between [`AsyncProtocol::on_tick`] rounds in chaos runs.
 pub const TICK_INTERVAL: u64 = 16;

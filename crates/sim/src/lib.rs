@@ -31,7 +31,8 @@
 //!   instance.
 //! * [`error`] — [`ProtocolError`], the workspace-wide typed error currency,
 //!   and the degrade-don't-panic contract for receive boundaries.
-//! * [`trace`] — execution statistics (message/round counts).
+//! * execution statistics (message/round counts) are
+//!   [`rbvc_obs::ExecutionTrace`].
 
 pub mod asynch;
 pub mod bracha;
@@ -44,7 +45,6 @@ pub mod monitor;
 pub mod net;
 pub mod sync;
 pub mod threads;
-pub mod trace;
 
 pub use config::{ProcessId, SystemConfig};
 pub use error::{ErrorLog, ProtocolError};

@@ -10,7 +10,7 @@
 //! equivocation is the default capability, not an extension.
 
 use crate::config::{ProcessId, SystemConfig};
-use crate::trace::ExecutionTrace;
+use rbvc_obs::ExecutionTrace;
 
 /// An honest protocol run under the lockstep engine.
 pub trait SyncProtocol {

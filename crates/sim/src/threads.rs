@@ -23,7 +23,7 @@ use crate::config::{ProcessId, SystemConfig};
 use crate::error::{ErrorLog, ProtocolError};
 use crate::monitor::SafetyMonitor;
 use crate::net::{NetStats, NetworkFaults};
-use crate::trace::ExecutionTrace;
+use rbvc_obs::ExecutionTrace;
 
 /// A node for the threaded runtime (Byzantine boxes must be `Send`).
 pub enum ThreadedNode<P: AsyncProtocol> {
