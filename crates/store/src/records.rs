@@ -114,69 +114,127 @@ const TAG_CLIENT_REPLY: u8 = 8;
 /// [`crate::wal::MAX_RECORD_LEN`]).
 const MAX_FIELD_LEN: usize = 16 * 1024 * 1024;
 
+/// Borrowed form of [`WalRecord`], variant for variant: what the write path
+/// encodes from, so logging a frame or a decision copies its bytes once —
+/// into the WAL's buffer — and never into an owned record first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // fields documented on `WalRecord`
+pub enum WalRecordRef<'a> {
+    /// See [`WalRecord::Registered`].
+    Registered { instance: u64, spec: &'a [u8] },
+    /// See [`WalRecord::Launched`].
+    Launched { instance: u64 },
+    /// See [`WalRecord::Inbound`].
+    Inbound { from: u32, bytes: &'a [u8] },
+    /// See [`WalRecord::Sent`].
+    Sent { dst: u32, bytes: &'a [u8] },
+    /// See [`WalRecord::WitnessCommit`].
+    WitnessCommit { instance: u64, count: u64 },
+    /// See [`WalRecord::Decided`].
+    Decided { instance: u64, value: &'a [f64] },
+    /// See [`WalRecord::Compacted`].
+    Compacted { retained: u64, dropped: u64 },
+    /// See [`WalRecord::ClientReply`].
+    ClientReply { instance: u64, session: u64, reqno: u64, value: &'a [f64] },
+}
+
+impl WalRecord {
+    /// Borrow this record for encoding.
+    #[must_use]
+    pub fn as_ref(&self) -> WalRecordRef<'_> {
+        match self {
+            WalRecord::Registered { instance, spec } => {
+                WalRecordRef::Registered { instance: *instance, spec }
+            }
+            WalRecord::Launched { instance } => WalRecordRef::Launched { instance: *instance },
+            WalRecord::Inbound { from, bytes } => WalRecordRef::Inbound { from: *from, bytes },
+            WalRecord::Sent { dst, bytes } => WalRecordRef::Sent { dst: *dst, bytes },
+            WalRecord::WitnessCommit { instance, count } => {
+                WalRecordRef::WitnessCommit { instance: *instance, count: *count }
+            }
+            WalRecord::Decided { instance, value } => {
+                WalRecordRef::Decided { instance: *instance, value }
+            }
+            WalRecord::Compacted { retained, dropped } => {
+                WalRecordRef::Compacted { retained: *retained, dropped: *dropped }
+            }
+            WalRecord::ClientReply { instance, session, reqno, value } => WalRecordRef::ClientReply {
+                instance: *instance,
+                session: *session,
+                reqno: *reqno,
+                value,
+            },
+        }
+    }
+}
+
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(u32::try_from(b.len()).expect("field fits u32")).to_le_bytes());
     out.extend_from_slice(b);
+}
+
+fn put_vector(out: &mut Vec<u8>, value: &[f64]) {
+    out.extend_from_slice(&(u32::try_from(value.len()).expect("dimension fits u32")).to_le_bytes());
+    for x in value {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
 }
 
 /// Encode one record into the payload bytes a [`crate::Wal`] append takes.
 #[must_use]
 pub fn encode_record(r: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
+    encode_record_into(r.as_ref(), &mut out);
+    out
+}
+
+/// Append one record's payload bytes to `out` (what [`encode_record`]
+/// returns, written in place). [`crate::Wal::append_record`] points this at
+/// the log's own buffer.
+pub fn encode_record_into(r: WalRecordRef<'_>, out: &mut Vec<u8>) {
     match r {
-        WalRecord::Registered { instance, spec } => {
+        WalRecordRef::Registered { instance, spec } => {
             out.push(TAG_REGISTERED);
             out.extend_from_slice(&instance.to_le_bytes());
-            put_bytes(&mut out, spec);
+            put_bytes(out, spec);
         }
-        WalRecord::Launched { instance } => {
+        WalRecordRef::Launched { instance } => {
             out.push(TAG_LAUNCHED);
             out.extend_from_slice(&instance.to_le_bytes());
         }
-        WalRecord::Inbound { from, bytes } => {
+        WalRecordRef::Inbound { from, bytes } => {
             out.push(TAG_INBOUND);
             out.extend_from_slice(&from.to_le_bytes());
-            put_bytes(&mut out, bytes);
+            put_bytes(out, bytes);
         }
-        WalRecord::Sent { dst, bytes } => {
+        WalRecordRef::Sent { dst, bytes } => {
             out.push(TAG_SENT);
             out.extend_from_slice(&dst.to_le_bytes());
-            put_bytes(&mut out, bytes);
+            put_bytes(out, bytes);
         }
-        WalRecord::WitnessCommit { instance, count } => {
+        WalRecordRef::WitnessCommit { instance, count } => {
             out.push(TAG_WITNESS);
             out.extend_from_slice(&instance.to_le_bytes());
             out.extend_from_slice(&count.to_le_bytes());
         }
-        WalRecord::Decided { instance, value } => {
+        WalRecordRef::Decided { instance, value } => {
             out.push(TAG_DECIDED);
             out.extend_from_slice(&instance.to_le_bytes());
-            out.extend_from_slice(
-                &(u32::try_from(value.len()).expect("dimension fits u32")).to_le_bytes(),
-            );
-            for x in value {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            put_vector(out, value);
         }
-        WalRecord::Compacted { retained, dropped } => {
+        WalRecordRef::Compacted { retained, dropped } => {
             out.push(TAG_COMPACTED);
             out.extend_from_slice(&retained.to_le_bytes());
             out.extend_from_slice(&dropped.to_le_bytes());
         }
-        WalRecord::ClientReply { instance, session, reqno, value } => {
+        WalRecordRef::ClientReply { instance, session, reqno, value } => {
             out.push(TAG_CLIENT_REPLY);
             out.extend_from_slice(&instance.to_le_bytes());
             out.extend_from_slice(&session.to_le_bytes());
             out.extend_from_slice(&reqno.to_le_bytes());
-            out.extend_from_slice(
-                &(u32::try_from(value.len()).expect("dimension fits u32")).to_le_bytes(),
-            );
-            for x in value {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            put_vector(out, value);
         }
     }
-    out
 }
 
 /// Bounds-checked cursor over a record payload; every read is total.
@@ -306,6 +364,17 @@ mod tests {
         for r in samples() {
             let bytes = encode_record(&r);
             assert_eq!(decode_record(&bytes), Some(r));
+        }
+    }
+
+    #[test]
+    fn encoding_in_place_appends_the_same_bytes() {
+        let mut out = vec![0xAA, 0xBB];
+        let mut want = out.clone();
+        for r in samples() {
+            want.extend_from_slice(&encode_record(&r));
+            encode_record_into(r.as_ref(), &mut out);
+            assert_eq!(out, want, "after {r:?}");
         }
     }
 

@@ -8,17 +8,29 @@
 //!
 //! `crc32` covers the payload only. [`Wal::open`] replays the file and
 //! recovers the **longest valid prefix**: scanning stops at the first
-//! record whose frame is short (torn tail from a crash mid-append), whose
+//! record whose frame is short (torn tail from a crash mid-write), whose
 //! length field is zero or over [`MAX_RECORD_LEN`], or whose checksum
 //! fails (bit rot / injected corruption) — and the file is truncated right
 //! there, so subsequent appends extend a log that is valid end to end.
 //! Nothing in the replay path panics on hostile bytes.
 //!
-//! Durability is explicit: [`Wal::append`] buffers in the OS page cache;
-//! [`Wal::sync`] fdatasyncs and advances [`Wal::synced_len`], the
+//! The log is a group-commit log. [`Wal::append`] / [`Wal::append_record`]
+//! frame the record — length, checksum, payload — into a buffer in this
+//! process: no syscall, and no allocation once the buffer has grown to the
+//! batch size. [`Wal::sync`] hands the whole batch to the file with one
+//! `write_all`, fdatasyncs, and advances [`Wal::synced_len`], the
 //! high-water mark below which records are guaranteed crash-durable. The
-//! service group-commits (one sync per poll) and forces a sync before
-//! surfacing any decision.
+//! service syncs once per poll, after the poll's decisions joined the batch
+//! and before anything the batch describes leaves the process.
+//!
+//! What is not synced is not on disk either: a process crash between syncs
+//! leaves the file at the last write, the image a power loss leaves. (Two
+//! exceptions, both harmless, both writes without an fsync: a batch that
+//! passes 1 MiB is written out early so memory stays bounded, and `Drop`
+//! writes the tail so a clean exit loses nothing.) A failed or
+//! short write rolls the file back to the last fully written length and
+//! keeps the batch buffered, so the log stays valid and the next sync
+//! retries.
 //!
 //! [`Wal::compact`] atomically replaces the log (temp file + rename), so a
 //! crash mid-compaction leaves either the complete old log or the complete
@@ -29,9 +41,10 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rbvc_obs::Registry;
+use rbvc_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
+use crate::records::{encode_record_into, WalRecordRef};
 
 /// File magic: identifies a relaxed-BVC WAL, version 1.
 pub const WAL_MAGIC: [u8; 8] = *b"RBVCWAL1";
@@ -41,7 +54,12 @@ pub const WAL_MAGIC: [u8; 8] = *b"RBVCWAL1";
 pub const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
 
 /// Per-record frame overhead: length prefix + checksum.
-const FRAME_OVERHEAD: u64 = 8;
+const FRAME_OVERHEAD: usize = 8;
+
+/// Buffered bytes above which an append writes the batch out (without an
+/// fsync) instead of waiting for the next [`Wal::sync`]: bounds the memory of
+/// a caller that appends thousands of records before its first sync.
+const SPILL_THRESHOLD: usize = 1 << 20;
 
 /// Durability-layer failure. I/O errors surface verbatim; `BadMagic` means
 /// the file exists but is not a WAL (refusing to truncate someone else's
@@ -98,15 +116,79 @@ pub struct ReplayReport {
     pub created: bool,
 }
 
+/// Handles of the log's metrics, looked up once at open: the write path
+/// touches only their atomics, never the registry's name map.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Default))] // tests swap in private cells
+struct Metrics {
+    appends: Counter,
+    writes: Counter,
+    write_us: Histogram,
+    write_bytes: Histogram,
+    fsyncs: Counter,
+    fsync_us: Histogram,
+    group_commit: Histogram,
+    size_bytes: Gauge,
+    snapshot_age: Gauge,
+    since_compaction: Gauge,
+}
+
+impl Metrics {
+    fn lookup() -> Metrics {
+        let reg = Registry::global();
+        Metrics {
+            appends: reg.counter("wal.append.records"),
+            writes: reg.counter("wal.write"),
+            write_us: reg.histogram("wal.write_us"),
+            write_bytes: reg.histogram("wal.write_bytes"),
+            fsyncs: reg.counter("wal.fsync"),
+            fsync_us: reg.histogram("wal.fsync_us"),
+            group_commit: reg.histogram("wal.group_commit.records"),
+            size_bytes: reg.gauge("wal.size_bytes"),
+            snapshot_age: reg.gauge("wal.snapshot_age_records"),
+            since_compaction: reg.gauge("wal.records_since_compaction"),
+        }
+    }
+}
+
+fn micros_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Frame one record at the end of `out`: reserve the header, let `fill`
+/// append the payload, then back-patch length and checksum. Returns the
+/// frame's size; an oversized payload is taken back out.
+fn put_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize, StoreError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_OVERHEAD]);
+    let body = out.len();
+    fill(out);
+    let len = out.len() - body;
+    if len > MAX_RECORD_LEN {
+        out.truncate(start);
+        return Err(StoreError::RecordTooLarge { len });
+    }
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    Ok(FRAME_OVERHEAD + len)
+}
+
 /// An open write-ahead log. See the module docs for format and contract.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Current file length (header + appended frames).
+    /// Logical length: header + every appended frame, written or buffered.
     len: u64,
     /// Length up to which the file is known fdatasync-durable.
     synced_len: u64,
+    /// Frames appended since the last write, ready to go out verbatim: the
+    /// last `buf.len()` bytes of `len`, the file holds the rest.
+    buf: Vec<u8>,
+    /// A write failed part-way and the file may end in a partial batch:
+    /// [`Wal::roll_back`] must succeed before the next write.
+    torn: bool,
     /// Records currently in the log (replayed + appended since open).
     records: u64,
     /// Records appended since the last sync — the group-commit batch size
@@ -119,9 +201,30 @@ pub struct Wal {
     /// Appends since the last [`Wal::compact`] in this process (replayed
     /// backlog excluded) — this session's churn against the snapshot.
     appends_since_compaction: u64,
+    metrics: Metrics,
 }
 
 impl Wal {
+    /// A log whose file holds `len` valid, synced bytes and `records`
+    /// records, with the cursor at `len`.
+    fn at(file: File, path: PathBuf, len: u64, records: u64) -> Wal {
+        let wal = Wal {
+            file,
+            path,
+            len,
+            synced_len: len,
+            buf: Vec::new(),
+            torn: false,
+            records,
+            pending_records: 0,
+            snapshot_base: 0,
+            appends_since_compaction: 0,
+            metrics: Metrics::lookup(),
+        };
+        wal.publish_gauges();
+        wal
+    }
+
     /// Open (creating if missing) the WAL at `path`, replay it, and
     /// truncate to the longest valid prefix.
     ///
@@ -140,29 +243,6 @@ impl Wal {
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
 
-        if raw.is_empty() {
-            file.write_all(&WAL_MAGIC)?;
-            file.sync_data()?;
-            let len = WAL_MAGIC.len() as u64;
-            let wal = Wal {
-                file,
-                path,
-                len,
-                synced_len: len,
-                records: 0,
-                pending_records: 0,
-                snapshot_base: 0,
-                appends_since_compaction: 0,
-            };
-            wal.publish_gauges();
-            let report = ReplayReport {
-                records: Vec::new(),
-                torn_bytes: 0,
-                valid_len: len,
-                created: true,
-            };
-            return Ok((wal, report));
-        }
         // A file shorter than the magic can only be a crash during creation
         // of an empty WAL; anything else with 8+ bytes must match exactly.
         if raw.len() >= WAL_MAGIC.len() && raw[..WAL_MAGIC.len()] != WAL_MAGIC {
@@ -174,101 +254,123 @@ impl Wal {
             file.write_all(&WAL_MAGIC)?;
             file.sync_data()?;
             let len = WAL_MAGIC.len() as u64;
-            let torn = raw.len() as u64;
-            let wal = Wal {
-                file,
-                path,
-                len,
-                synced_len: len,
-                records: 0,
-                pending_records: 0,
-                snapshot_base: 0,
-                appends_since_compaction: 0,
-            };
-            wal.publish_gauges();
             let report = ReplayReport {
                 records: Vec::new(),
-                torn_bytes: torn,
+                torn_bytes: raw.len() as u64,
                 valid_len: len,
                 created: true,
             };
-            return Ok((wal, report));
+            return Ok((Wal::at(file, path, len, 0), report));
         }
 
         let t0 = Instant::now();
         let (records, valid_len) = scan(&raw);
         let torn_bytes = raw.len() as u64 - valid_len;
+        let reg = Registry::global();
         if torn_bytes > 0 {
             file.set_len(valid_len)?;
             file.sync_data()?;
-            Registry::global().counter("wal.torn_bytes").add(torn_bytes);
+            reg.counter("wal.torn_bytes").add(torn_bytes);
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        let reg = Registry::global();
         reg.counter("wal.replay.records").add(records.len() as u64);
-        reg.histogram("wal.replay_us")
-            .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-        let n = records.len() as u64;
-        let wal = Wal {
-            file,
-            path,
-            len: valid_len,
-            synced_len: valid_len,
-            records: n,
-            pending_records: 0,
-            snapshot_base: 0,
-            appends_since_compaction: 0,
-        };
-        wal.publish_gauges();
+        reg.histogram("wal.replay_us").record(micros_since(t0));
+        let wal = Wal::at(file, path, valid_len, records.len() as u64);
         Ok((wal, ReplayReport { records, torn_bytes, valid_len, created: false }))
     }
 
-    /// Append one record payload (buffered; durable only after
-    /// [`Wal::sync`]).
+    /// Append one record payload to the current batch (in memory; on disk
+    /// and durable only after [`Wal::sync`]).
     ///
     /// # Errors
-    /// [`StoreError::RecordTooLarge`] above the cap, or the write failure.
+    /// [`StoreError::RecordTooLarge`] above the cap; the log is unchanged.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        if payload.len() > MAX_RECORD_LEN {
-            return Err(StoreError::RecordTooLarge { len: payload.len() });
-        }
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        self.append_framed(|out| out.extend_from_slice(payload))
+    }
+
+    /// [`Wal::append`] of `encode_record(record)`, encoded straight into the
+    /// batch from the borrowed fields.
+    ///
+    /// # Errors
+    /// Like [`Wal::append`].
+    pub fn append_record(&mut self, record: WalRecordRef<'_>) -> Result<(), StoreError> {
+        self.append_framed(|out| encode_record_into(record, out))
+    }
+
+    fn append_framed(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StoreError> {
+        self.len += put_frame(&mut self.buf, fill)? as u64;
         self.records += 1;
         self.pending_records += 1;
         self.appends_since_compaction += 1;
-        Registry::global().counter("wal.append.records").inc();
-        self.publish_gauges();
+        self.metrics.appends.inc();
+        if self.buf.len() >= SPILL_THRESHOLD {
+            // Best effort: a failed spill keeps the batch buffered and the
+            // next sync reports the failure.
+            let _ = self.write_buffered();
+        }
         Ok(())
     }
 
-    /// Force everything appended so far onto stable storage (fdatasync).
-    /// No-op when nothing is pending.
+    /// Hand the buffered batch to the file with one `write_all` (no fsync).
+    /// On failure the file is rolled back to the last fully written length
+    /// and the batch stays buffered for the next attempt.
+    fn write_buffered(&mut self) -> Result<(), StoreError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        if self.torn {
+            self.roll_back()?;
+        }
+        let t0 = Instant::now();
+        if let Err(e) = self.file.write_all(&self.buf) {
+            self.torn = true;
+            // Retried before the next write if it fails here too.
+            let _ = self.roll_back();
+            return Err(e.into());
+        }
+        self.metrics.write_us.record(micros_since(t0));
+        self.metrics.write_bytes.record(self.buf.len() as u64);
+        self.metrics.writes.inc();
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Cut a partially written batch off the file and put the cursor back.
+    fn roll_back(&mut self) -> std::io::Result<()> {
+        let written_len = self.len - self.buf.len() as u64;
+        self.file.set_len(written_len)?;
+        self.file.seek(SeekFrom::Start(written_len))?;
+        self.torn = false;
+        Ok(())
+    }
+
+    /// Force everything appended so far onto stable storage: one write of
+    /// the buffered batch, one fdatasync. No-op when nothing is pending.
     ///
     /// # Errors
-    /// The sync failure; `synced_len` then still reports the old mark.
+    /// The write or sync failure; `synced_len` then still reports the old
+    /// mark and the log stays appendable.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         if self.synced_len == self.len {
             return Ok(());
         }
+        self.write_buffered()?;
+        // `wal.fsync_us` is the device's time and nothing else: the write
+        // above is this program's work and is timed on its own.
         let t0 = Instant::now();
         self.file.sync_data()?;
+        self.metrics.fsync_us.record(micros_since(t0));
         self.synced_len = self.len;
-        let reg = Registry::global();
-        reg.counter("wal.fsync").inc();
-        reg.histogram("wal.fsync_us")
-            .record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
+        self.metrics.fsyncs.inc();
         // Group-commit batch size: how many appends each fsync amortizes.
-        reg.histogram("wal.group_commit.records")
+        self.metrics
+            .group_commit
             .record(std::mem::take(&mut self.pending_records));
+        self.publish_gauges();
         Ok(())
     }
 
-    /// Current file length, header included.
+    /// Current log length, header and buffered frames included.
     #[must_use]
     pub fn len(&self) -> u64 {
         self.len
@@ -301,40 +403,33 @@ impl Wal {
 
     /// Replace the log's contents with `records`, atomically: the new log
     /// is written to a sibling temp file, synced, and renamed over the
-    /// old one. The result is synced end to end.
+    /// old one. The result is synced end to end; frames still buffered for
+    /// the old log are discarded with it.
     ///
     /// # Errors
-    /// Record-size or I/O failures; the original log is untouched unless
-    /// the rename succeeded.
+    /// Record-size or I/O failures; the original log (and its buffered
+    /// batch) is untouched and the temp file removed.
     pub fn compact<I>(&mut self, records: I) -> Result<(), StoreError>
     where
         I: IntoIterator,
         I::Item: AsRef<[u8]>,
     {
         let tmp_path = self.path.with_extension("wal.tmp");
-        let mut tmp = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        tmp.write_all(&WAL_MAGIC)?;
-        let mut len = WAL_MAGIC.len() as u64;
-        let mut n = 0u64;
-        for payload in records {
-            let payload = payload.as_ref();
-            if payload.len() > MAX_RECORD_LEN {
-                return Err(StoreError::RecordTooLarge { len: payload.len() });
+        let written = write_log(&tmp_path, records).and_then(|(file, len, n)| {
+            std::fs::rename(&tmp_path, &self.path)?;
+            Ok((file, len, n))
+        });
+        let (file, len, n) = match written {
+            Ok(done) => done,
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp_path);
+                return Err(e);
             }
-            tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
-            tmp.write_all(&crc32(payload).to_le_bytes())?;
-            tmp.write_all(payload)?;
-            len += FRAME_OVERHEAD + payload.len() as u64;
-            n += 1;
-        }
-        tmp.sync_data()?;
-        std::fs::rename(&tmp_path, &self.path)?;
-        self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        self.file.seek(SeekFrom::End(0))?;
+        };
+        // The handle follows the inode through the rename, cursor at the end.
+        self.file = file;
+        self.buf.clear();
+        self.torn = false;
         self.len = len;
         self.synced_len = len;
         self.records = n;
@@ -363,16 +458,54 @@ impl Wal {
 
     /// Export the durability gauges (`wal.size_bytes`,
     /// `wal.snapshot_age_records`, `wal.records_since_compaction`) so a
-    /// live `/metrics` scrape sees the log's current footprint without
-    /// touching the service.
+    /// live `/metrics` scrape sees the log's footprint as of the last
+    /// open, sync or compaction without touching the service.
     fn publish_gauges(&self) {
-        let reg = Registry::global();
-        reg.gauge("wal.size_bytes").set(i64::try_from(self.len).unwrap_or(i64::MAX));
-        reg.gauge("wal.snapshot_age_records")
-            .set(i64::try_from(self.snapshot_age_records()).unwrap_or(i64::MAX));
-        reg.gauge("wal.records_since_compaction")
-            .set(i64::try_from(self.appends_since_compaction).unwrap_or(i64::MAX));
+        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+        self.metrics.size_bytes.set(gauge(self.len));
+        self.metrics.snapshot_age.set(gauge(self.snapshot_age_records()));
+        self.metrics.since_compaction.set(gauge(self.appends_since_compaction));
     }
+}
+
+impl Drop for Wal {
+    /// Best effort: a clean exit leaves every appended record in the file
+    /// (written, not synced). Errors have nowhere to go; call [`Wal::sync`]
+    /// first to see them.
+    fn drop(&mut self) {
+        let _ = self.write_buffered();
+    }
+}
+
+/// Write a complete, synced log holding `records` to a new file at `path`.
+/// Returns the open file (cursor at the end), its length and record count.
+fn write_log<I>(path: &Path, records: I) -> Result<(File, u64, u64), StoreError>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[u8]>,
+{
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    let mut batch = WAL_MAGIC.to_vec();
+    let mut len = 0u64;
+    let mut n = 0u64;
+    for payload in records {
+        put_frame(&mut batch, |out| out.extend_from_slice(payload.as_ref()))?;
+        n += 1;
+        if batch.len() >= SPILL_THRESHOLD {
+            file.write_all(&batch)?;
+            len += batch.len() as u64;
+            batch.clear();
+        }
+    }
+    file.write_all(&batch)?;
+    len += batch.len() as u64;
+    file.sync_data()?;
+    Ok((file, len, n))
 }
 
 /// Scan `raw` (which starts with a valid magic) and return the valid
@@ -382,13 +515,13 @@ fn scan(raw: &[u8]) -> (Vec<Vec<u8>>, u64) {
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
     // A failed `get` means the file is torn inside a frame header.
-    while let Some(header) = raw.get(pos..pos + FRAME_OVERHEAD as usize) {
+    while let Some(header) = raw.get(pos..pos + FRAME_OVERHEAD) {
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
         let want = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if len > MAX_RECORD_LEN {
             break; // corrupt length field
         }
-        let body_start = pos + FRAME_OVERHEAD as usize;
+        let body_start = pos + FRAME_OVERHEAD;
         let Some(payload) = raw.get(body_start..body_start + len) else {
             break; // torn inside the payload
         };
@@ -539,6 +672,202 @@ mod tests {
             vec![b"survivor".to_vec(), b"pinned".to_vec(), b"post".to_vec()]
         );
         assert!(!dir.join("a.wal.tmp").exists(), "temp file must not linger");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn appends_stay_in_memory_until_sync() {
+        let dir = tmp_dir("buffered");
+        let path = dir.join("a.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let header = WAL_MAGIC.len() as u64;
+        wal.append(b"one").unwrap();
+        wal.append_record(WalRecordRef::Launched { instance: 9 }).unwrap();
+        assert_eq!(wal.records(), 2);
+        assert_eq!(wal.synced_len(), header);
+        assert_eq!(file_len(&path), header, "no byte reaches the file before sync");
+        // The power-loss image of this moment: an empty log.
+        let image = dir.join("image.wal");
+        std::fs::copy(&path, &image).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(file_len(&path), wal.len());
+        assert_eq!(wal.synced_len(), wal.len());
+        let (_, report) = Wal::open(&image).unwrap();
+        assert!(report.records.is_empty() && report.torn_bytes == 0);
+        drop(wal);
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(
+            report.records,
+            vec![b"one".to_vec(), crate::encode_record(&crate::WalRecord::Launched { instance: 9 })]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_one_fsync() {
+        let dir = tmp_dir("batch");
+        let (mut wal, _) = Wal::open(dir.join("a.wal")).unwrap();
+        // Private cells: the registry's are shared with every other test.
+        wal.metrics = Metrics::default();
+        for i in 0..100u8 {
+            wal.append(&[i; 40]).unwrap();
+        }
+        assert_eq!(wal.metrics.writes.get(), 0);
+        wal.sync().unwrap();
+        wal.sync().unwrap(); // nothing pending: no-op
+        assert_eq!(wal.metrics.appends.get(), 100);
+        assert_eq!(wal.metrics.writes.get(), 1);
+        assert_eq!(wal.metrics.fsyncs.get(), 1);
+        let bytes = wal.metrics.write_bytes.snapshot();
+        assert_eq!((bytes.count, bytes.sum), (1, 100 * 48));
+        assert_eq!(wal.metrics.write_us.snapshot().count, 1);
+        assert_eq!(wal.metrics.fsync_us.snapshot().count, 1);
+        let batch = wal.metrics.group_commit.snapshot();
+        assert_eq!((batch.count, batch.sum), (1, 100));
+        assert_eq!(wal.metrics.size_bytes.get(), wal.len() as i64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_are_registered_under_their_names() {
+        let dir = tmp_dir("names");
+        let (mut wal, _) = Wal::open(dir.join("a.wal")).unwrap();
+        wal.append(b"x").unwrap();
+        wal.sync().unwrap();
+        let reg = Registry::global();
+        for name in ["wal.append.records", "wal.write", "wal.fsync"] {
+            assert!(reg.counter(name).get() >= 1, "{name}");
+        }
+        for name in ["wal.write_us", "wal.write_bytes", "wal.fsync_us", "wal.group_commit.records"] {
+            assert!(reg.histogram(name).snapshot().count >= 1, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drop_writes_the_tail() {
+        let dir = tmp_dir("drop");
+        let path = dir.join("a.wal");
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            wal.append(b"synced").unwrap();
+            wal.sync().unwrap();
+            wal.append(b"tail").unwrap();
+            assert_eq!(file_len(&path), wal.synced_len());
+        }
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(report.records, vec![b"synced".to_vec(), b"tail".to_vec()]);
+        assert_eq!(report.torn_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crossing_the_spill_threshold_writes_without_syncing() {
+        let dir = tmp_dir("spill");
+        let path = dir.join("a.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.metrics = Metrics::default();
+        let header = WAL_MAGIC.len() as u64;
+        let record = vec![7u8; 64 * 1024 - FRAME_OVERHEAD];
+        for _ in 0..15 {
+            wal.append(&record).unwrap();
+        }
+        assert_eq!(file_len(&path), header, "below the threshold: buffered");
+        wal.append(&record).unwrap();
+        assert_eq!(file_len(&path), wal.len(), "at the threshold: written");
+        assert_eq!(wal.metrics.writes.get(), 1);
+        assert_eq!(wal.metrics.fsyncs.get(), 0);
+        assert_eq!(wal.synced_len(), header, "a spill is not a sync");
+        wal.append(b"after").unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_len(), wal.len());
+        assert_eq!((wal.metrics.writes.get(), wal.metrics.fsyncs.get()), (2, 1));
+        assert_eq!(wal.metrics.group_commit.snapshot().sum, 17);
+        drop(wal);
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(report.records.len(), 17);
+        assert_eq!(report.records[16], b"after".to_vec());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_discards_the_unsynced_batch() {
+        let dir = tmp_dir("compact-unsynced");
+        let path = dir.join("a.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(b"old, synced").unwrap();
+        wal.sync().unwrap();
+        wal.append(b"old, buffered").unwrap();
+        wal.compact([b"snapshot".to_vec()]).unwrap();
+        assert_eq!((wal.records(), wal.synced_len()), (1, wal.len()));
+        assert_eq!(file_len(&path), wal.len());
+        wal.append(b"new").unwrap();
+        drop(wal);
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(report.records, vec![b"snapshot".to_vec(), b"new".to_vec()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_compaction_removes_its_temp_file_and_keeps_the_log() {
+        let dir = tmp_dir("compact-fail");
+        let path = dir.join("a.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(b"keep").unwrap();
+        wal.sync().unwrap();
+        wal.append(b"buffered").unwrap();
+        let err = wal
+            .compact([b"fine".to_vec(), vec![0u8; MAX_RECORD_LEN + 1]])
+            .expect_err("oversized record");
+        assert!(matches!(err, StoreError::RecordTooLarge { .. }), "{err}");
+        assert!(!dir.join("a.wal.tmp").exists(), "temp file must not linger");
+        assert_eq!(wal.records(), 2);
+        wal.append(b"more").unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(
+            report.records,
+            vec![b"keep".to_vec(), b"buffered".to_vec(), b"more".to_vec()]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_keeps_the_batch_and_the_log_appendable() {
+        let dir = tmp_dir("write-fail");
+        let path = dir.join("a.wal");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(b"durable").unwrap();
+        wal.sync().unwrap();
+        let mark = wal.synced_len();
+        wal.append(b"pending").unwrap();
+        // A handle that cannot write stands in for a full or failing disk.
+        let good = std::mem::replace(&mut wal.file, File::open(&path).unwrap());
+        let err = wal.sync().expect_err("read-only handle");
+        assert!(matches!(err, StoreError::Io(_)), "{err}");
+        assert_eq!(wal.synced_len(), mark);
+        assert_eq!(file_len(&path), mark);
+        wal.append(b"later").unwrap();
+        wal.file = good;
+        // What a short write would have left behind: part of a frame.
+        let mut torn = OpenOptions::new().append(true).open(&path).unwrap();
+        torn.write_all(&[0xEE; 5]).unwrap();
+        assert!(wal.torn, "the roll-back is still owed");
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_len(), wal.len());
+        assert_eq!(file_len(&path), wal.len());
+        drop(wal);
+        let (_, report) = Wal::open(&path).unwrap();
+        assert_eq!(
+            report.records,
+            vec![b"durable".to_vec(), b"pending".to_vec(), b"later".to_vec()]
+        );
+        assert_eq!(report.torn_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

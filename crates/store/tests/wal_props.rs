@@ -9,7 +9,7 @@
 //! lands.
 
 use proptest::prelude::*;
-use rbvc_store::{decode_record, encode_record, Wal, WalRecord, WAL_MAGIC};
+use rbvc_store::{decode_record, encode_record, encode_record_into, Wal, WalRecord, WAL_MAGIC};
 
 /// Deterministic record zoo driven by the proptest RNG stream: covers
 /// every tag with variable-length fields of seeded sizes.
@@ -58,15 +58,20 @@ fn tmp_wal(tag: &str, case: u64) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Encode → decode is the identity on arbitrary record sequences.
+    /// Encode → decode is the identity on arbitrary record sequences, and
+    /// encoding in place from the borrowed form appends the identical bytes.
     #[test]
     fn typed_records_round_trip(
         seeds in prop::collection::vec(
             prop::collection::vec(0u64..u64::MAX, 4), 16),
     ) {
+        let (mut in_place, mut want) = (Vec::new(), Vec::new());
         for words in &seeds {
             let rec = record_from(words);
             let bytes = encode_record(&rec);
+            encode_record_into(rec.as_ref(), &mut in_place);
+            want.extend_from_slice(&bytes);
+            prop_assert_eq!(&in_place, &want);
             prop_assert_eq!(decode_record(&bytes), Some(rec));
         }
     }
@@ -103,8 +108,13 @@ proptest! {
         let mut offsets = vec![WAL_MAGIC.len() as u64];
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            for rec in &records {
-                wal.append(&encode_record(rec)).unwrap();
+            // Both append paths must frame a record the same way.
+            for (i, rec) in records.iter().enumerate() {
+                if i % 2 == 0 {
+                    wal.append(&encode_record(rec)).unwrap();
+                } else {
+                    wal.append_record(rec.as_ref()).unwrap();
+                }
                 offsets.push(wal.len());
             }
             wal.sync().unwrap();

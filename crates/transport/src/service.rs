@@ -30,18 +30,23 @@
 //! A service with a [`Wal`] attached writes through at every state-changing
 //! point — instance registration (with an opaque recovery spec), launches,
 //! authenticated inbound frames, outbound protocol frames, witness-commit
-//! progress, and decisions — with a group-commit fsync per poll that always
-//! lands *before* the poll's transport flush (WAL-before-wire), and a forced
-//! fsync before a decision is surfaced. A restarted process rebuilds the
-//! exact pre-crash protocol state with [`ConsensusService::recover`]: the
-//! factory re-creates each instance from its logged spec, the logged inbound
-//! sequence is replayed through the deterministic state machines, the
-//! regenerated outbound frames are checked FIFO against the logged ones
-//! (any mismatch counts as a replay divergence), logged decisions are
-//! *pinned* so the recovered node can never surface a different value
-//! (amnesia-freedom), and the full outbound history is re-sent so peers can
-//! fill any gap — receivers deduplicate. The same history replays to any
-//! peer the transport reports through [`Transport::take_reconnects`].
+//! progress, and decisions. Appends only fill the WAL's in-process batch;
+//! each poll ends with one group commit (one `write`, one `fdatasync`) that
+//! covers the poll's decisions too and always lands *before* the poll's
+//! transport flush (WAL-before-wire) and before its [`DecisionEvent`]s are
+//! returned (a decision is durable before it is surfaced). Between two polls
+//! the file is therefore exactly as the last commit left it: a process crash
+//! loses what a power loss loses, nothing of which was on the wire. A
+//! restarted process rebuilds the exact pre-crash protocol state with
+//! [`ConsensusService::recover`]: the factory re-creates each instance from
+//! its logged spec, the logged inbound sequence is replayed through the
+//! deterministic state machines, the regenerated outbound frames are checked
+//! FIFO against the logged ones (any mismatch counts as a replay
+//! divergence), logged decisions are *pinned* so the recovered node can
+//! never surface a different value (amnesia-freedom), and the full outbound
+//! history is re-sent so peers can fill any gap — receivers deduplicate. A
+//! peer the transport reports through [`Transport::take_reconnects`] gets
+//! its share of that history (kept per destination) replayed the same way.
 //!
 //! ## Self-diagnosis
 //!
@@ -73,7 +78,7 @@ use rbvc_obs::{
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_store::{decode_record, encode_record, ReplayReport, Wal, WalRecord};
+use rbvc_store::{decode_record, ReplayReport, Wal, WalRecord, WalRecordRef};
 pub use rbvc_sim::monitor::InstanceId;
 
 use crate::lockstep::{Lockstep, RoundBatch};
@@ -367,10 +372,10 @@ pub struct ConsensusService<T: Transport> {
     /// Write-ahead log; `None` runs the service non-durable (no write-through,
     /// no reconnect history).
     wal: Option<Wal>,
-    /// Full outbound frame history `(dst, bytes)`, kept only while durable:
-    /// replayed to peers the transport reports as reconnected, and rebuilt
-    /// from the WAL on recovery.
-    history: Vec<(ProcessId, Vec<u8>)>,
+    /// Full outbound frame history, `history[dst]` in send order, kept only
+    /// while durable: a peer the transport reports as reconnected gets its
+    /// own frames replayed, and recovery rebuilds it from the WAL.
+    history: Vec<Vec<Vec<u8>>>,
     /// Last witness-commit count logged per VA instance (write-through is
     /// change-driven, not per-poll).
     witness_logged: BTreeMap<InstanceId, u64>,
@@ -417,7 +422,7 @@ impl<T: Transport> ConsensusService<T> {
             gate_rejections_by_sender: vec![[0; 4]; n],
             obs: Obs::noop().with_node(node),
             wal: None,
-            history: Vec::new(),
+            history: vec![Vec::new(); n],
             witness_logged: BTreeMap::new(),
             recovered: Vec::new(),
             replay_divergence: 0,
@@ -481,12 +486,13 @@ impl<T: Transport> ConsensusService<T> {
         }
     }
 
-    /// Append one record to the WAL (no-op when non-durable); an append
-    /// failure degrades — it is recorded, the service keeps running on the
+    /// Append one record to the WAL's current batch (no-op when
+    /// non-durable), encoded from the borrowed fields; an append failure
+    /// degrades — it is recorded, the service keeps running on the
     /// in-memory state.
-    fn wal_append(&mut self, rec: &WalRecord) {
+    fn wal_append(&mut self, rec: WalRecordRef<'_>) {
         if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.append(&encode_record(rec)) {
+            if let Err(e) = w.append_record(rec) {
                 self.errors.record(ProtocolError::Transport {
                     peer: None,
                     reason: format!("wal append failed: {e}"),
@@ -497,8 +503,9 @@ impl<T: Transport> ConsensusService<T> {
         }
     }
 
-    /// Group-commit: fsync everything appended since the last sync. Called
-    /// once per poll *before* the transport flush (WAL-before-wire).
+    /// Group-commit: write and fsync everything appended since the last
+    /// sync. Called once per poll, after the poll's decisions joined the
+    /// batch and *before* the transport flush (WAL-before-wire).
     fn wal_sync(&mut self) {
         // Fault injection: a throttled "device" is slow whether or not a WAL
         // is attached — the measured fsync time in `poll` includes the sleep,
@@ -629,7 +636,7 @@ impl<T: Transport> ConsensusService<T> {
             });
         }
         self.add_instance(id, proto)?;
-        self.wal_append(&WalRecord::Registered { instance: id, spec });
+        self.wal_append(WalRecordRef::Registered { instance: id, spec: &spec });
         Ok(())
     }
 
@@ -721,7 +728,7 @@ impl<T: Transport> ConsensusService<T> {
             InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start()),
             InstanceProto::Va(p) => Self::encode_va(id, local, p.on_start()),
         };
-        self.wal_append(&WalRecord::Launched { instance: id });
+        self.wal_append(WalRecordRef::Launched { instance: id });
         self.route(sends)
     }
 
@@ -791,11 +798,13 @@ impl<T: Transport> ConsensusService<T> {
                 }
             }
             if self.wal.is_some() {
-                self.wal_append(&WalRecord::Sent {
+                self.wal_append(WalRecordRef::Sent {
                     dst: u32::try_from(dst).unwrap_or(u32::MAX),
-                    bytes: bytes.clone(),
+                    bytes: &bytes,
                 });
-                self.history.push((dst, bytes.clone()));
+                if let Some(sent) = self.history.get_mut(dst) {
+                    sent.push(bytes.clone());
+                }
             }
             if let Err(e) = self.transport.send(dst, bytes) {
                 first_err.get_or_insert(e);
@@ -877,16 +886,9 @@ impl<T: Transport> ConsensusService<T> {
         // A peer whose outbound link was re-established (it restarted, or
         // the link died and was redialed) gets the full outbound history
         // replayed: whatever fell into the gap is covered, receivers dedup.
-        let rejoined = self.transport.take_reconnects();
-        for peer in rejoined {
-            let frames: Vec<(ProcessId, Vec<u8>)> = self
-                .history
-                .iter()
-                .filter(|(dst, _)| *dst == peer)
-                .cloned()
-                .collect();
-            for (dst, bytes) in frames {
-                let _ = self.transport.send(dst, bytes);
+        for peer in self.transport.take_reconnects() {
+            for bytes in self.history.get(peer).into_iter().flatten() {
+                let _ = self.transport.send(peer, bytes.clone());
             }
         }
         let inbound = self.transport.recv_timeout_stamped(timeout);
@@ -945,12 +947,10 @@ impl<T: Transport> ConsensusService<T> {
             // Log the authenticated frame *before* it mutates protocol
             // state: replay re-runs the remaining gates and the dispatch
             // deterministically.
-            if self.wal.is_some() {
-                self.wal_append(&WalRecord::Inbound {
-                    from: u32::try_from(link_peer).unwrap_or(u32::MAX),
-                    bytes: bytes.clone(),
-                });
-            }
+            self.wal_append(WalRecordRef::Inbound {
+                from: u32::try_from(link_peer).unwrap_or(u32::MAX),
+                bytes: &bytes,
+            });
             outbound.extend(self.dispatch(frame));
         }
         // Drive timers (lockstep round timeouts) once per poll.
@@ -982,12 +982,17 @@ impl<T: Transport> ConsensusService<T> {
                 }
             }
             for (instance, count) in commits {
-                self.wal_append(&WalRecord::WitnessCommit { instance, count });
+                self.wal_append(WalRecordRef::WitnessCommit { instance, count });
                 self.witness_logged.insert(instance, count);
             }
         }
-        // Group-commit before the wire flush: nothing reaches a peer unless
-        // the records that produced it are durable.
+        // This poll's decisions (and the client replies they complete) join
+        // the batch, so one sync covers them with everything else.
+        let decided = self.collect_decisions();
+        self.record_client_replies(&decided);
+        // Group-commit before the wire flush: nothing reaches a peer, a
+        // client or the caller unless the records that produced it are
+        // durable.
         let t_sync = Instant::now();
         self.wal_sync();
         let fsync_us = u64::try_from(t_sync.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -995,16 +1000,17 @@ impl<T: Transport> ConsensusService<T> {
             // Already recorded by the transport; the poll loop continues on
             // the surviving links.
         }
-        let decisions = self.collect_decisions();
-        self.finish_client_decisions(&decisions);
+        let decisions = self.surface_decisions(decided);
+        self.backfill_client_queue();
         // Health turn — unconditional: stalls are exactly the polls where
         // nothing else happens.
         self.health_tick(fsync_us);
         // Close the poll span. `kernel_us` is whatever the hot geometry
         // kernels accumulated on *this* thread since the last drain (the
         // dispatches and ticks above); `fsync_us` is this poll's group
-        // commit. Idle polls (no traffic, no decisions) stay silent so a
-        // trace is dominated by signal, not by the poll loop spinning.
+        // commit, the batched write included. Idle polls (no traffic, no
+        // decisions) stay silent so a trace is dominated by signal, not by
+        // the poll loop spinning.
         if self.obs.enabled() && (n_rx > 0 || n_tx > 0 || !decisions.is_empty()) {
             let kernel_us = rbvc_obs::take_thread_kernel_nanos() / 1_000;
             let dur = u64::try_from(t_active.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1017,13 +1023,14 @@ impl<T: Transport> ConsensusService<T> {
         decisions
     }
 
-    /// Surface newly decided instances as events (each instance at most
-    /// once). Un-launched instances are skipped even if their state machine
-    /// already holds an output — the latency clock starts at launch, so a
-    /// decision is only *surfaced* once the instance was submitted.
-    fn collect_decisions(&mut self) -> Vec<DecisionEvent> {
-        let local = self.transport.local_id();
-        let mut events = Vec::new();
+    /// Mark newly decided instances (each instance at most once) and append
+    /// their `Decided` records to the WAL's current batch. Un-launched
+    /// instances are skipped even if their state machine already holds an
+    /// output — the latency clock starts at launch, so a decision is only
+    /// *surfaced* once the instance was submitted. Nothing is surfaced
+    /// here: [`Self::surface_decisions`] does that after the group commit.
+    fn collect_decisions(&mut self) -> Vec<(InstanceId, VecD)> {
+        let mut decided = Vec::new();
         for (id, slot) in &mut self.instances {
             if slot.decided || !slot.launched {
                 continue;
@@ -1035,34 +1042,42 @@ impl<T: Transport> ConsensusService<T> {
             if let Some(value) = value {
                 slot.decided = true;
                 self.undecided -= 1;
-                // Decisions are the one point with a *forced* fsync: a
-                // surfaced decision must survive any crash, or a restart
-                // could surface a different one.
-                if let Some(w) = self.wal.as_mut() {
-                    let rec = WalRecord::Decided {
-                        instance: *id,
-                        value: value.as_slice().to_vec(),
-                    };
-                    if w.append(&encode_record(&rec)).and_then(|()| w.sync()).is_err() {
-                        self.errors.record(ProtocolError::Transport {
-                            peer: None,
-                            reason: format!("wal decide write-through failed for instance {id}"),
-                        });
-                    }
-                }
-                let latency = slot.submitted_at.map(|t| t.elapsed()).unwrap_or_default();
-                let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-                Registry::global()
-                    .histogram("service.decide.latency_us")
-                    .record(latency_us);
-                let instance = *id;
-                self.obs.emit(|| {
-                    Event::new(EventKind::Decide)
-                        .instance(instance)
-                        .detail(format!("latency_us={latency_us}"))
-                });
-                events.push(DecisionEvent { instance, process: local, value, latency });
+                decided.push((*id, value));
             }
+        }
+        for (instance, value) in &decided {
+            self.wal_append(WalRecordRef::Decided {
+                instance: *instance,
+                value: value.as_slice(),
+            });
+        }
+        decided
+    }
+
+    /// Turn this poll's decisions into events, once the sync that covers
+    /// their records and the transport flush are behind them: a surfaced
+    /// decision must survive any crash, or a restart could surface a
+    /// different one. The latency clock stops here.
+    fn surface_decisions(&mut self, decided: Vec<(InstanceId, VecD)>) -> Vec<DecisionEvent> {
+        let local = self.transport.local_id();
+        let mut events = Vec::with_capacity(decided.len());
+        for (instance, value) in decided {
+            let latency = self
+                .instances
+                .get(&instance)
+                .and_then(|slot| slot.submitted_at)
+                .map(|t| t.elapsed())
+                .unwrap_or_default();
+            let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+            Registry::global()
+                .histogram("service.decide.latency_us")
+                .record(latency_us);
+            self.obs.emit(|| {
+                Event::new(EventKind::Decide)
+                    .instance(instance)
+                    .detail(format!("latency_us={latency_us}"))
+            });
+            events.push(DecisionEvent { instance, process: local, value, latency });
         }
         events
     }
@@ -1510,9 +1525,9 @@ impl<T: Transport> ConsensusService<T> {
         ));
         self.insert_client_slot(instance, proto);
         if self.wal.is_some() {
-            self.wal_append(&WalRecord::Registered {
+            self.wal_append(WalRecordRef::Registered {
                 instance,
-                spec: encode_client_spec(session, reqno, f, rounds, &value),
+                spec: &encode_client_spec(session, reqno, f, rounds, &value),
             });
         }
         let launch = ClientLaunch {
@@ -1630,35 +1645,34 @@ impl<T: Transport> ConsensusService<T> {
         sends
     }
 
-    /// Complete the client bookkeeping for this poll's decisions: cache the
-    /// reply in the session row, make it WAL-durable *before* it can leave
-    /// the process, hand it to the client port, and backfill freed
-    /// in-flight slots from the admission queue.
-    fn finish_client_decisions(&mut self, decisions: &[DecisionEvent]) {
-        let mut appended = false;
-        for d in decisions {
-            let Some((session, reqno)) = self.client.pending.remove(&d.instance) else {
+    /// The client bookkeeping for this poll's decisions: cache the reply in
+    /// the session row, append it to the WAL's current batch, and queue it
+    /// for the client port. Runs before the poll's group commit, so dedup
+    /// survives a crash that happens after the reply is out: the port can
+    /// read `replies_out` only after `poll` returned, past the sync.
+    fn record_client_replies(&mut self, decided: &[(InstanceId, VecD)]) {
+        for (instance, value) in decided {
+            let Some((session, reqno)) = self.client.pending.remove(instance) else {
                 continue;
             };
             let row = self.client.table.entry(session).or_default();
-            row.last_reply = Some((reqno, d.value.clone()));
+            row.last_reply = Some((reqno, value.clone()));
             if row.last_reqno.is_none_or(|last| reqno > last) {
                 row.last_reqno = Some(reqno);
             }
-            self.wal_append(&WalRecord::ClientReply {
-                instance: d.instance,
+            self.wal_append(WalRecordRef::ClientReply {
+                instance: *instance,
                 session,
                 reqno,
-                value: d.value.as_slice().to_vec(),
+                value: value.as_slice(),
             });
-            appended = self.wal.is_some();
-            self.client.replies_out.push((session, reqno, d.value.clone()));
+            self.client.replies_out.push((session, reqno, value.clone()));
         }
-        if appended {
-            // Dedup must survive a crash that happens after the reply is
-            // out: sync before the port can read `replies_out`.
-            self.wal_sync();
-        }
+    }
+
+    /// Backfill freed in-flight slots from the admission queue. Runs after
+    /// the poll's flush: the launches it queues ride the next poll's batch.
+    fn backfill_client_queue(&mut self) {
         while self.client.pending.len() < self.client.cfg.max_inflight {
             let Some((session, reqno, value)) = self.client.queue.pop_front() else {
                 break;
@@ -1851,14 +1865,14 @@ impl<T: Transport> ConsensusService<T> {
             svc.client.pending.remove(&instance);
             let row = svc.client.table.entry(session).or_default();
             row.last_reply = Some((reqno, value.clone()));
-            svc.wal_append(&WalRecord::ClientReply {
+            svc.wal_append(WalRecordRef::ClientReply {
                 instance,
                 session,
                 reqno,
-                value: value.as_slice().to_vec(),
+                value: value.as_slice(),
             });
-            svc.wal_sync();
         }
+        svc.wal_sync();
         Registry::global().gauge("client.sessions").set(svc.client.table.len() as i64);
         // A replayed state machine that now disagrees with its own pinned
         // decision is the amnesia signature — the pin wins, but flag it.
@@ -1875,11 +1889,13 @@ impl<T: Transport> ConsensusService<T> {
                 }
             }
         }
-        svc.history = regenerated.clone();
         // Rejoin: put the full regenerated history back on the wire so any
         // frame lost in the crash window reaches its peer (receivers dedup).
         for (dst, bytes) in regenerated {
-            let _ = svc.transport.send(dst, bytes);
+            let _ = svc.transport.send(dst, bytes.clone());
+            if let Some(sent) = svc.history.get_mut(dst) {
+                sent.push(bytes);
+            }
         }
         let _ = svc.transport.flush();
         let recover_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -2090,6 +2106,214 @@ mod tests {
         assert_eq!(svc.recovered_decisions()[0].instance, 7);
         assert_eq!(svc.decision(7), Some(durable[0].clone()), "pinned decision");
         assert!(svc.all_decided());
+    }
+
+    /// A process crash between two polls leaves the file at the last group
+    /// commit — the image a power loss leaves — and recovery from that image
+    /// is faithful: the victim re-launches what it lost (no peer ever saw
+    /// it), peers re-send their history, and every node decides what an
+    /// uninterrupted run decides.
+    #[test]
+    fn crash_before_the_group_commit_recovers_from_the_power_loss_image() {
+        use rbvc_sim::monitor::{epsilon_agreement, SafetyMonitor, ServiceMonitor};
+
+        let (n, window, victim) = (4usize, 3u64, 2usize);
+        let ids = 1..=6u64;
+        let proto = |inst: u64, p: usize| {
+            va_instance(p, n, &[inst as f64 + 0.5 * p as f64, p as f64 - 0.25 * inst as f64])
+        };
+        let run_out = |services: &mut Vec<ConsensusService<_>>,
+                       monitor: &mut ServiceMonitor<Vec<f64>>| {
+            let mut spins = 0;
+            while services.iter().any(|s| !s.all_decided()) {
+                for (p, svc) in services.iter_mut().enumerate() {
+                    for ev in svc.poll(Duration::ZERO) {
+                        monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+                    }
+                }
+                spins += 1;
+                assert!(spins < 10_000, "mesh failed to converge");
+            }
+        };
+        let new_monitor = || -> ServiceMonitor<Vec<f64>> {
+            ServiceMonitor::new(move |_| SafetyMonitor::agreement_only(n, epsilon_agreement(1e-9)))
+        };
+
+        // The uninterrupted, non-durable run.
+        let mut monitor = new_monitor();
+        let mut services: Vec<ConsensusService<_>> =
+            in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
+        for (p, svc) in services.iter_mut().enumerate() {
+            for inst in ids.clone() {
+                svc.add_instance(inst, proto(inst, p)).unwrap();
+            }
+            svc.start().unwrap();
+        }
+        run_out(&mut services, &mut monitor);
+        assert!(monitor.clean(), "violations: {:?}", monitor.alerts());
+        let baseline: Vec<Vec<Option<VecD>>> = services
+            .iter()
+            .map(|s| ids.clone().map(|inst| s.decision(inst)).collect())
+            .collect();
+
+        // The durable run, closed loop, up to the victim's first refill: a
+        // launch after its poll, so the records sit in the unsynced batch.
+        let dir = tmp_dir("crash-image");
+        let wal_path = |p: usize| dir.join(format!("node{p}.wal"));
+        let mut monitor = new_monitor();
+        let mut services: Vec<ConsensusService<_>> =
+            in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
+        for (p, svc) in services.iter_mut().enumerate() {
+            svc.attach_wal(rbvc_store::Wal::open(wal_path(p)).unwrap().0);
+            for inst in ids.clone() {
+                svc.add_instance_durable(inst, proto(inst, p), Vec::new()).unwrap();
+            }
+            svc.start_deferred();
+            for inst in 1..=window {
+                svc.launch(inst).unwrap();
+            }
+        }
+        let mut next = vec![window + 1; n];
+        let mut crashed = false;
+        'run: for _ in 0..10_000 {
+            for (p, svc) in services.iter_mut().enumerate() {
+                for ev in svc.poll(Duration::ZERO) {
+                    monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+                    if next[p] <= *ids.end() {
+                        svc.launch(next[p]).unwrap();
+                        next[p] += 1;
+                        crashed = p == victim;
+                    }
+                }
+                if crashed {
+                    break 'run;
+                }
+            }
+        }
+        assert!(crashed, "the victim never refilled its window");
+        let image = dir.join("image.wal");
+        std::fs::copy(wal_path(victim), &image).unwrap();
+        let wal = services[victim].wal.as_ref().expect("durable");
+        assert!(wal.len() > wal.synced_len(), "the launch is appended, not synced");
+        assert_eq!(
+            std::fs::metadata(&image).unwrap().len(),
+            wal.synced_len(),
+            "the image holds no byte past the last group commit"
+        );
+        drop(services);
+
+        // Restart everyone on a fresh mesh, the victim from the image.
+        let mut services: Vec<ConsensusService<_>> = in_proc_mesh(n)
+            .into_iter()
+            .enumerate()
+            .map(|(p, ep)| {
+                let path = if p == victim { image.clone() } else { wal_path(p) };
+                let (wal, report) = rbvc_store::Wal::open(path).unwrap();
+                assert_eq!(report.torn_bytes, 0);
+                let svc = ConsensusService::recover(ep, wal, &report, |inst, _| Ok(proto(inst, p)))
+                    .expect("recover");
+                assert_eq!(svc.replay_divergences(), 0, "node {p}");
+                svc
+            })
+            .collect();
+        for (p, svc) in services.iter_mut().enumerate() {
+            for ev in svc.recovered_decisions() {
+                monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+            }
+            // Whatever was not launched (or whose launch the crash took).
+            for inst in ids.clone() {
+                let _ = svc.launch(inst);
+            }
+        }
+        run_out(&mut services, &mut monitor);
+        assert!(monitor.clean(), "violations: {:?}", monitor.alerts());
+        for (p, svc) in services.iter().enumerate() {
+            let got: Vec<Option<VecD>> = ids.clone().map(|inst| svc.decision(inst)).collect();
+            assert_eq!(got, baseline[p], "node {p}");
+            assert!(svc.errors().is_empty(), "node {p}: {:?}", svc.errors());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A transport whose reconnects are scripted (the in-process mesh never
+    /// loses a link on its own) and which keeps what it was asked to send.
+    struct Rejoining {
+        inner: crate::transport::InProcEndpoint,
+        reconnects: Vec<ProcessId>,
+        sent: Vec<(ProcessId, Vec<u8>)>,
+    }
+
+    impl Transport for Rejoining {
+        fn local_id(&self) -> ProcessId {
+            self.inner.local_id()
+        }
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
+            self.sent.push((dst, frame.clone()));
+            self.inner.send(dst, frame)
+        }
+        fn flush(&mut self) -> Result<(), ProtocolError> {
+            self.inner.flush()
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn take_reconnects(&mut self) -> Vec<ProcessId> {
+            std::mem::take(&mut self.reconnects)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+        fn bytes_received(&self) -> u64 {
+            self.inner.bytes_received()
+        }
+        fn errors(&self) -> ErrorLog {
+            self.inner.errors()
+        }
+    }
+
+    /// A reconnected peer gets exactly its own frames again, in the order
+    /// they were first sent; nobody else gets anything replayed.
+    #[test]
+    fn reconnect_replays_only_that_peers_frames_in_order() {
+        let (n, rejoined) = (4usize, 2usize);
+        let dir = tmp_dir("rejoin");
+        // The other endpoints stay alive (and silent): node 0 talks to itself.
+        let mut endpoints = in_proc_mesh(n);
+        let inner = endpoints.remove(0);
+        let mut svc =
+            ConsensusService::new(Rejoining { inner, reconnects: Vec::new(), sent: Vec::new() });
+        svc.attach_wal(rbvc_store::Wal::open(dir.join("node0.wal")).unwrap().0);
+        for inst in 1..=3u64 {
+            let proto = va_instance(0, n, &[inst as f64, 1.0]);
+            svc.add_instance_durable(inst, proto, Vec::new()).unwrap();
+        }
+        svc.start().unwrap();
+        let to = |sent: &[(ProcessId, Vec<u8>)], dst: ProcessId| -> Vec<Vec<u8>> {
+            sent.iter().filter(|(d, _)| *d == dst).map(|(_, b)| b.clone()).collect()
+        };
+        let first = std::mem::take(&mut svc.transport_mut().sent);
+        for dst in 0..n {
+            assert!(to(&first, dst).len() >= 3, "one frame per instance at least");
+            assert_eq!(to(&first, dst), svc.history[dst], "history mirrors the sends, per peer");
+        }
+
+        svc.transport_mut().reconnects = vec![rejoined];
+        let _ = svc.poll(Duration::ZERO);
+        let second = std::mem::take(&mut svc.transport_mut().sent);
+        // The replay comes first: that peer's old frames, in order, nothing else.
+        let replay = to(&first, rejoined);
+        assert!(second.len() > replay.len(), "the poll itself sent frames too");
+        assert!(second[..replay.len()].iter().all(|(dst, _)| *dst == rejoined));
+        assert_eq!(to(&second[..replay.len()], rejoined), replay);
+        // Everything after it is new traffic: history grew by exactly that.
+        for dst in 0..n {
+            let old = to(&first, dst).len();
+            assert_eq!(to(&second[replay.len()..], dst)[..], svc.history[dst][old..], "peer {dst}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// ISSUE 5 satellite (negative test): a node restarted *without* its WAL
