@@ -18,7 +18,6 @@
 //! Accuracy of the general path is governed by [`MinMaxOptions`]; the test
 //! suite pins it against the Lemma 13 closed form.
 
-use rayon::prelude::*;
 use rbvc_linalg::affine::IsometricProjection;
 use rbvc_linalg::{Norm, Tol, VecD};
 use rbvc_obs::{time_kernel, Kernel};
@@ -58,8 +57,6 @@ pub struct MinMaxOptions {
     pub rel_tol: f64,
     /// Maximum POCS cycles per feasibility probe.
     pub max_cycles: usize,
-    /// Parallelize the per-subset distance evaluations with rayon.
-    pub parallel: bool,
 }
 
 impl Default for MinMaxOptions {
@@ -67,7 +64,6 @@ impl Default for MinMaxOptions {
         MinMaxOptions {
             rel_tol: 1e-7,
             max_cycles: 400,
-            parallel: false,
         }
     }
 }
@@ -75,25 +71,12 @@ impl Default for MinMaxOptions {
 /// The max-distance objective `F(x) = max_T dist₂(x, H(T))` and the index of
 /// the farthest hull.
 #[must_use]
-pub fn max_distance(hulls: &[ConvexHull], x: &VecD, tol: Tol, parallel: bool) -> (f64, usize) {
-    let eval = |(i, h): (usize, &ConvexHull)| {
-        let (_, dist) = h.project(x, tol);
-        (dist, i)
-    };
-    let (dist, idx) = if parallel {
-        hulls
-            .par_iter()
-            .enumerate()
-            .map(|(i, h)| eval((i, h)))
-            .reduce(|| (f64::NEG_INFINITY, 0), |a, b| if a.0 >= b.0 { a } else { b })
-    } else {
-        hulls
-            .iter()
-            .enumerate()
-            .map(eval)
-            .fold((f64::NEG_INFINITY, 0), |a, b| if a.0 >= b.0 { a } else { b })
-    };
-    (dist, idx)
+pub fn max_distance(hulls: &[ConvexHull], x: &VecD, tol: Tol) -> (f64, usize) {
+    hulls
+        .iter()
+        .enumerate()
+        .map(|(i, h)| (h.project(x, tol).1, i))
+        .fold((f64::NEG_INFINITY, 0), |a, b| if a.0 >= b.0 { a } else { b })
 }
 
 /// Compute `δ*(S)` for the given norm.
@@ -198,7 +181,7 @@ fn bisection_pocs(points: &[VecD], f: usize, tol: Tol, opts: MinMaxOptions) -> D
     let mut hi = delta_inf * (d as f64).sqrt();
     // The L∞ witness is feasible at F(start); tighten `hi` with it.
     let mut best_point = start;
-    let (f_start, _) = max_distance(&hulls, &best_point, tol, opts.parallel);
+    let (f_start, _) = max_distance(&hulls, &best_point, tol);
     hi = hi.min(f_start);
     let mut best_val = f_start;
 
@@ -254,7 +237,7 @@ fn pocs_probe(
                 x = x.lerp(&proj, t);
             }
         }
-        let (fval, _) = max_distance(hulls, &x, tol, opts.parallel);
+        let (fval, _) = max_distance(hulls, &x, tol);
         if fval < best_f - 1e-15 {
             if best_f - fval < 1e-3 * slack.max(1e-12) {
                 stall += 1;
@@ -477,23 +460,10 @@ mod tests {
         let ds = delta_star(&pts, 2, Norm::L2, t(), opts());
         // δ* must be attained (within solver slack) by the witness.
         let hulls = subset_hulls(&pts, 2);
-        let (fval, _) = max_distance(&hulls, &ds.witness, t(), false);
+        let (fval, _) = max_distance(&hulls, &ds.witness, t());
         assert!(fval <= ds.delta + 1e-5, "witness F={fval} vs δ*={}", ds.delta);
         // And bounded by the LP-exact L1 value from above.
         let d1 = delta_star(&pts, 2, Norm::L1, t(), opts()).delta;
         assert!(ds.delta <= d1 + 1e-5);
-    }
-
-    #[test]
-    fn parallel_max_distance_matches_serial() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let pts: Vec<VecD> = (0..7)
-            .map(|_| VecD((0..3).map(|_| rng.gen_range(-2.0..2.0)).collect()))
-            .collect();
-        let hulls = subset_hulls(&pts, 2);
-        let x = VecD::from_slice(&[0.3, -0.2, 0.5]);
-        let (a, _) = max_distance(&hulls, &x, t(), false);
-        let (b, _) = max_distance(&hulls, &x, t(), true);
-        assert!((a - b).abs() < 1e-12);
     }
 }

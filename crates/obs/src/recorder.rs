@@ -348,4 +348,54 @@ mod tests {
         let t: Vec<u64> = ring.snapshot().iter().map(|e| e.time_us).collect();
         assert!(t.windows(2).all(|w| w[0] <= w[1]));
     }
+
+    #[test]
+    fn ring_recorder_survives_concurrent_node_threads() {
+        // The thread-safety contract of the ring buffer under the one-thread-
+        // per-node runtimes: many OS threads hammering one shared recorder
+        // must lose nothing and tear nothing. Every (node, seq) pair is
+        // encoded in the event detail and must come back exactly once with a
+        // self-consistent node tag.
+        use std::collections::HashSet;
+
+        let threads = 8usize;
+        let per_thread = 500usize;
+        let ring = Arc::new(RingRecorder::new(threads * per_thread));
+        let obs = Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>);
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let obs = obs.with_node(t as u32);
+                std::thread::spawn(move || {
+                    for seq in 0..per_thread {
+                        obs.emit(|| {
+                            Event::new(EventKind::RoundStart).detail(format!("node={t} seq={seq}"))
+                        });
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("emitter thread panicked");
+        }
+        let events = ring.snapshot();
+        assert_eq!(events.len(), threads * per_thread, "no event lost");
+        assert_eq!(ring.dropped(), 0);
+        let mut seen: HashSet<(u32, usize)> = HashSet::new();
+        for e in &events {
+            let detail = e.detail.as_deref().expect("detail present");
+            let node: u32 = detail
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("node="))
+                .and_then(|v| v.parse().ok())
+                .expect("node field intact");
+            let seq: usize = detail
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("seq="))
+                .and_then(|v| v.parse().ok())
+                .expect("seq field intact");
+            assert_eq!(e.node, Some(node), "node tag torn from detail");
+            assert!(seen.insert((node, seq)), "duplicate event ({node},{seq})");
+        }
+        assert_eq!(seen.len(), threads * per_thread);
+    }
 }

@@ -38,9 +38,9 @@ pub trait AsyncProtocol {
     /// React to a delivered message; return new sends.
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg) -> Vec<(ProcessId, Self::Msg)>;
 
-    /// Timer callback: chaos runs ([`AsyncEngine::run_chaos`] and the
-    /// threaded chaos runtime) invoke this periodically so protocols can
-    /// drive retransmission and other timeouts. Purely delivery-driven
+    /// Timer callback: chaos runs ([`AsyncEngine::run_chaos`]) and the
+    /// socket service invoke this periodically so protocols can drive
+    /// retransmission and other timeouts. Purely delivery-driven
     /// protocols keep the default no-op; [`crate::net::ReliableLink`]
     /// overrides it to retransmit unacked messages.
     fn on_tick(&mut self) -> Vec<(ProcessId, Self::Msg)> {
@@ -235,27 +235,35 @@ struct Envelope<M> {
     available_from: u64,
 }
 
-/// Route one protocol send through the fault layer: each surviving copy
-/// becomes an envelope available at `now + delay`. Counted once as sent
-/// regardless of duplication (copies are network artifacts, not sends).
-fn route_send<M: Clone>(
+/// Queue what `src` just sent. Under a fault plan each surviving copy of a
+/// message becomes an envelope available at `now + delay`; without one (the
+/// paper's reliable channels) it is deliverable at once. A message counts
+/// once as sent regardless of duplication (copies are network artifacts).
+fn queue_sends<M: Clone>(
     pending: &mut Vec<Envelope<M>>,
     trace: &mut ExecutionTrace,
-    faults: &mut NetworkFaults,
+    mut faults: Option<&mut NetworkFaults>,
+    n: usize,
     src: ProcessId,
-    dst: ProcessId,
-    msg: M,
+    sends: Vec<(ProcessId, M)>,
     now: u64,
 ) {
-    trace.record_message();
-    for delay in faults.route(src, dst, now) {
-        pending.push(Envelope {
-            src,
-            dst,
-            msg: msg.clone(),
-            born: now,
-            available_from: now + delay,
-        });
+    for (dst, msg) in sends {
+        assert!(dst < n, "message to nonexistent process {dst}");
+        trace.record_message();
+        let Some(faults) = faults.as_deref_mut() else {
+            pending.push(Envelope { src, dst, msg, born: now, available_from: now });
+            continue;
+        };
+        for delay in faults.route(src, dst, now) {
+            pending.push(Envelope {
+                src,
+                dst,
+                msg: msg.clone(),
+                born: now,
+                available_from: now + delay,
+            });
+        }
     }
 }
 
@@ -315,26 +323,6 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
         self.obs = obs;
     }
 
-    /// Emit one [`EventKind::Decide`] per honest node whose output appeared
-    /// since the last call; `seen` carries the per-node latch.
-    fn emit_fresh_decides(&self, seen: &mut [bool], step: u64) {
-        for (id, node) in self.nodes.iter().enumerate() {
-            if seen[id] {
-                continue;
-            }
-            if let AsyncNode::Honest(p) = node {
-                if p.output().is_some() {
-                    seen[id] = true;
-                    self.obs.emit(|| {
-                        Event::new(EventKind::Decide)
-                            .node(u32::try_from(id).unwrap_or(u32::MAX))
-                            .detail(format!("step={step}"))
-                    });
-                }
-            }
-        }
-    }
-
     /// Read access to the per-process nodes, for post-run inspection (e.g.
     /// harvesting per-node degradation errors or protocol metrics).
     #[must_use]
@@ -342,93 +330,11 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
         &self.nodes
     }
 
-    /// Run under `scheduler` for at most `max_steps` deliveries.
+    /// Run under `scheduler` for at most `max_steps` deliveries: the paper's
+    /// asynchronous model as stated — reliable channels, no timers. The run
+    /// ends when every honest process decided or nothing is left in flight.
     pub fn run(&mut self, scheduler: &mut dyn Scheduler, max_steps: u64) -> AsyncOutcome<P::Output> {
-        let n = self.config.n;
-        let mut pending: Vec<Envelope<P::Msg>> = Vec::new();
-        let mut trace = ExecutionTrace::default();
-        let mut now: u64 = 0;
-
-        // Start phase.
-        for (src, node) in self.nodes.iter_mut().enumerate() {
-            let sends = match node {
-                AsyncNode::Honest(p) => p.on_start(),
-                AsyncNode::Byzantine(a) => a.on_start(),
-            };
-            for (dst, msg) in sends {
-                assert!(dst < n, "message to nonexistent process {dst}");
-                trace.record_message();
-                pending.push(Envelope {
-                    src,
-                    dst,
-                    msg,
-                    born: now,
-                    available_from: now,
-                });
-            }
-        }
-
-        let mut decided_seen = vec![false; n];
-        if self.obs.enabled() {
-            self.emit_fresh_decides(&mut decided_seen, now);
-        }
-        let mut all_decided = self.all_honest_decided();
-        while !pending.is_empty() && now < max_steps && !all_decided {
-            // Fairness backstop: force-deliver anything over the age cap.
-            let metas: Vec<EnvelopeMeta> = pending
-                .iter()
-                .map(|e| EnvelopeMeta {
-                    src: e.src,
-                    dst: e.dst,
-                    age: now - e.born,
-                })
-                .collect();
-            let overdue = metas.iter().position(|m| m.age >= self.age_cap);
-            let idx = overdue.unwrap_or_else(|| {
-                let picked = scheduler.pick(&metas);
-                assert!(picked < pending.len(), "scheduler picked out of range");
-                picked
-            });
-            let env = pending.swap_remove(idx);
-            trace.record_delivery();
-            trace.record_round();
-            now += 1;
-
-            let sends = match &mut self.nodes[env.dst] {
-                AsyncNode::Honest(p) => p.on_message(env.src, env.msg),
-                AsyncNode::Byzantine(a) => a.on_message(env.src, env.msg),
-            };
-            for (dst, msg) in sends {
-                assert!(dst < n, "message to nonexistent process {dst}");
-                trace.record_message();
-                pending.push(Envelope {
-                    src: env.dst,
-                    dst,
-                    msg,
-                    born: now,
-                    available_from: now,
-                });
-            }
-            if self.obs.enabled() {
-                self.emit_fresh_decides(&mut decided_seen, now);
-            }
-            all_decided = self.all_honest_decided();
-        }
-
-        let decisions = self
-            .nodes
-            .iter()
-            .map(|node| match node {
-                AsyncNode::Honest(p) => p.output(),
-                AsyncNode::Byzantine(_) => None,
-            })
-            .collect();
-        AsyncOutcome {
-            decisions,
-            steps: now,
-            trace,
-            all_decided,
-        }
+        self.drive(scheduler, max_steps, None, &mut |_, _| {})
     }
 
     /// Run under `scheduler` with link faults injected by `faults`, for at
@@ -448,8 +354,8 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     ///   envelopes and [`MAX_IDLE_TICKS`] consecutive unproductive steps) —
     ///   the signature of un-recovered message loss.
     ///
-    /// With `NetworkFaults::reliable()` this reproduces `run` exactly
-    /// (same delivery sequence, no extra RNG draws).
+    /// With `NetworkFaults::reliable()` the delivery sequence is that of
+    /// `run` (no extra RNG draws).
     pub fn run_chaos(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -460,52 +366,64 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     where
         P::Output: PartialEq,
     {
+        self.drive(scheduler, max_steps, Some(faults), &mut |id, out| {
+            if let Some(mon) = monitor.as_deref_mut() {
+                mon.observe(id, out);
+            }
+        })
+    }
+
+    /// The one delivery loop. A fault plan switches on what a lossy network
+    /// needs — timers, and idling in front of delayed envelopes; without one
+    /// every envelope is deliverable the step it is sent and no
+    /// [`AsyncProtocol::on_tick`] ever fires.
+    fn drive(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        max_steps: u64,
+        mut faults: Option<&mut NetworkFaults>,
+        on_decide: &mut dyn FnMut(ProcessId, &P::Output),
+    ) -> AsyncOutcome<P::Output> {
         let n = self.config.n;
+        let timers = faults.is_some();
         let mut pending: Vec<Envelope<P::Msg>> = Vec::new();
         let mut trace = ExecutionTrace::default();
         let mut now: u64 = 0;
-        let mut reported = vec![false; n];
+        // Per-node latch: Byzantine nodes have nothing to decide.
+        let mut decided: Vec<bool> =
+            self.nodes.iter().map(|node| matches!(node, AsyncNode::Byzantine(_))).collect();
 
-        for (src, node) in self.nodes.iter_mut().enumerate() {
-            let sends = match node {
+        for src in 0..n {
+            let sends = match &mut self.nodes[src] {
                 AsyncNode::Honest(p) => p.on_start(),
                 AsyncNode::Byzantine(a) => a.on_start(),
             };
-            for (dst, msg) in sends {
-                assert!(dst < n, "message to nonexistent process {dst}");
-                route_send(&mut pending, &mut trace, faults, src, dst, msg, now);
-            }
+            queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, src, sends, now);
         }
-
-        let mut all_decided = self.all_honest_decided();
+        let mut all_decided = self.note_fresh_decisions(&mut decided, now, on_decide);
         let mut idle_steps: u64 = 0;
         while now < max_steps && !all_decided {
             // Timer phase: drive retransmission/timeout logic.
-            if now.is_multiple_of(TICK_INTERVAL) {
+            if timers && now.is_multiple_of(TICK_INTERVAL) {
                 for src in 0..n {
-                    let sends = match &mut self.nodes[src] {
-                        AsyncNode::Honest(p) => p.on_tick(),
-                        AsyncNode::Byzantine(_) => Vec::new(),
-                    };
-                    for (dst, msg) in sends {
-                        assert!(dst < n, "message to nonexistent process {dst}");
-                        route_send(&mut pending, &mut trace, faults, src, dst, msg, now);
+                    if let AsyncNode::Honest(p) = &mut self.nodes[src] {
+                        let sends = p.on_tick();
+                        queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, src, sends, now);
                     }
                 }
             }
 
             // Delivery phase: the scheduler chooses among *available*
             // envelopes only; delayed ones stay invisible until due.
-            let available: Vec<usize> = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.available_from <= now)
-                .map(|(i, _)| i)
-                .collect();
+            let available: Vec<usize> =
+                (0..pending.len()).filter(|&i| pending[i].available_from <= now).collect();
             if available.is_empty() {
+                // Only a timer can put something back in flight: without
+                // timers an empty network is final, with them it has died
+                // (loss was never recovered) after MAX_IDLE_TICKS idle steps.
                 idle_steps += 1;
-                if pending.is_empty() && idle_steps > MAX_IDLE_TICKS {
-                    break; // traffic died out; loss was never recovered
+                if pending.is_empty() && (!timers || idle_steps > MAX_IDLE_TICKS) {
+                    break;
                 }
                 now += 1;
                 continue;
@@ -516,13 +434,10 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
                 .iter()
                 .map(|&i| {
                     let e = &pending[i];
-                    EnvelopeMeta {
-                        src: e.src,
-                        dst: e.dst,
-                        age: now - e.born,
-                    }
+                    EnvelopeMeta { src: e.src, dst: e.dst, age: now - e.born }
                 })
                 .collect();
+            // Fairness backstop: force-deliver anything over the age cap.
             let overdue = metas.iter().position(|m| m.age >= self.age_cap);
             let picked = overdue.unwrap_or_else(|| {
                 let picked = scheduler.pick(&metas);
@@ -538,34 +453,8 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
                 AsyncNode::Honest(p) => p.on_message(env.src, env.msg),
                 AsyncNode::Byzantine(a) => a.on_message(env.src, env.msg),
             };
-            for (dst, msg) in sends {
-                assert!(dst < n, "message to nonexistent process {dst}");
-                route_send(&mut pending, &mut trace, faults, env.dst, dst, msg, now);
-            }
-
-            // Online safety check + decide tracing: handle fresh decisions
-            // the step they appear.
-            if monitor.is_some() || self.obs.enabled() {
-                for (id, node) in self.nodes.iter().enumerate() {
-                    if reported[id] {
-                        continue;
-                    }
-                    if let AsyncNode::Honest(p) = node {
-                        if let Some(out) = p.output() {
-                            reported[id] = true;
-                            self.obs.emit(|| {
-                                Event::new(EventKind::Decide)
-                                    .node(u32::try_from(id).unwrap_or(u32::MAX))
-                                    .detail(format!("step={now}"))
-                            });
-                            if let Some(mon) = monitor.as_deref_mut() {
-                                mon.observe(id, &out);
-                            }
-                        }
-                    }
-                }
-            }
-            all_decided = self.all_honest_decided();
+            queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, env.dst, sends, now);
+            all_decided = self.note_fresh_decisions(&mut decided, now, on_decide);
         }
 
         let decisions = self
@@ -584,11 +473,33 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
         }
     }
 
-    fn all_honest_decided(&self) -> bool {
-        self.nodes.iter().all(|node| match node {
-            AsyncNode::Honest(p) => p.output().is_some(),
-            AsyncNode::Byzantine(_) => true,
-        })
+    /// Handle each honest node's first decision the step it appears: latch
+    /// it in `decided`, trace it as an [`EventKind::Decide`] and hand it to
+    /// `on_decide` (the online safety check). True once every honest node
+    /// has decided.
+    fn note_fresh_decisions(
+        &self,
+        decided: &mut [bool],
+        step: u64,
+        on_decide: &mut dyn FnMut(ProcessId, &P::Output),
+    ) -> bool {
+        for (id, node) in self.nodes.iter().enumerate() {
+            if decided[id] {
+                continue;
+            }
+            if let AsyncNode::Honest(p) = node {
+                if let Some(out) = p.output() {
+                    decided[id] = true;
+                    self.obs.emit(|| {
+                        Event::new(EventKind::Decide)
+                            .node(u32::try_from(id).unwrap_or(u32::MAX))
+                            .detail(format!("step={step}"))
+                    });
+                    on_decide(id, &out);
+                }
+            }
+        }
+        decided.iter().all(|&d| d)
     }
 
     /// Access a node for post-run inspection.
@@ -771,6 +682,32 @@ mod tests {
         assert!(out.all_decided);
         assert_eq!(out.decisions, plain.decisions);
         assert_eq!(faults.stats.total_lost(), 0);
+    }
+
+    #[test]
+    fn both_runs_trace_one_decide_per_honest_node() {
+        use rbvc_obs::{Recorder, RingRecorder};
+        use std::sync::Arc;
+
+        for chaos in [false, true] {
+            let ring = Arc::new(RingRecorder::new(64));
+            let mut engine = build(4, 1, vec![2], 3);
+            engine.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>));
+            let out = if chaos {
+                engine.run_chaos(&mut FifoScheduler, 10_000, &mut NetworkFaults::reliable(), None)
+            } else {
+                engine.run(&mut FifoScheduler, 10_000)
+            };
+            assert!(out.all_decided);
+            let mut nodes: Vec<u32> = ring
+                .snapshot()
+                .iter()
+                .filter(|e| e.kind == EventKind::Decide)
+                .filter_map(|e| e.node)
+                .collect();
+            nodes.sort_unstable();
+            assert_eq!(nodes, vec![0, 1, 3], "chaos={chaos}: one decide per honest node");
+        }
     }
 
     fn build_reliable_link(

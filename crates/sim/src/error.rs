@@ -10,11 +10,10 @@
 //!
 //! [`ProtocolError`] is the single error currency for both cases.  It lives
 //! in `rbvc-sim` (the bottom of the protocol stack) so that every layer —
-//! the link-fault substrate in [`crate::net`], the threaded runtime in
-//! [`crate::threads`], the protocol state machines in `rbvc-core`, and the
-//! socket transport in `rbvc-transport` — can surface faults through the
-//! same type; `rbvc_core::ProtocolError` re-exports it, so existing call
-//! sites are unaffected.
+//! the link-fault substrate in [`crate::net`], the protocol state machines
+//! in `rbvc-core`, and the socket transport in `rbvc-transport` — can
+//! surface faults through the same type; `rbvc_core::ProtocolError`
+//! re-exports it, so existing call sites are unaffected.
 //!
 //! ## The degrade-don't-panic rule
 //!

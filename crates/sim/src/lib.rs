@@ -20,9 +20,6 @@
 //!   schedulers guaranteeing eventual delivery.
 //! * [`bracha`] — Bracha's reliable broadcast (init/echo/ready), the
 //!   asynchronous substrate of (Relaxed) Verified Averaging.
-//! * [`threads`] — a crossbeam-channel threaded runtime running one OS
-//!   thread per process, for exercising the protocols under real
-//!   concurrency rather than deterministic simulation.
 //! * [`net`] — link-level fault injection (seeded drop/dup/delay/reorder,
 //!   timed partitions) and the [`net::ReliableLink`] ack/retransmit wrapper
 //!   that restores the paper's reliable-channel model over a lossy link.
@@ -44,7 +41,6 @@ pub mod fuzz;
 pub mod monitor;
 pub mod net;
 pub mod sync;
-pub mod threads;
 
 pub use config::{ProcessId, SystemConfig};
 pub use error::{ErrorLog, ProtocolError};

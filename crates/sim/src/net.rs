@@ -7,9 +7,9 @@
 //! can be re-earned on an unreliable substrate:
 //!
 //! * [`LinkFault`] / [`Partition`] / [`NetworkFaults`] — a per-link fault
-//!   model pluggable into both the deterministic [`crate::asynch`] engine
-//!   (via `AsyncEngine::run_chaos`) and the [`crate::threads`] crossbeam
-//!   runtime (via `run_threaded_chaos`).
+//!   model pluggable into the deterministic [`crate::asynch`] engine (via
+//!   `AsyncEngine::run_chaos`) and, behind `rbvc-transport`'s in-process
+//!   mesh, into the socket service.
 //! * [`ReliableLink`] — a sequence-numbered ack/retransmit wrapper with
 //!   exponential backoff that restores reliable-channel semantics over a
 //!   lossy link, so any `AsyncProtocol` written against the paper's model
@@ -30,8 +30,8 @@ use crate::error::{ErrorLog, ProtocolError};
 
 /// Fault parameters for one directed link, applied per message.
 ///
-/// Delays are measured in the engine's logical time unit (scheduler steps
-/// for the async engine, milliseconds for the threaded runtime).
+/// Delays are measured in the driver's logical time unit (scheduler steps
+/// for the async engine).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Probability the message is silently dropped.
@@ -353,8 +353,8 @@ struct Unacked<M> {
 /// delivered to the inner protocol exactly once per `(src, seq)`.
 ///
 /// Time is the link's own logical event clock: it advances on every
-/// `on_message`/`on_tick` the engine feeds it, so the wrapper works in both
-/// the step-driven async engine and the wall-clock threaded runtime.
+/// `on_message`/`on_tick` the driver feeds it, so the wrapper needs no
+/// wall clock.
 /// With loss probability `p < 1` and a fair scheduler, every payload is
 /// eventually delivered exactly once — which is precisely the channel
 /// assumption under which the wrapped protocol's proofs apply again.

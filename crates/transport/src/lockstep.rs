@@ -45,8 +45,8 @@ pub struct RoundBatch<M> {
 pub const DEFAULT_TIMEOUT_TICKS: u32 = 64;
 
 /// The synchronizer; implements [`AsyncProtocol`] with
-/// `Msg = RoundBatch<P::Msg>` so it can run under any async substrate —
-/// the in-process engine, the threaded runtime, or a socket service.
+/// `Msg = RoundBatch<P::Msg>` so it can run under either async driver —
+/// the in-process engine or the socket service.
 pub struct Lockstep<P: SyncProtocol> {
     inner: P,
     n: usize,

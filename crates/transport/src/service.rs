@@ -39,7 +39,8 @@
 //! loses what a power loss loses, nothing of which was on the wire. A
 //! restarted process rebuilds the exact pre-crash protocol state with
 //! [`ConsensusService::recover`]: the factory re-creates each instance from
-//! its logged spec, the logged inbound sequence is replayed through the
+//! its logged spec, the logged launches and inbound frames go through the
+//! very launch and receive paths a live poll uses (gates included) into the
 //! deterministic state machines, the regenerated outbound frames are checked
 //! FIFO against the logged ones (any mismatch counts as a replay
 //! divergence), logged decisions are *pinned* so the recovered node can
@@ -92,6 +93,146 @@ pub enum InstanceProto {
     Bvc(Lockstep<SyncBvc>),
     /// An asynchronous Verified-Averaging instance.
     Va(VerifiedAveraging),
+}
+
+/// Encoded frames with their destinations, as [`ConsensusService::route`]
+/// takes them.
+type Outbound = Vec<(ProcessId, Vec<u8>)>;
+
+/// What the health side may know about a running instance.
+struct Progress {
+    /// `/status` label of the protocol.
+    kind: &'static str,
+    /// Lockstep round (0 for Verified Averaging, which has no barrier).
+    round: u32,
+    /// Changes whenever the instance moved (see [`progress_token`]).
+    token: u64,
+    /// Senders the current barrier still waits for (none without a barrier).
+    waiting_on: Vec<u32>,
+}
+
+/// Everything the service needs to know about *which* protocol an instance
+/// runs: the state-machine calls with their wire encoding on the way out
+/// and the payload-kind check on the way in.
+impl InstanceProto {
+    fn set_obs(&mut self, obs: Obs, id: InstanceId) {
+        match self {
+            InstanceProto::Bvc(p) => p.set_obs(obs, Some(id)),
+            InstanceProto::Va(p) => p.set_obs(obs, Some(id)),
+        }
+    }
+
+    fn on_start(&mut self, id: InstanceId, local: ProcessId) -> Outbound {
+        match self {
+            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start()),
+            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_start()),
+        }
+    }
+
+    /// Hand one authenticated frame to the state machine; `None` when the
+    /// payload kind is not this instance's protocol (receive gate 4).
+    fn on_frame(&mut self, local: ProcessId, frame: Frame) -> Option<Outbound> {
+        let Frame { instance, sender, round, payload } = frame;
+        match (self, payload) {
+            (InstanceProto::Bvc(p), Payload::Eig(msgs)) => Some(Self::encode_bvc(
+                instance,
+                local,
+                p.on_message(sender, RoundBatch { round: round as usize, msgs }),
+            )),
+            (InstanceProto::Va(p), Payload::Va(msg)) => {
+                Some(Self::encode_va(instance, local, p.on_message(sender, msg)))
+            }
+            (_, _) => None,
+        }
+    }
+
+    fn on_tick(&mut self, id: InstanceId, local: ProcessId) -> Outbound {
+        match self {
+            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_tick()),
+            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_tick()),
+        }
+    }
+
+    fn output(&self) -> Option<VecD> {
+        match self {
+            InstanceProto::Bvc(p) => p.output(),
+            InstanceProto::Va(p) => p.output(),
+        }
+    }
+
+    /// Witness commits so far — the change-driven WAL progress record; a
+    /// protocol without witnesses stays at 0 and is never logged.
+    fn witness_commits(&self) -> u64 {
+        match self {
+            InstanceProto::Bvc(_) => 0,
+            InstanceProto::Va(p) => p.witness_commits(),
+        }
+    }
+
+    /// Progress as the stall detector and `/status` see it: lockstep round
+    /// plus barrier occupancy for BVC (with the concrete missing senders),
+    /// witness commits for VA (no barrier, so no named senders).
+    fn progress(&self) -> Progress {
+        match self {
+            InstanceProto::Bvc(p) => {
+                let round = u32::try_from(p.current_round()).unwrap_or(u32::MAX);
+                Progress {
+                    kind: "bvc",
+                    round,
+                    token: progress_token(round, p.senders_have(), 0),
+                    waiting_on: p
+                        .waiting_on()
+                        .iter()
+                        .map(|&q| u32::try_from(q).unwrap_or(u32::MAX))
+                        .collect(),
+                }
+            }
+            InstanceProto::Va(p) => Progress {
+                kind: "va",
+                round: 0,
+                token: progress_token(0, 0, p.witness_commits()),
+                waiting_on: Vec::new(),
+            },
+        }
+    }
+
+    fn encode_bvc(
+        instance: InstanceId,
+        sender: ProcessId,
+        sends: Vec<(ProcessId, RoundBatch<<SyncBvc as rbvc_sim::sync::SyncProtocol>::Msg>)>,
+    ) -> Outbound {
+        sends
+            .into_iter()
+            .map(|(dst, batch)| {
+                let frame = Frame {
+                    instance,
+                    sender,
+                    round: u32::try_from(batch.round).expect("round fits u32"),
+                    payload: Payload::Eig(batch.msgs),
+                };
+                (dst, encode_frame(&frame))
+            })
+            .collect()
+    }
+
+    fn encode_va(
+        instance: InstanceId,
+        sender: ProcessId,
+        sends: Vec<(ProcessId, <VerifiedAveraging as AsyncProtocol>::Msg)>,
+    ) -> Outbound {
+        sends
+            .into_iter()
+            .map(|(dst, msg)| {
+                let frame = Frame {
+                    instance,
+                    sender,
+                    round: u32::try_from(msg.0 .1).expect("round fits u32"),
+                    payload: Payload::Va(msg),
+                };
+                (dst, encode_frame(&frame))
+            })
+            .collect()
+    }
 }
 
 /// A decision surfaced by [`ConsensusService::poll`].
@@ -237,6 +378,15 @@ struct SessionRow {
     last_reply: Option<(u64, VecD)>,
 }
 
+impl SessionRow {
+    /// Raise the highest request number seen to at least `reqno`.
+    fn saw(&mut self, reqno: u64) {
+        if self.last_reqno.is_none_or(|last| reqno > last) {
+            self.last_reqno = Some(reqno);
+        }
+    }
+}
+
 /// The service-side client front-end state. Always present (the struct is
 /// small); `enabled` gates the admission API, while the node-to-node side
 /// — `Launch` handling and the early-frame stash — is always live so every
@@ -289,13 +439,14 @@ impl ClientState {
 /// client table) internally before consulting the caller's factory.
 const CLIENT_SPEC_MAGIC: [u8; 4] = *b"RBCS";
 
-fn encode_client_spec(session: u64, reqno: u64, f: usize, rounds: usize, value: &VecD) -> Vec<u8> {
+fn encode_client_spec(launch: &ClientLaunch) -> Vec<u8> {
+    let value = &launch.value;
     let mut out = Vec::with_capacity(32 + value.dim() * 8);
     out.extend_from_slice(&CLIENT_SPEC_MAGIC);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&reqno.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(f).unwrap_or(u32::MAX).to_le_bytes());
-    out.extend_from_slice(&u32::try_from(rounds).unwrap_or(u32::MAX).to_le_bytes());
+    out.extend_from_slice(&launch.session.to_le_bytes());
+    out.extend_from_slice(&launch.reqno.to_le_bytes());
+    out.extend_from_slice(&launch.f.to_le_bytes());
+    out.extend_from_slice(&launch.rounds.to_le_bytes());
     out.extend_from_slice(&u32::try_from(value.dim()).unwrap_or(u32::MAX).to_le_bytes());
     for &x in value.as_slice() {
         out.extend_from_slice(&x.to_bits().to_le_bytes());
@@ -303,20 +454,24 @@ fn encode_client_spec(session: u64, reqno: u64, f: usize, rounds: usize, value: 
     out
 }
 
-fn decode_client_spec(spec: &[u8]) -> Option<(u64, u64, usize, usize, VecD)> {
+fn decode_client_spec(spec: &[u8]) -> Option<ClientLaunch> {
     if spec.len() < 32 || spec[..4] != CLIENT_SPEC_MAGIC {
         return None;
     }
     let u64_at = |i: usize| u64::from_le_bytes(spec[i..i + 8].try_into().expect("8 bytes"));
     let u32_at = |i: usize| u32::from_le_bytes(spec[i..i + 4].try_into().expect("4 bytes"));
-    let (session, reqno) = (u64_at(4), u64_at(12));
-    let (f, rounds) = (u32_at(20) as usize, u32_at(24) as usize);
     let dim = u32_at(28) as usize;
     if dim == 0 || dim > MAX_DIM || spec.len() != 32 + dim * 8 {
         return None;
     }
     let xs: Vec<f64> = (0..dim).map(|i| f64::from_bits(u64_at(32 + i * 8))).collect();
-    Some((session, reqno, f, rounds, VecD::from_slice(&xs)))
+    Some(ClientLaunch {
+        session: u64_at(4),
+        reqno: u64_at(12),
+        f: u32_at(20),
+        rounds: u32_at(24),
+        value: VecD::from_slice(&xs),
+    })
 }
 
 /// Configuration for [`ConsensusService::enable_health`].
@@ -542,10 +697,7 @@ impl<T: Transport> ConsensusService<T> {
     fn attach_instance_obs(&mut self, id: InstanceId) {
         let obs = self.obs.clone();
         if let Some(slot) = self.instances.get_mut(&id) {
-            match &mut slot.proto {
-                InstanceProto::Bvc(p) => p.set_obs(obs, Some(id)),
-                InstanceProto::Va(p) => p.set_obs(obs, Some(id)),
-            }
+            slot.proto.set_obs(obs, id);
         }
     }
 
@@ -601,19 +753,17 @@ impl<T: Transport> ConsensusService<T> {
                 reason: format!("duplicate instance id {id}"),
             });
         }
+        self.insert_slot(id, proto);
+        Ok(())
+    }
+
+    fn insert_slot(&mut self, id: InstanceId, proto: InstanceProto) {
         self.instances.insert(
             id,
-            Slot {
-                proto,
-                decided: false,
-                pinned: None,
-                launched: false,
-                submitted_at: None,
-            },
+            Slot { proto, decided: false, pinned: None, launched: false, submitted_at: None },
         );
         self.undecided += 1;
         self.attach_instance_obs(id);
-        Ok(())
     }
 
     /// Register one instance durably: `spec` is an opaque blob the caller's
@@ -704,70 +854,38 @@ impl<T: Transport> ConsensusService<T> {
         self.transport.flush()
     }
 
-    /// Shared launch path; `check` enforces the single-launch contract (the
-    /// bulk `start()` path iterates fresh ids and skips the check).
-    fn launch_inner(&mut self, id: InstanceId, check: bool) -> Result<(), ProtocolError> {
+    /// Mark `id` launched, stamp its submission time and produce its
+    /// `on_start` frames — the one path a local launch, a peer's `Launch`
+    /// frame and the replay of a `Launched` record all take. `None` if `id`
+    /// is not registered.
+    fn start_instance(&mut self, id: InstanceId) -> Option<Outbound> {
         let local = self.transport.local_id();
-        let Some(slot) = self.instances.get_mut(&id) else {
-            return Err(ProtocolError::InvalidSpec {
-                reason: format!("launch of unknown instance {id}"),
-            });
-        };
-        if check && slot.launched {
-            return Err(ProtocolError::InvalidSpec {
-                reason: format!("instance {id} already launched"),
-            });
-        }
+        let slot = self.instances.get_mut(&id)?;
         slot.launched = true;
         slot.submitted_at = Some(Instant::now());
         // The trace-side submit marker: same instant (to within the emit
         // call) as `submitted_at`, so the assembler's critical-path total
         // is directly comparable to the measured decide latency.
         self.obs.emit(|| Event::new(EventKind::Submit).instance(id));
-        let sends = match &mut slot.proto {
-            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start()),
-            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_start()),
+        Some(slot.proto.on_start(id, local))
+    }
+
+    /// Live launch: [`Self::start_instance`], logged and routed. `check`
+    /// enforces the single-launch contract (the bulk `start()` path iterates
+    /// fresh ids and skips the check).
+    fn launch_inner(&mut self, id: InstanceId, check: bool) -> Result<(), ProtocolError> {
+        if check && self.instances.get(&id).is_some_and(|slot| slot.launched) {
+            return Err(ProtocolError::InvalidSpec {
+                reason: format!("instance {id} already launched"),
+            });
+        }
+        let Some(sends) = self.start_instance(id) else {
+            return Err(ProtocolError::InvalidSpec {
+                reason: format!("launch of unknown instance {id}"),
+            });
         };
         self.wal_append(WalRecordRef::Launched { instance: id });
         self.route(sends)
-    }
-
-    fn encode_bvc(
-        instance: InstanceId,
-        sender: ProcessId,
-        sends: Vec<(ProcessId, RoundBatch<<SyncBvc as rbvc_sim::sync::SyncProtocol>::Msg>)>,
-    ) -> Vec<(ProcessId, Vec<u8>)> {
-        sends
-            .into_iter()
-            .map(|(dst, batch)| {
-                let frame = Frame {
-                    instance,
-                    sender,
-                    round: u32::try_from(batch.round).expect("round fits u32"),
-                    payload: Payload::Eig(batch.msgs),
-                };
-                (dst, encode_frame(&frame))
-            })
-            .collect()
-    }
-
-    fn encode_va(
-        instance: InstanceId,
-        sender: ProcessId,
-        sends: Vec<(ProcessId, <VerifiedAveraging as AsyncProtocol>::Msg)>,
-    ) -> Vec<(ProcessId, Vec<u8>)> {
-        sends
-            .into_iter()
-            .map(|(dst, msg)| {
-                let frame = Frame {
-                    instance,
-                    sender,
-                    round: u32::try_from(msg.0 .1).expect("round fits u32"),
-                    payload: Payload::Va(msg),
-                };
-                (dst, encode_frame(&frame))
-            })
-            .collect()
     }
 
     /// Queue encoded frames on the transport, logging each as a `Sent`
@@ -776,15 +894,14 @@ impl<T: Transport> ConsensusService<T> {
     /// remaining frames still go out. Every frame takes the next sequence
     /// number on its directed link and, when tracing, emits a `FrameTx`
     /// span carrying the frame identity `(instance, round, dst, seq)`.
-    fn route(&mut self, frames: Vec<(ProcessId, Vec<u8>)>) -> Result<(), ProtocolError> {
+    fn route(&mut self, frames: Outbound) -> Result<(), ProtocolError> {
         let mut first_err = None;
         for (dst, bytes) in frames {
             if let Some(seq_slot) = self.tx_seq.get_mut(dst) {
                 let seq = *seq_slot;
                 *seq_slot += 1;
                 if self.obs.enabled() {
-                    if let Some((instance, _, round)) = crate::wire::peek_header(&bytes) {
-                        let kind = if bytes[3] == 1 { "eig" } else { "va" };
+                    if let Some((instance, _, round, kind)) = crate::wire::peek_header(&bytes) {
                         let len = bytes.len();
                         self.obs.emit(|| {
                             Event::new(EventKind::FrameTx)
@@ -816,15 +933,51 @@ impl<T: Transport> ConsensusService<T> {
         }
     }
 
+    /// The receive boundary for one frame off the link from `link_peer`:
+    /// decode gate, sender gate, write-through, dispatch. Returns the
+    /// outbound frames it produced. Live polls and WAL replay both enter
+    /// here — replay with no WAL attached yet, so nothing is logged twice and
+    /// a rejection re-occurs through the same gate counters.
+    fn ingest(&mut self, link_peer: ProcessId, bytes: &[u8]) -> Outbound {
+        let frame = match decode_frame(bytes, link_peer) {
+            Ok(f) => f,
+            Err(e) => {
+                self.gate_reject(0, link_peer, e);
+                return Vec::new();
+            }
+        };
+        if frame.sender != link_peer {
+            self.gate_reject(
+                1,
+                link_peer,
+                ProtocolError::MalformedPayload {
+                    from: link_peer,
+                    reason: format!(
+                        "spoofed sender: header claims {} on the link from {}",
+                        frame.sender, link_peer
+                    ),
+                },
+            );
+            return Vec::new();
+        }
+        // Log the authenticated frame *before* it mutates protocol state:
+        // replay re-runs the gates and the dispatch deterministically.
+        self.wal_append(WalRecordRef::Inbound {
+            from: u32::try_from(link_peer).unwrap_or(u32::MAX),
+            bytes,
+        });
+        self.dispatch(frame)
+    }
+
     /// Dispatch one authenticated, decoded frame to its instance. Returns
     /// the outbound frames it produced.
-    fn dispatch(&mut self, frame: Frame) -> Vec<(ProcessId, Vec<u8>)> {
+    fn dispatch(&mut self, frame: Frame) -> Outbound {
         let local = self.transport.local_id();
         if let Payload::Launch(launch) = &frame.payload {
             let launch = launch.clone();
             return self.dispatch_launch(frame.instance, frame.sender, launch);
         }
-        if !self.instances.contains_key(&frame.instance) {
+        let Some(slot) = self.instances.get_mut(&frame.instance) else {
             // A frame for a client instance may legitimately beat its
             // `Launch` here (different links race); park it, bounded.
             if client_instance_owner(frame.instance).is_some() {
@@ -845,37 +998,21 @@ impl<T: Transport> ConsensusService<T> {
                 },
             );
             return Vec::new();
-        }
-        let slot = self.instances.get_mut(&frame.instance).expect("checked above");
-        let sender = frame.sender;
-        let instance = frame.instance;
-        let sends = match (&mut slot.proto, frame.payload) {
-            (InstanceProto::Bvc(p), Payload::Eig(msgs)) => Some(Self::encode_bvc(
-                instance,
-                local,
-                p.on_message(sender, RoundBatch { round: frame.round as usize, msgs }),
-            )),
-            (InstanceProto::Va(p), Payload::Va(msg)) => {
-                Some(Self::encode_va(instance, local, p.on_message(sender, msg)))
-            }
-            (_, _) => None,
         };
-        match sends {
-            Some(sends) => sends,
-            None => {
-                self.gate_reject(
-                    3,
-                    sender,
-                    ProtocolError::MalformedPayload {
-                        from: sender,
-                        reason: format!(
-                            "payload kind does not match the protocol of instance {instance}"
-                        ),
-                    },
-                );
-                Vec::new()
-            }
-        }
+        let (sender, instance) = (frame.sender, frame.instance);
+        slot.proto.on_frame(local, frame).unwrap_or_else(|| {
+            self.gate_reject(
+                3,
+                sender,
+                ProtocolError::MalformedPayload {
+                    from: sender,
+                    reason: format!(
+                        "payload kind does not match the protocol of instance {instance}"
+                    ),
+                },
+            );
+            Vec::new()
+        })
     }
 
     /// One service step: receive (waiting up to `timeout` for the first
@@ -897,7 +1034,7 @@ impl<T: Transport> ConsensusService<T> {
         // blocking on an empty socket is idle time, not poll work.
         let t_active = Instant::now();
         let n_rx = inbound.len();
-        let mut outbound: Vec<(ProcessId, Vec<u8>)> = Vec::new();
+        let mut outbound: Outbound = Vec::new();
         for (link_peer, arrived_us, bytes) in inbound {
             // Count the frame on its directed link *before* any gate can
             // reject it, mirroring the sender's unconditional `tx_seq`
@@ -911,7 +1048,7 @@ impl<T: Transport> ConsensusService<T> {
                 None => u64::MAX,
             };
             if self.obs.enabled() {
-                if let Some((instance, _, round)) = crate::wire::peek_header(&bytes) {
+                if let Some((instance, _, round, _)) = crate::wire::peek_header(&bytes) {
                     let waited = rbvc_obs::clock::now_us().saturating_sub(arrived_us);
                     self.obs.emit(|| {
                         Event::new(EventKind::FrameRx)
@@ -923,35 +1060,7 @@ impl<T: Transport> ConsensusService<T> {
                     });
                 }
             }
-            let frame = match decode_frame(&bytes, link_peer) {
-                Ok(f) => f,
-                Err(e) => {
-                    self.gate_reject(0, link_peer, e);
-                    continue;
-                }
-            };
-            if frame.sender != link_peer {
-                self.gate_reject(
-                    1,
-                    link_peer,
-                    ProtocolError::MalformedPayload {
-                        from: link_peer,
-                        reason: format!(
-                            "spoofed sender: header claims {} on the link from {}",
-                            frame.sender, link_peer
-                        ),
-                    },
-                );
-                continue;
-            }
-            // Log the authenticated frame *before* it mutates protocol
-            // state: replay re-runs the remaining gates and the dispatch
-            // deterministically.
-            self.wal_append(WalRecordRef::Inbound {
-                from: u32::try_from(link_peer).unwrap_or(u32::MAX),
-                bytes: &bytes,
-            });
-            outbound.extend(self.dispatch(frame));
+            outbound.extend(self.ingest(link_peer, &bytes));
         }
         // Drive timers (lockstep round timeouts) once per poll.
         let local = self.transport.local_id();
@@ -961,11 +1070,7 @@ impl<T: Transport> ConsensusService<T> {
             if slot.decided || !slot.launched {
                 continue;
             }
-            let sends = match &mut slot.proto {
-                InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_tick()),
-                InstanceProto::Va(p) => Self::encode_va(id, local, p.on_tick()),
-            };
-            outbound.extend(sends);
+            outbound.extend(slot.proto.on_tick(id, local));
         }
         let n_tx = outbound.len();
         let routed = self.route(outbound);
@@ -974,11 +1079,9 @@ impl<T: Transport> ConsensusService<T> {
         if self.wal.is_some() {
             let mut commits: Vec<(InstanceId, u64)> = Vec::new();
             for (id, slot) in &self.instances {
-                if let InstanceProto::Va(p) = &slot.proto {
-                    let count = p.witness_commits();
-                    if self.witness_logged.get(id).copied().unwrap_or(0) != count {
-                        commits.push((*id, count));
-                    }
+                let count = slot.proto.witness_commits();
+                if self.witness_logged.get(id).copied().unwrap_or(0) != count {
+                    commits.push((*id, count));
                 }
             }
             for (instance, count) in commits {
@@ -1035,11 +1138,7 @@ impl<T: Transport> ConsensusService<T> {
             if slot.decided || !slot.launched {
                 continue;
             }
-            let value = match &slot.proto {
-                InstanceProto::Bvc(p) => p.output(),
-                InstanceProto::Va(p) => p.output(),
-            };
-            if let Some(value) = value {
+            if let Some(value) = slot.proto.output() {
                 slot.decided = true;
                 self.undecided -= 1;
                 decided.push((*id, value));
@@ -1114,10 +1213,7 @@ impl<T: Transport> ConsensusService<T> {
         if let Some(pinned) = &slot.pinned {
             return Some(pinned.clone());
         }
-        match &slot.proto {
-            InstanceProto::Bvc(p) => p.output(),
-            InstanceProto::Va(p) => p.output(),
-        }
+        slot.proto.output()
     }
 
     /// Enable the client front-end with `cfg`: this node will accept
@@ -1201,35 +1297,19 @@ impl<T: Transport> ConsensusService<T> {
         self.health.as_ref().and_then(|h| h.flight.as_ref())
     }
 
-    /// Per-instance progress as the stall detector sees it: lockstep
-    /// round plus barrier occupancy for BVC (with the concrete missing
-    /// senders), witness commits for VA (no barrier, so no named senders).
+    /// Per-instance progress as the stall detector sees it.
     fn health_progress(&self) -> Vec<InstanceProgress> {
         self.instances
             .iter()
             .map(|(id, slot)| {
-                let decided = slot.decided || slot.pinned.is_some();
-                let (round, token, waiting_on) = match &slot.proto {
-                    InstanceProto::Bvc(p) => {
-                        let round = u32::try_from(p.current_round()).unwrap_or(u32::MAX);
-                        let waiting: Vec<u32> = p
-                            .waiting_on()
-                            .iter()
-                            .map(|&q| u32::try_from(q).unwrap_or(u32::MAX))
-                            .collect();
-                        (round, progress_token(round, p.senders_have(), 0), waiting)
-                    }
-                    InstanceProto::Va(p) => {
-                        (0, progress_token(0, 0, p.witness_commits()), Vec::new())
-                    }
-                };
+                let p = slot.proto.progress();
                 InstanceProgress {
                     instance: *id,
-                    round,
+                    round: p.round,
                     launched: slot.launched,
-                    decided,
-                    progress_token: token,
-                    waiting_on,
+                    decided: slot.decided || slot.pinned.is_some(),
+                    progress_token: p.token,
+                    waiting_on: p.waiting_on,
                 }
             })
             .collect()
@@ -1304,24 +1384,14 @@ impl<T: Transport> ConsensusService<T> {
         let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
         let total_instances = self.instances.len() as u64;
         let row = |id: InstanceId, slot: &Slot| {
-            let (proto, round, waiting_on) = match &slot.proto {
-                InstanceProto::Bvc(p) => (
-                    "bvc",
-                    u32::try_from(p.current_round()).unwrap_or(u32::MAX),
-                    p.waiting_on()
-                        .iter()
-                        .map(|&q| u32::try_from(q).unwrap_or(u32::MAX))
-                        .collect(),
-                ),
-                InstanceProto::Va(_) => ("va", 0, Vec::new()),
-            };
+            let p = slot.proto.progress();
             InstanceStatus {
                 id,
-                proto: proto.to_string(),
-                round,
+                proto: p.kind.to_string(),
+                round: p.round,
                 launched: slot.launched,
                 decided: slot.decided || slot.pinned.is_some(),
-                waiting_on,
+                waiting_on: p.waiting_on,
             }
         };
         let decided_instances = self
@@ -1435,17 +1505,20 @@ impl<T: Transport> ConsensusService<T> {
             Registry::global().counter("service.client.reject").inc();
             return ClientAdmission::Rejected;
         }
-        let row = self.client.table.entry(session).or_default();
-        if let Some((cached_reqno, decision)) = &row.last_reply {
-            if *cached_reqno == reqno {
-                let decision = decision.clone();
-                self.client.dedup_hits += 1;
-                Registry::global().counter("client.dedup_hits").inc();
-                return ClientAdmission::Reply { reqno, decision };
+        // Look the row up without creating it: only an admitted request may
+        // grow the table.
+        if let Some(row) = self.client.table.get(&session) {
+            if let Some((cached_reqno, decision)) = &row.last_reply {
+                if *cached_reqno == reqno {
+                    let decision = decision.clone();
+                    self.client.dedup_hits += 1;
+                    Registry::global().counter("client.dedup_hits").inc();
+                    return ClientAdmission::Reply { reqno, decision };
+                }
             }
-        }
-        if row.last_reqno.is_some_and(|last| reqno <= last) {
-            return ClientAdmission::Stale;
+            if row.last_reqno.is_some_and(|last| reqno <= last) {
+                return ClientAdmission::Stale;
+            }
         }
         // A shed request leaves the table untouched so its retry is
         // re-considered (not stale-dropped) once load drains.
@@ -1467,12 +1540,38 @@ impl<T: Transport> ConsensusService<T> {
         }
     }
 
-    /// The `Launch` frames the owner fans out for one client instance, in
-    /// deterministic peer order (also regenerated verbatim on recovery so
-    /// the FIFO `Sent` match holds).
-    fn launch_frames(&self, instance: InstanceId, launch: &ClientLaunch) -> Vec<(ProcessId, Vec<u8>)> {
+    /// Create the instance one client request runs as — on the owner, on
+    /// every peer and on replay alike: Verified Averaging with the client's
+    /// vector as the local input. (Bypasses the before-`start()`
+    /// registration gate static instances go through.)
+    fn insert_client_slot(&mut self, id: InstanceId, f: usize, rounds: usize, value: VecD) {
+        let proto = InstanceProto::Va(VerifiedAveraging::new(
+            self.transport.local_id(),
+            self.transport.n(),
+            f,
+            value,
+            DeltaMode::MinDelta(rbvc_linalg::Norm::L2),
+            rounds,
+            rbvc_linalg::Tol::default(),
+        ));
+        self.insert_slot(id, proto);
+    }
+
+    /// Owner side of one client instance, live and on replay: stand the
+    /// instance up, mark the request in flight, and return the `Launch`
+    /// frames the owner fans out, in deterministic peer order (so the
+    /// replay's FIFO `Sent` match holds).
+    fn open_client_instance(&mut self, instance: InstanceId, launch: ClientLaunch) -> Outbound {
         let local = self.transport.local_id();
-        (0..self.transport.n())
+        let n = self.transport.n();
+        self.insert_client_slot(
+            instance,
+            launch.f as usize,
+            launch.rounds as usize,
+            launch.value.clone(),
+        );
+        self.client.pending.insert(instance, (launch.session, launch.reqno));
+        (0..n)
             .filter(|&dst| dst != local)
             .map(|dst| {
                 let frame = Frame {
@@ -1486,17 +1585,6 @@ impl<T: Transport> ConsensusService<T> {
             .collect()
     }
 
-    /// Insert a dynamically created client instance (bypasses the
-    /// before-`start()` registration gate static instances go through).
-    fn insert_client_slot(&mut self, id: InstanceId, proto: InstanceProto) {
-        self.instances.insert(
-            id,
-            Slot { proto, decided: false, pinned: None, launched: false, submitted_at: None },
-        );
-        self.undecided += 1;
-        self.attach_instance_obs(id);
-    }
-
     /// Owner side of one admitted request: mint the instance id, register
     /// (durably, with a self-describing spec), fan the `Launch` out to every
     /// peer *first* — per-link FIFO means each peer registers the instance
@@ -1508,28 +1596,11 @@ impl<T: Transport> ConsensusService<T> {
         value: VecD,
     ) -> Result<(), ProtocolError> {
         let local = self.transport.local_id();
-        let n = self.transport.n();
         let ClientConfig { f, rounds, .. } = self.client.cfg;
         let seq = self.client.next_seq;
         self.client.next_seq += 1;
         let instance =
             CLIENT_INSTANCE_BASE | ((local as u64) << 24) | (seq & 0xFF_FFFF);
-        let proto = InstanceProto::Va(VerifiedAveraging::new(
-            local,
-            n,
-            f,
-            value.clone(),
-            DeltaMode::MinDelta(rbvc_linalg::Norm::L2),
-            rounds,
-            rbvc_linalg::Tol::default(),
-        ));
-        self.insert_client_slot(instance, proto);
-        if self.wal.is_some() {
-            self.wal_append(WalRecordRef::Registered {
-                instance,
-                spec: &encode_client_spec(session, reqno, f, rounds, &value),
-            });
-        }
         let launch = ClientLaunch {
             session,
             reqno,
@@ -1537,9 +1608,14 @@ impl<T: Transport> ConsensusService<T> {
             rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
             value,
         };
-        let frames = self.launch_frames(instance, &launch);
+        if self.wal.is_some() {
+            self.wal_append(WalRecordRef::Registered {
+                instance,
+                spec: &encode_client_spec(&launch),
+            });
+        }
+        let frames = self.open_client_instance(instance, launch);
         let routed = self.route(frames);
-        self.client.pending.insert(instance, (session, reqno));
         self.client.admitted += 1;
         self.launch_inner(instance, true)?;
         routed
@@ -1555,8 +1631,7 @@ impl<T: Transport> ConsensusService<T> {
         instance: InstanceId,
         sender: ProcessId,
         launch: ClientLaunch,
-    ) -> Vec<(ProcessId, Vec<u8>)> {
-        let local = self.transport.local_id();
+    ) -> Outbound {
         let n = self.transport.n();
         let Some(owner) = client_instance_owner(instance) else {
             self.gate_reject(
@@ -1602,28 +1677,9 @@ impl<T: Transport> ConsensusService<T> {
             // Duplicate launch (reconnect history replay): idempotent.
             return Vec::new();
         }
-        let proto = InstanceProto::Va(VerifiedAveraging::new(
-            local,
-            n,
-            f,
-            launch.value,
-            DeltaMode::MinDelta(rbvc_linalg::Norm::L2),
-            launch.rounds as usize,
-            rbvc_linalg::Tol::default(),
-        ));
-        self.insert_client_slot(instance, proto);
+        self.insert_client_slot(instance, f, launch.rounds as usize, launch.value);
         self.started = true;
-        let slot = self.instances.get_mut(&instance).expect("just inserted");
-        slot.launched = true;
-        slot.submitted_at = Some(Instant::now());
-        self.obs.emit(|| Event::new(EventKind::Submit).instance(instance));
-        let mut sends = {
-            let slot = self.instances.get_mut(&instance).expect("just inserted");
-            match &mut slot.proto {
-                InstanceProto::Va(p) => Self::encode_va(instance, local, p.on_start()),
-                InstanceProto::Bvc(_) => unreachable!("client instances are VA"),
-            }
-        };
+        let mut sends = self.start_instance(instance).expect("just inserted");
         // Frames that beat the launch here replay through the normal
         // dispatch now that the instance exists.
         let stashed: Vec<Frame> = {
@@ -1645,6 +1701,15 @@ impl<T: Transport> ConsensusService<T> {
         sends
     }
 
+    /// The request behind client instance `instance` is answered: take it
+    /// out of flight and make `value` the session's cached reply.
+    fn cache_client_reply(&mut self, instance: InstanceId, session: u64, reqno: u64, value: VecD) {
+        self.client.pending.remove(&instance);
+        let row = self.client.table.entry(session).or_default();
+        row.last_reply = Some((reqno, value));
+        row.saw(reqno);
+    }
+
     /// The client bookkeeping for this poll's decisions: cache the reply in
     /// the session row, append it to the WAL's current batch, and queue it
     /// for the client port. Runs before the poll's group commit, so dedup
@@ -1652,14 +1717,10 @@ impl<T: Transport> ConsensusService<T> {
     /// read `replies_out` only after `poll` returned, past the sync.
     fn record_client_replies(&mut self, decided: &[(InstanceId, VecD)]) {
         for (instance, value) in decided {
-            let Some((session, reqno)) = self.client.pending.remove(instance) else {
+            let Some(&(session, reqno)) = self.client.pending.get(instance) else {
                 continue;
             };
-            let row = self.client.table.entry(session).or_default();
-            row.last_reply = Some((reqno, value.clone()));
-            if row.last_reqno.is_none_or(|last| reqno > last) {
-                row.last_reqno = Some(reqno);
-            }
+            self.cache_client_reply(*instance, session, reqno, value.clone());
             self.wal_append(WalRecordRef::ClientReply {
                 instance: *instance,
                 session,
@@ -1704,12 +1765,14 @@ impl<T: Transport> ConsensusService<T> {
         mut factory: impl FnMut(InstanceId, &[u8]) -> Result<InstanceProto, ProtocolError>,
     ) -> Result<Self, ProtocolError> {
         let t0 = Instant::now();
+        // The WAL is attached only after the replay loop: the records stream
+        // through the live receive and launch paths, whose write-through
+        // must not log them a second time.
         let mut svc = Self::new(transport);
-        svc.wal = Some(wal);
         let local = svc.transport.local_id();
         // Regenerated outbound history, FIFO-matched against logged Sent
         // records as they stream by.
-        let mut regenerated: Vec<(ProcessId, Vec<u8>)> = Vec::new();
+        let mut regenerated: Outbound = Vec::new();
         let mut match_cursor = 0usize;
         for raw in &report.records {
             let Some(rec) = decode_record(raw) else {
@@ -1721,41 +1784,20 @@ impl<T: Transport> ConsensusService<T> {
                     // Client instances log a self-describing spec: rebuild
                     // them (and the client table / pending set) internally;
                     // everything else goes through the caller's factory.
-                    if let Some((session, reqno, f, rounds, value)) = decode_client_spec(&spec) {
+                    if let Some(launch) = decode_client_spec(&spec) {
                         if svc.instances.contains_key(&instance) {
                             svc.replay_divergence += 1;
                             continue;
                         }
-                        let n = svc.transport.n();
-                        let proto = InstanceProto::Va(VerifiedAveraging::new(
-                            local,
-                            n,
-                            f,
-                            value.clone(),
-                            DeltaMode::MinDelta(rbvc_linalg::Norm::L2),
-                            rounds,
-                            rbvc_linalg::Tol::default(),
-                        ));
-                        svc.insert_client_slot(instance, proto);
-                        svc.client.pending.insert(instance, (session, reqno));
-                        let row = svc.client.table.entry(session).or_default();
-                        if row.last_reqno.is_none_or(|last| reqno > last) {
-                            row.last_reqno = Some(reqno);
-                        }
+                        svc.client.table.entry(launch.session).or_default().saw(launch.reqno);
                         svc.client.next_seq =
                             svc.client.next_seq.max((instance & 0xFF_FFFF) + 1);
+                        let frames = svc.open_client_instance(instance, launch);
                         if client_instance_owner(instance) == Some(local) {
                             // The owner fanned the Launch out right after
-                            // registering; regenerate those sends so the
-                            // FIFO `Sent` match stays aligned.
-                            let launch = ClientLaunch {
-                                session,
-                                reqno,
-                                f: u32::try_from(f).unwrap_or(u32::MAX),
-                                rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
-                                value,
-                            };
-                            regenerated.extend(svc.launch_frames(instance, &launch));
+                            // registering; those sends keep the FIFO `Sent`
+                            // match aligned.
+                            regenerated.extend(frames);
                         }
                     } else {
                         let proto = factory(instance, &spec)?;
@@ -1766,42 +1808,13 @@ impl<T: Transport> ConsensusService<T> {
                 }
                 WalRecord::Launched { instance } => {
                     svc.started = true;
-                    let Some(slot) = svc.instances.get_mut(&instance) else {
-                        svc.replay_divergence += 1;
-                        continue;
-                    };
-                    slot.launched = true;
-                    slot.submitted_at = Some(Instant::now());
-                    let sends = match &mut slot.proto {
-                        InstanceProto::Bvc(p) => Self::encode_bvc(instance, local, p.on_start()),
-                        InstanceProto::Va(p) => Self::encode_va(instance, local, p.on_start()),
-                    };
-                    regenerated.extend(sends);
+                    match svc.start_instance(instance) {
+                        Some(sends) => regenerated.extend(sends),
+                        None => svc.replay_divergence += 1,
+                    }
                 }
                 WalRecord::Inbound { from, bytes } => {
-                    let from = from as ProcessId;
-                    match decode_frame(&bytes, from) {
-                        Ok(frame) if frame.sender == from => {
-                            let sends = svc.dispatch(frame);
-                            regenerated.extend(sends);
-                        }
-                        // Gate rejections re-occur deterministically and are
-                        // re-counted through the normal gate counters.
-                        Ok(frame) => {
-                            svc.gate_reject(
-                                1,
-                                from,
-                                ProtocolError::MalformedPayload {
-                                    from,
-                                    reason: format!(
-                                        "replayed spoofed sender {} on link {from}",
-                                        frame.sender
-                                    ),
-                                },
-                            );
-                        }
-                        Err(e) => svc.gate_reject(0, from, e),
-                    }
+                    regenerated.extend(svc.ingest(from as ProcessId, &bytes));
                 }
                 WalRecord::Sent { dst, bytes } => {
                     let dst = dst as ProcessId;
@@ -1837,16 +1850,12 @@ impl<T: Transport> ConsensusService<T> {
                     // A reply that was surfaced (or about to be) before the
                     // crash: rebuild the dedup cache so a retry of the same
                     // (session, reqno) gets the identical pre-crash bytes.
-                    svc.client.pending.remove(&instance);
-                    let row = svc.client.table.entry(session).or_default();
-                    row.last_reply = Some((reqno, VecD::from_slice(&value)));
-                    if row.last_reqno.is_none_or(|last| reqno > last) {
-                        row.last_reqno = Some(reqno);
-                    }
+                    svc.cache_client_reply(instance, session, reqno, VecD::from_slice(&value));
                 }
                 WalRecord::Compacted { .. } => {}
             }
         }
+        svc.wal = Some(wal);
         // Client instances that decided before the crash but whose reply
         // record didn't make it: the pinned decision is durable, so cache
         // and log the reply now — the retry path answers from here.
@@ -1862,9 +1871,7 @@ impl<T: Transport> ConsensusService<T> {
                 continue;
             }
             let Some(value) = svc.decision(instance) else { continue };
-            svc.client.pending.remove(&instance);
-            let row = svc.client.table.entry(session).or_default();
-            row.last_reply = Some((reqno, value.clone()));
+            svc.cache_client_reply(instance, session, reqno, value.clone());
             svc.wal_append(WalRecordRef::ClientReply {
                 instance,
                 session,
@@ -1877,13 +1884,7 @@ impl<T: Transport> ConsensusService<T> {
         // A replayed state machine that now disagrees with its own pinned
         // decision is the amnesia signature — the pin wins, but flag it.
         for slot in svc.instances.values() {
-            if let (Some(pinned), Some(out)) = (
-                &slot.pinned,
-                match &slot.proto {
-                    InstanceProto::Bvc(p) => p.output(),
-                    InstanceProto::Va(p) => p.output(),
-                },
-            ) {
+            if let (Some(pinned), Some(out)) = (&slot.pinned, slot.proto.output()) {
                 if *pinned != out {
                     svc.replay_divergence += 1;
                 }
@@ -2435,6 +2436,11 @@ mod tests {
         assert_eq!(services[1].client_submit(7, 2, v.clone()), ClientAdmission::Queued);
         assert_eq!(services[1].client_submit(7, 3, v.clone()), ClientAdmission::Busy);
         assert_eq!(services[1].client_stats().shed, 1);
+        // Shedding leaves the table untouched, also for a session it has
+        // never seen (10 is owned by node 1 as well).
+        let sessions = services[1].client_stats().sessions;
+        assert_eq!(services[1].client_submit(10, 1, v.clone()), ClientAdmission::Busy);
+        assert_eq!(services[1].client_stats().sessions, sessions);
         // Degenerate values never reach the table.
         assert_eq!(
             services[1].client_submit(7, 4, VecD::from_slice(&[f64::NAN])),
@@ -2577,6 +2583,62 @@ mod tests {
         // four frames arrived on the link from process 0.
         assert_eq!(svc.gate_rejections_by_sender()[0], [1, 1, 1, 1]);
         assert_eq!(svc.gate_rejections_by_sender()[1], [0, 0, 0, 0]);
+    }
+
+    /// Replay runs the live receive and launch paths: a log holding a
+    /// `Launched` record and a spoofed-sender `Inbound` record (one the live
+    /// sender gate would never have let into the log) recovers to the gate
+    /// counters the live run counted for the same frame, with every
+    /// regenerated send matching its `Sent` record.
+    #[test]
+    fn replay_shares_the_live_gates_and_launch_path() {
+        use crate::transport::Transport as _;
+
+        let n = 2;
+        let dir = tmp_dir("replay-gates");
+        let path = dir.join("node1.wal");
+        let spoof = encode_frame(&Frame {
+            instance: 5,
+            sender: 1, // claimed on the link from 0
+            round: 0,
+            payload: Payload::Eig(vec![]),
+        });
+
+        let mut mesh = in_proc_mesh(n);
+        let mut svc = ConsensusService::new(mesh.pop().unwrap());
+        let mut raw = mesh.pop().unwrap();
+        svc.attach_wal(rbvc_store::Wal::open(&path).unwrap().0);
+        svc.add_instance_durable(5, va_instance(1, n, &[2.0]), va_spec(&[2.0])).unwrap();
+        svc.start().unwrap();
+        raw.send(1, spoof.clone()).unwrap();
+        raw.flush().unwrap();
+        for _ in 0..20 {
+            let _ = svc.poll(Duration::from_millis(5));
+            if svc.errors().total() >= 1 {
+                break;
+            }
+        }
+        let live = (svc.gate_rejections(), svc.gate_rejections_by_sender().to_vec());
+        assert_eq!(live.0, [0, 1, 0, 0], "the sender gate fired live");
+        drop(svc);
+
+        let (mut wal, _) = rbvc_store::Wal::open(&path).unwrap();
+        wal.append_record(WalRecordRef::Inbound { from: 0, bytes: &spoof }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (wal, report) = rbvc_store::Wal::open(&path).unwrap();
+        let kinds: Vec<WalRecord> =
+            report.records.iter().map(|r| decode_record(r).expect("decodes")).collect();
+        assert!(kinds.iter().any(|r| matches!(r, WalRecord::Launched { instance: 5 })));
+        assert!(kinds.iter().any(|r| matches!(r, WalRecord::Sent { .. })));
+        let svc = ConsensusService::recover(in_proc_mesh(n).remove(1), wal, &report, |_, spec| {
+            Ok(va_from_spec(1, n, spec))
+        })
+        .expect("recover");
+        assert_eq!(svc.replay_divergences(), 0);
+        assert_eq!((svc.gate_rejections(), svc.gate_rejections_by_sender().to_vec()), live);
+        assert_eq!(svc.wal.as_ref().expect("durable").records(), report.records.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A mute node stalls its peers' round-0 barrier: the health subsystem

@@ -192,19 +192,27 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Cheap header peek: `(instance, sender, round)` of an encoded frame
-/// without decoding (or validating) the payload. `None` if the bytes are
-/// too short or fail the magic/version check. The recovery path uses this
-/// to classify logged frames by instance without paying a full decode.
+/// Cheap header peek: `(instance, sender, round, kind)` of an encoded frame
+/// without decoding (or validating) the payload; `kind` is the payload's
+/// trace label (`"eig"`, `"va"`, `"launch"`, or `"unknown"` for a kind byte
+/// [`decode_frame`] would reject). `None` if the bytes are too short or fail
+/// the magic/version check. The service's trace spans use this to tag
+/// frames without paying a full decode.
 #[must_use]
-pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32)> {
+pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
     if bytes.len() < 20 || bytes[..2] != MAGIC || bytes[2] != VERSION {
         return None;
     }
+    let kind = match bytes[3] {
+        1 => "eig",
+        2 => "va",
+        3 => "launch",
+        _ => "unknown",
+    };
     let instance = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
     let sender = u32::from_le_bytes(bytes[12..16].try_into().ok()?);
     let round = u32::from_le_bytes(bytes[16..20].try_into().ok()?);
-    Some((instance, sender, round))
+    Some((instance, sender, round, kind))
 }
 
 // ---------------------------------------------------------------------------
@@ -546,12 +554,15 @@ mod tests {
 
     #[test]
     fn peek_header_agrees_with_decode() {
-        for frame in [eig_frame(), va_frame()] {
+        for (frame, label) in
+            [(eig_frame(), "eig"), (va_frame(), "va"), (launch_frame(), "launch")]
+        {
             let bytes = encode_frame(&frame);
-            let (instance, sender, round) = peek_header(&bytes).expect("peekable");
+            let (instance, sender, round, kind) = peek_header(&bytes).expect("peekable");
             assert_eq!(instance, frame.instance);
             assert_eq!(sender as usize, frame.sender);
             assert_eq!(round, frame.round);
+            assert_eq!(kind, label);
         }
         assert_eq!(peek_header(b"RB"), None);
         assert_eq!(peek_header(&[0u8; 32]), None);

@@ -1,29 +1,27 @@
-//! Replicated controller state under real OS threads — the crossbeam
-//! threaded runtime with per-coordinate (1-relaxed) consensus semantics in
-//! dimension 5 at only `n = 3f + 1` processes.
+//! Replicated controller state in both of the paper's system models —
+//! per-coordinate (1-relaxed) consensus semantics in dimension 5 at only
+//! `n = 3f + 1` processes.
 //!
 //! Scenario: seven replicas (f = 2) of a plant controller periodically
 //! agree on a 5-dimensional setpoint vector. Full vector validity would
 //! need `n ≥ (d+1)f + 1 = 13` replicas; 1-relaxed validity (each
 //! coordinate within the range of honest values for that coordinate,
 //! paper §5.3) is the natural contract for independent setpoints and needs
-//! only 7. The synchronous lockstep run is repeated on the threaded
-//! runtime to show the protocols working under genuine concurrency.
+//! only 7. The synchronous lockstep run is repeated in the asynchronous
+//! model (Relaxed Verified Averaging under a seeded random scheduler).
 //!
 //! ```sh
 //! cargo run --example replicated_state
 //! ```
 
-use std::time::Duration;
-
-use rbvc_core::problem::{check_execution, Agreement, Validity};
+use rbvc_core::problem::{Agreement, Validity};
 use rbvc_core::rules::DecisionRule;
-use rbvc_core::runner::{run_sync, SyncSpec};
+use rbvc_core::runner::{
+    run_async, run_sync, AsyncByzantine, AsyncSpec, SchedulerSpec, SyncSpec,
+};
 use rbvc_core::sync_protocols::ByzantineStrategy;
-use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
+use rbvc_core::verified_avg::DeltaMode;
 use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_sim::config::SystemConfig;
-use rbvc_sim::threads::{run_threaded, ThreadedNode};
 
 fn main() {
     let (n, f, d) = (7, 2, 5);
@@ -64,64 +62,37 @@ fn main() {
     println!("lockstep verdict: {:?}", report.verdict);
     assert!(report.verdict.ok());
 
-    // --- Part 2: the same inputs on the threaded runtime (asynchronous
-    // Relaxed Verified Averaging), one OS thread per replica. ---
-    let faulty = vec![2usize, 5];
-    let config = SystemConfig::new(n, f).with_faulty(faulty.clone());
-    let nodes: Vec<ThreadedNode<VerifiedAveraging>> = (0..n)
-        .map(|i| {
-            let proto = VerifiedAveraging::new(
-                i,
-                n,
-                f,
-                inputs[i].clone(),
-                DeltaMode::MinDelta(Norm::L2),
-                20,
-                Tol::default(),
-            );
-            if faulty.contains(&i) {
-                // Byzantine-but-protocol-following with adversarial inputs:
-                // the strongest behaviour that still lets threads interleave
-                // freely (message-corrupting strategies are exercised in the
-                // deterministic engine tests).
-                ThreadedNode::Byzantine(Box::new(
-                    rbvc_core::verified_avg::HonestFacade(proto),
-                ))
-            } else {
-                ThreadedNode::Honest(proto)
-            }
-        })
-        .collect();
-    let out = run_threaded(&config, nodes, Duration::from_secs(60));
-    assert!(out.all_decided, "threaded run must decide");
-    let correct_inputs: Vec<VecD> = config
-        .correct_ids()
-        .into_iter()
-        .map(|i| inputs[i].clone())
-        .collect();
-    let decisions: Vec<Option<VecD>> = config
-        .correct_ids()
-        .into_iter()
-        .map(|i| out.decisions[i].clone())
-        .collect();
-    let verdict = check_execution(
-        &correct_inputs,
-        &decisions,
-        Agreement::Epsilon(1e-3),
-        &Validity::InputDependentDeltaP {
+    // --- Part 2: the same inputs in the asynchronous model (Relaxed
+    // Verified Averaging). The Byzantine replicas follow the protocol with
+    // adversarially chosen inputs; message-corrupting strategies are
+    // exercised in the engine tests. ---
+    let spec = AsyncSpec {
+        n,
+        f,
+        mode: DeltaMode::MinDelta(Norm::L2),
+        rounds: 20,
+        inputs: inputs.clone(),
+        adversaries: [2usize, 5]
+            .into_iter()
+            .map(|i| (i, AsyncByzantine::HonestInput(inputs[i].clone())))
+            .collect(),
+        scheduler: SchedulerSpec::Random(7),
+        max_steps: 5_000_000,
+        agreement: Agreement::Epsilon(1e-3),
+        validity: Validity::InputDependentDeltaP {
             kappa: 1.0,
             norm: Norm::L2,
         },
-        Tol::default(),
-    );
+    };
+    let report = run_async(&spec, Tol::default());
     println!(
-        "\nthreaded run ({} OS threads, {:?}):",
-        n, out.elapsed
+        "\nasynchronous run ({} messages, {} deliveries):",
+        report.trace.messages_sent, report.trace.messages_delivered
     );
-    for dec in decisions.iter().flatten().take(2) {
+    for dec in report.decisions.iter().flatten().take(2) {
         println!("  agreed value: {dec}");
     }
-    println!("threaded verdict: {verdict:?}");
-    assert!(verdict.ok());
-    println!("\nboth runtimes agree: 7 replicas, 2 Byzantine, 5-dimensional state.");
+    println!("asynchronous verdict: {:?}", report.verdict);
+    assert!(report.verdict.ok());
+    println!("\nboth models agree: 7 replicas, 2 Byzantine, 5-dimensional state.");
 }
