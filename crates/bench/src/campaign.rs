@@ -7,10 +7,13 @@
 //! [`MeshProfile`] with its seeded inputs, instance builder, authenticated
 //! loopback mesh, in-process baseline oracle and monitor factory; the
 //! round-robin [`sweep`] and [`thread_per_node`] drivers; and [`main`],
-//! which parses the one CLI grammar, serves `/metrics` + `/status` with a
-//! mid-run self-scrape, prints the table, writes the enveloped
-//! `BENCH_*.json`, turns the gate list into the exit code, and holds the
-//! endpoint open for `--metrics-wait-scrapes`.
+//! which serves `/metrics` + `/status` with a mid-run self-scrape, prints
+//! the table, writes the enveloped `BENCH_*.json`, holds the endpoint open
+//! for `--metrics-wait-scrapes`, and returns the gate list that becomes
+//! the exit code. The one argument grammar of the `exp` program
+//! ([`parse_args`]) lives here too; the paper experiments
+//! ([`crate::experiments::Experiment`]) parse with it and report through
+//! the same [`Gate`] list.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -35,7 +38,8 @@ use crate::experiments::{byzantine, client, health, identity, recovery, service}
 use crate::report::{print_table, with_envelope};
 use crate::workloads::max_edge;
 
-/// Every systems campaign, in experiment order (`exp_trajectory` walks it).
+/// Every systems campaign, in experiment order (`exp <name>` looks the
+/// name up here; `exp trajectory` walks it).
 pub const SCENARIOS: [&Scenario; 6] = [
     &service::SCENARIO,
     &recovery::SCENARIO,
@@ -322,15 +326,15 @@ impl Report {
     }
 }
 
-/// One systems campaign, declared once: `exp_*` binaries, `exp_trajectory`
-/// and the tests all read this entry.
+/// One systems campaign, declared once: `exp <name>`, `exp trajectory` and
+/// the tests all read this entry.
 pub struct Scenario {
+    /// `exp <name>`; the report is written to `BENCH_<name>.json`.
+    pub name: &'static str,
     /// Short experiment id (`"E17"`).
     pub id: &'static str,
     /// Human title (table heading and envelope `title`).
     pub title: &'static str,
-    /// Report file written to the current directory.
-    pub report: &'static str,
     /// Flags accepted beyond `--smoke` and `--seed N`, as the usage line
     /// shows them (`"--runs N"`, `"--attrib"`); `--metrics ADDR` brings
     /// `--metrics-wait-scrapes N` with it.
@@ -350,11 +354,49 @@ impl Scenario {
     fn serves_metrics(&self) -> bool {
         self.flags.contains(&"--metrics ADDR")
     }
+
+    /// Report file written to the current directory.
+    #[must_use]
+    pub fn report(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// Every flag the scenario accepts, as [`parse_args`] and the usage
+    /// line take them.
+    #[must_use]
+    pub fn all_flags(&self) -> Vec<&'static str> {
+        let mut flags = vec!["--smoke", "--seed N"];
+        flags.extend(self.flags);
+        if self.serves_metrics() {
+            flags.push("--metrics-wait-scrapes N");
+        }
+        flags
+    }
 }
+
+/// What a positional argument must parse as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A non-negative integer (trial counts, dimensions, seeds).
+    Int,
+    /// A finite real (δ, ε).
+    Real,
+    /// A file or directory.
+    Path,
+}
+
+/// A named positional argument: `(name, kind, default)`. One without a
+/// default must be given unless `--smoke` is.
+pub type Positional = (&'static str, Kind, Option<&'static str>);
 
 /// The parsed command line.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Args {
+    /// The positionals in declaration order, defaults filled in (`""` for
+    /// one without a default that `--smoke` excused).
+    pub pos: Vec<String>,
+    /// How many of `pos` came from the command line.
+    pub given: usize,
     /// `--smoke`: the CI-sized profile.
     pub smoke: bool,
     /// `--seed N` (default 2016).
@@ -376,32 +418,70 @@ pub struct Args {
     /// `--metrics-wait-scrapes N`: after the run, keep the endpoint up
     /// until it has answered `N` further requests.
     pub wait_scrapes: Option<u64>,
+    /// `--p-sweep` (`table1`): also run the Theorem 14 p-sweep.
+    pub p_sweep: bool,
+    /// `--quick` (`all`): the reduced trial counts.
+    pub quick: bool,
+    /// `--json FILE` (`trace`): also write the attribution object.
+    pub json: Option<String>,
 }
 
-/// Parse `argv` (without the program name) against the one grammar,
-/// accepting only `--smoke`, `--seed` and the flags in `allowed`.
+impl Args {
+    /// Numeric positional `i`, as the integer or real type the caller needs.
+    ///
+    /// # Panics
+    /// If positional `i` was not declared with a numeric [`Kind`] that
+    /// `T` can hold.
+    #[must_use]
+    pub fn num<T: std::str::FromStr>(&self, i: usize) -> T {
+        self.pos[i].parse().ok().expect("parse_args checked the kind")
+    }
+}
+
+/// Parse `argv` (without the program and entry names) against the one
+/// grammar: words that do not start with `--` fill `positionals` in order,
+/// the rest must be among `flags` (written as the usage line shows them,
+/// `"--runs N"`); flags may come before, between or after positionals.
 ///
 /// # Errors
-/// A message naming the first unknown flag, missing value or unparseable
-/// value — bad input never falls back to a default run.
-pub fn parse_args(allowed: &[&str], argv: &[String]) -> Result<Args, String> {
+/// A message naming the first unknown flag, surplus or missing positional,
+/// missing value or unparseable value — bad input never falls back to a
+/// default run.
+pub fn parse_args<S: AsRef<str>>(
+    positionals: &[Positional],
+    flags: &[&str],
+    argv: &[S],
+) -> Result<Args, String> {
     fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
         value.parse().map_err(|_| format!("{flag}: cannot parse {value:?} as a number"))
     }
-    let declared = |flag: &str| allowed.iter().any(|a| a.split(' ').next() == Some(flag));
     let mut args = Args { seed: 2016, ..Args::default() };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_str();
-        let known = matches!(flag, "--smoke" | "--seed")
-            || declared(flag)
-            || (flag == "--metrics-wait-scrapes" && declared("--metrics"));
-        if !known {
+    let mut it = argv.iter().map(AsRef::as_ref);
+    while let Some(word) = it.next() {
+        if !word.starts_with("--") {
+            let (name, kind, _) = positionals
+                .get(args.pos.len())
+                .ok_or_else(|| format!("unexpected argument {word:?}"))?;
+            let valid = match kind {
+                Kind::Int => word.parse::<u64>().is_ok(),
+                Kind::Real => word.parse::<f64>().is_ok_and(f64::is_finite),
+                Kind::Path => true,
+            };
+            if !valid {
+                return Err(format!("{name}: cannot parse {word:?} as a number"));
+            }
+            args.pos.push(word.to_string());
+            continue;
+        }
+        let flag = word;
+        if !flags.iter().any(|f| f.split(' ').next() == Some(flag)) {
             return Err(format!("unknown argument {flag:?}"));
         }
         match flag {
             "--smoke" => args.smoke = true,
             "--attrib" => args.attrib = true,
+            "--p-sweep" => args.p_sweep = true,
+            "--quick" => args.quick = true,
             _ => {
                 let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 match flag {
@@ -410,18 +490,37 @@ pub fn parse_args(allowed: &[&str], argv: &[String]) -> Result<Args, String> {
                     "--instances" => args.instances = Some(num(flag, value)?),
                     "--window" => args.window = Some(num(flag, value)?),
                     "--metrics-wait-scrapes" => args.wait_scrapes = Some(num(flag, value)?),
-                    "--trace" => args.trace = Some(value.clone()),
+                    "--trace" => args.trace = Some(value.to_string()),
                     "--flight-dir" => args.flight_dir = Some(value.into()),
-                    "--metrics" => args.metrics = Some(value.clone()),
+                    "--metrics" => args.metrics = Some(value.to_string()),
+                    "--json" => args.json = Some(value.to_string()),
                     other => unreachable!("flag {other} is declared but not in the grammar"),
                 }
             }
+        }
+    }
+    args.given = args.pos.len();
+    for (name, _, default) in &positionals[args.given..] {
+        match default {
+            Some(default) => args.pos.push((*default).to_string()),
+            None if args.smoke => args.pos.push(String::new()),
+            None => return Err(format!("missing {name}")),
         }
     }
     if args.attrib && args.trace.is_none() {
         return Err("--attrib requires --trace FILE (the trace is its input)".to_string());
     }
     Ok(args)
+}
+
+/// The arguments as a usage line shows them: `[trials=100] [--p-sweep]`.
+#[must_use]
+pub fn usage(positionals: &[Positional], flags: &[&str]) -> String {
+    let positionals = positionals.iter().map(|(name, _, default)| match default {
+        Some(default) => format!("[{name}={default}]"),
+        None => format!("[{name}]"),
+    });
+    positionals.chain(flags.iter().map(|f| format!("[{f}]"))).collect::<Vec<_>>().join(" ")
 }
 
 /// Assemble the report document: the shared envelope, then `transport` /
@@ -455,25 +554,20 @@ pub(crate) fn fields(object: Value) -> Fields {
     }
 }
 
-/// The binary entry point shared by all six `exp_*` campaign wrappers.
-pub fn main(sc: &Scenario) {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(sc.flags, &argv).unwrap_or_else(|e| {
-        let bin = std::env::args().next().unwrap_or_default();
-        let mut flags = vec!["--smoke", "--seed N"];
-        flags.extend(sc.flags);
-        if sc.serves_metrics() {
-            flags.push("--metrics-wait-scrapes N");
-        }
-        eprintln!("{e}\nusage: {bin} [{}]", flags.join("] ["));
-        std::process::exit(2);
-    });
+/// Print `FAIL: …` for every gate that did not hold; returns how many.
+pub fn failures(gates: &[Gate]) -> usize {
+    gates.iter().filter(|g| !g.ok).inspect(|g| eprintln!("FAIL: {}", g.fail)).count()
+}
+
+/// Run one campaign (`exp <name>` for every entry of [`SCENARIOS`]) and
+/// return its gates, the endpoint's included.
+pub fn main(sc: &Scenario, args: &Args) -> Vec<Gate> {
     let smoke = if args.smoke { " (smoke)" } else { "" };
     println!("{} — {}, seed {}{smoke}", sc.id, sc.title, args.seed);
 
     // Live exposition: bind before the run so the whole run is scrapeable,
     // and self-scrape from a background thread to prove the pages are
-    // served *while* the mesh is hot (CI additionally curls from outside).
+    // served *while* the mesh is hot (CI additionally curls E17 from outside).
     let status = StatusBoard::new();
     let server = args.metrics.as_deref().map(|addr| {
         let s = MetricsServer::serve_with_status(addr, Registry::global().clone(), status.clone())
@@ -505,7 +599,7 @@ pub fn main(sc: &Scenario) {
                 }
             })
         });
-        let report = (sc.run)(&args, &status);
+        let report = (sc.run)(args, &status);
         stop.store(true, Ordering::SeqCst);
         (report, scraper.map(|h| h.join().expect("scraper thread")))
     });
@@ -531,12 +625,12 @@ pub fn main(sc: &Scenario) {
         }
         Value::Object(doc)
     });
-    let doc = document(sc, &args, report.payload, endpoint);
+    let doc = document(sc, args, report.payload, endpoint);
     let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");
-    std::fs::write(sc.report, rendered).unwrap_or_else(|e| panic!("write {}: {e}", sc.report));
-    println!("wrote {}", sc.report);
+    let file = sc.report();
+    std::fs::write(&file, rendered).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}");
 
-    let failed = gates.iter().filter(|g| !g.ok).inspect(|g| eprintln!("FAIL: {}", g.fail)).count();
     // Hold the endpoint open until external scrapers (the CI curl) have
     // been answered `n` *further* times — the self-scrape's own count is
     // excluded — bounded so a missing scraper cannot hang the run.
@@ -547,9 +641,7 @@ pub fn main(sc: &Scenario) {
             thread::sleep(Duration::from_millis(50));
         }
     }
-    if failed > 0 {
-        std::process::exit(1);
-    }
+    gates
 }
 
 /// Assert that `payload`, assembled into the report document, has exactly
@@ -561,22 +653,19 @@ pub(crate) fn assert_keys_match_committed(sc: &Scenario, payload: Value, committ
     }
     let doc = document(sc, &Args::default(), payload, None);
     let committed = serde_json::from_str(committed).expect("committed report parses");
-    assert_eq!(keys(&doc), keys(&committed), "{} top-level keys drifted", sc.report);
+    assert_eq!(keys(&doc), keys(&committed), "{} top-level keys drifted", sc.report());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(words: &[&str]) -> Vec<String> {
-        words.iter().map(|w| (*w).to_string()).collect()
-    }
-
     #[test]
     fn parser_accepts_the_declared_grammar() {
         let args = parse_args(
-            &["--runs N", "--metrics ADDR"],
-            &argv(&["--smoke", "--runs", "3", "--seed", "7", "--metrics-wait-scrapes", "1"]),
+            &[],
+            &["--smoke", "--seed N", "--runs N", "--metrics-wait-scrapes N"],
+            &["--smoke", "--runs", "3", "--seed", "7", "--metrics-wait-scrapes", "1"],
         )
         .expect("valid command line");
         let want = Args { smoke: true, seed: 7, runs: Some(3), wait_scrapes: Some(1), ..Args::default() };
@@ -585,7 +674,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_unknown_flags_missing_and_non_numeric_values() {
-        let allowed = ["--runs N", "--trace FILE", "--attrib"];
+        let flags = ["--smoke", "--seed N", "--runs N", "--trace FILE", "--attrib"];
         for bad in [
             &["--bogus"][..],
             &["100", "7"],
@@ -596,8 +685,30 @@ mod tests {
             &["--seed", "-1"],
             &["--attrib"],
         ] {
-            assert!(parse_args(&allowed, &argv(bad)).is_err(), "must reject {bad:?}");
+            assert!(parse_args(&[], &flags, bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn positionals_fill_in_order_around_flags_and_are_typed() {
+        let declared: [Positional; 3] = [
+            ("d_max", Kind::Int, Some("6")),
+            ("delta", Kind::Real, Some("0.25")),
+            ("DIR", Kind::Path, None),
+        ];
+        let parse = |words: &[&str]| parse_args(&declared, &["--smoke", "--p-sweep"], words);
+        let args = parse(&["4", "--p-sweep", "0.5", "out"]).expect("valid command line");
+        assert_eq!((args.num::<u64>(0), args.num::<f64>(1), args.pos[2].as_str()), (4, 0.5, "out"));
+        assert!(args.p_sweep && args.given == 3);
+        let args = parse(&["--smoke", "4"]).expect("--smoke excuses the positional without a default");
+        assert_eq!((args.pos, args.given), (vec!["4".to_string(), "0.25".into(), "".into()], 1));
+        for bad in [&["4"][..], &["x"], &["4", "inf"], &["4", "0.5", "out", "more"], &["-1"]] {
+            assert!(parse(bad).is_err(), "must reject {bad:?}");
+        }
+        assert_eq!(
+            usage(&declared, &["--smoke", "--runs N"]),
+            "[d_max=6] [delta=0.25] [DIR] [--smoke] [--runs N]"
+        );
     }
 
     #[test]
@@ -613,12 +724,12 @@ mod tests {
     fn every_declared_flag_parses() {
         for sc in SCENARIOS {
             let words: Vec<String> = sc
-                .flags
+                .all_flags()
                 .iter()
                 .flat_map(|f| f.split(' '))
                 .map(|w| if w.starts_with("--") { w } else { "1" }.to_string())
                 .collect();
-            assert!(parse_args(sc.flags, &words).is_ok(), "{}: {words:?}", sc.id);
+            assert!(parse_args(&[], &sc.all_flags(), &words).is_ok(), "{}: {words:?}", sc.id);
         }
     }
 }

@@ -13,8 +13,24 @@ use rbvc_core::sync_protocols::{make_node, SyncBvc};
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::SystemConfig;
 use rbvc_sim::sync::{RoundEngine, SyncNode};
+use serde_json::json;
 
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind};
+use crate::report::{fnum, print_table};
 use crate::workloads::{random_points, rng};
+
+/// `exp broadcast` — E15.
+pub const BROADCAST: Experiment = Experiment {
+    name: "broadcast",
+    ids: "E15",
+    artefact: "ALGO Step 1 ablation (EIG vs Dolev–Strong)",
+    positionals: &[("seed", Kind::Int, Some("5"))],
+    flags: &[],
+    suite: Some((&["5"], &["5"])),
+    json: Some(|_, seed| json!({ "e15_broadcast_ablation": ablation_sweep(seed + 5) })),
+    run,
+};
 
 /// One ablation row.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -142,6 +158,39 @@ pub fn ablation_sweep(seed: u64) -> Vec<AblationRow> {
         run_config(7, 2, 2, seed + 2),
         run_config(10, 3, 2, seed + 3),
     ]
+}
+
+fn run(args: &Args) -> Vec<Gate> {
+    println!(
+        "E15 — Step-1 substrate ablation: identical decisions, very \
+         different message complexity (EIG O(n^(f+1)) vs Dolev–Strong \
+         O(n³f))."
+    );
+    let rows: Vec<Vec<String>> = ablation_sweep(args.num(0))
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                r.f.to_string(),
+                r.d.to_string(),
+                r.eig_messages.to_string(),
+                r.eig_items.to_string(),
+                r.ds_messages.to_string(),
+                r.ds_items.to_string(),
+                fnum(r.eig_items as f64 / r.ds_items as f64),
+                r.decisions_match.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "EIG vs Dolev–Strong",
+        &[
+            "n", "f", "d", "EIG envs", "EIG items", "DS envs", "DS items",
+            "items EIG/DS", "decisions match",
+        ],
+        &rows,
+    );
+    Vec::new()
 }
 
 #[cfg(test)]

@@ -53,11 +53,13 @@ use crate::workloads::rng;
 
 /// The E20 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "byzantine",
     id: "E20",
     title: "Byzantine adversaries on the wire",
-    report: "BENCH_byzantine.json",
     flags: &["--runs N", "--metrics ADDR"],
-    metrics_probe: &["# TYPE"],
+    // The per-attack slowdown gauges are set when the campaign aggregates,
+    // so it is the scraper's last pass (after the run) that sees them.
+    metrics_probe: &["# TYPE", "exp_byzantine_slowdown"],
     status_probe: None,
     run,
 };
@@ -90,7 +92,7 @@ pub struct ByzantineConfig {
 }
 
 /// The classic E20 cycle: every pre-identity registry mix. The five
-/// identity mixes live in the E23 campaign (`exp_identity`).
+/// identity mixes live in the E23 campaign (`exp identity`).
 pub const E20_ATTACKS: [&str; 9] = [
     "equivocate",
     "lying-witness",

@@ -20,7 +20,24 @@ use rbvc_sim::net::{
     LinkFault, NetworkFaults, Partition, PartitionMode, ReliableLink, ReliableLinkAdversary,
 };
 
+use super::Experiment;
+use crate::campaign::{gate, Args, Gate, Kind};
+use crate::report::{fnum, print_table};
 use crate::workloads::{self, rng};
+
+/// `exp chaos` — E16: 14 seeds per cell × 15 cells = 210 runs by default,
+/// 2 per cell under `--smoke`. The acceptance bar is zero monitor
+/// violations and full decision coverage in every recoverable cell.
+pub const CHAOS: Experiment = Experiment {
+    name: "chaos",
+    ids: "E16",
+    artefact: "unreliable-network campaign (robustness)",
+    positionals: &[("seeds_per_cell", Kind::Int, Some("14")), ("seed", Kind::Int, Some("2016"))],
+    flags: &["--smoke"],
+    suite: None,
+    json: None,
+    run,
+};
 
 /// Campaign system size: the paper's headline asynchronous regime,
 /// `n = 3f + 1` with one Byzantine process, below the `(d+2)f + 1` bound.
@@ -298,6 +315,65 @@ pub fn campaign(seeds_per_cell: usize, base_seed: u64) -> Vec<ChaosRow> {
         }
     }
     rows
+}
+
+fn run(args: &Args) -> Vec<Gate> {
+    let seeds_per_cell = if args.smoke && args.given == 0 { 2 } else { args.num(0) };
+    let seed = args.num(1);
+    println!(
+        "E16 — chaos campaign: Verified Averaging (n = 4, f = 1, d = 3, \
+         MinDelta/L2) over an unreliable network, reliable-channel semantics \
+         restored by sequence-numbered ack/retransmit links; an online \
+         monitor checks ε-agreement and box validity on every decision."
+    );
+    println!(
+        "{} seeds per cell from base seed {seed}{}",
+        seeds_per_cell,
+        if args.smoke { " (smoke)" } else { "" }
+    );
+    let rows = campaign(seeds_per_cell, seed);
+    let total_runs: usize = rows.iter().map(|r| r.runs).sum();
+    let total_violations: usize = rows.iter().map(|r| r.violations).sum();
+    let total_decided: usize = rows.iter().map(|r| r.decided).sum();
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r: &ChaosRow| {
+            vec![
+                r.shape.to_string(),
+                fnum(r.drop),
+                format!("{}/{}", r.decided, r.runs),
+                r.violations.to_string(),
+                fnum(r.mean_steps),
+                fnum(r.mean_overhead),
+                r.lost.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "E16 (chaos campaign: fault shape × drop rate)",
+        &[
+            "shape",
+            "drop",
+            "decided",
+            "violations",
+            "mean steps",
+            "msg overhead",
+            "msgs lost",
+        ],
+        &table,
+    );
+    println!(
+        "total: {total_runs} runs, {total_decided} fully decided, \
+         {total_violations} safety violations"
+    );
+    if total_decided < total_runs {
+        eprintln!(
+            "note: {} run(s) hit the step budget before all processes \
+             decided",
+            total_runs - total_decided
+        );
+    }
+    vec![gate(total_violations == 0, "the online safety monitor fired")]
 }
 
 #[cfg(test)]

@@ -49,9 +49,9 @@ use crate::workloads::rng;
 
 /// The E21 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "client",
     id: "E21",
     title: "open-loop client saturation",
-    report: "BENCH_client.json",
     flags: &["--metrics ADDR"],
     // The client-table gauges are pre-registered when the services enable
     // the client plane, so they must be scrapeable while the workers run.

@@ -18,8 +18,28 @@ use rbvc_geometry::pairwise_edges;
 use rbvc_linalg::{Norm, Tol, VecD};
 use rand::rngs::StdRng;
 use rand::Rng;
+use serde_json::json;
 
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind};
+use crate::report::{fnum, print_table};
 use crate::workloads::rng;
+
+/// `exp conjectures` — E14.
+pub const CONJECTURES: Experiment = Experiment {
+    name: "conjectures",
+    ids: "E14",
+    artefact: "Conjectures 1–2 (adversarial stress-search)",
+    positionals: &[
+        ("restarts", Kind::Int, Some("3")),
+        ("iters", Kind::Int, Some("120")),
+        ("seed", Kind::Int, Some("1")),
+    ],
+    flags: &[],
+    suite: Some((&["2", "120", "1"], &["2", "40", "1"])),
+    json: Some(|_, seed| json!({ "e14_conjecture_hunt": hunt_sweep(1, 30, seed + 1) })),
+    run,
+};
 
 /// Result of one hunt.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -155,6 +175,40 @@ pub fn hunt_sweep(restarts: usize, iters: usize, seed: u64) -> Vec<HuntResult> {
         hunt(7, 2, 5, HuntTarget::Conjecture, restarts.min(2), iters / 2, seed + 2),
         hunt(8, 2, 4, HuntTarget::Conjecture, restarts.min(2), iters / 2, seed + 3),
     ]
+}
+
+fn run(args: &Args) -> Vec<Gate> {
+    println!(
+        "E14 — (1+1) hill-climb maximizing δ*/bound with adversarial fault \
+         designation. Ratio ≥ 1 would refute the statement; the supremum \
+         found is tightness evidence. Proven bounds serve as controls."
+    );
+    let rows: Vec<Vec<String>> = hunt_sweep(args.num(0), args.num(1), args.num(2))
+        .into_iter()
+        .map(|r| {
+            let label = match r.target {
+                HuntTarget::Theorem9 => "Thm 9 (control)",
+                HuntTarget::Theorem12 => "Thm 12 (control)",
+                HuntTarget::Conjecture => "Conjecture 1",
+            };
+            vec![
+                label.to_string(),
+                r.n.to_string(),
+                r.f.to_string(),
+                r.d.to_string(),
+                r.evaluations.to_string(),
+                fnum(r.best_ratio),
+                r.violation_found.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Conjecture stress-search",
+        &["target", "n", "f", "d", "evals", "best δ*/bound", "violation"],
+        &rows,
+    );
+    println!("\nno violation found ⇒ the conjectures survive adversarial search at these sizes.");
+    Vec::new()
 }
 
 #[cfg(test)]

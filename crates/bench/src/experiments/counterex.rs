@@ -7,8 +7,9 @@
 //! machinery. Together they exhibit the tightness the paper claims.
 
 use rbvc_core::counterexamples::{
-    figure1, theorem3_inputs, theorem3_psi_empty, theorem4_inputs, theorem4_separation,
-    theorem5_contradiction, theorem5_inputs, theorem6_inputs,
+    figure1, theorem3_inputs, theorem3_psi_empty, theorem3_psi_empty_replicated,
+    theorem4_inputs, theorem4_separation, theorem5_contradiction,
+    theorem5_contradiction_replicated, theorem5_inputs, theorem6_inputs,
 };
 use rbvc_core::problem::{Agreement, Validity};
 use rbvc_core::rules::DecisionRule;
@@ -20,6 +21,79 @@ use rbvc_core::verified_avg::DeltaMode;
 use rbvc_geometry::gamma::gamma_delta_point;
 use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
 use rbvc_linalg::{Norm, Tol, VecD};
+use serde_json::json;
+
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind};
+use crate::report::{fnum, print_table};
+
+/// `exp figure1` — E2.
+pub const FIGURE1: Experiment = Experiment {
+    name: "figure1",
+    ids: "E2",
+    artefact: "Figure 1 (Lemma 10 impossibility at n ≤ 3f)",
+    positionals: &[("d", Kind::Int, Some("3"))],
+    flags: &[],
+    suite: Some((&["3"], &["3"])),
+    json: None,
+    run: run_figure1,
+};
+
+/// `exp thm3` — E3.
+pub const THM3: Experiment = Experiment {
+    name: "thm3",
+    ids: "E3",
+    artefact: "Theorem 3 tightness (sync k-relaxed)",
+    positionals: &[("d_max", Kind::Int, Some("6"))],
+    flags: &[],
+    suite: Some((&["6"], &["6"])),
+    json: Some(|_, _| json!({ "e3_theorem3": (3..=5).map(theorem3_row).collect::<Vec<_>>() })),
+    run: run_thm3,
+};
+
+/// `exp thm4` — E4.
+pub const THM4: Experiment = Experiment {
+    name: "thm4",
+    ids: "E4",
+    artefact: "Theorem 4 tightness (async k-relaxed)",
+    positionals: &[("d_max", Kind::Int, Some("5"))],
+    flags: &[],
+    suite: Some((&["5"], &["5"])),
+    json: Some(|_, _| json!({ "e4_theorem4": (3..=4).map(theorem4_row).collect::<Vec<_>>() })),
+    run: run_thm4,
+};
+
+/// `exp thm5` — E5.
+pub const THM5: Experiment = Experiment {
+    name: "thm5",
+    ids: "E5",
+    artefact: "Theorem 5 tightness (sync (δ,p), constant δ)",
+    positionals: &[("d_max", Kind::Int, Some("6")), ("delta", Kind::Real, Some("0.25"))],
+    flags: &[],
+    suite: Some((&["6"], &["6"])),
+    json: Some(|_, _| {
+        json!({ "e5_theorem5": (2..=5).map(|d| theorem5_row(d, 0.25)).collect::<Vec<_>>() })
+    }),
+    run: run_thm5,
+};
+
+/// `exp thm6` — E6.
+pub const THM6: Experiment = Experiment {
+    name: "thm6",
+    ids: "E6",
+    artefact: "Theorem 6 tightness (async (δ,p), constant δ)",
+    positionals: &[
+        ("d_max", Kind::Int, Some("5")),
+        ("delta", Kind::Real, Some("0.25")),
+        ("epsilon", Kind::Real, Some("0.05")),
+    ],
+    flags: &[],
+    suite: Some((&["5"], &["5"])),
+    json: Some(|_, _| {
+        json!({ "e6_theorem6": (2..=4).map(|d| theorem6_row(d, 0.25, 0.05)).collect::<Vec<_>>() })
+    }),
+    run: run_thm6,
+};
 
 /// A necessity+sufficiency row for one dimension.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -264,6 +338,198 @@ pub fn figure1_demo(d: usize) -> Vec<Figure1Row> {
         violated,
     });
     rows
+}
+
+fn run_figure1(args: &Args) -> Vec<Gate> {
+    let d: usize = args.num(0);
+    println!(
+        "E2 — Lemma 10 / Figure 1 at n = 3, f = 1, d = {d}: any candidate \
+         algorithm must break a condition in some scenario."
+    );
+    println!(
+        "Candidate under test: one flooding round, decide the δ*₂-point of \
+         the three received values.\n"
+    );
+    let rows = figure1_demo(d);
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.scenario.to_string(),
+                format!("{}", r.out_a),
+                format!("{}", r.out_b),
+                if r.violated.is_empty() {
+                    "—".to_string()
+                } else {
+                    r.violated.to_string()
+                },
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 1 scenarios",
+        &["scenario", "output A", "output B", "violated condition"],
+        &table,
+    );
+    let broken = rows.iter().filter(|r| !r.violated.is_empty()).count();
+    println!(
+        "\nscenarios with a violated condition: {broken} (Lemma 10 predicts ≥ 1 \
+         for every algorithm; n ≥ 3f+1 = 4 removes the contradiction)"
+    );
+    Vec::new()
+}
+
+fn run_thm3(args: &Args) -> Vec<Gate> {
+    let d_max: usize = args.num(0);
+    println!(
+        "E3 — Theorem 3: at n = d+1 the matrix S(γ,ε) makes Ψ(Y) = ⋂ H₂(T) \
+         empty (LP certificate); at n = d+2 a live run with a Byzantine \
+         process succeeds."
+    );
+    let rows: Vec<Vec<String>> = (3..=d_max)
+        .map(|d| {
+            let r = theorem3_row(d);
+            vec![
+                r.d.to_string(),
+                r.n_infeasible.to_string(),
+                r.necessity_certified.to_string(),
+                r.n_sufficient.to_string(),
+                r.sufficiency_ok.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 3 tightness",
+        &["d", "n (infeasible)", "Ψ(Y) empty", "n (sufficient)", "run ok"],
+        &rows,
+    );
+    // The f ≥ 2 extension via the simulation (column-replication) argument.
+    let rep_rows: Vec<Vec<String>> = [(3usize, 2usize), (4, 2)]
+        .into_iter()
+        .map(|(d, f)| {
+            vec![
+                d.to_string(),
+                f.to_string(),
+                ((d + 1) * f).to_string(),
+                theorem3_psi_empty_replicated(d, f, Tol::default()).to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 3, f ≥ 2 via replication",
+        &["d", "f", "n (infeasible)", "Ψ(Y) empty"],
+        &rep_rows,
+    );
+    Vec::new()
+}
+
+fn run_thm4(args: &Args) -> Vec<Gate> {
+    let d_max: usize = args.num(0);
+    println!(
+        "E4 — Theorem 4: at n = d+2 the S(γ,2ε) matrix forces the feasible \
+         sets of two correct processes ≥ 2ε apart (ε-agreement impossible); \
+         at n = d+3 the asynchronous run converges."
+    );
+    let rows: Vec<Vec<String>> = (3..=d_max)
+        .map(|d| {
+            let r = theorem4_row(d);
+            vec![
+                r.d.to_string(),
+                r.n_infeasible.to_string(),
+                fnum(r.metric),
+                r.necessity_certified.to_string(),
+                r.n_sufficient.to_string(),
+                r.sufficiency_ok.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 4 tightness (ε = 0.1 ⇒ separation ≥ 0.2)",
+        &[
+            "d",
+            "n (infeasible)",
+            "Ψ₁↔Ψ₂ separation",
+            "≥ 2ε certified",
+            "n (sufficient)",
+            "run ok",
+        ],
+        &rows,
+    );
+    Vec::new()
+}
+
+fn run_thm5(args: &Args) -> Vec<Gate> {
+    let d_max: usize = args.num(0);
+    let delta: f64 = args.num(1);
+    println!(
+        "E5 — Theorem 5: with x > 2dδ the scaled-identity inputs make \
+         ⋂ H_(δ,∞)(T) empty at n = d+1 (LP certificate); n = d+2 succeeds."
+    );
+    let rows: Vec<Vec<String>> = (2..=d_max)
+        .map(|d| {
+            let r = theorem5_row(d, delta);
+            vec![
+                r.d.to_string(),
+                fnum(r.metric),
+                r.n_infeasible.to_string(),
+                r.necessity_certified.to_string(),
+                r.n_sufficient.to_string(),
+                r.sufficiency_ok.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 5 tightness",
+        &["d", "δ", "n (infeasible)", "intersection empty", "n (sufficient)", "run ok"],
+        &rows,
+    );
+    let rep_rows: Vec<Vec<String>> = [(3usize, 2usize), (4, 2)]
+        .into_iter()
+        .map(|(d, f)| {
+            vec![
+                d.to_string(),
+                f.to_string(),
+                ((d + 1) * f).to_string(),
+                theorem5_contradiction_replicated(d, f, delta, Tol::default()).to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 5, f ≥ 2 via replication",
+        &["d", "f", "n (infeasible)", "intersection empty"],
+        &rep_rows,
+    );
+    Vec::new()
+}
+
+fn run_thm6(args: &Args) -> Vec<Gate> {
+    let d_max: usize = args.num(0);
+    let delta: f64 = args.num(1);
+    let eps: f64 = args.num(2);
+    println!(
+        "E6 — Theorem 6: with x > 2dδ + ε the construction denies \
+         ε-agreement at n = d+2; the asynchronous run at n = d+3 converges."
+    );
+    let rows: Vec<Vec<String>> = (2..=d_max)
+        .map(|d| {
+            let r = theorem6_row(d, delta, eps);
+            vec![
+                r.d.to_string(),
+                fnum(delta),
+                fnum(eps),
+                r.n_infeasible.to_string(),
+                r.necessity_certified.to_string(),
+                r.n_sufficient.to_string(),
+                r.sufficiency_ok.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Theorem 6 tightness",
+        &["d", "δ", "ε", "n (infeasible)", "certified", "n (sufficient)", "run ok"],
+        &rows,
+    );
+    Vec::new()
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! The campaign ends with a flight-recorder cross-check: a safety
 //! violation is induced against a monitor whose event stream feeds a
 //! [`FlightRecorder`], and the resulting black-box dump is re-parsed by
-//! the trace summarizer (`exp_obs`'s parser) to prove the dump is a
+//! the trace summarizer (`exp obs`'s parser) to prove the dump is a
 //! self-describing trace with the violation inside.
 
 use std::collections::BTreeMap;
@@ -55,11 +55,13 @@ use crate::workloads::rng;
 
 /// The E22 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "health",
     id: "E22",
     title: "self-diagnosing runtime stall campaign",
-    report: "BENCH_health.json",
     flags: &["--runs N", "--flight-dir DIR", "--metrics ADDR"],
-    metrics_probe: &["# TYPE"],
+    // The stall series are registered when the first mesh arms the
+    // detector.
+    metrics_probe: &["# TYPE", "health_stall"],
     // The board carries per-node snapshots once any node publishes; an
     // empty board is still valid JSON.
     status_probe: Some(("\"nodes\"", "status_scrape_ok")),
@@ -542,7 +544,7 @@ pub fn run_campaign(cfg: &HealthCampaignConfig) -> HealthOutcome {
     out
 }
 
-/// Mirror the campaign verdict into the global registry so `exp_health
+/// Mirror the campaign verdict into the global registry so `exp health
 /// --metrics` serves it live alongside the runtime's own `health.*`
 /// series.
 fn publish_metrics(out: &HealthOutcome) {

@@ -45,11 +45,13 @@ use crate::report::fnum;
 
 /// The E23 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "identity",
     id: "E23",
     title: "impersonation on the wire",
-    report: "BENCH_identity.json",
     flags: &["--runs N", "--metrics ADDR"],
-    metrics_probe: &["# TYPE"],
+    // `auth.reject_total` moves as soon as the first identity mix's
+    // forgeries are refused.
+    metrics_probe: &["# TYPE", "auth_reject"],
     // A snapshot showing an authenticated link proves the auth state
     // actually rides the board rows.
     status_probe: Some(("\"authenticated\"", "status_auth_state_ok")),

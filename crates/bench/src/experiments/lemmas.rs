@@ -10,8 +10,24 @@
 use rbvc_geometry::{min_delta_polyhedral, Simplex};
 use rbvc_linalg::cayley_menger::inradius_by_volumes;
 use rbvc_linalg::{Norm, Tol};
+use serde_json::json;
 
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind};
+use crate::report::{fnum, print_table};
 use crate::workloads::{random_simplex_points, rng};
+
+/// `exp lemmas` — E7–E9.
+pub const LEMMAS: Experiment = Experiment {
+    name: "lemmas",
+    ids: "E7–E9",
+    artefact: "Lemmas 12–15 closed forms",
+    positionals: &[("trials", Kind::Int, Some("200")), ("seed", Kind::Int, Some("7"))],
+    flags: &[],
+    suite: Some((&["100", "7"], &["25", "7"])),
+    json: Some(|trials, seed| json!({ "e7_9_lemmas": lemma_sweep(trials, seed + 7) })),
+    run,
+};
 
 /// One row (per dimension) of the lemma-validation table.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -91,6 +107,44 @@ pub fn run_dimension(d: usize, trials: usize, seed: u64) -> LemmaRow {
 #[must_use]
 pub fn lemma_sweep(trials: usize, seed: u64) -> Vec<LemmaRow> {
     (2..=6).map(|d| run_dimension(d, trials, seed + d as u64)).collect()
+}
+
+fn run(args: &Args) -> Vec<Gate> {
+    println!(
+        "E7–E9 — Lemma 12 (inradius closed form), Lemma 13 (δ* = inradius, \
+         bracketed by the LP-exact δ*_∞), Lemma 14 (r < min facet inradius), \
+         Lemma 15 (r < max-edge/d) on random simplices."
+    );
+    let rows: Vec<Vec<String>> = lemma_sweep(args.num(0), args.num(1))
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.d.to_string(),
+                r.trials.to_string(),
+                fnum(r.max_inradius_err),
+                r.bracket_violations.to_string(),
+                fnum(r.max_facet_ratio),
+                r.lemma14_violations.to_string(),
+                fnum(r.max_edge_ratio),
+                r.lemma15_violations.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Lemmas 12–15 (all violation counts expected 0)",
+        &[
+            "d",
+            "trials",
+            "max rel err r (L12 vs CM)",
+            "bracket viol (L13)",
+            "max r/min r_k (L14)",
+            "L14 viol",
+            "max r·d/max-edge (L15)",
+            "L15 viol",
+        ],
+        &rows,
+    );
+    Vec::new()
 }
 
 #[cfg(test)]

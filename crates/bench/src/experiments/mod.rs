@@ -1,29 +1,20 @@
-//! Experiment implementations (one module per paper artifact group).
+//! Experiment implementations: one module per paper artefact group, each
+//! holding its typed row functions, the [`Experiment`] entries that print
+//! them, and nothing else. [`EXPERIMENTS`] is the index of the paper
+//! experiments (`exp list` prints it; DESIGN.md §3 describes the rows); its
+//! last three rows are the trace and report readers [`obs`], [`trace`] and
+//! [`trajectory`].
 //!
-//! | module | experiments | paper artifact |
-//! |--------|-------------|----------------|
-//! | [`table1`] | E1, E12 | Table 1 (δ* upper bounds), Theorem 14 p-sweep |
-//! | [`lemmas`] | E7–E9 | Lemmas 12–15 closed forms |
-//! | [`counterex`] | E2–E6 | Figure 1 and the Theorem 3–6 constructions |
-//! | [`broadcast_ablation`] | E15 | EIG vs Dolev–Strong substrate ablation |
-//! | [`conjecture_hunt`] | E14 | adversarial stress-search of Conjectures 1–2 |
-//! | [`tverberg`] | E10 | Section 8 (Tverberg tightness under relaxed hulls) |
-//! | [`asynchrony`] | E11, E13 | Theorem 15 / Conjecture 4, ε-convergence |
-//! | [`chaos`] | E16 | unreliable-network campaign (robustness, not a paper artifact) |
-//!
-//! The systems campaigns below are [`Scenario`](crate::campaign::Scenario)
-//! entries of the one campaign harness ([`crate::campaign`]): each module
-//! holds only its fault injection, per-run verdict, table, JSON payload
-//! and gates, and exports a `SCENARIO` that `campaign::SCENARIOS` lists.
-//!
-//! | module | experiments | systems artifact |
-//! |--------|-------------|------------------|
-//! | [`service`] | E17 | multi-instance service load generation over real sockets |
-//! | [`recovery`] | E18 | kill/restart crash-recovery campaign with WAL corruption injection |
-//! | [`byzantine`] | E20 | live Byzantine adversaries over real TCP (robustness) |
-//! | [`client`] | E21 | open-loop client saturation sweep through the external front-end |
-//! | [`health`] | E22 | seeded stall-injection campaign for the self-diagnosis subsystem |
-//! | [`identity`] | E23 | impersonation campaign against the keyed link-identity layer (robustness) |
+//! The systems campaigns — [`service`] (E17), [`recovery`] (E18),
+//! [`byzantine`] (E20), [`client`] (E21), [`health`] (E22), [`identity`]
+//! (E23) — are [`Scenario`](crate::campaign::Scenario) entries of the one
+//! campaign harness ([`crate::campaign`]): each module holds only its fault
+//! injection, per-run verdict, table, JSON payload and gates, and exports a
+//! `SCENARIO` that `campaign::SCENARIOS` lists.
+
+use serde_json::Value;
+
+use crate::campaign::{Args, Gate, Positional};
 
 pub mod asynchrony;
 pub mod broadcast_ablation;
@@ -35,7 +26,55 @@ pub mod counterex;
 pub mod health;
 pub mod identity;
 pub mod lemmas;
+pub mod obs;
 pub mod recovery;
 pub mod service;
 pub mod table1;
+pub mod trace;
+pub mod trajectory;
 pub mod tverberg;
+
+/// One experiment, declared once: `exp <name>`, `exp all`, `exp json` and
+/// `exp list` all read this entry.
+pub struct Experiment {
+    /// `exp <name>`.
+    pub name: &'static str,
+    /// Experiment ids of DESIGN.md §3 (`"E1, E12"`).
+    pub ids: &'static str,
+    /// The paper artefact regenerated.
+    pub artefact: &'static str,
+    /// Named positional arguments with their defaults.
+    pub positionals: &'static [Positional],
+    /// Flags, as the usage line shows them.
+    pub flags: &'static [&'static str],
+    /// The arguments `exp all` passes, `(full, --quick)`; `None` keeps the
+    /// experiment out of the suite.
+    pub suite: Option<(&'static [&'static str], &'static [&'static str])>,
+    /// The experiment's keys of the `exp json` document — its typed rows at
+    /// the document's `(trials, seed)` scale, as one JSON object.
+    pub json: Option<fn(usize, u64) -> Value>,
+    /// Print the banner and the table(s); the returned gates decide the
+    /// exit code (only `chaos` has one).
+    pub run: fn(&Args) -> Vec<Gate>,
+}
+
+/// Every paper experiment, in experiment order, then the readers of what the
+/// campaigns write (JSONL traces and `BENCH_*.json`).
+pub const EXPERIMENTS: [&Experiment; 16] = [
+    &table1::TABLE1,
+    &counterex::FIGURE1,
+    &counterex::THM3,
+    &counterex::THM4,
+    &counterex::THM5,
+    &counterex::THM6,
+    &lemmas::LEMMAS,
+    &tverberg::TVERBERG,
+    &asynchrony::ASYNC_DELTA,
+    &asynchrony::CONVERGENCE,
+    &conjecture_hunt::CONJECTURES,
+    &broadcast_ablation::BROADCAST,
+    &chaos::CHAOS,
+    &obs::OBS,
+    &trace::TRACE,
+    &trajectory::TRAJECTORY,
+];

@@ -1,12 +1,11 @@
-//! Trace analysis for `rbvc-obs` JSONL captures, plus the CI smoke check.
+//! `exp obs` — trace analysis for `rbvc-obs` JSONL captures, plus the CI
+//! smoke check.
 //!
-//! Usage:
-//!
-//! * `exp_obs TRACE.jsonl` — parse a trace written by
-//!   `exp_service --trace` (or any `JsonlRecorder` sink) and print the
-//!   per-run report: event counts, receive-gate rejection table, decide
-//!   latency percentiles, kernel timing breakdown, and the dumped metrics.
-//! * `exp_obs --smoke` — end-to-end self-check for CI: run a small traced
+//! * `exp obs TRACE.jsonl` — parse a trace written by `exp service --trace`
+//!   (or any `JsonlRecorder` sink) and print the per-run report: event
+//!   counts, receive-gate rejection table, decide latency percentiles,
+//!   kernel timing breakdown, and the dumped metrics.
+//! * `exp obs --smoke` — end-to-end self-check for CI: run a small traced
 //!   in-process service mesh, inject Byzantine frames at a raw endpoint,
 //!   then assert the trace is consistent with ground truth — it parses,
 //!   decide events equal decided instances × nodes, service-gate rejection
@@ -15,31 +14,42 @@
 
 use std::time::Duration;
 
-use rbvc_bench::experiments::service::{run_service, ServiceConfig, TraceFile, TransportKind};
 use rbvc_obs::{render_report, Obs, TraceSummary};
 use rbvc_transport::service::GATE_NAMES;
 use rbvc_transport::{encode_frame, in_proc_mesh, ConsensusService, Frame, Payload, Transport};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
+use super::service::{run_service, ServiceConfig, TraceFile, TransportKind};
+use super::Experiment;
+use crate::campaign::{gate, Args, Gate, Kind};
+
+/// `exp obs`.
+pub const OBS: Experiment = Experiment {
+    name: "obs",
+    ids: "—",
+    artefact: "per-run report of a JSONL trace",
+    positionals: &[("TRACE.jsonl", Kind::Path, None)],
+    flags: &["--smoke"],
+    suite: None,
+    json: None,
+    run,
+};
+
+fn run(args: &Args) -> Vec<Gate> {
+    if args.smoke {
+        return smoke();
     }
-    let Some(path) = args.get(1) else {
-        eprintln!("usage: exp_obs TRACE.jsonl | exp_obs --smoke");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("FAIL: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    match TraceSummary::parse(&text) {
-        Ok(summary) => print!("{}", render_report(&summary)),
-        Err(e) => {
-            eprintln!("FAIL: malformed trace {path}: {e}");
-            std::process::exit(1);
+    let path = &args.pos[0];
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| {
+            TraceSummary::parse(&text).map_err(|e| format!("malformed trace {path}: {e}"))
+        });
+    match parsed {
+        Ok(summary) => {
+            print!("{}", render_report(&summary));
+            Vec::new()
         }
+        Err(e) => vec![gate(false, e)],
     }
 }
 
@@ -115,7 +125,7 @@ fn inject_byzantine_frames(obs: Obs) -> [u64; 4] {
     svc.gate_rejections()
 }
 
-fn smoke() {
+fn smoke() -> Vec<Gate> {
     let path = std::env::temp_dir().join(format!("rbvc_exp_obs_smoke_{}.jsonl", std::process::id()));
     let trace = TraceFile::create(&path).expect("create trace");
 
@@ -128,24 +138,19 @@ fn smoke() {
     trace.finish();
 
     let text = std::fs::read_to_string(&path).expect("read trace back");
+    let _ = std::fs::remove_file(&path);
     let summary = match TraceSummary::parse(&text) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("FAIL: trace does not parse: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => return vec![gate(false, format!("trace does not parse: {e}"))],
     };
     print!("{}", render_report(&summary));
-    let _ = std::fs::remove_file(&path);
 
-    let mut failed = false;
+    let mut gates = Vec::new();
     let mut check = |ok: bool, what: String| {
         if ok {
             println!("ok: {what}");
-        } else {
-            eprintln!("FAIL: {what}");
-            failed = true;
         }
+        gates.push(gate(ok, what));
     };
 
     check(
@@ -203,8 +208,8 @@ fn smoke() {
     );
     check(summary.unknown_records == 0, "no unknown record types".to_string());
 
-    if failed {
-        std::process::exit(1);
+    if gates.iter().all(|g| g.ok) {
+        println!("exp obs --smoke: all checks passed");
     }
-    println!("exp_obs --smoke: all checks passed");
+    gates
 }

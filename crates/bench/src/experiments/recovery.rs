@@ -46,9 +46,9 @@ use crate::workloads::rng;
 
 /// The E18 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "recovery",
     id: "E18",
     title: "crash-recovery campaign",
-    report: "BENCH_recovery.json",
     flags: &["--runs N"],
     metrics_probe: &[],
     status_probe: None,

@@ -40,9 +40,9 @@ use crate::workloads::rng;
 
 /// The E17 scenario entry.
 pub const SCENARIO: Scenario = Scenario {
+    name: "service",
     id: "E17",
     title: "service load generator",
-    report: "BENCH_service.json",
     flags: &["--instances N", "--window N", "--trace FILE", "--attrib", "--metrics ADDR"],
     metrics_probe: &["# TYPE"],
     status_probe: None,
@@ -331,7 +331,7 @@ pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 
 
 /// A JSONL trace of one run: every structured event the run emits through
 /// [`TraceFile::obs`], then the metrics registry and hot-kernel timing
-/// cells. `exp_obs` and `exp_trace` read the file back.
+/// cells. `exp obs` and `exp trace` read the file back.
 pub struct TraceFile {
     recorder: Arc<JsonlRecorder>,
 }
@@ -518,7 +518,7 @@ mod tests {
     use super::*;
 
     /// The smoke profile decides everything over the in-process transport
-    /// with a clean monitor — the same path `exp_service --smoke` takes —
+    /// with a clean monitor — the same path `exp service --smoke` takes —
     /// and reports the committed artefact's keys.
     #[test]
     fn smoke_profile_decides_cleanly_in_process() {

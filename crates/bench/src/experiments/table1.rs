@@ -8,12 +8,29 @@
 //! observed ratio `δ*/bound` together with the count of violations
 //! (expected: zero for the theorems; conjecture rows are labelled).
 
-use rayon::prelude::*;
 use rbvc_core::bounds::{kappa_l2, kappa_lp, theorem9_min_edge_factor, BoundSource};
 use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
 use rbvc_linalg::{Norm, Tol, VecD};
+use serde_json::json;
 
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind};
+use crate::report::{fnum, print_table};
 use crate::workloads::{self, rng};
+
+/// `exp table1` — E1 and, with `--p-sweep`, E12.
+pub const TABLE1: Experiment = Experiment {
+    name: "table1",
+    ids: "E1, E12",
+    artefact: "Table 1 (δ* upper bounds); Theorem 14 p-sweep",
+    positionals: &[("trials", Kind::Int, Some("100")), ("seed", Kind::Int, Some("2024"))],
+    flags: &["--p-sweep"],
+    suite: Some((&["100", "2024", "--p-sweep"], &["25", "2024", "--p-sweep"])),
+    json: Some(|trials, seed| {
+        json!({ "e1_table1_l2": table1_l2(trials, seed), "e12_p_sweep": p_sweep(trials, seed) })
+    }),
+    run,
+};
 
 /// One row of the regenerated Table 1.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -69,7 +86,6 @@ pub fn run_config(
 ) -> Table1Row {
     let tol = Tol::default();
     let results: Vec<(f64, f64)> = (0..trials)
-        .into_par_iter()
         .map(|trial| {
             let mut r = rng(seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let correct = workloads::random_points(&mut r, n - f, d, 1.0);
@@ -154,6 +170,56 @@ pub fn p_sweep(trials: usize, seed: u64) -> Vec<Table1Row> {
         .into_iter()
         .map(|norm| run_config(f, n, d, norm, trials, seed))
         .collect()
+}
+
+fn source_label(s: BoundSource) -> &'static str {
+    match s {
+        BoundSource::Theorem9 => "Thm 9  (f=1, n=d+1)",
+        BoundSource::Theorem12 => "Thm 12 (f>=2, n=(d+1)f)",
+        BoundSource::Theorem14 => "Thm 14 (p-scaled)",
+        BoundSource::Theorem15 => "Thm 15 (async)",
+        BoundSource::Conjecture1 => "Conj 1 (3f+1<=n<(d+1)f)",
+    }
+}
+
+fn rows_to_table(rows: &[Table1Row]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|r| {
+            vec![
+                source_label(r.source).to_string(),
+                r.f.to_string(),
+                r.n.to_string(),
+                r.d.to_string(),
+                format!("{:?}", r.norm),
+                r.trials.to_string(),
+                fnum(r.mean_delta),
+                fnum(r.mean_bound),
+                fnum(r.max_ratio),
+                r.violations.to_string(),
+            ]
+        })
+        .collect()
+}
+
+fn run(args: &Args) -> Vec<Gate> {
+    let (trials, seed) = (args.num(0), args.num(1));
+    let headers = [
+        "bound", "f", "n", "d", "norm", "trials", "mean δ*", "mean bound", "max ratio",
+        "violations",
+    ];
+
+    println!("E1 — Table 1 (L2, input-dependent δ*): δ* must stay strictly below the bound.");
+    let rows = table1_l2(trials, seed);
+    print_table("Table 1 (measured)", &headers, &rows_to_table(&rows));
+    let total_violations: usize = rows.iter().map(|r| r.violations).sum();
+    println!("total violations: {total_violations} (expected 0)\n");
+
+    if args.p_sweep {
+        println!("E12 — Theorem 14 p-sweep (f=1, n=5, d=4): bound scales by d^(1/2-1/p).");
+        let rows = p_sweep(trials, seed);
+        print_table("Theorem 14 p-sweep (measured)", &headers, &rows_to_table(&rows));
+    }
+    Vec::new()
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
-//! `exp_trace` — cross-node critical-path attribution over a JSONL trace.
-//!
-//! Usage:
+//! `exp trace` — cross-node critical-path attribution over a JSONL trace.
 //!
 //! ```text
-//! exp_trace TRACE.jsonl [--json OUT.json]   # attribute an existing trace
-//! exp_trace --smoke [seed]                  # self-contained CI check
+//! exp trace TRACE.jsonl [--json OUT.json]   # attribute an existing trace
+//! exp trace --smoke [--seed N]              # self-contained CI check
 //! ```
 //!
-//! File mode parses a trace written by `exp_service --trace` (all nodes of
+//! File mode parses a trace written by `exp service --trace` (all nodes of
 //! the loopback mesh log into one file, so it is already merged),
 //! reconstructs each decided instance's message DAG, walks the
 //! submit→decide critical path backwards, and prints the per-phase
@@ -23,9 +21,41 @@
 //! in aggregate the median chain total must bracket the measured p50.
 //! Exits nonzero on any violation.
 
-use rbvc_bench::campaign::percentile;
-use rbvc_bench::experiments::service::{run_service, ServiceConfig, TraceFile, TransportKind};
 use rbvc_obs::{assemble, render_attribution, TraceSummary};
+
+use super::service::{run_service, ServiceConfig, TraceFile, TransportKind};
+use super::Experiment;
+use crate::campaign::{gate, percentile, Args, Gate, Kind};
+
+/// `exp trace`.
+pub const TRACE: Experiment = Experiment {
+    name: "trace",
+    ids: "—",
+    artefact: "critical-path attribution of a JSONL trace",
+    positionals: &[("TRACE.jsonl", Kind::Path, None)],
+    flags: &["--smoke", "--seed N", "--json FILE"],
+    suite: None,
+    json: None,
+    run,
+};
+
+fn run(args: &Args) -> Vec<Gate> {
+    let done = if args.smoke {
+        smoke(args.seed)
+    } else {
+        attribute_file(&args.pos[0]).and_then(|a| {
+            let Some(out) = &args.json else { return Ok(()) };
+            let rendered = serde_json::to_string_pretty(&a.to_json()).expect("valid JSON");
+            std::fs::write(out, rendered).map_err(|e| format!("write {out}: {e}"))?;
+            println!("wrote {out}");
+            Ok(())
+        })
+    };
+    match done {
+        Ok(()) => Vec::new(),
+        Err(e) => vec![gate(false, e)],
+    }
+}
 
 /// Parse + assemble one trace file and print the report. Returns the
 /// assembled attribution for further checks.
@@ -52,7 +82,7 @@ fn smoke(seed: u64) -> Result<(), String> {
 
     let cfg = ServiceConfig::smoke(seed);
     println!(
-        "exp_trace --smoke: {}-node TCP mesh, {} instances, seed {seed}, trace {}",
+        "exp trace --smoke: {}-node TCP mesh, {} instances, seed {seed}, trace {}",
         cfg.mesh.n,
         cfg.mesh.instances,
         path.display()
@@ -123,47 +153,4 @@ fn smoke(seed: u64) -> Result<(), String> {
         a.dominant_phase()
     );
     Ok(())
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let seed = args
-            .iter()
-            .skip(1)
-            .find(|a| !a.starts_with("--"))
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(2016);
-        if let Err(e) = smoke(seed) {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: exp_trace TRACE.jsonl [--json OUT.json] | exp_trace --smoke [seed]");
-        std::process::exit(2);
-    };
-    let json_out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    match attribute_file(path) {
-        Ok(a) => {
-            if let Some(out) = json_out {
-                let rendered =
-                    serde_json::to_string_pretty(&a.to_json()).expect("valid JSON");
-                if let Err(e) = std::fs::write(&out, rendered) {
-                    eprintln!("FAIL: write {out}: {e}");
-                    std::process::exit(1);
-                }
-                println!("wrote {out}");
-            }
-        }
-        Err(e) => {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -1,10 +1,8 @@
-//! `exp_trajectory` — one-line-per-experiment summary of every
+//! `exp trajectory` — one-line-per-experiment summary of every
 //! `BENCH_*.json` the systems campaigns write (the scenario table
-//! `rbvc_bench::campaign::SCENARIOS`), keyed off the shared
-//! report envelope (`schema_version` / `experiment` / `title` /
-//! `git_rev` / `generated_unix_s`).
-//!
-//! Usage: `exp_trajectory [DIR]` (defaults to the current directory).
+//! `campaign::SCENARIOS`), keyed off the shared report envelope
+//! (`schema_version` / `experiment` / `title` / `git_rev` /
+//! `generated_unix_s`).
 //!
 //! Reads each report tolerantly: a missing file prints as absent, a
 //! pre-envelope or hand-edited document still summarizes whatever shared
@@ -12,9 +10,23 @@
 //! trajectory stand" view for a fresh checkout — which campaigns have
 //! been run, at which commit, how long ago, and their headline verdicts.
 
-use rbvc_bench::campaign::SCENARIOS;
-use rbvc_bench::report::print_table;
 use serde_json::Value;
+
+use super::Experiment;
+use crate::campaign::{Args, Gate, Kind, SCENARIOS};
+use crate::report::print_table;
+
+/// `exp trajectory`.
+pub const TRAJECTORY: Experiment = Experiment {
+    name: "trajectory",
+    ids: "—",
+    artefact: "one row per `BENCH_*.json` in DIR",
+    positionals: &[("DIR", Kind::Path, Some("."))],
+    flags: &[],
+    suite: None,
+    json: None,
+    run,
+};
 
 fn get_str(doc: &Value, key: &str) -> String {
     doc.get(key).and_then(Value::as_str).unwrap_or("?").to_string()
@@ -81,11 +93,10 @@ fn headline(doc: &Value) -> String {
     }
 }
 
-fn main() {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+fn run(args: &Args) -> Vec<Gate> {
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for name in SCENARIOS.map(|sc| sc.report) {
-        let path = std::path::Path::new(&dir).join(name);
+    for name in SCENARIOS.map(|sc| sc.report()) {
+        let path = std::path::Path::new(&args.pos[0]).join(&name);
         let row = match std::fs::read_to_string(&path) {
             Ok(text) => match serde_json::from_str(&text) {
                 Ok(doc) => vec![
@@ -95,10 +106,10 @@ fn main() {
                     age(get_u64(&doc, "generated_unix_s")),
                     headline(&doc),
                 ],
-                Err(_) => ["?", name, "?", "?", "unparseable JSON"].map(String::from).to_vec(),
+                Err(_) => ["?", &name, "?", "?", "unparseable JSON"].map(String::from).to_vec(),
             },
             Err(_) => {
-                ["—", name, "—", "—", "absent (campaign not run)"].map(String::from).to_vec()
+                ["—", &name, "—", "—", "absent (campaign not run)"].map(String::from).to_vec()
             }
         };
         rows.push(row);
@@ -108,4 +119,5 @@ fn main() {
         &["exp", "title", "rev", "generated", "headline"],
         &rows,
     );
+    Vec::new()
 }

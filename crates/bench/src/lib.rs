@@ -3,16 +3,20 @@
 //! # rbvc-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper
-//! (see DESIGN.md §3 for the experiment index E1–E13 and EXPERIMENTS.md for
+//! (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
 //! recorded paper-vs-measured outcomes).
 //!
-//! The library half hosts reusable workload generators, experiment
-//! functions returning typed rows, a plain-text table printer, and the
-//! [`campaign`] harness the systems campaigns (E17–E23) are scenarios of;
-//! the `src/bin/exp_*` binaries are thin wrappers, so integration tests can
-//! assert on the same rows the binaries print.
+//! One program, `exp` ([`cli`]), over two tables: the paper experiments
+//! ([`experiments::EXPERIMENTS`], E1–E16, and the three trace and report
+//! readers) and the systems campaigns
+//! ([`campaign::SCENARIOS`], E17–E23) the [`campaign`] harness runs. Each
+//! row's module under [`experiments`] holds the typed row functions and the
+//! code that prints them, so tests assert on the same rows `exp` prints;
+//! [`workloads`] are the seeded input generators and [`report`] the table
+//! printer and `BENCH_*.json` envelope.
 
 pub mod campaign;
+pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod workloads;

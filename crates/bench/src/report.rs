@@ -48,7 +48,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// human title, the git revision the binary was built from, and the
 /// wall-clock generation time. The envelope keys come first; `doc`'s own
 /// keys follow (an envelope key already present in `doc` is dropped in
-/// favor of the envelope's), so downstream tooling — `exp_trajectory`,
+/// favor of the envelope's), so downstream tooling — `exp trajectory`,
 /// CI artifact diffing — can read any experiment's output without
 /// per-experiment knowledge.
 #[must_use]

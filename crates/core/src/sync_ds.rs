@@ -4,21 +4,23 @@
 //! [`crate::sync_protocols::SyncBvc`] uses unauthenticated EIG, this module
 //! provides the authenticated alternative. Same Step 2, same decision
 //! rules, same guarantees — but `O(n³f)` messages instead of `O(n^{f+1})`
-//! (the ablation quantified in `benches/consensus.rs` and the
+//! (the ablation quantified by E15, `exp broadcast`, and the
 //! `message_complexity` tests).
 
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::dolev_strong::{DsEquivocator, ParallelDolevStrong, ParallelDsMsg};
-use rbvc_sim::sync::{SilentAdversary, SyncAdversary, SyncNode, SyncProtocol};
+use rbvc_sim::sync::{ProtocolFollowingAdversary, SilentAdversary, SyncNode, SyncProtocol};
 
 use crate::rules::{Decision, DecisionRule};
+use crate::sync_protocols::value_ok;
 
 /// Broadcast-then-decide over parallel Dolev–Strong.
 pub struct SyncBvcDs {
     broadcast: ParallelDolevStrong<VecD>,
     rule: DecisionRule,
     f: usize,
+    d: usize,
     tol: Tol,
     decision: Option<Decision>,
 }
@@ -40,6 +42,7 @@ impl SyncBvcDs {
             broadcast: ParallelDolevStrong::new(id, n, f, input, VecD::zeros(d)),
             rule,
             f,
+            d,
             tol,
             decision: None,
         }
@@ -61,7 +64,26 @@ impl SyncProtocol for SyncBvcDs {
     }
 
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, Self::Msg)]) {
-        self.broadcast.receive(round, inbox);
+        // The same receive boundary as the EIG flavour: a chain whose value
+        // is not a finite `d`-vector is dropped before the broadcast layer
+        // sees it, so it ends as the `0^d` default of its faulty sender.
+        // Every honest receiver applies the same predicate, so Dolev–Strong
+        // agreement is untouched.
+        let sane: Vec<(ProcessId, Self::Msg)> = inbox
+            .iter()
+            .map(|(from, msg)| {
+                let msg = msg
+                    .iter()
+                    .map(|(sender, batch)| {
+                        let batch =
+                            batch.iter().filter(|c| value_ok(&c.value, self.d)).cloned().collect();
+                        (*sender, batch)
+                    })
+                    .collect();
+                (*from, msg)
+            })
+            .collect();
+        self.broadcast.receive(round, &sane);
         if self.decision.is_none() {
             if let Some(s) = self.broadcast.output() {
                 self.decision = Some(self.rule.decide(&s, self.f, self.tol));
@@ -112,21 +134,10 @@ pub fn make_ds_node(
         Some(DsByzantineStrategy::Equivocate { low, high }) => SyncNode::Byzantine(
             Box::new(DsEquivocator::new(id, n, f, low, high, VecD::zeros(d))),
         ),
+        // The honest broadcast layer run verbatim, without Step 2.
         Some(DsByzantineStrategy::FollowProtocol(input)) => SyncNode::Byzantine(Box::new(
-            FollowDsAdversary(ParallelDolevStrong::new(id, n, f, input, VecD::zeros(d))),
+            ProtocolFollowingAdversary(ParallelDolevStrong::new(id, n, f, input, VecD::zeros(d))),
         )),
-    }
-}
-
-/// Byzantine wrapper that runs the honest broadcast layer verbatim.
-pub struct FollowDsAdversary(ParallelDolevStrong<VecD>);
-
-impl SyncAdversary<ParallelDsMsg<VecD>> for FollowDsAdversary {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, ParallelDsMsg<VecD>)> {
-        self.0.round_messages(round)
-    }
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, ParallelDsMsg<VecD>)]) {
-        self.0.receive(round, inbox);
     }
 }
 
@@ -238,6 +249,48 @@ mod tests {
             a.approx_eq(&b, Tol(1e-9)),
             "substrates disagree: {a} vs {b}"
         );
+    }
+
+    #[test]
+    fn malformed_payloads_cannot_poison_the_run() {
+        // The EIG flavour's `non_finite_payloads_cannot_poison_the_run`
+        // over Dolev–Strong: a faulty process that follows the protocol
+        // with a non-finite or wrong-dimension input. Its signed chains are
+        // perfectly valid, so only the receive boundary keeps the value out
+        // of the common multiset.
+        let (n, f, d) = (5, 1, 2);
+        let inputs: Vec<VecD> = (0..n).map(|i| VecD::from_slice(&[i as f64, 1.0])).collect();
+        for bad in [
+            VecD::from_slice(&[f64::NAN, f64::INFINITY]),
+            VecD::from_slice(&[f64::INFINITY, 1.0]),
+            VecD::from_slice(&[1.0, 2.0, 3.0]),
+        ] {
+            for rule in [
+                DecisionRule::GammaPoint,
+                DecisionRule::CoordinateTrimmedMidpoint,
+                DecisionRule::MinDeltaPoint(Norm::L2),
+            ] {
+                let byz = vec![(4, DsByzantineStrategy::FollowProtocol(bad.clone()))];
+                let (decisions, correct) = run(n, f, d, &inputs, byz, rule);
+                for dec in &decisions {
+                    let dec = dec.as_ref().expect("every honest process decides");
+                    assert!(
+                        dec.dim() == d && dec.as_slice().iter().all(|x| x.is_finite()),
+                        "{bad} leaked into a decision under {rule:?}: {dec}"
+                    );
+                }
+                if rule == DecisionRule::GammaPoint {
+                    let v = check_execution(
+                        &correct,
+                        &decisions,
+                        Agreement::Exact,
+                        &Validity::Exact,
+                        t(),
+                    );
+                    assert!(v.ok(), "{bad} broke exact validity: {v:?}");
+                }
+            }
+        }
     }
 
     #[test]

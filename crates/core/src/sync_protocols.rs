@@ -14,9 +14,17 @@
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::eig::{EigMsg, LyingRelay, ParallelEig, ParallelEigMsg, TwoFacedSender};
-use rbvc_sim::sync::{SilentAdversary, SyncAdversary, SyncNode, SyncProtocol};
+use rbvc_sim::sync::{ProtocolFollowingAdversary, SilentAdversary, SyncNode, SyncProtocol};
 
 use crate::rules::{Decision, DecisionRule};
+
+/// True iff `v` is a well-formed payload for a `d`-dimensional run: the
+/// right dimension and every component finite. The one receive-boundary
+/// predicate of both broadcast flavours ([`SyncBvc`] and
+/// [`crate::sync_ds::SyncBvcDs`]).
+pub(crate) fn value_ok(v: &VecD, d: usize) -> bool {
+    v.dim() == d && v.as_slice().iter().all(|x| x.is_finite())
+}
 
 /// The broadcast-then-decide synchronous protocol.
 pub struct SyncBvc {
@@ -57,12 +65,6 @@ impl SyncBvc {
         }
     }
 
-    /// True iff `v` is a well-formed payload for this run: the right
-    /// dimension and every component finite.
-    fn value_ok(&self, v: &VecD) -> bool {
-        v.dim() == self.d && v.as_slice().iter().all(|x| x.is_finite())
-    }
-
     /// The full decision record (value + δ used), once decided.
     #[must_use]
     pub fn decision(&self) -> Option<&Decision> {
@@ -99,7 +101,7 @@ impl SyncProtocol for SyncBvc {
                     .map(|(origin, batch)| {
                         let batch: EigMsg<VecD> = batch
                             .iter()
-                            .filter(|(_, v)| self.value_ok(v))
+                            .filter(|(_, v)| value_ok(v, self.d))
                             .cloned()
                             .collect();
                         (*origin, batch)
@@ -177,27 +179,10 @@ pub fn make_node(
         Some(ByzantineStrategy::LyingRelay { input, corrupt }) => SyncNode::Byzantine(
             Box::new(LyingRelay::new(id, n, f, input, VecD::zeros(d), corrupt)),
         ),
-        Some(ByzantineStrategy::FollowProtocol(input)) => {
-            SyncNode::Byzantine(Box::new(FollowProtocolAdversary(ParallelEig::new(
-                id,
-                n,
-                f,
-                input,
-                VecD::zeros(d),
-            ))))
-        }
-    }
-}
-
-/// Byzantine wrapper that runs the honest broadcast layer verbatim.
-pub struct FollowProtocolAdversary(ParallelEig<VecD>);
-
-impl SyncAdversary<ParallelEigMsg<VecD>> for FollowProtocolAdversary {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, ParallelEigMsg<VecD>)> {
-        self.0.round_messages(round)
-    }
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, ParallelEigMsg<VecD>)]) {
-        self.0.receive(round, inbox);
+        // The honest broadcast layer run verbatim, without Step 2.
+        Some(ByzantineStrategy::FollowProtocol(input)) => SyncNode::Byzantine(Box::new(
+            ProtocolFollowingAdversary(ParallelEig::new(id, n, f, input, VecD::zeros(d))),
+        )),
     }
 }
 

@@ -26,7 +26,7 @@ use rbvc_obs::{time_kernel, Counter, Kernel, Registry};
 
 /// Global counter for phase-1 infeasibility exits, replacing the old
 /// `RBVC_LP_DEBUG` stderr diagnostics: inspect it through the metrics
-/// registry (or an `exp_obs` report) instead of scraping stderr.
+/// registry (or an `exp obs` report) instead of scraping stderr.
 fn phase1_infeasible_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| Registry::global().counter("lp.phase1_infeasible"))

@@ -20,8 +20,6 @@
 //! * [`affine`] — affine independence, affine bases, orthonormalisation and
 //!   distance-preserving projections onto affine subspaces (used in
 //!   Theorem 8 / Case II of Theorem 9).
-//! * [`qr`] — Householder QR and least squares (cross-check oracle for the
-//!   Gram–Schmidt bases).
 //! * [`cayley_menger`] — simplex volumes from pairwise distances.
 //! * [`tolerance`] — the shared numerical-tolerance policy.
 
@@ -29,7 +27,6 @@ pub mod affine;
 pub mod cayley_menger;
 pub mod matrix;
 pub mod norms;
-pub mod qr;
 pub mod tolerance;
 pub mod vector;
 

@@ -23,7 +23,7 @@
 //!   [`StatusSnapshot`]; the endpoint splices them into one document.
 //! * [`FlightRecorder`] — a bounded ring of recent events that is always
 //!   on and dumps a self-describing JSONL black-box file (parsed by
-//!   [`crate::report::TraceSummary`], i.e. replayable by `exp_obs`) on a
+//!   [`crate::report::TraceSummary`], i.e. replayable by `exp obs`) on a
 //!   safety-monitor violation, a stall past its dump deadline, or a panic
 //!   (via [`arm_panic_hook`]).
 
@@ -976,7 +976,7 @@ struct FlightInner {
 ///
 /// Dump files land in the configured directory as
 /// `flight-node<N>-<reason>-<seq>.jsonl` and parse with
-/// [`crate::report::TraceSummary`] (zero unknown records), so `exp_obs`
+/// [`crate::report::TraceSummary`] (zero unknown records), so `exp obs`
 /// replays them like any other trace.
 pub struct FlightRecorder {
     node: u32,

@@ -19,15 +19,15 @@
 //!
 //! [`report`] parses a JSONL trace back into a per-run summary (rounds,
 //! messages by kind, gate-rejection table, decide-latency percentiles,
-//! kernel breakdown); the `exp_obs` binary in `rbvc-bench` is its CLI.
+//! kernel breakdown); `exp obs` in `rbvc-bench` is its CLI.
 //!
 //! On top of those, the tracing layer: [`clock`] pins every timestamp to
 //! one process-wide monotonic epoch (wall-anchored once, in the trace
 //! header), [`trace`] assembles merged per-node JSONL into each decided
 //! instance's message DAG and attributes the submit→decide critical path
 //! into named phases ([`Phase`]), and [`serve`] exposes any [`Registry`]
-//! as a live Prometheus-text `/metrics` endpoint ([`MetricsServer`]); the
-//! `exp_trace` binary in `rbvc-bench` is the assembler's CLI.
+//! as a live Prometheus-text `/metrics` endpoint ([`MetricsServer`]);
+//! `exp trace` in `rbvc-bench` is the assembler's CLI.
 //!
 //! [`health`] is the self-diagnosis layer: a per-instance stall detector
 //! with phase + peer blame ([`StallDetector`], [`StallReport`]), a

@@ -182,7 +182,7 @@ fn scalar_from_value(v: &serde::Value) -> Option<(String, i128)> {
 }
 
 /// Render the summary as the human-readable per-run report printed by
-/// `exp_obs`.
+/// `exp obs`.
 #[must_use]
 pub fn render_report(s: &TraceSummary) -> String {
     use std::fmt::Write as _;

@@ -18,7 +18,7 @@
 //! bytes on real TCP sockets (per-recipient equivocation, lying witnesses,
 //! crafted near-valid frames, handshake replays) — are the
 //! `rbvc-transport` crate's `byzantine` attack registry, driven by the E20
-//! `exp_byzantine` campaign.
+//! `exp byzantine` campaign.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -16,7 +16,7 @@
 //!   runs unmodified under loss < 100%.
 //!
 //! All decisions flow from one seeded RNG: identical seeds replay
-//! bit-identically, which the chaos campaign (`exp_chaos`) relies on.
+//! bit-identically, which the chaos campaign (`exp chaos`) relies on.
 
 use std::collections::BTreeMap;
 

@@ -1826,6 +1826,12 @@ impl<T: Transport> ConsensusService<T> {
                     }
                 }
                 WalRecord::WitnessCommit { instance, count } => {
+                    // Appended after the poll's `Inbound` records, so the
+                    // replayed instance must stand at exactly this count.
+                    let replayed = svc.instances.get(&instance).map(|s| s.proto.witness_commits());
+                    if replayed != Some(count) {
+                        svc.replay_divergence += 1;
+                    }
                     svc.witness_logged.insert(instance, count);
                 }
                 WalRecord::Decided { instance, value } => {
@@ -2638,6 +2644,19 @@ mod tests {
         assert_eq!(svc.replay_divergences(), 0);
         assert_eq!((svc.gate_rejections(), svc.gate_rejections_by_sender().to_vec()), live);
         assert_eq!(svc.wal.as_ref().expect("durable").records(), report.records.len() as u64);
+        // The same log plus a `WitnessCommit` the replayed instance never
+        // reached (it stands at 0 commits): the cross-check must flag it.
+        drop(svc);
+        let (mut wal, _) = rbvc_store::Wal::open(&path).unwrap();
+        wal.append_record(WalRecordRef::WitnessCommit { instance: 5, count: 1 }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (wal, report) = rbvc_store::Wal::open(&path).unwrap();
+        let svc = ConsensusService::recover(in_proc_mesh(n).remove(1), wal, &report, |_, spec| {
+            Ok(va_from_spec(1, n, spec))
+        })
+        .expect("recover");
+        assert_eq!(svc.replay_divergences(), 1, "an off-by-one witness count is a divergence");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
