@@ -362,7 +362,6 @@ fn run_tcp_mesh(
                         dump_deadline_us: 120_000_000,
                     },
                     flight_dir: None,
-                    flight_capacity: 0,
                     status: Some(board.clone()),
                 });
             }

@@ -13,7 +13,7 @@
 //! proven Theorem 9 bounds as a calibration control (it must stay < 1).
 
 use rbvc_geometry::combinatorics::combinations;
-use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+use rbvc_geometry::minmax::delta_star;
 use rbvc_geometry::pairwise_edges;
 use rbvc_linalg::{Norm, Tol, VecD};
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ pub fn adversarial_ratio(
     tol: Tol,
 ) -> f64 {
     let n = points.len();
-    let delta = delta_star(points, f, Norm::L2, tol, MinMaxOptions::default()).delta;
+    let delta = delta_star(points, f, Norm::L2, tol).delta;
     if delta <= 0.0 {
         return 0.0;
     }

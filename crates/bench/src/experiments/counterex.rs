@@ -19,7 +19,7 @@ use rbvc_core::runner::{
 use rbvc_core::sync_protocols::ByzantineStrategy;
 use rbvc_core::verified_avg::DeltaMode;
 use rbvc_geometry::gamma::gamma_delta_point;
-use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+use rbvc_geometry::minmax::delta_star;
 use rbvc_linalg::{Norm, Tol, VecD};
 use serde_json::json;
 
@@ -292,7 +292,7 @@ pub fn figure1_demo(d: usize) -> Vec<Figure1Row> {
     let zero = VecD::zeros(d);
     let one = VecD::ones(d);
     let candidate = |view: &[VecD]| -> VecD {
-        delta_star(view, 1, Norm::L2, tol, MinMaxOptions::default()).witness
+        delta_star(view, 1, Norm::L2, tol).witness
     };
 
     let mut rows = Vec::new();

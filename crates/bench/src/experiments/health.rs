@@ -297,7 +297,6 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
                 },
                 status: cfg.status.clone(),
                 flight_dir: cfg.flight_dir.clone(),
-                flight_capacity: 0,
             });
             svc
         })

@@ -9,7 +9,7 @@
 //! (expected: zero for the theorems; conjecture rows are labelled).
 
 use rbvc_core::bounds::{kappa_l2, kappa_lp, theorem9_min_edge_factor, BoundSource};
-use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+use rbvc_geometry::minmax::delta_star;
 use rbvc_linalg::{Norm, Tol, VecD};
 use serde_json::json;
 
@@ -91,7 +91,7 @@ pub fn run_config(
             let correct = workloads::random_points(&mut r, n - f, d, 1.0);
             let faulty = workloads::random_points(&mut r, f, d, 3.0);
             let (inputs, _) = workloads::assemble_inputs(&correct, &faulty);
-            let ds = delta_star(&inputs, f, norm, tol, MinMaxOptions::default());
+            let ds = delta_star(&inputs, f, norm, tol);
             let bound = bound_for(f, n, d, norm, &correct);
             (ds.delta, bound)
         })

@@ -130,7 +130,7 @@ pub fn theorem3_psi_empty(d: usize, tol: Tol) -> bool {
     psi_k_empty(&inputs, 1, 2, tol)
 }
 
-/// The `f > 1` extension via the simulation approach [12] made executable:
+/// The `f > 1` extension via the simulation approach \[12\] made executable:
 /// replicate each of the `d + 1` columns `f` times, giving `n = (d+1)f`
 /// inputs, and certify that `Ψ(Y)` with `f` faults is still empty. (Any
 /// `(n−f)`-subset omits at most `f` inputs; the binding subsets are those

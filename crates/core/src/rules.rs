@@ -7,7 +7,7 @@
 //! validity condition holds and at which `n`:
 //!
 //! * [`DecisionRule::GammaPoint`] — a point of `Γ(S)` (Exact BVC, Vaidya–
-//!   Garg [19]; also k-relaxed consensus for `2 ≤ k ≤ d` since
+//!   Garg \[19\]; also k-relaxed consensus for `2 ≤ k ≤ d` since
 //!   `H(T) ⊆ H_k(T)`). Requires `n ≥ (d+1)f + 1` for nonemptiness
 //!   (Tverberg).
 //! * [`DecisionRule::CoordinateTrimmedMidpoint`] — per-coordinate scalar
@@ -17,7 +17,7 @@
 //!   `Γ_(δ,p)(S)` nonempty and a deterministic point of it. Solves
 //!   input-dependent (δ,p)-relaxed consensus at `n ≥ 3f + 1` (§9).
 
-use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+use rbvc_geometry::minmax::delta_star;
 use rbvc_geometry::{gamma_point, ConvexHull};
 use rbvc_linalg::{Norm, Tol, VecD};
 use serde::{Deserialize, Serialize};
@@ -78,7 +78,7 @@ impl DecisionRule {
                 }
             }
             DecisionRule::MinDeltaPoint(norm) => {
-                let ds = delta_star(s, f, *norm, tol, MinMaxOptions::default());
+                let ds = delta_star(s, f, *norm, tol);
                 Decision {
                     value: ds.witness,
                     delta: ds.delta,

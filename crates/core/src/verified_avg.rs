@@ -1,7 +1,7 @@
 //! (Relaxed) Verified Averaging — the paper's asynchronous algorithm (§10),
 //! built on Bracha reliable broadcast.
 //!
-//! Structure (following Tseng–Vaidya [15] with the paper's modified round-0
+//! Structure (following Tseng–Vaidya \[15\] with the paper's modified round-0
 //! function `H_(δ,p)(V, 0)`, Definition 12):
 //!
 //! * **Round 0** — every process reliably broadcasts its input. Upon
@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use crate::error::ProtocolError;
-use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+use rbvc_geometry::minmax::delta_star;
 use rbvc_geometry::gamma_point;
 use rbvc_linalg::{Norm, Tol, VecD};
 use rbvc_obs::{Event, EventKind, Obs};
@@ -223,7 +223,7 @@ impl VerifiedAveraging {
                     mode: "Γ(X) in DeltaMode::Zero",
                 }),
             DeltaMode::MinDelta(norm) => {
-                let ds = delta_star(values, self.f, norm, self.tol, MinMaxOptions::default());
+                let ds = delta_star(values, self.f, norm, self.tol);
                 Ok((ds.witness, ds.delta))
             }
         }

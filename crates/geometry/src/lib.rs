@@ -44,7 +44,7 @@ pub mod tverberg;
 
 pub use gamma::{gamma_point, min_delta_polyhedral, subset_hulls};
 pub use hull::ConvexHull;
-pub use minmax::{delta_star, DeltaStar, MinMaxOptions};
+pub use minmax::{delta_star, DeltaStar};
 pub use projection::{all_projections, CoordProjection};
 pub use relaxed::{DeltaPHull, KRelaxedHull};
 pub use simplex_geom::{pairwise_edges, pairwise_edges_norm, Simplex};

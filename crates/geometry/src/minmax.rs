@@ -15,8 +15,8 @@
 //!     bisection; each feasibility probe runs cyclic Euclidean projections
 //!     onto the δ-fattened subset hulls.
 //!
-//! Accuracy of the general path is governed by [`MinMaxOptions`]; the test
-//! suite pins it against the Lemma 13 closed form.
+//! Accuracy of the general path is fixed by two constants next to the
+//! bisection; the test suite pins it against the Lemma 13 closed form.
 
 use rbvc_linalg::affine::IsometricProjection;
 use rbvc_linalg::{Norm, Tol, VecD};
@@ -50,24 +50,6 @@ pub enum Method {
     BisectionPocs,
 }
 
-/// Accuracy knobs for the bisection/POCS path.
-#[derive(Debug, Clone, Copy)]
-pub struct MinMaxOptions {
-    /// Relative width at which bisection stops.
-    pub rel_tol: f64,
-    /// Maximum POCS cycles per feasibility probe.
-    pub max_cycles: usize,
-}
-
-impl Default for MinMaxOptions {
-    fn default() -> Self {
-        MinMaxOptions {
-            rel_tol: 1e-7,
-            max_cycles: 400,
-        }
-    }
-}
-
 /// The max-distance objective `F(x) = max_T dist₂(x, H(T))` and the index of
 /// the farthest hull.
 #[must_use]
@@ -82,7 +64,7 @@ pub fn max_distance(hulls: &[ConvexHull], x: &VecD, tol: Tol) -> (f64, usize) {
 /// Compute `δ*(S)` for the given norm.
 ///
 /// ```
-/// use rbvc_geometry::minmax::{delta_star, MinMaxOptions};
+/// use rbvc_geometry::minmax::delta_star;
 /// use rbvc_linalg::{Norm, Tol, VecD};
 ///
 /// // The 3-4-5 triangle: δ*₂ is its inradius 1 (Lemma 13), realized at the
@@ -92,20 +74,14 @@ pub fn max_distance(hulls: &[ConvexHull], x: &VecD, tol: Tol) -> (f64, usize) {
 ///     VecD::from_slice(&[3.0, 0.0]),
 ///     VecD::from_slice(&[0.0, 4.0]),
 /// ];
-/// let ds = delta_star(&s, 1, Norm::L2, Tol::default(), MinMaxOptions::default());
+/// let ds = delta_star(&s, 1, Norm::L2, Tol::default());
 /// assert!((ds.delta - 1.0).abs() < 1e-8);
 /// ```
 ///
 /// # Panics
 /// Panics if `points` is empty or `f ≥ |points|`.
 #[must_use]
-pub fn delta_star(
-    points: &[VecD],
-    f: usize,
-    norm: Norm,
-    tol: Tol,
-    opts: MinMaxOptions,
-) -> DeltaStar {
+pub fn delta_star(points: &[VecD], f: usize, norm: Norm, tol: Tol) -> DeltaStar {
     assert!(!points.is_empty(), "delta_star: empty input multiset");
     assert!(f < points.len(), "delta_star requires f < n");
     time_kernel(Kernel::PsiOracle, || match norm {
@@ -117,18 +93,18 @@ pub fn delta_star(
                 method: Method::PolyhedralLp,
             }
         }
-        Norm::L2 => delta_star_l2(points, f, tol, opts),
+        Norm::L2 => delta_star_l2(points, f, tol),
         Norm::Lp(_) => {
             // General p: bracket by the polyhedral values and bisect with
             // approximate distance probes (documented approximate path).
-            delta_star_general_p(points, f, norm, tol, opts)
+            delta_star_general_p(points, f, norm, tol)
         }
     })
 }
 
 /// δ*₂ with closed-form fast paths (see module docs).
 #[must_use]
-pub fn delta_star_l2(points: &[VecD], f: usize, tol: Tol, opts: MinMaxOptions) -> DeltaStar {
+pub fn delta_star_l2(points: &[VecD], f: usize, tol: Tol) -> DeltaStar {
     let n = points.len();
 
     // Fast paths for f = 1 (Theorem 8 / Lemma 13 / Theorem 9 Case II).
@@ -167,11 +143,17 @@ pub fn delta_star_l2(points: &[VecD], f: usize, tol: Tol, opts: MinMaxOptions) -
             method: Method::DegenerateZero,
         };
     }
-    bisection_pocs(points, f, tol, opts)
+    bisection_pocs(points, f, tol)
 }
 
+/// Relative width at which the bisection stops.
+const BISECTION_REL_TOL: f64 = 1e-7;
+
+/// Maximum POCS cycles per feasibility probe.
+const POCS_MAX_CYCLES: usize = 400;
+
 /// Bracketed bisection with POCS feasibility probes for the L2 norm.
-fn bisection_pocs(points: &[VecD], f: usize, tol: Tol, opts: MinMaxOptions) -> DeltaStar {
+fn bisection_pocs(points: &[VecD], f: usize, tol: Tol) -> DeltaStar {
     let d = points[0].dim();
     let hulls = subset_hulls(points, f);
 
@@ -188,10 +170,10 @@ fn bisection_pocs(points: &[VecD], f: usize, tol: Tol, opts: MinMaxOptions) -> D
     let scale = points.iter().fold(1.0_f64, |m, p| m.max(p.max_abs()));
     let abs_floor = tol.scaled(scale).value() * 10.0;
 
-    while hi - lo > opts.rel_tol * hi.max(abs_floor) && hi - lo > abs_floor {
+    while hi - lo > BISECTION_REL_TOL * hi.max(abs_floor) && hi - lo > abs_floor {
         let mid = 0.5 * (lo + hi);
         let feas_slack = 0.25 * (hi - lo);
-        match pocs_probe(&hulls, &best_point, mid, feas_slack, tol, opts) {
+        match pocs_probe(&hulls, &best_point, mid, feas_slack, tol) {
             Some((point, achieved)) => {
                 best_point = point;
                 best_val = achieved;
@@ -221,13 +203,12 @@ fn pocs_probe(
     delta: f64,
     slack: f64,
     tol: Tol,
-    opts: MinMaxOptions,
 ) -> Option<(VecD, f64)> {
     let mut x = x0.clone();
     let mut best_f = f64::INFINITY;
     let mut best_x = x.clone();
     let mut stall = 0usize;
-    for _ in 0..opts.max_cycles {
+    for _ in 0..POCS_MAX_CYCLES {
         // One cycle of projections onto each fattened hull.
         for h in hulls {
             let (proj, dist) = h.project(&x, tol);
@@ -264,15 +245,9 @@ fn pocs_probe(
 }
 
 /// General-p path: bisection over δ with approximate Lp distance probes.
-fn delta_star_general_p(
-    points: &[VecD],
-    f: usize,
-    norm: Norm,
-    tol: Tol,
-    opts: MinMaxOptions,
-) -> DeltaStar {
+fn delta_star_general_p(points: &[VecD], f: usize, norm: Norm, tol: Tol) -> DeltaStar {
     // Seed from the L2 solution (distances within norm-equivalence factors).
-    let l2 = delta_star_l2(points, f, tol, opts);
+    let l2 = delta_star_l2(points, f, tol);
     let hulls = subset_hulls(points, f);
     let fmax = |x: &VecD| -> f64 {
         hulls
@@ -327,9 +302,6 @@ mod tests {
         Tol::default()
     }
 
-    fn opts() -> MinMaxOptions {
-        MinMaxOptions::default()
-    }
 
     #[test]
     fn lemma13_triangle_inradius() {
@@ -340,7 +312,7 @@ mod tests {
             VecD::from_slice(&[3.0, 0.0]),
             VecD::from_slice(&[0.0, 4.0]),
         ];
-        let ds = delta_star(&pts, 1, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 1, Norm::L2, t());
         assert_eq!(ds.method, Method::InradiusClosedForm);
         assert!((ds.delta - 1.0).abs() < 1e-9);
         assert!(ds.witness.approx_eq(&VecD::from_slice(&[1.0, 1.0]), Tol(1e-8)));
@@ -355,7 +327,7 @@ mod tests {
             VecD::from_slice(&[0.0, 1.0, 0.0]),
             VecD::from_slice(&[1.0, 1.0, 0.0]),
         ];
-        let ds = delta_star(&pts, 1, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 1, Norm::L2, t());
         assert_eq!(ds.method, Method::DegenerateZero);
         assert_eq!(ds.delta, 0.0);
         // Witness must be in every 3-subset hull.
@@ -371,7 +343,7 @@ mod tests {
             VecD::from_slice(&[3.0, 0.0, 1.0]),
             VecD::from_slice(&[0.0, 4.0, 1.0]),
         ];
-        let ds = delta_star(&pts, 1, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 1, Norm::L2, t());
         assert_eq!(ds.method, Method::InradiusClosedForm);
         assert!((ds.delta - 1.0).abs() < 1e-9, "inradius 1, got {}", ds.delta);
     }
@@ -393,7 +365,7 @@ mod tests {
                 continue; // skip needle cases for the iterative path
             }
             let exact = simplex.inradius();
-            let approx = bisection_pocs(&pts, 1, t(), opts());
+            let approx = bisection_pocs(&pts, 1, t());
             assert!(
                 (approx.delta - exact).abs() < 1e-4 * exact.max(1.0),
                 "POCS δ*={} vs inradius {exact} (d={d})",
@@ -411,7 +383,7 @@ mod tests {
             VecD::from_slice(&[1.0, 2.0]),
             VecD::from_slice(&[1.0, 0.7]),
         ];
-        let ds = delta_star(&pts, 1, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 1, Norm::L2, t());
         assert_eq!(ds.delta, 0.0);
     }
 
@@ -427,9 +399,9 @@ mod tests {
             if Simplex::new(pts.clone(), t()).is_none_or(|s| s.inradius() < 0.05) {
                 continue;
             }
-            let dinf = delta_star(&pts, 1, Norm::LInf, t(), opts()).delta;
-            let d2 = delta_star(&pts, 1, Norm::L2, t(), opts()).delta;
-            let d1 = delta_star(&pts, 1, Norm::L1, t(), opts()).delta;
+            let dinf = delta_star(&pts, 1, Norm::LInf, t()).delta;
+            let d2 = delta_star(&pts, 1, Norm::L2, t()).delta;
+            let d1 = delta_star(&pts, 1, Norm::L1, t()).delta;
             assert!(dinf <= d2 + 1e-6, "δ*_∞={dinf} > δ*₂={d2}");
             assert!(d2 <= d1 + 1e-6, "δ*₂={d2} > δ*₁={d1}");
         }
@@ -442,7 +414,7 @@ mod tests {
             VecD::from_slice(&[3.0, 0.0]),
             VecD::from_slice(&[0.0, 4.0]),
         ];
-        let ds = delta_star(&pts, 1, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 1, Norm::L2, t());
         for h in subset_hulls(&pts, 1) {
             let dist = h.project(&ds.witness, t()).1;
             assert!(dist <= ds.delta + 1e-7);
@@ -457,13 +429,13 @@ mod tests {
         let pts: Vec<VecD> = (0..8)
             .map(|_| VecD((0..d).map(|_| rng.gen_range(-1.0..1.0)).collect()))
             .collect();
-        let ds = delta_star(&pts, 2, Norm::L2, t(), opts());
+        let ds = delta_star(&pts, 2, Norm::L2, t());
         // δ* must be attained (within solver slack) by the witness.
         let hulls = subset_hulls(&pts, 2);
         let (fval, _) = max_distance(&hulls, &ds.witness, t());
         assert!(fval <= ds.delta + 1e-5, "witness F={fval} vs δ*={}", ds.delta);
         // And bounded by the LP-exact L1 value from above.
-        let d1 = delta_star(&pts, 2, Norm::L1, t(), opts()).delta;
+        let d1 = delta_star(&pts, 2, Norm::L1, t()).delta;
         assert!(ds.delta <= d1 + 1e-5);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! For a full-dimensional simplex with vertices `a₁ … a_{d+1}` in `R^d`, set
 //! `A = [a₁−a_{d+1}, …, a_d−a_{d+1}]` and `B = (A⁻¹)ᵀ` with columns
-//! `b₁ … b_d` and `b_{d+1} = −Σ bᵢ`. Then (Akira Toda, cited as [2]):
+//! `b₁ … b_d` and `b_{d+1} = −Σ bᵢ`. Then (Akira Toda, cited as \[2\]):
 //!
 //! * Lemma 11: `⟨aᵢ − a_j, b_k⟩ = δ_{ik} − δ_{jk}`;
 //! * Lemma 12: the inradius is `r = 1 / Σᵢ ‖bᵢ‖`;

@@ -167,11 +167,13 @@ impl MetricsServer {
                         if shutdown.load(Ordering::SeqCst) {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        let Ok(mut stream) = stream else { continue };
                         // Serve inline: scrape traffic is one client at a
                         // low rate; a slow reader only delays the next
                         // scrape, never the run being observed.
-                        if answer(stream, &registry, &status).is_ok() {
+                        if answer(&mut stream, &registry, &status).is_ok() {
+                            // Counted while the stream is still open: a client
+                            // that read to EOF finds its scrape in `scrapes()`.
                             scrapes.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -224,7 +226,7 @@ fn request_path(head: &[u8]) -> Option<String> {
 /// Read one request (best effort), route it, and answer. Unknown paths
 /// get a real `404` response — a scraper probing the wrong path sees an
 /// HTTP error, not a dropped connection.
-fn answer(mut stream: TcpStream, registry: &Registry, status: &StatusBoard) -> std::io::Result<()> {
+fn answer(stream: &mut TcpStream, registry: &Registry, status: &StatusBoard) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     // Drain the request line + headers; tolerate clients that just read.
     let mut buf = [0u8; 1024];

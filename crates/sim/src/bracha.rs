@@ -1,7 +1,7 @@
 //! Bracha's asynchronous reliable broadcast (init / echo / ready).
 //!
 //! The paper's asynchronous algorithm (§10, Relaxed Verified Averaging)
-//! inherits reliable broadcast from Bracha [4]: with `n ≥ 3f + 1`,
+//! inherits reliable broadcast from Bracha \[4\]: with `n ≥ 3f + 1`,
 //!
 //! * if the broadcaster is correct, every correct process delivers its
 //!   value (validity);

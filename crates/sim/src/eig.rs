@@ -2,7 +2,7 @@
 //!
 //! The paper's algorithm ALGO (§9) starts with "each process performs a
 //! Byzantine broadcast of its input … by using any Byzantine broadcast
-//! algorithm, such as [12]; `n ≥ 3f + 1` suffices". EIG is the textbook
+//! algorithm, such as \[12\]; `n ≥ 3f + 1` suffices". EIG is the textbook
 //! unauthenticated protocol meeting that contract in a complete network:
 //!
 //! * `f + 1` lockstep rounds;

@@ -6,7 +6,7 @@
 //!
 //! * [`CrashAdversary`] — honest until a chosen round, then silent forever
 //!   (the benign-fault end of the spectrum, cf. the crash-fault model of
-//!   Tseng–Vaidya [16] cited in the paper's related work);
+//!   Tseng–Vaidya \[16\] cited in the paper's related work);
 //! * [`FuzzAdversary`] / [`AsyncFuzzAdversary`] — sends seeded-random,
 //!   arbitrarily-addressed messages produced by a caller-supplied
 //!   generator, optionally also mutating what an honest node would have

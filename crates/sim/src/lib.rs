@@ -15,7 +15,7 @@
 //!   (simulated signatures), the polynomial-message alternative substrate.
 //! * [`eig`] — Exponential Information Gathering Byzantine broadcast
 //!   (`f + 1` rounds, `n ≥ 3f + 1`), the "Byzantine broadcast … such as
-//!   [12]" that Step 1 of ALGO calls for.
+//!   \[12\]" that Step 1 of ALGO calls for.
 //! * [`asynch`] — event-driven asynchronous engine with seeded/adversarial
 //!   schedulers guaranteeing eventual delivery.
 //! * [`bracha`] — Bracha's reliable broadcast (init/echo/ready), the

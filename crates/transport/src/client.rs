@@ -373,8 +373,17 @@ impl ClientPort {
                 Registry::global().counter("client.port.reject").inc();
                 continue;
             };
-            self.session_conns.insert(session, conn);
-            match svc.client_submit(session, reqno, value) {
+            let verdict = svc.client_submit(session, reqno, value);
+            // Only a request the table holds gets a route for its reply (a
+            // retry from a new connection re-routes an in-flight one): what
+            // the table refuses must not grow a map fed by outside input.
+            if matches!(
+                verdict,
+                ClientAdmission::Admitted | ClientAdmission::Queued | ClientAdmission::Stale
+            ) {
+                self.session_conns.insert(session, conn);
+            }
+            match verdict {
                 ClientAdmission::Reply { reqno, decision } => {
                     self.respond(conn, &ClientFrame::Reply { session, reqno, decision });
                 }
@@ -443,6 +452,8 @@ impl Drop for ClientPort {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ClientConfig;
+    use crate::transport::in_proc_mesh;
 
     fn samples() -> Vec<ClientFrame> {
         vec![
@@ -518,5 +529,35 @@ mod tests {
         assert!(decode_client_frame(&[b'R', b'C', CLIENT_VERSION, 9]).is_err());
         assert!(decode_client_frame(&[b'X', b'C', CLIENT_VERSION, 4]).is_err());
         assert!(decode_client_frame(&[]).is_err());
+    }
+
+    /// Submits the table refuses leave nothing behind in the port: 50
+    /// redirects for foreign sessions, no routing entry, no session row.
+    #[test]
+    fn refused_submits_do_not_grow_the_routing_map() {
+        let mut svc = ConsensusService::new(in_proc_mesh(2).remove(0));
+        svc.enable_client(ClientConfig::default());
+        svc.start_deferred();
+        let mut port = ClientPort::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut conn = TcpStream::connect(port.local_addr()).unwrap();
+        for i in 0..50u64 {
+            // Odd sessions belong to node 1.
+            let submit = ClientFrame::Submit {
+                session: 2 * i + 1,
+                reqno: 1,
+                value: VecD::from_slice(&[1.0]),
+            };
+            write_client_frame(&mut conn, &submit).unwrap();
+        }
+        for _ in 0..2_000 {
+            port.pump(&mut svc);
+            if svc.client_stats().redirects == 50 {
+                break;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(svc.client_stats().redirects, 50);
+        assert_eq!(svc.client_stats().sessions, 0);
+        assert_eq!(port.session_conns.len(), 0);
     }
 }

@@ -21,7 +21,13 @@
 //!   deterministic (sender-ordered) round delivery.
 //! * [`service`] — [`service::ConsensusService`]: many concurrent SyncBvc /
 //!   VerifiedAveraging instances multiplexed over one socket mesh, demuxed
-//!   by instance id, with per-poll outbound batching.
+//!   by instance id, with per-poll outbound batching. The module's core
+//!   (instance map, receive gates, poll loop, recovery) owns three private
+//!   parts: `service/durability.rs` (the WAL-before-wire rule),
+//!   `service/client_table.rs` (sessions, admission, client instance ids)
+//!   and `service/health.rs` (stall detector, flight recorder, `/status`).
+//! * [`client`] — the external-client wire codec and [`client::ClientPort`],
+//!   the TCP front-end that pumps client submits into the service.
 //! * [`byzantine`] — [`byzantine::ByzantineEndpoint`]: a [`transport::Transport`]
 //!   wrapper that runs live adversaries over the real wire (per-recipient
 //!   equivocation, lying witnesses, mutism, codec/gate sprays, HELLO

@@ -9,6 +9,15 @@
 //! demultiplexes by instance id, dispatches, and flushes everything the
 //! dispatch produced as one batch per peer.
 //!
+//! This file is the core — the instance map, the four receive gates,
+//! `route` / `ingest` / `dispatch`, `poll` and `recover` — and it owns three
+//! private parts, each a plain struct it calls into: `durability` (the WAL,
+//! the outbound history, the group commit), `client_table` (sessions,
+//! admission, the client instance-id layout, the recovery-spec codec) and
+//! `health` (stall detector, flight recorder, `/status` publisher). The
+//! parts never see the service; they report through its event sink and
+//! error log.
+//!
 //! ## Receive-boundary policy (degrade, don't panic)
 //!
 //! Every inbound frame passes four gates before touching protocol state,
@@ -23,7 +32,9 @@
 //!    protocol.
 //!
 //! Whatever survives is handed to state machines that run their own
-//! receive-boundary validation on top.
+//! receive-boundary validation on top. The gates live in this file
+//! (`ingest`, `dispatch`, `gate_reject`); the rules a peer's `Launch` frame
+//! must pass are the client table's, which names the gate to charge.
 //!
 //! ## Durability and crash recovery
 //!
@@ -34,10 +45,13 @@
 //! each poll ends with one group commit (one `write`, one `fdatasync`) that
 //! covers the poll's decisions too and always lands *before* the poll's
 //! transport flush (WAL-before-wire) and before its [`DecisionEvent`]s are
-//! returned (a decision is durable before it is surfaced). Between two polls
-//! the file is therefore exactly as the last commit left it: a process crash
-//! loses what a power loss loses, nothing of which was on the wire. A
-//! restarted process rebuilds the exact pre-crash protocol state with
+//! returned (a decision is durable before it is surfaced). The `durability`
+//! part is the only code that appends to or syncs the log, and this file
+//! calls `transport.flush()` only after the `commit()` of the same call —
+//! that is the whole rule. Between two polls the file is therefore exactly
+//! as the last commit left it: a process crash loses what a power loss
+//! loses, nothing of which was on the wire. A restarted process rebuilds
+//! the exact pre-crash protocol state with
 //! [`ConsensusService::recover`]: the factory re-creates each instance from
 //! its logged spec, the logged launches and inbound frames go through the
 //! very launch and receive paths a live poll uses (gates included) into the
@@ -51,7 +65,7 @@
 //!
 //! ## Self-diagnosis
 //!
-//! [`ConsensusService::enable_health`] arms the health subsystem: every
+//! [`ConsensusService::enable_health`] arms the `health` part: every
 //! poll feeds per-instance progress (lockstep round / barrier occupancy for
 //! BVC, witness commits for VA) and the transport's per-link health into a
 //! [`rbvc_obs::StallDetector`], which raises a blame-attributed
@@ -63,18 +77,19 @@
 //! that dumps its ring on a safety violation, an escalated stall, or a
 //! panic.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::Arc;
+mod client_table;
+mod durability;
+mod health;
+
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::SyncBvc;
 use rbvc_linalg::VecD;
 use rbvc_obs::{
-    progress_token, ClientStatus, Event, EventKind, FlightRecorder, InstanceProgress,
-    InstanceStatus, Obs, Recorder, Registry, StallConfig, StallDetector, StallEvent, StallReport,
-    StatusBoard, StatusSnapshot, TeeRecorder, WalStatus,
+    progress_token, Event, EventKind, InstanceProgress, InstanceStatus, Obs, Registry,
+    StallReport, StatusSnapshot, WalStatus,
 };
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
@@ -82,9 +97,16 @@ use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_store::{decode_record, ReplayReport, Wal, WalRecord, WalRecordRef};
 pub use rbvc_sim::monitor::InstanceId;
 
+pub use self::client_table::{
+    client_instance_owner, ClientAdmission, ClientConfig, ClientStats, CLIENT_INSTANCE_BASE,
+};
+pub use self::health::HealthConfig;
+use self::client_table::ClientTable;
+use self::durability::Durability;
+use self::health::Health;
 use crate::lockstep::{Lockstep, RoundBatch};
 use crate::transport::{AuthEvent, Transport};
-use crate::wire::{decode_frame, encode_frame, ClientLaunch, Frame, Payload, MAX_DIM};
+use crate::wire::{decode_frame, encode_frame, ClientLaunch, Frame, Payload};
 
 /// One consensus instance as the service runs it.
 pub enum InstanceProto {
@@ -252,258 +274,30 @@ pub struct DecisionEvent {
 
 struct Slot {
     proto: InstanceProto,
+    /// Set when the decision is collected (or pinned by recovery).
     decided: bool,
     /// Decision recovered from the WAL, pinned: [`ConsensusService::decision`]
     /// returns this over whatever the replayed state machine holds, so a
     /// recovered node can never surface a value that differs from the one it
     /// already surfaced before the crash.
     pinned: Option<VecD>,
-    /// Whether this instance's `on_start` sends have gone out. Un-launched
-    /// instances still receive and buffer frames (so a peer may start first)
-    /// but are not ticked and cannot surface a decision.
-    launched: bool,
-    /// Monotonic launch timestamp; the submit side of the latency metric.
-    submitted_at: Option<Instant>,
+    /// When this instance's `on_start` sends went out, on the monotonic
+    /// clock — the submit side of the latency metric. `None` until then:
+    /// un-launched instances still receive and buffer frames (so a peer may
+    /// start first) but are not ticked and cannot surface a decision.
+    launched: Option<Instant>,
 }
 
 /// Names of the four receive gates, indexed as [`ConsensusService::gate_rejections`].
 pub const GATE_NAMES: [&str; 4] = ["decode", "auth", "instance", "kind"];
 
-/// Base of the client-request instance-id space: ids are
-/// `CLIENT_INSTANCE_BASE | (owner << 24) | seq` with the owning process in
-/// bits 24..44 and a per-owner sequence number in bits 0..24, so the owner
-/// of any client instance is recoverable from the id alone (the auth check
-/// on [`crate::wire::Payload::Launch`] frames) and owners can mint ids
-/// concurrently without coordination. Disjoint from the small static ids
-/// benchmarks and tests register directly.
-pub const CLIENT_INSTANCE_BASE: u64 = 1 << 44;
-
-/// The owning process encoded in a client instance id, or `None` if `id`
-/// is not in the client instance-id space.
-#[must_use]
-pub fn client_instance_owner(id: InstanceId) -> Option<ProcessId> {
-    if id >> 44 == 1 {
-        Some(usize::try_from((id >> 24) & 0xF_FFFF).expect("20 bits fit usize"))
-    } else {
-        None
-    }
-}
-
-/// Frames for a client instance that arrive before its `Launch` are parked
-/// here (per service), bounded; overflow is shed and counted.
-const CLIENT_STASH_CAP: usize = 1024;
-
-/// Parameters of the client front-end (the consensus instances client
-/// requests are run through, and the admission bounds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientConfig {
-    /// Fault tolerance each client instance is configured with. The
-    /// benchmark meshes are crash-free, so `f = 0` (wait for all) gives the
-    /// tightest agreement; adversarial campaigns run `f > 0`.
-    pub f: usize,
-    /// Bracha round budget per client instance.
-    pub rounds: usize,
-    /// Client instances this node will run concurrently as owner; further
-    /// admissions queue.
-    pub max_inflight: usize,
-    /// Bound of the admission queue; beyond it clients get `Busy` and the
-    /// request is shed.
-    pub queue_cap: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig { f: 0, rounds: 8, max_inflight: 64, queue_cap: 256 }
-    }
-}
-
-/// Outcome of [`ConsensusService::client_submit`] — what the client port
-/// sends back (or doesn't) for one `Submit`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientAdmission {
-    /// The request was already decided: the identical cached decision, no
-    /// new instance.
-    Reply {
-        /// The request number the cached decision answers.
-        reqno: u64,
-        /// The cached decision, bit-identical on every retry.
-        decision: VecD,
-    },
-    /// This node does not own the session; the client should dial `0`'s
-    /// client port.
-    Redirect(ProcessId),
-    /// In-flight and queue are both full; the request was shed.
-    Busy,
-    /// Admitted: a consensus instance was launched for this request.
-    Admitted,
-    /// Admitted into the bounded queue; it launches when an in-flight slot
-    /// frees up.
-    Queued,
-    /// A request number at or below one already seen (an in-flight retry,
-    /// or a regression); silently dropped — the original's reply stands.
-    Stale,
-    /// Structurally unacceptable (empty / oversized / non-finite vector, or
-    /// the client front-end is not enabled); dropped and counted.
-    Rejected,
-}
-
-/// Snapshot of the client front-end counters, for tests and campaigns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Distinct sessions in the client table.
-    pub sessions: u64,
-    /// Retries answered from the reply cache without a new instance.
-    pub dedup_hits: u64,
-    /// Submits for sessions this node does not own.
-    pub redirects: u64,
-    /// Requests shed with `Busy` (in-flight and queue both full).
-    pub shed: u64,
-    /// Early client-instance frames dropped because the stash was full.
-    pub stash_shed: u64,
-    /// Requests admitted as new consensus instances.
-    pub admitted: u64,
-    /// Structurally unacceptable submits dropped at admission.
-    pub rejected: u64,
-    /// Client instances currently in flight on this owner.
-    pub pending: u64,
-    /// Requests waiting in the admission queue.
-    pub queued: u64,
-}
-
-/// One session's row in the client table (Viewstamped-Replication style):
-/// the highest request number seen and the cached last reply.
-#[derive(Default)]
-struct SessionRow {
-    last_reqno: Option<u64>,
-    last_reply: Option<(u64, VecD)>,
-}
-
-impl SessionRow {
-    /// Raise the highest request number seen to at least `reqno`.
-    fn saw(&mut self, reqno: u64) {
-        if self.last_reqno.is_none_or(|last| reqno > last) {
-            self.last_reqno = Some(reqno);
-        }
-    }
-}
-
-/// The service-side client front-end state. Always present (the struct is
-/// small); `enabled` gates the admission API, while the node-to-node side
-/// — `Launch` handling and the early-frame stash — is always live so every
-/// node participates in client instances whether or not it fronts clients.
-struct ClientState {
-    enabled: bool,
-    cfg: ClientConfig,
-    table: BTreeMap<u64, SessionRow>,
-    /// In-flight client instances this node owns: instance → (session, reqno).
-    pending: BTreeMap<InstanceId, (u64, u64)>,
-    /// Bounded admission queue of (session, reqno, value).
-    queue: VecDeque<(u64, u64, VecD)>,
-    /// Next per-owner sequence number for minting instance ids.
-    next_seq: u64,
-    /// Client-instance frames that arrived before their `Launch`.
-    stash: VecDeque<Frame>,
-    /// Replies ready for the client port: (session, reqno, decision).
-    replies_out: Vec<(u64, u64, VecD)>,
-    dedup_hits: u64,
-    redirects: u64,
-    shed: u64,
-    stash_shed: u64,
-    admitted: u64,
-    rejected: u64,
-}
-
-impl ClientState {
-    fn new() -> Self {
-        ClientState {
-            enabled: false,
-            cfg: ClientConfig::default(),
-            table: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            queue: VecDeque::new(),
-            next_seq: 0,
-            stash: VecDeque::new(),
-            replies_out: Vec::new(),
-            dedup_hits: 0,
-            redirects: 0,
-            shed: 0,
-            stash_shed: 0,
-            admitted: 0,
-            rejected: 0,
-        }
-    }
-}
-
-/// Magic prefix of the recovery spec the service logs for its own client
-/// instances, so [`ConsensusService::recover`] can rebuild them (and the
-/// client table) internally before consulting the caller's factory.
-const CLIENT_SPEC_MAGIC: [u8; 4] = *b"RBCS";
-
-fn encode_client_spec(launch: &ClientLaunch) -> Vec<u8> {
-    let value = &launch.value;
-    let mut out = Vec::with_capacity(32 + value.dim() * 8);
-    out.extend_from_slice(&CLIENT_SPEC_MAGIC);
-    out.extend_from_slice(&launch.session.to_le_bytes());
-    out.extend_from_slice(&launch.reqno.to_le_bytes());
-    out.extend_from_slice(&launch.f.to_le_bytes());
-    out.extend_from_slice(&launch.rounds.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(value.dim()).unwrap_or(u32::MAX).to_le_bytes());
-    for &x in value.as_slice() {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-    out
-}
-
-fn decode_client_spec(spec: &[u8]) -> Option<ClientLaunch> {
-    if spec.len() < 32 || spec[..4] != CLIENT_SPEC_MAGIC {
-        return None;
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(spec[i..i + 8].try_into().expect("8 bytes"));
-    let u32_at = |i: usize| u32::from_le_bytes(spec[i..i + 4].try_into().expect("4 bytes"));
-    let dim = u32_at(28) as usize;
-    if dim == 0 || dim > MAX_DIM || spec.len() != 32 + dim * 8 {
-        return None;
-    }
-    let xs: Vec<f64> = (0..dim).map(|i| f64::from_bits(u64_at(32 + i * 8))).collect();
-    Some(ClientLaunch {
-        session: u64_at(4),
-        reqno: u64_at(12),
-        f: u32_at(20),
-        rounds: u32_at(24),
-        value: VecD::from_slice(&xs),
-    })
-}
-
-/// Configuration for [`ConsensusService::enable_health`].
-#[derive(Clone, Default)]
-pub struct HealthConfig {
-    /// Stall deadlines (detection + escalation-to-dump).
-    pub stall: StallConfig,
-    /// Where flight-recorder dumps land; `None` runs the detector without
-    /// a flight recorder.
-    pub flight_dir: Option<PathBuf>,
-    /// Flight-recorder ring capacity in events (clamped to a sane minimum
-    /// by the recorder); 0 picks the default.
-    pub flight_capacity: usize,
-    /// Status board the node publishes its `/status` snapshot to; `None`
-    /// skips publishing.
-    pub status: Option<StatusBoard>,
-}
-
-/// Interval between [`StatusBoard`] publishes: `/status` is a human/CI
-/// endpoint, re-rendering the snapshot every poll would be pure overhead.
-const STATUS_PUBLISH_INTERVAL_US: u64 = 20_000;
-
-/// Default flight-recorder ring capacity (events) when the config says 0.
-const FLIGHT_CAPACITY_DEFAULT: usize = 4096;
-
-/// Live health state behind [`ConsensusService::enable_health`].
-struct HealthState {
-    detector: StallDetector,
-    flight: Option<Arc<FlightRecorder>>,
-    board: Option<StatusBoard>,
-    /// Last status publish (µs, shared monotonic clock) — rate limiter.
-    last_publish_us: u64,
+/// Where the service and its parts report: the structured-event sink
+/// (no-op by default, node tag baked in) and the log of degradation events.
+/// One field of the service, so it can be lent to a part while the part
+/// itself is borrowed.
+struct Sinks {
+    obs: Obs,
+    errors: ErrorLog,
 }
 
 /// The per-process service multiplexing consensus instances over one
@@ -512,7 +306,7 @@ pub struct ConsensusService<T: Transport> {
     transport: T,
     instances: BTreeMap<InstanceId, Slot>,
     undecided: usize,
-    errors: ErrorLog,
+    sinks: Sinks,
     started: bool,
     /// Per-gate rejection counts, indexed as [`GATE_NAMES`].
     gate_rejections: [u64; 4],
@@ -522,18 +316,8 @@ pub struct ConsensusService<T: Transport> {
     /// sender for the instance/kind gates — what lets an adversarial
     /// campaign attribute every rejection to the node that caused it.
     gate_rejections_by_sender: Vec<[u64; 4]>,
-    /// Structured-event sink (no-op by default), node tag baked in.
-    obs: Obs,
-    /// Write-ahead log; `None` runs the service non-durable (no write-through,
-    /// no reconnect history).
-    wal: Option<Wal>,
-    /// Full outbound frame history, `history[dst]` in send order, kept only
-    /// while durable: a peer the transport reports as reconnected gets its
-    /// own frames replayed, and recovery rebuilds it from the WAL.
-    history: Vec<Vec<Vec<u8>>>,
-    /// Last witness-commit count logged per VA instance (write-through is
-    /// change-driven, not per-poll).
-    witness_logged: BTreeMap<InstanceId, u64>,
+    /// The WAL, the outbound history and the group commit.
+    durability: Durability,
     /// Decisions replayed out of the WAL (surfaced before the crash; they do
     /// not reappear in [`ConsensusService::poll`] results).
     recovered: Vec<DecisionEvent>,
@@ -552,40 +336,37 @@ pub struct ConsensusService<T: Transport> {
     /// Per-source inbound frame counters; see `tx_seq`.
     rx_seq: Vec<u64>,
     /// Client front-end: session table, admission bounds, reply cache.
-    client: ClientState,
-    /// Health subsystem (stall detector, status publisher, flight
-    /// recorder); `None` until [`ConsensusService::enable_health`].
-    health: Option<HealthState>,
-    /// Artificial delay added to every group-commit sync — fault injection
-    /// for the health campaign's slow-fsync class. Zero in real runs.
-    fsync_throttle: Duration,
+    client: ClientTable,
+    /// Stall detector, status publisher, flight recorder; `None` until
+    /// [`ConsensusService::enable_health`].
+    health: Option<Health>,
 }
+
+/// Cap on per-instance rows in a `/status` snapshot; undecided
+/// instances take priority, counts always cover the full set.
+const STATUS_INSTANCE_CAP: usize = 32;
 
 impl<T: Transport> ConsensusService<T> {
     /// Wrap a transport endpoint into an (initially empty) service.
     #[must_use]
     pub fn new(transport: T) -> Self {
-        let node = u32::try_from(transport.local_id()).unwrap_or(u32::MAX);
-        let n = transport.n();
+        let (local, n) = (transport.local_id(), transport.n());
+        let node = u32::try_from(local).unwrap_or(u32::MAX);
         ConsensusService {
             transport,
             instances: BTreeMap::new(),
             undecided: 0,
-            errors: ErrorLog::new(),
+            sinks: Sinks { obs: Obs::noop().with_node(node), errors: ErrorLog::new() },
             started: false,
             gate_rejections: [0; 4],
             gate_rejections_by_sender: vec![[0; 4]; n],
-            obs: Obs::noop().with_node(node),
-            wal: None,
-            history: vec![Vec::new(); n],
-            witness_logged: BTreeMap::new(),
+            durability: Durability::new(n),
             recovered: Vec::new(),
             replay_divergence: 0,
             tx_seq: vec![0; n],
             rx_seq: vec![0; n],
-            client: ClientState::new(),
+            client: ClientTable::new(local, n),
             health: None,
-            fsync_throttle: Duration::ZERO,
         }
     }
 
@@ -594,13 +375,7 @@ impl<T: Transport> ConsensusService<T> {
     /// their specs are durable; to resume from an existing log use
     /// [`ConsensusService::recover`] instead.
     pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(wal);
-    }
-
-    /// True iff a WAL is attached.
-    #[must_use]
-    pub fn durable(&self) -> bool {
-        self.wal.is_some()
+        self.durability.attach(wal);
     }
 
     /// Declare that this service's transport runs keyed link identity:
@@ -621,14 +396,14 @@ impl<T: Transport> ConsensusService<T> {
         for ev in self.transport.take_auth_events() {
             match ev {
                 AuthEvent::Established { peer, epoch } => {
-                    self.obs.emit(|| {
+                    self.sinks.obs.emit(|| {
                         Event::new(EventKind::AuthEstablished)
                             .peer(u32::try_from(peer).unwrap_or(u32::MAX))
                             .detail(format!("epoch={epoch}"))
                     });
                 }
                 AuthEvent::Rejected { peer, reason } => {
-                    self.obs.emit(|| {
+                    self.sinks.obs.emit(|| {
                         let e = Event::new(EventKind::AuthReject)
                             .detail(format!("reason={reason}"));
                         match peer {
@@ -637,43 +412,6 @@ impl<T: Transport> ConsensusService<T> {
                         }
                     });
                 }
-            }
-        }
-    }
-
-    /// Append one record to the WAL's current batch (no-op when
-    /// non-durable), encoded from the borrowed fields; an append failure
-    /// degrades — it is recorded, the service keeps running on the
-    /// in-memory state.
-    fn wal_append(&mut self, rec: WalRecordRef<'_>) {
-        if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.append_record(rec) {
-                self.errors.record(ProtocolError::Transport {
-                    peer: None,
-                    reason: format!("wal append failed: {e}"),
-                });
-            } else {
-                self.obs.emit(|| Event::new(EventKind::WalAppend));
-            }
-        }
-    }
-
-    /// Group-commit: write and fsync everything appended since the last
-    /// sync. Called once per poll, after the poll's decisions joined the
-    /// batch and *before* the transport flush (WAL-before-wire).
-    fn wal_sync(&mut self) {
-        // Fault injection: a throttled "device" is slow whether or not a WAL
-        // is attached — the measured fsync time in `poll` includes the sleep,
-        // which is what the stall detector's fsync classifier watches.
-        if !self.fsync_throttle.is_zero() {
-            std::thread::sleep(self.fsync_throttle);
-        }
-        if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.sync() {
-                self.errors.record(ProtocolError::Transport {
-                    peer: None,
-                    reason: format!("wal sync failed: {e}"),
-                });
             }
         }
     }
@@ -687,17 +425,9 @@ impl<T: Transport> ConsensusService<T> {
     /// registering instances so all of them are covered.
     pub fn set_obs(&mut self, obs: Obs) {
         let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
-        self.obs = obs.with_node(node);
-        let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
-        for id in ids {
-            self.attach_instance_obs(id);
-        }
-    }
-
-    fn attach_instance_obs(&mut self, id: InstanceId) {
-        let obs = self.obs.clone();
-        if let Some(slot) = self.instances.get_mut(&id) {
-            slot.proto.set_obs(obs, id);
+        self.sinks.obs = obs.with_node(node);
+        for (id, slot) in &mut self.instances {
+            slot.proto.set_obs(self.sinks.obs.clone(), *id);
         }
     }
 
@@ -716,10 +446,15 @@ impl<T: Transport> ConsensusService<T> {
         &self.gate_rejections_by_sender
     }
 
+    /// Reject a frame at gate `gate` for `reason`; see [`Self::gate_record`].
+    fn gate_reject(&mut self, gate: usize, from: ProcessId, reason: String) {
+        self.gate_record(gate, from, ProtocolError::MalformedPayload { from, reason });
+    }
+
     /// Record one rejection at gate `gate` (index into [`GATE_NAMES`]),
     /// attribute it to `from` (metrics label + per-sender table + the
     /// `from=` field of the [`EventKind::GateReject`] detail), and trace it.
-    fn gate_reject(&mut self, gate: usize, from: ProcessId, err: ProtocolError) {
+    fn gate_record(&mut self, gate: usize, from: ProcessId, err: ProtocolError) {
         self.gate_rejections[gate] += 1;
         if let Some(per_sender) = self.gate_rejections_by_sender.get_mut(from) {
             per_sender[gate] += 1;
@@ -731,10 +466,10 @@ impl<T: Transport> ConsensusService<T> {
                 &[("gate", GATE_NAMES[gate]), ("sender", sender.as_str())],
             )
             .inc();
-        self.obs.emit(|| {
+        self.sinks.obs.emit(|| {
             Event::new(EventKind::GateReject).detail(format!("gate={} from={from}", GATE_NAMES[gate]))
         });
-        self.errors.record(err);
+        self.sinks.errors.record(err);
     }
 
     /// Register one instance under `id`.
@@ -757,13 +492,10 @@ impl<T: Transport> ConsensusService<T> {
         Ok(())
     }
 
-    fn insert_slot(&mut self, id: InstanceId, proto: InstanceProto) {
-        self.instances.insert(
-            id,
-            Slot { proto, decided: false, pinned: None, launched: false, submitted_at: None },
-        );
+    fn insert_slot(&mut self, id: InstanceId, mut proto: InstanceProto) {
+        proto.set_obs(self.sinks.obs.clone(), id);
+        self.instances.insert(id, Slot { proto, decided: false, pinned: None, launched: None });
         self.undecided += 1;
-        self.attach_instance_obs(id);
     }
 
     /// Register one instance durably: `spec` is an opaque blob the caller's
@@ -780,13 +512,14 @@ impl<T: Transport> ConsensusService<T> {
         proto: InstanceProto,
         spec: Vec<u8>,
     ) -> Result<(), ProtocolError> {
-        if self.wal.is_none() {
+        if self.durability.wal().is_none() {
             return Err(ProtocolError::InvalidSpec {
                 reason: "add_instance_durable requires an attached WAL".into(),
             });
         }
         self.add_instance(id, proto)?;
-        self.wal_append(WalRecordRef::Registered { instance: id, spec: &spec });
+        self.durability
+            .append(WalRecordRef::Registered { instance: id, spec: &spec }, &mut self.sinks);
         Ok(())
     }
 
@@ -800,12 +533,11 @@ impl<T: Transport> ConsensusService<T> {
         let mut first_err = None;
         let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
         for id in ids {
-            if let Err(e) = self.launch_inner(id, false) {
+            if let Err(e) = self.launch_now(id) {
                 first_err.get_or_insert(e);
             }
         }
-        self.wal_sync();
-        if let Err(e) = self.transport.flush() {
+        if let Err(e) = self.flush() {
             first_err.get_or_insert(e);
         }
         match first_err {
@@ -841,7 +573,12 @@ impl<T: Transport> ConsensusService<T> {
                 reason: "launch() requires start() or start_deferred() first".into(),
             });
         }
-        self.launch_inner(id, true)
+        if self.instances.get(&id).is_some_and(|slot| slot.launched.is_some()) {
+            return Err(ProtocolError::InvalidSpec {
+                reason: format!("instance {id} already launched"),
+            });
+        }
+        self.launch_now(id)
     }
 
     /// Push everything queued on the transport out now (a poll does this
@@ -850,7 +587,7 @@ impl<T: Transport> ConsensusService<T> {
     /// # Errors
     /// Propagates transport-level flush failures.
     pub fn flush(&mut self) -> Result<(), ProtocolError> {
-        self.wal_sync();
+        self.durability.commit(&mut self.sinks);
         self.transport.flush()
     }
 
@@ -861,35 +598,27 @@ impl<T: Transport> ConsensusService<T> {
     fn start_instance(&mut self, id: InstanceId) -> Option<Outbound> {
         let local = self.transport.local_id();
         let slot = self.instances.get_mut(&id)?;
-        slot.launched = true;
-        slot.submitted_at = Some(Instant::now());
+        slot.launched = Some(Instant::now());
         // The trace-side submit marker: same instant (to within the emit
-        // call) as `submitted_at`, so the assembler's critical-path total
+        // call) as the launch stamp, so the assembler's critical-path total
         // is directly comparable to the measured decide latency.
-        self.obs.emit(|| Event::new(EventKind::Submit).instance(id));
+        self.sinks.obs.emit(|| Event::new(EventKind::Submit).instance(id));
         Some(slot.proto.on_start(id, local))
     }
 
-    /// Live launch: [`Self::start_instance`], logged and routed. `check`
-    /// enforces the single-launch contract (the bulk `start()` path iterates
-    /// fresh ids and skips the check).
-    fn launch_inner(&mut self, id: InstanceId, check: bool) -> Result<(), ProtocolError> {
-        if check && self.instances.get(&id).is_some_and(|slot| slot.launched) {
-            return Err(ProtocolError::InvalidSpec {
-                reason: format!("instance {id} already launched"),
-            });
-        }
+    /// Live launch: [`Self::start_instance`], logged and routed.
+    fn launch_now(&mut self, id: InstanceId) -> Result<(), ProtocolError> {
         let Some(sends) = self.start_instance(id) else {
             return Err(ProtocolError::InvalidSpec {
                 reason: format!("launch of unknown instance {id}"),
             });
         };
-        self.wal_append(WalRecordRef::Launched { instance: id });
+        self.durability.append(WalRecordRef::Launched { instance: id }, &mut self.sinks);
         self.route(sends)
     }
 
     /// Queue encoded frames on the transport, logging each as a `Sent`
-    /// record first when durable (the group-commit sync lands before the
+    /// record first when durable (the group commit lands before the
     /// flush that puts them on the wire); failures are recorded and the
     /// remaining frames still go out. Every frame takes the next sequence
     /// number on its directed link and, when tracing, emits a `FrameTx`
@@ -900,10 +629,10 @@ impl<T: Transport> ConsensusService<T> {
             if let Some(seq_slot) = self.tx_seq.get_mut(dst) {
                 let seq = *seq_slot;
                 *seq_slot += 1;
-                if self.obs.enabled() {
+                if self.sinks.obs.enabled() {
                     if let Some((instance, _, round, kind)) = crate::wire::peek_header(&bytes) {
                         let len = bytes.len();
-                        self.obs.emit(|| {
+                        self.sinks.obs.emit(|| {
                             Event::new(EventKind::FrameTx)
                                 .instance(instance)
                                 .round(round)
@@ -914,15 +643,7 @@ impl<T: Transport> ConsensusService<T> {
                     }
                 }
             }
-            if self.wal.is_some() {
-                self.wal_append(WalRecordRef::Sent {
-                    dst: u32::try_from(dst).unwrap_or(u32::MAX),
-                    bytes: &bytes,
-                });
-                if let Some(sent) = self.history.get_mut(dst) {
-                    sent.push(bytes.clone());
-                }
-            }
+            self.durability.sent(dst, &bytes, &mut self.sinks);
             if let Err(e) = self.transport.send(dst, bytes) {
                 first_err.get_or_insert(e);
             }
@@ -942,30 +663,25 @@ impl<T: Transport> ConsensusService<T> {
         let frame = match decode_frame(bytes, link_peer) {
             Ok(f) => f,
             Err(e) => {
-                self.gate_reject(0, link_peer, e);
+                // The decoder's own error, verbatim.
+                self.gate_record(0, link_peer, e);
                 return Vec::new();
             }
         };
         if frame.sender != link_peer {
-            self.gate_reject(
-                1,
-                link_peer,
-                ProtocolError::MalformedPayload {
-                    from: link_peer,
-                    reason: format!(
-                        "spoofed sender: header claims {} on the link from {}",
-                        frame.sender, link_peer
-                    ),
-                },
+            let reason = format!(
+                "spoofed sender: header claims {} on the link from {}",
+                frame.sender, link_peer
             );
+            self.gate_reject(1, link_peer, reason);
             return Vec::new();
         }
         // Log the authenticated frame *before* it mutates protocol state:
         // replay re-runs the gates and the dispatch deterministically.
-        self.wal_append(WalRecordRef::Inbound {
-            from: u32::try_from(link_peer).unwrap_or(u32::MAX),
-            bytes,
-        });
+        self.durability.append(
+            WalRecordRef::Inbound { from: u32::try_from(link_peer).unwrap_or(u32::MAX), bytes },
+            &mut self.sinks,
+        );
         self.dispatch(frame)
     }
 
@@ -973,44 +689,22 @@ impl<T: Transport> ConsensusService<T> {
     /// the outbound frames it produced.
     fn dispatch(&mut self, frame: Frame) -> Outbound {
         let local = self.transport.local_id();
-        if let Payload::Launch(launch) = &frame.payload {
-            let launch = launch.clone();
-            return self.dispatch_launch(frame.instance, frame.sender, launch);
+        let (sender, instance) = (frame.sender, frame.instance);
+        if let Payload::Launch(launch) = frame.payload {
+            return self.dispatch_launch(instance, sender, launch);
         }
-        let Some(slot) = self.instances.get_mut(&frame.instance) else {
-            // A frame for a client instance may legitimately beat its
-            // `Launch` here (different links race); park it, bounded.
-            if client_instance_owner(frame.instance).is_some() {
-                if self.client.stash.len() < CLIENT_STASH_CAP {
-                    self.client.stash.push_back(frame);
-                } else {
-                    self.client.stash_shed += 1;
-                    Registry::global().counter("service.client.stash_shed").inc();
-                }
-                return Vec::new();
+        let Some(slot) = self.instances.get_mut(&instance) else {
+            if client_instance_owner(instance).is_some() {
+                self.client.park(frame);
+            } else {
+                self.gate_reject(2, sender, format!("frame for unknown instance {instance}"));
             }
-            self.gate_reject(
-                2,
-                frame.sender,
-                ProtocolError::MalformedPayload {
-                    from: frame.sender,
-                    reason: format!("frame for unknown instance {}", frame.instance),
-                },
-            );
             return Vec::new();
         };
-        let (sender, instance) = (frame.sender, frame.instance);
         slot.proto.on_frame(local, frame).unwrap_or_else(|| {
-            self.gate_reject(
-                3,
-                sender,
-                ProtocolError::MalformedPayload {
-                    from: sender,
-                    reason: format!(
-                        "payload kind does not match the protocol of instance {instance}"
-                    ),
-                },
-            );
+            let reason =
+                format!("payload kind does not match the protocol of instance {instance}");
+            self.gate_reject(3, sender, reason);
             Vec::new()
         })
     }
@@ -1024,7 +718,7 @@ impl<T: Transport> ConsensusService<T> {
         // the link died and was redialed) gets the full outbound history
         // replayed: whatever fell into the gap is covered, receivers dedup.
         for peer in self.transport.take_reconnects() {
-            for bytes in self.history.get(peer).into_iter().flatten() {
+            for bytes in self.durability.history(peer) {
                 let _ = self.transport.send(peer, bytes.clone());
             }
         }
@@ -1047,10 +741,10 @@ impl<T: Transport> ConsensusService<T> {
                 }
                 None => u64::MAX,
             };
-            if self.obs.enabled() {
+            if self.sinks.obs.enabled() {
                 if let Some((instance, _, round, _)) = crate::wire::peek_header(&bytes) {
                     let waited = rbvc_obs::clock::now_us().saturating_sub(arrived_us);
-                    self.obs.emit(|| {
+                    self.sinks.obs.emit(|| {
                         Event::new(EventKind::FrameRx)
                             .instance(instance)
                             .round(round)
@@ -1064,47 +758,37 @@ impl<T: Transport> ConsensusService<T> {
         }
         // Drive timers (lockstep round timeouts) once per poll.
         let local = self.transport.local_id();
-        let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
-        for id in ids {
-            let slot = self.instances.get_mut(&id).expect("registered");
-            if slot.decided || !slot.launched {
-                continue;
+        for (id, slot) in &mut self.instances {
+            if !slot.decided && slot.launched.is_some() {
+                outbound.extend(slot.proto.on_tick(*id, local));
             }
-            outbound.extend(slot.proto.on_tick(id, local));
         }
         let n_tx = outbound.len();
         let routed = self.route(outbound);
-        // Witness-commit progress (change-driven): lets recovery cross-check
-        // how far each VA instance had committed.
-        if self.wal.is_some() {
-            let mut commits: Vec<(InstanceId, u64)> = Vec::new();
+        // Witness-commit progress, only when it is logged: counting an
+        // instance's commits is a scan of its rounds.
+        if self.durability.wal().is_some() {
             for (id, slot) in &self.instances {
-                let count = slot.proto.witness_commits();
-                if self.witness_logged.get(id).copied().unwrap_or(0) != count {
-                    commits.push((*id, count));
-                }
-            }
-            for (instance, count) in commits {
-                self.wal_append(WalRecordRef::WitnessCommit { instance, count });
-                self.witness_logged.insert(instance, count);
+                self.durability.witness(*id, slot.proto.witness_commits(), &mut self.sinks);
             }
         }
         // This poll's decisions (and the client replies they complete) join
         // the batch, so one sync covers them with everything else.
         let decided = self.collect_decisions();
-        self.record_client_replies(&decided);
         // Group-commit before the wire flush: nothing reaches a peer, a
         // client or the caller unless the records that produced it are
         // durable.
-        let t_sync = Instant::now();
-        self.wal_sync();
-        let fsync_us = u64::try_from(t_sync.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let fsync_us = self.durability.commit(&mut self.sinks);
         if routed.is_err() || self.transport.flush().is_err() {
             // Already recorded by the transport; the poll loop continues on
             // the surviving links.
         }
         let decisions = self.surface_decisions(decided);
-        self.backfill_client_queue();
+        // Backfill freed in-flight slots from the admission queue, after
+        // the flush: the launches this queues ride the next poll's batch.
+        while let Some((instance, launch)) = self.client.next_queued() {
+            let _ = self.admit_client_request(instance, launch);
+        }
         // Health turn — unconditional: stalls are exactly the polls where
         // nothing else happens.
         self.health_tick(fsync_us);
@@ -1114,10 +798,10 @@ impl<T: Transport> ConsensusService<T> {
         // commit, the batched write included. Idle polls (no traffic, no
         // decisions) stay silent so a trace is dominated by signal, not by
         // the poll loop spinning.
-        if self.obs.enabled() && (n_rx > 0 || n_tx > 0 || !decisions.is_empty()) {
+        if self.sinks.obs.enabled() && (n_rx > 0 || n_tx > 0 || !decisions.is_empty()) {
             let kernel_us = rbvc_obs::take_thread_kernel_nanos() / 1_000;
             let dur = u64::try_from(t_active.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.obs.emit(|| {
+            self.sinks.obs.emit(|| {
                 Event::new(EventKind::PollEnd).dur(dur).detail(format!(
                     "rx={n_rx} tx={n_tx} fsync_us={fsync_us} kernel_us={kernel_us}"
                 ))
@@ -1127,28 +811,42 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// Mark newly decided instances (each instance at most once) and append
-    /// their `Decided` records to the WAL's current batch. Un-launched
+    /// their `Decided` records — then the `ClientReply` records of the
+    /// client requests they answer — to the WAL's current batch. Un-launched
     /// instances are skipped even if their state machine already holds an
     /// output — the latency clock starts at launch, so a decision is only
     /// *surfaced* once the instance was submitted. Nothing is surfaced
-    /// here: [`Self::surface_decisions`] does that after the group commit.
+    /// here: [`Self::surface_decisions`] does that after the group commit,
+    /// and the client port can take a reply only after `poll` returned — so
+    /// dedup survives a crash that happens after the reply is out.
     fn collect_decisions(&mut self) -> Vec<(InstanceId, VecD)> {
         let mut decided = Vec::new();
         for (id, slot) in &mut self.instances {
-            if slot.decided || !slot.launched {
+            if slot.decided || slot.launched.is_none() {
                 continue;
             }
             if let Some(value) = slot.proto.output() {
                 slot.decided = true;
                 self.undecided -= 1;
+                self.durability.append(
+                    WalRecordRef::Decided { instance: *id, value: value.as_slice() },
+                    &mut self.sinks,
+                );
                 decided.push((*id, value));
             }
         }
         for (instance, value) in &decided {
-            self.wal_append(WalRecordRef::Decided {
-                instance: *instance,
-                value: value.as_slice(),
-            });
+            if let Some((session, reqno)) = self.client.answered(*instance, value) {
+                self.durability.append(
+                    WalRecordRef::ClientReply {
+                        instance: *instance,
+                        session,
+                        reqno,
+                        value: value.as_slice(),
+                    },
+                    &mut self.sinks,
+                );
+            }
         }
         decided
     }
@@ -1164,14 +862,14 @@ impl<T: Transport> ConsensusService<T> {
             let latency = self
                 .instances
                 .get(&instance)
-                .and_then(|slot| slot.submitted_at)
+                .and_then(|slot| slot.launched)
                 .map(|t| t.elapsed())
                 .unwrap_or_default();
             let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
             Registry::global()
                 .histogram("service.decide.latency_us")
                 .record(latency_us);
-            self.obs.emit(|| {
+            self.sinks.obs.emit(|| {
                 Event::new(EventKind::Decide)
                     .instance(instance)
                     .detail(format!("latency_us={latency_us}"))
@@ -1224,240 +922,123 @@ impl<T: Transport> ConsensusService<T> {
     /// only opens the admission API. Also pre-registers the client metrics
     /// so the live `/metrics` endpoint exports them from the first scrape.
     pub fn enable_client(&mut self, cfg: ClientConfig) {
-        self.client.enabled = true;
-        self.client.cfg = cfg;
-        let reg = Registry::global();
-        reg.gauge("client.sessions").set(self.client.table.len() as i64);
-        reg.counter("client.dedup_hits").add(self.client.dedup_hits);
-        reg.counter("client.redirects").add(self.client.redirects);
-        reg.counter("service.client.shed").add(0);
+        self.client.enable(cfg);
     }
 
     /// Arm the health subsystem: from here on every poll feeds instance
     /// progress and link health into a stall detector, publishes a node
-    /// snapshot to the configured [`StatusBoard`] (if any), and — when a
-    /// flight directory is configured — tees the service's event stream
-    /// into an always-on [`FlightRecorder`] that dumps on a violation, an
-    /// escalated stall, or a panic. Call *after* [`ConsensusService::set_obs`]
-    /// so the tee wraps the real sink; zero behavior change for services
-    /// that never call this.
+    /// snapshot to the configured [`rbvc_obs::StatusBoard`] (if any), and —
+    /// when a flight directory is configured — tees the service's event
+    /// stream into an always-on [`rbvc_obs::FlightRecorder`] that dumps on a
+    /// violation, an escalated stall, or a panic. Call *after*
+    /// [`ConsensusService::set_obs`] so the tee wraps the real sink; zero
+    /// behavior change for services that never call this.
     pub fn enable_health(&mut self, cfg: HealthConfig) {
         let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
-        let detector = StallDetector::new(node, cfg.stall, Registry::global().clone());
-        let flight = cfg.flight_dir.map(|dir| {
-            let cap = if cfg.flight_capacity == 0 {
-                FLIGHT_CAPACITY_DEFAULT
-            } else {
-                cfg.flight_capacity
-            };
-            Arc::new(FlightRecorder::new(node, dir, cap, Registry::global().clone()))
-        });
-        if let Some(f) = &flight {
-            rbvc_obs::arm_panic_hook(f);
-            let sinks: Vec<Arc<dyn Recorder>> = vec![self.obs.recorder().clone(), f.clone()];
-            self.set_obs(Obs::new(Arc::new(TeeRecorder::new(sinks))));
+        let (health, teed) = Health::new(node, cfg, &self.sinks.obs);
+        if let Some(obs) = teed {
+            self.set_obs(obs);
         }
-        self.health = Some(HealthState {
-            detector,
-            flight,
-            board: cfg.status,
-            last_publish_us: 0,
-        });
+        self.health = Some(health);
     }
 
     /// Inject an artificial delay into every group-commit sync — the
     /// health campaign's slow-fsync fault. Zero (the default) disables it.
     pub fn set_fsync_throttle(&mut self, throttle: Duration) {
-        self.fsync_throttle = throttle;
+        self.durability.set_fsync_throttle(throttle);
     }
 
     /// Every stall the detector ever raised (bounded history), in
     /// detection order. Empty without [`ConsensusService::enable_health`].
     #[must_use]
     pub fn health_reports(&self) -> Vec<StallReport> {
-        self.health.as_ref().map(|h| h.detector.reports().to_vec()).unwrap_or_default()
+        self.health.as_ref().map(|h| h.detector().reports().to_vec()).unwrap_or_default()
     }
 
     /// Stalls currently active (detected, not yet cleared).
     #[must_use]
     pub fn active_stalls(&self) -> Vec<StallReport> {
-        self.health.as_ref().map(|h| h.detector.active()).unwrap_or_default()
+        self.health.as_ref().map(|h| h.detector().active()).unwrap_or_default()
     }
 
     /// Total stalls ever raised — the clean-run false-positive check.
     #[must_use]
     pub fn stalls_raised(&self) -> u64 {
-        self.health.as_ref().map_or(0, |h| h.detector.raised_total())
+        self.health.as_ref().map_or(0, |h| h.detector().raised_total())
     }
 
-    /// The armed flight recorder, if health was enabled with a flight
-    /// directory.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.health.as_ref().and_then(|h| h.flight.as_ref())
-    }
-
-    /// Per-instance progress as the stall detector sees it.
-    fn health_progress(&self) -> Vec<InstanceProgress> {
-        self.instances
+    /// One health turn, run at the end of every poll: hand the health part
+    /// per-instance progress as the stall detector sees it, the transport's
+    /// link health and the poll's fsync time, and build this node's
+    /// `/status` snapshot when it says one is due.
+    fn health_tick(&mut self, fsync_us: u64) {
+        let Some(health) = self.health.as_mut() else { return };
+        let now_us = rbvc_obs::clock::now_us();
+        let progress: Vec<InstanceProgress> = self
+            .instances
             .iter()
             .map(|(id, slot)| {
                 let p = slot.proto.progress();
                 InstanceProgress {
                     instance: *id,
                     round: p.round,
-                    launched: slot.launched,
-                    decided: slot.decided || slot.pinned.is_some(),
+                    launched: slot.launched.is_some(),
+                    decided: slot.decided,
                     progress_token: p.token,
                     waiting_on: p.waiting_on,
                 }
             })
-            .collect()
-    }
-
-    /// One health turn, run at the end of every poll: feed the detector,
-    /// surface stall events into the trace, dump the flight ring on
-    /// escalation, and (rate-limited) publish the `/status` snapshot.
-    fn health_tick(&mut self, fsync_us: u64) {
-        let Some(mut h) = self.health.take() else { return };
-        let now_us = rbvc_obs::clock::now_us();
-        h.detector.note_fsync(now_us, fsync_us);
-        let progress = self.health_progress();
-        let links = self.transport.link_health();
-        for ev in h.detector.observe(now_us, &progress, &links) {
-            match ev {
-                StallEvent::Detected(r) => {
-                    let (instance, round, detail) = (r.instance, r.round, r.detail(false));
-                    self.obs.emit(|| {
-                        Event::new(EventKind::StallDetected)
-                            .instance(instance)
-                            .round(round)
-                            .detail(detail)
-                    });
-                }
-                StallEvent::Escalated(r) => {
-                    let (instance, round, detail) = (r.instance, r.round, r.detail(true));
-                    self.obs.emit(|| {
-                        Event::new(EventKind::StallDetected)
-                            .instance(instance)
-                            .round(round)
-                            .detail(detail)
-                    });
-                    if let Some(f) = &h.flight {
-                        f.dump("stall");
-                    }
-                }
-                StallEvent::Cleared(r) => {
-                    let (instance, round, detail) = (r.instance, r.round, r.detail(false));
-                    self.obs.emit(|| {
-                        Event::new(EventKind::StallCleared)
-                            .instance(instance)
-                            .round(round)
-                            .detail(detail)
-                    });
-                }
-            }
-        }
-        if let Some(board) = &h.board {
-            if h.last_publish_us == 0
-                || now_us.saturating_sub(h.last_publish_us) >= STATUS_PUBLISH_INTERVAL_US
-            {
-                h.last_publish_us = now_us;
-                let snap = self.status_snapshot(&h.detector, links, now_us);
-                board.publish(snap.node, snap.render());
-            }
-        }
-        self.health = Some(h);
-    }
-
-    /// Cap on per-instance rows in a `/status` snapshot; undecided
-    /// instances take priority, counts always cover the full set.
-    const STATUS_INSTANCE_CAP: usize = 32;
-
-    /// Build this node's `/status` snapshot.
-    fn status_snapshot(
-        &self,
-        detector: &StallDetector,
-        links: Vec<rbvc_obs::LinkHealth>,
-        now_us: u64,
-    ) -> StatusSnapshot {
-        let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
-        let total_instances = self.instances.len() as u64;
-        let row = |id: InstanceId, slot: &Slot| {
-            let p = slot.proto.progress();
-            InstanceStatus {
-                id,
-                proto: p.kind.to_string(),
-                round: p.round,
-                launched: slot.launched,
-                decided: slot.decided || slot.pinned.is_some(),
-                waiting_on: p.waiting_on,
-            }
-        };
-        let decided_instances = self
-            .instances
-            .values()
-            .filter(|s| s.decided || s.pinned.is_some())
-            .count() as u64;
-        let mut instances: Vec<InstanceStatus> = self
-            .instances
-            .iter()
-            .filter(|(_, s)| !(s.decided || s.pinned.is_some()))
-            .take(Self::STATUS_INSTANCE_CAP)
-            .map(|(id, s)| row(*id, s))
             .collect();
-        for (id, slot) in &self.instances {
-            if instances.len() >= Self::STATUS_INSTANCE_CAP {
-                break;
-            }
-            if slot.decided || slot.pinned.is_some() {
-                instances.push(row(*id, slot));
-            }
+        let links = self.transport.link_health();
+        if !health.tick(&self.sinks.obs, now_us, fsync_us, &progress, &links) {
+            return;
         }
-        let client = self.client.enabled.then_some(ClientStatus {
-            sessions: self.client.table.len() as u64,
-            inflight: self.client.pending.len() as u64,
-            shed: self.client.shed,
-        });
-        let wal = self.wal.as_ref().map(|w| WalStatus {
-            size_bytes: w.len(),
-            records: w.records(),
-            records_since_compaction: w.records_since_compaction(),
-        });
-        StatusSnapshot {
-            node,
+        // Undecided rows first; the cap cuts the decided ones.
+        let open = self.instances.iter().filter(|(_, slot)| !slot.decided);
+        let done = self.instances.iter().filter(|(_, slot)| slot.decided);
+        let instances = open
+            .chain(done)
+            .take(STATUS_INSTANCE_CAP)
+            .map(|(id, slot)| {
+                let p = slot.proto.progress();
+                InstanceStatus {
+                    id: *id,
+                    proto: p.kind.to_string(),
+                    round: p.round,
+                    launched: slot.launched.is_some(),
+                    decided: slot.decided,
+                    waiting_on: p.waiting_on,
+                }
+            })
+            .collect();
+        health.publish(&StatusSnapshot {
+            node: u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX),
             instances,
-            total_instances,
-            decided_instances,
-            client,
-            wal,
+            total_instances: self.instances.len() as u64,
+            decided_instances: (self.instances.len() - self.undecided) as u64,
+            client: self.client.status(),
+            wal: self.durability.wal().map(|w| WalStatus {
+                size_bytes: w.len(),
+                records: w.records(),
+                records_since_compaction: w.records_since_compaction(),
+            }),
             links,
-            stalls: detector.active(),
+            stalls: health.detector().active(),
             updated_us: now_us,
-        }
+        });
     }
 
     /// Which process owns client session `session` (sessions are sharded
     /// `session % n`).
     #[must_use]
     pub fn session_owner(&self, session: u64) -> ProcessId {
-        usize::try_from(session % self.transport.n() as u64).expect("owner fits usize")
+        self.client.session_owner(session)
     }
 
     /// Snapshot of the client front-end counters.
     #[must_use]
     pub fn client_stats(&self) -> ClientStats {
-        ClientStats {
-            sessions: self.client.table.len() as u64,
-            dedup_hits: self.client.dedup_hits,
-            redirects: self.client.redirects,
-            shed: self.client.shed,
-            stash_shed: self.client.stash_shed,
-            admitted: self.client.admitted,
-            rejected: self.client.rejected,
-            pending: self.client.pending.len() as u64,
-            queued: self.client.queue.len() as u64,
-        }
+        self.client.stats()
     }
 
     /// Number of registered instances (static and client-launched).
@@ -1471,7 +1052,7 @@ impl<T: Transport> ConsensusService<T> {
     /// service is durable. The client port delivers them to whichever
     /// connection last submitted for the session.
     pub fn take_client_replies(&mut self) -> Vec<(u64, u64, VecD)> {
-        std::mem::take(&mut self.client.replies_out)
+        self.client.take_replies()
     }
 
     /// Admit one client request `(session, reqno, value)` into the table —
@@ -1487,57 +1068,11 @@ impl<T: Transport> ConsensusService<T> {
     ///   queued ([`ClientAdmission::Queued`]), or shed with
     ///   [`ClientAdmission::Busy`] when both bounds are full.
     pub fn client_submit(&mut self, session: u64, reqno: u64, value: VecD) -> ClientAdmission {
-        if !self.client.enabled || !self.started {
-            self.client.rejected += 1;
-            return ClientAdmission::Rejected;
+        let (verdict, request) = self.client.submit(self.started, session, reqno, value);
+        if let Some((instance, launch)) = request {
+            let _ = self.admit_client_request(instance, launch);
         }
-        let owner = self.session_owner(session);
-        if owner != self.transport.local_id() {
-            self.client.redirects += 1;
-            Registry::global().counter("client.redirects").inc();
-            return ClientAdmission::Redirect(owner);
-        }
-        if value.dim() == 0
-            || value.dim() > MAX_DIM
-            || value.as_slice().iter().any(|x| !x.is_finite())
-        {
-            self.client.rejected += 1;
-            Registry::global().counter("service.client.reject").inc();
-            return ClientAdmission::Rejected;
-        }
-        // Look the row up without creating it: only an admitted request may
-        // grow the table.
-        if let Some(row) = self.client.table.get(&session) {
-            if let Some((cached_reqno, decision)) = &row.last_reply {
-                if *cached_reqno == reqno {
-                    let decision = decision.clone();
-                    self.client.dedup_hits += 1;
-                    Registry::global().counter("client.dedup_hits").inc();
-                    return ClientAdmission::Reply { reqno, decision };
-                }
-            }
-            if row.last_reqno.is_some_and(|last| reqno <= last) {
-                return ClientAdmission::Stale;
-            }
-        }
-        // A shed request leaves the table untouched so its retry is
-        // re-considered (not stale-dropped) once load drains.
-        let can_admit = self.client.pending.len() < self.client.cfg.max_inflight;
-        let can_queue = self.client.queue.len() < self.client.cfg.queue_cap;
-        if !can_admit && !can_queue {
-            self.client.shed += 1;
-            Registry::global().counter("service.client.shed").inc();
-            return ClientAdmission::Busy;
-        }
-        self.client.table.entry(session).or_default().last_reqno = Some(reqno);
-        Registry::global().gauge("client.sessions").set(self.client.table.len() as i64);
-        if can_admit {
-            let _ = self.admit_client_request(session, reqno, value);
-            ClientAdmission::Admitted
-        } else {
-            self.client.queue.push_back((session, reqno, value));
-            ClientAdmission::Queued
-        }
+        verdict
     }
 
     /// Create the instance one client request runs as — on the owner, on
@@ -1558,188 +1093,65 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// Owner side of one client instance, live and on replay: stand the
-    /// instance up, mark the request in flight, and return the `Launch`
-    /// frames the owner fans out, in deterministic peer order (so the
-    /// replay's FIFO `Sent` match holds).
+    /// instance up and return the `Launch` frames the owner fans out, in
+    /// deterministic peer order (so the replay's FIFO `Sent` match holds).
     fn open_client_instance(&mut self, instance: InstanceId, launch: ClientLaunch) -> Outbound {
         let local = self.transport.local_id();
-        let n = self.transport.n();
-        self.insert_client_slot(
-            instance,
-            launch.f as usize,
-            launch.rounds as usize,
-            launch.value.clone(),
-        );
-        self.client.pending.insert(instance, (launch.session, launch.reqno));
-        (0..n)
-            .filter(|&dst| dst != local)
-            .map(|dst| {
-                let frame = Frame {
-                    instance,
-                    sender: local,
-                    round: 0,
-                    payload: Payload::Launch(launch.clone()),
-                };
-                (dst, encode_frame(&frame))
-            })
-            .collect()
+        let (f, rounds) = (launch.f as usize, launch.rounds as usize);
+        self.insert_client_slot(instance, f, rounds, launch.value.clone());
+        let frame = Frame { instance, sender: local, round: 0, payload: Payload::Launch(launch) };
+        let bytes = encode_frame(&frame);
+        (0..self.transport.n()).filter(|&dst| dst != local).map(|dst| (dst, bytes.clone())).collect()
     }
 
-    /// Owner side of one admitted request: mint the instance id, register
-    /// (durably, with a self-describing spec), fan the `Launch` out to every
-    /// peer *first* — per-link FIFO means each peer registers the instance
-    /// before this node's protocol frames arrive — then launch locally.
+    /// Owner side of one admitted request: register (durably, with a
+    /// self-describing spec), fan the `Launch` out to every peer *first* —
+    /// per-link FIFO means each peer registers the instance before this
+    /// node's protocol frames arrive — then launch locally.
     fn admit_client_request(
         &mut self,
-        session: u64,
-        reqno: u64,
-        value: VecD,
+        instance: InstanceId,
+        launch: ClientLaunch,
     ) -> Result<(), ProtocolError> {
-        let local = self.transport.local_id();
-        let ClientConfig { f, rounds, .. } = self.client.cfg;
-        let seq = self.client.next_seq;
-        self.client.next_seq += 1;
-        let instance =
-            CLIENT_INSTANCE_BASE | ((local as u64) << 24) | (seq & 0xFF_FFFF);
-        let launch = ClientLaunch {
-            session,
-            reqno,
-            f: u32::try_from(f).unwrap_or(u32::MAX),
-            rounds: u32::try_from(rounds).unwrap_or(u32::MAX),
-            value,
-        };
-        if self.wal.is_some() {
-            self.wal_append(WalRecordRef::Registered {
-                instance,
-                spec: &encode_client_spec(&launch),
-            });
+        if self.durability.wal().is_some() {
+            let spec = client_table::encode_spec(&launch);
+            self.durability
+                .append(WalRecordRef::Registered { instance, spec: &spec }, &mut self.sinks);
         }
         let frames = self.open_client_instance(instance, launch);
         let routed = self.route(frames);
-        self.client.admitted += 1;
-        self.launch_inner(instance, true)?;
+        self.launch_now(instance)?;
         routed
     }
 
-    /// Peer side of a `Launch` frame: authenticate it against the owner
-    /// encoded in the instance id, stand the instance up with the client's
-    /// value as the local input (all honest inputs identical, so the
-    /// decision is the client's point up to agreement tolerance), and drain
-    /// any frames that raced ahead of the launch.
+    /// Peer side of a `Launch` frame: once the client table lets it pass,
+    /// stand the instance up with the client's value as the local input
+    /// (all honest inputs identical, so the decision is the client's point
+    /// up to agreement tolerance), and drain any frames that raced ahead of
+    /// the launch.
     fn dispatch_launch(
         &mut self,
         instance: InstanceId,
         sender: ProcessId,
         launch: ClientLaunch,
     ) -> Outbound {
-        let n = self.transport.n();
-        let Some(owner) = client_instance_owner(instance) else {
-            self.gate_reject(
-                3,
-                sender,
-                ProtocolError::MalformedPayload {
-                    from: sender,
-                    reason: format!("launch for non-client instance {instance}"),
-                },
-            );
-            return Vec::new();
-        };
-        if owner != sender || self.session_owner(launch.session) != sender {
-            self.gate_reject(
-                1,
-                sender,
-                ProtocolError::MalformedPayload {
-                    from: sender,
-                    reason: format!(
-                        "launch of instance {instance} (owner {owner}, session {}) from non-owner {sender}",
-                        launch.session
-                    ),
-                },
-            );
-            return Vec::new();
-        }
-        let f = launch.f as usize;
-        if n <= 3 * f
-            || launch.rounds == 0
-            || launch.value.as_slice().iter().any(|x| !x.is_finite())
-        {
-            self.gate_reject(
-                3,
-                sender,
-                ProtocolError::MalformedPayload {
-                    from: sender,
-                    reason: format!("degenerate launch parameters for instance {instance}"),
-                },
-            );
+        if let Some((gate, reason)) = self.client.launch_refusal(instance, sender, &launch) {
+            self.gate_reject(gate, sender, reason);
             return Vec::new();
         }
         if self.instances.contains_key(&instance) {
             // Duplicate launch (reconnect history replay): idempotent.
             return Vec::new();
         }
-        self.insert_client_slot(instance, f, launch.rounds as usize, launch.value);
+        self.insert_client_slot(instance, launch.f as usize, launch.rounds as usize, launch.value);
         self.started = true;
         let mut sends = self.start_instance(instance).expect("just inserted");
         // Frames that beat the launch here replay through the normal
         // dispatch now that the instance exists.
-        let stashed: Vec<Frame> = {
-            let mut kept = VecDeque::new();
-            let mut matched = Vec::new();
-            while let Some(frame) = self.client.stash.pop_front() {
-                if frame.instance == instance {
-                    matched.push(frame);
-                } else {
-                    kept.push_back(frame);
-                }
-            }
-            self.client.stash = kept;
-            matched
-        };
-        for frame in stashed {
+        for frame in self.client.unpark(instance) {
             sends.extend(self.dispatch(frame));
         }
         sends
-    }
-
-    /// The request behind client instance `instance` is answered: take it
-    /// out of flight and make `value` the session's cached reply.
-    fn cache_client_reply(&mut self, instance: InstanceId, session: u64, reqno: u64, value: VecD) {
-        self.client.pending.remove(&instance);
-        let row = self.client.table.entry(session).or_default();
-        row.last_reply = Some((reqno, value));
-        row.saw(reqno);
-    }
-
-    /// The client bookkeeping for this poll's decisions: cache the reply in
-    /// the session row, append it to the WAL's current batch, and queue it
-    /// for the client port. Runs before the poll's group commit, so dedup
-    /// survives a crash that happens after the reply is out: the port can
-    /// read `replies_out` only after `poll` returned, past the sync.
-    fn record_client_replies(&mut self, decided: &[(InstanceId, VecD)]) {
-        for (instance, value) in decided {
-            let Some(&(session, reqno)) = self.client.pending.get(instance) else {
-                continue;
-            };
-            self.cache_client_reply(*instance, session, reqno, value.clone());
-            self.wal_append(WalRecordRef::ClientReply {
-                instance: *instance,
-                session,
-                reqno,
-                value: value.as_slice(),
-            });
-            self.client.replies_out.push((session, reqno, value.clone()));
-        }
-    }
-
-    /// Backfill freed in-flight slots from the admission queue. Runs after
-    /// the poll's flush: the launches it queues ride the next poll's batch.
-    fn backfill_client_queue(&mut self) {
-        while self.client.pending.len() < self.client.cfg.max_inflight {
-            let Some((session, reqno, value)) = self.client.queue.pop_front() else {
-                break;
-            };
-            let _ = self.admit_client_request(session, reqno, value);
-        }
     }
 
     /// Rebuild a service from its write-ahead log after a crash.
@@ -1782,16 +1194,14 @@ impl<T: Transport> ConsensusService<T> {
             match rec {
                 WalRecord::Registered { instance, spec } => {
                     // Client instances log a self-describing spec: rebuild
-                    // them (and the client table / pending set) internally;
+                    // them (and the client table's view of them) internally;
                     // everything else goes through the caller's factory.
-                    if let Some(launch) = decode_client_spec(&spec) {
+                    if let Some(launch) = client_table::decode_spec(&spec) {
                         if svc.instances.contains_key(&instance) {
                             svc.replay_divergence += 1;
                             continue;
                         }
-                        svc.client.table.entry(launch.session).or_default().saw(launch.reqno);
-                        svc.client.next_seq =
-                            svc.client.next_seq.max((instance & 0xFF_FFFF) + 1);
+                        svc.client.restore(instance, &launch);
                         let frames = svc.open_client_instance(instance, launch);
                         if client_instance_owner(instance) == Some(local) {
                             // The owner fanned the Launch out right after
@@ -1832,7 +1242,7 @@ impl<T: Transport> ConsensusService<T> {
                     if replayed != Some(count) {
                         svc.replay_divergence += 1;
                     }
-                    svc.witness_logged.insert(instance, count);
+                    svc.durability.witness_replayed(instance, count);
                 }
                 WalRecord::Decided { instance, value } => {
                     let value = VecD::from_slice(&value);
@@ -1856,37 +1266,28 @@ impl<T: Transport> ConsensusService<T> {
                     // A reply that was surfaced (or about to be) before the
                     // crash: rebuild the dedup cache so a retry of the same
                     // (session, reqno) gets the identical pre-crash bytes.
-                    svc.cache_client_reply(instance, session, reqno, VecD::from_slice(&value));
+                    svc.client.cache_reply(instance, session, reqno, VecD::from_slice(&value));
                 }
                 WalRecord::Compacted { .. } => {}
             }
         }
-        svc.wal = Some(wal);
+        svc.durability.attach(wal);
         // Client instances that decided before the crash but whose reply
         // record didn't make it: the pinned decision is durable, so cache
         // and log the reply now — the retry path answers from here.
-        let unfinished: Vec<(InstanceId, (u64, u64))> = svc
-            .client
-            .pending
-            .iter()
-            .map(|(id, sr)| (*id, *sr))
-            .collect();
-        for (instance, (session, reqno)) in unfinished {
-            let Some(slot) = svc.instances.get(&instance) else { continue };
-            if !slot.decided {
+        for (instance, session, reqno) in svc.client.in_flight() {
+            if !svc.instances.get(&instance).is_some_and(|slot| slot.decided) {
                 continue;
             }
             let Some(value) = svc.decision(instance) else { continue };
-            svc.cache_client_reply(instance, session, reqno, value.clone());
-            svc.wal_append(WalRecordRef::ClientReply {
-                instance,
-                session,
-                reqno,
-                value: value.as_slice(),
-            });
+            svc.durability.append(
+                WalRecordRef::ClientReply { instance, session, reqno, value: value.as_slice() },
+                &mut svc.sinks,
+            );
+            svc.client.cache_reply(instance, session, reqno, value);
         }
-        svc.wal_sync();
-        Registry::global().gauge("client.sessions").set(svc.client.table.len() as i64);
+        svc.durability.commit(&mut svc.sinks);
+        svc.client.publish_sessions();
         // A replayed state machine that now disagrees with its own pinned
         // decision is the amnesia signature — the pin wins, but flag it.
         for slot in svc.instances.values() {
@@ -1900,9 +1301,7 @@ impl<T: Transport> ConsensusService<T> {
         // frame lost in the crash window reaches its peer (receivers dedup).
         for (dst, bytes) in regenerated {
             let _ = svc.transport.send(dst, bytes.clone());
-            if let Some(sent) = svc.history.get_mut(dst) {
-                sent.push(bytes);
-            }
+            svc.durability.keep(dst, bytes);
         }
         let _ = svc.transport.flush();
         let recover_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1911,13 +1310,13 @@ impl<T: Transport> ConsensusService<T> {
             .counter("service.replay.divergences")
             .add(svc.replay_divergence);
         let (records, torn) = (report.records.len(), report.torn_bytes);
-        svc.obs.emit(|| {
+        svc.sinks.obs.emit(|| {
             Event::new(EventKind::WalReplay)
                 .detail(format!("records={records} torn_bytes={torn}"))
         });
         let (instances, decisions, divergences) =
             (svc.instances.len(), svc.recovered.len(), svc.replay_divergence);
-        svc.obs.emit(|| {
+        svc.sinks.obs.emit(|| {
             Event::new(EventKind::Recovered).detail(format!(
                 "instances={instances} decisions={decisions} divergences={divergences} recover_us={recover_us}"
             ))
@@ -1944,7 +1343,7 @@ impl<T: Transport> ConsensusService<T> {
     /// unknown instances, kind mismatches).
     #[must_use]
     pub fn errors(&self) -> &ErrorLog {
-        &self.errors
+        &self.sinks.errors
     }
 
     /// The transport endpoint (byte counters, transport error log).
@@ -1968,6 +1367,7 @@ mod tests {
     use rbvc_core::verified_avg::DeltaMode;
     use rbvc_core::DecisionRule;
     use rbvc_linalg::Tol;
+    use rbvc_obs::{StallConfig, StatusBoard};
 
     fn bvc_instance(id: ProcessId, n: usize, f: usize, input: &[f64]) -> InstanceProto {
         let d = input.len();
@@ -2200,7 +1600,7 @@ mod tests {
         assert!(crashed, "the victim never refilled its window");
         let image = dir.join("image.wal");
         std::fs::copy(wal_path(victim), &image).unwrap();
-        let wal = services[victim].wal.as_ref().expect("durable");
+        let wal = services[victim].durability.wal().expect("durable");
         assert!(wal.len() > wal.synced_len(), "the launch is appended, not synced");
         assert_eq!(
             std::fs::metadata(&image).unwrap().len(),
@@ -2304,7 +1704,7 @@ mod tests {
         let first = std::mem::take(&mut svc.transport_mut().sent);
         for dst in 0..n {
             assert!(to(&first, dst).len() >= 3, "one frame per instance at least");
-            assert_eq!(to(&first, dst), svc.history[dst], "history mirrors the sends, per peer");
+            assert_eq!(to(&first, dst), svc.durability.history(dst), "history mirrors the sends, per peer");
         }
 
         svc.transport_mut().reconnects = vec![rejoined];
@@ -2318,7 +1718,7 @@ mod tests {
         // Everything after it is new traffic: history grew by exactly that.
         for dst in 0..n {
             let old = to(&first, dst).len();
-            assert_eq!(to(&second[replay.len()..], dst)[..], svc.history[dst][old..], "peer {dst}");
+            assert_eq!(to(&second[replay.len()..], dst)[..], svc.durability.history(dst)[old..], "peer {dst}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2643,7 +2043,7 @@ mod tests {
         .expect("recover");
         assert_eq!(svc.replay_divergences(), 0);
         assert_eq!((svc.gate_rejections(), svc.gate_rejections_by_sender().to_vec()), live);
-        assert_eq!(svc.wal.as_ref().expect("durable").records(), report.records.len() as u64);
+        assert_eq!(svc.durability.wal().expect("durable").records(), report.records.len() as u64);
         // The same log plus a `WitnessCommit` the replayed instance never
         // reached (it stands at 0 commits): the cross-check must flag it.
         drop(svc);

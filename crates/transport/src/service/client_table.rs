@@ -1,0 +1,548 @@
+//! The client table: what the service knows about client requests, and the
+//! decisions only this file should know — the client instance-id layout,
+//! the recovery-spec codec, the admission policy and the rules a peer's
+//! `Launch` frame must pass.
+//!
+//! The table never touches the transport, the WAL or a protocol instance:
+//! it hands the core verdicts and requests, the core launches, logs and
+//! routes. The node-to-node side — `Launch` checks and the early-frame
+//! stash — is always live so every node participates in client instances
+//! whether or not it fronts clients; enabling the front-end only opens the
+//! admission API.
+
+use std::collections::{BTreeMap, VecDeque};
+
+use rbvc_linalg::VecD;
+use rbvc_obs::{ClientStatus, Registry};
+use rbvc_sim::config::ProcessId;
+
+use super::InstanceId;
+use crate::wire::{ClientLaunch, Frame, MAX_DIM};
+
+/// Base of the client-request instance-id space: ids are
+/// `CLIENT_INSTANCE_BASE | (owner << 24) | seq` with the owning process in
+/// bits 24..44 and a per-owner sequence number in bits 0..24, so the owner
+/// of any client instance is recoverable from the id alone (the auth check
+/// on [`crate::wire::Payload::Launch`] frames) and owners can mint ids
+/// concurrently without coordination. Disjoint from the small static ids
+/// benchmarks and tests register directly.
+pub const CLIENT_INSTANCE_BASE: u64 = 1 << 44;
+
+/// The owning process encoded in a client instance id, or `None` if `id`
+/// is not in the client instance-id space.
+#[must_use]
+pub fn client_instance_owner(id: InstanceId) -> Option<ProcessId> {
+    if id >> 44 == 1 {
+        Some(usize::try_from((id >> 24) & 0xF_FFFF).expect("20 bits fit usize"))
+    } else {
+        None
+    }
+}
+
+/// The per-owner sequence number's bits in a client instance id.
+const SEQ_MASK: u64 = 0xFF_FFFF;
+
+/// Frames for a client instance that arrive before its `Launch` are parked
+/// (per service), bounded by this; overflow is shed and counted.
+const STASH_CAP: usize = 1024;
+
+/// Parameters of the client front-end (the consensus instances client
+/// requests are run through, and the admission bounds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientConfig {
+    /// Fault tolerance each client instance is configured with. The
+    /// benchmark meshes are crash-free, so `f = 0` (wait for all) gives the
+    /// tightest agreement; adversarial campaigns run `f > 0`.
+    pub f: usize,
+    /// Bracha round budget per client instance.
+    pub rounds: usize,
+    /// Client instances this node will run concurrently as owner; further
+    /// admissions queue.
+    pub max_inflight: usize,
+    /// Bound of the admission queue; beyond it clients get `Busy` and the
+    /// request is shed.
+    pub queue_cap: usize,
+}
+
+impl Default for ClientConfig {
+    fn default() -> Self {
+        ClientConfig { f: 0, rounds: 8, max_inflight: 64, queue_cap: 256 }
+    }
+}
+
+/// Outcome of the service's `client_submit` — what the client port sends
+/// back (or doesn't) for one `Submit`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClientAdmission {
+    /// The request was already decided: the identical cached decision, no
+    /// new instance.
+    Reply {
+        /// The request number the cached decision answers.
+        reqno: u64,
+        /// The cached decision, bit-identical on every retry.
+        decision: VecD,
+    },
+    /// This node does not own the session; the client should dial `0`'s
+    /// client port.
+    Redirect(ProcessId),
+    /// In-flight and queue are both full; the request was shed.
+    Busy,
+    /// Admitted: a consensus instance was launched for this request.
+    Admitted,
+    /// Admitted into the bounded queue; it launches when an in-flight slot
+    /// frees up.
+    Queued,
+    /// A request number at or below one already seen (an in-flight retry,
+    /// or a regression); silently dropped — the original's reply stands.
+    Stale,
+    /// Structurally unacceptable (empty / oversized / non-finite vector, or
+    /// the client front-end is not enabled); dropped and counted.
+    Rejected,
+}
+
+/// Snapshot of the client front-end counters, for tests and campaigns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientStats {
+    /// Distinct sessions in the client table.
+    pub sessions: u64,
+    /// Retries answered from the reply cache without a new instance.
+    pub dedup_hits: u64,
+    /// Submits for sessions this node does not own.
+    pub redirects: u64,
+    /// Requests shed with `Busy` (in-flight and queue both full).
+    pub shed: u64,
+    /// Early client-instance frames dropped because the stash was full.
+    pub stash_shed: u64,
+    /// Requests admitted as new consensus instances.
+    pub admitted: u64,
+    /// Structurally unacceptable submits dropped at admission.
+    pub rejected: u64,
+    /// Client instances currently in flight on this owner.
+    pub pending: u64,
+    /// Requests waiting in the admission queue.
+    pub queued: u64,
+}
+
+/// One session's row in the client table (Viewstamped-Replication style):
+/// the highest request number seen and the cached last reply.
+#[derive(Default)]
+struct SessionRow {
+    last_reqno: Option<u64>,
+    last_reply: Option<(u64, VecD)>,
+}
+
+impl SessionRow {
+    /// Raise the highest request number seen to at least `reqno`.
+    fn saw(&mut self, reqno: u64) {
+        if self.last_reqno.is_none_or(|last| reqno > last) {
+            self.last_reqno = Some(reqno);
+        }
+    }
+}
+
+/// One request the owner is to run: the minted instance id and the launch
+/// parameters every node stands the instance up with.
+pub(super) type Request = (InstanceId, ClientLaunch);
+
+pub(super) struct ClientTable {
+    /// This node and the mesh size (sessions are sharded `session % n`).
+    local: ProcessId,
+    n: usize,
+    enabled: bool,
+    cfg: ClientConfig,
+    sessions: BTreeMap<u64, SessionRow>,
+    /// In-flight client instances this node owns: instance → (session, reqno).
+    in_flight: BTreeMap<InstanceId, (u64, u64)>,
+    /// Bounded admission queue of (session, reqno, value).
+    queue: VecDeque<(u64, u64, VecD)>,
+    /// Next per-owner sequence number for minting instance ids.
+    next_seq: u64,
+    /// Client-instance frames that arrived before their `Launch`.
+    stash: VecDeque<Frame>,
+    /// Replies ready for the client port: (session, reqno, decision).
+    replies_out: Vec<(u64, u64, VecD)>,
+    /// The counters; the three sizes are filled in by [`Self::stats`].
+    counters: ClientStats,
+}
+
+impl ClientTable {
+    pub(super) fn new(local: ProcessId, n: usize) -> Self {
+        ClientTable {
+            local,
+            n,
+            enabled: false,
+            cfg: ClientConfig::default(),
+            sessions: BTreeMap::new(),
+            in_flight: BTreeMap::new(),
+            queue: VecDeque::new(),
+            next_seq: 0,
+            stash: VecDeque::new(),
+            replies_out: Vec::new(),
+            counters: ClientStats::default(),
+        }
+    }
+
+    /// Open the admission API with `cfg`, and pre-register the client
+    /// metrics so the live `/metrics` endpoint exports them from the first
+    /// scrape.
+    pub(super) fn enable(&mut self, cfg: ClientConfig) {
+        self.enabled = true;
+        self.cfg = cfg;
+        self.publish_sessions();
+        let reg = Registry::global();
+        reg.counter("client.dedup_hits").add(self.counters.dedup_hits);
+        reg.counter("client.redirects").add(self.counters.redirects);
+        reg.counter("service.client.shed").add(0);
+    }
+
+    /// Set the `client.sessions` gauge to the table's size.
+    pub(super) fn publish_sessions(&self) {
+        Registry::global().gauge("client.sessions").set(self.sessions.len() as i64);
+    }
+
+    pub(super) fn stats(&self) -> ClientStats {
+        ClientStats {
+            sessions: self.sessions.len() as u64,
+            pending: self.in_flight.len() as u64,
+            queued: self.queue.len() as u64,
+            ..self.counters
+        }
+    }
+
+    /// The `/status` view; `None` while the front-end is not enabled.
+    pub(super) fn status(&self) -> Option<ClientStatus> {
+        self.enabled.then_some(ClientStatus {
+            sessions: self.sessions.len() as u64,
+            inflight: self.in_flight.len() as u64,
+            shed: self.counters.shed,
+        })
+    }
+
+    /// Which process owns client session `session`.
+    pub(super) fn session_owner(&self, session: u64) -> ProcessId {
+        usize::try_from(session % self.n as u64).expect("owner fits usize")
+    }
+
+    /// The admission verdict for one `(session, reqno, value)` — the
+    /// VR-style boundary that makes retries idempotent — and, when the
+    /// verdict is `Admitted`, the request the core must launch (already
+    /// counted in flight). `started` is whether the service takes traffic.
+    pub(super) fn submit(
+        &mut self,
+        started: bool,
+        session: u64,
+        reqno: u64,
+        value: VecD,
+    ) -> (ClientAdmission, Option<Request>) {
+        if !self.enabled || !started {
+            self.counters.rejected += 1;
+            return (ClientAdmission::Rejected, None);
+        }
+        let owner = self.session_owner(session);
+        if owner != self.local {
+            self.counters.redirects += 1;
+            Registry::global().counter("client.redirects").inc();
+            return (ClientAdmission::Redirect(owner), None);
+        }
+        if value.dim() == 0
+            || value.dim() > MAX_DIM
+            || value.as_slice().iter().any(|x| !x.is_finite())
+        {
+            self.counters.rejected += 1;
+            Registry::global().counter("service.client.reject").inc();
+            return (ClientAdmission::Rejected, None);
+        }
+        // Look the row up without creating it: only an admitted request may
+        // grow the table.
+        if let Some(row) = self.sessions.get(&session) {
+            if let Some((cached_reqno, decision)) = &row.last_reply {
+                if *cached_reqno == reqno {
+                    let decision = decision.clone();
+                    self.counters.dedup_hits += 1;
+                    Registry::global().counter("client.dedup_hits").inc();
+                    return (ClientAdmission::Reply { reqno, decision }, None);
+                }
+            }
+            if row.last_reqno.is_some_and(|last| reqno <= last) {
+                return (ClientAdmission::Stale, None);
+            }
+        }
+        // A shed request leaves the table untouched so its retry is
+        // re-considered (not stale-dropped) once load drains.
+        let can_admit = self.in_flight.len() < self.cfg.max_inflight;
+        let can_queue = self.queue.len() < self.cfg.queue_cap;
+        if !can_admit && !can_queue {
+            self.counters.shed += 1;
+            Registry::global().counter("service.client.shed").inc();
+            return (ClientAdmission::Busy, None);
+        }
+        self.sessions.entry(session).or_default().last_reqno = Some(reqno);
+        self.publish_sessions();
+        if can_admit {
+            (ClientAdmission::Admitted, Some(self.mint(session, reqno, value)))
+        } else {
+            self.queue.push_back((session, reqno, value));
+            (ClientAdmission::Queued, None)
+        }
+    }
+
+    /// The oldest queued request, if an in-flight slot is free for it.
+    pub(super) fn next_queued(&mut self) -> Option<Request> {
+        if self.in_flight.len() >= self.cfg.max_inflight {
+            return None;
+        }
+        let (session, reqno, value) = self.queue.pop_front()?;
+        Some(self.mint(session, reqno, value))
+    }
+
+    /// Mint the instance id for one admitted request and put it in flight.
+    fn mint(&mut self, session: u64, reqno: u64, value: VecD) -> Request {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let instance = CLIENT_INSTANCE_BASE | ((self.local as u64) << 24) | (seq & SEQ_MASK);
+        self.in_flight.insert(instance, (session, reqno));
+        self.counters.admitted += 1;
+        let launch = ClientLaunch {
+            session,
+            reqno,
+            f: u32::try_from(self.cfg.f).unwrap_or(u32::MAX),
+            rounds: u32::try_from(self.cfg.rounds).unwrap_or(u32::MAX),
+            value,
+        };
+        (instance, launch)
+    }
+
+    /// Recovery met the registration of one of this owner's requests: put
+    /// it back in flight, with the session row and the sequence counter as
+    /// [`Self::submit`] and [`Self::mint`] had left them.
+    pub(super) fn restore(&mut self, instance: InstanceId, launch: &ClientLaunch) {
+        self.sessions.entry(launch.session).or_default().saw(launch.reqno);
+        self.next_seq = self.next_seq.max((instance & SEQ_MASK) + 1);
+        self.in_flight.insert(instance, (launch.session, launch.reqno));
+    }
+
+    /// `instance` decided `value`: if it is one of this owner's requests,
+    /// cache the reply, queue it for the client port and return the
+    /// `(session, reqno)` it answers.
+    pub(super) fn answered(&mut self, instance: InstanceId, value: &VecD) -> Option<(u64, u64)> {
+        let &(session, reqno) = self.in_flight.get(&instance)?;
+        self.cache_reply(instance, session, reqno, value.clone());
+        self.replies_out.push((session, reqno, value.clone()));
+        Some((session, reqno))
+    }
+
+    /// The request behind client instance `instance` is answered: take it
+    /// out of flight and make `value` the session's cached reply.
+    pub(super) fn cache_reply(&mut self, instance: InstanceId, session: u64, reqno: u64, value: VecD) {
+        self.in_flight.remove(&instance);
+        let row = self.sessions.entry(session).or_default();
+        row.last_reply = Some((reqno, value));
+        row.saw(reqno);
+    }
+
+    /// The requests in flight, as `(instance, session, reqno)`.
+    pub(super) fn in_flight(&self) -> Vec<(InstanceId, u64, u64)> {
+        self.in_flight.iter().map(|(id, &(session, reqno))| (*id, session, reqno)).collect()
+    }
+
+    /// Take the replies that became ready since the last call.
+    pub(super) fn take_replies(&mut self) -> Vec<(u64, u64, VecD)> {
+        std::mem::take(&mut self.replies_out)
+    }
+
+    /// A frame for a client instance may legitimately beat its `Launch`
+    /// here (different links race); park it, bounded.
+    pub(super) fn park(&mut self, frame: Frame) {
+        if self.stash.len() < STASH_CAP {
+            self.stash.push_back(frame);
+        } else {
+            self.counters.stash_shed += 1;
+            Registry::global().counter("service.client.stash_shed").inc();
+        }
+    }
+
+    /// Take the frames parked for `instance`, in arrival order; everything
+    /// else stays parked.
+    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<Frame> {
+        let (matched, kept) =
+            std::mem::take(&mut self.stash).into_iter().partition(|f| f.instance == instance);
+        self.stash = kept;
+        matched
+    }
+
+    /// Why a peer's `Launch` frame must be refused, as the receive gate to
+    /// charge (an index into `GATE_NAMES`) and the reason to record; `None`
+    /// for a launch to stand up. The frame is authenticated against the
+    /// owner encoded in the instance id and against the session's owner.
+    pub(super) fn launch_refusal(
+        &self,
+        instance: InstanceId,
+        sender: ProcessId,
+        launch: &ClientLaunch,
+    ) -> Option<(usize, String)> {
+        let Some(owner) = client_instance_owner(instance) else {
+            return Some((3, format!("launch for non-client instance {instance}")));
+        };
+        if owner != sender || self.session_owner(launch.session) != sender {
+            return Some((
+                1,
+                format!(
+                    "launch of instance {instance} (owner {owner}, session {}) from non-owner {sender}",
+                    launch.session
+                ),
+            ));
+        }
+        if self.n <= 3 * launch.f as usize
+            || launch.rounds == 0
+            || launch.value.as_slice().iter().any(|x| !x.is_finite())
+        {
+            return Some((3, format!("degenerate launch parameters for instance {instance}")));
+        }
+        None
+    }
+}
+
+/// Magic prefix of the recovery spec the service logs for its own client
+/// instances, so recovery can rebuild them (and the client table) itself
+/// before consulting the caller's factory.
+const SPEC_MAGIC: [u8; 4] = *b"RBCS";
+
+/// The recovery spec of one client instance: its launch parameters.
+pub(super) fn encode_spec(launch: &ClientLaunch) -> Vec<u8> {
+    let value = &launch.value;
+    let mut out = Vec::with_capacity(32 + value.dim() * 8);
+    out.extend_from_slice(&SPEC_MAGIC);
+    out.extend_from_slice(&launch.session.to_le_bytes());
+    out.extend_from_slice(&launch.reqno.to_le_bytes());
+    out.extend_from_slice(&launch.f.to_le_bytes());
+    out.extend_from_slice(&launch.rounds.to_le_bytes());
+    out.extend_from_slice(&u32::try_from(value.dim()).unwrap_or(u32::MAX).to_le_bytes());
+    for &x in value.as_slice() {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// `None` for anything that is not exactly one [`encode_spec`] output —
+/// a caller's own spec, in particular.
+pub(super) fn decode_spec(spec: &[u8]) -> Option<ClientLaunch> {
+    if spec.len() < 32 || spec[..4] != SPEC_MAGIC {
+        return None;
+    }
+    let u64_at = |i: usize| u64::from_le_bytes(spec[i..i + 8].try_into().expect("8 bytes"));
+    let u32_at = |i: usize| u32::from_le_bytes(spec[i..i + 4].try_into().expect("4 bytes"));
+    let dim = u32_at(28) as usize;
+    if dim == 0 || dim > MAX_DIM || spec.len() != 32 + dim * 8 {
+        return None;
+    }
+    let xs: Vec<f64> = (0..dim).map(|i| f64::from_bits(u64_at(32 + i * 8))).collect();
+    Some(ClientLaunch {
+        session: u64_at(4),
+        reqno: u64_at(12),
+        f: u32_at(20),
+        rounds: u32_at(24),
+        value: VecD::from_slice(&xs),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::GATE_NAMES;
+    use crate::wire::Payload;
+
+    fn frame(instance: InstanceId, round: u32) -> Frame {
+        Frame { instance, sender: 1, round, payload: Payload::Eig(vec![]) }
+    }
+
+    fn launch(session: u64) -> ClientLaunch {
+        ClientLaunch { session, reqno: 1, f: 1, rounds: 8, value: VecD::from_slice(&[1.0, -2.0]) }
+    }
+
+    /// Frames parked before their `Launch` come back in arrival order, for
+    /// that instance only; the stash is bounded and the overflow counted.
+    #[test]
+    fn parked_frames_return_in_order_per_instance_and_the_overflow_is_shed() {
+        let (a, b) = (CLIENT_INSTANCE_BASE | 1, CLIENT_INSTANCE_BASE | 2);
+        let mut table = ClientTable::new(0, 4);
+        for round in 0..6 {
+            table.park(frame(if round % 2 == 0 { a } else { b }, round));
+        }
+        let rounds = |frames: VecDeque<Frame>| frames.iter().map(|f| f.round).collect::<Vec<_>>();
+        assert_eq!(rounds(table.unpark(a)), [0, 2, 4]);
+        assert!(table.unpark(a).is_empty(), "taken once");
+        for round in 6..6 + (STASH_CAP as u32 - 3) {
+            table.park(frame(a, round));
+        }
+        assert_eq!(table.stats().stash_shed, 0, "exactly at the cap");
+        table.park(frame(b, 9_999));
+        assert_eq!(table.stats().stash_shed, 1, "the 1025th frame is shed");
+        assert_eq!(rounds(table.unpark(b)), [1, 3, 5], "b's frames survived a's, in order");
+    }
+
+    /// A queued request is handed out exactly when an in-flight slot
+    /// frees, oldest first.
+    #[test]
+    fn queued_requests_backfill_fifo_as_slots_free() {
+        let mut table = ClientTable::new(0, 2);
+        table.enable(ClientConfig { max_inflight: 1, queue_cap: 2, ..ClientConfig::default() });
+        let v = VecD::from_slice(&[0.5]);
+        let (verdict, first) = table.submit(true, 2, 1, v.clone());
+        assert_eq!(verdict, ClientAdmission::Admitted);
+        let (first, _) = first.expect("an admitted request comes with its launch");
+        assert_eq!(client_instance_owner(first), Some(0));
+        assert_eq!(table.submit(true, 4, 1, v.clone()), (ClientAdmission::Queued, None));
+        assert_eq!(table.submit(true, 6, 1, v.clone()), (ClientAdmission::Queued, None));
+        assert_eq!(table.submit(true, 8, 1, v.clone()), (ClientAdmission::Busy, None));
+        assert_eq!(table.next_queued(), None, "the one slot is taken");
+
+        assert_eq!(table.answered(first, &v), Some((2, 1)));
+        assert_eq!(table.answered(first, &v), None, "answered once");
+        let (second, launch) = table.next_queued().expect("a slot is free");
+        assert_eq!((launch.session, second), (4, first + 1), "oldest first, next id");
+        assert_eq!(table.next_queued(), None, "and taken again");
+        assert_eq!(table.answered(second, &v), Some((4, 1)));
+        assert_eq!(table.next_queued().expect("a slot is free").1.session, 6);
+        assert_eq!(table.next_queued(), None, "the queue is empty");
+        assert_eq!(table.take_replies(), [(2, 1, v.clone()), (4, 1, v)]);
+        let stats = table.stats();
+        assert_eq!((stats.admitted, stats.shed, stats.pending, stats.queued), (3, 1, 1, 0));
+    }
+
+    /// The rules a peer's `Launch` frame must pass, and the gate each
+    /// refusal is charged to.
+    #[test]
+    fn launch_refusals_name_their_gate() {
+        let n = 4;
+        let table = ClientTable::new(0, n);
+        // Owned by node 1, for a session node 1 owns (5 % 4).
+        let id = CLIENT_INSTANCE_BASE | (1 << 24) | 3;
+        let gate = |instance, sender, launch: &ClientLaunch| {
+            table.launch_refusal(instance, sender, launch).map(|(gate, _)| GATE_NAMES[gate])
+        };
+        assert_eq!(gate(id, 1, &launch(5)), None, "well-formed");
+        assert_eq!(gate(3, 1, &launch(5)), Some("kind"), "not a client instance id");
+        assert_eq!(gate(id, 2, &launch(5)), Some("auth"), "sender is not the id's owner");
+        assert_eq!(gate(id, 1, &launch(6)), Some("auth"), "sender does not own the session");
+        assert_eq!(gate(id, 1, &ClientLaunch { f: 2, ..launch(5) }), Some("kind"), "n <= 3f");
+        assert_eq!(gate(id, 1, &ClientLaunch { rounds: 0, ..launch(5) }), Some("kind"));
+        let nan = ClientLaunch { value: VecD::from_slice(&[f64::NAN]), ..launch(5) };
+        assert_eq!(gate(id, 1, &nan), Some("kind"), "non-finite value");
+    }
+
+    /// The recovery spec round-trips bit-exactly, and nothing shorter (or
+    /// longer, or foreign) decodes.
+    #[test]
+    fn spec_round_trips_and_every_truncation_is_refused() {
+        let launch = ClientLaunch { reqno: u64::MAX, ..launch(9) };
+        let spec = encode_spec(&launch);
+        assert_eq!(decode_spec(&spec), Some(launch));
+        for cut in 0..spec.len() {
+            assert_eq!(decode_spec(&spec[..cut]), None, "cut {cut}");
+        }
+        let mut longer = spec.clone();
+        longer.push(0);
+        assert_eq!(decode_spec(&longer), None, "trailing byte");
+        assert_eq!(decode_spec(&[0u8; 40]), None, "a caller's own spec");
+    }
+}

@@ -554,7 +554,7 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
 /// The 16-byte HELLO record announcing `id` with an explicit send
 /// timestamp. Exposed for tests and the Byzantine attack registry, which
 /// forge handshakes against the replay guard; legitimate endpoints stamp
-/// through [`hello_bytes`].
+/// with the monotonic send time (`hello_bytes`).
 #[must_use]
 pub fn hello_with_timestamp(id: ProcessId, t_tx: u64) -> [u8; 16] {
     let mut hello = [0u8; 16];

@@ -18,7 +18,7 @@ use relaxed_bvc::consensus::runner::{
 };
 use relaxed_bvc::consensus::sync_protocols::ByzantineStrategy;
 use relaxed_bvc::consensus::verified_avg::DeltaMode;
-use relaxed_bvc::geometry::minmax::{delta_star, MinMaxOptions};
+use relaxed_bvc::geometry::minmax::delta_star;
 use relaxed_bvc::linalg::{Norm, Tol, VecD};
 
 struct Args(Vec<String>);
@@ -100,7 +100,7 @@ fn cmd_delta_star(args: &Args) {
     for (i, p) in inputs.iter().enumerate() {
         println!("  process {i}: {p}");
     }
-    let ds = delta_star(&inputs, f, norm, Tol::default(), MinMaxOptions::default());
+    let ds = delta_star(&inputs, f, norm, Tol::default());
     println!("\nδ*(S) [{norm:?}] = {:.8}  (method: {:?})", ds.delta, ds.method);
     println!("witness point   = {}", ds.witness);
 }

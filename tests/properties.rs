@@ -2,7 +2,7 @@
 //! every downstream consensus guarantee rests on.
 
 use proptest::prelude::*;
-use relaxed_bvc::geometry::minmax::{delta_star, MinMaxOptions};
+use relaxed_bvc::geometry::minmax::delta_star;
 use relaxed_bvc::geometry::{
     gamma_point, min_delta_polyhedral, subset_hulls, ConvexHull, KRelaxedHull, Simplex,
 };
@@ -98,7 +98,7 @@ proptest! {
     fn delta_star_is_inradius(pts in points(4, 3)) {
         if let Some(s) = Simplex::new(pts.clone(), tol()) {
             if s.inradius() > 1e-3 {
-                let ds = delta_star(&pts, 1, Norm::L2, tol(), MinMaxOptions::default());
+                let ds = delta_star(&pts, 1, Norm::L2, tol());
                 prop_assert!(
                     (ds.delta - s.inradius()).abs() < 1e-6 * s.inradius().max(1.0),
                     "δ* = {} vs inradius = {}", ds.delta, s.inradius()
@@ -128,7 +128,7 @@ proptest! {
                 let edges = relaxed_bvc::geometry::pairwise_edges(&pts);
                 let min_e = edges.iter().copied().fold(f64::INFINITY, f64::min);
                 let max_e = edges.iter().copied().fold(0.0_f64, f64::max);
-                let ds = delta_star(&pts, 1, Norm::L2, tol(), MinMaxOptions::default());
+                let ds = delta_star(&pts, 1, Norm::L2, tol());
                 prop_assert!(ds.delta < min_e / 2.0 + 1e-9);
                 prop_assert!(ds.delta < max_e / (pts.len() as f64 - 2.0) + 1e-9);
             }
