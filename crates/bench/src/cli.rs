@@ -237,7 +237,7 @@ mod tests {
             ("tverberg", "8 3"),
             ("async-delta", "3 5"),
             ("convergence", "8"),
-            ("conjectures", "2 40 1"),
+            ("conjectures", "15 1000 1"),
             ("broadcast", "5"),
         ];
         assert_eq!(quick, want.map(|(name, words)| (name, words.to_string())));

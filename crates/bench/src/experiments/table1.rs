@@ -11,10 +11,11 @@
 use rbvc_core::bounds::{kappa_l2, kappa_lp, theorem9_min_edge_factor, BoundSource};
 use rbvc_geometry::minmax::delta_star;
 use rbvc_linalg::{Norm, Tol, VecD};
+use rbvc_obs::Registry;
 use serde_json::json;
 
 use super::Experiment;
-use crate::campaign::{Args, Gate, Kind};
+use crate::campaign::{gate, Args, Gate, Kind};
 use crate::report::{fnum, print_table};
 use crate::workloads::{self, rng};
 
@@ -55,6 +56,9 @@ pub struct Table1Row {
     pub mean_delta: f64,
     /// Mean bound value.
     pub mean_bound: f64,
+    /// Trials whose δ* came with a certificate that does not verify
+    /// (expected 0; the closed-form and LP paths carry the empty one).
+    pub uncertified: usize,
 }
 
 /// The Table-1 configurations we sweep (kept small enough that the
@@ -85,7 +89,7 @@ pub fn run_config(
     seed: u64,
 ) -> Table1Row {
     let tol = Tol::default();
-    let results: Vec<(f64, f64)> = (0..trials)
+    let results: Vec<(f64, f64, bool)> = (0..trials)
         .map(|trial| {
             let mut r = rng(seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let correct = workloads::random_points(&mut r, n - f, d, 1.0);
@@ -93,14 +97,14 @@ pub fn run_config(
             let (inputs, _) = workloads::assemble_inputs(&correct, &faulty);
             let ds = delta_star(&inputs, f, norm, tol);
             let bound = bound_for(f, n, d, norm, &correct);
-            (ds.delta, bound)
+            (ds.delta, bound, ds.verify(&inputs, f))
         })
         .collect();
     let mut violations = 0;
     let mut max_ratio = 0.0_f64;
     let mut sum_delta = 0.0;
     let mut sum_bound = 0.0;
-    for (delta, bound) in &results {
+    for (delta, bound, _) in &results {
         let ratio = delta / bound;
         if *delta >= *bound - 1e-9 {
             violations += 1;
@@ -121,6 +125,7 @@ pub fn run_config(
         max_ratio,
         mean_delta: sum_delta / trials as f64,
         mean_bound: sum_bound / trials as f64,
+        uncertified: results.iter().filter(|(_, _, verified)| !verified).count(),
     }
 }
 
@@ -212,14 +217,28 @@ fn run(args: &Args) -> Vec<Gate> {
     let rows = table1_l2(trials, seed);
     print_table("Table 1 (measured)", &headers, &rows_to_table(&rows));
     let total_violations: usize = rows.iter().map(|r| r.violations).sum();
-    println!("total violations: {total_violations} (expected 0)\n");
+    println!("total violations: {total_violations} (expected 0)");
+    // Rows 4–6 go through the cutting-plane solver: its answers must come
+    // with a proof that checks, within the solver's gap.
+    let uncertified: usize = rows.iter().map(|r| r.uncertified).sum();
+    let cap_hits = Registry::global().counter("geometry.delta_star.cap_hits").get();
+    println!(
+        "δ* certificates failing to verify: {uncertified}, solves ending above the gap: \
+         {cap_hits} (expected 0, 0)\n"
+    );
 
     if args.p_sweep {
         println!("E12 — Theorem 14 p-sweep (f=1, n=5, d=4): bound scales by d^(1/2-1/p).");
         let rows = p_sweep(trials, seed);
         print_table("Theorem 14 p-sweep (measured)", &headers, &rows_to_table(&rows));
     }
-    Vec::new()
+    vec![
+        gate(uncertified == 0, format!("{uncertified} δ* certificates did not verify")),
+        gate(
+            cap_hits == 0,
+            format!("{cap_hits} δ* solves ended above the gap (geometry.delta_star.cap_hits)"),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use std::sync::OnceLock;
 
-use rbvc_linalg::{Tol, VecD};
+use rbvc_linalg::{Mat, Tol, VecD};
 use rbvc_obs::{time_kernel, Counter, Kernel, Registry};
 
 /// Global counter for phase-1 infeasibility exits, replacing the old
@@ -212,7 +212,7 @@ impl LpBuilder {
         }
 
         match simplex_standard_form(&a, &b, &c, tol) {
-            StdOutcome::Optimal { x, value } => {
+            StdOutcome::Optimal { x, value, .. } => {
                 let user_x: Vec<f64> = self
                     .vars
                     .iter()
@@ -239,7 +239,9 @@ impl LpBuilder {
 
 #[derive(Debug)]
 enum StdOutcome {
-    Optimal { x: Vec<f64>, value: f64 },
+    /// `basis[r]` is the column basic in row `r` at the optimum; a value
+    /// `≥ n` is the artificial of a redundant row `basis[r] − n`.
+    Optimal { x: Vec<f64>, value: f64, basis: Vec<usize> },
     Infeasible,
     Unbounded,
 }
@@ -341,7 +343,7 @@ fn simplex_standard_form(a: &[Vec<f64>], b: &[f64], c: &[f64], tol: Tol) -> StdO
         }
     }
     let value = c.iter().zip(&x).map(|(ci, xi)| ci * xi).sum();
-    StdOutcome::Optimal { x, value }
+    StdOutcome::Optimal { x, value, basis }
 }
 
 /// Run simplex iterations. Entering variable by Dantzig's rule (most
@@ -498,6 +500,55 @@ fn pivot_obj(t: &mut [Vec<f64>], obj: &mut [f64], row: usize, col: usize) {
         }
         obj[col] = 0.0;
     }
+}
+
+/// An optimal solution of `min cᵀx, Ax = b, x ≥ 0` with the multipliers of
+/// its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DualSolution {
+    /// Optimal primal point, one entry per column.
+    pub x: Vec<f64>,
+    /// Objective value `cᵀx`.
+    pub value: f64,
+    /// Row multipliers `y` of the optimal basis: `Aᵀy ≤ c` and `bᵀy = cᵀx`,
+    /// i.e. the optimal point of the dual `max bᵀy, Aᵀy ≤ c`.
+    pub y: Vec<f64>,
+}
+
+/// Solve `min cᵀx, Ax = b, x ≥ 0` and return the optimal basis' multipliers
+/// beside the point. `None` when the problem is infeasible or unbounded.
+///
+/// The multipliers are not read off the tableau (phase 2 bars the
+/// artificial columns, so their reduced costs are gone): they solve
+/// `Bᵀy = c_B` on the columns of the final basis. This is what lets a
+/// caller whose problem has few variables and many constraints solve the
+/// dual instead — the tableau then has one *row* per variable however many
+/// constraints there are — and still recover its own variables, as `y`
+/// (the δ* master in [`crate::minmax`] does exactly that).
+#[must_use]
+pub fn solve_with_duals(a: &[Vec<f64>], b: &[f64], c: &[f64], tol: Tol) -> Option<DualSolution> {
+    time_kernel(Kernel::LpSolve, || {
+        let StdOutcome::Optimal { x, value, basis } = simplex_standard_form(a, b, c, tol) else {
+            return None;
+        };
+        let (m, n) = (a.len(), c.len());
+        let mut bt = Mat::zeros(m, m);
+        let mut cb = VecD::zeros(m);
+        for (k, &col) in basis.iter().enumerate() {
+            if col < n {
+                for (i, row) in a.iter().enumerate() {
+                    bt[(k, i)] = row[col];
+                }
+                cb[k] = c[col];
+            } else {
+                // Artificial left basic on a redundant row: a unit column
+                // of cost 0, which pins that row's multiplier to 0.
+                bt[(k, col - n)] = 1.0;
+            }
+        }
+        let y = bt.solve(&cb, Tol(1e-13))?;
+        Some(DualSolution { x, value, y: y.0 })
+    })
 }
 
 /// Convenience: check feasibility of `A x = b, x ≥ 0` and return a feasible
@@ -724,5 +775,56 @@ mod tests {
                 "LP value {got} worse than vertex scan {best} (c=({c1},{c2}),cap={cap})"
             );
         }
+    }
+
+    #[test]
+    fn duals_are_optimal_for_the_dual_problem() {
+        // Strong duality and dual feasibility on random bounded problems:
+        // min cᵀx over {x ≥ 0 : Σx = 1, Gx = g}, a few rows, many columns
+        // (the shape of the δ* master). Rows with negative right-hand sides
+        // are flipped inside the tableau; the multipliers must not be.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for trial in 0..100 {
+            let (m, n) = (rng.gen_range(2..6), rng.gen_range(8..40));
+            let mut a = vec![vec![1.0; n]];
+            a.extend((1..m).map(|_| (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect()));
+            // A right-hand side that some convex combination attains.
+            let w: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let total: f64 = w.iter().sum();
+            let b: Vec<f64> = a
+                .iter()
+                .map(|row| row.iter().zip(&w).map(|(r, w)| r * w / total).sum())
+                .collect();
+            let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let sol = solve_with_duals(&a, &b, &c, t()).expect("feasible and bounded");
+            let dual_value: f64 = b.iter().zip(&sol.y).map(|(b, y)| b * y).sum();
+            assert!(
+                (dual_value - sol.value).abs() < 1e-8,
+                "trial {trial}: bᵀy={dual_value} cᵀx={}",
+                sol.value
+            );
+            for j in 0..n {
+                let priced: f64 = a.iter().zip(&sol.y).map(|(row, y)| row[j] * y).sum();
+                assert!(
+                    priced <= c[j] + 1e-8,
+                    "trial {trial}: column {j} prices out at {priced} > {}",
+                    c[j]
+                );
+            }
+        }
+        // Infeasible and unbounded problems have no multipliers.
+        assert!(solve_with_duals(&[vec![1.0]], &[-1.0], &[1.0], t()).is_none());
+        assert!(solve_with_duals(&[vec![1.0, -1.0]], &[0.0], &[-1.0, 0.0], t()).is_none());
+    }
+
+    #[test]
+    fn duals_of_a_redundant_row_are_zero() {
+        // x = 2 stated twice: the second row's artificial stays basic.
+        let sol = solve_with_duals(&[vec![1.0], vec![2.0]], &[2.0, 4.0], &[3.0], t())
+            .expect("optimal");
+        assert!((sol.value - 6.0).abs() < 1e-9);
+        let priced = sol.y[0] + 2.0 * sol.y[1];
+        assert!((priced - 3.0).abs() < 1e-9 && sol.y.contains(&0.0), "y = {:?}", sol.y);
     }
 }

@@ -5,9 +5,9 @@
 //! `argmin_{x ∈ H({pᵢ})} ||x − q||₂` by Philip Wolfe's 1976 active-set
 //! ("corral") method, which terminates finitely on exact arithmetic and is
 //! the standard exact tool at these sizes. The result feeds every Euclidean
-//! distance in the paper: `dist(p, H(T))` in the δ* definition (§9.2),
-//! hull-projection steps of the POCS solver, and the (δ,2)-relaxed hull
-//! membership test.
+//! distance in the paper: `dist(p, H(T))` in the δ* definition (§9.2) —
+//! one call per subset hull per iterate of the cutting-plane solver in
+//! [`crate::minmax`] — and the (δ,2)-relaxed hull membership test.
 
 use rbvc_linalg::{Mat, Tol, VecD};
 use rbvc_obs::{time_kernel, Kernel};
@@ -38,52 +38,116 @@ pub fn nearest_point_with_weights(
     tol: Tol,
 ) -> (VecD, Vec<f64>) {
     time_kernel(Kernel::WolfeNearest, || {
-        nearest_point_with_weights_inner(points, q, tol)
+        // Stop on squared norms, at the workspace tolerance scaled by the
+        // largest ‖pᵢ − q‖².
+        let slack = |scale_sq: f64, _| tol.scaled(scale_sq).value();
+        let min_norm = wolfe_min_norm(points.iter(), q, slack, &mut Vec::new());
+        let mut weights = vec![0.0; points.len()];
+        for (&i, &l) in min_norm.corral.iter().zip(&min_norm.lambda) {
+            weights[i] += l;
+        }
+        (&VecD(min_norm.x) + q, weights)
     })
 }
 
-fn nearest_point_with_weights_inner(points: &[VecD], q: &VecD, tol: Tol) -> (VecD, Vec<f64>) {
-    assert!(!points.is_empty(), "nearest_point: empty generator set");
-    let d = q.dim();
-    assert!(
-        points.iter().all(|p| p.dim() == d),
-        "nearest_point: dimension mismatch"
-    );
-    let m = points.len();
+/// The offset `π − q` from `q` to its projection `π` onto the hull of
+/// `{points[i] : i ∈ subset}`: the caller's one point slice indexed in
+/// place, no hull object, and `buf` (the translated generators) reused from
+/// call to call. Its norm is the distance, its negation the outward normal
+/// `u` of the supporting half-space at `π` — what the cutting-plane δ*
+/// solver ([`crate::minmax`]) asks of every subset hull at every iterate.
+///
+/// `accuracy` is in units of distance, not of squared norm: the kernel
+/// stops once no generator lies more than `accuracy` beyond that
+/// half-space, `max_{p∈T} ⟨u, p − π⟩ ≤ accuracy`, so the cut through `π`
+/// is at most `accuracy` shallower than the true distance however small
+/// that distance is against the size of the hull (needle inputs).
+///
+/// # Panics
+/// Panics if `subset` is empty, indexes out of `points`, or dimensions are
+/// inconsistent.
+#[must_use]
+pub fn offset_to_subset_hull(
+    points: &[VecD],
+    subset: &[usize],
+    q: &VecD,
+    accuracy: f64,
+    buf: &mut Vec<f64>,
+) -> VecD {
+    time_kernel(Kernel::WolfeNearest, || {
+        let slack = |_, xx: f64| accuracy * xx.sqrt();
+        VecD(wolfe_min_norm(subset.iter().map(|&i| &points[i]), q, slack, buf).x)
+    })
+}
 
-    // Work translated: z_i = p_i − q; seek the min-norm point of H({z_i}).
-    let z: Vec<VecD> = points.iter().map(|p| p - q).collect();
-    let scale_sq = z
-        .iter()
-        .map(VecD::norm2_sq)
-        .fold(1.0_f64, f64::max);
-    let stop_tol = tol.scaled(scale_sq).value();
+/// The min-norm point of the translated hull `H({pᵢ − q})` and the corral
+/// (generator positions and convex weights) that carries it.
+struct MinNorm {
+    x: Vec<f64>,
+    corral: Vec<usize>,
+    lambda: Vec<f64>,
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
+}
+
+/// Wolfe's method on the generators translated by `−q` (into `z`). The
+/// iterate `x` is accepted once `min_j ⟨x, z_j⟩ ≥ ‖x‖² − slack(max_i ‖z_i‖²,
+/// ‖x‖²)`.
+fn wolfe_min_norm<'a>(
+    generators: impl ExactSizeIterator<Item = &'a VecD>,
+    q: &VecD,
+    slack: impl Fn(f64, f64) -> f64,
+    z: &mut Vec<f64>,
+) -> MinNorm {
+    let d = q.dim();
+    let m = generators.len();
+    assert!(m > 0, "nearest_point: empty generator set");
+
+    // Work translated: z_i = p_i − q, row i of the flat buffer; seek the
+    // min-norm point of H({z_i}).
+    z.clear();
+    for p in generators {
+        assert_eq!(p.dim(), d, "nearest_point: dimension mismatch");
+        z.extend(p.as_slice().iter().zip(q.as_slice()).map(|(a, b)| a - b));
+    }
+    let z = |i: usize| &z[i * d..(i + 1) * d];
+    let scale_sq = (0..m).map(|i| dot(z(i), z(i))).fold(1.0_f64, f64::max);
     let weight_eps = 1e-12;
 
     // Initial corral: the single closest generator.
     let mut start = 0;
-    for (i, zi) in z.iter().enumerate() {
-        if zi.norm2_sq() < z[start].norm2_sq() {
+    for i in 0..m {
+        if dot(z(i), z(i)) < dot(z(start), z(start)) {
             start = i;
         }
     }
     let mut corral: Vec<usize> = vec![start];
     let mut lambda: Vec<f64> = vec![1.0];
-    let mut x = z[start].clone();
+    let mut x = z(start).to_vec();
+    let mut shortest = f64::INFINITY;
 
     for _ in 0..MAX_OUTER {
         // Optimality: x is the min-norm point iff <x, z_j> ≥ ||x||² for all j.
-        let xx = x.norm2_sq();
+        let xx = dot(&x, &x);
+        if xx >= shortest {
+            // Every major cycle shortens x in exact arithmetic (Wolfe 1976,
+            // Theorem 1): one that does not is rounding, at the resolution
+            // of the Gram system, and further cycles would only wander.
+            break;
+        }
+        shortest = xx;
         let mut best_j = 0;
         let mut best_val = f64::INFINITY;
-        for (j, zj) in z.iter().enumerate() {
-            let v = x.dot(zj);
+        for j in 0..m {
+            let v = dot(&x, z(j));
             if v < best_val {
                 best_val = v;
                 best_j = j;
             }
         }
-        if best_val >= xx - stop_tol {
+        if best_val >= xx - slack(scale_sq, xx) {
             break;
         }
         if corral.contains(&best_j) {
@@ -154,23 +218,19 @@ fn nearest_point_with_weights_inner(points: &[VecD], q: &VecD, tol: Tol) -> (Vec
             }
         }
         // Recompute x from the corral.
-        x = VecD::zeros(d);
+        x.fill(0.0);
         for (&i, &l) in corral.iter().zip(&lambda) {
-            x = x.axpy(l, &z[i]);
+            for (xk, zk) in x.iter_mut().zip(z(i)) {
+                *xk += l * zk;
+            }
         }
     }
-
-    let mut weights = vec![0.0; m];
-    for (&i, &l) in corral.iter().zip(&lambda) {
-        weights[i] += l;
-    }
-    let projection = &x + q;
-    (projection, weights)
+    MinNorm { x, corral, lambda }
 }
 
 /// Solve `min ||Σ αᵢ z_{cᵢ}||²  s.t.  Σ αᵢ = 1` (α unrestricted in sign) via
 /// the bordered Gram system. Returns `None` if the system is singular.
-fn affine_min_weights(z: &[VecD], corral: &[usize]) -> Option<Vec<f64>> {
+fn affine_min_weights<'z>(z: &impl Fn(usize) -> &'z [f64], corral: &[usize]) -> Option<Vec<f64>> {
     let k = corral.len();
     if k == 1 {
         return Some(vec![1.0]);
@@ -182,7 +242,7 @@ fn affine_min_weights(z: &[VecD], corral: &[usize]) -> Option<Vec<f64>> {
         sys[(0, i + 1)] = 1.0;
         sys[(i + 1, 0)] = 1.0;
         for j in i..k {
-            let g = z[corral[i]].dot(&z[corral[j]]);
+            let g = dot(z(corral[i]), z(corral[j]));
             sys[(i + 1, j + 1)] = g;
             sys[(j + 1, i + 1)] = g;
         }
@@ -319,6 +379,56 @@ mod tests {
             let dinf = hull.distance(&q, Norm::LInf, t());
             assert!(dinf <= d2 + 1e-6);
             assert!(d2 <= d1 + 1e-6);
+        }
+    }
+
+    #[test]
+    fn subset_offset_matches_the_hull_projection() {
+        // The index-based entry point against the hull-object one, on
+        // subsets of one point slice, with one buffer reused throughout.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut buf = Vec::new();
+        for _ in 0..100 {
+            let d = rng.gen_range(2..6);
+            let pts: Vec<VecD> = (0..8)
+                .map(|_| VecD((0..d).map(|_| rng.gen_range(-4.0..4.0)).collect()))
+                .collect();
+            let q = VecD((0..d).map(|_| rng.gen_range(-6.0..6.0)).collect());
+            let subset: Vec<usize> = (0..8).filter(|_| rng.gen_bool(0.6)).chain([7]).collect();
+            let offset = offset_to_subset_hull(&pts, &subset, &q, 1e-10, &mut buf);
+            let (proj, dist) = crate::hull::ConvexHull::from_indices(&pts, &subset).project(&q, t());
+            assert!((offset.norm2() - dist).abs() < 1e-7);
+            assert!((&q + &offset).approx_eq(&proj, Tol(1e-6)));
+        }
+    }
+
+    #[test]
+    fn subset_offset_is_accurate_in_distance_units() {
+        // Queries 0.04 above a slab of extent 10 and thickness 0.02: no
+        // generator may lie more than `accuracy` beyond the half-space
+        // through the projection. (The stop test on squared norms only
+        // promises 1e-9·‖z‖²/‖x‖ ≈ 1e-6 here, and less the nearer the
+        // query.)
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let mut buf = Vec::new();
+        for _ in 0..500 {
+            let pts: Vec<VecD> = (0..5)
+                .map(|_| {
+                    VecD::from_slice(&[
+                        rng.gen_range(-5.0..5.0),
+                        rng.gen_range(-5.0..5.0),
+                        rng.gen_range(-0.01..0.01),
+                    ])
+                })
+                .collect();
+            let q = VecD::from_slice(&[rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0), 0.04]);
+            let offset = offset_to_subset_hull(&pts, &[0, 1, 2, 3, 4], &q, 1e-10, &mut buf);
+            let proj = &q + &offset;
+            let beyond = pts
+                .iter()
+                .map(|p| -offset.dot(&(p - &proj)) / offset.norm2())
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert!(beyond <= 1e-10, "a generator lies {beyond:e} beyond the half-space");
         }
     }
 }

@@ -18,7 +18,7 @@ use relaxed_bvc::consensus::runner::{
 };
 use relaxed_bvc::consensus::sync_protocols::ByzantineStrategy;
 use relaxed_bvc::consensus::verified_avg::DeltaMode;
-use relaxed_bvc::geometry::minmax::delta_star;
+use relaxed_bvc::geometry::minmax::{delta_star, Method};
 use relaxed_bvc::linalg::{Norm, Tol, VecD};
 
 struct Args(Vec<String>);
@@ -103,6 +103,21 @@ fn cmd_delta_star(args: &Args) {
     let ds = delta_star(&inputs, f, norm, Tol::default());
     println!("\nδ*(S) [{norm:?}] = {:.8}  (method: {:?})", ds.delta, ds.method);
     println!("witness point   = {}", ds.witness);
+    if ds.method == Method::CuttingPlane {
+        println!(
+            "lower bound     = {:.8}  (gap {:.1e}, {} iterations, certificate {})",
+            ds.lower_bound,
+            ds.delta - ds.lower_bound,
+            ds.iterations,
+            if ds.verify(&inputs, f) { "verifies" } else { "DOES NOT VERIFY" }
+        );
+        for cut in &ds.active {
+            println!(
+                "  active subset {:?}: multiplier {:.6}, normal {}",
+                cut.subset, cut.multiplier, cut.normal
+            );
+        }
+    }
 }
 
 fn cmd_sync(args: &Args) {
