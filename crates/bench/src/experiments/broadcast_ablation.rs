@@ -8,11 +8,12 @@
 //! and reports message counts, rounds, and decision agreement.
 
 use rbvc_core::rules::DecisionRule;
-use rbvc_core::sync_ds::{make_ds_node, SyncBvcDs};
-use rbvc_core::sync_protocols::{make_node, SyncBvc};
+use rbvc_core::sync_protocols::{make_node, SyncBvcOver};
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::SystemConfig;
-use rbvc_sim::sync::{RoundEngine, SyncNode};
+use rbvc_sim::dolev_strong::ParallelDolevStrong;
+use rbvc_sim::eig::ParallelEig;
+use rbvc_sim::sync::{Broadcast, RoundEngine, SyncNode};
 use serde_json::json;
 
 use super::Experiment;
@@ -60,85 +61,54 @@ pub struct AblationRow {
 /// counts (protocol-level, where the asymptotic gap lives) are recorded.
 #[must_use]
 pub fn run_config(n: usize, f: usize, d: usize, seed: u64) -> AblationRow {
-    let tol = Tol::default();
     let inputs = random_points(&mut rng(seed), n, d, 2.0);
-    let rule = DecisionRule::GammaPoint;
-
-    let config = SystemConfig::new(n, f);
-    let eig_nodes: Vec<SyncNode<SyncBvc>> = (0..n)
-        .map(|i| make_node(i, n, f, d, Some(inputs[i].clone()), None, rule, tol))
-        .collect();
-    let mut eig_engine = RoundEngine::new(config.clone(), eig_nodes);
-    let eig_out = eig_engine.run(f + 2);
-    let eig_items = count_eig_items(n, f, &inputs);
-
-    let ds_nodes: Vec<SyncNode<SyncBvcDs>> = (0..n)
-        .map(|i| make_ds_node(i, n, f, d, Some(inputs[i].clone()), None, rule, tol))
-        .collect();
-    let mut ds_engine = RoundEngine::new(config, ds_nodes);
-    let ds_out = ds_engine.run(f + 2);
-    let ds_items = count_ds_items(n, f, &inputs);
-
-    let decisions_match = match (&eig_out.decisions[0], &ds_out.decisions[0]) {
+    let (eig_decision, eig_messages, eig_items) = run_over::<ParallelEig<VecD>>(n, f, &inputs);
+    let (ds_decision, ds_messages, ds_items) = run_over::<ParallelDolevStrong<VecD>>(n, f, &inputs);
+    let decisions_match = match (&eig_decision, &ds_decision) {
         (Some(a), Some(b)) => a.approx_eq(b, Tol(1e-9)),
         _ => false,
     };
     AblationRow {
         n,
         f,
-        d,
-        eig_messages: eig_out.trace.messages_sent,
+        d: inputs[0].dim(),
+        eig_messages,
         eig_items,
-        ds_messages: ds_out.trace.messages_sent,
+        ds_messages,
         ds_items,
         decisions_match,
     }
 }
 
-/// Replay an all-honest broadcast layer and count payload items on the wire.
-fn count_eig_items(n: usize, f: usize, inputs: &[VecD]) -> u64 {
-    use rbvc_sim::eig::ParallelEig;
-    use rbvc_sim::sync::SyncProtocol;
+/// One all-honest run over substrate `B`: process 0's decision, envelopes
+/// sent, payload items on the wire.
+fn run_over<B: Broadcast<VecD> + 'static>(
+    n: usize,
+    f: usize,
+    inputs: &[VecD],
+) -> (Option<VecD>, u64, u64) {
     let d = inputs[0].dim();
-    let mut nodes: Vec<ParallelEig<VecD>> = (0..n)
-        .map(|i| ParallelEig::new(i, n, f, inputs[i].clone(), VecD::zeros(d)))
+    let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
+        .map(|i| {
+            let input = Some(inputs[i].clone());
+            make_node(i, n, f, d, input, None, DecisionRule::GammaPoint, Tol::default())
+        })
         .collect();
-    let mut items = 0u64;
-    for round in 0..=f {
-        let mut inboxes: Vec<Vec<(usize, _)>> = vec![Vec::new(); n];
-        for (src, node) in nodes.iter_mut().enumerate() {
-            for (dst, msg) in node.round_messages(round) {
-                items += msg
-                    .iter()
-                    .map(|(_, batch)| batch.len() as u64)
-                    .sum::<u64>();
-                inboxes[dst].push((src, msg));
-            }
-        }
-        for (dst, inbox) in inboxes.into_iter().enumerate() {
-            nodes[dst].receive(round, &inbox);
-        }
-    }
-    items
+    let out = RoundEngine::new(SystemConfig::new(n, f), nodes).run(f + 2);
+    (out.decisions[0].clone(), out.trace.messages_sent, count_items::<B>(n, f, inputs))
 }
 
-/// Replay an all-honest Dolev–Strong layer and count signature chains.
-fn count_ds_items(n: usize, f: usize, inputs: &[VecD]) -> u64 {
-    use rbvc_sim::dolev_strong::ParallelDolevStrong;
-    use rbvc_sim::sync::SyncProtocol;
+/// Replay an all-honest broadcast layer and count payload items on the wire.
+fn count_items<B: Broadcast<VecD>>(n: usize, f: usize, inputs: &[VecD]) -> u64 {
     let d = inputs[0].dim();
-    let mut nodes: Vec<ParallelDolevStrong<VecD>> = (0..n)
-        .map(|i| ParallelDolevStrong::new(i, n, f, inputs[i].clone(), VecD::zeros(d)))
-        .collect();
+    let mut nodes: Vec<B> =
+        (0..n).map(|i| B::new(i, n, f, inputs[i].clone(), VecD::zeros(d))).collect();
     let mut items = 0u64;
     for round in 0..=f {
         let mut inboxes: Vec<Vec<(usize, _)>> = vec![Vec::new(); n];
         for (src, node) in nodes.iter_mut().enumerate() {
             for (dst, msg) in node.round_messages(round) {
-                items += msg
-                    .iter()
-                    .map(|(_, batch)| batch.len() as u64)
-                    .sum::<u64>();
+                items += B::items(&msg) as u64;
                 inboxes[dst].push((src, msg));
             }
         }

@@ -11,10 +11,11 @@
 //! message overhead relative to a fault-free baseline of the same run.
 
 use rbvc_core::bounds::kappa_async;
-use rbvc_core::verified_avg::{DeltaMode, HonestFacade, VerifiedAveraging};
+use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_linalg::{Norm, Tol, VecD};
 use rbvc_sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use rbvc_sim::config::SystemConfig;
+use rbvc_sim::fuzz::follow;
 use rbvc_sim::monitor::SafetyMonitor;
 use rbvc_sim::net::{
     LinkFault, NetworkFaults, Partition, PartitionMode, ReliableLink, ReliableLinkAdversary,
@@ -149,10 +150,7 @@ fn build_engine(
                 // The adversary runs the protocol faithfully on an
                 // adversarially chosen input — the strongest strategy
                 // against validity — speaking the link layer natively.
-                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(
-                    HonestFacade(proto),
-                    N,
-                )))
+                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(follow(proto), N)))
             } else {
                 AsyncNode::Honest(ReliableLink::with_defaults(proto, N))
             }

@@ -14,9 +14,8 @@
 //! * [`rules`] — the deterministic Step-2 decision rules over the common
 //!   broadcast multiset `S`.
 //! * [`sync_protocols`] — broadcast-then-decide synchronous protocols:
-//!   Exact BVC, k-relaxed consensus, and ALGO (§9).
-//! * [`sync_ds`] — the same protocols over Dolev–Strong authenticated
-//!   broadcast (substrate ablation).
+//!   Exact BVC, k-relaxed consensus, and ALGO (§9), written once over any
+//!   `rbvc_sim::sync::Broadcast` (EIG or Dolev–Strong).
 //! * [`verified_avg`] — the asynchronous (Relaxed) Verified Averaging
 //!   algorithm (§10) over Bracha reliable broadcast.
 //! * [`counterexamples`] — the impossibility matrices of Theorems 3–6 and
@@ -28,11 +27,9 @@
 pub mod bounds;
 pub mod counterexamples;
 pub mod error;
-pub mod hull_consensus;
 pub mod problem;
 pub mod rules;
 pub mod runner;
-pub mod sync_ds;
 pub mod sync_protocols;
 pub mod verified_avg;
 

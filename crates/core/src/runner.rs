@@ -7,12 +7,14 @@
 //! twins [`try_run_sync`] and [`try_run_async`] report malformed
 //! specifications as [`ProtocolError::InvalidSpec`] instead of panicking.
 
+use rbvc_geometry::gamma_point;
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::asynch::{
     AsyncEngine, AsyncNode, FifoScheduler, GstScheduler, RandomScheduler, Scheduler,
     SilentAsyncAdversary, TargetedDelayScheduler,
 };
 use rbvc_sim::config::{ProcessId, SystemConfig};
+use rbvc_sim::fuzz::follow;
 use rbvc_sim::sync::{RoundEngine, SyncNode};
 use rbvc_obs::ExecutionTrace;
 use serde::{Deserialize, Serialize};
@@ -21,9 +23,7 @@ use crate::error::ProtocolError;
 use crate::problem::{check_execution, Agreement, Validity, Verdict};
 use crate::rules::DecisionRule;
 use crate::sync_protocols::{make_node, ByzantineStrategy, SyncBvc};
-use crate::verified_avg::{
-    CorruptAverage, DeltaMode, HonestFacade, SplitBrainInput, VerifiedAveraging,
-};
+use crate::verified_avg::{corrupt_average, split_brain_input, DeltaMode, VerifiedAveraging};
 
 /// Specification of a synchronous run.
 #[derive(Debug, Clone)]
@@ -71,6 +71,9 @@ fn validate_common(
     if n == 0 {
         return invalid("n must be positive".into());
     }
+    if n <= 3 * f {
+        return invalid(format!("Byzantine broadcast requires n >= 3f + 1 (got n = {n}, f = {f})"));
+    }
     if inputs.len() != n {
         return invalid(format!("{} inputs for n = {n} processes", inputs.len()));
     }
@@ -108,12 +111,41 @@ fn validate_common(
 ///
 /// # Errors
 /// Returns [`ProtocolError::InvalidSpec`] on inconsistent specifications
-/// (wrong input count, out-of-range or duplicated adversary ids, dimension
-/// mismatches, non-finite inputs) instead of panicking mid-run.
+/// (wrong input count, `n ≤ 3f`, out-of-range or duplicated adversary ids,
+/// dimension mismatches, non-finite inputs, a `TwoFaced` table that is not
+/// `n` vectors of dimension `d`, `GammaPoint` below `n ≥ (d+1)f + 1` on
+/// inputs that leave `Γ` empty) instead of panicking mid-run.
 pub fn try_run_sync(spec: &SyncSpec, tol: Tol) -> Result<RunReport, ProtocolError> {
     let faulty: Vec<ProcessId> = spec.adversaries.iter().map(|(i, _)| *i).collect();
     validate_common(spec.n, spec.f, spec.d, &spec.inputs, &faulty)?;
+    let invalid = |reason: String| Err(ProtocolError::InvalidSpec { reason });
+    for (i, strategy) in &spec.adversaries {
+        if let ByzantineStrategy::TwoFaced(shown) = strategy {
+            if shown.len() != spec.n || shown.iter().any(|v| v.dim() != spec.d) {
+                return invalid(format!(
+                    "adversary {i}: TwoFaced needs {} values of dimension {}",
+                    spec.n, spec.d
+                ));
+            }
+        }
+    }
     let config = SystemConfig::new(spec.n, spec.f).with_faulty(faulty);
+    // `GammaPoint` decides inside Γ(S). Tverberg makes that nonempty from
+    // n >= (d+1)f + 1; below it, only correct inputs that pin a common point
+    // by themselves do: every (n−f)-subset of S keeps all but f of them,
+    // whatever the faulty slots hold.
+    let gamma_min_n = (spec.d + 1) * spec.f + 1;
+    if spec.rule == DecisionRule::GammaPoint && spec.n < gamma_min_n {
+        let correct: Vec<VecD> =
+            config.correct_ids().into_iter().map(|i| spec.inputs[i].clone()).collect();
+        if gamma_point(&correct, spec.f, tol).is_none() {
+            return invalid(format!(
+                "GammaPoint requires n >= (d+1)f + 1 = {gamma_min_n} (got n = {}) \
+                 or correct inputs whose own Γ is nonempty",
+                spec.n
+            ));
+        }
+    }
     let nodes: Vec<SyncNode<SyncBvc>> = (0..spec.n)
         .map(|i| {
             let strategy = spec
@@ -131,35 +163,38 @@ pub fn try_run_sync(spec: &SyncSpec, tol: Tol) -> Result<RunReport, ProtocolErro
         .collect();
     let mut engine = RoundEngine::new(config.clone(), nodes);
     let out = engine.run(spec.f + 2);
-
-    let correct_ids = config.correct_ids();
-    let correct_inputs: Vec<VecD> = correct_ids.iter().map(|&i| spec.inputs[i].clone()).collect();
-    let decisions: Vec<Option<VecD>> = correct_ids
-        .iter()
-        .map(|&i| out.decisions[i].clone())
-        .collect();
-    let verdict = check_execution(
-        &correct_inputs,
-        &decisions,
-        spec.agreement,
-        &spec.validity,
-        tol,
-    );
     // Harvest δ from the honest protocol state.
-    let mut delta_used: Option<f64> = None;
-    for &i in &correct_ids {
-        if let SyncNode::Honest(p) = engine.node(i) {
-            if let Some(dec) = p.decision() {
-                delta_used = Some(delta_used.map_or(dec.delta, |d: f64| d.max(dec.delta)));
-            }
-        }
-    }
-    Ok(RunReport {
+    let delta_of = |i: ProcessId| match engine.node(i) {
+        SyncNode::Honest(p) => p.decision().map(|dec| dec.delta),
+        SyncNode::Byzantine(_) => None,
+    };
+    Ok(report(spec.agreement, &spec.validity, tol, &config, &spec.inputs, &out.decisions, out.trace, delta_of))
+}
+
+/// Keep the correct processes' decisions, check them against their inputs,
+/// and take δ as the largest any of them reports.
+#[allow(clippy::too_many_arguments)] // flat, like the spec structs it reads
+fn report(
+    agreement: Agreement,
+    validity: &Validity,
+    tol: Tol,
+    config: &SystemConfig,
+    inputs: &[VecD],
+    decisions: &[Option<VecD>],
+    trace: ExecutionTrace,
+    delta_of: impl Fn(ProcessId) -> Option<f64>,
+) -> RunReport {
+    let correct_ids = config.correct_ids();
+    let correct_inputs: Vec<VecD> = correct_ids.iter().map(|&i| inputs[i].clone()).collect();
+    let decisions: Vec<Option<VecD>> = correct_ids.iter().map(|&i| decisions[i].clone()).collect();
+    let verdict = check_execution(&correct_inputs, &decisions, agreement, validity, tol);
+    let delta_used = correct_ids.iter().filter_map(|&i| delta_of(i)).reduce(f64::max);
+    RunReport {
         decisions,
         verdict,
         delta_used,
-        trace: out.trace,
-    })
+        trace,
+    }
 }
 
 /// Execute a synchronous run, panicking on malformed specifications.
@@ -281,14 +316,6 @@ pub fn try_run_async(spec: &AsyncSpec, tol: Tol) -> Result<RunReport, ProtocolEr
     let faulty: Vec<ProcessId> = spec.adversaries.iter().map(|(i, _)| *i).collect();
     let d = spec.inputs.first().map_or(0, VecD::dim);
     validate_common(spec.n, spec.f, d, &spec.inputs, &faulty)?;
-    if spec.n <= 3 * spec.f {
-        return Err(ProtocolError::InvalidSpec {
-            reason: format!(
-                "verified averaging requires n >= 3f + 1 (got n = {}, f = {})",
-                spec.n, spec.f
-            ),
-        });
-    }
     if spec.rounds == 0 {
         return Err(ProtocolError::InvalidSpec {
             reason: "need at least one averaging round".into(),
@@ -297,55 +324,22 @@ pub fn try_run_async(spec: &AsyncSpec, tol: Tol) -> Result<RunReport, ProtocolEr
     let config = SystemConfig::new(spec.n, spec.f).with_faulty(faulty);
     let nodes: Vec<AsyncNode<VerifiedAveraging>> = (0..spec.n)
         .map(|i| {
+            let proto = |input: &VecD| {
+                VerifiedAveraging::new(i, spec.n, spec.f, input.clone(), spec.mode, spec.rounds, tol)
+            };
             match spec.adversaries.iter().find(|(j, _)| *j == i).map(|(_, b)| b) {
-                None => AsyncNode::Honest(VerifiedAveraging::new(
-                    i,
-                    spec.n,
-                    spec.f,
-                    spec.inputs[i].clone(),
-                    spec.mode,
-                    spec.rounds,
-                    tol,
-                )),
+                None => AsyncNode::Honest(proto(&spec.inputs[i])),
                 Some(AsyncByzantine::Silent) => {
                     AsyncNode::Byzantine(Box::new(SilentAsyncAdversary))
                 }
                 Some(AsyncByzantine::HonestInput(v)) => {
-                    AsyncNode::Byzantine(Box::new(HonestFacade(VerifiedAveraging::new(
-                        i,
-                        spec.n,
-                        spec.f,
-                        v.clone(),
-                        spec.mode,
-                        spec.rounds,
-                        tol,
-                    ))))
+                    AsyncNode::Byzantine(Box::new(follow(proto(v))))
                 }
                 Some(AsyncByzantine::SplitBrain { primary, alt }) => {
-                    AsyncNode::Byzantine(Box::new(SplitBrainInput::new(
-                        i,
-                        spec.n,
-                        spec.f,
-                        primary.clone(),
-                        alt.clone(),
-                        spec.mode,
-                        spec.rounds,
-                        tol,
-                    )))
+                    AsyncNode::Byzantine(Box::new(split_brain_input(proto(primary), alt.clone())))
                 }
                 Some(AsyncByzantine::CorruptAverage { input, offset }) => {
-                    AsyncNode::Byzantine(Box::new(CorruptAverage::new(
-                        VerifiedAveraging::new(
-                            i,
-                            spec.n,
-                            spec.f,
-                            input.clone(),
-                            spec.mode,
-                            spec.rounds,
-                            tol,
-                        ),
-                        offset.clone(),
-                    )))
+                    AsyncNode::Byzantine(Box::new(corrupt_average(proto(input), offset.clone())))
                 }
             }
         })
@@ -353,34 +347,11 @@ pub fn try_run_async(spec: &AsyncSpec, tol: Tol) -> Result<RunReport, ProtocolEr
     let mut engine = AsyncEngine::new(config.clone(), nodes);
     let mut scheduler = spec.scheduler.build();
     let out = engine.run(scheduler.as_mut(), spec.max_steps);
-
-    let correct_ids = config.correct_ids();
-    let correct_inputs: Vec<VecD> = correct_ids.iter().map(|&i| spec.inputs[i].clone()).collect();
-    let decisions: Vec<Option<VecD>> = correct_ids
-        .iter()
-        .map(|&i| out.decisions[i].clone())
-        .collect();
-    let verdict = check_execution(
-        &correct_inputs,
-        &decisions,
-        spec.agreement,
-        &spec.validity,
-        tol,
-    );
-    let mut delta_used: Option<f64> = None;
-    for &i in &correct_ids {
-        if let AsyncNode::Honest(p) = engine.node(i) {
-            if let Some(delta) = p.round0_delta() {
-                delta_used = Some(delta_used.map_or(delta, |d: f64| d.max(delta)));
-            }
-        }
-    }
-    Ok(RunReport {
-        decisions,
-        verdict,
-        delta_used,
-        trace: out.trace,
-    })
+    let delta_of = |i: ProcessId| match engine.node(i) {
+        AsyncNode::Honest(p) => p.round0_delta(),
+        AsyncNode::Byzantine(_) => None,
+    };
+    Ok(report(spec.agreement, &spec.validity, tol, &config, &spec.inputs, &out.decisions, out.trace, delta_of))
 }
 
 /// Execute an asynchronous run, panicking on malformed specifications.
@@ -553,5 +524,34 @@ mod tests {
             try_run_sync(&bad_sync, t()),
             Err(ProtocolError::InvalidSpec { .. })
         ));
+
+        // Specs the code below the check asserts on: n <= 3f (EIG), a
+        // TwoFaced table of the wrong length or dimension (the node
+        // factory), GammaPoint below n >= (d+1)f + 1 on inputs in general
+        // position, so that Γ is empty (the decision rule).
+        let sync = |n: usize, f: usize, d: usize, rule, adversaries| SyncSpec {
+            n,
+            f,
+            d,
+            rule,
+            inputs: (0..n).map(|i| VecD((0..d).map(|c| f64::from(c == i)).collect())).collect(),
+            adversaries,
+            agreement: Agreement::Exact,
+            validity: Validity::Exact,
+        };
+        let algo = DecisionRule::MinDeltaPoint(Norm::L2);
+        let two_faced = |len, d| vec![(3, ByzantineStrategy::TwoFaced(vec![VecD::zeros(d); len]))];
+        assert!(try_run_sync(&sync(4, 1, 2, algo, two_faced(4, 2)), t()).is_ok());
+        for bad_sync in [
+            sync(4, 2, 3, algo, vec![]),
+            sync(4, 1, 2, algo, two_faced(3, 2)),
+            sync(4, 1, 2, algo, two_faced(4, 3)),
+            sync(4, 1, 5, DecisionRule::GammaPoint, vec![]),
+        ] {
+            assert!(matches!(
+                try_run_sync(&bad_sync, t()),
+                Err(ProtocolError::InvalidSpec { .. })
+            ));
+        }
     }
 }

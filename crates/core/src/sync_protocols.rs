@@ -1,47 +1,57 @@
 //! Synchronous consensus protocols: Byzantine-broadcast-then-decide.
 //!
-//! [`SyncBvc`] is the executable form of the paper's synchronous algorithms:
-//! Step 1 runs `n` parallel EIG Byzantine broadcasts so that all correct
-//! processes obtain the identical multiset `S`; Step 2 applies a
-//! [`DecisionRule`]:
+//! [`SyncBvcOver`] is the executable form of the paper's synchronous
+//! algorithms, written once over any [`Broadcast`]: Step 1 runs `n` parallel
+//! Byzantine broadcasts so that all correct processes obtain the identical
+//! multiset `S`; Step 2 applies a [`DecisionRule`]:
 //!
 //! * `GammaPoint` → Exact BVC (Theorem 1 regime) and k-relaxed exact
 //!   consensus for `2 ≤ k ≤ d` (Theorem 3 sufficiency);
 //! * `CoordinateTrimmedMidpoint` → 1-relaxed exact consensus at `n ≥ 3f+1`;
 //! * `MinDeltaPoint(p)` → ALGO (§9): input-dependent (δ,p)-relaxed exact
 //!   consensus at `n ≥ 3f + 1`.
+//!
+//! [`SyncBvc`] is the protocol over unauthenticated EIG, the substrate the
+//! runner, the service and the wire format use. Over
+//! [`rbvc_sim::dolev_strong::ParallelDolevStrong`] the same Step 2 gives the
+//! same decisions for `O(n³f)` messages instead of `O(n^{f+1})` (the
+//! ablation quantified by E15, `exp broadcast`).
 
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::ProcessId;
-use rbvc_sim::eig::{EigMsg, LyingRelay, ParallelEig, ParallelEigMsg, TwoFacedSender};
-use rbvc_sim::sync::{ProtocolFollowingAdversary, SilentAdversary, SyncNode, SyncProtocol};
+use rbvc_sim::eig::ParallelEig;
+use rbvc_sim::fuzz::{follow, lying_relay, two_faced};
+use rbvc_sim::sync::{Broadcast, SilentAdversary, SyncNode, SyncProtocol};
 
 use crate::rules::{Decision, DecisionRule};
 
-/// True iff `v` is a well-formed payload for a `d`-dimensional run: the
+/// True iff `v` is a well-formed payload beside the `0^d` default: the
 /// right dimension and every component finite. The one receive-boundary
-/// predicate of both broadcast flavours ([`SyncBvc`] and
-/// [`crate::sync_ds::SyncBvcDs`]).
-pub(crate) fn value_ok(v: &VecD, d: usize) -> bool {
-    v.dim() == d && v.as_slice().iter().all(|x| x.is_finite())
+/// predicate of broadcast-then-decide, applied by the broadcast layer as it
+/// reads each item, so a value that is not a finite `d`-vector can neither
+/// poison the shared multiset nor panic a decision rule downstream; it ends
+/// as the default of its faulty sender, identically at every honest process.
+fn value_ok(v: &VecD, default: &VecD) -> bool {
+    v.dim() == default.dim() && v.as_slice().iter().all(|x| x.is_finite())
 }
 
-/// The broadcast-then-decide synchronous protocol.
-pub struct SyncBvc {
-    eig: ParallelEig<VecD>,
+/// The broadcast-then-decide synchronous protocol over broadcast `B`.
+pub struct SyncBvcOver<B> {
+    broadcast: B,
     rule: DecisionRule,
-    n: usize,
     f: usize,
-    d: usize,
     tol: Tol,
     decision: Option<Decision>,
 }
 
-impl SyncBvc {
+/// Broadcast-then-decide over EIG.
+pub type SyncBvc = SyncBvcOver<ParallelEig<VecD>>;
+
+impl<B: Broadcast<VecD>> SyncBvcOver<B> {
     /// Build the protocol instance for process `id` with its `input`.
     ///
-    /// The EIG default for silent/faulty senders is the origin `0^d` — any
-    /// fixed value works because it is only ever attributed to a faulty
+    /// The broadcast default for silent/faulty senders is the origin `0^d` —
+    /// any fixed value works because it is only ever attributed to a faulty
     /// process, whose "input" is unconstrained by validity.
     #[must_use]
     pub fn new(
@@ -54,12 +64,10 @@ impl SyncBvc {
         tol: Tol,
     ) -> Self {
         assert_eq!(input.dim(), d, "input dimension mismatch");
-        SyncBvc {
-            eig: ParallelEig::new(id, n, f, input, VecD::zeros(d)),
+        SyncBvcOver {
+            broadcast: B::new(id, n, f, input, VecD::zeros(d)).accepting(value_ok),
             rule,
-            n,
             f,
-            d,
             tol,
             decision: None,
         }
@@ -74,45 +82,22 @@ impl SyncBvc {
     /// The common multiset `S` obtained from Step 1, once available.
     #[must_use]
     pub fn common_multiset(&self) -> Option<Vec<VecD>> {
-        self.eig.output()
+        self.broadcast.output()
     }
 }
 
-impl SyncProtocol for SyncBvc {
-    type Msg = ParallelEigMsg<VecD>;
+impl<B: Broadcast<VecD>> SyncProtocol for SyncBvcOver<B> {
+    type Msg = B::Msg;
     type Output = VecD;
 
     fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, Self::Msg)> {
-        self.eig.round_messages(round)
+        self.broadcast.round_messages(round)
     }
 
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, Self::Msg)]) {
-        // Receive-boundary sanitization: the EIG layer is payload-agnostic,
-        // so ghost senders, ghost instance origins and values that are not
-        // finite `d`-vectors are dropped here, before they can poison the
-        // shared multiset or panic a decision rule downstream.
-        let sane: Vec<(ProcessId, Self::Msg)> = inbox
-            .iter()
-            .filter(|(from, _)| *from < self.n)
-            .map(|(from, msg)| {
-                let msg: Self::Msg = msg
-                    .iter()
-                    .filter(|(origin, _)| *origin < self.n)
-                    .map(|(origin, batch)| {
-                        let batch: EigMsg<VecD> = batch
-                            .iter()
-                            .filter(|(_, v)| value_ok(v, self.d))
-                            .cloned()
-                            .collect();
-                        (*origin, batch)
-                    })
-                    .collect();
-                (*from, msg)
-            })
-            .collect();
-        self.eig.receive(round, &sane);
+        self.broadcast.receive(round, inbox);
         if self.decision.is_none() {
-            if let Some(s) = self.eig.output() {
+            if let Some(s) = self.broadcast.output() {
                 self.decision = Some(self.rule.decide(&s, self.f, self.tol));
             }
         }
@@ -147,10 +132,15 @@ pub enum ByzantineStrategy {
     FollowProtocol(VecD),
 }
 
-/// Materialize a node (honest or Byzantine) for the lockstep engine.
+/// Materialize a node (honest or Byzantine) for the lockstep engine, over
+/// broadcast `B` (inferred from the node type the caller asks for).
+///
+/// # Panics
+/// Panics on an honest node without an input and on a `TwoFaced` table that
+/// does not have one value per process.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // flat spec mirrors the runner structs
-pub fn make_node(
+pub fn make_node<B: Broadcast<VecD> + 'static>(
     id: ProcessId,
     n: usize,
     f: usize,
@@ -159,30 +149,24 @@ pub fn make_node(
     strategy: Option<ByzantineStrategy>,
     rule: DecisionRule,
     tol: Tol,
-) -> SyncNode<SyncBvc> {
+) -> SyncNode<SyncBvcOver<B>> {
+    let zero = VecD::zeros(d);
     match strategy {
         None => {
             let input = honest_input.expect("honest node needs an input");
-            SyncNode::Honest(SyncBvc::new(id, n, f, d, input, rule, tol))
+            SyncNode::Honest(SyncBvcOver::new(id, n, f, d, input, rule, tol))
         }
         Some(ByzantineStrategy::Silent) => SyncNode::Byzantine(Box::new(SilentAdversary)),
         Some(ByzantineStrategy::TwoFaced(values)) => {
-            assert_eq!(values.len(), n, "TwoFaced needs one value per recipient");
-            SyncNode::Byzantine(Box::new(TwoFacedSender::new(
-                id,
-                n,
-                f,
-                values,
-                VecD::zeros(d),
-            )))
+            SyncNode::Byzantine(Box::new(two_faced::<B, _>(id, n, f, values, zero)))
         }
-        Some(ByzantineStrategy::LyingRelay { input, corrupt }) => SyncNode::Byzantine(
-            Box::new(LyingRelay::new(id, n, f, input, VecD::zeros(d), corrupt)),
-        ),
+        Some(ByzantineStrategy::LyingRelay { input, corrupt }) => {
+            SyncNode::Byzantine(Box::new(lying_relay::<B, _>(id, n, f, input, zero, corrupt)))
+        }
         // The honest broadcast layer run verbatim, without Step 2.
-        Some(ByzantineStrategy::FollowProtocol(input)) => SyncNode::Byzantine(Box::new(
-            ProtocolFollowingAdversary(ParallelEig::new(id, n, f, input, VecD::zeros(d))),
-        )),
+        Some(ByzantineStrategy::FollowProtocol(input)) => {
+            SyncNode::Byzantine(Box::new(follow(B::new(id, n, f, input, zero))))
+        }
     }
 }
 
@@ -191,16 +175,21 @@ mod tests {
     use super::*;
     use rbvc_linalg::Norm;
     use rbvc_sim::config::SystemConfig;
+    use rbvc_sim::dolev_strong::ParallelDolevStrong;
     use rbvc_sim::sync::RoundEngine;
 
-    use crate::problem::{check_execution, Agreement, Validity};
+    use crate::problem::{check_execution, Agreement, Validity, Verdict};
+
+    type Eig = ParallelEig<VecD>;
+    type Ds = ParallelDolevStrong<VecD>;
 
     fn t() -> Tol {
         Tol::default()
     }
 
-    /// Run a system where process ids in `byz` follow the given strategies.
-    fn run(
+    /// Run a system over broadcast `B` where process ids in `byz` follow the
+    /// given strategies; the correct processes' decisions and inputs.
+    fn run<B: Broadcast<VecD> + 'static>(
         n: usize,
         f: usize,
         d: usize,
@@ -209,35 +198,29 @@ mod tests {
         rule: DecisionRule,
     ) -> (Vec<Option<VecD>>, Vec<VecD>) {
         let faulty: Vec<usize> = byz.iter().map(|(i, _)| *i).collect();
-        let config = SystemConfig::new(n, f).with_faulty(faulty.clone());
-        let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
+        let config = SystemConfig::new(n, f).with_faulty(faulty);
+        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
             .map(|i| {
-                let strategy = byz
-                    .iter()
-                    .find(|(j, _)| *j == i)
-                    .map(|(_, s)| s.clone());
-                let honest_input = if strategy.is_none() {
-                    Some(inputs[i].clone())
-                } else {
-                    None
-                };
+                let strategy = byz.iter().find(|(j, _)| *j == i).map(|(_, s)| s.clone());
+                let honest_input = strategy.is_none().then(|| inputs[i].clone());
                 make_node(i, n, f, d, honest_input, strategy, rule, t())
             })
             .collect();
-        let mut engine = RoundEngine::new(config.clone(), nodes);
-        let out = engine.run(f + 2);
-        let correct_inputs: Vec<VecD> = config
-            .correct_ids()
-            .into_iter()
-            .map(|i| inputs[i].clone())
-            .collect();
-        (out.decisions, correct_inputs)
+        let out = RoundEngine::new(config.clone(), nodes).run(f + 2);
+        let correct = config.correct_ids();
+        (
+            correct.iter().map(|&i| out.decisions[i].clone()).collect(),
+            correct.iter().map(|&i| inputs[i].clone()).collect(),
+        )
     }
 
-    #[test]
-    fn exact_bvc_at_theorem1_bound() {
-        // d = 2, f = 1, n = max(4, 4) = 4: Exact BVC must succeed against a
-        // two-faced equivocator.
+    fn exact(correct: &[VecD], decisions: &[Option<VecD>]) -> Verdict {
+        check_execution(correct, decisions, Agreement::Exact, &Validity::Exact, t())
+    }
+
+    /// d = 2, f = 1, n = max(4, 4) = 4: Exact BVC must succeed against an
+    /// equivocator showing `shown[j]` to process `j`.
+    fn exact_bvc_survives_equivocation<B: Broadcast<VecD> + 'static>(shown: [[f64; 2]; 4]) {
         let (n, f, d) = (4, 1, 2);
         let inputs = vec![
             VecD::from_slice(&[0.0, 0.0]),
@@ -245,26 +228,23 @@ mod tests {
             VecD::from_slice(&[0.0, 2.0]),
             VecD::zeros(2), // ignored (faulty)
         ];
-        let byz = vec![(
-            3,
-            ByzantineStrategy::TwoFaced(vec![
-                VecD::from_slice(&[100.0, 100.0]),
-                VecD::from_slice(&[-100.0, -100.0]),
-                VecD::from_slice(&[0.0, 50.0]),
-                VecD::zeros(2),
-            ]),
-        )];
-        let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
-        let correct_decisions: Vec<Option<VecD>> =
-            (0..3).map(|i| decisions[i].clone()).collect();
-        let v = check_execution(
-            &correct,
-            &correct_decisions,
-            Agreement::Exact,
-            &Validity::Exact,
-            t(),
-        );
+        let table = shown.iter().map(|v| VecD::from_slice(v)).collect();
+        let byz = vec![(3, ByzantineStrategy::TwoFaced(table))];
+        let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+        let v = exact(&correct, &decisions);
         assert!(v.ok(), "Exact BVC failed at the Theorem 1 bound: {v:?}");
+    }
+
+    #[test]
+    fn exact_bvc_at_theorem1_bound() {
+        // One face per recipient, and one per network half (what a signing
+        // equivocator shows: ids `< n/2` against the rest).
+        let faces = [[100.0, 100.0], [-100.0, -100.0], [0.0, 50.0], [0.0, 0.0]];
+        let halves = [[50.0, 50.0], [50.0, 50.0], [-50.0, -50.0], [-50.0, -50.0]];
+        for shown in [faces, halves] {
+            exact_bvc_survives_equivocation::<Eig>(shown);
+            exact_bvc_survives_equivocation::<Ds>(shown);
+        }
     }
 
     #[test]
@@ -276,7 +256,7 @@ mod tests {
             .map(|i| VecD((0..d).map(|c| (i * d + c) as f64).collect()))
             .collect();
         let byz = vec![(0, ByzantineStrategy::Silent)];
-        let (decisions, correct) = run(
+        let (decisions, correct) = run::<Eig>(
             n,
             f,
             d,
@@ -284,11 +264,9 @@ mod tests {
             &byz,
             DecisionRule::CoordinateTrimmedMidpoint,
         );
-        let correct_decisions: Vec<Option<VecD>> =
-            (1..4).map(|i| decisions[i].clone()).collect();
         let v = check_execution(
             &correct,
-            &correct_decisions,
+            &decisions,
             Agreement::Exact,
             &Validity::KRelaxed(1),
             t(),
@@ -313,15 +291,11 @@ mod tests {
             ByzantineStrategy::FollowProtocol(inputs[2].clone()),
         )];
         let (decisions, correct) =
-            run(n, f, d, &inputs, &byz, DecisionRule::MinDeltaPoint(Norm::L2));
-        let correct_decisions: Vec<Option<VecD>> = [0, 1, 3]
-            .iter()
-            .map(|&i| decisions[i].clone())
-            .collect();
+            run::<Eig>(n, f, d, &inputs, &byz, DecisionRule::MinDeltaPoint(Norm::L2));
         // Theorem 9's bounds define the validity κ: max-edge/(n−2).
         let v = check_execution(
             &correct,
-            &correct_decisions,
+            &decisions,
             Agreement::Exact,
             &Validity::InputDependentDeltaP {
                 kappa: 1.0 / (n as f64 - 2.0),
@@ -345,16 +319,8 @@ mod tests {
                 corrupt: VecD::from_slice(&[9e9, 9e9]),
             },
         )];
-        let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
-        let correct_decisions: Vec<Option<VecD>> =
-            (0..4).map(|i| decisions[i].clone()).collect();
-        let v = check_execution(
-            &correct,
-            &correct_decisions,
-            Agreement::Exact,
-            &Validity::Exact,
-            t(),
-        );
+        let (decisions, correct) = run::<Eig>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+        let v = exact(&correct, &decisions);
         assert!(v.ok(), "lying relays broke the protocol: {v:?}");
     }
 
@@ -364,51 +330,110 @@ mod tests {
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, -(i as f64)]))
             .collect();
-        let (decisions, correct) = run(n, f, d, &inputs, &[], DecisionRule::GammaPoint);
-        let v = check_execution(
-            &correct,
-            &decisions,
-            Agreement::Exact,
-            &Validity::Exact,
-            t(),
-        );
-        assert!(v.ok());
+        let (decisions, correct) = run::<Eig>(n, f, d, &inputs, &[], DecisionRule::GammaPoint);
+        assert!(exact(&correct, &decisions).ok());
     }
 
-    #[test]
-    fn non_finite_payloads_cannot_poison_the_run() {
-        // A lying relay that injects NaN/∞ vectors: the receive boundary
-        // must drop them (they would otherwise defeat every trimming rule,
-        // since NaN comparisons are all false) and the run must still
-        // satisfy exact agreement + validity.
+    /// Values that are not finite `d`-vectors — injected into relays, or
+    /// broadcast as the input of a faulty process that otherwise follows the
+    /// protocol (under signatures its chains are perfectly valid) — must be
+    /// dropped at the receive boundary: they would otherwise defeat every
+    /// trimming rule, since NaN comparisons are all false.
+    fn malformed_payloads_are_dropped<B: Broadcast<VecD> + 'static>() {
         let (n, f, d) = (5, 1, 2);
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, 1.0]))
             .collect();
-        let byz = vec![(
-            4,
+        let bad = |v: &[f64]| ByzantineStrategy::FollowProtocol(VecD::from_slice(v));
+        for strategy in [
             ByzantineStrategy::LyingRelay {
                 input: VecD::from_slice(&[2.0, 1.0]),
                 corrupt: VecD::from_slice(&[f64::NAN, f64::INFINITY]),
             },
-        )];
-        let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
-        let correct_decisions: Vec<Option<VecD>> =
-            (0..4).map(|i| decisions[i].clone()).collect();
-        for dec in correct_decisions.iter().flatten() {
-            assert!(
-                dec.as_slice().iter().all(|x| x.is_finite()),
-                "a NaN leaked into a decision: {dec}"
-            );
+            bad(&[f64::NAN, f64::INFINITY]),
+            bad(&[f64::INFINITY, 1.0]),
+            bad(&[1.0, 2.0, 3.0]),
+        ] {
+            for rule in [
+                DecisionRule::GammaPoint,
+                DecisionRule::CoordinateTrimmedMidpoint,
+                DecisionRule::MinDeltaPoint(Norm::L2),
+            ] {
+                let byz = vec![(4, strategy.clone())];
+                let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, rule);
+                for dec in &decisions {
+                    let dec = dec.as_ref().expect("every honest process decides");
+                    assert!(
+                        dec.dim() == d && dec.as_slice().iter().all(|x| x.is_finite()),
+                        "{strategy:?} leaked into a decision under {rule:?}: {dec}"
+                    );
+                }
+                if rule == DecisionRule::GammaPoint {
+                    let v = exact(&correct, &decisions);
+                    assert!(v.ok(), "{strategy:?} broke exact validity: {v:?}");
+                }
+            }
         }
-        let v = check_execution(
-            &correct,
-            &correct_decisions,
-            Agreement::Exact,
-            &Validity::Exact,
-            t(),
+    }
+
+    #[test]
+    fn non_finite_payloads_cannot_poison_the_run() {
+        malformed_payloads_are_dropped::<Eig>();
+        malformed_payloads_are_dropped::<Ds>();
+    }
+
+    #[test]
+    fn algo_over_authenticated_broadcast_matches_eig_decision() {
+        // Same inputs, same rule: the two substrates deliver the same
+        // multiset S, hence the identical decision.
+        let (n, f, d) = (4, 1, 3);
+        let inputs = vec![
+            VecD::from_slice(&[0.0, 0.0, 0.0]),
+            VecD::from_slice(&[1.0, 0.0, 0.0]),
+            VecD::from_slice(&[0.0, 1.0, 0.0]),
+            VecD::from_slice(&[0.0, 0.0, 1.0]),
+        ];
+        let rule = DecisionRule::MinDeltaPoint(Norm::L2);
+        let (ds_decisions, _) = run::<Ds>(n, f, d, &inputs, &[], rule);
+
+        // EIG flavour via the main runner.
+        let spec = crate::runner::SyncSpec {
+            n,
+            f,
+            d,
+            rule,
+            inputs: inputs.clone(),
+            adversaries: vec![],
+            agreement: Agreement::Exact,
+            validity: Validity::Exact,
+        };
+        let eig_report = crate::runner::run_sync(&spec, t());
+        let a = ds_decisions[0].clone().unwrap();
+        let b = eig_report.decisions[0].clone().unwrap();
+        assert!(
+            a.approx_eq(&b, Tol(1e-9)),
+            "substrates disagree: {a} vs {b}"
         );
-        assert!(v.ok(), "NaN-flooding relay broke the protocol: {v:?}");
+    }
+
+    fn silent_and_follow<B: Broadcast<VecD> + 'static>() {
+        let (n, f, d) = (7, 2, 2);
+        let inputs: Vec<VecD> = (0..n)
+            .map(|i| VecD::from_slice(&[i as f64, -(i as f64)]))
+            .collect();
+        let byz = vec![
+            (0, ByzantineStrategy::Silent),
+            (4, ByzantineStrategy::FollowProtocol(VecD::from_slice(&[9.0, 9.0]))),
+        ];
+        let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+        let v = exact(&correct, &decisions);
+        assert!(v.ok(), "{v:?}");
+    }
+
+    #[test]
+    fn silent_and_follow_strategies() {
+        silent_and_follow::<Eig>();
+        silent_and_follow::<Ds>();
     }
 
     #[test]
@@ -418,35 +443,15 @@ mod tests {
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, 1.0]))
             .collect();
+        let rule = DecisionRule::CoordinateTrimmedMidpoint;
         let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
             .map(|i| {
                 if i == 1 {
-                    make_node(
-                        i,
-                        n,
-                        f,
-                        d,
-                        None,
-                        Some(ByzantineStrategy::TwoFaced(vec![
-                            VecD::from_slice(&[7.0, 7.0]),
-                            VecD::from_slice(&[8.0, 8.0]),
-                            VecD::from_slice(&[9.0, 9.0]),
-                            VecD::from_slice(&[10.0, 10.0]),
-                        ])),
-                        DecisionRule::CoordinateTrimmedMidpoint,
-                        t(),
-                    )
+                    let faces = (7..11).map(|x| VecD::from_slice(&[x as f64, x as f64])).collect();
+                    let two_faced = Some(ByzantineStrategy::TwoFaced(faces));
+                    make_node(i, n, f, d, None, two_faced, rule, t())
                 } else {
-                    make_node(
-                        i,
-                        n,
-                        f,
-                        d,
-                        Some(inputs[i].clone()),
-                        None,
-                        DecisionRule::CoordinateTrimmedMidpoint,
-                        t(),
-                    )
+                    make_node(i, n, f, d, Some(inputs[i].clone()), None, rule, t())
                 }
             })
             .collect();

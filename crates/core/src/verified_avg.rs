@@ -31,9 +31,10 @@ use rbvc_geometry::minmax::delta_star;
 use rbvc_geometry::gamma_point;
 use rbvc_linalg::{Norm, Tol, VecD};
 use rbvc_obs::{Event, EventKind, Obs};
-use rbvc_sim::asynch::{AsyncAdversary, AsyncProtocol};
+use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
+use rbvc_sim::fuzz::{Edited, Sends};
 
 /// Identifies one reliable-broadcast instance: (origin process, round).
 pub type RoundTag = (ProcessId, usize);
@@ -500,105 +501,49 @@ impl AsyncProtocol for VerifiedAveraging {
     }
 }
 
-/// Byzantine strategy that runs the protocol faithfully with a chosen input
-/// (arbitrary inputs are within Byzantine power and stress validity).
-pub struct HonestFacade(pub VerifiedAveraging);
-
-impl AsyncAdversary<VaMsg> for HonestFacade {
-    fn on_start(&mut self) -> Vec<(ProcessId, VaMsg)> {
-        self.0.on_start()
-    }
-    fn on_message(&mut self, from: ProcessId, msg: VaMsg) -> Vec<(ProcessId, VaMsg)> {
-        self.0.on_message(from, msg)
-    }
-}
-
 /// Byzantine strategy: attempts a split-brain on its own round-0 broadcast,
-/// sending `Init(a)` to the first half of processes and `Init(b)` to the
-/// rest. Bracha RB must prevent correct processes from delivering
-/// different values.
-pub struct SplitBrainInput {
+/// sending `Init(a)` — `inner`'s input — to the first half of processes and
+/// `Init(alt)` to the rest. Bracha RB must prevent correct processes from
+/// delivering different values. (The strategy that runs the protocol
+/// faithfully with a chosen input is [`rbvc_sim::fuzz::follow`].)
+#[must_use]
+pub fn split_brain_input(
     inner: VerifiedAveraging,
     alt: VecD,
-}
-
-impl SplitBrainInput {
-    /// `primary` goes to low ids, `alt` to high ids.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // flat spec mirrors the runner structs
-    pub fn new(
-        id: ProcessId,
-        n: usize,
-        f: usize,
-        primary: VecD,
-        alt: VecD,
-        mode: DeltaMode,
-        total_rounds: usize,
-        tol: Tol,
-    ) -> Self {
-        SplitBrainInput {
-            inner: VerifiedAveraging::new(id, n, f, primary, mode, total_rounds, tol),
-            alt,
+) -> Edited<VerifiedAveraging, impl FnMut(usize, &mut Sends<VaMsg>)> {
+    let n = inner.n;
+    Edited::new(inner, move |step, sends: &mut Sends<VaMsg>| {
+        if step > 0 {
+            return; // only `on_start` carries its own round-0 `Init`
         }
-    }
-}
-
-impl AsyncAdversary<VaMsg> for SplitBrainInput {
-    fn on_start(&mut self) -> Vec<(ProcessId, VaMsg)> {
-        let n = self.inner.n;
-        let mut sends = self.inner.on_start();
-        for (dst, (tag, m)) in &mut sends {
+        for (dst, (tag, m)) in sends {
             if *dst >= n / 2 && tag.1 == 0 {
                 if let BrachaMsg::Init(state) = m {
-                    state.value = self.alt.clone();
+                    state.value = alt.clone();
                 }
             }
         }
-        sends
-    }
-    fn on_message(&mut self, from: ProcessId, msg: VaMsg) -> Vec<(ProcessId, VaMsg)> {
-        self.inner.on_message(from, msg)
-    }
+    })
 }
 
-/// Byzantine strategy: participates via the honest machinery but corrupts
-/// the *value* of its own round-`t ≥ 1` states (keeping the witness), so
-/// its states must fail verification at every correct process.
-pub struct CorruptAverage {
+/// Byzantine strategy: participates via the honest machinery but adds
+/// `offset` to the *value* of its own round-`t ≥ 1` states (keeping the
+/// witness), so its states must fail verification at every correct process.
+#[must_use]
+pub fn corrupt_average(
     inner: VerifiedAveraging,
     offset: VecD,
-}
-
-impl CorruptAverage {
-    /// Adds `offset` to each of its own averaged values.
-    #[must_use]
-    pub fn new(inner: VerifiedAveraging, offset: VecD) -> Self {
-        CorruptAverage { inner, offset }
-    }
-
-    fn corrupt(&self, sends: &mut [(ProcessId, VaMsg)]) {
-        let id = self.inner.id;
-        for (_, (tag, m)) in sends.iter_mut() {
+) -> Edited<VerifiedAveraging, impl FnMut(usize, &mut Sends<VaMsg>)> {
+    let id = inner.id;
+    Edited::new(inner, move |_, sends: &mut Sends<VaMsg>| {
+        for (_, (tag, m)) in sends {
             if tag.0 == id && tag.1 >= 1 {
                 if let BrachaMsg::Init(state) = m {
-                    state.value = &state.value + &self.offset;
+                    state.value = &state.value + &offset;
                 }
             }
         }
-    }
-}
-
-impl AsyncAdversary<VaMsg> for CorruptAverage {
-    fn on_start(&mut self) -> Vec<(ProcessId, VaMsg)> {
-        let mut sends = self.inner.on_start();
-        self.corrupt(&mut sends);
-        sends
-    }
-    fn on_message(&mut self, from: ProcessId, msg: VaMsg) -> Vec<(ProcessId, VaMsg)> {
-        let mut sends = self.inner.on_message(from, msg);
-        self.corrupt(&mut sends);
-        sends
-    }
+    })
 }
 
 #[cfg(test)]
@@ -609,6 +554,7 @@ mod tests {
         TargetedDelayScheduler,
     };
     use rbvc_sim::config::SystemConfig;
+    use rbvc_sim::fuzz::follow;
 
     use crate::problem::{check_execution, Agreement, Validity};
 
@@ -639,55 +585,23 @@ mod tests {
         let config = SystemConfig::new(setup.n, setup.f).with_faulty(faulty);
         let nodes: Vec<AsyncNode<VerifiedAveraging>> = (0..setup.n)
             .map(|i| {
+                let proto = |input: &VecD| {
+                    let Setup { n, f, mode, rounds, .. } = *setup;
+                    VerifiedAveraging::new(i, n, f, input.clone(), mode, rounds, t())
+                };
                 match byz.iter().find(|(j, _)| *j == i).map(|(_, b)| b) {
-                    None => AsyncNode::Honest(VerifiedAveraging::new(
-                        i,
-                        setup.n,
-                        setup.f,
-                        setup.inputs[i].clone(),
-                        setup.mode,
-                        setup.rounds,
-                        t(),
-                    )),
+                    None => AsyncNode::Honest(proto(&setup.inputs[i])),
                     Some(Byz::Silent) => {
                         AsyncNode::Byzantine(Box::new(SilentAsyncAdversary))
                     }
                     Some(Byz::HonestInput(v)) => {
-                        AsyncNode::Byzantine(Box::new(HonestFacade(VerifiedAveraging::new(
-                            i,
-                            setup.n,
-                            setup.f,
-                            v.clone(),
-                            setup.mode,
-                            setup.rounds,
-                            t(),
-                        ))))
+                        AsyncNode::Byzantine(Box::new(follow(proto(v))))
                     }
-                    Some(Byz::SplitBrain(a, b)) => AsyncNode::Byzantine(Box::new(
-                        SplitBrainInput::new(
-                            i,
-                            setup.n,
-                            setup.f,
-                            a.clone(),
-                            b.clone(),
-                            setup.mode,
-                            setup.rounds,
-                            t(),
-                        ),
-                    )),
+                    Some(Byz::SplitBrain(a, b)) => {
+                        AsyncNode::Byzantine(Box::new(split_brain_input(proto(a), b.clone())))
+                    }
                     Some(Byz::Corrupt(input, offset)) => {
-                        AsyncNode::Byzantine(Box::new(CorruptAverage::new(
-                            VerifiedAveraging::new(
-                                i,
-                                setup.n,
-                                setup.f,
-                                input.clone(),
-                                setup.mode,
-                                setup.rounds,
-                                t(),
-                            ),
-                            offset.clone(),
-                        )))
+                        AsyncNode::Byzantine(Box::new(corrupt_average(proto(input), offset.clone())))
                     }
                 }
             })

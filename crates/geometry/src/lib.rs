@@ -29,7 +29,6 @@
 //! * [`tverberg`] — Tverberg partitions and tightness witnesses (§8).
 //! * [`combinatorics`] — subset and partition enumeration.
 
-pub mod clip2d;
 pub mod combinatorics;
 pub mod gamma;
 pub mod hull;

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use crate::config::ProcessId;
-use crate::sync::{SyncAdversary, SyncProtocol};
+use crate::sync::{Broadcast, SyncProtocol, ValueCheck};
 
 /// A simulated signature: `(signer, value-fingerprint)` where the
 /// fingerprint is the exact signed payload. Unforgeable by construction:
@@ -120,12 +120,12 @@ pub struct DolevStrong<V> {
     sender: ProcessId,
     my_value: Option<V>,
     default: V,
+    accept: ValueCheck<V>,
     /// Values extracted so far (bounded to 2: one is enough to detect
     /// equivocation).
     extracted: Vec<V>,
     /// Chains to forward next round.
     outbox: Vec<SignedChain<V>>,
-    rounds_seen: usize,
     decided: Option<V>,
 }
 
@@ -153,9 +153,9 @@ impl<V: Clone + PartialEq> DolevStrong<V> {
             sender,
             my_value,
             default,
+            accept: |_, _| true,
             extracted: Vec::new(),
             outbox: Vec::new(),
-            rounds_seen: 0,
             decided: None,
         }
     }
@@ -178,7 +178,12 @@ impl<V: Clone + PartialEq> DolevStrong<V> {
         }
     }
 
-    fn finish(&mut self) {
+    /// Close `round` once everything sent in it has been absorbed; the
+    /// last one decides.
+    fn end_round(&mut self, round: usize) {
+        if round != self.f {
+            return;
+        }
         let v = if self.extracted.len() == 1 {
             self.extracted[0].clone()
         } else {
@@ -186,6 +191,31 @@ impl<V: Clone + PartialEq> DolevStrong<V> {
             self.default.clone()
         };
         self.decided = Some(v);
+    }
+
+    /// Read the chains process `from` sent in `round`.
+    fn absorb(&mut self, round: usize, from: ProcessId, chains: &DsMsg<V>) {
+        if round > self.f || from >= self.n {
+            return; // over, or no such process: malformed wire sender
+        }
+        for chain in chains {
+            // Receive-boundary hardening: every signer must be a real
+            // process id. A "ghost" signer (id ≥ n) would otherwise
+            // count toward the chain length, letting an adversary
+            // fabricate arbitrarily long chains without n distinct
+            // compromised processes.
+            let ids_ok = chain.sigs.iter().all(|s| s.signer < self.n);
+            // The last signature must belong to the wire sender (except
+            // round 0, where the chain has only the sender's signature).
+            let last_ok = chain.sigs.last().is_some_and(|s| s.signer == from);
+            if ids_ok
+                && last_ok
+                && (self.accept)(&chain.value, &self.default)
+                && chain.valid(self.sender, round)
+            {
+                self.extract(chain);
+            }
+        }
     }
 }
 
@@ -220,35 +250,10 @@ impl<V: Clone + PartialEq> SyncProtocol for DolevStrong<V> {
     }
 
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, DsMsg<V>)]) {
-        if round > self.f {
-            return;
-        }
         for (from, chains) in inbox {
-            if *from >= self.n {
-                continue; // no such process: malformed wire sender
-            }
-            for chain in chains {
-                // Receive-boundary hardening: every signer must be a real
-                // process id. A "ghost" signer (id ≥ n) would otherwise
-                // count toward the chain length, letting an adversary
-                // fabricate arbitrarily long chains without n distinct
-                // compromised processes.
-                let ids_ok = chain.sigs.iter().all(|s| s.signer < self.n);
-                // The last signature must belong to the wire sender (except
-                // round 0, where the chain has only the sender's signature).
-                let last_ok = chain
-                    .sigs
-                    .last()
-                    .is_some_and(|s| s.signer == *from);
-                if ids_ok && last_ok && chain.valid(self.sender, round) {
-                    self.extract(chain);
-                }
-            }
+            self.absorb(round, *from, chains);
         }
-        self.rounds_seen = round + 1;
-        if self.rounds_seen == self.f + 1 {
-            self.finish();
-        }
+        self.end_round(round);
     }
 
     fn output(&self) -> Option<V> {
@@ -266,31 +271,40 @@ pub struct ParallelDolevStrong<V> {
 /// Wire message of the parallel protocol: `(instance sender, batch)` pairs.
 pub type ParallelDsMsg<V> = Vec<(ProcessId, DsMsg<V>)>;
 
-impl<V: Clone + PartialEq> ParallelDolevStrong<V> {
-    /// Build the composite protocol for process `my_id`.
-    #[must_use]
-    pub fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
+impl<V: Clone + PartialEq> Broadcast<V> for ParallelDolevStrong<V> {
+    fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
         let instances = (0..n)
             .map(|sender| {
-                let mine = if sender == my_id {
-                    Some(input.clone())
-                } else {
-                    None
-                };
-                DolevStrong::new(
-                    Authenticator::new(my_id),
-                    n,
-                    f,
-                    sender,
-                    mine,
-                    default.clone(),
-                )
+                let mine = (sender == my_id).then(|| input.clone());
+                DolevStrong::new(Authenticator::new(my_id), n, f, sender, mine, default.clone())
             })
             .collect();
         ParallelDolevStrong {
             instances,
             decided: None,
         }
+    }
+
+    fn accepting(mut self, ok: ValueCheck<V>) -> Self {
+        for inst in &mut self.instances {
+            inst.accept = ok;
+        }
+        self
+    }
+
+    fn tamper(me: ProcessId, msg: &mut Self::Msg, edit: &mut dyn FnMut(ProcessId, &mut V)) {
+        for (origin, chains) in msg {
+            for chain in chains {
+                edit(*origin, &mut chain.value);
+                for sig in chain.sigs.iter_mut().filter(|s| s.signer == me) {
+                    sig.payload = chain.value.clone();
+                }
+            }
+        }
+    }
+
+    fn items(msg: &Self::Msg) -> usize {
+        msg.iter().map(|(_, chains)| chains.len()).sum()
     }
 }
 
@@ -316,18 +330,15 @@ impl<V: Clone + PartialEq> SyncProtocol for ParallelDolevStrong<V> {
     }
 
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, Self::Msg)]) {
+        for (from, msg) in inbox {
+            for (sender, chains) in msg {
+                if let Some(inst) = self.instances.get_mut(*sender) {
+                    inst.absorb(round, *from, chains);
+                }
+            }
+        }
         for inst in &mut self.instances {
-            let sender = inst.sender;
-            // Project the inbox onto this instance.
-            let sub: Vec<(ProcessId, DsMsg<V>)> = inbox
-                .iter()
-                .flat_map(|(from, msg)| {
-                    msg.iter()
-                        .filter(|(s, _)| *s == sender)
-                        .map(|(_, batch)| (*from, batch.clone()))
-                })
-                .collect();
-            inst.receive(round, &sub);
+            inst.end_round(round);
         }
         if self.decided.is_none()
             && self.instances.iter().all(|i| i.output().is_some())
@@ -343,72 +354,6 @@ impl<V: Clone + PartialEq> SyncProtocol for ParallelDolevStrong<V> {
 
     fn output(&self) -> Option<Vec<V>> {
         self.decided.clone()
-    }
-}
-
-/// Byzantine strategy: an equivocating sender that signs *two different
-/// values* and shows one to each half of the network — the attack
-/// Dolev–Strong's signature-chain relaying is built to expose.
-pub struct DsEquivocator<V> {
-    auth: Authenticator,
-    n: usize,
-    low_value: V,
-    high_value: V,
-    sent: bool,
-    /// Relay state for other senders' instances (participates honestly).
-    inner: ParallelDolevStrong<V>,
-}
-
-impl<V: Clone + PartialEq> DsEquivocator<V> {
-    /// `low_value` goes to ids `< n/2`, `high_value` to the rest.
-    #[must_use]
-    pub fn new(
-        my_id: ProcessId,
-        n: usize,
-        f: usize,
-        low_value: V,
-        high_value: V,
-        default: V,
-    ) -> Self {
-        DsEquivocator {
-            auth: Authenticator::new(my_id),
-            n,
-            low_value: low_value.clone(),
-            high_value,
-            sent: false,
-            inner: ParallelDolevStrong::new(my_id, n, f, low_value, default),
-        }
-    }
-}
-
-impl<V: Clone + PartialEq> SyncAdversary<ParallelDsMsg<V>> for DsEquivocator<V> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, ParallelDsMsg<V>)> {
-        let my_id = self.auth.id;
-        let mut msgs = self.inner.round_messages(round);
-        if round == 0 && !self.sent {
-            self.sent = true;
-            // Replace our own instance's round-0 chain per recipient.
-            for (dst, msg) in &mut msgs {
-                for (sender, batch) in msg.iter_mut() {
-                    if *sender == my_id {
-                        let v = if *dst < self.n / 2 {
-                            self.low_value.clone()
-                        } else {
-                            self.high_value.clone()
-                        };
-                        *batch = vec![SignedChain {
-                            sigs: vec![self.auth.sign(&v)],
-                            value: v,
-                        }];
-                    }
-                }
-            }
-        }
-        msgs
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, ParallelDsMsg<V>)]) {
-        self.inner.receive(round, inbox);
     }
 }
 
@@ -446,12 +391,19 @@ pub fn decisions_by_sender<V: Clone + PartialEq>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::fuzz::two_faced;
     use crate::sync::{RoundEngine, SilentAdversary, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelDolevStrong<i64>>>;
 
     fn honest(id: usize, n: usize, f: usize, input: i64) -> SyncNode<ParallelDolevStrong<i64>> {
         SyncNode::Honest(ParallelDolevStrong::new(id, n, f, input, i64::MIN))
+    }
+
+    /// Signs `low` for ids `< n/2` and `high` for the rest.
+    fn equivocator(id: usize, n: usize, f: usize, low: i64, high: i64) -> SyncNode<ParallelDolevStrong<i64>> {
+        let shown = (0..n).map(|j| if j < n / 2 { low } else { high }).collect();
+        SyncNode::Byzantine(Box::new(two_faced::<ParallelDolevStrong<i64>, _>(id, n, f, shown, i64::MIN)))
     }
 
     fn run(config: SystemConfig, nodes: Nodes, f: usize) -> Vec<Option<Vec<i64>>> {
@@ -478,14 +430,7 @@ mod tests {
         let mut nodes: Nodes = Vec::new();
         for i in 0..n {
             if i == 1 {
-                nodes.push(SyncNode::Byzantine(Box::new(DsEquivocator::new(
-                    1,
-                    n,
-                    f,
-                    777,
-                    888,
-                    i64::MIN,
-                ))));
+                nodes.push(equivocator(1, n, f, 777, 888));
             } else {
                 nodes.push(honest(i, n, f, i as i64));
             }
@@ -530,14 +475,7 @@ mod tests {
         let mut nodes: Nodes = Vec::new();
         for i in 0..n {
             match i {
-                0 => nodes.push(SyncNode::Byzantine(Box::new(DsEquivocator::new(
-                    0,
-                    n,
-                    f,
-                    -1,
-                    -2,
-                    i64::MIN,
-                )))),
+                0 => nodes.push(equivocator(0, n, f, -1, -2)),
                 6 => nodes.push(SyncNode::Byzantine(Box::new(SilentAdversary))),
                 _ => nodes.push(honest(i, n, f, i as i64)),
             }
@@ -583,6 +521,16 @@ mod tests {
         assert!(ok.valid(0, 1));
         // Wrong round (length mismatch) fails.
         assert!(!ok.valid(0, 0));
+        // Relay 3 rewriting the value can redo only its own signature: what
+        // a lying relay sends under signatures is a chain that is rejected.
+        let mut relayed = vec![(0, vec![ok.clone()])];
+        ParallelDolevStrong::tamper(3, &mut relayed, &mut |_, v| *v = -12345);
+        assert_eq!(relayed[0].1[0].sigs[1], auth3.sign(&-12345));
+        assert!(!relayed[0].1[0].valid(0, 1));
+        // The sender itself can: its round-0 chain stays valid (equivocation).
+        let mut own = vec![(0, vec![SignedChain { value: 7, sigs: vec![Authenticator::new(0).sign(&7)] }])];
+        ParallelDolevStrong::tamper(0, &mut own, &mut |_, v| *v = 8);
+        assert!(own[0].1[0].valid(0, 0) && own[0].1[0].value == 8);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use crate::config::ProcessId;
-use crate::sync::{SyncAdversary, SyncProtocol};
+use crate::sync::{Broadcast, SyncProtocol, ValueCheck};
 
 /// One EIG relay item: "(label σ, value)".
 pub type EigItem<V> = (Vec<ProcessId>, V);
@@ -43,6 +43,7 @@ pub struct EigInstance<V> {
     default: V,
     /// The sender's own input (None on non-sender processes).
     my_value: Option<V>,
+    accept: ValueCheck<V>,
     tree: HashMap<Vec<ProcessId>, V>,
 }
 
@@ -71,6 +72,7 @@ impl<V: Clone + PartialEq> EigInstance<V> {
             sender,
             default,
             my_value,
+            accept: |_, _| true,
             tree: HashMap::new(),
         }
     }
@@ -108,7 +110,8 @@ impl<V: Clone + PartialEq> EigInstance<V> {
 
     /// Absorb a batch received in `round` from process `from`, storing only
     /// well-formed items: correct level, ids in range, distinct ids, rooted
-    /// at the sender, last id equal to the wire sender, first writer wins.
+    /// at the sender, last id equal to the wire sender, a value the
+    /// [`ValueCheck`] accepts, first writer wins.
     pub fn receive_batch(&mut self, round: usize, from: ProcessId, batch: &EigMsg<V>) {
         if from >= self.n {
             return; // no such process: the whole batch is malformed
@@ -128,7 +131,7 @@ impl<V: Clone + PartialEq> EigInstance<V> {
             if label.iter().any(|&id| id >= self.n) {
                 continue;
             }
-            if !distinct(label) {
+            if !distinct(label) || !(self.accept)(value, &self.default) {
                 continue;
             }
             self.tree.entry(label.clone()).or_insert_with(|| value.clone());
@@ -197,33 +200,44 @@ fn distinct(label: &[ProcessId]) -> bool {
 pub struct ParallelEig<V> {
     instances: Vec<EigInstance<V>>,
     rounds_needed: usize,
-    rounds_seen: usize,
     decided: Option<Vec<V>>,
 }
 
 /// Wire message of [`ParallelEig`]: `(instance sender id, batch)` pairs.
 pub type ParallelEigMsg<V> = Vec<(ProcessId, EigMsg<V>)>;
 
-impl<V: Clone + PartialEq> ParallelEig<V> {
-    /// Build the composite protocol for process `my_id` with its `input`.
-    #[must_use]
-    pub fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
+impl<V: Clone + PartialEq> Broadcast<V> for ParallelEig<V> {
+    fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
         let instances = (0..n)
             .map(|sender| {
-                let mine = if sender == my_id {
-                    Some(input.clone())
-                } else {
-                    None
-                };
+                let mine = (sender == my_id).then(|| input.clone());
                 EigInstance::new(my_id, n, f, sender, mine, default.clone())
             })
             .collect();
         ParallelEig {
             instances,
             rounds_needed: f + 1,
-            rounds_seen: 0,
             decided: None,
         }
+    }
+
+    fn accepting(mut self, ok: ValueCheck<V>) -> Self {
+        for inst in &mut self.instances {
+            inst.accept = ok;
+        }
+        self
+    }
+
+    fn tamper(_me: ProcessId, msg: &mut Self::Msg, edit: &mut dyn FnMut(ProcessId, &mut V)) {
+        for (origin, batch) in msg {
+            for (_, value) in batch {
+                edit(*origin, value);
+            }
+        }
+    }
+
+    fn items(msg: &Self::Msg) -> usize {
+        msg.iter().map(|(_, batch)| batch.len()).sum()
     }
 }
 
@@ -255,8 +269,7 @@ impl<V: Clone + PartialEq> SyncProtocol for ParallelEig<V> {
                 }
             }
         }
-        self.rounds_seen = round + 1;
-        if self.rounds_seen == self.rounds_needed {
+        if round + 1 == self.rounds_needed {
             self.decided = Some(self.instances.iter().map(EigInstance::decide).collect());
         }
     }
@@ -266,94 +279,11 @@ impl<V: Clone + PartialEq> SyncProtocol for ParallelEig<V> {
     }
 }
 
-/// Byzantine strategy: participate in all relays faithfully (via an inner
-/// honest node) but *equivocate on the round-0 value of its own instance*,
-/// sending `per_recipient[j]` to process `j`. This is the strongest
-/// single-instance attack against broadcast consistency.
-pub struct TwoFacedSender<V: Clone + PartialEq> {
-    inner: ParallelEig<V>,
-    my_id: ProcessId,
-    per_recipient: Vec<V>,
-}
-
-impl<V: Clone + PartialEq> TwoFacedSender<V> {
-    /// `per_recipient[j]` is the round-0 value shown to process `j`.
-    #[must_use]
-    pub fn new(my_id: ProcessId, n: usize, f: usize, per_recipient: Vec<V>, default: V) -> Self {
-        assert_eq!(per_recipient.len(), n);
-        let inner = ParallelEig::new(my_id, n, f, per_recipient[0].clone(), default);
-        TwoFacedSender {
-            inner,
-            my_id,
-            per_recipient,
-        }
-    }
-}
-
-impl<V: Clone + PartialEq> SyncAdversary<ParallelEigMsg<V>> for TwoFacedSender<V> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, ParallelEigMsg<V>)> {
-        let mut msgs = self.inner.round_messages(round);
-        if round == 0 {
-            for (dst, msg) in &mut msgs {
-                for (sender, batch) in msg.iter_mut() {
-                    if *sender == self.my_id {
-                        *batch = vec![(vec![self.my_id], self.per_recipient[*dst].clone())];
-                    }
-                }
-            }
-        }
-        msgs
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, ParallelEigMsg<V>)]) {
-        self.inner.receive(round, inbox);
-    }
-}
-
-/// Byzantine strategy: relay rounds lie — every relayed value is replaced by
-/// a fixed corrupt value for odd-indexed recipients (split-brain relays).
-pub struct LyingRelay<V: Clone + PartialEq> {
-    inner: ParallelEig<V>,
-    corrupt: V,
-}
-
-impl<V: Clone + PartialEq> LyingRelay<V> {
-    /// Wrap an honest node, corrupting relays with `corrupt`.
-    #[must_use]
-    pub fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V, corrupt: V) -> Self {
-        LyingRelay {
-            inner: ParallelEig::new(my_id, n, f, input, default),
-            corrupt,
-        }
-    }
-}
-
-impl<V: Clone + PartialEq> SyncAdversary<ParallelEigMsg<V>> for LyingRelay<V> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, ParallelEigMsg<V>)> {
-        let mut msgs = self.inner.round_messages(round);
-        if round > 0 {
-            for (dst, msg) in &mut msgs {
-                if *dst % 2 == 1 {
-                    for (_, batch) in msg.iter_mut() {
-                        for (_, value) in batch.iter_mut() {
-                            *value = self.corrupt.clone();
-                        }
-                    }
-                }
-            }
-        }
-        msgs
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, ParallelEigMsg<V>)]) {
-        self.inner.receive(round, inbox);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::fuzz::{lying_relay, two_faced};
     use crate::sync::{RoundEngine, SilentAdversary, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelEig<i64>>>;
@@ -424,7 +354,7 @@ mod tests {
         let (n, f) = (4, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![3]);
         let mut nodes: Nodes = (0..3).map(|i| honest(i, n, f, i as i64)).collect();
-        nodes.push(SyncNode::Byzantine(Box::new(TwoFacedSender::new(
+        nodes.push(SyncNode::Byzantine(Box::new(two_faced::<ParallelEig<i64>, _>(
             3,
             n,
             f,
@@ -449,7 +379,7 @@ mod tests {
         let (n, f) = (5, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![4]);
         let mut nodes: Nodes = (0..4).map(|i| honest(i, n, f, 7 * i as i64)).collect();
-        nodes.push(SyncNode::Byzantine(Box::new(LyingRelay::new(
+        nodes.push(SyncNode::Byzantine(Box::new(lying_relay::<ParallelEig<i64>, _>(
             4,
             n,
             f,
@@ -474,14 +404,14 @@ mod tests {
         let mut nodes: Nodes = Vec::new();
         for i in 0..n {
             match i {
-                1 => nodes.push(SyncNode::Byzantine(Box::new(TwoFacedSender::new(
+                1 => nodes.push(SyncNode::Byzantine(Box::new(two_faced::<ParallelEig<i64>, _>(
                     1,
                     n,
                     f,
                     (0..n as i64).map(|j| 1000 + j).collect(),
                     i64::MIN,
                 )))),
-                5 => nodes.push(SyncNode::Byzantine(Box::new(LyingRelay::new(
+                5 => nodes.push(SyncNode::Byzantine(Box::new(lying_relay::<ParallelEig<i64>, _>(
                     5, n, f, 555, i64::MIN, -777,
                 )))),
                 _ => nodes.push(honest(i, n, f, i as i64)),

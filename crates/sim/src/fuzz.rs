@@ -1,17 +1,26 @@
-//! Crash and fuzzing adversaries.
+//! Adversaries: the honest machine with its sends edited, and fuzzers.
 //!
 //! Byzantine agreement guarantees are universally quantified over adversary
-//! behaviour, so beyond the *structured* attacks (equivocation, lying
-//! relays) the test suite drives protocols against:
+//! behaviour. Every *structured* attack here is one type, [`Edited`]: an
+//! honest state machine that receives everything and whose outgoing
+//! `(dst, msg)` list passes through an edit before it leaves. The
+//! constructors name the edits:
 //!
-//! * [`CrashAdversary`] — honest until a chosen round, then silent forever
-//!   (the benign-fault end of the spectrum, cf. the crash-fault model of
-//!   Tseng–Vaidya \[16\] cited in the paper's related work);
-//! * [`FuzzAdversary`] / [`AsyncFuzzAdversary`] — sends seeded-random,
-//!   arbitrarily-addressed messages produced by a caller-supplied
-//!   generator, optionally also mutating what an honest node would have
-//!   sent. Randomized behaviour explores corner cases the structured
-//!   strategies miss; safety must hold for every seed.
+//! * [`follow`] — no edit: the faulty process that follows the protocol,
+//!   to which the paper's impossibility proofs (Theorems 3 and 5) restrict
+//!   the adversary;
+//! * [`crash`] / [`partial_crash`] — honest until a chosen round, then
+//!   silent, between rounds or mid-send (the benign-fault end of the
+//!   spectrum, cf. the crash-fault model of Tseng–Vaidya \[16\]);
+//! * [`two_faced`] / [`lying_relay`] — equivocation at the source and
+//!   corruption in relays, over any [`Broadcast`];
+//! * [`duplicating`] — duplicated and reordered sends.
+//!
+//! What wraps nothing stays a type of its own: [`FuzzAdversary`] /
+//! [`AsyncFuzzAdversary`] send seeded-random, arbitrarily-addressed
+//! messages from a caller-supplied generator. Randomized behaviour explores
+//! corner cases the structured strategies miss; safety must hold for every
+//! seed.
 //!
 //! These adversaries live *inside* the simulator, above message encoding.
 //! Their wire-level counterparts — the same taxonomy applied to encoded
@@ -25,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::asynch::{AsyncAdversary, AsyncProtocol};
 use crate::config::ProcessId;
-use crate::sync::{SyncAdversary, SyncProtocol};
+use crate::sync::{Broadcast, SyncAdversary, SyncProtocol};
 
 /// Seeded, codec-agnostic byte-level mutator for wire fuzz corpora.
 ///
@@ -98,72 +107,141 @@ impl ByteMutator {
     }
 }
 
-/// Honest until `crash_round`, silent afterwards (still receives).
-pub struct CrashAdversary<P: SyncProtocol> {
+/// What a process sends in one step: `(destination, message)` pairs.
+pub type Sends<M> = Vec<(ProcessId, M)>;
+
+/// A Byzantine process as the honest machine `inner` with its sends edited:
+/// `inner` receives everything, and each outgoing list goes through
+/// `edit(step, &mut sends)` before it leaves. `step` is the round under the
+/// lockstep engine; under the asynchronous engine it is 0 for `on_start`
+/// and the number of deliveries so far after that.
+pub struct Edited<P, E> {
     inner: P,
-    crash_round: usize,
+    edit: E,
+    deliveries: usize,
 }
 
-impl<P: SyncProtocol> CrashAdversary<P> {
-    /// Wrap an honest protocol instance; it emits nothing from
-    /// `crash_round` on (a crash *between* rounds — mid-round partial sends
-    /// are modelled by [`PartialCrashAdversary`]).
+impl<P, E> Edited<P, E> {
+    /// Wrap an honest instance.
     #[must_use]
-    pub fn new(inner: P, crash_round: usize) -> Self {
-        CrashAdversary { inner, crash_round }
+    pub fn new(inner: P, edit: E) -> Self {
+        Edited { inner, edit, deliveries: 0 }
     }
 }
 
-impl<P: SyncProtocol> SyncAdversary<P::Msg> for CrashAdversary<P> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, P::Msg)> {
-        let msgs = self.inner.round_messages(round);
-        if round >= self.crash_round {
-            Vec::new()
-        } else {
-            msgs
-        }
+impl<P: SyncProtocol, E: FnMut(usize, &mut Sends<P::Msg>)> SyncAdversary<P::Msg>
+    for Edited<P, E>
+{
+    fn round_messages(&mut self, round: usize) -> Sends<P::Msg> {
+        let mut sends = self.inner.round_messages(round);
+        (self.edit)(round, &mut sends);
+        sends
     }
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, P::Msg)]) {
         self.inner.receive(round, inbox);
     }
 }
 
-/// Crashes *mid-send* in `crash_round`: only a prefix of that round's
-/// messages goes out (the classic "crash during broadcast" scenario that
-/// single-round protocols cannot tolerate but `f + 1`-round ones must).
-pub struct PartialCrashAdversary<P: SyncProtocol> {
+impl<P: AsyncProtocol, E: FnMut(usize, &mut Sends<P::Msg>)> AsyncAdversary<P::Msg>
+    for Edited<P, E>
+{
+    fn on_start(&mut self) -> Sends<P::Msg> {
+        let mut sends = self.inner.on_start();
+        (self.edit)(0, &mut sends);
+        sends
+    }
+    fn on_message(&mut self, from: ProcessId, msg: P::Msg) -> Sends<P::Msg> {
+        self.deliveries += 1;
+        let mut sends = self.inner.on_message(from, msg);
+        (self.edit)(self.deliveries, &mut sends);
+        sends
+    }
+}
+
+/// Follows the protocol exactly, under either engine — arbitrary *inputs*
+/// are within Byzantine power and stress validity.
+#[must_use]
+pub fn follow<P, M>(inner: P) -> Edited<P, fn(usize, &mut Sends<M>)> {
+    Edited::new(inner, |_, _| {})
+}
+
+/// Honest until `crash_round`, silent from then on (still receives): a
+/// crash *between* rounds.
+#[must_use]
+pub fn crash<P: SyncProtocol>(
+    inner: P,
+    crash_round: usize,
+) -> Edited<P, impl FnMut(usize, &mut Sends<P::Msg>)> {
+    partial_crash(inner, crash_round, 0)
+}
+
+/// Crashes *mid-send*: only the first `prefix` messages of round
+/// `crash_round` go out, then nothing ever again (the classic "crash during
+/// broadcast" scenario that single-round protocols cannot tolerate but
+/// `f + 1`-round ones must).
+#[must_use]
+pub fn partial_crash<P: SyncProtocol>(
     inner: P,
     crash_round: usize,
     prefix: usize,
+) -> Edited<P, impl FnMut(usize, &mut Sends<P::Msg>)> {
+    Edited::new(inner, move |round, sends: &mut Sends<P::Msg>| {
+        if round >= crash_round {
+            sends.truncate(if round == crash_round { prefix } else { 0 });
+        }
+    })
 }
 
-impl<P: SyncProtocol> PartialCrashAdversary<P> {
-    /// Send only the first `prefix` messages of round `crash_round`, then
-    /// nothing ever again.
-    #[must_use]
-    pub fn new(inner: P, crash_round: usize, prefix: usize) -> Self {
-        PartialCrashAdversary {
-            inner,
-            crash_round,
-            prefix,
+/// Relays faithfully but *equivocates on its own input*: process `j` is
+/// shown `per_recipient[j]` in round 0. The strongest single-instance
+/// attack against broadcast consistency; under signatures this is the
+/// sender signing several values, which the relayed chains expose.
+///
+/// # Panics
+/// Panics unless `per_recipient` has one value per process.
+#[must_use]
+pub fn two_faced<B: Broadcast<V>, V: Clone>(
+    my_id: ProcessId,
+    n: usize,
+    f: usize,
+    per_recipient: Vec<V>,
+    default: V,
+) -> Edited<B, impl FnMut(usize, &mut Sends<B::Msg>)> {
+    assert_eq!(per_recipient.len(), n);
+    let inner = B::new(my_id, n, f, per_recipient[0].clone(), default);
+    Edited::new(inner, move |round, sends: &mut Sends<B::Msg>| {
+        if round == 0 {
+            for (dst, msg) in sends {
+                B::tamper(my_id, msg, &mut |origin, value| {
+                    if origin == my_id {
+                        *value = per_recipient[*dst].clone();
+                    }
+                });
+            }
         }
-    }
+    })
 }
 
-impl<P: SyncProtocol> SyncAdversary<P::Msg> for PartialCrashAdversary<P> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, P::Msg)> {
-        let mut msgs = self.inner.round_messages(round);
-        if round > self.crash_round {
-            return Vec::new();
+/// Broadcasts `input` honestly but lies in relay rounds: every value sent
+/// to an odd-indexed recipient is replaced by `corrupt` (split-brain
+/// relays).
+#[must_use]
+pub fn lying_relay<B: Broadcast<V>, V: Clone>(
+    my_id: ProcessId,
+    n: usize,
+    f: usize,
+    input: V,
+    default: V,
+    corrupt: V,
+) -> Edited<B, impl FnMut(usize, &mut Sends<B::Msg>)> {
+    let inner = B::new(my_id, n, f, input, default);
+    Edited::new(inner, move |round, sends: &mut Sends<B::Msg>| {
+        if round > 0 {
+            for (_, msg) in sends.iter_mut().filter(|(dst, _)| dst % 2 == 1) {
+                B::tamper(my_id, msg, &mut |_, value| *value = corrupt.clone());
+            }
         }
-        if round == self.crash_round {
-            msgs.truncate(self.prefix);
-        }
-        msgs
-    }
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, P::Msg)]) {
-        self.inner.receive(round, inbox);
-    }
+    })
 }
 
 /// Seeded random-message adversary for the lockstep engine. Each round it
@@ -260,55 +338,24 @@ impl<M> AsyncAdversary<M> for AsyncFuzzAdversary<M> {
     }
 }
 
-/// Convenience for async fuzzing: a wrapper running an honest protocol but
-/// *duplicating and reordering* its sends (stress for at-most-once
-/// assumptions inside protocol state machines).
-pub struct DuplicatingAdversary<P: AsyncProtocol> {
+/// Runs an honest protocol but *duplicates and reorders* its sends (stress
+/// for at-most-once assumptions inside protocol state machines).
+#[must_use]
+pub fn duplicating<P: AsyncProtocol>(
     inner: P,
-    rng: StdRng,
-}
-
-impl<P: AsyncProtocol> DuplicatingAdversary<P> {
-    /// Wrap an honest instance.
-    #[must_use]
-    pub fn new(inner: P, seed: u64) -> Self {
-        DuplicatingAdversary {
-            inner,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    fn mangle(&mut self, mut sends: Vec<(ProcessId, P::Msg)>) -> Vec<(ProcessId, P::Msg)>
-    where
-        P::Msg: Clone,
-    {
+    seed: u64,
+) -> Edited<P, impl FnMut(usize, &mut Sends<P::Msg>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Edited::new(inner, move |_, sends: &mut Sends<P::Msg>| {
         // Duplicate a random subset and shuffle.
-        let extra: Vec<(ProcessId, P::Msg)> = sends
-            .iter()
-            .filter(|_| self.rng.gen_bool(0.3))
-            .cloned()
-            .collect();
+        let extra: Sends<P::Msg> =
+            sends.iter().filter(|_| rng.gen_bool(0.3)).cloned().collect();
         sends.extend(extra);
         for i in (1..sends.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
+            let j = rng.gen_range(0..=i);
             sends.swap(i, j);
         }
-        sends
-    }
-}
-
-impl<P: AsyncProtocol> AsyncAdversary<P::Msg> for DuplicatingAdversary<P>
-where
-    P::Msg: Clone,
-{
-    fn on_start(&mut self) -> Vec<(ProcessId, P::Msg)> {
-        let sends = self.inner.on_start();
-        self.mangle(sends)
-    }
-    fn on_message(&mut self, from: ProcessId, msg: P::Msg) -> Vec<(ProcessId, P::Msg)> {
-        let sends = self.inner.on_message(from, msg);
-        self.mangle(sends)
-    }
+    })
 }
 
 #[cfg(test)]
@@ -331,7 +378,7 @@ mod tests {
         // value, possibly the default, but identical at all correct nodes.
         let (n, f) = (4, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![0]);
-        let mut nodes: Nodes = vec![SyncNode::Byzantine(Box::new(CrashAdversary::new(
+        let mut nodes: Nodes = vec![SyncNode::Byzantine(Box::new(crash(
             ParallelEig::new(0, n, f, 99, i64::MIN),
             1,
         )))];
@@ -353,7 +400,7 @@ mod tests {
         // (on the real value or the default).
         let (n, f) = (4, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![0]);
-        let mut nodes: Nodes = vec![SyncNode::Byzantine(Box::new(PartialCrashAdversary::new(
+        let mut nodes: Nodes = vec![SyncNode::Byzantine(Box::new(partial_crash(
             ParallelEig::new(0, n, f, 42, i64::MIN),
             0,
             1, // only the first destination receives anything

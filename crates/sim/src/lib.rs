@@ -10,12 +10,17 @@
 //!
 //! * [`config`] — system configuration `(n, f)` and fault-set bookkeeping.
 //! * [`sync`] — deterministic lockstep round engine with pluggable Byzantine
-//!   adversaries (equivocation is per-recipient message control).
+//!   adversaries (equivocation is per-recipient message control), and the
+//!   [`sync::Broadcast`] seam: what ALGO's Step 1 asks of a substrate.
 //! * [`dolev_strong`] — Dolev–Strong authenticated Byzantine broadcast
 //!   (simulated signatures), the polynomial-message alternative substrate.
 //! * [`eig`] — Exponential Information Gathering Byzantine broadcast
 //!   (`f + 1` rounds, `n ≥ 3f + 1`), the "Byzantine broadcast … such as
 //!   \[12\]" that Step 1 of ALGO calls for.
+//! * [`fuzz`] — the adversary layer: [`fuzz::Edited`], the honest machine
+//!   with its sends edited, behind constructors that name the edits
+//!   (follow, crash, two-faced, lying relay, duplicating), and the seeded
+//!   fuzzers.
 //! * [`asynch`] — event-driven asynchronous engine with seeded/adversarial
 //!   schedulers guaranteeing eventual delivery.
 //! * [`bracha`] — Bracha's reliable broadcast (init/echo/ready), the
@@ -44,4 +49,4 @@ pub mod sync;
 
 pub use config::{ProcessId, SystemConfig};
 pub use error::{ErrorLog, ProtocolError};
-pub use sync::{RoundEngine, SyncAdversary, SyncNode, SyncProtocol};
+pub use sync::{Broadcast, RoundEngine, SyncAdversary, SyncNode, SyncProtocol};

@@ -40,6 +40,40 @@ pub trait SyncAdversary<M> {
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, M)]);
 }
 
+/// The receive-boundary predicate of a [`Broadcast`]: `ok(value, default)`
+/// is asked of every value as it is read off the wire, with the instance's
+/// default beside it so that shape (e.g. dimension) can be checked without a
+/// capture. A rejected item is dropped exactly as a malformed label or chain
+/// is, so its sender's slot ends at the default.
+pub type ValueCheck<V> = fn(value: &V, default: &V) -> bool;
+
+/// ALGO's Step 1 (§9), "any Byzantine broadcast algorithm": `n` parallel
+/// broadcasts, one per process, after which every correct process outputs
+/// the same `Vec<V>` — slot `i` holding `i`'s input if `i` is correct and
+/// `default` if `i` said nothing usable. [`crate::eig::ParallelEig`]
+/// (unauthenticated) and [`crate::dolev_strong::ParallelDolevStrong`]
+/// (signed chains) are the two substrates; broadcast-then-decide and the
+/// structured adversaries in [`crate::fuzz`] are written once over this.
+pub trait Broadcast<V>: SyncProtocol<Output = Vec<V>> + Sized {
+    /// Process `id`'s end of the `n` broadcasts, sending `input` on its own.
+    fn new(id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self;
+
+    /// Drop every received value failing `ok` (the default accepts all).
+    #[must_use]
+    fn accepting(self, ok: ValueCheck<V>) -> Self;
+
+    /// What Byzantine process `me` can do to the values inside one of its
+    /// outgoing messages: `edit(origin, value)` visits each carried value
+    /// with the id of the broadcast it belongs to. Without signatures the
+    /// value is simply overwritten; with them `me` re-signs as itself and
+    /// everyone else's signatures stay as they were, so a tampered relay no
+    /// longer verifies.
+    fn tamper(me: ProcessId, msg: &mut Self::Msg, edit: &mut dyn FnMut(ProcessId, &mut V));
+
+    /// Payload items (label/value pairs, signature chains) `msg` carries.
+    fn items(msg: &Self::Msg) -> usize;
+}
+
 /// A network node: honest or Byzantine.
 pub enum SyncNode<P: SyncProtocol> {
     /// Runs the protocol faithfully.
@@ -189,20 +223,6 @@ impl<M: Clone> SyncAdversary<M> for ScriptedAdversary<M> {
     fn receive(&mut self, _round: usize, _inbox: &[(ProcessId, M)]) {}
 }
 
-/// A Byzantine process that *follows the protocol correctly* — the paper's
-/// impossibility proofs (Theorem 3, Theorem 5) restrict the faulty process
-/// to exactly this behaviour, and the bound still holds.
-pub struct ProtocolFollowingAdversary<P>(pub P);
-
-impl<P: SyncProtocol> SyncAdversary<P::Msg> for ProtocolFollowingAdversary<P> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, P::Msg)> {
-        self.0.round_messages(round)
-    }
-    fn receive(&mut self, round: usize, inbox: &[(ProcessId, P::Msg)]) {
-        self.0.receive(round, inbox);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,13 +329,11 @@ mod tests {
             let mut nodes: Vec<SyncNode<SumProtocol>> =
                 (0..3).map(|i| sum_node(i, n, i as i64)).collect();
             if byzantine {
-                nodes.push(SyncNode::Byzantine(Box::new(ProtocolFollowingAdversary(
-                    SumProtocol {
-                        n,
-                        input: 3,
-                        decided: None,
-                    },
-                ))));
+                nodes.push(SyncNode::Byzantine(Box::new(crate::fuzz::follow(SumProtocol {
+                    n,
+                    input: 3,
+                    decided: None,
+                }))));
             } else {
                 nodes.push(sum_node(3, n, 3));
             }

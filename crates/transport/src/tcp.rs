@@ -1309,6 +1309,9 @@ mod tests {
         let seed = [7u8; 32];
         let mut mesh = tcp_mesh_loopback_authenticated(2, &seed).expect("auth mesh");
         let victim_addr = mesh[1].listen_addr;
+        // The responder verifies asynchronously: let the genuine link from 0
+        // reach its verdict first, or the forgery below races it.
+        assert!(pump_until(&mut mesh[1], |e| e.auth_handshakes() == 1));
         // Impersonate honest node 0 toward node 1 *without* key_01: run a
         // structurally perfect handshake under the wrong key, then try to
         // push a sentinel frame through.

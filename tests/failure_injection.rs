@@ -12,8 +12,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use relaxed_bvc::consensus::problem::{check_execution, Agreement, Validity};
 use relaxed_bvc::consensus::rules::DecisionRule;
-use relaxed_bvc::consensus::sync_ds::SyncBvcDs;
-use relaxed_bvc::consensus::sync_protocols::SyncBvc;
+use relaxed_bvc::consensus::sync_protocols::{SyncBvc, SyncBvcOver};
 use relaxed_bvc::consensus::verified_avg::{DeltaMode, VaMsg, VerifiedAveraging};
 use relaxed_bvc::linalg::{Norm, Tol, VecD};
 use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
@@ -21,16 +20,18 @@ use relaxed_bvc::sim::config::SystemConfig;
 use relaxed_bvc::sim::dolev_strong::ParallelDolevStrong;
 use relaxed_bvc::sim::eig::ParallelEig;
 use relaxed_bvc::sim::fuzz::{
-    AsyncFuzzAdversary, CrashAdversary, DuplicatingAdversary, FuzzAdversary,
-    PartialCrashAdversary,
+    duplicating, follow, partial_crash, AsyncFuzzAdversary, FuzzAdversary,
 };
 use relaxed_bvc::sim::monitor::SafetyMonitor;
 use relaxed_bvc::sim::net::{LinkFault, NetworkFaults, ReliableLink, ReliableLinkAdversary};
-use relaxed_bvc::sim::sync::{RoundEngine, SyncNode};
+use relaxed_bvc::sim::sync::{Broadcast, RoundEngine, SyncNode};
 
 /// The single documented base seed of this file; every derived seed is
 /// `BASE_SEED + <small offset>` or `BASE_SEED ^ <trial index>`.
 const BASE_SEED: u64 = 20_160_601;
+
+type Eig = ParallelEig<VecD>;
+type Ds = ParallelDolevStrong<VecD>;
 
 fn tol() -> Tol {
     Tol::default()
@@ -43,8 +44,14 @@ fn random_inputs(seed: u64, n: usize, d: usize) -> Vec<VecD> {
         .collect()
 }
 
-fn honest_sync(i: usize, n: usize, f: usize, d: usize, input: VecD) -> SyncNode<SyncBvc> {
-    SyncNode::Honest(SyncBvc::new(
+fn honest_sync<B: Broadcast<VecD>>(
+    i: usize,
+    n: usize,
+    f: usize,
+    d: usize,
+    input: VecD,
+) -> SyncNode<SyncBvcOver<B>> {
+    SyncNode::Honest(SyncBvcOver::new(
         i,
         n,
         f,
@@ -82,49 +89,25 @@ fn check_sync_outcome(
     assert!(v.ok(), "{ctx}: {v:?}");
 }
 
-#[test]
-fn sync_bvc_survives_crash_at_every_round() {
+/// A crash is a legal Byzantine behaviour, so over either broadcast
+/// substrate agreement and validity must hold wherever process `faulty`
+/// dies: for each `(round, prefix)` it sends only the first `prefix`
+/// messages of `round` and nothing after.
+fn survives_crashes<B: Broadcast<VecD> + 'static>(
+    seed_offset: u64,
+    faulty: usize,
+    crashes: impl Iterator<Item = (usize, usize)>,
+) {
     let (n, f, d) = (4usize, 1usize, 2usize);
-    let inputs = random_inputs(BASE_SEED + 1, n, d);
-    for crash_round in 0..=f + 1 {
-        let config = SystemConfig::new(n, f).with_faulty(vec![2]);
-        let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
+    let inputs = random_inputs(BASE_SEED + seed_offset, n, d);
+    for (round, prefix) in crashes {
+        let config = SystemConfig::new(n, f).with_faulty(vec![faulty]);
+        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
             .map(|i| {
-                if i == 2 {
-                    SyncNode::Byzantine(Box::new(CrashAdversary::new(
-                        ParallelEig::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
-                        crash_round,
-                    )))
-                } else {
-                    honest_sync(i, n, f, d, inputs[i].clone())
-                }
-            })
-            .collect();
-        let out = RoundEngine::new(config.clone(), nodes).run(f + 2);
-        check_sync_outcome(
-            &config,
-            &inputs,
-            &out.decisions,
-            &Validity::Exact,
-            &format!("seed {BASE_SEED}+1, crash_round {crash_round}"),
-        );
-    }
-}
-
-#[test]
-fn sync_bvc_survives_partial_crash_every_prefix() {
-    // The crash-during-broadcast matrix: crash in round 0 after sending to
-    // only k of the n destinations, for every k.
-    let (n, f, d) = (4usize, 1usize, 2usize);
-    let inputs = random_inputs(BASE_SEED + 2, n, d);
-    for prefix in 0..n {
-        let config = SystemConfig::new(n, f).with_faulty(vec![0]);
-        let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    SyncNode::Byzantine(Box::new(PartialCrashAdversary::new(
-                        ParallelEig::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
-                        0,
+                if i == faulty {
+                    SyncNode::Byzantine(Box::new(partial_crash(
+                        B::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
+                        round,
                         prefix,
                     )))
                 } else {
@@ -138,9 +121,41 @@ fn sync_bvc_survives_partial_crash_every_prefix() {
             &inputs,
             &out.decisions,
             &Validity::Exact,
-            &format!("seed {BASE_SEED}+2, prefix {prefix}"),
+            &format!("seed {BASE_SEED}+{seed_offset}, crash in round {round} after {prefix} sends"),
         );
     }
+}
+
+/// Crash between rounds (`fuzz::crash` = nothing of the round goes out), at
+/// every round of the `f + 1 = 2` and one past the end.
+fn at_every_round() -> impl Iterator<Item = (usize, usize)> {
+    (0..=2).map(|round| (round, 0))
+}
+
+/// The crash-during-broadcast matrix: crash in round 0 after sending to
+/// only k of the n = 4 destinations, for every k.
+fn every_round0_prefix() -> impl Iterator<Item = (usize, usize)> {
+    (0..4).map(|prefix| (0, prefix))
+}
+
+#[test]
+fn sync_bvc_survives_crash_at_every_round() {
+    survives_crashes::<Eig>(1, 2, at_every_round());
+}
+
+#[test]
+fn dolev_strong_substrate_survives_crash_at_every_round() {
+    survives_crashes::<Ds>(6, 2, at_every_round());
+}
+
+#[test]
+fn sync_bvc_survives_partial_crash_every_prefix() {
+    survives_crashes::<Eig>(2, 0, every_round0_prefix());
+}
+
+#[test]
+fn dolev_strong_substrate_survives_partial_crash_every_prefix() {
+    survives_crashes::<Ds>(7, 0, every_round0_prefix());
 }
 
 #[test]
@@ -268,7 +283,7 @@ fn verified_averaging_survives_duplication_and_reordering() {
                 tol(),
             );
             if i == 0 {
-                AsyncNode::Byzantine(Box::new(DuplicatingAdversary::new(proto, BASE_SEED + 77)))
+                AsyncNode::Byzantine(Box::new(duplicating(proto, BASE_SEED + 77)))
             } else {
                 AsyncNode::Honest(proto)
             }
@@ -293,80 +308,6 @@ fn verified_averaging_survives_duplication_and_reordering() {
     }
 }
 
-fn honest_ds(i: usize, n: usize, f: usize, d: usize, input: VecD) -> SyncNode<SyncBvcDs> {
-    SyncNode::Honest(SyncBvcDs::new(
-        i,
-        n,
-        f,
-        d,
-        input,
-        DecisionRule::GammaPoint,
-        tol(),
-    ))
-}
-
-#[test]
-fn dolev_strong_substrate_survives_crash_at_every_round() {
-    // Same crash matrix as the EIG substrate, over authenticated broadcast:
-    // a crash is a legal Byzantine behaviour, so agreement and validity
-    // must hold whatever round the process dies in.
-    let (n, f, d) = (4usize, 1usize, 2usize);
-    let inputs = random_inputs(BASE_SEED + 6, n, d);
-    for crash_round in 0..=f + 1 {
-        let config = SystemConfig::new(n, f).with_faulty(vec![2]);
-        let nodes: Vec<SyncNode<SyncBvcDs>> = (0..n)
-            .map(|i| {
-                if i == 2 {
-                    SyncNode::Byzantine(Box::new(CrashAdversary::new(
-                        ParallelDolevStrong::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
-                        crash_round,
-                    )))
-                } else {
-                    honest_ds(i, n, f, d, inputs[i].clone())
-                }
-            })
-            .collect();
-        let out = RoundEngine::new(config.clone(), nodes).run(f + 2);
-        check_sync_outcome(
-            &config,
-            &inputs,
-            &out.decisions,
-            &Validity::Exact,
-            &format!("DS substrate, seed {BASE_SEED}+6, crash_round {crash_round}"),
-        );
-    }
-}
-
-#[test]
-fn dolev_strong_substrate_survives_partial_crash_every_prefix() {
-    let (n, f, d) = (4usize, 1usize, 2usize);
-    let inputs = random_inputs(BASE_SEED + 7, n, d);
-    for prefix in 0..n {
-        let config = SystemConfig::new(n, f).with_faulty(vec![0]);
-        let nodes: Vec<SyncNode<SyncBvcDs>> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    SyncNode::Byzantine(Box::new(PartialCrashAdversary::new(
-                        ParallelDolevStrong::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
-                        0,
-                        prefix,
-                    )))
-                } else {
-                    honest_ds(i, n, f, d, inputs[i].clone())
-                }
-            })
-            .collect();
-        let out = RoundEngine::new(config.clone(), nodes).run(f + 2);
-        check_sync_outcome(
-            &config,
-            &inputs,
-            &out.decisions,
-            &Validity::Exact,
-            &format!("DS substrate, seed {BASE_SEED}+7, prefix {prefix}"),
-        );
-    }
-}
-
 /// Run Bracha-substrate Verified Averaging behind retransmitting links over
 /// a faulty network and return (all_decided, decisions, monitor violations).
 fn bracha_under_link_faults(seed: u64, fault: LinkFault) -> (bool, Vec<Option<VecD>>, usize) {
@@ -385,10 +326,7 @@ fn bracha_under_link_faults(seed: u64, fault: LinkFault) -> (bool, Vec<Option<Ve
                 tol(),
             );
             if i == 1 {
-                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(
-                    relaxed_bvc::consensus::verified_avg::HonestFacade(proto),
-                    n,
-                )))
+                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(follow(proto), n)))
             } else {
                 AsyncNode::Honest(ReliableLink::with_defaults(proto, n))
             }
