@@ -39,7 +39,9 @@ use rbvc_client::ClientHandle;
 use rbvc_linalg::VecD;
 use rbvc_obs::StatusBoard;
 use rbvc_sim::monitor::ServiceMonitor;
-use rbvc_transport::byzantine::{AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint};
+use rbvc_transport::byzantine::{
+    AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint, Counter,
+};
 use rbvc_transport::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
 use rbvc_transport::ClientPort;
 use serde_json::{json, Value};
@@ -91,19 +93,16 @@ pub struct ByzantineConfig {
     pub status: Option<StatusBoard>,
 }
 
-/// The classic E20 cycle: every pre-identity registry mix. The five
-/// identity mixes live in the E23 campaign (`exp identity`).
-pub const E20_ATTACKS: [&str; 9] = [
-    "equivocate",
-    "lying-witness",
-    "mute",
-    "garbage",
-    "gate-spray",
-    "hello-replay",
-    "redial-storm",
-    "client-spray",
-    "combined",
-];
+/// Whether `name` is one of the registry's identity mixes — the E23
+/// campaign's (`exp identity`); E20 cycles the rest.
+pub(crate) fn is_identity_mix(name: &str) -> bool {
+    AttackRegistry::mix(name).is_some_and(|m| m.counter.is_identity())
+}
+
+/// Registry names of the mixes `keep` selects, in registry order.
+pub(crate) fn mixes(keep: impl Fn(&str) -> bool) -> Vec<&'static str> {
+    AttackRegistry::MIXES.iter().map(|m| m.name).filter(|name| keep(name)).collect()
+}
 
 impl ByzantineConfig {
     /// The full profile (50 runs, the acceptance floor, two instances) or
@@ -113,8 +112,9 @@ impl ByzantineConfig {
     /// every attack.
     #[must_use]
     pub fn profile(smoke: bool, seed: u64) -> Self {
+        let attacks = mixes(|name| !is_identity_mix(name));
         let (instances, rounds, runs, client_requests) =
-            if smoke { (1, 2, E20_ATTACKS.len(), 2) } else { (2, 3, 50, 3) };
+            if smoke { (1, 2, attacks.len(), 2) } else { (2, 3, 50, 3) };
         let poll_timeout = Duration::from_millis(1);
         ByzantineConfig {
             mesh: MeshProfile { n: 7, f: 2, d: 2, instances, rounds, seed, poll_timeout },
@@ -122,7 +122,7 @@ impl ByzantineConfig {
             max_sweeps: 40_000,
             client_requests,
             auth: mesh_seed(seed),
-            attacks: E20_ATTACKS.to_vec(),
+            attacks,
             status: None,
         }
     }
@@ -576,8 +576,8 @@ pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
         acc.client_redirects += facts.attacked.client_redirects;
     }
 
-    for name in AttackRegistry::NAMES {
-        let Some(mut report) = by_attack.remove(name) else {
+    for mix in &AttackRegistry::MIXES {
+        let Some(mut report) = by_attack.remove(mix.name) else {
             continue;
         };
         for sample in [
@@ -629,7 +629,7 @@ fn run(args: &Args, _status: &StatusBoard) -> Report {
 
 /// The shared report plus what only E20 records: the honest client plane.
 fn e20_report(cfg: &ByzantineConfig, out: &ByzantineOutcome) -> Report {
-    report(cfg, out, |r, entry, _| {
+    report(cfg, out, |r, entry| {
         let plane = json!({
             "latency_ms": json!({
                 "clean": p50_p99(&r.client_clean_ms),
@@ -651,14 +651,29 @@ fn gate_counts(g: &[u64; 4]) -> Value {
 }
 
 /// The table, payload and gates E20 and E23 share: one row and one
-/// `attacks[]` entry per mix. `extend(report, entry, activity)` adds the
-/// calling campaign's own keys to the entry and to its
-/// `attacker_activity` object.
+/// `attacks[]` entry per mix, whose `attacker_activity` is one loop over the
+/// registry's counters — the identity ones only where the campaign cycles an
+/// identity mix. `extend(report, entry)` adds the calling campaign's own
+/// keys to the entry.
 pub(crate) fn report(
     cfg: &ByzantineConfig,
     out: &ByzantineOutcome,
-    extend: impl Fn(&AttackReport, &mut Fields, &mut Fields),
+    extend: impl Fn(&AttackReport, &mut Fields),
 ) -> Report {
+    let identity = cfg.attacks.iter().any(|name| is_identity_mix(name));
+    // A mix that never did what it is named for would pass every other gate
+    // trivially.
+    let idle: Vec<&str> = out
+        .reports
+        .iter()
+        .filter(|r| AttackRegistry::mix(r.attack).is_some_and(|m| r.stats[m.counter] == 0))
+        .map(|r| r.attack)
+        .collect();
+    let mut gates = out.gates();
+    gates.push(gate(
+        idle.is_empty(),
+        format!("mix(es) whose own activity counter stayed zero: {}", idle.join(", ")),
+    ));
     let attacks: Vec<Value> = out
         .reports
         .iter()
@@ -679,16 +694,12 @@ pub(crate) fn report(
                 "stale_hellos_refused": r.stale_hellos,
                 "auth_rejects": r.auth_rejects,
             }));
-            let mut activity = fields(json!({
-                "frames_mutated": r.stats.frames_mutated,
-                "frames_dropped": r.stats.frames_dropped,
-                "garbage_injected": r.stats.garbage_injected,
-                "gate_sprays": r.stats.gate_sprays,
-                "hello_replays": r.stats.hello_replays,
-                "redial_storms": r.stats.redial_storms,
-                "client_sprays": r.stats.client_sprays,
-            }));
-            extend(r, &mut entry, &mut activity);
+            extend(r, &mut entry);
+            let activity: Fields = Counter::ALL
+                .into_iter()
+                .filter(|(c, _)| identity || !c.is_identity())
+                .map(|(c, key)| (key.to_string(), json!(r.stats[c])))
+                .collect();
             entry.push(("attacker_activity".to_string(), Value::Object(activity)));
             Value::Object(entry)
         })
@@ -749,7 +760,7 @@ pub(crate) fn report(
             "wall_secs": out.wall_secs,
             "attacks": attacks,
         }),
-        gates: out.gates(),
+        gates,
     }
     .with_monitor(out.monitor_violations)
 }
@@ -773,7 +784,8 @@ mod tests {
         assert_eq!(out.honest_attributed_rejections, 0);
         assert_eq!(out.reports.len(), 2);
         for r in &out.reports {
-            assert!(r.stats.frames_mutated + r.stats.frames_dropped > 0, "{} attacked", r.attack);
+            let edits = r.stats[Counter::FramesMutated] + r.stats[Counter::FramesDropped];
+            assert!(edits > 0, "{} attacked", r.attack);
             // The honest client was served in both phases of both runs.
             assert!(!r.client_clean_ms.is_empty() && !r.client_attack_ms.is_empty());
         }
@@ -794,10 +806,11 @@ mod tests {
     #[test]
     fn client_spray_run_is_survived_and_every_spray_accounted() {
         let cfg = ByzantineConfig::profile(true, 77);
-        let idx = AttackRegistry::NAMES
+        let idx = cfg
+            .attacks
             .iter()
             .position(|m| *m == "client-spray")
-            .expect("client-spray is registered");
+            .expect("client-spray is an E20 mix");
         let facts = one_run(&cfg, idx);
         assert_eq!(facts.attack, "client-spray");
         assert!(facts.converged, "run must converge under client sprays");
@@ -810,7 +823,7 @@ mod tests {
             "honest client got wrong replies"
         );
         assert_eq!(clean.client_rejects, 0, "clean phase must not reject");
-        assert!(attacked.stats.client_sprays > 0, "the mix actually sprayed");
+        assert!(attacked.stats[Counter::ClientSprays] > 0, "the mix actually sprayed");
         assert!(
             attacked.client_rejects + attacked.client_redirects > 0,
             "sprays must surface as port rejects or table redirects"

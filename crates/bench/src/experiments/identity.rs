@@ -35,12 +35,13 @@
 use std::time::Instant;
 
 use rbvc_obs::StatusBoard;
-use rbvc_transport::byzantine::AttackRegistry;
 use rbvc_transport::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated};
 use serde_json::{json, Value};
 
 use crate::campaign::{fields, gate, mesh_seed, Args, Report, Scenario};
-use crate::experiments::byzantine::{self, run_campaign, ByzantineConfig, ByzantineOutcome};
+use crate::experiments::byzantine::{
+    self, is_identity_mix, mixes, run_campaign, ByzantineConfig, ByzantineOutcome,
+};
 use crate::report::fnum;
 
 /// The E23 scenario entry.
@@ -57,10 +58,6 @@ pub const SCENARIO: Scenario = Scenario {
     status_probe: Some(("\"authenticated\"", "status_auth_state_ok")),
     run,
 };
-
-/// The five identity mixes (registry names), in registry order.
-pub const IDENTITY_ATTACKS: [&str; 5] =
-    ["impersonate", "hs-replay", "nonce-reflect", "mac-flip", "downgrade"];
 
 /// Absolute budget for standing up one 7-node authenticated mesh, ms.
 /// Loopback handshakes cost tens of microseconds; the budget is three
@@ -85,9 +82,8 @@ impl IdentityConfig {
     #[must_use]
     pub fn profile(smoke: bool, seed: u64) -> Self {
         let mut campaign = ByzantineConfig::profile(smoke, seed);
-        campaign.attacks =
-            if smoke { IDENTITY_ATTACKS.to_vec() } else { AttackRegistry::NAMES.to_vec() };
-        campaign.runs = if smoke { IDENTITY_ATTACKS.len() } else { AttackRegistry::NAMES.len() * 3 };
+        campaign.attacks = mixes(|name| !smoke || is_identity_mix(name));
+        campaign.runs = campaign.attacks.len() * if smoke { 1 } else { 3 };
         campaign.auth = mesh_seed(seed ^ 0xE23);
         IdentityConfig { campaign, handshake_trials: if smoke { 2 } else { 5 } }
     }
@@ -160,7 +156,7 @@ impl IdentityOutcome {
         self.campaign
             .reports
             .iter()
-            .filter(|r| IDENTITY_ATTACKS.contains(&r.attack))
+            .filter(|r| is_identity_mix(r.attack))
             .map(|r| (r.attack, r.auth_rejects, r.runs))
             .collect()
     }
@@ -200,7 +196,7 @@ fn run(args: &Args, status: &StatusBoard) -> Report {
         mesh.n,
         mesh.f,
         cfg.campaign.attacks.len(),
-        IDENTITY_ATTACKS.len(),
+        mixes(is_identity_mix).len(),
         mesh.instances,
         mesh.rounds,
         cfg.campaign.runs
@@ -208,18 +204,10 @@ fn run(args: &Args, status: &StatusBoard) -> Report {
     report(&cfg, &run_identity(&cfg))
 }
 
-/// E20's shared report plus what only E23 measures: the identity mixes'
-/// activity counters, the silent-mix check and the handshake overhead.
+/// E20's shared report plus what only E23 measures: the silent-mix check
+/// and the handshake overhead.
 fn report(cfg: &IdentityConfig, out: &IdentityOutcome) -> Report {
-    let mut report = byzantine::report(&cfg.campaign, &out.campaign, |r, _, activity| {
-        activity.extend(fields(json!({
-            "impersonations": r.stats.impersonations,
-            "handshake_replays": r.stats.hs_replays,
-            "nonce_reflections": r.stats.nonce_reflects,
-            "mac_flips": r.stats.mac_flips,
-            "downgrades": r.stats.downgrades,
-        })));
-    });
+    let mut report = byzantine::report(&cfg.campaign, &out.campaign, |_, _| {});
     let (overhead, silent) = (&out.overhead, out.silent_identity_mixes());
     report.notes.push(format!(
         "handshake overhead ({} trials, n = {}): authenticated {} ms vs plaintext {} ms per \
@@ -274,7 +262,8 @@ mod tests {
         let out = run_identity(&cfg);
         let report = report(&cfg, &out);
         assert!(report.gates.iter().all(|g| g.ok), "campaign not clean: {:?}", report.gates);
-        assert_eq!(out.identity_rows().len(), IDENTITY_ATTACKS.len(), "every mix must report");
+        let identity_mixes = mixes(is_identity_mix).len();
+        assert_eq!(out.identity_rows().len(), identity_mixes, "every mix must report");
         assert!(
             out.silent_identity_mixes().is_empty(),
             "identity mixes with zero auth rejects: {:?} (rows: {:?})",

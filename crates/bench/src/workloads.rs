@@ -40,29 +40,6 @@ pub fn random_simplex_points(
     }
 }
 
-/// Consensus inputs with `n_correct` clustered honest values (a tight cloud
-/// of diameter ~`spread` around a random center) and `n_faulty` adversarial
-/// outliers drawn from a `3×` wider box — the "sensor with a few
-/// compromised replicas" workload that motivates vector consensus.
-#[must_use]
-pub fn clustered_inputs(
-    rng: &mut StdRng,
-    n_correct: usize,
-    n_faulty: usize,
-    d: usize,
-    spread: f64,
-) -> (Vec<VecD>, Vec<VecD>) {
-    let center = VecD((0..d).map(|_| rng.gen_range(-5.0..5.0)).collect());
-    let correct: Vec<VecD> = (0..n_correct)
-        .map(|_| {
-            let noise = VecD((0..d).map(|_| rng.gen_range(-spread..spread)).collect());
-            &center + &noise
-        })
-        .collect();
-    let faulty = random_points(rng, n_faulty, d, 15.0);
-    (correct, faulty)
-}
-
 /// Interleave correct and faulty inputs into per-process slots: faulty ids
 /// are chosen deterministically spread across the id space.
 #[must_use]
@@ -109,14 +86,6 @@ pub fn max_edge(points: &[VecD]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Min pairwise L2 edge.
-#[must_use]
-pub fn min_edge(points: &[VecD]) -> f64 {
-    rbvc_geometry::pairwise_edges(points)
-        .into_iter()
-        .fold(f64::INFINITY, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn clustered_inputs_have_small_correct_diameter() {
-        let (correct, faulty) = clustered_inputs(&mut rng(2), 5, 2, 3, 0.1);
-        assert_eq!(correct.len(), 5);
-        assert_eq!(faulty.len(), 2);
-        assert!(max_edge(&correct) <= 2.0 * 0.1 * (3.0_f64).sqrt() + 1e-9);
-    }
-
-    #[test]
     fn assemble_places_every_input_once() {
         let correct = vec![VecD::zeros(2); 4];
         let faulty = vec![VecD::ones(2); 2];
@@ -160,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn edges_of_unit_square() {
+    fn max_edge_of_unit_square() {
         let pts = vec![
             VecD::from_slice(&[0.0, 0.0]),
             VecD::from_slice(&[1.0, 0.0]),
@@ -168,6 +129,5 @@ mod tests {
             VecD::from_slice(&[0.0, 1.0]),
         ];
         assert!((max_edge(&pts) - 2.0_f64.sqrt()).abs() < 1e-12);
-        assert!((min_edge(&pts) - 1.0).abs() < 1e-12);
     }
 }

@@ -23,11 +23,13 @@
 //! seed.
 //!
 //! These adversaries live *inside* the simulator, above message encoding.
-//! Their wire-level counterparts — the same taxonomy applied to encoded
-//! bytes on real TCP sockets (per-recipient equivocation, lying witnesses,
-//! crafted near-valid frames, handshake replays) — are the
-//! `rbvc-transport` crate's `byzantine` attack registry, driven by the E20
-//! `exp byzantine` campaign.
+//! Below it there is one more piece, [`ByteMutator`]: the byte-level
+//! mutations (cut, forged count, garbage tail, flipped byte) a codec must
+//! reject. The wire adversaries of `rbvc-transport`'s `byzantine` module
+//! (the E20 `exp byzantine` campaign) are built from these two halves — the
+//! typed edits applied to a decoded frame before it is re-encoded, and
+//! `ByteMutator` applied to a valid encoded one — plus what only exists on
+//! a socket: handshakes to forge.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,14 +41,15 @@ use crate::sync::{Broadcast, SyncAdversary, SyncProtocol};
 /// Seeded, codec-agnostic byte-level mutator for wire fuzz corpora.
 ///
 /// The structured adversaries above operate on decoded protocol messages;
-/// this one operates on *encoded bytes* and is shared by the transport
-/// crate's codec tests — both the inter-node frame codec and the client
-/// front-end codec (`rbvc-transport::client`) derive their malformed
-/// corpora from a valid base frame plus exactly one of these mutations:
-/// an interior truncation, a forged little-endian length/count field, a
-/// garbage tail, or a single flipped byte. Keeping the mutation taxonomy
-/// here (below the codecs) guarantees both codecs are fuzzed with the
-/// same attack shapes.
+/// this one operates on *encoded bytes*. It is the one mutation taxonomy of
+/// the transport crate: its codec tests and its `PayloadCrafter` (the
+/// garbage and client sprays of the wire adversaries) derive every
+/// malformed frame, of the inter-node codec and of the client front-end
+/// codec alike, from a valid base frame plus exactly one of these
+/// mutations — an interior truncation, a forged little-endian length/count
+/// field, a garbage tail, or a single flipped byte — at an offset the codec
+/// exports. Keeping the taxonomy here (below the codecs) guarantees both
+/// are attacked with the same shapes.
 pub struct ByteMutator {
     rng: StdRng,
 }

@@ -328,6 +328,9 @@ pub const CHALLENGE_LEN: usize = 20;
 /// Response size on the wire: magic + version + dialer u32 +
 /// generation u64 + `t_tx` u64 + 32-byte MAC.
 pub const RESPONSE_LEN: usize = 56;
+/// Offset of the 32-byte MAC inside an encoded response (what a MAC
+/// forgery flips a bit of).
+pub const RESPONSE_MAC_OFFSET: usize = RESPONSE_LEN - 32;
 /// Domain-separation label of the response MAC.
 const HS_LABEL: &[u8] = b"rbvc-hs-v1";
 /// How long either side waits for the other's next handshake record
@@ -382,13 +385,13 @@ pub fn encode_response(r: &HandshakeResponse) -> [u8; RESPONSE_LEN] {
     out[3] = AUTH_VERSION;
     out[4..8].copy_from_slice(&r.dialer.to_le_bytes());
     out[8..16].copy_from_slice(&r.generation.to_le_bytes());
-    out[16..24].copy_from_slice(&r.t_tx.to_le_bytes());
-    out[24..].copy_from_slice(&r.mac);
+    out[16..RESPONSE_MAC_OFFSET].copy_from_slice(&r.t_tx.to_le_bytes());
+    out[RESPONSE_MAC_OFFSET..].copy_from_slice(&r.mac);
     out
 }
 
 /// Decode a response record (structure only — verify the MAC separately
-/// with [`response_mac`] + [`mac_eq`]).
+/// with [`response_verifies`]).
 ///
 /// # Errors
 /// A human-readable reason when magic or version are wrong. Never panics
@@ -401,11 +404,11 @@ pub fn decode_response(buf: &[u8; RESPONSE_LEN]) -> Result<HandshakeResponse, St
         return Err(format!("response version {} (expected {AUTH_VERSION})", buf[3]));
     }
     let mut mac = [0u8; 32];
-    mac.copy_from_slice(&buf[24..]);
+    mac.copy_from_slice(&buf[RESPONSE_MAC_OFFSET..]);
     Ok(HandshakeResponse {
         dialer: u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")),
         generation: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-        t_tx: u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")),
+        t_tx: u64::from_le_bytes(buf[16..RESPONSE_MAC_OFFSET].try_into().expect("8 bytes")),
         mac,
     })
 }
@@ -431,6 +434,37 @@ pub fn response_mac(
     msg.extend_from_slice(&generation.to_le_bytes());
     msg.extend_from_slice(&t_tx.to_le_bytes());
     hmac_sha256(key, &msg)
+}
+
+/// The response record a correct dialer `dialer` writes to `responder` —
+/// the one place [`response_mac`] meets [`encode_response`]. A forger calls
+/// it too, with a key or an identity that is not its to use.
+#[must_use]
+pub fn response(
+    key: &[u8; 32],
+    nonce: &[u8; 16],
+    dialer: ProcessId,
+    responder: ProcessId,
+    generation: u64,
+    t_tx: u64,
+) -> [u8; RESPONSE_LEN] {
+    let (dialer, responder) = (dialer as u32, responder as u32);
+    let mac = response_mac(key, nonce, dialer, responder, generation, t_tx);
+    encode_response(&HandshakeResponse { dialer, generation, t_tx, mac })
+}
+
+/// Responder `responder`'s verdict on a decoded response to its `nonce`:
+/// the MAC is the one [`response`] would have written under `key`
+/// (compared in constant time).
+#[must_use]
+pub fn response_verifies(
+    key: &[u8; 32],
+    nonce: &[u8; 16],
+    responder: ProcessId,
+    r: &HandshakeResponse,
+) -> bool {
+    let expected = response_mac(key, nonce, r.dialer, responder as u32, r.generation, r.t_tx);
+    mac_eq(&expected, &r.mac)
 }
 
 // ---------------------------------------------------------------------------
@@ -481,15 +515,45 @@ pub fn fresh_nonce() -> [u8; 16] {
 // ---------------------------------------------------------------------------
 
 /// Run the dialer side of the handshake on a fresh stream: write the v3
-/// HELLO, read the challenge, answer it with a MAC under `key`. The
-/// caller picks `generation` and `t_tx` (legitimate endpoints use
-/// [`MeshAuth::next_generation`] and the current clock; tests and the
-/// attack registry pass forged values). Read timeouts are set for the
-/// handshake and cleared before returning.
+/// HELLO claiming `claimed_id`, read the challenge, and answer it with
+/// whatever `respond` makes of the nonce. Returns the response bytes
+/// written. The honest dialer is [`dial_handshake`]; a forgery (the wire
+/// adversaries of [`crate::byzantine`]) is the same call with a different
+/// closure — a stale capture, a reflected nonce, a flipped MAC bit. Read
+/// timeouts are set for the handshake and cleared before returning.
 ///
 /// # Errors
 /// A human-readable reason on any IO failure, timeout, or malformed
 /// challenge. The stream should be discarded on error.
+pub fn dial_handshake_with(
+    stream: &mut TcpStream,
+    claimed_id: ProcessId,
+    t_tx: u64,
+    respond: impl FnOnce(&[u8; 16]) -> [u8; RESPONSE_LEN],
+) -> Result<[u8; RESPONSE_LEN], String> {
+    stream
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .map_err(|e| format!("set handshake timeout: {e}"))?;
+    stream
+        .write_all(&crate::tcp::hello(AUTH_VERSION, claimed_id, t_tx))
+        .map_err(|e| format!("HELLO write failed: {e}"))?;
+    let mut challenge = [0u8; CHALLENGE_LEN];
+    stream
+        .read_exact(&mut challenge)
+        .map_err(|e| format!("challenge read failed: {e}"))?;
+    let response = respond(&decode_challenge(&challenge)?);
+    stream.write_all(&response).map_err(|e| format!("response write failed: {e}"))?;
+    stream.set_read_timeout(None).map_err(|e| format!("clear handshake timeout: {e}"))?;
+    Ok(response)
+}
+
+/// The honest dialer: [`dial_handshake_with`] answering with [`response`]
+/// under `key`. The caller picks `generation` and `t_tx` (endpoints use
+/// [`MeshAuth::next_generation`] and the current clock; tests pass fixed
+/// values).
+///
+/// # Errors
+/// As [`dial_handshake_with`].
 pub fn dial_handshake(
     stream: &mut TcpStream,
     claimed_id: ProcessId,
@@ -498,42 +562,15 @@ pub fn dial_handshake(
     generation: u64,
     t_tx: u64,
 ) -> Result<(), String> {
-    stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| format!("set handshake timeout: {e}"))?;
-    let mut hello = [0u8; 16];
-    hello[..3].copy_from_slice(&crate::tcp::HELLO_MAGIC);
-    hello[3] = AUTH_VERSION;
-    hello[4..8].copy_from_slice(&(claimed_id as u32).to_le_bytes());
-    hello[8..].copy_from_slice(&t_tx.to_le_bytes());
-    stream.write_all(&hello).map_err(|e| format!("HELLO write failed: {e}"))?;
-    let mut challenge = [0u8; CHALLENGE_LEN];
-    stream
-        .read_exact(&mut challenge)
-        .map_err(|e| format!("challenge read failed: {e}"))?;
-    let nonce = decode_challenge(&challenge)?;
-    let mac = response_mac(
-        key,
-        &nonce,
-        claimed_id as u32,
-        responder as u32,
-        generation,
-        t_tx,
-    );
-    let response = encode_response(&HandshakeResponse {
-        dialer: claimed_id as u32,
-        generation,
-        t_tx,
-        mac,
-    });
-    stream.write_all(&response).map_err(|e| format!("response write failed: {e}"))?;
-    stream.set_read_timeout(None).map_err(|e| format!("clear handshake timeout: {e}"))?;
-    Ok(())
+    dial_handshake_with(stream, claimed_id, t_tx, |nonce| {
+        response(key, nonce, claimed_id, responder, generation, t_tx)
+    })
+    .map(drop)
 }
 
 /// Bytes a dialer-side handshake puts on the wire (HELLO + response) —
 /// the accounting constant for `bytes_sent`.
-pub const DIAL_HANDSHAKE_TX_LEN: u64 = 16 + RESPONSE_LEN as u64;
+pub const DIAL_HANDSHAKE_TX_LEN: u64 = crate::tcp::HELLO_LEN + RESPONSE_LEN as u64;
 
 #[cfg(test)]
 mod tests {

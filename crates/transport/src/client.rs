@@ -34,7 +34,7 @@
 //! that one connection.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ use rbvc_obs::Registry;
 
 use crate::service::{ClientAdmission, ConsensusService};
 use crate::transport::Transport;
-use crate::wire::MAX_DIM;
+use crate::wire::{put_vecd, Reader};
 
 /// Client frame magic: distinct from the node-to-node `"RB"`.
 pub const CLIENT_MAGIC: [u8; 2] = *b"RC";
@@ -57,6 +57,11 @@ pub const CLIENT_VERSION: u8 = 1;
 /// Largest client frame the framing layer accepts (1 MiB — a max-dimension
 /// vector is ~32 KiB, so this is generous without inviting memory bombs).
 pub const MAX_CLIENT_FRAME_LEN: usize = 1 << 20;
+/// Bytes of the fixed client header (magic, version, kind); the body follows.
+pub const CLIENT_HEADER_LEN: usize = 4;
+/// Offset of the vector-dimension field of a `Submit` (and `Reply`): the
+/// header, then session u64 and reqno u64. What a length forgery overwrites.
+pub const SUBMIT_DIM_OFFSET: usize = CLIENT_HEADER_LEN + 16;
 
 /// One message of the client protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,14 +100,6 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     out.extend_from_slice(&CLIENT_MAGIC);
     out.push(CLIENT_VERSION);
-    let put_vecd = |out: &mut Vec<u8>, v: &VecD| {
-        out.extend_from_slice(
-            &(u32::try_from(v.dim()).expect("dimension fits u32")).to_le_bytes(),
-        );
-        for &x in v.as_slice() {
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    };
     match frame {
         ClientFrame::Submit { session, reqno, value } => {
             out.push(1);
@@ -125,61 +122,6 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked cursor over untrusted client bytes; every read is total.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.buf.len() {
-            return Err(format!(
-                "truncated client frame: wanted {n} more bytes, have {}",
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Dimension-prefixed vector with the same allocation-bomb guard as the
-    /// node-to-node codec: the claimed dimension is validated against both
-    /// the hard cap and the bytes actually remaining before any allocation.
-    fn vecd(&mut self) -> Result<VecD, String> {
-        let dim = self.u32()? as usize;
-        if dim > MAX_DIM {
-            return Err(format!("oversized client vector dimension {dim} (cap {MAX_DIM})"));
-        }
-        if dim.saturating_mul(8) > self.buf.len() - self.pos {
-            return Err(format!(
-                "forged client vector dimension {dim}: would need {} bytes, {} remain",
-                dim * 8,
-                self.buf.len() - self.pos
-            ));
-        }
-        let mut xs = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            xs.push(f64::from_bits(self.u64()?));
-        }
-        Ok(VecD::from_slice(&xs))
-    }
-}
-
 /// Decode one client frame.
 ///
 /// # Errors
@@ -187,7 +129,7 @@ impl<'a> Reader<'a> {
 /// magic/version, unknown kind, forged length, trailing bytes. Total over
 /// arbitrary bytes; no input panics.
 pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, String> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.take(2)? != CLIENT_MAGIC {
         return Err("bad client magic".into());
     }
@@ -210,12 +152,7 @@ pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, String> {
         4 => ClientFrame::Busy,
         k => return Err(format!("unknown client frame kind {k}")),
     };
-    if r.pos != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after a complete client frame",
-            bytes.len() - r.pos
-        ));
-    }
+    r.finish()?;
     Ok(frame)
 }
 
@@ -226,34 +163,17 @@ pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, String> {
 pub fn write_client_frame(stream: &mut TcpStream, frame: &ClientFrame) -> std::io::Result<()> {
     let bytes = encode_client_frame(frame);
     let mut buf = Vec::with_capacity(4 + bytes.len());
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&bytes);
+    crate::tcp::append_frame(&mut buf, &bytes);
     stream.write_all(&buf)
 }
 
-/// Read one length-prefixed client frame's raw bytes. `Ok(None)` on clean
-/// EOF at a frame boundary; `Err` on truncation, IO failure, or a
-/// length-prefix violation (after which the stream has no recoverable
-/// frame boundary and must be closed).
+/// Read one length-prefixed client frame's raw bytes:
+/// [`crate::tcp::read_frame`] under the client cap.
 ///
 /// # Errors
 /// A human-readable reason; the connection is unusable afterwards.
 pub fn read_client_frame_bytes(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(format!("client length-prefix read failed: {e}")),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 || len > MAX_CLIENT_FRAME_LEN {
-        return Err(format!("client length prefix {len} outside 1..={MAX_CLIENT_FRAME_LEN}"));
-    }
-    let mut buf = vec![0u8; len];
-    stream
-        .read_exact(&mut buf)
-        .map_err(|e| format!("truncated client frame body ({len} bytes expected): {e}"))?;
-    Ok(Some(buf))
+    crate::tcp::read_frame(stream, MAX_CLIENT_FRAME_LEN)
 }
 
 /// One node's client-facing TCP listener plus the connection registry the
@@ -508,16 +428,13 @@ mod tests {
 
     #[test]
     fn forged_dimension_and_empty_submit_are_rejected() {
-        // Submit claiming a ~4-billion-component vector with no bytes.
-        let mut b = Vec::new();
-        b.extend_from_slice(&CLIENT_MAGIC);
-        b.push(CLIENT_VERSION);
-        b.push(1);
-        b.extend_from_slice(&0u64.to_le_bytes());
-        b.extend_from_slice(&0u64.to_le_bytes());
-        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        // A Submit claiming a ~4-billion-component vector dies on the
+        // allocation guard — which also pins SUBMIT_DIM_OFFSET to the field
+        // the encoder writes the dimension into.
+        let mut b = encode_client_frame(&samples()[0]);
+        b[SUBMIT_DIM_OFFSET..SUBMIT_DIM_OFFSET + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let e = decode_client_frame(&b).expect_err("forged dim");
-        assert!(e.contains("dimension"), "unexpected: {e}");
+        assert!(e.contains("vector"), "unexpected: {e}");
         // A zero-dimension submit carries nothing to decide on.
         let empty = ClientFrame::Submit {
             session: 1,

@@ -29,10 +29,10 @@
 //! * [`client`] — the external-client wire codec and [`client::ClientPort`],
 //!   the TCP front-end that pumps client submits into the service.
 //! * [`byzantine`] — [`byzantine::ByzantineEndpoint`]: a [`transport::Transport`]
-//!   wrapper that runs live adversaries over the real wire (per-recipient
-//!   equivocation, lying witnesses, mutism, codec/gate sprays, HELLO
-//!   replays, redial storms, identity forgeries) from a seeded attack
-//!   registry — the E20/E23 campaigns' weapon rack.
+//!   wrapper that runs live adversaries over the real wire, each a list of
+//!   [`byzantine::Attack`]s from one seeded registry table and each built
+//!   from what the modules above export of their formats — the E20/E23
+//!   campaigns' weapon rack.
 //! * [`auth`] — from-scratch SHA-256 / HMAC-SHA-256 (offline build, no
 //!   crypto crates), pairwise key derivation from a mesh seed, and the
 //!   challenge–response handshake codec that makes link identity

@@ -186,9 +186,14 @@ pub fn dial_with_backoff(
     })
 }
 
-/// Read one length-prefixed frame. `Ok(None)` on clean EOF at a frame
-/// boundary; `Err` on truncation, IO failure, or a length-prefix violation.
-fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
+/// Read one length-prefixed frame of at most `cap` bytes — the one reader
+/// of this framing, shared with the client port ([`crate::client`], whose cap
+/// is smaller). `Ok(None)` on clean EOF at a frame boundary.
+///
+/// # Errors
+/// Truncation, IO failure, or a length prefix outside `1..=cap`; the stream
+/// has no recoverable frame boundary afterwards and must be closed.
+pub fn read_frame(stream: &mut TcpStream, cap: usize) -> Result<Option<Vec<u8>>, String> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -196,16 +201,23 @@ fn read_frame(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
         Err(e) => return Err(format!("length-prefix read failed: {e}")),
     }
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 || len > MAX_FRAME_LEN {
+    if len == 0 || len > cap {
         // An out-of-range length means the stream is desynchronized or the
         // peer is hostile; there is no frame boundary to resynchronize on.
-        return Err(format!("length prefix {len} outside 1..={MAX_FRAME_LEN}"));
+        return Err(format!("length prefix {len} outside 1..={cap}"));
     }
     let mut buf = vec![0u8; len];
     stream
         .read_exact(&mut buf)
         .map_err(|e| format!("truncated frame body ({len} bytes expected): {e}"))?;
     Ok(Some(buf))
+}
+
+/// Append `frame` to `out` behind its length prefix — the one writer of this
+/// framing. Callers batch into `out` and hand the stream one `write_all`.
+pub fn append_frame(out: &mut Vec<u8>, frame: &[u8]) {
+    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    out.extend_from_slice(frame);
 }
 
 /// One process's endpoint of a TCP mesh.
@@ -357,15 +369,7 @@ fn respond_handshake(
         reject_handshake(shared, Some(peer), "peer-mismatch");
         return None;
     }
-    let expected = auth::response_mac(
-        a.key(peer),
-        &nonce,
-        peer as u32,
-        shared.local as u32,
-        r.generation,
-        r.t_tx,
-    );
-    if !auth::mac_eq(&expected, &r.mac) {
+    if !auth::response_verifies(a.key(peer), &nonce, shared.local, &r) {
         reject_handshake(shared, Some(peer), "bad-mac");
         return None;
     }
@@ -519,7 +523,7 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
         let rx_frames = Registry::global().counter_with("tcp.link.rx_frames", &labels);
         let rx_bytes = Registry::global().counter_with("tcp.link.rx_bytes", &labels);
         loop {
-            match read_frame(&mut stream) {
+            match read_frame(&mut stream, MAX_FRAME_LEN) {
                 Ok(Some(frame)) => {
                     if shared.generations[peer].load(Ordering::SeqCst) != gen {
                         return; // superseded by a newer HELLO
@@ -551,18 +555,26 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
     });
 }
 
-/// The 16-byte HELLO record announcing `id` with an explicit send
-/// timestamp. Exposed for tests and the Byzantine attack registry, which
-/// forge handshakes against the replay guard; legitimate endpoints stamp
-/// with the monotonic send time (`hello_bytes`).
+/// The HELLO record: `version` [`HELLO_VERSION`] is the whole plaintext
+/// handshake, [`auth::AUTH_VERSION`] opens the keyed one. The one place the
+/// layout is assembled — [`auth::dial_handshake_with`], the tests and the
+/// wire adversaries all announce themselves through it.
 #[must_use]
-pub fn hello_with_timestamp(id: ProcessId, t_tx: u64) -> [u8; 16] {
+pub fn hello(version: u8, id: ProcessId, t_tx: u64) -> [u8; 16] {
     let mut hello = [0u8; 16];
     hello[..3].copy_from_slice(&HELLO_MAGIC);
-    hello[3] = HELLO_VERSION;
+    hello[3] = version;
     hello[4..8].copy_from_slice(&(id as u32).to_le_bytes());
     hello[8..].copy_from_slice(&t_tx.to_le_bytes());
     hello
+}
+
+/// The plaintext HELLO announcing `id` with an explicit send timestamp, for
+/// tests that forge handshakes against the replay guard; legitimate
+/// endpoints stamp with the monotonic send time (`hello_bytes`).
+#[must_use]
+pub fn hello_with_timestamp(id: ProcessId, t_tx: u64) -> [u8; 16] {
+    hello(HELLO_VERSION, id, t_tx)
 }
 
 /// The HELLO this endpoint announces itself with, stamped with the
@@ -999,8 +1011,7 @@ impl Transport for TcpEndpoint {
             return Err(e);
         }
         let batch = &mut self.outbox[dst];
-        batch.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        batch.extend_from_slice(&frame);
+        append_frame(batch, &frame);
         self.tx_frames[dst].inc();
         self.outbox_depth
             .record_max(i64::try_from(batch.len()).unwrap_or(i64::MAX));
@@ -1319,8 +1330,8 @@ mod tests {
         let mut s = TcpStream::connect(victim_addr).expect("dial");
         crate::auth::dial_handshake(&mut s, 0, 1, &wrong_key, 1, 999_999).expect("wire IO");
         let sentinel = vec![0xAB; 8];
-        let mut forged = (sentinel.len() as u32).to_le_bytes().to_vec();
-        forged.extend_from_slice(&sentinel);
+        let mut forged = Vec::new();
+        append_frame(&mut forged, &sentinel);
         let _ = s.write_all(&forged);
         let rejected = pump_until(&mut mesh[1], |e| {
             e.errors().total() > 0

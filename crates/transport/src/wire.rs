@@ -38,6 +38,14 @@ use rbvc_sim::error::ProtocolError;
 pub const MAGIC: [u8; 2] = *b"RB";
 /// Wire format version this codec speaks.
 pub const VERSION: u8 = 1;
+/// Bytes of the fixed header every frame starts with (magic, version, kind,
+/// instance, sender, round); the payload follows.
+pub const HEADER_LEN: usize = 20;
+/// Offset of the first vector-dimension field of a [`Payload::Va`] frame:
+/// the header, then origin u32, broadcast-tag round u32 and the Bracha kind
+/// byte. What a length forgery overwrites (`crate::byzantine`, the codec
+/// tests).
+pub const VA_DIM_OFFSET: usize = HEADER_LEN + 9;
 
 /// Hard cap on a vector dimension.
 pub const MAX_DIM: usize = 1 << 12;
@@ -118,7 +126,7 @@ fn put_usize(out: &mut Vec<u8>, v: usize) {
     put_u32(out, u32::try_from(v).expect("count exceeds wire format range"));
 }
 
-fn put_vecd(out: &mut Vec<u8>, v: &VecD) {
+pub(crate) fn put_vecd(out: &mut Vec<u8>, v: &VecD) {
     put_usize(out, v.dim());
     for &x in v.as_slice() {
         out.extend_from_slice(&x.to_bits().to_le_bytes());
@@ -200,7 +208,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// frames without paying a full decode.
 #[must_use]
 pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
-    if bytes.len() < 20 || bytes[..2] != MAGIC || bytes[2] != VERSION {
+    if bytes.len() < HEADER_LEN || bytes[..2] != MAGIC || bytes[2] != VERSION {
         return None;
     }
     let kind = match bytes[3] {
@@ -211,7 +219,7 @@ pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
     };
     let instance = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
     let sender = u32::from_le_bytes(bytes[12..16].try_into().ok()?);
-    let round = u32::from_le_bytes(bytes[16..20].try_into().ok()?);
+    let round = u32::from_le_bytes(bytes[16..HEADER_LEN].try_into().ok()?);
     Some((instance, sender, round, kind))
 }
 
@@ -219,88 +227,80 @@ pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Checked reader over untrusted bytes. Every accessor returns `Err`
-/// instead of reading past the end.
-struct Reader<'a> {
+/// Checked reader over untrusted bytes, shared with the client codec
+/// ([`crate::client`]). Every accessor returns `Err(reason)` instead of
+/// reading past the end; the caller attaches who the bytes came from.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    from: ProcessId,
 }
 
 impl<'a> Reader<'a> {
-    fn err(&self, reason: impl Into<String>) -> ProtocolError {
-        ProtocolError::MalformedPayload {
-            from: self.from,
-            reason: reason.into(),
-        }
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, len: usize) -> Result<&'a [u8], ProtocolError> {
+    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
         if self.remaining() < len {
-            return Err(self.err(format!(
+            return Err(format!(
                 "truncated frame: wanted {len} more bytes, have {}",
                 self.remaining()
-            )));
+            ));
         }
         let s = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
+    fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a length field and validate it against a hard `cap` *and*
     /// against the bytes remaining (each element occupies at least
     /// `min_elem` bytes) — the allocation-bomb guard.
-    fn len_capped(
-        &mut self,
-        cap: usize,
-        min_elem: usize,
-        what: &str,
-    ) -> Result<usize, ProtocolError> {
+    fn len_capped(&mut self, cap: usize, min_elem: usize, what: &str) -> Result<usize, String> {
         let len = self.u32()? as usize;
         if len > cap {
-            return Err(self.err(format!("oversized {what} length {len} (cap {cap})")));
+            return Err(format!("oversized {what} length {len} (cap {cap})"));
         }
         if len.saturating_mul(min_elem) > self.remaining() {
-            return Err(self.err(format!(
+            return Err(format!(
                 "forged {what} length {len}: would need {} bytes, {} remain",
                 len * min_elem,
                 self.remaining()
-            )));
+            ));
         }
         Ok(len)
     }
 
-    fn pid(&mut self) -> Result<ProcessId, ProtocolError> {
+    fn pid(&mut self) -> Result<ProcessId, String> {
         let id = self.u32()? as usize;
         if id >= MAX_PID {
-            return Err(self.err(format!("process id {id} beyond wire cap {MAX_PID}")));
+            return Err(format!("process id {id} beyond wire cap {MAX_PID}"));
         }
         Ok(id)
     }
 
-    fn vecd(&mut self) -> Result<VecD, ProtocolError> {
+    pub(crate) fn vecd(&mut self) -> Result<VecD, String> {
         let dim = self.len_capped(MAX_DIM, 8, "vector")?;
         let mut xs = Vec::with_capacity(dim);
         for _ in 0..dim {
@@ -309,7 +309,7 @@ impl<'a> Reader<'a> {
         Ok(VecD::from_slice(&xs))
     }
 
-    fn eig_msg(&mut self) -> Result<EigMsg<VecD>, ProtocolError> {
+    fn eig_msg(&mut self) -> Result<EigMsg<VecD>, String> {
         let items = self.len_capped(MAX_EIG_ITEMS, 8, "EIG item list")?;
         let mut msg = Vec::with_capacity(items);
         for _ in 0..items {
@@ -323,7 +323,7 @@ impl<'a> Reader<'a> {
         Ok(msg)
     }
 
-    fn round_state(&mut self) -> Result<RoundState, ProtocolError> {
+    fn round_state(&mut self) -> Result<RoundState, String> {
         let value = self.vecd()?;
         let wlen = self.len_capped(MAX_WITNESS, 8, "witness set")?;
         let mut witness = Vec::with_capacity(wlen);
@@ -333,6 +333,14 @@ impl<'a> Reader<'a> {
         }
         Ok(RoundState { value, witness })
     }
+
+    /// A frame is exactly one message: `Err` unless every byte was read.
+    pub(crate) fn finish(&self) -> Result<(), String> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after a complete frame")),
+        }
+    }
 }
 
 /// Decode one frame received from link peer `from`.
@@ -341,20 +349,24 @@ impl<'a> Reader<'a> {
 /// [`ProtocolError::MalformedPayload`] on any structural violation; no byte
 /// sequence panics.
 pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolError> {
-    let mut r = Reader { buf: bytes, pos: 0, from };
+    decode(&mut Reader::new(bytes))
+        .map_err(|reason| ProtocolError::MalformedPayload { from, reason })
+}
+
+fn decode(r: &mut Reader) -> Result<Frame, String> {
     if r.take(2)? != MAGIC {
-        return Err(r.err("bad magic"));
+        return Err("bad magic".into());
     }
     let version = r.u8()?;
     if version != VERSION {
-        return Err(r.err(format!("unsupported wire version {version}")));
+        return Err(format!("unsupported wire version {version}"));
     }
     let kind = r.u8()?;
     let instance = r.u64()?;
     let sender = r.pid()?;
     let round = r.u32()?;
     if round > MAX_ROUND {
-        return Err(r.err(format!("round {round} beyond wire cap {MAX_ROUND}")));
+        return Err(format!("round {round} beyond wire cap {MAX_ROUND}"));
     }
     let payload = match kind {
         1 => {
@@ -375,7 +387,7 @@ pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolErro
             let origin = r.pid()?;
             let tag_round = r.u32()?;
             if tag_round > MAX_ROUND {
-                return Err(r.err(format!("broadcast-tag round {tag_round} beyond cap")));
+                return Err(format!("broadcast-tag round {tag_round} beyond cap"));
             }
             let bkind = r.u8()?;
             let state = r.round_state()?;
@@ -383,7 +395,7 @@ pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolErro
                 0 => BrachaMsg::Init(state),
                 1 => BrachaMsg::Echo(state),
                 2 => BrachaMsg::Ready(state),
-                k => return Err(r.err(format!("unknown Bracha message kind {k}"))),
+                k => return Err(format!("unknown Bracha message kind {k}")),
             };
             Payload::Va(((origin, tag_round as usize), bmsg))
         }
@@ -393,25 +405,20 @@ pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolErro
             let f = r.u32()?;
             let rounds = r.u32()?;
             if f as usize >= MAX_PID {
-                return Err(r.err(format!("launch fault parameter {f} beyond cap")));
+                return Err(format!("launch fault parameter {f} beyond cap"));
             }
             if rounds == 0 || rounds > MAX_ROUND {
-                return Err(r.err(format!("launch round count {rounds} outside 1..={MAX_ROUND}")));
+                return Err(format!("launch round count {rounds} outside 1..={MAX_ROUND}"));
             }
             let value = r.vecd()?;
             if value.dim() == 0 {
-                return Err(r.err("launch with an empty client vector"));
+                return Err("launch with an empty client vector".into());
             }
             Payload::Launch(ClientLaunch { session, reqno, f, rounds, value })
         }
-        k => return Err(r.err(format!("unknown payload kind {k}"))),
+        k => return Err(format!("unknown payload kind {k}")),
     };
-    if r.remaining() != 0 {
-        return Err(r.err(format!(
-            "{} trailing bytes after a complete frame",
-            r.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(Frame {
         instance,
         sender,
@@ -527,19 +534,11 @@ mod tests {
 
     #[test]
     fn forged_length_cannot_allocate() {
-        // A frame claiming a vector of u32::MAX components but carrying no
-        // bytes must be rejected by the remaining-bytes guard.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(VERSION);
-        bytes.push(2); // Va
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // sender
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // round
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // origin
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // tag round
-        bytes.push(0); // Init
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged dim
+        // A vector claiming u32::MAX components must die on the
+        // remaining-bytes guard — which also pins VA_DIM_OFFSET to the
+        // field the encoder writes the dimension into.
+        let mut bytes = encode_frame(&va_frame());
+        bytes[VA_DIM_OFFSET..VA_DIM_OFFSET + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let e = decode_frame(&bytes, 0).expect_err("forged length must fail");
         let msg = e.to_string();
         assert!(msg.contains("vector"), "unexpected error: {msg}");

@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 use rbvc_transport::auth::{
-    decode_challenge, decode_response, dial_handshake, encode_challenge, encode_response,
-    response_mac, HandshakeResponse, CHALLENGE_LEN, RESPONSE_LEN,
+    decode_challenge, decode_response, dial_handshake, dial_handshake_with, encode_challenge,
+    encode_response, response, response_mac, HandshakeResponse, AUTH_VERSION, CHALLENGE_LEN,
+    RESPONSE_LEN,
 };
 use rbvc_transport::{derive_pair_key, hmac_sha256};
 
@@ -135,12 +136,7 @@ fn wire_truncation_mid_handshake_is_rejected_and_attributed() {
     let addr = mesh[0].listen_addr();
     let mut s = std::net::TcpStream::connect(addr).expect("dial");
     // Valid v3 HELLO claiming peer 1…
-    let mut hello = [0u8; 16];
-    hello[..3].copy_from_slice(b"RBH");
-    hello[3] = rbvc_transport::auth::AUTH_VERSION;
-    hello[4..8].copy_from_slice(&1u32.to_le_bytes());
-    hello[8..].copy_from_slice(&777u64.to_le_bytes());
-    s.write_all(&hello).expect("hello");
+    s.write_all(&rbvc_transport::tcp::hello(AUTH_VERSION, 1, 777)).expect("hello");
     let mut challenge = [0u8; CHALLENGE_LEN];
     s.read_exact(&mut challenge).expect("challenge");
     let nonce = decode_challenge(&challenge).expect("well-formed challenge");
@@ -175,4 +171,39 @@ fn wire_truncation_mid_handshake_is_rejected_and_attributed() {
     let err = dial_handshake(&mut s2, 0, 1, &key, 1, 1).expect_err("must fail");
     assert!(err.contains("challenge read failed"), "unexpected error: {err}");
     silent.join().expect("no panic");
+}
+
+/// The split dialer writes what the unsplit one wrote: against a fixed
+/// nonce, key, generation and `t_tx`, `dial_handshake_with` under the honest
+/// closure puts the HELLO and response bytes on the wire that
+/// `dial_handshake` put there before the split (captured at `9527db8`), and
+/// `dial_handshake` still does.
+#[test]
+fn honest_closure_writes_the_bytes_dial_handshake_always_wrote() {
+    use std::io::{Read as _, Write as _};
+    const AT_PARENT: &str = "524248030200000015cd5b07000000005242410302000000070000000000000015cd\
+        5b07000000009c85811ecacf0328a2669a7e87030ce01d130ab27f9660468e1e2be65f6d7655";
+    let key = derive_pair_key(&[0x42; 32], 2, 5);
+    let (generation, t_tx) = (7, 123_456_789);
+    let honest = |nonce: &[u8; 16]| response(&key, nonce, 2, 5, generation, t_tx);
+    for split in [true, false] {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let responder = std::thread::spawn(move || {
+            let (mut c, _) = listener.accept().expect("accept");
+            let mut seen = [0u8; 16 + RESPONSE_LEN];
+            c.read_exact(&mut seen[..16]).expect("hello");
+            c.write_all(&encode_challenge(&[0xA5; 16])).expect("challenge");
+            c.read_exact(&mut seen[16..]).expect("response");
+            seen.iter().map(|b| format!("{b:02x}")).collect::<String>()
+        });
+        let mut s = std::net::TcpStream::connect(addr).expect("dial");
+        if split {
+            let written = dial_handshake_with(&mut s, 2, t_tx, honest).expect("handshake");
+            assert_eq!(written, honest(&[0xA5; 16]), "returns what it wrote");
+        } else {
+            dial_handshake(&mut s, 2, 5, &key, generation, t_tx).expect("handshake");
+        }
+        assert_eq!(responder.join().expect("no panic"), AT_PARENT, "split = {split}");
+    }
 }

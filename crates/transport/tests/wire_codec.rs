@@ -1,13 +1,19 @@
-//! Wire-codec integration tests: round-trip properties over random vectors
-//! and dimensions, rejection of truncated frames and forged length fields,
-//! and a Byzantine-bytes fuzz pass proving the decoder never panics.
+//! Wire-codec integration tests, node codec and client codec: round-trip
+//! properties over random vectors and dimensions, a Byzantine-bytes fuzz pass
+//! proving the decoder never panics, and one mutation corpus per codec —
+//! `rbvc_sim::fuzz::ByteMutator` at the offsets the codec exports.
 
 use proptest::prelude::*;
 use rbvc_core::verified_avg::RoundState;
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::error::ProtocolError;
-use rbvc_transport::wire::{decode_frame, encode_frame, Frame, Payload, MAGIC, VERSION};
+use rbvc_sim::fuzz::ByteMutator;
+use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
+use rbvc_transport::wire::{
+    decode_frame, encode_frame, Frame, Payload, HEADER_LEN, MAGIC, VA_DIM_OFFSET, VERSION,
+};
+use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
 
 /// Build a Verified-Averaging frame from raw generator output.
 fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize) -> Frame {
@@ -143,79 +149,56 @@ proptest! {
     }
 }
 
-/// A length field far larger than the buffer must die on the
-/// remaining-bytes guard (no allocation, no panic) — the classic
-/// length-prefix attack, at the codec layer.
-#[test]
-fn oversized_length_field_is_rejected_without_allocation() {
-    let frame = va_frame(1, 0, 2, &[1.0, 2.0, 3.0], 1);
-    let bytes = encode_frame(&frame);
-    // The vector-dimension field of the VA round state sits right after the
-    // fixed header (2 magic + 1 ver + 1 kind + 8 instance + 4 sender +
-    // 4 round + 4 origin + 4 tag round + 1 bracha kind = 29 bytes).
-    let mut forged = bytes.clone();
-    forged[29..33].copy_from_slice(&u32::MAX.to_le_bytes());
-    let e = decode_frame(&forged, 0).expect_err("forged dimension must fail");
-    assert!(
-        e.to_string().contains("vector") || e.to_string().contains("oversized"),
-        "unexpected rejection: {e}"
-    );
-}
-
-/// Frames must be *exactly* one message: appended garbage is rejected.
-#[test]
-fn trailing_bytes_are_rejected() {
-    let frame = va_frame(1, 0, 2, &[1.0, 2.0, 3.0], 0);
-    let mut bytes = encode_frame(&frame);
-    bytes.extend_from_slice(&[0, 0, 0]);
-    assert!(decode_frame(&bytes, 0).is_err());
-}
-
-/// The attack registry's near-valid payload crafter (ISSUE 7 satellite):
-/// every generated variant — truncated frames, oversized length fields,
-/// valid header + garbage, corrupted magic, trailing bytes — must be
-/// handled without a panic, the specifically-malformed ones must be
-/// *rejected*, and no variant may trick the decoder into an unbounded
-/// allocation (the corpus itself stays tiny; a successful allocation bomb
-/// would need the decoder to trust a forged count, which the error text
-/// pins down below).
-#[test]
-fn crafted_near_valid_corpus_never_panics_and_is_rejected() {
-    use rbvc_transport::PayloadCrafter;
-    for seed in 0..24u64 {
-        let mut c = PayloadCrafter::new(seed, 3);
-        // The base every variant derives from is genuinely valid.
-        assert!(decode_frame(&c.valid_base(), 3).is_ok());
-        for _ in 0..32 {
-            let p = c.next_crafted();
-            assert!(p.len() < 1 << 12, "crafted payloads stay small ({} bytes)", p.len());
-            let _ = decode_frame(&p, 3); // must not panic
-        }
+/// The mutation corpus of one codec: every strict prefix, forged dimension,
+/// garbage tail and header-then-garbage of `base` is rejected, and a flipped
+/// byte never panics. The forged dimension must die on a *guard* (cap or
+/// remaining-bytes check) — the classic length-prefix attack, stopped before
+/// any allocation happens; the error text pins that down.
+fn mutation_corpus_is_rejected(
+    base: &[u8],
+    header_len: usize,
+    dim_offset: usize,
+    decode: impl Fn(&[u8]) -> Result<(), String>,
+) {
+    decode(base).expect("the base every mutant derives from is genuinely valid");
+    let mut bad_magic = base.to_vec();
+    bad_magic[0] ^= 0xFF;
+    assert!(decode(&bad_magic).is_err());
+    for seed in 0..24 {
+        let mut m = ByteMutator::new(seed);
         for _ in 0..16 {
-            assert!(decode_frame(&c.truncated(), 3).is_err());
-            assert!(decode_frame(&c.bad_magic(), 3).is_err());
-            assert!(decode_frame(&c.trailing_garbage(), 3).is_err());
-            // The forged length field must die on a *guard* (cap or
-            // remaining-bytes check), before any allocation happens.
-            let e = decode_frame(&c.oversized_length(), 3).expect_err("forged length");
-            let msg = e.to_string();
+            assert!(decode(&m.truncate(base)).is_err());
+            assert!(decode(&m.append_garbage(base)).is_err(), "a frame is exactly one message");
+            assert!(decode(&m.append_garbage(&base[..header_len])).is_err());
+            let msg = decode(&m.forge_len_u32(base, dim_offset)).expect_err("forged length");
             assert!(
                 msg.contains("oversized") || msg.contains("forged"),
                 "forged length must hit the allocation guard, got: {msg}"
             );
+            let _ = decode(&m.flip_byte(base)); // must not panic
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Client front-end codec (ISSUE 8): the external Submit/Reply/Redirect/Busy
-// protocol shares the frame-codec threat model — total decoding, allocation
-// guards, exactly-one-message framing — and is fuzzed with the same
-// mutation taxonomy via `rbvc_sim::fuzz::ByteMutator`.
-// ---------------------------------------------------------------------------
+#[test]
+fn node_codec_rejects_the_mutation_corpus() {
+    let base = encode_frame(&va_frame(1, 0, 2, &[1.0, 2.0, 3.0], 1));
+    mutation_corpus_is_rejected(&base, HEADER_LEN, VA_DIM_OFFSET, |bytes| {
+        decode_frame(bytes, 0).map(drop).map_err(|e| e.to_string())
+    });
+}
 
-use rbvc_sim::fuzz::ByteMutator;
-use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
+#[test]
+fn client_codec_rejects_the_mutation_corpus() {
+    let base = encode_client_frame(&ClientFrame::Submit {
+        session: 9,
+        reqno: 2,
+        value: VecD::from_slice(&[1.0, -2.0, 0.5]),
+    });
+    mutation_corpus_is_rejected(&base, CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET, |bytes| {
+        decode_client_frame(bytes).map(drop)
+    });
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -243,75 +226,13 @@ proptest! {
             prop_assert_eq!(back.as_ref().ok(), Some(&frame));
         }
     }
-
-    /// Every strict prefix of a valid client frame is rejected — never
-    /// accepted, never a panic.
-    #[test]
-    fn client_truncation_never_decodes(
-        raw in prop::collection::vec(-1e3f64..1e3, 6),
-        seed in 0u64..1u64 << 32,
-    ) {
-        let bytes = encode_client_frame(&ClientFrame::Submit {
-            session: seed,
-            reqno: 1,
-            value: VecD::from_slice(&raw),
-        });
-        let mut m = ByteMutator::new(seed);
-        for _ in 0..8 {
-            prop_assert!(decode_client_frame(&m.truncate(&bytes)).is_err());
-        }
-    }
-
-    /// ByteMutator corpus against the client codec: forged dimension
-    /// counts must die on the allocation guard, garbage tails on the
-    /// exactly-one-message rule, and single-byte flips must never panic.
-    #[test]
-    fn client_mutations_fail_cleanly(
-        raw in prop::collection::vec(-1e3f64..1e3, 4),
-        seed in 0u64..1u64 << 32,
-    ) {
-        let bytes = encode_client_frame(&ClientFrame::Submit {
-            session: 9,
-            reqno: 2,
-            value: VecD::from_slice(&raw),
-        });
-        let mut m = ByteMutator::new(seed);
-        // Submit layout: 2 magic + 1 ver + 1 kind + 8 session + 8 reqno
-        // puts the vector-dimension u32 at offset 20.
-        prop_assert!(decode_client_frame(&m.forge_len_u32(&bytes, 20)).is_err());
-        prop_assert!(decode_client_frame(&m.append_garbage(&bytes)).is_err());
-        let _ = decode_client_frame(&m.flip_byte(&bytes)); // must not panic
-    }
 }
 
-/// The attack registry's client-frame crafter (the generators behind the
-/// E20 "client-spray" mix): the valid base decodes, every deliberately
-/// malformed variant is rejected without a panic, and nothing in the
-/// corpus grows beyond the framing cap.
-#[test]
-fn crafted_client_corpus_is_rejected_and_never_panics() {
-    for seed in 0..24u64 {
-        let mut c = PayloadCrafter::new(seed, 3);
-        assert!(matches!(
-            decode_client_frame(&c.client_valid_submit(seed)),
-            Ok(ClientFrame::Submit { session, .. }) if session == seed
-        ));
-        for _ in 0..16 {
-            assert!(decode_client_frame(&c.client_truncated()).is_err());
-            assert!(decode_client_frame(&c.client_forged_length()).is_err());
-            assert!(decode_client_frame(&c.client_header_then_garbage()).is_err());
-            let p = c.next_client_crafted();
-            assert!(p.len() < 1 << 12, "crafted client frames stay small");
-            assert!(decode_client_frame(&p).is_err());
-        }
-    }
-}
-
-/// End-to-end: the full crafted-client corpus sprayed at a live
-/// `ClientPort` never panics the node and never reaches the client table —
-/// zero sessions, zero admissions, zero instances; every decodable-but-
-/// wrong or malformed frame is counted as a reject or poisons only its own
-/// connection.
+/// End-to-end: the attack registry's crafted-client corpus (the generator
+/// behind the E20 "client-spray" mix) sprayed at a live `ClientPort` never
+/// panics the node and never reaches the client table — zero sessions, zero
+/// admissions, zero instances; every malformed frame is counted as a reject
+/// or poisons only its own connection.
 #[test]
 fn crafted_client_corpus_never_reaches_the_client_table() {
     use std::io::Write as _;
@@ -328,17 +249,10 @@ fn crafted_client_corpus_never_reaches_the_client_table() {
     let addr = port.local_addr();
 
     let mut c = PayloadCrafter::new(42, 0);
-    let mut m = ByteMutator::new(42);
-    for i in 0..24 {
-        let body = match i % 4 {
-            0 => c.client_truncated(),
-            1 => c.client_forged_length(),
-            2 => c.client_header_then_garbage(),
-            _ => m.append_garbage(&c.client_valid_submit(7)),
-        };
+    for _ in 0..24 {
         let mut s = TcpStream::connect(addr).expect("dial");
-        let mut buf = (body.len() as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&body);
+        let mut buf = Vec::new();
+        rbvc_transport::tcp::append_frame(&mut buf, &c.next_client_crafted());
         s.write_all(&buf).expect("write");
         std::thread::sleep(Duration::from_millis(5));
         port.pump(&mut svc); // must not panic
