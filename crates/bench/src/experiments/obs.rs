@@ -101,10 +101,10 @@ fn inject_byzantine_frames(obs: Obs) -> [u64; 4] {
         round: 0,
         payload: Payload::Va((
             (0, 0),
-            rbvc_sim::bracha::BrachaMsg::Init(RoundState {
+            rbvc_sim::bracha::BrachaMsg::Init(std::sync::Arc::new(RoundState {
                 value: VecD::from_slice(&[1.0]),
                 witness: vec![],
-            }),
+            })),
         )),
     };
     raw.send(1, encode_frame(&spoof)).expect("send");

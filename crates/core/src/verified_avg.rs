@@ -25,6 +25,7 @@
 //!   convex set.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::ProtocolError;
 use rbvc_geometry::minmax::delta_star;
@@ -39,8 +40,10 @@ use rbvc_sim::fuzz::{Edited, Sends};
 /// Identifies one reliable-broadcast instance: (origin process, round).
 pub type RoundTag = (ProcessId, usize);
 
-/// The payload a process reliably broadcasts each round.
-#[derive(Debug, Clone, PartialEq)]
+/// The payload a process reliably broadcasts each round. A node holds one
+/// allocation per distinct payload, shared through an [`Arc`] by messages,
+/// tallies and the delivered record; an adversary edits a copy (`make_mut`).
+#[derive(Debug, Clone)]
 pub struct RoundState {
     /// Current value of the origin process at this round.
     pub value: VecD,
@@ -49,8 +52,23 @@ pub struct RoundState {
     pub witness: Vec<(ProcessId, VecD)>,
 }
 
+/// The one equality on states: the same allocation, or equal components. The
+/// identity short cut is sound because no compared state holds a NaN (≠
+/// itself): `payload_ok` refuses non-finite components ahead of every tally.
+impl PartialEq for RoundState {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other) || (self.value == other.value && self.witness == other.witness)
+    }
+}
+
 /// Wire message: a Bracha message of one tagged instance.
-pub type VaMsg = (RoundTag, BrachaMsg<RoundState>);
+pub type VaMsg = (RoundTag, BrachaMsg<Arc<RoundState>>);
+
+/// One reliable-broadcast instance with the first state accepted for its tag.
+struct Broadcast {
+    first: Arc<RoundState>,
+    machine: BrachaInstance<Arc<RoundState>>,
+}
 
 /// Round-0 combining rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,10 +91,12 @@ pub struct VerifiedAveraging {
     tol: Tol,
     input: VecD,
 
-    rb: HashMap<RoundTag, BrachaInstance<RoundState>>,
-    delivered: HashMap<RoundTag, RoundState>,
+    rb: HashMap<RoundTag, Broadcast>,
+    delivered: HashMap<RoundTag, Arc<RoundState>>,
     /// Tags verified OK, with their values, grouped by round.
     verified: HashMap<usize, Vec<(ProcessId, VecD)>>,
+    /// Entries of `verified`, over all rounds.
+    commits: u64,
     /// Delivered but not yet verifiable (waiting on witness deliveries).
     pending: Vec<RoundTag>,
     /// Tags that failed verification permanently.
@@ -123,6 +143,7 @@ impl VerifiedAveraging {
             rb: HashMap::new(),
             delivered: HashMap::new(),
             verified: HashMap::new(),
+            commits: 0,
             pending: Vec::new(),
             rejected: Vec::new(),
             my_round: 0,
@@ -174,7 +195,15 @@ impl VerifiedAveraging {
     /// least the logged mark.
     #[must_use]
     pub fn witness_commits(&self) -> u64 {
-        self.verified.values().map(|v| v.len() as u64).sum()
+        self.commits
+    }
+
+    /// The first state this process accepted for broadcast `tag` (its own, or
+    /// the first past the receive boundary), for a decoder to compare a frame
+    /// against before building the state again. One per entry of `rb`.
+    #[must_use]
+    pub fn first_state(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
+        self.rb.get(&tag).map(|b| &b.first)
     }
 
     /// The most recent combining error, if the node is degraded (e.g. Γ(X)
@@ -184,11 +213,10 @@ impl VerifiedAveraging {
         self.last_error.as_ref()
     }
 
-    fn instance(&mut self, tag: RoundTag) -> &mut BrachaInstance<RoundState> {
+    fn instance(&mut self, tag: RoundTag, state: &Arc<RoundState>) -> &mut Broadcast {
         let (n, f) = (self.n, self.f);
-        self.rb
-            .entry(tag)
-            .or_insert_with(|| BrachaInstance::new(n, f))
+        let fresh = || Broadcast { first: Arc::clone(state), machine: BrachaInstance::new(n, f) };
+        self.rb.entry(tag).or_insert_with(fresh)
     }
 
     /// Broadcast `state` as this process's round-`round` message.
@@ -202,7 +230,8 @@ impl VerifiedAveraging {
         self.emit_event(EventKind::RoundStart, Some(round), || {
             format!("broadcasting state for round {round}")
         });
-        let actions = self.instance(tag).start(state);
+        let state = Arc::new(state);
+        let actions = self.instance(tag, &state).machine.start(state);
         for m in actions.broadcast {
             for dst in 0..self.n {
                 out.push((dst, (tag, m.clone())));
@@ -215,28 +244,33 @@ impl VerifiedAveraging {
     /// Fails (instead of panicking) when `Γ(X)` is empty in
     /// `DeltaMode::Zero` — which Byzantine inputs can provoke whenever the
     /// run violates `n ≥ (d+2)f + 1`.
-    fn combine_round0(&self, values: &[VecD]) -> Result<(VecD, f64), ProtocolError> {
+    fn combine_round0(&self, witness: &[(ProcessId, VecD)]) -> Result<(VecD, f64), ProtocolError> {
+        let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
         match self.mode {
-            DeltaMode::Zero => gamma_point(values, self.f, self.tol)
+            DeltaMode::Zero => gamma_point(&values, self.f, self.tol)
                 .map(|point| (point, 0.0))
                 .ok_or(ProtocolError::EmptyIntersection {
                     round: 0,
                     mode: "Γ(X) in DeltaMode::Zero",
                 }),
             DeltaMode::MinDelta(norm) => {
-                let ds = delta_star(values, self.f, norm, self.tol);
+                let ds = delta_star(&values, self.f, norm, self.tol);
                 Ok((ds.witness, ds.delta))
             }
         }
     }
 
-    /// Average of an ordered multiset (the `t ≥ 1` rule of Definition 12).
-    fn combine_average(values: &[VecD]) -> VecD {
-        let mut acc = VecD::zeros(values[0].dim());
-        for v in values {
-            acc += v.clone();
+    /// Average of an ordered multiset (the `t ≥ 1` rule of Definition 12),
+    /// summed from zero in witness order over the borrowed entries.
+    fn combine_average(witness: &[(ProcessId, VecD)]) -> VecD {
+        let mut acc = VecD::zeros(witness[0].1.dim());
+        for (_, v) in witness {
+            assert_eq!(acc.dim(), v.dim(), "average: dimension mismatch");
+            acc.0.iter_mut().zip(v.as_slice()).for_each(|(a, b)| *a += b);
         }
-        acc.scale(1.0 / values.len() as f64)
+        let s = 1.0 / witness.len() as f64;
+        acc.0.iter_mut().for_each(|a| *a *= s);
+        acc
     }
 
     /// Attempt to verify a delivered state. Returns:
@@ -251,12 +285,10 @@ impl VerifiedAveraging {
         if state.witness.len() < self.n - self.f {
             return Some(false);
         }
-        let mut seen = Vec::new();
-        for (k, _) in &state.witness {
-            if seen.contains(k) || *k >= self.n {
+        for (i, (k, _)) in state.witness.iter().enumerate() {
+            if *k >= self.n || state.witness[..i].iter().any(|(j, _)| j == k) {
                 return Some(false);
             }
-            seen.push(*k);
         }
         // Every witness entry must match a *verified* round-(t−1) state.
         let prev = self.verified.get(&(round - 1));
@@ -283,16 +315,15 @@ impl VerifiedAveraging {
             }
         }
         // Recompute the arithmetic.
-        let values: Vec<VecD> = state.witness.iter().map(|(_, v)| v.clone()).collect();
         let expected = if round == 1 {
-            match self.combine_round0(&values) {
+            match self.combine_round0(&state.witness) {
                 Ok((v, _)) => v,
                 // A witness set whose combination is undefined cannot back
                 // an honest state: certain rejection, never a panic.
                 Err(_) => return Some(false),
             }
         } else {
-            Self::combine_average(&values)
+            Self::combine_average(&state.witness)
         };
         Some(expected.approx_eq(&state.value, self.verify_tol()))
     }
@@ -334,7 +365,7 @@ impl VerifiedAveraging {
 
     /// Process a newly delivered state plus any pending ones that become
     /// verifiable; drive round progression.
-    fn handle_delivery(&mut self, tag: RoundTag, state: RoundState, out: &mut Vec<(ProcessId, VaMsg)>) {
+    fn handle_delivery(&mut self, tag: RoundTag, state: Arc<RoundState>, out: &mut Vec<(ProcessId, VaMsg)>) {
         self.delivered.insert(tag, state);
         self.pending.push(tag);
         // Fixpoint: verification of one state can unblock others.
@@ -343,7 +374,7 @@ impl VerifiedAveraging {
             let mut i = 0;
             while i < self.pending.len() {
                 let t = self.pending[i];
-                let s = self.delivered.get(&t).expect("pending implies delivered").clone();
+                let s = Arc::clone(self.delivered.get(&t).expect("pending implies delivered"));
                 match self.try_verify(t, &s) {
                     Some(true) => {
                         self.pending.swap_remove(i);
@@ -351,6 +382,7 @@ impl VerifiedAveraging {
                             .entry(t.1)
                             .or_default()
                             .push((t.0, s.value.clone()));
+                        self.commits += 1;
                         self.emit_event(EventKind::WitnessCommit, Some(t.1), || {
                             format!("origin={}", t.0)
                         });
@@ -398,9 +430,8 @@ impl VerifiedAveraging {
         // transports; verifiers recompute over the witness as broadcast, so
         // the sorted order is self-consistent end to end.
         witness.sort_by_key(|(pid, _)| *pid);
-        let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
         let next_value = if t == 0 {
-            match self.combine_round0(&values) {
+            match self.combine_round0(&witness) {
                 Ok((v, delta)) => {
                     self.round0_delta = Some(delta);
                     self.last_error = None;
@@ -415,9 +446,9 @@ impl VerifiedAveraging {
                 }
             }
         } else {
-            Self::combine_average(&values)
+            Self::combine_average(&witness)
         };
-        let verified_count = values.len();
+        let verified_count = witness.len();
         self.emit_event(EventKind::RoundEnd, Some(t), || {
             format!("verified={verified_count}")
         });
@@ -461,9 +492,10 @@ impl AsyncProtocol for VerifiedAveraging {
 
     fn on_message(&mut self, from: ProcessId, msg: VaMsg) -> Vec<(ProcessId, VaMsg)> {
         let (tag, bmsg) = msg;
-        // Bound rounds to keep a Byzantine flood from allocating unboundedly;
-        // reject ghost senders and ghost origins outright.
-        if from >= self.n || tag.1 > self.total_rounds || tag.0 >= self.n {
+        // Bound rounds to the ones honest processes broadcast (`0 ..
+        // total_rounds`) to keep a Byzantine flood from allocating
+        // unboundedly; reject ghost senders and ghost origins outright.
+        if from >= self.n || tag.1 >= self.total_rounds || tag.0 >= self.n {
             self.emit_event(EventKind::GateReject, Some(tag.1), || {
                 format!("gate=bounds from={from} origin={}", tag.0)
             });
@@ -481,7 +513,7 @@ impl AsyncProtocol for VerifiedAveraging {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let actions = self.instance(tag).on_message(from, tag.0, bmsg);
+        let actions = self.instance(tag, payload).machine.on_message(from, tag.0, bmsg);
         for m in actions.broadcast {
             for dst in 0..self.n {
                 out.push((dst, (tag, m.clone())));
@@ -519,7 +551,7 @@ pub fn split_brain_input(
         for (dst, (tag, m)) in sends {
             if *dst >= n / 2 && tag.1 == 0 {
                 if let BrachaMsg::Init(state) = m {
-                    state.value = alt.clone();
+                    Arc::make_mut(state).value = alt.clone();
                 }
             }
         }
@@ -539,6 +571,7 @@ pub fn corrupt_average(
         for (_, (tag, m)) in sends {
             if tag.0 == id && tag.1 >= 1 {
                 if let BrachaMsg::Init(state) = m {
+                    let state = Arc::make_mut(state);
                     state.value = &state.value + &offset;
                 }
             }
@@ -875,7 +908,7 @@ mod tests {
         };
         let mut node = VerifiedAveraging::new(0, 4, 1, inputs[0].clone(), setup.mode, 5, t());
         let _ = node.on_start();
-        let poison = |state: RoundState| ((3usize, 0usize), BrachaMsg::Init(state));
+        let poison = |state: RoundState| ((3usize, 0usize), BrachaMsg::Init(Arc::new(state)));
         // Non-finite component.
         let r = node.on_message(
             3,
@@ -912,6 +945,19 @@ mod tests {
             }),
         );
         assert!(r.is_empty(), "ghost-sender message must be dropped");
+        // Round `total_rounds`, which no honest process broadcasts: refused
+        // at the bounds gate, and no Bracha instance is opened for it.
+        let ring = Arc::new(rbvc_obs::RingRecorder::new(8));
+        node.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn rbvc_obs::Recorder>), None);
+        let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
+        let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(1.0))));
+        assert!(r.is_empty() && node.rb.len() == 1, "only its own round-0 broadcast is open");
+        let event = ring.snapshot().pop().expect("the refusal is an event");
+        assert!(event.detail.is_some_and(|d| d.contains("gate=bounds")));
+        // Why state equality needs the payload gate: by identity this state
+        // equals itself, by its components it does not.
+        let nan = state(f64::NAN);
+        assert!(nan == Arc::clone(&nan) && *nan != RoundState::clone(&nan));
         // Nothing reached the broadcast substrate or the delivered record.
         assert!(node.delivered.is_empty());
         assert!(node.last_error().is_none());
@@ -919,6 +965,48 @@ mod tests {
         let (_, mut engine) = build(&setup, vec![]);
         let out = engine.run(&mut FifoScheduler, 2_000_000);
         assert!(out.all_decided);
+    }
+
+    #[test]
+    fn equivocation_and_edits_never_alias_a_shared_state() {
+        let v = |x: f64| VecD::from_slice(&[x, 1.0]);
+        let proto = |id| VerifiedAveraging::new(id, 4, 1, v(5.0), DeltaMode::Zero, 3, t());
+        // Two payloads under one tag: a 2 + 2 split reaches no echo quorum.
+        let state = |x| Arc::new(RoundState { value: v(x), witness: vec![] });
+        let (mut node, a, b) = (proto(0), state(1.0), state(2.0));
+        for (from, s) in [(0, &a), (1, &a), (2, &b), (3, &b)] {
+            assert!(node.on_message(from, ((3, 0), BrachaMsg::Echo(Arc::clone(s)))).is_empty());
+        }
+        assert!(Arc::ptr_eq(node.first_state((3, 0)).expect("open"), &a));
+        assert!(a.value == v(1.0) && b.value == v(2.0));
+        // A shared state edited for the second half of the destinations: the
+        // first half keeps the genuine one, still one allocation.
+        use rbvc_sim::asynch::AsyncAdversary;
+        let (genuine, sends) = (proto(2).on_start(), split_brain_input(proto(2), v(-9.0)).on_start());
+        for ((dst, edited), (_, honest)) in sends.iter().zip(&genuine) {
+            assert_eq!(edited == honest, *dst < 2, "destination {dst}");
+        }
+        let state = |dst: usize| match &sends[dst].1 .1 {
+            BrachaMsg::Init(s) => Arc::clone(s),
+            other => panic!("round 0 sends Inits, not {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&state(0), &state(1)) && !Arc::ptr_eq(&state(1), &state(2)));
+    }
+
+    #[test]
+    fn borrowed_average_is_bit_equal_to_clone_and_add() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2016);
+        for _ in 0..1000 {
+            let (len, d) = (rng.gen_range(1..8usize), rng.gen_range(1..6usize));
+            let mut vector = || VecD((0..d).map(|_| rng.gen_range(-1e6..1e6)).collect());
+            let witness: Vec<(ProcessId, VecD)> = (0..len).map(|k| (k, vector())).collect();
+            let mut acc = VecD::zeros(d);
+            witness.iter().for_each(|(_, v)| acc += v.clone());
+            let bits = |v: VecD| v.0.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let new = VerifiedAveraging::combine_average(&witness);
+            assert_eq!(bits(new), bits(acc.scale(1.0 / len as f64)));
+        }
     }
 
     #[test]

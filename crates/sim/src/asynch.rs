@@ -255,7 +255,7 @@ fn queue_sends<M: Clone>(
             pending.push(Envelope { src, dst, msg, born: now, available_from: now });
             continue;
         };
-        for delay in faults.route(src, dst, now) {
+        for &delay in faults.route(src, dst, now).iter() {
             pending.push(Envelope {
                 src,
                 dst,

@@ -153,6 +153,18 @@ impl NetStats {
     }
 }
 
+/// The delivered copies of one routed message — the extra delay of each, at
+/// most two (the original and one duplicate) — held inline; reads as a slice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Copies([u64; 2], usize);
+
+impl std::ops::Deref for Copies {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.0[..self.1]
+    }
+}
+
 /// The seeded fault plan for a whole network: a default link fault, optional
 /// per-link overrides, and timed partitions.
 #[derive(Debug, Clone)]
@@ -236,7 +248,7 @@ impl NetworkFaults {
     /// Decide the fate of one message sent on `src → dst` at time `now`:
     /// returns the extra delay of each delivered copy (empty = lost, two
     /// entries = duplicated). Deterministic per seed and call sequence.
-    pub fn route(&mut self, src: ProcessId, dst: ProcessId, now: u64) -> Vec<u64> {
+    pub fn route(&mut self, src: ProcessId, dst: ProcessId, now: u64) -> Copies {
         self.stats.offered += 1;
 
         // Partition-heal tracking: the first message routed at or after a
@@ -263,7 +275,7 @@ impl NetworkFaults {
                 match p.mode {
                     PartitionMode::Drop => {
                         self.stats.partition_dropped += 1;
-                        return Vec::new();
+                        return Copies::default();
                     }
                     PartitionMode::HoldUntilHeal => {
                         self.stats.partition_held += 1;
@@ -280,12 +292,12 @@ impl NetworkFaults {
             if base_delay > 0 {
                 self.stats.delayed += 1;
             }
-            return vec![base_delay];
+            return Copies([base_delay, 0], 1);
         }
 
         if fault.drop_prob > 0.0 && self.rng.gen_bool(fault.drop_prob) {
             self.stats.dropped += 1;
-            return Vec::new();
+            return Copies::default();
         }
 
         let copies = if fault.dup_prob > 0.0 && self.rng.gen_bool(fault.dup_prob) {
@@ -295,21 +307,19 @@ impl NetworkFaults {
             1
         };
 
-        (0..copies)
-            .map(|_| {
-                let mut delay = base_delay;
-                if fault.max_extra_delay > 0 {
-                    delay += self.rng.gen_range(0..=fault.max_extra_delay);
-                }
-                if fault.reorder_prob > 0.0 && self.rng.gen_bool(fault.reorder_prob) {
-                    delay += self.rng.gen_range(1..=4u64);
-                }
-                if delay > 0 {
-                    self.stats.delayed += 1;
-                }
-                delay
-            })
-            .collect()
+        let mut out = Copies([base_delay; 2], copies);
+        for delay in &mut out.0[..copies] {
+            if fault.max_extra_delay > 0 {
+                *delay += self.rng.gen_range(0..=fault.max_extra_delay);
+            }
+            if fault.reorder_prob > 0.0 && self.rng.gen_bool(fault.reorder_prob) {
+                *delay += self.rng.gen_range(1..=4u64);
+            }
+            if *delay > 0 {
+                self.stats.delayed += 1;
+            }
+        }
+        out
     }
 }
 
@@ -613,7 +623,7 @@ mod tests {
     fn reliable_plan_never_touches_messages() {
         let mut faults = NetworkFaults::reliable();
         for now in 0..50 {
-            assert_eq!(faults.route(0, 1, now), vec![0]);
+            assert_eq!(*faults.route(0, 1, now), [0]);
         }
         assert_eq!(faults.stats.offered, 50);
         assert_eq!(faults.stats.total_lost(), 0);
@@ -649,8 +659,8 @@ mod tests {
         let mut faults =
             NetworkFaults::new(3, LinkFault::reliable()).with_link(0, 1, LinkFault::lossy(1.0));
         assert!(faults.route(0, 1, 0).is_empty(), "overridden link drops");
-        assert_eq!(faults.route(1, 0, 0), vec![0], "reverse direction clean");
-        assert_eq!(faults.route(2, 3, 0), vec![0], "other links clean");
+        assert_eq!(*faults.route(1, 0, 0), [0], "reverse direction clean");
+        assert_eq!(*faults.route(2, 3, 0), [0], "other links clean");
     }
 
     #[test]
@@ -662,11 +672,11 @@ mod tests {
             mode: PartitionMode::Drop,
         };
         let mut faults = NetworkFaults::new(1, LinkFault::reliable()).with_partition(dropped);
-        assert_eq!(faults.route(0, 2, 9), vec![0], "before the cut");
+        assert_eq!(*faults.route(0, 2, 9), [0], "before the cut");
         assert!(faults.route(0, 2, 10).is_empty(), "cross traffic severed");
         assert!(faults.route(2, 1, 15).is_empty(), "severed both directions");
-        assert_eq!(faults.route(0, 1, 15), vec![0], "same-side traffic flows");
-        assert_eq!(faults.route(0, 2, 20), vec![0], "healed");
+        assert_eq!(*faults.route(0, 1, 15), [0], "same-side traffic flows");
+        assert_eq!(*faults.route(0, 2, 20), [0], "healed");
         assert_eq!(faults.stats.partition_dropped, 2);
 
         let held = Partition {
@@ -676,7 +686,7 @@ mod tests {
             mode: PartitionMode::HoldUntilHeal,
         };
         let mut faults = NetworkFaults::new(1, LinkFault::reliable()).with_partition(held);
-        assert_eq!(faults.route(0, 1, 12), vec![18], "held until heal at 30");
+        assert_eq!(*faults.route(0, 1, 12), [18], "held until heal at 30");
         assert_eq!(faults.stats.partition_held, 1);
     }
 

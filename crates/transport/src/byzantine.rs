@@ -50,6 +50,7 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rbvc_core::verified_avg::RoundState;
@@ -77,7 +78,7 @@ fn va_init(instance: u64, sender: ProcessId, round: u32, xs: &[f64]) -> Frame {
         instance,
         sender,
         round,
-        payload: Payload::Va(((sender, 0), BrachaMsg::Init(state))),
+        payload: Payload::Va(((sender, 0), BrachaMsg::Init(state.into()))),
     }
 }
 
@@ -538,7 +539,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                 // and are harmless, but shifting them too keeps the story
                 // uniform.)
                 (Attack::Equivocate, Some((true, _, s))) => {
-                    s.value = shifted(&s.value, self.eps * (dst as f64 + 1.0));
+                    Arc::make_mut(s).value = shifted(&s.value, self.eps * (dst as f64 + 1.0));
                     mutated = true;
                 }
                 // A lying relay vote: still decodable, still finite, just
@@ -546,7 +547,8 @@ impl<T: Transport> ByzantineEndpoint<T> {
                 // value, and at ≤ f liars per destination it can never
                 // reach the f+1 amplification threshold.
                 (Attack::LyingWitness, Some((false, true, s))) => {
-                    s.value = shifted(&s.value, self.eps * 0.5 * (dst as f64 + 2.0));
+                    Arc::make_mut(s).value =
+                        shifted(&s.value, self.eps * 0.5 * (dst as f64 + 2.0));
                     mutated = true;
                 }
                 _ => {}
@@ -815,7 +817,7 @@ mod tests {
     fn decoded_value(bytes: &[u8]) -> VecD {
         match decode_frame(bytes, 0).expect("mutant must decode").payload {
             Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
-                s.value
+                s.value.clone()
             }
             other => panic!("unexpected payload {other:?}"),
         }
@@ -828,10 +830,13 @@ mod tests {
         let mut byz =
             ByzantineEndpoint::new(mesh.pop().unwrap(), AttackRegistry::policy("equivocate", 7));
         let original = [1.0, 2.0];
-        for dst in 1..4 {
-            byz.send(dst, encode_frame(&va_init(1, 0, 0, &original))).unwrap();
+        let genuine = encode_frame(&va_init(1, 0, 0, &original));
+        for dst in 0..4 {
+            byz.send(dst, genuine.clone()).unwrap();
         }
         byz.flush().unwrap();
+        // No edit reaches another destination: the self-link hears the genuine bytes.
+        assert_eq!(byz.recv_timeout(Duration::from_millis(100)), vec![(0, genuine)]);
         let mut seen = Vec::new();
         for mut ep in honest {
             let got = ep.recv_timeout(Duration::from_millis(100));

@@ -106,7 +106,7 @@ use self::durability::Durability;
 use self::health::Health;
 use crate::lockstep::{Lockstep, RoundBatch};
 use crate::transport::{AuthEvent, Transport};
-use crate::wire::{decode_frame, encode_frame, ClientLaunch, Frame, Payload};
+use crate::wire::{decode_frame_hinted, encode_frame, ClientLaunch, Frame, Payload};
 
 /// One consensus instance as the service runs it.
 pub enum InstanceProto {
@@ -660,7 +660,13 @@ impl<T: Transport> ConsensusService<T> {
     /// here — replay with no WAL attached yet, so nothing is logged twice and
     /// a rejection re-occurs through the same gate counters.
     fn ingest(&mut self, link_peer: ProcessId, bytes: &[u8]) -> Outbound {
-        let frame = match decode_frame(bytes, link_peer) {
+        // Compare before decode: the instance a VA frame names already holds
+        // the state that 35 of a broadcast's 36 frames carry.
+        let hint = |tag| match &self.instances.get(&crate::wire::peek_header(bytes)?.0)?.proto {
+            InstanceProto::Va(p) => p.first_state(tag).cloned(),
+            InstanceProto::Bvc(_) => None,
+        };
+        let frame = match decode_frame_hinted(bytes, link_peer, &hint) {
             Ok(f) => f,
             Err(e) => {
                 // The decoder's own error, verbatim.
@@ -765,8 +771,7 @@ impl<T: Transport> ConsensusService<T> {
         }
         let n_tx = outbound.len();
         let routed = self.route(outbound);
-        // Witness-commit progress, only when it is logged: counting an
-        // instance's commits is a scan of its rounds.
+        // Witness-commit progress (a counter per instance), where it is logged.
         if self.durability.wal().is_some() {
             for (id, slot) in &self.instances {
                 self.durability.witness(*id, slot.proto.witness_commits(), &mut self.sinks);
@@ -1957,10 +1962,10 @@ mod tests {
             round: 0,
             payload: Payload::Va((
                 (0, 0),
-                rbvc_sim::bracha::BrachaMsg::Init(rbvc_core::verified_avg::RoundState {
+                rbvc_sim::bracha::BrachaMsg::Init(std::sync::Arc::new(rbvc_core::verified_avg::RoundState {
                     value: VecD::from_slice(&[1.0]),
                     witness: vec![],
-                }),
+                })),
             )),
         };
         raw.send(1, encode_frame(&spoof)).unwrap();

@@ -276,15 +276,16 @@ impl Transport for InProcEndpoint {
                 continue;
             }
             self.bytes_sent += bytes.len() as u64;
-            for delay in faults.route(self.id, dst, now) {
-                // A dead receiver is indistinguishable from a slow one in an
-                // asynchronous network; dropping the envelope is the honest
-                // semantics, not an error.
-                let _ = self.shared.txs[dst].send(Envelope {
-                    src: self.id,
-                    due: now + delay,
-                    bytes: bytes.clone(),
-                });
+            // A dead receiver is indistinguishable from a slow one in an
+            // asynchronous network; dropping the envelope is the honest
+            // semantics, not an error.
+            let deliver = |delay: u64, bytes| {
+                let _ = self.shared.txs[dst].send(Envelope { src: self.id, due: now + delay, bytes });
+            };
+            // The frame itself is the last copy; only a duplicate is cloned.
+            if let Some((&last, duplicates)) = faults.route(self.id, dst, now).split_last() {
+                duplicates.iter().for_each(|&delay| deliver(delay, bytes.clone()));
+                deliver(last, bytes);
             }
         }
         Ok(())

@@ -27,7 +27,9 @@
 //! * any violation returns [`ProtocolError::MalformedPayload`] naming the
 //!   link peer the bytes came from. No input byte sequence panics.
 
-use rbvc_core::verified_avg::{RoundState, VaMsg};
+use std::sync::Arc;
+
+use rbvc_core::verified_avg::{RoundState, RoundTag, VaMsg};
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
@@ -156,7 +158,15 @@ fn put_round_state(out: &mut Vec<u8>, state: &RoundState) {
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    // A VA frame, the one payload a broadcast repeats 36 times, is sized once.
+    let capacity = match &frame.payload {
+        Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
+            let vectors = s.witness.iter().fold(s.value.dim(), |n, (_, v)| n + 1 + v.dim());
+            VA_DIM_OFFSET + 4 + 4 + 8 * vectors
+        }
+        _ => 64,
+    };
+    let mut out = Vec::with_capacity(capacity);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(match frame.payload {
@@ -306,7 +316,29 @@ impl<'a> Reader<'a> {
         for _ in 0..dim {
             xs.push(self.f64()?);
         }
-        Ok(VecD::from_slice(&xs))
+        Ok(VecD::new(xs))
+    }
+
+    /// Whether the next vector is `v`, bit pattern by bit pattern.
+    fn is_vecd(&mut self, v: &VecD) -> Result<bool, String> {
+        if self.len_capped(MAX_DIM, 8, "vector")? != v.dim() {
+            return Ok(false);
+        }
+        let bytes = self.take(8 * v.dim())?;
+        Ok(bytes.chunks_exact(8).zip(v.as_slice()).all(|(b, x)| b == x.to_bits().to_le_bytes()))
+    }
+
+    /// Compare before decode: whether the round state that starts here is
+    /// `hint`, checked as [`Self::round_state`] checks it but without
+    /// allocating. Lengths and ±0.0 count; on anything but `Ok(true)` the
+    /// caller rewinds and lets the full decode judge the bytes on its own.
+    fn is_round_state(&mut self, hint: &RoundState) -> Result<bool, String> {
+        let mut same = self.is_vecd(&hint.value)?
+            && self.len_capped(MAX_WITNESS, 8, "witness set")? == hint.witness.len();
+        for (pid, v) in &hint.witness {
+            same = same && self.pid()? == *pid && self.is_vecd(v)?;
+        }
+        Ok(same)
     }
 
     fn eig_msg(&mut self) -> Result<EigMsg<VecD>, String> {
@@ -349,11 +381,27 @@ impl<'a> Reader<'a> {
 /// [`ProtocolError::MalformedPayload`] on any structural violation; no byte
 /// sequence panics.
 pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolError> {
-    decode(&mut Reader::new(bytes))
+    decode_frame_hinted(bytes, from, &|_| None)
+}
+
+/// How [`decode_frame_hinted`] asks its caller for the state it holds under a tag.
+pub type StateHint<'a> = &'a dyn Fn(RoundTag) -> Option<Arc<RoundState>>;
+
+/// [`decode_frame`] with a hint: `hint(tag)` is a state the caller already
+/// holds for a [`Payload::Va`] frame's broadcast tag. A payload equal to it
+/// bit for bit comes back as that very `Arc`; any other decodes as without a
+/// hint, so neither the result nor the error (as [`decode_frame`]'s) depends
+/// on the hint.
+pub fn decode_frame_hinted(
+    bytes: &[u8],
+    from: ProcessId,
+    hint: StateHint,
+) -> Result<Frame, ProtocolError> {
+    decode(&mut Reader::new(bytes), hint)
         .map_err(|reason| ProtocolError::MalformedPayload { from, reason })
 }
 
-fn decode(r: &mut Reader) -> Result<Frame, String> {
+fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
     if r.take(2)? != MAGIC {
         return Err("bad magic".into());
     }
@@ -390,14 +438,22 @@ fn decode(r: &mut Reader) -> Result<Frame, String> {
                 return Err(format!("broadcast-tag round {tag_round} beyond cap"));
             }
             let bkind = r.u8()?;
-            let state = r.round_state()?;
+            let tag = (origin, tag_round as usize);
+            let start = r.pos;
+            let state = match hint(tag).filter(|h| matches!(r.is_round_state(h), Ok(true))) {
+                Some(shared) => shared,
+                None => {
+                    r.pos = start;
+                    Arc::new(r.round_state()?)
+                }
+            };
             let bmsg = match bkind {
                 0 => BrachaMsg::Init(state),
                 1 => BrachaMsg::Echo(state),
                 2 => BrachaMsg::Ready(state),
                 k => return Err(format!("unknown Bracha message kind {k}")),
             };
-            Payload::Va(((origin, tag_round as usize), bmsg))
+            Payload::Va((tag, bmsg))
         }
         3 => {
             let session = r.u64()?;
@@ -450,10 +506,10 @@ mod tests {
             round: 2,
             payload: Payload::Va((
                 (5, 2),
-                BrachaMsg::Echo(RoundState {
+                BrachaMsg::Echo(Arc::new(RoundState {
                     value: VecD::from_slice(&[0.25]),
                     witness: vec![(1, VecD::from_slice(&[1.0])), (2, VecD::from_slice(&[2.0]))],
-                }),
+                })),
             )),
         }
     }
@@ -509,10 +565,10 @@ mod tests {
             round: 0,
             payload: Payload::Va((
                 (1, 0),
-                BrachaMsg::Init(RoundState {
+                BrachaMsg::Init(Arc::new(RoundState {
                     value: VecD::from_slice(&[f64::NAN]),
                     witness: vec![],
-                }),
+                })),
             )),
         };
         let bytes = encode_frame(&frame);
@@ -526,6 +582,7 @@ mod tests {
     #[test]
     fn every_truncation_is_rejected() {
         let bytes = encode_frame(&va_frame());
+        assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
         for cut in 0..bytes.len() {
             let e = decode_frame(&bytes[..cut], 7).expect_err("truncation must fail");
             assert!(matches!(e, ProtocolError::MalformedPayload { from: 7, .. }));

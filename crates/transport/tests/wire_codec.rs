@@ -3,6 +3,8 @@
 //! proving the decoder never panics, and one mutation corpus per codec —
 //! `rbvc_sim::fuzz::ByteMutator` at the offsets the codec exports.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rbvc_core::verified_avg::RoundState;
 use rbvc_linalg::VecD;
@@ -11,7 +13,8 @@ use rbvc_sim::error::ProtocolError;
 use rbvc_sim::fuzz::ByteMutator;
 use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
 use rbvc_transport::wire::{
-    decode_frame, encode_frame, Frame, Payload, HEADER_LEN, MAGIC, VA_DIM_OFFSET, VERSION,
+    decode_frame, decode_frame_hinted, encode_frame, Frame, Payload, HEADER_LEN, MAGIC,
+    VA_DIM_OFFSET, VERSION,
 };
 use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
 
@@ -34,10 +37,10 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
         round: (sender % 7) as u32,
         payload: Payload::Va((
             (sender, sender % 7),
-            BrachaMsg::Ready(RoundState {
+            BrachaMsg::Ready(Arc::new(RoundState {
                 value: vec_at(0),
                 witness,
-            }),
+            })),
         )),
     }
 }
@@ -180,12 +183,35 @@ fn mutation_corpus_is_rejected(
     }
 }
 
+/// ... and over the whole corpus a hinted decode is the plain decode, bit for
+/// bit and error for error, whatever the hint: the frame's own state (reused
+/// as it is), that state with one `0.0` flipped to `-0.0`, or another one.
 #[test]
 fn node_codec_rejects_the_mutation_corpus() {
-    let base = encode_frame(&va_frame(1, 0, 2, &[1.0, 2.0, 3.0], 1));
+    let frame = va_frame(1, 0, 2, &[1.0, 0.0, 3.0], 1);
+    let base = encode_frame(&frame);
+    let Payload::Va((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
+    let mut negative_zero = RoundState::clone(&own);
+    negative_zero.value.0[1] = -0.0;
+    let other = RoundState { value: VecD::from_slice(&[9.0, 9.0]), witness: vec![] };
+    let hints = [own, Arc::new(negative_zero), Arc::new(other)];
+    let decode_with = |bytes: &[u8], hint: &Arc<RoundState>| {
+        decode_frame_hinted(bytes, 0, &|_| Some(Arc::clone(hint))).map_err(|e| e.to_string())
+    };
     mutation_corpus_is_rejected(&base, HEADER_LEN, VA_DIM_OFFSET, |bytes| {
-        decode_frame(bytes, 0).map(drop).map_err(|e| e.to_string())
+        let plain = decode_frame(bytes, 0).map(|f| encode_frame(&f)).map_err(|e| e.to_string());
+        for hint in &hints {
+            assert_eq!(decode_with(bytes, hint).map(|f| encode_frame(&f)), plain);
+        }
+        plain.map(drop)
     });
+    for (i, hint) in hints.iter().enumerate() {
+        let Payload::Va((_, BrachaMsg::Ready(got))) = decode_with(&base, hint).unwrap().payload
+        else {
+            unreachable!()
+        };
+        assert_eq!(Arc::ptr_eq(&got, hint), i == 0, "only the own state is reused");
+    }
 }
 
 #[test]

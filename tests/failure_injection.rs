@@ -214,10 +214,10 @@ fn verified_averaging_survives_async_fuzzing() {
                     // Random Bracha messages for random tags.
                     let generator = Box::new(move |rng: &mut StdRng| -> VaMsg {
                         let tag = (rng.gen_range(0..n), rng.gen_range(0..6usize));
-                        let state = relaxed_bvc::consensus::verified_avg::RoundState {
+                        let state = std::sync::Arc::new(relaxed_bvc::consensus::verified_avg::RoundState {
                             value: VecD((0..d).map(|_| rng.gen_range(-9.0..9.0)).collect()),
                             witness: Vec::new(),
-                        };
+                        });
                         let msg = match rng.gen_range(0..3) {
                             0 => relaxed_bvc::sim::bracha::BrachaMsg::Init(state),
                             1 => relaxed_bvc::sim::bracha::BrachaMsg::Echo(state),
