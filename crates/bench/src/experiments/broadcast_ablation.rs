@@ -17,7 +17,7 @@ use rbvc_sim::sync::{Broadcast, RoundEngine, SyncNode};
 use serde_json::json;
 
 use super::Experiment;
-use crate::campaign::{Args, Gate, Kind};
+use crate::campaign::{gate, Args, Gate, Kind};
 use crate::report::{fnum, print_table};
 use crate::workloads::{random_points, rng};
 
@@ -136,8 +136,9 @@ fn run(args: &Args) -> Vec<Gate> {
          different message complexity (EIG O(n^(f+1)) vs Dolev–Strong \
          O(n³f))."
     );
-    let rows: Vec<Vec<String>> = ablation_sweep(args.num(0))
-        .into_iter()
+    let sweep = ablation_sweep(args.num(0));
+    let rows: Vec<Vec<String>> = sweep
+        .iter()
         .map(|r| {
             vec![
                 r.n.to_string(),
@@ -160,7 +161,23 @@ fn run(args: &Args) -> Vec<Gate> {
         ],
         &rows,
     );
-    Vec::new()
+    sweep
+        .iter()
+        .flat_map(|r| {
+            // Every process says, to all n, Σ_{k ≤ f} (n−1)!/(n−1−k)! items
+            // per broadcast it relays for: the labels of k + 1 ids ending in it.
+            let per_pair: u64 = (0..=r.f).map(|k| (r.n - k..r.n).product::<usize>() as u64).sum();
+            let expected = (r.n * r.n) as u64 * per_pair;
+            let at = format!("(n, f) = ({}, {})", r.n, r.f);
+            [
+                gate(r.decisions_match, format!("{at}: the substrates decided differently")),
+                gate(
+                    r.eig_items == expected,
+                    format!("{at}: {} EIG items on the wire, the protocol has {expected}", r.eig_items),
+                ),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]

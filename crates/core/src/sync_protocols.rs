@@ -80,9 +80,17 @@ impl<B: Broadcast<VecD>> SyncBvcOver<B> {
     }
 
     /// The common multiset `S` obtained from Step 1, once available.
+    ///
+    /// Agreement on a broadcast is agreement up to `==`, and `0.0 == -0.0`:
+    /// a relay that flips the sign of a zero can leave correct processes
+    /// holding bit-different representatives of one value. Every zero is
+    /// taken as `+0.0` (`x + 0.0`, which changes nothing else), so that the
+    /// same `S` is the same bits, and with them the same decision.
     #[must_use]
     pub fn common_multiset(&self) -> Option<Vec<VecD>> {
-        self.broadcast.output()
+        let mut s = self.broadcast.output()?;
+        s.iter_mut().flat_map(|v| v.0.iter_mut()).for_each(|x| *x += 0.0);
+        Some(s)
     }
 }
 
@@ -97,7 +105,7 @@ impl<B: Broadcast<VecD>> SyncProtocol for SyncBvcOver<B> {
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, Self::Msg)]) {
         self.broadcast.receive(round, inbox);
         if self.decision.is_none() {
-            if let Some(s) = self.broadcast.output() {
+            if let Some(s) = self.common_multiset() {
                 self.decision = Some(self.rule.decide(&s, self.f, self.tol));
             }
         }
@@ -414,6 +422,48 @@ mod tests {
             a.approx_eq(&b, Tol(1e-9)),
             "substrates disagree: {a} vs {b}"
         );
+    }
+
+    /// `0.0 == -0.0`, so Byzantine 0 can leave correct processes agreeing on
+    /// a slot of `S` and still holding bit-different values in it: by
+    /// relaying honest sender 1's `[0.0, 1.0]` as `[-0.0, 1.0]` to the odd
+    /// recipients (which of the two a process keeps depends on what it counts
+    /// first), or by showing them the two zeros as its own input.
+    fn signed_zero<B: Broadcast<VecD> + 'static>(liar: ByzantineStrategy) {
+        let (n, f, d) = (4, 1, 2);
+        let inputs: Vec<VecD> = (0..n).map(|i| VecD::from_slice(&[0.0, i as f64])).collect();
+        let rule = DecisionRule::MinDeltaPoint(Norm::L2);
+        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
+            .map(|i| {
+                let strategy = (i == 0).then(|| liar.clone());
+                let input = strategy.is_none().then(|| inputs[i].clone());
+                make_node(i, n, f, d, input, strategy, rule, t())
+            })
+            .collect();
+        let mut engine = RoundEngine::new(SystemConfig::new(n, f).with_faulty(vec![0]), nodes);
+        let _ = engine.run(f + 2);
+        let bits = |v: &VecD| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let seen: Vec<_> = (1..n)
+            .map(|i| {
+                let SyncNode::Honest(p) = engine.node(i) else { unreachable!() };
+                let s = p.common_multiset().expect("Step 1 done");
+                (s.iter().map(bits).collect::<Vec<_>>(), bits(&p.output().expect("decided")))
+            })
+            .collect();
+        assert_eq!(seen[0].0[1], bits(&inputs[1]), "the sender's value, zero sign and all");
+        assert!(seen.iter().all(|s| s == &seen[0]), "bit-different S or decision: {seen:?}");
+    }
+
+    #[test]
+    fn signed_zero_relay_cannot_split_the_multiset() {
+        let zero = |sign: f64, y: f64| VecD::from_slice(&[sign * 0.0, y]);
+        for liar in [
+            ByzantineStrategy::LyingRelay { input: zero(1.0, 0.0), corrupt: zero(-1.0, 1.0) },
+            ByzantineStrategy::TwoFaced((0..4).map(|j| zero([1.0, -1.0][j % 2], 7.0)).collect()),
+        ] {
+            signed_zero::<Eig>(liar.clone());
+            signed_zero::<Ds>(liar);
+        }
     }
 
     fn silent_and_follow<B: Broadcast<VecD> + 'static>() {

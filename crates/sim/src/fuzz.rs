@@ -365,7 +365,7 @@ pub fn duplicating<P: AsyncProtocol>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::eig::{ParallelEig, ParallelEigMsg};
+    use crate::eig::{EigRound, ParallelEig};
     use crate::sync::{RoundEngine, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelEig<i64>>>;
@@ -435,19 +435,19 @@ mod tests {
             for i in 0..n {
                 if i == 2 {
                     let generator = Box::new(move |rng: &mut StdRng, round: usize| {
-                        // Random batches tagged with random sender slots and
+                        // Random entries tagged with random sender slots and
                         // random labels of the right length.
-                        let batches: ParallelEigMsg<i64> = (0..rng.gen_range(0..3))
-                            .map(|_| {
-                                let sender = rng.gen_range(0..n);
-                                let mut label = vec![sender];
-                                while label.len() < round + 1 {
-                                    label.push(rng.gen_range(0..n));
-                                }
-                                (sender, vec![(label, rng.gen_range(-100..100))])
-                            })
-                            .collect();
-                        batches
+                        let mut msg = EigRound::with_capacity(round + 1, 0, 0);
+                        for _ in 0..rng.gen_range(0..3) {
+                            let sender = rng.gen_range(0..n);
+                            let mut label = vec![sender];
+                            while label.len() < round + 1 {
+                                label.push(rng.gen_range(0..n));
+                            }
+                            msg.begin(sender);
+                            msg.push(&label, rng.gen_range(-100..100));
+                        }
+                        std::sync::Arc::new(msg)
                     });
                     nodes.push(SyncNode::Byzantine(Box::new(FuzzAdversary::new(
                         seed, n, 6, generator,

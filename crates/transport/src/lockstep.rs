@@ -41,6 +41,14 @@ pub struct RoundBatch<M> {
     pub msgs: Vec<M>,
 }
 
+/// One round's inbox as the inner protocol takes it: kept in sender order
+/// as the batches come in.
+struct Arrived<M> {
+    /// Whether each sender's batch is in (an empty one counts).
+    from: Vec<bool>,
+    msgs: Vec<(ProcessId, M)>,
+}
+
 /// Default idle-tick budget before a round is force-advanced.
 pub const DEFAULT_TIMEOUT_TICKS: u32 = 64;
 
@@ -58,8 +66,8 @@ pub struct Lockstep<P: SyncProtocol> {
     /// the round through with a partial inbox.
     idle_ticks: u32,
     timeout_ticks: u32,
-    /// round → sender → that sender's batch (first one wins).
-    inbox: BTreeMap<usize, BTreeMap<ProcessId, Vec<P::Msg>>>,
+    /// round → the batches that arrived for it (a sender's first one wins).
+    inbox: BTreeMap<usize, Arrived<P::Msg>>,
     done: bool,
     errors: ErrorLog,
     /// Structured-event sink (no-op by default).
@@ -114,6 +122,8 @@ impl<P: SyncProtocol> Lockstep<P> {
     }
 
     /// Override the idle-tick budget before a partial-inbox force-advance.
+    /// `u32::MAX` is no budget at all: such a barrier waits for every sender
+    /// however long that takes.
     #[must_use]
     pub fn with_timeout_ticks(mut self, ticks: u32) -> Self {
         assert!(ticks >= 1, "timeout must be at least one tick");
@@ -149,9 +159,7 @@ impl<P: SyncProtocol> Lockstep<P> {
             return Vec::new();
         }
         let have = self.inbox.get(&self.round);
-        (0..self.n)
-            .filter(|p| !have.is_some_and(|m| m.contains_key(p)))
-            .collect()
+        (0..self.n).filter(|&p| !have.is_some_and(|a| a.from[p])).collect()
     }
 
     /// How many senders' batches for the current round have arrived.
@@ -160,7 +168,7 @@ impl<P: SyncProtocol> Lockstep<P> {
         if self.done {
             return self.n;
         }
-        self.inbox.get(&self.round).map_or(0, BTreeMap::len)
+        self.inbox.get(&self.round).map_or(0, |a| a.from.iter().filter(|&&in_| in_).count())
     }
 
     /// Degradation events survived at this receive boundary.
@@ -176,7 +184,8 @@ impl<P: SyncProtocol> Lockstep<P> {
         self.emit_event(EventKind::RoundStart, round, || {
             format!("emitting batches for round {round}")
         });
-        let mut per_dst: Vec<Vec<P::Msg>> = (0..self.n).map(|_| Vec::new()).collect();
+        let mut out: Vec<_> =
+            (0..self.n).map(|dst| (dst, RoundBatch { round, msgs: Vec::new() })).collect();
         for (dst, msg) in self.inner.round_messages(round) {
             if dst >= self.n {
                 self.errors.record(ProtocolError::Transport {
@@ -185,13 +194,9 @@ impl<P: SyncProtocol> Lockstep<P> {
                 });
                 continue;
             }
-            per_dst[dst].push(msg);
+            out[dst].1.msgs.push(msg);
         }
-        per_dst
-            .into_iter()
-            .enumerate()
-            .map(|(dst, msgs)| (dst, RoundBatch { round, msgs }))
-            .collect()
+        out
     }
 
     /// Deliver round `self.round` to the inner protocol if every sender's
@@ -202,27 +207,17 @@ impl<P: SyncProtocol> Lockstep<P> {
             if self.done {
                 return out;
             }
-            let have = self.inbox.get(&self.round).map_or(0, BTreeMap::len);
-            if have < self.n && !(force && out.is_empty()) {
+            let (round, have, n) = (self.round, self.senders_have(), self.n);
+            if have < n && !(force && out.is_empty()) {
                 return out;
             }
-            // BTreeMap iteration replays the inbox in sender order — the
-            // deterministic delivery that keeps decisions transport-independent.
-            let senders = self.inbox.remove(&self.round).unwrap_or_default();
-            {
-                let (round, have, n) = (self.round, senders.len(), self.n);
-                self.emit_event(EventKind::RoundEnd, round, || {
-                    format!(
-                        "senders={have}/{n}{}",
-                        if have < n { " (partial, timed out)" } else { "" }
-                    )
-                });
-            }
-            let inbox: Vec<(ProcessId, P::Msg)> = senders
-                .into_iter()
-                .flat_map(|(from, msgs)| msgs.into_iter().map(move |m| (from, m)))
-                .collect();
-            self.inner.receive(self.round, &inbox);
+            self.emit_event(EventKind::RoundEnd, round, || {
+                format!("senders={have}/{n}{}", if have < n { " (partial, timed out)" } else { "" })
+            });
+            // The inbox is replayed in sender order — the deterministic
+            // delivery that keeps decisions transport-independent.
+            let inbox = self.inbox.remove(&round).map_or(Vec::new(), |a| a.msgs);
+            self.inner.receive(round, &inbox);
             self.round += 1;
             self.idle_ticks = 0;
             if self.inner.output().is_some() || self.round >= self.max_rounds {
@@ -269,11 +264,15 @@ impl<P: SyncProtocol> AsyncProtocol for Lockstep<P> {
             return Vec::new();
         }
         // First batch per (round, sender) wins; equivocators cannot rewrite.
-        self.inbox
+        let n = self.n;
+        let arrived = self
+            .inbox
             .entry(msg.round)
-            .or_default()
-            .entry(from)
-            .or_insert(msg.msgs);
+            .or_insert_with(|| Arrived { from: vec![false; n], msgs: Vec::with_capacity(n) });
+        if !std::mem::replace(&mut arrived.from[from], true) {
+            let at = arrived.msgs.partition_point(|(sender, _)| *sender < from);
+            arrived.msgs.splice(at..at, msg.msgs.into_iter().map(|m| (from, m)));
+        }
         self.try_advance(false)
     }
 
@@ -281,14 +280,14 @@ impl<P: SyncProtocol> AsyncProtocol for Lockstep<P> {
         if self.done {
             return Vec::new();
         }
-        self.idle_ticks += 1;
-        if self.idle_ticks >= self.timeout_ticks {
+        self.idle_ticks = self.idle_ticks.saturating_add(1);
+        if self.timeout_ticks != u32::MAX && self.idle_ticks >= self.timeout_ticks {
             self.errors.record(ProtocolError::Transport {
                 peer: None,
                 reason: format!(
                     "round {} timed out with {}/{} senders; advancing with a partial inbox",
                     self.round,
-                    self.inbox.get(&self.round).map_or(0, BTreeMap::len),
+                    self.senders_have(),
                     self.n
                 ),
             });
@@ -405,5 +404,24 @@ mod tests {
         }
         assert_eq!(ls.output(), Some(2), "partial inbox after timeout: 0 + 2");
         assert!(ls.errors().total() > 0, "the timeout advance is recorded");
+    }
+
+    #[test]
+    fn a_timeout_of_u32_max_never_fires() {
+        let mut ls = Lockstep::new(SumIds { id: 0, n: 3, sum: None }, 3, 1)
+            .with_timeout_ticks(u32::MAX);
+        let _ = ls.on_start();
+        // One tick short of the day the counter reaches the budget.
+        ls.idle_ticks = u32::MAX - 2;
+        for _ in 0..4 {
+            assert!(ls.on_tick().is_empty());
+        }
+        assert_eq!((ls.idle_ticks, ls.output(), ls.errors().total()), (u32::MAX, None, 0));
+        let mut finite = Lockstep::new(SumIds { id: 0, n: 3, sum: None }, 3, 1)
+            .with_timeout_ticks(u32::MAX - 1);
+        let _ = finite.on_start();
+        finite.idle_ticks = u32::MAX - 2;
+        let _ = finite.on_tick();
+        assert_eq!(finite.output(), Some(0), "any other budget still does");
     }
 }

@@ -82,6 +82,7 @@ mod durability;
 mod health;
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
@@ -223,18 +224,31 @@ impl InstanceProto {
         sender: ProcessId,
         sends: Vec<(ProcessId, RoundBatch<<SyncBvc as rbvc_sim::sync::SyncProtocol>::Msg>)>,
     ) -> Outbound {
-        sends
-            .into_iter()
-            .map(|(dst, batch)| {
-                let frame = Frame {
-                    instance,
-                    sender,
-                    round: u32::try_from(batch.round).expect("round fits u32"),
-                    payload: Payload::Eig(batch.msgs),
-                };
-                (dst, encode_frame(&frame))
-            })
-            .collect()
+        // A round's message is one allocation shared by every destination and
+        // its bytes do not name one: encode it once, copy it for the others.
+        let mut out = Outbound::with_capacity(sends.len());
+        let mut last: Option<Frame> = None;
+        for (dst, batch) in sends {
+            let round = u32::try_from(batch.round).expect("round fits u32");
+            let repeats = matches!(&last, Some(Frame { round: r, payload: Payload::Eig(msgs), .. })
+                if *r == round
+                    && msgs.len() == batch.msgs.len()
+                    && msgs.iter().zip(&batch.msgs).all(|(a, b)| Arc::ptr_eq(a, b)));
+            let bytes = match out.last() {
+                Some((_, bytes)) if repeats => bytes.clone(),
+                _ => {
+                    let frame = last.insert(Frame {
+                        instance,
+                        sender,
+                        round,
+                        payload: Payload::Eig(batch.msgs),
+                    });
+                    encode_frame(frame)
+                }
+            };
+            out.push((dst, bytes));
+        }
+        out
     }
 
     fn encode_va(

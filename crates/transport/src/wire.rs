@@ -33,7 +33,7 @@ use rbvc_core::verified_avg::{RoundState, RoundTag, VaMsg};
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
-use rbvc_sim::eig::{EigMsg, ParallelEigMsg};
+use rbvc_sim::eig::{EigMsg, EigRound};
 use rbvc_sim::error::ProtocolError;
 
 /// Frame magic: the two bytes every frame starts with.
@@ -71,8 +71,10 @@ pub const MAX_ROUND: u32 = 1 << 20;
 pub enum Payload {
     /// One lockstep round batch of a [`rbvc_core::SyncBvc`] instance: the
     /// parallel-EIG messages this sender addressed to the recipient in the
-    /// round named by the frame header.
-    Eig(Vec<ParallelEigMsg<VecD>>),
+    /// round named by the frame header, whose level they are of — an item
+    /// with a label of any other length is checked like the rest and then
+    /// left out, as the tree would leave it.
+    Eig(Vec<EigMsg<VecD>>),
     /// One Bracha message of a [`rbvc_core::VerifiedAveraging`] instance
     /// (the frame-header round mirrors the broadcast tag's round).
     Va(VaMsg),
@@ -135,14 +137,19 @@ pub(crate) fn put_vecd(out: &mut Vec<u8>, v: &VecD) {
     }
 }
 
-fn put_eig_msg(out: &mut Vec<u8>, msg: &EigMsg<VecD>) {
-    put_usize(out, msg.len());
-    for (label, value) in msg {
-        put_usize(out, label.len());
-        for &pid in label {
-            put_usize(out, pid);
+fn put_eig_round(out: &mut Vec<u8>, msg: &EigRound<VecD>) {
+    put_usize(out, msg.entries().len());
+    let mut items = msg.iter();
+    for &(origin, count) in msg.entries() {
+        put_usize(out, origin);
+        put_usize(out, count);
+        for (_, label, value) in items.by_ref().take(count) {
+            put_usize(out, label.len());
+            for &pid in label {
+                put_usize(out, pid);
+            }
+            put_vecd(out, value);
         }
-        put_vecd(out, value);
     }
 }
 
@@ -158,13 +165,17 @@ fn put_round_state(out: &mut Vec<u8>, state: &RoundState) {
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    // A VA frame, the one payload a broadcast repeats 36 times, is sized once.
+    // The two payloads a run is made of are sized once.
     let capacity = match &frame.payload {
         Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
             let vectors = s.witness.iter().fold(s.value.dim(), |n, (_, v)| n + 1 + v.dim());
             VA_DIM_OFFSET + 4 + 4 + 8 * vectors
         }
-        _ => 64,
+        Payload::Eig(batch) => batch.iter().fold(HEADER_LEN + 4, |n, msg| {
+            let items = msg.iter().map(|(_, label, v)| 8 + 4 * label.len() + 8 * v.dim());
+            n + 4 + 8 * msg.entries().len() + items.sum::<usize>()
+        }),
+        Payload::Launch(_) => 64,
     };
     let mut out = Vec::with_capacity(capacity);
     out.extend_from_slice(&MAGIC);
@@ -180,13 +191,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     match &frame.payload {
         Payload::Eig(batch) => {
             put_usize(&mut out, batch.len());
-            for parallel in batch {
-                put_usize(&mut out, parallel.len());
-                for (origin, msg) in parallel {
-                    put_usize(&mut out, *origin);
-                    put_eig_msg(&mut out, msg);
-                }
-            }
+            batch.iter().for_each(|msg| put_eig_round(&mut out, msg));
         }
         Payload::Va((tag, bmsg)) => {
             put_usize(&mut out, tag.0);
@@ -236,6 +241,13 @@ pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
+
+fn pid_of(raw: u32) -> Result<ProcessId, String> {
+    match raw as usize {
+        id if id < MAX_PID => Ok(id),
+        id => Err(format!("process id {id} beyond wire cap {MAX_PID}")),
+    }
+}
 
 /// Checked reader over untrusted bytes, shared with the client codec
 /// ([`crate::client`]). Every accessor returns `Err(reason)` instead of
@@ -303,11 +315,7 @@ impl<'a> Reader<'a> {
     }
 
     fn pid(&mut self) -> Result<ProcessId, String> {
-        let id = self.u32()? as usize;
-        if id >= MAX_PID {
-            return Err(format!("process id {id} beyond wire cap {MAX_PID}"));
-        }
-        Ok(id)
+        pid_of(self.u32()?)
     }
 
     pub(crate) fn vecd(&mut self) -> Result<VecD, String> {
@@ -341,16 +349,40 @@ impl<'a> Reader<'a> {
         Ok(same)
     }
 
-    fn eig_msg(&mut self) -> Result<EigMsg<VecD>, String> {
-        let items = self.len_capped(MAX_EIG_ITEMS, 8, "EIG item list")?;
-        let mut msg = Vec::with_capacity(items);
-        for _ in 0..items {
-            let llen = self.len_capped(MAX_LABEL, 4, "EIG label")?;
-            let mut label = Vec::with_capacity(llen);
-            for _ in 0..llen {
-                label.push(self.pid()?);
+    /// One parallel-EIG message of the level whose labels have `stride` ids,
+    /// in one pass: a label goes into the message's one buffer, and a value's
+    /// bytes are compared with those of the item before it before anything is
+    /// allocated for it — an honest relay says each of its `n` values
+    /// `(n − 2)…` times in a row. A well-formed item of another level is
+    /// left out. The frame holds `of` messages (an honest one holds one), which
+    /// split its bytes evenly when their buffers are sized.
+    fn eig_round(&mut self, stride: usize, of: usize) -> Result<EigRound<VecD>, String> {
+        let entries = self.len_capped(MAX_EIG_INSTANCES, 8, "parallel EIG batch")?;
+        // An item that stays takes 8 + 4 · stride bytes or more, so a frame's
+        // messages together reserve within twice the frame's own size,
+        // whatever the counts below claim.
+        let items = self.remaining() / (8 + 4 * stride) / of;
+        let mut msg = EigRound::with_capacity(stride, entries, items);
+        let (mut label, mut last) = ([0; MAX_LABEL], &self.buf[..0]);
+        for _ in 0..entries {
+            msg.begin(self.pid()?);
+            for _ in 0..self.len_capped(MAX_EIG_ITEMS, 8, "EIG item list")? {
+                let llen = self.len_capped(MAX_LABEL, 4, "EIG label")?;
+                for (id, raw) in label.iter_mut().zip(self.take(4 * llen)?.chunks_exact(4)) {
+                    *id = pid_of(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))?;
+                }
+                let start = self.pos;
+                if llen == stride && !last.is_empty() && self.buf[start..].starts_with(last) {
+                    self.pos += last.len();
+                    msg.push_shared(&label[..llen]);
+                    continue;
+                }
+                let value = self.vecd()?;
+                if llen == stride {
+                    last = &self.buf[start..self.pos];
+                    msg.push(&label[..llen], value);
+                }
             }
-            msg.push((label, self.vecd()?));
         }
         Ok(msg)
     }
@@ -421,13 +453,7 @@ fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
             let batch_len = r.len_capped(MAX_BATCH_MSGS, 4, "round batch")?;
             let mut batch = Vec::with_capacity(batch_len);
             for _ in 0..batch_len {
-                let instances = r.len_capped(MAX_EIG_INSTANCES, 8, "parallel EIG batch")?;
-                let mut parallel: ParallelEigMsg<VecD> = Vec::with_capacity(instances);
-                for _ in 0..instances {
-                    let origin = r.pid()?;
-                    parallel.push((origin, r.eig_msg()?));
-                }
-                batch.push(parallel);
+                batch.push(Arc::new(r.eig_round(round as usize + 1, batch_len)?));
             }
             Payload::Eig(batch)
         }
@@ -488,14 +514,17 @@ mod tests {
     use super::*;
 
     fn eig_frame() -> Frame {
+        let mut first = EigRound::with_capacity(2, 1, 2);
+        first.begin(0);
+        first.push(&[0, 1], VecD::from_slice(&[1.5, -2.5]));
+        first.push_shared(&[0, 2]);
+        let mut second = EigRound::with_capacity(2, 1, 0);
+        second.begin(1);
         Frame {
             instance: 42,
             sender: 3,
             round: 1,
-            payload: Payload::Eig(vec![
-                vec![(0, vec![(vec![0, 1], VecD::from_slice(&[1.5, -2.5]))])],
-                vec![(1, vec![])],
-            ]),
+            payload: Payload::Eig(vec![Arc::new(first), Arc::new(second)]),
         }
     }
 

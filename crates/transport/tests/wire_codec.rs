@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use rbvc_core::verified_avg::RoundState;
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
+use rbvc_sim::eig::EigRound;
 use rbvc_sim::error::ProtocolError;
 use rbvc_sim::fuzz::ByteMutator;
 use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
@@ -45,7 +46,8 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
     }
 }
 
-/// Build a parallel-EIG frame from raw generator output.
+/// Build a parallel-EIG frame from raw generator output: `labels` items for
+/// each of `labels.max(1)` origins, at the level of round `labels % 4`.
 fn eig_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], labels: usize) -> Frame {
     let vec_at = |k: usize| {
         VecD::from_slice(
@@ -58,19 +60,24 @@ fn eig_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], labels: usiz
                 .collect::<Vec<_>>(),
         )
     };
-    let parallel = (0..labels.max(1))
-        .map(|origin| {
-            let items = (0..labels)
-                .map(|k| ((0..=k).collect::<Vec<usize>>(), vec_at(origin + k)))
-                .collect();
-            (origin, items)
-        })
-        .collect();
+    let stride = labels % 4 + 1;
+    let mut msg = EigRound::with_capacity(stride, labels.max(1), labels * labels.max(1));
+    for origin in 0..labels.max(1) {
+        msg.begin(origin);
+        for k in 0..labels {
+            let label: Vec<usize> = (k..k + stride).collect();
+            // Every third item repeats its neighbour's value, as a relay's do.
+            match k % 3 {
+                2 => msg.push_shared(&label),
+                _ => msg.push(&label, vec_at(origin + k)),
+            }
+        }
+    }
     Frame {
         instance,
         sender,
         round: (labels % 4) as u32,
-        payload: Payload::Eig(vec![parallel]),
+        payload: Payload::Eig(vec![Arc::new(msg)]),
     }
 }
 
@@ -292,4 +299,73 @@ fn crafted_client_corpus_never_reaches_the_client_table() {
     assert_eq!(stats.admitted, 0);
     assert_eq!(svc.instance_count(), 0);
     assert!(port.rejects() >= 1, "malformed frames must be counted");
+}
+
+/// A frame's round is the level of its items: one whose label has another
+/// length is checked like the rest — caps, ids, truncation — and then left
+/// out, as the tree would leave it; the frame decodes as it always did.
+#[test]
+fn eig_items_of_another_level_are_checked_then_left_out() {
+    let frame = eig_frame(1, 2, 3, &[1.0, 2.0, 3.0, 4.0], 2);
+    let Payload::Eig(sent) = &frame.payload else { unreachable!() };
+    let mut bytes = encode_frame(&frame);
+    bytes[16..HEADER_LEN].copy_from_slice(&1u32.to_le_bytes());
+    let Payload::Eig(got) = decode_frame(&bytes, 2).expect("decodes").payload else { unreachable!() };
+    assert_eq!((got.len(), got[0].iter().count()), (1, 0));
+    assert_eq!(got[0].entries(), [(0, 0), (1, 0)]);
+    assert_eq!(sent[0].entries(), [(0, 2), (1, 2)]);
+    for cut in HEADER_LEN..bytes.len() {
+        assert!(decode_frame(&bytes[..cut], 2).is_err(), "truncation at {cut}");
+    }
+    let last_id = bytes.len() - 4 - 8 * 3 - 4;
+    bytes[last_id..last_id + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(decode_frame(&bytes, 2).is_err(), "an id beyond the cap, in an item left out");
+}
+
+/// The 147 frames of one honest (n, f, d) = (7, 2, 3) `SyncBvc` instance —
+/// rounds 0, 1 and 2 of every process, in the order a FIFO network delivers
+/// them — are, byte for byte, the frames of the label-keyed EIG this codec was
+/// written for (the hash is of a run at `c84a6ba`), and survive a decode.
+#[test]
+fn honest_bvc_frames_are_the_bytes_they_always_were() {
+    use std::collections::VecDeque;
+
+    use rbvc_core::{DecisionRule, SyncBvc};
+    use rbvc_linalg::{Norm, Tol};
+    use rbvc_sim::asynch::AsyncProtocol;
+    use rbvc_transport::{Lockstep, RoundBatch};
+
+    let (n, f, d) = (7usize, 2usize, 3usize);
+    let mut nodes: Vec<Lockstep<SyncBvc>> = (0..n)
+        .map(|id| {
+            let x = id as f64;
+            let input = VecD::from_slice(&[x * 0.5 - 1.0, (x * x) % 3.0, 1.0 / (x + 1.0)]);
+            let rule = DecisionRule::MinDeltaPoint(Norm::L2);
+            Lockstep::new(SyncBvc::new(id, n, f, d, input, rule, Tol::default()), n, f + 1)
+        })
+        .collect();
+    let mut queue = VecDeque::new();
+    for (from, node) in nodes.iter_mut().enumerate() {
+        queue.extend(node.on_start().into_iter().map(|(dst, batch)| (from, dst, batch)));
+    }
+    let mut stream = Vec::new();
+    while let Some((from, dst, batch)) = queue.pop_front() {
+        let round = batch.round as u32;
+        let frame = Frame { instance: 9, sender: from, round, payload: Payload::Eig(batch.msgs) };
+        let bytes = encode_frame(&frame);
+        assert_eq!(bytes.capacity(), bytes.len(), "an EIG frame's buffer is sized once");
+        let back = decode_frame(&bytes, from).expect("an honest frame decodes");
+        assert_eq!(back, frame);
+        stream.extend_from_slice(&bytes);
+        let Payload::Eig(msgs) = back.payload else { unreachable!() };
+        let out = nodes[dst].on_message(from, RoundBatch { round: batch.round, msgs });
+        queue.extend(out.into_iter().map(|(to, batch)| (dst, to, batch)));
+    }
+    assert_eq!(stream.len(), 147 * 616);
+    let hex: String = rbvc_transport::auth::sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "76cbd2ef868512354a5003a21f42d0c8e47db4019834de762b64d408e2b47dcb");
+    let decision: Vec<u64> =
+        nodes[0].output().expect("decided").as_slice().iter().map(|x| x.to_bits()).collect();
+    assert_eq!(decision, [0x3fe0903d2ed132fc, 0x3fe8450eca07630a, 0x3fd56ed55182e549]);
+    assert!(nodes.iter().all(|p| p.output() == nodes[0].output()));
 }

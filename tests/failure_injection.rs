@@ -18,7 +18,7 @@ use relaxed_bvc::linalg::{Norm, Tol, VecD};
 use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use relaxed_bvc::sim::config::SystemConfig;
 use relaxed_bvc::sim::dolev_strong::ParallelDolevStrong;
-use relaxed_bvc::sim::eig::ParallelEig;
+use relaxed_bvc::sim::eig::{EigRound, ParallelEig};
 use relaxed_bvc::sim::fuzz::{
     duplicating, follow, partial_crash, AsyncFuzzAdversary, FuzzAdversary,
 };
@@ -171,18 +171,17 @@ fn sync_bvc_survives_message_fuzzing_across_seeds() {
                     // Well-formed-looking EIG batches with random labels and
                     // random vector payloads.
                     let generator = Box::new(move |rng: &mut StdRng, round: usize| {
-                        (0..rng.gen_range(1..4))
-                            .map(|_| {
-                                let sender = rng.gen_range(0..n);
-                                let mut label = vec![sender];
-                                while label.len() < round + 1 {
-                                    label.push(rng.gen_range(0..n));
-                                }
-                                let payload =
-                                    VecD((0..d).map(|_| rng.gen_range(-9.0..9.0)).collect());
-                                (sender, vec![(label, payload)])
-                            })
-                            .collect()
+                        let mut msg = EigRound::with_capacity(round + 1, 0, 0);
+                        for _ in 0..rng.gen_range(1..4) {
+                            let sender = rng.gen_range(0..n);
+                            let mut label = vec![sender];
+                            while label.len() < round + 1 {
+                                label.push(rng.gen_range(0..n));
+                            }
+                            msg.begin(sender);
+                            msg.push(&label, VecD((0..d).map(|_| rng.gen_range(-9.0..9.0)).collect()));
+                        }
+                        std::sync::Arc::new(msg)
                     });
                     SyncNode::Byzantine(Box::new(FuzzAdversary::new(seed, n, 5, generator)))
                 } else {
