@@ -336,7 +336,7 @@ pub struct Scenario {
     /// Human title (table heading and envelope `title`).
     pub title: &'static str,
     /// Flags accepted beyond `--smoke` and `--seed N`, as the usage line
-    /// shows them (`"--runs N"`, `"--attrib"`); `--metrics ADDR` brings
+    /// shows them (`"--runs N"`, `"--trace FILE"`); `--metrics ADDR` brings
     /// `--metrics-wait-scrapes N` with it.
     pub flags: &'static [&'static str],
     /// Substrings one mid-run `/metrics` scrape must all contain.
@@ -409,8 +409,6 @@ pub struct Args {
     pub window: Option<usize>,
     /// `--trace FILE` (E17): record the load run as a JSONL trace.
     pub trace: Option<String>,
-    /// `--attrib` (E17): critical-path attribution of the trace.
-    pub attrib: bool,
     /// `--flight-dir DIR` (E22): where flight-recorder dumps land.
     pub flight_dir: Option<PathBuf>,
     /// `--metrics ADDR`: serve the live registry for the whole run.
@@ -422,8 +420,6 @@ pub struct Args {
     pub p_sweep: bool,
     /// `--quick` (`all`): the reduced trial counts.
     pub quick: bool,
-    /// `--json FILE` (`trace`): also write the attribution object.
-    pub json: Option<String>,
 }
 
 impl Args {
@@ -479,7 +475,6 @@ pub fn parse_args<S: AsRef<str>>(
         }
         match flag {
             "--smoke" => args.smoke = true,
-            "--attrib" => args.attrib = true,
             "--p-sweep" => args.p_sweep = true,
             "--quick" => args.quick = true,
             _ => {
@@ -493,7 +488,6 @@ pub fn parse_args<S: AsRef<str>>(
                     "--trace" => args.trace = Some(value.to_string()),
                     "--flight-dir" => args.flight_dir = Some(value.into()),
                     "--metrics" => args.metrics = Some(value.to_string()),
-                    "--json" => args.json = Some(value.to_string()),
                     other => unreachable!("flag {other} is declared but not in the grammar"),
                 }
             }
@@ -506,9 +500,6 @@ pub fn parse_args<S: AsRef<str>>(
             None if args.smoke => args.pos.push(String::new()),
             None => return Err(format!("missing {name}")),
         }
-    }
-    if args.attrib && args.trace.is_none() {
-        return Err("--attrib requires --trace FILE (the trace is its input)".to_string());
     }
     Ok(args)
 }
@@ -674,7 +665,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_unknown_flags_missing_and_non_numeric_values() {
-        let flags = ["--smoke", "--seed N", "--runs N", "--trace FILE", "--attrib"];
+        let flags = ["--smoke", "--seed N", "--runs N", "--trace FILE"];
         for bad in [
             &["--bogus"][..],
             &["100", "7"],
@@ -683,7 +674,7 @@ mod tests {
             &["--runs"],
             &["--runs", "many"],
             &["--seed", "-1"],
-            &["--attrib"],
+            &["--trace"],
         ] {
             assert!(parse_args(&[], &flags, bad).is_err(), "must reject {bad:?}");
         }

@@ -183,7 +183,7 @@ mod tests {
     }
 
     /// No arguments is a valid command line for every entry (the trace
-    /// readers need `--smoke` in place of their file), and it yields the
+    /// reader needs `--smoke` in place of its file), and it yields the
     /// declared defaults.
     #[test]
     fn every_rows_defaults_parse() {
@@ -261,7 +261,7 @@ mod tests {
     /// Every paper row prints its tables at its smallest scale: one trial
     /// (or restart, iteration, seed per cell) and the lowest dimension of
     /// its sweep; the rows with no scale argument run as they are, and the
-    /// two readers that need a trace file have no smallest scale.
+    /// reader that needs a trace file has no smallest scale.
     #[test]
     fn every_paper_row_runs_at_its_smallest_scale() {
         let runnable = |e: &&Experiment| e.positionals.iter().all(|(_, _, default)| default.is_some());

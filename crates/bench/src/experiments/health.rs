@@ -62,9 +62,9 @@ pub const SCENARIO: Scenario = Scenario {
     // The stall series are registered when the first mesh arms the
     // detector.
     metrics_probe: &["# TYPE", "health_stall"],
-    // The board carries per-node snapshots once any node publishes; an
-    // empty board is still valid JSON.
-    status_probe: Some(("\"nodes\"", "status_scrape_ok")),
+    // A node's snapshot — any node's, once one has published — carries the
+    // phase clock's "where the time goes" row.
+    status_probe: Some(("\"time\":\"", "status_scrape_ok")),
     run,
 };
 

@@ -2,7 +2,7 @@
 //! holding its typed row functions, the [`Experiment`] entries that print
 //! them, and nothing else. [`EXPERIMENTS`] is the index of the paper
 //! experiments (`exp list` prints it; DESIGN.md §3 describes the rows); its
-//! last three rows are the trace and report readers [`obs`], [`trace`] and
+//! last two rows are the trace and report readers [`obs`] and
 //! [`trajectory`].
 //!
 //! The systems campaigns — [`service`] (E17), [`recovery`] (E18),
@@ -30,7 +30,6 @@ pub mod obs;
 pub mod recovery;
 pub mod service;
 pub mod table1;
-pub mod trace;
 pub mod trajectory;
 pub mod tverberg;
 
@@ -60,7 +59,7 @@ pub struct Experiment {
 
 /// Every paper experiment, in experiment order, then the readers of what the
 /// campaigns write (JSONL traces and `BENCH_*.json`).
-pub const EXPERIMENTS: [&Experiment; 16] = [
+pub const EXPERIMENTS: [&Experiment; 15] = [
     &table1::TABLE1,
     &counterex::FIGURE1,
     &counterex::THM3,
@@ -75,6 +74,5 @@ pub const EXPERIMENTS: [&Experiment; 16] = [
     &broadcast_ablation::BROADCAST,
     &chaos::CHAOS,
     &obs::OBS,
-    &trace::TRACE,
     &trajectory::TRAJECTORY,
 ];

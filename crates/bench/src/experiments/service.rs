@@ -11,11 +11,12 @@
 //! the cross-transport identity check exploits: both must decide
 //! bit-identically on one seed.
 //!
-//! `--trace FILE` records the load run as a JSONL trace through `rbvc-obs`
-//! ([`TraceFile`]); `--attrib` reads it back, reconstructs every decided
-//! instance's submit→decide critical path, and embeds the attribution in
-//! `BENCH_service.json`. Tracing observes the run without changing
-//! decisions (same seed, same values).
+//! Where the load run's time went is read off the services' own phase
+//! clocks (`phase_share` in `BENCH_service.json`: the share of the nodes'
+//! summed wall time per [`Phase`](rbvc_transport::service::Phase), always
+//! on, no tracing mode). `--trace FILE` records the load run as a JSONL
+//! trace through `rbvc-obs` ([`TraceFile`]) for `exp obs`. Tracing observes
+//! the run without changing decisions (same seed, same values).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -24,10 +25,10 @@ use std::time::{Duration, Instant};
 
 use rbvc_linalg::VecD;
 use rbvc_obs::{
-    assemble, kernel_snapshot, render_attribution, reset_kernel_timers, set_kernel_timing,
-    Attribution, JsonlRecorder, Obs, Recorder, Registry, StatusBoard, TraceSummary,
+    kernel_snapshot, render_shares, reset_kernel_timers, set_kernel_timing, JsonlRecorder, Obs,
+    Recorder, Registry, StatusBoard,
 };
-use rbvc_transport::service::ConsensusService;
+use rbvc_transport::service::{ConsensusService, PhaseNanos};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
 use serde_json::json;
 
@@ -43,8 +44,8 @@ pub const SCENARIO: Scenario = Scenario {
     name: "service",
     id: "E17",
     title: "service load generator",
-    flags: &["--instances N", "--window N", "--trace FILE", "--attrib", "--metrics ADDR"],
-    metrics_probe: &["# TYPE"],
+    flags: &["--instances N", "--window N", "--trace FILE", "--metrics ADDR"],
+    metrics_probe: &["# TYPE", "service_decide_phase_us", "service_frame_queue_us"],
     status_probe: None,
     run,
 };
@@ -133,6 +134,7 @@ struct NodeReport {
     bytes_sent: u64,
     bytes_received: u64,
     errors: u64,
+    phases: PhaseNanos,
 }
 
 /// Aggregated result of one mesh run.
@@ -170,6 +172,8 @@ pub struct ServiceOutcome {
     pub errors: u64,
     /// Per-node decided values, keyed by instance id — for identity checks.
     pub decisions: Vec<BTreeMap<u64, VecD>>,
+    /// The nodes' phase clocks, summed: where the mesh's wall time went.
+    pub phases: PhaseNanos,
 }
 
 /// A decision event crossing from a node thread to the coordinator.
@@ -247,6 +251,7 @@ fn run_mesh<T: Transport>(
             bytes_sent: svc.transport().bytes_sent(),
             bytes_received: svc.transport().bytes_received(),
             errors: svc.errors().total() + svc.transport().errors().total(),
+            phases: svc.phase_nanos(),
         };
         done.wait();
         report
@@ -280,6 +285,8 @@ fn run_mesh<T: Transport>(
         start.elapsed().as_secs_f64()
     };
     latencies.sort_by(f64::total_cmp);
+    let mut phases = PhaseNanos::default();
+    reports.iter().for_each(|r| phases.add(&r.phases));
     ServiceOutcome {
         transport,
         n: mesh.n,
@@ -296,6 +303,7 @@ fn run_mesh<T: Transport>(
         monitor_violations: monitor.violation_count(),
         errors: reports.iter().map(|r| r.errors).sum(),
         decisions: reports.into_iter().map(|r| r.decisions).collect(),
+        phases,
     }
 }
 
@@ -331,7 +339,7 @@ pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 
 
 /// A JSONL trace of one run: every structured event the run emits through
 /// [`TraceFile::obs`], then the metrics registry and hot-kernel timing
-/// cells. `exp obs` and `exp trace` read the file back.
+/// cells. `exp obs` reads the file back.
 pub struct TraceFile {
     recorder: Arc<JsonlRecorder>,
 }
@@ -397,19 +405,11 @@ fn run(args: &Args, _status: &StatusBoard) -> Report {
     // The load profile itself, over real sockets — traced when asked.
     let trace = args.trace.as_ref().map(|p| TraceFile::create(p).expect("create trace file"));
     let out = run_service(&cfg, TransportKind::Tcp, trace.as_ref().map(TraceFile::obs));
-    // Critical-path attribution: read the trace back and reconstruct every
-    // decided instance's submit→decide chain (see `rbvc_obs::trace`).
-    let attribution = args.trace.as_ref().zip(trace).and_then(|(path, trace)| {
+    if let Some((path, trace)) = args.trace.as_ref().zip(trace) {
         trace.finish();
         println!("wrote trace to {path}");
-        args.attrib.then(|| {
-            let text = std::fs::read_to_string(path).expect("read trace back");
-            let a = assemble(&TraceSummary::parse(&text).expect("parse trace"));
-            println!("{}", render_attribution(&a));
-            a
-        })
-    });
-    report(&cfg, &references, &out, identical, attribution.as_ref())
+    }
+    report(&cfg, &references, &out, identical)
 }
 
 fn row(out: &ServiceOutcome) -> Vec<String> {
@@ -439,17 +439,19 @@ fn report(
     references: &[ServiceOutcome],
     out: &ServiceOutcome,
     identical: bool,
-    attribution: Option<&Attribution>,
 ) -> Report {
     // The sent/received byte counters rarely agree exactly: each node
     // snapshots its own counters *before* the end-of-run barrier, so
     // frames a peer has written but this node has not yet read off the
     // socket (plus batches still in kernel buffers) are counted as sent
     // but not yet as received. That gap is traffic in flight at shutdown,
-    // not loss — the trace assembler confirms it by finding the same
-    // frames as trailing unread sends (`in_flight_tx`).
+    // not loss.
     let in_flight = out.bytes_sent.saturating_sub(out.bytes_received);
-    let mut gates = vec![
+    let cells = out.phases.named();
+    let wall_ns = out.phases.total().max(1) as f64;
+    // Process-wide, so the identity check's few polls are in it too.
+    let queue = Registry::global().histogram("service.frame.queue_us").snapshot();
+    let gates = vec![
         gate(identical, "TCP and in-process decisions diverged on one seed"),
         gate(
             out.decided == out.instances,
@@ -463,29 +465,26 @@ fn report(
             format!("{} transport/service error(s) on a clean loopback mesh", out.errors),
         ),
     ];
-    if let Some(a) = attribution {
-        gates.push(gate(
-            a.unpaired_rx == 0 && a.unpaired_tx_mid == 0,
-            format!(
-                "span pairing broken — {} unpaired rx, {} mid-stream tx gaps",
-                a.unpaired_rx, a.unpaired_tx_mid
-            ),
-        ));
-        gates.push(gate(
-            a.incomplete_chains == 0,
-            format!("{} critical-path chains incomplete", a.incomplete_chains),
-        ));
-    }
     Report {
         headers: vec![
             "transport", "n", "decided", "decided/s", "p50 ms", "p99 ms", "bytes sent",
             "violations", "errors",
         ],
         rows: references.iter().chain([out]).map(row).collect(),
-        notes: vec![format!(
-            "bytes on wire: {} sent, {} received, {in_flight} in flight at the shutdown snapshot",
-            out.bytes_sent, out.bytes_received
-        )],
+        notes: vec![
+            format!(
+                "bytes on wire: {} sent, {} received, {in_flight} in flight at the shutdown snapshot",
+                out.bytes_sent, out.bytes_received
+            ),
+            format!(
+                "time: {} (the {} nodes' own clocks, summed); a poll's oldest frame queued \
+                 p50 {:.0} us, p99 {:.0} us before dispatch",
+                render_shares(&cells),
+                out.n,
+                queue.percentile(50.0),
+                queue.percentile(99.0)
+            ),
+        ],
         payload: json!({
             "n": out.n,
             "f_bvc": cfg.mesh.f,
@@ -506,7 +505,9 @@ fn report(
             }),
             "service_errors": out.errors,
             "cross_transport_identical": identical,
-            "attribution": attribution.map(Attribution::to_json),
+            "phase_share": serde_json::Value::Object(
+                cells.iter().map(|&(name, ns)| (name.to_string(), json!(ns as f64 / wall_ns))).collect(),
+            ),
         }),
         gates,
     }
@@ -531,7 +532,10 @@ mod tests {
         for node in &out.decisions[1..] {
             assert_eq!(node, &out.decisions[0], "mesh-wide identical decisions");
         }
-        let report = report(&cfg, &[], &out, true, None);
+        let report = report(&cfg, &[], &out, true);
+        let shares = report.payload.get("phase_share").and_then(|v| v.as_object()).expect("an object");
+        let total: f64 = shares.iter().map(|(_, share)| share.as_f64().expect("a number")).sum();
+        assert!((total - 1.0).abs() < 1e-9, "the phases partition the nodes' time: {shares:?}");
         assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
         crate::campaign::assert_keys_match_committed(
             &SCENARIO,

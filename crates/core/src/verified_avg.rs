@@ -111,10 +111,9 @@ pub struct VerifiedAveraging {
     /// panicking the whole run, and clears this if a later attempt succeeds.
     last_error: Option<ProtocolError>,
 
-    /// Structured-event sink (no-op by default); the node tag is baked in.
+    /// Structured-event sink (no-op by default); the node tag is baked in,
+    /// and so is the instance tag when a multi-instance service attached it.
     obs: Obs,
-    /// Instance tag stamped on every emitted event (multi-instance services).
-    obs_instance: Option<u64>,
 }
 
 impl VerifiedAveraging {
@@ -151,32 +150,27 @@ impl VerifiedAveraging {
             round0_delta: None,
             last_error: None,
             obs: Obs::noop(),
-            obs_instance: None,
         }
     }
 
     /// Attach a structured-event sink; events carry this process's id as
-    /// the node tag and `instance` (if given) as the instance tag. The
+    /// the node tag, and the instance tag if one is baked into `obs`. The
     /// protocol emits [`EventKind::RoundStart`]/[`EventKind::RoundEnd`] as
     /// it progresses, [`EventKind::BroadcastAccept`] on reliable-broadcast
     /// delivery, [`EventKind::WitnessCommit`] when a state verifies,
     /// [`EventKind::GateReject`] at every receive-boundary rejection, and
     /// [`EventKind::Decide`] on decision. Tracing never changes behaviour.
-    pub fn set_obs(&mut self, obs: Obs, instance: Option<u64>) {
+    pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs.with_node(u32::try_from(self.id).unwrap_or(u32::MAX));
-        self.obs_instance = instance;
     }
 
-    /// Emit one event through the sink, stamping round and instance tags.
+    /// Emit one event through the sink, stamping the round tag.
     /// `detail` runs only when a real recorder is attached.
     fn emit_event(&self, kind: EventKind, round: Option<usize>, detail: impl FnOnce() -> String) {
         self.obs.emit(|| {
             let mut ev = Event::new(kind).detail(detail());
             if let Some(r) = round {
                 ev = ev.round(u32::try_from(r).unwrap_or(u32::MAX));
-            }
-            if let Some(i) = self.obs_instance {
-                ev = ev.instance(i);
             }
             ev
         });
@@ -948,7 +942,7 @@ mod tests {
         // Round `total_rounds`, which no honest process broadcasts: refused
         // at the bounds gate, and no Bracha instance is opened for it.
         let ring = Arc::new(rbvc_obs::RingRecorder::new(8));
-        node.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn rbvc_obs::Recorder>), None);
+        node.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn rbvc_obs::Recorder>));
         let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
         let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(1.0))));
         assert!(r.is_empty() && node.rb.len() == 1, "only its own round-0 broadcast is open");

@@ -2,7 +2,7 @@
 //!
 //! Every span and event timestamp in a trace is microseconds since one
 //! process-wide monotonic epoch, captured lazily on first use. Monotonic
-//! means trace assembly never sees time going backwards within a node; the
+//! means a reader never sees time going backwards within a node; the
 //! wall-clock instant of the epoch is captured once alongside it (and
 //! written into the trace header by [`crate::JsonlRecorder`]), so absolute
 //! times can be reconstructed offline without ever stamping events from
@@ -10,9 +10,9 @@
 //!
 //! All threads of a process share this epoch: reader threads stamping
 //! frame arrivals and service threads stamping dispatches produce one
-//! coherent per-process timeline. Alignment *across* processes is the
-//! trace assembler's job (see [`crate::trace`]), fed by the per-link
-//! HELLO timestamp exchange.
+//! coherent per-process timeline. Nothing aligns the clocks of two
+//! processes: whatever crosses a link is measured from outside
+//! (`tcp.one_hop_us`), not reconstructed from stamps.
 
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};

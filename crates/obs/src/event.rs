@@ -38,21 +38,6 @@ pub enum EventKind {
     WalReplay,
     /// A service finished crash recovery and rejoined the mesh.
     Recovered,
-    /// A client submitted an instance to the service (latency epoch; the
-    /// submit→decide interval is what the critical path partitions).
-    Submit,
-    /// A frame left this node. `node` is the sender, `peer` the
-    /// destination, `seq` the per-link send ordinal; `instance`/`round`
-    /// carry the frame identity so the receive half pairs up across nodes.
-    FrameTx,
-    /// A frame was dispatched on this node. `node` is the receiver, `peer`
-    /// the sender, `seq` the per-link receive ordinal, `dur_us` the time
-    /// the frame waited between transport arrival and service dispatch.
-    FrameRx,
-    /// A service poll iteration finished doing work. `dur_us` spans the
-    /// active processing (after the blocking receive returned); detail
-    /// carries `rx= tx= fsync_us= kernel_us=` for phase attribution.
-    PollEnd,
     /// The stall detector diagnosed a stalled instance. `instance`/`round`
     /// locate the stall; detail carries
     /// `phase= waiting_on= stalled_us= escalated=` (the blame report).
@@ -72,7 +57,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for table-driven reports.
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
         EventKind::BroadcastAccept,
@@ -85,10 +70,6 @@ impl EventKind {
         EventKind::WalAppend,
         EventKind::WalReplay,
         EventKind::Recovered,
-        EventKind::Submit,
-        EventKind::FrameTx,
-        EventKind::FrameRx,
-        EventKind::PollEnd,
         EventKind::StallDetected,
         EventKind::StallCleared,
         EventKind::AuthEstablished,
@@ -111,10 +92,6 @@ impl EventKind {
             EventKind::WalAppend => "wal_append",
             EventKind::WalReplay => "wal_replay",
             EventKind::Recovered => "recovered",
-            EventKind::Submit => "submit",
-            EventKind::FrameTx => "frame_tx",
-            EventKind::FrameRx => "frame_rx",
-            EventKind::PollEnd => "poll_end",
             EventKind::StallDetected => "stall_detected",
             EventKind::StallCleared => "stall_cleared",
             EventKind::AuthEstablished => "auth_established",
@@ -148,15 +125,10 @@ pub struct Event {
     pub instance: Option<u64>,
     /// Protocol round, if the site is round-scoped.
     pub round: Option<u32>,
-    /// Remote endpoint of a link-scoped span: the destination of a
-    /// [`EventKind::FrameTx`], the sender of a [`EventKind::FrameRx`].
+    /// Remote endpoint of a link-scoped event: the peer a handshake
+    /// verified ([`EventKind::AuthEstablished`]) or claimed to be
+    /// ([`EventKind::AuthReject`]).
     pub peer: Option<u32>,
-    /// Per-directed-link frame ordinal. Links are FIFO, so the `n`th send
-    /// on a link pairs with the `n`th receive — the cross-node join key.
-    pub seq: Option<u64>,
-    /// Span duration in microseconds; `time_us` is the span *end*, so the
-    /// span covers `[time_us - dur_us, time_us]`.
-    pub dur_us: Option<u64>,
     /// What happened.
     pub kind: EventKind,
     /// Free-form context (`key=value` pairs by convention; the first pair
@@ -175,8 +147,6 @@ impl Event {
             instance: None,
             round: None,
             peer: None,
-            seq: None,
-            dur_us: None,
             kind,
             detail: None,
         }
@@ -203,24 +173,10 @@ impl Event {
         self
     }
 
-    /// Tag the remote endpoint of a link-scoped span.
+    /// Tag the remote endpoint of a link-scoped event.
     #[must_use]
     pub fn peer(mut self, peer: u32) -> Event {
         self.peer = Some(peer);
-        self
-    }
-
-    /// Tag the per-link frame ordinal.
-    #[must_use]
-    pub fn seq(mut self, seq: u64) -> Event {
-        self.seq = Some(seq);
-        self
-    }
-
-    /// Tag the span duration (microseconds, ending at `time_us`).
-    #[must_use]
-    pub fn dur(mut self, dur_us: u64) -> Event {
-        self.dur_us = Some(dur_us);
         self
     }
 
@@ -252,12 +208,6 @@ impl Event {
         if let Some(peer) = self.peer {
             fields.push(("peer".into(), Value::UInt(u64::from(peer))));
         }
-        if let Some(seq) = self.seq {
-            fields.push(("seq".into(), Value::UInt(seq)));
-        }
-        if let Some(dur_us) = self.dur_us {
-            fields.push(("dur_us".into(), Value::UInt(dur_us)));
-        }
         if let Some(detail) = &self.detail {
             fields.push(("detail".into(), Value::Str(detail.clone())));
         }
@@ -279,8 +229,6 @@ impl Event {
             instance: v.get("instance").and_then(Value::as_u64),
             round: v.get("round").and_then(Value::as_u64).map(|r| r as u32),
             peer: v.get("peer").and_then(Value::as_u64).map(|p| p as u32),
-            seq: v.get("seq").and_then(Value::as_u64),
-            dur_us: v.get("dur_us").and_then(Value::as_u64),
             kind: EventKind::parse(v.get("kind")?.as_str()?)?,
             detail: v.get("detail").and_then(Value::as_str).map(String::from),
         })
@@ -318,15 +266,13 @@ mod tests {
     }
 
     #[test]
-    fn span_fields_round_trip() {
-        let mut ev = Event::new(EventKind::FrameRx)
+    fn every_tag_round_trips() {
+        let mut ev = Event::new(EventKind::AuthEstablished)
             .node(4)
             .instance(9)
             .round(1)
             .peer(2)
-            .seq(1337)
-            .dur(86)
-            .detail("kind=eig bytes=244");
+            .detail("epoch=3");
         ev.time_us = 123_456;
         let v = serde_json::from_str(&ev.to_json_line()).expect("parses");
         assert_eq!(Event::from_value(&v), Some(ev));

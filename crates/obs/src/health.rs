@@ -458,34 +458,17 @@ impl StallDetector {
     }
 }
 
-/// Tunables for the per-link monitor.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkPolicy {
-    /// EWMA smoothing factor for inter-arrival samples (0 < α ≤ 1).
-    pub alpha: f64,
-    /// A link is a straggler when the silence since its last frame exceeds
-    /// `straggler_factor ×` its EWMA inter-arrival.
-    pub straggler_factor: f64,
-    /// Minimum frames before the straggler rule applies (EWMA warm-up).
-    pub min_samples: u64,
-    /// Decayed dial-failure count at or above which the link counts as
-    /// flapping.
-    pub flap_burst: f64,
-    /// Half-life (µs) of the dial-failure burst counter.
-    pub burst_halflife_us: u64,
-}
-
-impl Default for LinkPolicy {
-    fn default() -> LinkPolicy {
-        LinkPolicy {
-            alpha: 0.2,
-            straggler_factor: 8.0,
-            min_samples: 8,
-            flap_burst: 3.0,
-            burst_halflife_us: 500_000,
-        }
-    }
-}
+/// EWMA smoothing factor for inter-arrival samples (0 < α ≤ 1).
+const EWMA_ALPHA: f64 = 0.2;
+/// A link is a straggler when the silence since its last frame exceeds this
+/// many times its EWMA inter-arrival.
+const STRAGGLER_FACTOR: f64 = 8.0;
+/// Minimum frames before the straggler rule applies (EWMA warm-up).
+const STRAGGLER_MIN_SAMPLES: u64 = 8;
+/// Decayed dial-failure count at or above which a link counts as flapping.
+const FLAP_BURST: f64 = 3.0;
+/// Half-life (µs) of the dial-failure burst counter.
+const BURST_HALFLIFE_US: f64 = 500_000.0;
 
 /// Authentication state of one directed inbound link (see
 /// `rbvc-transport`'s `auth` module for the handshake itself).
@@ -543,7 +526,7 @@ pub struct LinkHealth {
     pub us_since_last_rx: u64,
     /// Cumulative outbound dial failures toward this peer.
     pub dial_failures: u64,
-    /// Decayed dial-failure burst level (see [`LinkPolicy::flap_burst`]).
+    /// Decayed dial-failure burst level (halves every 0.5 s; flapping at 3).
     pub dial_burst: f64,
     /// The link is up but suspiciously silent relative to its own history.
     pub straggler: bool,
@@ -602,6 +585,18 @@ struct LinkState {
     last_auth_reject: Option<String>,
 }
 
+impl LinkState {
+    /// The dial-failure burst level as it has decayed by `now_us`.
+    fn decayed_burst(&self, now_us: u64) -> f64 {
+        if self.burst_at_us > 0 && now_us > self.burst_at_us {
+            let dt = (now_us - self.burst_at_us) as f64 / BURST_HALFLIFE_US;
+            self.burst * 0.5f64.powf(dt)
+        } else {
+            self.burst
+        }
+    }
+}
+
 /// Per-directed-link straggler/flap monitor, embedded in the TCP endpoint:
 /// [`LinkMonitor::on_frame`] from the receive path,
 /// [`LinkMonitor::on_dial_failure`] from the redial path, and
@@ -609,7 +604,6 @@ struct LinkState {
 /// `/status` board) wants the current picture.
 pub struct LinkMonitor {
     local: u32,
-    policy: LinkPolicy,
     links: BTreeMap<u32, LinkState>,
 }
 
@@ -618,12 +612,6 @@ impl LinkMonitor {
     /// every non-self link starts `up` (the mesh connects fully at start).
     #[must_use]
     pub fn new(local: u32, n: usize) -> LinkMonitor {
-        LinkMonitor::with_policy(local, n, LinkPolicy::default())
-    }
-
-    /// Monitor with explicit thresholds.
-    #[must_use]
-    pub fn with_policy(local: u32, n: usize, policy: LinkPolicy) -> LinkMonitor {
         let links = (0..n as u32)
             .filter(|p| *p != local)
             .map(|p| {
@@ -643,7 +631,7 @@ impl LinkMonitor {
                 )
             })
             .collect();
-        LinkMonitor { local, policy, links }
+        LinkMonitor { local, links }
     }
 
     /// A frame from `peer` arrived at `arrived_us`.
@@ -656,7 +644,7 @@ impl LinkMonitor {
             l.ewma_us = if l.ewma_us == 0.0 {
                 sample
             } else {
-                self.policy.alpha * sample + (1.0 - self.policy.alpha) * l.ewma_us
+                EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * l.ewma_us
             };
         }
         l.last_rx_us = arrived_us;
@@ -664,14 +652,9 @@ impl LinkMonitor {
 
     /// An outbound (re)dial toward `peer` failed at `now_us`.
     pub fn on_dial_failure(&mut self, peer: u32, now_us: u64) {
-        let halflife = self.policy.burst_halflife_us;
         let Some(l) = self.links.get_mut(&peer) else { return };
         l.dial_failures += 1;
-        if l.burst_at_us > 0 && now_us > l.burst_at_us && halflife > 0 {
-            let dt = (now_us - l.burst_at_us) as f64 / halflife as f64;
-            l.burst *= 0.5f64.powf(dt);
-        }
-        l.burst += 1.0;
+        l.burst = l.decayed_burst(now_us) + 1.0;
         l.burst_at_us = now_us;
     }
 
@@ -741,22 +724,13 @@ impl LinkMonitor {
                 } else {
                     now_us.saturating_sub(l.last_rx_us)
                 };
-                let burst = if l.burst_at_us > 0
-                    && now_us > l.burst_at_us
-                    && self.policy.burst_halflife_us > 0
-                {
-                    let dt = (now_us - l.burst_at_us) as f64
-                        / self.policy.burst_halflife_us as f64;
-                    l.burst * 0.5f64.powf(dt)
-                } else {
-                    l.burst
-                };
+                let burst = l.decayed_burst(now_us);
                 let straggler = l.up
-                    && l.rx_frames >= self.policy.min_samples
+                    && l.rx_frames >= STRAGGLER_MIN_SAMPLES
                     && ewma > 0
                     && since != u64::MAX
-                    && since as f64 > self.policy.straggler_factor * l.ewma_us;
-                let flapping = burst >= self.policy.flap_burst;
+                    && since as f64 > STRAGGLER_FACTOR * l.ewma_us;
+                let flapping = burst >= FLAP_BURST;
                 let src = peer.to_string();
                 let labels = [("src", src.as_str()), ("dst", dst.as_str())];
                 reg.gauge_with("health.link.up", &labels).set(i64::from(l.up));
@@ -843,8 +817,25 @@ pub struct StatusSnapshot {
     pub links: Vec<LinkHealth>,
     /// Active stall reports.
     pub stalls: Vec<StallReport>,
+    /// Where the node's wall time has gone since it started: cumulative
+    /// nanoseconds per phase of the service's phase clock, by phase name.
+    pub phase_ns: Vec<(&'static str, u64)>,
     /// When this snapshot was rendered (µs, [`crate::clock`] timeline).
     pub updated_us: u64,
+}
+
+/// Shares of a whole as one line, largest first, cells under half a percent
+/// left out: `dispatch 71 % wait 12 % …` (empty when the cells sum to zero).
+#[must_use]
+pub fn render_shares(cells: &[(&'static str, u64)]) -> String {
+    let total: u64 = cells.iter().map(|(_, ns)| ns).sum();
+    let mut cells = cells.to_vec();
+    cells.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    let shares = cells.iter().filter_map(|&(name, ns)| {
+        let percent = (ns as f64 * 100.0 / total as f64).round();
+        (percent >= 1.0).then(|| format!("{name} {percent} %"))
+    });
+    shares.collect::<Vec<_>>().join(" ")
 }
 
 impl StatusSnapshot {
@@ -875,6 +866,7 @@ impl StatusSnapshot {
             ("updated_us".into(), Value::UInt(self.updated_us)),
             ("total_instances".into(), Value::UInt(self.total_instances)),
             ("decided_instances".into(), Value::UInt(self.decided_instances)),
+            ("time".into(), Value::Str(render_shares(&self.phase_ns))),
             ("instances".into(), Value::Array(instances)),
             (
                 "links".into(),
@@ -1258,11 +1250,7 @@ mod tests {
 
     #[test]
     fn link_monitor_tracks_ewma_stragglers_and_flaps() {
-        let mut mon = LinkMonitor::with_policy(
-            0,
-            3,
-            LinkPolicy { min_samples: 3, ..LinkPolicy::default() },
-        );
+        let mut mon = LinkMonitor::new(0, 3);
         // Steady 100µs cadence from peer 1.
         for k in 0..10u64 {
             mon.on_frame(1, 1_000 + k * 100);
@@ -1331,6 +1319,7 @@ mod tests {
                 detected_at_us: 5_000_000,
                 cleared_at_us: None,
             }],
+            phase_ns: vec![("wait", 120), ("dispatch", 710), ("fsync", 1), ("outside", 169)],
             updated_us: 6_000_000,
         };
         board.publish(3, snap.render());
@@ -1340,6 +1329,12 @@ mod tests {
         let nodes = v.get("nodes").expect("nodes key");
         let n3 = nodes.get("3").expect("node 3 present");
         assert_eq!(n3.get("total_instances").and_then(Value::as_u64), Some(4));
+        assert_eq!(
+            n3.get("time").and_then(Value::as_str),
+            Some("dispatch 71 % outside 17 % wait 12 %"),
+            "largest first, the 0.1 % cell left out"
+        );
+        assert_eq!(nodes.get("0").and_then(|n0| n0.get("time")).and_then(Value::as_str), Some(""));
         let stalls = n3.get("stalls").and_then(Value::as_array).expect("stalls");
         assert_eq!(stalls[0].get("phase").and_then(Value::as_str), Some("barrier"));
         assert_eq!(

@@ -15,19 +15,18 @@
 //!   `rbvc_core::runner` report.
 //! * **Kernel timing** ([`Kernel`], [`time_kernel`]) — process-wide
 //!   monotonic spans around the hot geometry kernels (simplex LP, Wolfe
-//!   nearest point, Γ and Ψ oracles), off by default.
+//!   nearest point, Γ and Ψ oracles), off by default; the per-thread total
+//!   of outermost spans ([`thread_kernel_nanos`]) is always on and is the
+//!   `kernel` cell of the service's phase clock (DESIGN.md §11).
 //!
 //! [`report`] parses a JSONL trace back into a per-run summary (rounds,
 //! messages by kind, gate-rejection table, decide-latency percentiles,
 //! kernel breakdown); `exp obs` in `rbvc-bench` is its CLI.
 //!
-//! On top of those, the tracing layer: [`clock`] pins every timestamp to
-//! one process-wide monotonic epoch (wall-anchored once, in the trace
-//! header), [`trace`] assembles merged per-node JSONL into each decided
-//! instance's message DAG and attributes the submit→decide critical path
-//! into named phases ([`Phase`]), and [`serve`] exposes any [`Registry`]
-//! as a live Prometheus-text `/metrics` endpoint ([`MetricsServer`]);
-//! `exp trace` in `rbvc-bench` is the assembler's CLI.
+//! On top of those: [`clock`] pins every timestamp to one process-wide
+//! monotonic epoch (wall-anchored once, in the trace header), and
+//! [`serve`] exposes any [`Registry`] as a live Prometheus-text `/metrics`
+//! endpoint ([`MetricsServer`]).
 //!
 //! [`health`] is the self-diagnosis layer: a per-instance stall detector
 //! with phase + peer blame ([`StallDetector`], [`StallReport`]), a
@@ -46,13 +45,11 @@ pub mod recorder;
 pub mod report;
 pub mod serve;
 pub mod timing;
-pub mod trace;
 
 pub use event::{Event, EventKind};
 pub use health::{
-    arm_panic_hook, progress_token, ClientStatus, FlightRecorder, InstanceProgress,
-    InstanceStatus, LinkAuthState, LinkHealth, LinkMonitor, LinkPolicy, StallConfig, StallDetector,
-    StallEvent,
+    arm_panic_hook, progress_token, render_shares, ClientStatus, FlightRecorder, InstanceProgress,
+    InstanceStatus, LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent,
     StallPhase, StallReport, StatusBoard, StatusSnapshot, WalStatus,
 };
 pub use metrics::{
@@ -63,6 +60,5 @@ pub use report::{detail_field, render_report, TraceSummary};
 pub use serve::{prometheus_text, scrape_once, scrape_path, MetricsServer};
 pub use timing::{
     kernel_snapshot, kernel_timing_enabled, reset_kernel_timers, set_kernel_timing,
-    take_thread_kernel_nanos, time_kernel, Kernel, KernelStat,
+    take_thread_kernel_nanos, thread_kernel_nanos, time_kernel, Kernel, KernelStat,
 };
-pub use trace::{assemble, render_attribution, Attribution, ChainAttribution, LinkClock, Phase};

@@ -42,14 +42,16 @@ impl Recorder for NoopRecorder {
     fn record(&self, _event: Event) {}
 }
 
-/// Cloneable emission handle: a shared recorder plus an optional default
-/// node tag applied to events that did not set one. Timestamps come from
+/// Cloneable emission handle: a shared recorder plus optional default node
+/// and instance tags applied to events that did not set their own.
+/// Timestamps come from
 /// the process-wide monotonic clock ([`crate::clock`]), so every handle —
 /// and every thread — stamps onto one coherent timeline.
 #[derive(Clone)]
 pub struct Obs {
     recorder: Arc<dyn Recorder>,
     node: Option<u32>,
+    instance: Option<u64>,
 }
 
 impl Obs {
@@ -59,6 +61,7 @@ impl Obs {
         Obs {
             recorder,
             node: None,
+            instance: None,
         }
     }
 
@@ -73,8 +76,18 @@ impl Obs {
     #[must_use]
     pub fn with_node(&self, node: u32) -> Obs {
         Obs {
-            recorder: Arc::clone(&self.recorder),
             node: Some(node),
+            ..self.clone()
+        }
+    }
+
+    /// A clone of this handle that stamps consensus instance `instance` on
+    /// every event emitted through it that has no instance tag of its own.
+    #[must_use]
+    pub fn with_instance(&self, instance: u64) -> Obs {
+        Obs {
+            instance: Some(instance),
+            ..self.clone()
         }
     }
 
@@ -101,6 +114,9 @@ impl Obs {
         event.time_us = self.now_us();
         if event.node.is_none() {
             event.node = self.node;
+        }
+        if event.instance.is_none() {
+            event.instance = self.instance;
         }
         self.recorder.record(event);
     }
@@ -129,6 +145,7 @@ impl std::fmt::Debug for Obs {
         f.debug_struct("Obs")
             .field("enabled", &self.enabled())
             .field("node", &self.node)
+            .field("instance", &self.instance)
             .finish()
     }
 }
@@ -310,14 +327,20 @@ mod tests {
     }
 
     #[test]
-    fn with_node_tags_untagged_events_only() {
+    fn baked_tags_apply_to_untagged_events_only() {
         let ring = Arc::new(RingRecorder::new(8));
         let obs = Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>).with_node(7);
         obs.emit(|| Event::new(EventKind::Decide));
         obs.emit(|| Event::new(EventKind::Decide).node(2));
+        let tagged = obs.with_instance(40);
+        tagged.emit(|| Event::new(EventKind::Decide));
+        tagged.emit(|| Event::new(EventKind::Decide).instance(41));
         let events = ring.snapshot();
-        assert_eq!(events[0].node, Some(7));
-        assert_eq!(events[1].node, Some(2));
+        let tags: Vec<_> = events.iter().map(|e| (e.node, e.instance)).collect();
+        assert_eq!(
+            tags,
+            [(Some(7), None), (Some(2), None), (Some(7), Some(40)), (Some(7), Some(41))]
+        );
     }
 
     #[test]

@@ -311,7 +311,7 @@ mod tests {
     fn renders_counters_gauges_and_cumulative_histograms() {
         let reg = Registry::new();
         reg.counter("tcp.dial.retries").add(3);
-        reg.gauge_with("tcp.link.hello_skew_us", &[("src", "1"), ("dst", "0")]).set(-42);
+        reg.gauge_with("link.drift_us", &[("src", "1"), ("dst", "0")]).set(-42);
         let h = reg.histogram("service.decide.latency_us");
         h.record(1); // bucket 1 (le 1)
         h.record(3); // bucket 2 (le 3)
@@ -320,7 +320,7 @@ mod tests {
         let page = prometheus_text(&reg);
         assert!(page.contains("# TYPE tcp_dial_retries counter"));
         assert!(page.contains("tcp_dial_retries 3"));
-        assert!(page.contains("tcp_link_hello_skew_us{src=\"1\",dst=\"0\"} -42"));
+        assert!(page.contains("link_drift_us{src=\"1\",dst=\"0\"} -42"));
         assert!(page.contains("# TYPE service_decide_latency_us histogram"));
         assert!(page.contains("service_decide_latency_us_bucket{le=\"1\"} 1"));
         assert!(page.contains("service_decide_latency_us_bucket{le=\"3\"} 3"), "cumulative");

@@ -5,7 +5,8 @@
 //! threading a registry through them would pollute every signature.
 //! Instead, this module keeps one process-wide set of atomic
 //! (calls, nanoseconds) cells, gated by a single `AtomicBool` that
-//! defaults to off: an untimed call costs one relaxed load.
+//! defaults to off: an untimed *nested* call costs one relaxed load and one
+//! thread-local read.
 //!
 //! Recorded spans are *inclusive* — a Ψ oracle that calls the LP solver
 //! internally is charged for the LP time too, and the LP cell is charged
@@ -13,10 +14,12 @@
 //! they answer "how much wall time has this kernel on its stack".
 //!
 //! Alongside the process-wide cells there is one *thread-local* wall-time
-//! accumulator for tracing: it charges only outermost kernel spans (no
-//! nesting double-count), so draining it between service polls yields
-//! exactly "how long this thread was inside kernel code since the last
-//! drain" — the per-poll `kernel_us` attribution the trace assembler uses.
+//! accumulator that is always on: it charges only outermost kernel spans
+//! (no nesting double-count, and two clock reads per `delta_star` /
+//! `gamma_point` call rather than per Wolfe iteration), so the difference
+//! of two [`thread_kernel_nanos`] reads is exactly "how long this thread
+//! was inside kernel code in between" — the `kernel` cell of the service's
+//! phase clock.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -113,45 +116,57 @@ pub fn reset_kernel_timers() {
 }
 
 thread_local! {
-    /// Outermost-span nanoseconds on this thread since the last drain.
+    /// Outermost-span nanoseconds on this thread since it started.
     static TL_NANOS: Cell<u64> = const { Cell::new(0) };
+    /// [`TL_NANOS`] as the last [`take_thread_kernel_nanos`] left it.
+    static TL_TAKEN: Cell<u64> = const { Cell::new(0) };
     /// Current kernel-span nesting depth on this thread.
     static TL_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Run `f`, charging its wall time to `kernel` when timing is on.
+/// Run `f`, charging its wall time to `kernel`'s process-wide cell when
+/// timing is on and — for an outermost span, timing on or off — to this
+/// thread's wall accumulator.
 pub fn time_kernel<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
-    if !ENABLED.load(Ordering::Relaxed) {
+    let enabled = ENABLED.load(Ordering::Relaxed);
+    let depth = TL_DEPTH.get();
+    if !enabled && depth > 0 {
         return f();
     }
-    let depth = TL_DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth
-    });
+    TL_DEPTH.set(depth + 1);
     let start = Instant::now();
     let result = f();
     let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let i = kernel.index();
-    CALLS[i].fetch_add(1, Ordering::Relaxed);
-    NANOS[i].fetch_add(nanos, Ordering::Relaxed);
-    TL_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+    TL_DEPTH.set(depth);
+    if enabled {
+        let i = kernel.index();
+        CALLS[i].fetch_add(1, Ordering::Relaxed);
+        NANOS[i].fetch_add(nanos, Ordering::Relaxed);
+    }
     if depth == 0 {
         // Only outermost spans feed the thread-local wall accumulator:
         // nested oracle→LP time is already inside the outer span.
-        TL_NANOS.with(|n| n.set(n.get().saturating_add(nanos)));
+        TL_NANOS.set(TL_NANOS.get().saturating_add(nanos));
     }
     result
 }
 
-/// Drain this thread's kernel wall-time accumulator: nanoseconds spent in
-/// outermost kernel spans on the calling thread since the previous drain
-/// (or thread start). Unlike the process-wide cells this never mixes
-/// threads, so a single-threaded service poll loop can attribute kernel
-/// time poll by poll even when many node threads share the process.
+/// Nanoseconds the calling thread has spent in outermost kernel spans since
+/// it started. Monotone and never reset, so any two reads bracket a region:
+/// unlike the process-wide cells this never mixes threads, which is what
+/// lets a single-threaded service poll loop carve kernel time out of its
+/// own dispatch span even when many node threads share the process.
+#[must_use]
+pub fn thread_kernel_nanos() -> u64 {
+    TL_NANOS.get()
+}
+
+/// [`thread_kernel_nanos`] since the previous call of this function on the
+/// calling thread (or thread start).
 #[must_use]
 pub fn take_thread_kernel_nanos() -> u64 {
-    TL_NANOS.with(|n| n.replace(0))
+    let total = TL_NANOS.get();
+    total - TL_TAKEN.replace(total)
 }
 
 /// One kernel's accumulated cells.
@@ -234,6 +249,25 @@ mod tests {
         assert_eq!(r, 7);
         assert_eq!(kernel_snapshot()[0].calls, 0, "off by default");
 
+        // Off, the thread accumulator still runs — fed once per nest, by
+        // the outermost span — and nothing reaches the process-wide cells.
+        // On its own thread, so the accumulator starts at zero.
+        std::thread::spawn(|| {
+            time_kernel(Kernel::GammaOracle, || {
+                std::thread::sleep(std::time::Duration::from_micros(300));
+                let inside = thread_kernel_nanos();
+                time_kernel(Kernel::LpSolve, || {
+                    std::thread::sleep(std::time::Duration::from_micros(300));
+                });
+                assert_eq!(thread_kernel_nanos(), inside, "a nested span adds nothing of its own");
+            });
+            let once = thread_kernel_nanos();
+            assert!((600_000..60_000_000).contains(&once), "one span over both sleeps: {once}");
+        })
+        .join()
+        .expect("no panic");
+        assert!(kernel_snapshot().iter().all(|s| s.calls == 0 && s.nanos == 0), "timing is off");
+
         set_kernel_timing(true);
         time_kernel(Kernel::LpSolve, || std::thread::sleep(std::time::Duration::from_micros(50)));
         time_kernel(Kernel::PsiOracle, || ());
@@ -251,26 +285,25 @@ mod tests {
         let v = serde_json::from_str(&line).expect("parses");
         assert_eq!(KernelStat::from_value(&v), Some(*lp));
 
-        // Thread-local drain: outermost spans only, per thread, reset on
-        // take. Runs on its own thread so this test's earlier spans don't
-        // pollute the accumulator.
+        // Thread-local accumulator: outermost spans only, per thread, fed
+        // once per nest. Runs on its own thread so this test's earlier
+        // spans don't pollute the accumulator.
         set_kernel_timing(true);
         std::thread::spawn(|| {
-            let _ = take_thread_kernel_nanos();
+            assert_eq!(thread_kernel_nanos(), 0, "a fresh thread starts at zero");
             time_kernel(Kernel::PsiOracle, || {
                 time_kernel(Kernel::LpSolve, || {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 })
             });
-            let drained = take_thread_kernel_nanos();
-            assert!(drained >= 200_000, "outer span covers the sleep: {drained}");
+            let total = thread_kernel_nanos();
+            assert!(total >= 200_000, "outer span covers the sleep: {total}");
             // Generous upper bound: a double-counted nest would at least
             // double the sleep; scheduling jitter stays well below 100x.
-            assert!(
-                drained < 2 * 200_000 * 100,
-                "nested span must not double-count: {drained}"
-            );
-            assert_eq!(take_thread_kernel_nanos(), 0, "drain resets");
+            assert!(total < 2 * 200_000 * 100, "nested span must not double-count: {total}");
+            assert_eq!(take_thread_kernel_nanos(), total, "the first take sees everything");
+            assert_eq!(take_thread_kernel_nanos(), 0, "a take marks what it returned");
+            assert_eq!(thread_kernel_nanos(), total, "and leaves the running total alone");
         })
         .join()
         .expect("no panic");

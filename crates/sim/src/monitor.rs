@@ -77,7 +77,6 @@ pub struct SafetyMonitor<O> {
     alerts: Vec<SafetyAlert>,
     events: u64,
     obs: Obs,
-    obs_instance: Option<InstanceId>,
     /// Renders the offending decision into violation events; set by
     /// [`SafetyMonitor::with_obs`] (which is where the `Debug` bound
     /// lives, so monitors over non-`Debug` decisions still compile).
@@ -101,7 +100,6 @@ impl<O: Clone + PartialEq> SafetyMonitor<O> {
             alerts: Vec::new(),
             events: 0,
             obs: Obs::noop(),
-            obs_instance: None,
             format_value: None,
         }
     }
@@ -127,30 +125,20 @@ impl<O: Clone + PartialEq> SafetyMonitor<O> {
                     .format_value
                     .as_ref()
                     .map_or_else(|| "?".to_string(), |f| f(decision));
-                let mut ev = Event::new(EventKind::Violation)
+                Event::new(EventKind::Violation)
                     .node(u32::try_from(node).unwrap_or(u32::MAX))
                     .detail(format!(
                         "kind={kind} nodes={nodes} value={value} :: {}",
                         alert.detail
-                    ));
-                if let Some(inst) = self.obs_instance {
-                    ev = ev.instance(inst);
-                }
-                ev
+                    ))
             });
         }
     }
 
     /// Attach pre-built observability plumbing (see
     /// [`SafetyMonitor::with_obs`] for the public entry point).
-    fn attach_obs(
-        &mut self,
-        obs: Obs,
-        instance: Option<InstanceId>,
-        format_value: ValueFormatter<O>,
-    ) {
+    fn attach_obs(&mut self, obs: Obs, format_value: ValueFormatter<O>) {
         self.obs = obs;
-        self.obs_instance = instance;
         self.format_value = Some(format_value);
     }
 
@@ -254,12 +242,12 @@ impl<O: Clone + PartialEq> SafetyMonitor<O> {
 impl<O: Clone + PartialEq + std::fmt::Debug> SafetyMonitor<O> {
     /// Emit every future alert as a structured [`EventKind::Violation`]
     /// event through `obs`, carrying the offending node(s), the decided
-    /// value (`Debug`-rendered), and the predicate detail. `instance`
-    /// tags the events when this monitor watches one instance of a
-    /// multi-instance service.
+    /// value (`Debug`-rendered), and the predicate detail. A monitor that
+    /// watches one instance of a multi-instance service takes a handle
+    /// with that instance baked in ([`Obs::with_instance`]).
     #[must_use]
-    pub fn with_obs(mut self, obs: Obs, instance: Option<InstanceId>) -> Self {
-        self.attach_obs(obs, instance, Arc::new(|v: &O| format!("{v:?}")));
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.attach_obs(obs, Arc::new(|v: &O| format!("{v:?}")));
         self
     }
 }
@@ -306,7 +294,7 @@ impl<O: Clone + PartialEq> ServiceMonitor<O> {
         let monitor = self.monitors.entry(instance).or_insert_with(|| {
             let mut m = (self.factory)(instance);
             if let Some((obs, fmt)) = &self.obs {
-                m.attach_obs(obs.clone(), Some(instance), Arc::clone(fmt));
+                m.attach_obs(obs.with_instance(instance), Arc::clone(fmt));
             }
             m
         });
@@ -450,7 +438,7 @@ mod tests {
         let mut m = SafetyMonitor::agreement_only(4, |a: &i64, b: &i64| {
             (a != b).then(|| format!("{a} != {b}"))
         })
-        .with_obs(obs, Some(42));
+        .with_obs(obs.with_instance(42));
         assert!(m.observe(0, &1).is_empty(), "first decision cannot conflict");
         assert!(ring.is_empty(), "clean decisions emit nothing");
         let alerts = m.observe(3, &2);

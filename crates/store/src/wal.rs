@@ -306,15 +306,20 @@ impl Wal {
         if self.buf.len() >= SPILL_THRESHOLD {
             // Best effort: a failed spill keeps the batch buffered and the
             // next sync reports the failure.
-            let _ = self.write_buffered();
+            let _ = self.write_batch();
         }
         Ok(())
     }
 
-    /// Hand the buffered batch to the file with one `write_all` (no fsync).
-    /// On failure the file is rolled back to the last fully written length
-    /// and the batch stays buffered for the next attempt.
-    fn write_buffered(&mut self) -> Result<(), StoreError> {
+    /// Hand the buffered batch to the file with one `write_all` (no fsync) —
+    /// the first half of [`Wal::sync`], callable on its own so a caller can
+    /// tell its own work (the write) from the device's (the fsync). On
+    /// failure the file is rolled back to the last fully written length and
+    /// the batch stays buffered for the next attempt.
+    ///
+    /// # Errors
+    /// The write failure.
+    pub fn write_batch(&mut self) -> Result<(), StoreError> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -354,7 +359,7 @@ impl Wal {
         if self.synced_len == self.len {
             return Ok(());
         }
-        self.write_buffered()?;
+        self.write_batch()?;
         // `wal.fsync_us` is the device's time and nothing else: the write
         // above is this program's work and is timed on its own.
         let t0 = Instant::now();
@@ -473,7 +478,7 @@ impl Drop for Wal {
     /// (written, not synced). Errors have nowhere to go; call [`Wal::sync`]
     /// first to see them.
     fn drop(&mut self) {
-        let _ = self.write_buffered();
+        let _ = self.write_batch();
     }
 }
 

@@ -61,7 +61,7 @@ pub use client::{
 pub use lockstep::{Lockstep, RoundBatch};
 pub use service::{
     client_instance_owner, ClientAdmission, ClientConfig, ClientStats, ConsensusService,
-    DecisionEvent, InstanceProto, CLIENT_INSTANCE_BASE,
+    DecisionEvent, InstanceProto, Phase, PhaseNanos, CLIENT_INSTANCE_BASE,
 };
 pub use tcp::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated, TcpEndpoint};
 pub use transport::{in_proc_mesh, in_proc_mesh_with_faults, AuthEvent, InProcEndpoint, Transport};

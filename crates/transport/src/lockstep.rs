@@ -70,10 +70,8 @@ pub struct Lockstep<P: SyncProtocol> {
     inbox: BTreeMap<usize, Arrived<P::Msg>>,
     done: bool,
     errors: ErrorLog,
-    /// Structured-event sink (no-op by default).
+    /// Structured-event sink (no-op by default), instance tag baked in.
     obs: Obs,
-    /// Instance tag stamped on every emitted event.
-    obs_instance: Option<u64>,
 }
 
 impl<P: SyncProtocol> Lockstep<P> {
@@ -93,31 +91,23 @@ impl<P: SyncProtocol> Lockstep<P> {
             done: false,
             errors: ErrorLog::new(),
             obs: Obs::noop(),
-            obs_instance: None,
         }
     }
 
-    /// Attach a structured-event sink; `instance` (if given) tags every
-    /// event. The synchronizer emits [`EventKind::RoundStart`] when it
+    /// Attach a structured-event sink (with whatever tags are baked into
+    /// it). The synchronizer emits [`EventKind::RoundStart`] when it
     /// starts emitting a round, [`EventKind::RoundEnd`] when a round's
     /// inbox is delivered (detail says whether the barrier was complete or
     /// timed out partial), and [`EventKind::GateReject`] for every
     /// receive-boundary rejection. Tracing never changes behaviour.
-    pub fn set_obs(&mut self, obs: Obs, instance: Option<u64>) {
+    pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-        self.obs_instance = instance;
     }
 
-    /// Emit one event, stamping the round and instance tags.
+    /// Emit one event, stamping the round tag.
     fn emit_event(&self, kind: EventKind, round: usize, detail: impl FnOnce() -> String) {
         self.obs.emit(|| {
-            let mut ev = Event::new(kind)
-                .round(u32::try_from(round).unwrap_or(u32::MAX))
-                .detail(detail());
-            if let Some(i) = self.obs_instance {
-                ev = ev.instance(i);
-            }
-            ev
+            Event::new(kind).round(u32::try_from(round).unwrap_or(u32::MAX)).detail(detail())
         });
     }
 

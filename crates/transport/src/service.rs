@@ -10,11 +10,12 @@
 //! dispatch produced as one batch per peer.
 //!
 //! This file is the core — the instance map, the four receive gates,
-//! `route` / `ingest` / `dispatch`, `poll` and `recover` — and it owns three
+//! `route` / `ingest` / `dispatch`, `poll` and `recover` — and it owns four
 //! private parts, each a plain struct it calls into: `durability` (the WAL,
 //! the outbound history, the group commit), `client_table` (sessions,
-//! admission, the client instance-id layout, the recovery-spec codec) and
-//! `health` (stall detector, flight recorder, `/status` publisher). The
+//! admission, the client instance-id layout, the recovery-spec codec),
+//! `health` (stall detector, flight recorder, `/status` publisher) and
+//! `phase` (the always-on clock of where the node's wall time goes). The
 //! parts never see the service; they report through its event sink and
 //! error log.
 //!
@@ -76,12 +77,24 @@
 //! service's event stream into an always-on [`rbvc_obs::FlightRecorder`]
 //! that dumps its ring on a safety violation, an escalated stall, or a
 //! panic.
+//!
+//! ## Where the time goes
+//!
+//! The `phase` part is a clock the service advances at the boundaries
+//! `poll` already has — one cell of cumulative nanoseconds per [`Phase`],
+//! partitioning the node's wall time exactly. Every [`DecisionEvent`]
+//! carries the difference between the cells at its launch and at its
+//! surfacing ([`DecisionEvent::phases`], summing to its latency), and the
+//! same differences feed `service.decide.phase_us{phase}`,
+//! `service.poll.phase_us{phase}` and `service.frame.queue_us` on
+//! `/metrics` and the `time` row of `/status` (DESIGN.md §11).
 
 mod client_table;
 mod durability;
 mod health;
+mod phase;
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,9 +115,11 @@ pub use self::client_table::{
     client_instance_owner, ClientAdmission, ClientConfig, ClientStats, CLIENT_INSTANCE_BASE,
 };
 pub use self::health::HealthConfig;
+pub use self::phase::{Phase, PhaseNanos};
 use self::client_table::ClientTable;
 use self::durability::Durability;
 use self::health::Health;
+use self::phase::PhaseClock;
 use crate::lockstep::{Lockstep, RoundBatch};
 use crate::transport::{AuthEvent, Transport};
 use crate::wire::{decode_frame_hinted, encode_frame, ClientLaunch, Frame, Payload};
@@ -138,10 +153,10 @@ struct Progress {
 /// runs: the state-machine calls with their wire encoding on the way out
 /// and the payload-kind check on the way in.
 impl InstanceProto {
-    fn set_obs(&mut self, obs: Obs, id: InstanceId) {
+    fn set_obs(&mut self, obs: Obs) {
         match self {
-            InstanceProto::Bvc(p) => p.set_obs(obs, Some(id)),
-            InstanceProto::Va(p) => p.set_obs(obs, Some(id)),
+            InstanceProto::Bvc(p) => p.set_obs(obs),
+            InstanceProto::Va(p) => p.set_obs(obs),
         }
     }
 
@@ -284,6 +299,9 @@ pub struct DecisionEvent {
     /// (or [`ConsensusService::start`]) to the poll that surfaced the
     /// decision, on the local monotonic clock.
     pub latency: Duration,
+    /// Where that time went on this node: the phase clock's cells at the
+    /// surfacing minus the cells at the launch. Sums to `latency`.
+    pub phases: PhaseNanos,
 }
 
 struct Slot {
@@ -296,10 +314,12 @@ struct Slot {
     /// already surfaced before the crash.
     pinned: Option<VecD>,
     /// When this instance's `on_start` sends went out, on the monotonic
-    /// clock — the submit side of the latency metric. `None` until then:
+    /// clock, and the phase clock's cells at that instant — the submit side
+    /// of the latency metric and of its split. `None` until then:
     /// un-launched instances still receive and buffer frames (so a peer may
-    /// start first) but are not ticked and cannot surface a decision.
-    launched: Option<Instant>,
+    /// start first) but are not ticked and cannot surface a decision. Boxed:
+    /// the map is built and walked far more often than a launch is read.
+    launched: Option<Box<(Instant, PhaseNanos)>>,
 }
 
 /// Names of the four receive gates, indexed as [`ConsensusService::gate_rejections`].
@@ -339,21 +359,13 @@ pub struct ConsensusService<T: Transport> {
     /// the logged ones, undecodable WAL records, or records referencing
     /// unknown instances. Zero on a faithful recovery.
     replay_divergence: u64,
-    /// Per-destination outbound frame counters: every frame [`Self::route`]
-    /// queues for `dst` gets the next sequence number on that directed link.
-    /// Links are FIFO, so the receiver's matching per-source counter assigns
-    /// the same number to the same frame — the pairing key that lets the
-    /// trace assembler join a `FrameTx` span to its `FrameRx` across nodes
-    /// without widening the wire format. (History replay after a reconnect
-    /// bypasses `route` and so keeps the counters aligned on both sides.)
-    tx_seq: Vec<u64>,
-    /// Per-source inbound frame counters; see `tx_seq`.
-    rx_seq: Vec<u64>,
     /// Client front-end: session table, admission bounds, reply cache.
     client: ClientTable,
     /// Stall detector, status publisher, flight recorder; `None` until
     /// [`ConsensusService::enable_health`].
     health: Option<Health>,
+    /// Where this node's wall time goes, advanced at `poll`'s boundaries.
+    clock: PhaseClock,
 }
 
 /// Cap on per-instance rows in a `/status` snapshot; undecided
@@ -377,10 +389,9 @@ impl<T: Transport> ConsensusService<T> {
             durability: Durability::new(n),
             recovered: Vec::new(),
             replay_divergence: 0,
-            tx_seq: vec![0; n],
-            rx_seq: vec![0; n],
             client: ClientTable::new(local, n),
             health: None,
+            clock: PhaseClock::new(),
         }
     }
 
@@ -405,7 +416,7 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// Drain the transport's handshake outcomes into the observability
-    /// stream, where the flight recorder and trace assembler see them.
+    /// stream, where the flight recorder sees them.
     fn drain_auth_events(&mut self) {
         for ev in self.transport.take_auth_events() {
             match ev {
@@ -441,7 +452,7 @@ impl<T: Transport> ConsensusService<T> {
         let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
         self.sinks.obs = obs.with_node(node);
         for (id, slot) in &mut self.instances {
-            slot.proto.set_obs(self.sinks.obs.clone(), *id);
+            slot.proto.set_obs(self.sinks.obs.with_instance(*id));
         }
     }
 
@@ -506,10 +517,14 @@ impl<T: Transport> ConsensusService<T> {
         Ok(())
     }
 
+    /// Stand `proto` up under `id` — unless `id` is resident: a slot is
+    /// never replaced, whoever asks.
     fn insert_slot(&mut self, id: InstanceId, mut proto: InstanceProto) {
-        proto.set_obs(self.sinks.obs.clone(), id);
-        self.instances.insert(id, Slot { proto, decided: false, pinned: None, launched: None });
-        self.undecided += 1;
+        if let Entry::Vacant(entry) = self.instances.entry(id) {
+            proto.set_obs(self.sinks.obs.with_instance(id));
+            entry.insert(Slot { proto, decided: false, pinned: None, launched: None });
+            self.undecided += 1;
+        }
     }
 
     /// Register one instance durably: `spec` is an opaque blob the caller's
@@ -601,8 +616,10 @@ impl<T: Transport> ConsensusService<T> {
     /// # Errors
     /// Propagates transport-level flush failures.
     pub fn flush(&mut self) -> Result<(), ProtocolError> {
-        self.durability.commit(&mut self.sinks);
-        self.transport.flush()
+        self.durability.commit(&mut self.sinks, &mut self.clock);
+        let flushed = self.transport.flush();
+        self.clock.enter(Phase::Outside);
+        flushed
     }
 
     /// Mark `id` launched, stamp its submission time and produce its
@@ -612,11 +629,7 @@ impl<T: Transport> ConsensusService<T> {
     fn start_instance(&mut self, id: InstanceId) -> Option<Outbound> {
         let local = self.transport.local_id();
         let slot = self.instances.get_mut(&id)?;
-        slot.launched = Some(Instant::now());
-        // The trace-side submit marker: same instant (to within the emit
-        // call) as the launch stamp, so the assembler's critical-path total
-        // is directly comparable to the measured decide latency.
-        self.sinks.obs.emit(|| Event::new(EventKind::Submit).instance(id));
+        slot.launched = Some(Box::new(self.clock.now()));
         Some(slot.proto.on_start(id, local))
     }
 
@@ -634,29 +647,10 @@ impl<T: Transport> ConsensusService<T> {
     /// Queue encoded frames on the transport, logging each as a `Sent`
     /// record first when durable (the group commit lands before the
     /// flush that puts them on the wire); failures are recorded and the
-    /// remaining frames still go out. Every frame takes the next sequence
-    /// number on its directed link and, when tracing, emits a `FrameTx`
-    /// span carrying the frame identity `(instance, round, dst, seq)`.
+    /// remaining frames still go out.
     fn route(&mut self, frames: Outbound) -> Result<(), ProtocolError> {
         let mut first_err = None;
         for (dst, bytes) in frames {
-            if let Some(seq_slot) = self.tx_seq.get_mut(dst) {
-                let seq = *seq_slot;
-                *seq_slot += 1;
-                if self.sinks.obs.enabled() {
-                    if let Some((instance, _, round, kind)) = crate::wire::peek_header(&bytes) {
-                        let len = bytes.len();
-                        self.sinks.obs.emit(|| {
-                            Event::new(EventKind::FrameTx)
-                                .instance(instance)
-                                .round(round)
-                                .peer(u32::try_from(dst).unwrap_or(u32::MAX))
-                                .seq(seq)
-                                .detail(format!("kind={kind} bytes={len}"))
-                        });
-                    }
-                }
-            }
             self.durability.sent(dst, &bytes, &mut self.sinks);
             if let Err(e) = self.transport.send(dst, bytes) {
                 first_err.get_or_insert(e);
@@ -732,48 +726,31 @@ impl<T: Transport> ConsensusService<T> {
     /// One service step: receive (waiting up to `timeout` for the first
     /// frame), decode, authenticate, demultiplex, dispatch, tick, and flush
     /// everything produced as one batch per peer. Returns the decisions
-    /// newly reached during this poll.
+    /// newly reached during this poll. Each `clock.enter` below is a phase
+    /// boundary; there is none per frame.
     pub fn poll(&mut self, timeout: Duration) -> Vec<DecisionEvent> {
+        self.clock.enter(Phase::Wait);
         // A peer whose outbound link was re-established (it restarted, or
         // the link died and was redialed) gets the full outbound history
         // replayed: whatever fell into the gap is covered, receivers dedup.
         for peer in self.transport.take_reconnects() {
+            self.clock.enter(Phase::Route);
             for bytes in self.durability.history(peer) {
                 let _ = self.transport.send(peer, bytes.clone());
             }
+            self.clock.enter(Phase::Wait);
         }
         let inbound = self.transport.recv_timeout_stamped(timeout);
+        self.clock.enter(Phase::Dispatch);
         self.drain_auth_events();
-        // The poll's busy span starts once the receive wait is over —
-        // blocking on an empty socket is idle time, not poll work.
-        let t_active = Instant::now();
         let n_rx = inbound.len();
+        // The one per-frame quantity worth a series, taken once per poll:
+        // how long the batch's oldest frame sat behind a busy poll loop.
+        if let Some(oldest_us) = inbound.iter().map(|&(_, arrived_us, _)| arrived_us).min() {
+            phase::record_queue(rbvc_obs::clock::now_us().saturating_sub(oldest_us));
+        }
         let mut outbound: Outbound = Vec::new();
-        for (link_peer, arrived_us, bytes) in inbound {
-            // Count the frame on its directed link *before* any gate can
-            // reject it, mirroring the sender's unconditional `tx_seq`
-            // bump — rejections must not desynchronize the pairing.
-            let seq = match self.rx_seq.get_mut(link_peer) {
-                Some(s) => {
-                    let seq = *s;
-                    *s += 1;
-                    seq
-                }
-                None => u64::MAX,
-            };
-            if self.sinks.obs.enabled() {
-                if let Some((instance, _, round, _)) = crate::wire::peek_header(&bytes) {
-                    let waited = rbvc_obs::clock::now_us().saturating_sub(arrived_us);
-                    self.sinks.obs.emit(|| {
-                        Event::new(EventKind::FrameRx)
-                            .instance(instance)
-                            .round(round)
-                            .peer(u32::try_from(link_peer).unwrap_or(u32::MAX))
-                            .seq(seq)
-                            .dur(waited)
-                    });
-                }
-            }
+        for (link_peer, _, bytes) in inbound {
             outbound.extend(self.ingest(link_peer, &bytes));
         }
         // Drive timers (lockstep round timeouts) once per poll.
@@ -783,6 +760,7 @@ impl<T: Transport> ConsensusService<T> {
                 outbound.extend(slot.proto.on_tick(*id, local));
             }
         }
+        self.clock.enter(Phase::Route);
         let n_tx = outbound.len();
         let routed = self.route(outbound);
         // Witness-commit progress (a counter per instance), where it is logged.
@@ -797,11 +775,12 @@ impl<T: Transport> ConsensusService<T> {
         // Group-commit before the wire flush: nothing reaches a peer, a
         // client or the caller unless the records that produced it are
         // durable.
-        let fsync_us = self.durability.commit(&mut self.sinks);
+        let commit_us = self.durability.commit(&mut self.sinks, &mut self.clock);
         if routed.is_err() || self.transport.flush().is_err() {
             // Already recorded by the transport; the poll loop continues on
             // the surviving links.
         }
+        self.clock.enter(Phase::Rest);
         let decisions = self.surface_decisions(decided);
         // Backfill freed in-flight slots from the admission queue, after
         // the flush: the launches this queues ride the next poll's batch.
@@ -810,22 +789,9 @@ impl<T: Transport> ConsensusService<T> {
         }
         // Health turn — unconditional: stalls are exactly the polls where
         // nothing else happens.
-        self.health_tick(fsync_us);
-        // Close the poll span. `kernel_us` is whatever the hot geometry
-        // kernels accumulated on *this* thread since the last drain (the
-        // dispatches and ticks above); `fsync_us` is this poll's group
-        // commit, the batched write included. Idle polls (no traffic, no
-        // decisions) stay silent so a trace is dominated by signal, not by
-        // the poll loop spinning.
-        if self.sinks.obs.enabled() && (n_rx > 0 || n_tx > 0 || !decisions.is_empty()) {
-            let kernel_us = rbvc_obs::take_thread_kernel_nanos() / 1_000;
-            let dur = u64::try_from(t_active.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.sinks.obs.emit(|| {
-                Event::new(EventKind::PollEnd).dur(dur).detail(format!(
-                    "rx={n_rx} tx={n_tx} fsync_us={fsync_us} kernel_us={kernel_us}"
-                ))
-            });
-        }
+        self.health_tick(commit_us, &decisions);
+        self.clock.enter(Phase::Outside);
+        self.clock.end_poll(n_rx > 0 || n_tx > 0 || !decisions.is_empty());
         decisions
     }
 
@@ -873,27 +839,31 @@ impl<T: Transport> ConsensusService<T> {
     /// Turn this poll's decisions into events, once the sync that covers
     /// their records and the transport flush are behind them: a surfaced
     /// decision must survive any crash, or a restart could surface a
-    /// different one. The latency clock stops here.
+    /// different one. The latency clock stops here — one reading of the
+    /// phase clock for the whole poll, so each decision's split sums to its
+    /// latency exactly.
     fn surface_decisions(&mut self, decided: Vec<(InstanceId, VecD)>) -> Vec<DecisionEvent> {
+        if decided.is_empty() {
+            return Vec::new();
+        }
         let local = self.transport.local_id();
+        let (now, cells) = self.clock.now();
         let mut events = Vec::with_capacity(decided.len());
         for (instance, value) in decided {
-            let latency = self
+            let (latency, phases) = self
                 .instances
                 .get(&instance)
-                .and_then(|slot| slot.launched)
-                .map(|t| t.elapsed())
+                .and_then(|slot| slot.launched.as_deref())
+                .map(|(at, cells_then)| (now - *at, cells.since(cells_then)))
                 .unwrap_or_default();
             let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-            Registry::global()
-                .histogram("service.decide.latency_us")
-                .record(latency_us);
+            phase::record_decision(latency_us, &phases);
             self.sinks.obs.emit(|| {
                 Event::new(EventKind::Decide)
                     .instance(instance)
                     .detail(format!("latency_us={latency_us}"))
             });
-            events.push(DecisionEvent { instance, process: local, value, latency });
+            events.push(DecisionEvent { instance, process: local, value, latency, phases });
         }
         events
     }
@@ -986,16 +956,17 @@ impl<T: Transport> ConsensusService<T> {
         self.health.as_ref().map_or(0, |h| h.detector().raised_total())
     }
 
-    /// One health turn, run at the end of every poll: hand the health part
-    /// per-instance progress as the stall detector sees it, the transport's
-    /// link health and the poll's fsync time, and build this node's
-    /// `/status` snapshot when it says one is due.
-    fn health_tick(&mut self, fsync_us: u64) {
-        let Some(health) = self.health.as_mut() else { return };
-        let now_us = rbvc_obs::clock::now_us();
-        let progress: Vec<InstanceProgress> = self
-            .instances
+    /// Per-instance progress as the stall detector needs it: a row for
+    /// every instance still open, and one for each that decided in this
+    /// poll — all the detector needs to clear a stall and stop tracking. An
+    /// instance decided earlier costs nothing, so arming health does not
+    /// grow with instances served.
+    fn progress_rows(&self, decided_now: &[DecisionEvent]) -> Vec<InstanceProgress> {
+        self.instances
             .iter()
+            .filter(|(id, slot)| {
+                !slot.decided || decided_now.iter().any(|ev| ev.instance == **id)
+            })
             .map(|(id, slot)| {
                 let p = slot.proto.progress();
                 InstanceProgress {
@@ -1007,9 +978,22 @@ impl<T: Transport> ConsensusService<T> {
                     waiting_on: p.waiting_on,
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    /// One health turn, run at the end of every poll: hand the health part
+    /// per-instance progress as the stall detector sees it, the transport's
+    /// link health and the poll's group-commit time, and build this node's
+    /// `/status` snapshot when it says one is due.
+    fn health_tick(&mut self, commit_us: u64, decided_now: &[DecisionEvent]) {
+        if self.health.is_none() {
+            return;
+        }
+        let now_us = rbvc_obs::clock::now_us();
+        let progress = self.progress_rows(decided_now);
         let links = self.transport.link_health();
-        if !health.tick(&self.sinks.obs, now_us, fsync_us, &progress, &links) {
+        let Some(health) = self.health.as_mut() else { return };
+        if !health.tick(&self.sinks.obs, now_us, commit_us, &progress, &links) {
             return;
         }
         // Undecided rows first; the cap cuts the decided ones.
@@ -1043,6 +1027,7 @@ impl<T: Transport> ConsensusService<T> {
             }),
             links,
             stalls: health.detector().active(),
+            phase_ns: self.clock.cells().named(),
             updated_us: now_us,
         });
     }
@@ -1066,6 +1051,14 @@ impl<T: Transport> ConsensusService<T> {
         self.instances.len()
     }
 
+    /// Where this node's wall time has gone since the service was built:
+    /// the phase clock's cumulative cells as of the last boundary (the end
+    /// of the last `poll`, normally).
+    #[must_use]
+    pub fn phase_nanos(&self) -> PhaseNanos {
+        self.clock.cells()
+    }
+
     /// Take the client replies that became ready since the last call:
     /// `(session, reqno, decision)`, each already WAL-durable when the
     /// service is durable. The client port delivers them to whichever
@@ -1085,9 +1078,13 @@ impl<T: Transport> ConsensusService<T> {
     ///   instance's reply answers it;
     /// * a fresh `reqno` → launched now ([`ClientAdmission::Admitted`]),
     ///   queued ([`ClientAdmission::Queued`]), or shed with
-    ///   [`ClientAdmission::Busy`] when both bounds are full.
+    ///   [`ClientAdmission::Busy`] when both bounds are full — or when the
+    ///   instance id the request would run under is still resident.
     pub fn client_submit(&mut self, session: u64, reqno: u64, value: VecD) -> ClientAdmission {
-        let (verdict, request) = self.client.submit(self.started, session, reqno, value);
+        let instances = &self.instances;
+        let (verdict, request) = self.client.submit(self.started, session, reqno, value, |id| {
+            instances.contains_key(&id)
+        });
         if let Some((instance, launch)) = request {
             let _ = self.admit_client_request(instance, launch);
         }
@@ -1279,6 +1276,7 @@ impl<T: Transport> ConsensusService<T> {
                         process: local,
                         value,
                         latency: Duration::ZERO,
+                        phases: PhaseNanos::default(),
                     });
                 }
                 WalRecord::ClientReply { instance, session, reqno, value } => {
@@ -1305,7 +1303,7 @@ impl<T: Transport> ConsensusService<T> {
             );
             svc.client.cache_reply(instance, session, reqno, value);
         }
-        svc.durability.commit(&mut svc.sinks);
+        svc.durability.commit(&mut svc.sinks, &mut svc.clock);
         svc.client.publish_sessions();
         // A replayed state machine that now disagrees with its own pinned
         // decision is the amnesia signature — the pin wins, but flag it.
@@ -1323,6 +1321,7 @@ impl<T: Transport> ConsensusService<T> {
             svc.durability.keep(dst, bytes);
         }
         let _ = svc.transport.flush();
+        svc.clock.enter(Phase::Outside);
         let recover_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         Registry::global().histogram("service.recover_us").record(recover_us);
         Registry::global()
@@ -1450,6 +1449,59 @@ mod tests {
         for svc in &services {
             assert!(svc.errors().is_empty());
         }
+    }
+
+    /// Every decision's phases sum to its latency — exactly, both being
+    /// differences of the same two clock readings — and each cell shows up
+    /// where its work is: `write` / `fsync` on the one node with a WAL,
+    /// `kernel` for the δ* solves of the `MinDeltaPoint` instances, with
+    /// kernel timing at its default (off).
+    #[test]
+    fn phases_partition_every_decision() {
+        assert!(!rbvc_obs::kernel_timing_enabled());
+        let n = 4;
+        let dir = tmp_dir("phases");
+        let inputs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]];
+        let mut services: Vec<ConsensusService<_>> =
+            in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
+        services[0].attach_wal(rbvc_store::Wal::open(dir.join("node0.wal")).unwrap().0);
+        for (i, svc) in services.iter_mut().enumerate() {
+            for k in 0..6u64 {
+                let input = [inputs[i][0] + k as f64, inputs[i][1]];
+                let proto =
+                    if k % 2 == 0 { bvc_instance(i, n, 1, &input) } else { va_instance(i, n, &input) };
+                if i == 0 {
+                    svc.add_instance_durable(k, proto, Vec::new()).unwrap();
+                } else {
+                    svc.add_instance(k, proto).unwrap();
+                }
+            }
+            svc.start().unwrap();
+        }
+        let mut events = Vec::new();
+        let mut spins = 0;
+        while services.iter().any(|s| !s.all_decided()) {
+            for svc in &mut services {
+                events.extend(svc.poll(Duration::ZERO));
+            }
+            spins += 1;
+            assert!(spins < 10_000, "service mesh failed to converge");
+        }
+        assert_eq!(events.len(), 6 * n);
+        for ev in &events {
+            let at = format!("instance {} on node {}: {:?}", ev.instance, ev.process, ev.phases);
+            assert_eq!(u128::from(ev.phases.total()), ev.latency.as_nanos(), "{at}");
+            let commit = ev.phases.get(Phase::Write) + ev.phases.get(Phase::Fsync);
+            assert_eq!(commit > 0, ev.process == 0, "only node 0 has a WAL — {at}");
+            assert!(ev.phases.get(Phase::Dispatch) > 0 && ev.phases.get(Phase::Outside) > 0, "{at}");
+            if ev.instance % 2 == 0 {
+                assert!(ev.phases.get(Phase::Kernel) > 0, "a δ* solve ran — {at}");
+            }
+        }
+        // The clock itself: all of a node's wall time, one cell per phase.
+        let cells = services[0].phase_nanos();
+        assert!(Phase::ALL.iter().all(|&phase| cells.get(phase) > 0), "{cells:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -2112,6 +2164,7 @@ mod tests {
             }
         }
         for svc in &services[..2] {
+            assert_eq!(svc.progress_rows(&[]).len(), 1, "the open instance is the one row");
             let active = svc.active_stalls();
             assert_eq!(active.len(), 1, "one stalled instance expected");
             assert_eq!(active[0].instance, 7);
@@ -2131,6 +2184,7 @@ mod tests {
             assert!(spins < 3000, "mesh failed to decide after the stall cleared");
         }
         for svc in &services[..2] {
+            assert!(svc.progress_rows(&[]).is_empty(), "a decided instance costs no row");
             assert!(svc.active_stalls().is_empty(), "stall must clear once decided");
             let reports = svc.health_reports();
             assert!(reports.iter().any(|r| r.cleared_at_us.is_some()));
@@ -2148,13 +2202,20 @@ mod tests {
             .collect();
         for (i, svc) in services.iter_mut().enumerate() {
             svc.add_instance(3, bvc_instance(i, n, 1, &[i as f64, 1.0])).unwrap();
+            svc.add_instance(4, va_instance(i, n, &[i as f64, 1.0])).unwrap();
             svc.enable_health(HealthConfig::default());
             svc.start().unwrap();
+            assert_eq!(svc.progress_rows(&[]).len(), 2);
         }
         let mut spins = 0;
         while services.iter().any(|s| !s.all_decided()) {
             for svc in &mut services {
-                let _ = svc.poll(Duration::from_millis(1));
+                // The detector is handed the open instances and the ones
+                // this poll decided — never those decided before it.
+                let open = svc.undecided;
+                let decided_now = svc.poll(Duration::from_millis(1));
+                assert_eq!(svc.progress_rows(&decided_now).len(), open);
+                assert_eq!(svc.progress_rows(&[]).len(), svc.undecided);
             }
             spins += 1;
             assert!(spins < 3000, "clean mesh failed to decide");

@@ -226,13 +226,15 @@ impl ClientTable {
     /// The admission verdict for one `(session, reqno, value)` — the
     /// VR-style boundary that makes retries idempotent — and, when the
     /// verdict is `Admitted`, the request the core must launch (already
-    /// counted in flight). `started` is whether the service takes traffic.
+    /// counted in flight). `started` is whether the service takes traffic;
+    /// `resident` whether the core still holds an instance under an id.
     pub(super) fn submit(
         &mut self,
         started: bool,
         session: u64,
         reqno: u64,
         value: VecD,
+        resident: impl Fn(InstanceId) -> bool,
     ) -> (ClientAdmission, Option<Request>) {
         if !self.enabled || !started {
             self.counters.rejected += 1;
@@ -271,7 +273,12 @@ impl ClientTable {
         // re-considered (not stale-dropped) once load drains.
         let can_admit = self.in_flight.len() < self.cfg.max_inflight;
         let can_queue = self.queue.len() < self.cfg.queue_cap;
-        if !can_admit && !can_queue {
+        // The sequence number is 24 bits of the id and instances are never
+        // removed: the id this request would run under — whatever is queued
+        // mints first — may belong to a resident instance. Shed it rather
+        // than let the launch overwrite that one's slot.
+        let wrapped = resident(self.instance_id(self.next_seq + self.queue.len() as u64));
+        if wrapped || (!can_admit && !can_queue) {
             self.counters.shed += 1;
             Registry::global().counter("service.client.shed").inc();
             return (ClientAdmission::Busy, None);
@@ -295,11 +302,15 @@ impl ClientTable {
         Some(self.mint(session, reqno, value))
     }
 
+    /// The instance id this owner mints for sequence number `seq`.
+    fn instance_id(&self, seq: u64) -> InstanceId {
+        CLIENT_INSTANCE_BASE | ((self.local as u64) << 24) | (seq & SEQ_MASK)
+    }
+
     /// Mint the instance id for one admitted request and put it in flight.
     fn mint(&mut self, session: u64, reqno: u64, value: VecD) -> Request {
-        let seq = self.next_seq;
+        let instance = self.instance_id(self.next_seq);
         self.next_seq += 1;
-        let instance = CLIENT_INSTANCE_BASE | ((self.local as u64) << 24) | (seq & SEQ_MASK);
         self.in_flight.insert(instance, (session, reqno));
         self.counters.admitted += 1;
         let launch = ClientLaunch {
@@ -487,13 +498,13 @@ mod tests {
         let mut table = ClientTable::new(0, 2);
         table.enable(ClientConfig { max_inflight: 1, queue_cap: 2, ..ClientConfig::default() });
         let v = VecD::from_slice(&[0.5]);
-        let (verdict, first) = table.submit(true, 2, 1, v.clone());
+        let (verdict, first) = table.submit(true, 2, 1, v.clone(), |_| false);
         assert_eq!(verdict, ClientAdmission::Admitted);
         let (first, _) = first.expect("an admitted request comes with its launch");
         assert_eq!(client_instance_owner(first), Some(0));
-        assert_eq!(table.submit(true, 4, 1, v.clone()), (ClientAdmission::Queued, None));
-        assert_eq!(table.submit(true, 6, 1, v.clone()), (ClientAdmission::Queued, None));
-        assert_eq!(table.submit(true, 8, 1, v.clone()), (ClientAdmission::Busy, None));
+        assert_eq!(table.submit(true, 4, 1, v.clone(), |_| false), (ClientAdmission::Queued, None));
+        assert_eq!(table.submit(true, 6, 1, v.clone(), |_| false), (ClientAdmission::Queued, None));
+        assert_eq!(table.submit(true, 8, 1, v.clone(), |_| false), (ClientAdmission::Busy, None));
         assert_eq!(table.next_queued(), None, "the one slot is taken");
 
         assert_eq!(table.answered(first, &v), Some((2, 1)));
@@ -507,6 +518,41 @@ mod tests {
         assert_eq!(table.take_replies(), [(2, 1, v.clone()), (4, 1, v)]);
         let stats = table.stats();
         assert_eq!((stats.admitted, stats.shed, stats.pending, stats.queued), (3, 1, 1, 0));
+    }
+
+    /// The sequence number is 24 bits of a client instance id and instances
+    /// are never removed: once an owner's counter wraps, the id it would
+    /// mint belongs to a resident instance. Admission sheds the request
+    /// (`Busy`, counted) rather than launch over that instance's slot.
+    #[test]
+    fn a_wrapped_sequence_number_is_shed_not_minted_over_a_resident_instance() {
+        use crate::service::ConsensusService;
+        use crate::transport::in_proc_mesh;
+
+        let mut svc = ConsensusService::new(in_proc_mesh(1).remove(0));
+        svc.enable_client(ClientConfig::default());
+        svc.start_deferred();
+        let v = VecD::from_slice(&[1.0, 2.0]);
+        assert_eq!(svc.client_submit(0, 1, v.clone()), ClientAdmission::Admitted);
+        let first = CLIENT_INSTANCE_BASE;
+        assert!(svc.instances.contains_key(&first), "request 0 runs as sequence number 0");
+        // Fast-forward through 2^24 admissions: recovery meeting the
+        // registration of the last id before the wrap leaves the counter
+        // where that many `mint`s would.
+        svc.client.restore(first | SEQ_MASK, &launch(1));
+        assert_eq!(svc.client.instance_id(svc.client.next_seq), first, "the counter wrapped");
+
+        let (resident, undecided) = (svc.instance_count(), svc.undecided);
+        assert_eq!(svc.client_submit(2, 1, v.clone()), ClientAdmission::Busy);
+        assert_eq!(svc.client_stats().shed, 1);
+        assert_eq!((svc.instance_count(), svc.undecided), (resident, undecided), "nothing replaced");
+        assert_eq!(svc.client_stats().sessions, 2, "a shed request leaves the table untouched");
+        // The resident instance is the one request 0 launched, still running.
+        assert!(svc.instances[&first].launched.is_some());
+        for _ in 0..200 {
+            let _ = svc.poll(std::time::Duration::ZERO);
+        }
+        assert_eq!(svc.take_client_replies().len(), 1, "request 0 decides");
     }
 
     /// The rules a peer's `Launch` frame must pass, and the gate each

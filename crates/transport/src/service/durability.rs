@@ -11,13 +11,14 @@
 //! on its in-memory state.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rbvc_obs::{Event, EventKind};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::ProtocolError;
 use rbvc_store::{Wal, WalRecordRef};
 
+use super::phase::{Phase, PhaseClock};
 use super::{InstanceId, Sinks};
 
 pub(super) struct Durability {
@@ -124,24 +125,32 @@ impl Durability {
     }
 
     /// Group commit: write and fsync everything appended since the last
-    /// one. Returns the time it took in µs.
-    pub(super) fn commit(&mut self, sinks: &mut Sinks) -> u64 {
-        let t_sync = Instant::now();
+    /// one, as the `write` and `fsync` phases of `clock`, and leave the
+    /// clock in `flush` — the transport flush is what a commit is followed
+    /// by. Returns the time the commit took in µs.
+    pub(super) fn commit(&mut self, sinks: &mut Sinks, clock: &mut PhaseClock) -> u64 {
+        if self.wal.is_none() && self.fsync_throttle.is_zero() {
+            clock.enter(Phase::Flush);
+            return 0;
+        }
+        let t_commit = clock.enter(Phase::Write);
+        let written = self.wal.as_mut().map_or(Ok(()), Wal::write_batch);
+        clock.enter(Phase::Fsync);
         // Fault injection: a throttled "device" is slow whether or not a WAL
-        // is attached — the measured fsync time includes the sleep, which is
-        // what the stall detector's fsync classifier watches.
+        // is attached — the measured commit time includes the sleep, which
+        // is what the stall detector's fsync classifier watches.
         if !self.fsync_throttle.is_zero() {
             std::thread::sleep(self.fsync_throttle);
         }
-        if let Some(wal) = self.wal.as_mut() {
-            if let Err(e) = wal.sync() {
-                sinks.errors.record(ProtocolError::Transport {
-                    peer: None,
-                    reason: format!("wal sync failed: {e}"),
-                });
-            }
+        let synced = written.and_then(|()| self.wal.as_mut().map_or(Ok(()), Wal::sync));
+        if let Err(e) = synced {
+            sinks.errors.record(ProtocolError::Transport {
+                peer: None,
+                reason: format!("wal sync failed: {e}"),
+            });
         }
-        u64::try_from(t_sync.elapsed().as_micros()).unwrap_or(u64::MAX)
+        let t_done = clock.enter(Phase::Flush);
+        u64::try_from((t_done - t_commit).as_micros()).unwrap_or(u64::MAX)
     }
 }
 
@@ -179,7 +188,7 @@ mod tests {
         assert_eq!(wal.records(), 6);
         assert!(wal.len() > wal.synced_len(), "six records sit in the batch");
         assert_eq!(on_disk(), wal.synced_len(), "none of them is in the file");
-        part.commit(&mut sinks);
+        part.commit(&mut sinks, &mut PhaseClock::new());
         let wal = part.wal().expect("attached");
         assert_eq!(wal.synced_len(), wal.len());
         assert_eq!(on_disk(), wal.len(), "the commit wrote the batch");
@@ -221,7 +230,7 @@ mod tests {
         part.sent(1, &[1, 2, 3], &mut sinks);
         assert!(part.history(1).is_empty());
         part.set_fsync_throttle(Duration::from_millis(5));
-        assert!(part.commit(&mut sinks) >= 5_000);
+        assert!(part.commit(&mut sinks, &mut PhaseClock::new()) >= 5_000);
         assert!(sinks.errors.is_empty());
     }
 }

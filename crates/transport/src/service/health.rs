@@ -112,3 +112,68 @@ impl Health {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
+    use rbvc_linalg::{Norm, Tol, VecD};
+    use rbvc_obs::TraceSummary;
+
+    use super::*;
+    use crate::service::{ConsensusService, InstanceProto};
+    use crate::transport::in_proc_mesh;
+
+    /// The black box keeps what matters: with no per-frame span in the event
+    /// stream, fifty decisions' worth of events fit the ring, the first
+    /// decision's `decide` included.
+    #[test]
+    fn the_flight_ring_still_holds_the_first_decide_after_fifty_decisions() {
+        let (n, decisions) = (4usize, 50u64);
+        let dir = std::env::temp_dir().join(format!("rbvc-flight-ring-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut services: Vec<ConsensusService<_>> =
+            in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
+        for (i, svc) in services.iter_mut().enumerate() {
+            svc.enable_health(HealthConfig {
+                flight_dir: (i == 0).then(|| dir.clone()),
+                ..HealthConfig::default()
+            });
+            for k in 1..=decisions {
+                let input = VecD::from_slice(&[i as f64 + k as f64, 1.0]);
+                let mode = DeltaMode::MinDelta(Norm::L2);
+                let va = VerifiedAveraging::new(i, n, 0, input, mode, 3, Tol::default());
+                svc.add_instance(k, InstanceProto::Va(va)).unwrap();
+            }
+            svc.start_deferred();
+        }
+        // One instance at a time, so the first `decide` is the oldest
+        // thing the ring is asked to keep.
+        for k in 1..=decisions {
+            for svc in &mut services {
+                svc.launch(k).unwrap();
+            }
+            let mut spins = 0;
+            while services.iter().any(|s| s.decision(k).is_none()) {
+                for svc in &mut services {
+                    let _ = svc.poll(Duration::ZERO);
+                }
+                spins += 1;
+                assert!(spins < 10_000, "instance {k} failed to decide");
+            }
+        }
+        let flight = services[0].health.as_ref().and_then(|h| h.flight.as_ref()).expect("armed");
+        let dump = flight.dump("test").expect("dump written");
+        let ring = TraceSummary::parse(&std::fs::read_to_string(dump).unwrap()).expect("parses");
+        assert_eq!(ring.flight_ring_dropped, Some(0), "nothing was evicted");
+        let decides: Vec<u64> = ring
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Decide && e.detail.as_deref().is_some_and(|d| d.starts_with("latency_us=")))
+            .filter_map(|e| e.instance)
+            .collect();
+        assert_eq!(decides, (1..=decisions).collect::<Vec<_>>(), "every decide, the first included");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

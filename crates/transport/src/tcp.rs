@@ -16,18 +16,12 @@
 //! ```
 //!
 //! `t_tx` is the dialer's monotonic send timestamp (µs on the
-//! `rbvc_obs::clock` timeline). The accept side stamps its own receive
-//! time and publishes the raw skew `t_rx − t_tx` as the gauge
-//! `tcp.link.hello_skew_us{src,dst}`; with both directions of a pair
-//! measured, the trace assembler solves per-link clock offset and
-//! uncertainty (see `rbvc_obs::trace`). Protocol *frames* are untouched —
-//! the timestamp exchange piggybacks entirely on the handshake.
-//!
-//! The timestamp doubles as a **replay guard**: the accept side remembers
-//! the highest `t_tx` it has accepted per peer and refuses any HELLO at or
-//! below that mark (`tcp.hello.stale_rejected{src,dst}`), *before* the
-//! handshake can claim a link generation — a replayed old handshake can
-//! therefore never supersede, tear down, or redial over the live link.
+//! `rbvc_obs::clock` timeline) and the **replay guard**: the accept side
+//! remembers the highest `t_tx` it has accepted per peer and refuses any
+//! HELLO at or below that mark (`tcp.hello.stale_rejected{src,dst}`),
+//! *before* the handshake can claim a link generation — a replayed old
+//! handshake can therefore never supersede, tear down, or redial over the
+//! live link. Protocol *frames* carry no timestamp.
 //! In plaintext mode the guard orders handshakes on the dialer's
 //! per-process monotonic clock, so it covers replays within one process
 //! lifetime (the attack E20 mounts); across a genuine process restart the
@@ -512,14 +506,6 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
             let _ = shared.tx.send(RxEvent::PeerUp(peer, gen));
         }
         shared.bytes_received.fetch_add(HELLO_LEN, Ordering::Relaxed);
-        // Raw directed skew: receive clock minus send clock, both from the
-        // HELLO leg (the stamp predates the challenge round-trip). Within
-        // one process all endpoints share a clock, so this is pure one-way
-        // delay; across processes the trace assembler combines the two
-        // directions into an offset ± uncertainty per link.
-        Registry::global()
-            .gauge_with("tcp.link.hello_skew_us", &labels)
-            .set(t_rx as i64 - t_tx as i64);
         let rx_frames = Registry::global().counter_with("tcp.link.rx_frames", &labels);
         let rx_bytes = Registry::global().counter_with("tcp.link.rx_bytes", &labels);
         loop {

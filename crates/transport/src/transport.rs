@@ -87,8 +87,9 @@ pub trait Transport: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)>;
 
     /// Like [`Transport::recv_timeout`], but each frame carries its arrival
-    /// timestamp (µs on the `rbvc_obs::clock` timeline) so the tracing layer
-    /// can split on-wire latency from time queued behind a busy poll loop.
+    /// timestamp (µs on the `rbvc_obs::clock` timeline) so the service can
+    /// tell time queued behind a busy poll loop (`service.frame.queue_us`)
+    /// from time on the wire.
     /// The default stamps at return — correct ordering, zero queueing
     /// visibility; the TCP endpoint overrides it with per-frame stamps
     /// taken in its reader threads.
