@@ -17,9 +17,7 @@ use rbvc_sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use rbvc_sim::config::SystemConfig;
 use rbvc_sim::fuzz::follow;
 use rbvc_sim::monitor::SafetyMonitor;
-use rbvc_sim::net::{
-    LinkFault, NetworkFaults, Partition, PartitionMode, ReliableLink, ReliableLinkAdversary,
-};
+use rbvc_sim::net::{LinkFault, NetworkFaults, Partition, ReliableLink, ReliableLinkAdversary};
 
 use super::Experiment;
 use crate::campaign::{gate, Args, Gate, Kind};
@@ -105,7 +103,6 @@ impl FaultShape {
                 side_a: vec![0],
                 start: 100,
                 heal: 1200,
-                mode: PartitionMode::Drop,
             }),
             _ => plan,
         }

@@ -86,15 +86,6 @@ impl DecisionRule {
             }
         }
     }
-
-    /// The validity guarantee this rule provides relative to the correct
-    /// inputs, assuming `S` contains at most `f` faulty entries: for
-    /// `GammaPoint`, membership in `H(N)`; for the others as documented.
-    /// Used by tests as an oracle.
-    #[must_use]
-    pub fn respects_exact_validity(&self) -> bool {
-        matches!(self, DecisionRule::GammaPoint)
-    }
 }
 
 /// Check the inductive validity invariant of `GammaPoint`: the decision is

@@ -74,12 +74,6 @@ impl LpOutcome {
             _ => None,
         }
     }
-
-    /// True iff the LP is feasible (optimal or unbounded).
-    #[must_use]
-    pub fn is_feasible(&self) -> bool {
-        !matches!(self, LpOutcome::Infeasible)
-    }
 }
 
 /// Identifier of a builder variable (index into the user-visible solution).

@@ -70,24 +70,6 @@ impl CoordProjection {
     pub fn apply_multiset(&self, s: &[VecD]) -> Vec<VecD> {
         s.iter().map(|u| self.apply(u)).collect()
     }
-
-    /// A representative of `g_D⁻¹(v)` (Definition 3): the `d`-vector whose
-    /// `D` coordinates are `v` and whose free coordinates are `fill`.
-    #[must_use]
-    pub fn lift_with_fill(&self, v: &VecD, fill: f64) -> VecD {
-        assert_eq!(v.dim(), self.target_dim(), "g_D⁻¹: dimension mismatch");
-        let mut u = vec![fill; self.ambient_dim];
-        for (slot, &i) in self.indices.iter().enumerate() {
-            u[i] = v[slot];
-        }
-        VecD(u)
-    }
-
-    /// True iff `u ∈ g_D⁻¹(v)`, i.e. `g_D(u) = v` exactly.
-    #[must_use]
-    pub fn preimage_contains(&self, v: &VecD, u: &VecD) -> bool {
-        self.apply(u) == *v
-    }
 }
 
 /// The family `D_k`: all coordinate projections of size `k` out of `d`
@@ -112,20 +94,6 @@ mod tests {
         let g = CoordProjection::new(4, vec![0, 2]);
         let u = VecD::from_slice(&[7.0, -4.0, -2.0, 0.0]);
         assert_eq!(g.apply(&u), VecD::from_slice(&[7.0, -2.0]));
-    }
-
-    #[test]
-    fn paper_example_preimage() {
-        // g_D⁻¹((7, −2)) = (7, *, −2, *)ᵀ.
-        let g = CoordProjection::new(4, vec![0, 2]);
-        let v = VecD::from_slice(&[7.0, -2.0]);
-        let member = VecD::from_slice(&[7.0, 123.0, -2.0, -5.0]);
-        let non_member = VecD::from_slice(&[7.0, 0.0, -3.0, 0.0]);
-        assert!(g.preimage_contains(&v, &member));
-        assert!(!g.preimage_contains(&v, &non_member));
-        let lifted = g.lift_with_fill(&v, 0.0);
-        assert_eq!(lifted, VecD::from_slice(&[7.0, 0.0, -2.0, 0.0]));
-        assert!(g.preimage_contains(&v, &lifted));
     }
 
     #[test]

@@ -85,17 +85,6 @@ impl KRelaxedHull {
             .iter()
             .all(|(g, hull)| hull.contains(&g.apply(u), tol))
     }
-
-    /// The projections `D ∈ D_k` whose constraint `g_D(u) ∈ H(g_D(S))` is
-    /// violated — useful for constructing impossibility certificates.
-    #[must_use]
-    pub fn violated_projections(&self, u: &VecD, tol: Tol) -> Vec<&CoordProjection> {
-        self.projected
-            .iter()
-            .filter(|(g, hull)| !hull.contains(&g.apply(u), tol))
-            .map(|(g, _)| g)
-            .collect()
-    }
 }
 
 /// The (δ,p)-relaxed convex hull `H_(δ,p)(S)` (Definition 9).
@@ -140,12 +129,6 @@ impl DeltaPHull {
     #[must_use]
     pub fn norm(&self) -> Norm {
         self.norm
-    }
-
-    /// The underlying exact hull `H(S)`.
-    #[must_use]
-    pub fn base_hull(&self) -> &ConvexHull {
-        &self.hull
     }
 
     /// `u ∈ H_(δ,p)(S)`: distance to the base hull at most δ (within tol).
@@ -252,16 +235,6 @@ mod tests {
                 assert!(hk.contains(&u, Tol(1e-7)), "H(S) ⊄ H_{k}(S) at {u}");
             }
         }
-    }
-
-    #[test]
-    fn violated_projections_identify_offending_coordinates() {
-        let pts = unit_triangle_3d();
-        let h2 = KRelaxedHull::new(pts, 2);
-        // Point outside in the (0,1) projection only: x + y ≤ 1 there.
-        let u = VecD::from_slice(&[0.9, 0.9, 0.0]);
-        let violated = h2.violated_projections(&u, t());
-        assert!(violated.iter().any(|g| g.indices() == [0, 1]));
     }
 
     #[test]

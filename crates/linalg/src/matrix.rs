@@ -151,23 +151,6 @@ impl Mat {
         )
     }
 
-    /// Gram matrix `selfᵀ * self` (columns' pairwise dot products).
-    #[must_use]
-    pub fn gram(&self) -> Mat {
-        let mut g = Mat::zeros(self.cols, self.cols);
-        for a in 0..self.cols {
-            for b in a..self.cols {
-                let mut s = 0.0;
-                for i in 0..self.rows {
-                    s += self[(i, a)] * self[(i, b)];
-                }
-                g[(a, b)] = s;
-                g[(b, a)] = s;
-            }
-        }
-        g
-    }
-
     /// Solve the square linear system `self * x = b` via partial-pivot
     /// Gaussian elimination. Returns `None` if the matrix is singular to
     /// within `tol` (pivot threshold scaled by the matrix magnitude).
@@ -448,20 +431,6 @@ mod tests {
         assert_eq!(a.rank(t()), 2);
         assert_eq!(Mat::identity(4).rank(t()), 4);
         assert_eq!(Mat::zeros(3, 3).rank(t()), 0);
-    }
-
-    #[test]
-    fn gram_is_symmetric_psd_diagonal() {
-        let m = Mat::from_cols(&[
-            VecD::from_slice(&[1.0, 0.0, 2.0]),
-            VecD::from_slice(&[0.0, 3.0, 1.0]),
-        ]);
-        let g = m.gram();
-        assert_eq!(g.nrows(), 2);
-        assert!((g[(0, 0)] - 5.0).abs() < 1e-12);
-        assert!((g[(1, 1)] - 10.0).abs() < 1e-12);
-        assert!((g[(0, 1)] - g[(1, 0)]).abs() < 1e-15);
-        assert!((g[(0, 1)] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -23,16 +23,10 @@ pub enum EventKind {
     WitnessCommit,
     /// An inbound message died at a receive gate.
     GateReject,
-    /// A reliable link re-sent an unacknowledged message.
-    Retransmit,
-    /// A network partition healed (first delivery after the heal tick).
-    PartitionHeal,
     /// A consensus instance decided.
     Decide,
     /// A safety monitor observed a violation.
     Violation,
-    /// A record was appended to the write-ahead log.
-    WalAppend,
     /// A write-ahead log was replayed at startup (detail carries record
     /// and torn-byte counts).
     WalReplay,
@@ -57,17 +51,14 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for table-driven reports.
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 13] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
         EventKind::BroadcastAccept,
         EventKind::WitnessCommit,
         EventKind::GateReject,
-        EventKind::Retransmit,
-        EventKind::PartitionHeal,
         EventKind::Decide,
         EventKind::Violation,
-        EventKind::WalAppend,
         EventKind::WalReplay,
         EventKind::Recovered,
         EventKind::StallDetected,
@@ -85,11 +76,8 @@ impl EventKind {
             EventKind::BroadcastAccept => "broadcast_accept",
             EventKind::WitnessCommit => "witness_commit",
             EventKind::GateReject => "gate_reject",
-            EventKind::Retransmit => "retransmit",
-            EventKind::PartitionHeal => "partition_heal",
             EventKind::Decide => "decide",
             EventKind::Violation => "violation",
-            EventKind::WalAppend => "wal_append",
             EventKind::WalReplay => "wal_replay",
             EventKind::Recovered => "recovered",
             EventKind::StallDetected => "stall_detected",

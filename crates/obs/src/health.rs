@@ -137,12 +137,15 @@ impl StallReport {
 }
 
 /// One instance's progress signal, fed to [`StallDetector::observe`] every
-/// service poll. The detector never inspects protocol state itself — the
-/// service condenses what it already knows into this record.
+/// service poll and listed on `/status`. The detector never inspects
+/// protocol state itself — the service condenses what it already knows
+/// into this record.
 #[derive(Debug, Clone)]
 pub struct InstanceProgress {
     /// Consensus instance id.
     pub instance: u64,
+    /// Protocol short name (`"bvc"` / `"va"`).
+    pub proto: &'static str,
     /// Current protocol round.
     pub round: u32,
     /// Whether the instance has been launched (emitted its first batch).
@@ -757,23 +760,6 @@ impl LinkMonitor {
     }
 }
 
-/// Per-instance state row of a [`StatusSnapshot`].
-#[derive(Debug, Clone)]
-pub struct InstanceStatus {
-    /// Consensus instance id.
-    pub id: u64,
-    /// Protocol short name (`"bvc"` / `"va"`).
-    pub proto: String,
-    /// Current round.
-    pub round: u32,
-    /// Whether the instance was launched.
-    pub launched: bool,
-    /// Whether the instance has decided.
-    pub decided: bool,
-    /// Missing senders for the current round (when known).
-    pub waiting_on: Vec<u32>,
-}
-
 /// Client-table occupancy for the `/status` document.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClientStatus {
@@ -792,9 +778,6 @@ pub struct WalStatus {
     pub size_bytes: u64,
     /// Records in the log.
     pub records: u64,
-    /// Records appended since the last snapshot compaction (the snapshot
-    /// age in records).
-    pub records_since_compaction: u64,
 }
 
 /// Everything one node publishes onto the [`StatusBoard`] each poll.
@@ -803,8 +786,8 @@ pub struct StatusSnapshot {
     /// Publishing node.
     pub node: u32,
     /// Per-instance state (callers may cap the list; counts below stay
-    /// exact).
-    pub instances: Vec<InstanceStatus>,
+    /// exact). The progress token is not rendered.
+    pub instances: Vec<InstanceProgress>,
     /// Total instances registered with the service.
     pub total_instances: u64,
     /// Instances decided.
@@ -847,8 +830,8 @@ impl StatusSnapshot {
             .iter()
             .map(|i| {
                 Value::Object(vec![
-                    ("id".into(), Value::UInt(i.id)),
-                    ("proto".into(), Value::Str(i.proto.clone())),
+                    ("id".into(), Value::UInt(i.instance)),
+                    ("proto".into(), Value::Str(i.proto.into())),
                     ("round".into(), Value::UInt(u64::from(i.round))),
                     ("launched".into(), Value::Bool(i.launched)),
                     ("decided".into(), Value::Bool(i.decided)),
@@ -893,10 +876,6 @@ impl StatusSnapshot {
                 Value::Object(vec![
                     ("size_bytes".into(), Value::UInt(w.size_bytes)),
                     ("records".into(), Value::UInt(w.records)),
-                    (
-                        "records_since_compaction".into(),
-                        Value::UInt(w.records_since_compaction),
-                    ),
                 ]),
             ));
         }
@@ -1140,6 +1119,7 @@ mod tests {
     fn progress(instance: u64, round: u32, token: u64, waiting: &[u32]) -> InstanceProgress {
         InstanceProgress {
             instance,
+            proto: "bvc",
             round,
             launched: true,
             decided: false,
@@ -1284,18 +1264,11 @@ mod tests {
         let board = StatusBoard::new();
         let snap = StatusSnapshot {
             node: 3,
-            instances: vec![InstanceStatus {
-                id: 17,
-                proto: "bvc".into(),
-                round: 2,
-                launched: true,
-                decided: false,
-                waiting_on: vec![1, 5],
-            }],
+            instances: vec![progress(17, 2, 99, &[1, 5])],
             total_instances: 4,
             decided_instances: 3,
             client: Some(ClientStatus { sessions: 2, inflight: 1, shed: 0 }),
-            wal: Some(WalStatus { size_bytes: 4096, records: 12, records_since_compaction: 5 }),
+            wal: Some(WalStatus { size_bytes: 4096, records: 12 }),
             links: vec![LinkHealth {
                 peer: 1,
                 up: true,
@@ -1322,7 +1295,12 @@ mod tests {
             phase_ns: vec![("wait", 120), ("dispatch", 710), ("fsync", 1), ("outside", 169)],
             updated_us: 6_000_000,
         };
-        board.publish(3, snap.render());
+        let rendered = snap.render();
+        assert!(
+            rendered.contains(r#""instances":[{"id":17,"proto":"bvc","round":2,"launched":true,"decided":false,"waiting_on":[1,5]}]"#),
+            "one row per instance, no progress token: {rendered}"
+        );
+        board.publish(3, rendered);
         board.publish(0, StatusSnapshot { node: 0, ..StatusSnapshot::default() }.render());
         let doc = board.render();
         let v: Value = serde_json::from_str(&doc).expect("board renders valid JSON");

@@ -49,8 +49,8 @@ pub mod timing;
 pub use event::{Event, EventKind};
 pub use health::{
     arm_panic_hook, progress_token, render_shares, ClientStatus, FlightRecorder, InstanceProgress,
-    InstanceStatus, LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent,
-    StallPhase, StallReport, StatusBoard, StatusSnapshot, WalStatus,
+    LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent, StallPhase,
+    StallReport, StatusBoard, StatusSnapshot, WalStatus,
 };
 pub use metrics::{
     Counter, ExecutionTrace, Gauge, HistSnapshot, Histogram, MetricValue, Registry,

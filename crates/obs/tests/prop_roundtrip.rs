@@ -9,7 +9,7 @@ use rbvc_obs::{Event, EventKind, HistSnapshot, Histogram};
 
 /// Build an event from sampled raw numbers: `kind_ix` indexes
 /// `EventKind::ALL`, `flags` bits gate the optional tags, so all 2^5 tag
-/// shapes x 16 kinds are exercised across cases.
+/// shapes x 13 kinds are exercised across cases.
 fn build_event(
     kind_ix: usize,
     flags: u32,

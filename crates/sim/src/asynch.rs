@@ -345,7 +345,7 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     /// * every send is routed through [`NetworkFaults::route`], which may
     ///   drop it, duplicate it, or delay its availability;
     /// * the engine clock advances every step even when nothing is
-    ///   deliverable yet (idle time in front of a delayed/held envelope);
+    ///   deliverable yet (idle time in front of a delayed envelope);
     /// * [`AsyncProtocol::on_tick`] fires on every honest node once per
     ///   [`TICK_INTERVAL`] steps, driving retransmission timers;
     /// * if `monitor` is given, every fresh decision is fed to it the step
@@ -771,7 +771,6 @@ mod tests {
                 side_a: vec![0, 1],
                 start: 0,
                 heal: 2_000,
-                mode: crate::net::PartitionMode::Drop,
             });
         let mut engine = build_reliable_link(4, 4);
         let out = engine.run_chaos(&mut FifoScheduler, 500_000, &mut faults, None);

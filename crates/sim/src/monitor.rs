@@ -322,12 +322,6 @@ impl<O: Clone + PartialEq> ServiceMonitor<O> {
             .collect()
     }
 
-    /// Number of instances that have produced at least one decision.
-    #[must_use]
-    pub fn instances_seen(&self) -> usize {
-        self.monitors.len()
-    }
-
     /// Per-instance view, for post-run inspection.
     #[must_use]
     pub fn instance(&self, id: InstanceId) -> Option<&SafetyMonitor<O>> {
@@ -523,7 +517,6 @@ mod tests {
         assert!(sm.observe(2, 0, &20).is_empty());
         assert!(sm.observe(1, 1, &10).is_empty());
         assert!(sm.clean());
-        assert_eq!(sm.instances_seen(), 2);
         assert_eq!(sm.instance(1).unwrap().decided_count(), 2);
 
         // A conflict *within* instance 2 fires exactly there.

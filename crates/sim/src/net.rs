@@ -6,10 +6,11 @@
 //! first-class, *seeded* part of the simulation so every protocol guarantee
 //! can be re-earned on an unreliable substrate:
 //!
-//! * [`LinkFault`] / [`Partition`] / [`NetworkFaults`] — a per-link fault
-//!   model pluggable into the deterministic [`crate::asynch`] engine (via
-//!   `AsyncEngine::run_chaos`) and, behind `rbvc-transport`'s in-process
-//!   mesh, into the socket service.
+//! * [`LinkFault`] / [`Partition`] / [`NetworkFaults`] — a seeded fault
+//!   plan for the deterministic [`crate::asynch`] engine
+//!   (`AsyncEngine::run_chaos`, the E16 chaos campaign). The service's
+//!   substrates are fault-free: its in-process mesh is reliable and FIFO
+//!   per link.
 //! * [`ReliableLink`] — a sequence-numbered ack/retransmit wrapper with
 //!   exponential backoff that restores reliable-channel semantics over a
 //!   lossy link, so any `AsyncProtocol` written against the paper's model
@@ -18,11 +19,8 @@
 //! All decisions flow from one seeded RNG: identical seeds replay
 //! bit-identically, which the chaos campaign (`exp chaos`) relies on.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rbvc_obs::{Event, EventKind, Obs};
 
 use crate::asynch::AsyncProtocol;
 use crate::config::ProcessId;
@@ -89,19 +87,9 @@ impl Default for LinkFault {
     }
 }
 
-/// What happens to traffic crossing a severed partition boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionMode {
-    /// Cross-partition messages are lost outright; only sender-side
-    /// retransmission (e.g. [`ReliableLink`]) recovers them after heal.
-    Drop,
-    /// Cross-partition messages are buffered by the network and delivered
-    /// in a burst when the partition heals (a "cable re-plug").
-    HoldUntilHeal,
-}
-
 /// A timed network partition: while active, traffic between `side_a` and
-/// its complement is severed in both directions.
+/// its complement is lost in both directions; only sender-side
+/// retransmission (e.g. [`ReliableLink`]) recovers it after heal.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// One side of the cut (the other side is everyone else).
@@ -111,8 +99,6 @@ pub struct Partition {
     /// Logical time at which the partition heals (exclusive): traffic at
     /// `heal` and later flows normally.
     pub heal: u64,
-    /// Fate of cross-partition traffic while severed.
-    pub mode: PartitionMode,
 }
 
 impl Partition {
@@ -139,10 +125,8 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Messages that received a nonzero extra delay (incl. reorder penalty).
     pub delayed: u64,
-    /// Messages lost at a `PartitionMode::Drop` boundary.
+    /// Messages lost at a partition boundary.
     pub partition_dropped: u64,
-    /// Messages buffered until heal at a `HoldUntilHeal` boundary.
-    pub partition_held: u64,
 }
 
 impl NetStats {
@@ -165,19 +149,13 @@ impl std::ops::Deref for Copies {
     }
 }
 
-/// The seeded fault plan for a whole network: a default link fault, optional
-/// per-link overrides, and timed partitions.
+/// The seeded fault plan for a whole network: one link fault for every
+/// link, and timed partitions.
 #[derive(Debug, Clone)]
 pub struct NetworkFaults {
-    default: LinkFault,
-    per_link: BTreeMap<(ProcessId, ProcessId), LinkFault>,
+    link: LinkFault,
     partitions: Vec<Partition>,
-    /// Per-partition observability state: `(saw_active, heal_emitted)` —
-    /// a heal event fires once, on the first routed message at or after
-    /// `heal` of a partition that actually severed traffic.
-    partition_obs: Vec<(bool, bool)>,
     rng: StdRng,
-    obs: Obs,
     /// Counters, updated by every [`NetworkFaults::route`] call.
     pub stats: NetStats,
 }
@@ -191,34 +169,16 @@ impl NetworkFaults {
         NetworkFaults::new(0, LinkFault::reliable())
     }
 
-    /// Build a plan applying `default` to every link, seeded for replay.
+    /// Build a plan applying `link` to every link, seeded for replay.
     #[must_use]
-    pub fn new(seed: u64, default: LinkFault) -> Self {
-        default.validate();
+    pub fn new(seed: u64, link: LinkFault) -> Self {
+        link.validate();
         NetworkFaults {
-            default,
-            per_link: BTreeMap::new(),
+            link,
             partitions: Vec::new(),
-            partition_obs: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            obs: Obs::noop(),
             stats: NetStats::default(),
         }
-    }
-
-    /// Emit [`EventKind::PartitionHeal`] (and, transitively, nothing else:
-    /// routing decisions are pure) through `obs`. Tracing never perturbs
-    /// the seeded RNG stream, so traced and untraced runs stay identical.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Override the fault model of the directed link `src → dst`.
-    #[must_use]
-    pub fn with_link(mut self, src: ProcessId, dst: ProcessId, fault: LinkFault) -> Self {
-        fault.validate();
-        self.per_link.insert((src, dst), fault);
-        self
     }
 
     /// Add a timed partition.
@@ -232,17 +192,7 @@ impl NetworkFaults {
             "partition must have a nonempty [start, heal) window"
         );
         self.partitions.push(partition);
-        self.partition_obs.push((false, false));
         self
-    }
-
-    /// The fault model governing `src → dst`.
-    #[must_use]
-    pub fn link(&self, src: ProcessId, dst: ProcessId) -> LinkFault {
-        self.per_link
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default)
     }
 
     /// Decide the fate of one message sent on `src → dst` at time `now`:
@@ -251,48 +201,17 @@ impl NetworkFaults {
     pub fn route(&mut self, src: ProcessId, dst: ProcessId, now: u64) -> Copies {
         self.stats.offered += 1;
 
-        // Partition-heal tracking: the first message routed at or after a
-        // partition's heal time — when that partition actually severed
-        // something — announces the heal.
-        for (i, p) in self.partitions.iter().enumerate() {
-            let (saw_active, heal_emitted) = &mut self.partition_obs[i];
-            if now >= p.heal && *saw_active && !*heal_emitted {
-                *heal_emitted = true;
-                self.obs.emit(|| {
-                    Event::new(EventKind::PartitionHeal).detail(format!(
-                        "side_a={:?} start={} heal={} mode={:?} now={now}",
-                        p.side_a, p.start, p.heal, p.mode
-                    ))
-                });
-            }
+        // Partitions first: a severed link never sees the link faults.
+        if self.partitions.iter().any(|p| p.severs(src, dst, now)) {
+            self.stats.partition_dropped += 1;
+            return Copies::default();
         }
 
-        // Partitions first: a severed link never sees the per-link faults.
-        let mut base_delay = 0u64;
-        for (i, p) in self.partitions.iter().enumerate() {
-            if p.severs(src, dst, now) {
-                self.partition_obs[i].0 = true;
-                match p.mode {
-                    PartitionMode::Drop => {
-                        self.stats.partition_dropped += 1;
-                        return Copies::default();
-                    }
-                    PartitionMode::HoldUntilHeal => {
-                        self.stats.partition_held += 1;
-                        base_delay = base_delay.max(p.heal - now);
-                    }
-                }
-            }
-        }
-
-        let fault = self.link(src, dst);
+        let fault = self.link;
         if fault.is_reliable() {
             // Skip all RNG draws so reliable plans stay stream-identical
             // regardless of traffic volume.
-            if base_delay > 0 {
-                self.stats.delayed += 1;
-            }
-            return Copies([base_delay, 0], 1);
+            return Copies([0, 0], 1);
         }
 
         if fault.drop_prob > 0.0 && self.rng.gen_bool(fault.drop_prob) {
@@ -307,7 +226,7 @@ impl NetworkFaults {
             1
         };
 
-        let mut out = Copies([base_delay; 2], copies);
+        let mut out = Copies([0; 2], copies);
         for delay in &mut out.0[..copies] {
             if fault.max_extra_delay > 0 {
                 *delay += self.rng.gen_range(0..=fault.max_extra_delay);
@@ -381,8 +300,6 @@ pub struct ReliableLink<P: AsyncProtocol> {
     /// Degradation log: malformed traffic discarded at the receive boundary
     /// and outbound sends to nonexistent peers. Never panics the link.
     errors: ErrorLog,
-    obs: Obs,
-    obs_node: Option<u32>,
 }
 
 impl<P: AsyncProtocol> ReliableLink<P> {
@@ -402,17 +319,7 @@ impl<P: AsyncProtocol> ReliableLink<P> {
             base_rto,
             max_rto: max_rto.max(base_rto),
             errors: ErrorLog::new(),
-            obs: Obs::noop(),
-            obs_node: None,
         }
-    }
-
-    /// Emit one [`EventKind::Retransmit`] per re-sent frame through `obs`,
-    /// tagged with `node` (the process this link belongs to — the link
-    /// itself has no identity on the wire).
-    pub fn set_obs(&mut self, obs: Obs, node: ProcessId) {
-        self.obs = obs;
-        self.obs_node = Some(u32::try_from(node).unwrap_or(u32::MAX));
     }
 
     /// Wrap with defaults tuned for the async engine (RTO 8 events,
@@ -470,23 +377,11 @@ impl<P: AsyncProtocol> ReliableLink<P> {
         let clock = self.clock;
         let (base_rto, max_rto) = (self.base_rto, self.max_rto);
         let mut out = Vec::new();
-        let obs = &self.obs;
-        let obs_node = self.obs_node;
         for u in &mut self.unacked {
             if u.retry_at <= clock {
                 u.attempts += 1;
                 let rto = (base_rto << u.attempts.min(16)).min(max_rto);
                 u.retry_at = clock + rto;
-                obs.emit(|| {
-                    let mut ev = Event::new(EventKind::Retransmit).detail(format!(
-                        "dst={} seq={} attempt={} next_rto={rto}",
-                        u.dst, u.seq, u.attempts
-                    ));
-                    if let Some(node) = obs_node {
-                        ev = ev.node(node);
-                    }
-                    ev
-                });
                 out.push((
                     u.dst,
                     LinkMsg::Data {
@@ -655,21 +550,11 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override_beats_default() {
-        let mut faults =
-            NetworkFaults::new(3, LinkFault::reliable()).with_link(0, 1, LinkFault::lossy(1.0));
-        assert!(faults.route(0, 1, 0).is_empty(), "overridden link drops");
-        assert_eq!(*faults.route(1, 0, 0), [0], "reverse direction clean");
-        assert_eq!(*faults.route(2, 3, 0), [0], "other links clean");
-    }
-
-    #[test]
-    fn partition_drop_and_hold_modes() {
+    fn partition_severs_cross_traffic_until_heal() {
         let dropped = Partition {
             side_a: vec![0, 1],
             start: 10,
             heal: 20,
-            mode: PartitionMode::Drop,
         };
         let mut faults = NetworkFaults::new(1, LinkFault::reliable()).with_partition(dropped);
         assert_eq!(*faults.route(0, 2, 9), [0], "before the cut");
@@ -678,16 +563,6 @@ mod tests {
         assert_eq!(*faults.route(0, 1, 15), [0], "same-side traffic flows");
         assert_eq!(*faults.route(0, 2, 20), [0], "healed");
         assert_eq!(faults.stats.partition_dropped, 2);
-
-        let held = Partition {
-            side_a: vec![0],
-            start: 0,
-            heal: 30,
-            mode: PartitionMode::HoldUntilHeal,
-        };
-        let mut faults = NetworkFaults::new(1, LinkFault::reliable()).with_partition(held);
-        assert_eq!(*faults.route(0, 1, 12), [18], "held until heal at 30");
-        assert_eq!(faults.stats.partition_held, 1);
     }
 
     /// Toy protocol for ReliableLink tests: broadcast once, collect all n.

@@ -24,9 +24,7 @@
 //!   torn or corrupted record and truncates the file there, so a crash mid-
 //!   append (torn tail) or a flipped bit costs the suffix, never a panic and
 //!   never a bad record;
-//! * [`Wal::compact`] rewrites the log through a temp file + atomic rename,
-//!   so a crash mid-compaction leaves either the old log or the new one,
-//!   never a hybrid.
+//! * the log only grows: a restart replays it from the first record.
 
 pub mod crc32;
 pub mod records;

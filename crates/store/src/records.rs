@@ -74,15 +74,6 @@ pub enum WalRecord {
         /// The decided vector's components.
         value: Vec<f64>,
     },
-    /// Marker written as the first record of a compacted log: `retained`
-    /// records follow, `dropped` were folded away (decided instances keep
-    /// only their pinned `Decided` record).
-    Compacted {
-        /// Records preserved by the compaction.
-        retained: u64,
-        /// Records dropped by the compaction.
-        dropped: u64,
-    },
     /// A client request completed: the decision for `(session, reqno)` was
     /// cached in the client table (and is about to be sent to the client).
     /// Synced before the reply leaves the process, so a restarted node
@@ -106,7 +97,8 @@ const TAG_INBOUND: u8 = 3;
 const TAG_SENT: u8 = 4;
 const TAG_WITNESS: u8 = 5;
 const TAG_DECIDED: u8 = 6;
-const TAG_COMPACTED: u8 = 7;
+// Tag 7 (a retired record kind) stays unassigned, so an old log never
+// decodes it as something else.
 const TAG_CLIENT_REPLY: u8 = 8;
 
 /// Sanity cap on variable-length fields inside a record, matching the wire
@@ -132,8 +124,6 @@ pub enum WalRecordRef<'a> {
     WitnessCommit { instance: u64, count: u64 },
     /// See [`WalRecord::Decided`].
     Decided { instance: u64, value: &'a [f64] },
-    /// See [`WalRecord::Compacted`].
-    Compacted { retained: u64, dropped: u64 },
     /// See [`WalRecord::ClientReply`].
     ClientReply { instance: u64, session: u64, reqno: u64, value: &'a [f64] },
 }
@@ -154,9 +144,6 @@ impl WalRecord {
             }
             WalRecord::Decided { instance, value } => {
                 WalRecordRef::Decided { instance: *instance, value }
-            }
-            WalRecord::Compacted { retained, dropped } => {
-                WalRecordRef::Compacted { retained: *retained, dropped: *dropped }
             }
             WalRecord::ClientReply { instance, session, reqno, value } => WalRecordRef::ClientReply {
                 instance: *instance,
@@ -221,11 +208,6 @@ pub fn encode_record_into(r: WalRecordRef<'_>, out: &mut Vec<u8>) {
             out.push(TAG_DECIDED);
             out.extend_from_slice(&instance.to_le_bytes());
             put_vector(out, value);
-        }
-        WalRecordRef::Compacted { retained, dropped } => {
-            out.push(TAG_COMPACTED);
-            out.extend_from_slice(&retained.to_le_bytes());
-            out.extend_from_slice(&dropped.to_le_bytes());
         }
         WalRecordRef::ClientReply { instance, session, reqno, value } => {
             out.push(TAG_CLIENT_REPLY);
@@ -311,7 +293,6 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             }
             WalRecord::Decided { instance, value }
         }
-        TAG_COMPACTED => WalRecord::Compacted { retained: r.u64()?, dropped: r.u64()? },
         TAG_CLIENT_REPLY => {
             let instance = r.u64()?;
             let session = r.u64()?;
@@ -348,7 +329,6 @@ mod tests {
             WalRecord::WitnessCommit { instance: 42, count: 19 },
             WalRecord::Decided { instance: 9, value: vec![0.25, -1.5, f64::MAX] },
             WalRecord::Decided { instance: 9, value: vec![] },
-            WalRecord::Compacted { retained: 5, dropped: 1000 },
             WalRecord::ClientReply {
                 instance: 1 << 44,
                 session: 12,

@@ -31,10 +31,6 @@
 //! short write rolls the file back to the last fully written length and
 //! keeps the batch buffered, so the log stays valid and the next sync
 //! retries.
-//!
-//! [`Wal::compact`] atomically replaces the log (temp file + rename), so a
-//! crash mid-compaction leaves either the complete old log or the complete
-//! new one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -129,8 +125,6 @@ struct Metrics {
     fsync_us: Histogram,
     group_commit: Histogram,
     size_bytes: Gauge,
-    snapshot_age: Gauge,
-    since_compaction: Gauge,
 }
 
 impl Metrics {
@@ -145,8 +139,6 @@ impl Metrics {
             fsync_us: reg.histogram("wal.fsync_us"),
             group_commit: reg.histogram("wal.group_commit.records"),
             size_bytes: reg.gauge("wal.size_bytes"),
-            snapshot_age: reg.gauge("wal.snapshot_age_records"),
-            since_compaction: reg.gauge("wal.records_since_compaction"),
         }
     }
 }
@@ -178,7 +170,6 @@ fn put_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// Logical length: header + every appended frame, written or buffered.
     len: u64,
     /// Length up to which the file is known fdatasync-durable.
@@ -194,31 +185,21 @@ pub struct Wal {
     /// Records appended since the last sync — the group-commit batch size
     /// (`wal.group_commit.records` histogram on each sync).
     pending_records: u64,
-    /// Record count as of the last [`Wal::compact`] — the base snapshot.
-    /// `records - snapshot_base` is how many records a recovery must replay
-    /// on top of it (`wal.snapshot_age_records` gauge).
-    snapshot_base: u64,
-    /// Appends since the last [`Wal::compact`] in this process (replayed
-    /// backlog excluded) — this session's churn against the snapshot.
-    appends_since_compaction: u64,
     metrics: Metrics,
 }
 
 impl Wal {
     /// A log whose file holds `len` valid, synced bytes and `records`
     /// records, with the cursor at `len`.
-    fn at(file: File, path: PathBuf, len: u64, records: u64) -> Wal {
+    fn at(file: File, len: u64, records: u64) -> Wal {
         let wal = Wal {
             file,
-            path,
             len,
             synced_len: len,
             buf: Vec::new(),
             torn: false,
             records,
             pending_records: 0,
-            snapshot_base: 0,
-            appends_since_compaction: 0,
             metrics: Metrics::lookup(),
         };
         wal.publish_gauges();
@@ -233,20 +214,20 @@ impl Wal {
     /// foreign header (corrupt-beyond-recognition files are *not* silently
     /// clobbered).
     pub fn open<P: AsRef<Path>>(path: P) -> Result<(Wal, ReplayReport), StoreError> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
+            .open(path)?;
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
 
         // A file shorter than the magic can only be a crash during creation
         // of an empty WAL; anything else with 8+ bytes must match exactly.
         if raw.len() >= WAL_MAGIC.len() && raw[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(StoreError::BadMagic { path });
+            return Err(StoreError::BadMagic { path: path.to_path_buf() });
         }
         if raw.len() < WAL_MAGIC.len() {
             file.set_len(0)?;
@@ -260,7 +241,7 @@ impl Wal {
                 valid_len: len,
                 created: true,
             };
-            return Ok((Wal::at(file, path, len, 0), report));
+            return Ok((Wal::at(file, len, 0), report));
         }
 
         let t0 = Instant::now();
@@ -275,7 +256,7 @@ impl Wal {
         file.seek(SeekFrom::Start(valid_len))?;
         reg.counter("wal.replay.records").add(records.len() as u64);
         reg.histogram("wal.replay_us").record(micros_since(t0));
-        let wal = Wal::at(file, path, valid_len, records.len() as u64);
+        let wal = Wal::at(file, valid_len, records.len() as u64);
         Ok((wal, ReplayReport { records, torn_bytes, valid_len, created: false }))
     }
 
@@ -301,7 +282,6 @@ impl Wal {
         self.len += put_frame(&mut self.buf, fill)? as u64;
         self.records += 1;
         self.pending_records += 1;
-        self.appends_since_compaction += 1;
         self.metrics.appends.inc();
         if self.buf.len() >= SPILL_THRESHOLD {
             // Best effort: a failed spill keeps the batch buffered and the
@@ -400,76 +380,10 @@ impl Wal {
         self.records
     }
 
-    /// The log's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Replace the log's contents with `records`, atomically: the new log
-    /// is written to a sibling temp file, synced, and renamed over the
-    /// old one. The result is synced end to end; frames still buffered for
-    /// the old log are discarded with it.
-    ///
-    /// # Errors
-    /// Record-size or I/O failures; the original log (and its buffered
-    /// batch) is untouched and the temp file removed.
-    pub fn compact<I>(&mut self, records: I) -> Result<(), StoreError>
-    where
-        I: IntoIterator,
-        I::Item: AsRef<[u8]>,
-    {
-        let tmp_path = self.path.with_extension("wal.tmp");
-        let written = write_log(&tmp_path, records).and_then(|(file, len, n)| {
-            std::fs::rename(&tmp_path, &self.path)?;
-            Ok((file, len, n))
-        });
-        let (file, len, n) = match written {
-            Ok(done) => done,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp_path);
-                return Err(e);
-            }
-        };
-        // The handle follows the inode through the rename, cursor at the end.
-        self.file = file;
-        self.buf.clear();
-        self.torn = false;
-        self.len = len;
-        self.synced_len = len;
-        self.records = n;
-        self.pending_records = 0;
-        self.snapshot_base = n;
-        self.appends_since_compaction = 0;
-        Registry::global().counter("wal.compactions").inc();
-        self.publish_gauges();
-        Ok(())
-    }
-
-    /// Records appended on top of the base snapshot — what a recovery must
-    /// replay after loading it. Counts the whole log when it was never
-    /// compacted.
-    #[must_use]
-    pub fn snapshot_age_records(&self) -> u64 {
-        self.records.saturating_sub(self.snapshot_base)
-    }
-
-    /// Appends since the last [`Wal::compact`] in this process (0 if never
-    /// compacted and nothing appended; replayed backlog excluded).
-    #[must_use]
-    pub fn records_since_compaction(&self) -> u64 {
-        self.appends_since_compaction
-    }
-
-    /// Export the durability gauges (`wal.size_bytes`,
-    /// `wal.snapshot_age_records`, `wal.records_since_compaction`) so a
-    /// live `/metrics` scrape sees the log's footprint as of the last
-    /// open, sync or compaction without touching the service.
+    /// Export `wal.size_bytes` so a live `/metrics` scrape sees the log's
+    /// footprint as of the last open or sync without touching the service.
     fn publish_gauges(&self) {
-        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        self.metrics.size_bytes.set(gauge(self.len));
-        self.metrics.snapshot_age.set(gauge(self.snapshot_age_records()));
-        self.metrics.since_compaction.set(gauge(self.appends_since_compaction));
+        self.metrics.size_bytes.set(i64::try_from(self.len).unwrap_or(i64::MAX));
     }
 }
 
@@ -480,37 +394,6 @@ impl Drop for Wal {
     fn drop(&mut self) {
         let _ = self.write_batch();
     }
-}
-
-/// Write a complete, synced log holding `records` to a new file at `path`.
-/// Returns the open file (cursor at the end), its length and record count.
-fn write_log<I>(path: &Path, records: I) -> Result<(File, u64, u64), StoreError>
-where
-    I: IntoIterator,
-    I::Item: AsRef<[u8]>,
-{
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)?;
-    let mut batch = WAL_MAGIC.to_vec();
-    let mut len = 0u64;
-    let mut n = 0u64;
-    for payload in records {
-        put_frame(&mut batch, |out| out.extend_from_slice(payload.as_ref()))?;
-        n += 1;
-        if batch.len() >= SPILL_THRESHOLD {
-            file.write_all(&batch)?;
-            len += batch.len() as u64;
-            batch.clear();
-        }
-    }
-    file.write_all(&batch)?;
-    len += batch.len() as u64;
-    file.sync_data()?;
-    Ok((file, len, n))
 }
 
 /// Scan `raw` (which starts with a valid magic) and return the valid
@@ -654,32 +537,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn compaction_replaces_contents_atomically() {
-        let dir = tmp_dir("compact");
-        let path = dir.join("a.wal");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        for i in 0..10u8 {
-            wal.append(&[i; 64]).unwrap();
-        }
-        wal.sync().unwrap();
-        wal.compact([b"survivor".to_vec(), b"pinned".to_vec()]).unwrap();
-        assert_eq!(wal.records(), 2);
-        assert_eq!(wal.synced_len(), wal.len());
-        // The log keeps accepting appends after compaction...
-        wal.append(b"post").unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        // ...and a reopen sees compacted + appended records, nothing else.
-        let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(
-            report.records,
-            vec![b"survivor".to_vec(), b"pinned".to_vec(), b"post".to_vec()]
-        );
-        assert!(!dir.join("a.wal.tmp").exists(), "temp file must not linger");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn file_len(path: &Path) -> u64 {
         std::fs::metadata(path).unwrap().len()
     }
@@ -796,49 +653,6 @@ mod tests {
         let (_, report) = Wal::open(&path).unwrap();
         assert_eq!(report.records.len(), 17);
         assert_eq!(report.records[16], b"after".to_vec());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_discards_the_unsynced_batch() {
-        let dir = tmp_dir("compact-unsynced");
-        let path = dir.join("a.wal");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(b"old, synced").unwrap();
-        wal.sync().unwrap();
-        wal.append(b"old, buffered").unwrap();
-        wal.compact([b"snapshot".to_vec()]).unwrap();
-        assert_eq!((wal.records(), wal.synced_len()), (1, wal.len()));
-        assert_eq!(file_len(&path), wal.len());
-        wal.append(b"new").unwrap();
-        drop(wal);
-        let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(report.records, vec![b"snapshot".to_vec(), b"new".to_vec()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_compaction_removes_its_temp_file_and_keeps_the_log() {
-        let dir = tmp_dir("compact-fail");
-        let path = dir.join("a.wal");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(b"keep").unwrap();
-        wal.sync().unwrap();
-        wal.append(b"buffered").unwrap();
-        let err = wal
-            .compact([b"fine".to_vec(), vec![0u8; MAX_RECORD_LEN + 1]])
-            .expect_err("oversized record");
-        assert!(matches!(err, StoreError::RecordTooLarge { .. }), "{err}");
-        assert!(!dir.join("a.wal.tmp").exists(), "temp file must not linger");
-        assert_eq!(wal.records(), 2);
-        wal.append(b"more").unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(
-            report.records,
-            vec![b"keep".to_vec(), b"buffered".to_vec(), b"more".to_vec()]
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

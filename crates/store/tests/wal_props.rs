@@ -14,7 +14,7 @@ use rbvc_store::{decode_record, encode_record, encode_record_into, Wal, WalRecor
 /// Deterministic record zoo driven by the proptest RNG stream: covers
 /// every tag with variable-length fields of seeded sizes.
 fn record_from(words: &[u64]) -> WalRecord {
-    let pick = words[0] % 8;
+    let pick = words[0] % 7;
     let a = words[1];
     let blob = |n: u64| -> Vec<u8> {
         let len = (n % 200) as usize;
@@ -31,7 +31,7 @@ fn record_from(words: &[u64]) -> WalRecord {
             let value = (0..d).map(|i| (words[3].rotate_left(i as u32) as f64) / 1e9).collect();
             WalRecord::Decided { instance: a, value }
         }
-        6 => {
+        _ => {
             let d = (words[3] % 6) as usize;
             let value = (0..d).map(|i| (words[3].rotate_right(i as u32) as f64) / 1e6).collect();
             WalRecord::ClientReply {
@@ -41,7 +41,6 @@ fn record_from(words: &[u64]) -> WalRecord {
                 value,
             }
         }
-        _ => WalRecord::Compacted { retained: a, dropped: words[2] },
     }
 }
 

@@ -11,8 +11,8 @@
 //!   are rejected at the frame boundary as
 //!   [`rbvc_sim::error::ProtocolError`], never a panic.
 //! * [`transport`] — the [`transport::Transport`] trait (queued sends,
-//!   per-peer batched flush, authenticated receive) and the in-process mesh
-//!   that adapts the simulator's fault-injected network behind it.
+//!   per-peer batched flush, authenticated receive) and the in-process mesh:
+//!   one reliable, FIFO-per-link channel per endpoint.
 //! * [`tcp`] — the real-socket implementation over `std::net` TCP:
 //!   length-prefixed framing, per-peer connection management, dial retry
 //!   with exponential backoff.
@@ -64,5 +64,5 @@ pub use service::{
     DecisionEvent, InstanceProto, Phase, PhaseNanos, CLIENT_INSTANCE_BASE,
 };
 pub use tcp::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated, TcpEndpoint};
-pub use transport::{in_proc_mesh, in_proc_mesh_with_faults, AuthEvent, InProcEndpoint, Transport};
+pub use transport::{in_proc_mesh, AuthEvent, InProcEndpoint, Transport};
 pub use wire::{decode_frame, encode_frame, Frame, Payload};

@@ -102,8 +102,8 @@ use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::SyncBvc;
 use rbvc_linalg::VecD;
 use rbvc_obs::{
-    progress_token, Event, EventKind, InstanceProgress, InstanceStatus, Obs, Registry,
-    StallReport, StatusSnapshot, WalStatus,
+    progress_token, Event, EventKind, InstanceProgress, Obs, Registry, StallReport,
+    StatusSnapshot, WalStatus,
 };
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
@@ -136,18 +136,6 @@ pub enum InstanceProto {
 /// Encoded frames with their destinations, as [`ConsensusService::route`]
 /// takes them.
 type Outbound = Vec<(ProcessId, Vec<u8>)>;
-
-/// What the health side may know about a running instance.
-struct Progress {
-    /// `/status` label of the protocol.
-    kind: &'static str,
-    /// Lockstep round (0 for Verified Averaging, which has no barrier).
-    round: u32,
-    /// Changes whenever the instance moved (see [`progress_token`]).
-    token: u64,
-    /// Senders the current barrier still waits for (none without a barrier).
-    waiting_on: Vec<u32>,
-}
 
 /// Everything the service needs to know about *which* protocol an instance
 /// runs: the state-machine calls with their wire encoding on the way out
@@ -207,31 +195,21 @@ impl InstanceProto {
         }
     }
 
-    /// Progress as the stall detector and `/status` see it: lockstep round
-    /// plus barrier occupancy for BVC (with the concrete missing senders),
-    /// witness commits for VA (no barrier, so no named senders).
-    fn progress(&self) -> Progress {
-        match self {
+    /// Instance `instance`'s row as the stall detector and `/status` see
+    /// it: lockstep round plus barrier occupancy for BVC (with the concrete
+    /// missing senders), witness commits for VA (no barrier, so no named
+    /// senders).
+    fn progress(&self, instance: InstanceId, launched: bool, decided: bool) -> InstanceProgress {
+        let (proto, round, progress_token, waiting_on) = match self {
             InstanceProto::Bvc(p) => {
                 let round = u32::try_from(p.current_round()).unwrap_or(u32::MAX);
-                Progress {
-                    kind: "bvc",
-                    round,
-                    token: progress_token(round, p.senders_have(), 0),
-                    waiting_on: p
-                        .waiting_on()
-                        .iter()
-                        .map(|&q| u32::try_from(q).unwrap_or(u32::MAX))
-                        .collect(),
-                }
+                let waiting_on =
+                    p.waiting_on().iter().map(|&q| u32::try_from(q).unwrap_or(u32::MAX)).collect();
+                ("bvc", round, progress_token(round, p.senders_have(), 0), waiting_on)
             }
-            InstanceProto::Va(p) => Progress {
-                kind: "va",
-                round: 0,
-                token: progress_token(0, 0, p.witness_commits()),
-                waiting_on: Vec::new(),
-            },
-        }
+            InstanceProto::Va(p) => ("va", 0, progress_token(0, 0, p.witness_commits()), Vec::new()),
+        };
+        InstanceProgress { instance, proto, round, launched, decided, progress_token, waiting_on }
     }
 
     fn encode_bvc(
@@ -967,17 +945,7 @@ impl<T: Transport> ConsensusService<T> {
             .filter(|(id, slot)| {
                 !slot.decided || decided_now.iter().any(|ev| ev.instance == **id)
             })
-            .map(|(id, slot)| {
-                let p = slot.proto.progress();
-                InstanceProgress {
-                    instance: *id,
-                    round: p.round,
-                    launched: slot.launched.is_some(),
-                    decided: slot.decided,
-                    progress_token: p.token,
-                    waiting_on: p.waiting_on,
-                }
-            })
+            .map(|(id, slot)| slot.proto.progress(*id, slot.launched.is_some(), slot.decided))
             .collect()
     }
 
@@ -1002,17 +970,7 @@ impl<T: Transport> ConsensusService<T> {
         let instances = open
             .chain(done)
             .take(STATUS_INSTANCE_CAP)
-            .map(|(id, slot)| {
-                let p = slot.proto.progress();
-                InstanceStatus {
-                    id: *id,
-                    proto: p.kind.to_string(),
-                    round: p.round,
-                    launched: slot.launched.is_some(),
-                    decided: slot.decided,
-                    waiting_on: p.waiting_on,
-                }
-            })
+            .map(|(id, slot)| slot.proto.progress(*id, slot.launched.is_some(), slot.decided))
             .collect();
         health.publish(&StatusSnapshot {
             node: u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX),
@@ -1020,11 +978,7 @@ impl<T: Transport> ConsensusService<T> {
             total_instances: self.instances.len() as u64,
             decided_instances: (self.instances.len() - self.undecided) as u64,
             client: self.client.status(),
-            wal: self.durability.wal().map(|w| WalStatus {
-                size_bytes: w.len(),
-                records: w.records(),
-                records_since_compaction: w.records_since_compaction(),
-            }),
+            wal: self.durability.wal().map(|w| WalStatus { size_bytes: w.len(), records: w.records() }),
             links,
             stalls: health.detector().active(),
             phase_ns: self.clock.cells().named(),
@@ -1285,7 +1239,6 @@ impl<T: Transport> ConsensusService<T> {
                     // (session, reqno) gets the identical pre-crash bytes.
                     svc.client.cache_reply(instance, session, reqno, VecD::from_slice(&value));
                 }
-                WalRecord::Compacted { .. } => {}
             }
         }
         svc.durability.attach(wal);

@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use rbvc_obs::{Event, EventKind};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::ProtocolError;
 use rbvc_store::{Wal, WalRecordRef};
@@ -75,8 +74,6 @@ impl Durability {
                 peer: None,
                 reason: format!("wal append failed: {e}"),
             });
-        } else {
-            sinks.obs.emit(|| Event::new(EventKind::WalAppend));
         }
     }
 

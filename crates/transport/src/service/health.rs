@@ -120,24 +120,28 @@ mod tests {
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_linalg::{Norm, Tol, VecD};
     use rbvc_obs::TraceSummary;
+    use rbvc_store::Wal;
 
     use super::*;
     use crate::service::{ConsensusService, InstanceProto};
     use crate::transport::in_proc_mesh;
 
-    /// The black box keeps what matters: with no per-frame span in the event
-    /// stream, fifty decisions' worth of events fit the ring, the first
-    /// decision's `decide` included.
-    #[test]
-    fn the_flight_ring_still_holds_the_first_decide_after_fifty_decisions() {
+    /// Run fifty decisions on a 4-node mesh, node 0 with a flight recorder
+    /// (and every node with a WAL when `durable`), and return the instances
+    /// whose `decide` the ring still holds plus its eviction count.
+    fn decides_in_the_flight_ring(durable: bool) -> (Vec<u64>, Option<u64>) {
         let (n, decisions) = (4usize, 50u64);
-        let dir = std::env::temp_dir().join(format!("rbvc-flight-ring-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("rbvc-flight-ring-{durable}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mk tmp dir");
         let mut services: Vec<ConsensusService<_>> =
             in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
         for (i, svc) in services.iter_mut().enumerate() {
+            if durable {
+                svc.attach_wal(Wal::open(dir.join(format!("node{i}.wal"))).expect("open").0);
+            }
             svc.enable_health(HealthConfig {
-                flight_dir: (i == 0).then(|| dir.clone()),
+                flight_dir: (i == 0).then(|| dir.join("flight")),
                 ..HealthConfig::default()
             });
             for k in 1..=decisions {
@@ -166,14 +170,33 @@ mod tests {
         let flight = services[0].health.as_ref().and_then(|h| h.flight.as_ref()).expect("armed");
         let dump = flight.dump("test").expect("dump written");
         let ring = TraceSummary::parse(&std::fs::read_to_string(dump).unwrap()).expect("parses");
-        assert_eq!(ring.flight_ring_dropped, Some(0), "nothing was evicted");
-        let decides: Vec<u64> = ring
+        let decides = ring
             .events
             .iter()
             .filter(|e| e.kind == EventKind::Decide && e.detail.as_deref().is_some_and(|d| d.starts_with("latency_us=")))
             .filter_map(|e| e.instance)
             .collect();
-        assert_eq!(decides, (1..=decisions).collect::<Vec<_>>(), "every decide, the first included");
+        drop(services);
         let _ = std::fs::remove_dir_all(&dir);
+        (decides, ring.flight_ring_dropped)
+    }
+
+    /// The black box keeps what matters: with no per-frame span in the event
+    /// stream, fifty decisions' worth of events fit the ring, the first
+    /// decision's `decide` included.
+    #[test]
+    fn the_flight_ring_still_holds_the_first_decide_after_fifty_decisions() {
+        let (decides, dropped) = decides_in_the_flight_ring(false);
+        assert_eq!(dropped, Some(0), "nothing was evicted");
+        assert_eq!(decides, (1..=50).collect::<Vec<_>>(), "every decide, the first included");
+    }
+
+    /// A durable node's ring holds decisions too: WAL appends are counted on
+    /// `/metrics` (`wal.append.records`), not recorded one event each.
+    #[test]
+    fn the_flight_ring_still_holds_the_first_decide_with_a_wal_attached() {
+        let (decides, dropped) = decides_in_the_flight_ring(true);
+        assert_eq!(dropped, Some(0), "nothing was evicted");
+        assert_eq!(decides, (1..=50).collect::<Vec<_>>(), "every decide, the first included");
     }
 }

@@ -769,12 +769,6 @@ impl TcpEndpoint {
         self.auth_established.load(Ordering::Relaxed)
     }
 
-    /// Whether this endpoint requires keyed handshakes on its links.
-    #[must_use]
-    pub fn auth_enabled(&self) -> bool {
-        self.auth.is_some()
-    }
-
     /// Address this endpoint's accept loop is bound to. Attack harnesses
     /// dial it raw to exercise the handshake path from outside the mesh.
     #[must_use]
@@ -1269,7 +1263,6 @@ mod tests {
         // (the dialer returns after *writing* its response; the responder
         // verifies asynchronously, so wait rather than assert instantly).
         for (i, ep) in mesh.iter_mut().enumerate() {
-            assert!(ep.auth_enabled());
             assert!(
                 pump_until(ep, |e| e.auth_handshakes() == 2),
                 "endpoint {i} never verified both inbound handshakes"

@@ -9,15 +9,12 @@
 //! ghost peer, or a peer whose link has died, is dropped and recorded in the
 //! endpoint's [`ErrorLog`]; the node keeps serving its remaining peers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_sim::net::NetworkFaults;
 
 /// A link-identity verdict surfaced by an authenticating transport: each
 /// completed or refused handshake becomes one event, drained by the
@@ -137,42 +134,20 @@ pub trait Transport: Send {
     fn errors(&self) -> ErrorLog;
 }
 
-/// An envelope in flight inside the in-process mesh.
-struct Envelope {
-    src: ProcessId,
-    /// Mesh-clock instant at which this copy becomes deliverable.
-    due: u64,
-    bytes: Vec<u8>,
-}
+/// What an in-process channel carries: the sending endpoint and the frame.
+type Arrival = (ProcessId, Vec<u8>);
 
-/// State shared by all endpoints of one in-process mesh.
-struct MeshShared {
-    txs: Vec<Sender<Envelope>>,
-    /// The sim-net fault plan (drop/dup/delay/partition), shared because
-    /// `NetworkFaults` draws from one seeded RNG stream.
-    faults: Mutex<NetworkFaults>,
-    /// Logical mesh clock: advanced by every flush and every receive poll,
-    /// so held (delayed) envelopes always become due while anyone is active.
-    clock: AtomicU64,
-}
-
-/// The in-process transport: the simulator's fault-injected network
-/// ([`NetworkFaults`]) adapted behind the [`Transport`] trait, moving the
-/// same encoded bytes a socket would.
-///
-/// Delay semantics: the mesh keeps a logical clock advanced on every flush
-/// and poll; a delayed copy is held at the receiver until the clock passes
-/// its due time. With [`NetworkFaults::reliable`] every copy is due
-/// immediately and delivery is FIFO per link.
+/// The in-process transport: one unbounded channel per endpoint carrying
+/// `(link peer, bytes)`, moving the same encoded bytes a socket would.
+/// Delivery is reliable and FIFO per link — the fault-free substrate; link
+/// faults live in the simulator (`AsyncEngine::run_chaos`).
 pub struct InProcEndpoint {
     id: ProcessId,
     n: usize,
-    shared: Arc<MeshShared>,
-    rx: Receiver<Envelope>,
+    txs: Arc<[Sender<Arrival>]>,
+    rx: Receiver<Arrival>,
     /// Frames queued by `send` awaiting `flush`, in send order.
     outbox: Vec<(ProcessId, Vec<u8>)>,
-    /// Delivered-but-not-yet-due envelopes (fault-injected delays).
-    held: Vec<Envelope>,
     bytes_sent: u64,
     bytes_received: u64,
     errors: ErrorLog,
@@ -181,60 +156,22 @@ pub struct InProcEndpoint {
 /// Build a reliable in-process mesh of `n` endpoints.
 #[must_use]
 pub fn in_proc_mesh(n: usize) -> Vec<InProcEndpoint> {
-    in_proc_mesh_with_faults(n, NetworkFaults::reliable())
-}
-
-/// Build an in-process mesh whose links obey `faults` (the chaos layer of
-/// `rbvc_sim::net`). Self-links are exempt: a process always hears itself.
-#[must_use]
-pub fn in_proc_mesh_with_faults(n: usize, faults: NetworkFaults) -> Vec<InProcEndpoint> {
     assert!(n > 0, "mesh needs at least one endpoint");
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel::unbounded();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let shared = Arc::new(MeshShared {
-        txs,
-        faults: Mutex::new(faults),
-        clock: AtomicU64::new(0),
-    });
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::unbounded()).unzip();
+    let txs: Arc<[_]> = txs.into();
     rxs.into_iter()
         .enumerate()
         .map(|(id, rx)| InProcEndpoint {
             id,
             n,
-            shared: Arc::clone(&shared),
+            txs: Arc::clone(&txs),
             rx,
             outbox: Vec::new(),
-            held: Vec::new(),
             bytes_sent: 0,
             bytes_received: 0,
             errors: ErrorLog::new(),
         })
         .collect()
-}
-
-impl InProcEndpoint {
-    /// Move envelopes from the channel into `held`, then release everything
-    /// whose due time has passed.
-    fn drain_due(&mut self, now: u64, out: &mut Vec<(ProcessId, Vec<u8>)>) {
-        while let Ok(env) = self.rx.try_recv() {
-            self.held.push(env);
-        }
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].due <= now {
-                let env = self.held.swap_remove(i);
-                self.bytes_received += env.bytes.len() as u64;
-                out.push((env.src, env.bytes));
-            } else {
-                i += 1;
-            }
-        }
-    }
 }
 
 impl Transport for InProcEndpoint {
@@ -260,47 +197,30 @@ impl Transport for InProcEndpoint {
     }
 
     fn flush(&mut self) -> Result<(), ProtocolError> {
-        if self.outbox.is_empty() {
-            return Ok(());
-        }
-        let now = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut faults = self.shared.faults.lock();
         for (dst, bytes) in self.outbox.drain(..) {
-            if dst == self.id {
-                // Self-link: process-internal, exempt from faults and from
-                // the wire byte counters.
-                let _ = self.shared.txs[dst].send(Envelope {
-                    src: self.id,
-                    due: 0,
-                    bytes,
-                });
-                continue;
+            if dst != self.id {
+                self.bytes_sent += bytes.len() as u64;
             }
-            self.bytes_sent += bytes.len() as u64;
             // A dead receiver is indistinguishable from a slow one in an
-            // asynchronous network; dropping the envelope is the honest
+            // asynchronous network; dropping the frame is the honest
             // semantics, not an error.
-            let deliver = |delay: u64, bytes| {
-                let _ = self.shared.txs[dst].send(Envelope { src: self.id, due: now + delay, bytes });
-            };
-            // The frame itself is the last copy; only a duplicate is cloned.
-            if let Some((&last, duplicates)) = faults.route(self.id, dst, now).split_last() {
-                duplicates.iter().for_each(|&delay| deliver(delay, bytes.clone()));
-                deliver(last, bytes);
-            }
+            let _ = self.txs[dst].send((self.id, bytes));
         }
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
-        let now = self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut out = Vec::new();
-        self.drain_due(now, &mut out);
-        if out.is_empty() && self.held.is_empty() {
-            // Nothing pending at all: block for the first arrival.
-            if let Ok(env) = self.rx.recv_timeout(timeout) {
-                self.held.push(env);
-                self.drain_due(now, &mut out);
+        let rx = &self.rx;
+        let mut out: Vec<_> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        if out.is_empty() {
+            // Nothing queued: block for the first arrival, then take what
+            // came with it.
+            out.extend(rx.recv_timeout(timeout));
+            out.extend(std::iter::from_fn(|| rx.try_recv().ok()));
+        }
+        for (src, bytes) in &out {
+            if *src != self.id {
+                self.bytes_received += bytes.len() as u64;
             }
         }
         out
@@ -356,25 +276,28 @@ mod tests {
     }
 
     #[test]
-    fn lossy_links_drop_frames_but_polling_releases_delays() {
-        use rbvc_sim::net::LinkFault;
-        // 100% duplication with extra delay: copies are held, then released
-        // as subsequent polls advance the mesh clock.
-        let fault = LinkFault {
-            dup_prob: 1.0,
-            max_extra_delay: 3,
-            ..LinkFault::reliable()
-        };
-        let mut mesh = in_proc_mesh_with_faults(2, NetworkFaults::new(5, fault));
-        mesh[0].send(1, vec![8]).unwrap();
+    fn self_delivery_is_outside_both_byte_counters() {
+        let mut mesh = in_proc_mesh(2);
+        mesh[0].send(0, vec![1, 2, 3]).unwrap();
         mesh[0].flush().unwrap();
-        let mut got = Vec::new();
-        for _ in 0..10 {
-            got.extend(mesh[1].recv_timeout(Duration::from_millis(10)));
-            if got.len() >= 2 {
-                break;
-            }
+        assert_eq!(mesh[0].recv_timeout(Duration::from_millis(100)), vec![(0, vec![1, 2, 3])]);
+        assert_eq!((mesh[0].bytes_sent(), mesh[0].bytes_received()), (0, 0));
+    }
+
+    #[test]
+    fn delivery_is_fifo_per_link() {
+        let mut mesh = in_proc_mesh(3);
+        for b in 1..=5u8 {
+            mesh[0].send(1, vec![b]).unwrap();
         }
-        assert_eq!(got.len(), 2, "duplicated copy must arrive after polling");
+        mesh[0].flush().unwrap();
+        mesh[2].send(1, vec![9]).unwrap();
+        mesh[2].flush().unwrap();
+        let got: Vec<u8> = mesh[1]
+            .recv_timeout(Duration::from_millis(100))
+            .into_iter()
+            .map(|(_, bytes)| bytes[0])
+            .collect();
+        assert_eq!(got, [1, 2, 3, 4, 5, 9]);
     }
 }
