@@ -39,7 +39,7 @@ use crate::report::{print_table, with_envelope};
 use crate::workloads::max_edge;
 
 /// Every systems campaign, in experiment order (`exp <name>` looks the
-/// name up here; `exp trajectory` walks it).
+/// name up here).
 pub const SCENARIOS: [&Scenario; 6] = [
     &service::SCENARIO,
     &recovery::SCENARIO,
@@ -326,8 +326,8 @@ impl Report {
     }
 }
 
-/// One systems campaign, declared once: `exp <name>`, `exp trajectory` and
-/// the tests all read this entry.
+/// One systems campaign, declared once: `exp <name>`, `exp list` and the
+/// tests all read this entry.
 pub struct Scenario {
     /// `exp <name>`; the report is written to `BENCH_<name>.json`.
     pub name: &'static str,
@@ -336,7 +336,7 @@ pub struct Scenario {
     /// Human title (table heading and envelope `title`).
     pub title: &'static str,
     /// Flags accepted beyond `--smoke` and `--seed N`, as the usage line
-    /// shows them (`"--runs N"`, `"--trace FILE"`); `--metrics ADDR` brings
+    /// shows them (`"--runs N"`, `"--flight-dir DIR"`); `--metrics ADDR` brings
     /// `--metrics-wait-scrapes N` with it.
     pub flags: &'static [&'static str],
     /// Substrings one mid-run `/metrics` scrape must all contain.
@@ -381,19 +381,15 @@ pub enum Kind {
     Int,
     /// A finite real (δ, ε).
     Real,
-    /// A file or directory.
-    Path,
 }
 
-/// A named positional argument: `(name, kind, default)`. One without a
-/// default must be given unless `--smoke` is.
-pub type Positional = (&'static str, Kind, Option<&'static str>);
+/// A named positional argument: `(name, kind, default)`.
+pub type Positional = (&'static str, Kind, &'static str);
 
 /// The parsed command line.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Args {
-    /// The positionals in declaration order, defaults filled in (`""` for
-    /// one without a default that `--smoke` excused).
+    /// The positionals in declaration order, defaults filled in.
     pub pos: Vec<String>,
     /// How many of `pos` came from the command line.
     pub given: usize,
@@ -407,8 +403,6 @@ pub struct Args {
     pub instances: Option<usize>,
     /// `--window N` (E17): closed-loop submission window.
     pub window: Option<usize>,
-    /// `--trace FILE` (E17): record the load run as a JSONL trace.
-    pub trace: Option<String>,
     /// `--flight-dir DIR` (E22): where flight-recorder dumps land.
     pub flight_dir: Option<PathBuf>,
     /// `--metrics ADDR`: serve the live registry for the whole run.
@@ -440,9 +434,9 @@ impl Args {
 /// `"--runs N"`); flags may come before, between or after positionals.
 ///
 /// # Errors
-/// A message naming the first unknown flag, surplus or missing positional,
-/// missing value or unparseable value — bad input never falls back to a
-/// default run.
+/// A message naming the first unknown flag, surplus positional, missing
+/// value or unparseable value — bad input never falls back to a default
+/// run.
 pub fn parse_args<S: AsRef<str>>(
     positionals: &[Positional],
     flags: &[&str],
@@ -461,7 +455,6 @@ pub fn parse_args<S: AsRef<str>>(
             let valid = match kind {
                 Kind::Int => word.parse::<u64>().is_ok(),
                 Kind::Real => word.parse::<f64>().is_ok_and(f64::is_finite),
-                Kind::Path => true,
             };
             if !valid {
                 return Err(format!("{name}: cannot parse {word:?} as a number"));
@@ -485,7 +478,6 @@ pub fn parse_args<S: AsRef<str>>(
                     "--instances" => args.instances = Some(num(flag, value)?),
                     "--window" => args.window = Some(num(flag, value)?),
                     "--metrics-wait-scrapes" => args.wait_scrapes = Some(num(flag, value)?),
-                    "--trace" => args.trace = Some(value.to_string()),
                     "--flight-dir" => args.flight_dir = Some(value.into()),
                     "--metrics" => args.metrics = Some(value.to_string()),
                     other => unreachable!("flag {other} is declared but not in the grammar"),
@@ -494,23 +486,14 @@ pub fn parse_args<S: AsRef<str>>(
         }
     }
     args.given = args.pos.len();
-    for (name, _, default) in &positionals[args.given..] {
-        match default {
-            Some(default) => args.pos.push((*default).to_string()),
-            None if args.smoke => args.pos.push(String::new()),
-            None => return Err(format!("missing {name}")),
-        }
-    }
+    args.pos.extend(positionals[args.given..].iter().map(|(_, _, default)| (*default).to_string()));
     Ok(args)
 }
 
 /// The arguments as a usage line shows them: `[trials=100] [--p-sweep]`.
 #[must_use]
 pub fn usage(positionals: &[Positional], flags: &[&str]) -> String {
-    let positionals = positionals.iter().map(|(name, _, default)| match default {
-        Some(default) => format!("[{name}={default}]"),
-        None => format!("[{name}]"),
-    });
+    let positionals = positionals.iter().map(|(name, _, default)| format!("[{name}={default}]"));
     positionals.chain(flags.iter().map(|f| format!("[{f}]"))).collect::<Vec<_>>().join(" ")
 }
 
@@ -636,15 +619,22 @@ pub fn main(sc: &Scenario, args: &Args) -> Vec<Gate> {
 }
 
 /// Assert that `payload`, assembled into the report document, has exactly
-/// the top-level keys of the committed `BENCH_*.json` text.
+/// the top-level keys of the committed `BENCH_*.json` text, and that the
+/// committed file is a full-profile run, not a `--smoke` one.
 #[cfg(test)]
 pub(crate) fn assert_keys_match_committed(sc: &Scenario, payload: Value, committed: &str) {
     fn keys(doc: &Value) -> std::collections::BTreeSet<String> {
         doc.as_object().expect("object").iter().map(|(k, _)| k.clone()).collect()
     }
     let doc = document(sc, &Args::default(), payload, None);
-    let committed = serde_json::from_str(committed).expect("committed report parses");
+    let committed: Value = serde_json::from_str(committed).expect("committed report parses");
     assert_eq!(keys(&doc), keys(&committed), "{} top-level keys drifted", sc.report());
+    assert_eq!(
+        committed.get("smoke").and_then(Value::as_bool),
+        Some(false),
+        "{} is a --smoke run; commit the full profile",
+        sc.report()
+    );
 }
 
 #[cfg(test)]
@@ -665,7 +655,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_unknown_flags_missing_and_non_numeric_values() {
-        let flags = ["--smoke", "--seed N", "--runs N", "--trace FILE"];
+        let flags = ["--smoke", "--seed N", "--runs N", "--flight-dir DIR"];
         for bad in [
             &["--bogus"][..],
             &["100", "7"],
@@ -674,7 +664,7 @@ mod tests {
             &["--runs"],
             &["--runs", "many"],
             &["--seed", "-1"],
-            &["--trace"],
+            &["--flight-dir"],
         ] {
             assert!(parse_args(&[], &flags, bad).is_err(), "must reject {bad:?}");
         }
@@ -682,23 +672,20 @@ mod tests {
 
     #[test]
     fn positionals_fill_in_order_around_flags_and_are_typed() {
-        let declared: [Positional; 3] = [
-            ("d_max", Kind::Int, Some("6")),
-            ("delta", Kind::Real, Some("0.25")),
-            ("DIR", Kind::Path, None),
-        ];
+        let declared: [Positional; 3] =
+            [("d_max", Kind::Int, "6"), ("delta", Kind::Real, "0.25"), ("seed", Kind::Int, "5")];
         let parse = |words: &[&str]| parse_args(&declared, &["--smoke", "--p-sweep"], words);
-        let args = parse(&["4", "--p-sweep", "0.5", "out"]).expect("valid command line");
-        assert_eq!((args.num::<u64>(0), args.num::<f64>(1), args.pos[2].as_str()), (4, 0.5, "out"));
+        let args = parse(&["4", "--p-sweep", "0.5", "9"]).expect("valid command line");
+        assert_eq!((args.num::<u64>(0), args.num::<f64>(1), args.num::<u64>(2)), (4, 0.5, 9));
         assert!(args.p_sweep && args.given == 3);
-        let args = parse(&["--smoke", "4"]).expect("--smoke excuses the positional without a default");
-        assert_eq!((args.pos, args.given), (vec!["4".to_string(), "0.25".into(), "".into()], 1));
-        for bad in [&["4"][..], &["x"], &["4", "inf"], &["4", "0.5", "out", "more"], &["-1"]] {
+        let args = parse(&["--smoke", "4"]).expect("defaults fill the rest");
+        assert_eq!((args.pos, args.given), (vec!["4".to_string(), "0.25".into(), "5".into()], 1));
+        for bad in [&["x"][..], &["4", "inf"], &["4", "0.5", "9", "more"], &["-1"], &["4", "0.5", "x"]] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
         assert_eq!(
             usage(&declared, &["--smoke", "--runs N"]),
-            "[d_max=6] [delta=0.25] [DIR] [--smoke] [--runs N]"
+            "[d_max=6] [delta=0.25] [seed=5] [--smoke] [--runs N]"
         );
     }
 

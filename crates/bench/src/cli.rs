@@ -1,5 +1,5 @@
-//! The `exp` program: one name space over the paper experiments and trace
-//! readers ([`EXPERIMENTS`]) and the systems campaigns ([`SCENARIOS`]), one
+//! The `exp` program: one name space over the paper experiments
+//! ([`EXPERIMENTS`]) and the systems campaigns ([`SCENARIOS`]), one
 //! argument grammar ([`parse_args`]) and one exit-code contract — 2 with a
 //! usage line for a command line the grammar rejects, 1 with `FAIL: …` lines
 //! for a failed gate, 0 otherwise.
@@ -59,7 +59,7 @@ impl Command {
     /// The positionals and flags the command accepts.
     fn grammar(self) -> (&'static [Positional], Vec<&'static str>) {
         const DOCUMENT_SCALE: [Positional; 2] =
-            [("trials", Kind::Int, Some("25")), ("seed", Kind::Int, Some("2024"))];
+            [("trials", Kind::Int, "25"), ("seed", Kind::Int, "2024")];
         match self {
             Command::List => (&[], Vec::new()),
             Command::All => (&[], vec!["--quick"]),
@@ -182,19 +182,17 @@ mod tests {
         assert_eq!(index().lines().count(), 3 + names.len(), "title, header, rule, one line each");
     }
 
-    /// No arguments is a valid command line for every entry (the trace
-    /// reader needs `--smoke` in place of its file), and it yields the
-    /// declared defaults.
+    /// No arguments is a valid command line for every entry, and it yields
+    /// the declared defaults.
     #[test]
     fn every_rows_defaults_parse() {
         for c in Command::every() {
             let (positionals, _) = c.grammar();
-            let required = positionals.iter().any(|(_, _, default)| default.is_none());
-            let words: &[&str] = if required { &[c.name(), "--smoke"] } else { &[c.name()] };
-            let (_, args) = parse(words).unwrap_or_else(|e| panic!("{words:?}: {e}"));
+            let words = [c.name()];
+            let (_, args) = parse(&words).unwrap_or_else(|e| panic!("{words:?}: {e}"));
             assert_eq!(args.given, 0);
             for ((_, kind, default), value) in positionals.iter().zip(&args.pos) {
-                assert_eq!(value, default.unwrap_or(""));
+                assert_eq!(value, default);
                 assert!(*kind != Kind::Int || value.parse::<u64>().is_ok(), "{words:?}");
                 assert!(*kind != Kind::Real || value.parse::<f64>().is_ok(), "{words:?}");
             }
@@ -212,6 +210,7 @@ mod tests {
             &["chaos", "--seed", "3"],
             &["all", "3"],
             &["obs"],
+            &["trajectory"],
             &[],
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
@@ -260,18 +259,16 @@ mod tests {
 
     /// Every paper row prints its tables at its smallest scale: one trial
     /// (or restart, iteration, seed per cell) and the lowest dimension of
-    /// its sweep; the rows with no scale argument run as they are, and the
-    /// reader that needs a trace file has no smallest scale.
+    /// its sweep; the rows with no scale argument run as they are.
     #[test]
     fn every_paper_row_runs_at_its_smallest_scale() {
-        let runnable = |e: &&Experiment| e.positionals.iter().all(|(_, _, default)| default.is_some());
-        for e in EXPERIMENTS.into_iter().filter(runnable) {
+        for e in EXPERIMENTS {
             let words: &[&str] = match e.name {
                 "table1" => &["1", "1", "--p-sweep"],
                 "thm3" | "thm4" => &["3"],
                 "thm5" | "thm6" => &["2"],
                 "conjectures" => &["1", "1"],
-                "figure1" | "convergence" | "broadcast" | "trajectory" => &[],
+                "figure1" | "convergence" | "broadcast" => &[],
                 _ => &["1"],
             };
             let args = parse_args(e.positionals, e.flags, words).expect("valid scale");

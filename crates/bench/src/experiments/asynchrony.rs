@@ -19,7 +19,7 @@ pub const ASYNC_DELTA: Experiment = Experiment {
     name: "async-delta",
     ids: "E11",
     artefact: "Theorem 15 / Conjecture 4 (async input-dependent δ)",
-    positionals: &[("trials", Kind::Int, Some("10")), ("seed", Kind::Int, Some("5"))],
+    positionals: &[("trials", Kind::Int, "10"), ("seed", Kind::Int, "5")],
     flags: &[],
     suite: Some((&["10", "5"], &["3", "5"])),
     json: Some(|trials, seed| {
@@ -33,7 +33,7 @@ pub const CONVERGENCE: Experiment = Experiment {
     name: "convergence",
     ids: "E13",
     artefact: "ε-agreement convergence series",
-    positionals: &[("seed", Kind::Int, Some("5"))],
+    positionals: &[("seed", Kind::Int, "5")],
     flags: &[],
     suite: Some((&["8"], &["8"])),
     json: Some(|_, seed| {

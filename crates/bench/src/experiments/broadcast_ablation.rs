@@ -26,7 +26,7 @@ pub const BROADCAST: Experiment = Experiment {
     name: "broadcast",
     ids: "E15",
     artefact: "ALGO Step 1 ablation (EIG vs Dolev–Strong)",
-    positionals: &[("seed", Kind::Int, Some("5"))],
+    positionals: &[("seed", Kind::Int, "5")],
     flags: &[],
     suite: Some((&["5"], &["5"])),
     json: Some(|_, seed| json!({ "e15_broadcast_ablation": ablation_sweep(seed + 5) })),

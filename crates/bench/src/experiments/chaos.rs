@@ -31,7 +31,7 @@ pub const CHAOS: Experiment = Experiment {
     name: "chaos",
     ids: "E16",
     artefact: "unreliable-network campaign (robustness)",
-    positionals: &[("seeds_per_cell", Kind::Int, Some("14")), ("seed", Kind::Int, Some("2016"))],
+    positionals: &[("seeds_per_cell", Kind::Int, "14"), ("seed", Kind::Int, "2016")],
     flags: &["--smoke"],
     suite: None,
     json: None,

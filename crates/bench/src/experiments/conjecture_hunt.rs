@@ -31,9 +31,9 @@ pub const CONJECTURES: Experiment = Experiment {
     ids: "E14",
     artefact: "Conjectures 1–2 (adversarial stress-search)",
     positionals: &[
-        ("restarts", Kind::Int, Some("40")),
-        ("iters", Kind::Int, Some("1000")),
-        ("seed", Kind::Int, Some("1")),
+        ("restarts", Kind::Int, "40"),
+        ("iters", Kind::Int, "1000"),
+        ("seed", Kind::Int, "1"),
     ],
     flags: &[],
     // About a minute for the two Conjecture 1 rows at full scale, 25 s for

@@ -32,7 +32,7 @@ pub const FIGURE1: Experiment = Experiment {
     name: "figure1",
     ids: "E2",
     artefact: "Figure 1 (Lemma 10 impossibility at n ≤ 3f)",
-    positionals: &[("d", Kind::Int, Some("3"))],
+    positionals: &[("d", Kind::Int, "3")],
     flags: &[],
     suite: Some((&["3"], &["3"])),
     json: None,
@@ -44,7 +44,7 @@ pub const THM3: Experiment = Experiment {
     name: "thm3",
     ids: "E3",
     artefact: "Theorem 3 tightness (sync k-relaxed)",
-    positionals: &[("d_max", Kind::Int, Some("6"))],
+    positionals: &[("d_max", Kind::Int, "6")],
     flags: &[],
     suite: Some((&["6"], &["6"])),
     json: Some(|_, _| json!({ "e3_theorem3": (3..=5).map(theorem3_row).collect::<Vec<_>>() })),
@@ -56,7 +56,7 @@ pub const THM4: Experiment = Experiment {
     name: "thm4",
     ids: "E4",
     artefact: "Theorem 4 tightness (async k-relaxed)",
-    positionals: &[("d_max", Kind::Int, Some("5"))],
+    positionals: &[("d_max", Kind::Int, "5")],
     flags: &[],
     suite: Some((&["5"], &["5"])),
     json: Some(|_, _| json!({ "e4_theorem4": (3..=4).map(theorem4_row).collect::<Vec<_>>() })),
@@ -68,7 +68,7 @@ pub const THM5: Experiment = Experiment {
     name: "thm5",
     ids: "E5",
     artefact: "Theorem 5 tightness (sync (δ,p), constant δ)",
-    positionals: &[("d_max", Kind::Int, Some("6")), ("delta", Kind::Real, Some("0.25"))],
+    positionals: &[("d_max", Kind::Int, "6"), ("delta", Kind::Real, "0.25")],
     flags: &[],
     suite: Some((&["6"], &["6"])),
     json: Some(|_, _| {
@@ -83,9 +83,9 @@ pub const THM6: Experiment = Experiment {
     ids: "E6",
     artefact: "Theorem 6 tightness (async (δ,p), constant δ)",
     positionals: &[
-        ("d_max", Kind::Int, Some("5")),
-        ("delta", Kind::Real, Some("0.25")),
-        ("epsilon", Kind::Real, Some("0.05")),
+        ("d_max", Kind::Int, "5"),
+        ("delta", Kind::Real, "0.25"),
+        ("epsilon", Kind::Real, "0.05"),
     ],
     flags: &[],
     suite: Some((&["5"], &["5"])),

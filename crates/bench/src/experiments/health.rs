@@ -26,8 +26,8 @@
 //! The campaign ends with a flight-recorder cross-check: a safety
 //! violation is induced against a monitor whose event stream feeds a
 //! [`FlightRecorder`], and the resulting black-box dump is re-parsed by
-//! the trace summarizer (`exp obs`'s parser) to prove the dump is a
-//! self-describing trace with the violation inside.
+//! [`FlightDump`] to prove the dump is a self-describing file with the
+//! violation inside.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 use rbvc_linalg::VecD;
 use rbvc_obs::{
-    clock, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase, StallReport,
-    StatusBoard, TraceSummary,
+    clock, FlightDump, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase,
+    StallReport, StatusBoard,
 };
 use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::service::{ConsensusService, HealthConfig};
@@ -451,7 +451,7 @@ fn judge_run(
 
 /// Induce a safety violation against a monitored decision stream whose
 /// events feed a [`FlightRecorder`], then replay the black-box dump
-/// through [`TraceSummary`] — the cross-check that the always-on recorder
+/// through [`FlightDump`] — the cross-check that the always-on recorder
 /// produces a usable trace exactly when something goes wrong.
 fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
     let dir = dir.join("crosscheck");
@@ -475,8 +475,8 @@ fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
                 .find(|e| e.file_name().to_string_lossy().contains("violation"))
         })
         .and_then(|e| std::fs::read_to_string(e.path()).ok())
-        .and_then(|text| TraceSummary::parse(&text).ok());
-    let reason = parsed.as_ref().and_then(|s| s.flight_reason.clone()).unwrap_or_default();
+        .and_then(|text| FlightDump::parse(&text).ok());
+    let reason = parsed.as_ref().and_then(|s| s.reason.clone()).unwrap_or_default();
     let violations_in_dump = parsed.as_ref().map_or(0, |s| s.violations);
     let replayed = parsed.is_some_and(|s| s.unknown_records == 0)
         && reason == "violation"

@@ -22,7 +22,7 @@ pub const LEMMAS: Experiment = Experiment {
     name: "lemmas",
     ids: "E7–E9",
     artefact: "Lemmas 12–15 closed forms",
-    positionals: &[("trials", Kind::Int, Some("200")), ("seed", Kind::Int, Some("7"))],
+    positionals: &[("trials", Kind::Int, "200"), ("seed", Kind::Int, "7")],
     flags: &[],
     suite: Some((&["100", "7"], &["25", "7"])),
     json: Some(|trials, seed| json!({ "e7_9_lemmas": lemma_sweep(trials, seed + 7) })),

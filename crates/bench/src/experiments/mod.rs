@@ -1,9 +1,7 @@
 //! Experiment implementations: one module per paper artefact group, each
 //! holding its typed row functions, the [`Experiment`] entries that print
 //! them, and nothing else. [`EXPERIMENTS`] is the index of the paper
-//! experiments (`exp list` prints it; DESIGN.md §3 describes the rows); its
-//! last two rows are the trace and report readers [`obs`] and
-//! [`trajectory`].
+//! experiments (`exp list` prints it; DESIGN.md §3 describes the rows).
 //!
 //! The systems campaigns — [`service`] (E17), [`recovery`] (E18),
 //! [`byzantine`] (E20), [`client`] (E21), [`health`] (E22), [`identity`]
@@ -26,11 +24,9 @@ pub mod counterex;
 pub mod health;
 pub mod identity;
 pub mod lemmas;
-pub mod obs;
 pub mod recovery;
 pub mod service;
 pub mod table1;
-pub mod trajectory;
 pub mod tverberg;
 
 /// One experiment, declared once: `exp <name>`, `exp all`, `exp json` and
@@ -57,9 +53,8 @@ pub struct Experiment {
     pub run: fn(&Args) -> Vec<Gate>,
 }
 
-/// Every paper experiment, in experiment order, then the readers of what the
-/// campaigns write (JSONL traces and `BENCH_*.json`).
-pub const EXPERIMENTS: [&Experiment; 15] = [
+/// Every paper experiment, in experiment order.
+pub const EXPERIMENTS: [&Experiment; 13] = [
     &table1::TABLE1,
     &counterex::FIGURE1,
     &counterex::THM3,
@@ -73,6 +68,4 @@ pub const EXPERIMENTS: [&Experiment; 15] = [
     &conjecture_hunt::CONJECTURES,
     &broadcast_ablation::BROADCAST,
     &chaos::CHAOS,
-    &obs::OBS,
-    &trajectory::TRAJECTORY,
 ];

@@ -13,21 +13,16 @@
 //!
 //! Where the load run's time went is read off the services' own phase
 //! clocks (`phase_share` in `BENCH_service.json`: the share of the nodes'
-//! summed wall time per [`Phase`](rbvc_transport::service::Phase), always
-//! on, no tracing mode). `--trace FILE` records the load run as a JSONL
-//! trace through `rbvc-obs` ([`TraceFile`]) for `exp obs`. Tracing observes
-//! the run without changing decisions (same seed, same values).
+//! summed wall time per [`Phase`](rbvc_transport::service::Phase)). Like
+//! the rest of `/metrics` and `/status`, they are always on: the run has
+//! no tracing mode.
 
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 use rbvc_linalg::VecD;
-use rbvc_obs::{
-    kernel_snapshot, render_shares, reset_kernel_timers, set_kernel_timing, JsonlRecorder, Obs,
-    Recorder, Registry, StatusBoard,
-};
+use rbvc_obs::{render_shares, Registry, StatusBoard};
 use rbvc_transport::service::{ConsensusService, PhaseNanos};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
 use serde_json::json;
@@ -44,7 +39,7 @@ pub const SCENARIO: Scenario = Scenario {
     name: "service",
     id: "E17",
     title: "service load generator",
-    flags: &["--instances N", "--window N", "--trace FILE", "--metrics ADDR"],
+    flags: &["--instances N", "--window N", "--metrics ADDR"],
     metrics_probe: &["# TYPE", "service_decide_phase_us", "service_frame_queue_us"],
     status_probe: None,
     run,
@@ -188,13 +183,11 @@ struct Event {
 }
 
 /// Run one full mesh: one service thread per endpoint, decisions monitored
-/// online on the calling thread, then aggregate. When `obs` is given,
-/// every service (and the coordinator's safety monitor) traces through it.
+/// online on the calling thread, then aggregate.
 fn run_mesh<T: Transport>(
     cfg: &ServiceConfig,
     transport: TransportKind,
     endpoints: Vec<T>,
-    obs: Option<Obs>,
 ) -> ServiceOutcome {
     let mesh = &cfg.mesh;
     let inputs = mesh.inputs(&mut rng(mesh.seed));
@@ -205,16 +198,10 @@ fn run_mesh<T: Transport>(
     let done = Barrier::new(mesh.n);
     let start = Instant::now();
     let mut monitor = monitor(mesh.n, AGREEMENT_EPS, Some(inputs.clone()));
-    if let Some(obs) = &obs {
-        monitor = monitor.with_obs(obs.clone());
-    }
 
     let node = |id: usize, (ep, tx): (T, mpsc::Sender<Event>)| {
         let mut svc = ConsensusService::new(ep);
         svc.enable_auth();
-        if let Some(obs) = &obs {
-            svc.set_obs(obs.clone());
-        }
         mesh.register(&mut svc, id, &inputs, slot_proto);
         // Closed-loop submission: keep `window` instances in flight,
         // launching the next one whenever one decides locally.
@@ -307,21 +294,19 @@ fn run_mesh<T: Transport>(
     }
 }
 
-/// Run the load generator over the chosen transport. With `obs`, every
-/// node's service (gate rejections, per-instance protocol events, decides
-/// with latencies) and the coordinator's safety monitor trace through it.
+/// Run the load generator over the chosen transport.
 ///
 /// # Panics
 /// On transport construction failure (e.g. loopback sockets unavailable) or
 /// a node thread panicking.
 #[must_use]
-pub fn run_service(cfg: &ServiceConfig, kind: TransportKind, obs: Option<Obs>) -> ServiceOutcome {
+pub fn run_service(cfg: &ServiceConfig, kind: TransportKind) -> ServiceOutcome {
     match kind {
         TransportKind::Tcp => {
             let (eps, _) = cfg.mesh.tcp_mesh(&mesh_seed(cfg.mesh.seed));
-            run_mesh(cfg, kind, eps, obs)
+            run_mesh(cfg, kind, eps)
         }
-        TransportKind::InProc => run_mesh(cfg, kind, in_proc_mesh(cfg.mesh.n), obs),
+        TransportKind::InProc => run_mesh(cfg, kind, in_proc_mesh(cfg.mesh.n)),
     }
 }
 
@@ -329,53 +314,12 @@ pub fn run_service(cfg: &ServiceConfig, kind: TransportKind, obs: Option<Obs>) -
 /// over TCP and in-process. Returns the verdict plus the two outcomes.
 #[must_use]
 pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 2]) {
-    let tcp = run_service(cfg, TransportKind::Tcp, None);
-    let inproc = run_service(cfg, TransportKind::InProc, None);
+    let tcp = run_service(cfg, TransportKind::Tcp);
+    let inproc = run_service(cfg, TransportKind::InProc);
     let identical = tcp.decisions == inproc.decisions
         && tcp.decided == cfg.mesh.instances
         && inproc.decided == cfg.mesh.instances;
     (identical, [tcp, inproc])
-}
-
-/// A JSONL trace of one run: every structured event the run emits through
-/// [`TraceFile::obs`], then the metrics registry and hot-kernel timing
-/// cells. `exp obs` reads the file back.
-pub struct TraceFile {
-    recorder: Arc<JsonlRecorder>,
-}
-
-impl TraceFile {
-    /// Start a trace at `path`. Resets the global registry and the kernel
-    /// timers, so the dump reflects this run alone, and turns kernel
-    /// timing on.
-    ///
-    /// # Errors
-    /// Propagates file-creation failure.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let recorder = Arc::new(JsonlRecorder::create(path)?);
-        Registry::global().reset();
-        reset_kernel_timers();
-        set_kernel_timing(true);
-        Ok(TraceFile { recorder })
-    }
-
-    /// The event sink to hand to the run.
-    #[must_use]
-    pub fn obs(&self) -> Obs {
-        Obs::new(Arc::clone(&self.recorder) as Arc<dyn Recorder>)
-    }
-
-    /// Append the registry and kernel dumps, flush, and stop kernel timing.
-    pub fn finish(&self) {
-        for line in Registry::global().to_jsonl_lines() {
-            self.recorder.write_raw(&line);
-        }
-        for k in kernel_snapshot() {
-            self.recorder.write_raw(&k.to_json_line());
-        }
-        self.recorder.flush();
-        set_kernel_timing(false);
-    }
 }
 
 fn run(args: &Args, _status: &StatusBoard) -> Report {
@@ -402,13 +346,8 @@ fn run(args: &Args, _status: &StatusBoard) -> Report {
         if identical { "==" } else { "!=" }
     );
 
-    // The load profile itself, over real sockets — traced when asked.
-    let trace = args.trace.as_ref().map(|p| TraceFile::create(p).expect("create trace file"));
-    let out = run_service(&cfg, TransportKind::Tcp, trace.as_ref().map(TraceFile::obs));
-    if let Some((path, trace)) = args.trace.as_ref().zip(trace) {
-        trace.finish();
-        println!("wrote trace to {path}");
-    }
+    // The load profile itself, over real sockets.
+    let out = run_service(&cfg, TransportKind::Tcp);
     report(&cfg, &references, &out, identical)
 }
 
@@ -524,7 +463,7 @@ mod tests {
     #[test]
     fn smoke_profile_decides_cleanly_in_process() {
         let cfg = ServiceConfig::smoke(11);
-        let out = run_service(&cfg, TransportKind::InProc, None);
+        let out = run_service(&cfg, TransportKind::InProc);
         assert_eq!(out.decided, cfg.mesh.instances, "all instances fully decided");
         assert_eq!(out.monitor_violations, 0);
         assert_eq!(out.errors, 0);

@@ -24,7 +24,7 @@ pub const TABLE1: Experiment = Experiment {
     name: "table1",
     ids: "E1, E12",
     artefact: "Table 1 (δ* upper bounds); Theorem 14 p-sweep",
-    positionals: &[("trials", Kind::Int, Some("100")), ("seed", Kind::Int, Some("2024"))],
+    positionals: &[("trials", Kind::Int, "100"), ("seed", Kind::Int, "2024")],
     flags: &["--p-sweep"],
     suite: Some((&["100", "2024", "--p-sweep"], &["25", "2024", "--p-sweep"])),
     json: Some(|trials, seed| {

@@ -29,7 +29,7 @@ pub const TVERBERG: Experiment = Experiment {
     name: "tverberg",
     ids: "E10",
     artefact: "Section 8 (Tverberg tightness, relaxed hulls)",
-    positionals: &[("trials", Kind::Int, Some("25")), ("seed", Kind::Int, Some("3"))],
+    positionals: &[("trials", Kind::Int, "25"), ("seed", Kind::Int, "3")],
     flags: &[],
     suite: Some((&["25", "3"], &["8", "3"])),
     json: Some(|trials, seed| json!({ "e10_tverberg": tverberg_sweep(trials.min(15), seed + 3) })),

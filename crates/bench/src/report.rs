@@ -48,9 +48,9 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// human title, the git revision the binary was built from, and the
 /// wall-clock generation time. The envelope keys come first; `doc`'s own
 /// keys follow (an envelope key already present in `doc` is dropped in
-/// favor of the envelope's), so downstream tooling — `exp trajectory`,
-/// CI artifact diffing — can read any experiment's output without
-/// per-experiment knowledge.
+/// favor of the envelope's), so downstream tooling — CI artifact
+/// diffing — can read any experiment's output without per-experiment
+/// knowledge.
 #[must_use]
 pub fn with_envelope(id: &str, title: &str, doc: Value) -> Value {
     let mut fields: Vec<(String, Value)> = vec![

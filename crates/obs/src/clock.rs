@@ -1,12 +1,12 @@
-//! Process-wide monotonic trace clock.
+//! Process-wide monotonic event clock.
 //!
-//! Every span and event timestamp in a trace is microseconds since one
-//! process-wide monotonic epoch, captured lazily on first use. Monotonic
-//! means a reader never sees time going backwards within a node; the
-//! wall-clock instant of the epoch is captured once alongside it (and
-//! written into the trace header by [`crate::JsonlRecorder`]), so absolute
-//! times can be reconstructed offline without ever stamping events from
-//! the — adjustable, non-monotonic — system clock.
+//! Every event timestamp is microseconds since one process-wide monotonic
+//! epoch, captured lazily on first use. Monotonic means a reader never
+//! sees time going backwards within a node; the wall-clock instant of the
+//! epoch is captured once alongside it (and written into the header of
+//! every flight-recorder dump by [`crate::FlightRecorder::dump`]), so
+//! absolute times can be reconstructed offline without ever stamping
+//! events from the — adjustable, non-monotonic — system clock.
 //!
 //! All threads of a process share this epoch: reader threads stamping
 //! frame arrivals and service threads stamping dispatches produce one
@@ -39,8 +39,8 @@ pub fn now_us() -> u64 {
 
 /// Wall-clock microseconds since the Unix epoch at the moment the
 /// monotonic epoch was captured: `wall_epoch_unix_us() + now_us()`
-/// approximates the current wall time, and a trace header carrying this
-/// value anchors the whole trace on the calendar.
+/// approximates the current wall time, and a dump header carrying this
+/// value anchors the whole dump on the calendar.
 #[must_use]
 pub fn wall_epoch_unix_us() -> u64 {
     epoch().1

@@ -4,8 +4,9 @@
 //! a reliable-broadcast delivery, a receive-gate rejection, a decision —
 //! tagged with where it happened (`node`), which consensus instance it
 //! belongs to (`instance`), and the protocol round, when those are known.
-//! Events serialize to single-line JSON (one line per event in a `.jsonl`
-//! trace) and parse back for post-hoc analysis by [`crate::report`].
+//! Events serialize to single-line JSON (one line per event in a
+//! flight-recorder dump) and parse back with it
+//! ([`crate::health::FlightDump`]).
 
 use serde::Value;
 
@@ -50,7 +51,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Every kind, for table-driven reports.
+    /// Every kind.
     pub const ALL: [EventKind; 13] = [
         EventKind::RoundStart,
         EventKind::RoundEnd,
@@ -105,7 +106,7 @@ impl std::fmt::Display for EventKind {
 pub struct Event {
     /// Microseconds since the process-wide monotonic epoch
     /// ([`crate::clock`]; stamped by [`crate::Obs`]). The wall-clock
-    /// instant of that epoch is recorded once, in the trace header.
+    /// instant of that epoch is recorded once, in a dump's header.
     pub time_us: u64,
     /// Process id where the event happened, if attributable.
     pub node: Option<u32>,
@@ -223,9 +224,24 @@ impl Event {
     }
 }
 
+/// Extract the value of a `key=value` token from an event detail string.
+#[must_use]
+pub fn detail_field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
+    detail
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn detail_fields_are_extracted() {
+        assert_eq!(detail_field("gate=auth from=5", "gate"), Some("auth"));
+        assert_eq!(detail_field("gate=auth from=5", "from"), Some("5"));
+        assert_eq!(detail_field("gate=auth", "missing"), None);
+    }
 
     #[test]
     fn kind_names_round_trip() {

@@ -22,10 +22,9 @@
 //!   endpoint (`crate::serve`): each node publishes a rendered
 //!   [`StatusSnapshot`]; the endpoint splices them into one document.
 //! * [`FlightRecorder`] — a bounded ring of recent events that is always
-//!   on and dumps a self-describing JSONL black-box file (parsed by
-//!   [`crate::report::TraceSummary`], i.e. replayable by `exp obs`) on a
-//!   safety-monitor violation, a stall past its dump deadline, or a panic
-//!   (via [`arm_panic_hook`]).
+//!   on and dumps a self-describing JSONL black-box file (read back by
+//!   [`FlightDump::parse`]) on a safety-monitor violation, a stall past
+//!   its dump deadline, or a panic (via [`arm_panic_hook`]).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -36,7 +35,7 @@ use serde::Value;
 
 use crate::clock;
 use crate::event::{Event, EventKind};
-use crate::metrics::Registry;
+use crate::metrics::{HistSnapshot, Registry};
 use crate::recorder::Recorder;
 
 /// Which phase of the pipeline a stalled instance is blocked in.
@@ -946,14 +945,16 @@ struct FlightInner {
 /// * from the panic hook installed by [`arm_panic_hook`].
 ///
 /// Dump files land in the configured directory as
-/// `flight-node<N>-<reason>-<seq>.jsonl` and parse with
-/// [`crate::report::TraceSummary`] (zero unknown records), so `exp obs`
-/// replays them like any other trace.
+/// `flight-node<N>-<reason>-<seq>.jsonl` and parse with [`FlightDump`]
+/// (zero unknown records).
 pub struct FlightRecorder {
     node: u32,
     dir: PathBuf,
     capacity: usize,
     inner: Mutex<FlightInner>,
+    /// Dump attempts: the budget and the file sequence number.
+    attempts: AtomicU64,
+    /// Dump files written.
     dumps: AtomicU64,
     max_dumps: u64,
     registry: Registry,
@@ -971,6 +972,7 @@ impl FlightRecorder {
             dir,
             capacity: capacity.max(16),
             inner: Mutex::new(FlightInner { buf: VecDeque::new(), dropped: 0 }),
+            attempts: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
             max_dumps: 8,
             registry,
@@ -989,7 +991,8 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Dumps written so far.
+    /// Dump files written so far (attempts past the budget and failed
+    /// writes do not count).
     #[must_use]
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::SeqCst)
@@ -1005,7 +1008,7 @@ impl FlightRecorder {
     /// per-recorder dump budget is spent (a dump storm must not fill the
     /// disk) or if the file cannot be written.
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
-        let seq = self.dumps.fetch_add(1, Ordering::SeqCst);
+        let seq = self.attempts.fetch_add(1, Ordering::SeqCst);
         if seq >= self.max_dumps {
             return None;
         }
@@ -1047,6 +1050,7 @@ impl FlightRecorder {
         }
         match std::fs::write(&path, body) {
             Ok(()) => {
+                self.dumps.fetch_add(1, Ordering::SeqCst);
                 Registry::global().counter("health.flight.dumps").inc();
                 Some(path)
             }
@@ -1073,6 +1077,80 @@ impl Recorder for FlightRecorder {
             let _ = self.dump("violation");
         }
     }
+}
+
+/// A flight-recorder dump read back: the ring's events, why the dump was
+/// written, and the counters and gauges of the registry it snapshotted.
+///
+/// A dump is newline-delimited JSON whose records name their shape in a
+/// `t` field: `trace_header` (the wall-clock anchor of the monotonic
+/// epoch), `flight` (the reason record), `event` (see [`Event`]),
+/// `counter` / `gauge`, and `hist`. Blank lines are skipped; a record of
+/// any other shape is counted in [`FlightDump::unknown_records`].
+#[derive(Debug, Clone, Default)]
+pub struct FlightDump {
+    /// The ring's events, oldest first.
+    pub events: Vec<Event>,
+    /// Why the dump was written (`violation` / `stall` / `panic`, or a
+    /// caller's own reason).
+    pub reason: Option<String>,
+    /// Events the ring evicted before the dump.
+    pub ring_dropped: Option<u64>,
+    /// [`EventKind::Violation`] events among [`FlightDump::events`].
+    pub violations: u64,
+    /// Dumped counters and gauges, keyed by metric name.
+    pub scalars: BTreeMap<String, i128>,
+    /// Lines that parsed as JSON but matched no record shape a dump writes.
+    pub unknown_records: u64,
+}
+
+impl FlightDump {
+    /// Parse a whole dump file.
+    ///
+    /// # Errors
+    /// The line number and parser message of the first line that is not
+    /// JSON.
+    pub fn parse(text: &str) -> Result<FlightDump, String> {
+        let mut dump = FlightDump::default();
+        for (lineno, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let value: Value =
+                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let shape = value.get("t").and_then(Value::as_str);
+            if let Some(ev) = Event::from_value(&value) {
+                dump.violations += u64::from(ev.kind == EventKind::Violation);
+                dump.events.push(ev);
+            } else if shape == Some("flight") {
+                dump.reason = value
+                    .get("reason")
+                    .and_then(Value::as_str)
+                    .map(String::from);
+                dump.ring_dropped = value.get("ring_dropped").and_then(Value::as_u64);
+            } else if let Some((name, v)) = scalar_from_value(&value) {
+                dump.scalars.insert(name, v);
+            } else if shape != Some("trace_header") && HistSnapshot::from_value(&value).is_none() {
+                dump.unknown_records += 1;
+            }
+        }
+        Ok(dump)
+    }
+}
+
+/// A `{"t":"counter"|"gauge","name":..,"value":..}` record.
+fn scalar_from_value(v: &Value) -> Option<(String, i128)> {
+    let t = v.get("t")?.as_str()?;
+    if t != "counter" && t != "gauge" {
+        return None;
+    }
+    let name = v.get("name")?.as_str()?.to_string();
+    let value = match v.get("value")? {
+        Value::UInt(u) => i128::from(*u),
+        Value::Int(i) => i128::from(*i),
+        _ => return None,
+    };
+    Some((name, value))
 }
 
 /// Flight recorders armed for panic dumps (weak: a dropped service must
@@ -1114,7 +1192,6 @@ pub fn arm_panic_hook(flight: &Arc<FlightRecorder>) {
 mod tests {
     use super::*;
     use crate::recorder::{Obs, Recorder};
-    use crate::report::TraceSummary;
 
     fn progress(instance: u64, round: u32, token: u64, waiting: &[u32]) -> InstanceProgress {
         InstanceProgress {
@@ -1345,22 +1422,23 @@ mod tests {
             .find(|e| e.file_name().to_string_lossy().contains("violation"))
             .expect("dump file written");
         let text = std::fs::read_to_string(dump.path()).expect("read dump");
-        let s = TraceSummary::parse(&text).expect("dump parses as a trace");
+        let s = FlightDump::parse(&text).expect("dump parses");
         assert_eq!(s.unknown_records, 0, "every record shape is known");
         assert_eq!(s.violations, 1);
-        assert_eq!(s.count(EventKind::RoundStart), 5);
-        assert_eq!(s.flight_reason.as_deref(), Some("violation"));
+        assert_eq!(s.events.iter().filter(|e| e.kind == EventKind::RoundStart).count(), 5);
+        assert_eq!(s.reason.as_deref(), Some("violation"));
+        assert_eq!(s.ring_dropped, Some(0));
         assert_eq!(s.scalars.get("some.counter"), Some(&3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// ISSUE 10 satellite: handshake outcomes ride the normal event path,
-    /// so an identity-attack black-box dump carries `AuthEstablished` /
-    /// `AuthReject` lines that replay through [`TraceSummary`] like any
-    /// other trace — with the reject reason preserved in the detail.
+    /// Handshake outcomes ride the normal event path, so an
+    /// identity-attack black-box dump carries `AuthEstablished` /
+    /// `AuthReject` lines that read back through [`FlightDump`] — with the
+    /// reject reason preserved in the detail.
     #[test]
     fn auth_events_survive_a_flight_dump_round_trip() {
-        use crate::report::detail_field;
+        use crate::event::detail_field;
         let dir = std::env::temp_dir().join(format!(
             "rbvc-flight-test-{}-auth",
             std::process::id()
@@ -1375,10 +1453,11 @@ mod tests {
         obs.emit(|| Event::new(EventKind::AuthReject).detail("reason=downgrade"));
         let path = flight.dump("identity-attack").expect("dump written");
         let text = std::fs::read_to_string(path).expect("read dump");
-        let s = TraceSummary::parse(&text).expect("dump parses as a trace");
+        let s = FlightDump::parse(&text).expect("dump parses");
         assert_eq!(s.unknown_records, 0, "every record shape is known");
-        assert_eq!(s.count(EventKind::AuthEstablished), 1);
-        assert_eq!(s.count(EventKind::AuthReject), 2);
+        let count = |kind| s.events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(EventKind::AuthEstablished), 1);
+        assert_eq!(count(EventKind::AuthReject), 2);
         let reasons: Vec<_> = s
             .events
             .iter()
@@ -1405,6 +1484,19 @@ mod tests {
             }
         }
         assert_eq!(written, 8, "dump storms are capped");
+        assert_eq!(flight.dumps(), 8, "attempts past the budget are not dumps");
+        assert_eq!(std::fs::read_dir(&dir).expect("dump dir").count(), 8);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every line is either JSON or an error naming it; a JSON record of a
+    /// shape no dump writes is counted, not fatal.
+    #[test]
+    fn dump_parser_rejects_garbage_and_counts_foreign_records() {
+        let err = FlightDump::parse("{\"t\":\"trace_header\"}\nnot json\n").expect_err("line 2");
+        assert!(err.starts_with("line 2:"), "{err}");
+        let s = FlightDump::parse("{\"t\":\"future_record\"}\n\n{\"t\":\"trace_header\"}")
+            .expect("parses");
+        assert_eq!(s.unknown_records, 1);
     }
 }

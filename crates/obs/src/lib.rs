@@ -7,8 +7,8 @@
 //!   cheap [`Recorder`] behind an [`Obs`] handle. The no-op recorder costs
 //!   one relaxed atomic-free boolean check per emission site and never
 //!   constructs the event (emission takes a closure). Recorders: no-op,
-//!   in-memory ring buffer ([`RingRecorder`]), and newline-delimited JSON
-//!   sink ([`JsonlRecorder`]).
+//!   in-memory ring buffer ([`RingRecorder`]), fan-out ([`TeeRecorder`]),
+//!   and the always-on [`FlightRecorder`] below — the one file sink.
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]) —
 //!   lock-free handles over atomics, log2-bucket histograms with exact
 //!   merge, and the [`ExecutionTrace`] counters the `rbvc-sim` engines and
@@ -19,12 +19,8 @@
 //!   of outermost spans ([`thread_kernel_nanos`]) is always on and is the
 //!   `kernel` cell of the service's phase clock (DESIGN.md §11).
 //!
-//! [`report`] parses a JSONL trace back into a per-run summary (rounds,
-//! messages by kind, gate-rejection table, decide-latency percentiles,
-//! kernel breakdown); `exp obs` in `rbvc-bench` is its CLI.
-//!
 //! On top of those: [`clock`] pins every timestamp to one process-wide
-//! monotonic epoch (wall-anchored once, in the trace header), and
+//! monotonic epoch (wall-anchored once, in each dump's header), and
 //! [`serve`] exposes any [`Registry`] as a live Prometheus-text `/metrics`
 //! endpoint ([`MetricsServer`]).
 //!
@@ -33,7 +29,7 @@
 //! per-link straggler monitor ([`LinkMonitor`], [`LinkHealth`]), the
 //! [`StatusBoard`] behind the live `/status` endpoint, and the always-on
 //! [`FlightRecorder`] black box (teed next to any primary sink via
-//! [`TeeRecorder`]).
+//! [`TeeRecorder`]) with its reader, [`FlightDump`].
 
 #![warn(missing_docs)]
 
@@ -42,21 +38,19 @@ pub mod event;
 pub mod health;
 pub mod metrics;
 pub mod recorder;
-pub mod report;
 pub mod serve;
 pub mod timing;
 
-pub use event::{Event, EventKind};
+pub use event::{detail_field, Event, EventKind};
 pub use health::{
-    arm_panic_hook, progress_token, render_shares, ClientStatus, FlightRecorder, InstanceProgress,
-    LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent, StallPhase,
-    StallReport, StatusBoard, StatusSnapshot, WalStatus,
+    arm_panic_hook, progress_token, render_shares, ClientStatus, FlightDump, FlightRecorder,
+    InstanceProgress, LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector,
+    StallEvent, StallPhase, StallReport, StatusBoard, StatusSnapshot, WalStatus,
 };
 pub use metrics::{
     Counter, ExecutionTrace, Gauge, HistSnapshot, Histogram, MetricValue, Registry,
 };
-pub use recorder::{JsonlRecorder, NoopRecorder, Obs, Recorder, RingRecorder, TeeRecorder};
-pub use report::{detail_field, render_report, TraceSummary};
+pub use recorder::{NoopRecorder, Obs, Recorder, RingRecorder, TeeRecorder};
 pub use serve::{prometheus_text, scrape_once, scrape_path, MetricsServer};
 pub use timing::{
     kernel_snapshot, kernel_timing_enabled, reset_kernel_timers, set_kernel_timing,

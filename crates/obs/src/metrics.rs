@@ -419,12 +419,6 @@ impl Registry {
             .collect()
     }
 
-    /// Drop every registration (outstanding handles keep working but are
-    /// detached). For test isolation on the global registry.
-    pub fn reset(&self) {
-        self.metrics.lock().expect("registry poisoned").clear();
-    }
-
     /// Render the whole registry as JSONL record lines (one per metric):
     /// `{"t":"counter"|"gauge"|"hist",...}`.
     #[must_use]

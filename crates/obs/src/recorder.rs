@@ -6,9 +6,6 @@
 //! instrumented hot paths pay one boolean load and no allocation.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use crate::clock;
@@ -25,9 +22,6 @@ pub trait Recorder: Send + Sync {
 
     /// Record one event (already timestamped).
     fn record(&self, event: Event);
-
-    /// Flush buffered output (JSONL sink); no-op elsewhere.
-    fn flush(&self) {}
 }
 
 /// The default recorder: drops everything, reports itself disabled.
@@ -121,13 +115,7 @@ impl Obs {
         self.recorder.record(event);
     }
 
-    /// Flush the underlying recorder.
-    pub fn flush(&self) {
-        self.recorder.flush();
-    }
-
-    /// The underlying recorder (for sinks with extra surface, e.g.
-    /// [`JsonlRecorder::write_raw`] via a kept `Arc`).
+    /// The underlying recorder (to tee it with another sink).
     #[must_use]
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
         &self.recorder
@@ -213,7 +201,7 @@ impl Recorder for RingRecorder {
 }
 
 /// Fan-out recorder: clones every event to each child sink. The standard
-/// way to keep a run's primary sink (JSONL file, ring) *and* the always-on
+/// way to keep a run's primary sink (a ring) *and* the always-on
 /// [`crate::health::FlightRecorder`] fed from one [`Obs`] handle.
 pub struct TeeRecorder {
     sinks: Vec<Arc<dyn Recorder>>,
@@ -242,61 +230,6 @@ impl Recorder for TeeRecorder {
             sink.record(event.clone());
         }
         last.record(event);
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
-/// Newline-delimited-JSON file sink: one event per line, plus raw lines
-/// for metric/kernel dumps appended by the harness.
-pub struct JsonlRecorder {
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonlRecorder {
-    /// Create (truncate) `path` as the trace file. The first line is the
-    /// trace header: it names the clock (`mono_us`, microseconds since the
-    /// process-wide monotonic epoch) and anchors that epoch on the wall
-    /// clock once, so no event ever carries a non-monotonic timestamp.
-    ///
-    /// # Errors
-    /// Propagates file-creation failure.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<JsonlRecorder> {
-        let rec = JsonlRecorder {
-            writer: Mutex::new(BufWriter::new(File::create(path)?)),
-        };
-        rec.write_raw(&format!(
-            "{{\"t\":\"trace_header\",\"clock\":\"mono_us\",\"wall_epoch_unix_us\":{}}}",
-            clock::wall_epoch_unix_us()
-        ));
-        Ok(rec)
-    }
-
-    /// Append one pre-rendered JSONL line (metric and kernel records).
-    /// Write failures are swallowed: tracing must never fail the run.
-    pub fn write_raw(&self, line: &str) {
-        let mut w = self.writer.lock().expect("jsonl recorder poisoned");
-        let _ = writeln!(w, "{line}");
-    }
-}
-
-impl Recorder for JsonlRecorder {
-    fn record(&self, event: Event) {
-        self.write_raw(&event.to_json_line());
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().expect("jsonl recorder poisoned").flush();
-    }
-}
-
-impl Drop for JsonlRecorder {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 

@@ -25,8 +25,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use serde::Value;
-
 /// The instrumented kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Kernel {
@@ -58,12 +56,6 @@ impl Kernel {
             Kernel::GammaOracle => "gamma_oracle",
             Kernel::PsiOracle => "psi_oracle",
         }
-    }
-
-    /// Inverse of [`Kernel::as_str`].
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Kernel> {
-        Kernel::ALL.iter().copied().find(|k| k.as_str() == s)
     }
 
     fn index(self) -> usize {
@@ -190,33 +182,6 @@ impl KernelStat {
             self.nanos as f64 / self.calls as f64 / 1e3
         }
     }
-
-    /// Render as one JSONL record line: `{"t":"kernel",...}`.
-    #[must_use]
-    pub fn to_json_line(&self) -> String {
-        let doc = Value::Object(vec![
-            ("t".into(), Value::Str("kernel".into())),
-            ("name".into(), Value::Str(self.kernel.as_str().into())),
-            ("calls".into(), Value::UInt(self.calls)),
-            ("nanos".into(), Value::UInt(self.nanos)),
-        ]);
-        let mut out = String::new();
-        doc.render(&mut out);
-        out
-    }
-
-    /// Parse a `{"t":"kernel",...}` record; `None` for other lines.
-    #[must_use]
-    pub fn from_value(v: &Value) -> Option<KernelStat> {
-        if v.get("t")?.as_str()? != "kernel" {
-            return None;
-        }
-        Some(KernelStat {
-            kernel: Kernel::parse(v.get("name")?.as_str()?)?,
-            calls: v.get("calls")?.as_u64()?,
-            nanos: v.get("nanos")?.as_u64()?,
-        })
-    }
 }
 
 /// Read every kernel's cells, in [`Kernel::ALL`] order.
@@ -281,10 +246,6 @@ mod tests {
         assert_eq!(psi.calls, 1);
         assert!(lp.mean_us() >= 50.0);
 
-        let line = lp.to_json_line();
-        let v = serde_json::from_str(&line).expect("parses");
-        assert_eq!(KernelStat::from_value(&v), Some(*lp));
-
         // Thread-local accumulator: outermost spans only, per thread, fed
         // once per nest. Runs on its own thread so this test's earlier
         // spans don't pollute the accumulator.
@@ -311,13 +272,5 @@ mod tests {
 
         reset_kernel_timers();
         assert!(kernel_snapshot().iter().all(|s| s.calls == 0 && s.nanos == 0));
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for k in Kernel::ALL {
-            assert_eq!(Kernel::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(Kernel::parse("bogus"), None);
     }
 }

@@ -1338,7 +1338,7 @@ mod tests {
     use rbvc_core::verified_avg::DeltaMode;
     use rbvc_core::DecisionRule;
     use rbvc_linalg::Tol;
-    use rbvc_obs::{StallConfig, StatusBoard};
+    use rbvc_obs::{detail_field, RingRecorder, StallConfig, StatusBoard};
 
     fn bvc_instance(id: ProcessId, n: usize, f: usize, input: &[f64]) -> InstanceProto {
         let d = input.len();
@@ -1370,16 +1370,20 @@ mod tests {
     }
 
     /// Two instances (one of each protocol) over a 4-endpoint in-process
-    /// mesh, all driven from one thread by round-robin polling.
+    /// mesh, all driven from one thread by round-robin polling. The event
+    /// stream carries one service-level `decide` (the one with a
+    /// `latency_us=` measurement) per instance per node.
     #[test]
     fn multiplexes_bvc_and_va_over_one_mesh() {
         let n = 4;
         let inputs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]];
+        let ring = Arc::new(RingRecorder::new(1 << 16));
         let mut services: Vec<ConsensusService<_>> = in_proc_mesh(n)
             .into_iter()
             .map(ConsensusService::new)
             .collect();
         for (i, svc) in services.iter_mut().enumerate() {
+            svc.set_obs(Obs::new(ring.clone()));
             svc.add_instance(10, bvc_instance(i, n, 1, &inputs[i])).unwrap();
             svc.add_instance(20, va_instance(i, n, &inputs[i])).unwrap();
             svc.start().unwrap();
@@ -1402,6 +1406,16 @@ mod tests {
         for svc in &services {
             assert!(svc.errors().is_empty());
         }
+        // Protocol layers emit decide events of their own (Verified
+        // Averaging's "after N rounds"); the service's carry the latency.
+        let service_decides = ring
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == EventKind::Decide)
+            .filter(|e| e.detail.as_deref().and_then(|d| detail_field(d, "latency_us")).is_some())
+            .count();
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(service_decides, 2 * n, "instances x nodes");
     }
 
     /// Every decision's phases sum to its latency — exactly, both being
@@ -1968,6 +1982,8 @@ mod tests {
         let ep1 = mesh.pop().unwrap();
         let mut raw = mesh.pop().unwrap(); // endpoint 0, used raw
         let mut svc = ConsensusService::new(ep1);
+        let ring = Arc::new(RingRecorder::new(64));
+        svc.set_obs(Obs::new(ring.clone()));
         svc.add_instance(5, va_instance(1, n, &[0.0])).unwrap();
         svc.start().unwrap();
 
@@ -2013,6 +2029,17 @@ mod tests {
         // four frames arrived on the link from process 0.
         assert_eq!(svc.gate_rejections_by_sender()[0], [1, 1, 1, 1]);
         assert_eq!(svc.gate_rejections_by_sender()[1], [0, 0, 0, 0]);
+        // The event stream tells the same story: one `gate_reject` per
+        // gate, naming the gate and the sender.
+        let rejects: Vec<String> = ring
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::GateReject)
+            .filter_map(|e| e.detail)
+            .collect();
+        let want: Vec<String> = GATE_NAMES.iter().map(|g| format!("gate={g} from=0")).collect();
+        assert_eq!(rejects, want);
+        assert_eq!(rejects.len() as u64, svc.gate_rejections().iter().sum::<u64>());
     }
 
     /// Replay runs the live receive and launch paths: a log holding a

@@ -119,7 +119,7 @@ mod tests {
 
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_linalg::{Norm, Tol, VecD};
-    use rbvc_obs::TraceSummary;
+    use rbvc_obs::FlightDump;
     use rbvc_store::Wal;
 
     use super::*;
@@ -169,7 +169,8 @@ mod tests {
         }
         let flight = services[0].health.as_ref().and_then(|h| h.flight.as_ref()).expect("armed");
         let dump = flight.dump("test").expect("dump written");
-        let ring = TraceSummary::parse(&std::fs::read_to_string(dump).unwrap()).expect("parses");
+        let ring = FlightDump::parse(&std::fs::read_to_string(dump).unwrap()).expect("parses");
+        assert_eq!(ring.unknown_records, 0, "every record shape is known");
         let decides = ring
             .events
             .iter()
@@ -178,7 +179,7 @@ mod tests {
             .collect();
         drop(services);
         let _ = std::fs::remove_dir_all(&dir);
-        (decides, ring.flight_ring_dropped)
+        (decides, ring.ring_dropped)
     }
 
     /// The black box keeps what matters: with no per-frame span in the event

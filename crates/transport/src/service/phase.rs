@@ -126,8 +126,7 @@ impl PhaseNanos {
 /// The `/metrics` series fed from the clocks, shared by every service a
 /// thread drives and resolved on that thread's first sample: building a
 /// service costs the registry nothing, and a driver thread pays the twenty
-/// lookups once, not once per mesh it sets up. (Handles, so
-/// `Registry::reset` detaches them like any others held across it.)
+/// lookups once, not once per mesh it sets up.
 struct Meters {
     /// `service.decide.latency_us`.
     latency: Histogram,
