@@ -24,7 +24,6 @@
 //!   `H_(δ,p)`(correct inputs) and averaging preserves membership in that
 //!   convex set.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::ProtocolError;
@@ -64,11 +63,16 @@ impl PartialEq for RoundState {
 /// Wire message: a Bracha message of one tagged instance.
 pub type VaMsg = (RoundTag, BrachaMsg<Arc<RoundState>>);
 
-/// One reliable-broadcast instance with the first state accepted for its tag.
+/// One reliable-broadcast instance with the first state accepted for its tag;
+/// what it delivered is its machine's.
 struct Broadcast {
     first: Arc<RoundState>,
     machine: BrachaInstance<Arc<RoundState>>,
 }
+
+/// What the round-0 combining rule gives for one witness: the point and the
+/// δ it needed.
+type Round0 = Result<(VecD, f64), ProtocolError>;
 
 /// Round-0 combining rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,10 +95,16 @@ pub struct VerifiedAveraging {
     tol: Tol,
     input: VecD,
 
-    rb: HashMap<RoundTag, Broadcast>,
-    delivered: HashMap<RoundTag, Arc<RoundState>>,
-    /// Tags verified OK, with their values, grouped by round.
-    verified: HashMap<usize, Vec<(ProcessId, VecD)>>,
+    /// The broadcasts of this run, indexed `round · n + origin`: empty until
+    /// this process first takes part in one, then `n · total_rounds` slots.
+    /// Sized on first use, not in `new`: a registered instance that never
+    /// runs costs nothing.
+    rb: Vec<Option<Broadcast>>,
+    /// Tags verified OK, with their values, indexed by round (sized with `rb`).
+    verified: Vec<Vec<(ProcessId, VecD)>>,
+    /// Round-0 combining results keyed by their exact witness; see
+    /// [`Self::combine_round0`].
+    round0: Vec<(Vec<(ProcessId, VecD)>, Round0)>,
     /// Entries of `verified`, over all rounds.
     commits: u64,
     /// Delivered but not yet verifiable (waiting on witness deliveries).
@@ -139,9 +149,9 @@ impl VerifiedAveraging {
             mode,
             tol,
             input,
-            rb: HashMap::new(),
-            delivered: HashMap::new(),
-            verified: HashMap::new(),
+            rb: Vec::new(),
+            verified: Vec::new(),
+            round0: Vec::new(),
             commits: 0,
             pending: Vec::new(),
             rejected: Vec::new(),
@@ -194,10 +204,19 @@ impl VerifiedAveraging {
 
     /// The first state this process accepted for broadcast `tag` (its own, or
     /// the first past the receive boundary), for a decoder to compare a frame
-    /// against before building the state again. One per entry of `rb`.
+    /// against before building the state again. A decoder asks with the tag
+    /// off the wire, ahead of the bounds gate: a tag no broadcast of this run
+    /// has is `None`.
     #[must_use]
     pub fn first_state(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
-        self.rb.get(&tag).map(|b| &b.first)
+        self.broadcast(tag).map(|b| &b.first)
+    }
+
+    /// Slots of the broadcast table: 0 until this process first takes part
+    /// in a broadcast, then `n · total_rounds`, whatever tags arrive.
+    #[must_use]
+    pub fn broadcast_slots(&self) -> usize {
+        self.rb.len()
     }
 
     /// The most recent combining error, if the node is degraded (e.g. Γ(X)
@@ -207,10 +226,42 @@ impl VerifiedAveraging {
         self.last_error.as_ref()
     }
 
+    /// Where broadcast `tag` lives in the tables, if it is one of this run's
+    /// (`origin < n`, `round < total_rounds`).
+    fn index(&self, (origin, round): RoundTag) -> Option<usize> {
+        (origin < self.n && round < self.total_rounds).then(|| round * self.n + origin)
+    }
+
+    fn broadcast(&self, tag: RoundTag) -> Option<&Broadcast> {
+        self.rb.get(self.index(tag)?)?.as_ref()
+    }
+
+    /// The state broadcast `tag` delivered, if it has.
+    fn delivered(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
+        self.broadcast(tag)?.machine.delivered()
+    }
+
+    /// The broadcast `tag` names, opened with `state` as its first state if
+    /// it is new. `tag` has passed the bounds gate.
     fn instance(&mut self, tag: RoundTag, state: &Arc<RoundState>) -> &mut Broadcast {
+        let i = self.index(tag).expect("a tag past the bounds gate names a broadcast of this run");
+        if self.rb.is_empty() {
+            self.rb.resize_with(self.n * self.total_rounds, || None);
+            self.verified.resize_with(self.total_rounds, Vec::new);
+        }
         let (n, f) = (self.n, self.f);
         let fresh = || Broadcast { first: Arc::clone(state), machine: BrachaInstance::new(n, f) };
-        self.rb.entry(tag).or_insert_with(fresh)
+        self.rb[i].get_or_insert_with(fresh)
+    }
+
+    /// Queue `msg` of broadcast `tag` for every process, this one included.
+    fn multicast(
+        &self,
+        tag: RoundTag,
+        msg: BrachaMsg<Arc<RoundState>>,
+        out: &mut Vec<(ProcessId, VaMsg)>,
+    ) {
+        out.extend((0..self.n).map(|dst| (dst, (tag, msg.clone()))));
     }
 
     /// Broadcast `state` as this process's round-`round` message.
@@ -225,20 +276,40 @@ impl VerifiedAveraging {
             format!("broadcasting state for round {round}")
         });
         let state = Arc::new(state);
-        let actions = self.instance(tag, &state).machine.start(state);
-        for m in actions.broadcast {
-            for dst in 0..self.n {
-                out.push((dst, (tag, m.clone())));
-            }
+        if let Some(m) = self.instance(tag, &state).machine.start(state).broadcast {
+            self.multicast(tag, m, out);
         }
     }
 
-    /// Apply the round-0 combining rule to an ordered multiset of values.
-    ///
-    /// Fails (instead of panicking) when `Γ(X)` is empty in
-    /// `DeltaMode::Zero` — which Byzantine inputs can provoke whenever the
-    /// run violates `n ≥ (d+2)f + 1`.
-    fn combine_round0(&self, witness: &[(ProcessId, VecD)]) -> Result<(VecD, f64), ProtocolError> {
+    /// Apply the round-0 combining rule to an ordered multiset of values,
+    /// memoised per instance on the exact witness: the same ids and the same
+    /// bits in every component, in the same order (so ±0.0 and order count),
+    /// and a hit returns the bits a fresh solve would. Every round-1 state
+    /// verified here and this process's own combine ask for it — one witness
+    /// per origin plus its own, so the memo keeps `n + 1` entries and no more.
+    fn combine_round0(&mut self, witness: &[(ProcessId, VecD)]) -> Round0 {
+        let same_bits = |x: &VecD, y: &VecD| {
+            let (x, y) = (x.as_slice(), y.as_slice());
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        };
+        let same = |key: &[(ProcessId, VecD)]| {
+            key.len() == witness.len()
+                && key.iter().zip(witness).all(|((a, x), (b, y))| a == b && same_bits(x, y))
+        };
+        if let Some((_, hit)) = self.round0.iter().find(|(key, _)| same(key)) {
+            return hit.clone();
+        }
+        let result = self.solve_round0(witness);
+        if self.round0.len() <= self.n {
+            self.round0.push((witness.to_vec(), result.clone()));
+        }
+        result
+    }
+
+    /// The round-0 combining rule itself. Fails (instead of panicking) when
+    /// `Γ(X)` is empty in `DeltaMode::Zero` — which Byzantine inputs can
+    /// provoke whenever the run violates `n ≥ (d+2)f + 1`.
+    fn solve_round0(&self, witness: &[(ProcessId, VecD)]) -> Round0 {
         let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
         match self.mode {
             DeltaMode::Zero => gamma_point(&values, self.f, self.tol)
@@ -269,7 +340,7 @@ impl VerifiedAveraging {
 
     /// Attempt to verify a delivered state. Returns:
     /// `Some(true)` verified, `Some(false)` rejected, `None` undecidable yet.
-    fn try_verify(&self, tag: RoundTag, state: &RoundState) -> Option<bool> {
+    fn try_verify(&mut self, tag: RoundTag, state: &RoundState) -> Option<bool> {
         let (_, round) = tag;
         if round == 0 {
             // Inputs are unconstrained: any round-0 value verifies.
@@ -285,7 +356,7 @@ impl VerifiedAveraging {
             }
         }
         // Every witness entry must match a *verified* round-(t−1) state.
-        let prev = self.verified.get(&(round - 1));
+        let prev = self.verified.get(round - 1);
         for (k, v) in &state.witness {
             let known = prev.and_then(|list| list.iter().find(|(pid, _)| pid == k));
             match known {
@@ -299,7 +370,7 @@ impl VerifiedAveraging {
                 None => {
                     // Not verified (yet). If it was delivered with a
                     // different value, reject; otherwise wait.
-                    if let Some(delivered) = self.delivered.get(&(*k, round - 1)) {
+                    if let Some(delivered) = self.delivered((*k, round - 1)) {
                         if !delivered.value.approx_eq(v, self.verify_tol()) {
                             return Some(false);
                         }
@@ -359,8 +430,7 @@ impl VerifiedAveraging {
 
     /// Process a newly delivered state plus any pending ones that become
     /// verifiable; drive round progression.
-    fn handle_delivery(&mut self, tag: RoundTag, state: Arc<RoundState>, out: &mut Vec<(ProcessId, VaMsg)>) {
-        self.delivered.insert(tag, state);
+    fn handle_delivery(&mut self, tag: RoundTag, out: &mut Vec<(ProcessId, VaMsg)>) {
         self.pending.push(tag);
         // Fixpoint: verification of one state can unblock others.
         loop {
@@ -368,14 +438,11 @@ impl VerifiedAveraging {
             let mut i = 0;
             while i < self.pending.len() {
                 let t = self.pending[i];
-                let s = Arc::clone(self.delivered.get(&t).expect("pending implies delivered"));
+                let s = Arc::clone(self.delivered(t).expect("pending implies delivered"));
                 match self.try_verify(t, &s) {
                     Some(true) => {
                         self.pending.swap_remove(i);
-                        self.verified
-                            .entry(t.1)
-                            .or_default()
-                            .push((t.0, s.value.clone()));
+                        self.verified[t.1].push((t.0, s.value.clone()));
                         self.commits += 1;
                         self.emit_event(EventKind::WitnessCommit, Some(t.1), || {
                             format!("origin={}", t.0)
@@ -409,7 +476,7 @@ impl VerifiedAveraging {
             return false;
         }
         let t = self.my_round;
-        let Some(list) = self.verified.get(&t) else {
+        let Some(list) = self.verified.get(t) else {
             return false;
         };
         if list.len() < self.n - self.f {
@@ -508,16 +575,14 @@ impl AsyncProtocol for VerifiedAveraging {
         }
         let mut out = Vec::new();
         let actions = self.instance(tag, payload).machine.on_message(from, tag.0, bmsg);
-        for m in actions.broadcast {
-            for dst in 0..self.n {
-                out.push((dst, (tag, m.clone())));
-            }
+        if let Some(m) = actions.broadcast {
+            self.multicast(tag, m, &mut out);
         }
-        if let Some(state) = actions.delivered {
+        if actions.delivered.is_some() {
             self.emit_event(EventKind::BroadcastAccept, Some(tag.1), || {
                 format!("origin={}", tag.0)
             });
-            self.handle_delivery(tag, state, &mut out);
+            self.handle_delivery(tag, &mut out);
         }
         out
     }
@@ -945,7 +1010,8 @@ mod tests {
         node.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn rbvc_obs::Recorder>));
         let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
         let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(1.0))));
-        assert!(r.is_empty() && node.rb.len() == 1, "only its own round-0 broadcast is open");
+        let open = || node.rb.iter().flatten().count();
+        assert!(r.is_empty() && open() == 1, "only its own round-0 broadcast is open");
         let event = ring.snapshot().pop().expect("the refusal is an event");
         assert!(event.detail.is_some_and(|d| d.contains("gate=bounds")));
         // Why state equality needs the payload gate: by identity this state
@@ -953,7 +1019,7 @@ mod tests {
         let nan = state(f64::NAN);
         assert!(nan == Arc::clone(&nan) && *nan != RoundState::clone(&nan));
         // Nothing reached the broadcast substrate or the delivered record.
-        assert!(node.delivered.is_empty());
+        assert!(node.rb.iter().flatten().all(|b| b.machine.delivered().is_none()));
         assert!(node.last_error().is_none());
         // The node is not wedged: a full run with the same shape decides.
         let (_, mut engine) = build(&setup, vec![]);
@@ -1001,6 +1067,64 @@ mod tests {
             let new = VerifiedAveraging::combine_average(&witness);
             assert_eq!(bits(new), bits(acc.scale(1.0 / len as f64)));
         }
+    }
+
+    /// A memo hit is bit for bit the fresh solve, in both modes; a witness
+    /// that differs only by the sign of a zero or by entry order misses; the
+    /// memo stops growing at `n + 1` entries.
+    #[test]
+    fn round0_memo_is_keyed_on_the_exact_witness() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let bits = |r: &Round0| {
+            let (point, delta) = r.as_ref().ok()?;
+            Some((point.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), delta.to_bits()))
+        };
+        let mut rng = StdRng::seed_from_u64(28);
+        for case in 0..1000 {
+            let (n, d) = (rng.gen_range(4..8usize), rng.gen_range(1..5usize));
+            let mode = if case % 2 == 0 { DeltaMode::Zero } else { DeltaMode::MinDelta(Norm::L2) };
+            let mut node = VerifiedAveraging::new(0, n, 1, VecD::zeros(d), mode, 2, t());
+            let mut ids: Vec<ProcessId> = (0..n).collect();
+            if rng.gen_bool(0.5) {
+                ids.remove(rng.gen_range(0..n));
+            }
+            let mut vector = || VecD((0..d).map(|_| rng.gen_range(-3.0..3.0)).collect());
+            let witness: Vec<(ProcessId, VecD)> = ids.iter().map(|&k| (k, vector())).collect();
+            let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
+            let fresh = match mode {
+                DeltaMode::Zero => gamma_point(&values, 1, t()).map(|p| (p, 0.0)),
+                DeltaMode::MinDelta(norm) => {
+                    let ds = delta_star(&values, 1, norm, t());
+                    Some((ds.witness, ds.delta))
+                }
+            };
+            let miss = node.combine_round0(&witness);
+            let hit = node.combine_round0(&witness);
+            assert_eq!(node.round0.len(), 1, "case {case}: the second call is a hit");
+            let fresh = fresh.map(|(p, delta)| {
+                (p.0.iter().map(|x| x.to_bits()).collect(), delta.to_bits())
+            });
+            assert_eq!(bits(&hit), fresh, "case {case}");
+            assert_eq!(bits(&miss), fresh, "case {case}");
+        }
+        let mode = DeltaMode::MinDelta(Norm::L2);
+        let mut node = VerifiedAveraging::new(0, 4, 1, VecD::zeros(2), mode, 2, t());
+        let v = |x: f64, y: f64| VecD::from_slice(&[x, y]);
+        let witness = vec![(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0))];
+        let _ = node.combine_round0(&witness);
+        let mut signed = witness.clone();
+        signed[0].1 = v(-0.0, 1.0);
+        let _ = node.combine_round0(&signed);
+        assert_eq!(node.round0.len(), 2, "-0.0 is not 0.0 to the memo");
+        let mut reordered = witness.clone();
+        reordered.swap(1, 2);
+        let _ = node.combine_round0(&reordered);
+        assert_eq!(node.round0.len(), 3, "order counts");
+        for x in 2..6 {
+            let fresh_witness = [(0, v(x as f64, 0.0)), (1, v(0.0, 1.0)), (3, v(1.0, 1.0))];
+            let _ = node.combine_round0(&fresh_witness);
+        }
+        assert_eq!(node.round0.len(), 5, "at most n + 1 entries");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! dispatch produced as one batch per peer.
 //!
 //! This file is the core — the instance map, the four receive gates,
-//! `route` / `ingest` / `dispatch`, `poll` and `recover` — and it owns four
+//! `route` / `ingest` / `hand_off`, `poll` and `recover` — and it owns four
 //! private parts, each a plain struct it calls into: `durability` (the WAL,
 //! the outbound history, the group commit), `client_table` (sessions,
 //! admission, the client instance-id layout, the recovery-spec codec),
@@ -34,7 +34,7 @@
 //!
 //! Whatever survives is handed to state machines that run their own
 //! receive-boundary validation on top. The gates live in this file
-//! (`ingest`, `dispatch`, `gate_reject`); the rules a peer's `Launch` frame
+//! (`ingest`, `hand_off`, `gate_reject`); the rules a peer's `Launch` frame
 //! must pass are the client table's, which names the gate to charge.
 //!
 //! ## Durability and crash recovery
@@ -106,6 +106,7 @@ use rbvc_obs::{
     StatusSnapshot, WalStatus,
 };
 use rbvc_sim::asynch::AsyncProtocol;
+use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_store::{decode_record, ReplayReport, Wal, WalRecord, WalRecordRef};
@@ -134,7 +135,8 @@ pub enum InstanceProto {
 }
 
 /// Encoded frames with their destinations, as [`ConsensusService::route`]
-/// takes them.
+/// takes them. The state-machine calls below encode their sends straight
+/// into the caller's one.
 type Outbound = Vec<(ProcessId, Vec<u8>)>;
 
 /// Everything the service needs to know about *which* protocol an instance
@@ -148,34 +150,34 @@ impl InstanceProto {
         }
     }
 
-    fn on_start(&mut self, id: InstanceId, local: ProcessId) -> Outbound {
+    fn on_start(&mut self, id: InstanceId, local: ProcessId, out: &mut Outbound) {
         match self {
-            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start()),
-            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_start()),
+            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start(), out),
+            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_start(), out),
         }
     }
 
-    /// Hand one authenticated frame to the state machine; `None` when the
+    /// Hand one authenticated frame to the state machine; false when the
     /// payload kind is not this instance's protocol (receive gate 4).
-    fn on_frame(&mut self, local: ProcessId, frame: Frame) -> Option<Outbound> {
+    fn on_frame(&mut self, local: ProcessId, frame: Frame, out: &mut Outbound) -> bool {
         let Frame { instance, sender, round, payload } = frame;
         match (self, payload) {
-            (InstanceProto::Bvc(p), Payload::Eig(msgs)) => Some(Self::encode_bvc(
-                instance,
-                local,
-                p.on_message(sender, RoundBatch { round: round as usize, msgs }),
-            )),
-            (InstanceProto::Va(p), Payload::Va(msg)) => {
-                Some(Self::encode_va(instance, local, p.on_message(sender, msg)))
+            (InstanceProto::Bvc(p), Payload::Eig(msgs)) => {
+                let sends = p.on_message(sender, RoundBatch { round: round as usize, msgs });
+                Self::encode_bvc(instance, local, sends, out);
             }
-            (_, _) => None,
+            (InstanceProto::Va(p), Payload::Va(msg)) => {
+                Self::encode_va(instance, local, p.on_message(sender, msg), out);
+            }
+            (_, _) => return false,
         }
+        true
     }
 
-    fn on_tick(&mut self, id: InstanceId, local: ProcessId) -> Outbound {
+    fn on_tick(&mut self, id: InstanceId, local: ProcessId, out: &mut Outbound) {
         match self {
-            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_tick()),
-            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_tick()),
+            InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_tick(), out),
+            InstanceProto::Va(p) => Self::encode_va(id, local, p.on_tick(), out),
         }
     }
 
@@ -216,10 +218,11 @@ impl InstanceProto {
         instance: InstanceId,
         sender: ProcessId,
         sends: Vec<(ProcessId, RoundBatch<<SyncBvc as rbvc_sim::sync::SyncProtocol>::Msg>)>,
-    ) -> Outbound {
+        out: &mut Outbound,
+    ) {
         // A round's message is one allocation shared by every destination and
         // its bytes do not name one: encode it once, copy it for the others.
-        let mut out = Outbound::with_capacity(sends.len());
+        out.reserve(sends.len());
         let mut last: Option<Frame> = None;
         for (dst, batch) in sends {
             let round = u32::try_from(batch.round).expect("round fits u32");
@@ -241,26 +244,37 @@ impl InstanceProto {
             };
             out.push((dst, bytes));
         }
-        out
     }
 
     fn encode_va(
         instance: InstanceId,
         sender: ProcessId,
         sends: Vec<(ProcessId, <VerifiedAveraging as AsyncProtocol>::Msg)>,
-    ) -> Outbound {
-        sends
-            .into_iter()
-            .map(|(dst, msg)| {
-                let frame = Frame {
-                    instance,
-                    sender,
-                    round: u32::try_from(msg.0 .1).expect("round fits u32"),
-                    payload: Payload::Va(msg),
-                };
-                (dst, encode_frame(&frame))
-            })
-            .collect()
+        out: &mut Outbound,
+    ) {
+        // A multicast is one message, one state allocation, repeated per
+        // destination: encode it once, copy it for the others. A state an
+        // adversary edited (`make_mut`) is another allocation: its own encode.
+        out.reserve(sends.len());
+        let mut last: Option<Frame> = None;
+        for (dst, (tag, msg)) in sends {
+            let repeats = matches!(&last, Some(Frame { payload: Payload::Va((t, m)), .. })
+                if *t == tag && match (m, &msg) {
+                    (BrachaMsg::Init(a), BrachaMsg::Init(b))
+                    | (BrachaMsg::Echo(a), BrachaMsg::Echo(b))
+                    | (BrachaMsg::Ready(a), BrachaMsg::Ready(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                });
+            let bytes = match out.last() {
+                Some((_, bytes)) if repeats => bytes.clone(),
+                _ => {
+                    let round = u32::try_from(tag.1).expect("round fits u32");
+                    let payload = Payload::Va((tag, msg));
+                    encode_frame(last.insert(Frame { instance, sender, round, payload }))
+                }
+            };
+            out.push((dst, bytes));
+        }
     }
 }
 
@@ -600,24 +614,26 @@ impl<T: Transport> ConsensusService<T> {
         flushed
     }
 
-    /// Mark `id` launched, stamp its submission time and produce its
-    /// `on_start` frames — the one path a local launch, a peer's `Launch`
-    /// frame and the replay of a `Launched` record all take. `None` if `id`
-    /// is not registered.
-    fn start_instance(&mut self, id: InstanceId) -> Option<Outbound> {
+    /// Mark `id` launched, stamp its submission time and encode its
+    /// `on_start` frames into `out` — the one path a local launch, a peer's
+    /// `Launch` frame and the replay of a `Launched` record all take. False
+    /// if `id` is not registered.
+    fn start_instance(&mut self, id: InstanceId, out: &mut Outbound) -> bool {
         let local = self.transport.local_id();
-        let slot = self.instances.get_mut(&id)?;
+        let Some(slot) = self.instances.get_mut(&id) else { return false };
         slot.launched = Some(Box::new(self.clock.now()));
-        Some(slot.proto.on_start(id, local))
+        slot.proto.on_start(id, local, out);
+        true
     }
 
     /// Live launch: [`Self::start_instance`], logged and routed.
     fn launch_now(&mut self, id: InstanceId) -> Result<(), ProtocolError> {
-        let Some(sends) = self.start_instance(id) else {
+        let mut sends = Outbound::new();
+        if !self.start_instance(id, &mut sends) {
             return Err(ProtocolError::InvalidSpec {
                 reason: format!("launch of unknown instance {id}"),
             });
-        };
+        }
         self.durability.append(WalRecordRef::Launched { instance: id }, &mut self.sinks);
         self.route(sends)
     }
@@ -641,23 +657,27 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// The receive boundary for one frame off the link from `link_peer`:
-    /// decode gate, sender gate, write-through, dispatch. Returns the
-    /// outbound frames it produced. Live polls and WAL replay both enter
-    /// here — replay with no WAL attached yet, so nothing is logged twice and
-    /// a rejection re-occurs through the same gate counters.
-    fn ingest(&mut self, link_peer: ProcessId, bytes: &[u8]) -> Outbound {
-        // Compare before decode: the instance a VA frame names already holds
-        // the state that 35 of a broadcast's 36 frames carry.
-        let hint = |tag| match &self.instances.get(&crate::wire::peek_header(bytes)?.0)?.proto {
-            InstanceProto::Va(p) => p.first_state(tag).cloned(),
-            InstanceProto::Bvc(_) => None,
+    /// decode gate, sender gate, write-through, dispatch, with the outbound
+    /// frames it produces encoded into `out`. Live polls and WAL replay both
+    /// enter here — replay with no WAL attached yet, so nothing is logged
+    /// twice and a rejection re-occurs through the same gate counters.
+    fn ingest(&mut self, link_peer: ProcessId, bytes: &[u8], out: &mut Outbound) {
+        let local = self.transport.local_id();
+        // One lookup, of the instance the header names: it holds the state
+        // that 35 of a VA broadcast's 36 frames carry, to compare the bytes
+        // with before decoding them, and it is where the frame goes. (A frame
+        // that decodes names that instance.)
+        let slot = crate::wire::peek_header(bytes).and_then(|(id, ..)| self.instances.get_mut(&id));
+        let hint = |tag| match slot.as_deref() {
+            Some(Slot { proto: InstanceProto::Va(p), .. }) => p.first_state(tag).cloned(),
+            _ => None,
         };
         let frame = match decode_frame_hinted(bytes, link_peer, &hint) {
             Ok(f) => f,
             Err(e) => {
                 // The decoder's own error, verbatim.
                 self.gate_record(0, link_peer, e);
-                return Vec::new();
+                return;
             }
         };
         if frame.sender != link_peer {
@@ -666,7 +686,7 @@ impl<T: Transport> ConsensusService<T> {
                 frame.sender, link_peer
             );
             self.gate_reject(1, link_peer, reason);
-            return Vec::new();
+            return;
         }
         // Log the authenticated frame *before* it mutates protocol state:
         // replay re-runs the gates and the dispatch deterministically.
@@ -674,31 +694,37 @@ impl<T: Transport> ConsensusService<T> {
             WalRecordRef::Inbound { from: u32::try_from(link_peer).unwrap_or(u32::MAX), bytes },
             &mut self.sinks,
         );
-        self.dispatch(frame)
-    }
-
-    /// Dispatch one authenticated, decoded frame to its instance. Returns
-    /// the outbound frames it produced.
-    fn dispatch(&mut self, frame: Frame) -> Outbound {
-        let local = self.transport.local_id();
         let (sender, instance) = (frame.sender, frame.instance);
-        if let Payload::Launch(launch) = frame.payload {
-            return self.dispatch_launch(instance, sender, launch);
-        }
-        let Some(slot) = self.instances.get_mut(&instance) else {
+        let payload = match frame.payload {
+            Payload::Launch(launch) => return self.dispatch_launch(instance, sender, launch, out),
+            payload => payload,
+        };
+        let frame = Frame { payload, ..frame };
+        let Some(slot) = slot else {
             if client_instance_owner(instance).is_some() {
                 self.client.park(frame);
             } else {
                 self.gate_reject(2, sender, format!("frame for unknown instance {instance}"));
             }
-            return Vec::new();
+            return;
         };
-        slot.proto.on_frame(local, frame).unwrap_or_else(|| {
-            let reason =
-                format!("payload kind does not match the protocol of instance {instance}");
+        if let Some(reason) = Self::hand_off(slot, local, frame, out) {
             self.gate_reject(3, sender, reason);
-            Vec::new()
-        })
+        }
+    }
+
+    /// Receive gate 4 and the hand-off of an authenticated frame to `slot`,
+    /// the instance it names; the reason to refuse it with when its payload
+    /// is not that instance's protocol.
+    fn hand_off(
+        slot: &mut Slot,
+        local: ProcessId,
+        frame: Frame,
+        out: &mut Outbound,
+    ) -> Option<String> {
+        let instance = frame.instance;
+        (!slot.proto.on_frame(local, frame, out))
+            .then(|| format!("payload kind does not match the protocol of instance {instance}"))
     }
 
     /// One service step: receive (waiting up to `timeout` for the first
@@ -729,13 +755,13 @@ impl<T: Transport> ConsensusService<T> {
         }
         let mut outbound: Outbound = Vec::new();
         for (link_peer, _, bytes) in inbound {
-            outbound.extend(self.ingest(link_peer, &bytes));
+            self.ingest(link_peer, &bytes, &mut outbound);
         }
         // Drive timers (lockstep round timeouts) once per poll.
         let local = self.transport.local_id();
         for (id, slot) in &mut self.instances {
             if !slot.decided && slot.launched.is_some() {
-                outbound.extend(slot.proto.on_tick(*id, local));
+                slot.proto.on_tick(*id, local, &mut outbound);
             }
         }
         self.clock.enter(Phase::Route);
@@ -1104,24 +1130,29 @@ impl<T: Transport> ConsensusService<T> {
         instance: InstanceId,
         sender: ProcessId,
         launch: ClientLaunch,
-    ) -> Outbound {
+        out: &mut Outbound,
+    ) {
         if let Some((gate, reason)) = self.client.launch_refusal(instance, sender, &launch) {
             self.gate_reject(gate, sender, reason);
-            return Vec::new();
+            return;
         }
         if self.instances.contains_key(&instance) {
             // Duplicate launch (reconnect history replay): idempotent.
-            return Vec::new();
+            return;
         }
         self.insert_client_slot(instance, launch.f as usize, launch.rounds as usize, launch.value);
         self.started = true;
-        let mut sends = self.start_instance(instance).expect("just inserted");
-        // Frames that beat the launch here replay through the normal
-        // dispatch now that the instance exists.
+        self.start_instance(instance, out);
+        // Frames that beat the launch here take gate 4 and the hand-off now
+        // that the instance exists.
+        let local = self.transport.local_id();
         for frame in self.client.unpark(instance) {
-            sends.extend(self.dispatch(frame));
+            let sender = frame.sender;
+            let slot = self.instances.get_mut(&instance).expect("just inserted");
+            if let Some(reason) = Self::hand_off(slot, local, frame, out) {
+                self.gate_reject(3, sender, reason);
+            }
         }
-        sends
     }
 
     /// Rebuild a service from its write-ahead log after a crash.
@@ -1188,13 +1219,12 @@ impl<T: Transport> ConsensusService<T> {
                 }
                 WalRecord::Launched { instance } => {
                     svc.started = true;
-                    match svc.start_instance(instance) {
-                        Some(sends) => regenerated.extend(sends),
-                        None => svc.replay_divergence += 1,
+                    if !svc.start_instance(instance, &mut regenerated) {
+                        svc.replay_divergence += 1;
                     }
                 }
                 WalRecord::Inbound { from, bytes } => {
-                    regenerated.extend(svc.ingest(from as ProcessId, &bytes));
+                    svc.ingest(from as ProcessId, &bytes, &mut regenerated);
                 }
                 WalRecord::Sent { dst, bytes } => {
                     let dst = dst as ProcessId;
@@ -2040,6 +2070,120 @@ mod tests {
         let want: Vec<String> = GATE_NAMES.iter().map(|g| format!("gate={g} from=0")).collect();
         assert_eq!(rejects, want);
         assert_eq!(rejects.len() as u64, svc.gate_rejections().iter().sum::<u64>());
+    }
+
+    /// VA frames naming a broadcast no process of the run makes — an origin
+    /// past `n`, a round past the last, both at the wire caps — reach a
+    /// launched and an unlaunched instance through the decode hint: each is
+    /// refused at the VA bounds gate, neither instance's broadcast table
+    /// grows past `n · R` (the unlaunched one opens none), and both decide.
+    #[test]
+    fn hostile_tags_stop_at_the_va_bounds_gate() {
+        use crate::wire::{MAX_PID, MAX_ROUND};
+        let (n, rounds) = (4, 8);
+        let ring = Arc::new(RingRecorder::new(256));
+        let mut services: Vec<ConsensusService<_>> =
+            in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
+        services[0].set_obs(Obs::new(ring.clone()));
+        for (i, svc) in services.iter_mut().enumerate() {
+            for inst in [1, 2] {
+                svc.add_instance(inst, va_instance(i, n, &[i as f64, inst as f64])).unwrap();
+            }
+            svc.start_deferred();
+            svc.launch(1).unwrap();
+        }
+        let slots = |svc: &ConsensusService<_>, inst| match &svc.instances[&inst].proto {
+            InstanceProto::Va(p) => p.broadcast_slots(),
+            InstanceProto::Bvc(_) => unreachable!("VA instances only"),
+        };
+        assert_eq!((slots(&services[0], 1), slots(&services[0], 2)), (n * rounds, 0));
+        let cap = MAX_ROUND as usize;
+        let tags = [(n, 0), (0, rounds), (MAX_PID - 1, 0), (0, cap), (MAX_PID - 1, cap)];
+        let value = VecD::from_slice(&[1.0, 2.0]);
+        let state = Arc::new(rbvc_core::verified_avg::RoundState { value, witness: vec![] });
+        for inst in [1, 2] {
+            for (k, &tag) in tags.iter().enumerate() {
+                let msg = [BrachaMsg::Init, BrachaMsg::Echo, BrachaMsg::Ready][k % 3](Arc::clone(&state));
+                let round = u32::try_from(tag.1).unwrap();
+                let payload = Payload::Va((tag, msg));
+                let frame = Frame { instance: inst, sender: 3, round, payload };
+                services[3].transport_mut().send(0, encode_frame(&frame)).unwrap();
+            }
+        }
+        services[3].transport_mut().flush().unwrap();
+        let _ = services[0].poll(Duration::ZERO);
+        let refusals = ring
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::GateReject)
+            .filter(|e| e.detail.as_deref().is_some_and(|d| d.starts_with("gate=bounds from=3")))
+            .count();
+        assert_eq!(refusals, 2 * tags.len());
+        assert_eq!((slots(&services[0], 1), slots(&services[0], 2)), (n * rounds, 0));
+        services.iter_mut().for_each(|svc| svc.launch(2).unwrap());
+        let mut spins = 0;
+        while services.iter().any(|s| !s.all_decided()) {
+            for svc in &mut services {
+                let _ = svc.poll(Duration::ZERO);
+            }
+            spins += 1;
+            assert!(spins < 10_000, "mesh failed to converge");
+        }
+        for svc in &services {
+            assert_eq!(svc.gate_rejections(), [0; 4], "well-formed, authenticated, resident");
+            assert!([1, 2].iter().all(|&inst| slots(svc, inst) == n * rounds));
+        }
+    }
+
+    /// A client instance's broadcast table is `n · rounds` slots, and the
+    /// rounds come from the owner's `Launch`: one asking for more rounds
+    /// than this node's own client budget — the wire cap, say — is refused
+    /// at the kind gate before any instance or table exists; one at the
+    /// budget stands up with `n · rounds` slots.
+    #[test]
+    fn a_launch_past_the_round_budget_sizes_nothing() {
+        use crate::transport::Transport as _;
+        use crate::wire::MAX_ROUND;
+        let n = 2;
+        let mut mesh = in_proc_mesh(n);
+        let mut raw = mesh.pop().unwrap(); // endpoint 1, the owner, used raw
+        let mut svc = ConsensusService::new(mesh.pop().unwrap());
+        let ring = Arc::new(RingRecorder::new(16));
+        svc.set_obs(Obs::new(ring.clone()));
+        let budget = ClientConfig::default().rounds;
+        svc.enable_client(ClientConfig::default());
+        svc.start_deferred();
+        // Session 1 and the instance ids below are node 1's.
+        let launch = |seq: u64, rounds: u32| Frame {
+            instance: CLIENT_INSTANCE_BASE | (1 << 24) | seq,
+            sender: 1,
+            round: 0,
+            payload: Payload::Launch(ClientLaunch {
+                session: 1,
+                reqno: seq,
+                f: 0,
+                rounds,
+                value: VecD::from_slice(&[1.0, 2.0]),
+            }),
+        };
+        let (hostile, honest) = (launch(0, MAX_ROUND), launch(1, budget as u32));
+        raw.send(0, encode_frame(&hostile)).unwrap();
+        raw.send(0, encode_frame(&honest)).unwrap();
+        raw.flush().unwrap();
+        let _ = svc.poll(Duration::ZERO);
+        assert_eq!(svc.gate_rejections(), [0, 0, 0, 1]);
+        let refusals: Vec<String> = ring
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::GateReject)
+            .filter_map(|e| e.detail)
+            .collect();
+        assert_eq!(refusals, ["gate=kind from=1"]);
+        assert!(!svc.instances.contains_key(&hostile.instance), "no instance, so no table");
+        match &svc.instances[&honest.instance].proto {
+            InstanceProto::Va(p) => assert_eq!(p.broadcast_slots(), n * budget),
+            InstanceProto::Bvc(_) => unreachable!("client instances are VA"),
+        }
     }
 
     /// Replay runs the live receive and launch paths: a log holding a

@@ -54,7 +54,9 @@ pub struct ClientConfig {
     /// benchmark meshes are crash-free, so `f = 0` (wait for all) gives the
     /// tightest agreement; adversarial campaigns run `f > 0`.
     pub f: usize,
-    /// Bracha round budget per client instance.
+    /// Bracha round budget per client instance. Also the most rounds a
+    /// peer's `Launch` may ask of this node (an instance's broadcast table
+    /// is `n · rounds` slots), so every node of a mesh sets the same value.
     pub rounds: usize,
     /// Client instances this node will run concurrently as owner; further
     /// admissions queue.
@@ -405,6 +407,7 @@ impl ClientTable {
         }
         if self.n <= 3 * launch.f as usize
             || launch.rounds == 0
+            || launch.rounds as usize > self.cfg.rounds
             || launch.value.as_slice().iter().any(|x| !x.is_finite())
         {
             return Some((3, format!("degenerate launch parameters for instance {instance}")));
@@ -572,6 +575,10 @@ mod tests {
         assert_eq!(gate(id, 1, &launch(6)), Some("auth"), "sender does not own the session");
         assert_eq!(gate(id, 1, &ClientLaunch { f: 2, ..launch(5) }), Some("kind"), "n <= 3f");
         assert_eq!(gate(id, 1, &ClientLaunch { rounds: 0, ..launch(5) }), Some("kind"));
+        let rounds = table.cfg.rounds as u32;
+        assert_eq!(gate(id, 1, &ClientLaunch { rounds, ..launch(5) }), None, "this node's own budget");
+        let over = ClientLaunch { rounds: rounds + 1, ..launch(5) };
+        assert_eq!(gate(id, 1, &over), Some("kind"), "more rounds than this node runs");
         let nan = ClientLaunch { value: VecD::from_slice(&[f64::NAN]), ..launch(5) };
         assert_eq!(gate(id, 1, &nan), Some("kind"), "non-finite value");
     }

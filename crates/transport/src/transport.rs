@@ -134,20 +134,24 @@ pub trait Transport: Send {
     fn errors(&self) -> ErrorLog;
 }
 
-/// What an in-process channel carries: the sending endpoint and the frame.
-type Arrival = (ProcessId, Vec<u8>);
+/// What an in-process channel carries: the sending endpoint and the frames
+/// one flush of it queued for this destination, in send order.
+type Arrival = (ProcessId, Vec<Vec<u8>>);
 
 /// The in-process transport: one unbounded channel per endpoint carrying
-/// `(link peer, bytes)`, moving the same encoded bytes a socket would.
-/// Delivery is reliable and FIFO per link — the fault-free substrate; link
-/// faults live in the simulator (`AsyncEngine::run_chaos`).
+/// `(link peer, frames)`, one batch per sender per flush, moving the same
+/// encoded bytes a socket would. Delivery is reliable and FIFO per link —
+/// the fault-free substrate; link faults live in the simulator
+/// (`AsyncEngine::run_chaos`).
 pub struct InProcEndpoint {
     id: ProcessId,
     n: usize,
     txs: Arc<[Sender<Arrival>]>,
     rx: Receiver<Arrival>,
-    /// Frames queued by `send` awaiting `flush`, in send order.
-    outbox: Vec<(ProcessId, Vec<u8>)>,
+    /// Frames queued by `send` awaiting `flush`, per destination in send
+    /// order; sized at the first send, so building a mesh allocates nothing
+    /// per endpoint.
+    outbox: Vec<Vec<Vec<u8>>>,
     bytes_sent: u64,
     bytes_received: u64,
     errors: ErrorLog,
@@ -192,36 +196,44 @@ impl Transport for InProcEndpoint {
             self.errors.record(e.clone());
             return Err(e);
         }
-        self.outbox.push((dst, frame));
+        if self.outbox.is_empty() {
+            self.outbox.resize_with(self.n, Vec::new);
+        }
+        self.outbox[dst].push(frame);
         Ok(())
     }
 
     fn flush(&mut self) -> Result<(), ProtocolError> {
-        for (dst, bytes) in self.outbox.drain(..) {
+        for (dst, queued) in self.outbox.iter_mut().enumerate() {
+            if queued.is_empty() {
+                continue;
+            }
             if dst != self.id {
-                self.bytes_sent += bytes.len() as u64;
+                self.bytes_sent += queued.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
             }
             // A dead receiver is indistinguishable from a slow one in an
-            // asynchronous network; dropping the frame is the honest
+            // asynchronous network; dropping the frames is the honest
             // semantics, not an error.
-            let _ = self.txs[dst].send((self.id, bytes));
+            let _ = self.txs[dst].send((self.id, std::mem::take(queued)));
         }
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
         let rx = &self.rx;
-        let mut out: Vec<_> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        if out.is_empty() {
+        let mut batches: Vec<Arrival> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        if batches.is_empty() {
             // Nothing queued: block for the first arrival, then take what
             // came with it.
-            out.extend(rx.recv_timeout(timeout));
-            out.extend(std::iter::from_fn(|| rx.try_recv().ok()));
+            batches.extend(rx.recv_timeout(timeout));
+            batches.extend(std::iter::from_fn(|| rx.try_recv().ok()));
         }
-        for (src, bytes) in &out {
-            if *src != self.id {
-                self.bytes_received += bytes.len() as u64;
+        let mut out = Vec::with_capacity(batches.iter().map(|(_, frames)| frames.len()).sum());
+        for (src, frames) in batches {
+            if src != self.id {
+                self.bytes_received += frames.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
             }
+            out.extend(frames.into_iter().map(|bytes| (src, bytes)));
         }
         out
     }
@@ -284,20 +296,47 @@ mod tests {
         assert_eq!((mesh[0].bytes_sent(), mesh[0].bytes_received()), (0, 0));
     }
 
+    /// Two senders, three destinations (each sender's own among them), sends
+    /// interleaved across senders and destinations over two flushes each:
+    /// every receiver gets what a channel hop per frame gave — the frames in
+    /// flush order, each flush's in send order — and the byte counters count
+    /// every frame that crossed a link, none on a self-link.
     #[test]
     fn delivery_is_fifo_per_link() {
         let mut mesh = in_proc_mesh(3);
-        for b in 1..=5u8 {
-            mesh[0].send(1, vec![b]).unwrap();
+        // (sender, Some((destination, payload))) is a send, (sender, None) a flush.
+        let script: [(ProcessId, Option<(ProcessId, u8)>); 16] = [
+            (0, Some((1, 1))), (1, Some((0, 5))), (0, Some((2, 2))), (1, Some((2, 6))),
+            (0, Some((0, 3))), (1, Some((1, 7))), (0, Some((1, 4))), (0, None),
+            (1, Some((2, 8))), (1, None), (0, Some((2, 9))), (1, Some((0, 11))),
+            (0, Some((1, 10))), (1, Some((1, 12))), (1, None), (0, None),
+        ];
+        let mut want: Vec<Vec<(ProcessId, Vec<u8>)>> = vec![Vec::new(); 3];
+        let mut queued: Vec<(ProcessId, ProcessId, Vec<u8>)> = Vec::new();
+        for &(src, send) in &script {
+            if let Some((dst, b)) = send {
+                let frame = vec![b; usize::from(b)];
+                mesh[src].send(dst, frame.clone()).unwrap();
+                queued.push((src, dst, frame));
+            } else {
+                mesh[src].flush().unwrap();
+                for (_, dst, frame) in queued.extract_if(.., |(s, _, _)| *s == src) {
+                    want[dst].push((src, frame));
+                }
+            }
         }
-        mesh[0].flush().unwrap();
-        mesh[2].send(1, vec![9]).unwrap();
-        mesh[2].flush().unwrap();
-        let got: Vec<u8> = mesh[1]
-            .recv_timeout(Duration::from_millis(100))
-            .into_iter()
-            .map(|(_, bytes)| bytes[0])
-            .collect();
-        assert_eq!(got, [1, 2, 3, 4, 5, 9]);
+        for (dst, want) in want.iter().enumerate() {
+            assert_eq!(&mesh[dst].recv_timeout(Duration::from_millis(100)), want, "receiver {dst}");
+        }
+        let across = |id: ProcessId, end: fn(ProcessId, ProcessId) -> ProcessId| -> u64 {
+            let sends = script.iter().filter_map(|&(src, send)| send.map(|(dst, b)| (src, dst, b)));
+            let counted = sends.filter(|&(src, dst, _)| src != dst && end(src, dst) == id);
+            counted.map(|(.., b)| u64::from(b)).sum()
+        };
+        for (id, endpoint) in mesh.iter().enumerate() {
+            assert_eq!(endpoint.bytes_sent(), across(id, |src, _| src), "sent by {id}");
+            assert_eq!(endpoint.bytes_received(), across(id, |_, dst| dst), "received by {id}");
+        }
+        assert_eq!((mesh[2].bytes_sent(), mesh[2].bytes_received()), (0, 2 + 6 + 8 + 9));
     }
 }

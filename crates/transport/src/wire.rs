@@ -219,8 +219,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// without decoding (or validating) the payload; `kind` is the payload's
 /// trace label (`"eig"`, `"va"`, `"launch"`, or `"unknown"` for a kind byte
 /// [`decode_frame`] would reject). `None` if the bytes are too short or fail
-/// the magic/version check. The service's trace spans use this to tag
-/// frames without paying a full decode.
+/// the magic/version check. The service looks up the instance a frame names
+/// with it, before the decode that instance's states can spare.
 #[must_use]
 pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
     if bytes.len() < HEADER_LEN || bytes[..2] != MAGIC || bytes[2] != VERSION {
