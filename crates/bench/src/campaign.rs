@@ -7,7 +7,7 @@
 //! [`MeshProfile`] with its seeded inputs, instance builder, authenticated
 //! loopback mesh, in-process baseline oracle and monitor factory; the
 //! round-robin [`sweep`] and [`thread_per_node`] drivers; and [`main`],
-//! which serves `/metrics` + `/status` with a mid-run self-scrape, prints
+//! which serves `/metrics` with a mid-run self-scrape, prints
 //! the table, writes the enveloped `BENCH_*.json`, holds the endpoint open
 //! for `--metrics-wait-scrapes`, and returns the gate list that becomes
 //! the exit code. The one argument grammar of the `exp` program
@@ -27,7 +27,7 @@ use rand::Rng;
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::{DecisionRule, SyncBvc};
 use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_obs::{scrape_path, MetricsServer, Registry, StatusBoard};
+use rbvc_obs::{scrape_once, MetricsServer, Registry};
 use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
 use rbvc_transport::service::{ConsensusService, InstanceProto};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
@@ -341,11 +341,8 @@ pub struct Scenario {
     pub flags: &'static [&'static str],
     /// Substrings one mid-run `/metrics` scrape must all contain.
     pub metrics_probe: &'static [&'static str],
-    /// `(needle, key)`: a mid-run `/status` scrape must contain `needle`;
-    /// the verdict lands in `metrics_endpoint.{key}`.
-    pub status_probe: Option<(&'static str, &'static str)>,
-    /// Run the campaign. The board is the one `/status` serves.
-    pub run: fn(&Args, &StatusBoard) -> Report,
+    /// Run the campaign.
+    pub run: fn(&Args) -> Report,
 }
 
 impl Scenario {
@@ -540,13 +537,12 @@ pub fn main(sc: &Scenario, args: &Args) -> Vec<Gate> {
     println!("{} — {}, seed {}{smoke}", sc.id, sc.title, args.seed);
 
     // Live exposition: bind before the run so the whole run is scrapeable,
-    // and self-scrape from a background thread to prove the pages are
+    // and self-scrape from a background thread to prove the page is
     // served *while* the mesh is hot (CI additionally curls E17 from outside).
-    let status = StatusBoard::new();
     let server = args.metrics.as_deref().map(|addr| {
-        let s = MetricsServer::serve_with_status(addr, Registry::global().clone(), status.clone())
+        let s = MetricsServer::serve(addr, Registry::global().clone())
             .expect("bind metrics endpoint");
-        println!("serving /metrics and /status on http://{}", s.addr());
+        println!("serving /metrics on http://{}", s.addr());
         s
     });
     let stop = AtomicBool::new(false);
@@ -554,26 +550,22 @@ pub fn main(sc: &Scenario, args: &Args) -> Vec<Gate> {
         let scraper = server.as_ref().map(|s| {
             let (addr, stop) = (s.addr(), &stop);
             scope.spawn(move || {
-                let (mut metrics_ok, mut status_ok) = (false, false);
+                let mut metrics_ok = false;
                 loop {
                     // Read the flag first: the last pass scrapes once more
                     // after the run, so a run shorter than one period (the
                     // E17 smoke) is still probed with its series registered.
                     let last = stop.load(Ordering::SeqCst);
-                    metrics_ok |= scrape_path(addr, "/metrics")
+                    metrics_ok |= scrape_once(addr)
                         .is_ok_and(|body| sc.metrics_probe.iter().all(|p| body.contains(p)));
-                    if let Some((needle, _)) = sc.status_probe {
-                        status_ok |=
-                            scrape_path(addr, "/status").is_ok_and(|body| body.contains(needle));
-                    }
                     if last {
-                        return (metrics_ok, status_ok);
+                        return metrics_ok;
                     }
                     thread::sleep(Duration::from_millis(50));
                 }
             })
         });
-        let report = (sc.run)(args, &status);
+        let report = (sc.run)(args);
         stop.store(true, Ordering::SeqCst);
         (report, scraper.map(|h| h.join().expect("scraper thread")))
     });
@@ -584,20 +576,12 @@ pub fn main(sc: &Scenario, args: &Args) -> Vec<Gate> {
     }
 
     let mut gates = report.gates;
-    let endpoint = server.as_ref().zip(scraped).map(|(s, (metrics_ok, status_ok))| {
+    let endpoint = server.as_ref().zip(scraped).map(|(s, metrics_ok)| {
         gates.push(gate(
             metrics_ok,
             format!("no mid-run /metrics scrape contained {:?}", sc.metrics_probe),
         ));
-        let mut doc = vec![
-            ("addr".to_string(), json!(s.addr().to_string())),
-            ("mid_run_scrape_ok".to_string(), json!(metrics_ok)),
-        ];
-        if let Some((needle, key)) = sc.status_probe {
-            gates.push(gate(status_ok, format!("no mid-run /status scrape contained {needle}")));
-            doc.push((key.to_string(), json!(status_ok)));
-        }
-        Value::Object(doc)
+        json!({ "addr": s.addr().to_string(), "mid_run_scrape_ok": metrics_ok })
     });
     let doc = document(sc, args, report.payload, endpoint);
     let rendered = serde_json::to_string_pretty(&doc).expect("valid JSON");

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 use rbvc_client::ClientHandle;
 use rbvc_linalg::VecD;
-use rbvc_obs::StatusBoard;
 use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::byzantine::{
     AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint, Counter,
@@ -62,7 +61,6 @@ pub const SCENARIO: Scenario = Scenario {
     // The per-attack slowdown gauges are set when the campaign aggregates,
     // so it is the scraper's last pass (after the run) that sees them.
     metrics_probe: &["# TYPE", "exp_byzantine_slowdown"],
-    status_probe: None,
     run,
 };
 
@@ -88,9 +86,6 @@ pub struct ByzantineConfig {
     pub auth: [u8; 32],
     /// The attack mixes this campaign cycles through (`run % len` picks).
     pub attacks: Vec<&'static str>,
-    /// Shared `/status` board the services publish into (per-link auth
-    /// state rides the snapshot rows); `None` skips publishing.
-    pub status: Option<StatusBoard>,
 }
 
 /// Whether `name` is one of the registry's identity mixes — the E23
@@ -123,7 +118,6 @@ impl ByzantineConfig {
             client_requests,
             auth: mesh_seed(seed),
             attacks,
-            status: None,
         }
     }
 }
@@ -351,20 +345,6 @@ fn run_tcp_mesh(
             }
             let mut svc = ConsensusService::new(wrapped);
             svc.enable_auth();
-            if let Some(board) = &cfg.status {
-                // Publish `/status` snapshots (per-link auth state) without
-                // arming a flight recorder; the stall deadlines are pushed
-                // far past the sweep budget so detection noise from the
-                // attack phases never lands in the campaign's metrics.
-                svc.enable_health(rbvc_transport::service::HealthConfig {
-                    stall: rbvc_obs::StallConfig {
-                        deadline_us: 60_000_000,
-                        dump_deadline_us: 120_000_000,
-                    },
-                    flight_dir: None,
-                    status: Some(board.clone()),
-                });
-            }
             // Client instances must tolerate the run's f (in the clean
             // reference the Byzantine slots are idle, i.e. crashed).
             svc.enable_client(ClientConfig {
@@ -616,7 +596,7 @@ fn publish_metrics(report: &AttackReport) {
     reg.counter_with("exp.byzantine.client_redirects", &labels).add(report.client_redirects);
 }
 
-fn run(args: &Args, _status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let mut cfg = ByzantineConfig::profile(args.smoke, args.seed);
     cfg.runs = args.runs.unwrap_or(cfg.runs);
     println!(

@@ -35,7 +35,6 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 use rbvc_client::{ClientHandle, RetryPolicy};
 use rbvc_linalg::VecD;
-use rbvc_obs::StatusBoard;
 use rbvc_transport::service::{ClientConfig, ClientStats, ConsensusService};
 use rbvc_transport::ClientPort;
 use serde_json::json;
@@ -56,7 +55,6 @@ pub const SCENARIO: Scenario = Scenario {
     // The client-table gauges are pre-registered when the services enable
     // the client plane, so they must be scrapeable while the workers run.
     metrics_probe: &["client_sessions", "client_dedup_hits"],
-    status_probe: None,
     run,
 };
 
@@ -437,7 +435,7 @@ fn publish_step(step: &RateStep) {
         .set((step.goodput * 1000.0) as i64);
 }
 
-fn run(args: &Args, _status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let cfg = ClientExpConfig::profile(args.smoke, args.seed);
     println!(
         "{}-node authenticated loopback TCP mesh, {} session(s) × {} Poisson arrivals per \

@@ -40,7 +40,7 @@ use rand::Rng;
 use rbvc_linalg::VecD;
 use rbvc_obs::{
     clock, FlightDump, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase,
-    StallReport, StatusBoard,
+    StallReport,
 };
 use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::service::{ConsensusService, HealthConfig};
@@ -60,11 +60,9 @@ pub const SCENARIO: Scenario = Scenario {
     title: "self-diagnosing runtime stall campaign",
     flags: &["--runs N", "--flight-dir DIR", "--metrics ADDR"],
     // The stall series are registered when the first mesh arms the
-    // detector.
-    metrics_probe: &["# TYPE", "health_stall"],
-    // A node's snapshot — any node's, once one has published — carries the
-    // phase clock's "where the time goes" row.
-    status_probe: Some(("\"time\":\"", "status_scrape_ok")),
+    // detector; the phase clock's "where the time goes" series when the
+    // first node polls.
+    metrics_probe: &["# TYPE", "health_stall", "service_poll_phase_us"],
     run,
 };
 
@@ -102,9 +100,6 @@ pub struct HealthCampaignConfig {
     /// Detection budget after injection: a stall reported later than this
     /// counts as a miss (deadline + one injected-latency period + slack).
     pub detect_budget: Duration,
-    /// Shared `/status` board the services publish into (the live
-    /// endpoint); `None` skips publishing.
-    pub status: Option<StatusBoard>,
     /// Flight-dump directory handed to every node (arming the always-on
     /// recorder during the runs); `None` disables the in-run recorders.
     /// The campaign's final cross-check phase always runs with its own.
@@ -127,7 +122,6 @@ impl HealthCampaignConfig {
             fsync_throttle: Duration::from_millis(400),
             run_budget: Duration::from_secs(20),
             detect_budget: Duration::from_millis(1500),
-            status: None,
             flight_dir: None,
         }
     }
@@ -295,7 +289,6 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
                     deadline_us: u64::try_from(cfg.deadline.as_micros()).unwrap_or(u64::MAX),
                     ..StallConfig::default()
                 },
-                status: cfg.status.clone(),
                 flight_dir: cfg.flight_dir.clone(),
             });
             svc
@@ -563,11 +556,10 @@ fn publish_metrics(out: &HealthOutcome) {
     }
 }
 
-fn run(args: &Args, status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let mut cfg = HealthCampaignConfig::profile(args.smoke, args.seed);
     cfg.runs = args.runs.unwrap_or(cfg.runs);
     cfg.flight_dir = Some(args.flight_dir.clone().unwrap_or_else(|| "target/flight".into()));
-    cfg.status = Some(status.clone());
     println!(
         "{} seeded runs cycling clean/muted/severed/fsync/kill on {}-node authenticated \
          loopback TCP meshes (f = {}, stall deadline {} ms, fsync throttle {} ms)",

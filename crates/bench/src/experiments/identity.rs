@@ -34,7 +34,6 @@
 
 use std::time::Instant;
 
-use rbvc_obs::StatusBoard;
 use rbvc_transport::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated};
 use serde_json::{json, Value};
 
@@ -51,11 +50,9 @@ pub const SCENARIO: Scenario = Scenario {
     title: "impersonation on the wire",
     flags: &["--runs N", "--metrics ADDR"],
     // `auth.reject_total` moves as soon as the first identity mix's
-    // forgeries are refused.
-    metrics_probe: &["# TYPE", "auth_reject"],
-    // A snapshot showing an authenticated link proves the auth state
-    // actually rides the board rows.
-    status_probe: Some(("\"authenticated\"", "status_auth_state_ok")),
+    // forgeries are refused; `auth.established` is counted by the TCP
+    // readers at every verified handshake, health armed or not.
+    metrics_probe: &["# TYPE", "auth_reject", "auth_established"],
     run,
 };
 
@@ -183,11 +180,9 @@ pub fn run_identity(cfg: &IdentityConfig) -> IdentityOutcome {
     IdentityOutcome { campaign, overhead }
 }
 
-fn run(args: &Args, status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let mut cfg = IdentityConfig::profile(args.smoke, args.seed);
     cfg.campaign.runs = args.runs.unwrap_or(cfg.campaign.runs);
-    // The nodes publish per-link auth state to the live `/status` board.
-    cfg.campaign.status = Some(status.clone());
     let mesh = &cfg.campaign.mesh;
     println!(
         "{}-node authenticated loopback TCP mesh, f = {} compromised nodes per run cycling {} \

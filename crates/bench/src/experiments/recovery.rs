@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 use rbvc_linalg::VecD;
-use rbvc_obs::StatusBoard;
 use rbvc_store::Wal;
 use rbvc_transport::service::ConsensusService;
 use rbvc_transport::tcp::TcpEndpoint;
@@ -51,7 +50,6 @@ pub const SCENARIO: Scenario = Scenario {
     title: "crash-recovery campaign",
     flags: &["--runs N"],
     metrics_probe: &[],
-    status_probe: None,
     run,
 };
 
@@ -301,7 +299,7 @@ pub fn run_campaign(cfg: &RecoveryConfig) -> RecoveryOutcome {
     out
 }
 
-fn run(args: &Args, _status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let mut cfg = RecoveryConfig::profile(args.smoke, args.seed);
     cfg.runs = args.runs.unwrap_or(cfg.runs);
     println!(

@@ -14,15 +14,14 @@
 //! Where the load run's time went is read off the services' own phase
 //! clocks (`phase_share` in `BENCH_service.json`: the share of the nodes'
 //! summed wall time per [`Phase`](rbvc_transport::service::Phase)). Like
-//! the rest of `/metrics` and `/status`, they are always on: the run has
-//! no tracing mode.
+//! the rest of `/metrics`, they are always on: the run has no tracing mode.
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 use rbvc_linalg::VecD;
-use rbvc_obs::{render_shares, Registry, StatusBoard};
+use rbvc_obs::Registry;
 use rbvc_transport::service::{ConsensusService, PhaseNanos};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
 use serde_json::json;
@@ -41,7 +40,6 @@ pub const SCENARIO: Scenario = Scenario {
     title: "service load generator",
     flags: &["--instances N", "--window N", "--metrics ADDR"],
     metrics_probe: &["# TYPE", "service_decide_phase_us", "service_frame_queue_us"],
-    status_probe: None,
     run,
 };
 
@@ -322,7 +320,7 @@ pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 
     (identical, [tcp, inproc])
 }
 
-fn run(args: &Args, _status: &StatusBoard) -> Report {
+fn run(args: &Args) -> Report {
     let seed = args.seed;
     let mut cfg = if args.smoke { ServiceConfig::smoke(seed) } else { ServiceConfig::load(seed) };
     cfg.mesh.instances = args.instances.unwrap_or(cfg.mesh.instances);
@@ -369,6 +367,19 @@ fn row(out: &ServiceOutcome) -> Vec<String> {
         out.monitor_violations.to_string(),
         out.errors.to_string(),
     ]
+}
+
+/// Shares of a whole as one line, largest first, cells under half a percent
+/// left out: `dispatch 71 % wait 12 % …` (empty when the cells sum to zero).
+fn render_shares(cells: &[(&'static str, u64)]) -> String {
+    let total: u64 = cells.iter().map(|(_, ns)| ns).sum();
+    let mut cells = cells.to_vec();
+    cells.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    let shares = cells.iter().filter_map(|&(name, ns)| {
+        let percent = (ns as f64 * 100.0 / total as f64).round();
+        (percent >= 1.0).then(|| format!("{name} {percent} %"))
+    });
+    shares.collect::<Vec<_>>().join(" ")
 }
 
 /// Table, payload and gates of one load run (`references` are the
@@ -456,6 +467,13 @@ fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shares_render_largest_first_without_the_crumbs() {
+        let cells = [("wait", 120), ("dispatch", 710), ("fsync", 1), ("outside", 169)];
+        assert_eq!(render_shares(&cells), "dispatch 71 % outside 17 % wait 12 %");
+        assert_eq!(render_shares(&[("wait", 0), ("dispatch", 0)]), "");
+    }
 
     /// The smoke profile decides everything over the in-process transport
     /// with a clean monitor — the same path `exp service --smoke` takes —

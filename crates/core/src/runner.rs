@@ -11,10 +11,10 @@ use rbvc_geometry::gamma_point;
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::asynch::{
     AsyncEngine, AsyncNode, FifoScheduler, GstScheduler, RandomScheduler, Scheduler,
-    SilentAsyncAdversary, TargetedDelayScheduler,
+    TargetedDelayScheduler,
 };
 use rbvc_sim::config::{ProcessId, SystemConfig};
-use rbvc_sim::fuzz::follow;
+use rbvc_sim::fuzz::{follow, SilentAdversary};
 use rbvc_sim::sync::{RoundEngine, SyncNode};
 use rbvc_obs::ExecutionTrace;
 use serde::{Deserialize, Serialize};
@@ -330,7 +330,7 @@ pub fn try_run_async(spec: &AsyncSpec, tol: Tol) -> Result<RunReport, ProtocolEr
             match spec.adversaries.iter().find(|(j, _)| *j == i).map(|(_, b)| b) {
                 None => AsyncNode::Honest(proto(&spec.inputs[i])),
                 Some(AsyncByzantine::Silent) => {
-                    AsyncNode::Byzantine(Box::new(SilentAsyncAdversary))
+                    AsyncNode::Byzantine(Box::new(SilentAdversary))
                 }
                 Some(AsyncByzantine::HonestInput(v)) => {
                     AsyncNode::Byzantine(Box::new(follow(proto(v))))

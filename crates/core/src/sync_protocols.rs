@@ -20,8 +20,8 @@
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::eig::ParallelEig;
-use rbvc_sim::fuzz::{follow, lying_relay, two_faced};
-use rbvc_sim::sync::{Broadcast, SilentAdversary, SyncNode, SyncProtocol};
+use rbvc_sim::fuzz::{follow, lying_relay, two_faced, SilentAdversary};
+use rbvc_sim::sync::{Broadcast, SyncNode, SyncProtocol};
 
 use crate::rules::{Decision, DecisionRule};
 

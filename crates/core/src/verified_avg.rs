@@ -642,9 +642,9 @@ pub fn corrupt_average(
 mod tests {
     use super::*;
     use rbvc_sim::asynch::{
-        AsyncEngine, AsyncNode, FifoScheduler, RandomScheduler, SilentAsyncAdversary,
-        TargetedDelayScheduler,
+        AsyncEngine, AsyncNode, FifoScheduler, RandomScheduler, TargetedDelayScheduler,
     };
+    use rbvc_sim::fuzz::SilentAdversary;
     use rbvc_sim::config::SystemConfig;
     use rbvc_sim::fuzz::follow;
 
@@ -684,7 +684,7 @@ mod tests {
                 match byz.iter().find(|(j, _)| *j == i).map(|(_, b)| b) {
                     None => AsyncNode::Honest(proto(&setup.inputs[i])),
                     Some(Byz::Silent) => {
-                        AsyncNode::Byzantine(Box::new(SilentAsyncAdversary))
+                        AsyncNode::Byzantine(Box::new(SilentAdversary))
                     }
                     Some(Byz::HonestInput(v)) => {
                         AsyncNode::Byzantine(Box::new(follow(proto(v))))

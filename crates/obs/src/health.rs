@@ -1,6 +1,5 @@
 //! Self-diagnosis: stall detection with blame attribution, per-link
-//! straggler monitoring, a shared `/status` snapshot board, and the
-//! always-on flight recorder.
+//! straggler monitoring, and the always-on flight recorder.
 //!
 //! Iterative BVC progress hinges on receiving `n − f` well-formed messages
 //! per round, so "who has not delivered for this round" is exactly the
@@ -17,10 +16,8 @@
 //!   `{peer}` blame labels.
 //! * [`LinkMonitor`] — per-directed-link EWMA of frame inter-arrival plus
 //!   a decayed dial-failure burst rate, flagging slow ([`LinkHealth::straggler`])
-//!   or flapping ([`LinkHealth::flapping`]) peers *before* a stall report.
-//! * [`StatusBoard`] — the shared JSON board behind the live `/status`
-//!   endpoint (`crate::serve`): each node publishes a rendered
-//!   [`StatusSnapshot`]; the endpoint splices them into one document.
+//!   or flapping ([`LinkHealth::flapping`]) peers *before* a stall report,
+//!   as `health.link.*` gauges.
 //! * [`FlightRecorder`] — a bounded ring of recent events that is always
 //!   on and dumps a self-describing JSONL black-box file (read back by
 //!   [`FlightDump::parse`]) on a safety-monitor violation, a stall past
@@ -36,7 +33,7 @@ use serde::Value;
 use crate::clock;
 use crate::event::{Event, EventKind};
 use crate::metrics::{HistSnapshot, Registry};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, RingRecorder};
 
 /// Which phase of the pipeline a stalled instance is blocked in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,28 +95,6 @@ pub struct StallReport {
 }
 
 impl StallReport {
-    /// Render as a JSON value for the `/status` document.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("instance".into(), Value::UInt(self.instance)),
-            ("round".into(), Value::UInt(u64::from(self.round))),
-            ("phase".into(), Value::Str(self.phase.as_str().into())),
-            (
-                "waiting_on".into(),
-                Value::Array(
-                    self.waiting_on.iter().map(|p| Value::UInt(u64::from(*p))).collect(),
-                ),
-            ),
-            ("stalled_us".into(), Value::UInt(self.stalled_us)),
-            ("detected_at_us".into(), Value::UInt(self.detected_at_us)),
-        ];
-        if let Some(t) = self.cleared_at_us {
-            fields.push(("cleared_at_us".into(), Value::UInt(t)));
-        }
-        Value::Object(fields)
-    }
-
     /// The `detail` string carried by the matching
     /// [`EventKind::StallDetected`] / [`EventKind::StallCleared`] event.
     #[must_use]
@@ -136,15 +111,12 @@ impl StallReport {
 }
 
 /// One instance's progress signal, fed to [`StallDetector::observe`] every
-/// service poll and listed on `/status`. The detector never inspects
-/// protocol state itself — the service condenses what it already knows
-/// into this record.
+/// service poll. The detector never inspects protocol state itself — the
+/// service condenses what it already knows into this record.
 #[derive(Debug, Clone)]
 pub struct InstanceProgress {
     /// Consensus instance id.
     pub instance: u64,
-    /// Protocol short name (`"bvc"` / `"va"`).
-    pub proto: &'static str,
     /// Current protocol round.
     pub round: u32,
     /// Whether the instance has been launched (emitted its first batch).
@@ -488,17 +460,6 @@ pub enum LinkAuthState {
 }
 
 impl LinkAuthState {
-    /// Stable lowercase name (used in `/status` rows and gauge values).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LinkAuthState::Off => "off",
-            LinkAuthState::Pending => "pending",
-            LinkAuthState::Authenticated => "authenticated",
-            LinkAuthState::Failed => "failed",
-        }
-    }
-
     /// Numeric encoding for the `health.link.auth` gauge:
     /// off = 0, pending = 1, authenticated = 2, failed = 3.
     #[must_use]
@@ -519,60 +480,14 @@ pub struct LinkHealth {
     pub peer: u32,
     /// Whether the link currently has a live connection.
     pub up: bool,
-    /// Frames received over the link's lifetime.
-    pub rx_frames: u64,
     /// EWMA of frame inter-arrival time, µs (0 until two frames arrived).
     pub ewma_interarrival_us: u64,
-    /// Silence since the last frame, µs (`u64::MAX` when no frame ever
-    /// arrived).
-    pub us_since_last_rx: u64,
-    /// Cumulative outbound dial failures toward this peer.
-    pub dial_failures: u64,
-    /// Decayed dial-failure burst level (halves every 0.5 s; flapping at 3).
-    pub dial_burst: f64,
     /// The link is up but suspiciously silent relative to its own history.
     pub straggler: bool,
     /// The link is cycling through dial failures.
     pub flapping: bool,
     /// Authentication state of the inbound link.
     pub auth: LinkAuthState,
-    /// Reason label of the most recent handshake rejection attributed to
-    /// this peer (`None` if none ever was). A rejection is remembered even
-    /// while the genuine link stays [`LinkAuthState::Authenticated`] — a
-    /// failed forgery must not hide, but must not mark the live link bad.
-    pub last_auth_reject: Option<String>,
-}
-
-impl LinkHealth {
-    /// Render as a JSON value for the `/status` document.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("peer".into(), Value::UInt(u64::from(self.peer))),
-            ("up".into(), Value::Bool(self.up)),
-            ("rx_frames".into(), Value::UInt(self.rx_frames)),
-            ("ewma_interarrival_us".into(), Value::UInt(self.ewma_interarrival_us)),
-            (
-                "us_since_last_rx".into(),
-                Value::UInt(if self.us_since_last_rx == u64::MAX {
-                    0
-                } else {
-                    self.us_since_last_rx
-                }),
-            ),
-            ("dial_failures".into(), Value::UInt(self.dial_failures)),
-            ("straggler".into(), Value::Bool(self.straggler)),
-            ("flapping".into(), Value::Bool(self.flapping)),
-            ("auth".into(), Value::Str(self.auth.as_str().into())),
-            (
-                "last_auth_reject".into(),
-                match &self.last_auth_reject {
-                    Some(r) => Value::Str(r.clone()),
-                    None => Value::Str(String::new()),
-                },
-            ),
-        ])
-    }
 }
 
 struct LinkState {
@@ -580,11 +495,9 @@ struct LinkState {
     rx_frames: u64,
     ewma_us: f64,
     last_rx_us: u64,
-    dial_failures: u64,
     burst: f64,
     burst_at_us: u64,
     auth: LinkAuthState,
-    last_auth_reject: Option<String>,
 }
 
 impl LinkState {
@@ -602,8 +515,8 @@ impl LinkState {
 /// Per-directed-link straggler/flap monitor, embedded in the TCP endpoint:
 /// [`LinkMonitor::on_frame`] from the receive path,
 /// [`LinkMonitor::on_dial_failure`] from the redial path, and
-/// [`LinkMonitor::snapshot`] whenever anyone (the stall detector, the
-/// `/status` board) wants the current picture.
+/// [`LinkMonitor::snapshot`] whenever the stall detector wants the current
+/// picture.
 pub struct LinkMonitor {
     local: u32,
     links: BTreeMap<u32, LinkState>,
@@ -624,11 +537,9 @@ impl LinkMonitor {
                         rx_frames: 0,
                         ewma_us: 0.0,
                         last_rx_us: 0,
-                        dial_failures: 0,
                         burst: 0.0,
                         burst_at_us: 0,
                         auth: LinkAuthState::Off,
-                        last_auth_reject: None,
                     },
                 )
             })
@@ -655,7 +566,6 @@ impl LinkMonitor {
     /// An outbound (re)dial toward `peer` failed at `now_us`.
     pub fn on_dial_failure(&mut self, peer: u32, now_us: u64) {
         let Some(l) = self.links.get_mut(&peer) else { return };
-        l.dial_failures += 1;
         l.burst = l.decayed_burst(now_us) + 1.0;
         l.burst_at_us = now_us;
     }
@@ -697,14 +607,13 @@ impl LinkMonitor {
         }
     }
 
-    /// A handshake *claiming* `peer` failed verification for `reason`.
-    /// The reason is always remembered; the state only degrades to
-    /// [`LinkAuthState::Failed`] when no authenticated link is live —
-    /// a forged connection refused at the door must not take the genuine
-    /// session's reputation down with it.
-    pub fn on_auth_reject(&mut self, peer: u32, reason: &str) {
+    /// A handshake *claiming* `peer` failed verification. The state only
+    /// degrades to [`LinkAuthState::Failed`] when no authenticated link is
+    /// live — a forged connection refused at the door must not take the
+    /// genuine session's reputation down with it (the refusal itself is
+    /// counted in `auth.reject{peer,reason,dst}`).
+    pub fn on_auth_reject(&mut self, peer: u32) {
         if let Some(l) = self.links.get_mut(&peer) {
-            l.last_auth_reject = Some(reason.to_string());
             if l.auth != LinkAuthState::Authenticated {
                 l.auth = LinkAuthState::Failed;
             }
@@ -744,192 +653,14 @@ impl LinkMonitor {
                 LinkHealth {
                     peer: *peer,
                     up: l.up,
-                    rx_frames: l.rx_frames,
                     ewma_interarrival_us: ewma,
-                    us_since_last_rx: since,
-                    dial_failures: l.dial_failures,
-                    dial_burst: burst,
                     straggler,
                     flapping,
                     auth: l.auth,
-                    last_auth_reject: l.last_auth_reject.clone(),
                 }
             })
             .collect()
     }
-}
-
-/// Client-table occupancy for the `/status` document.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClientStatus {
-    /// Sessions in the table.
-    pub sessions: u64,
-    /// Client instances currently in flight.
-    pub inflight: u64,
-    /// Submits shed with `Busy` so far.
-    pub shed: u64,
-}
-
-/// WAL durability facts for the `/status` document.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalStatus {
-    /// Current log size in bytes (header included).
-    pub size_bytes: u64,
-    /// Records in the log.
-    pub records: u64,
-}
-
-/// Everything one node publishes onto the [`StatusBoard`] each poll.
-#[derive(Debug, Clone, Default)]
-pub struct StatusSnapshot {
-    /// Publishing node.
-    pub node: u32,
-    /// Per-instance state (callers may cap the list; counts below stay
-    /// exact). The progress token is not rendered.
-    pub instances: Vec<InstanceProgress>,
-    /// Total instances registered with the service.
-    pub total_instances: u64,
-    /// Instances decided.
-    pub decided_instances: u64,
-    /// Client-table occupancy (absent when the client plane is off).
-    pub client: Option<ClientStatus>,
-    /// WAL durability facts (absent when the service runs non-durable).
-    pub wal: Option<WalStatus>,
-    /// Link health of every inbound link.
-    pub links: Vec<LinkHealth>,
-    /// Active stall reports.
-    pub stalls: Vec<StallReport>,
-    /// Where the node's wall time has gone since it started: cumulative
-    /// nanoseconds per phase of the service's phase clock, by phase name.
-    pub phase_ns: Vec<(&'static str, u64)>,
-    /// When this snapshot was rendered (µs, [`crate::clock`] timeline).
-    pub updated_us: u64,
-}
-
-/// Shares of a whole as one line, largest first, cells under half a percent
-/// left out: `dispatch 71 % wait 12 % …` (empty when the cells sum to zero).
-#[must_use]
-pub fn render_shares(cells: &[(&'static str, u64)]) -> String {
-    let total: u64 = cells.iter().map(|(_, ns)| ns).sum();
-    let mut cells = cells.to_vec();
-    cells.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
-    let shares = cells.iter().filter_map(|&(name, ns)| {
-        let percent = (ns as f64 * 100.0 / total as f64).round();
-        (percent >= 1.0).then(|| format!("{name} {percent} %"))
-    });
-    shares.collect::<Vec<_>>().join(" ")
-}
-
-impl StatusSnapshot {
-    /// Render the snapshot as one JSON object string.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let instances = self
-            .instances
-            .iter()
-            .map(|i| {
-                Value::Object(vec![
-                    ("id".into(), Value::UInt(i.instance)),
-                    ("proto".into(), Value::Str(i.proto.into())),
-                    ("round".into(), Value::UInt(u64::from(i.round))),
-                    ("launched".into(), Value::Bool(i.launched)),
-                    ("decided".into(), Value::Bool(i.decided)),
-                    (
-                        "waiting_on".into(),
-                        Value::Array(
-                            i.waiting_on.iter().map(|p| Value::UInt(u64::from(*p))).collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("node".into(), Value::UInt(u64::from(self.node))),
-            ("updated_us".into(), Value::UInt(self.updated_us)),
-            ("total_instances".into(), Value::UInt(self.total_instances)),
-            ("decided_instances".into(), Value::UInt(self.decided_instances)),
-            ("time".into(), Value::Str(render_shares(&self.phase_ns))),
-            ("instances".into(), Value::Array(instances)),
-            (
-                "links".into(),
-                Value::Array(self.links.iter().map(LinkHealth::to_value).collect()),
-            ),
-            (
-                "stalls".into(),
-                Value::Array(self.stalls.iter().map(StallReport::to_value).collect()),
-            ),
-        ];
-        if let Some(c) = self.client {
-            fields.push((
-                "client".into(),
-                Value::Object(vec![
-                    ("sessions".into(), Value::UInt(c.sessions)),
-                    ("inflight".into(), Value::UInt(c.inflight)),
-                    ("shed".into(), Value::UInt(c.shed)),
-                ]),
-            ));
-        }
-        if let Some(w) = self.wal {
-            fields.push((
-                "wal".into(),
-                Value::Object(vec![
-                    ("size_bytes".into(), Value::UInt(w.size_bytes)),
-                    ("records".into(), Value::UInt(w.records)),
-                ]),
-            ));
-        }
-        let mut out = String::new();
-        Value::Object(fields).render(&mut out);
-        out
-    }
-}
-
-/// The shared board behind the live `/status` endpoint: every node of a
-/// process publishes its rendered [`StatusSnapshot`]; the endpoint splices
-/// all of them into one JSON document. Cloning shares the board.
-#[derive(Clone, Default)]
-pub struct StatusBoard {
-    inner: Arc<Mutex<BTreeMap<u32, String>>>,
-}
-
-impl StatusBoard {
-    /// New empty board.
-    #[must_use]
-    pub fn new() -> StatusBoard {
-        StatusBoard::default()
-    }
-
-    /// Publish (replace) `node`'s rendered snapshot.
-    pub fn publish(&self, node: u32, rendered: String) {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(node, rendered);
-    }
-
-    /// Render the whole board as one JSON document
-    /// (`{"service":"rbvc","nodes":{"0":{...},...}}`).
-    #[must_use]
-    pub fn render(&self) -> String {
-        let nodes = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = String::from("{\"service\":\"rbvc\",\"nodes\":{");
-        for (i, (node, body)) in nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&node.to_string());
-            out.push_str("\":");
-            out.push_str(body);
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-struct FlightInner {
-    buf: VecDeque<Event>,
-    dropped: u64,
 }
 
 /// The always-on flight recorder: a bounded ring of recent events that can
@@ -950,8 +681,7 @@ struct FlightInner {
 pub struct FlightRecorder {
     node: u32,
     dir: PathBuf,
-    capacity: usize,
-    inner: Mutex<FlightInner>,
+    ring: RingRecorder,
     /// Dump attempts: the budget and the file sequence number.
     attempts: AtomicU64,
     /// Dump files written.
@@ -970,8 +700,7 @@ impl FlightRecorder {
         FlightRecorder {
             node,
             dir,
-            capacity: capacity.max(16),
-            inner: Mutex::new(FlightInner { buf: VecDeque::new(), dropped: 0 }),
+            ring: RingRecorder::new(capacity.max(16)),
             attempts: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
             max_dumps: 8,
@@ -982,7 +711,7 @@ impl FlightRecorder {
     /// Events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).buf.len()
+        self.ring.len()
     }
 
     /// True iff the ring is empty.
@@ -1019,10 +748,7 @@ impl FlightRecorder {
         let path = self
             .dir
             .join(format!("flight-node{}-{}-{}.jsonl", self.node, safe_reason, seq));
-        let (events, dropped) = {
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            (inner.buf.iter().cloned().collect::<Vec<_>>(), inner.dropped)
-        };
+        let (events, dropped) = self.ring.contents();
         let mut body = String::new();
         body.push_str(&format!(
             "{{\"t\":\"trace_header\",\"clock\":\"mono_us\",\"wall_epoch_unix_us\":{}}}\n",
@@ -1062,14 +788,7 @@ impl FlightRecorder {
 impl Recorder for FlightRecorder {
     fn record(&self, event: Event) {
         let violation = event.kind == EventKind::Violation;
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            if inner.buf.len() == self.capacity {
-                inner.buf.pop_front();
-                inner.dropped += 1;
-            }
-            inner.buf.push_back(event);
-        }
+        self.ring.record(event);
         if violation {
             // A safety violation is the one thing the black box exists
             // for: dump immediately, while the ring still holds the
@@ -1196,7 +915,6 @@ mod tests {
     fn progress(instance: u64, round: u32, token: u64, waiting: &[u32]) -> InstanceProgress {
         InstanceProgress {
             instance,
-            proto: "bvc",
             round,
             launched: true,
             decided: false,
@@ -1210,15 +928,10 @@ mod tests {
             .map(|peer| LinkHealth {
                 peer,
                 up: true,
-                rx_frames: 100,
                 ewma_interarrival_us: 50,
-                us_since_last_rx: 10,
-                dial_failures: 0,
-                dial_burst: 0.0,
                 straggler: false,
                 flapping: false,
                 auth: LinkAuthState::Off,
-                last_auth_reject: None,
             })
             .collect()
     }
@@ -1326,7 +1039,6 @@ mod tests {
         let snap = mon.snapshot(20_000);
         let l2 = snap.iter().find(|l| l.peer == 2).unwrap();
         assert!(l2.flapping);
-        assert_eq!(l2.dial_failures, 4);
         let snap = mon.snapshot(20_000 + 10 * 500_000);
         assert!(!snap.iter().find(|l| l.peer == 2).unwrap().flapping, "burst decays");
         // Peer lifecycle.
@@ -1334,69 +1046,6 @@ mod tests {
         assert!(!mon.snapshot(21_000).iter().find(|l| l.peer == 1).unwrap().up);
         mon.on_peer_up(1);
         assert!(mon.snapshot(22_000).iter().find(|l| l.peer == 1).unwrap().up);
-    }
-
-    #[test]
-    fn status_board_renders_parseable_json() {
-        let board = StatusBoard::new();
-        let snap = StatusSnapshot {
-            node: 3,
-            instances: vec![progress(17, 2, 99, &[1, 5])],
-            total_instances: 4,
-            decided_instances: 3,
-            client: Some(ClientStatus { sessions: 2, inflight: 1, shed: 0 }),
-            wal: Some(WalStatus { size_bytes: 4096, records: 12 }),
-            links: vec![LinkHealth {
-                peer: 1,
-                up: true,
-                rx_frames: 9,
-                ewma_interarrival_us: 120,
-                us_since_last_rx: 40,
-                dial_failures: 0,
-                dial_burst: 0.0,
-                straggler: false,
-                flapping: false,
-                auth: LinkAuthState::Authenticated,
-                last_auth_reject: Some("bad-mac".into()),
-            }],
-            stalls: vec![StallReport {
-                node: 3,
-                instance: 17,
-                round: 2,
-                phase: StallPhase::Barrier,
-                waiting_on: vec![1, 5],
-                stalled_us: 900_000,
-                detected_at_us: 5_000_000,
-                cleared_at_us: None,
-            }],
-            phase_ns: vec![("wait", 120), ("dispatch", 710), ("fsync", 1), ("outside", 169)],
-            updated_us: 6_000_000,
-        };
-        let rendered = snap.render();
-        assert!(
-            rendered.contains(r#""instances":[{"id":17,"proto":"bvc","round":2,"launched":true,"decided":false,"waiting_on":[1,5]}]"#),
-            "one row per instance, no progress token: {rendered}"
-        );
-        board.publish(3, rendered);
-        board.publish(0, StatusSnapshot { node: 0, ..StatusSnapshot::default() }.render());
-        let doc = board.render();
-        let v: Value = serde_json::from_str(&doc).expect("board renders valid JSON");
-        let nodes = v.get("nodes").expect("nodes key");
-        let n3 = nodes.get("3").expect("node 3 present");
-        assert_eq!(n3.get("total_instances").and_then(Value::as_u64), Some(4));
-        assert_eq!(
-            n3.get("time").and_then(Value::as_str),
-            Some("dispatch 71 % outside 17 % wait 12 %"),
-            "largest first, the 0.1 % cell left out"
-        );
-        assert_eq!(nodes.get("0").and_then(|n0| n0.get("time")).and_then(Value::as_str), Some(""));
-        let stalls = n3.get("stalls").and_then(Value::as_array).expect("stalls");
-        assert_eq!(stalls[0].get("phase").and_then(Value::as_str), Some("barrier"));
-        assert_eq!(
-            stalls[0].get("waiting_on").and_then(Value::as_array).map(<[Value]>::len),
-            Some(2)
-        );
-        assert!(nodes.get("0").is_some());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! [`health`] is the self-diagnosis layer: a per-instance stall detector
 //! with phase + peer blame ([`StallDetector`], [`StallReport`]), a
-//! per-link straggler monitor ([`LinkMonitor`], [`LinkHealth`]), the
-//! [`StatusBoard`] behind the live `/status` endpoint, and the always-on
+//! per-link straggler monitor ([`LinkMonitor`], [`LinkHealth`]), both
+//! exported as `health.*` series on `/metrics`, and the always-on
 //! [`FlightRecorder`] black box (teed next to any primary sink via
 //! [`TeeRecorder`]) with its reader, [`FlightDump`].
 
@@ -43,9 +43,8 @@ pub mod timing;
 
 pub use event::{detail_field, Event, EventKind};
 pub use health::{
-    arm_panic_hook, progress_token, render_shares, ClientStatus, FlightDump, FlightRecorder,
-    InstanceProgress, LinkAuthState, LinkHealth, LinkMonitor, StallConfig, StallDetector,
-    StallEvent, StallPhase, StallReport, StatusBoard, StatusSnapshot, WalStatus,
+    arm_panic_hook, progress_token, FlightDump, FlightRecorder, InstanceProgress, LinkAuthState,
+    LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent, StallPhase, StallReport,
 };
 pub use metrics::{
     Counter, ExecutionTrace, Gauge, HistSnapshot, Histogram, MetricValue, Registry,

@@ -6,7 +6,7 @@
 //! instrumented hot paths pay one boolean load and no allocation.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::clock;
 use crate::event::Event;
@@ -144,7 +144,9 @@ struct RingInner {
 }
 
 /// Bounded in-memory recorder: keeps the most recent `capacity` events,
-/// counting (not silently discarding) overflow.
+/// counting (not silently discarding) overflow. The flight recorder keeps
+/// its ring in one and dumps it from the panic hook, so a lock poisoned by
+/// a panicking emitter is still read: every update leaves the ring whole.
 pub struct RingRecorder {
     capacity: usize,
     inner: Mutex<RingInner>,
@@ -163,23 +165,33 @@ impl RingRecorder {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, RingInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Copy of the buffered events, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Event> {
-        let inner = self.inner.lock().expect("ring recorder poisoned");
-        inner.buf.iter().cloned().collect()
+        self.contents().0
+    }
+
+    /// The buffered events, oldest first, and the eviction count, read
+    /// together.
+    pub(crate) fn contents(&self) -> (Vec<Event>, u64) {
+        let inner = self.lock();
+        (inner.buf.iter().cloned().collect(), inner.dropped)
     }
 
     /// Events evicted because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("ring recorder poisoned").dropped
+        self.lock().dropped
     }
 
     /// Events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring recorder poisoned").buf.len()
+        self.lock().buf.len()
     }
 
     /// True iff no events are buffered.
@@ -191,7 +203,7 @@ impl RingRecorder {
 
 impl Recorder for RingRecorder {
     fn record(&self, event: Event) {
-        let mut inner = self.inner.lock().expect("ring recorder poisoned");
+        let mut inner = self.lock();
         if inner.buf.len() == self.capacity {
             inner.buf.pop_front();
             inner.dropped += 1;

@@ -1,6 +1,5 @@
 //! Live introspection: Prometheus text rendering and a tiny blocking HTTP
-//! listener serving `/metrics` (a [`Registry`]) and `/status` (a
-//! [`StatusBoard`] JSON snapshot) from one socket.
+//! listener serving `/metrics` (a [`Registry`]), the node's one live page.
 //!
 //! The renderer maps the registry's `name{k=v,...}` keys onto the
 //! Prometheus text format (version 0.0.4): dots in metric names become
@@ -19,7 +18,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::health::StatusBoard;
 use crate::metrics::{bucket_high, MetricValue, Registry};
 
 /// Split a registry key back into `(base_name, labels)`.
@@ -121,8 +119,7 @@ pub fn prometheus_text(registry: &Registry) -> String {
 
 /// A live introspection endpoint: blocking HTTP/1.1 listener on its own
 /// thread, routing `/metrics` to [`prometheus_text`] of a shared
-/// [`Registry`] and `/status` to the JSON document of a shared
-/// [`StatusBoard`] (any other path gets a proper `404`, never a dropped
+/// [`Registry`] (any other path gets a proper `404`, never a dropped
 /// connection). Dropping the server stops the listener (self-dial wake,
 /// same pattern as the TCP transport's reader shutdown).
 pub struct MetricsServer {
@@ -134,25 +131,11 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9184`, or port 0 for ephemeral) and
-    /// start serving `registry`. The `/status` path serves an empty board;
-    /// use [`MetricsServer::serve_with_status`] to attach a live one.
+    /// start serving `registry`.
     ///
     /// # Errors
     /// Propagates bind failure.
     pub fn serve(addr: impl ToSocketAddrs, registry: Registry) -> std::io::Result<MetricsServer> {
-        MetricsServer::serve_with_status(addr, registry, StatusBoard::new())
-    }
-
-    /// Bind `addr` and serve `registry` under `/metrics` and `status`
-    /// under `/status` from the same listener.
-    ///
-    /// # Errors
-    /// Propagates bind failure.
-    pub fn serve_with_status(
-        addr: impl ToSocketAddrs,
-        registry: Registry,
-        status: StatusBoard,
-    ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -171,7 +154,7 @@ impl MetricsServer {
                         // Serve inline: scrape traffic is one client at a
                         // low rate; a slow reader only delays the next
                         // scrape, never the run being observed.
-                        if answer(&mut stream, &registry, &status).is_ok() {
+                        if answer(&mut stream, &registry).is_ok() {
                             // Counted while the stream is still open: a client
                             // that read to EOF finds its scrape in `scrapes()`.
                             scrapes.fetch_add(1, Ordering::SeqCst);
@@ -226,7 +209,7 @@ fn request_path(head: &[u8]) -> Option<String> {
 /// Read one request (best effort), route it, and answer. Unknown paths
 /// get a real `404` response — a scraper probing the wrong path sees an
 /// HTTP error, not a dropped connection.
-fn answer(stream: &mut TcpStream, registry: &Registry, status: &StatusBoard) -> std::io::Result<()> {
+fn answer(stream: &mut TcpStream, registry: &Registry) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     // Drain the request line + headers; tolerate clients that just read.
     let mut buf = [0u8; 1024];
@@ -250,11 +233,10 @@ fn answer(stream: &mut TcpStream, registry: &Registry, status: &StatusBoard) -> 
             "text/plain; version=0.0.4; charset=utf-8",
             prometheus_text(registry),
         ),
-        "/status" => ("200 OK", "application/json; charset=utf-8", status.render()),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            format!("no such path: {path}\nknown paths: /metrics /status\n"),
+            format!("no such path: {path}\nknown path: /metrics\n"),
         ),
     };
     let head = format!(
@@ -277,8 +259,7 @@ pub fn scrape_once(addr: impl ToSocketAddrs) -> std::io::Result<String> {
 }
 
 /// Request `path` from `addr` once over plain HTTP and return the
-/// response body (`/status` for the JSON snapshot, `/metrics` for the
-/// Prometheus page).
+/// response body.
 ///
 /// # Errors
 /// Connection or read failure, or a non-200 status line.
@@ -358,54 +339,38 @@ mod tests {
     #[test]
     fn unknown_paths_get_a_404_not_a_dropped_connection() {
         let server = MetricsServer::serve("127.0.0.1:0", Registry::new()).expect("bind");
-        let err = scrape_path(server.addr(), "/nope").expect_err("404 path");
-        assert!(err.to_string().contains("404"), "{err}");
-        // The listener survives the bad path and keeps serving good ones.
-        assert!(scrape_once(server.addr()).is_ok());
-        // An empty status board still renders a valid document.
-        let body = scrape_path(server.addr(), "/status").expect("status");
-        assert!(body.contains("\"nodes\""));
+        for path in ["/nope", "/status"] {
+            let err = scrape_path(server.addr(), path).expect_err("404 path");
+            assert!(err.to_string().contains("404"), "{path}: {err}");
+            // The listener survives the bad path and keeps serving good ones.
+            assert!(scrape_once(server.addr()).is_ok());
+        }
     }
 
     #[test]
-    fn status_and_metrics_share_one_listener_and_scrape_concurrently() {
-        use crate::health::{StatusBoard, StatusSnapshot};
+    fn concurrent_scrapers_are_all_answered_and_counted() {
         let reg = Registry::new();
         reg.counter("mid.run").add(1);
-        let board = StatusBoard::new();
-        board.publish(0, StatusSnapshot { node: 0, ..StatusSnapshot::default() }.render());
-        let server =
-            MetricsServer::serve_with_status("127.0.0.1:0", reg.clone(), board.clone())
-                .expect("bind");
+        let server = MetricsServer::serve("127.0.0.1:0", reg.clone()).expect("bind");
         let addr = server.addr();
-        // Hammer both paths from two threads while the "run" (this thread)
-        // keeps mutating the registry and republishing status.
-        let scrapers: Vec<_> = ["/metrics", "/status"]
-            .into_iter()
-            .map(|path| {
+        // Two scrapers at once while the "run" (this thread) keeps
+        // mutating the registry.
+        let scrapers: Vec<_> = (0..2)
+            .map(|_| {
                 std::thread::spawn(move || {
                     for _ in 0..20 {
-                        let body = scrape_path(addr, path).expect("scrape");
-                        if path == "/status" {
-                            assert!(body.contains("\"nodes\""), "status body: {body}");
-                        } else {
-                            assert!(body.contains("mid_run"), "metrics body");
-                        }
+                        let body = scrape_once(addr).expect("scrape");
+                        assert!(body.contains("mid_run"), "metrics body: {body}");
                     }
                 })
             })
             .collect();
-        for i in 0..20u32 {
+        for _ in 0..20 {
             reg.counter("mid.run").inc();
-            board.publish(
-                0,
-                StatusSnapshot { node: 0, total_instances: u64::from(i), ..StatusSnapshot::default() }
-                    .render(),
-            );
         }
         for t in scrapers {
             t.join().expect("scraper thread");
         }
-        assert!(server.scrapes() >= 40);
+        assert_eq!(server.scrapes(), 40);
     }
 }

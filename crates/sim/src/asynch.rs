@@ -509,21 +509,10 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     }
 }
 
-/// A Byzantine async strategy that never sends anything.
-pub struct SilentAsyncAdversary;
-
-impl<M> AsyncAdversary<M> for SilentAsyncAdversary {
-    fn on_start(&mut self) -> Vec<(ProcessId, M)> {
-        Vec::new()
-    }
-    fn on_message(&mut self, _from: ProcessId, _msg: M) -> Vec<(ProcessId, M)> {
-        Vec::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::SilentAdversary;
 
     /// Toy protocol: broadcast the input once; decide when `quorum` distinct
     /// senders' values have arrived (sum of the first `quorum`).
@@ -577,7 +566,7 @@ mod tests {
         let nodes = (0..n)
             .map(|i| {
                 if faulty.contains(&i) {
-                    AsyncNode::Byzantine(Box::new(SilentAsyncAdversary)
+                    AsyncNode::Byzantine(Box::new(SilentAdversary)
                         as Box<dyn AsyncAdversary<i64>>)
                 } else {
                     AsyncNode::Honest(QuorumSum::new(i, n, quorum, i as i64))

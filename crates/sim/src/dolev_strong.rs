@@ -391,8 +391,8 @@ pub fn decisions_by_sender<V: Clone + PartialEq>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::fuzz::two_faced;
-    use crate::sync::{RoundEngine, SilentAdversary, SyncNode};
+    use crate::fuzz::{two_faced, SilentAdversary};
+    use crate::sync::{RoundEngine, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelDolevStrong<i64>>>;
 

@@ -367,8 +367,8 @@ mod tests {
 
     use super::*;
     use crate::config::SystemConfig;
-    use crate::fuzz::{lying_relay, two_faced, FuzzAdversary, SyncPayloadGen};
-    use crate::sync::{RoundEngine, SilentAdversary, SyncNode};
+    use crate::fuzz::{lying_relay, two_faced, FuzzAdversary, PayloadGen, SilentAdversary};
+    use crate::sync::{RoundEngine, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelEig<i64>>>;
 
@@ -719,7 +719,7 @@ mod tests {
     /// way of not being so mixed in — ghost and repeated ids, the wrong
     /// level, the wrong root, a last id that is not `me`, duplicate items,
     /// several entries for one origin, values the check refuses.
-    fn hostile(me: ProcessId, n: usize) -> SyncPayloadGen<EigMsg<i64>> {
+    fn hostile(me: ProcessId, n: usize) -> PayloadGen<EigMsg<i64>> {
         Box::new(move |rng: &mut StdRng, round| {
             let stride = if rng.gen_bool(0.9) { round + 1 } else { rng.gen_range(1..=round + 2) };
             let mut msg = EigRound::with_capacity(stride, 0, 0);

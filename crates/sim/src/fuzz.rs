@@ -16,11 +16,11 @@
 //!   corruption in relays, over any [`Broadcast`];
 //! * [`duplicating`] — duplicated and reordered sends.
 //!
-//! What wraps nothing stays a type of its own: [`FuzzAdversary`] /
-//! [`AsyncFuzzAdversary`] send seeded-random, arbitrarily-addressed
-//! messages from a caller-supplied generator. Randomized behaviour explores
-//! corner cases the structured strategies miss; safety must hold for every
-//! seed.
+//! What wraps nothing stays a type of its own, each running under either
+//! engine like [`Edited`]: [`SilentAdversary`] never sends, and
+//! [`FuzzAdversary`] sends seeded-random, arbitrarily-addressed messages
+//! from a caller-supplied generator. Randomized behaviour explores corner
+//! cases the structured strategies miss; safety must hold for every seed.
 //!
 //! These adversaries live *inside* the simulator, above message encoding.
 //! Below it there is one more piece, [`ByteMutator`]: the byte-level
@@ -247,97 +247,75 @@ pub fn lying_relay<B: Broadcast<V>, V: Clone>(
     })
 }
 
-/// Seeded random-message adversary for the lockstep engine. Each round it
-/// sends `volume` messages to random destinations, with payloads from the
-/// caller's generator (which can produce syntactically valid protocol
+/// A Byzantine process that never sends anything (crash-from-start),
+/// under either engine.
+pub struct SilentAdversary;
+
+impl<M> SyncAdversary<M> for SilentAdversary {
+    fn round_messages(&mut self, _round: usize) -> Sends<M> {
+        Vec::new()
+    }
+    fn receive(&mut self, _round: usize, _inbox: &[(ProcessId, M)]) {}
+}
+
+impl<M> AsyncAdversary<M> for SilentAdversary {
+    fn on_start(&mut self) -> Sends<M> {
+        Vec::new()
+    }
+    fn on_message(&mut self, _from: ProcessId, _msg: M) -> Sends<M> {
+        Vec::new()
+    }
+}
+
+/// Payload generator for [`FuzzAdversary`]: `(rng, step) → payload`, with
+/// `step` as [`Edited`] counts it.
+pub type PayloadGen<M> = Box<dyn FnMut(&mut StdRng, usize) -> M>;
+
+/// Seeded random-message adversary, under either engine: each lockstep
+/// round, and on start and every delivery under the asynchronous engine,
+/// it sends `volume` messages to random destinations, with payloads from
+/// the caller's generator (which can produce syntactically valid protocol
 /// messages to fuzz validation paths, or garbage).
 pub struct FuzzAdversary<M> {
     rng: StdRng,
     n: usize,
     volume: usize,
-    generator: SyncPayloadGen<M>,
+    generator: PayloadGen<M>,
+    deliveries: usize,
 }
 
-/// Payload generator for the lockstep fuzzer: `(rng, round) → payload`.
-pub type SyncPayloadGen<M> = Box<dyn FnMut(&mut StdRng, usize) -> M>;
-
-/// Payload generator for the asynchronous fuzzer.
-pub type AsyncPayloadGen<M> = Box<dyn FnMut(&mut StdRng) -> M>;
-
 impl<M> FuzzAdversary<M> {
-    /// `generator(rng, round)` produces one payload.
+    /// `generator(rng, step)` produces one payload.
     #[must_use]
-    pub fn new(
-        seed: u64,
-        n: usize,
-        volume: usize,
-        generator: SyncPayloadGen<M>,
-    ) -> Self {
-        FuzzAdversary {
-            rng: StdRng::seed_from_u64(seed),
-            n,
-            volume,
-            generator,
-        }
+    pub fn new(seed: u64, n: usize, volume: usize, generator: PayloadGen<M>) -> Self {
+        FuzzAdversary { rng: StdRng::seed_from_u64(seed), n, volume, generator, deliveries: 0 }
+    }
+
+    fn burst(&mut self, step: usize) -> Sends<M> {
+        (0..self.volume)
+            .map(|_| {
+                let dst = self.rng.gen_range(0..self.n);
+                let msg = (self.generator)(&mut self.rng, step);
+                (dst, msg)
+            })
+            .collect()
     }
 }
 
 impl<M> SyncAdversary<M> for FuzzAdversary<M> {
-    fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, M)> {
-        (0..self.volume)
-            .map(|_| {
-                let dst = self.rng.gen_range(0..self.n);
-                let msg = (self.generator)(&mut self.rng, round);
-                (dst, msg)
-            })
-            .collect()
+    fn round_messages(&mut self, round: usize) -> Sends<M> {
+        self.burst(round)
     }
     fn receive(&mut self, _round: usize, _inbox: &[(ProcessId, M)]) {}
 }
 
-/// Seeded random-message adversary for the asynchronous engine: on every
-/// delivery it fires `volume` random messages.
-pub struct AsyncFuzzAdversary<M> {
-    rng: StdRng,
-    n: usize,
-    volume: usize,
-    generator: AsyncPayloadGen<M>,
-}
-
-impl<M> AsyncFuzzAdversary<M> {
-    /// Build with a payload generator.
-    #[must_use]
-    pub fn new(
-        seed: u64,
-        n: usize,
-        volume: usize,
-        generator: AsyncPayloadGen<M>,
-    ) -> Self {
-        AsyncFuzzAdversary {
-            rng: StdRng::seed_from_u64(seed),
-            n,
-            volume,
-            generator,
-        }
+impl<M> AsyncAdversary<M> for FuzzAdversary<M> {
+    fn on_start(&mut self) -> Sends<M> {
+        self.burst(0)
     }
-
-    fn burst(&mut self) -> Vec<(ProcessId, M)> {
-        (0..self.volume)
-            .map(|_| {
-                let dst = self.rng.gen_range(0..self.n);
-                let msg = (self.generator)(&mut self.rng);
-                (dst, msg)
-            })
-            .collect()
-    }
-}
-
-impl<M> AsyncAdversary<M> for AsyncFuzzAdversary<M> {
-    fn on_start(&mut self) -> Vec<(ProcessId, M)> {
-        self.burst()
-    }
-    fn on_message(&mut self, _from: ProcessId, _msg: M) -> Vec<(ProcessId, M)> {
-        self.burst()
+    fn on_message(&mut self, _from: ProcessId, _msg: M) -> Sends<M> {
+        self.deliveries += 1;
+        self.burst(self.deliveries)
     }
 }
 

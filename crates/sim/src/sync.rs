@@ -198,16 +198,6 @@ impl<P: SyncProtocol> RoundEngine<P> {
     }
 }
 
-/// A Byzantine strategy that stays completely silent (crash-from-start).
-pub struct SilentAdversary;
-
-impl<M> SyncAdversary<M> for SilentAdversary {
-    fn round_messages(&mut self, _round: usize) -> Vec<(ProcessId, M)> {
-        Vec::new()
-    }
-    fn receive(&mut self, _round: usize, _inbox: &[(ProcessId, M)]) {}
-}
-
 /// A Byzantine strategy that follows a scripted per-round, per-recipient
 /// message table — the general form of equivocation used by the paper's
 /// impossibility constructions.
@@ -226,6 +216,7 @@ impl<M: Clone> SyncAdversary<M> for ScriptedAdversary<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::SilentAdversary;
 
     /// A toy protocol: everyone broadcasts its input in round 0, then
     /// outputs the sum of everything received.

@@ -25,7 +25,7 @@
 //!   (instance map, receive gates, poll loop, recovery) owns three private
 //!   parts: `service/durability.rs` (the WAL-before-wire rule),
 //!   `service/client_table.rs` (sessions, admission, client instance ids)
-//!   and `service/health.rs` (stall detector, flight recorder, `/status`).
+//!   and `service/health.rs` (stall detector, flight recorder).
 //! * [`client`] — the external-client wire codec and [`client::ClientPort`],
 //!   the TCP front-end that pumps client submits into the service.
 //! * [`byzantine`] — [`byzantine::ByzantineEndpoint`]: a [`transport::Transport`]

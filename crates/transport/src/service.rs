@@ -14,7 +14,7 @@
 //! private parts, each a plain struct it calls into: `durability` (the WAL,
 //! the outbound history, the group commit), `client_table` (sessions,
 //! admission, the client instance-id layout, the recovery-spec codec),
-//! `health` (stall detector, flight recorder, `/status` publisher) and
+//! `health` (stall detector, flight recorder) and
 //! `phase` (the always-on clock of where the node's wall time goes). The
 //! parts never see the service; they report through its event sink and
 //! error log.
@@ -72,11 +72,10 @@
 //! [`rbvc_obs::StallDetector`], which raises a blame-attributed
 //! [`rbvc_obs::StallReport`] (barrier / wire / fsync / queue, with the
 //! specific missing senders) when an undecided instance makes no progress
-//! past its deadline. The same tick publishes a node snapshot to an
-//! optional [`rbvc_obs::StatusBoard`] (the `/status` endpoint) and tees the
-//! service's event stream into an always-on [`rbvc_obs::FlightRecorder`]
-//! that dumps its ring on a safety violation, an escalated stall, or a
-//! panic.
+//! past its deadline and counts it on `/metrics` (`health.stall.*`, with
+//! `{peer}` blame). Arming it with a flight directory tees the service's
+//! event stream into an always-on [`rbvc_obs::FlightRecorder`] that dumps
+//! its ring on a safety violation, an escalated stall, or a panic.
 //!
 //! ## Where the time goes
 //!
@@ -87,7 +86,7 @@
 //! surfacing ([`DecisionEvent::phases`], summing to its latency), and the
 //! same differences feed `service.decide.phase_us{phase}`,
 //! `service.poll.phase_us{phase}` and `service.frame.queue_us` on
-//! `/metrics` and the `time` row of `/status` (DESIGN.md §11).
+//! `/metrics` (DESIGN.md §11).
 
 mod client_table;
 mod durability;
@@ -101,10 +100,7 @@ use std::time::{Duration, Instant};
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::SyncBvc;
 use rbvc_linalg::VecD;
-use rbvc_obs::{
-    progress_token, Event, EventKind, InstanceProgress, Obs, Registry, StallReport,
-    StatusSnapshot, WalStatus,
-};
+use rbvc_obs::{progress_token, Event, EventKind, InstanceProgress, Obs, Registry, StallReport};
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
@@ -197,21 +193,20 @@ impl InstanceProto {
         }
     }
 
-    /// Instance `instance`'s row as the stall detector and `/status` see
-    /// it: lockstep round plus barrier occupancy for BVC (with the concrete
-    /// missing senders), witness commits for VA (no barrier, so no named
-    /// senders).
+    /// Instance `instance`'s row as the stall detector sees it: lockstep
+    /// round plus barrier occupancy for BVC (with the concrete missing
+    /// senders), witness commits for VA (no barrier, so no named senders).
     fn progress(&self, instance: InstanceId, launched: bool, decided: bool) -> InstanceProgress {
-        let (proto, round, progress_token, waiting_on) = match self {
+        let (round, progress_token, waiting_on) = match self {
             InstanceProto::Bvc(p) => {
                 let round = u32::try_from(p.current_round()).unwrap_or(u32::MAX);
                 let waiting_on =
                     p.waiting_on().iter().map(|&q| u32::try_from(q).unwrap_or(u32::MAX)).collect();
-                ("bvc", round, progress_token(round, p.senders_have(), 0), waiting_on)
+                (round, progress_token(round, p.senders_have(), 0), waiting_on)
             }
-            InstanceProto::Va(p) => ("va", 0, progress_token(0, 0, p.witness_commits()), Vec::new()),
+            InstanceProto::Va(p) => (0, progress_token(0, 0, p.witness_commits()), Vec::new()),
         };
-        InstanceProgress { instance, proto, round, launched, decided, progress_token, waiting_on }
+        InstanceProgress { instance, round, launched, decided, progress_token, waiting_on }
     }
 
     fn encode_bvc(
@@ -353,16 +348,12 @@ pub struct ConsensusService<T: Transport> {
     replay_divergence: u64,
     /// Client front-end: session table, admission bounds, reply cache.
     client: ClientTable,
-    /// Stall detector, status publisher, flight recorder; `None` until
+    /// Stall detector and flight recorder; `None` until
     /// [`ConsensusService::enable_health`].
     health: Option<Health>,
     /// Where this node's wall time goes, advanced at `poll`'s boundaries.
     clock: PhaseClock,
 }
-
-/// Cap on per-instance rows in a `/status` snapshot; undecided
-/// instances take priority, counts always cover the full set.
-const STATUS_INSTANCE_CAP: usize = 32;
 
 impl<T: Transport> ConsensusService<T> {
     /// Wrap a transport endpoint into an (initially empty) service.
@@ -667,7 +658,7 @@ impl<T: Transport> ConsensusService<T> {
         // that 35 of a VA broadcast's 36 frames carry, to compare the bytes
         // with before decoding them, and it is where the frame goes. (A frame
         // that decodes names that instance.)
-        let slot = crate::wire::peek_header(bytes).and_then(|(id, ..)| self.instances.get_mut(&id));
+        let slot = crate::wire::peek_header(bytes).and_then(|id| self.instances.get_mut(&id));
         let hint = |tag| match slot.as_deref() {
             Some(Slot { proto: InstanceProto::Va(p), .. }) => p.first_state(tag).cloned(),
             _ => None,
@@ -919,9 +910,8 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// Arm the health subsystem: from here on every poll feeds instance
-    /// progress and link health into a stall detector, publishes a node
-    /// snapshot to the configured [`rbvc_obs::StatusBoard`] (if any), and —
-    /// when a flight directory is configured — tees the service's event
+    /// progress and link health into a stall detector and — when a flight
+    /// directory is configured — tees the service's event
     /// stream into an always-on [`rbvc_obs::FlightRecorder`] that dumps on a
     /// violation, an escalated stall, or a panic. Call *after*
     /// [`ConsensusService::set_obs`] so the tee wraps the real sink; zero
@@ -977,8 +967,7 @@ impl<T: Transport> ConsensusService<T> {
 
     /// One health turn, run at the end of every poll: hand the health part
     /// per-instance progress as the stall detector sees it, the transport's
-    /// link health and the poll's group-commit time, and build this node's
-    /// `/status` snapshot when it says one is due.
+    /// link health and the poll's group-commit time.
     fn health_tick(&mut self, commit_us: u64, decided_now: &[DecisionEvent]) {
         if self.health.is_none() {
             return;
@@ -987,29 +976,7 @@ impl<T: Transport> ConsensusService<T> {
         let progress = self.progress_rows(decided_now);
         let links = self.transport.link_health();
         let Some(health) = self.health.as_mut() else { return };
-        if !health.tick(&self.sinks.obs, now_us, commit_us, &progress, &links) {
-            return;
-        }
-        // Undecided rows first; the cap cuts the decided ones.
-        let open = self.instances.iter().filter(|(_, slot)| !slot.decided);
-        let done = self.instances.iter().filter(|(_, slot)| slot.decided);
-        let instances = open
-            .chain(done)
-            .take(STATUS_INSTANCE_CAP)
-            .map(|(id, slot)| slot.proto.progress(*id, slot.launched.is_some(), slot.decided))
-            .collect();
-        health.publish(&StatusSnapshot {
-            node: u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX),
-            instances,
-            total_instances: self.instances.len() as u64,
-            decided_instances: (self.instances.len() - self.undecided) as u64,
-            client: self.client.status(),
-            wal: self.durability.wal().map(|w| WalStatus { size_bytes: w.len(), records: w.records() }),
-            links,
-            stalls: health.detector().active(),
-            phase_ns: self.clock.cells().named(),
-            updated_us: now_us,
-        });
+        health.tick(&self.sinks.obs, now_us, commit_us, &progress, &links);
     }
 
     /// Which process owns client session `session` (sessions are sharded
@@ -1368,7 +1335,7 @@ mod tests {
     use rbvc_core::verified_avg::DeltaMode;
     use rbvc_core::DecisionRule;
     use rbvc_linalg::Tol;
-    use rbvc_obs::{detail_field, RingRecorder, StallConfig, StatusBoard};
+    use rbvc_obs::{detail_field, prometheus_text, RingRecorder, StallConfig};
 
     fn bvc_instance(id: ProcessId, n: usize, f: usize, input: &[f64]) -> InstanceProto {
         let d = input.len();
@@ -2257,12 +2224,21 @@ mod tests {
 
     /// A mute node stalls its peers' round-0 barrier: the health subsystem
     /// must detect the stall before long, blame exactly the mute sender,
-    /// clear the stall when the sender wakes up, and publish a `/status`
-    /// snapshot that names the blocked round while it lasts.
+    /// clear the stall when the sender wakes up, and show both on
+    /// `/metrics` while they happen.
     #[test]
-    fn live_stall_is_detected_blamed_cleared_and_visible_on_status() {
+    fn live_stall_is_detected_blamed_cleared_and_visible_on_metrics() {
         let n = 3;
-        let board = StatusBoard::new();
+        // One sample of the global `/metrics` page. Other tests share the
+        // registry, so the blame counter is read as a delta.
+        let sample = |series: &str| -> Option<u64> {
+            prometheus_text(Registry::global())
+                .lines()
+                .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        };
+        let (active, blame) =
+            ("health_stall_active{node=\"0\"}", "health_stall_blame{node=\"0\",peer=\"2\"}");
+        let blamed_before = sample(blame).unwrap_or(0);
         let mut services: Vec<ConsensusService<_>> = in_proc_mesh(n)
             .into_iter()
             .map(ConsensusService::new)
@@ -2271,7 +2247,6 @@ mod tests {
             svc.add_instance(7, bvc_instance(i, n, 0, &[i as f64])).unwrap();
             svc.enable_health(HealthConfig {
                 stall: StallConfig { deadline_us: 15_000, dump_deadline_us: 10_000_000 },
-                status: Some(board.clone()),
                 ..HealthConfig::default()
             });
         }
@@ -2294,8 +2269,8 @@ mod tests {
             assert_eq!(active[0].instance, 7);
             assert_eq!(active[0].waiting_on, vec![2], "blame must name the mute sender");
         }
-        let status = board.render();
-        assert!(status.contains("\"waiting_on\":[2]"), "status must show the blame: {status}");
+        assert_eq!(sample(active), Some(1), "/metrics must show the stall");
+        assert!(sample(blame) > Some(blamed_before), "/metrics must blame the mute sender");
         // Wake the mute node: the barrier fills, everyone decides, and the
         // stall clears without lingering as active.
         services[2].start().unwrap();
@@ -2313,6 +2288,7 @@ mod tests {
             let reports = svc.health_reports();
             assert!(reports.iter().any(|r| r.cleared_at_us.is_some()));
         }
+        assert_eq!(sample(active), Some(0), "the cleared stall leaves /metrics");
     }
 
     /// A clean fully-polled mesh must never raise a stall (zero false

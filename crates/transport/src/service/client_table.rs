@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use rbvc_linalg::VecD;
-use rbvc_obs::{ClientStatus, Registry};
+use rbvc_obs::Registry;
 use rbvc_sim::config::ProcessId;
 
 use super::InstanceId;
@@ -209,15 +209,6 @@ impl ClientTable {
             queued: self.queue.len() as u64,
             ..self.counters
         }
-    }
-
-    /// The `/status` view; `None` while the front-end is not enabled.
-    pub(super) fn status(&self) -> Option<ClientStatus> {
-        self.enabled.then_some(ClientStatus {
-            sessions: self.sessions.len() as u64,
-            inflight: self.in_flight.len() as u64,
-            shed: self.counters.shed,
-        })
     }
 
     /// Which process owns client session `session`.

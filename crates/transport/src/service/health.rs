@@ -1,18 +1,17 @@
-//! The self-diagnosis part of the service: the stall detector, the flight
-//! recorder, and the rate-limited `/status` publisher.
+//! The self-diagnosis part of the service: the stall detector and the
+//! flight recorder.
 //!
 //! The core feeds [`Health::tick`] once per poll with what it can see —
 //! per-instance progress, the transport's link health, the poll's fsync
-//! time — and builds the `/status` snapshot when the tick says one is due;
-//! everything else about a stall (events, escalation, the dump) is decided
-//! here.
+//! time; everything else about a stall (events, escalation, the dump) is
+//! decided here, and what it finds is on `/metrics` (`health.stall.*`).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use rbvc_obs::{
     Event, EventKind, FlightRecorder, InstanceProgress, LinkHealth, Obs, Recorder, Registry,
-    StallConfig, StallDetector, StallEvent, StatusBoard, StatusSnapshot, TeeRecorder,
+    StallConfig, StallDetector, StallEvent, TeeRecorder,
 };
 
 /// Configuration for the service's `enable_health`.
@@ -23,14 +22,7 @@ pub struct HealthConfig {
     /// Where flight-recorder dumps land; `None` runs the detector without
     /// a flight recorder.
     pub flight_dir: Option<PathBuf>,
-    /// Status board the node publishes its `/status` snapshot to; `None`
-    /// skips publishing.
-    pub status: Option<StatusBoard>,
 }
-
-/// Interval between [`StatusBoard`] publishes: `/status` is a human/CI
-/// endpoint, re-rendering the snapshot every poll would be pure overhead.
-const STATUS_PUBLISH_INTERVAL_US: u64 = 20_000;
 
 /// Flight-recorder ring capacity (events).
 const FLIGHT_CAPACITY: usize = 4096;
@@ -38,9 +30,6 @@ const FLIGHT_CAPACITY: usize = 4096;
 pub(super) struct Health {
     detector: StallDetector,
     flight: Option<Arc<FlightRecorder>>,
-    board: Option<StatusBoard>,
-    /// Last status publish (µs, shared monotonic clock) — rate limiter.
-    last_publish_us: u64,
 }
 
 impl Health {
@@ -57,17 +46,16 @@ impl Health {
             let sinks: Vec<Arc<dyn Recorder>> = vec![obs.recorder().clone(), f.clone()];
             Obs::new(Arc::new(TeeRecorder::new(sinks)))
         });
-        (Health { detector, flight, board: cfg.status, last_publish_us: 0 }, teed)
+        (Health { detector, flight }, teed)
     }
 
-    /// The detector, for the read-only stall accessors and `/status`.
+    /// The detector, for the read-only stall accessors.
     pub(super) fn detector(&self) -> &StallDetector {
         &self.detector
     }
 
     /// One health turn: feed the detector, surface its stall events into
-    /// the trace, and dump the flight ring on escalation. Returns whether a
-    /// `/status` snapshot is due for [`Self::publish`].
+    /// the trace, and dump the flight ring on escalation.
     pub(super) fn tick(
         &mut self,
         obs: &Obs,
@@ -75,7 +63,7 @@ impl Health {
         fsync_us: u64,
         progress: &[InstanceProgress],
         links: &[LinkHealth],
-    ) -> bool {
+    ) {
         self.detector.note_fsync(now_us, fsync_us);
         for ev in self.detector.observe(now_us, progress, links) {
             let (kind, report, escalated) = match &ev {
@@ -95,20 +83,6 @@ impl Health {
                     f.dump("stall");
                 }
             }
-        }
-        let due = self.board.is_some()
-            && (self.last_publish_us == 0
-                || now_us.saturating_sub(self.last_publish_us) >= STATUS_PUBLISH_INTERVAL_US);
-        if due {
-            self.last_publish_us = now_us;
-        }
-        due
-    }
-
-    /// Put `snapshot` on the status board.
-    pub(super) fn publish(&self, snapshot: &StatusSnapshot) {
-        if let Some(board) = &self.board {
-            board.publish(snapshot.node, snapshot.render());
         }
     }
 }

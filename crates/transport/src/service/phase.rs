@@ -61,8 +61,8 @@ impl Phase {
         Phase::Rest,
     ];
 
-    /// Stable name: the `phase` label on `/metrics`, the key of E17's
-    /// `phase_share`, the word in `/status`'s `time` row.
+    /// Stable name: the `phase` label on `/metrics` and the key of E17's
+    /// `phase_share`.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
@@ -102,8 +102,7 @@ impl PhaseNanos {
         Phase::ALL.into_iter().zip(self.0)
     }
 
-    /// `(name, nanoseconds)` for every phase — the shape `/status` and
-    /// [`rbvc_obs::render_shares`] take.
+    /// `(name, nanoseconds)` for every phase, in [`Phase::ALL`] order.
     #[must_use]
     pub fn named(&self) -> Vec<(&'static str, u64)> {
         self.iter().map(|(phase, ns)| (phase.as_str(), ns)).collect()

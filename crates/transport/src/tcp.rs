@@ -926,7 +926,7 @@ impl TcpEndpoint {
                 // teardown: a forged connection refused at the door must
                 // not mark the genuine live link down.
                 if let Some(p) = peer {
-                    self.link_monitor.on_auth_reject(p as u32, &reason);
+                    self.link_monitor.on_auth_reject(p as u32);
                 }
                 self.errors.lock().record(ProtocolError::Transport {
                     peer,
@@ -1306,6 +1306,10 @@ mod tests {
         // structurally perfect handshake under the wrong key, then try to
         // push a sentinel frame through.
         let wrong_key = [0xEEu8; 32];
+        // Other tests share the global registry: the refusal is a delta.
+        let bad_mac = Registry::global()
+            .counter_with("auth.reject", &[("peer", "0"), ("reason", "bad-mac"), ("dst", "1")]);
+        let bad_macs_before = bad_mac.get();
         let mut s = TcpStream::connect(victim_addr).expect("dial");
         crate::auth::dial_handshake(&mut s, 0, 1, &wrong_key, 1, 999_999).expect("wire IO");
         let sentinel = vec![0xAB; 8];
@@ -1325,11 +1329,11 @@ mod tests {
             "expected a bad-mac rejection attributed to claimed peer 0, got {evs:?}"
         );
         // The genuine live link from 0 keeps its authenticated standing —
-        // only the reject reason is remembered.
+        // the refusal is counted on `/metrics` under its reason.
         let health = mesh[1].link_health();
         let l0 = health.iter().find(|l| l.peer == 0).expect("peer 0 row");
         assert_eq!(l0.auth, rbvc_obs::LinkAuthState::Authenticated);
-        assert_eq!(l0.last_auth_reject.as_deref(), Some("bad-mac"));
+        assert!(bad_mac.get() > bad_macs_before, "the bad-mac refusal is on /metrics");
         // And the sentinel frame never surfaces.
         let mut frames = Vec::new();
         for _ in 0..10 {

@@ -106,7 +106,8 @@ pub trait Transport: Send {
     }
 
     /// Current health of every inbound link, for the stall detector's
-    /// wire-vs-barrier blame split and the `/status` document. Default:
+    /// wire-vs-barrier blame split (reading it also sets the
+    /// `health.link.*` gauges on `/metrics`). Default:
     /// empty — the in-process mesh has no links that can sicken, and an
     /// empty reading makes the health layer fall back to protocol-level
     /// evidence alone. The TCP endpoint overrides it with its

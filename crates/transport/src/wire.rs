@@ -215,27 +215,16 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Cheap header peek: `(instance, sender, round, kind)` of an encoded frame
-/// without decoding (or validating) the payload; `kind` is the payload's
-/// trace label (`"eig"`, `"va"`, `"launch"`, or `"unknown"` for a kind byte
-/// [`decode_frame`] would reject). `None` if the bytes are too short or fail
-/// the magic/version check. The service looks up the instance a frame names
+/// Cheap header peek: the instance id of an encoded frame, without decoding
+/// (or validating) the rest. `None` if the bytes are too short or fail the
+/// magic/version check. The service looks up the instance a frame names
 /// with it, before the decode that instance's states can spare.
 #[must_use]
-pub fn peek_header(bytes: &[u8]) -> Option<(u64, u32, u32, &'static str)> {
+pub fn peek_header(bytes: &[u8]) -> Option<u64> {
     if bytes.len() < HEADER_LEN || bytes[..2] != MAGIC || bytes[2] != VERSION {
         return None;
     }
-    let kind = match bytes[3] {
-        1 => "eig",
-        2 => "va",
-        3 => "launch",
-        _ => "unknown",
-    };
-    let instance = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
-    let sender = u32::from_le_bytes(bytes[12..16].try_into().ok()?);
-    let round = u32::from_le_bytes(bytes[16..HEADER_LEN].try_into().ok()?);
-    Some((instance, sender, round, kind))
+    Some(u64::from_le_bytes(bytes[4..12].try_into().ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -639,15 +628,8 @@ mod tests {
 
     #[test]
     fn peek_header_agrees_with_decode() {
-        for (frame, label) in
-            [(eig_frame(), "eig"), (va_frame(), "va"), (launch_frame(), "launch")]
-        {
-            let bytes = encode_frame(&frame);
-            let (instance, sender, round, kind) = peek_header(&bytes).expect("peekable");
-            assert_eq!(instance, frame.instance);
-            assert_eq!(sender as usize, frame.sender);
-            assert_eq!(round, frame.round);
-            assert_eq!(kind, label);
+        for frame in [eig_frame(), va_frame(), launch_frame()] {
+            assert_eq!(peek_header(&encode_frame(&frame)), Some(frame.instance));
         }
         assert_eq!(peek_header(b"RB"), None);
         assert_eq!(peek_header(&[0u8; 32]), None);

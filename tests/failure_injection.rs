@@ -19,9 +19,7 @@ use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use relaxed_bvc::sim::config::SystemConfig;
 use relaxed_bvc::sim::dolev_strong::ParallelDolevStrong;
 use relaxed_bvc::sim::eig::{EigRound, ParallelEig};
-use relaxed_bvc::sim::fuzz::{
-    duplicating, follow, partial_crash, AsyncFuzzAdversary, FuzzAdversary,
-};
+use relaxed_bvc::sim::fuzz::{duplicating, follow, partial_crash, FuzzAdversary};
 use relaxed_bvc::sim::monitor::SafetyMonitor;
 use relaxed_bvc::sim::net::{LinkFault, NetworkFaults, ReliableLink, ReliableLinkAdversary};
 use relaxed_bvc::sim::sync::{Broadcast, RoundEngine, SyncNode};
@@ -211,7 +209,7 @@ fn verified_averaging_survives_async_fuzzing() {
             .map(|i| {
                 if i == 3 {
                     // Random Bracha messages for random tags.
-                    let generator = Box::new(move |rng: &mut StdRng| -> VaMsg {
+                    let generator = Box::new(move |rng: &mut StdRng, _: usize| -> VaMsg {
                         let tag = (rng.gen_range(0..n), rng.gen_range(0..6usize));
                         let state = std::sync::Arc::new(relaxed_bvc::consensus::verified_avg::RoundState {
                             value: VecD((0..d).map(|_| rng.gen_range(-9.0..9.0)).collect()),
@@ -224,7 +222,7 @@ fn verified_averaging_survives_async_fuzzing() {
                         };
                         (tag, msg)
                     });
-                    AsyncNode::Byzantine(Box::new(AsyncFuzzAdversary::new(seed, n, 3, generator)))
+                    AsyncNode::Byzantine(Box::new(FuzzAdversary::new(seed, n, 3, generator)))
                 } else {
                     AsyncNode::Honest(VerifiedAveraging::new(
                         i,
