@@ -1,32 +1,48 @@
-//! E16 — the chaos campaign: (Relaxed) Verified Averaging on an unreliable
-//! network.
+//! E16 — the chaos campaign: (Relaxed) Verified Averaging on the real
+//! service over unreliable links.
 //!
 //! The paper's model assumes reliable channels; this experiment drops,
-//! duplicates, delays, reorders and partitions them instead, restores
-//! reliable-channel semantics with [`ReliableLink`] retransmission, and has
-//! an online [`SafetyMonitor`] watch every decision as it happens. The
+//! duplicates, delays, reorders and partitions the links of four durable
+//! [`ConsensusService`] nodes instead, and lets the service's own recovery
+//! path re-earn the channel axiom: a lost link refuses sends until it is
+//! back, the endpoint then reports the peer from
+//! [`Transport::take_reconnects`], the service replays its outbound history
+//! to it, and receivers deduplicate. The faults come from [`ChaosEndpoint`],
+//! a seeded wrapper around any transport whose clock is its own flush
+//! count; one thread drives the in-process mesh with [`sweep`] and
+//! zero-timeout polls, so a run is a pure function of its seed. An online
+//! [`SafetyMonitor`] watches every decision the moment it is surfaced. The
 //! campaign sweeps fault shape × drop probability over many seeds and
-//! reports, per cell: how many runs still decided, how many safety alerts
-//! fired (the acceptance bar is zero), mean steps to completion, and the
-//! message overhead relative to a fault-free baseline of the same run.
+//! reports, per cell: how many runs decided, how many safety alerts fired
+//! (the bar is zero), mean sweeps to completion, the frame overhead over a
+//! fault-free twin of the same run, the frames the wrapper discarded, and
+//! how often the shape's own fault class fired.
 
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rbvc_core::bounds::kappa_async;
-use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
-use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
-use rbvc_sim::config::SystemConfig;
-use rbvc_sim::fuzz::follow;
+use rbvc_linalg::{Norm, VecD};
+use rbvc_sim::config::ProcessId;
+use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_sim::monitor::SafetyMonitor;
-use rbvc_sim::net::{LinkFault, NetworkFaults, Partition, ReliableLink, ReliableLinkAdversary};
+use rbvc_store::Wal;
+use rbvc_transport::service::ConsensusService;
+use rbvc_transport::transport::{in_proc_mesh, InProcEndpoint, Transport};
 
 use super::Experiment;
-use crate::campaign::{gate, Args, Gate, Kind};
+use crate::campaign::{gate, sweep, Args, Gate, Kind, MeshProfile, Proto};
 use crate::report::{fnum, print_table};
 use crate::workloads::{self, rng};
 
 /// `exp chaos` — E16: 14 seeds per cell × 15 cells = 210 runs by default,
 /// 2 per cell under `--smoke`. The acceptance bar is zero monitor
-/// violations and full decision coverage in every recoverable cell.
+/// violations and every run decided, its fault-free twin included.
 pub const CHAOS: Experiment = Experiment {
     name: "chaos",
     ids: "E16",
@@ -43,26 +59,46 @@ pub const CHAOS: Experiment = Experiment {
 const N: usize = 4;
 const F: usize = 1;
 const D: usize = 3;
-/// Averaging rounds: enough contraction that honest decisions are far
-/// tighter than the agreement threshold the monitor enforces.
-const ROUNDS: usize = 12;
-/// Step budget per run; chaos runs idle-step through delays, so this is
-/// deliberately generous.
-const MAX_STEPS: u64 = 4_000_000;
+/// The mesh every run stands up: one Verified-Averaging instance with
+/// enough averaging rounds that honest decisions are far tighter than the
+/// agreement threshold the monitor enforces.
+const MESH: MeshProfile = MeshProfile {
+    n: N,
+    f: F,
+    d: D,
+    instances: 1,
+    rounds: 12,
+    seed: 0,
+    poll_timeout: Duration::ZERO,
+};
+/// The one instance id of a run.
+const INSTANCE: u64 = 1;
+/// Sweep budget per run before it counts as undecided.
+const MAX_SWEEPS: usize = 4_000;
+/// A lost link is back after 1..=`MAX_DOWN` flushes.
+const MAX_DOWN: u64 = 4;
+/// Duplication probability per frame.
+const DUP: f64 = 0.2;
+/// A batch is held for 0..=`MAX_DELAY` flushes.
+const MAX_DELAY: u64 = 8;
+/// Probability per frame of being held back one flush.
+const REORDER: f64 = 0.3;
 
 /// The fault shapes of the campaign grid (each swept over drop rates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultShape {
-    /// Loss only (the `drop = 0` cell is the fault-free control).
+    /// Link loss only (the `drop = 0` cell is the fault-free control).
     Clean,
-    /// Loss + 20% duplication.
+    /// Loss + each frame delivered twice with probability 0.2.
     Duplicate,
-    /// Loss + uniform extra delay of up to 8 steps per message.
+    /// Loss + each batch held for 0–8 flushes, link order kept.
     Delay,
-    /// Loss + 30% reorder penalty.
+    /// Loss + each frame held back one flush with probability 0.3, so
+    /// later frames on its link overtake it.
     Reorder,
-    /// Loss + a partition isolating process 0 for steps 100..1200, healing
-    /// afterwards; recovery relies on retransmission.
+    /// Loss + every link of process 0 cut, both directions, from after the
+    /// first broadcast until just before the fault-free twin's other nodes
+    /// decide; the heal is a reconnect on both sides.
     Partition,
 }
 
@@ -87,83 +123,274 @@ impl FaultShape {
             FaultShape::Partition => "drop+partition",
         }
     }
+}
 
-    fn faults(self, drop: f64, seed: u64) -> NetworkFaults {
-        let mut link = LinkFault::lossy(drop);
-        match self {
-            FaultShape::Clean => {}
-            FaultShape::Duplicate => link.dup_prob = 0.2,
-            FaultShape::Delay => link.max_extra_delay = 8,
-            FaultShape::Reorder => link.reorder_prob = 0.3,
-            FaultShape::Partition => {}
-        }
-        let plan = NetworkFaults::new(seed, link);
-        match self {
-            FaultShape::Partition => plan.with_partition(Partition {
-                side_a: vec![0],
-                start: 100,
-                heal: 1200,
-            }),
-            _ => plan,
+/// What fault-injecting endpoints did, one endpoint's or a run's sum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Faults {
+    /// Frames the service handed to a peer link (refused ones included).
+    pub frames: u64,
+    /// Frames discarded: refused while their link was down or cut, or in
+    /// the batch whose loss took the link down (the drop class).
+    pub lost: u64,
+    /// Extra copies delivered (the dup class).
+    pub duplicated: u64,
+    /// Batches held for at least one flush (the delay class).
+    pub delayed: u64,
+    /// Frames held back one flush (the reorder class).
+    pub reordered: u64,
+    /// Frames refused at the partition (the partition class).
+    pub cut: u64,
+}
+
+impl Faults {
+    fn add(&mut self, other: &Faults) {
+        self.frames += other.frames;
+        self.lost += other.lost;
+        self.duplicated += other.duplicated;
+        self.delayed += other.delayed;
+        self.reordered += other.reordered;
+        self.cut += other.cut;
+    }
+
+    /// How often `shape`'s own fault class fired.
+    #[must_use]
+    pub fn injected(&self, shape: FaultShape) -> u64 {
+        match shape {
+            FaultShape::Clean => self.lost,
+            FaultShape::Duplicate => self.duplicated,
+            FaultShape::Delay => self.delayed,
+            FaultShape::Reorder => self.reordered,
+            FaultShape::Partition => self.cut,
         }
     }
 }
 
-/// Outcome of one seeded chaos run (plus its fault-free baseline twin).
+/// A seeded fault-injecting [`Transport`] around any transport. What the
+/// service sends to a peer is queued here and, at each flush, lost,
+/// duplicated, delayed or reordered on its way into the inner endpoint, as
+/// the [`FaultShape`] and drop probability say. A lost or cut link refuses
+/// sends, as a TCP link awaiting redial does, and is reported from
+/// [`Transport::take_reconnects`] once it is back. The self-link is never
+/// faulted. The clock is the endpoint's own flush count.
+pub struct ChaosEndpoint<T: Transport> {
+    inner: T,
+    shape: FaultShape,
+    drop: f64,
+    rng: StdRng,
+    flushes: u64,
+    /// Frames queued per peer since the last flush, in send order.
+    outbox: Vec<Vec<Vec<u8>>>,
+    /// Frames the reorder class held back, per peer: they lead the next
+    /// flush's batch.
+    late: Vec<Vec<Vec<u8>>>,
+    /// Batches on their way, per peer in link order, each with the flush
+    /// that releases it.
+    held: Vec<VecDeque<(u64, Vec<Vec<u8>>)>>,
+    /// Per peer, the flush at which a lost link is back.
+    down_until: Vec<u64>,
+    /// Peers whose links are cut while the flush count is in `window`.
+    cut: Vec<ProcessId>,
+    window: Range<u64>,
+    reconnects: Vec<ProcessId>,
+    faults: Faults,
+}
+
+impl<T: Transport> ChaosEndpoint<T> {
+    /// Wrap `inner`: `shape`'s fault class, plus link loss with probability
+    /// `drop` per (flush, peer) batch, all drawn from `seed`.
+    pub fn new(inner: T, shape: FaultShape, drop: f64, seed: u64) -> Self {
+        let n = inner.n();
+        ChaosEndpoint {
+            inner,
+            shape,
+            drop,
+            rng: StdRng::seed_from_u64(seed),
+            flushes: 0,
+            outbox: vec![Vec::new(); n],
+            late: vec![Vec::new(); n],
+            held: vec![VecDeque::new(); n],
+            down_until: vec![0; n],
+            cut: Vec::new(),
+            window: 0..0,
+            reconnects: Vec::new(),
+            faults: Faults::default(),
+        }
+    }
+
+    /// Cut the links to `peers` while the flush count is in `window`: sends
+    /// to them are refused meanwhile, and each is reported as reconnected
+    /// by the flush that closes the window.
+    #[must_use]
+    fn with_cut(mut self, peers: Vec<ProcessId>, window: Range<u64>) -> Self {
+        self.cut = peers;
+        self.window = window;
+        self
+    }
+
+    /// What this endpoint injected so far.
+    #[must_use]
+    pub fn faults(&self) -> Faults {
+        self.faults
+    }
+
+    fn is_cut(&self, dst: ProcessId) -> bool {
+        self.window.contains(&self.flushes) && self.cut.contains(&dst)
+    }
+
+    /// One flush's batch to `dst`, which survived the loss draw: apply the
+    /// shape's class and put it on its way.
+    fn dispatch(&mut self, dst: ProcessId, batch: Vec<Vec<u8>>, fresh: usize) {
+        let now = self.flushes;
+        let mut out = Vec::with_capacity(batch.len());
+        let mut release = now;
+        for (k, frame) in batch.into_iter().enumerate() {
+            match self.shape {
+                FaultShape::Duplicate if self.rng.gen_bool(DUP) => {
+                    self.faults.duplicated += 1;
+                    out.push(frame.clone());
+                }
+                // Frames already held back once go out now.
+                FaultShape::Reorder if k >= fresh && self.rng.gen_bool(REORDER) => {
+                    self.faults.reordered += 1;
+                    self.late[dst].push(frame);
+                    continue;
+                }
+                _ => {}
+            }
+            out.push(frame);
+        }
+        if self.shape == FaultShape::Delay {
+            let delay = self.rng.gen_range(0..=MAX_DELAY);
+            self.faults.delayed += u64::from(delay > 0);
+            release = now + delay;
+        }
+        let queue = &mut self.held[dst];
+        // Never ahead of a batch sent earlier on the same link.
+        let release = queue.back().map_or(release, |(at, _)| release.max(*at));
+        queue.push_back((release, out));
+    }
+}
+
+impl<T: Transport> Transport for ChaosEndpoint<T> {
+    fn local_id(&self) -> ProcessId {
+        self.inner.local_id()
+    }
+
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
+        if dst == self.inner.local_id() || dst >= self.outbox.len() {
+            return self.inner.send(dst, frame);
+        }
+        self.faults.frames += 1;
+        if self.down_until[dst] > self.flushes || self.is_cut(dst) {
+            self.faults.lost += 1;
+            self.faults.cut += u64::from(self.is_cut(dst));
+            return Err(ProtocolError::Transport {
+                peer: Some(dst),
+                reason: "link down awaiting redial".into(),
+            });
+        }
+        self.outbox[dst].push(frame);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), ProtocolError> {
+        self.flushes += 1;
+        let now = self.flushes;
+        if now == self.window.end {
+            self.reconnects.extend(&self.cut);
+        }
+        for dst in 0..self.outbox.len() {
+            if self.down_until[dst] == now {
+                self.reconnects.push(dst);
+            }
+            let mut batch = std::mem::take(&mut self.late[dst]);
+            let fresh = batch.len();
+            batch.append(&mut self.outbox[dst]);
+            if batch.is_empty() {
+                // Nothing written, so nothing to find the link broken by.
+            } else if self.drop > 0.0 && self.rng.gen_bool(self.drop) {
+                self.faults.lost += batch.len() as u64;
+                self.down_until[dst] = now + self.rng.gen_range(1..=MAX_DOWN);
+            } else {
+                self.dispatch(dst, batch, fresh);
+            }
+            while self.held[dst].front().is_some_and(|(at, _)| *at <= now) {
+                let (_, frames) = self.held[dst].pop_front().expect("checked above");
+                for frame in frames {
+                    // The inner endpoint records its own refusals.
+                    let _ = self.inner.send(dst, frame);
+                }
+            }
+        }
+        self.inner.flush()
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
+        self.inner.recv_timeout(timeout)
+    }
+
+    fn recv_timeout_stamped(&mut self, timeout: Duration) -> Vec<(ProcessId, u64, Vec<u8>)> {
+        self.inner.recv_timeout_stamped(timeout)
+    }
+
+    fn take_reconnects(&mut self) -> Vec<ProcessId> {
+        let mut peers = self.inner.take_reconnects();
+        peers.append(&mut self.reconnects);
+        peers.sort_unstable();
+        peers.dedup();
+        peers
+    }
+
+    fn take_auth_events(&mut self) -> Vec<rbvc_transport::transport::AuthEvent> {
+        self.inner.take_auth_events()
+    }
+
+    fn link_health(&self) -> Vec<rbvc_obs::LinkHealth> {
+        self.inner.link_health()
+    }
+
+    fn bytes_sent(&self) -> u64 {
+        self.inner.bytes_sent()
+    }
+
+    fn bytes_received(&self) -> u64 {
+        self.inner.bytes_received()
+    }
+
+    fn errors(&self) -> ErrorLog {
+        self.inner.errors()
+    }
+}
+
+/// Outcome of one seeded chaos run (plus its fault-free twin).
 #[derive(Debug, Clone)]
 pub struct ChaosRun {
     /// Every honest process decided.
     pub decided: bool,
-    /// Scheduler steps of the chaos run.
-    pub steps: u64,
-    /// Messages sent in the chaos run (protocol + acks + retransmissions).
-    pub messages: u64,
-    /// Messages sent by the fault-free baseline of the same seed.
-    pub baseline_messages: u64,
+    /// The fault-free twin decided too: the overhead column divides by it.
+    pub twin_decided: bool,
+    /// Sweeps of the chaos run.
+    pub sweeps: usize,
+    /// What the wrappers did in the chaos run.
+    pub faults: Faults,
+    /// Frames the fault-free twin's services handed to peer links.
+    pub twin_frames: u64,
     /// Safety alerts raised by the online monitor (acceptance bar: 0).
     pub violations: usize,
-    /// Messages lost to link drops and partition cuts.
-    pub lost: u64,
-}
-
-fn build_engine(
-    inputs: &[VecD],
-    faulty_ids: &[usize],
-) -> AsyncEngine<ReliableLink<VerifiedAveraging>> {
-    let tol = Tol::default();
-    let config = SystemConfig::new(N, F).with_faulty(faulty_ids.to_vec());
-    let nodes: Vec<AsyncNode<ReliableLink<VerifiedAveraging>>> = (0..N)
-        .map(|i| {
-            let proto = VerifiedAveraging::new(
-                i,
-                N,
-                F,
-                inputs[i].clone(),
-                DeltaMode::MinDelta(Norm::L2),
-                ROUNDS,
-                tol,
-            );
-            if faulty_ids.contains(&i) {
-                // The adversary runs the protocol faithfully on an
-                // adversarially chosen input — the strongest strategy
-                // against validity — speaking the link layer natively.
-                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(follow(proto), N)))
-            } else {
-                AsyncNode::Honest(ReliableLink::with_defaults(proto, N))
-            }
-        })
-        .collect();
-    AsyncEngine::new(config, nodes)
+    /// Every node's decision, the Byzantine slot's included.
+    pub decisions: Vec<Option<VecD>>,
 }
 
 /// Build the online monitor for a run: ε-agreement in L∞ between every
 /// decided pair, and validity as membership of the honest-input bounding
 /// box inflated by the Theorem 15 slack `κ·max-edge` (Byzantine inputs
 /// legitimately pull decisions up to δ* outside the honest hull).
-fn build_monitor(
-    inputs: &[VecD],
-    faulty_ids: &[usize],
-) -> SafetyMonitor<VecD> {
+fn build_monitor(inputs: &[VecD], faulty_ids: &[usize]) -> SafetyMonitor<VecD> {
     let honest: Vec<VecD> = (0..N)
         .filter(|i| !faulty_ids.contains(i))
         .map(|i| inputs[i].clone())
@@ -205,49 +432,124 @@ fn build_monitor(
     )
 }
 
-/// Execute one seeded cell run: a fault-free baseline followed by the chaos
-/// run proper, both over identical inputs and scheduler seeds.
+/// What one mesh run did.
+struct Drive {
+    /// Every node outside `faulty` decided.
+    decided: bool,
+    /// Sweep in which each node surfaced its decision.
+    decided_in: Vec<Option<usize>>,
+    sweeps: usize,
+    faults: Faults,
+    decisions: Vec<Option<VecD>>,
+}
+
+/// Run one Verified-Averaging instance at fault bound `f` on `N` services
+/// over the in-process mesh, endpoint `i` wrapped by `wrap(i, ·)`; each node
+/// writes a WAL under `wal_dir` when given. Decisions of nodes outside
+/// `faulty` go to `monitor` as they are surfaced; the run ends when all of
+/// them decided or after [`MAX_SWEEPS`].
+fn drive(
+    inputs: &[VecD],
+    f: usize,
+    faulty: &[usize],
+    wrap: impl Fn(ProcessId, InProcEndpoint) -> ChaosEndpoint<InProcEndpoint>,
+    wal_dir: Option<&Path>,
+    monitor: &mut SafetyMonitor<VecD>,
+) -> Drive {
+    let mut nodes: Vec<_> = in_proc_mesh(N)
+        .into_iter()
+        .enumerate()
+        .map(|(i, ep)| {
+            let mut svc = ConsensusService::new(wrap(i, ep));
+            let proto = MESH.instance(Proto::Va { f }, i, inputs[i].clone());
+            match wal_dir {
+                Some(dir) => {
+                    let wal = Wal::open(dir.join(format!("node{i}.wal"))).expect("open wal").0;
+                    svc.attach_wal(wal);
+                    svc.add_instance_durable(INSTANCE, proto, Vec::new())
+                }
+                None => svc.add_instance(INSTANCE, proto),
+            }
+            .expect("one instance per node");
+            // A refused send is the fault under test, not a setup error.
+            let _ = svc.start();
+            svc
+        })
+        .collect();
+    let mut decided_in = vec![None; N];
+    let mut sweeps = 0;
+    let decided = sweep(&mut nodes, MAX_SWEEPS, |s, i, svc| {
+        sweeps = s + 1;
+        for ev in svc.poll(Duration::ZERO) {
+            decided_in[i].get_or_insert(s);
+            if !faulty.contains(&i) {
+                monitor.observe(i, &ev.value);
+            }
+        }
+        faulty.contains(&i) || svc.all_decided()
+    });
+    let mut faults = Faults::default();
+    for svc in &nodes {
+        faults.add(&svc.transport().faults());
+    }
+    let decisions = nodes.iter().map(|svc| svc.decision(INSTANCE)).collect();
+    Drive { decided, decided_in, sweeps, faults, decisions }
+}
+
+/// A fresh directory for one run's WALs.
+fn run_dir() -> std::path::PathBuf {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rbvc-exp-chaos-{}-{run}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mk run dir");
+    dir
+}
+
+/// Execute one seeded cell run: the fault-free twin (non-durable, links
+/// untouched), then the chaos run proper on durable nodes, over identical
+/// inputs.
 #[must_use]
 pub fn run_one(shape: FaultShape, drop: f64, seed: u64) -> ChaosRun {
     let mut r = rng(seed);
     let honest = workloads::random_points(&mut r, N - F, D, 1.0);
     let byz = workloads::random_points(&mut r, F, D, 3.0);
     let (inputs, faulty_ids) = workloads::assemble_inputs(&honest, &byz);
+    let untouched = |_, ep| ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0);
+    let twin =
+        drive(&inputs, F, &faulty_ids, untouched, None, &mut build_monitor(&inputs, &faulty_ids));
 
-    // Baseline: same protocol stack, perfectly reliable network.
-    let mut baseline_engine = build_engine(&inputs, &faulty_ids);
-    let mut baseline_faults = NetworkFaults::reliable();
-    let baseline = baseline_engine.run_chaos(
-        &mut RandomScheduler::new(seed.wrapping_mul(31).wrapping_add(7)),
-        MAX_STEPS,
-        &mut baseline_faults,
-        None,
-    );
-    debug_assert!(baseline.all_decided, "baseline must decide (seed {seed})");
-
-    // Chaos run with the online monitor watching every decision.
-    let mut engine = build_engine(&inputs, &faulty_ids);
-    let mut faults = shape.faults(drop, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
+    // Node i's poll in sweep s is its flush s + 2 (`start` is flush 1), so
+    // the partition opens once the first broadcast is out and heals at the
+    // flush before the sweep in which the twin's first other node decided.
+    let first_other = twin.decided_in[1..].iter().flatten().min().copied();
+    let heal = first_other.map_or(2, |s| s as u64 + 1).max(2);
+    let wrap = |i: ProcessId, ep| {
+        let ep = ChaosEndpoint::new(ep, shape, drop, seed.wrapping_mul(0x9e37_79b9) ^ i as u64);
+        match shape {
+            FaultShape::Partition if i == 0 => ep.with_cut((1..N).collect(), 1..heal),
+            FaultShape::Partition => ep.with_cut(vec![0], 1..heal),
+            _ => ep,
+        }
+    };
+    let dir = run_dir();
     let mut monitor = build_monitor(&inputs, &faulty_ids);
-    let out = engine.run_chaos(
-        &mut RandomScheduler::new(seed.wrapping_mul(31).wrapping_add(7)),
-        MAX_STEPS,
-        &mut faults,
-        Some(&mut monitor),
-    );
+    let chaos = drive(&inputs, F, &faulty_ids, wrap, Some(&dir), &mut monitor);
+    let _ = std::fs::remove_dir_all(&dir);
     ChaosRun {
-        decided: out.all_decided,
-        steps: out.steps,
-        messages: out.trace.messages_sent,
-        baseline_messages: baseline.trace.messages_sent,
+        decided: chaos.decided,
+        twin_decided: twin.decided,
+        sweeps: chaos.sweeps,
+        faults: chaos.faults,
+        twin_frames: twin.faults.frames,
         violations: monitor.alerts().len(),
-        lost: faults.stats.total_lost(),
+        decisions: chaos.decisions,
     }
 }
 
 /// One aggregated campaign cell: a fault shape at a drop rate over many
 /// seeds.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ChaosRow {
     /// Fault shape label.
     pub shape: &'static str,
@@ -257,14 +559,18 @@ pub struct ChaosRow {
     pub runs: usize,
     /// Runs in which every honest process decided.
     pub decided: usize,
+    /// Runs whose fault-free twin decided.
+    pub twins_decided: usize,
     /// Total monitor alerts across the cell (acceptance bar: 0).
     pub violations: usize,
-    /// Mean scheduler steps over decided runs.
-    pub mean_steps: f64,
-    /// Mean message overhead vs the fault-free baseline (1.0 = parity).
+    /// Mean sweeps over decided runs.
+    pub mean_sweeps: f64,
+    /// Mean frame overhead vs the fault-free twin (1.0 = parity).
     pub mean_overhead: f64,
-    /// Total messages lost to drops and partition cuts across the cell.
+    /// Frames the wrappers discarded across the cell.
     pub lost: u64,
+    /// How often the shape's own fault class fired across the cell.
+    pub injected: u64,
 }
 
 /// Drop probabilities of the campaign grid.
@@ -283,27 +589,25 @@ pub fn campaign(seeds_per_cell: usize, base_seed: u64) -> Vec<ChaosRow> {
                 shape: shape.label(),
                 drop,
                 runs: seeds_per_cell,
-                decided: 0,
-                violations: 0,
-                mean_steps: 0.0,
-                mean_overhead: 0.0,
-                lost: 0,
+                ..ChaosRow::default()
             };
-            let mut steps_sum = 0.0;
+            let mut sweeps_sum = 0.0;
             let mut overhead_sum = 0.0;
             for _ in 0..seeds_per_cell {
                 let run = run_one(shape, drop, next_seed);
                 next_seed += 1;
                 if run.decided {
                     row.decided += 1;
-                    steps_sum += run.steps as f64;
+                    sweeps_sum += run.sweeps as f64;
                 }
+                row.twins_decided += usize::from(run.twin_decided);
                 row.violations += run.violations;
-                row.lost += run.lost;
-                overhead_sum += run.messages as f64 / run.baseline_messages.max(1) as f64;
+                row.lost += run.faults.lost;
+                row.injected += run.faults.injected(shape);
+                overhead_sum += run.faults.frames as f64 / run.twin_frames.max(1) as f64;
             }
             if row.decided > 0 {
-                row.mean_steps = steps_sum / row.decided as f64;
+                row.mean_sweeps = sweeps_sum / row.decided as f64;
             }
             row.mean_overhead = overhead_sum / seeds_per_cell as f64;
             rows.push(row);
@@ -317,9 +621,10 @@ fn run(args: &Args) -> Vec<Gate> {
     let seed = args.num(1);
     println!(
         "E16 — chaos campaign: Verified Averaging (n = 4, f = 1, d = 3, \
-         MinDelta/L2) over an unreliable network, reliable-channel semantics \
-         restored by sequence-numbered ack/retransmit links; an online \
-         monitor checks ε-agreement and box validity on every decision."
+         MinDelta/L2) on four durable services whose in-process links drop, \
+         duplicate, delay, reorder and partition; the service's reconnect \
+         history replay recovers lost links; an online monitor checks \
+         ε-agreement and box validity on every decision."
     );
     println!(
         "{} seeds per cell from base seed {seed}{}",
@@ -330,6 +635,7 @@ fn run(args: &Args) -> Vec<Gate> {
     let total_runs: usize = rows.iter().map(|r| r.runs).sum();
     let total_violations: usize = rows.iter().map(|r| r.violations).sum();
     let total_decided: usize = rows.iter().map(|r| r.decided).sum();
+    let twins_decided: usize = rows.iter().map(|r| r.twins_decided).sum();
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r: &ChaosRow| {
@@ -338,9 +644,10 @@ fn run(args: &Args) -> Vec<Gate> {
                 fnum(r.drop),
                 format!("{}/{}", r.decided, r.runs),
                 r.violations.to_string(),
-                fnum(r.mean_steps),
+                fnum(r.mean_sweeps),
                 fnum(r.mean_overhead),
                 r.lost.to_string(),
+                r.injected.to_string(),
             ]
         })
         .collect();
@@ -351,9 +658,10 @@ fn run(args: &Args) -> Vec<Gate> {
             "drop",
             "decided",
             "violations",
-            "mean steps",
-            "msg overhead",
-            "msgs lost",
+            "mean sweeps",
+            "frame overhead",
+            "frames lost",
+            "injected",
         ],
         &table,
     );
@@ -361,14 +669,28 @@ fn run(args: &Args) -> Vec<Gate> {
         "total: {total_runs} runs, {total_decided} fully decided, \
          {total_violations} safety violations"
     );
-    if total_decided < total_runs {
-        eprintln!(
-            "note: {} run(s) hit the step budget before all processes \
-             decided",
-            total_runs - total_decided
-        );
-    }
-    vec![gate(total_violations == 0, "the online safety monitor fired")]
+    // Every cell fires its shape's own class (the drop-only shape's class is
+    // the loss itself), and every lossy cell loses frames.
+    let idle: Vec<String> = rows
+        .iter()
+        .filter(|r| r.runs > 0)
+        .filter(|r| {
+            r.drop > 0.0 && r.lost == 0 || r.shape != FaultShape::Clean.label() && r.injected == 0
+        })
+        .map(|r| format!("{} at drop {}", r.shape, r.drop))
+        .collect();
+    vec![
+        gate(total_violations == 0, "the online safety monitor fired"),
+        gate(
+            total_decided == total_runs,
+            format!("{} run(s) hit the sweep budget undecided", total_runs - total_decided),
+        ),
+        gate(
+            twins_decided == total_runs,
+            format!("{} fault-free twin(s) did not decide", total_runs - twins_decided),
+        ),
+        gate(idle.is_empty(), format!("no fault injected in: {}", idle.join(", "))),
+    ]
 }
 
 #[cfg(test)]
@@ -378,30 +700,112 @@ mod tests {
     #[test]
     fn heavy_loss_cell_decides_cleanly() {
         let run = run_one(FaultShape::Clean, 0.3, 5);
-        assert!(run.decided, "retransmission must restore liveness");
+        assert!(run.decided && run.twin_decided, "reconnect replay must restore liveness");
         assert_eq!(run.violations, 0, "monitor must stay clean");
-        assert!(run.lost > 0, "a 30% drop rate must actually lose messages");
-        // Note: chaos runs can send *fewer* messages than the baseline —
-        // dropped deliveries never trigger Bracha echo/ready amplification —
-        // so overhead is reported, not asserted, here.
-        assert!(run.messages > 0 && run.baseline_messages > 0);
+        assert!(run.faults.lost > 0, "a 30% drop rate must actually lose frames");
     }
 
     #[test]
     fn partition_then_heal_recovers() {
-        let run = run_one(FaultShape::Partition, 0.1, 6);
-        assert!(run.decided, "the isolated process must catch up after heal");
+        let run = run_one(FaultShape::Partition, 0.0, 6);
+        assert!(run.decided, "the isolated process must catch up after the heal");
         assert_eq!(run.violations, 0);
-        assert!(run.lost > 0, "the partition must sever real traffic");
+        assert!(run.faults.cut > 0 && run.faults.lost == run.faults.cut, "{:?}", run.faults);
     }
 
     #[test]
     fn runs_are_seed_deterministic() {
         let a = run_one(FaultShape::Reorder, 0.1, 9);
         let b = run_one(FaultShape::Reorder, 0.1, 9);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.lost, b.lost);
+        assert_eq!(a.decisions, b.decisions);
+        assert_eq!((a.sweeps, a.faults, a.twin_frames), (b.sweeps, b.faults, b.twin_frames));
         assert_eq!(a.decided, b.decided);
+    }
+
+    /// At f = 0 Verified Averaging waits for all n states, so its decision
+    /// does not depend on delivery order: a durable mesh that loses link
+    /// 0 → 2 mid-run, or every link of node 0 in both directions, and heals
+    /// through `take_reconnects` decides exactly what a fault-free run does.
+    /// Bracha's relays cover the one link on their own; the isolated node is
+    /// the replay's: without a WAL there is no history, and its cut strands
+    /// the mesh.
+    #[test]
+    fn lost_links_heal_through_reconnect_replay_bit_identically() {
+        let inputs = workloads::random_points(&mut rng(77), N, D, 1.0);
+        let monitor = || build_monitor(&inputs, &[]);
+        let untouched = |_, ep| ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0);
+        let clean = drive(&inputs, 0, &[], untouched, None, &mut monitor());
+        assert!(clean.decided);
+        let one_link = |i: ProcessId, ep| {
+            let peers = if i == 0 { vec![2] } else { Vec::new() };
+            ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0).with_cut(peers, 3..8)
+        };
+        let isolated = |i: ProcessId, ep| {
+            let peers = if i == 0 { (1..N).collect() } else { vec![0] };
+            ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0).with_cut(peers, 3..8)
+        };
+        for (name, wrap) in [("one link", &one_link as &dyn Fn(_, _) -> _), ("node 0", &isolated)] {
+            let dir = run_dir();
+            let healed = drive(&inputs, 0, &[], wrap, Some(&dir), &mut monitor());
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(healed.decided, "{name}");
+            assert_eq!(healed.decisions, clean.decisions, "{name}: bit-identical decisions");
+            assert!(healed.faults.cut > 0, "{name}: the cut refused frames");
+        }
+        let stranded = drive(&inputs, 0, &[], isolated, None, &mut monitor());
+        assert!(!stranded.decided, "without history the lost frames stay lost");
+    }
+
+    /// Delayed batches keep their link's order; a frame held back by the
+    /// reorder class is overtaken by the later frames of its flush; a lost
+    /// link refuses sends and comes back as a reconnect.
+    #[test]
+    fn the_wrapper_delays_in_order_reorders_and_loses_links() {
+        let recv = |ep: &mut InProcEndpoint| -> Vec<u8> {
+            ep.recv_timeout(Duration::ZERO).into_iter().map(|(_, bytes)| bytes[0]).collect()
+        };
+        let mut mesh = in_proc_mesh(2);
+        let mut peer = mesh.pop().expect("two endpoints");
+        let mut delayed = ChaosEndpoint::new(mesh.pop().expect("two"), FaultShape::Delay, 0.0, 3);
+        for b in 0..40u8 {
+            delayed.send(1, vec![b]).unwrap();
+            delayed.flush().unwrap();
+        }
+        for _ in 0..=MAX_DELAY {
+            delayed.flush().unwrap();
+        }
+        assert!(delayed.faults().delayed > 0);
+        assert_eq!(recv(&mut peer), (0..40).collect::<Vec<u8>>(), "link order kept");
+
+        let mut mesh = in_proc_mesh(2);
+        let mut peer = mesh.pop().expect("two endpoints");
+        let mut shuffled =
+            ChaosEndpoint::new(mesh.pop().expect("two"), FaultShape::Reorder, 0.0, 3);
+        for b in 0..40u8 {
+            shuffled.send(1, vec![b]).unwrap();
+        }
+        shuffled.flush().unwrap();
+        shuffled.flush().unwrap();
+        let got = recv(&mut peer);
+        let held = shuffled.faults().reordered as usize;
+        assert!(held > 0 && got.len() == 40, "{got:?}");
+        assert!(got[40 - held..].windows(2).all(|w| w[0] < w[1]), "held frames follow, in order");
+        assert!(
+            got[..40 - held].windows(2).all(|w| w[0] < w[1]) && got != (0..40).collect::<Vec<u8>>()
+        );
+
+        let mut mesh = in_proc_mesh(2);
+        let mut lossy = ChaosEndpoint::new(mesh.remove(0), FaultShape::Clean, 1.0, 3);
+        lossy.send(1, vec![0]).unwrap();
+        lossy.flush().unwrap();
+        assert!(lossy.send(1, vec![1]).is_err(), "a lost link refuses sends");
+        let mut flushes = 1;
+        while lossy.take_reconnects().is_empty() {
+            lossy.flush().unwrap();
+            flushes += 1;
+        }
+        assert!((2..=1 + MAX_DOWN).contains(&flushes), "back after 1–{MAX_DOWN} flushes");
+        assert!(lossy.send(1, vec![2]).is_ok());
+        assert_eq!(lossy.faults().lost, 2, "the lost batch and the refused send");
     }
 }

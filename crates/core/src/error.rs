@@ -1,8 +1,8 @@
 //! Typed protocol errors — re-exported from `rbvc-sim`.
 //!
 //! [`ProtocolError`] historically lived here; it moved down into
-//! `rbvc_sim::error` so the message-passing substrate (`rbvc_sim::net`)
-//! and the socket transport (`rbvc-transport`) can degrade through the
+//! `rbvc_sim::error` so the simulators (`rbvc-sim`) and the transports
+//! and service (`rbvc-transport`) can degrade through the
 //! same typed error without a dependency cycle.  This
 //! module re-exports it so every existing `rbvc_core::ProtocolError` /
 //! `crate::error::ProtocolError` call site keeps compiling unchanged.

@@ -12,18 +12,7 @@ use rand::{Rng, SeedableRng};
 use rbvc_obs::{Event, EventKind, Obs};
 
 use crate::config::{ProcessId, SystemConfig};
-use crate::monitor::SafetyMonitor;
-use crate::net::NetworkFaults;
 use rbvc_obs::ExecutionTrace;
-
-/// Steps between [`AsyncProtocol::on_tick`] rounds in chaos runs.
-pub const TICK_INTERVAL: u64 = 16;
-
-/// Consecutive idle (nothing deliverable, nothing pending) steps after which
-/// a chaos run is declared dead. Chosen to exceed the largest
-/// [`crate::net::ReliableLink`] backoff cap times [`TICK_INTERVAL`], so a
-/// live retransmission loop is never mistaken for a dead network.
-pub const MAX_IDLE_TICKS: u64 = 4096;
 
 /// An honest asynchronous protocol: reacts to message deliveries.
 pub trait AsyncProtocol {
@@ -38,11 +27,11 @@ pub trait AsyncProtocol {
     /// React to a delivered message; return new sends.
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg) -> Vec<(ProcessId, Self::Msg)>;
 
-    /// Timer callback: chaos runs ([`AsyncEngine::run_chaos`]) and the
-    /// socket service invoke this periodically so protocols can drive
-    /// retransmission and other timeouts. Purely delivery-driven
-    /// protocols keep the default no-op; [`crate::net::ReliableLink`]
-    /// overrides it to retransmit unacked messages.
+    /// Timer callback: the socket service invokes this once per poll on
+    /// every launched, undecided instance, so protocols can drive timeouts
+    /// (the lockstep synchronizer's round timeout). Purely delivery-driven
+    /// protocols keep the default no-op; [`AsyncEngine`] never calls it —
+    /// the paper's asynchronous model has no timers.
     fn on_tick(&mut self) -> Vec<(ProcessId, Self::Msg)> {
         Vec::new()
     }
@@ -230,19 +219,13 @@ struct Envelope<M> {
     dst: ProcessId,
     msg: M,
     born: u64,
-    /// Earliest step at which the network makes this envelope deliverable
-    /// (equals `born` on reliable links; later under injected delay).
-    available_from: u64,
 }
 
-/// Queue what `src` just sent. Under a fault plan each surviving copy of a
-/// message becomes an envelope available at `now + delay`; without one (the
-/// paper's reliable channels) it is deliverable at once. A message counts
-/// once as sent regardless of duplication (copies are network artifacts).
-fn queue_sends<M: Clone>(
+/// Queue what `src` just sent: on the paper's reliable channels every
+/// message is deliverable the step it is sent.
+fn queue_sends<M>(
     pending: &mut Vec<Envelope<M>>,
     trace: &mut ExecutionTrace,
-    mut faults: Option<&mut NetworkFaults>,
     n: usize,
     src: ProcessId,
     sends: Vec<(ProcessId, M)>,
@@ -251,19 +234,7 @@ fn queue_sends<M: Clone>(
     for (dst, msg) in sends {
         assert!(dst < n, "message to nonexistent process {dst}");
         trace.record_message();
-        let Some(faults) = faults.as_deref_mut() else {
-            pending.push(Envelope { src, dst, msg, born: now, available_from: now });
-            continue;
-        };
-        for &delay in faults.route(src, dst, now).iter() {
-            pending.push(Envelope {
-                src,
-                dst,
-                msg: msg.clone(),
-                born: now,
-                available_from: now + delay,
-            });
-        }
+        pending.push(Envelope { src, dst, msg, born: now });
     }
 }
 
@@ -334,58 +305,7 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     /// asynchronous model as stated — reliable channels, no timers. The run
     /// ends when every honest process decided or nothing is left in flight.
     pub fn run(&mut self, scheduler: &mut dyn Scheduler, max_steps: u64) -> AsyncOutcome<P::Output> {
-        self.drive(scheduler, max_steps, None, &mut |_, _| {})
-    }
-
-    /// Run under `scheduler` with link faults injected by `faults`, for at
-    /// most `max_steps` engine steps.
-    ///
-    /// Differences from [`AsyncEngine::run`]:
-    ///
-    /// * every send is routed through [`NetworkFaults::route`], which may
-    ///   drop it, duplicate it, or delay its availability;
-    /// * the engine clock advances every step even when nothing is
-    ///   deliverable yet (idle time in front of a delayed envelope);
-    /// * [`AsyncProtocol::on_tick`] fires on every honest node once per
-    ///   [`TICK_INTERVAL`] steps, driving retransmission timers;
-    /// * if `monitor` is given, every fresh decision is fed to it the step
-    ///   it appears, so violations are flagged online;
-    /// * the run ends early if traffic dies out completely (no pending
-    ///   envelopes and [`MAX_IDLE_TICKS`] consecutive unproductive steps) —
-    ///   the signature of un-recovered message loss.
-    ///
-    /// With `NetworkFaults::reliable()` the delivery sequence is that of
-    /// `run` (no extra RNG draws).
-    pub fn run_chaos(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        max_steps: u64,
-        faults: &mut NetworkFaults,
-        mut monitor: Option<&mut SafetyMonitor<P::Output>>,
-    ) -> AsyncOutcome<P::Output>
-    where
-        P::Output: PartialEq,
-    {
-        self.drive(scheduler, max_steps, Some(faults), &mut |id, out| {
-            if let Some(mon) = monitor.as_deref_mut() {
-                mon.observe(id, out);
-            }
-        })
-    }
-
-    /// The one delivery loop. A fault plan switches on what a lossy network
-    /// needs — timers, and idling in front of delayed envelopes; without one
-    /// every envelope is deliverable the step it is sent and no
-    /// [`AsyncProtocol::on_tick`] ever fires.
-    fn drive(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        max_steps: u64,
-        mut faults: Option<&mut NetworkFaults>,
-        on_decide: &mut dyn FnMut(ProcessId, &P::Output),
-    ) -> AsyncOutcome<P::Output> {
         let n = self.config.n;
-        let timers = faults.is_some();
         let mut pending: Vec<Envelope<P::Msg>> = Vec::new();
         let mut trace = ExecutionTrace::default();
         let mut now: u64 = 0;
@@ -398,44 +318,13 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
                 AsyncNode::Honest(p) => p.on_start(),
                 AsyncNode::Byzantine(a) => a.on_start(),
             };
-            queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, src, sends, now);
+            queue_sends(&mut pending, &mut trace, n, src, sends, now);
         }
-        let mut all_decided = self.note_fresh_decisions(&mut decided, now, on_decide);
-        let mut idle_steps: u64 = 0;
-        while now < max_steps && !all_decided {
-            // Timer phase: drive retransmission/timeout logic.
-            if timers && now.is_multiple_of(TICK_INTERVAL) {
-                for src in 0..n {
-                    if let AsyncNode::Honest(p) = &mut self.nodes[src] {
-                        let sends = p.on_tick();
-                        queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, src, sends, now);
-                    }
-                }
-            }
-
-            // Delivery phase: the scheduler chooses among *available*
-            // envelopes only; delayed ones stay invisible until due.
-            let available: Vec<usize> =
-                (0..pending.len()).filter(|&i| pending[i].available_from <= now).collect();
-            if available.is_empty() {
-                // Only a timer can put something back in flight: without
-                // timers an empty network is final, with them it has died
-                // (loss was never recovered) after MAX_IDLE_TICKS idle steps.
-                idle_steps += 1;
-                if pending.is_empty() && (!timers || idle_steps > MAX_IDLE_TICKS) {
-                    break;
-                }
-                now += 1;
-                continue;
-            }
-            idle_steps = 0;
-
-            let metas: Vec<EnvelopeMeta> = available
+        let mut all_decided = self.note_fresh_decisions(&mut decided, now);
+        while now < max_steps && !all_decided && !pending.is_empty() {
+            let metas: Vec<EnvelopeMeta> = pending
                 .iter()
-                .map(|&i| {
-                    let e = &pending[i];
-                    EnvelopeMeta { src: e.src, dst: e.dst, age: now - e.born }
-                })
+                .map(|e| EnvelopeMeta { src: e.src, dst: e.dst, age: now - e.born })
                 .collect();
             // Fairness backstop: force-deliver anything over the age cap.
             let overdue = metas.iter().position(|m| m.age >= self.age_cap);
@@ -444,7 +333,7 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
                 assert!(picked < metas.len(), "scheduler picked out of range");
                 picked
             });
-            let env = pending.swap_remove(available[picked]);
+            let env = pending.swap_remove(picked);
             trace.record_delivery();
             trace.record_round();
             now += 1;
@@ -453,8 +342,8 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
                 AsyncNode::Honest(p) => p.on_message(env.src, env.msg),
                 AsyncNode::Byzantine(a) => a.on_message(env.src, env.msg),
             };
-            queue_sends(&mut pending, &mut trace, faults.as_deref_mut(), n, env.dst, sends, now);
-            all_decided = self.note_fresh_decisions(&mut decided, now, on_decide);
+            queue_sends(&mut pending, &mut trace, n, env.dst, sends, now);
+            all_decided = self.note_fresh_decisions(&mut decided, now);
         }
 
         let decisions = self
@@ -474,28 +363,21 @@ impl<P: AsyncProtocol> AsyncEngine<P> {
     }
 
     /// Handle each honest node's first decision the step it appears: latch
-    /// it in `decided`, trace it as an [`EventKind::Decide`] and hand it to
-    /// `on_decide` (the online safety check). True once every honest node
-    /// has decided.
-    fn note_fresh_decisions(
-        &self,
-        decided: &mut [bool],
-        step: u64,
-        on_decide: &mut dyn FnMut(ProcessId, &P::Output),
-    ) -> bool {
+    /// it in `decided` and trace it as an [`EventKind::Decide`]. True once
+    /// every honest node has decided.
+    fn note_fresh_decisions(&self, decided: &mut [bool], step: u64) -> bool {
         for (id, node) in self.nodes.iter().enumerate() {
             if decided[id] {
                 continue;
             }
             if let AsyncNode::Honest(p) = node {
-                if let Some(out) = p.output() {
+                if p.output().is_some() {
                     decided[id] = true;
                     self.obs.emit(|| {
                         Event::new(EventKind::Decide)
                             .node(u32::try_from(id).unwrap_or(u32::MAX))
                             .detail(format!("step={step}"))
                     });
-                    on_decide(id, &out);
                 }
             }
         }
@@ -663,124 +545,22 @@ mod tests {
     }
 
     #[test]
-    fn chaos_with_reliable_network_matches_plain_run() {
-        let plain = build(4, 1, vec![], 4).run(&mut FifoScheduler, 10_000);
-        let mut engine = build(4, 1, vec![], 4);
-        let mut faults = NetworkFaults::reliable();
-        let out = engine.run_chaos(&mut FifoScheduler, 10_000, &mut faults, None);
-        assert!(out.all_decided);
-        assert_eq!(out.decisions, plain.decisions);
-        assert_eq!(faults.stats.total_lost(), 0);
-    }
-
-    #[test]
-    fn both_runs_trace_one_decide_per_honest_node() {
+    fn traces_one_decide_per_honest_node() {
         use rbvc_obs::{Recorder, RingRecorder};
         use std::sync::Arc;
 
-        for chaos in [false, true] {
-            let ring = Arc::new(RingRecorder::new(64));
-            let mut engine = build(4, 1, vec![2], 3);
-            engine.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>));
-            let out = if chaos {
-                engine.run_chaos(&mut FifoScheduler, 10_000, &mut NetworkFaults::reliable(), None)
-            } else {
-                engine.run(&mut FifoScheduler, 10_000)
-            };
-            assert!(out.all_decided);
-            let mut nodes: Vec<u32> = ring
-                .snapshot()
-                .iter()
-                .filter(|e| e.kind == EventKind::Decide)
-                .filter_map(|e| e.node)
-                .collect();
-            nodes.sort_unstable();
-            assert_eq!(nodes, vec![0, 1, 3], "chaos={chaos}: one decide per honest node");
-        }
-    }
-
-    fn build_reliable_link(
-        n: usize,
-        quorum: usize,
-    ) -> AsyncEngine<crate::net::ReliableLink<QuorumSum>> {
-        let config = SystemConfig::new(n, 0);
-        let nodes = (0..n)
-            .map(|i| {
-                AsyncNode::Honest(crate::net::ReliableLink::with_defaults(
-                    QuorumSum::new(i, n, quorum, i as i64),
-                    n,
-                ))
-            })
+        let ring = Arc::new(RingRecorder::new(64));
+        let mut engine = build(4, 1, vec![2], 3);
+        engine.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>));
+        let out = engine.run(&mut FifoScheduler, 10_000);
+        assert!(out.all_decided);
+        let mut nodes: Vec<u32> = ring
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == EventKind::Decide)
+            .filter_map(|e| e.node)
             .collect();
-        AsyncEngine::new(config, nodes)
-    }
-
-    #[test]
-    fn reliable_link_restores_liveness_under_heavy_loss() {
-        // Raw QuorumSum waiting for all n values dies under 30% loss; the
-        // ReliableLink wrapper re-earns the reliable-channel guarantee, so
-        // every process must still decide the full sum — and the online
-        // monitor must stay clean.
-        let expected: i64 = (0..4).sum();
-        for seed in 0..5u64 {
-            let fault = crate::net::LinkFault {
-                drop_prob: 0.3,
-                dup_prob: 0.2,
-                max_extra_delay: 5,
-                reorder_prob: 0.1,
-            };
-            let mut faults = NetworkFaults::new(seed, fault);
-            let mut monitor = SafetyMonitor::agreement_only(4, |a: &i64, b: &i64| {
-                (a != b).then(|| format!("{a} != {b}"))
-            });
-            let mut engine = build_reliable_link(4, 4);
-            let out = engine.run_chaos(
-                &mut RandomScheduler::new(seed * 13 + 1),
-                500_000,
-                &mut faults,
-                Some(&mut monitor),
-            );
-            assert!(out.all_decided, "seed {seed}: loss not recovered");
-            assert!(
-                faults.stats.dropped > 0,
-                "seed {seed}: chaos plan injected no loss — test is vacuous"
-            );
-            for d in &out.decisions {
-                assert_eq!(*d, Some(expected), "seed {seed}");
-            }
-            assert!(monitor.clean(), "seed {seed}: {:?}", monitor.alerts());
-        }
-    }
-
-    #[test]
-    fn retransmission_recovers_from_partition_then_heal() {
-        let expected: i64 = (0..4).sum();
-        let mut faults = NetworkFaults::new(3, crate::net::LinkFault::reliable())
-            .with_partition(crate::net::Partition {
-                side_a: vec![0, 1],
-                start: 0,
-                heal: 2_000,
-            });
-        let mut engine = build_reliable_link(4, 4);
-        let out = engine.run_chaos(&mut FifoScheduler, 500_000, &mut faults, None);
-        assert!(
-            out.all_decided,
-            "cross-partition messages must be retransmitted after heal"
-        );
-        assert!(faults.stats.partition_dropped > 0, "partition never severed");
-        for d in &out.decisions {
-            assert_eq!(*d, Some(expected));
-        }
-    }
-
-    #[test]
-    fn unrecovered_total_loss_terminates_early() {
-        // 100% loss and no retransmission: the run must detect that traffic
-        // died and stop well before max_steps.
-        let mut engine = build(4, 1, vec![], 4);
-        let mut faults = NetworkFaults::new(1, crate::net::LinkFault::lossy(1.0));
-        let out = engine.run_chaos(&mut FifoScheduler, 100_000_000, &mut faults, None);
-        assert!(!out.all_decided);
-        assert!(out.steps < 100_000, "dead network should end early");
+        nodes.sort_unstable();
+        assert_eq!(nodes, vec![0, 1, 3], "one decide per honest node");
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! [`ProtocolError`] is the single error currency for both cases.  It lives
 //! in `rbvc-sim` (the bottom of the protocol stack) so that every layer —
-//! the link-fault substrate in [`crate::net`], the protocol state machines
-//! in `rbvc-core`, and the socket transport in `rbvc-transport` — can
+//! the simulators' receive boundaries, the protocol state machines in
+//! `rbvc-core`, and the transports and service in `rbvc-transport` — can
 //! surface faults through the same type; `rbvc_core::ProtocolError`
 //! re-exports it, so existing call sites are unaffected.
 //!

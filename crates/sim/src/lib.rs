@@ -6,7 +6,9 @@
 //! network of `n` processes, up to `f` of them Byzantine — the system model
 //! of the paper (§3): reliable channels between every pair of processes,
 //! synchronous (lockstep rounds) or asynchronous (eventual delivery under an
-//! adversarial scheduler).
+//! adversarial scheduler). Channels here are always reliable; unreliable
+//! links are injected into the real service's transport instead (E16,
+//! `exp chaos`), where the service's reconnect history replay recovers them.
 //!
 //! * [`config`] — system configuration `(n, f)` and fault-set bookkeeping.
 //! * [`sync`] — deterministic lockstep round engine with pluggable Byzantine
@@ -25,9 +27,6 @@
 //!   schedulers guaranteeing eventual delivery.
 //! * [`bracha`] — Bracha's reliable broadcast (init/echo/ready), the
 //!   asynchronous substrate of (Relaxed) Verified Averaging.
-//! * [`net`] — link-level fault injection (seeded drop/dup/delay/reorder,
-//!   timed partitions) and the [`net::ReliableLink`] ack/retransmit wrapper
-//!   that restores the paper's reliable-channel model over a lossy link.
 //! * [`monitor`] — online safety monitor flagging agreement/validity
 //!   violations the moment a decision event occurs, per run or per service
 //!   instance.
@@ -44,7 +43,6 @@ pub mod eig;
 pub mod error;
 pub mod fuzz;
 pub mod monitor;
-pub mod net;
 pub mod sync;
 
 pub use config::{ProcessId, SystemConfig};

@@ -757,7 +757,9 @@ impl<T: Transport> ConsensusService<T> {
         }
         self.clock.enter(Phase::Route);
         let n_tx = outbound.len();
-        let routed = self.route(outbound);
+        // A refused send (a link awaiting redial) is recorded by the
+        // transport and covered by the history replay once the link is back.
+        let _ = self.route(outbound);
         // Witness-commit progress (a counter per instance), where it is logged.
         if self.durability.wal().is_some() {
             for (id, slot) in &self.instances {
@@ -771,10 +773,11 @@ impl<T: Transport> ConsensusService<T> {
         // client or the caller unless the records that produced it are
         // durable.
         let commit_us = self.durability.commit(&mut self.sinks, &mut self.clock);
-        if routed.is_err() || self.transport.flush().is_err() {
-            // Already recorded by the transport; the poll loop continues on
-            // the surviving links.
-        }
+        // Always flush, whatever `route` returned: the healthy peers get this
+        // poll's frames now, and a TCP endpoint's lazy redial runs in here.
+        // A failed write is already recorded by the transport; the poll loop
+        // continues on the surviving links.
+        let _ = self.transport.flush();
         self.clock.enter(Phase::Rest);
         let decisions = self.surface_decisions(decided);
         // Backfill freed in-flight slots from the admission queue, after
@@ -1677,15 +1680,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A transport whose reconnects are scripted (the in-process mesh never
-    /// loses a link on its own) and which keeps what it was asked to send.
-    struct Rejoining {
+    /// A transport whose reconnects and dead links are scripted (the
+    /// in-process mesh never loses a link on its own) and which keeps what
+    /// it was asked to send.
+    struct Scripted {
         inner: crate::transport::InProcEndpoint,
         reconnects: Vec<ProcessId>,
+        /// Peers whose link is down: sends to them are refused, as a TCP
+        /// link awaiting redial refuses them.
+        down: Vec<ProcessId>,
         sent: Vec<(ProcessId, Vec<u8>)>,
     }
 
-    impl Transport for Rejoining {
+    impl Scripted {
+        fn new(inner: crate::transport::InProcEndpoint) -> Self {
+            Scripted { inner, reconnects: Vec::new(), down: Vec::new(), sent: Vec::new() }
+        }
+    }
+
+    impl Transport for Scripted {
         fn local_id(&self) -> ProcessId {
             self.inner.local_id()
         }
@@ -1693,6 +1706,10 @@ mod tests {
             self.inner.n()
         }
         fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
+            if self.down.contains(&dst) {
+                let reason = "link down awaiting redial".to_string();
+                return Err(ProtocolError::Transport { peer: Some(dst), reason });
+            }
             self.sent.push((dst, frame.clone()));
             self.inner.send(dst, frame)
         }
@@ -1725,8 +1742,7 @@ mod tests {
         // The other endpoints stay alive (and silent): node 0 talks to itself.
         let mut endpoints = in_proc_mesh(n);
         let inner = endpoints.remove(0);
-        let mut svc =
-            ConsensusService::new(Rejoining { inner, reconnects: Vec::new(), sent: Vec::new() });
+        let mut svc = ConsensusService::new(Scripted::new(inner));
         svc.attach_wal(rbvc_store::Wal::open(dir.join("node0.wal")).unwrap().0);
         for inst in 1..=3u64 {
             let proto = va_instance(0, n, &[inst as f64, 1.0]);
@@ -1756,6 +1772,29 @@ mod tests {
             assert_eq!(to(&second[replay.len()..], dst)[..], svc.durability.history(dst)[old..], "peer {dst}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A poll whose routing met a dead link still flushes: the healthy
+    /// peers get that poll's frames in the same poll.
+    #[test]
+    fn a_refused_send_does_not_hold_back_the_healthy_peers() {
+        let n = 4;
+        let mut endpoints = in_proc_mesh(n);
+        let mut svc = ConsensusService::new(Scripted::new(endpoints.remove(0)));
+        svc.transport_mut().down = vec![3];
+        svc.add_instance(7, va_instance(0, n, &[1.0, 2.0])).unwrap();
+        // The Init goes out (to 3 it is refused); peers 1 and 2 take theirs.
+        let _ = svc.start();
+        for ep in &mut endpoints[..2] {
+            assert_eq!(ep.recv_timeout(Duration::ZERO).len(), 1, "the Init");
+        }
+        // The poll delivers the Init to node 0 itself, whose Echo goes to
+        // every peer — refused to 3, so `route` fails.
+        let _ = svc.poll(Duration::ZERO);
+        for ep in &mut endpoints[..2] {
+            let got = ep.recv_timeout(Duration::ZERO);
+            assert!(!got.is_empty() && got.iter().all(|(from, _)| *from == 0), "the Echo");
+        }
     }
 
     /// ISSUE 5 satellite (negative test): a node restarted *without* its WAL

@@ -142,8 +142,8 @@ type Arrival = (ProcessId, Vec<Vec<u8>>);
 /// The in-process transport: one unbounded channel per endpoint carrying
 /// `(link peer, frames)`, one batch per sender per flush, moving the same
 /// encoded bytes a socket would. Delivery is reliable and FIFO per link —
-/// the fault-free substrate; link faults live in the simulator
-/// (`AsyncEngine::run_chaos`).
+/// the fault-free substrate; link faults are injected by wrapping an
+/// endpoint (E16's `ChaosEndpoint` in `rbvc-bench`), never in here.
 pub struct InProcEndpoint {
     id: ProcessId,
     n: usize,

@@ -1,11 +1,12 @@
 //! Failure-injection integration tests: the consensus protocols against
-//! crash faults, partial-crash-mid-broadcast, duplicate/reorder wrappers,
-//! seeded random-message fuzzers, and link-level network faults. Byzantine
-//! guarantees are universally quantified, so safety must survive every one
-//! of these behaviours.
+//! crash faults, partial-crash-mid-broadcast, duplicate/reorder wrappers and
+//! seeded random-message fuzzers. Byzantine guarantees are universally
+//! quantified, so safety must survive every one of these behaviours. Link
+//! faults (drop, dup, delay, reorder, partition) are injected into the real
+//! service's links instead, by E16 (`exp chaos`) and its tests.
 //!
 //! **Seed hygiene**: every random choice in this file — inputs, fuzzers,
-//! schedulers, link faults — derives deterministically from [`BASE_SEED`],
+//! schedulers — derives deterministically from [`BASE_SEED`],
 //! so any failure replays bit-identically, and every assertion message
 //! names the seed that produced it.
 
@@ -19,9 +20,7 @@ use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use relaxed_bvc::sim::config::SystemConfig;
 use relaxed_bvc::sim::dolev_strong::ParallelDolevStrong;
 use relaxed_bvc::sim::eig::{EigRound, ParallelEig};
-use relaxed_bvc::sim::fuzz::{duplicating, follow, partial_crash, FuzzAdversary};
-use relaxed_bvc::sim::monitor::SafetyMonitor;
-use relaxed_bvc::sim::net::{LinkFault, NetworkFaults, ReliableLink, ReliableLinkAdversary};
+use relaxed_bvc::sim::fuzz::{duplicating, partial_crash, FuzzAdversary};
 use relaxed_bvc::sim::sync::{Broadcast, RoundEngine, SyncNode};
 
 /// The single documented base seed of this file; every derived seed is
@@ -303,89 +302,4 @@ fn verified_averaging_survives_duplication_and_reordering() {
             );
         }
     }
-}
-
-/// Run Bracha-substrate Verified Averaging behind retransmitting links over
-/// a faulty network and return (all_decided, decisions, monitor violations).
-fn bracha_under_link_faults(seed: u64, fault: LinkFault) -> (bool, Vec<Option<VecD>>, usize) {
-    let (n, f, d) = (4usize, 1usize, 3usize);
-    let inputs = random_inputs(seed, n, d);
-    let config = SystemConfig::new(n, f).with_faulty(vec![1]);
-    let nodes: Vec<AsyncNode<ReliableLink<VerifiedAveraging>>> = (0..n)
-        .map(|i| {
-            let proto = VerifiedAveraging::new(
-                i,
-                n,
-                f,
-                inputs[i].clone(),
-                DeltaMode::MinDelta(Norm::L2),
-                12,
-                tol(),
-            );
-            if i == 1 {
-                AsyncNode::Byzantine(Box::new(ReliableLinkAdversary::new(follow(proto), n)))
-            } else {
-                AsyncNode::Honest(ReliableLink::with_defaults(proto, n))
-            }
-        })
-        .collect();
-    let mut engine = AsyncEngine::new(config.clone(), nodes);
-    let mut faults = NetworkFaults::new(seed, fault);
-    let mut monitor = SafetyMonitor::agreement_only(n, |a: &VecD, b: &VecD| {
-        let dist = a.dist(b, Norm::LInf);
-        (dist > 0.2).then(|| format!("decisions {dist} apart"))
-    });
-    let out = engine.run_chaos(
-        &mut RandomScheduler::new(seed),
-        4_000_000,
-        &mut faults,
-        Some(&mut monitor),
-    );
-    let decisions: Vec<Option<VecD>> = config
-        .correct_ids()
-        .into_iter()
-        .map(|i| out.decisions[i].clone())
-        .collect();
-    (out.all_decided, decisions, monitor.alerts().len())
-}
-
-#[test]
-fn bracha_substrate_safe_under_link_faults_across_seeds() {
-    // The Bracha-based asynchronous stack on a network that drops,
-    // duplicates and reorders: retransmission must restore liveness and the
-    // online monitor must never fire, for every seed.
-    let fault = LinkFault {
-        drop_prob: 0.2,
-        dup_prob: 0.1,
-        max_extra_delay: 5,
-        reorder_prob: 0.1,
-    };
-    for trial in 0..5u64 {
-        let seed = BASE_SEED + 100 + trial;
-        let (all_decided, decisions, violations) = bracha_under_link_faults(seed, fault);
-        assert!(all_decided, "link faults blocked liveness (seed {seed})");
-        assert_eq!(violations, 0, "monitor fired under link faults (seed {seed})");
-        assert!(
-            decisions.iter().all(Option::is_some),
-            "a correct process is undecided (seed {seed})"
-        );
-    }
-}
-
-#[test]
-fn link_fault_runs_replay_bit_identically() {
-    // Seed hygiene: the whole chaos stack (inputs, scheduler, link faults)
-    // is a pure function of the seed.
-    let seed = BASE_SEED + 200;
-    let fault = LinkFault {
-        drop_prob: 0.25,
-        dup_prob: 0.15,
-        max_extra_delay: 4,
-        reorder_prob: 0.2,
-    };
-    let a = bracha_under_link_faults(seed, fault);
-    let b = bracha_under_link_faults(seed, fault);
-    assert_eq!(a.0, b.0, "decidedness diverged (seed {seed})");
-    assert_eq!(a.1, b.1, "decisions diverged across reruns (seed {seed})");
-    assert_eq!(a.2, b.2, "alert counts diverged (seed {seed})");
 }
