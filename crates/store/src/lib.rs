@@ -31,4 +31,4 @@ pub mod records;
 pub mod wal;
 
 pub use records::{decode_record, encode_record, encode_record_into, WalRecord, WalRecordRef};
-pub use wal::{ReplayReport, StoreError, Wal, MAX_RECORD_LEN, WAL_MAGIC};
+pub use wal::{RecordBatch, ReplayReport, StoreError, Wal, MAX_RECORD_LEN, WAL_MAGIC};

@@ -147,23 +147,57 @@ fn micros_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Frame one record at the end of `out`: reserve the header, let `fill`
-/// append the payload, then back-patch length and checksum. Returns the
-/// frame's size; an oversized payload is taken back out.
-fn put_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize, StoreError> {
-    let start = out.len();
-    out.extend_from_slice(&[0; FRAME_OVERHEAD]);
-    let body = out.len();
-    fill(out);
-    let len = out.len() - body;
-    if len > MAX_RECORD_LEN {
-        out.truncate(start);
-        return Err(StoreError::RecordTooLarge { len });
+/// Framed records in memory — length, checksum, payload each — as they go
+/// to a log file verbatim: the half of the log that does no I/O. A [`Wal`]
+/// keeps its pending batch in one; a caller that must not touch the file
+/// fills its own and hands it over with [`Wal::absorb`].
+#[derive(Debug, Default)]
+pub struct RecordBatch {
+    buf: Vec<u8>,
+    records: u64,
+}
+
+impl RecordBatch {
+    /// Frame `encode_record(record)` at the end of the batch, encoded
+    /// straight into it from the borrowed fields.
+    ///
+    /// # Errors
+    /// [`StoreError::RecordTooLarge`] above the cap; the batch is unchanged.
+    pub fn append_record(&mut self, record: WalRecordRef<'_>) -> Result<(), StoreError> {
+        self.put(|out| encode_record_into(record, out)).map(drop)
     }
-    let crc = crc32(&out[body..]);
-    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
-    Ok(FRAME_OVERHEAD + len)
+
+    /// Reserve the header, let `fill` append the payload, then back-patch
+    /// length and checksum. Returns the frame's size; an oversized payload
+    /// is taken back out.
+    fn put(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize, StoreError> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; FRAME_OVERHEAD]);
+        let body = self.buf.len();
+        fill(&mut self.buf);
+        let len = self.buf.len() - body;
+        if len > MAX_RECORD_LEN {
+            self.buf.truncate(start);
+            return Err(StoreError::RecordTooLarge { len });
+        }
+        let crc = crc32(&self.buf[body..]);
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self.records += 1;
+        Ok(FRAME_OVERHEAD + len)
+    }
+
+    /// The framed bytes, as they go to the file.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// True when the batch holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
 }
 
 /// An open write-ahead log. See the module docs for format and contract.
@@ -175,8 +209,8 @@ pub struct Wal {
     /// Length up to which the file is known fdatasync-durable.
     synced_len: u64,
     /// Frames appended since the last write, ready to go out verbatim: the
-    /// last `buf.len()` bytes of `len`, the file holds the rest.
-    buf: Vec<u8>,
+    /// last bytes of `len`, the file holds the rest.
+    batch: RecordBatch,
     /// A write failed part-way and the file may end in a partial batch:
     /// [`Wal::roll_back`] must succeed before the next write.
     torn: bool,
@@ -196,7 +230,7 @@ impl Wal {
             file,
             len,
             synced_len: len,
-            buf: Vec::new(),
+            batch: RecordBatch::default(),
             torn: false,
             records,
             pending_records: 0,
@@ -279,16 +313,32 @@ impl Wal {
     }
 
     fn append_framed(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StoreError> {
-        self.len += put_frame(&mut self.buf, fill)? as u64;
+        self.len += self.batch.put(fill)? as u64;
         self.records += 1;
         self.pending_records += 1;
         self.metrics.appends.inc();
-        if self.buf.len() >= SPILL_THRESHOLD {
+        if self.batch.buf.len() >= SPILL_THRESHOLD {
             // Best effort: a failed spill keeps the batch buffered and the
             // next sync reports the failure.
             let _ = self.write_batch();
         }
         Ok(())
+    }
+
+    /// Append every record of `batch`, leaving it empty: what as many
+    /// [`Wal::append`] calls would do, moved in one piece — a buffer swap
+    /// when nothing is pending here, as after every successful write.
+    pub fn absorb(&mut self, batch: &mut RecordBatch) {
+        let records = std::mem::take(&mut batch.records);
+        self.len += batch.buf.len() as u64;
+        self.records += records;
+        self.pending_records += records;
+        self.metrics.appends.add(records);
+        if self.batch.is_empty() {
+            std::mem::swap(&mut self.batch.buf, &mut batch.buf);
+        } else {
+            self.batch.buf.append(&mut batch.buf);
+        }
     }
 
     /// Hand the buffered batch to the file with one `write_all` (no fsync) —
@@ -300,29 +350,30 @@ impl Wal {
     /// # Errors
     /// The write failure.
     pub fn write_batch(&mut self) -> Result<(), StoreError> {
-        if self.buf.is_empty() {
+        if self.batch.is_empty() {
             return Ok(());
         }
         if self.torn {
             self.roll_back()?;
         }
         let t0 = Instant::now();
-        if let Err(e) = self.file.write_all(&self.buf) {
+        if let Err(e) = self.file.write_all(&self.batch.buf) {
             self.torn = true;
             // Retried before the next write if it fails here too.
             let _ = self.roll_back();
             return Err(e.into());
         }
         self.metrics.write_us.record(micros_since(t0));
-        self.metrics.write_bytes.record(self.buf.len() as u64);
+        self.metrics.write_bytes.record(self.batch.buf.len() as u64);
         self.metrics.writes.inc();
-        self.buf.clear();
+        self.batch.buf.clear();
+        self.batch.records = 0;
         Ok(())
     }
 
     /// Cut a partially written batch off the file and put the cursor back.
     fn roll_back(&mut self) -> std::io::Result<()> {
-        let written_len = self.len - self.buf.len() as u64;
+        let written_len = self.len - self.batch.buf.len() as u64;
         self.file.set_len(written_len)?;
         self.file.seek(SeekFrom::Start(written_len))?;
         self.torn = false;

@@ -21,11 +21,8 @@
 //!   deterministic (sender-ordered) round delivery.
 //! * [`service`] — [`service::ConsensusService`]: many concurrent SyncBvc /
 //!   VerifiedAveraging instances multiplexed over one socket mesh, demuxed
-//!   by instance id, with per-poll outbound batching. The module's core
-//!   (instance map, receive gates, poll loop, recovery) owns three private
-//!   parts: `service/durability.rs` (the WAL-before-wire rule),
-//!   `service/client_table.rs` (sessions, admission, client instance ids)
-//!   and `service/health.rs` (stall detector, flight recorder).
+//!   by instance id — the one driver of a core that does no I/O
+//!   (`service/node.rs`); the module docs name its parts.
 //! * [`client`] — the external-client wire codec and [`client::ClientPort`],
 //!   the TCP front-end that pumps client submits into the service.
 //! * [`byzantine`] — [`byzantine::ByzantineEndpoint`]: a [`transport::Transport`]

@@ -4,8 +4,8 @@
 //! `Launch` frame must pass.
 //!
 //! The table never touches the transport, the WAL or a protocol instance:
-//! it hands the core verdicts and requests, the core launches, logs and
-//! routes. The node-to-node side — `Launch` checks and the early-frame
+//! it hands the core verdicts and requests, the core launches and logs,
+//! the driver sends. The node-to-node side — `Launch` checks and the early-frame
 //! stash — is always live so every node participates in client instances
 //! whether or not it fronts clients; enabling the front-end only opens the
 //! admission API.
@@ -452,8 +452,14 @@ pub(super) fn decode_spec(spec: &[u8]) -> Option<ClientLaunch> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use rbvc_sim::error::ProtocolError;
+
     use super::*;
-    use crate::service::GATE_NAMES;
+    use crate::service::tests::tmp_dir;
+    use crate::service::{ConsensusService, GATE_NAMES};
+    use crate::transport::in_proc_mesh;
     use crate::wire::Payload;
 
     fn frame(instance: InstanceId, round: u32) -> Frame {
@@ -520,31 +526,28 @@ mod tests {
     /// (`Busy`, counted) rather than launch over that instance's slot.
     #[test]
     fn a_wrapped_sequence_number_is_shed_not_minted_over_a_resident_instance() {
-        use crate::service::ConsensusService;
-        use crate::transport::in_proc_mesh;
-
         let mut svc = ConsensusService::new(in_proc_mesh(1).remove(0));
         svc.enable_client(ClientConfig::default());
         svc.start_deferred();
         let v = VecD::from_slice(&[1.0, 2.0]);
         assert_eq!(svc.client_submit(0, 1, v.clone()), ClientAdmission::Admitted);
         let first = CLIENT_INSTANCE_BASE;
-        assert!(svc.instances.contains_key(&first), "request 0 runs as sequence number 0");
+        assert!(svc.node.instances.contains_key(&first), "request 0 runs as sequence number 0");
         // Fast-forward through 2^24 admissions: recovery meeting the
         // registration of the last id before the wrap leaves the counter
         // where that many `mint`s would.
-        svc.client.restore(first | SEQ_MASK, &launch(1));
-        assert_eq!(svc.client.instance_id(svc.client.next_seq), first, "the counter wrapped");
+        svc.node.client.restore(first | SEQ_MASK, &launch(1));
+        assert_eq!(svc.node.client.instance_id(svc.node.client.next_seq), first, "the counter wrapped");
 
-        let (resident, undecided) = (svc.instance_count(), svc.undecided);
+        let (resident, undecided) = (svc.instance_count(), svc.node.undecided);
         assert_eq!(svc.client_submit(2, 1, v.clone()), ClientAdmission::Busy);
         assert_eq!(svc.client_stats().shed, 1);
-        assert_eq!((svc.instance_count(), svc.undecided), (resident, undecided), "nothing replaced");
+        assert_eq!((svc.instance_count(), svc.node.undecided), (resident, undecided), "nothing replaced");
         assert_eq!(svc.client_stats().sessions, 2, "a shed request leaves the table untouched");
         // The resident instance is the one request 0 launched, still running.
-        assert!(svc.instances[&first].launched.is_some());
+        assert!(svc.node.instances[&first].launched.is_some());
         for _ in 0..200 {
-            let _ = svc.poll(std::time::Duration::ZERO);
+            let _ = svc.poll(Duration::ZERO);
         }
         assert_eq!(svc.take_client_replies().len(), 1, "request 0 decides");
     }
@@ -588,5 +591,150 @@ mod tests {
         longer.push(0);
         assert_eq!(decode_spec(&longer), None, "trailing byte");
         assert_eq!(decode_spec(&[0u8; 40]), None, "a caller's own spec");
+    }
+
+    /// Drive an in-proc mesh of client-enabled services until the owner has
+    /// `want` replies ready (or the spin budget runs out). Returns the
+    /// replies taken from the owner.
+    fn pump_mesh_for_replies(
+        services: &mut [ConsensusService<crate::transport::InProcEndpoint>],
+        owner: usize,
+        want: usize,
+    ) -> Vec<(u64, u64, VecD)> {
+        let mut replies = Vec::new();
+        for _ in 0..10_000 {
+            for svc in services.iter_mut() {
+                let _ = svc.poll(Duration::from_millis(1));
+            }
+            replies.extend(services[owner].take_client_replies());
+            if replies.len() >= want {
+                return replies;
+            }
+        }
+        panic!("mesh produced {} of {want} client replies", replies.len());
+    }
+
+    /// The full client admission contract on one mesh: redirect for a
+    /// foreign session, admit/queue/shed under the configured bounds, stale
+    /// drop for an in-flight retry, and a cached bit-identical reply (plus
+    /// exactly one instance mesh-wide) for a retry after the decision.
+    #[test]
+    fn client_table_admits_dedups_redirects_and_sheds() {
+        let n = 3;
+        let mut services: Vec<ConsensusService<_>> = in_proc_mesh(n)
+            .into_iter()
+            .map(ConsensusService::new)
+            .collect();
+        for svc in &mut services {
+            svc.enable_client(ClientConfig { max_inflight: 1, queue_cap: 1, ..ClientConfig::default() });
+            svc.start_deferred();
+        }
+        // Session 7 is owned by node 1; node 0 redirects.
+        let v = VecD::from_slice(&[2.0, -1.0]);
+        assert_eq!(
+            services[0].client_submit(7, 1, v.clone()),
+            ClientAdmission::Redirect(1)
+        );
+        assert_eq!(services[0].client_stats().redirects, 1);
+        // Owner: first admit, second queues, third sheds (bounds 1+1), and
+        // a retry of an in-flight reqno is stale-dropped.
+        assert_eq!(services[1].client_submit(7, 1, v.clone()), ClientAdmission::Admitted);
+        assert_eq!(services[1].client_submit(7, 1, v.clone()), ClientAdmission::Stale);
+        assert_eq!(services[1].client_submit(7, 2, v.clone()), ClientAdmission::Queued);
+        assert_eq!(services[1].client_submit(7, 3, v.clone()), ClientAdmission::Busy);
+        assert_eq!(services[1].client_stats().shed, 1);
+        // Shedding leaves the table untouched, also for a session it has
+        // never seen (10 is owned by node 1 as well).
+        let sessions = services[1].client_stats().sessions;
+        assert_eq!(services[1].client_submit(10, 1, v.clone()), ClientAdmission::Busy);
+        assert_eq!(services[1].client_stats().sessions, sessions);
+        // Degenerate values never reach the table.
+        assert_eq!(
+            services[1].client_submit(7, 4, VecD::from_slice(&[f64::NAN])),
+            ClientAdmission::Rejected
+        );
+
+        let replies = pump_mesh_for_replies(&mut services, 1, 2);
+        assert_eq!(replies.len(), 2, "admitted + queued must both decide");
+        assert!(replies.iter().any(|(s, r, _)| (*s, *r) == (7, 1)));
+        assert!(replies.iter().any(|(s, r, _)| (*s, *r) == (7, 2)));
+        // All honest inputs are the client's value, so the decision is it.
+        for (_, _, d) in &replies {
+            for (a, b) in d.as_slice().iter().zip(v.as_slice()) {
+                assert!((a - b).abs() < 1e-6, "decision {d:?} vs submitted {v:?}");
+            }
+        }
+        // A retry of the answered reqno 2 is a dedup hit with the identical
+        // cached decision and no new instance.
+        let before = services[1].instance_count();
+        let reply2 = replies.iter().find(|(_, r, _)| *r == 2).expect("reqno 2").2.clone();
+        match services[1].client_submit(7, 2, v.clone()) {
+            ClientAdmission::Reply { reqno, decision } => {
+                assert_eq!(reqno, 2);
+                assert_eq!(decision.as_slice(), reply2.as_slice(), "bit-identical cache");
+            }
+            other => panic!("expected cached reply, got {other:?}"),
+        }
+        assert_eq!(services[1].client_stats().dedup_hits, 1);
+        assert_eq!(services[1].instance_count(), before);
+        // Every node ran exactly the two client instances.
+        for svc in &services {
+            assert_eq!(svc.instance_count(), 2);
+            assert!(svc.errors().is_empty(), "{:?}", svc.errors().errors());
+        }
+    }
+
+    /// Acceptance: a killed-and-restarted owner answers a duplicate
+    /// `(session, reqno)` retry with the cached pre-crash reply — the
+    /// client table's dedup is WAL-durable.
+    #[test]
+    fn restarted_owner_answers_retry_from_the_wal() {
+        let n = 3;
+        let dir = tmp_dir("client-restart");
+        let path = dir.join("owner.wal");
+        let session = 6; // owned by node 0
+        let v = VecD::from_slice(&[4.0, 1.0, -3.0]);
+
+        let pre_crash = {
+            let mut services: Vec<ConsensusService<_>> = in_proc_mesh(n)
+                .into_iter()
+                .map(ConsensusService::new)
+                .collect();
+            let (wal, report) = rbvc_store::Wal::open(&path).unwrap();
+            assert!(report.created);
+            services[0].attach_wal(wal);
+            for svc in &mut services {
+                svc.enable_client(ClientConfig::default());
+                svc.start_deferred();
+            }
+            assert_eq!(services[0].client_submit(session, 1, v.clone()), ClientAdmission::Admitted);
+            let replies = pump_mesh_for_replies(&mut services, 0, 1);
+            replies[0].2.clone()
+        }; // services dropped here: the "kill"
+
+        let (wal, report) = rbvc_store::Wal::open(&path).unwrap();
+        assert!(!report.records.is_empty());
+        let transport = in_proc_mesh(n).remove(0);
+        let mut svc = ConsensusService::recover(transport, wal, &report, |id, _| {
+            Err(ProtocolError::InvalidSpec {
+                reason: format!("no static instances were registered, got {id}"),
+            })
+        })
+        .expect("recover");
+        assert_eq!(svc.replay_divergences(), 0);
+        svc.enable_client(ClientConfig::default());
+        // The duplicate retry is answered from the recovered cache,
+        // bit-identical to the pre-crash reply, with no new instance.
+        let before = svc.instance_count();
+        match svc.client_submit(session, 1, v) {
+            ClientAdmission::Reply { reqno, decision } => {
+                assert_eq!(reqno, 1);
+                assert_eq!(decision.as_slice(), pre_crash.as_slice());
+            }
+            other => panic!("expected the cached pre-crash reply, got {other:?}"),
+        }
+        assert_eq!(svc.instance_count(), before);
+        assert_eq!(svc.client_stats().dedup_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
