@@ -150,8 +150,6 @@ pub struct AttackReport {
     pub gates_from_honest: [u64; 4],
     /// What the attackers did (summed endpoint stats).
     pub stats: AttackStats,
-    /// Stale HELLO replays refused by the transport guard.
-    pub stale_hellos: u64,
     /// Forged / replayed / downgraded handshakes refused by the keyed
     /// link-identity layer during the attack runs.
     pub auth_rejects: u64,
@@ -288,7 +286,6 @@ struct RunFacts {
     attacked: MeshRun,
     gates_from_byz: [u64; 4],
     gates_from_honest: [u64; 4],
-    stale_hellos: u64,
     auth_rejects_clean: u64,
     auth_rejects_attack: u64,
 }
@@ -469,9 +466,7 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
         .collect();
     let mk_monitor = || monitor(mesh.n, AGREEMENT_EPS, Some(honest_inputs.clone()));
 
-    let stale_counter = rbvc_obs::Registry::global().counter("tcp.hello.stale_rejected_total");
     let auth_counter = rbvc_obs::Registry::global().counter("auth.reject_total");
-    let stale_before = stale_counter.get();
     let auth_before = auth_counter.get();
 
     let baseline = mesh.baseline(Proto::Va { f: mesh.f }, &inputs, &byz, cfg.max_sweeps);
@@ -506,7 +501,6 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
         attacked,
         gates_from_byz,
         gates_from_honest,
-        stale_hellos: stale_counter.get().saturating_sub(stale_before),
         auth_rejects_clean: auth_after_clean.saturating_sub(auth_before),
         auth_rejects_attack: auth_counter.get().saturating_sub(auth_after_clean),
     }
@@ -550,7 +544,6 @@ pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
         add_gates(&mut acc.gates_from_byz, &facts.gates_from_byz);
         add_gates(&mut acc.gates_from_honest, &facts.gates_from_honest);
         acc.stats += facts.attacked.stats;
-        acc.stale_hellos += facts.stale_hellos;
         acc.auth_rejects += facts.auth_rejects_attack;
         acc.client_rejects += facts.attacked.client_rejects;
         acc.client_redirects += facts.attacked.client_redirects;
@@ -671,7 +664,6 @@ pub(crate) fn report(
                     "from_byzantine": gate_counts(&r.gates_from_byz),
                     "from_honest": gate_counts(&r.gates_from_honest),
                 }),
-                "stale_hellos_refused": r.stale_hellos,
                 "auth_rejects": r.auth_rejects,
             }));
             extend(r, &mut entry);
@@ -687,7 +679,7 @@ pub(crate) fn report(
     Report {
         headers: vec![
             "attack", "runs", "slowdown", "clean p50 ms", "atk p50 ms", "clean p99 ms",
-            "atk p99 ms", "auth rej", "rej (byz)", "rej (honest)", "stale HELLO", "cli p50 ms",
+            "atk p99 ms", "auth rej", "rej (byz)", "rej (honest)", "cli p50 ms",
             "cli rej+redir",
         ],
         rows: out
@@ -705,7 +697,6 @@ pub(crate) fn report(
                     r.auth_rejects.to_string(),
                     r.gates_from_byz.iter().sum::<u64>().to_string(),
                     r.gates_from_honest.iter().sum::<u64>().to_string(),
-                    r.stale_hellos.to_string(),
                     fnum(percentile(&r.client_attack_ms, 50.0)),
                     (r.client_rejects + r.client_redirects).to_string(),
                 ]

@@ -292,8 +292,8 @@ fn run_worker(
 /// agreement monitoring of every client-instance decision.
 fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
     let mesh = &cfg.mesh;
-    // Links are authenticated end-to-end: E21's load numbers include the
-    // keyed-handshake cost, not a plaintext shortcut.
+    // Links come up through the keyed handshake: E21's load numbers
+    // include its cost.
     let (endpoints, _) = mesh.tcp_mesh(&mesh_seed(mesh.seed));
     let (ev_tx, ev_rx) = mpsc::channel::<(u64, usize, Vec<f64>)>();
     let nodes: Vec<_> = endpoints

@@ -6,7 +6,8 @@
 //! someone else* — claiming an honest node's id in the handshake, replaying
 //! a captured handshake against a fresh nonce, reflecting the challenge
 //! nonce as a MAC, flipping a bit in an otherwise valid MAC, and
-//! downgrading to the plaintext v2 HELLO while claiming an honest id. The
+//! downgrading to the retired plaintext v2 HELLO while claiming an honest
+//! id. The
 //! threat model is deliberately sharp: the attacker holds its *own*
 //! pairwise keys (the keyring a compromised node would really have), never
 //! the mesh seed or any honest-pair key.
@@ -26,15 +27,14 @@
 //! * every identity mix's forgeries were *refused* — its attack runs
 //!   produced `auth_rejects > 0` (a silent zero would mean the attack never
 //!   exercised the layer);
-//! * the handshake overhead is bounded: standing up the 7-node
-//!   authenticated mesh stays within an absolute budget, measured against
-//!   a plaintext control (the one place a plaintext mesh remains).
+//! * the handshake cost is bounded: standing up the 7-node authenticated
+//!   mesh stays within an absolute budget.
 //!
 //! Results land in `BENCH_identity.json`.
 
 use std::time::Instant;
 
-use rbvc_transport::{tcp_mesh_loopback, tcp_mesh_loopback_authenticated};
+use rbvc_transport::tcp_mesh_loopback_authenticated;
 use serde_json::{json, Value};
 
 use crate::campaign::{fields, gate, mesh_seed, Args, Report, Scenario};
@@ -68,7 +68,7 @@ pub const HANDSHAKE_BUDGET_MS: f64 = 2_000.0;
 pub struct IdentityConfig {
     /// The underlying three-phase campaign config.
     pub campaign: ByzantineConfig,
-    /// Mesh constructions per arm of the handshake-overhead probe.
+    /// Mesh constructions timed by the handshake-overhead probe.
     pub handshake_trials: usize,
 }
 
@@ -87,21 +87,15 @@ impl IdentityConfig {
 }
 
 /// The handshake-overhead probe: wall clock to stand up an `n`-node
-/// loopback mesh, authenticated vs plaintext, averaged over trials.
+/// authenticated loopback mesh, averaged over trials.
 #[derive(Debug, Clone)]
 pub struct HandshakeOverhead {
     /// Mesh size probed.
     pub n: usize,
-    /// Trials per arm.
+    /// Mesh constructions timed.
     pub trials: usize,
-    /// Mean plaintext mesh construction, ms.
-    pub plain_ms: f64,
     /// Mean authenticated mesh construction, ms.
     pub auth_ms: f64,
-    /// `auth_ms / plain_ms` (informational — construction wall clock is
-    /// dominated by thread spawn and TCP accept, so the keyed handshake
-    /// typically hides inside the noise).
-    pub ratio: f64,
 }
 
 impl HandshakeOverhead {
@@ -112,26 +106,18 @@ impl HandshakeOverhead {
     }
 }
 
-/// Measure mesh-construction wall clock, authenticated vs plaintext.
-/// Arms alternate so a load spike on the host hits both.
+/// Measure authenticated mesh-construction wall clock.
 #[must_use]
 pub fn measure_handshake_overhead(n: usize, trials: usize, seed: u64) -> HandshakeOverhead {
     let auth_seed = mesh_seed(seed ^ 0x4853); // "HS"
     let trials = trials.max(1);
-    let mut plain_total = 0.0;
     let mut auth_total = 0.0;
     for _ in 0..trials {
-        let t0 = Instant::now();
-        drop(tcp_mesh_loopback(n).expect("plaintext mesh"));
-        plain_total += t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
+        let t = Instant::now();
         drop(tcp_mesh_loopback_authenticated(n, &auth_seed).expect("authenticated mesh"));
-        auth_total += t1.elapsed().as_secs_f64() * 1e3;
+        auth_total += t.elapsed().as_secs_f64() * 1e3;
     }
-    let plain_ms = plain_total / trials as f64;
-    let auth_ms = auth_total / trials as f64;
-    let ratio = if plain_ms > 0.0 { auth_ms / plain_ms } else { f64::NAN };
-    HandshakeOverhead { n, trials, plain_ms, auth_ms, ratio }
+    HandshakeOverhead { n, trials, auth_ms: auth_total / trials as f64 }
 }
 
 /// Campaign outcome: the three-phase campaign verdicts plus the
@@ -205,13 +191,11 @@ fn report(cfg: &IdentityConfig, out: &IdentityOutcome) -> Report {
     let mut report = byzantine::report(&cfg.campaign, &out.campaign, |_, _| {});
     let (overhead, silent) = (&out.overhead, out.silent_identity_mixes());
     report.notes.push(format!(
-        "handshake overhead ({} trials, n = {}): authenticated {} ms vs plaintext {} ms per \
-         mesh ({}x, budget {HANDSHAKE_BUDGET_MS} ms)",
+        "handshake overhead ({} trials, n = {}): {} ms per authenticated mesh (budget \
+         {HANDSHAKE_BUDGET_MS} ms)",
         overhead.trials,
         overhead.n,
         fnum(overhead.auth_ms),
-        fnum(overhead.plain_ms),
-        fnum(overhead.ratio),
     ));
     let mut payload = fields(report.payload);
     payload.extend(fields(json!({
@@ -219,9 +203,7 @@ fn report(cfg: &IdentityConfig, out: &IdentityOutcome) -> Report {
         "handshake_overhead": json!({
             "trials": overhead.trials,
             "mesh_n": overhead.n,
-            "plain_ms": overhead.plain_ms,
             "auth_ms": overhead.auth_ms,
-            "ratio": overhead.ratio,
             "budget_ms": HANDSHAKE_BUDGET_MS,
             "bounded": overhead.bounded(),
         }),
@@ -265,7 +247,7 @@ mod tests {
             out.silent_identity_mixes(),
             out.identity_rows(),
         );
-        assert!(out.overhead.auth_ms > 0.0 && out.overhead.plain_ms > 0.0);
+        assert!(out.overhead.auth_ms > 0.0);
         crate::campaign::assert_keys_match_committed(
             &SCENARIO,
             report.payload,

@@ -448,9 +448,8 @@ const BURST_HALFLIFE_US: f64 = 500_000.0;
 /// `rbvc-transport`'s `auth` module for the handshake itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkAuthState {
-    /// The mesh runs plaintext HELLOs — identity is claimed, not proved.
-    Off,
-    /// Auth is on but no handshake has completed yet on this link.
+    /// No handshake has completed yet on this link, or its last
+    /// authenticated session went down.
     Pending,
     /// The live link completed a keyed challenge–response handshake.
     Authenticated,
@@ -461,11 +460,10 @@ pub enum LinkAuthState {
 
 impl LinkAuthState {
     /// Numeric encoding for the `health.link.auth` gauge:
-    /// off = 0, pending = 1, authenticated = 2, failed = 3.
+    /// pending = 1, authenticated = 2, failed = 3.
     #[must_use]
     pub fn as_gauge(self) -> i64 {
         match self {
-            LinkAuthState::Off => 0,
             LinkAuthState::Pending => 1,
             LinkAuthState::Authenticated => 2,
             LinkAuthState::Failed => 3,
@@ -524,7 +522,9 @@ pub struct LinkMonitor {
 
 impl LinkMonitor {
     /// Monitor for the inbound links of `local` in an `n`-process mesh;
-    /// every non-self link starts `up` (the mesh connects fully at start).
+    /// every non-self link starts `up` (the mesh connects fully at start)
+    /// and [`LinkAuthState::Pending`] until a handshake from that peer
+    /// verifies.
     #[must_use]
     pub fn new(local: u32, n: usize) -> LinkMonitor {
         let links = (0..n as u32)
@@ -539,7 +539,7 @@ impl LinkMonitor {
                         last_rx_us: 0,
                         burst: 0.0,
                         burst_at_us: 0,
-                        auth: LinkAuthState::Off,
+                        auth: LinkAuthState::Pending,
                     },
                 )
             })
@@ -581,20 +581,11 @@ impl LinkMonitor {
     pub fn on_peer_down(&mut self, peer: u32) {
         if let Some(l) = self.links.get_mut(&peer) {
             l.up = false;
-            // Under auth, a downed link has no live authenticated session;
-            // the next handshake decides its fate.
+            // A downed link has no live authenticated session; the next
+            // handshake decides its fate.
             if l.auth == LinkAuthState::Authenticated {
                 l.auth = LinkAuthState::Pending;
             }
-        }
-    }
-
-    /// Declare that every inbound link of this mesh requires an
-    /// authenticated handshake: links start [`LinkAuthState::Pending`]
-    /// instead of [`LinkAuthState::Off`].
-    pub fn set_auth_expected(&mut self) {
-        for l in self.links.values_mut() {
-            l.auth = LinkAuthState::Pending;
         }
     }
 
@@ -931,7 +922,7 @@ mod tests {
                 ewma_interarrival_us: 50,
                 straggler: false,
                 flapping: false,
-                auth: LinkAuthState::Off,
+                auth: LinkAuthState::Authenticated,
             })
             .collect()
     }

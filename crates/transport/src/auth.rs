@@ -1,9 +1,8 @@
 //! Cryptographic link identity: SHA-256, HMAC-SHA-256, pairwise key
 //! derivation, and the challenge–response handshake codec.
 //!
-//! The TCP mesh's plaintext HELLO authenticates a link only in the
-//! weakest sense — a peer is whoever claims its process id. This module
-//! supplies the primitives that make link identity *forgery-proof*: no
+//! Every TCP link comes up through the handshake below, so a peer is the
+//! holder of its pairwise key, never whoever claims its process id. No
 //! crypto crates are vendored (the build is offline), so SHA-256 and
 //! HMAC-SHA-256 are implemented here from scratch and validated against
 //! the FIPS 180-4 and RFC 4231 known-answer vectors in the test module.
@@ -316,8 +315,8 @@ impl MeshAuth {
 // Handshake codec
 // ---------------------------------------------------------------------------
 
-/// Handshake version carried by every authenticated-handshake record
-/// (plaintext HELLOs are version 2 — see [`crate::tcp::HELLO_VERSION`]).
+/// Handshake version carried by every handshake record (the retired
+/// plaintext HELLO, [`crate::tcp::HELLO_VERSION`], is refused).
 pub const AUTH_VERSION: u8 = 3;
 /// Challenge magic.
 pub const CHALLENGE_MAGIC: [u8; 3] = *b"RBN";

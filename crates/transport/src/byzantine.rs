@@ -62,7 +62,7 @@ use rbvc_sim::fuzz::ByteMutator;
 
 use crate::auth;
 use crate::client::{self, ClientFrame};
-use crate::tcp::{append_frame, hello_with_timestamp};
+use crate::tcp::{self, append_frame};
 use crate::transport::Transport;
 use crate::wire::{self, decode_frame, encode_frame, Frame, Payload};
 
@@ -204,8 +204,8 @@ pub enum Attack {
     /// must stay up: a rejected forgery discredits the forger, not the
     /// session.
     MacFlip(u64),
-    /// A plaintext HELLO claiming an honest node against an auth-required
-    /// listener. Rejected `downgrade` before any crypto runs.
+    /// The retired plaintext HELLO, claiming an honest node. Rejected
+    /// `downgrade` before any crypto runs.
     Downgrade(u64),
 }
 
@@ -258,7 +258,7 @@ pub enum Counter {
     NonceReflects,
     /// Valid-as-self responses written with one MAC bit flipped.
     MacFlips,
-    /// Plaintext HELLOs written to auth-required listeners.
+    /// Plaintext HELLOs written to honest listeners.
     Downgrades,
 }
 
@@ -637,7 +637,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
         };
         if let Attack::Downgrade(_) = attack {
             // Refused at the version gate, attributed to the claimed peer.
-            return stream.write_all(&hello_with_timestamp(claimed, t_tx)).ok();
+            return stream.write_all(&tcp::hello(tcp::HELLO_VERSION, claimed, t_tx)).ok();
         }
         let stale = self.captured_response;
         let response = auth::dial_handshake_with(&mut stream, claimed, t_tx, |nonce| {

@@ -144,12 +144,12 @@ impl<T: Transport> ConsensusService<T> {
         self.node.durable = true;
     }
 
-    /// Declare that this service's transport runs keyed link identity:
-    /// pre-registers the `auth.*` aggregate counters so a `/metrics`
-    /// scrape shows explicit zeros before the first handshake outcome,
-    /// rather than absent series. The per-event drain into the flight
-    /// recorder ([`EventKind::AuthEstablished`] / [`EventKind::AuthReject`])
-    /// is always on — a plaintext transport simply never produces any.
+    /// Pre-register the `auth.*` aggregate counters so a `/metrics` scrape
+    /// shows explicit zeros before the first handshake outcome, rather than
+    /// absent series. The per-event drain into the flight recorder
+    /// ([`EventKind::AuthEstablished`] / [`EventKind::AuthReject`]) is
+    /// always on — a transport without handshakes (the in-process mesh)
+    /// simply never produces any.
     pub fn enable_auth(&mut self) {
         let reg = Registry::global();
         reg.counter("auth.reject_total").add(0);

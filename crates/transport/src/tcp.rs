@@ -3,55 +3,42 @@
 //!
 //! Topology: every ordered pair gets a *directed* connection — endpoint `i`
 //! dials endpoint `j`'s listener and uses that stream exclusively for
-//! `i → j` frames, announcing itself first with a HELLO record. The accept
-//! side authenticates the link peer from the HELLO once, then tags every
-//! frame read off that stream with it; a frame can spoof its *header*, but
-//! not the link it arrived on, and the service layer cross-checks the two.
+//! `i → j` frames, after proving who it is with the [`crate::auth`] keyed
+//! handshake. The accept side binds the link to the proved peer once, then
+//! tags every frame read off that stream with it; a frame can spoof its
+//! *header*, but not the link it arrived on, and the service layer
+//! cross-checks the two.
 //!
 //! Stream format (all little-endian):
 //!
 //! ```text
-//! HELLO:  "RBH" HELLO_VERSION  peer-id u32  t_tx u64
-//! frame:  len u32  (1 ≤ len ≤ MAX_FRAME_LEN)  then len bytes
+//! handshake:  HELLO, CHALLENGE, RESPONSE   (crate::auth)
+//! frame:      len u32  (1 ≤ len ≤ MAX_FRAME_LEN)  then len bytes
 //! ```
 //!
-//! `t_tx` is the dialer's monotonic send timestamp (µs on the
-//! `rbvc_obs::clock` timeline) and the **replay guard**: the accept side
-//! remembers the highest `t_tx` it has accepted per peer and refuses any
-//! HELLO at or below that mark (`tcp.hello.stale_rejected{src,dst}`),
-//! *before* the handshake can claim a link generation — a replayed old
-//! handshake can therefore never supersede, tear down, or redial over the
-//! live link. Protocol *frames* carry no timestamp.
-//! In plaintext mode the guard orders handshakes on the dialer's
-//! per-process monotonic clock, so it covers replays within one process
-//! lifetime (the attack E20 mounts); across a genuine process restart the
-//! timeline restarts and the generation counter carries the reconnect.
+//! ## Link identity
 //!
-//! ## Authenticated mode (keyed link identity)
-//!
-//! A mesh built with [`TcpEndpoint::connect_with_auth`] replaces the
-//! one-shot plaintext HELLO with the [`crate::auth`] challenge–response
-//! handshake (HELLO version 3): the responder sends a fresh random nonce
-//! and the dialer answers with an HMAC-SHA-256 over
+//! Every link, first dial or re-dial, comes up through the same keyed
+//! challenge–response handshake: the dialer opens with a version-3
+//! [`hello`], the responder sends a fresh random nonce, and the dialer
+//! answers with an HMAC-SHA-256 over
 //! `nonce ‖ dialer ‖ responder ‖ generation ‖ t_tx` under the pair's
 //! pre-shared key. A link goes live only after the MAC verifies, so a
 //! peer's identity is *proved*, not claimed — impersonation, handshake
-//! replay (the nonce is fresh), nonce reflection, MAC tampering, and
-//! downgrade-to-plaintext all die at the accept boundary, each attributed
-//! with a reason label (`auth.reject{peer,reason}` /
-//! `auth.reject_total`). Successful handshakes count in
-//! `auth.established{peer}` / `auth.established_total`, and both outcomes
-//! surface as [`crate::transport::AuthEvent`]s via
+//! replay (the nonce is fresh), nonce reflection, MAC tampering, and the
+//! retired plaintext HELLO ([`HELLO_VERSION`], refused as `downgrade`) all
+//! die at the accept boundary, each attributed with a reason label
+//! (`auth.reject{peer,reason}` / `auth.reject_total`). Verified handshakes
+//! count in `auth.established{peer}` / `auth.established_total`, and both
+//! outcomes surface as [`crate::transport::AuthEvent`]s via
 //! [`Transport::take_auth_events`].
 //!
-//! Under auth the replay guard binds to the **authenticated session
-//! epoch** instead of the per-process timestamp timeline: every verified
-//! handshake bumps the peer's epoch and *resets* the timestamp floor, so
-//! a genuinely restarted node — whose monotonic clock restarted near
-//! zero — supersedes its own stale state the moment its fresh handshake
-//! verifies. The plaintext ordering check is unnecessary there because a
-//! replayed handshake can never verify against a fresh nonce. This closes
-//! the plaintext guard's documented per-process limitation.
+//! A verified handshake claims its peer's next inbound link *generation*,
+//! and that one number is the session epoch the `Established` event
+//! reports. A replayed handshake never verifies against a fresh nonce, so
+//! no ordering of dialer timestamps is needed: a genuinely restarted node,
+//! whose clock restarted near zero, supersedes its stale link the moment
+//! its handshake verifies. Protocol *frames* carry no timestamp.
 //!
 //! Degrade-don't-panic at every socket boundary: a bad HELLO, an oversized
 //! or zero length prefix, or a mid-stream read error poisons *that one
@@ -64,7 +51,7 @@
 //!
 //! Links are not permanent. The accept loop runs for the endpoint's whole
 //! lifetime, so a restarted peer can dial back in; each inbound link
-//! carries a per-peer *generation* — a fresh authenticated HELLO from a
+//! carries a per-peer *generation* — a freshly verified handshake from a
 //! peer supersedes that peer's previous inbound link (the stale reader
 //! winds down, its queued frames are discarded) and proactively tears down
 //! our outbound stream to that peer, since a peer that re-dialed has
@@ -102,9 +89,10 @@ fn dial_retry_counter() -> &'static Counter {
 
 /// HELLO magic (3 bytes) followed by the handshake version byte.
 pub const HELLO_MAGIC: [u8; 3] = *b"RBH";
-/// Handshake version: 2 added the trailing send-timestamp u64 (v1 was the
-/// 8-byte form without it). Versioned separately from [`crate::wire`]
-/// because the handshake can evolve without touching the frame codec.
+/// The retired plaintext handshake version. No endpoint speaks it: a HELLO
+/// carrying it is refused as a `downgrade`. Links open with
+/// [`auth::AUTH_VERSION`]; the handshake is versioned separately from
+/// [`crate::wire`] because it can evolve without touching the frame codec.
 pub const HELLO_VERSION: u8 = 2;
 /// Total HELLO size on the wire: magic + version + peer u32 + t_tx u64.
 pub const HELLO_LEN: u64 = 16;
@@ -123,27 +111,24 @@ pub const REDIAL_SKIP_CAP: u32 = 64;
 /// Events flowing from the reader threads to the endpoint. Frame and
 /// link-lifecycle events are tagged with the inbound link *generation*
 /// they were observed on, so the endpoint can discard anything from a
-/// link that a newer HELLO has since superseded.
+/// link that a newer handshake has since superseded.
 enum RxEvent {
     /// A frame from `peer` on link generation `gen`, stamped with its
     /// arrival time (µs on the `rbvc_obs::clock` timeline) in the reader
     /// thread — the service layer uses the stamp to separate on-wire time
     /// from time spent queued behind a busy poll loop.
     Frame(ProcessId, u64, u64, Vec<u8>),
-    /// A fresh authenticated HELLO from `peer` superseded generation-1 or
-    /// later (only reconnects are announced; the first link is silent).
-    PeerUp(ProcessId, u64),
+    /// A keyed handshake from `peer` verified and its link claimed
+    /// generation `gen`; a `gen` above 1 supersedes an older link.
+    Verified(ProcessId, u64),
     /// The link from `peer` hit clean EOF — the peer closed or crashed.
     /// Not an error: recorded only as a teardown trigger.
     PeerDown(ProcessId, u64),
-    /// The connection from `peer` died (IO error, framing violation).
-    /// `None` peer: the failure happened before HELLO authentication.
-    LinkDown(Option<ProcessId>, String),
-    /// A keyed handshake claiming `peer` verified; the inbound link
-    /// entered authenticated session `epoch` (auth mode only).
-    AuthOk(ProcessId, u64),
-    /// A handshake failed verification and the connection was refused
-    /// (auth mode only). The claimed peer, when parseable, and the
+    /// A connection died (IO error, framing violation): its `(peer, gen)`
+    /// once the handshake verified, `None` before.
+    LinkDown(Option<(ProcessId, u64)>, String),
+    /// A handshake failed verification and the connection was refused.
+    /// The claimed peer, when parseable, and the
     /// stable reason label. Unlike [`RxEvent::LinkDown`] this must *not*
     /// tear down or discredit the live link — a forged connection refused
     /// at the door is not a failure of the genuine session.
@@ -232,7 +217,7 @@ pub struct TcpEndpoint {
     /// Clone source for reader threads; also serves the self-link.
     self_tx: Sender<RxEvent>,
     /// Current inbound link generation per peer; a reader that no longer
-    /// matches its peer's slot has been superseded by a newer HELLO.
+    /// matches its peer's slot has been superseded by a newer handshake.
     generations: Arc<Vec<AtomicU64>>,
     /// Tells the accept loop to exit (checked after each accept; the
     /// endpoint's `Drop` wakes the loop with a self-dial).
@@ -244,11 +229,11 @@ pub struct TcpEndpoint {
     redial_skip: Vec<u32>,
     /// Peers re-established since the last [`Transport::take_reconnects`].
     pending_reconnects: Vec<ProcessId>,
-    /// Set per peer by a successful redial, cleared by the first `PeerUp`
-    /// from that peer: our fresh outbound dial registers at the peer as a
-    /// reconnect, and its `PeerUp` echo must not tear down the very writer
-    /// the redial just built — without this, two live endpoints redialing
-    /// each other feed an endless teardown/redial storm.
+    /// Set per peer by a successful redial, cleared by the next superseding
+    /// handshake from that peer: our fresh outbound dial registers at the
+    /// peer as a reconnect, and its re-dial echo must not tear down the
+    /// very writer the redial just built — without this, two live
+    /// endpoints redialing each other feed an endless teardown/redial storm.
     fresh_writer: Vec<bool>,
     /// Per-peer redial veto, set by [`TcpEndpoint::sever_link`]: a severed
     /// link stays severed (fault-injection hook for the health campaign).
@@ -256,13 +241,11 @@ pub struct TcpEndpoint {
     /// Per-link EWMA/straggler/flap tracker behind
     /// [`Transport::link_health`].
     link_monitor: LinkMonitor,
-    /// `Some` = authenticated mode: this node's pairwise key share, used
-    /// by the dialer side of every (re)dial.
-    auth: Option<Arc<MeshAuth>>,
+    /// This node's pairwise key share, used by the dialer side of every
+    /// (re)dial.
+    auth: Arc<MeshAuth>,
     /// Link-identity verdicts since the last [`Transport::take_auth_events`].
     pending_auth_events: Vec<AuthEvent>,
-    /// Responder-side verified-handshake count (shared with readers).
-    auth_established: Arc<AtomicU64>,
     /// Shared with reader threads: responder-side challenge writes count
     /// toward the endpoint's outbound bytes.
     bytes_sent: Arc<AtomicU64>,
@@ -277,24 +260,6 @@ pub struct TcpEndpoint {
     outbox_depth: Gauge,
 }
 
-/// Per-peer replay-guard state.
-///
-/// Plaintext mode uses only `max_t_tx` — the highest HELLO timestamp
-/// accepted from the peer (0 = never seen), refusing anything at or below
-/// it. Auth mode binds the guard to the **authenticated session epoch**
-/// instead: every verified handshake bumps `epoch` and *resets* the
-/// timestamp floor to that session's stamp, so a restarted node (whose
-/// monotonic timeline restarted near zero) supersedes its own stale state
-/// the moment its handshake verifies — replays can never claim an epoch
-/// because they cannot answer a fresh nonce.
-struct ReplayGuard {
-    /// Authenticated sessions accepted so far (auth mode; 0 in plaintext).
-    epoch: u64,
-    /// Highest handshake timestamp accepted (floor of the plaintext
-    /// ordering check; informational under auth).
-    max_t_tx: u64,
-}
-
 /// Shared state a reader thread needs, cloned per accepted connection.
 #[derive(Clone)]
 struct ReaderShared {
@@ -306,12 +271,8 @@ struct ReaderShared {
     /// handshake writes the challenge from the reader thread.
     bytes_sent: Arc<AtomicU64>,
     generations: Arc<Vec<AtomicU64>>,
-    guards: Arc<Vec<Mutex<ReplayGuard>>>,
-    /// `Some` = authenticated mode: this node's pairwise key share.
-    auth: Option<Arc<MeshAuth>>,
-    /// Responder-side verified-handshake count (tests assert on it
-    /// without reaching into the process-global registry).
-    auth_established: Arc<AtomicU64>,
+    /// This node's pairwise key share.
+    auth: Arc<MeshAuth>,
 }
 
 /// Refuse a handshake: count it (`auth.reject{peer,reason,dst}` +
@@ -332,50 +293,36 @@ fn reject_handshake(shared: &ReaderShared, peer: Option<ProcessId>, reason: &str
 }
 
 /// Responder side of the keyed challenge–response handshake, after the v3
-/// HELLO has been read and structurally validated. Returns the session
-/// epoch and the dialer's `t_tx` on success; on failure the rejection has
-/// already been counted and reported.
-fn respond_handshake(
-    stream: &mut TcpStream,
-    shared: &ReaderShared,
-    a: &MeshAuth,
-    peer: ProcessId,
-) -> Option<(u64, u64)> {
+/// HELLO has been read and structurally validated. `true` once the MAC
+/// verified (counted in `auth.established{peer,dst}`); on failure the
+/// rejection has already been counted and reported.
+fn respond_handshake(stream: &mut TcpStream, shared: &ReaderShared, peer: ProcessId) -> bool {
     let nonce = auth::fresh_nonce();
     if stream.write_all(&auth::encode_challenge(&nonce)).is_err() {
         reject_handshake(shared, Some(peer), "challenge-write");
-        return None;
+        return false;
     }
     shared.bytes_sent.fetch_add(auth::CHALLENGE_LEN as u64, Ordering::Relaxed);
     let mut resp = [0u8; auth::RESPONSE_LEN];
     if stream.read_exact(&mut resp).is_err() {
         reject_handshake(shared, Some(peer), "truncated-response");
-        return None;
+        return false;
     }
     shared
         .bytes_received
         .fetch_add(auth::RESPONSE_LEN as u64, Ordering::Relaxed);
     let Ok(r) = auth::decode_response(&resp) else {
         reject_handshake(shared, Some(peer), "bad-response");
-        return None;
+        return false;
     };
     if r.dialer as usize != peer {
         reject_handshake(shared, Some(peer), "peer-mismatch");
-        return None;
+        return false;
     }
-    if !auth::response_verifies(a.key(peer), &nonce, shared.local, &r) {
+    if !auth::response_verifies(shared.auth.key(peer), &nonce, shared.local, &r) {
         reject_handshake(shared, Some(peer), "bad-mac");
-        return None;
+        return false;
     }
-    // Verified: open the next authenticated session epoch and reset the
-    // timestamp floor to this session's stamp (see [`ReplayGuard`]).
-    let epoch = {
-        let mut g = shared.guards[peer].lock();
-        g.epoch += 1;
-        g.max_t_tx = r.t_tx;
-        g.epoch
-    };
-    shared.auth_established.fetch_add(1, Ordering::Relaxed);
     let (peer_s, dst) = (peer.to_string(), shared.local.to_string());
     Registry::global()
         .counter_with(
@@ -384,18 +331,17 @@ fn respond_handshake(
         )
         .inc();
     Registry::global().counter("auth.established_total").inc();
-    let _ = shared.tx.send(RxEvent::AuthOk(peer, epoch));
-    Some((epoch, r.t_tx))
+    true
 }
 
-/// Spawn a reader thread that authenticates the handshake (plaintext
-/// replay-guarded HELLO, or keyed challenge–response in auth mode),
-/// claims the next inbound generation for its peer, and pumps frames into
-/// `shared.tx` until the stream dies or a newer link supersedes it.
+/// Spawn a reader thread that runs the responder side of the keyed
+/// handshake, claims the next inbound generation for the proved peer, and
+/// pumps frames into `shared.tx` until the stream dies or a newer link
+/// supersedes it.
 fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
     thread::spawn(move || {
         // A connection that stalls mid-handshake must not pin this thread
-        // (or, in auth mode, hold a half-open claim) forever.
+        // forever.
         let _ = stream.set_read_timeout(Some(auth::HANDSHAKE_TIMEOUT));
         let mut hello = [0u8; 16];
         if let Err(e) = stream.read_exact(&mut hello) {
@@ -406,105 +352,48 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
         }
         let t_rx = rbvc_obs::clock::now_us();
         let version = hello[3];
-        // v2 and v3 share the prefix layout, so the claimed peer parses
-        // either way — rejections get attributed whenever possible.
+        // Every HELLO version shares the prefix layout, so the claimed peer
+        // parses either way — rejections get attributed whenever possible.
         let peer = u32::from_le_bytes([hello[4], hello[5], hello[6], hello[7]]) as usize;
-        let t_tx = u64::from_le_bytes(hello[8..16].try_into().expect("8 bytes"));
-        match &shared.auth {
-            None => {
-                if hello[..3] != HELLO_MAGIC || version != HELLO_VERSION {
-                    let _ = shared
-                        .tx
-                        .send(RxEvent::LinkDown(None, "bad HELLO magic/version".into()));
-                    return;
-                }
-                if peer >= shared.n {
-                    let _ = shared.tx.send(RxEvent::LinkDown(
-                        None,
-                        format!("HELLO claims ghost peer {peer} (n = {})", shared.n),
-                    ));
-                    return;
-                }
-                // Replay guard, plaintext flavor: every legitimate HELLO
-                // carries a strictly increasing monotonic timestamp
-                // (stamped at dial time, clamped away from the 0 =
-                // never-seen sentinel), so a HELLO at or below the highest
-                // accepted stamp for this peer is a replay of an old
-                // handshake. Refuse it *before* claiming a generation —
-                // the live link must not be superseded, torn down, or
-                // redialed over a replayed record. Limitation (documented
-                // in the module docs): the timestamp is per-OS-process
-                // monotonic; the authenticated mode is what removes it.
-                let stale = {
-                    let mut g = shared.guards[peer].lock();
-                    if g.max_t_tx >= t_tx {
-                        Some(g.max_t_tx)
-                    } else {
-                        g.max_t_tx = t_tx;
-                        None
-                    }
-                };
-                if let Some(prev) = stale {
-                    let (src, dst) = (peer.to_string(), shared.local.to_string());
-                    let labels = [("src", src.as_str()), ("dst", dst.as_str())];
-                    Registry::global()
-                        .counter_with("tcp.hello.stale_rejected", &labels)
-                        .inc();
-                    Registry::global().counter("tcp.hello.stale_rejected_total").inc();
-                    let _ = shared.tx.send(RxEvent::LinkDown(
-                        Some(peer),
-                        format!(
-                            "stale HELLO replay claiming peer {peer}: \
-                             t_tx {t_tx} <= last accepted {prev}"
-                        ),
-                    ));
-                    return;
-                }
-            }
-            Some(a) => {
-                if hello[..3] != HELLO_MAGIC {
-                    reject_handshake(&shared, None, "bad-magic");
-                    return;
-                }
-                let claimed = if peer < shared.n { Some(peer) } else { None };
-                if version == HELLO_VERSION {
-                    // A plaintext HELLO against an authenticated mesh is a
-                    // downgrade attempt, never a legitimate peer.
-                    reject_handshake(&shared, claimed, "downgrade");
-                    return;
-                }
-                if version != auth::AUTH_VERSION {
-                    reject_handshake(&shared, claimed, "bad-version");
-                    return;
-                }
-                if peer >= shared.n {
-                    reject_handshake(&shared, None, "ghost-peer");
-                    return;
-                }
-                if peer == shared.local {
-                    // A node never dials itself over the wire (the
-                    // self-link is process-internal).
-                    reject_handshake(&shared, Some(peer), "self");
-                    return;
-                }
-                if respond_handshake(&mut stream, &shared, a, peer).is_none() {
-                    return;
-                }
-                Registry::global()
-                    .histogram("auth.handshake_us")
-                    .record(rbvc_obs::clock::now_us().saturating_sub(t_rx));
-            }
+        if hello[..3] != HELLO_MAGIC {
+            reject_handshake(&shared, None, "bad-magic");
+            return;
         }
-        // The stream is authenticated (by replay-guarded HELLO or by MAC):
-        // claim this link's generation; any older reader for the same peer
-        // is now stale and will wind down.
+        let claimed = if peer < shared.n { Some(peer) } else { None };
+        if version == HELLO_VERSION {
+            // The retired plaintext HELLO is a downgrade attempt, never a
+            // legitimate peer.
+            reject_handshake(&shared, claimed, "downgrade");
+            return;
+        }
+        if version != auth::AUTH_VERSION {
+            reject_handshake(&shared, claimed, "bad-version");
+            return;
+        }
+        if peer >= shared.n {
+            reject_handshake(&shared, None, "ghost-peer");
+            return;
+        }
+        if peer == shared.local {
+            // A node never dials itself over the wire (the self-link is
+            // process-internal).
+            reject_handshake(&shared, Some(peer), "self");
+            return;
+        }
+        if !respond_handshake(&mut stream, &shared, peer) {
+            return;
+        }
+        Registry::global()
+            .histogram("auth.handshake_us")
+            .record(rbvc_obs::clock::now_us().saturating_sub(t_rx));
+        // Verified: claim this link's generation, the peer's next session
+        // epoch; any older reader for the same peer is now stale and will
+        // wind down.
         let _ = stream.set_read_timeout(None);
         let (src, dst) = (peer.to_string(), shared.local.to_string());
         let labels = [("src", src.as_str()), ("dst", dst.as_str())];
         let gen = shared.generations[peer].fetch_add(1, Ordering::SeqCst) + 1;
-        if gen > 1 {
-            let _ = shared.tx.send(RxEvent::PeerUp(peer, gen));
-        }
+        let _ = shared.tx.send(RxEvent::Verified(peer, gen));
         shared.bytes_received.fetch_add(HELLO_LEN, Ordering::Relaxed);
         let rx_frames = Registry::global().counter_with("tcp.link.rx_frames", &labels);
         let rx_bytes = Registry::global().counter_with("tcp.link.rx_bytes", &labels);
@@ -512,7 +401,7 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
             match read_frame(&mut stream, MAX_FRAME_LEN) {
                 Ok(Some(frame)) => {
                     if shared.generations[peer].load(Ordering::SeqCst) != gen {
-                        return; // superseded by a newer HELLO
+                        return; // superseded by a newer handshake
                     }
                     let arrived_us = rbvc_obs::clock::now_us();
                     shared
@@ -533,7 +422,7 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
                     return; // clean EOF
                 }
                 Err(reason) => {
-                    let _ = shared.tx.send(RxEvent::LinkDown(Some(peer), reason));
+                    let _ = shared.tx.send(RxEvent::LinkDown(Some((peer, gen)), reason));
                     return;
                 }
             }
@@ -541,10 +430,10 @@ fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
     });
 }
 
-/// The HELLO record: `version` [`HELLO_VERSION`] is the whole plaintext
-/// handshake, [`auth::AUTH_VERSION`] opens the keyed one. The one place the
-/// layout is assembled — [`auth::dial_handshake_with`], the tests and the
-/// wire adversaries all announce themselves through it.
+/// The HELLO record: [`auth::AUTH_VERSION`] opens the keyed handshake,
+/// [`HELLO_VERSION`] is the retired plaintext one. The one place the layout
+/// is assembled — [`auth::dial_handshake_with`], the tests and the wire
+/// adversaries all announce themselves through it.
 #[must_use]
 pub fn hello(version: u8, id: ProcessId, t_tx: u64) -> [u8; 16] {
     let mut hello = [0u8; 16];
@@ -555,38 +444,16 @@ pub fn hello(version: u8, id: ProcessId, t_tx: u64) -> [u8; 16] {
     hello
 }
 
-/// The plaintext HELLO announcing `id` with an explicit send timestamp, for
-/// tests that forge handshakes against the replay guard; legitimate
-/// endpoints stamp with the monotonic send time (`hello_bytes`).
-#[must_use]
-pub fn hello_with_timestamp(id: ProcessId, t_tx: u64) -> [u8; 16] {
-    hello(HELLO_VERSION, id, t_tx)
-}
-
-/// The HELLO this endpoint announces itself with, stamped with the
-/// monotonic send time just before the write — clamped to ≥ 1 so a stamp
-/// can never collide with the replay guard's 0 = never-seen sentinel.
-fn hello_bytes(id: ProcessId) -> [u8; 16] {
-    hello_with_timestamp(id, rbvc_obs::clock::now_us().max(1))
+/// Prove this node to `dst` on a freshly dialed `stream`: the dialer side
+/// of the keyed handshake under the next generation and the current clock.
+/// Every dial and re-dial runs it, against the responder's fresh nonce.
+fn prove_identity(stream: &mut TcpStream, a: &MeshAuth, dst: ProcessId) -> Result<(), String> {
+    stream.set_nodelay(true).ok();
+    let t_tx = rbvc_obs::clock::now_us().max(1);
+    auth::dial_handshake(stream, a.local(), dst, a.key(dst), a.next_generation(), t_tx)
 }
 
 impl TcpEndpoint {
-    /// Stand up endpoint `id` of an `addrs.len()`-process mesh with
-    /// plaintext HELLO link identity: starts accepting on `listener`
-    /// (which peers dial) and dials every other peer's listener with
-    /// retry + backoff.
-    ///
-    /// # Errors
-    /// [`ProtocolError::Transport`] if a peer cannot be dialed within the
-    /// retry budget or the HELLO cannot be written.
-    pub fn connect(
-        id: ProcessId,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-    ) -> Result<Self, ProtocolError> {
-        Self::connect_inner(id, listener, addrs, None)
-    }
-
     /// Stand up endpoint `id` of an authenticated mesh: link identity is
     /// proved by the [`crate::auth`] keyed challenge–response handshake,
     /// with this node's pairwise keys derived from the shared mesh
@@ -603,37 +470,21 @@ impl TcpEndpoint {
         addrs: &[SocketAddr],
         seed: &[u8; 32],
     ) -> Result<Self, ProtocolError> {
-        let auth = Arc::new(MeshAuth::derive(seed, id, addrs.len()));
-        Self::connect_inner(id, listener, addrs, Some(auth))
-    }
-
-    fn connect_inner(
-        id: ProcessId,
-        listener: TcpListener,
-        addrs: &[SocketAddr],
-        auth: Option<Arc<MeshAuth>>,
-    ) -> Result<Self, ProtocolError> {
         let n = addrs.len();
         assert!(id < n, "endpoint id must index addrs");
+        let auth = Arc::new(MeshAuth::derive(seed, id, n));
         let (tx, rx) = channel::unbounded();
         let bytes_received = Arc::new(AtomicU64::new(0));
         let bytes_sent = Arc::new(AtomicU64::new(0));
         let errors = Arc::new(Mutex::new(ErrorLog::new()));
         let generations: Arc<Vec<AtomicU64>> =
             Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        // Per-peer replay-guard state, owned by the accept loop's readers.
-        let guards: Arc<Vec<Mutex<ReplayGuard>>> = Arc::new(
-            (0..n)
-                .map(|_| Mutex::new(ReplayGuard { epoch: 0, max_t_tx: 0 }))
-                .collect(),
-        );
-        let auth_established = Arc::new(AtomicU64::new(0));
         let shutdown = Arc::new(AtomicBool::new(false));
         let listen_addr = listener.local_addr().unwrap_or(addrs[id]);
 
         // Accept loop: hand each inbound stream to its own reader, for the
         // endpoint's whole lifetime — a restarted peer re-dials in at any
-        // point and its fresh HELLO supersedes the stale link. `Drop`
+        // point and its verified handshake supersedes the stale link. `Drop`
         // wakes the blocking accept with a self-dial after setting the
         // shutdown flag.
         let accept_handle = {
@@ -644,9 +495,7 @@ impl TcpEndpoint {
                 bytes_received: Arc::clone(&bytes_received),
                 bytes_sent: Arc::clone(&bytes_sent),
                 generations: Arc::clone(&generations),
-                guards,
-                auth: auth.clone(),
-                auth_established: Arc::clone(&auth_established),
+                auth: Arc::clone(&auth),
             };
             let errors = Arc::clone(&errors);
             let shutdown = Arc::clone(&shutdown);
@@ -673,8 +522,7 @@ impl TcpEndpoint {
             })
         };
 
-        // Dial every peer for the outbound direction and announce (or in
-        // auth mode, prove) ourselves.
+        // Dial every peer for the outbound direction and prove ourselves.
         let mut writers: Vec<Option<TcpStream>> = Vec::with_capacity(n);
         for (dst, addr) in addrs.iter().enumerate() {
             if dst == id {
@@ -682,33 +530,13 @@ impl TcpEndpoint {
                 continue;
             }
             let mut stream = dial_with_backoff(*addr, dst)?;
-            stream.set_nodelay(true).ok();
-            match &auth {
-                Some(a) => {
-                    auth::dial_handshake(
-                        &mut stream,
-                        id,
-                        dst,
-                        a.key(dst),
-                        a.next_generation(),
-                        rbvc_obs::clock::now_us().max(1),
-                    )
-                    .map_err(|reason| ProtocolError::Transport {
-                        peer: Some(dst),
-                        reason: format!("handshake with {dst} failed: {reason}"),
-                    })?;
-                    bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
+            prove_identity(&mut stream, &auth, dst).map_err(|reason| {
+                ProtocolError::Transport {
+                    peer: Some(dst),
+                    reason: format!("handshake with {dst} failed: {reason}"),
                 }
-                None => {
-                    stream
-                        .write_all(&hello_bytes(id))
-                        .map_err(|e| ProtocolError::Transport {
-                            peer: Some(dst),
-                            reason: format!("HELLO write failed: {e}"),
-                        })?;
-                    bytes_sent.fetch_add(HELLO_LEN, Ordering::Relaxed);
-                }
-            }
+            })?;
+            bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
             writers.push(Some(stream));
         }
 
@@ -725,12 +553,6 @@ impl TcpEndpoint {
             .unzip();
         let outbox_depth =
             Registry::global().gauge_with("tcp.outbox.max_bytes", &[("src", src.as_str())]);
-        let mut link_monitor = LinkMonitor::new(id as u32, n);
-        if auth.is_some() {
-            // Inbound links start Pending: identity is only believed once
-            // a handshake from that peer verifies.
-            link_monitor.set_auth_expected();
-        }
         Ok(TcpEndpoint {
             id,
             n,
@@ -748,10 +570,11 @@ impl TcpEndpoint {
             pending_reconnects: Vec::new(),
             fresh_writer: vec![false; n],
             redial_quench: vec![false; n],
-            link_monitor,
+            // Inbound links start Pending: identity is only believed once a
+            // handshake from that peer verifies.
+            link_monitor: LinkMonitor::new(id as u32, n),
             auth,
             pending_auth_events: Vec::new(),
-            auth_established,
             bytes_sent,
             bytes_received,
             errors,
@@ -761,12 +584,13 @@ impl TcpEndpoint {
         })
     }
 
-    /// Responder-side count of verified inbound handshakes (0 on a
-    /// plaintext mesh). Test/diagnostic accessor — campaign assertions use
-    /// it without touching the process-global registry.
+    /// Responder-side count of verified inbound handshakes: the sum of the
+    /// per-peer link generations, one claimed per verified handshake.
+    /// Test/diagnostic accessor — campaign assertions use it without
+    /// touching the process-global registry.
     #[must_use]
     pub fn auth_handshakes(&self) -> u64 {
-        self.auth_established.load(Ordering::Relaxed)
+        self.generations.iter().map(|g| g.load(Ordering::SeqCst)).sum()
     }
 
     /// Address this endpoint's accept loop is bound to. Attack harnesses
@@ -817,29 +641,12 @@ impl TcpEndpoint {
             let attempt = TcpStream::connect(self.addrs[dst])
                 .map_err(|e| e.to_string())
                 .and_then(|mut stream| {
-                    stream.set_nodelay(true).ok();
-                    // Re-dials re-authenticate: every fresh connection of
-                    // an auth mesh proves identity again with a fresh
-                    // generation and a fresh nonce from the responder.
-                    match &self.auth {
-                        Some(a) => auth::dial_handshake(
-                            &mut stream,
-                            self.id,
-                            dst,
-                            a.key(dst),
-                            a.next_generation(),
-                            rbvc_obs::clock::now_us().max(1),
-                        )
-                        .map(|()| (stream, auth::DIAL_HANDSHAKE_TX_LEN)),
-                        None => stream
-                            .write_all(&hello_bytes(self.id))
-                            .map_err(|e| e.to_string())
-                            .map(|()| (stream, HELLO_LEN)),
-                    }
+                    prove_identity(&mut stream, &self.auth, dst).map(|()| stream)
                 });
             match attempt {
-                Ok((stream, tx_len)) => {
-                    self.bytes_sent.fetch_add(tx_len, Ordering::Relaxed);
+                Ok(stream) => {
+                    self.bytes_sent
+                        .fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
                     self.writers[dst] = Some(stream);
                     self.redial_failures[dst] = 0;
                     self.redial_skip[dst] = 0;
@@ -880,11 +687,14 @@ impl TcpEndpoint {
                     out.push((peer, arrived_us, bytes));
                 }
             }
-            RxEvent::PeerUp(peer, gen) => {
-                if gen == self.generations[peer].load(Ordering::SeqCst) {
-                    self.link_monitor.on_peer_up(peer as u32);
+            RxEvent::Verified(peer, gen) => {
+                self.pending_auth_events.push(AuthEvent::Established { peer, epoch: gen });
+                if gen != self.generations[peer].load(Ordering::SeqCst) {
+                    return; // already superseded; the newer link reports itself
+                }
+                if gen > 1 {
                     if std::mem::take(&mut self.fresh_writer[peer]) {
-                        // This PeerUp is the echo of our own redial — the
+                        // This re-dial is the echo of our own redial — the
                         // peer registered our fresh dial as a reconnect and
                         // proactively re-dialed back. Our writer already
                         // postdates its teardown; keep it, or the two live
@@ -897,29 +707,26 @@ impl TcpEndpoint {
                         // flush redial.
                         self.mark_peer_down(peer);
                     }
-                    if self.auth.is_some() {
-                        // A PeerUp under auth is only ever announced by an
-                        // inbound link whose handshake verified; the
-                        // outbound teardown above must not mask that the
-                        // inbound side is authenticated and live.
-                        self.link_monitor.on_auth_ok(peer as u32);
-                    }
                 }
+                // After any outbound teardown: the inbound link is verified
+                // and live.
+                self.link_monitor.on_auth_ok(peer as u32);
             }
             RxEvent::PeerDown(peer, gen) => {
                 if gen == self.generations[peer].load(Ordering::SeqCst) {
                     self.mark_peer_down(peer);
                 }
             }
-            RxEvent::LinkDown(peer, reason) => {
-                if let Some(p) = peer {
-                    self.link_monitor.on_peer_down(p as u32);
+            RxEvent::LinkDown(link, reason) => {
+                // Only the live link's failure marks the peer down; a
+                // superseded reader's error is recorded and nothing more.
+                if let Some((p, gen)) = link {
+                    if gen == self.generations[p].load(Ordering::SeqCst) {
+                        self.link_monitor.on_peer_down(p as u32);
+                    }
                 }
+                let peer = link.map(|(p, _)| p);
                 self.errors.lock().record(ProtocolError::Transport { peer, reason });
-            }
-            RxEvent::AuthOk(peer, epoch) => {
-                self.link_monitor.on_auth_ok(peer as u32);
-                self.pending_auth_events.push(AuthEvent::Established { peer, epoch });
             }
             RxEvent::AuthReject(peer, reason) => {
                 // Recorded and attributed, but deliberately *not* a peer
@@ -1086,18 +893,25 @@ impl Transport for TcpEndpoint {
     }
 }
 
-/// Stand up a complete loopback mesh of `n` endpoints in this process:
-/// binds `n` ephemeral listeners on 127.0.0.1, then connects every ordered
-/// pair. Endpoint `i` of the result is process `i`.
+/// Stand up a complete loopback mesh of `n` endpoints in this process
+/// under a fresh random mesh seed: [`tcp_mesh_loopback_authenticated`] for
+/// callers that never need the keys. Endpoint `i` of the result is process
+/// `i`.
 ///
 /// # Errors
-/// [`ProtocolError::Transport`] if binding or any dial fails.
+/// [`ProtocolError::Transport`] if binding, any dial, or any handshake
+/// fails.
 pub fn tcp_mesh_loopback(n: usize) -> Result<Vec<TcpEndpoint>, ProtocolError> {
-    tcp_mesh_loopback_inner(n, None)
+    let mut seed = [0u8; 32];
+    seed[..16].copy_from_slice(&auth::fresh_nonce());
+    seed[16..].copy_from_slice(&auth::fresh_nonce());
+    tcp_mesh_loopback_authenticated(n, &seed)
 }
 
-/// [`tcp_mesh_loopback`], but every link requires the keyed
-/// challenge–response handshake with pairwise keys derived from `seed`.
+/// Stand up a complete loopback mesh of `n` endpoints in this process: binds
+/// `n` ephemeral listeners on 127.0.0.1, then connects every ordered pair
+/// through the keyed handshake with pairwise keys derived from `seed`.
+/// Endpoint `i` of the result is process `i`.
 ///
 /// # Errors
 /// [`ProtocolError::Transport`] if binding, any dial, or any handshake
@@ -1105,13 +919,6 @@ pub fn tcp_mesh_loopback(n: usize) -> Result<Vec<TcpEndpoint>, ProtocolError> {
 pub fn tcp_mesh_loopback_authenticated(
     n: usize,
     seed: &[u8; 32],
-) -> Result<Vec<TcpEndpoint>, ProtocolError> {
-    tcp_mesh_loopback_inner(n, Some(*seed))
-}
-
-fn tcp_mesh_loopback_inner(
-    n: usize,
-    seed: Option<[u8; 32]>,
 ) -> Result<Vec<TcpEndpoint>, ProtocolError> {
     assert!(n > 0, "mesh needs at least one endpoint");
     let mut listeners = Vec::with_capacity(n);
@@ -1128,18 +935,16 @@ fn tcp_mesh_loopback_inner(
         listeners.push(l);
     }
     // Connect endpoints concurrently: every dial blocks until the target
-    // listener accepts (and in auth mode until its challenge arrives), and
-    // all listeners are already bound with their accept loops started
-    // first thing in `connect`, so the joins cannot deadlock.
+    // listener accepts and its challenge arrives, and all listeners are
+    // already bound with their accept loops started first thing in
+    // `connect_with_auth`, so the joins cannot deadlock.
     let handles: Vec<_> = listeners
         .into_iter()
         .enumerate()
         .map(|(id, listener)| {
             let addrs = addrs.clone();
-            thread::spawn(move || match seed {
-                Some(s) => TcpEndpoint::connect_with_auth(id, listener, &addrs, &s),
-                None => TcpEndpoint::connect(id, listener, &addrs),
-            })
+            let seed = *seed;
+            thread::spawn(move || TcpEndpoint::connect_with_auth(id, listener, &addrs, &seed))
         })
         .collect();
     let mut endpoints = Vec::with_capacity(n);
@@ -1184,6 +989,9 @@ mod tests {
     #[test]
     fn batching_concatenates_frames_per_peer() {
         let mut mesh = tcp_mesh_loopback(2).expect("mesh");
+        // The responder's challenge write counts toward its bytes sent:
+        // let it land before taking the baseline.
+        assert!(pump_until(&mut mesh[0], |e| e.auth_handshakes() == 1));
         for k in 0..5u8 {
             mesh[0].send(1, vec![k; 3]).unwrap();
         }
@@ -1230,18 +1038,6 @@ mod tests {
             }
         }
         assert_eq!(got, vec![(2, vec![7])]);
-    }
-
-    #[test]
-    fn hello_stamp_never_collides_with_the_never_seen_sentinel() {
-        // The replay guard treats stamp 0 as "no HELLO accepted yet"; a
-        // legitimate handshake must therefore never carry 0, even if the
-        // monotonic clock reads 0 on its first call.
-        let hello = hello_bytes(3);
-        let t_tx = u64::from_le_bytes(hello[8..16].try_into().unwrap());
-        assert!(t_tx >= 1);
-        assert_eq!(hello_with_timestamp(3, t_tx), hello);
-        assert_eq!(hello_with_timestamp(5, 1)[4..8], 5u32.to_le_bytes());
     }
 
     /// Pump `e` until `pred` holds or ~2 s elapse; returns whether it held.
@@ -1362,7 +1158,7 @@ mod tests {
         let mut mesh = tcp_mesh_loopback_authenticated(2, &seed).expect("auth mesh");
         let victim_addr = mesh[1].listen_addr;
         let mut s = TcpStream::connect(victim_addr).expect("dial");
-        s.write_all(&hello_with_timestamp(0, 123_456)).expect("write v2 hello");
+        s.write_all(&hello(HELLO_VERSION, 0, 123_456)).expect("write v2 hello");
         assert!(pump_until(&mut mesh[1], |e| e.errors().total() > 0));
         let evs = mesh[1].take_auth_events();
         assert!(

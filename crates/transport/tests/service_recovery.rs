@@ -16,6 +16,8 @@ use rbvc_transport::tcp::TcpEndpoint;
 
 const N: usize = 3;
 const INSTANCE: u64 = 11;
+/// The mesh seed every node derives its pairwise keys from.
+const SEED: [u8; 32] = [0x11; 32];
 
 fn va_instance(id: usize, input: &[f64]) -> InstanceProto {
     InstanceProto::Va(VerifiedAveraging::new(
@@ -64,7 +66,7 @@ fn killed_node_recovers_and_the_mesh_converges() {
             .enumerate()
             .map(|(id, listener)| {
                 let addrs = addrs.clone();
-                thread::spawn(move || TcpEndpoint::connect(id, listener, &addrs))
+                thread::spawn(move || TcpEndpoint::connect_with_auth(id, listener, &addrs, &SEED))
             })
             .collect();
         handles
@@ -102,7 +104,8 @@ fn killed_node_recovers_and_the_mesh_converges() {
     let (wal, report) = Wal::open(dir.join("node0.wal")).expect("reopen wal");
     assert!(!report.records.is_empty(), "the victim had logged state");
     let listener = TcpListener::bind(addrs[0]).expect("rebind same addr");
-    let endpoint = TcpEndpoint::connect(0, listener, &addrs).expect("reconnect");
+    let endpoint =
+        TcpEndpoint::connect_with_auth(0, listener, &addrs, &SEED).expect("reconnect");
     let recovered = ConsensusService::recover(endpoint, wal, &report, |_, spec| {
         Ok(va_from_spec(0, spec))
     })
