@@ -25,10 +25,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
-use rbvc_core::{DecisionRule, SyncBvc};
+use rbvc_core::{exact_bvc_min_n, Agreement, DecisionRule, Monitor, SyncBvc, Validity};
 use rbvc_linalg::{Norm, Tol, VecD};
 use rbvc_obs::{scrape_once, MetricsServer, Registry};
-use rbvc_sim::monitor::{box_validity, epsilon_agreement, SafetyMonitor, ServiceMonitor};
 use rbvc_transport::service::{ConsensusService, InstanceProto};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
 use rbvc_transport::{tcp_mesh_loopback_authenticated, Lockstep, TcpEndpoint};
@@ -36,7 +35,6 @@ use serde_json::{json, Value};
 
 use crate::experiments::{byzantine, client, health, identity, recovery, service};
 use crate::report::{print_table, with_envelope};
-use crate::workloads::max_edge;
 
 /// Every systems campaign, in experiment order (`exp <name>` looks the
 /// name up here).
@@ -202,23 +200,56 @@ impl MeshProfile {
     pub fn decisions<T: Transport>(&self, svc: &ConsensusService<T>) -> BTreeMap<u64, VecD> {
         (1..=self.instances as u64).filter_map(|k| svc.decision(k).map(|v| (k, v))).collect()
     }
-}
 
-/// The one per-instance safety-monitor factory: ε-agreement across the `n`
-/// nodes, plus — when the instance inputs are known — box validity over
-/// `inputs[instance − 1]` with slack `δ* ≤` max pairwise input distance.
-/// Changing what the campaigns assert online is an edit here.
-#[must_use]
-pub fn monitor(n: usize, eps: f64, inputs: Option<Vec<Vec<VecD>>>) -> ServiceMonitor<Vec<f64>> {
-    ServiceMonitor::new(move |inst| match &inputs {
-        Some(all) => {
-            let points = &all[inst as usize - 1];
-            let flat: Vec<Vec<f64>> = points.iter().map(|v| v.as_slice().to_vec()).collect();
-            let validity = box_validity(&flat, max_edge(points));
-            SafetyMonitor::new(n, epsilon_agreement(eps), validity)
+    /// The one online safety monitor of the campaigns: ε-agreement across
+    /// the `n` nodes and, when the honest inputs are known
+    /// (`honest_inputs[k]` for instance `k + 1`), the validity slot `k`'s
+    /// protocol guarantees over them. Changing what the campaigns assert
+    /// online is an edit here or in `validity`.
+    #[must_use]
+    pub fn monitor(
+        &self,
+        proto: impl Fn(usize) -> Proto,
+        eps: f64,
+        honest_inputs: Option<&[Vec<VecD>]>,
+    ) -> Monitor {
+        let honest = honest_inputs
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .map(|(k, inputs)| (k as u64 + 1, (inputs.clone(), self.validity(proto(k)))))
+            .collect();
+        Monitor::new(self.n, Agreement::Epsilon(eps), honest, Tol::default())
+    }
+
+    /// The validity `proto` guarantees at this profile's `(n, f, d)`:
+    ///
+    /// * SyncBvc at `n ≥ max(3f+1, (d+1)f+1)` (Theorem 1) and Verified
+    ///   Averaging at `f = 0` (every process averages all `n` inputs):
+    ///   exact, `H(N)`;
+    /// * Verified Averaging at `n ≥ 3f + 1`: `H_(δ,2)(N)` with
+    ///   `δ = 1 · max-edge(N)`. Round 0 picks a point within `δ*(S)` of every
+    ///   `(|S|−f)`-subset's hull, one of which holds honest inputs only, so it
+    ///   is within `δ*(S)` of `H(N)`; every such subset holds at least
+    ///   `n − 3f ≥ 1` honest input, so any honest input shows
+    ///   `δ*(S) ≤ max-edge(N)`; averaging keeps the distance, which is convex.
+    ///
+    /// # Panics
+    /// For SyncBvc below Theorem 1's bound or Verified Averaging at
+    /// `n ≤ 3f`, which no campaign runs.
+    fn validity(&self, proto: Proto) -> Validity {
+        match proto {
+            Proto::Bvc { .. } => {
+                assert!(self.n >= exact_bvc_min_n(self.f, self.d), "SyncBvc below Theorem 1");
+                Validity::Exact
+            }
+            Proto::Va { f: 0 } => Validity::Exact,
+            Proto::Va { f } => {
+                assert!(self.n > 3 * f, "Verified Averaging needs n ≥ 3f + 1");
+                Validity::InputDependentDeltaP { kappa: 1.0, norm: Norm::L2 }
+            }
         }
-        None => SafetyMonitor::agreement_only(n, epsilon_agreement(eps)),
-    })
+    }
 }
 
 /// Round-robin sweep driver: call `step(sweep, node, &mut nodes[node])` for
@@ -275,9 +306,15 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// `‖reply − value‖∞` of a client reply: every honest input of a client
 /// instance is the client's value, so the decision must be the value itself.
+/// Infinite for a reply of another dimension or with a non-finite
+/// component, which a plain max would read as exact.
 #[must_use]
 pub fn reply_error(reply: &VecD, value: &VecD) -> f64 {
-    reply.as_slice().iter().zip(value.as_slice()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+    if reply.dim() == value.dim() && reply.is_finite() {
+        reply.dist(value, Norm::LInf)
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// One pass/fail condition of a campaign; a failed gate prints
@@ -679,6 +716,47 @@ mod tests {
         assert!((percentile(&xs, 50.0) - 3.0).abs() < 1e-12);
         assert!((percentile(&xs, 99.0) - 4.0).abs() < 1e-12);
         assert!(percentile(&[], 50.0).is_nan());
+    }
+
+    #[test]
+    fn reply_error_reads_a_truncated_or_nan_reply_as_infinite() {
+        let value = VecD(vec![1.0, 2.0]);
+        assert_eq!(reply_error(&value, &value), 0.0);
+        assert!((reply_error(&VecD(vec![1.0, 2.5]), &value) - 0.5).abs() < 1e-12);
+        for bad in [vec![], vec![1.0], vec![f64::NAN, 2.0], vec![1.0, 2.0, 3.0]] {
+            assert!(reply_error(&VecD(bad.clone()), &value).is_infinite(), "{bad:?}");
+        }
+    }
+
+    /// The factory asserts the paper's validity, not a bounding box. Against
+    /// honest inputs (0,0), (4,0), (0,4), the decision (4,4) lies inside the
+    /// box inflated by max-edge but 2.83 outside the hull: the SyncBvc
+    /// monitor flags it. Verified Averaging's `H_(δ,2)`, δ = max-edge = 4√2,
+    /// flags a decision δ + 1e-3 outside the hull and not one δ − 1e-3
+    /// outside.
+    #[test]
+    fn the_factory_asserts_the_papers_validity() {
+        let mesh = MeshProfile {
+            n: 4,
+            f: 1,
+            d: 2,
+            instances: 1,
+            rounds: 2,
+            seed: 0,
+            poll_timeout: Duration::ZERO,
+        };
+        let honest = [vec![VecD(vec![0.0, 0.0]), VecD(vec![4.0, 0.0]), VecD(vec![0.0, 4.0])]];
+        let fires = |proto, decision: VecD| {
+            !mesh.monitor(|_| proto, AGREEMENT_EPS, Some(&honest)).observe(1, 0, &decision).is_empty()
+        };
+        let bvc = Proto::Bvc { timeout_ticks: u32::MAX };
+        assert!(!fires(bvc, VecD(vec![1.0, 1.0])));
+        assert!(fires(bvc, VecD(vec![4.0, 4.0])));
+        // `t` outside the hull, straight out from the midpoint of its long edge.
+        let out = |t: f64| VecD(vec![2.0 + t / 2f64.sqrt(); 2]);
+        let (va, delta) = (Proto::Va { f: 1 }, 32f64.sqrt());
+        assert!(!fires(va, out(delta - 1e-3)));
+        assert!(fires(va, out(delta + 1e-3)));
     }
 
     /// Every flag a scenario declares is one the parser implements.

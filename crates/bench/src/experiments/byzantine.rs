@@ -21,9 +21,9 @@
 //! mutes the adversary's own states (see `rbvc_transport::byzantine`), so
 //! Byzantine-origin states never reach Bracha delivery at honest nodes and
 //! honest progress is a pure function of the honest inputs. The online
-//! monitor checks agreement + box validity over the honest inputs during
-//! both TCP phases, and the campaign asserts the attack-run decisions are
-//! **bit-identical** to the baseline. The honest-path slowdown (wall
+//! monitor checks agreement + `(δ,2)`-relaxed validity over the honest
+//! inputs during both TCP phases, and the campaign asserts the attack-run
+//! decisions are **bit-identical** to the baseline. The honest-path slowdown (wall
 //! clock, p50/p99 submit→decide latency) and the per-gate × per-sender
 //! rejection attribution land in `BENCH_byzantine.json`. The E23 identity
 //! campaign drives the same machinery over its own mix list.
@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 use rbvc_client::ClientHandle;
+use rbvc_core::Monitor;
 use rbvc_linalg::VecD;
-use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::byzantine::{
     AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint, Counter,
 };
@@ -46,7 +46,7 @@ use rbvc_transport::ClientPort;
 use serde_json::{json, Value};
 
 use crate::campaign::{
-    fields, gate, mesh_seed, monitor, percentile, reply_error, sweep, Args, Fields, Gate,
+    fields, gate, mesh_seed, percentile, reply_error, sweep, Args, Fields, Gate,
     MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
 };
 use crate::report::fnum;
@@ -300,7 +300,7 @@ fn run_tcp_mesh(
     byz: &[usize],
     attack: Option<&str>,
     run_seed: u64,
-    monitor: &mut ServiceMonitor<Vec<f64>>,
+    monitor: &mut Monitor,
 ) -> MeshRun {
     let mesh = &cfg.mesh;
     let (endpoints, addrs) = mesh.tcp_mesh(&cfg.auth);
@@ -399,7 +399,7 @@ fn run_tcp_mesh(
                 // at the client); the per-instance safety envelope indexes
                 // the campaign's seeded inputs.
                 if !is_byz && ev.instance < CLIENT_INSTANCE_BASE {
-                    monitor.observe(ev.instance, i, &ev.value.as_slice().to_vec());
+                    monitor.observe(ev.instance, i, &ev.value);
                     run.latencies_ms.push(ev.latency.as_secs_f64() * 1e3);
                 }
             }
@@ -464,7 +464,8 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
             (0..mesh.n).filter(|i| !byz.contains(i)).map(|i| per_node[i].clone()).collect()
         })
         .collect();
-    let mk_monitor = || monitor(mesh.n, AGREEMENT_EPS, Some(honest_inputs.clone()));
+    let proto = |_| Proto::Va { f: mesh.f };
+    let mk_monitor = || mesh.monitor(proto, AGREEMENT_EPS, Some(&honest_inputs));
 
     let auth_counter = rbvc_obs::Registry::global().counter("auth.reject_total");
     let auth_before = auth_counter.get();
@@ -496,7 +497,7 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
         attack,
         converged,
         identical,
-        violations: clean_monitor.violation_count() + attack_monitor.violation_count(),
+        violations: clean_monitor.alerts().len() + attack_monitor.alerts().len(),
         clean,
         attacked,
         gates_from_byz,

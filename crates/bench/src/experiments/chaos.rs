@@ -10,8 +10,11 @@
 //! to it, and receivers deduplicate. The faults come from [`ChaosEndpoint`],
 //! a seeded wrapper around any transport whose clock is its own flush
 //! count; one thread drives the in-process mesh with [`sweep`] and
-//! zero-timeout polls, so a run is a pure function of its seed. An online
-//! [`SafetyMonitor`] watches every decision the moment it is surfaced. The
+//! zero-timeout polls, so a run is a pure function of its seed. The
+//! campaigns' online [`Monitor`](rbvc_core::Monitor) watches every honest
+//! decision the moment it is surfaced: ε-agreement, and validity in
+//! `H_(δ,2)` of the honest inputs with `δ = max-edge` (Theorem 15's bound
+//! at κ = 1). The
 //! campaign sweeps fault shape × drop probability over many seeds and
 //! reports, per cell: how many runs decided, how many safety alerts fired
 //! (the bar is zero), mean sweeps to completion, the frame overhead over a
@@ -26,11 +29,9 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rbvc_core::bounds::kappa_async;
-use rbvc_linalg::{Norm, VecD};
+use rbvc_linalg::VecD;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_sim::monitor::SafetyMonitor;
 use rbvc_store::Wal;
 use rbvc_transport::service::ConsensusService;
 use rbvc_transport::transport::{in_proc_mesh, InProcEndpoint, Transport};
@@ -60,8 +61,8 @@ const N: usize = 4;
 const F: usize = 1;
 const D: usize = 3;
 /// The mesh every run stands up: one Verified-Averaging instance with
-/// enough averaging rounds that honest decisions are far tighter than the
-/// agreement threshold the monitor enforces.
+/// enough averaging rounds that honest decisions are far tighter than
+/// [`EPS`].
 const MESH: MeshProfile = MeshProfile {
     n: N,
     f: F,
@@ -73,6 +74,8 @@ const MESH: MeshProfile = MeshProfile {
 };
 /// The one instance id of a run.
 const INSTANCE: u64 = 1;
+/// The agreement threshold the online monitor enforces.
+const EPS: f64 = 0.2;
 /// Sweep budget per run before it counts as undecided.
 const MAX_SWEEPS: usize = 4_000;
 /// A lost link is back after 1..=`MAX_DOWN` flushes.
@@ -380,56 +383,11 @@ pub struct ChaosRun {
     pub faults: Faults,
     /// Frames the fault-free twin's services handed to peer links.
     pub twin_frames: u64,
-    /// Safety alerts raised by the online monitor (acceptance bar: 0).
+    /// Safety alerts raised by the online monitor in the run and its twin
+    /// (acceptance bar: 0).
     pub violations: usize,
     /// Every node's decision, the Byzantine slot's included.
     pub decisions: Vec<Option<VecD>>,
-}
-
-/// Build the online monitor for a run: ε-agreement in L∞ between every
-/// decided pair, and validity as membership of the honest-input bounding
-/// box inflated by the Theorem 15 slack `κ·max-edge` (Byzantine inputs
-/// legitimately pull decisions up to δ* outside the honest hull).
-fn build_monitor(inputs: &[VecD], faulty_ids: &[usize]) -> SafetyMonitor<VecD> {
-    let honest: Vec<VecD> = (0..N)
-        .filter(|i| !faulty_ids.contains(i))
-        .map(|i| inputs[i].clone())
-        .collect();
-    let kappa = kappa_async(N, F, D, Norm::L2)
-        .expect("campaign regime is covered by Theorem 15")
-        .kappa;
-    let slack = kappa * workloads::max_edge(inputs) + 0.05;
-    let eps = 0.2;
-    let mut lo = [f64::INFINITY; D];
-    let mut hi = [f64::NEG_INFINITY; D];
-    for v in &honest {
-        for (c, x) in v.as_slice().iter().enumerate() {
-            lo[c] = lo[c].min(*x);
-            hi[c] = hi[c].max(*x);
-        }
-    }
-    SafetyMonitor::new(
-        N,
-        move |a: &VecD, b: &VecD| {
-            let dist = a.dist(b, Norm::LInf);
-            (dist > eps).then(|| format!("decisions {dist:.4} apart in L∞ (ε = {eps})"))
-        },
-        move |_pid, v: &VecD| {
-            for (c, x) in v.as_slice().iter().enumerate() {
-                if !x.is_finite() {
-                    return Some(format!("non-finite component {c}"));
-                }
-                if *x < lo[c] - slack || *x > hi[c] + slack {
-                    return Some(format!(
-                        "component {c} = {x:.4} outside [{:.4}, {:.4}]",
-                        lo[c] - slack,
-                        hi[c] + slack
-                    ));
-                }
-            }
-            None
-        },
-    )
 }
 
 /// What one mesh run did.
@@ -441,21 +399,26 @@ struct Drive {
     sweeps: usize,
     faults: Faults,
     decisions: Vec<Option<VecD>>,
+    /// Alerts of the run's online monitor.
+    violations: usize,
 }
 
 /// Run one Verified-Averaging instance at fault bound `f` on `N` services
 /// over the in-process mesh, endpoint `i` wrapped by `wrap(i, ·)`; each node
 /// writes a WAL under `wal_dir` when given. Decisions of nodes outside
-/// `faulty` go to `monitor` as they are surfaced; the run ends when all of
-/// them decided or after [`MAX_SWEEPS`].
+/// `faulty` go to the online monitor as they are surfaced, checked against
+/// their inputs; the run ends when all of them decided or after
+/// [`MAX_SWEEPS`].
 fn drive(
     inputs: &[VecD],
     f: usize,
     faulty: &[usize],
     wrap: impl Fn(ProcessId, InProcEndpoint) -> ChaosEndpoint<InProcEndpoint>,
     wal_dir: Option<&Path>,
-    monitor: &mut SafetyMonitor<VecD>,
 ) -> Drive {
+    let honest: Vec<VecD> =
+        (0..N).filter(|i| !faulty.contains(i)).map(|i| inputs[i].clone()).collect();
+    let mut monitor = MESH.monitor(|_| Proto::Va { f }, EPS, Some(&[honest]));
     let mut nodes: Vec<_> = in_proc_mesh(N)
         .into_iter()
         .enumerate()
@@ -483,7 +446,7 @@ fn drive(
         for ev in svc.poll(Duration::ZERO) {
             decided_in[i].get_or_insert(s);
             if !faulty.contains(&i) {
-                monitor.observe(i, &ev.value);
+                monitor.observe(INSTANCE, i, &ev.value);
             }
         }
         faulty.contains(&i) || svc.all_decided()
@@ -493,7 +456,7 @@ fn drive(
         faults.add(&svc.transport().faults());
     }
     let decisions = nodes.iter().map(|svc| svc.decision(INSTANCE)).collect();
-    Drive { decided, decided_in, sweeps, faults, decisions }
+    Drive { decided, decided_in, sweeps, faults, decisions, violations: monitor.alerts().len() }
 }
 
 /// A fresh directory for one run's WALs.
@@ -516,8 +479,7 @@ pub fn run_one(shape: FaultShape, drop: f64, seed: u64) -> ChaosRun {
     let byz = workloads::random_points(&mut r, F, D, 3.0);
     let (inputs, faulty_ids) = workloads::assemble_inputs(&honest, &byz);
     let untouched = |_, ep| ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0);
-    let twin =
-        drive(&inputs, F, &faulty_ids, untouched, None, &mut build_monitor(&inputs, &faulty_ids));
+    let twin = drive(&inputs, F, &faulty_ids, untouched, None);
 
     // Node i's poll in sweep s is its flush s + 2 (`start` is flush 1), so
     // the partition opens once the first broadcast is out and heals at the
@@ -533,8 +495,7 @@ pub fn run_one(shape: FaultShape, drop: f64, seed: u64) -> ChaosRun {
         }
     };
     let dir = run_dir();
-    let mut monitor = build_monitor(&inputs, &faulty_ids);
-    let chaos = drive(&inputs, F, &faulty_ids, wrap, Some(&dir), &mut monitor);
+    let chaos = drive(&inputs, F, &faulty_ids, wrap, Some(&dir));
     let _ = std::fs::remove_dir_all(&dir);
     ChaosRun {
         decided: chaos.decided,
@@ -542,7 +503,7 @@ pub fn run_one(shape: FaultShape, drop: f64, seed: u64) -> ChaosRun {
         sweeps: chaos.sweeps,
         faults: chaos.faults,
         twin_frames: twin.faults.frames,
-        violations: monitor.alerts().len(),
+        violations: twin.violations + chaos.violations,
         decisions: chaos.decisions,
     }
 }
@@ -624,7 +585,8 @@ fn run(args: &Args) -> Vec<Gate> {
          MinDelta/L2) on four durable services whose in-process links drop, \
          duplicate, delay, reorder and partition; the service's reconnect \
          history replay recovers lost links; an online monitor checks \
-         ε-agreement and box validity on every decision."
+         ε-agreement and (δ,2)-relaxed validity (δ = max-edge of the honest \
+         inputs) on every decision."
     );
     println!(
         "{} seeds per cell from base seed {seed}{}",
@@ -732,10 +694,9 @@ mod tests {
     #[test]
     fn lost_links_heal_through_reconnect_replay_bit_identically() {
         let inputs = workloads::random_points(&mut rng(77), N, D, 1.0);
-        let monitor = || build_monitor(&inputs, &[]);
         let untouched = |_, ep| ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0);
-        let clean = drive(&inputs, 0, &[], untouched, None, &mut monitor());
-        assert!(clean.decided);
+        let clean = drive(&inputs, 0, &[], untouched, None);
+        assert!(clean.decided && clean.violations == 0);
         let one_link = |i: ProcessId, ep| {
             let peers = if i == 0 { vec![2] } else { Vec::new() };
             ChaosEndpoint::new(ep, FaultShape::Clean, 0.0, 0).with_cut(peers, 3..8)
@@ -746,13 +707,13 @@ mod tests {
         };
         for (name, wrap) in [("one link", &one_link as &dyn Fn(_, _) -> _), ("node 0", &isolated)] {
             let dir = run_dir();
-            let healed = drive(&inputs, 0, &[], wrap, Some(&dir), &mut monitor());
+            let healed = drive(&inputs, 0, &[], wrap, Some(&dir));
             let _ = std::fs::remove_dir_all(&dir);
-            assert!(healed.decided, "{name}");
+            assert!(healed.decided && healed.violations == 0, "{name}");
             assert_eq!(healed.decisions, clean.decisions, "{name}: bit-identical decisions");
             assert!(healed.faults.cut > 0, "{name}: the cut refused frames");
         }
-        let stranded = drive(&inputs, 0, &[], isolated, None, &mut monitor());
+        let stranded = drive(&inputs, 0, &[], isolated, None);
         assert!(!stranded.decided, "without history the lost frames stay lost");
     }
 

@@ -20,8 +20,9 @@
 //! and detects the **saturation point**: the first offered rate where
 //! goodput (decided/submitted) drops below 0.9 or p99 latency leaves the
 //! knee (> 5× the first step's p99). An online agreement monitor
-//! (ε-agreement across all `n` nodes per client instance) watches every
-//! decision, and after the open-loop phase each worker replays its last
+//! (ε-agreement across all `n` nodes per client instance, every decision
+//! finite and of one dimension; the inputs are not known ahead) watches
+//! every decision, and after the open-loop phase each worker replays its last
 //! answered request — the reply must come back bit-identical from the
 //! dedup cache without a new consensus instance.
 
@@ -40,7 +41,7 @@ use rbvc_transport::ClientPort;
 use serde_json::json;
 
 use crate::campaign::{
-    gate, mesh_seed, monitor, percentile, reply_error, thread_per_node, Args, MeshProfile, Report,
+    gate, mesh_seed, percentile, reply_error, thread_per_node, Args, MeshProfile, Proto, Report,
     Scenario, AGREEMENT_EPS,
 };
 use crate::report::fnum;
@@ -295,7 +296,7 @@ fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
     // Links come up through the keyed handshake: E21's load numbers
     // include its cost.
     let (endpoints, _) = mesh.tcp_mesh(&mesh_seed(mesh.seed));
-    let (ev_tx, ev_rx) = mpsc::channel::<(u64, usize, Vec<f64>)>();
+    let (ev_tx, ev_rx) = mpsc::channel::<(u64, usize, VecD)>();
     let nodes: Vec<_> = endpoints
         .into_iter()
         .map(|ep| {
@@ -322,7 +323,7 @@ fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
         svc.start_deferred();
         while !stop.load(Ordering::Relaxed) {
             for ev in svc.poll(mesh.poll_timeout) {
-                let _ = ev_tx.send((ev.instance, id, ev.value.as_slice().to_vec()));
+                let _ = ev_tx.send((ev.instance, id, ev.value));
             }
             port.pump(&mut svc);
         }
@@ -350,7 +351,7 @@ fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
         stats.redirects += s.redirects;
         instances += count;
     }
-    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, None);
+    let mut monitor = mesh.monitor(|_| Proto::Va { f: mesh.f }, AGREEMENT_EPS, None);
     while let Ok((instance, process, value)) = ev_rx.recv() {
         monitor.observe(instance, process, &value);
     }
@@ -385,7 +386,7 @@ fn run_step(cfg: &ClientExpConfig, rate: f64) -> (RateStep, usize) {
         // mesh-wide total over n.
         instances: instances / mesh.n,
     };
-    (step, monitor.violation_count())
+    (step, monitor.alerts().len())
 }
 
 /// Run the sweep and publish per-step gauges

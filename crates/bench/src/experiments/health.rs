@@ -37,18 +37,18 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
-use rbvc_linalg::VecD;
+use rbvc_core::{Agreement, Monitor, Validity};
+use rbvc_linalg::{Tol, VecD};
 use rbvc_obs::{
     clock, FlightDump, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase,
     StallReport,
 };
-use rbvc_sim::monitor::ServiceMonitor;
 use rbvc_transport::service::{ConsensusService, HealthConfig};
 use rbvc_transport::TcpEndpoint;
 use serde_json::json;
 
 use crate::campaign::{
-    gate, mesh_seed, monitor, thread_per_node, Args, MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
+    gate, mesh_seed, thread_per_node, Args, MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
 };
 use crate::report::fnum;
 use crate::workloads::rng;
@@ -212,9 +212,7 @@ struct NodeFacts {
     reports: Vec<StallReport>,
     stalls_raised: u64,
     /// Decisions surfaced by this node's polls (empty for the victim),
-    /// replayed through the safety monitor after the threads join — the
-    /// monitor's predicate closures are not `Send`, so it cannot sit
-    /// behind the polling threads directly.
+    /// replayed through the safety monitor after the threads join.
     decisions: Vec<(u64, VecD)>,
 }
 
@@ -272,6 +270,7 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
     let class = CLASSES[run % CLASSES.len()];
     let inputs = mesh.inputs(&mut rand);
     let victim = rand.gen_range(0..mesh.n);
+    let proto = Proto::Bvc { timeout_ticks: cfg.timeout_ticks };
 
     // Faults are injected into *keyed* links so diagnosis is exercised on
     // the same wire format production meshes run.
@@ -282,7 +281,6 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
         .map(|(i, ep)| {
             let mut svc = ConsensusService::new(ep);
             svc.enable_auth();
-            let proto = Proto::Bvc { timeout_ticks: cfg.timeout_ticks };
             mesh.register(&mut svc, i, &inputs, |_| proto);
             svc.enable_health(HealthConfig {
                 stall: StallConfig {
@@ -365,10 +363,10 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
     // order. The victim is excluded in faulted runs (its thread collects
     // nothing): a node the mesh observes as crashed or severed carries no
     // agreement obligation toward the survivors.
-    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, Some(inputs));
+    let mut monitor = mesh.monitor(|_| proto, AGREEMENT_EPS, Some(&inputs));
     for (i, f) in facts.iter().enumerate() {
         for (inst, value) in &f.decisions {
-            let _ = monitor.observe(*inst, i, &value.as_slice().to_vec());
+            monitor.observe(*inst, i, value);
         }
     }
 
@@ -383,7 +381,7 @@ fn judge_run(
     victim: usize,
     facts: &[NodeFacts],
     injected_at_us: Option<u64>,
-    monitor: &ServiceMonitor<Vec<f64>>,
+    monitor: &Monitor,
 ) -> RunFacts {
     let survivor = |i: usize| class == "clean" || i != victim;
     let stalls_raised: u64 = facts.iter().map(|f| f.stalls_raised).sum();
@@ -435,7 +433,7 @@ fn judge_run(
         terminated,
         detect_ms,
         misblamed,
-        violations: monitor.violation_count(),
+        violations: monitor.alerts().len(),
         stalls_raised,
         cleared,
         victim_fsync_reports,
@@ -453,11 +451,14 @@ fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
     let obs = Obs::new(Arc::clone(&flight) as Arc<dyn Recorder>).with_node(99);
 
     let points = vec![VecD::from_slice(&[0.0, 0.0]), VecD::from_slice(&[1.0, 1.0])];
-    let mut monitor = monitor(2, AGREEMENT_EPS, Some(vec![points])).with_obs(obs);
-    // Two decisions far outside any ε-ball: agreement must fire, the
-    // violation event must hit the recorder, the recorder must dump.
-    let _ = monitor.observe(1, 0, &vec![0.0, 0.0]);
-    let _ = monitor.observe(1, 1, &vec![64.0, 64.0]);
+    let honest = BTreeMap::from([(1, (points, Validity::Exact))]);
+    let mut monitor =
+        Monitor::new(2, Agreement::Epsilon(AGREEMENT_EPS), honest, Tol::default()).with_obs(obs);
+    // Two decisions far outside any ε-ball, the second far outside the
+    // hull: both checks must fire, the violation events must hit the
+    // recorder, the recorder must dump.
+    monitor.observe(1, 0, &VecD::from_slice(&[0.0, 0.0]));
+    monitor.observe(1, 1, &VecD::from_slice(&[64.0, 64.0]));
 
     let dumped = flight.dumps() >= 1;
     let parsed = std::fs::read_dir(&dir)

@@ -14,8 +14,9 @@
 //!
 //! * the mesh still converges (every instance decides on every node);
 //! * decisions are **bit-identical** to the uninterrupted baseline;
-//! * the online monitor stays clean at `ε = 0` — in particular the
-//!   restarted node never re-decides differently (amnesia-freedom);
+//! * the online monitor stays clean at `ε = 0` with exact validity —
+//!   in particular the restarted node never re-decides differently
+//!   (amnesia-freedom);
 //! * replay reports zero divergences (the regenerated outbound stream
 //!   FIFO-matches the logged one, and pinned decisions match the replayed
 //!   state machines).
@@ -37,9 +38,7 @@ use rbvc_transport::service::ConsensusService;
 use rbvc_transport::tcp::TcpEndpoint;
 use serde_json::json;
 
-use crate::campaign::{
-    gate, mesh_seed, monitor, sweep, Args, MeshProfile, Proto, Report, Scenario,
-};
+use crate::campaign::{gate, mesh_seed, sweep, Args, MeshProfile, Proto, Report, Scenario};
 use crate::report::fnum;
 use crate::workloads::rng;
 
@@ -207,7 +206,7 @@ fn one_run(cfg: &RecoveryConfig, run: usize, dir: &Path) -> RunFacts {
         })
         .collect();
 
-    let mut monitor = monitor(mesh.n, 0.0, Some(inputs.clone()));
+    let mut monitor = mesh.monitor(|_| PROTO, 0.0, Some(&inputs));
     let (mut divergences, mut replay_records, mut torn_bytes, mut recover_us) = (0, 0, 0, 0);
     let converged = sweep(&mut services, MAX_SWEEPS, |sweep, i, slot| {
         if sweep == kill_at && i == victim {
@@ -231,13 +230,13 @@ fn one_run(cfg: &RecoveryConfig, run: usize, dir: &Path) -> RunFacts {
             svc.enable_auth();
             divergences += svc.replay_divergences();
             for ev in svc.recovered_decisions() {
-                monitor.observe(ev.instance, victim, &ev.value.as_slice().to_vec());
+                monitor.observe(ev.instance, victim, &ev.value);
             }
             *slot = Some(svc);
         }
         let svc = slot.as_mut().expect("the victim's slot is refilled at once");
         for ev in svc.poll(mesh.poll_timeout) {
-            monitor.observe(ev.instance, i, &ev.value.as_slice().to_vec());
+            monitor.observe(ev.instance, i, &ev.value);
         }
         svc.all_decided() && sweep >= kill_at
     });
@@ -250,7 +249,7 @@ fn one_run(cfg: &RecoveryConfig, run: usize, dir: &Path) -> RunFacts {
     RunFacts {
         converged,
         identical,
-        violations: monitor.violation_count(),
+        violations: monitor.alerts().len(),
         divergences,
         replay_records,
         torn_bytes,

@@ -4,7 +4,7 @@
 //!
 //! Each process of the mesh runs one [`ConsensusService`] on its own OS
 //! thread; the coordinator thread ingests decision events over a channel,
-//! feeds them to a [`ServiceMonitor`](rbvc_sim::monitor::ServiceMonitor)
+//! feeds them to a [`Monitor`](rbvc_core::problem::Monitor)
 //! *while the mesh is still running*, and times each instance from service
 //! start to its last (n-th) decision. The same harness runs over
 //! authenticated loopback TCP and the in-process transport, which is what
@@ -27,8 +27,8 @@ use rbvc_transport::transport::{in_proc_mesh, Transport};
 use serde_json::json;
 
 use crate::campaign::{
-    gate, mesh_seed, monitor, percentile, thread_per_node, Args, MeshProfile, Proto, Report,
-    Scenario, AGREEMENT_EPS,
+    gate, mesh_seed, percentile, thread_per_node, Args, MeshProfile, Proto, Report, Scenario,
+    AGREEMENT_EPS,
 };
 use crate::report::fnum;
 use crate::workloads::rng;
@@ -173,7 +173,7 @@ pub struct ServiceOutcome {
 struct Event {
     instance: u64,
     process: usize,
-    value: Vec<f64>,
+    value: VecD,
     /// Per-node submit→decide latency, measured by the service itself.
     latency: Duration,
     /// Arrival time relative to mesh start (wall-clock accounting).
@@ -195,7 +195,7 @@ fn run_mesh<T: Transport>(
     // still draining (spurious teardown errors, possibly lost frames).
     let done = Barrier::new(mesh.n);
     let start = Instant::now();
-    let mut monitor = monitor(mesh.n, AGREEMENT_EPS, Some(inputs.clone()));
+    let mut monitor = mesh.monitor(slot_proto, AGREEMENT_EPS, Some(&inputs));
 
     let node = |id: usize, (ep, tx): (T, mpsc::Sender<Event>)| {
         let mut svc = ConsensusService::new(ep);
@@ -223,7 +223,7 @@ fn run_mesh<T: Transport>(
                 let _ = tx.send(Event {
                     instance: ev.instance,
                     process: ev.process,
-                    value: ev.value.as_slice().to_vec(),
+                    value: ev.value,
                     latency: ev.latency,
                     at: start.elapsed(),
                 });
@@ -285,7 +285,7 @@ fn run_mesh<T: Transport>(
         max_ms: latencies.last().copied().unwrap_or(f64::NAN),
         bytes_sent: reports.iter().map(|r| r.bytes_sent).sum(),
         bytes_received: reports.iter().map(|r| r.bytes_received).sum(),
-        monitor_violations: monitor.violation_count(),
+        monitor_violations: monitor.alerts().len(),
         errors: reports.iter().map(|r| r.errors).sum(),
         decisions: reports.into_iter().map(|r| r.decisions).collect(),
         phases,
@@ -328,7 +328,7 @@ fn run(args: &Args) -> Report {
     println!(
         "{}-node authenticated loopback TCP mesh, {} concurrent instances (every 3rd \
          SyncBvc at f = {}, rest Verified Averaging at f = 0), online per-instance safety \
-         monitor (ε-agreement + box validity)",
+         monitor (ε-agreement + each protocol's validity set)",
         cfg.mesh.n, cfg.mesh.instances, cfg.mesh.f
     );
 

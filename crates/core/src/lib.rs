@@ -8,7 +8,8 @@
 //! 1601.08067).
 //!
 //! * [`problem`] — the six consensus problems as machine-checkable
-//!   agreement/validity/termination conditions.
+//!   agreement/validity/termination conditions, checked by one
+//!   [`Monitor`], online or over a finished execution.
 //! * [`bounds`] — every tight process-count bound (Theorems 1–6) and δ
 //!   bound (Table 1, Theorems 9/12/14/15, Conjectures 1–4) as functions.
 //! * [`rules`] — the deterministic Step-2 decision rules over the common
@@ -35,7 +36,7 @@ pub mod verified_avg;
 
 pub use bounds::{exact_bvc_min_n, approx_bvc_min_n, kappa_l2, kappa_lp, kappa_async};
 pub use error::ProtocolError;
-pub use problem::{check_execution, Agreement, Validity, Verdict};
+pub use problem::{check_execution, Agreement, Monitor, Validity, Verdict};
 pub use rules::DecisionRule;
 pub use sync_protocols::{ByzantineStrategy, SyncBvc};
 pub use verified_avg::{DeltaMode, VerifiedAveraging};

@@ -27,9 +27,6 @@
 //!   schedulers guaranteeing eventual delivery.
 //! * [`bracha`] — Bracha's reliable broadcast (init/echo/ready), the
 //!   asynchronous substrate of (Relaxed) Verified Averaging.
-//! * [`monitor`] — online safety monitor flagging agreement/validity
-//!   violations the moment a decision event occurs, per run or per service
-//!   instance.
 //! * [`error`] — [`ProtocolError`], the workspace-wide typed error currency,
 //!   and the degrade-don't-panic contract for receive boundaries.
 //! * execution statistics (message/round counts) are
@@ -42,7 +39,6 @@ pub mod dolev_strong;
 pub mod eig;
 pub mod error;
 pub mod fuzz;
-pub mod monitor;
 pub mod sync;
 
 pub use config::{ProcessId, SystemConfig};

@@ -67,7 +67,7 @@ use rbvc_obs::{Event, EventKind, Obs, Registry, StallReport};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_store::{ReplayReport, Wal, WalRecordRef};
-pub use rbvc_sim::monitor::InstanceId;
+pub use rbvc_core::problem::InstanceId;
 
 pub use self::client_table::{
     client_instance_owner, ClientAdmission, ClientConfig, ClientStats, CLIENT_INSTANCE_BASE,
@@ -833,29 +833,28 @@ mod tests {
     /// uninterrupted run decides.
     #[test]
     fn crash_before_the_group_commit_recovers_from_the_power_loss_image() {
-        use rbvc_sim::monitor::{epsilon_agreement, SafetyMonitor, ServiceMonitor};
+        use rbvc_core::{Agreement, Monitor};
+        use std::collections::BTreeMap;
 
         let (n, window, victim) = (4usize, 3u64, 2usize);
         let ids = 1..=6u64;
         let proto = |inst: u64, p: usize| {
             va_instance(p, n, &[inst as f64 + 0.5 * p as f64, p as f64 - 0.25 * inst as f64])
         };
-        let run_out = |services: &mut Vec<ConsensusService<_>>,
-                       monitor: &mut ServiceMonitor<Vec<f64>>| {
+        let run_out = |services: &mut Vec<ConsensusService<_>>, monitor: &mut Monitor| {
             let mut spins = 0;
             while services.iter().any(|s| !s.all_decided()) {
                 for (p, svc) in services.iter_mut().enumerate() {
                     for ev in svc.poll(Duration::ZERO) {
-                        monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+                        monitor.observe(ev.instance, p, &ev.value);
                     }
                 }
                 spins += 1;
                 assert!(spins < 10_000, "mesh failed to converge");
             }
         };
-        let new_monitor = || -> ServiceMonitor<Vec<f64>> {
-            ServiceMonitor::new(move |_| SafetyMonitor::agreement_only(n, epsilon_agreement(1e-9)))
-        };
+        let new_monitor =
+            || Monitor::new(n, Agreement::Epsilon(1e-9), BTreeMap::new(), Tol::default());
 
         // The uninterrupted, non-durable run.
         let mut monitor = new_monitor();
@@ -868,7 +867,7 @@ mod tests {
             svc.start().unwrap();
         }
         run_out(&mut services, &mut monitor);
-        assert!(monitor.clean(), "violations: {:?}", monitor.alerts());
+        assert!(monitor.alerts().is_empty(), "violations: {:?}", monitor.alerts());
         let baseline: Vec<Vec<Option<VecD>>> = services
             .iter()
             .map(|s| ids.clone().map(|inst| s.decision(inst)).collect())
@@ -896,7 +895,7 @@ mod tests {
         'run: for _ in 0..10_000 {
             for (p, svc) in services.iter_mut().enumerate() {
                 for ev in svc.poll(Duration::ZERO) {
-                    monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+                    monitor.observe(ev.instance, p, &ev.value);
                     if next[p] <= *ids.end() {
                         svc.launch(next[p]).unwrap();
                         next[p] += 1;
@@ -937,7 +936,7 @@ mod tests {
             .collect();
         for (p, svc) in services.iter_mut().enumerate() {
             for ev in svc.recovered_decisions() {
-                monitor.observe(ev.instance, p, &ev.value.as_slice().to_vec());
+                monitor.observe(ev.instance, p, &ev.value);
             }
             // Whatever was not launched (or whose launch the crash took).
             for inst in ids.clone() {
@@ -945,7 +944,7 @@ mod tests {
             }
         }
         run_out(&mut services, &mut monitor);
-        assert!(monitor.clean(), "violations: {:?}", monitor.alerts());
+        assert!(monitor.alerts().is_empty(), "violations: {:?}", monitor.alerts());
         for (p, svc) in services.iter().enumerate() {
             let got: Vec<Option<VecD>> = ids.clone().map(|inst| svc.decision(inst)).collect();
             assert_eq!(got, baseline[p], "node {p}");

@@ -1087,34 +1087,33 @@ mod tests {
     /// `DuplicateDecision` and emit a structured `Violation` event.
     #[test]
     fn amnesiac_restart_redecides_and_is_flagged() {
-        use rbvc_sim::monitor::{epsilon_agreement, AlertKind, SafetyMonitor, ServiceMonitor};
+        use rbvc_core::problem::{Agreement, AlertKind, Monitor};
 
         let n = 3;
         let ring = Arc::new(RingRecorder::new(64));
-        let mut monitor: ServiceMonitor<Vec<f64>> =
-            ServiceMonitor::new(move |_| SafetyMonitor::agreement_only(n, epsilon_agreement(1e-9)))
-                .with_obs(Obs::new(ring.clone()));
-        let decide = |inputs: [[f64; 2]; 3]| -> Vec<Vec<f64>> {
+        let mut monitor = Monitor::new(n, Agreement::Epsilon(1e-9), BTreeMap::new(), Tol::default())
+            .with_obs(Obs::new(ring.clone()));
+        let decide = |inputs: [[f64; 2]; 3]| -> Vec<VecD> {
             let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
             for (p, node) in nodes.iter_mut().enumerate() {
                 node.add_instance(7, va_instance(p, n, &inputs[p])).unwrap();
             }
             run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n]);
-            nodes.iter().map(|node| node.instances[&7].decision().unwrap().as_slice().to_vec()).collect()
+            nodes.iter().map(|node| node.instances[&7].decision().unwrap()).collect()
         };
         let first = decide([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]);
         for (p, d) in first.iter().enumerate() {
             monitor.observe(7, p, d);
         }
-        assert!(monitor.clean(), "the first run is violation-free");
+        assert!(monitor.alerts().is_empty(), "the first run is violation-free");
         // Node 0 "restarts" with no log: its pre-crash input and protocol
         // state are gone, so it rejoins with whatever it has now and the
         // nodes converge somewhere else.
         let second = decide([[9.0, 9.0], [4.0, 0.0], [0.0, 4.0]]);
         assert_ne!(first[0], second[0], "the amnesiac run must diverge");
         monitor.observe(7, 0, &second[0]);
-        let flagged = monitor.alerts().iter().any(|(inst, a)| {
-            *inst == 7 && matches!(a.kind, AlertKind::DuplicateDecision { process: 0 })
+        let flagged = monitor.alerts().iter().any(|a| {
+            a.instance == 7 && a.kind == AlertKind::DuplicateDecision { process: 0 }
         });
         assert!(flagged, "expected a DuplicateDecision for process 0: {:?}", monitor.alerts());
         assert!(ring.snapshot().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");

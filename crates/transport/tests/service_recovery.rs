@@ -7,9 +7,9 @@ use std::net::TcpListener;
 use std::thread;
 use std::time::Duration;
 
+use rbvc_core::{check_execution, Agreement, Validity};
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_sim::monitor::{epsilon_agreement, SafetyMonitor, ServiceMonitor};
 use rbvc_store::Wal;
 use rbvc_transport::service::{ConsensusService, InstanceProto};
 use rbvc_transport::tcp::TcpEndpoint;
@@ -123,15 +123,12 @@ fn killed_node_recovers_and_the_mesh_converges() {
         assert!(spins < 5_000, "mesh failed to converge after recovery");
     }
 
-    // One agreed decision, no safety violations — restart included.
-    let mut monitor: ServiceMonitor<Vec<f64>> = ServiceMonitor::new(move |_| {
-        SafetyMonitor::agreement_only(N, epsilon_agreement(1e-9))
-    });
-    for (p, svc) in services.iter().enumerate() {
-        let d = svc.decision(INSTANCE).expect("decided");
-        monitor.observe(INSTANCE, p, &d.as_slice().to_vec());
-    }
-    assert!(monitor.clean(), "violations: {:?}", monitor.alerts());
+    // One agreed decision inside the inputs' hull — restart included.
+    let inputs: Vec<VecD> = inputs.iter().map(|x| VecD::from_slice(x)).collect();
+    let outputs: Vec<Option<VecD>> = services.iter().map(|s| s.decision(INSTANCE)).collect();
+    let verdict =
+        check_execution(&inputs, &outputs, Agreement::Epsilon(1e-9), &Validity::Exact, Tol::default());
+    assert!(verdict.ok(), "{verdict:?}");
     let d0 = services[0].decision(INSTANCE).expect("decided");
     for svc in &services[1..] {
         assert_eq!(svc.decision(INSTANCE), Some(d0.clone()));
