@@ -11,10 +11,12 @@
 //!   Averaging and needs `n ≥ (d+2)f+1`; input-dependent `δ = δ*(X)` is the
 //!   paper's relaxation and needs only `n ≥ 3f+1`).
 //! * **Rounds t ≥ 1** — each process reliably broadcasts its state
-//!   *together with the multiset it averaged* (the witness); receivers
-//!   **verify** the state by recomputing the arithmetic against their own
-//!   reliably-delivered record, so a Byzantine process cannot inject a
-//!   value that is not a correct application of the averaging rule.
+//!   *together with the ids of the states it averaged* (the witness);
+//!   receivers **verify** the state by recomputing the arithmetic over the
+//!   values of their own reliably-delivered record — Bracha gives every
+//!   correct process the same value per tag, so the ids are all a witness
+//!   needs to carry — and a Byzantine process cannot inject a value that is
+//!   not a correct application of the averaging rule.
 //!   Progress to round `t + 1` happens upon `n − f` *verified* round-`t`
 //!   states; the new value is their average.
 //! * **Decision** — after `R` rounds, output the current value.
@@ -46,9 +48,10 @@ pub type RoundTag = (ProcessId, usize);
 pub struct RoundState {
     /// Current value of the origin process at this round.
     pub value: VecD,
-    /// For rounds `t ≥ 1`: the exact (ordered) multiset of round-`t−1`
-    /// states averaged to produce `value`. Empty for round 0.
-    pub witness: Vec<(ProcessId, VecD)>,
+    /// For rounds `t ≥ 1`: the origins of the round-`t−1` states averaged to
+    /// produce `value`, in combining order. A receiver reads each named
+    /// value from its own verified record. Empty for round 0.
+    pub witness: Vec<ProcessId>,
 }
 
 /// The one equality on states: the same allocation, or equal components. The
@@ -100,11 +103,11 @@ pub struct VerifiedAveraging {
     /// Sized on first use, not in `new`: a registered instance that never
     /// runs costs nothing.
     rb: Vec<Option<Broadcast>>,
-    /// Tags verified OK, with their values, indexed by round (sized with `rb`).
-    verified: Vec<Vec<(ProcessId, VecD)>>,
-    /// Round-0 combining results keyed by their exact witness; see
-    /// [`Self::combine_round0`].
-    round0: Vec<(Vec<(ProcessId, VecD)>, Round0)>,
+    /// The delivered states verified OK, indexed like `rb` (sized with it).
+    verified: Vec<Option<Arc<RoundState>>>,
+    /// Round-0 combining results keyed by their exact witness, ids and
+    /// values; see [`Self::combine_round0`].
+    round0: Vec<(Vec<ProcessId>, Vec<VecD>, Round0)>,
     /// Entries of `verified`, over all rounds.
     commits: u64,
     /// Delivered but not yet verifiable (waiting on witness deliveries).
@@ -241,13 +244,27 @@ impl VerifiedAveraging {
         self.broadcast(tag)?.machine.delivered()
     }
 
+    /// The value of state `tag`, if this process verified it.
+    fn verified_value(&self, tag: RoundTag) -> Option<&VecD> {
+        Some(&self.verified.get(self.index(tag)?)?.as_ref()?.value)
+    }
+
+    /// The verified round-`round` values `ids` name, in their order, borrowed.
+    fn named<'a>(
+        &'a self,
+        round: usize,
+        ids: &'a [ProcessId],
+    ) -> impl ExactSizeIterator<Item = &'a VecD> {
+        ids.iter().map(move |&k| self.verified_value((k, round)).expect("a named state is verified"))
+    }
+
     /// The broadcast `tag` names, opened with `state` as its first state if
     /// it is new. `tag` has passed the bounds gate.
     fn instance(&mut self, tag: RoundTag, state: &Arc<RoundState>) -> &mut Broadcast {
         let i = self.index(tag).expect("a tag past the bounds gate names a broadcast of this run");
         if self.rb.is_empty() {
             self.rb.resize_with(self.n * self.total_rounds, || None);
-            self.verified.resize_with(self.total_rounds, Vec::new);
+            self.verified.resize(self.n * self.total_rounds, None);
         }
         let (n, f) = (self.n, self.f);
         let fresh = || Broadcast { first: Arc::clone(state), machine: BrachaInstance::new(n, f) };
@@ -281,27 +298,28 @@ impl VerifiedAveraging {
         }
     }
 
-    /// Apply the round-0 combining rule to an ordered multiset of values,
-    /// memoised per instance on the exact witness: the same ids and the same
-    /// bits in every component, in the same order (so ±0.0 and order count),
-    /// and a hit returns the bits a fresh solve would. Every round-1 state
-    /// verified here and this process's own combine ask for it — one witness
-    /// per origin plus its own, so the memo keeps `n + 1` entries and no more.
-    fn combine_round0(&mut self, witness: &[(ProcessId, VecD)]) -> Round0 {
+    /// Apply the round-0 combining rule to the verified round-0 values `ids`
+    /// name, in their order, memoised per instance on the exact witness: the
+    /// same ids and the same bits in every component, in the same order (so
+    /// ±0.0 and order count), and a hit returns the bits a fresh solve would.
+    /// Every round-1 state verified here and this process's own combine ask
+    /// for it — one witness per origin plus its own, so the memo keeps
+    /// `n + 1` entries and no more.
+    fn combine_round0(&mut self, ids: &[ProcessId]) -> Round0 {
         let same_bits = |x: &VecD, y: &VecD| {
             let (x, y) = (x.as_slice(), y.as_slice());
             x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
         };
-        let same = |key: &[(ProcessId, VecD)]| {
-            key.len() == witness.len()
-                && key.iter().zip(witness).all(|((a, x), (b, y))| a == b && same_bits(x, y))
+        let same = |key: &[ProcessId], values: &[VecD]| {
+            key == ids && values.iter().zip(self.named(0, ids)).all(|(x, y)| same_bits(x, y))
         };
-        if let Some((_, hit)) = self.round0.iter().find(|(key, _)| same(key)) {
+        if let Some((.., hit)) = self.round0.iter().find(|(key, values, _)| same(key, values)) {
             return hit.clone();
         }
-        let result = self.solve_round0(witness);
+        let values: Vec<VecD> = self.named(0, ids).cloned().collect();
+        let result = self.solve_round0(&values);
         if self.round0.len() <= self.n {
-            self.round0.push((witness.to_vec(), result.clone()));
+            self.round0.push((ids.to_vec(), values, result.clone()));
         }
         result
     }
@@ -309,31 +327,29 @@ impl VerifiedAveraging {
     /// The round-0 combining rule itself. Fails (instead of panicking) when
     /// `Γ(X)` is empty in `DeltaMode::Zero` — which Byzantine inputs can
     /// provoke whenever the run violates `n ≥ (d+2)f + 1`.
-    fn solve_round0(&self, witness: &[(ProcessId, VecD)]) -> Round0 {
-        let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
+    fn solve_round0(&self, values: &[VecD]) -> Round0 {
         match self.mode {
-            DeltaMode::Zero => gamma_point(&values, self.f, self.tol)
+            DeltaMode::Zero => gamma_point(values, self.f, self.tol)
                 .map(|point| (point, 0.0))
                 .ok_or(ProtocolError::EmptyIntersection {
                     round: 0,
                     mode: "Γ(X) in DeltaMode::Zero",
                 }),
             DeltaMode::MinDelta(norm) => {
-                let ds = delta_star(&values, self.f, norm, self.tol);
+                let ds = delta_star(values, self.f, norm, self.tol);
                 Ok((ds.witness, ds.delta))
             }
         }
     }
 
     /// Average of an ordered multiset (the `t ≥ 1` rule of Definition 12),
-    /// summed from zero in witness order over the borrowed entries.
-    fn combine_average(witness: &[(ProcessId, VecD)]) -> VecD {
-        let mut acc = VecD::zeros(witness[0].1.dim());
-        for (_, v) in witness {
-            assert_eq!(acc.dim(), v.dim(), "average: dimension mismatch");
+    /// summed from zero in witness order over the borrowed values.
+    fn combine_average<'a>(d: usize, values: impl ExactSizeIterator<Item = &'a VecD>) -> VecD {
+        let (mut acc, s) = (VecD::zeros(d), 1.0 / values.len() as f64);
+        for v in values {
+            assert_eq!(d, v.dim(), "average: dimension mismatch");
             acc.0.iter_mut().zip(v.as_slice()).for_each(|(a, b)| *a += b);
         }
-        let s = 1.0 / witness.len() as f64;
         acc.0.iter_mut().for_each(|a| *a *= s);
         acc
     }
@@ -346,60 +362,42 @@ impl VerifiedAveraging {
             // Inputs are unconstrained: any round-0 value verifies.
             return Some(true);
         }
-        // Witness sanity: enough entries, distinct origins.
-        if state.witness.len() < self.n - self.f {
+        // Witness sanity: enough entries, distinct origins of this run.
+        let ids = &state.witness;
+        if ids.len() < self.n - self.f {
             return Some(false);
         }
-        for (i, (k, _)) in state.witness.iter().enumerate() {
-            if *k >= self.n || state.witness[..i].iter().any(|(j, _)| j == k) {
+        for (i, k) in ids.iter().enumerate() {
+            if *k >= self.n || ids[..i].contains(k) {
                 return Some(false);
             }
         }
-        // Every witness entry must match a *verified* round-(t−1) state.
-        let prev = self.verified.get(round - 1);
-        for (k, v) in &state.witness {
-            let known = prev.and_then(|list| list.iter().find(|(pid, _)| pid == k));
-            match known {
-                Some((_, value)) => {
-                    if !value.approx_eq(v, self.verify_tol()) {
-                        // The claimed witness value contradicts the
-                        // reliably-broadcast record: certain rejection.
-                        return Some(false);
-                    }
-                }
-                None => {
-                    // Not verified (yet). If it was delivered with a
-                    // different value, reject; otherwise wait.
-                    if let Some(delivered) = self.delivered((*k, round - 1)) {
-                        if !delivered.value.approx_eq(v, self.verify_tol()) {
-                            return Some(false);
-                        }
-                    }
-                    return None;
-                }
-            }
+        // Every name must be a state this process verified at t−1: one it
+        // rejected never will be (rejection is permanent, and a correct
+        // process names only what it verified); any other may be, later.
+        if let Some(&k) = ids.iter().find(|&&k| self.verified_value((k, round - 1)).is_none()) {
+            return if self.rejected.contains(&(k, round - 1)) { Some(false) } else { None };
         }
         // Recompute the arithmetic.
         let expected = if round == 1 {
-            match self.combine_round0(&state.witness) {
+            match self.combine_round0(ids) {
                 Ok((v, _)) => v,
                 // A witness set whose combination is undefined cannot back
                 // an honest state: certain rejection, never a panic.
                 Err(_) => return Some(false),
             }
         } else {
-            Self::combine_average(&state.witness)
+            Self::combine_average(self.input.dim(), self.named(round - 1, ids))
         };
         Some(expected.approx_eq(&state.value, self.verify_tol()))
     }
 
     /// Receive-boundary payload validation: dimension match against our own
-    /// input, finite components everywhere, and a sane witness set. A
+    /// input, finite components, and a witness of this run's ids. A
     /// payload failing this never reaches the Bracha instance, so a single
     /// poisoned message costs its sender influence — nothing else.
     fn payload_ok(&self, state: &RoundState) -> Result<(), &'static str> {
-        let d = self.input.dim();
-        if state.value.dim() != d {
+        if state.value.dim() != self.input.dim() {
             return Err("value dimension mismatch");
         }
         if !state.value.as_slice().iter().all(|x| x.is_finite()) {
@@ -408,16 +406,8 @@ impl VerifiedAveraging {
         if state.witness.len() > self.n {
             return Err("witness larger than the process set");
         }
-        for (pid, v) in &state.witness {
-            if *pid >= self.n {
-                return Err("out-of-range witness id");
-            }
-            if v.dim() != d {
-                return Err("witness dimension mismatch");
-            }
-            if !v.as_slice().iter().all(|x| x.is_finite()) {
-                return Err("non-finite witness component");
-            }
+        if state.witness.iter().any(|&k| k >= self.n) {
+            return Err("out-of-range witness id");
         }
         Ok(())
     }
@@ -442,7 +432,8 @@ impl VerifiedAveraging {
                 match self.try_verify(t, &s) {
                     Some(true) => {
                         self.pending.swap_remove(i);
-                        self.verified[t.1].push((t.0, s.value.clone()));
+                        let slot = self.index(t).expect("a delivered tag is of this run");
+                        self.verified[slot] = Some(s);
                         self.commits += 1;
                         self.emit_event(EventKind::WitnessCommit, Some(t.1), || {
                             format!("origin={}", t.0)
@@ -476,21 +467,20 @@ impl VerifiedAveraging {
             return false;
         }
         let t = self.my_round;
-        let Some(list) = self.verified.get(t) else {
+        let Some(row) = self.verified.get(t * self.n..(t + 1) * self.n) else {
             return false;
         };
-        if list.len() < self.n - self.f {
+        if row.iter().flatten().count() < self.n - self.f {
             return false;
         }
-        let mut witness: Vec<(ProcessId, VecD)> = list.clone();
         // Canonicalize the combining order by origin id: float summation is
         // order-sensitive, and verification order is delivery-dependent, so
         // without this two transports (or two runs) computing over the same
         // verified multiset could differ in the last bits. With f = 0 (the
         // wait-for-all regime) this makes decisions bit-identical across
         // transports; verifiers recompute over the witness as broadcast, so
-        // the sorted order is self-consistent end to end.
-        witness.sort_by_key(|(pid, _)| *pid);
+        // the ascending order is self-consistent end to end.
+        let witness: Vec<ProcessId> = (0..self.n).filter(|&k| row[k].is_some()).collect();
         let next_value = if t == 0 {
             match self.combine_round0(&witness) {
                 Ok((v, delta)) => {
@@ -507,7 +497,7 @@ impl VerifiedAveraging {
                 }
             }
         } else {
-            Self::combine_average(&witness)
+            Self::combine_average(self.input.dim(), self.named(t, &witness))
         };
         let verified_count = witness.len();
         self.emit_event(EventKind::RoundEnd, Some(t), || {
@@ -642,7 +632,7 @@ pub fn corrupt_average(
 mod tests {
     use super::*;
     use rbvc_sim::asynch::{
-        AsyncEngine, AsyncNode, FifoScheduler, RandomScheduler, TargetedDelayScheduler,
+        AsyncEngine, AsyncNode, FifoScheduler, RandomScheduler, Scheduler, TargetedDelayScheduler,
     };
     use rbvc_sim::fuzz::SilentAdversary;
     use rbvc_sim::config::SystemConfig;
@@ -701,51 +691,33 @@ mod tests {
         (config.clone(), AsyncEngine::new(config, nodes))
     }
 
-    fn correct_outputs(
-        config: &SystemConfig,
-        decisions: &[Option<VecD>],
-    ) -> Vec<Option<VecD>> {
-        config
-            .correct_ids()
-            .into_iter()
-            .map(|i| decisions[i].clone())
-            .collect()
+    /// Run `setup` with the Byzantine processes `byz` under `sched` until
+    /// every correct process decides; their decisions, in id order.
+    fn decide(setup: &Setup, byz: Vec<(usize, Byz)>, sched: &mut dyn Scheduler) -> Vec<Option<VecD>> {
+        let (config, mut engine) = build(setup, byz);
+        let out = engine.run(sched, 4_000_000);
+        assert!(out.all_decided, "liveness failed");
+        config.correct_ids().into_iter().map(|i| out.decisions[i].clone()).collect()
+    }
+
+    /// [`decide`], then the paper's conditions on the decisions: ε-agreement
+    /// and `validity` over the correct processes' inputs.
+    fn check(setup: &Setup, byz: Vec<(usize, Byz)>, sched: &mut dyn Scheduler, eps: f64, validity: &Validity) {
+        let correct = (0..setup.n).filter(|i| byz.iter().all(|(j, _)| j != i));
+        let inputs: Vec<VecD> = correct.map(|i| setup.inputs[i].clone()).collect();
+        let outputs = decide(setup, byz, sched);
+        let v = check_execution(&inputs, &outputs, Agreement::Epsilon(eps), validity, t());
+        assert!(v.ok(), "{v:?}");
     }
 
     #[test]
     fn baseline_approximate_bvc_at_theorem2_bound() {
         // d = 2, f = 1, n = (d+2)f+1 = 5, DeltaMode::Zero.
-        let inputs: Vec<VecD> = vec![
-            VecD::from_slice(&[0.0, 0.0]),
-            VecD::from_slice(&[1.0, 0.0]),
-            VecD::from_slice(&[0.0, 1.0]),
-            VecD::from_slice(&[1.0, 1.0]),
-            VecD::from_slice(&[0.5, 0.5]),
-        ];
-        let setup = Setup {
-            n: 5,
-            f: 1,
-            inputs: inputs.clone(),
-            mode: DeltaMode::Zero,
-            rounds: 25,
-        };
-        let (config, mut engine) =
-            build(&setup, vec![(4, Byz::HonestInput(VecD::from_slice(&[9.0, -9.0])))]);
-        let out = engine.run(&mut RandomScheduler::new(42), 2_000_000);
-        assert!(out.all_decided, "liveness failed");
-        let correct_inputs: Vec<VecD> = config
-            .correct_ids()
-            .into_iter()
-            .map(|i| inputs[i].clone())
-            .collect();
-        let v = check_execution(
-            &correct_inputs,
-            &correct_outputs(&config, &out.decisions),
-            Agreement::Epsilon(1e-4),
-            &Validity::Exact,
-            t(),
-        );
-        assert!(v.ok(), "approximate BVC failed: {v:?}");
+        let v = |x, y| VecD::from_slice(&[x, y]);
+        let inputs = vec![v(0.0, 0.0), v(1.0, 0.0), v(0.0, 1.0), v(1.0, 1.0), v(0.5, 0.5)];
+        let setup = Setup { n: 5, f: 1, inputs, mode: DeltaMode::Zero, rounds: 25 };
+        let byz = vec![(4, Byz::HonestInput(v(9.0, -9.0)))];
+        check(&setup, byz, &mut RandomScheduler::new(42), 1e-4, &Validity::Exact);
     }
 
     #[test]
@@ -753,194 +725,61 @@ mod tests {
         // The paper's point: d = 3, f = 1, n = 4 < (d+2)f+1 = 6 — baseline
         // impossible, but MinDelta mode achieves (δ,2)-relaxed validity
         // with δ ≤ κ(n−f, f, d, 2)·max-edge (Theorem 15).
-        let inputs: Vec<VecD> = vec![
-            VecD::from_slice(&[0.0, 0.0, 0.0]),
-            VecD::from_slice(&[1.0, 0.1, -0.2]),
-            VecD::from_slice(&[0.2, 1.0, 0.3]),
-            VecD::from_slice(&[-0.3, 0.4, 1.0]),
-        ];
-        let setup = Setup {
-            n: 4,
-            f: 1,
-            inputs: inputs.clone(),
-            mode: DeltaMode::MinDelta(Norm::L2),
-            rounds: 30,
-        };
-        let (config, mut engine) = build(
-            &setup,
-            vec![(1, Byz::HonestInput(VecD::from_slice(&[5.0, 5.0, 5.0])))],
-        );
-        let out = engine.run(&mut RandomScheduler::new(7), 2_000_000);
-        assert!(out.all_decided, "liveness failed below the exact bound");
-        let correct_inputs: Vec<VecD> = config
-            .correct_ids()
-            .into_iter()
-            .map(|i| inputs[i].clone())
-            .collect();
+        let v = |x, y, z| VecD::from_slice(&[x, y, z]);
+        let inputs = vec![v(0.0, 0.0, 0.0), v(1.0, 0.1, -0.2), v(0.2, 1.0, 0.3), v(-0.3, 0.4, 1.0)];
+        let setup = Setup { n: 4, f: 1, inputs, mode: DeltaMode::MinDelta(Norm::L2), rounds: 30 };
         // κ from Theorem 15 with a safety factor for the asynchronous
         // mixture of round-0 views (different X sets, then averaging).
-        let kappa = crate::bounds::kappa_async(4, 1, 3, Norm::L2)
-            .expect("regime covered")
-            .kappa;
-        let v = check_execution(
-            &correct_inputs,
-            &correct_outputs(&config, &out.decisions),
-            Agreement::Epsilon(1e-3),
-            &Validity::InputDependentDeltaP {
-                kappa,
-                norm: Norm::L2,
-            },
-            t(),
-        );
-        assert!(v.ok(), "relaxed verified averaging failed: {v:?}");
+        let kappa = crate::bounds::kappa_async(4, 1, 3, Norm::L2).expect("regime covered").kappa;
+        let validity = Validity::InputDependentDeltaP { kappa, norm: Norm::L2 };
+        let byz = vec![(1, Byz::HonestInput(v(5.0, 5.0, 5.0)))];
+        check(&setup, byz, &mut RandomScheduler::new(7), 1e-3, &validity);
     }
 
     #[test]
     fn split_brain_broadcaster_cannot_diverge_correct_processes() {
-        let inputs: Vec<VecD> = (0..5)
-            .map(|i| VecD::from_slice(&[i as f64, 0.0]))
-            .collect();
-        let setup = Setup {
-            n: 5,
-            f: 1,
-            inputs,
-            mode: DeltaMode::Zero,
-            rounds: 20,
-        };
-        let (config, mut engine) = build(
-            &setup,
-            vec![(
-                2,
-                Byz::SplitBrain(
-                    VecD::from_slice(&[100.0, 100.0]),
-                    VecD::from_slice(&[-100.0, -100.0]),
-                ),
-            )],
-        );
-        let out = engine.run(&mut RandomScheduler::new(3), 2_000_000);
-        assert!(out.all_decided);
-        let outputs = correct_outputs(&config, &out.decisions);
-        let decided: Vec<&VecD> = outputs.iter().flatten().collect();
-        for a in &decided {
-            for b in &decided {
-                assert!(
-                    a.dist(b, Norm::LInf) < 1e-3,
-                    "split-brain broke ε-agreement: {a} vs {b}"
-                );
-            }
-        }
+        let inputs = (0..5).map(|i| VecD::from_slice(&[i as f64, 0.0])).collect();
+        let setup = Setup { n: 5, f: 1, inputs, mode: DeltaMode::Zero, rounds: 20 };
+        let split = Byz::SplitBrain(VecD::from_slice(&[100.0, 100.0]), VecD::from_slice(&[-100.0, -100.0]));
+        check(&setup, vec![(2, split)], &mut RandomScheduler::new(3), 1e-3, &Validity::Exact);
     }
 
+    /// Corrupt averages must neither block progress nor leak into decisions.
     #[test]
     fn corrupt_average_is_rejected_and_liveness_survives() {
-        let inputs: Vec<VecD> = (0..5)
-            .map(|i| VecD::from_slice(&[i as f64, 1.0]))
-            .collect();
-        let setup = Setup {
-            n: 5,
-            f: 1,
-            inputs: inputs.clone(),
-            mode: DeltaMode::Zero,
-            rounds: 20,
-        };
-        let (config, mut engine) = build(
-            &setup,
-            vec![(
-                0,
-                Byz::Corrupt(
-                    VecD::from_slice(&[2.0, 1.0]),
-                    VecD::from_slice(&[1000.0, 1000.0]),
-                ),
-            )],
-        );
-        let out = engine.run(&mut RandomScheduler::new(9), 2_000_000);
-        assert!(out.all_decided, "corrupt averages must not block progress");
-        let correct_inputs: Vec<VecD> = config
-            .correct_ids()
-            .into_iter()
-            .map(|i| inputs[i].clone())
-            .collect();
-        let v = check_execution(
-            &correct_inputs,
-            &correct_outputs(&config, &out.decisions),
-            Agreement::Epsilon(1e-3),
-            &Validity::Exact,
-            t(),
-        );
-        assert!(
-            v.ok(),
-            "corrupt averaged values leaked into decisions: {v:?}"
-        );
+        let inputs = (0..5).map(|i| VecD::from_slice(&[i as f64, 1.0])).collect();
+        let setup = Setup { n: 5, f: 1, inputs, mode: DeltaMode::Zero, rounds: 20 };
+        let corrupt = Byz::Corrupt(VecD::from_slice(&[2.0, 1.0]), VecD::from_slice(&[1000.0, 1000.0]));
+        check(&setup, vec![(0, corrupt)], &mut RandomScheduler::new(9), 1e-3, &Validity::Exact);
     }
 
     #[test]
     fn silent_fault_does_not_block() {
-        let inputs: Vec<VecD> = (0..5)
-            .map(|i| VecD::from_slice(&[(i * i) as f64 / 4.0, i as f64]))
-            .collect();
-        let setup = Setup {
-            n: 5,
-            f: 1,
-            inputs,
-            mode: DeltaMode::Zero,
-            rounds: 15,
-        };
-        let (_, mut engine) = build(&setup, vec![(3, Byz::Silent)]);
-        let out = engine.run(&mut FifoScheduler, 2_000_000);
-        assert!(out.all_decided);
+        let inputs = (0..5).map(|i| VecD::from_slice(&[(i * i) as f64 / 4.0, i as f64])).collect();
+        let setup = Setup { n: 5, f: 1, inputs, mode: DeltaMode::Zero, rounds: 15 };
+        check(&setup, vec![(3, Byz::Silent)], &mut FifoScheduler, 1e-3, &Validity::Exact);
     }
 
     #[test]
     fn targeted_delay_scheduler_preserves_epsilon_agreement() {
-        let inputs: Vec<VecD> = (0..5)
-            .map(|i| VecD::from_slice(&[i as f64, -(i as f64)]))
-            .collect();
-        let setup = Setup {
-            n: 5,
-            f: 1,
-            inputs,
-            mode: DeltaMode::Zero,
-            rounds: 20,
-        };
-        let (config, mut engine) = build(&setup, vec![(4, Byz::Silent)]);
+        let inputs = (0..5).map(|i| VecD::from_slice(&[i as f64, -(i as f64)])).collect();
+        let setup = Setup { n: 5, f: 1, inputs, mode: DeltaMode::Zero, rounds: 20 };
         let mut sched = TargetedDelayScheduler::new(vec![0], 100, 5);
-        let out = engine.run(&mut sched, 4_000_000);
-        assert!(out.all_decided);
-        let outputs = correct_outputs(&config, &out.decisions);
-        let decided: Vec<&VecD> = outputs.iter().flatten().collect();
-        for a in &decided {
-            for b in &decided {
-                assert!(a.dist(b, Norm::LInf) < 1e-3);
-            }
-        }
+        check(&setup, vec![(4, Byz::Silent)], &mut sched, 1e-3, &Validity::Exact);
     }
 
     #[test]
     fn epsilon_agreement_tightens_with_rounds() {
         // Contraction: more rounds → strictly smaller disagreement.
-        let inputs: Vec<VecD> = (0..4)
-            .map(|i| VecD::from_slice(&[(3 * i) as f64, (i * i) as f64]))
-            .collect();
+        let inputs: Vec<VecD> =
+            (0..4).map(|i| VecD::from_slice(&[(3 * i) as f64, (i * i) as f64])).collect();
         let disagreement = |rounds: usize| -> f64 {
-            let setup = Setup {
-                n: 4,
-                f: 1,
-                inputs: inputs.clone(),
-                mode: DeltaMode::MinDelta(Norm::L2),
-                rounds,
-            };
-            let (config, mut engine) = build(&setup, vec![]);
-            let out = engine.run(&mut RandomScheduler::new(11), 4_000_000);
-            assert!(out.all_decided);
-            let outputs = correct_outputs(&config, &out.decisions);
-            let decided: Vec<&VecD> = outputs.iter().flatten().collect();
-            let mut worst = 0.0_f64;
-            for a in &decided {
-                for b in &decided {
-                    worst = worst.max(a.dist(b, Norm::LInf));
-                }
-            }
-            worst
+            let mode = DeltaMode::MinDelta(Norm::L2);
+            let setup = Setup { n: 4, f: 1, inputs: inputs.clone(), mode, rounds };
+            let decided: Vec<VecD> =
+                decide(&setup, vec![], &mut RandomScheduler::new(11)).into_iter().flatten().collect();
+            let pairs = decided.iter().flat_map(|a| decided.iter().map(move |b| a.dist(b, Norm::LInf)));
+            pairs.fold(0.0, f64::max)
         };
         let d5 = disagreement(5);
         let d15 = disagreement(15);
@@ -955,55 +794,21 @@ mod tests {
         // NaN components, wrong dimension, ghost witness ids, ghost senders:
         // each must be discarded without panicking or polluting state, and
         // the node must still decide with the honest majority afterwards.
-        let inputs: Vec<VecD> = (0..4)
-            .map(|i| VecD::from_slice(&[i as f64, 1.0]))
-            .collect();
-        let setup = Setup {
-            n: 4,
-            f: 1,
-            inputs: inputs.clone(),
-            mode: DeltaMode::MinDelta(Norm::L2),
-            rounds: 5,
-        };
-        let mut node = VerifiedAveraging::new(0, 4, 1, inputs[0].clone(), setup.mode, 5, t());
+        let inputs: Vec<VecD> = (0..4).map(|i| VecD::from_slice(&[i as f64, 1.0])).collect();
+        let setup = Setup { n: 4, f: 1, inputs, mode: DeltaMode::MinDelta(Norm::L2), rounds: 5 };
+        let mut node = VerifiedAveraging::new(0, 4, 1, setup.inputs[0].clone(), setup.mode, 5, t());
         let _ = node.on_start();
-        let poison = |state: RoundState| ((3usize, 0usize), BrachaMsg::Init(Arc::new(state)));
-        // Non-finite component.
-        let r = node.on_message(
-            3,
-            poison(RoundState {
-                value: VecD::from_slice(&[f64::NAN, 0.0]),
-                witness: vec![],
-            }),
-        );
-        assert!(r.is_empty(), "NaN payload must be dropped silently");
-        // Dimension mismatch.
-        let r = node.on_message(
-            3,
-            poison(RoundState {
-                value: VecD::from_slice(&[1.0, 2.0, 3.0]),
-                witness: vec![],
-            }),
-        );
-        assert!(r.is_empty(), "wrong-dimension payload must be dropped");
-        // Out-of-range witness id.
-        let r = node.on_message(
-            3,
-            poison(RoundState {
-                value: VecD::from_slice(&[1.0, 1.0]),
-                witness: vec![(99, VecD::from_slice(&[1.0, 1.0]))],
-            }),
-        );
-        assert!(r.is_empty(), "ghost-witness payload must be dropped");
-        // Ghost sender id.
-        let r = node.on_message(
-            42,
-            poison(RoundState {
-                value: VecD::from_slice(&[1.0, 1.0]),
-                witness: vec![],
-            }),
-        );
-        assert!(r.is_empty(), "ghost-sender message must be dropped");
+        let poison = |xs: &[f64], witness| {
+            ((3, 0), BrachaMsg::Init(Arc::new(RoundState { value: VecD::from_slice(xs), witness })))
+        };
+        for (from, msg, what) in [
+            (3, poison(&[f64::NAN, 0.0], vec![]), "a non-finite component"),
+            (3, poison(&[1.0, 2.0, 3.0], vec![]), "a dimension mismatch"),
+            (3, poison(&[1.0, 1.0], vec![0, 99, 1]), "an out-of-range witness id"),
+            (42, poison(&[1.0, 1.0], vec![]), "a ghost sender"),
+        ] {
+            assert!(node.on_message(from, msg).is_empty(), "{what} must be dropped silently");
+        }
         // Round `total_rounds`, which no honest process broadcasts: refused
         // at the bounds gate, and no Bracha instance is opened for it.
         let ring = Arc::new(rbvc_obs::RingRecorder::new(8));
@@ -1022,9 +827,7 @@ mod tests {
         assert!(node.rb.iter().flatten().all(|b| b.machine.delivered().is_none()));
         assert!(node.last_error().is_none());
         // The node is not wedged: a full run with the same shape decides.
-        let (_, mut engine) = build(&setup, vec![]);
-        let out = engine.run(&mut FifoScheduler, 2_000_000);
-        assert!(out.all_decided);
+        decide(&setup, vec![], &mut FifoScheduler);
     }
 
     #[test]
@@ -1060,12 +863,21 @@ mod tests {
         for _ in 0..1000 {
             let (len, d) = (rng.gen_range(1..8usize), rng.gen_range(1..6usize));
             let mut vector = || VecD((0..d).map(|_| rng.gen_range(-1e6..1e6)).collect());
-            let witness: Vec<(ProcessId, VecD)> = (0..len).map(|k| (k, vector())).collect();
+            let values: Vec<VecD> = (0..len).map(|_| vector()).collect();
             let mut acc = VecD::zeros(d);
-            witness.iter().for_each(|(_, v)| acc += v.clone());
+            values.iter().for_each(|v| acc += v.clone());
             let bits = |v: VecD| v.0.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            let new = VerifiedAveraging::combine_average(&witness);
+            let new = VerifiedAveraging::combine_average(d, values.iter());
             assert_eq!(bits(new), bits(acc.scale(1.0 / len as f64)));
+        }
+    }
+
+    /// Record `states` as the round-`round` states this node verified.
+    fn verify_round(node: &mut VerifiedAveraging, round: usize, states: &[(ProcessId, VecD)]) {
+        node.verified.resize(node.n * node.total_rounds, None);
+        for (k, value) in states {
+            let state = RoundState { value: value.clone(), witness: vec![] };
+            node.verified[round * node.n + k] = Some(Arc::new(state));
         }
     }
 
@@ -1090,6 +902,7 @@ mod tests {
             }
             let mut vector = || VecD((0..d).map(|_| rng.gen_range(-3.0..3.0)).collect());
             let witness: Vec<(ProcessId, VecD)> = ids.iter().map(|&k| (k, vector())).collect();
+            verify_round(&mut node, 0, &witness);
             let values: Vec<VecD> = witness.iter().map(|(_, v)| v.clone()).collect();
             let fresh = match mode {
                 DeltaMode::Zero => gamma_point(&values, 1, t()).map(|p| (p, 0.0)),
@@ -1098,8 +911,8 @@ mod tests {
                     Some((ds.witness, ds.delta))
                 }
             };
-            let miss = node.combine_round0(&witness);
-            let hit = node.combine_round0(&witness);
+            let miss = node.combine_round0(&ids);
+            let hit = node.combine_round0(&ids);
             assert_eq!(node.round0.len(), 1, "case {case}: the second call is a hit");
             let fresh = fresh.map(|(p, delta)| {
                 (p.0.iter().map(|x| x.to_bits()).collect(), delta.to_bits())
@@ -1110,21 +923,49 @@ mod tests {
         let mode = DeltaMode::MinDelta(Norm::L2);
         let mut node = VerifiedAveraging::new(0, 4, 1, VecD::zeros(2), mode, 2, t());
         let v = |x: f64, y: f64| VecD::from_slice(&[x, y]);
-        let witness = vec![(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0))];
-        let _ = node.combine_round0(&witness);
-        let mut signed = witness.clone();
-        signed[0].1 = v(-0.0, 1.0);
-        let _ = node.combine_round0(&signed);
+        verify_round(&mut node, 0, &[(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0))]);
+        let _ = node.combine_round0(&[0, 1, 2]);
+        verify_round(&mut node, 0, &[(0, v(-0.0, 1.0))]);
+        let _ = node.combine_round0(&[0, 1, 2]);
         assert_eq!(node.round0.len(), 2, "-0.0 is not 0.0 to the memo");
-        let mut reordered = witness.clone();
-        reordered.swap(1, 2);
-        let _ = node.combine_round0(&reordered);
+        let _ = node.combine_round0(&[0, 2, 1]);
         assert_eq!(node.round0.len(), 3, "order counts");
         for x in 2..6 {
-            let fresh_witness = [(0, v(x as f64, 0.0)), (1, v(0.0, 1.0)), (3, v(1.0, 1.0))];
-            let _ = node.combine_round0(&fresh_witness);
+            verify_round(&mut node, 0, &[(0, v(x as f64, 0.0)), (1, v(0.0, 1.0)), (3, v(1.0, 1.0))]);
+            let _ = node.combine_round0(&[0, 1, 3]);
         }
         assert_eq!(node.round0.len(), 5, "at most n + 1 entries");
+    }
+
+    /// A round-t state verifies only as the combine of the verified values
+    /// it names: a duplicate name, a name outside the run, fewer than n − f
+    /// names or another value is rejected; a name not verified yet waits,
+    /// and one this node rejected at t − 1 never verifies.
+    #[test]
+    fn a_witness_is_checked_against_the_own_verified_record() {
+        let v = |x: f64, y: f64| VecD::from_slice(&[x, y]);
+        let mode = DeltaMode::MinDelta(Norm::L2);
+        let mut node = VerifiedAveraging::new(0, 4, 1, v(0.0, 0.0), mode, 3, t());
+        let record = [(0, v(0.0, 3.0)), (1, v(3.0, 0.0)), (2, v(3.0, 3.0))];
+        verify_round(&mut node, 0, &record);
+        verify_round(&mut node, 1, &record);
+        let state = |value: &VecD, witness| RoundState { value: value.clone(), witness };
+        let mean = v(2.0, 2.0);
+        for (ids, verdict) in [
+            (vec![0, 1, 2], Some(true)),
+            (vec![0, 0, 1], Some(false)),
+            (vec![0, 1, 9], Some(false)),
+            (vec![0, 1], Some(false)),
+        ] {
+            assert_eq!(node.try_verify((3, 2), &state(&mean, ids.clone())), verdict, "{ids:?}");
+        }
+        assert_eq!(node.try_verify((3, 2), &state(&v(2.0, 2.5), vec![0, 1, 2])), Some(false));
+        let (point, _) = node.combine_round0(&[0, 1, 2]).expect("δ* has a point");
+        assert_eq!(node.try_verify((3, 1), &state(&point, vec![0, 1, 2])), Some(true));
+        assert_eq!(node.try_verify((3, 1), &state(&(&point + &v(0.1, 0.0)), vec![0, 1, 2])), Some(false));
+        assert_eq!(node.try_verify((3, 2), &state(&mean, vec![0, 1, 3])), None, "3 may verify later");
+        node.rejected.push((3, 1));
+        assert_eq!(node.try_verify((3, 2), &state(&mean, vec![0, 1, 3])), Some(false));
     }
 
     #[test]
@@ -1133,19 +974,9 @@ mod tests {
         // over |X| = 3 values is empty whenever the values are affinely
         // independent. The old code panicked; now every node must stay
         // undecided and report the error.
-        let inputs: Vec<VecD> = vec![
-            VecD::from_slice(&[0.0, 0.0, 0.0]),
-            VecD::from_slice(&[1.0, 0.0, 0.0]),
-            VecD::from_slice(&[0.0, 1.0, 0.0]),
-            VecD::from_slice(&[0.0, 0.0, 1.0]),
-        ];
-        let setup = Setup {
-            n: 4,
-            f: 1,
-            inputs,
-            mode: DeltaMode::Zero,
-            rounds: 3,
-        };
+        let v = |x, y, z| VecD::from_slice(&[x, y, z]);
+        let inputs = vec![v(0.0, 0.0, 0.0), v(1.0, 0.0, 0.0), v(0.0, 1.0, 0.0), v(0.0, 0.0, 1.0)];
+        let setup = Setup { n: 4, f: 1, inputs, mode: DeltaMode::Zero, rounds: 3 };
         let (_, mut engine) = build(&setup, vec![]);
         let out = engine.run(&mut FifoScheduler, 2_000_000);
         assert!(

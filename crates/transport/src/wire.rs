@@ -11,6 +11,19 @@
 //! here, *semantic* validity — finiteness, dimension agreement — stays with
 //! the protocol receive boundaries that already enforce it).
 //!
+//! The kind byte names the payload: 1 a parallel-EIG round batch, 3 a client
+//! launch, 4 one Bracha message of a Verified-Averaging round state:
+//!
+//! ```text
+//! origin u32 | tag round u32 | bracha kind u8 | dim u32 | value f64… | count u32 | witness id u32…
+//! ```
+//!
+//! A witness names the origins whose states were averaged and does not copy
+//! their vectors: every receiver holds those in its own reliably delivered
+//! record. At (n, f, d) = (4, 1, 3) a round-0 frame is 61 B and a round-t
+//! frame 73 B. Kind 2, the retired layout that copied each named vector, is
+//! refused by name.
+//!
 //! ## The frame boundary is a trust boundary
 //!
 //! Bytes arriving from a socket are Byzantine until proven otherwise.
@@ -156,10 +169,7 @@ fn put_eig_round(out: &mut Vec<u8>, msg: &EigRound<VecD>) {
 fn put_round_state(out: &mut Vec<u8>, state: &RoundState) {
     put_vecd(out, &state.value);
     put_usize(out, state.witness.len());
-    for (pid, v) in &state.witness {
-        put_usize(out, *pid);
-        put_vecd(out, v);
-    }
+    state.witness.iter().for_each(|&pid| put_usize(out, pid));
 }
 
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
@@ -168,8 +178,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The two payloads a run is made of are sized once.
     let capacity = match &frame.payload {
         Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
-            let vectors = s.witness.iter().fold(s.value.dim(), |n, (_, v)| n + 1 + v.dim());
-            VA_DIM_OFFSET + 4 + 4 + 8 * vectors
+            VA_DIM_OFFSET + 4 + 8 * s.value.dim() + 4 + 4 * s.witness.len()
         }
         Payload::Eig(batch) => batch.iter().fold(HEADER_LEN + 4, |n, msg| {
             let items = msg.iter().map(|(_, label, v)| 8 + 4 * label.len() + 8 * v.dim());
@@ -182,8 +191,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out.push(VERSION);
     out.push(match frame.payload {
         Payload::Eig(_) => 1,
-        Payload::Va(_) => 2,
         Payload::Launch(_) => 3,
+        Payload::Va(_) => 4,
     });
     out.extend_from_slice(&frame.instance.to_le_bytes());
     put_usize(&mut out, frame.sender);
@@ -331,9 +340,9 @@ impl<'a> Reader<'a> {
     /// caller rewinds and lets the full decode judge the bytes on its own.
     fn is_round_state(&mut self, hint: &RoundState) -> Result<bool, String> {
         let mut same = self.is_vecd(&hint.value)?
-            && self.len_capped(MAX_WITNESS, 8, "witness set")? == hint.witness.len();
-        for (pid, v) in &hint.witness {
-            same = same && self.pid()? == *pid && self.is_vecd(v)?;
+            && self.len_capped(MAX_WITNESS, 4, "witness set")? == hint.witness.len();
+        for &pid in &hint.witness {
+            same = same && self.pid()? == pid;
         }
         Ok(same)
     }
@@ -378,12 +387,8 @@ impl<'a> Reader<'a> {
 
     fn round_state(&mut self) -> Result<RoundState, String> {
         let value = self.vecd()?;
-        let wlen = self.len_capped(MAX_WITNESS, 8, "witness set")?;
-        let mut witness = Vec::with_capacity(wlen);
-        for _ in 0..wlen {
-            let pid = self.pid()?;
-            witness.push((pid, self.vecd()?));
-        }
+        let wlen = self.len_capped(MAX_WITNESS, 4, "witness set")?;
+        let witness = (0..wlen).map(|_| self.pid()).collect::<Result<_, _>>()?;
         Ok(RoundState { value, witness })
     }
 
@@ -446,7 +451,7 @@ fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
             }
             Payload::Eig(batch)
         }
-        2 => {
+        4 => {
             let origin = r.pid()?;
             let tag_round = r.u32()?;
             if tag_round > MAX_ROUND {
@@ -487,6 +492,7 @@ fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
             }
             Payload::Launch(ClientLaunch { session, reqno, f, rounds, value })
         }
+        2 => return Err("retired payload kind 2: a VA layout that copied witness values".into()),
         k => return Err(format!("unknown payload kind {k}")),
     };
     r.finish()?;
@@ -526,7 +532,7 @@ mod tests {
                 (5, 2),
                 BrachaMsg::Echo(Arc::new(RoundState {
                     value: VecD::from_slice(&[0.25]),
-                    witness: vec![(1, VecD::from_slice(&[1.0])), (2, VecD::from_slice(&[2.0]))],
+                    witness: vec![1, 2],
                 })),
             )),
         }

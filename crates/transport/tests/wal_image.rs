@@ -51,10 +51,10 @@ fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
     assert_eq!(
         digests,
         [
-            "9290988a8c71a92c526fabfd0776fd71e997317c4012c7938212802d8b5f5cf6",
-            "88d45c0d15a7c50b1d0d39d6521db21c45e5d9e5d239408631b72b15f07b40e7",
-            "a4726500a4bee223bd1e2f9c334de7680ffbd6b830bce612429779be9f44b9b7",
-            "f41740dc41670a1ceb8ccf4db5badc4c9d2f3cae41a2bc55ead1d6a22a30cc1e",
+            "1583e5b53bafd010f5d9634729c04d72244f3611b41e0285bcd750c9b973277b",
+            "90fec9c36e225d48ae6ae7789ee2492b1b643f62e44184f33401b2a0a700a43c",
+            "3e6a23c9e4533362457d8cb2f05d04a64fb1cb134e24bf3a66ab998eb35b2329",
+            "6d62002263b194065cfc729309914ee11e19c6acb8b5968a23b0e554fe947d07",
         ]
     );
 }

@@ -31,7 +31,7 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
                 .collect::<Vec<_>>(),
         )
     };
-    let witness = (0..witnesses).map(|k| (k, vec_at(k + 1))).collect();
+    let witness = (0..witnesses).collect();
     Frame {
         instance,
         sender,
@@ -370,4 +370,60 @@ fn honest_bvc_frames_are_the_bytes_they_always_were() {
         nodes[0].output().expect("decided").as_slice().iter().map(|x| x.to_bits()).collect();
     assert_eq!(decision, [0x3fe0903d2ed13327, 0x3fe8450eca076310, 0x3fd56ed55182e53d]);
     assert!(nodes.iter().all(|p| p.output() == nodes[0].output()));
+}
+
+/// The frames of one honest (n, f, d) = (4, 1, 3) Verified-Averaging instance
+/// of three rounds, in the order a FIFO network delivers them: a round-0 frame
+/// is 61 B and a round-t frame 73 B — its witness names the n − f states it
+/// averaged, it does not copy them — and the stream hashes to a pinned value.
+/// The retired kind 2, whose witness copied each named vector, is refused,
+/// and the decision is the one that layout gave.
+#[test]
+fn honest_va_frames_name_their_witness() {
+    use std::collections::VecDeque;
+
+    use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
+    use rbvc_linalg::{Norm, Tol};
+    use rbvc_sim::asynch::AsyncProtocol;
+
+    let n = 4;
+    let mut nodes: Vec<VerifiedAveraging> = (0..n)
+        .map(|id| {
+            let x = id as f64;
+            let input = VecD::from_slice(&[x * 0.5 - 1.0, (x * x) % 3.0, 1.0 / (x + 1.0)]);
+            VerifiedAveraging::new(id, n, 1, input, DeltaMode::MinDelta(Norm::L2), 3, Tol::default())
+        })
+        .collect();
+    let mut queue = VecDeque::new();
+    for (from, node) in nodes.iter_mut().enumerate() {
+        queue.extend(node.on_start().into_iter().map(|(dst, msg)| (from, dst, msg)));
+    }
+    let (mut stream, mut round_t) = (Vec::new(), 0);
+    while let Some((from, dst, msg)) = queue.pop_front() {
+        let round = msg.0 .1 as u32;
+        let frame = Frame { instance: 9, sender: from, round, payload: Payload::Va(msg) };
+        let bytes = encode_frame(&frame);
+        assert_eq!(bytes.len(), if round == 0 { 61 } else { 73 }, "round {round}");
+        assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
+        let back = decode_frame(&bytes, from).expect("an honest frame decodes");
+        assert_eq!(back, frame);
+        let mut retired = bytes.clone();
+        retired[3] = 2;
+        let refused = decode_frame(&retired, from).expect_err("kind 2 is retired").to_string();
+        assert!(refused.contains("retired payload kind 2"), "{refused}");
+        stream.extend_from_slice(&bytes);
+        round_t += usize::from(round > 0);
+        let Payload::Va(msg) = back.payload else { unreachable!() };
+        queue.extend(nodes[dst].on_message(from, msg).into_iter().map(|(to, m)| (dst, to, m)));
+    }
+    assert_eq!(round_t, 2 * 4 * 36);
+    assert_eq!(stream.len(), 4 * 36 * 61 + round_t * 73);
+    let hex: String = rbvc_transport::auth::sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "7844da2be89f5ad3bb108bae005f89e2b46b88a1988080c12ce552029898a1ed");
+    // Every node decides what it decided when the witness copied its values.
+    let decision = [0xbfd943fd6c9221f8, 0x3feae9abc95f7441, 0x3fe092c64ef88994];
+    for p in &nodes {
+        let bits: Vec<u64> = p.output().expect("decided").as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, decision);
+    }
 }
