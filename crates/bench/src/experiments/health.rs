@@ -40,8 +40,7 @@ use rand::Rng;
 use rbvc_core::{Agreement, Monitor, Validity};
 use rbvc_linalg::{Tol, VecD};
 use rbvc_obs::{
-    clock, FlightDump, FlightRecorder, Obs, Recorder, Registry, StallConfig, StallPhase,
-    StallReport,
+    clock, FlightDump, FlightRecorder, Obs, Registry, StallConfig, StallPhase, StallReport,
 };
 use rbvc_transport::service::{ConsensusService, HealthConfig};
 use rbvc_transport::TcpEndpoint;
@@ -448,7 +447,7 @@ fn flight_cross_check(dir: &std::path::Path) -> FlightCheck {
     let dir = dir.join("crosscheck");
     let _ = std::fs::remove_dir_all(&dir);
     let flight = Arc::new(FlightRecorder::new(99, &dir, 1024, Registry::new()));
-    let obs = Obs::new(Arc::clone(&flight) as Arc<dyn Recorder>).with_node(99);
+    let obs = Obs::new(Arc::clone(&flight)).with_node(99);
 
     let points = vec![VecD::from_slice(&[0.0, 0.0]), VecD::from_slice(&[1.0, 1.0])];
     let honest = BTreeMap::from([(1, (points, Validity::Exact))]);

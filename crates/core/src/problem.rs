@@ -301,7 +301,7 @@ impl Monitor {
             watches: BTreeMap::new(),
             alerts: Vec::new(),
             events: 0,
-            obs: Obs::noop(),
+            obs: Obs::default(),
         }
     }
 
@@ -379,7 +379,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbvc_obs::{Recorder, RingRecorder};
+    use rbvc_obs::{FlightRecorder, Registry};
     use std::sync::Arc;
 
     fn t() -> Tol {
@@ -589,22 +589,24 @@ mod tests {
     /// instance, the later decider and the decided value.
     #[test]
     fn monitor_fires_at_the_conflicting_decision_and_emits_tagged_events() {
-        let ring = Arc::new(RingRecorder::new(16));
-        let mut m = agreement_only(4).with_obs(Obs::new(Arc::clone(&ring) as Arc<dyn Recorder>));
+        let dir = std::env::temp_dir().join(format!("rbvc-monitor-events-{}", std::process::id()));
+        let ring = Arc::new(FlightRecorder::new(0, &dir, 16, Registry::new()));
+        let mut m = agreement_only(4).with_obs(Obs::new(Arc::clone(&ring)));
         assert!(m.observe(42, 0, &point(1.0, 0.0)).is_empty(), "a first decision cannot conflict");
-        assert!(ring.is_empty(), "clean decisions emit nothing");
+        assert!(ring.events().is_empty(), "clean decisions emit nothing");
         let alerts = m.observe(42, 3, &point(2.0, 0.0));
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::Agreement { a: 0, b: 3 });
         assert_eq!((alerts[0].instance, alerts[0].at_event), (42, 2));
         assert_eq!(m.observe(42, 1, &point(9.0, 0.0)).len(), 2, "one alert per conflicting pair");
 
-        let events = ring.snapshot();
+        let events = ring.events();
         assert_eq!(events.len(), 3, "one event per alert");
         assert!(events.iter().all(|e| e.kind == EventKind::Violation && e.instance == Some(42)));
         let first = events[0].detail.as_deref().unwrap();
         assert!(first.contains("kind=agreement nodes=0,3 value=[2.0, 0.0]"), "{first}");
         assert_eq!((events[0].node, events[2].node), (Some(3), Some(1)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

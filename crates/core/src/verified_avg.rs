@@ -32,7 +32,6 @@ use crate::error::ProtocolError;
 use rbvc_geometry::minmax::delta_star;
 use rbvc_geometry::gamma_point;
 use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_obs::{Event, EventKind, Obs};
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
@@ -88,6 +87,19 @@ pub enum DeltaMode {
     MinDelta(Norm),
 }
 
+/// What one process refused, by check: the counts a test or an operator
+/// reads to see which check a hostile message died at.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Refusals {
+    /// Messages from a sender, or for an origin or round, outside this run.
+    pub bounds: u64,
+    /// Messages whose state failed the payload check (dimension, finite
+    /// components, witness ids).
+    pub payload: u64,
+    /// Delivered states that failed verification.
+    pub verify: u64,
+}
+
 /// The protocol instance for one process.
 pub struct VerifiedAveraging {
     id: ProcessId,
@@ -114,6 +126,9 @@ pub struct VerifiedAveraging {
     pending: Vec<RoundTag>,
     /// Tags that failed verification permanently.
     rejected: Vec<RoundTag>,
+    /// Messages refused at the bounds and payload checks (`verify` is
+    /// `rejected`'s length).
+    refusals: Refusals,
 
     /// Highest round whose state this process has broadcast.
     my_round: usize,
@@ -123,10 +138,6 @@ pub struct VerifiedAveraging {
     /// Most recent combining failure; the node stays undecided instead of
     /// panicking the whole run, and clears this if a later attempt succeeds.
     last_error: Option<ProtocolError>,
-
-    /// Structured-event sink (no-op by default); the node tag is baked in,
-    /// and so is the instance tag when a multi-instance service attached it.
-    obs: Obs,
 }
 
 impl VerifiedAveraging {
@@ -158,35 +169,12 @@ impl VerifiedAveraging {
             commits: 0,
             pending: Vec::new(),
             rejected: Vec::new(),
+            refusals: Refusals::default(),
             my_round: 0,
             decided: None,
             round0_delta: None,
             last_error: None,
-            obs: Obs::noop(),
         }
-    }
-
-    /// Attach a structured-event sink; events carry this process's id as
-    /// the node tag, and the instance tag if one is baked into `obs`. The
-    /// protocol emits [`EventKind::RoundStart`]/[`EventKind::RoundEnd`] as
-    /// it progresses, [`EventKind::BroadcastAccept`] on reliable-broadcast
-    /// delivery, [`EventKind::WitnessCommit`] when a state verifies,
-    /// [`EventKind::GateReject`] at every receive-boundary rejection, and
-    /// [`EventKind::Decide`] on decision. Tracing never changes behaviour.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs.with_node(u32::try_from(self.id).unwrap_or(u32::MAX));
-    }
-
-    /// Emit one event through the sink, stamping the round tag.
-    /// `detail` runs only when a real recorder is attached.
-    fn emit_event(&self, kind: EventKind, round: Option<usize>, detail: impl FnOnce() -> String) {
-        self.obs.emit(|| {
-            let mut ev = Event::new(kind).detail(detail());
-            if let Some(r) = round {
-                ev = ev.round(u32::try_from(r).unwrap_or(u32::MAX));
-            }
-            ev
-        });
     }
 
     /// The δ this process's round-0 combining step needed (`Some(0.0)` for
@@ -203,6 +191,12 @@ impl VerifiedAveraging {
     #[must_use]
     pub fn witness_commits(&self) -> u64 {
         self.commits
+    }
+
+    /// What this process refused so far, by check.
+    #[must_use]
+    pub fn refusals(&self) -> Refusals {
+        Refusals { verify: self.rejected.len() as u64, ..self.refusals }
     }
 
     /// The first state this process accepted for broadcast `tag` (its own, or
@@ -289,9 +283,6 @@ impl VerifiedAveraging {
         out: &mut Vec<(ProcessId, VaMsg)>,
     ) {
         let tag = (self.id, round);
-        self.emit_event(EventKind::RoundStart, Some(round), || {
-            format!("broadcasting state for round {round}")
-        });
         let state = Arc::new(state);
         if let Some(m) = self.instance(tag, &state).machine.start(state).broadcast {
             self.multicast(tag, m, out);
@@ -396,20 +387,11 @@ impl VerifiedAveraging {
     /// input, finite components, and a witness of this run's ids. A
     /// payload failing this never reaches the Bracha instance, so a single
     /// poisoned message costs its sender influence — nothing else.
-    fn payload_ok(&self, state: &RoundState) -> Result<(), &'static str> {
-        if state.value.dim() != self.input.dim() {
-            return Err("value dimension mismatch");
-        }
-        if !state.value.as_slice().iter().all(|x| x.is_finite()) {
-            return Err("non-finite value component");
-        }
-        if state.witness.len() > self.n {
-            return Err("witness larger than the process set");
-        }
-        if state.witness.iter().any(|&k| k >= self.n) {
-            return Err("out-of-range witness id");
-        }
-        Ok(())
+    fn payload_ok(&self, state: &RoundState) -> bool {
+        state.value.dim() == self.input.dim()
+            && state.value.as_slice().iter().all(|x| x.is_finite())
+            && state.witness.len() <= self.n
+            && state.witness.iter().all(|&k| k < self.n)
     }
 
     fn verify_tol(&self) -> Tol {
@@ -435,17 +417,11 @@ impl VerifiedAveraging {
                         let slot = self.index(t).expect("a delivered tag is of this run");
                         self.verified[slot] = Some(s);
                         self.commits += 1;
-                        self.emit_event(EventKind::WitnessCommit, Some(t.1), || {
-                            format!("origin={}", t.0)
-                        });
                         progressed = true;
                     }
                     Some(false) => {
                         self.pending.swap_remove(i);
                         self.rejected.push(t);
-                        self.emit_event(EventKind::GateReject, Some(t.1), || {
-                            format!("gate=verify origin={}", t.0)
-                        });
                         progressed = true;
                     }
                     None => {
@@ -499,15 +475,8 @@ impl VerifiedAveraging {
         } else {
             Self::combine_average(self.input.dim(), self.named(t, &witness))
         };
-        let verified_count = witness.len();
-        self.emit_event(EventKind::RoundEnd, Some(t), || {
-            format!("verified={verified_count}")
-        });
         self.my_round = t + 1;
         if self.my_round >= self.total_rounds {
-            self.emit_event(EventKind::Decide, Some(t), || {
-                format!("after {} rounds", self.total_rounds)
-            });
             self.decided = Some(next_value);
         } else {
             self.broadcast_state(
@@ -547,9 +516,7 @@ impl AsyncProtocol for VerifiedAveraging {
         // total_rounds`) to keep a Byzantine flood from allocating
         // unboundedly; reject ghost senders and ghost origins outright.
         if from >= self.n || tag.1 >= self.total_rounds || tag.0 >= self.n {
-            self.emit_event(EventKind::GateReject, Some(tag.1), || {
-                format!("gate=bounds from={from} origin={}", tag.0)
-            });
+            self.refusals.bounds += 1;
             return Vec::new();
         }
         // Receive-boundary payload validation before the broadcast substrate
@@ -557,10 +524,8 @@ impl AsyncProtocol for VerifiedAveraging {
         let payload = match &bmsg {
             BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s) => s,
         };
-        if let Err(reason) = self.payload_ok(payload) {
-            self.emit_event(EventKind::GateReject, Some(tag.1), || {
-                format!("gate=payload from={from} reason={reason}")
-            });
+        if !self.payload_ok(payload) {
+            self.refusals.payload += 1;
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -569,9 +534,6 @@ impl AsyncProtocol for VerifiedAveraging {
             self.multicast(tag, m, &mut out);
         }
         if actions.delivered.is_some() {
-            self.emit_event(EventKind::BroadcastAccept, Some(tag.1), || {
-                format!("origin={}", tag.0)
-            });
             self.handle_delivery(tag, &mut out);
         }
         out
@@ -809,16 +771,14 @@ mod tests {
         ] {
             assert!(node.on_message(from, msg).is_empty(), "{what} must be dropped silently");
         }
+        assert_eq!(node.refusals(), Refusals { bounds: 1, payload: 3, verify: 0 });
         // Round `total_rounds`, which no honest process broadcasts: refused
         // at the bounds gate, and no Bracha instance is opened for it.
-        let ring = Arc::new(rbvc_obs::RingRecorder::new(8));
-        node.set_obs(Obs::new(Arc::clone(&ring) as Arc<dyn rbvc_obs::Recorder>));
         let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
         let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(1.0))));
         let open = || node.rb.iter().flatten().count();
         assert!(r.is_empty() && open() == 1, "only its own round-0 broadcast is open");
-        let event = ring.snapshot().pop().expect("the refusal is an event");
-        assert!(event.detail.is_some_and(|d| d.contains("gate=bounds")));
+        assert_eq!(node.refusals().bounds, 2, "the refusal is counted at the bounds gate");
         // Why state equality needs the payload gate: by identity this state
         // equals itself, by its components it does not.
         let nan = state(f64::NAN);

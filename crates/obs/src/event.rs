@@ -1,38 +1,28 @@
-//! Structured protocol events.
+//! Structured service events.
 //!
-//! One [`Event`] records one protocol-level occurrence — a round boundary,
-//! a reliable-broadcast delivery, a receive-gate rejection, a decision —
+//! One [`Event`] records one service-level occurrence — a receive-gate
+//! rejection, a decision, a safety violation, a stall, a handshake outcome —
 //! tagged with where it happened (`node`), which consensus instance it
 //! belongs to (`instance`), and the protocol round, when those are known.
+//! The protocols themselves emit nothing: they are pure state machines, and
+//! the service core that drives them is where events come from.
 //! Events serialize to single-line JSON (one line per event in a
 //! flight-recorder dump) and parse back with it
-//! ([`crate::health::FlightDump`]).
+//! ([`crate::FlightDump`]).
 
 use serde::Value;
 
-/// What happened. The variants cover every instrumentation site in the
-/// workspace; `as_str` names are the wire/JSON identifiers.
+/// What happened. Every variant is emitted by some run; `as_str` names are
+/// the wire/JSON identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
-    /// A protocol round began (lockstep advance, VA round open).
-    RoundStart,
-    /// A protocol round completed (all inputs consumed or timed out).
-    RoundEnd,
-    /// A reliable-broadcast instance delivered (Bracha accept).
-    BroadcastAccept,
-    /// A witness set passed verification (Verified Averaging commit).
-    WitnessCommit,
-    /// An inbound message died at a receive gate.
+    /// An inbound frame died at one of the service's receive gates; detail
+    /// carries `gate= from=`.
     GateReject,
-    /// A consensus instance decided.
+    /// A consensus instance decided; detail carries `latency_us=`.
     Decide,
     /// A safety monitor observed a violation.
     Violation,
-    /// A write-ahead log was replayed at startup (detail carries record
-    /// and torn-byte counts).
-    WalReplay,
-    /// A service finished crash recovery and rejoined the mesh.
-    Recovered,
     /// The stall detector diagnosed a stalled instance. `instance`/`round`
     /// locate the stall; detail carries
     /// `phase= waiting_on= stalled_us= escalated=` (the blame report).
@@ -52,16 +42,10 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind.
-    pub const ALL: [EventKind; 13] = [
-        EventKind::RoundStart,
-        EventKind::RoundEnd,
-        EventKind::BroadcastAccept,
-        EventKind::WitnessCommit,
+    pub const ALL: [EventKind; 7] = [
         EventKind::GateReject,
         EventKind::Decide,
         EventKind::Violation,
-        EventKind::WalReplay,
-        EventKind::Recovered,
         EventKind::StallDetected,
         EventKind::StallCleared,
         EventKind::AuthEstablished,
@@ -72,15 +56,9 @@ impl EventKind {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            EventKind::RoundStart => "round_start",
-            EventKind::RoundEnd => "round_end",
-            EventKind::BroadcastAccept => "broadcast_accept",
-            EventKind::WitnessCommit => "witness_commit",
             EventKind::GateReject => "gate_reject",
             EventKind::Decide => "decide",
             EventKind::Violation => "violation",
-            EventKind::WalReplay => "wal_replay",
-            EventKind::Recovered => "recovered",
             EventKind::StallDetected => "stall_detected",
             EventKind::StallCleared => "stall_cleared",
             EventKind::AuthEstablished => "auth_established",
@@ -241,6 +219,23 @@ mod tests {
         assert_eq!(detail_field("gate=auth from=5", "gate"), Some("auth"));
         assert_eq!(detail_field("gate=auth from=5", "from"), Some("5"));
         assert_eq!(detail_field("gate=auth", "missing"), None);
+    }
+
+    #[test]
+    fn every_kind_is_one_the_service_emits() {
+        let names: Vec<&str> = EventKind::ALL.iter().map(|k| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "gate_reject",
+                "decide",
+                "violation",
+                "stall_detected",
+                "stall_cleared",
+                "auth_established",
+                "auth_reject"
+            ]
+        );
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! `rbvc-obs` — the observability layer of the relaxed-BVC workspace.
 //!
-//! Three independent facilities, all designed so that the protocol engines
-//! stay allocation-free when observation is off:
+//! Three independent facilities, all designed so that the service's hot
+//! paths stay allocation-free when observation is off:
 //!
-//! * **Structured events** ([`Event`], [`EventKind`]) emitted through a
-//!   cheap [`Recorder`] behind an [`Obs`] handle. The no-op recorder costs
-//!   one relaxed atomic-free boolean check per emission site and never
-//!   constructs the event (emission takes a closure). Recorders: no-op,
-//!   in-memory ring buffer ([`RingRecorder`]), fan-out ([`TeeRecorder`]),
-//!   and the always-on [`FlightRecorder`] below — the one file sink.
+//! * **Structured events** ([`Event`], [`EventKind`]) emitted through an
+//!   [`Obs`] handle into the node's [`FlightRecorder`] — the one sink.
+//!   Emission takes a closure, so without a recorder armed it costs one
+//!   branch and never constructs the event.
 //! * **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]) —
 //!   lock-free handles over atomics, log2-bucket histograms with exact
 //!   merge, and the [`ExecutionTrace`] counters the `rbvc-sim` engines and
@@ -25,31 +23,30 @@
 //! endpoint ([`MetricsServer`]).
 //!
 //! [`health`] is the self-diagnosis layer: a per-instance stall detector
-//! with phase + peer blame ([`StallDetector`], [`StallReport`]), a
+//! with phase + peer blame ([`StallDetector`], [`StallReport`]) and a
 //! per-link straggler monitor ([`LinkMonitor`], [`LinkHealth`]), both
-//! exported as `health.*` series on `/metrics`, and the always-on
-//! [`FlightRecorder`] black box (teed next to any primary sink via
-//! [`TeeRecorder`]) with its reader, [`FlightDump`].
+//! exported as `health.*` series on `/metrics`. [`flight`] is the
+//! always-on [`FlightRecorder`] black box with its reader, [`FlightDump`].
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod event;
+pub mod flight;
 pub mod health;
 pub mod metrics;
-pub mod recorder;
 pub mod serve;
 pub mod timing;
 
 pub use event::{detail_field, Event, EventKind};
+pub use flight::{arm_panic_hook, FlightDump, FlightRecorder, Obs};
 pub use health::{
-    arm_panic_hook, progress_token, FlightDump, FlightRecorder, InstanceProgress, LinkAuthState,
-    LinkHealth, LinkMonitor, StallConfig, StallDetector, StallEvent, StallPhase, StallReport,
+    progress_token, InstanceProgress, LinkAuthState, LinkHealth, LinkMonitor, StallConfig,
+    StallDetector, StallEvent, StallPhase, StallReport,
 };
 pub use metrics::{
     Counter, ExecutionTrace, Gauge, HistSnapshot, Histogram, MetricValue, Registry,
 };
-pub use recorder::{NoopRecorder, Obs, Recorder, RingRecorder, TeeRecorder};
 pub use serve::{prometheus_text, scrape_once, scrape_path, MetricsServer};
 pub use timing::{
     kernel_snapshot, kernel_timing_enabled, reset_kernel_timers, set_kernel_timing,

@@ -26,7 +26,6 @@
 
 use std::collections::BTreeMap;
 
-use rbvc_obs::{Event, EventKind, Obs};
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
@@ -70,8 +69,6 @@ pub struct Lockstep<P: SyncProtocol> {
     inbox: BTreeMap<usize, Arrived<P::Msg>>,
     done: bool,
     errors: ErrorLog,
-    /// Structured-event sink (no-op by default), instance tag baked in.
-    obs: Obs,
 }
 
 impl<P: SyncProtocol> Lockstep<P> {
@@ -90,25 +87,7 @@ impl<P: SyncProtocol> Lockstep<P> {
             inbox: BTreeMap::new(),
             done: false,
             errors: ErrorLog::new(),
-            obs: Obs::noop(),
         }
-    }
-
-    /// Attach a structured-event sink (with whatever tags are baked into
-    /// it). The synchronizer emits [`EventKind::RoundStart`] when it
-    /// starts emitting a round, [`EventKind::RoundEnd`] when a round's
-    /// inbox is delivered (detail says whether the barrier was complete or
-    /// timed out partial), and [`EventKind::GateReject`] for every
-    /// receive-boundary rejection. Tracing never changes behaviour.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Emit one event, stamping the round tag.
-    fn emit_event(&self, kind: EventKind, round: usize, detail: impl FnOnce() -> String) {
-        self.obs.emit(|| {
-            Event::new(kind).round(u32::try_from(round).unwrap_or(u32::MAX)).detail(detail())
-        });
     }
 
     /// Override the idle-tick budget before a partial-inbox force-advance.
@@ -171,9 +150,6 @@ impl<P: SyncProtocol> Lockstep<P> {
     /// including empty ones (and one to ourselves — self-delivery is how
     /// the inner protocol hears its own broadcast).
     fn emit(&mut self, round: usize) -> Vec<(ProcessId, RoundBatch<P::Msg>)> {
-        self.emit_event(EventKind::RoundStart, round, || {
-            format!("emitting batches for round {round}")
-        });
         let mut out: Vec<_> =
             (0..self.n).map(|dst| (dst, RoundBatch { round, msgs: Vec::new() })).collect();
         for (dst, msg) in self.inner.round_messages(round) {
@@ -197,13 +173,10 @@ impl<P: SyncProtocol> Lockstep<P> {
             if self.done {
                 return out;
             }
-            let (round, have, n) = (self.round, self.senders_have(), self.n);
-            if have < n && !(force && out.is_empty()) {
+            let round = self.round;
+            if self.senders_have() < self.n && !(force && out.is_empty()) {
                 return out;
             }
-            self.emit_event(EventKind::RoundEnd, round, || {
-                format!("senders={have}/{n}{}", if have < n { " (partial, timed out)" } else { "" })
-            });
             // The inbox is replayed in sender order — the deterministic
             // delivery that keeps decisions transport-independent.
             let inbox = self.inbox.remove(&round).map_or(Vec::new(), |a| a.msgs);
@@ -233,9 +206,6 @@ impl<P: SyncProtocol> AsyncProtocol for Lockstep<P> {
             return Vec::new();
         }
         if from >= self.n || msg.round >= self.max_rounds {
-            self.emit_event(EventKind::GateReject, msg.round, || {
-                format!("gate=batch_bounds from={from}")
-            });
             self.errors.record(ProtocolError::MalformedPayload {
                 from,
                 reason: format!(
@@ -248,9 +218,6 @@ impl<P: SyncProtocol> AsyncProtocol for Lockstep<P> {
         if msg.round < self.round {
             // A straggler for a round already delivered (e.g. after a
             // timeout advance): too late to matter, not an error.
-            self.emit_event(EventKind::GateReject, msg.round, || {
-                format!("gate=stale from={from}")
-            });
             return Vec::new();
         }
         // First batch per (round, sender) wins; equivocators cannot rewrite.

@@ -39,9 +39,10 @@
 //! [`rbvc_obs::StallReport`] (barrier / wire / fsync / queue, with the
 //! specific missing senders) when an undecided instance makes no progress
 //! past its deadline and counts it on `/metrics` (`health.stall.*`, with
-//! `{peer}` blame). Arming it with a flight directory tees the service's
-//! event stream into an always-on [`rbvc_obs::FlightRecorder`] that dumps
-//! its ring on a safety violation, an escalated stall, or a panic.
+//! `{peer}` blame). Arming it with a flight directory gives the service's
+//! event stream its one sink, an always-on [`rbvc_obs::FlightRecorder`]
+//! that dumps its ring on a safety violation, an escalated stall, or a
+//! panic.
 //!
 //! ## Where the time goes
 //!
@@ -63,7 +64,7 @@ mod phase;
 use std::time::{Duration, Instant};
 
 use rbvc_linalg::VecD;
-use rbvc_obs::{Event, EventKind, Obs, Registry, StallReport};
+use rbvc_obs::{Event, EventKind, Registry, StallReport};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_store::{ReplayReport, Wal, WalRecordRef};
@@ -180,17 +181,6 @@ impl<T: Transport> ConsensusService<T> {
                 }
             }
         }
-    }
-
-    /// Attach a structured-event sink; the service emits
-    /// [`EventKind::GateReject`] at each of the four receive gates and
-    /// [`EventKind::Decide`] (with a `latency_us=` detail) per decided
-    /// instance, and propagates the sink to every registered instance —
-    /// lockstep round events and Verified-Averaging protocol events flow
-    /// through it tagged with their instance id. Attach *before*
-    /// registering instances so all of them are covered.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.node.set_obs(obs);
     }
 
     /// Per-gate rejection counts (decode, sender auth, instance lookup,
@@ -494,17 +484,15 @@ impl<T: Transport> ConsensusService<T> {
 
     /// Arm the health subsystem: from here on every poll feeds instance
     /// progress and link health into a stall detector and — when a flight
-    /// directory is configured — tees the service's event
-    /// stream into an always-on [`rbvc_obs::FlightRecorder`] that dumps on a
-    /// violation, an escalated stall, or a panic. Call *after*
-    /// [`ConsensusService::set_obs`] so the tee wraps the real sink; zero
-    /// behavior change for services that never call this.
+    /// directory is configured — the service's events (gate rejections,
+    /// decisions with their latency, stalls, handshake outcomes) into an
+    /// always-on [`rbvc_obs::FlightRecorder`] that dumps on a violation, an
+    /// escalated stall, or a panic. Zero behavior change for services that
+    /// never call this.
     pub fn enable_health(&mut self, cfg: HealthConfig) {
         let node = u32::try_from(self.transport.local_id()).unwrap_or(u32::MAX);
-        let (health, teed) = Health::new(node, cfg, &self.node.obs);
-        if let Some(obs) = teed {
-            self.set_obs(obs);
-        }
+        let (health, obs) = Health::new(node, cfg);
+        self.node.obs = obs;
         self.health = Some(health);
     }
 
@@ -646,19 +634,7 @@ impl<T: Transport> ConsensusService<T> {
         svc.clock.enter(Phase::Outside);
         let recover_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         Registry::global().histogram("service.recover_us").record(recover_us);
-        let divergences = svc.node.replay_divergence;
-        Registry::global().counter("service.replay.divergences").add(divergences);
-        let (records, torn) = (report.records.len(), report.torn_bytes);
-        svc.node.obs.emit(|| {
-            Event::new(EventKind::WalReplay)
-                .detail(format!("records={records} torn_bytes={torn}"))
-        });
-        let (instances, decisions) = (svc.node.instances.len(), svc.node.recovered.len());
-        svc.node.obs.emit(|| {
-            Event::new(EventKind::Recovered).detail(format!(
-                "instances={instances} decisions={decisions} divergences={divergences} recover_us={recover_us}"
-            ))
-        });
+        Registry::global().counter("service.replay.divergences").add(svc.node.replay_divergence);
         Ok(svc)
     }
 
@@ -718,7 +694,7 @@ mod tests {
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_core::{DecisionRule, SyncBvc};
     use rbvc_linalg::Tol;
-    use rbvc_obs::{detail_field, RingRecorder};
+    use rbvc_obs::{FlightDump, FlightRecorder, Obs};
 
     pub(super) fn bvc_instance(id: ProcessId, n: usize, f: usize, input: &[f64]) -> InstanceProto {
         let d = input.len();
@@ -754,20 +730,20 @@ mod tests {
     /// sum to its latency, and each cell shows up where its work is: `write`
     /// / `fsync` on the one node with a WAL, `kernel` for the δ* solves of
     /// the `MinDeltaPoint` instances, with kernel timing at its default
-    /// (off). The event stream carries one service-level `decide` (the one
-    /// with a `latency_us=` measurement) per instance per node.
+    /// (off). The event stream carries one `decide` per instance per node:
+    /// the service's, with its `latency_us=` measurement.
     #[test]
     fn phases_partition_every_decision() {
         assert!(!rbvc_obs::kernel_timing_enabled());
         let n = 4;
         let dir = tmp_dir("phases");
         let inputs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]];
-        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let flights: Vec<_> = (0..n).map(|i| flight(&format!("phases-{i}"))).collect();
         let mut services: Vec<ConsensusService<_>> =
             in_proc_mesh(n).into_iter().map(ConsensusService::new).collect();
         services[0].attach_wal(rbvc_store::Wal::open(dir.join("node0.wal")).unwrap().0);
         for (i, svc) in services.iter_mut().enumerate() {
-            svc.set_obs(Obs::new(ring.clone()));
+            svc.node.obs = Obs::new(Arc::clone(&flights[i]));
             for k in 0..6u64 {
                 let input = [inputs[i][0] + k as f64, inputs[i][1]];
                 let proto =
@@ -794,15 +770,10 @@ mod tests {
             let v0 = services[0].decision(k);
             assert!(v0.is_some() && services.iter().all(|s| s.decision(k) == v0 && s.errors().is_empty()));
         }
-        // Protocol layers emit decide events of their own (Verified
-        // Averaging's "after N rounds"); the service's carry the latency.
-        let service_decides = ring
-            .snapshot()
-            .iter()
-            .filter(|e| e.kind == EventKind::Decide)
-            .filter(|e| e.detail.as_deref().and_then(|d| detail_field(d, "latency_us")).is_some())
-            .count();
-        assert_eq!((service_decides, ring.dropped()), (6 * n, 0), "instances x nodes");
+        let decides: usize =
+            flights.iter().map(|f| f.events().iter().filter(|e| e.kind == EventKind::Decide).count()).sum();
+        assert_eq!(decides, 6 * n, "instances x nodes");
+        assert!(flights.iter().all(|f| f.dropped() == 0));
         for ev in &events {
             let at = format!("instance {} on node {}: {:?}", ev.instance, ev.process, ev.phases);
             assert_eq!(u128::from(ev.phases.total()), ev.latency.as_nanos(), "{at}");
@@ -824,6 +795,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mk tmp dir");
         dir
+    }
+
+    /// A flight recorder that dumps into a fresh temporary directory.
+    pub(super) fn flight(tag: &str) -> Arc<FlightRecorder> {
+        Arc::new(FlightRecorder::new(0, tmp_dir(tag), 1 << 16, Registry::new()))
+    }
+
+    /// Recovery's facts are on `/metrics`, not in the event stream: a
+    /// recovered node armed with a flight directory afterwards dumps a
+    /// registry snapshot that holds the replay counters.
+    #[test]
+    fn a_recovered_nodes_flight_dump_carries_the_replay_counters() {
+        let dir = tmp_dir("recover-flight");
+        let wal_path = dir.join("node0.wal");
+        let proto = || va_instance(0, 1, &[1.0, 2.0]);
+        {
+            let mut svc = ConsensusService::new(in_proc_mesh(1).remove(0));
+            svc.attach_wal(rbvc_store::Wal::open(&wal_path).unwrap().0);
+            svc.add_instance_durable(1, proto(), Vec::new()).unwrap();
+            svc.start().unwrap();
+            svc.run_until_decided(Duration::ZERO, 100);
+            assert!(svc.all_decided());
+        }
+        let (wal, report) = rbvc_store::Wal::open(&wal_path).unwrap();
+        let ep = in_proc_mesh(1).remove(0);
+        let mut svc = ConsensusService::recover(ep, wal, &report, |_, _| Ok(proto())).expect("recover");
+        assert_eq!((svc.replay_divergences(), svc.recovered_decisions().len()), (0, 1));
+        svc.enable_health(HealthConfig { flight_dir: Some(dir.join("flight")), ..HealthConfig::default() });
+        let path = svc.node.obs.flight().expect("armed").dump("recovered").expect("dump written");
+        let dump = FlightDump::parse(&std::fs::read_to_string(path).unwrap()).expect("parses");
+        assert_eq!(dump.unknown_records, 0);
+        for series in ["service.replay.divergences", "wal.replay.records"] {
+            assert!(dump.scalars.contains_key(series), "{series} is in the dump");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A process crash between two polls leaves the file at the last group

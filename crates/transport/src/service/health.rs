@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use rbvc_obs::{
-    Event, EventKind, FlightRecorder, InstanceProgress, LinkHealth, Obs, Recorder, Registry,
-    StallConfig, StallDetector, StallEvent, TeeRecorder,
+    Event, EventKind, FlightRecorder, InstanceProgress, LinkHealth, Obs, Registry, StallConfig,
+    StallDetector, StallEvent,
 };
 
 /// Configuration for the service's `enable_health`.
@@ -29,24 +29,25 @@ const FLIGHT_CAPACITY: usize = 4096;
 
 pub(super) struct Health {
     detector: StallDetector,
-    flight: Option<Arc<FlightRecorder>>,
 }
 
 impl Health {
-    /// Arm health for `node`. With a flight directory configured, the second
-    /// value is the event sink the service must switch to: `obs` teed into
-    /// the always-on flight recorder (which also dumps on a panic).
-    pub(super) fn new(node: u32, cfg: HealthConfig, obs: &Obs) -> (Health, Option<Obs>) {
+    /// Arm health for `node`, and the event handle the service emits
+    /// through from here on: over the always-on flight recorder (which also
+    /// dumps on a panic) when a flight directory is configured, a no-op
+    /// otherwise.
+    pub(super) fn new(node: u32, cfg: HealthConfig) -> (Health, Obs) {
         let detector = StallDetector::new(node, cfg.stall, Registry::global().clone());
-        let flight = cfg.flight_dir.map(|dir| {
-            Arc::new(FlightRecorder::new(node, dir, FLIGHT_CAPACITY, Registry::global().clone()))
-        });
-        let teed = flight.as_ref().map(|f| {
-            rbvc_obs::arm_panic_hook(f);
-            let sinks: Vec<Arc<dyn Recorder>> = vec![obs.recorder().clone(), f.clone()];
-            Obs::new(Arc::new(TeeRecorder::new(sinks)))
-        });
-        (Health { detector, flight }, teed)
+        let obs = match cfg.flight_dir {
+            Some(dir) => {
+                let flight =
+                    Arc::new(FlightRecorder::new(node, dir, FLIGHT_CAPACITY, Registry::global().clone()));
+                rbvc_obs::arm_panic_hook(&flight);
+                Obs::new(flight).with_node(node)
+            }
+            None => Obs::default(),
+        };
+        (Health { detector }, obs)
     }
 
     /// The detector, for the read-only stall accessors.
@@ -78,10 +79,8 @@ impl Health {
                     .detail(report.detail(escalated))
             });
             // After the event, so the dump contains it.
-            if escalated {
-                if let Some(f) = &self.flight {
-                    f.dump("stall");
-                }
+            if let (true, Some(f)) = (escalated, obs.flight()) {
+                f.dump("stall");
             }
         }
     }
@@ -105,7 +104,8 @@ mod tests {
     /// stream, and WAL appends counted on `/metrics` (`wal.append.records`)
     /// rather than recorded one event each, fifty decisions' worth of a
     /// durable node's events fit the ring, the first decision's `decide`
-    /// included.
+    /// included — and each decision is one `decide`, the service's, with
+    /// its latency.
     #[test]
     fn the_flight_ring_still_holds_the_first_decide_after_fifty_decisions() {
         let (n, decisions) = (4usize, 50u64);
@@ -141,18 +141,18 @@ mod tests {
                 assert!(spins < 10_000, "instance {k} failed to decide");
             }
         }
-        let flight = services[0].health.as_ref().and_then(|h| h.flight.as_ref()).expect("armed");
+        let flight = services[0].node.obs.flight().expect("armed");
         let dump = flight.dump("test").expect("dump written");
         let ring = FlightDump::parse(&std::fs::read_to_string(dump).unwrap()).expect("parses");
         assert_eq!(ring.unknown_records, 0, "every record shape is known");
-        let decides: Vec<u64> = ring
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Decide && e.detail.as_deref().is_some_and(|d| d.starts_with("latency_us=")))
-            .filter_map(|e| e.instance)
-            .collect();
+        let decides: Vec<_> = ring.events.iter().filter(|e| e.kind == EventKind::Decide).collect();
+        assert!(
+            decides.iter().all(|e| e.detail.as_deref().is_some_and(|d| d.starts_with("latency_us="))),
+            "one decide per decision: the service's, with its latency"
+        );
+        let instances: Vec<u64> = decides.iter().filter_map(|e| e.instance).collect();
         assert_eq!(ring.ring_dropped, Some(0), "nothing was evicted");
-        assert_eq!(decides, (1..=decisions).collect::<Vec<_>>(), "every decide, the first included");
+        assert_eq!(instances, (1..=decisions).collect::<Vec<_>>(), "every decide, the first included");
         drop(services);
         let _ = std::fs::remove_dir_all(&dir);
     }

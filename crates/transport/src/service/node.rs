@@ -78,13 +78,6 @@ type Outbound = Vec<(ProcessId, Vec<u8>)>;
 /// runs: the state-machine calls with their wire encoding on the way out
 /// and the payload-kind check on the way in.
 impl InstanceProto {
-    fn set_obs(&mut self, obs: Obs) {
-        match self {
-            InstanceProto::Bvc(p) => p.set_obs(obs),
-            InstanceProto::Va(p) => p.set_obs(obs),
-        }
-    }
-
     fn on_start(&mut self, id: InstanceId, local: ProcessId, out: &mut Outbound) {
         match self {
             InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start(), out),
@@ -258,7 +251,7 @@ pub(super) struct Node {
     pub(super) n: usize,
     pub(super) instances: BTreeMap<InstanceId, Slot>,
     pub(super) undecided: usize,
-    /// The structured-event sink (no-op by default, node tag baked in).
+    /// The event handle: a no-op until the driver arms a flight recorder.
     pub(super) obs: Obs,
     /// Degradation events: gate rejections, failed appends and syncs.
     pub(super) errors: ErrorLog,
@@ -308,7 +301,7 @@ impl Node {
             n,
             instances: BTreeMap::new(),
             undecided: 0,
-            obs: Obs::noop().with_node(u32::try_from(local).unwrap_or(u32::MAX)),
+            obs: Obs::default(),
             errors: ErrorLog::new(),
             started: false,
             gate_rejections: [0; 4],
@@ -320,15 +313,6 @@ impl Node {
             recovered: Vec::new(),
             replay_divergence: 0,
             client: ClientTable::new(local, n),
-        }
-    }
-
-    /// Switch the event sink (tagged with this node) and hand it to every
-    /// registered instance, tagged with its id.
-    pub(super) fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs.with_node(u32::try_from(self.local).unwrap_or(u32::MAX));
-        for (id, slot) in &mut self.instances {
-            slot.proto.set_obs(self.obs.with_instance(*id));
         }
     }
 
@@ -380,9 +364,8 @@ impl Node {
 
     /// Stand `proto` up under `id` — unless `id` is resident: a slot is
     /// never replaced, whoever asks.
-    fn insert_slot(&mut self, id: InstanceId, mut proto: InstanceProto) {
+    fn insert_slot(&mut self, id: InstanceId, proto: InstanceProto) {
         if let Entry::Vacant(entry) = self.instances.entry(id) {
-            proto.set_obs(self.obs.with_instance(id));
             entry.insert(Slot { proto, decided: false, pinned: None, launched: None });
             self.undecided += 1;
         }
@@ -800,13 +783,12 @@ mod tests {
     use std::collections::VecDeque;
     use std::time::Duration;
 
-    use rbvc_core::verified_avg::RoundState;
+    use rbvc_core::verified_avg::{Refusals, RoundState};
     use rbvc_linalg::{Norm, Tol};
-    use rbvc_obs::RingRecorder;
     use rbvc_store::encode_record;
 
     use super::*;
-    use crate::service::tests::{bvc_instance, va_instance};
+    use crate::service::tests::{bvc_instance, flight, va_instance};
     use crate::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
     use crate::transport::in_proc_mesh;
     use crate::wire::{MAX_PID, MAX_ROUND};
@@ -975,8 +957,8 @@ mod tests {
     fn byzantine_frames_are_rejected_at_every_gate() {
         let n = 2;
         let mut node = Node::new(0, n);
-        let ring = Arc::new(RingRecorder::new(64));
-        node.set_obs(Obs::new(ring.clone()));
+        let ring = flight("gates");
+        node.obs = Obs::new(ring.clone());
         node.add_instance(5, va_instance(0, n, &[0.0])).unwrap();
         let budget = ClientConfig::default().rounds;
         node.client.enable(ClientConfig::default());
@@ -1014,7 +996,7 @@ mod tests {
         assert_eq!(node.gate_rejections, [1, 1, 1, 2]);
         assert_eq!(node.gate_rejections_by_sender, [[0; 4], [1, 1, 1, 2]]);
         let rejects: Vec<String> = ring
-            .snapshot()
+            .events()
             .into_iter()
             .filter(|e| e.kind == EventKind::GateReject)
             .filter_map(|e| e.detail)
@@ -1090,7 +1072,7 @@ mod tests {
         use rbvc_core::problem::{Agreement, AlertKind, Monitor};
 
         let n = 3;
-        let ring = Arc::new(RingRecorder::new(64));
+        let ring = flight("amnesiac");
         let mut monitor = Monitor::new(n, Agreement::Epsilon(1e-9), BTreeMap::new(), Tol::default())
             .with_obs(Obs::new(ring.clone()));
         let decide = |inputs: [[f64; 2]; 3]| -> Vec<VecD> {
@@ -1116,7 +1098,8 @@ mod tests {
             a.instance == 7 && a.kind == AlertKind::DuplicateDecision { process: 0 }
         });
         assert!(flagged, "expected a DuplicateDecision for process 0: {:?}", monitor.alerts());
-        assert!(ring.snapshot().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");
+        assert!(ring.events().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");
+        assert!(ring.dumps() >= 1, "the violation dumped the ring");
     }
 
     /// VA frames naming a broadcast no process of the run makes — an origin
@@ -1127,9 +1110,7 @@ mod tests {
     #[test]
     fn hostile_tags_stop_at_the_va_bounds_gate() {
         let (n, rounds) = (4, 8);
-        let ring = Arc::new(RingRecorder::new(256));
         let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
-        nodes[0].set_obs(Obs::new(ring.clone()));
         let (mut queues, mut out): (Queues, _) = (vec![VecDeque::new(); n], Outbox::default());
         for (p, node) in nodes.iter_mut().enumerate() {
             for inst in [1, 2] {
@@ -1138,10 +1119,11 @@ mod tests {
             node.launch(1, &now(), &mut out).unwrap();
             out.frames.drain(..).for_each(|(dst, bytes)| queues[dst].push_back((p, bytes)));
         }
-        let slots = |node: &Node, inst| match &node.instances[&inst].proto {
-            InstanceProto::Va(p) => p.broadcast_slots(),
+        let va = |node: &Node, inst| match &node.instances[&inst].proto {
+            InstanceProto::Va(p) => (p.broadcast_slots(), p.refusals()),
             InstanceProto::Bvc(_) => unreachable!("VA instances only"),
         };
+        let slots = |node: &Node, inst| va(node, inst).0;
         assert_eq!((slots(&nodes[0], 1), slots(&nodes[0], 2)), (n * rounds, 0));
         let cap = MAX_ROUND as usize;
         let tags = [(n, 0), (0, rounds), (MAX_PID - 1, 0), (0, cap), (MAX_PID - 1, cap)];
@@ -1154,13 +1136,8 @@ mod tests {
                 nodes[0].on_frame(3, &encode_frame(&frame), &now(), &mut out);
             }
         }
-        let refusals = ring
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.kind == EventKind::GateReject)
-            .filter(|e| e.detail.as_deref().is_some_and(|d| d.starts_with("gate=bounds from=3")))
-            .count();
-        assert_eq!(refusals, 2 * tags.len());
+        let bounds = Refusals { bounds: tags.len() as u64, ..Refusals::default() };
+        assert_eq!((va(&nodes[0], 1).1, va(&nodes[0], 2).1), (bounds, bounds));
         assert_eq!((slots(&nodes[0], 1), slots(&nodes[0], 2)), (n * rounds, 0));
         assert!(out.frames.is_empty());
         run_cores(&mut nodes, &mut queues, &mut vec![Vec::new(); n]);
