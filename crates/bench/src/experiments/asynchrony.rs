@@ -9,7 +9,7 @@ use rbvc_core::verified_avg::DeltaMode;
 use rbvc_linalg::{Norm, Tol};
 use serde_json::json;
 
-use super::Experiment;
+use super::{claim_per_row, Experiment};
 use crate::campaign::{Args, Gate, Kind};
 use crate::report::{fnum, print_table};
 use crate::workloads::{self, rng};
@@ -207,8 +207,9 @@ fn run_async_delta(args: &Args) -> Vec<Gate> {
          impossible there): ε-agreement + (δ,2)-validity with \
          δ ≤ κ(n−f,f,d,2)·max-edge(E₊) (Theorem 15)."
     );
-    let rows: Vec<Vec<String>> = async_delta_sweep(args.num(0), args.num(1))
-        .into_iter()
+    let sweep = async_delta_sweep(args.num(0), args.num(1));
+    let rows: Vec<Vec<String>> = sweep
+        .iter()
         .map(|r| {
             vec![
                 r.n.to_string(),
@@ -234,7 +235,12 @@ fn run_async_delta(args: &Args) -> Vec<Gate> {
         ],
         &rows,
     );
-    Vec::new()
+    async_delta_gates(&sweep)
+}
+
+/// E11: every run passed, and no round-0 δ reached the bound.
+fn async_delta_gates(rows: &[AsyncDeltaRow]) -> Vec<Gate> {
+    claim_per_row("E11", rows, |r| r.ok == r.trials && r.bound_violations == 0)
 }
 
 fn run_convergence(args: &Args) -> Vec<Gate> {
@@ -267,6 +273,22 @@ mod tests {
         assert_eq!(row.ok, row.trials, "{row:?}");
         assert_eq!(row.bound_violations, 0, "{row:?}");
         assert!(row.max_ratio < 1.0, "{row:?}");
+    }
+
+    #[test]
+    fn a_failed_run_or_a_bound_violation_fails_the_gate() {
+        let row = |ok, bound_violations| AsyncDeltaRow {
+            n: 4,
+            f: 1,
+            d: 3,
+            trials: 3,
+            ok,
+            bound_violations,
+            max_ratio: 0.5,
+            max_disagreement: 0.0,
+        };
+        let ok = |r| async_delta_gates(&[r])[0].ok;
+        assert!(ok(row(3, 0)) && !ok(row(2, 0)) && !ok(row(3, 1)));
     }
 
     #[test]

@@ -23,8 +23,8 @@ use rbvc_geometry::minmax::delta_star;
 use rbvc_linalg::{Norm, Tol, VecD};
 use serde_json::json;
 
-use super::Experiment;
-use crate::campaign::{Args, Gate, Kind};
+use super::{claim_per_row, Experiment};
+use crate::campaign::{gate, Args, Gate, Kind};
 use crate::report::{fnum, print_table};
 
 /// `exp figure1` — E2.
@@ -376,7 +376,33 @@ fn run_figure1(args: &Args) -> Vec<Gate> {
         "\nscenarios with a violated condition: {broken} (Lemma 10 predicts ≥ 1 \
          for every algorithm; n ≥ 3f+1 = 4 removes the contradiction)"
     );
-    Vec::new()
+    vec![figure1_gate(&rows)]
+}
+
+/// E2: the candidate breaks a condition in some scenario.
+fn figure1_gate(rows: &[Figure1Row]) -> Gate {
+    gate(rows.iter().any(|r| !r.violated.is_empty()), "E2: the candidate broke no condition")
+}
+
+/// An f ≥ 2 replication row: `(d, f, construction empty)`.
+type Replicated = (usize, usize, bool);
+
+/// E3–E6: every row is certified on both sides, and every replication row
+/// is empty.
+fn tightness_gates(id: &str, rows: &[TightnessRow], replicated: &[Replicated]) -> Vec<Gate> {
+    let mut gates = claim_per_row(id, rows, |r| r.necessity_certified && r.sufficiency_ok);
+    gates.extend(claim_per_row(id, replicated, |&(_, _, empty)| empty));
+    gates
+}
+
+/// The replication rows, and their table.
+fn replication(empty: impl Fn(usize, usize) -> bool) -> (Vec<Replicated>, Vec<Vec<String>>) {
+    let rows: Vec<_> = [(3usize, 2usize), (4, 2)].into_iter().map(|(d, f)| (d, f, empty(d, f))).collect();
+    let table = rows
+        .iter()
+        .map(|&(d, f, e)| vec![d.to_string(), f.to_string(), ((d + 1) * f).to_string(), e.to_string()])
+        .collect();
+    (rows, table)
 }
 
 fn run_thm3(args: &Args) -> Vec<Gate> {
@@ -386,9 +412,10 @@ fn run_thm3(args: &Args) -> Vec<Gate> {
          empty (LP certificate); at n = d+2 a live run with a Byzantine \
          process succeeds."
     );
-    let rows: Vec<Vec<String>> = (3..=d_max)
-        .map(|d| {
-            let r = theorem3_row(d);
+    let tightness: Vec<TightnessRow> = (3..=d_max).map(theorem3_row).collect();
+    let rows: Vec<Vec<String>> = tightness
+        .iter()
+        .map(|r| {
             vec![
                 r.d.to_string(),
                 r.n_infeasible.to_string(),
@@ -404,23 +431,14 @@ fn run_thm3(args: &Args) -> Vec<Gate> {
         &rows,
     );
     // The f ≥ 2 extension via the simulation (column-replication) argument.
-    let rep_rows: Vec<Vec<String>> = [(3usize, 2usize), (4, 2)]
-        .into_iter()
-        .map(|(d, f)| {
-            vec![
-                d.to_string(),
-                f.to_string(),
-                ((d + 1) * f).to_string(),
-                theorem3_psi_empty_replicated(d, f, Tol::default()).to_string(),
-            ]
-        })
-        .collect();
+    let (replicated, rep_rows) =
+        replication(|d, f| theorem3_psi_empty_replicated(d, f, Tol::default()));
     print_table(
         "Theorem 3, f ≥ 2 via replication",
         &["d", "f", "n (infeasible)", "Ψ(Y) empty"],
         &rep_rows,
     );
-    Vec::new()
+    tightness_gates("E3", &tightness, &replicated)
 }
 
 fn run_thm4(args: &Args) -> Vec<Gate> {
@@ -430,9 +448,10 @@ fn run_thm4(args: &Args) -> Vec<Gate> {
          sets of two correct processes ≥ 2ε apart (ε-agreement impossible); \
          at n = d+3 the asynchronous run converges."
     );
-    let rows: Vec<Vec<String>> = (3..=d_max)
-        .map(|d| {
-            let r = theorem4_row(d);
+    let tightness: Vec<TightnessRow> = (3..=d_max).map(theorem4_row).collect();
+    let rows: Vec<Vec<String>> = tightness
+        .iter()
+        .map(|r| {
             vec![
                 r.d.to_string(),
                 r.n_infeasible.to_string(),
@@ -455,7 +474,7 @@ fn run_thm4(args: &Args) -> Vec<Gate> {
         ],
         &rows,
     );
-    Vec::new()
+    tightness_gates("E4", &tightness, &[])
 }
 
 fn run_thm5(args: &Args) -> Vec<Gate> {
@@ -465,9 +484,10 @@ fn run_thm5(args: &Args) -> Vec<Gate> {
         "E5 — Theorem 5: with x > 2dδ the scaled-identity inputs make \
          ⋂ H_(δ,∞)(T) empty at n = d+1 (LP certificate); n = d+2 succeeds."
     );
-    let rows: Vec<Vec<String>> = (2..=d_max)
-        .map(|d| {
-            let r = theorem5_row(d, delta);
+    let tightness: Vec<TightnessRow> = (2..=d_max).map(|d| theorem5_row(d, delta)).collect();
+    let rows: Vec<Vec<String>> = tightness
+        .iter()
+        .map(|r| {
             vec![
                 r.d.to_string(),
                 fnum(r.metric),
@@ -483,23 +503,14 @@ fn run_thm5(args: &Args) -> Vec<Gate> {
         &["d", "δ", "n (infeasible)", "intersection empty", "n (sufficient)", "run ok"],
         &rows,
     );
-    let rep_rows: Vec<Vec<String>> = [(3usize, 2usize), (4, 2)]
-        .into_iter()
-        .map(|(d, f)| {
-            vec![
-                d.to_string(),
-                f.to_string(),
-                ((d + 1) * f).to_string(),
-                theorem5_contradiction_replicated(d, f, delta, Tol::default()).to_string(),
-            ]
-        })
-        .collect();
+    let (replicated, rep_rows) =
+        replication(|d, f| theorem5_contradiction_replicated(d, f, delta, Tol::default()));
     print_table(
         "Theorem 5, f ≥ 2 via replication",
         &["d", "f", "n (infeasible)", "intersection empty"],
         &rep_rows,
     );
-    Vec::new()
+    tightness_gates("E5", &tightness, &replicated)
 }
 
 fn run_thm6(args: &Args) -> Vec<Gate> {
@@ -510,9 +521,10 @@ fn run_thm6(args: &Args) -> Vec<Gate> {
         "E6 — Theorem 6: with x > 2dδ + ε the construction denies \
          ε-agreement at n = d+2; the asynchronous run at n = d+3 converges."
     );
-    let rows: Vec<Vec<String>> = (2..=d_max)
-        .map(|d| {
-            let r = theorem6_row(d, delta, eps);
+    let tightness: Vec<TightnessRow> = (2..=d_max).map(|d| theorem6_row(d, delta, eps)).collect();
+    let rows: Vec<Vec<String>> = tightness
+        .iter()
+        .map(|r| {
             vec![
                 r.d.to_string(),
                 fnum(delta),
@@ -529,7 +541,7 @@ fn run_thm6(args: &Args) -> Vec<Gate> {
         &["d", "δ", "ε", "n (infeasible)", "certified", "n (sufficient)", "run ok"],
         &rows,
     );
-    Vec::new()
+    tightness_gates("E6", &tightness, &[])
 }
 
 #[cfg(test)]
@@ -563,6 +575,29 @@ mod tests {
         let row = theorem6_row(3, 0.25, 0.05);
         assert!(row.necessity_certified, "{row:?}");
         assert!(row.sufficiency_ok, "{row:?}");
+    }
+
+    #[test]
+    fn a_false_row_fails_a_gate() {
+        let row = |necessity_certified, sufficiency_ok| TightnessRow {
+            d: 3,
+            n_infeasible: 4,
+            necessity_certified,
+            n_sufficient: 5,
+            sufficiency_ok,
+            metric: 0.0,
+        };
+        let failing = |rows: &[TightnessRow], rep: &[Replicated]| {
+            tightness_gates("E3", rows, rep).iter().filter(|g| !g.ok).count()
+        };
+        assert_eq!(failing(&[row(true, true)], &[(3, 2, true)]), 0);
+        assert_eq!(failing(&[row(true, true), row(false, true)], &[]), 1);
+        assert_eq!(failing(&[row(true, false)], &[]), 1);
+        assert_eq!(failing(&[row(true, true)], &[(3, 2, true), (4, 2, false)]), 1);
+        let mut scenarios = figure1_demo(3);
+        assert!(figure1_gate(&scenarios).ok);
+        scenarios.iter_mut().for_each(|r| r.violated = "");
+        assert!(!figure1_gate(&scenarios).ok, "no broken condition contradicts Lemma 10");
     }
 
     #[test]

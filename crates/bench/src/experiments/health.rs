@@ -245,8 +245,7 @@ fn blames_only(report: &StallReport, victim: usize) -> bool {
 
 /// The stall phase a class's survivors are expected to report. Only a
 /// dead process (`kill`) keeps the link *down*: its listener is gone, so
-/// the peers' redials fail and burn into a dial-failure burst — a wire
-/// stall. A one-way severance (`severed`) is healed from the peers' side
+/// the peers' readers EOF and every redial fails — a wire stall. A one-way severance (`severed`) is healed from the peers' side
 /// within milliseconds — their reader EOFs, `mark_peer_down` arms a
 /// redial, and the dial succeeds against the victim's still-live
 /// listener — leaving a live link with a silent peer behind it, which is

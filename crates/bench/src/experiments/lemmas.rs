@@ -12,7 +12,7 @@ use rbvc_linalg::cayley_menger::inradius_by_volumes;
 use rbvc_linalg::{Norm, Tol};
 use serde_json::json;
 
-use super::Experiment;
+use super::{claim_per_row, Experiment};
 use crate::campaign::{Args, Gate, Kind};
 use crate::report::{fnum, print_table};
 use crate::workloads::{random_simplex_points, rng};
@@ -115,8 +115,9 @@ fn run(args: &Args) -> Vec<Gate> {
          bracketed by the LP-exact δ*_∞), Lemma 14 (r < min facet inradius), \
          Lemma 15 (r < max-edge/d) on random simplices."
     );
-    let rows: Vec<Vec<String>> = lemma_sweep(args.num(0), args.num(1))
-        .into_iter()
+    let sweep = lemma_sweep(args.num(0), args.num(1));
+    let rows: Vec<Vec<String>> = sweep
+        .iter()
         .map(|r| {
             vec![
                 r.d.to_string(),
@@ -144,7 +145,12 @@ fn run(args: &Args) -> Vec<Gate> {
         ],
         &rows,
     );
-    Vec::new()
+    gates(&sweep)
+}
+
+/// E7–E9: no row counts a violation.
+fn gates(rows: &[LemmaRow]) -> Vec<Gate> {
+    claim_per_row("E7–E9", rows, |r| r.bracket_violations + r.lemma14_violations + r.lemma15_violations == 0)
 }
 
 #[cfg(test)]
@@ -160,6 +166,14 @@ mod tests {
         assert_eq!(row.lemma15_violations, 0, "{row:?}");
         assert!(row.max_facet_ratio < 1.0);
         assert!(row.max_edge_ratio < 1.0);
+    }
+
+    #[test]
+    fn one_violation_fails_the_gate() {
+        let mut row = run_dimension(3, 5, 99);
+        assert!(gates(&[row.clone()])[0].ok);
+        row.lemma14_violations = 1;
+        assert!(!gates(&[row])[0].ok);
     }
 
     #[test]

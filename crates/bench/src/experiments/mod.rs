@@ -12,7 +12,7 @@
 
 use serde_json::Value;
 
-use crate::campaign::{Args, Gate, Positional};
+use crate::campaign::{gate, Args, Gate, Positional};
 
 pub mod asynchrony;
 pub mod broadcast_ablation;
@@ -49,8 +49,16 @@ pub struct Experiment {
     /// the document's `(trials, seed)` scale, as one JSON object.
     pub json: Option<fn(usize, u64) -> Value>,
     /// Print the banner and the table(s); the returned gates decide the
-    /// exit code (only `chaos` has one).
+    /// exit code. Every entry but `convergence` (E13) and `conjectures`
+    /// (E14) gates on the rows it prints: those two report findings.
     pub run: fn(&Args) -> Vec<Gate>,
+}
+
+/// One gate per printed row: the paper's claim must hold on each, and a row
+/// it fails on is printed whole.
+fn claim_per_row<R: serde::Serialize>(id: &str, rows: &[R], holds: impl Fn(&R) -> bool) -> Vec<Gate> {
+    let row = |r: &R| serde_json::to_string(r).unwrap_or_default();
+    rows.iter().map(|r| gate(holds(r), format!("{id}: the claim fails on {}", row(r)))).collect()
 }
 
 /// Every paper experiment, in experiment order.

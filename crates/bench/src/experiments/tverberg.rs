@@ -19,7 +19,7 @@ use rbvc_geometry::tverberg::{
 use rbvc_linalg::{Tol, VecD};
 use serde_json::json;
 
-use super::Experiment;
+use super::{claim_per_row, Experiment};
 use crate::campaign::{Args, Gate, Kind};
 use crate::report::print_table;
 use crate::workloads::{random_points, rng};
@@ -141,8 +141,9 @@ fn run(args: &Args) -> Vec<Gate> {
          partition, and the emptiness persists for H₂ (Theorem-3 matrix) \
          and H_(δ,∞) (Theorem-5 matrix)."
     );
-    let rows: Vec<Vec<String>> = tverberg_sweep(args.num(0), args.num(1))
-        .into_iter()
+    let sweep = tverberg_sweep(args.num(0), args.num(1));
+    let rows: Vec<Vec<String>> = sweep
+        .iter()
         .map(|r| {
             vec![
                 r.d.to_string(),
@@ -166,7 +167,17 @@ fn run(args: &Args) -> Vec<Gate> {
         ],
         &rows,
     );
-    Vec::new()
+    gates(&sweep)
+}
+
+/// E10: every trial at the bound partitions, and no tightness column is
+/// false.
+fn gates(rows: &[TverbergRow]) -> Vec<Gate> {
+    claim_per_row("E10", rows, |r| {
+        r.found_at_bound == r.trials
+            && r.tight_exact
+            && ![r.tight_k_relaxed, r.tight_delta_relaxed].contains(&Some(false))
+    })
 }
 
 #[cfg(test)]
@@ -191,6 +202,22 @@ mod tests {
             Some(true),
             "§8 (δ,p)-relaxed tightness"
         );
+    }
+
+    #[test]
+    fn one_false_column_fails_the_gate() {
+        let row = |found_at_bound, tight_k_relaxed| TverbergRow {
+            d: 3,
+            f: 1,
+            trials: 4,
+            found_at_bound,
+            tight_exact: true,
+            tight_k_relaxed,
+            tight_delta_relaxed: None,
+        };
+        let ok = |r| gates(&[r])[0].ok;
+        assert!(ok(row(4, Some(true))) && ok(row(4, None)));
+        assert!(!ok(row(3, Some(true))) && !ok(row(4, Some(false))));
     }
 
     #[test]

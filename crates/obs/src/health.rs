@@ -1,5 +1,4 @@
-//! Self-diagnosis: stall detection with blame attribution and per-link
-//! straggler monitoring.
+//! Self-diagnosis: stall detection with phase and peer blame.
 //!
 //! Iterative BVC progress hinges on receiving `n − f` well-formed messages
 //! per round, so "who has not delivered for this round" is exactly the
@@ -14,15 +13,14 @@
 //!   senders, and emits a [`StallReport`]; when progress resumes the stall
 //!   is cleared. Everything is surfaced as `health.stall.*` metrics with
 //!   `{peer}` blame labels.
-//! * [`LinkMonitor`] — per-directed-link EWMA of frame inter-arrival plus
-//!   a decayed dial-failure burst rate, flagging slow ([`LinkHealth::straggler`])
-//!   or flapping ([`LinkHealth::flapping`]) peers *before* a stall report,
-//!   as `health.link.*` gauges.
+//! * [`LinkHealth`] — one directed link's `up` / `auth` reading. The
+//!   detector keeps no link state of its own: the transport endpoint that
+//!   sees a link's events owns it and hands the detector a reading per poll.
 //!
 //! A stall past its dump deadline is what the service dumps its
 //! [`crate::FlightRecorder`] for.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::metrics::Registry;
 
@@ -32,11 +30,11 @@ pub enum StallPhase {
     /// The round barrier: every needed link is up, but one or more peers
     /// simply have not sent their round batch (mute or very slow peer).
     Barrier,
-    /// The wire: a peer we are waiting on has a dead or flapping link, so
-    /// its messages physically cannot arrive.
+    /// The wire: a peer we are waiting on has a dead link, so its messages
+    /// physically cannot arrive.
     Wire,
-    /// Local durability: fsync time dominates the stall window — the disk,
-    /// not the network, is the bottleneck.
+    /// Local durability: the group commit (write + fsync) took at least half
+    /// of the stall gap — the disk, not the network, is the bottleneck.
     Fsync,
     /// The instance was registered but never launched, so it is queued
     /// behind the service's own admission, not behind any peer.
@@ -165,18 +163,21 @@ pub enum StallEvent {
     Cleared(StallReport),
 }
 
+#[derive(Clone, Copy)]
 struct TrackedInstance {
     token: u64,
     last_progress_us: u64,
-    stalled: bool,
+    /// The service's cumulative commit time (µs) at `last_progress_us`.
+    commit_at_progress_us: u64,
+    /// The active stall already escalated (escalation fires once).
     escalated: bool,
 }
 
 /// Per-(instance, round) progress watchdog with phase + peer blame.
 ///
 /// Feed it [`InstanceProgress`] rows (plus the transport's [`LinkHealth`]
-/// and recent fsync spans) once per poll; it returns stall transitions and
-/// maintains the `health.stall.*` metrics.
+/// and the service's cumulative commit time) once per poll; it returns
+/// stall transitions and maintains the `health.stall.*` metrics.
 pub struct StallDetector {
     node: u32,
     cfg: StallConfig,
@@ -186,8 +187,6 @@ pub struct StallDetector {
     history: Vec<StallReport>,
     /// Active (un-cleared) reports by instance.
     active: BTreeMap<u64, StallReport>,
-    /// Recent (timestamp, fsync µs) spans inside the deadline window.
-    fsync_spans: VecDeque<(u64, u64)>,
     /// Total false-positive guard: reports raised over the detector's life.
     raised_total: u64,
 }
@@ -206,35 +205,8 @@ impl StallDetector {
             tracked: BTreeMap::new(),
             history: Vec::new(),
             active: BTreeMap::new(),
-            fsync_spans: VecDeque::new(),
             raised_total: 0,
         }
-    }
-
-    /// The configured thresholds.
-    #[must_use]
-    pub fn config(&self) -> StallConfig {
-        self.cfg
-    }
-
-    /// Record one fsync span (µs) so the classifier can tell a disk stall
-    /// from a network stall.
-    pub fn note_fsync(&mut self, now_us: u64, fsync_us: u64) {
-        self.fsync_spans.push_back((now_us, fsync_us));
-        self.prune_fsync(now_us);
-    }
-
-    fn prune_fsync(&mut self, now_us: u64) {
-        let floor = now_us.saturating_sub(self.cfg.deadline_us);
-        while self.fsync_spans.front().is_some_and(|(t, _)| *t < floor) {
-            self.fsync_spans.pop_front();
-        }
-    }
-
-    /// Fsync time (µs) spent inside the trailing deadline window.
-    #[must_use]
-    pub fn fsync_in_window(&self) -> u64 {
-        self.fsync_spans.iter().map(|(_, us)| *us).sum()
     }
 
     /// Reports raised over the detector's lifetime (cleared ones included).
@@ -255,26 +227,27 @@ impl StallDetector {
         self.raised_total
     }
 
-    /// Classify a stalled instance into a phase plus blamed peers.
-    fn classify(&self, p: &InstanceProgress, links: &[LinkHealth]) -> (StallPhase, Vec<u32>) {
+    /// Classify a stalled instance into a phase plus blamed peers, given its
+    /// progress gap and the commit time spent inside it.
+    fn classify(
+        p: &InstanceProgress,
+        links: &[LinkHealth],
+        gap_us: u64,
+        commit_in_gap_us: u64,
+    ) -> (StallPhase, Vec<u32>) {
         if !p.launched {
             return (StallPhase::Queue, Vec::new());
         }
-        // Disk first: if fsync filled most of the window, nothing the
-        // network did (or didn't do) explains the gap.
-        if self.fsync_in_window().saturating_mul(2) >= self.cfg.deadline_us {
+        // Disk first: if the group commit could explain the gap, nothing the
+        // network did (or didn't do) does.
+        if commit_in_gap_us.saturating_mul(2) >= gap_us {
             return (StallPhase::Fsync, Vec::new());
         }
         let dead: Vec<u32> = p
             .waiting_on
             .iter()
             .copied()
-            .filter(|peer| {
-                links
-                    .iter()
-                    .find(|l| l.peer == *peer)
-                    .is_some_and(|l| !l.up || l.flapping)
-            })
+            .filter(|peer| links.iter().find(|l| l.peer == *peer).is_some_and(|l| !l.up))
             .collect();
         if !dead.is_empty() {
             return (StallPhase::Wire, dead);
@@ -314,126 +287,87 @@ impl StallDetector {
             .set(i64::try_from(self.active.len()).unwrap_or(i64::MAX));
     }
 
-    fn publish_cleared(&self, report: &StallReport) {
+    /// Close `instance`'s active stall, if any: progress resumed (or the
+    /// instance decided) at `now_us`, `gap_us` after the last progress.
+    fn clear(&mut self, instance: u64, now_us: u64, gap_us: u64, out: &mut Vec<StallEvent>) {
+        let Some(mut report) = self.active.remove(&instance) else { return };
+        (report.cleared_at_us, report.stalled_us) = (Some(now_us), gap_us);
+        if let Some(h) = self.history.iter_mut().rev().find(|r| r.instance == instance) {
+            (h.cleared_at_us, h.stalled_us) = (report.cleared_at_us, gap_us);
+        }
         let node = self.node.to_string();
         self.registry
             .gauge_with("health.stall.active", &[("node", node.as_str())])
             .set(i64::try_from(self.active.len()).unwrap_or(i64::MAX));
-        self.registry.histogram("health.stall.stalled_us").record(report.stalled_us);
-    }
-
-    fn push_history(&mut self, report: StallReport) {
-        if self.history.len() == HISTORY_CAP {
-            self.history.remove(0);
-        }
-        self.history.push(report);
+        self.registry.histogram("health.stall.stalled_us").record(gap_us);
+        out.push(StallEvent::Cleared(report));
     }
 
     /// Fold one tick of progress signals and return every stall-state
-    /// transition (detected / escalated / cleared) it caused.
+    /// transition (detected / escalated / cleared) it caused. `commit_us` is
+    /// the service's cumulative group-commit time (write + fsync, µs) as of
+    /// `now_us`.
     pub fn observe(
         &mut self,
         now_us: u64,
+        commit_us: u64,
         progress: &[InstanceProgress],
         links: &[LinkHealth],
     ) -> Vec<StallEvent> {
-        self.prune_fsync(now_us);
         let mut out = Vec::new();
         for p in progress {
-            if p.decided {
-                let last_progress =
-                    self.tracked.get(&p.instance).map(|t| t.last_progress_us);
-                if let Some(mut report) = self.active.remove(&p.instance) {
-                    report.cleared_at_us = Some(now_us);
-                    if let Some(last) = last_progress {
-                        report.stalled_us = now_us.saturating_sub(last);
-                    }
-                    self.publish_cleared(&report);
-                    if let Some(h) =
-                        self.history.iter_mut().rev().find(|r| r.instance == p.instance)
-                    {
-                        h.cleared_at_us = report.cleared_at_us;
-                        h.stalled_us = report.stalled_us;
-                    }
-                    out.push(StallEvent::Cleared(report));
-                }
-                self.tracked.remove(&p.instance);
-                continue;
-            }
-            let entry = self.tracked.entry(p.instance).or_insert(TrackedInstance {
+            let fresh = TrackedInstance {
                 token: p.progress_token,
                 last_progress_us: now_us,
-                stalled: false,
+                commit_at_progress_us: commit_us,
                 escalated: false,
-            });
-            if entry.token != p.progress_token {
-                entry.token = p.progress_token;
-                let gap = now_us.saturating_sub(entry.last_progress_us);
-                entry.last_progress_us = now_us;
-                if entry.stalled {
-                    entry.stalled = false;
-                    entry.escalated = false;
-                    if let Some(mut report) = self.active.remove(&p.instance) {
-                        report.cleared_at_us = Some(now_us);
-                        report.stalled_us = gap;
-                        self.publish_cleared(&report);
-                        if let Some(h) =
-                            self.history.iter_mut().rev().find(|r| r.instance == p.instance)
-                        {
-                            h.cleared_at_us = Some(now_us);
-                            h.stalled_us = gap;
-                        }
-                        out.push(StallEvent::Cleared(report));
-                    }
+            };
+            let tracked = self.tracked.entry(p.instance).or_insert(fresh);
+            let gap = now_us.saturating_sub(tracked.last_progress_us);
+            if p.decided || tracked.token != p.progress_token {
+                if p.decided {
+                    self.tracked.remove(&p.instance);
+                } else {
+                    *tracked = fresh;
+                }
+                self.clear(p.instance, now_us, gap, &mut out);
+                continue;
+            }
+            if let Some(report) = self.active.get_mut(&p.instance) {
+                report.stalled_us = gap;
+                if !tracked.escalated && gap >= self.cfg.dump_deadline_us {
+                    tracked.escalated = true;
+                    out.push(StallEvent::Escalated(report.clone()));
                 }
                 continue;
             }
-            let gap = now_us.saturating_sub(entry.last_progress_us);
-            if !entry.stalled && gap >= self.cfg.deadline_us {
-                entry.stalled = true;
-                let (phase, waiting_on) = self.classify(p, links);
-                let report = StallReport {
-                    node: self.node,
-                    instance: p.instance,
-                    round: p.round,
-                    phase,
-                    waiting_on,
-                    stalled_us: gap,
-                    detected_at_us: now_us,
-                    cleared_at_us: None,
-                };
-                self.active.insert(p.instance, report.clone());
-                self.raised_total += 1;
-                self.publish_detected(&report);
-                self.push_history(report.clone());
-                out.push(StallEvent::Detected(report));
-            } else if entry.stalled && !entry.escalated && gap >= self.cfg.dump_deadline_us {
-                entry.escalated = true;
-                if let Some(report) = self.active.get_mut(&p.instance) {
-                    report.stalled_us = gap;
-                    out.push(StallEvent::Escalated(report.clone()));
-                }
-            } else if entry.stalled {
-                if let Some(report) = self.active.get_mut(&p.instance) {
-                    report.stalled_us = gap;
-                }
+            if gap < self.cfg.deadline_us {
+                continue;
             }
+            let commit_in_gap = commit_us.saturating_sub(tracked.commit_at_progress_us);
+            let (phase, waiting_on) = Self::classify(p, links, gap, commit_in_gap);
+            let report = StallReport {
+                node: self.node,
+                instance: p.instance,
+                round: p.round,
+                phase,
+                waiting_on,
+                stalled_us: gap,
+                detected_at_us: now_us,
+                cleared_at_us: None,
+            };
+            self.active.insert(p.instance, report.clone());
+            self.raised_total += 1;
+            self.publish_detected(&report);
+            if self.history.len() == HISTORY_CAP {
+                self.history.remove(0);
+            }
+            self.history.push(report.clone());
+            out.push(StallEvent::Detected(report));
         }
         out
     }
 }
-
-/// EWMA smoothing factor for inter-arrival samples (0 < α ≤ 1).
-const EWMA_ALPHA: f64 = 0.2;
-/// A link is a straggler when the silence since its last frame exceeds this
-/// many times its EWMA inter-arrival.
-const STRAGGLER_FACTOR: f64 = 8.0;
-/// Minimum frames before the straggler rule applies (EWMA warm-up).
-const STRAGGLER_MIN_SAMPLES: u64 = 8;
-/// Decayed dial-failure count at or above which a link counts as flapping.
-const FLAP_BURST: f64 = 3.0;
-/// Half-life (µs) of the dial-failure burst counter.
-const BURST_HALFLIFE_US: f64 = 500_000.0;
 
 /// Authentication state of one directed inbound link (see
 /// `rbvc-transport`'s `auth` module for the handshake itself).
@@ -462,187 +396,16 @@ impl LinkAuthState {
     }
 }
 
-/// A point-in-time health reading of one directed inbound link.
+/// A point-in-time reading of one directed inbound link, as the transport
+/// endpoint that sees its events holds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkHealth {
     /// Remote peer (the sender side of this inbound link).
     pub peer: u32,
     /// Whether the link currently has a live connection.
     pub up: bool,
-    /// EWMA of frame inter-arrival time, µs (0 until two frames arrived).
-    pub ewma_interarrival_us: u64,
-    /// The link is up but suspiciously silent relative to its own history.
-    pub straggler: bool,
-    /// The link is cycling through dial failures.
-    pub flapping: bool,
     /// Authentication state of the inbound link.
     pub auth: LinkAuthState,
-}
-
-struct LinkState {
-    up: bool,
-    rx_frames: u64,
-    ewma_us: f64,
-    last_rx_us: u64,
-    burst: f64,
-    burst_at_us: u64,
-    auth: LinkAuthState,
-}
-
-impl LinkState {
-    /// The dial-failure burst level as it has decayed by `now_us`.
-    fn decayed_burst(&self, now_us: u64) -> f64 {
-        if self.burst_at_us > 0 && now_us > self.burst_at_us {
-            let dt = (now_us - self.burst_at_us) as f64 / BURST_HALFLIFE_US;
-            self.burst * 0.5f64.powf(dt)
-        } else {
-            self.burst
-        }
-    }
-}
-
-/// Per-directed-link straggler/flap monitor, embedded in the TCP endpoint:
-/// [`LinkMonitor::on_frame`] from the receive path,
-/// [`LinkMonitor::on_dial_failure`] from the redial path, and
-/// [`LinkMonitor::snapshot`] whenever the stall detector wants the current
-/// picture.
-pub struct LinkMonitor {
-    local: u32,
-    links: BTreeMap<u32, LinkState>,
-}
-
-impl LinkMonitor {
-    /// Monitor for the inbound links of `local` in an `n`-process mesh;
-    /// every non-self link starts `up` (the mesh connects fully at start)
-    /// and [`LinkAuthState::Pending`] until a handshake from that peer
-    /// verifies.
-    #[must_use]
-    pub fn new(local: u32, n: usize) -> LinkMonitor {
-        let links = (0..n as u32)
-            .filter(|p| *p != local)
-            .map(|p| {
-                (
-                    p,
-                    LinkState {
-                        up: true,
-                        rx_frames: 0,
-                        ewma_us: 0.0,
-                        last_rx_us: 0,
-                        burst: 0.0,
-                        burst_at_us: 0,
-                        auth: LinkAuthState::Pending,
-                    },
-                )
-            })
-            .collect();
-        LinkMonitor { local, links }
-    }
-
-    /// A frame from `peer` arrived at `arrived_us`.
-    pub fn on_frame(&mut self, peer: u32, arrived_us: u64) {
-        let Some(l) = self.links.get_mut(&peer) else { return };
-        l.up = true;
-        l.rx_frames += 1;
-        if l.last_rx_us > 0 && arrived_us > l.last_rx_us {
-            let sample = (arrived_us - l.last_rx_us) as f64;
-            l.ewma_us = if l.ewma_us == 0.0 {
-                sample
-            } else {
-                EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * l.ewma_us
-            };
-        }
-        l.last_rx_us = arrived_us;
-    }
-
-    /// An outbound (re)dial toward `peer` failed at `now_us`.
-    pub fn on_dial_failure(&mut self, peer: u32, now_us: u64) {
-        let Some(l) = self.links.get_mut(&peer) else { return };
-        l.burst = l.decayed_burst(now_us) + 1.0;
-        l.burst_at_us = now_us;
-    }
-
-    /// The inbound link from `peer` came (back) up.
-    pub fn on_peer_up(&mut self, peer: u32) {
-        if let Some(l) = self.links.get_mut(&peer) {
-            l.up = true;
-        }
-    }
-
-    /// The inbound link from `peer` went down (EOF, IO error, teardown).
-    pub fn on_peer_down(&mut self, peer: u32) {
-        if let Some(l) = self.links.get_mut(&peer) {
-            l.up = false;
-            // A downed link has no live authenticated session; the next
-            // handshake decides its fate.
-            if l.auth == LinkAuthState::Authenticated {
-                l.auth = LinkAuthState::Pending;
-            }
-        }
-    }
-
-    /// A keyed handshake from `peer` verified; the inbound link is now
-    /// cryptographically bound to that identity.
-    pub fn on_auth_ok(&mut self, peer: u32) {
-        if let Some(l) = self.links.get_mut(&peer) {
-            l.auth = LinkAuthState::Authenticated;
-            l.up = true;
-        }
-    }
-
-    /// A handshake *claiming* `peer` failed verification. The state only
-    /// degrades to [`LinkAuthState::Failed`] when no authenticated link is
-    /// live — a forged connection refused at the door must not take the
-    /// genuine session's reputation down with it (the refusal itself is
-    /// counted in `auth.reject{peer,reason,dst}`).
-    pub fn on_auth_reject(&mut self, peer: u32) {
-        if let Some(l) = self.links.get_mut(&peer) {
-            if l.auth != LinkAuthState::Authenticated {
-                l.auth = LinkAuthState::Failed;
-            }
-        }
-    }
-
-    /// Current health of every non-self link, publishing the
-    /// `health.link.*` gauges as a side effect.
-    #[must_use]
-    pub fn snapshot(&self, now_us: u64) -> Vec<LinkHealth> {
-        let reg = Registry::global();
-        let dst = self.local.to_string();
-        self.links
-            .iter()
-            .map(|(peer, l)| {
-                let ewma = l.ewma_us as u64;
-                let since = if l.last_rx_us == 0 {
-                    u64::MAX
-                } else {
-                    now_us.saturating_sub(l.last_rx_us)
-                };
-                let burst = l.decayed_burst(now_us);
-                let straggler = l.up
-                    && l.rx_frames >= STRAGGLER_MIN_SAMPLES
-                    && ewma > 0
-                    && since != u64::MAX
-                    && since as f64 > STRAGGLER_FACTOR * l.ewma_us;
-                let flapping = burst >= FLAP_BURST;
-                let src = peer.to_string();
-                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
-                reg.gauge_with("health.link.up", &labels).set(i64::from(l.up));
-                reg.gauge_with("health.link.ewma_interarrival_us", &labels)
-                    .set(i64::try_from(ewma).unwrap_or(i64::MAX));
-                reg.gauge_with("health.link.straggler", &labels).set(i64::from(straggler));
-                reg.gauge_with("health.link.flapping", &labels).set(i64::from(flapping));
-                reg.gauge_with("health.link.auth", &labels).set(l.auth.as_gauge());
-                LinkHealth {
-                    peer: *peer,
-                    up: l.up,
-                    ewma_interarrival_us: ewma,
-                    straggler,
-                    flapping,
-                    auth: l.auth,
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -665,9 +428,6 @@ mod tests {
             .map(|peer| LinkHealth {
                 peer,
                 up: true,
-                ewma_interarrival_us: 50,
-                straggler: false,
-                flapping: false,
                 auth: LinkAuthState::Authenticated,
             })
             .collect()
@@ -679,9 +439,9 @@ mod tests {
         let mut det = StallDetector::new(0, cfg, Registry::new());
         let links = links_up(4);
         // Progress at t=0, then silence with peer 3 missing.
-        assert!(det.observe(0, &[progress(7, 2, 10, &[3])], &links).is_empty());
-        assert!(det.observe(500, &[progress(7, 2, 10, &[3])], &links).is_empty());
-        let evs = det.observe(1_500, &[progress(7, 2, 10, &[3])], &links);
+        assert!(det.observe(0, 0, &[progress(7, 2, 10, &[3])], &links).is_empty());
+        assert!(det.observe(500, 0, &[progress(7, 2, 10, &[3])], &links).is_empty());
+        let evs = det.observe(1_500, 0, &[progress(7, 2, 10, &[3])], &links);
         assert_eq!(evs.len(), 1);
         let StallEvent::Detected(r) = &evs[0] else { panic!("expected detection") };
         assert_eq!(r.instance, 7);
@@ -691,9 +451,9 @@ mod tests {
         assert!(r.stalled_us >= 1_000);
         assert_eq!(det.active().len(), 1);
         // No duplicate while still stalled.
-        assert!(det.observe(2_000, &[progress(7, 2, 10, &[3])], &links).is_empty());
+        assert!(det.observe(2_000, 0, &[progress(7, 2, 10, &[3])], &links).is_empty());
         // Progress clears it.
-        let evs = det.observe(2_500, &[progress(7, 3, 11, &[])], &links);
+        let evs = det.observe(2_500, 0, &[progress(7, 3, 11, &[])], &links);
         assert!(matches!(evs[0], StallEvent::Cleared(_)));
         assert!(det.active().is_empty());
         assert_eq!(det.reports().len(), 1);
@@ -707,36 +467,44 @@ mod tests {
         let mut links = links_up(4);
         links[2].up = false; // peer 2 down
         let p = [progress(1, 0, 5, &[2, 3])];
-        let _ = det.observe(0, &p, &links);
-        let evs = det.observe(1_200, &p, &links);
+        let _ = det.observe(0, 0, &p, &links);
+        let evs = det.observe(1_200, 0, &p, &links);
         let StallEvent::Detected(r) = &evs[0] else { panic!("expected detection") };
         assert_eq!(r.phase, StallPhase::Wire);
         assert_eq!(r.waiting_on, vec![2], "only the dead link is wire-blamed");
-        let evs = det.observe(3_500, &p, &links);
+        let evs = det.observe(3_500, 0, &p, &links);
         assert!(matches!(evs[0], StallEvent::Escalated(_)));
-        assert!(det.observe(4_000, &p, &links).is_empty(), "escalation fires once");
+        assert!(det.observe(4_000, 0, &p, &links).is_empty(), "escalation fires once");
     }
 
     #[test]
     fn unlaunched_instances_blame_the_queue_and_fsync_dominates_wire() {
         let cfg = StallConfig { deadline_us: 1_000, dump_deadline_us: 10_000 };
         let mut det = StallDetector::new(0, cfg, Registry::new());
-        let links = links_up(3);
+        let mut links = links_up(3);
+        links[1].up = false;
         let mut queued = progress(9, 0, 1, &[1, 2]);
         queued.launched = false;
-        let _ = det.observe(0, &[queued.clone()], &links);
-        let evs = det.observe(1_100, &[queued], &links);
+        let _ = det.observe(0, 0, &[queued.clone()], &links);
+        let evs = det.observe(1_100, 0, &[queued], &links);
         let StallEvent::Detected(r) = &evs[0] else { panic!("expected detection") };
         assert_eq!(r.phase, StallPhase::Queue);
         assert!(r.waiting_on.is_empty());
 
-        // A second instance stalled while fsync filled the window.
-        let p = [progress(10, 1, 3, &[1])];
-        let _ = det.observe(2_000, &p, &links);
-        det.note_fsync(2_600, 700);
-        let evs = det.observe(3_100, &p, &links);
+        // Two instances waiting on the dead link: one last progressed before
+        // a 600 µs commit, the other after it. The commit covers half of the
+        // first one's gap and none of the second one's.
+        let both = [progress(10, 1, 3, &[1]), progress(11, 1, 4, &[1])];
+        let _ = det.observe(2_000, 5_000, &both[..1], &links);
+        let _ = det.observe(2_700, 5_600, &both, &links);
+        let evs = det.observe(3_200, 5_600, &both, &links);
         let StallEvent::Detected(r) = &evs[0] else { panic!("expected detection") };
-        assert_eq!(r.phase, StallPhase::Fsync, "fsync spans dominate the window");
+        assert_eq!((r.instance, r.phase), (10, StallPhase::Fsync), "commit time fills the gap");
+        assert!(r.waiting_on.is_empty());
+        let evs = det.observe(3_800, 5_600, &both, &links);
+        let StallEvent::Detected(r) = &evs[0] else { panic!("expected detection") };
+        assert_eq!((r.instance, r.phase), (11, StallPhase::Wire), "a commit before its gap");
+        assert_eq!(r.waiting_on, vec![1]);
     }
 
     #[test]
@@ -744,44 +512,14 @@ mod tests {
         let cfg = StallConfig { deadline_us: 500, dump_deadline_us: 5_000 };
         let mut det = StallDetector::new(0, cfg, Registry::new());
         let links = links_up(2);
-        let _ = det.observe(0, &[progress(4, 0, 1, &[1])], &links);
-        let evs = det.observe(800, &[progress(4, 0, 1, &[1])], &links);
+        let _ = det.observe(0, 0, &[progress(4, 0, 1, &[1])], &links);
+        let evs = det.observe(800, 0, &[progress(4, 0, 1, &[1])], &links);
         assert!(matches!(evs[0], StallEvent::Detected(_)));
         let mut done = progress(4, 1, 2, &[]);
         done.decided = true;
-        let evs = det.observe(1_000, &[done], &links);
+        let evs = det.observe(1_000, 0, &[done], &links);
         assert!(matches!(evs[0], StallEvent::Cleared(_)));
         assert_eq!(det.raised_total(), 1);
         assert!(det.active().is_empty());
-    }
-
-    #[test]
-    fn link_monitor_tracks_ewma_stragglers_and_flaps() {
-        let mut mon = LinkMonitor::new(0, 3);
-        // Steady 100µs cadence from peer 1.
-        for k in 0..10u64 {
-            mon.on_frame(1, 1_000 + k * 100);
-        }
-        let snap = mon.snapshot(2_000);
-        let l1 = snap.iter().find(|l| l.peer == 1).unwrap();
-        assert!(l1.up && !l1.straggler);
-        assert!((50..=150).contains(&l1.ewma_interarrival_us), "{}", l1.ewma_interarrival_us);
-        // Long silence: straggler.
-        let snap = mon.snapshot(10_000);
-        assert!(snap.iter().find(|l| l.peer == 1).unwrap().straggler);
-        // Dial-failure burst on peer 2: flapping; decays over time.
-        for _ in 0..4 {
-            mon.on_dial_failure(2, 20_000);
-        }
-        let snap = mon.snapshot(20_000);
-        let l2 = snap.iter().find(|l| l.peer == 2).unwrap();
-        assert!(l2.flapping);
-        let snap = mon.snapshot(20_000 + 10 * 500_000);
-        assert!(!snap.iter().find(|l| l.peer == 2).unwrap().flapping, "burst decays");
-        // Peer lifecycle.
-        mon.on_peer_down(1);
-        assert!(!mon.snapshot(21_000).iter().find(|l| l.peer == 1).unwrap().up);
-        mon.on_peer_up(1);
-        assert!(mon.snapshot(22_000).iter().find(|l| l.peer == 1).unwrap().up);
     }
 }

@@ -23,10 +23,11 @@
 //! endpoint ([`MetricsServer`]).
 //!
 //! [`health`] is the self-diagnosis layer: a per-instance stall detector
-//! with phase + peer blame ([`StallDetector`], [`StallReport`]) and a
-//! per-link straggler monitor ([`LinkMonitor`], [`LinkHealth`]), both
-//! exported as `health.*` series on `/metrics`. [`flight`] is the
-//! always-on [`FlightRecorder`] black box with its reader, [`FlightDump`].
+//! with phase + peer blame ([`StallDetector`], [`StallReport`]), exported
+//! as `health.stall.*` series on `/metrics`, reading each link's `up` /
+//! `auth` state ([`LinkHealth`]) off the transport endpoint that owns it.
+//! [`flight`] is the always-on [`FlightRecorder`] black box with its
+//! reader, [`FlightDump`].
 
 #![warn(missing_docs)]
 
@@ -41,8 +42,8 @@ pub mod timing;
 pub use event::{detail_field, Event, EventKind};
 pub use flight::{arm_panic_hook, FlightDump, FlightRecorder, Obs};
 pub use health::{
-    progress_token, InstanceProgress, LinkAuthState, LinkHealth, LinkMonitor, StallConfig,
-    StallDetector, StallEvent, StallPhase, StallReport,
+    progress_token, InstanceProgress, LinkAuthState, LinkHealth, StallConfig, StallDetector,
+    StallEvent, StallPhase, StallReport,
 };
 pub use metrics::{
     Counter, ExecutionTrace, Gauge, HistSnapshot, Histogram, MetricValue, Registry,

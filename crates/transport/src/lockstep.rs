@@ -216,7 +216,7 @@ impl<P: SyncProtocol> AsyncProtocol for Lockstep<P> {
             return Vec::new();
         }
         if msg.round < self.round {
-            // A straggler for a round already delivered (e.g. after a
+            // A late batch for a round already delivered (e.g. after a
             // timeout advance): too late to matter, not an error.
             return Vec::new();
         }

@@ -312,21 +312,21 @@ impl<T: Transport> ConsensusService<T> {
     /// Group commit: hand the core's batch to the log and write and fsync
     /// it, as the `write` and `fsync` phases, leaving the clock in `flush` —
     /// the transport flush is what a commit is followed by. Failures degrade
-    /// into the error log. Returns the time the commit took in µs.
-    fn commit(&mut self) -> u64 {
+    /// into the error log.
+    fn commit(&mut self) {
         if self.wal.is_none() && self.fsync_throttle.is_zero() {
             self.clock.enter(Phase::Flush);
-            return 0;
+            return;
         }
-        let t_commit = self.clock.enter(Phase::Write);
+        self.clock.enter(Phase::Write);
         let written = self.wal.as_mut().map_or(Ok(()), |wal| {
             wal.absorb(&mut self.node.records);
             wal.write_batch()
         });
         self.clock.enter(Phase::Fsync);
         // Fault injection: a throttled "device" is slow whether or not a WAL
-        // is attached — the measured commit time includes the sleep, which
-        // is what the stall detector's fsync classifier watches.
+        // is attached — the `fsync` cell includes the sleep, which is what
+        // the stall detector's fsync classifier reads.
         if !self.fsync_throttle.is_zero() {
             std::thread::sleep(self.fsync_throttle);
         }
@@ -337,8 +337,7 @@ impl<T: Transport> ConsensusService<T> {
                 reason: format!("wal sync failed: {e}"),
             });
         }
-        let t_done = self.clock.enter(Phase::Flush);
-        u64::try_from((t_done - t_commit).as_micros()).unwrap_or(u64::MAX)
+        self.clock.enter(Phase::Flush);
     }
 
     /// Queue everything ever sent to `peer` again, in send order: whatever
@@ -387,7 +386,7 @@ impl<T: Transport> ConsensusService<T> {
         // Group-commit before the wire flush: nothing reaches a peer, a
         // client or the caller unless the records that produced it are
         // durable.
-        let commit_us = self.commit();
+        self.commit();
         // Always flush, whatever a send returned: the healthy peers get this
         // poll's frames now, and a TCP endpoint's lazy redial runs in here.
         // A failed write is already recorded by the transport; the poll loop
@@ -402,7 +401,7 @@ impl<T: Transport> ConsensusService<T> {
         }
         // Health turn — unconditional: stalls are exactly the polls where
         // nothing else happens.
-        self.health_tick(commit_us, &decisions);
+        self.health_tick(&decisions);
         self.clock.enter(Phase::Outside);
         self.clock.end_poll(n_rx > 0 || n_tx > 0 || !decisions.is_empty());
         decisions
@@ -506,27 +505,29 @@ impl<T: Transport> ConsensusService<T> {
     /// detection order. Empty without [`ConsensusService::enable_health`].
     #[must_use]
     pub fn health_reports(&self) -> Vec<StallReport> {
-        self.health.as_ref().map(|h| h.detector().reports().to_vec()).unwrap_or_default()
+        self.health.as_ref().map(|h| h.detector.reports().to_vec()).unwrap_or_default()
     }
 
     /// Stalls currently active (detected, not yet cleared).
     #[must_use]
     pub fn active_stalls(&self) -> Vec<StallReport> {
-        self.health.as_ref().map(|h| h.detector().active()).unwrap_or_default()
+        self.health.as_ref().map(|h| h.detector.active()).unwrap_or_default()
     }
 
     /// Total stalls ever raised — the clean-run false-positive check.
     #[must_use]
     pub fn stalls_raised(&self) -> u64 {
-        self.health.as_ref().map_or(0, |h| h.detector().raised_total())
+        self.health.as_ref().map_or(0, |h| h.detector.raised_total())
     }
 
     /// One health turn, run at the end of every poll: hand the health part
     /// per-instance progress as the stall detector sees it, the transport's
-    /// link health and the poll's group-commit time.
-    fn health_tick(&mut self, commit_us: u64, decided_now: &[DecisionEvent]) {
+    /// link health and the phase clock's cumulative group-commit time.
+    fn health_tick(&mut self, decided_now: &[DecisionEvent]) {
         let Some(health) = self.health.as_mut() else { return };
         let now_us = rbvc_obs::clock::now_us();
+        let cells = self.clock.cells();
+        let commit_us = (cells.get(Phase::Write) + cells.get(Phase::Fsync)) / 1_000;
         let progress = self.node.progress_rows(decided_now);
         let links = self.transport.link_health();
         health.tick(&self.node.obs, now_us, commit_us, &progress, &links);
@@ -1071,8 +1072,8 @@ mod tests {
     }
 
     /// Non-durable: nothing is logged or remembered, but the throttled
-    /// "device" is still slow and the commit says so — the health
-    /// campaign's slow-fsync class runs without a WAL.
+    /// "device" is still slow and the phase clock's `fsync` cell says so —
+    /// the health campaign's slow-fsync class runs without a WAL.
     #[test]
     fn without_a_wal_commit_still_reports_the_throttle() {
         let mut svc = ConsensusService::new(in_proc_mesh(2).remove(0));
@@ -1080,7 +1081,9 @@ mod tests {
         svc.start().unwrap();
         assert!(svc.node.history(1).is_empty() && svc.node.records.is_empty());
         svc.set_fsync_throttle(Duration::from_millis(5));
-        assert!(svc.commit() >= 5_000);
+        let before = svc.phase_nanos().get(Phase::Fsync);
+        svc.commit();
+        assert!(svc.phase_nanos().get(Phase::Fsync) - before >= 5_000_000);
         assert!(svc.errors().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! The client table: what the service knows about client requests, and the
 //! decisions only this file should know — the client instance-id layout,
-//! the recovery-spec codec, the admission policy and the rules a peer's
-//! `Launch` frame must pass.
+//! which recovery spec is a client launch, the admission policy and the
+//! rules a peer's `Launch` frame must pass.
 //!
 //! The table never touches the transport, the WAL or a protocol instance:
 //! it hands the core verdicts and requests, the core launches and logs,
@@ -17,7 +17,7 @@ use rbvc_obs::Registry;
 use rbvc_sim::config::ProcessId;
 
 use super::InstanceId;
-use crate::wire::{ClientLaunch, Frame, MAX_DIM};
+use crate::wire::{decode_frame, ClientLaunch, Frame, Payload, MAX_DIM};
 
 /// Base of the client-request instance-id space: ids are
 /// `CLIENT_INSTANCE_BASE | (owner << 24) | seq` with the owning process in
@@ -407,47 +407,21 @@ impl ClientTable {
     }
 }
 
-/// Magic prefix of the recovery spec the service logs for its own client
-/// instances, so recovery can rebuild them (and the client table) itself
-/// before consulting the caller's factory.
-const SPEC_MAGIC: [u8; 4] = *b"RBCS";
-
-/// The recovery spec of one client instance: its launch parameters.
-pub(super) fn encode_spec(launch: &ClientLaunch) -> Vec<u8> {
-    let value = &launch.value;
-    let mut out = Vec::with_capacity(32 + value.dim() * 8);
-    out.extend_from_slice(&SPEC_MAGIC);
-    out.extend_from_slice(&launch.session.to_le_bytes());
-    out.extend_from_slice(&launch.reqno.to_le_bytes());
-    out.extend_from_slice(&launch.f.to_le_bytes());
-    out.extend_from_slice(&launch.rounds.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(value.dim()).unwrap_or(u32::MAX).to_le_bytes());
-    for &x in value.as_slice() {
-        out.extend_from_slice(&x.to_bits().to_le_bytes());
+/// The client launch a `Registered` record's spec carries, if it is one:
+/// the owner logs the `Launch` frame it fans out, so the wire codec is the
+/// recovery codec. `None` unless `spec` decodes as a `Launch` for
+/// `instance` sent by the owner its id encodes — a caller's own spec, in
+/// particular, goes to the caller's factory.
+pub(super) fn launch_spec(instance: InstanceId, spec: &[u8]) -> Option<ClientLaunch> {
+    let owner = client_instance_owner(instance)?;
+    match decode_frame(spec, owner).ok()? {
+        Frame { instance: id, sender, payload: Payload::Launch(launch), .. }
+            if id == instance && sender == owner =>
+        {
+            Some(launch)
+        }
+        _ => None,
     }
-    out
-}
-
-/// `None` for anything that is not exactly one [`encode_spec`] output —
-/// a caller's own spec, in particular.
-pub(super) fn decode_spec(spec: &[u8]) -> Option<ClientLaunch> {
-    if spec.len() < 32 || spec[..4] != SPEC_MAGIC {
-        return None;
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(spec[i..i + 8].try_into().expect("8 bytes"));
-    let u32_at = |i: usize| u32::from_le_bytes(spec[i..i + 4].try_into().expect("4 bytes"));
-    let dim = u32_at(28) as usize;
-    if dim == 0 || dim > MAX_DIM || spec.len() != 32 + dim * 8 {
-        return None;
-    }
-    let xs: Vec<f64> = (0..dim).map(|i| f64::from_bits(u64_at(32 + i * 8))).collect();
-    Some(ClientLaunch {
-        session: u64_at(4),
-        reqno: u64_at(12),
-        f: u32_at(20),
-        rounds: u32_at(24),
-        value: VecD::from_slice(&xs),
-    })
 }
 
 #[cfg(test)]
@@ -460,7 +434,7 @@ mod tests {
     use crate::service::tests::tmp_dir;
     use crate::service::{ConsensusService, GATE_NAMES};
     use crate::transport::in_proc_mesh;
-    use crate::wire::Payload;
+    use crate::wire::encode_frame;
 
     fn frame(instance: InstanceId, round: u32) -> Frame {
         Frame { instance, sender: 1, round, payload: Payload::Eig(vec![]) }
@@ -577,20 +551,31 @@ mod tests {
         assert_eq!(gate(id, 1, &nan), Some("kind"), "non-finite value");
     }
 
-    /// The recovery spec round-trips bit-exactly, and nothing shorter (or
-    /// longer, or foreign) decodes.
+    /// The owner's `Launch` frame is the recovery spec and round-trips
+    /// bit-exactly; nothing shorter or longer, no frame for another
+    /// instance or from another sender, and no caller's own spec is one.
     #[test]
-    fn spec_round_trips_and_every_truncation_is_refused() {
+    fn the_owners_launch_frame_is_the_spec_and_nothing_else_is() {
+        let (owner, id) = (2, CLIENT_INSTANCE_BASE | (2 << 24) | 7);
         let launch = ClientLaunch { reqno: u64::MAX, ..launch(9) };
-        let spec = encode_spec(&launch);
-        assert_eq!(decode_spec(&spec), Some(launch));
+        let spec_of = |instance, sender| {
+            let payload = Payload::Launch(launch.clone());
+            encode_frame(&Frame { instance, sender, round: 0, payload })
+        };
+        let spec = spec_of(id, owner);
+        assert_eq!(launch_spec(id, &spec), Some(launch.clone()));
         for cut in 0..spec.len() {
-            assert_eq!(decode_spec(&spec[..cut]), None, "cut {cut}");
+            assert_eq!(launch_spec(id, &spec[..cut]), None, "cut {cut}");
         }
         let mut longer = spec.clone();
         longer.push(0);
-        assert_eq!(decode_spec(&longer), None, "trailing byte");
-        assert_eq!(decode_spec(&[0u8; 40]), None, "a caller's own spec");
+        assert_eq!(launch_spec(id, &longer), None, "trailing byte");
+        assert_eq!(launch_spec(id + 1, &spec), None, "another instance's launch");
+        assert_eq!(launch_spec(id, &spec_of(id, 1)), None, "sent by a non-owner");
+        assert_eq!(launch_spec(7, &spec_of(7, owner)), None, "not a client instance");
+        assert_eq!(launch_spec(id, &[0u8; 40]), None, "a caller's own spec");
+        let eig = encode_frame(&Frame { sender: owner, ..frame(id, 0) });
+        assert_eq!(launch_spec(id, &eig), None, "not a launch");
     }
 
     /// Drive an in-proc mesh of client-enabled services until the owner has

@@ -2,8 +2,8 @@
 //! flight recorder.
 //!
 //! The driver feeds [`Health::tick`] once per poll with what it can see —
-//! per-instance progress, the transport's link health, the poll's fsync
-//! time; everything else about a stall (events, escalation, the dump) is
+//! per-instance progress, the transport's link health, the phase clock's
+//! cumulative commit time; everything else about a stall (events, escalation, the dump) is
 //! decided here, and what it finds is on `/metrics` (`health.stall.*`).
 
 use std::path::PathBuf;
@@ -28,7 +28,8 @@ pub struct HealthConfig {
 const FLIGHT_CAPACITY: usize = 4096;
 
 pub(super) struct Health {
-    detector: StallDetector,
+    /// Read by the driver's stall accessors.
+    pub(super) detector: StallDetector,
 }
 
 impl Health {
@@ -50,23 +51,18 @@ impl Health {
         (Health { detector }, obs)
     }
 
-    /// The detector, for the read-only stall accessors.
-    pub(super) fn detector(&self) -> &StallDetector {
-        &self.detector
-    }
-
     /// One health turn: feed the detector, surface its stall events into
-    /// the trace, and dump the flight ring on escalation.
+    /// the trace, and dump the flight ring on escalation. `commit_us` is the
+    /// node's cumulative `write` + `fsync` time in µs.
     pub(super) fn tick(
         &mut self,
         obs: &Obs,
         now_us: u64,
-        fsync_us: u64,
+        commit_us: u64,
         progress: &[InstanceProgress],
         links: &[LinkHealth],
     ) {
-        self.detector.note_fsync(now_us, fsync_us);
-        for ev in self.detector.observe(now_us, progress, links) {
+        for ev in self.detector.observe(now_us, commit_us, progress, links) {
             let (kind, report, escalated) = match &ev {
                 StallEvent::Detected(r) => (EventKind::StallDetected, r, false),
                 StallEvent::Escalated(r) => (EventKind::StallDetected, r, true),

@@ -221,6 +221,9 @@ pub(super) struct Slot {
     /// decision. Boxed: the map is built and walked far more often than a
     /// launch is read.
     pub(super) launched: Option<Box<PhaseNanos>>,
+    /// The last VA witness-commit count logged for this instance (the
+    /// record is change-driven, not per step).
+    witness_logged: u64,
 }
 
 impl Slot {
@@ -269,9 +272,6 @@ pub(super) struct Node {
     /// Full outbound frame history, `history[dst]` in send order, kept only
     /// while durable: a peer that reconnects gets its own frames again.
     history: Vec<Vec<Vec<u8>>>,
-    /// Last witness-commit count logged per VA instance (the record is
-    /// change-driven, not per step).
-    witness_logged: BTreeMap<InstanceId, u64>,
     /// Decisions replayed out of the log (surfaced before the crash).
     pub(super) recovered: Vec<DecisionEvent>,
     /// Replay anomalies: regenerated sends that failed the FIFO match against
@@ -309,7 +309,6 @@ impl Node {
             durable: false,
             records: RecordBatch::default(),
             history: vec![Vec::new(); n],
-            witness_logged: BTreeMap::new(),
             recovered: Vec::new(),
             replay_divergence: 0,
             client: ClientTable::new(local, n),
@@ -366,7 +365,7 @@ impl Node {
     /// never replaced, whoever asks.
     fn insert_slot(&mut self, id: InstanceId, proto: InstanceProto) {
         if let Entry::Vacant(entry) = self.instances.entry(id) {
-            entry.insert(Slot { proto, decided: false, pinned: None, launched: None });
+            entry.insert(Slot { proto, decided: false, pinned: None, launched: None, witness_logged: 0 });
             self.undecided += 1;
         }
     }
@@ -522,13 +521,13 @@ impl Node {
     /// decision or reply must survive any crash.
     pub(super) fn seal(&mut self, out: &mut Outbox) {
         self.log_sent(&out.frames);
-        let Node { instances, undecided, records, errors, witness_logged, durable, .. } = self;
+        let Node { instances, undecided, records, errors, durable, .. } = self;
         if *durable {
-            for (id, slot) in instances.iter() {
+            for (id, slot) in instances.iter_mut() {
                 let count = slot.proto.witness_commits();
-                if witness_logged.get(id).copied().unwrap_or(0) != count {
+                if slot.witness_logged != count {
                     log(records, errors, WalRecordRef::WitnessCommit { instance: *id, count });
-                    witness_logged.insert(*id, count);
+                    slot.witness_logged = count;
                 }
             }
         }
@@ -571,27 +570,23 @@ impl Node {
     }
 
     /// Owner side of one client instance, live and on replay: stand the
-    /// instance up and return the `Launch` frames the owner fans out, in
+    /// instance up and return its encoded `Launch` frame's fan-out, in
     /// deterministic peer order (so the replay's FIFO `Sent` match holds).
-    fn open_client_instance(&mut self, instance: InstanceId, launch: ClientLaunch) -> Outbound {
-        let (f, rounds) = (launch.f as usize, launch.rounds as usize);
-        self.insert_client_slot(instance, f, rounds, launch.value.clone());
-        let frame =
-            Frame { instance, sender: self.local, round: 0, payload: Payload::Launch(launch) };
-        let bytes = encode_frame(&frame);
-        (0..self.n).filter(|&dst| dst != self.local).map(|dst| (dst, bytes.clone())).collect()
+    fn open_client_instance(&mut self, id: InstanceId, launch: ClientLaunch, frame: &[u8]) -> Outbound {
+        self.insert_client_slot(id, launch.f as usize, launch.rounds as usize, launch.value);
+        (0..self.n).filter(|&dst| dst != self.local).map(|dst| (dst, frame.to_vec())).collect()
     }
 
     /// Owner side of one admitted request, launched at `now`: register it
-    /// (durably, with a self-describing spec), fan the `Launch` out to every
-    /// peer *first* — per-link FIFO means each peer registers the instance
-    /// before this node's protocol frames arrive — then launch locally.
+    /// (durably, its `Launch` frame as the spec — the wire codec is the
+    /// recovery codec), fan the `Launch` out to every peer *first* —
+    /// per-link FIFO means each peer registers the instance before this
+    /// node's protocol frames arrive — then launch locally.
     pub(super) fn admit(&mut self, (instance, launch): Request, now: &PhaseNanos, out: &mut Outbox) {
-        if self.durable {
-            let spec = client_table::encode_spec(&launch);
-            self.append(WalRecordRef::Registered { instance, spec: &spec });
-        }
-        let frames = self.open_client_instance(instance, launch);
+        let payload = Payload::Launch(launch.clone());
+        let frame = encode_frame(&Frame { instance, sender: self.local, round: 0, payload });
+        self.append(WalRecordRef::Registered { instance, spec: &frame });
+        let frames = self.open_client_instance(instance, launch, &frame);
         self.log_sent(&frames);
         out.frames.extend(frames);
         let _ = self.launch(instance, now, out);
@@ -657,16 +652,17 @@ impl Node {
             };
             match rec {
                 WalRecord::Registered { instance, spec } => {
-                    // Client instances log a self-describing spec: rebuild
-                    // them (and the client table's view of them) internally;
-                    // everything else goes through the caller's factory.
-                    if let Some(launch) = client_table::decode_spec(&spec) {
+                    // Client instances log their owner's `Launch` frame:
+                    // rebuild them (and the client table's view of them)
+                    // internally; everything else goes through the caller's
+                    // factory.
+                    if let Some(launch) = client_table::launch_spec(instance, &spec) {
                         if self.instances.contains_key(&instance) {
                             self.replay_divergence += 1;
                             continue;
                         }
                         self.client.restore(instance, &launch);
-                        let frames = self.open_client_instance(instance, launch);
+                        let frames = self.open_client_instance(instance, launch, &spec);
                         if client_instance_owner(instance) == Some(self.local) {
                             // The owner fanned the Launch out right after
                             // registering; those sends keep the FIFO `Sent`
@@ -700,11 +696,14 @@ impl Node {
                 WalRecord::WitnessCommit { instance, count } => {
                     // Appended after the step's `Inbound` records, so the
                     // replayed instance must stand at exactly this count.
-                    let replayed = self.instances.get(&instance).map(|s| s.proto.witness_commits());
-                    if replayed != Some(count) {
+                    let Some(slot) = self.instances.get_mut(&instance) else {
+                        self.replay_divergence += 1;
+                        continue;
+                    };
+                    if slot.proto.witness_commits() != count {
                         self.replay_divergence += 1;
                     }
-                    self.witness_logged.insert(instance, count);
+                    slot.witness_logged = count;
                 }
                 WalRecord::Decided { instance, value } => {
                     let value = VecD::from_slice(&value);

@@ -73,7 +73,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
-use rbvc_obs::{Counter, Gauge, LinkHealth, LinkMonitor, Registry};
+use rbvc_obs::{Counter, Gauge, LinkAuthState, LinkHealth, Registry};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
 
@@ -219,6 +219,12 @@ pub struct TcpEndpoint {
     /// Current inbound link generation per peer; a reader that no longer
     /// matches its peer's slot has been superseded by a newer handshake.
     generations: Arc<Vec<AtomicU64>>,
+    /// Per peer, what [`Transport::link_health`] reports (never the self
+    /// row). `up` goes down on teardown, on [`TcpEndpoint::sever_link`] and
+    /// on the live generation's read error, and up on a successful redial
+    /// or a verified handshake; `auth` starts `Pending` — identity is only
+    /// believed once a handshake from that peer verifies.
+    links: Vec<LinkHealth>,
     /// Tells the accept loop to exit (checked after each accept; the
     /// endpoint's `Drop` wakes the loop with a self-dial).
     shutdown: Arc<AtomicBool>,
@@ -238,9 +244,6 @@ pub struct TcpEndpoint {
     /// Per-peer redial veto, set by [`TcpEndpoint::sever_link`]: a severed
     /// link stays severed (fault-injection hook for the health campaign).
     redial_quench: Vec<bool>,
-    /// Per-link EWMA/straggler/flap tracker behind
-    /// [`Transport::link_health`].
-    link_monitor: LinkMonitor,
     /// This node's pairwise key share, used by the dialer side of every
     /// (re)dial.
     auth: Arc<MeshAuth>,
@@ -563,6 +566,9 @@ impl TcpEndpoint {
             rx,
             self_tx: tx,
             generations,
+            links: (0..n as u32)
+                .map(|peer| LinkHealth { peer, up: true, auth: LinkAuthState::Pending })
+                .collect(),
             shutdown,
             accept_handle: Some(accept_handle),
             redial_failures: vec![0; n],
@@ -570,9 +576,6 @@ impl TcpEndpoint {
             pending_reconnects: Vec::new(),
             fresh_writer: vec![false; n],
             redial_quench: vec![false; n],
-            // Inbound links start Pending: identity is only believed once a
-            // handshake from that peer verifies.
-            link_monitor: LinkMonitor::new(id as u32, n),
             auth,
             pending_auth_events: Vec::new(),
             bytes_sent,
@@ -600,6 +603,16 @@ impl TcpEndpoint {
         self.listen_addr
     }
 
+    /// The link to `peer` went down. A downed link has no live
+    /// authenticated session; the next handshake decides its fate.
+    fn link_down(&mut self, peer: ProcessId) {
+        let link = &mut self.links[peer];
+        link.up = false;
+        if link.auth == LinkAuthState::Authenticated {
+            link.auth = LinkAuthState::Pending;
+        }
+    }
+
     /// Tear down the outbound link to `dst` and arm an immediate redial on
     /// the next flush.
     fn mark_peer_down(&mut self, dst: ProcessId) {
@@ -607,7 +620,7 @@ impl TcpEndpoint {
         self.redial_failures[dst] = 0;
         self.redial_skip[dst] = 0;
         self.fresh_writer[dst] = false;
-        self.link_monitor.on_peer_down(dst as u32);
+        self.link_down(dst);
     }
 
     /// Fault-injection hook (health campaign): cut the outbound stream to
@@ -623,7 +636,7 @@ impl TcpEndpoint {
         }
         self.outbox[dst].clear();
         self.redial_quench[dst] = true;
-        self.link_monitor.on_peer_down(dst as u32);
+        self.link_down(dst);
     }
 
     /// Lazily re-dial every down peer whose backoff allows an attempt; a
@@ -651,7 +664,7 @@ impl TcpEndpoint {
                     self.redial_failures[dst] = 0;
                     self.redial_skip[dst] = 0;
                     self.fresh_writer[dst] = true;
-                    self.link_monitor.on_peer_up(dst as u32);
+                    self.links[dst].up = true;
                     self.pending_reconnects.push(dst);
                     let (src, dst_s) = (self.id.to_string(), dst.to_string());
                     Registry::global()
@@ -663,8 +676,6 @@ impl TcpEndpoint {
                 }
                 Err(_) => {
                     dial_retry_counter().inc();
-                    self.link_monitor
-                        .on_dial_failure(dst as u32, rbvc_obs::clock::now_us());
                     self.redial_failures[dst] = self.redial_failures[dst].saturating_add(1);
                     self.redial_skip[dst] =
                         (1u32 << self.redial_failures[dst].min(6)).min(REDIAL_SKIP_CAP);
@@ -683,7 +694,6 @@ impl TcpEndpoint {
                 // matters, so dropping it here is safe and keeps one
                 // logical inbound stream per peer.
                 if gen == self.generations[peer].load(Ordering::SeqCst) {
-                    self.link_monitor.on_frame(peer as u32, arrived_us);
                     out.push((peer, arrived_us, bytes));
                 }
             }
@@ -710,7 +720,7 @@ impl TcpEndpoint {
                 }
                 // After any outbound teardown: the inbound link is verified
                 // and live.
-                self.link_monitor.on_auth_ok(peer as u32);
+                (self.links[peer].up, self.links[peer].auth) = (true, LinkAuthState::Authenticated);
             }
             RxEvent::PeerDown(peer, gen) => {
                 if gen == self.generations[peer].load(Ordering::SeqCst) {
@@ -722,7 +732,7 @@ impl TcpEndpoint {
                 // superseded reader's error is recorded and nothing more.
                 if let Some((p, gen)) = link {
                     if gen == self.generations[p].load(Ordering::SeqCst) {
-                        self.link_monitor.on_peer_down(p as u32);
+                        self.link_down(p);
                     }
                 }
                 let peer = link.map(|(p, _)| p);
@@ -731,9 +741,12 @@ impl TcpEndpoint {
             RxEvent::AuthReject(peer, reason) => {
                 // Recorded and attributed, but deliberately *not* a peer
                 // teardown: a forged connection refused at the door must
-                // not mark the genuine live link down.
-                if let Some(p) = peer {
-                    self.link_monitor.on_auth_reject(p as u32);
+                // not mark the genuine live link down, nor discredit its
+                // session — the state only degrades when none is live.
+                if let Some(link) = peer.map(|p| &mut self.links[p]) {
+                    if link.auth != LinkAuthState::Authenticated {
+                        link.auth = LinkAuthState::Failed;
+                    }
                 }
                 self.errors.lock().record(ProtocolError::Transport {
                     peer,
@@ -876,8 +889,20 @@ impl Transport for TcpEndpoint {
         std::mem::take(&mut self.pending_auth_events)
     }
 
+    /// Every non-self link's state, publishing the `health.link.up` and
+    /// `health.link.auth` gauges as a side effect.
     fn link_health(&self) -> Vec<LinkHealth> {
-        self.link_monitor.snapshot(rbvc_obs::clock::now_us())
+        let dst = self.id.to_string();
+        let others = self.links.iter().filter(|l| l.peer as usize != self.id);
+        others
+            .inspect(|l| {
+                let src = l.peer.to_string();
+                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
+                Registry::global().gauge_with("health.link.up", &labels).set(i64::from(l.up));
+                Registry::global().gauge_with("health.link.auth", &labels).set(l.auth.as_gauge());
+            })
+            .cloned()
+            .collect()
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -1150,6 +1175,33 @@ mod tests {
             }
         }
         assert_eq!(got, vec![(0, vec![9])]);
+    }
+
+    /// The endpoint's own link rows follow the link's events: a sever marks
+    /// the severed row down, the peer's reader EOF marks its row down and
+    /// its session `Pending`, the peer's redial brings its row back up, and
+    /// that redial's verified handshake brings the severing side's row up.
+    #[test]
+    fn link_rows_follow_sever_eof_redial_and_handshake() {
+        let mut mesh = tcp_mesh_loopback_authenticated(2, &[5u8; 32]).expect("auth mesh");
+        // One peer each: the self row is never reported.
+        let row = |e: &TcpEndpoint| match e.link_health()[..] {
+            [LinkHealth { up, auth, .. }] => (up, auth),
+            ref rows => panic!("one row per peer, none for self: {rows:?}"),
+        };
+        let verified = (true, LinkAuthState::Authenticated);
+        assert_eq!(row(&mesh[0]), (true, LinkAuthState::Pending), "up, not yet believed");
+        assert!(pump_until(&mut mesh[0], |e| row(e) == verified));
+        assert!(pump_until(&mut mesh[1], |e| row(e) == verified));
+        mesh[0].sever_link(1);
+        assert_eq!(row(&mesh[0]), (false, LinkAuthState::Pending));
+        assert!(pump_until(&mut mesh[1], |e| !row(e).0), "EOF marks the row down");
+        assert_eq!(row(&mesh[1]), (false, LinkAuthState::Pending));
+        mesh[1].flush().unwrap();
+        assert!(row(&mesh[1]).0, "a successful redial is up");
+        assert_eq!(mesh[1].take_reconnects(), vec![0]);
+        assert!(pump_until(&mut mesh[0], |e| row(e) == verified), "the redial verified");
+        assert_eq!(mesh[0].auth_handshakes(), 2);
     }
 
     #[test]

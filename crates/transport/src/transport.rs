@@ -105,13 +105,13 @@ pub trait Transport: Send {
         Vec::new()
     }
 
-    /// Current health of every inbound link, for the stall detector's
-    /// wire-vs-barrier blame split (reading it also sets the
-    /// `health.link.*` gauges on `/metrics`). Default:
+    /// The `up` / `auth` state of every inbound link, for the stall
+    /// detector's wire-vs-barrier blame split (reading it also sets the
+    /// `health.link.up` / `health.link.auth` gauges on `/metrics`). Default:
     /// empty — the in-process mesh has no links that can sicken, and an
     /// empty reading makes the health layer fall back to protocol-level
-    /// evidence alone. The TCP endpoint overrides it with its
-    /// [`rbvc_obs::LinkMonitor`] snapshot.
+    /// evidence alone. The TCP endpoint overrides it with the per-peer state
+    /// it keeps beside each writer and generation.
     fn link_health(&self) -> Vec<rbvc_obs::LinkHealth> {
         Vec::new()
     }

@@ -51,10 +51,10 @@ fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
     assert_eq!(
         digests,
         [
-            "1583e5b53bafd010f5d9634729c04d72244f3611b41e0285bcd750c9b973277b",
-            "90fec9c36e225d48ae6ae7789ee2492b1b643f62e44184f33401b2a0a700a43c",
-            "3e6a23c9e4533362457d8cb2f05d04a64fb1cb134e24bf3a66ab998eb35b2329",
-            "6d62002263b194065cfc729309914ee11e19c6acb8b5968a23b0e554fe947d07",
+            "3331141ff50500e9e168b0b498cbc2d378d001709e210bba73251df634ac700a",
+            "2aa3c34e67bcf9ae284c72d43d5a15c5da7ba61937eaec8ffe80301207a76602",
+            "c2cb6670c48d86a237b9def98f87c8f84b3c6a27005e1c110fcf053e69c3406d",
+            "c4f59266ab6e67114b4b0c6bdd9558adc8512494a9b43ef06e62be7487256e51",
         ]
     );
 }
