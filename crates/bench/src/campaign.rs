@@ -1,5 +1,5 @@
 //! The campaign harness: everything the systems campaigns E17, E18 and
-//! E20–E23 share, so each of them is one [`Scenario`] entry.
+//! E20–E22 share, so each of them is one [`Scenario`] entry.
 //!
 //! A scenario supplies what is its own — the fault it injects, its
 //! per-run verdict, its table, JSON payload and gates (all returned as a
@@ -33,18 +33,17 @@ use rbvc_transport::transport::{in_proc_mesh, Transport};
 use rbvc_transport::{tcp_mesh_loopback_authenticated, Lockstep, TcpEndpoint};
 use serde_json::{json, Value};
 
-use crate::experiments::{byzantine, client, health, identity, recovery, service};
+use crate::experiments::{byzantine, client, health, recovery, service};
 use crate::report::{print_table, with_envelope};
 
 /// Every systems campaign, in experiment order (`exp <name>` looks the
 /// name up here).
-pub const SCENARIOS: [&Scenario; 6] = [
+pub const SCENARIOS: [&Scenario; 5] = [
     &service::SCENARIO,
     &recovery::SCENARIO,
     &byzantine::SCENARIO,
     &client::SCENARIO,
     &health::SCENARIO,
-    &identity::SCENARIO,
 ];
 
 /// Agreement tolerance of the online monitors (E18 tightens it to 0).

@@ -14,7 +14,8 @@
 //! 2. **clean TCP reference** — the same honest nodes over TCP with the
 //!    Byzantine slots idle: the honest-path timing reference;
 //! 3. **attack run** — all `n` nodes over TCP, the `f` malicious ones
-//!    actively equivocating / lying / muting / spraying / replaying.
+//!    actively equivocating / lying / muting / spraying / replaying /
+//!    forging handshakes.
 //!
 //! The baseline and reference run honest nodes *only* because that is the
 //! oracle the attack run must match: every registry mix equivocates or
@@ -25,8 +26,15 @@
 //! inputs during both TCP phases, and the campaign asserts the attack-run
 //! decisions are **bit-identical** to the baseline. The honest-path slowdown (wall
 //! clock, p50/p99 submit→decide latency) and the per-gate × per-sender
-//! rejection attribution land in `BENCH_byzantine.json`. The E23 identity
-//! campaign drives the same machinery over its own mix list.
+//! rejection attribution land in `BENCH_byzantine.json`.
+//!
+//! Five rows forge link identity: a replayed handshake, an honest node's id
+//! under the attacker's own key, a reflected nonce, a flipped MAC bit, and
+//! the retired plaintext HELLO. The attacker holds only its *own* pairwise
+//! keys, never the mesh seed, so each of these mixes must show handshake
+//! refusals (`auth_rejects > 0`) counted by the mesh's own endpoints. A last
+//! probe times the construction of an authenticated mesh against
+//! [`HANDSHAKE_BUDGET_MS`].
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -39,14 +47,14 @@ use rbvc_client::ClientHandle;
 use rbvc_core::Monitor;
 use rbvc_linalg::VecD;
 use rbvc_transport::byzantine::{
-    AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint, Counter,
+    AttackPolicy, AttackRegistry, AttackStats, ByzantineEndpoint, Counter, Mix,
 };
 use rbvc_transport::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
-use rbvc_transport::ClientPort;
+use rbvc_transport::{tcp_mesh_loopback_authenticated, ClientPort};
 use serde_json::{json, Value};
 
 use crate::campaign::{
-    fields, gate, mesh_seed, percentile, reply_error, sweep, Args, Fields, Gate,
+    gate, mesh_seed, percentile, reply_error, sweep, Args, Fields, Gate,
     MeshProfile, Proto, Report, Scenario, AGREEMENT_EPS,
 };
 use crate::report::fnum;
@@ -60,9 +68,17 @@ pub const SCENARIO: Scenario = Scenario {
     flags: &["--runs N", "--metrics ADDR"],
     // The per-attack slowdown gauges are set when the campaign aggregates,
     // so it is the scraper's last pass (after the run) that sees them.
-    metrics_probe: &["# TYPE", "exp_byzantine_slowdown"],
+    // `auth.reject_total` moves with the first refused forgery;
+    // `auth.established` is counted at every verified handshake.
+    metrics_probe: &["# TYPE", "exp_byzantine_slowdown", "auth_reject", "auth_established"],
     run,
 };
+
+/// Absolute budget for standing up one 7-node authenticated mesh, ms.
+/// Loopback handshakes cost tens of microseconds; the budget is three
+/// orders of magnitude of slack for a loaded CI box, while still catching
+/// a handshake that spins or serializes the whole mesh.
+pub const HANDSHAKE_BUDGET_MS: f64 = 2_000.0;
 
 /// Campaign configuration.
 #[derive(Clone)]
@@ -86,38 +102,44 @@ pub struct ByzantineConfig {
     pub auth: [u8; 32],
     /// The attack mixes this campaign cycles through (`run % len` picks).
     pub attacks: Vec<&'static str>,
+    /// Mesh constructions timed by the handshake probe.
+    pub handshake_trials: usize,
 }
 
-/// Whether `name` is one of the registry's identity mixes — the E23
-/// campaign's (`exp identity`); E20 cycles the rest.
-pub(crate) fn is_identity_mix(name: &str) -> bool {
-    AttackRegistry::mix(name).is_some_and(|m| m.counter.is_identity())
-}
-
-/// Registry names of the mixes `keep` selects, in registry order.
-pub(crate) fn mixes(keep: impl Fn(&str) -> bool) -> Vec<&'static str> {
-    AttackRegistry::MIXES.iter().map(|m| m.name).filter(|name| keep(name)).collect()
+/// Whether `mix` is named for a handshake forgery the responder must
+/// refuse — its runs must show `auth_rejects > 0`. The redial storm is a
+/// genuine handshake, so it is not one of them.
+fn refused(mix: &Mix) -> bool {
+    matches!(
+        mix.counter,
+        Counter::HelloReplays
+            | Counter::Impersonations
+            | Counter::NonceReflects
+            | Counter::MacFlips
+            | Counter::Downgrades
+    )
 }
 
 impl ByzantineConfig {
-    /// The full profile (50 runs, the acceptance floor, two instances) or
-    /// the CI profile — still 7 nodes and `f = 2` (shrinking the mesh would
-    /// change the Byzantine regime, which is the whole point), but one
-    /// instance, fewer rounds, and one run per classic mix so CI exercises
-    /// every attack.
+    /// The full profile (the whole registry cycled four times: 52 runs, two
+    /// instances) or the CI profile — still 7 nodes and `f = 2` (shrinking
+    /// the mesh would change the Byzantine regime, which is the whole
+    /// point), but one instance, fewer rounds, and one run per mix so CI
+    /// exercises every attack.
     #[must_use]
     pub fn profile(smoke: bool, seed: u64) -> Self {
-        let attacks = mixes(|name| !is_identity_mix(name));
-        let (instances, rounds, runs, client_requests) =
-            if smoke { (1, 2, attacks.len(), 2) } else { (2, 3, 50, 3) };
+        let attacks: Vec<&'static str> = AttackRegistry::MIXES.iter().map(|m| m.name).collect();
+        let (instances, rounds, passes, client_requests, handshake_trials) =
+            if smoke { (1, 2, 1, 2, 2) } else { (2, 3, 4, 3, 5) };
         let poll_timeout = Duration::from_millis(1);
         ByzantineConfig {
             mesh: MeshProfile { n: 7, f: 2, d: 2, instances, rounds, seed, poll_timeout },
-            runs,
+            runs: attacks.len() * passes,
             max_sweeps: 40_000,
             client_requests,
             auth: mesh_seed(seed),
             attacks,
+            handshake_trials,
         }
     }
 }
@@ -202,6 +224,9 @@ pub struct ByzantineOutcome {
     pub clean_auth_rejects: u64,
     /// Per-attack aggregation, in registry order.
     pub reports: Vec<AttackReport>,
+    /// Mean wall clock to stand up an authenticated mesh of the campaign's
+    /// size, ms.
+    pub handshake_ms: f64,
     /// Campaign wall clock, seconds.
     pub wall_secs: f64,
 }
@@ -274,6 +299,8 @@ struct MeshRun {
     client_rejects: u64,
     client_redirects: u64,
     client_reply_errors: u64,
+    /// Handshakes refused by this mesh's listeners.
+    auth_rejects: u64,
 }
 
 /// One run's raw facts.
@@ -286,8 +313,6 @@ struct RunFacts {
     attacked: MeshRun,
     gates_from_byz: [u64; 4],
     gates_from_honest: [u64; 4],
-    auth_rejects_clean: u64,
-    auth_rejects_attack: u64,
 }
 
 /// One TCP mesh phase. `attack`: `Some(mix)` starts the Byzantine nodes'
@@ -417,6 +442,7 @@ fn run_tcp_mesh(
 
     run.gates_by_sender = vec![[0u64; 4]; mesh.n];
     for (i, (svc, port)) in nodes.iter().enumerate() {
+        run.auth_rejects += svc.transport().auth_rejects();
         if byz.contains(&i) {
             run.stats += svc.transport().stats();
             run.decisions.push(BTreeMap::new());
@@ -467,13 +493,9 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
     let proto = |_| Proto::Va { f: mesh.f };
     let mk_monitor = || mesh.monitor(proto, AGREEMENT_EPS, Some(&honest_inputs));
 
-    let auth_counter = rbvc_obs::Registry::global().counter("auth.reject_total");
-    let auth_before = auth_counter.get();
-
     let baseline = mesh.baseline(Proto::Va { f: mesh.f }, &inputs, &byz, cfg.max_sweeps);
     let mut clean_monitor = mk_monitor();
     let clean = run_tcp_mesh(cfg, &inputs, &byz, None, run_seed, &mut clean_monitor);
-    let auth_after_clean = auth_counter.get();
     let mut attack_monitor = mk_monitor();
     let attacked = run_tcp_mesh(cfg, &inputs, &byz, Some(attack), run_seed, &mut attack_monitor);
 
@@ -502,9 +524,23 @@ fn one_run(cfg: &ByzantineConfig, run: usize) -> RunFacts {
         attacked,
         gates_from_byz,
         gates_from_honest,
-        auth_rejects_clean: auth_after_clean.saturating_sub(auth_before),
-        auth_rejects_attack: auth_counter.get().saturating_sub(auth_after_clean),
     }
+}
+
+/// Mean wall clock to stand up an `n`-node authenticated loopback mesh, ms.
+/// The clock stops before the mesh is dropped: endpoint teardown is not
+/// construction.
+fn mesh_construction_ms(n: usize, trials: usize, seed: u64) -> f64 {
+    let auth_seed = mesh_seed(seed ^ 0x4853); // "HS"
+    let trials = trials.max(1);
+    let mut total_ms = 0.0;
+    for _ in 0..trials {
+        let t = Instant::now();
+        let mesh = tcp_mesh_loopback_authenticated(n, &auth_seed).expect("authenticated mesh");
+        total_ms += t.elapsed().as_secs_f64() * 1e3;
+        drop(mesh);
+    }
+    total_ms / trials as f64
 }
 
 /// Run the campaign and publish the per-attack honest-path slowdown into
@@ -526,7 +562,7 @@ pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
         out.client_honest_rejections += facts.clean.client_rejects;
         out.client_reply_errors +=
             facts.clean.client_reply_errors + facts.attacked.client_reply_errors;
-        out.clean_auth_rejects += facts.auth_rejects_clean;
+        out.clean_auth_rejects += facts.clean.auth_rejects;
         if !facts.converged || !facts.identical || facts.violations > 0 {
             eprintln!(
                 "run {run} [{}]: converged={} identical={} violations={}",
@@ -545,7 +581,7 @@ pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
         add_gates(&mut acc.gates_from_byz, &facts.gates_from_byz);
         add_gates(&mut acc.gates_from_honest, &facts.gates_from_honest);
         acc.stats += facts.attacked.stats;
-        acc.auth_rejects += facts.auth_rejects_attack;
+        acc.auth_rejects += facts.attacked.auth_rejects;
         acc.client_rejects += facts.attacked.client_rejects;
         acc.client_redirects += facts.attacked.client_redirects;
     }
@@ -565,6 +601,7 @@ pub fn run_campaign(cfg: &ByzantineConfig) -> ByzantineOutcome {
         publish_metrics(&report);
         out.reports.push(report);
     }
+    out.handshake_ms = mesh_construction_ms(cfg.mesh.n, cfg.handshake_trials, cfg.mesh.seed);
     out.wall_secs = started.elapsed().as_secs_f64();
     out
 }
@@ -594,26 +631,17 @@ fn run(args: &Args) -> Report {
     let mut cfg = ByzantineConfig::profile(args.smoke, args.seed);
     cfg.runs = args.runs.unwrap_or(cfg.runs);
     println!(
-        "{}-node authenticated loopback TCP mesh, f = {} malicious nodes per run cycling the \
-         attack registry, {} instance(s) × {} VA rounds, {} seeded runs",
-        cfg.mesh.n, cfg.mesh.f, cfg.mesh.instances, cfg.mesh.rounds, cfg.runs
+        "{}-node authenticated loopback TCP mesh, f = {} malicious nodes per run cycling {} \
+         attack mix(es) ({} handshake forgeries), {} instance(s) × {} VA rounds, {} seeded runs",
+        cfg.mesh.n,
+        cfg.mesh.f,
+        cfg.attacks.len(),
+        AttackRegistry::MIXES.iter().filter(|m| refused(m)).count(),
+        cfg.mesh.instances,
+        cfg.mesh.rounds,
+        cfg.runs
     );
-    e20_report(&cfg, &run_campaign(&cfg))
-}
-
-/// The shared report plus what only E20 records: the honest client plane.
-fn e20_report(cfg: &ByzantineConfig, out: &ByzantineOutcome) -> Report {
-    report(cfg, out, |r, entry| {
-        let plane = json!({
-            "latency_ms": json!({
-                "clean": p50_p99(&r.client_clean_ms),
-                "attack": p50_p99(&r.client_attack_ms),
-            }),
-            "port_rejects": r.client_rejects,
-            "table_redirects": r.client_redirects,
-        });
-        entry.push(("client_plane".to_string(), plane));
-    })
+    report(&cfg, &run_campaign(&cfg))
 }
 
 fn p50_p99(sorted: &[f64]) -> Value {
@@ -624,35 +652,46 @@ fn gate_counts(g: &[u64; 4]) -> Value {
     json!({ "decode": g[0], "auth": g[1], "instance": g[2], "kind": g[3] })
 }
 
-/// The table, payload and gates E20 and E23 share: one row and one
-/// `attacks[]` entry per mix, whose `attacker_activity` is one loop over the
-/// registry's counters — the identity ones only where the campaign cycles an
-/// identity mix. `extend(report, entry)` adds the calling campaign's own
-/// keys to the entry.
-pub(crate) fn report(
-    cfg: &ByzantineConfig,
-    out: &ByzantineOutcome,
-    extend: impl Fn(&AttackReport, &mut Fields),
-) -> Report {
-    let identity = cfg.attacks.iter().any(|name| is_identity_mix(name));
+/// The table, payload and gates: one row and one `attacks[]` entry per mix,
+/// whose `attacker_activity` is one loop over the registry's counters.
+fn report(cfg: &ByzantineConfig, out: &ByzantineOutcome) -> Report {
+    let names = |keep: fn(&AttackReport, &Mix) -> bool| -> Vec<&str> {
+        out.reports
+            .iter()
+            .filter(|r| AttackRegistry::mix(r.attack).is_some_and(|m| keep(r, m)))
+            .map(|r| r.attack)
+            .collect()
+    };
     // A mix that never did what it is named for would pass every other gate
-    // trivially.
-    let idle: Vec<&str> = out
-        .reports
-        .iter()
-        .filter(|r| AttackRegistry::mix(r.attack).is_some_and(|m| r.stats[m.counter] == 0))
-        .map(|r| r.attack)
-        .collect();
+    // trivially; a forgery that was never refused never reached the
+    // handshake check.
+    let idle = names(|r, m| r.stats[m.counter] == 0);
+    let unrefused = names(|r, m| refused(m) && r.auth_rejects == 0);
     let mut gates = out.gates();
     gates.push(gate(
         idle.is_empty(),
         format!("mix(es) whose own activity counter stayed zero: {}", idle.join(", ")),
     ));
+    gates.push(gate(
+        unrefused.is_empty(),
+        format!("forgery mix(es) whose handshakes were never refused: {}", unrefused.join(", ")),
+    ));
+    gates.push(gate(
+        out.handshake_ms < HANDSHAKE_BUDGET_MS,
+        format!(
+            "authenticated mesh construction took {:.1} ms (budget {HANDSHAKE_BUDGET_MS} ms)",
+            out.handshake_ms
+        ),
+    ));
     let attacks: Vec<Value> = out
         .reports
         .iter()
         .map(|r| {
-            let mut entry = fields(json!({
+            let activity: Fields = Counter::ALL
+                .into_iter()
+                .map(|(c, key)| (key.to_string(), json!(r.stats[c])))
+                .collect();
+            json!({
                 "attack": r.attack,
                 "runs": r.runs,
                 "honest_wall_secs": json!({ "clean": r.clean_secs, "attack": r.attack_secs }),
@@ -666,15 +705,16 @@ pub(crate) fn report(
                     "from_honest": gate_counts(&r.gates_from_honest),
                 }),
                 "auth_rejects": r.auth_rejects,
-            }));
-            extend(r, &mut entry);
-            let activity: Fields = Counter::ALL
-                .into_iter()
-                .filter(|(c, _)| identity || !c.is_identity())
-                .map(|(c, key)| (key.to_string(), json!(r.stats[c])))
-                .collect();
-            entry.push(("attacker_activity".to_string(), Value::Object(activity)));
-            Value::Object(entry)
+                "client_plane": json!({
+                    "latency_ms": json!({
+                        "clean": p50_p99(&r.client_clean_ms),
+                        "attack": p50_p99(&r.client_attack_ms),
+                    }),
+                    "port_rejects": r.client_rejects,
+                    "table_redirects": r.client_redirects,
+                }),
+                "attacker_activity": Value::Object(activity),
+            })
         })
         .collect();
     Report {
@@ -703,19 +743,28 @@ pub(crate) fn report(
                 ]
             })
             .collect(),
-        notes: vec![format!(
-            "{}/{} runs converged, {}/{} bit-identical to the in-proc baseline, {} monitor \
-             violation(s), {} honest-attributed rejection(s), {} clean-phase handshake \
-             reject(s), {:.1}s wall",
-            out.converged_runs,
-            out.runs,
-            out.identical_runs,
-            out.runs,
-            out.monitor_violations,
-            out.honest_attributed_rejections,
-            out.clean_auth_rejects,
-            out.wall_secs
-        )],
+        notes: vec![
+            format!(
+                "{}/{} runs converged, {}/{} bit-identical to the in-proc baseline, {} monitor \
+                 violation(s), {} honest-attributed rejection(s), {} clean-phase handshake \
+                 reject(s), {:.1}s wall",
+                out.converged_runs,
+                out.runs,
+                out.identical_runs,
+                out.runs,
+                out.monitor_violations,
+                out.honest_attributed_rejections,
+                out.clean_auth_rejects,
+                out.wall_secs
+            ),
+            format!(
+                "handshake overhead ({} trials, n = {}): {} ms per authenticated mesh (budget \
+                 {HANDSHAKE_BUDGET_MS} ms)",
+                cfg.handshake_trials,
+                cfg.mesh.n,
+                fnum(out.handshake_ms),
+            ),
+        ],
         payload: json!({
             "n": cfg.mesh.n,
             "f": cfg.mesh.f,
@@ -729,6 +778,12 @@ pub(crate) fn report(
             "client_honest_rejections": out.client_honest_rejections,
             "client_reply_errors": out.client_reply_errors,
             "clean_auth_rejects": out.clean_auth_rejects,
+            "handshake_overhead": json!({
+                "trials": cfg.handshake_trials,
+                "mesh_n": cfg.mesh.n,
+                "auth_ms": out.handshake_ms,
+                "budget_ms": HANDSHAKE_BUDGET_MS,
+            }),
             "wall_secs": out.wall_secs,
             "attacks": attacks,
         }),
@@ -749,6 +804,7 @@ mod tests {
     fn micro_campaign_is_clean_and_attributes_rejections() {
         let mut cfg = ByzantineConfig::profile(true, 42);
         cfg.runs = 2;
+        cfg.handshake_trials = 1;
         let out = run_campaign(&cfg);
         assert_eq!(out.converged_runs, 2, "both runs must converge");
         assert_eq!(out.identical_runs, 2, "honest decisions must match the oracle");
@@ -761,13 +817,34 @@ mod tests {
             // The honest client was served in both phases of both runs.
             assert!(!r.client_clean_ms.is_empty() && !r.client_attack_ms.is_empty());
         }
-        let report = e20_report(&cfg, &out);
+        let report = report(&cfg, &out);
         assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
         crate::campaign::assert_keys_match_committed(
             &SCENARIO,
             report.payload,
             include_str!("../../../../BENCH_byzantine.json"),
         );
+    }
+
+    /// One run per forgery mix, tiny instances: every forgery is refused
+    /// with the refusals counted by this mesh's own endpoints, honest
+    /// decisions stay bit-identical to the oracle, and the handshake probe
+    /// returns a sane number.
+    #[test]
+    fn micro_forgery_campaign_refuses_every_forgery() {
+        let mut cfg = ByzantineConfig::profile(true, 0xF0_0001);
+        cfg.attacks = AttackRegistry::MIXES.iter().filter(|m| refused(m)).map(|m| m.name).collect();
+        cfg.runs = cfg.attacks.len();
+        cfg.client_requests = 0;
+        cfg.handshake_trials = 1;
+        let out = run_campaign(&cfg);
+        let report = report(&cfg, &out);
+        assert!(report.gates.iter().all(|g| g.ok), "campaign not clean: {:?}", report.gates);
+        assert_eq!(out.reports.len(), 5, "every forgery mix must report");
+        for r in &out.reports {
+            assert!(r.auth_rejects > 0, "{}: no handshake refused", r.attack);
+        }
+        assert!(out.handshake_ms > 0.0);
     }
 
     /// The client-spray mix alone: crafted client frames hammer the live

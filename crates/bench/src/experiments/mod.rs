@@ -4,8 +4,8 @@
 //! experiments (`exp list` prints it; DESIGN.md §3 describes the rows).
 //!
 //! The systems campaigns — [`service`] (E17), [`recovery`] (E18),
-//! [`byzantine`] (E20), [`client`] (E21), [`health`] (E22), [`identity`]
-//! (E23) — are [`Scenario`](crate::campaign::Scenario) entries of the one
+//! [`byzantine`] (E20), [`client`] (E21), [`health`] (E22) — are
+//! [`Scenario`](crate::campaign::Scenario) entries of the one
 //! campaign harness ([`crate::campaign`]): each module holds only its fault
 //! injection, per-run verdict, table, JSON payload and gates, and exports a
 //! `SCENARIO` that `campaign::SCENARIOS` lists.
@@ -22,7 +22,6 @@ pub mod client;
 pub mod conjecture_hunt;
 pub mod counterex;
 pub mod health;
-pub mod identity;
 pub mod lemmas;
 pub mod recovery;
 pub mod service;

@@ -63,7 +63,7 @@ use rbvc_sim::fuzz::ByteMutator;
 use crate::auth;
 use crate::client::{self, ClientFrame};
 use crate::tcp::{self, append_frame};
-use crate::transport::Transport;
+use crate::transport::{AuthEvent, Transport};
 use crate::wire::{self, decode_frame, encode_frame, Frame, Payload};
 
 /// How long a raw dial at a peer's listener or client port may take before
@@ -194,8 +194,6 @@ pub enum Attack {
     /// the impersonated node. Rejected `bad-mac`; the frame must never be
     /// delivered.
     Impersonate(u64),
-    /// [`Attack::HelloReplay`] on the identity campaign's stride and counter.
-    HsReplay(u64),
     /// Answer the challenge by reflecting the nonce back as the MAC — the
     /// classic reflection probe. Rejected `bad-mac`.
     NonceReflect(u64),
@@ -222,7 +220,6 @@ impl Attack {
             Attack::HelloReplay(_) => Counter::HelloReplays,
             Attack::RedialStorm(_) => Counter::RedialStorms,
             Attack::Impersonate(_) => Counter::Impersonations,
-            Attack::HsReplay(_) => Counter::HsReplays,
             Attack::NonceReflect(_) => Counter::NonceReflects,
             Attack::MacFlip(_) => Counter::MacFlips,
             Attack::Downgrade(_) => Counter::Downgrades,
@@ -231,9 +228,8 @@ impl Attack {
 }
 
 /// What a [`ByzantineEndpoint`] did to the traffic, by kind: the index of
-/// [`AttackStats`] and the key set of the campaigns' `attacker_activity`
-/// objects. The last five are the identity forgeries (E23).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// [`AttackStats`] and the key set of E20's `attacker_activity` objects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
     /// Outbound protocol frames re-encoded with mutated vector values
     /// (equivocation + lying witnesses).
@@ -252,8 +248,6 @@ pub enum Counter {
     ClientSprays,
     /// Honest-identity impersonation handshakes written (wrong key).
     Impersonations,
-    /// [`Counter::HelloReplays`], fired by the identity campaign's mix.
-    HsReplays,
     /// Nonce-reflection responses written.
     NonceReflects,
     /// Valid-as-self responses written with one MAC bit flipped.
@@ -263,9 +257,9 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// Every counter with its key in `BENCH_byzantine.json` /
-    /// `BENCH_identity.json`, in report (and discriminant) order.
-    pub const ALL: [(Counter, &'static str); 12] = [
+    /// Every counter with its key in `BENCH_byzantine.json`, in report (and
+    /// discriminant) order.
+    pub const ALL: [(Counter, &'static str); 11] = [
         (Counter::FramesMutated, "frames_mutated"),
         (Counter::FramesDropped, "frames_dropped"),
         (Counter::GarbageInjected, "garbage_injected"),
@@ -274,18 +268,10 @@ impl Counter {
         (Counter::RedialStorms, "redial_storms"),
         (Counter::ClientSprays, "client_sprays"),
         (Counter::Impersonations, "impersonations"),
-        (Counter::HsReplays, "handshake_replays"),
         (Counter::NonceReflects, "nonce_reflections"),
         (Counter::MacFlips, "mac_flips"),
         (Counter::Downgrades, "downgrades"),
     ];
-
-    /// Whether this counts an identity forgery — meaningful only against an
-    /// authenticated mesh, and reported only by the identity campaign.
-    #[must_use]
-    pub fn is_identity(self) -> bool {
-        self >= Counter::Impersonations
-    }
 }
 
 /// Everything a [`ByzantineEndpoint`] did to the traffic, indexed by
@@ -345,10 +331,8 @@ impl AttackPolicy {
 pub struct AttackRegistry;
 
 impl AttackRegistry {
-    /// Every registered mix, in campaign cycling order. Rows whose own
-    /// counter [`Counter::is_identity`] are the E23 identity mixes; the rest
-    /// are E20's.
-    pub const MIXES: [Mix; 14] = {
+    /// Every registered mix, in campaign cycling order.
+    pub const MIXES: [Mix; 13] = {
         use Attack::*;
         const fn row(name: &'static str, attacks: &'static [Attack], counter: Counter) -> Mix {
             Mix { name, attacks, counter }
@@ -359,7 +343,7 @@ impl AttackRegistry {
             row("mute", &[MuteRelays(3), MuteOwn], Counter::FramesDropped),
             row("garbage", &[Equivocate, Garbage(2)], Counter::GarbageInjected),
             row("gate-spray", &[Equivocate, GateSpray(3)], Counter::GateSprays),
-            row("hello-replay", &[Equivocate, HelloReplay(8)], Counter::HelloReplays),
+            row("hello-replay", &[Equivocate, HelloReplay(6)], Counter::HelloReplays),
             row("redial-storm", &[Equivocate, RedialStorm(16)], Counter::RedialStorms),
             row("client-spray", &[Equivocate, ClientSpray(2)], Counter::ClientSprays),
             row(
@@ -377,7 +361,6 @@ impl AttackRegistry {
                 Counter::FramesMutated,
             ),
             row("impersonate", &[Equivocate, Impersonate(6)], Counter::Impersonations),
-            row("hs-replay", &[Equivocate, HsReplay(6)], Counter::HsReplays),
             row("nonce-reflect", &[Equivocate, NonceReflect(8)], Counter::NonceReflects),
             row("mac-flip", &[Equivocate, MacFlip(8)], Counter::MacFlips),
             row("downgrade", &[Equivocate, Downgrade(6)], Counter::Downgrades),
@@ -435,6 +418,10 @@ pub struct ByzantineEndpoint<T: Transport> {
     captured_response: Option<[u8; auth::RESPONSE_LEN]>,
     /// Monotone generation counter for the attacker's own handshakes.
     attack_generation: u64,
+    /// Handshakes the inner transport refused, counted as their
+    /// [`AuthEvent::Rejected`] events pass through
+    /// [`Transport::take_auth_events`].
+    auth_rejects: u64,
     /// Per-destination equivocation offset scale, derived from the seed —
     /// strictly positive, so every mutated value differs from the original
     /// and from every other destination's copy.
@@ -457,6 +444,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
             identity_keys: Vec::new(),
             captured_response: None,
             attack_generation: 0,
+            auth_rejects: 0,
             eps: 0.25 + (seed % 16) as f64 / 32.0,
             policy,
         }
@@ -494,6 +482,13 @@ impl<T: Transport> ByzantineEndpoint<T> {
     #[must_use]
     pub fn stats(&self) -> AttackStats {
         self.stats
+    }
+
+    /// Handshakes this node's listener refused so far — this mesh's own
+    /// count, unlike the process-wide `auth.reject_total`.
+    #[must_use]
+    pub fn auth_rejects(&self) -> u64 {
+        self.auth_rejects
     }
 
     fn bump(&mut self, counter: Counter) {
@@ -647,7 +642,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
             // under the honest pair's key instead.
             let honest = auth::response(&key, nonce, claimed, victim, generation, t_tx);
             match attack {
-                Attack::HelloReplay(_) | Attack::HsReplay(_) => stale.unwrap_or(honest),
+                Attack::HelloReplay(_) => stale.unwrap_or(honest),
                 Attack::NonceReflect(_) => {
                     // The nonce echoed back as the proof — twice over to
                     // fill the MAC field.
@@ -669,7 +664,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
         })
         .ok()?;
         match attack {
-            Attack::HelloReplay(_) | Attack::HsReplay(_) => self.captured_response = Some(response),
+            Attack::HelloReplay(_) => self.captured_response = Some(response),
             Attack::Impersonate(_) => {
                 // Best-effort: a rejected handshake closes the connection,
                 // so this write races the responder's teardown — which is
@@ -715,7 +710,6 @@ impl<T: Transport> ByzantineEndpoint<T> {
             Attack::HelloReplay(every)
             | Attack::RedialStorm(every)
             | Attack::Impersonate(every)
-            | Attack::HsReplay(every)
             | Attack::NonceReflect(every)
             | Attack::MacFlip(every)
             | Attack::Downgrade(every) => {
@@ -788,8 +782,11 @@ impl<T: Transport> Transport for ByzantineEndpoint<T> {
         self.inner.take_reconnects()
     }
 
-    fn take_auth_events(&mut self) -> Vec<crate::transport::AuthEvent> {
-        self.inner.take_auth_events()
+    fn take_auth_events(&mut self) -> Vec<AuthEvent> {
+        let events = self.inner.take_auth_events();
+        self.auth_rejects +=
+            events.iter().filter(|e| matches!(e, AuthEvent::Rejected { .. })).count() as u64;
+        events
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -909,8 +906,6 @@ mod tests {
                 mix.name
             );
             assert!(AttackRegistry::MIXES[..i].iter().all(|m| m.name != mix.name));
-            // The identity mixes are the tail of the cycling order.
-            assert_eq!(mix.counter.is_identity(), i >= 9, "{}", mix.name);
         }
         for (i, (c, key)) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(c as usize, i, "ALL must be in discriminant order");
@@ -956,7 +951,6 @@ mod tests {
     fn impersonation_against_auth_mesh_is_rejected_and_frameless() {
         use crate::auth::derive_pair_key;
         use crate::tcp::tcp_mesh_loopback_authenticated;
-        use crate::transport::AuthEvent;
 
         let seed = [0x42u8; 32];
         let mut mesh = tcp_mesh_loopback_authenticated(3, &seed).expect("auth mesh");
@@ -973,7 +967,7 @@ mod tests {
         }
         // Node 0 is compromised: it holds its own keyring only.
         let keys: Vec<[u8; 32]> = (0..3).map(|p| derive_pair_key(&seed, 0, p)).collect();
-        let mut victim = mesh.remove(1);
+        let mut victim = ByzantineEndpoint::new(mesh.remove(1), AttackPolicy::honest());
         let mut byz = ByzantineEndpoint::new(
             mesh.remove(0),
             AttackRegistry::policy("impersonate", 9),
@@ -999,6 +993,8 @@ mod tests {
             }
         }
         assert!(saw_reject, "victim never attributed the impersonation as bad-mac");
+        // The wrapper tallied the refusal it passed on.
+        assert!(victim.auth_rejects() >= 1);
     }
 
     #[test]

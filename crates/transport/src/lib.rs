@@ -28,8 +28,8 @@
 //! * [`byzantine`] — [`byzantine::ByzantineEndpoint`]: a [`transport::Transport`]
 //!   wrapper that runs live adversaries over the real wire, each a list of
 //!   [`byzantine::Attack`]s from one seeded registry table and each built
-//!   from what the modules above export of their formats — the E20/E23
-//!   campaigns' weapon rack.
+//!   from what the modules above export of their formats — the E20
+//!   campaign's weapon rack.
 //! * [`auth`] — from-scratch SHA-256 / HMAC-SHA-256 (offline build, no
 //!   crypto crates), pairwise key derivation from a mesh seed, and the
 //!   challenge–response handshake codec that makes link identity

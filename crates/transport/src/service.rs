@@ -183,13 +183,6 @@ impl<T: Transport> ConsensusService<T> {
         }
     }
 
-    /// Per-gate rejection counts (decode, sender auth, instance lookup,
-    /// payload kind), in [`GATE_NAMES`] order.
-    #[must_use]
-    pub fn gate_rejections(&self) -> [u64; 4] {
-        self.node.gate_rejections
-    }
-
     /// Per-sender rejection counts, `[sender][gate]` with gates in
     /// [`GATE_NAMES`] order. The sender is the transport-authenticated link
     /// peer for the decode and auth gates and the (by then link-verified)

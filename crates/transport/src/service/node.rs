@@ -234,7 +234,8 @@ impl Slot {
     }
 }
 
-/// Names of the four receive gates, indexed as the service's `gate_rejections`.
+/// Names of the four receive gates, indexed as the columns of the service's
+/// `gate_rejections_by_sender`.
 pub const GATE_NAMES: [&str; 4] = ["decode", "auth", "instance", "kind"];
 
 /// What the core's inputs produced, for the driver to carry out. The driver
@@ -259,8 +260,6 @@ pub(super) struct Node {
     /// Degradation events: gate rejections, failed appends and syncs.
     pub(super) errors: ErrorLog,
     pub(super) started: bool,
-    /// Per-gate rejection counts, indexed as [`GATE_NAMES`].
-    pub(super) gate_rejections: [u64; 4],
     /// Per-sender rejection counts, `[sender][gate]` — what lets an
     /// adversarial campaign attribute every rejection to its cause.
     pub(super) gate_rejections_by_sender: Vec<[u64; 4]>,
@@ -304,7 +303,6 @@ impl Node {
             obs: Obs::default(),
             errors: ErrorLog::new(),
             started: false,
-            gate_rejections: [0; 4],
             gate_rejections_by_sender: vec![[0; 4]; n],
             durable: false,
             records: RecordBatch::default(),
@@ -324,7 +322,6 @@ impl Node {
     /// attribute it to `from` (metrics label + per-sender table + the
     /// `from=` field of the [`EventKind::GateReject`] detail), and trace it.
     fn gate_record(&mut self, gate: usize, from: ProcessId, err: ProtocolError) {
-        self.gate_rejections[gate] += 1;
         if let Some(per_sender) = self.gate_rejections_by_sender.get_mut(from) {
             per_sender[gate] += 1;
         }
@@ -796,6 +793,17 @@ mod tests {
         PhaseNanos::default()
     }
 
+    /// Rejections per gate, summed over senders.
+    fn gate_totals(node: &Node) -> [u64; 4] {
+        let mut totals = [0; 4];
+        for per_gate in &node.gate_rejections_by_sender {
+            for (sum, count) in totals.iter_mut().zip(per_gate) {
+                *sum += count;
+            }
+        }
+        totals
+    }
+
     /// Process `p`'s instances at n = 4: VA at f = 1 under id 1, BVC under id 2.
     fn protos(p: ProcessId, n: usize) -> Vec<(InstanceId, InstanceProto)> {
         let input = |k: f64| VecD::from_slice(&[p as f64 * k, 1.0 - k * p as f64]);
@@ -992,7 +1000,6 @@ mod tests {
             node.on_frame(1, bytes, &now(), &mut out);
         }
         assert_eq!(node.errors.total(), 5, "every gate must fire: {:?}", node.errors.errors());
-        assert_eq!(node.gate_rejections, [1, 1, 1, 2]);
         assert_eq!(node.gate_rejections_by_sender, [[0; 4], [1, 1, 1, 2]]);
         let rejects: Vec<String> = ring
             .events()
@@ -1031,7 +1038,7 @@ mod tests {
         let mut out = Outbox::default();
         live.launch(5, &now(), &mut out).unwrap();
         live.on_frame(0, &spoof, &now(), &mut out);
-        assert_eq!(live.gate_rejections, [0, 1, 0, 0], "the sender gate fired live");
+        assert_eq!(gate_totals(&live), [0, 1, 0, 0], "the sender gate fired live");
         let mut log = payloads(live.records.as_bytes());
         let kinds: Vec<WalRecord> = log.iter().map(|r| decode_record(r).expect("decodes")).collect();
         assert!(matches!(kinds[1], WalRecord::Launched { instance: 5 }));
@@ -1044,7 +1051,6 @@ mod tests {
         };
         let node = replay(&log);
         assert_eq!(node.replay_divergence, 0);
-        assert_eq!(node.gate_rejections, live.gate_rejections);
         assert_eq!(node.gate_rejections_by_sender, live.gate_rejections_by_sender);
         assert!(node.records.is_empty(), "nothing is logged twice");
         log.push(encode_record(&WalRecord::WitnessCommit { instance: 5, count: 1 }));
@@ -1141,7 +1147,7 @@ mod tests {
         assert!(out.frames.is_empty());
         run_cores(&mut nodes, &mut queues, &mut vec![Vec::new(); n]);
         for node in &nodes {
-            assert_eq!(node.gate_rejections, [0; 4], "well-formed, authenticated, resident");
+            assert_eq!(gate_totals(node), [0; 4], "well-formed, authenticated, resident");
             assert!([1, 2].iter().all(|&inst| slots(node, inst) == n * rounds));
         }
     }
