@@ -84,12 +84,6 @@ pub struct HealthCampaignConfig {
     /// force-advance horizon that guarantees survivor termination in the
     /// mute/sever/kill classes.
     pub timeout_ticks: u32,
-    /// Polls the victim runs before its fault is injected. 0 (the
-    /// default) injects before the victim's first poll: the mesh
-    /// handshake has already brought every link up by then, and a healthy
-    /// mesh decides within a handful of polls, so any later injection
-    /// races the decision.
-    pub warmup_polls: usize,
     /// Group-commit delay injected in the `fsync` class (must exceed
     /// `deadline` so the peers' wait on the throttled node trips the
     /// detector).
@@ -117,7 +111,6 @@ impl HealthCampaignConfig {
             runs: if smoke { CLASSES.len() } else { 40 },
             deadline: Duration::from_millis(150),
             timeout_ticks: 600,
-            warmup_polls: 0,
             fsync_throttle: Duration::from_millis(400),
             run_budget: Duration::from_secs(20),
             detect_budget: Duration::from_millis(1500),
@@ -304,46 +297,47 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
         let is_victim = i == victim && class != "clean";
         svc.start().expect("start service");
         let t0 = Instant::now();
-        let mut polls = 0usize;
         let mut decisions: Vec<(u64, VecD)> = Vec::new();
-        while !svc.all_decided() && t0.elapsed() < budget {
-            if is_victim && polls == cfg.warmup_polls {
-                *injected_at_us.lock().expect("stamp") = Some(clock::now_us());
-                match class {
-                    "muted" => {
-                        // Stop polling, keep the sockets open: peers should
-                        // see a live link that owes a batch (barrier), not
-                        // a dead one (wire).
-                        while survivors_done.load(Ordering::SeqCst) < survivor_count
-                            && t0.elapsed() < budget
-                        {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        break;
+        let muted = is_victim && class == "muted";
+        if is_victim {
+            // Before the victim's first poll: the mesh handshake has already
+            // brought every link up, and a healthy mesh decides within a
+            // handful of polls, so any later injection races the decision.
+            *injected_at_us.lock().expect("stamp") = Some(clock::now_us());
+            match class {
+                "muted" => {
+                    // Never poll, keep the sockets open: peers should see a
+                    // live link that owes a batch (barrier), not a dead one
+                    // (wire).
+                    while survivors_done.load(Ordering::SeqCst) < survivor_count
+                        && t0.elapsed() < budget
+                    {
+                        thread::sleep(Duration::from_millis(5));
                     }
-                    "severed" => {
-                        for j in (0..mesh.n).filter(|&j| j != i) {
-                            svc.transport_mut().sever_link(j);
-                        }
-                    }
-                    "fsync" => svc.set_fsync_throttle(cfg.fsync_throttle),
-                    "kill" => {
-                        drop(svc);
-                        return NodeFacts {
-                            decided: false,
-                            reports: Vec::new(),
-                            stalls_raised: 0,
-                            decisions,
-                        };
-                    }
-                    other => unreachable!("unknown class {other}"),
                 }
+                "severed" => {
+                    for j in (0..mesh.n).filter(|&j| j != i) {
+                        svc.transport_mut().sever_link(j);
+                    }
+                }
+                "fsync" => svc.set_fsync_throttle(cfg.fsync_throttle),
+                "kill" => {
+                    drop(svc);
+                    return NodeFacts {
+                        decided: false,
+                        reports: Vec::new(),
+                        stalls_raised: 0,
+                        decisions,
+                    };
+                }
+                other => unreachable!("unknown class {other}"),
             }
+        }
+        while !muted && !svc.all_decided() && t0.elapsed() < budget {
             let events = svc.poll(mesh.poll_timeout);
             if !is_victim {
                 decisions.extend(events.into_iter().map(|ev| (ev.instance, ev.value)));
             }
-            polls += 1;
         }
         if !is_victim {
             survivors_done.fetch_add(1, Ordering::SeqCst);

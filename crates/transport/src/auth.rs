@@ -1,5 +1,7 @@
 //! Cryptographic link identity: SHA-256, HMAC-SHA-256, pairwise key
-//! derivation, and the challenge–response handshake codec.
+//! derivation, and the challenge–response handshake whole — its records
+//! (the HELLO included), the dialer ([`dial_handshake_with`]) and the
+//! responder ([`respond_handshake`]).
 //!
 //! Every TCP link comes up through the handshake below, so a peer is the
 //! holder of its pairwise key, never whoever claims its process id. No
@@ -52,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use rbvc_obs::Registry;
 use rbvc_sim::config::ProcessId;
 
 // ---------------------------------------------------------------------------
@@ -309,6 +312,19 @@ impl MeshAuth {
     pub fn next_generation(&self) -> u64 {
         self.generation.fetch_add(1, Ordering::SeqCst) + 1
     }
+
+    /// Prove this node to `dst` on a freshly dialed `stream`: the honest
+    /// dialer ([`dial_handshake`]) under the next generation and the current
+    /// clock. Every dial and re-dial of an endpoint runs it, against the
+    /// responder's fresh nonce. Nagle is off for the stream from here on.
+    ///
+    /// # Errors
+    /// As [`dial_handshake_with`].
+    pub fn prove(&self, stream: &mut TcpStream, dst: ProcessId) -> Result<(), String> {
+        stream.set_nodelay(true).ok();
+        let t_tx = rbvc_obs::clock::now_us().max(1);
+        dial_handshake(stream, self.local, dst, self.key(dst), self.next_generation(), t_tx)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -316,8 +332,17 @@ impl MeshAuth {
 // ---------------------------------------------------------------------------
 
 /// Handshake version carried by every handshake record (the retired
-/// plaintext HELLO, [`crate::tcp::HELLO_VERSION`], is refused).
+/// plaintext HELLO, [`HELLO_VERSION`], is refused).
 pub const AUTH_VERSION: u8 = 3;
+/// HELLO magic (3 bytes) followed by the handshake version byte.
+pub const HELLO_MAGIC: [u8; 3] = *b"RBH";
+/// The retired plaintext handshake version. No endpoint speaks it: a HELLO
+/// carrying it is refused as a `downgrade`. Links open with
+/// [`AUTH_VERSION`]; the handshake is versioned separately from
+/// [`crate::wire`] because it can evolve without touching the frame codec.
+pub const HELLO_VERSION: u8 = 2;
+/// HELLO size on the wire: magic + version + peer u32 + `t_tx` u64.
+pub const HELLO_LEN: usize = 16;
 /// Challenge magic.
 pub const CHALLENGE_MAGIC: [u8; 3] = *b"RBN";
 /// Response magic.
@@ -335,6 +360,20 @@ const HS_LABEL: &[u8] = b"rbvc-hs-v1";
 /// How long either side waits for the other's next handshake record
 /// before giving the connection up.
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The HELLO record: [`AUTH_VERSION`] opens the keyed handshake,
+/// [`HELLO_VERSION`] is the retired plaintext one. The one place the layout
+/// is assembled — [`dial_handshake_with`], the tests and the wire
+/// adversaries all announce themselves through it.
+#[must_use]
+pub fn hello(version: u8, id: ProcessId, t_tx: u64) -> [u8; HELLO_LEN] {
+    let mut hello = [0u8; HELLO_LEN];
+    hello[..3].copy_from_slice(&HELLO_MAGIC);
+    hello[3] = version;
+    hello[4..8].copy_from_slice(&(id as u32).to_le_bytes());
+    hello[8..].copy_from_slice(&t_tx.to_le_bytes());
+    hello
+}
 
 /// Encode a challenge carrying `nonce`.
 #[must_use]
@@ -534,7 +573,7 @@ pub fn dial_handshake_with(
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| format!("set handshake timeout: {e}"))?;
     stream
-        .write_all(&crate::tcp::hello(AUTH_VERSION, claimed_id, t_tx))
+        .write_all(&hello(AUTH_VERSION, claimed_id, t_tx))
         .map_err(|e| format!("HELLO write failed: {e}"))?;
     let mut challenge = [0u8; CHALLENGE_LEN];
     stream
@@ -569,7 +608,112 @@ pub fn dial_handshake(
 
 /// Bytes a dialer-side handshake puts on the wire (HELLO + response) —
 /// the accounting constant for `bytes_sent`.
-pub const DIAL_HANDSHAKE_TX_LEN: u64 = crate::tcp::HELLO_LEN + RESPONSE_LEN as u64;
+pub const DIAL_HANDSHAKE_TX_LEN: u64 = (HELLO_LEN + RESPONSE_LEN) as u64;
+
+// ---------------------------------------------------------------------------
+// Responder-side handshake driver
+// ---------------------------------------------------------------------------
+
+/// What the responder side of one handshake came to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// The dialer proved it holds this peer's pairwise key.
+    Proved(ProcessId),
+    /// Refused: the claimed peer when the HELLO names one in range, and the
+    /// stable reason label (`auth.reject{peer,reason,dst}`).
+    Refused(Option<ProcessId>, &'static str),
+    /// No HELLO arrived — the dialer hung up or stalled before claiming
+    /// anything. An IO failure, not a refusal: nothing is counted.
+    Silent(String),
+}
+
+/// Run the responder side of the handshake on a freshly accepted stream,
+/// as node `keys.local()`: read the HELLO and check it, challenge the
+/// claimed peer with a fresh nonce, and verify its response under the
+/// pair's key. Counts the verdict — `auth.established{peer,dst}` and
+/// `auth.handshake_us` (HELLO read to verdict), or
+/// `auth.reject{peer,reason,dst}` — and the handshake records that crossed
+/// the wire in the endpoint's `sent` / `received` byte counters (the HELLO
+/// only once the peer is proved). Read timeouts are set for the handshake
+/// and cleared once the peer is proved; on any other verdict the stream
+/// should be closed.
+pub fn respond_handshake(
+    stream: &mut TcpStream,
+    keys: &MeshAuth,
+    sent: &AtomicU64,
+    received: &AtomicU64,
+) -> Verdict {
+    // A connection that stalls mid-handshake must not pin its reader.
+    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    let mut hello = [0u8; HELLO_LEN];
+    if let Err(e) = stream.read_exact(&mut hello) {
+        return Verdict::Silent(format!("HELLO read failed: {e}"));
+    }
+    let t_rx = rbvc_obs::clock::now_us();
+    let dst = keys.local().to_string();
+    match judge(stream, &hello, keys, sent, received) {
+        Ok(peer) => {
+            let peer_s = peer.to_string();
+            let labels = [("peer", peer_s.as_str()), ("dst", dst.as_str())];
+            Registry::global().counter_with("auth.established", &labels).inc();
+            Registry::global().counter("auth.established_total").inc();
+            Registry::global()
+                .histogram("auth.handshake_us")
+                .record(rbvc_obs::clock::now_us().saturating_sub(t_rx));
+            let _ = stream.set_read_timeout(None);
+            received.fetch_add(HELLO_LEN as u64, Ordering::Relaxed);
+            Verdict::Proved(peer)
+        }
+        Err((peer, reason)) => {
+            let peer_s = peer.map_or_else(|| "?".to_string(), |p| p.to_string());
+            let labels = [("peer", peer_s.as_str()), ("reason", reason), ("dst", dst.as_str())];
+            Registry::global().counter_with("auth.reject", &labels).inc();
+            Registry::global().counter("auth.reject_total").inc();
+            Verdict::Refused(peer, reason)
+        }
+    }
+}
+
+/// The checks of [`respond_handshake`] after the HELLO, in wire order: the
+/// HELLO's prefix and claimed peer, then the challenge and the response.
+/// `Err` carries the claimed peer (when known) and the refusal's label.
+fn judge(
+    stream: &mut TcpStream,
+    hello: &[u8; HELLO_LEN],
+    keys: &MeshAuth,
+    sent: &AtomicU64,
+    received: &AtomicU64,
+) -> Result<ProcessId, (Option<ProcessId>, &'static str)> {
+    // Every HELLO version shares the prefix layout, so the claimed peer
+    // parses either way — refusals get attributed whenever possible.
+    let peer = u32::from_le_bytes(hello[4..8].try_into().expect("4 bytes")) as usize;
+    let claimed = (peer < keys.n()).then_some(peer);
+    if hello[..3] != HELLO_MAGIC {
+        return Err((None, "bad-magic"));
+    }
+    match hello[3] {
+        AUTH_VERSION => {}
+        // The retired plaintext HELLO is a downgrade attempt, never a
+        // legitimate peer.
+        HELLO_VERSION => return Err((claimed, "downgrade")),
+        _ => return Err((claimed, "bad-version")),
+    }
+    let peer = claimed.ok_or((None, "ghost-peer"))?;
+    let require = |holds: bool, reason| if holds { Ok(()) } else { Err((Some(peer), reason)) };
+    // A node never dials itself over the wire (the self-link is
+    // process-internal).
+    require(peer != keys.local(), "self")?;
+    let nonce = fresh_nonce();
+    require(stream.write_all(&encode_challenge(&nonce)).is_ok(), "challenge-write")?;
+    sent.fetch_add(CHALLENGE_LEN as u64, Ordering::Relaxed);
+    let mut resp = [0u8; RESPONSE_LEN];
+    require(stream.read_exact(&mut resp).is_ok(), "truncated-response")?;
+    received.fetch_add(RESPONSE_LEN as u64, Ordering::Relaxed);
+    let r = decode_response(&resp).map_err(|_| (Some(peer), "bad-response"))?;
+    require(r.dialer as usize == peer, "peer-mismatch")?;
+    require(response_verifies(keys.key(peer), &nonce, keys.local(), &r), "bad-mac")?;
+    Ok(peer)
+}
 
 #[cfg(test)]
 mod tests {
@@ -763,5 +907,65 @@ mod tests {
         for _ in 0..4096 {
             assert!(seen.insert(fresh_nonce()), "nonce repeated");
         }
+    }
+
+    /// Node 5 of a 7-node mesh judges one dialed connection; `dial` plays
+    /// the dialer on it.
+    fn verdict(dial: impl FnOnce(&mut TcpStream)) -> Verdict {
+        let keys = MeshAuth::derive(&[3u8; 32], 5, 7);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let bound = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let listener = crate::tcp::Listener::spawn(bound, move |conn| {
+            let (sent, received) = (AtomicU64::new(0), AtomicU64::new(0));
+            let mut stream = conn.expect("accepted");
+            let _ = tx.send(respond_handshake(&mut stream, &keys, &sent, &received));
+        })
+        .expect("listen");
+        let mut stream = TcpStream::connect(listener.addr).expect("dial");
+        dial(&mut stream);
+        drop(stream);
+        rx.recv_timeout(HANDSHAKE_TIMEOUT).expect("a verdict")
+    }
+
+    /// Node 4's HELLO, then its answer to the challenge: `respond` gets the
+    /// nonce and the pair's key.
+    fn answer(respond: impl FnOnce(&[u8; 16], &[u8; 32]) -> [u8; RESPONSE_LEN]) -> Verdict {
+        verdict(|s| {
+            s.write_all(&hello(AUTH_VERSION, 4, 1)).expect("hello");
+            let mut challenge = [0u8; CHALLENGE_LEN];
+            s.read_exact(&mut challenge).expect("challenge");
+            let nonce = decode_challenge(&challenge).expect("well-formed challenge");
+            let _ = s.write_all(&respond(&nonce, &derive_pair_key(&[3u8; 32], 4, 5)));
+        })
+    }
+
+    /// Every verdict of the responder but a failed challenge write, each
+    /// refusal under its frozen `auth.reject` label.
+    #[test]
+    fn the_responder_names_every_refusal() {
+        let refused = |peer, reason| Verdict::Refused(peer, reason);
+        let mut bad_magic = hello(AUTH_VERSION, 4, 1);
+        bad_magic[0] ^= 1;
+        for (bytes, want) in [
+            (bad_magic, refused(None, "bad-magic")),
+            (hello(HELLO_VERSION, 4, 1), refused(Some(4), "downgrade")),
+            (hello(9, 4, 1), refused(Some(4), "bad-version")),
+            (hello(AUTH_VERSION, 7, 1), refused(None, "ghost-peer")),
+            (hello(AUTH_VERSION, 5, 1), refused(Some(5), "self")),
+        ] {
+            assert_eq!(verdict(|s| s.write_all(&bytes).expect("hello")), want);
+        }
+        assert!(matches!(verdict(|_| {}), Verdict::Silent(_)));
+        let unanswered = verdict(|s| {
+            s.write_all(&hello(AUTH_VERSION, 4, 1)).expect("hello");
+            s.read_exact(&mut [0u8; CHALLENGE_LEN]).expect("challenge");
+        });
+        assert_eq!(unanswered, refused(Some(4), "truncated-response"));
+        assert_eq!(answer(|_, _| [0u8; RESPONSE_LEN]), refused(Some(4), "bad-response"));
+        let other_dialer = |n: &[u8; 16], k: &[u8; 32]| response(k, n, 3, 5, 1, 1);
+        assert_eq!(answer(other_dialer), refused(Some(4), "peer-mismatch"));
+        let wrong_key = |n: &[u8; 16], _: &[u8; 32]| response(&[0xEE; 32], n, 4, 5, 1, 1);
+        assert_eq!(answer(wrong_key), refused(Some(4), "bad-mac"));
+        assert_eq!(answer(|n, k| response(k, n, 4, 5, 1, 1)), Verdict::Proved(4));
     }
 }

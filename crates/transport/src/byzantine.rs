@@ -62,7 +62,7 @@ use rbvc_sim::fuzz::ByteMutator;
 
 use crate::auth;
 use crate::client::{self, ClientFrame};
-use crate::tcp::{self, append_frame};
+use crate::tcp::append_frame;
 use crate::transport::{AuthEvent, Transport};
 use crate::wire::{self, decode_frame, encode_frame, Frame, Payload};
 
@@ -632,7 +632,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
         };
         if let Attack::Downgrade(_) = attack {
             // Refused at the version gate, attributed to the claimed peer.
-            return stream.write_all(&tcp::hello(tcp::HELLO_VERSION, claimed, t_tx)).ok();
+            return stream.write_all(&auth::hello(auth::HELLO_VERSION, claimed, t_tx)).ok();
         }
         let stale = self.captured_response;
         let response = auth::dial_handshake_with(&mut stream, claimed, t_tx, |nonce| {

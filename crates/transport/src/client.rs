@@ -24,19 +24,21 @@
 //! counted (`client.port.reject`) and dropped — it never reaches the
 //! client table.
 //!
-//! [`ClientPort`] owns the listener: an accept thread hands each inbound
-//! connection to a reader thread that pumps length-prefixed frames into a
-//! queue; [`ClientPort::pump`] drains that queue into the service's client
-//! table ([`ConsensusService::client_submit`]) and writes the responses —
-//! cached replies, redirects, busy signals, and the replies of freshly
-//! decided instances — back to the connections that asked. A framing
-//! violation (oversized or zero length prefix, mid-frame EOF) poisons only
-//! that one connection.
+//! [`ClientPort`] owns a listener (the mesh endpoint's accept loop,
+//! [`crate::tcp`]) that hands each inbound connection to a reader thread
+//! pumping length-prefixed frames into a queue; [`ClientPort::pump`] drains
+//! that queue into the service's client table
+//! ([`ConsensusService::client_submit`]) and writes the responses — cached
+//! replies, redirects, busy signals, and the replies of freshly decided
+//! instances — back to the connections that asked. A framing violation
+//! (oversized or zero length prefix, mid-frame EOF) poisons only that one
+//! connection, and so does a reply write that does not finish within
+//! [`REPLY_WRITE_TIMEOUT`]: the pump runs on the node's poll thread, which
+//! a client that stops reading must not stall.
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -47,6 +49,7 @@ use rbvc_linalg::VecD;
 use rbvc_obs::Registry;
 
 use crate::service::{ClientAdmission, ConsensusService};
+use crate::tcp::{append_frame, Listener};
 use crate::transport::Transport;
 use crate::wire::{put_vecd, Reader};
 
@@ -62,6 +65,9 @@ pub const CLIENT_HEADER_LEN: usize = 4;
 /// Offset of the vector-dimension field of a `Submit` (and `Reply`): the
 /// header, then session u64 and reqno u64. What a length forgery overwrites.
 pub const SUBMIT_DIM_OFFSET: usize = CLIENT_HEADER_LEN + 16;
+/// How long one reply write may block the pump before the connection is
+/// dropped as a client that stopped reading.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// One message of the client protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,10 +167,15 @@ pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, String> {
 /// # Errors
 /// Propagates the IO error (the caller degrades that one connection).
 pub fn write_client_frame(stream: &mut TcpStream, frame: &ClientFrame) -> std::io::Result<()> {
+    stream.write_all(&length_prefixed(frame))
+}
+
+/// `frame` encoded behind its length prefix, ready for one write.
+fn length_prefixed(frame: &ClientFrame) -> Vec<u8> {
     let bytes = encode_client_frame(frame);
     let mut buf = Vec::with_capacity(4 + bytes.len());
-    crate::tcp::append_frame(&mut buf, &bytes);
-    stream.write_all(&buf)
+    append_frame(&mut buf, &bytes);
+    buf
 }
 
 /// Read one length-prefixed client frame's raw bytes:
@@ -179,7 +190,7 @@ pub fn read_client_frame_bytes(stream: &mut TcpStream) -> Result<Option<Vec<u8>>
 /// One node's client-facing TCP listener plus the connection registry the
 /// pump answers through.
 pub struct ClientPort {
-    listen_addr: SocketAddr,
+    listener: Listener,
     /// Raw frames from the reader threads, tagged with their connection id.
     rx: Receiver<(u64, Vec<u8>)>,
     /// Writer half of every live connection, for replies.
@@ -190,8 +201,6 @@ pub struct ClientPort {
     session_conns: HashMap<u64, u64>,
     /// Undecodable client frames dropped at the codec boundary.
     rejects: u64,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<thread::JoinHandle<()>>,
 }
 
 impl ClientPort {
@@ -201,51 +210,28 @@ impl ClientPort {
     /// # Errors
     /// Propagates the bind failure.
     pub fn bind(addr: SocketAddr) -> std::io::Result<ClientPort> {
-        let listener = TcpListener::bind(addr)?;
-        let listen_addr = listener.local_addr()?;
         let (tx, rx) = channel::unbounded::<(u64, Vec<u8>)>();
         let writers: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_handle = {
-            let writers = Arc::clone(&writers);
-            let shutdown = Arc::clone(&shutdown);
-            let conn_ids = AtomicU64::new(0);
-            thread::spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let conn = conn_ids.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(writer) = stream.try_clone() {
-                            writers.lock().insert(conn, writer);
-                        }
-                        spawn_conn_reader(stream, conn, tx.clone(), Arc::clone(&writers));
-                    }
-                    Err(_) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-        };
-        Ok(ClientPort {
-            listen_addr,
-            rx,
-            writers,
-            session_conns: HashMap::new(),
-            rejects: 0,
-            shutdown,
-            accept_handle: Some(accept_handle),
-        })
+        let conn_writers = Arc::clone(&writers);
+        let mut next_conn = 0u64;
+        let listener = Listener::spawn(TcpListener::bind(addr)?, move |stream| {
+            let Ok(stream) = stream else { return };
+            let conn = next_conn;
+            next_conn += 1;
+            if let Ok(writer) = stream.try_clone() {
+                // The timeout is the socket's: it bounds `respond`'s write.
+                let _ = writer.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
+                conn_writers.lock().insert(conn, writer);
+            }
+            spawn_conn_reader(stream, conn, tx.clone(), Arc::clone(&conn_writers));
+        })?;
+        Ok(ClientPort { listener, rx, writers, session_conns: HashMap::new(), rejects: 0 })
     }
 
     /// The address clients dial.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.listen_addr
+        self.listener.addr
     }
 
     /// Undecodable client frames dropped so far (also on the metrics
@@ -255,15 +241,17 @@ impl ClientPort {
         self.rejects
     }
 
-    /// Write `frame` to connection `conn`; a dead connection is dropped
-    /// (the client's retry/failover path covers it).
+    /// Write `frame` to connection `conn` in one write, bounded by
+    /// [`REPLY_WRITE_TIMEOUT`]. A connection that fails it — dead, or full
+    /// because its client stopped reading — is shut down and dropped (the
+    /// client's retry/failover path covers it); so is one that took only
+    /// part of the frame, since its stream is left mid-frame.
     fn respond(&mut self, conn: u64, frame: &ClientFrame) {
         let mut writers = self.writers.lock();
-        let dead = match writers.get_mut(&conn) {
-            Some(stream) => write_client_frame(stream, frame).is_err(),
-            None => false,
-        };
-        if dead {
+        let Some(stream) = writers.get_mut(&conn) else { return };
+        let buf = length_prefixed(frame);
+        if !matches!(stream.write(&buf), Ok(n) if n == buf.len()) {
+            let _ = stream.shutdown(Shutdown::Both);
             writers.remove(&conn);
         }
     }
@@ -278,17 +266,10 @@ impl ClientPort {
     pub fn pump<T: Transport>(&mut self, svc: &mut ConsensusService<T>) -> usize {
         let mut admitted = 0;
         while let Ok((conn, bytes)) = self.rx.try_recv() {
-            let frame = match decode_client_frame(&bytes) {
-                Ok(f) => f,
-                Err(_) => {
-                    self.rejects += 1;
-                    Registry::global().counter("client.port.reject").inc();
-                    continue;
-                }
-            };
-            let ClientFrame::Submit { session, reqno, value } = frame else {
-                // Only clients originate on this port, and clients only
-                // submit; anything else is a protocol violation.
+            // Only clients originate on this port, and clients only submit:
+            // anything else, like an undecodable frame, is a violation.
+            let Ok(ClientFrame::Submit { session, reqno, value }) = decode_client_frame(&bytes)
+            else {
                 self.rejects += 1;
                 Registry::global().counter("client.port.reject").inc();
                 continue;
@@ -353,20 +334,6 @@ fn spawn_conn_reader(
         }
         writers.lock().remove(&conn);
     });
-}
-
-impl Drop for ClientPort {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept so it observes the flag.
-        let woke =
-            TcpStream::connect_timeout(&self.listen_addr, Duration::from_millis(500)).is_ok();
-        if let Some(handle) = self.accept_handle.take() {
-            if woke {
-                let _ = handle.join();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -476,5 +443,44 @@ mod tests {
         assert_eq!(svc.client_stats().redirects, 50);
         assert_eq!(svc.client_stats().sessions, 0);
         assert_eq!(port.session_conns.len(), 0);
+    }
+
+    /// A client that retries a decided request 60 000 times and never reads
+    /// the cached replies fills its socket's buffers. The pump writes them
+    /// from the node's poll thread, so an unbounded write would block it for
+    /// good; bounded, the stuck connection is dropped and 50 pumps return
+    /// within 5 s.
+    #[test]
+    fn a_client_that_stops_reading_does_not_stall_the_pump() {
+        let mut mesh: Vec<_> = in_proc_mesh(2).into_iter().map(ConsensusService::new).collect();
+        for svc in &mut mesh {
+            svc.enable_client(ClientConfig::default());
+            svc.start().unwrap();
+        }
+        // Session 0 belongs to node 0.
+        let value = VecD::from_slice(&[0.5; 64]);
+        assert_eq!(mesh[0].client_submit(0, 1, value.clone()), ClientAdmission::Admitted);
+        let decided = (0..10_000).find(|_| {
+            mesh.iter_mut().for_each(|svc| drop(svc.poll(Duration::ZERO)));
+            !mesh[0].take_client_replies().is_empty()
+        });
+        assert!(decided.is_some(), "the request decides");
+        let mut svc = mesh.swap_remove(0);
+        let mut port = ClientPort::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut client = TcpStream::connect(port.local_addr()).unwrap();
+        let retries = length_prefixed(&ClientFrame::Submit { session: 0, reqno: 1, value });
+        let retries = retries.repeat(1_000);
+        (0..60).for_each(|_| client.write_all(&retries).unwrap());
+        let (done_tx, done_rx) = channel::unbounded();
+        thread::spawn(move || {
+            for _ in 0..50 {
+                port.pump(&mut svc);
+            }
+            let _ = done_tx.send((svc.client_stats().dedup_hits, port.writers.lock().len()));
+        });
+        let (answered, connections) =
+            done_rx.recv_timeout(Duration::from_secs(5)).expect("50 pumps return within 5 s");
+        assert!(answered > 0, "the retries were answered from the reply cache");
+        assert_eq!(connections, 0, "the client that stopped reading is dropped");
     }
 }

@@ -15,7 +15,8 @@
 //!   one reliable, FIFO-per-link channel per endpoint.
 //! * [`tcp`] — the real-socket implementation over `std::net` TCP:
 //!   length-prefixed framing, per-peer connection management, dial retry
-//!   with exponential backoff.
+//!   with exponential backoff, and the one accept loop (shared with the
+//!   client port).
 //! * [`lockstep`] — the round synchronizer that runs any
 //!   [`rbvc_sim::sync::SyncProtocol`] over an asynchronous substrate with
 //!   deterministic (sender-ordered) round delivery.
@@ -32,8 +33,8 @@
 //!   campaign's weapon rack.
 //! * [`auth`] — from-scratch SHA-256 / HMAC-SHA-256 (offline build, no
 //!   crypto crates), pairwise key derivation from a mesh seed, and the
-//!   challenge–response handshake codec that makes link identity
-//!   forgery-proof.
+//!   challenge–response handshake — its codec, dialer and responder — that
+//!   makes link identity forgery-proof.
 //!
 //! Both transports carry identical encoded bytes and both protocol drivers
 //! deliver deterministically, so the same seed decides identically whether

@@ -18,20 +18,14 @@
 //!
 //! ## Link identity
 //!
-//! Every link, first dial or re-dial, comes up through the same keyed
-//! challenge–response handshake: the dialer opens with a version-3
-//! [`hello`], the responder sends a fresh random nonce, and the dialer
-//! answers with an HMAC-SHA-256 over
-//! `nonce ‖ dialer ‖ responder ‖ generation ‖ t_tx` under the pair's
-//! pre-shared key. A link goes live only after the MAC verifies, so a
-//! peer's identity is *proved*, not claimed — impersonation, handshake
-//! replay (the nonce is fresh), nonce reflection, MAC tampering, and the
-//! retired plaintext HELLO ([`HELLO_VERSION`], refused as `downgrade`) all
-//! die at the accept boundary, each attributed with a reason label
-//! (`auth.reject{peer,reason}` / `auth.reject_total`). Verified handshakes
-//! count in `auth.established{peer}` / `auth.established_total`, and both
-//! outcomes surface as [`crate::transport::AuthEvent`]s via
-//! [`Transport::take_auth_events`].
+//! Every link, first dial or re-dial, comes up through the keyed
+//! challenge–response handshake of [`crate::auth`], which owns both of its
+//! sides: the dialer proves itself with [`MeshAuth::prove`], and the reader
+//! thread of each accepted stream runs [`auth::respond_handshake`], then
+//! only claims the link's generation and pumps frames. A peer's identity is
+//! *proved*, not claimed; a refused handshake (`auth.reject{peer,reason}`)
+//! never touches the live link, and both verdicts surface as
+//! [`crate::transport::AuthEvent`]s via [`Transport::take_auth_events`].
 //!
 //! A verified handshake claims its peer's next inbound link *generation*,
 //! and that one number is the session epoch the `Established` event
@@ -77,7 +71,7 @@ use rbvc_obs::{Counter, Gauge, LinkAuthState, LinkHealth, Registry};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
 
-use crate::auth::{self, MeshAuth};
+use crate::auth::{self, MeshAuth, Verdict};
 use crate::transport::{AuthEvent, Transport};
 
 /// Global counter of dial attempts that failed and were retried; inspect it
@@ -87,15 +81,6 @@ fn dial_retry_counter() -> &'static Counter {
     C.get_or_init(|| Registry::global().counter("tcp.dial.retries"))
 }
 
-/// HELLO magic (3 bytes) followed by the handshake version byte.
-pub const HELLO_MAGIC: [u8; 3] = *b"RBH";
-/// The retired plaintext handshake version. No endpoint speaks it: a HELLO
-/// carrying it is refused as a `downgrade`. Links open with
-/// [`auth::AUTH_VERSION`]; the handshake is versioned separately from
-/// [`crate::wire`] because it can evolve without touching the frame codec.
-pub const HELLO_VERSION: u8 = 2;
-/// Total HELLO size on the wire: magic + version + peer u32 + t_tx u64.
-pub const HELLO_LEN: u64 = 16;
 /// Largest frame the framing layer accepts (16 MiB).
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// Dial retry budget.
@@ -133,6 +118,11 @@ enum RxEvent {
     /// tear down or discredit the live link — a forged connection refused
     /// at the door is not a failure of the genuine session.
     AuthReject(Option<ProcessId>, String),
+}
+
+/// An IO failure outside any one link, as a transport error.
+fn io_error(what: &'static str) -> impl FnOnce(std::io::Error) -> ProtocolError {
+    move |e| ProtocolError::Transport { peer: None, reason: format!("{what} failed: {e}") }
 }
 
 /// Dial `addr` with exponential backoff: attempt, sleep 1ms, 2ms, … (capped)
@@ -199,261 +189,196 @@ pub fn append_frame(out: &mut Vec<u8>, frame: &[u8]) {
     out.extend_from_slice(frame);
 }
 
-/// One process's endpoint of a TCP mesh.
-pub struct TcpEndpoint {
-    id: ProcessId,
-    n: usize,
-    /// Every peer's listener address (what this endpoint dials/redials).
-    addrs: Vec<SocketAddr>,
-    /// This endpoint's own listener address (for the shutdown wakeup).
-    listen_addr: SocketAddr,
-    /// Outbound streams, indexed by destination (`None`: self, or a link
-    /// currently down and awaiting lazy redial).
-    writers: Vec<Option<TcpStream>>,
-    /// Per-peer outbound batches: frames queued since the last flush,
-    /// already length-prefixed, concatenated for a single write.
-    outbox: Vec<Vec<u8>>,
-    rx: Receiver<RxEvent>,
-    /// Clone source for reader threads; also serves the self-link.
-    self_tx: Sender<RxEvent>,
-    /// Current inbound link generation per peer; a reader that no longer
-    /// matches its peer's slot has been superseded by a newer handshake.
-    generations: Arc<Vec<AtomicU64>>,
-    /// Per peer, what [`Transport::link_health`] reports (never the self
-    /// row). `up` goes down on teardown, on [`TcpEndpoint::sever_link`] and
-    /// on the live generation's read error, and up on a successful redial
-    /// or a verified handshake; `auth` starts `Pending` — identity is only
-    /// believed once a handshake from that peer verifies.
-    links: Vec<LinkHealth>,
-    /// Tells the accept loop to exit (checked after each accept; the
-    /// endpoint's `Drop` wakes the loop with a self-dial).
+/// The accept loop of one bound listener — the one in this crate, shared by
+/// [`TcpEndpoint`] and [`crate::client::ClientPort`]. A thread hands every
+/// accepted connection to the owner's `on_accept`, for the owner's whole
+/// lifetime (a restarted peer re-dials in at any point), and every accept
+/// error too, after which it sleeps 1 ms rather than spin on a sick
+/// listener. Dropping it releases the port before returning — a restarted
+/// node rebinds its old address: it raises the shutdown flag, wakes the
+/// blocking accept with a self-dial, and joins the thread if that dial
+/// connected (a listener that refused it is already dead, and its thread
+/// exits on its own accept error).
+pub(crate) struct Listener {
+    /// The address the listener is bound to.
+    pub(crate) addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_handle: Option<thread::JoinHandle<()>>,
-    /// Consecutive failed redials per peer, driving the skip backoff.
-    redial_failures: Vec<u32>,
-    /// Flushes to skip before the next redial attempt per peer.
-    redial_skip: Vec<u32>,
-    /// Peers re-established since the last [`Transport::take_reconnects`].
-    pending_reconnects: Vec<ProcessId>,
-    /// Set per peer by a successful redial, cleared by the next superseding
-    /// handshake from that peer: our fresh outbound dial registers at the
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Start accepting on `listener`; fails only if its address is unreadable.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        mut on_accept: impl FnMut(std::io::Result<TcpStream>) + Send + 'static,
+    ) -> std::io::Result<Listener> {
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&shutdown);
+        let thread = thread::spawn(move || loop {
+            let conn = listener.accept().map(|(stream, _)| stream);
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let failed = conn.is_err();
+            on_accept(conn);
+            if failed {
+                thread::sleep(Duration::from_millis(1));
+            }
+        });
+        Ok(Listener { addr, shutdown, thread: Some(thread) })
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let woke = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500)).is_ok();
+        if let Some(thread) = self.thread.take().filter(|_| woke) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Everything an endpoint keeps about one process of the mesh, itself
+/// included (the self row never dials and is never reported).
+struct Peer {
+    /// The process's listener address (what this endpoint dials/redials).
+    addr: SocketAddr,
+    /// Outbound stream (`None`: self, or a link currently down and awaiting
+    /// lazy redial).
+    writer: Option<TcpStream>,
+    /// Frames queued since the last flush, already length-prefixed,
+    /// concatenated for a single write.
+    outbox: Vec<u8>,
+    /// What [`Transport::link_health`] reports. `up` goes down on teardown,
+    /// on [`TcpEndpoint::sever_link`] and on the live generation's read
+    /// error, and up on a successful redial or a verified handshake; `auth`
+    /// starts `Pending` — identity is only believed once a handshake from
+    /// the peer verifies.
+    link: LinkHealth,
+    /// Consecutive failed redials, driving the skip backoff.
+    redial_failures: u32,
+    /// Flushes to skip before the next redial attempt.
+    redial_skip: u32,
+    /// Set by a successful redial, cleared by the next superseding
+    /// handshake from the peer: our fresh outbound dial registers at the
     /// peer as a reconnect, and its re-dial echo must not tear down the
     /// very writer the redial just built — without this, two live
     /// endpoints redialing each other feed an endless teardown/redial storm.
-    fresh_writer: Vec<bool>,
-    /// Per-peer redial veto, set by [`TcpEndpoint::sever_link`]: a severed
-    /// link stays severed (fault-injection hook for the health campaign).
-    redial_quench: Vec<bool>,
-    /// This node's pairwise key share, used by the dialer side of every
-    /// (re)dial.
-    auth: Arc<MeshAuth>,
+    fresh_writer: bool,
+    /// Redial veto, set by [`TcpEndpoint::sever_link`]: a severed link
+    /// stays severed (fault-injection hook for the health campaign).
+    redial_quench: bool,
+    /// `tcp.link.tx_frames{src,dst}` / `tcp.link.tx_bytes{src,dst}`.
+    tx_frames: Counter,
+    tx_bytes: Counter,
+}
+
+impl Peer {
+    /// The link went down. A downed link has no live authenticated
+    /// session; the next handshake decides its fate.
+    fn link_down(&mut self) {
+        self.link.up = false;
+        if self.link.auth == LinkAuthState::Authenticated {
+            self.link.auth = LinkAuthState::Pending;
+        }
+    }
+
+    /// Tear down the outbound link and arm an immediate redial on the next
+    /// flush.
+    fn tear_down(&mut self) {
+        self.writer = None;
+        self.redial_failures = 0;
+        self.redial_skip = 0;
+        self.fresh_writer = false;
+        self.link_down();
+    }
+}
+
+/// One process's endpoint of a TCP mesh.
+pub struct TcpEndpoint {
+    /// Declared first, so dropping the endpoint stops its accept loop and
+    /// releases the port before the outbound streams close.
+    listener: Listener,
+    id: ProcessId,
+    /// One row per process, indexed by id.
+    peers: Vec<Peer>,
+    rx: Receiver<RxEvent>,
+    /// Clone source for reader threads; also serves the self-link.
+    self_tx: Sender<RxEvent>,
+    shared: Arc<Shared>,
+    /// Peers re-established since the last [`Transport::take_reconnects`].
+    pending_reconnects: Vec<ProcessId>,
     /// Link-identity verdicts since the last [`Transport::take_auth_events`].
     pending_auth_events: Vec<AuthEvent>,
-    /// Shared with reader threads: responder-side challenge writes count
-    /// toward the endpoint's outbound bytes.
-    bytes_sent: Arc<AtomicU64>,
-    bytes_received: Arc<AtomicU64>,
-    errors: Arc<Mutex<ErrorLog>>,
-    /// Per-destination outbound counters (`tcp.link.tx_frames{src,dst}` /
-    /// `tcp.link.tx_bytes{src,dst}` in the global metrics registry).
-    tx_frames: Vec<Counter>,
-    tx_bytes: Vec<Counter>,
     /// High-water mark of any single per-destination outbox, in bytes
     /// (`tcp.outbox.max_bytes{src}`).
     outbox_depth: Gauge,
 }
 
-/// Shared state a reader thread needs, cloned per accepted connection.
-#[derive(Clone)]
-struct ReaderShared {
-    local: ProcessId,
-    n: usize,
-    tx: Sender<RxEvent>,
-    bytes_received: Arc<AtomicU64>,
-    /// Shared with the endpoint: the responder side of an authenticated
-    /// handshake writes the challenge from the reader thread.
-    bytes_sent: Arc<AtomicU64>,
-    generations: Arc<Vec<AtomicU64>>,
-    /// This node's pairwise key share.
-    auth: Arc<MeshAuth>,
+/// What an endpoint shares with its accept loop and reader threads.
+struct Shared {
+    /// This node's pairwise key share, used by both sides of every
+    /// handshake.
+    auth: MeshAuth,
+    /// Current inbound link generation per peer: a reader that no longer
+    /// matches its peer's slot has been superseded by a newer handshake.
+    generations: Vec<AtomicU64>,
+    /// Responder-side challenge writes count here too.
+    bytes_sent: AtomicU64,
+    bytes_received: AtomicU64,
+    errors: Mutex<ErrorLog>,
 }
 
-/// Refuse a handshake: count it (`auth.reject{peer,reason,dst}` +
-/// `auth.reject_total`) and report it to the endpoint. Deliberately *not*
-/// a `LinkDown` — a forged connection refused at the door must not tear
-/// down or discredit the genuine live link.
-fn reject_handshake(shared: &ReaderShared, peer: Option<ProcessId>, reason: &str) {
-    let peer_s = peer.map_or_else(|| "?".to_string(), |p| p.to_string());
-    let dst = shared.local.to_string();
-    Registry::global()
-        .counter_with(
-            "auth.reject",
-            &[("peer", peer_s.as_str()), ("reason", reason), ("dst", dst.as_str())],
-        )
-        .inc();
-    Registry::global().counter("auth.reject_total").inc();
-    let _ = shared.tx.send(RxEvent::AuthReject(peer, reason.to_string()));
-}
-
-/// Responder side of the keyed challenge–response handshake, after the v3
-/// HELLO has been read and structurally validated. `true` once the MAC
-/// verified (counted in `auth.established{peer,dst}`); on failure the
-/// rejection has already been counted and reported.
-fn respond_handshake(stream: &mut TcpStream, shared: &ReaderShared, peer: ProcessId) -> bool {
-    let nonce = auth::fresh_nonce();
-    if stream.write_all(&auth::encode_challenge(&nonce)).is_err() {
-        reject_handshake(shared, Some(peer), "challenge-write");
-        return false;
-    }
-    shared.bytes_sent.fetch_add(auth::CHALLENGE_LEN as u64, Ordering::Relaxed);
-    let mut resp = [0u8; auth::RESPONSE_LEN];
-    if stream.read_exact(&mut resp).is_err() {
-        reject_handshake(shared, Some(peer), "truncated-response");
-        return false;
-    }
-    shared
-        .bytes_received
-        .fetch_add(auth::RESPONSE_LEN as u64, Ordering::Relaxed);
-    let Ok(r) = auth::decode_response(&resp) else {
-        reject_handshake(shared, Some(peer), "bad-response");
-        return false;
-    };
-    if r.dialer as usize != peer {
-        reject_handshake(shared, Some(peer), "peer-mismatch");
-        return false;
-    }
-    if !auth::response_verifies(shared.auth.key(peer), &nonce, shared.local, &r) {
-        reject_handshake(shared, Some(peer), "bad-mac");
-        return false;
-    }
-    let (peer_s, dst) = (peer.to_string(), shared.local.to_string());
-    Registry::global()
-        .counter_with(
-            "auth.established",
-            &[("peer", peer_s.as_str()), ("dst", dst.as_str())],
-        )
-        .inc();
-    Registry::global().counter("auth.established_total").inc();
-    true
-}
-
-/// Spawn a reader thread that runs the responder side of the keyed
-/// handshake, claims the next inbound generation for the proved peer, and
-/// pumps frames into `shared.tx` until the stream dies or a newer link
-/// supersedes it.
-fn spawn_reader(mut stream: TcpStream, shared: ReaderShared) {
+/// Spawn the reader of one accepted connection: the [`auth`] responder
+/// proves its peer, then the thread claims the peer's next inbound
+/// generation and pumps frames into `tx` until the stream dies or a newer
+/// link supersedes it.
+fn spawn_reader(mut stream: TcpStream, shared: Arc<Shared>, tx: Sender<RxEvent>) {
     thread::spawn(move || {
-        // A connection that stalls mid-handshake must not pin this thread
-        // forever.
-        let _ = stream.set_read_timeout(Some(auth::HANDSHAKE_TIMEOUT));
-        let mut hello = [0u8; 16];
-        if let Err(e) = stream.read_exact(&mut hello) {
-            let _ = shared
-                .tx
-                .send(RxEvent::LinkDown(None, format!("HELLO read failed: {e}")));
-            return;
-        }
-        let t_rx = rbvc_obs::clock::now_us();
-        let version = hello[3];
-        // Every HELLO version shares the prefix layout, so the claimed peer
-        // parses either way — rejections get attributed whenever possible.
-        let peer = u32::from_le_bytes([hello[4], hello[5], hello[6], hello[7]]) as usize;
-        if hello[..3] != HELLO_MAGIC {
-            reject_handshake(&shared, None, "bad-magic");
-            return;
-        }
-        let claimed = if peer < shared.n { Some(peer) } else { None };
-        if version == HELLO_VERSION {
-            // The retired plaintext HELLO is a downgrade attempt, never a
-            // legitimate peer.
-            reject_handshake(&shared, claimed, "downgrade");
-            return;
-        }
-        if version != auth::AUTH_VERSION {
-            reject_handshake(&shared, claimed, "bad-version");
-            return;
-        }
-        if peer >= shared.n {
-            reject_handshake(&shared, None, "ghost-peer");
-            return;
-        }
-        if peer == shared.local {
-            // A node never dials itself over the wire (the self-link is
-            // process-internal).
-            reject_handshake(&shared, Some(peer), "self");
-            return;
-        }
-        if !respond_handshake(&mut stream, &shared, peer) {
-            return;
-        }
-        Registry::global()
-            .histogram("auth.handshake_us")
-            .record(rbvc_obs::clock::now_us().saturating_sub(t_rx));
-        // Verified: claim this link's generation, the peer's next session
-        // epoch; any older reader for the same peer is now stale and will
-        // wind down.
-        let _ = stream.set_read_timeout(None);
-        let (src, dst) = (peer.to_string(), shared.local.to_string());
+        let (sent, received) = (&shared.bytes_sent, &shared.bytes_received);
+        let peer = match auth::respond_handshake(&mut stream, &shared.auth, sent, received) {
+            Verdict::Proved(peer) => peer,
+            // Deliberately *not* a `LinkDown`: a forged connection refused
+            // at the door must not tear down or discredit the live link.
+            Verdict::Refused(peer, reason) => {
+                let _ = tx.send(RxEvent::AuthReject(peer, reason.to_string()));
+                return;
+            }
+            Verdict::Silent(reason) => {
+                let _ = tx.send(RxEvent::LinkDown(None, reason));
+                return;
+            }
+        };
+        // Claim this link's generation, the peer's next session epoch; any
+        // older reader for the same peer is now stale and will wind down.
+        let (src, dst) = (peer.to_string(), shared.auth.local().to_string());
         let labels = [("src", src.as_str()), ("dst", dst.as_str())];
         let gen = shared.generations[peer].fetch_add(1, Ordering::SeqCst) + 1;
-        let _ = shared.tx.send(RxEvent::Verified(peer, gen));
-        shared.bytes_received.fetch_add(HELLO_LEN, Ordering::Relaxed);
+        let _ = tx.send(RxEvent::Verified(peer, gen));
         let rx_frames = Registry::global().counter_with("tcp.link.rx_frames", &labels);
         let rx_bytes = Registry::global().counter_with("tcp.link.rx_bytes", &labels);
-        loop {
+        let end = loop {
             match read_frame(&mut stream, MAX_FRAME_LEN) {
                 Ok(Some(frame)) => {
                     if shared.generations[peer].load(Ordering::SeqCst) != gen {
                         return; // superseded by a newer handshake
                     }
                     let arrived_us = rbvc_obs::clock::now_us();
-                    shared
-                        .bytes_received
-                        .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
+                    received.fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
                     rx_frames.inc();
                     rx_bytes.add(4 + frame.len() as u64);
-                    if shared
-                        .tx
-                        .send(RxEvent::Frame(peer, gen, arrived_us, frame))
-                        .is_err()
-                    {
+                    if tx.send(RxEvent::Frame(peer, gen, arrived_us, frame)).is_err() {
                         return; // endpoint gone
                     }
                 }
-                Ok(None) => {
-                    let _ = shared.tx.send(RxEvent::PeerDown(peer, gen));
-                    return; // clean EOF
-                }
-                Err(reason) => {
-                    let _ = shared.tx.send(RxEvent::LinkDown(Some((peer, gen)), reason));
-                    return;
-                }
+                Ok(None) => break RxEvent::PeerDown(peer, gen), // clean EOF
+                Err(reason) => break RxEvent::LinkDown(Some((peer, gen)), reason),
             }
-        }
+        };
+        let _ = tx.send(end);
     });
-}
-
-/// The HELLO record: [`auth::AUTH_VERSION`] opens the keyed handshake,
-/// [`HELLO_VERSION`] is the retired plaintext one. The one place the layout
-/// is assembled — [`auth::dial_handshake_with`], the tests and the wire
-/// adversaries all announce themselves through it.
-#[must_use]
-pub fn hello(version: u8, id: ProcessId, t_tx: u64) -> [u8; 16] {
-    let mut hello = [0u8; 16];
-    hello[..3].copy_from_slice(&HELLO_MAGIC);
-    hello[3] = version;
-    hello[4..8].copy_from_slice(&(id as u32).to_le_bytes());
-    hello[8..].copy_from_slice(&t_tx.to_le_bytes());
-    hello
-}
-
-/// Prove this node to `dst` on a freshly dialed `stream`: the dialer side
-/// of the keyed handshake under the next generation and the current clock.
-/// Every dial and re-dial runs it, against the responder's fresh nonce.
-fn prove_identity(stream: &mut TcpStream, a: &MeshAuth, dst: ProcessId) -> Result<(), String> {
-    stream.set_nodelay(true).ok();
-    let t_tx = rbvc_obs::clock::now_us().max(1);
-    auth::dial_handshake(stream, a.local(), dst, a.key(dst), a.next_generation(), t_tx)
 }
 
 impl TcpEndpoint {
@@ -475,114 +400,64 @@ impl TcpEndpoint {
     ) -> Result<Self, ProtocolError> {
         let n = addrs.len();
         assert!(id < n, "endpoint id must index addrs");
-        let auth = Arc::new(MeshAuth::derive(seed, id, n));
         let (tx, rx) = channel::unbounded();
-        let bytes_received = Arc::new(AtomicU64::new(0));
-        let bytes_sent = Arc::new(AtomicU64::new(0));
-        let errors = Arc::new(Mutex::new(ErrorLog::new()));
-        let generations: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let listen_addr = listener.local_addr().unwrap_or(addrs[id]);
-
-        // Accept loop: hand each inbound stream to its own reader, for the
-        // endpoint's whole lifetime — a restarted peer re-dials in at any
-        // point and its verified handshake supersedes the stale link. `Drop`
-        // wakes the blocking accept with a self-dial after setting the
-        // shutdown flag.
-        let accept_handle = {
-            let shared = ReaderShared {
-                local: id,
-                n,
-                tx: tx.clone(),
-                bytes_received: Arc::clone(&bytes_received),
-                bytes_sent: Arc::clone(&bytes_sent),
-                generations: Arc::clone(&generations),
-                auth: Arc::clone(&auth),
-            };
-            let errors = Arc::clone(&errors);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        spawn_reader(stream, shared.clone());
-                    }
-                    Err(e) => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        errors.lock().record(ProtocolError::Transport {
-                            peer: None,
-                            reason: format!("accept failed: {e}"),
-                        });
-                        // Avoid a hot error loop on a sick listener.
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-        };
+        let shared = Arc::new(Shared {
+            auth: MeshAuth::derive(seed, id, n),
+            generations: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            bytes_sent: AtomicU64::new(0),
+            bytes_received: AtomicU64::new(0),
+            errors: Mutex::new(ErrorLog::new()),
+        });
+        // Each inbound stream gets its own reader; a restarted peer's
+        // verified handshake supersedes its stale link.
+        let (accepted, reader_tx) = (Arc::clone(&shared), tx.clone());
+        let listener = Listener::spawn(listener, move |conn| match conn {
+            Ok(stream) => spawn_reader(stream, Arc::clone(&accepted), reader_tx.clone()),
+            Err(e) => accepted.errors.lock().record(io_error("accept")(e)),
+        })
+        .map_err(io_error("local_addr"))?;
 
         // Dial every peer for the outbound direction and prove ourselves.
-        let mut writers: Vec<Option<TcpStream>> = Vec::with_capacity(n);
-        for (dst, addr) in addrs.iter().enumerate() {
-            if dst == id {
-                writers.push(None);
-                continue;
-            }
-            let mut stream = dial_with_backoff(*addr, dst)?;
-            prove_identity(&mut stream, &auth, dst).map_err(|reason| {
-                ProtocolError::Transport {
+        let src = id.to_string();
+        let mut peers = Vec::with_capacity(n);
+        for (dst, &addr) in addrs.iter().enumerate() {
+            let writer = if dst == id {
+                None
+            } else {
+                let mut stream = dial_with_backoff(addr, dst)?;
+                shared.auth.prove(&mut stream, dst).map_err(|reason| ProtocolError::Transport {
                     peer: Some(dst),
                     reason: format!("handshake with {dst} failed: {reason}"),
-                }
-            })?;
-            bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
-            writers.push(Some(stream));
+                })?;
+                shared.bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
+                Some(stream)
+            };
+            let dst_s = dst.to_string();
+            let labels = [("src", src.as_str()), ("dst", dst_s.as_str())];
+            peers.push(Peer {
+                addr,
+                writer,
+                outbox: Vec::new(),
+                link: LinkHealth { peer: dst as u32, up: true, auth: LinkAuthState::Pending },
+                redial_failures: 0,
+                redial_skip: 0,
+                fresh_writer: false,
+                redial_quench: false,
+                tx_frames: Registry::global().counter_with("tcp.link.tx_frames", &labels),
+                tx_bytes: Registry::global().counter_with("tcp.link.tx_bytes", &labels),
+            });
         }
-
-        let src = id.to_string();
-        let (tx_frames, tx_bytes) = (0..n)
-            .map(|dst| {
-                let dst = dst.to_string();
-                let labels = [("src", src.as_str()), ("dst", dst.as_str())];
-                (
-                    Registry::global().counter_with("tcp.link.tx_frames", &labels),
-                    Registry::global().counter_with("tcp.link.tx_bytes", &labels),
-                )
-            })
-            .unzip();
         let outbox_depth =
             Registry::global().gauge_with("tcp.outbox.max_bytes", &[("src", src.as_str())]);
         Ok(TcpEndpoint {
+            listener,
             id,
-            n,
-            addrs: addrs.to_vec(),
-            listen_addr,
-            writers,
-            outbox: vec![Vec::new(); n],
+            peers,
             rx,
             self_tx: tx,
-            generations,
-            links: (0..n as u32)
-                .map(|peer| LinkHealth { peer, up: true, auth: LinkAuthState::Pending })
-                .collect(),
-            shutdown,
-            accept_handle: Some(accept_handle),
-            redial_failures: vec![0; n],
-            redial_skip: vec![0; n],
+            shared,
             pending_reconnects: Vec::new(),
-            fresh_writer: vec![false; n],
-            redial_quench: vec![false; n],
-            auth,
             pending_auth_events: Vec::new(),
-            bytes_sent,
-            bytes_received,
-            errors,
-            tx_frames,
-            tx_bytes,
             outbox_depth,
         })
     }
@@ -593,34 +468,14 @@ impl TcpEndpoint {
     /// touching the process-global registry.
     #[must_use]
     pub fn auth_handshakes(&self) -> u64 {
-        self.generations.iter().map(|g| g.load(Ordering::SeqCst)).sum()
+        self.shared.generations.iter().map(|g| g.load(Ordering::SeqCst)).sum()
     }
 
     /// Address this endpoint's accept loop is bound to. Attack harnesses
     /// dial it raw to exercise the handshake path from outside the mesh.
     #[must_use]
     pub fn listen_addr(&self) -> SocketAddr {
-        self.listen_addr
-    }
-
-    /// The link to `peer` went down. A downed link has no live
-    /// authenticated session; the next handshake decides its fate.
-    fn link_down(&mut self, peer: ProcessId) {
-        let link = &mut self.links[peer];
-        link.up = false;
-        if link.auth == LinkAuthState::Authenticated {
-            link.auth = LinkAuthState::Pending;
-        }
-    }
-
-    /// Tear down the outbound link to `dst` and arm an immediate redial on
-    /// the next flush.
-    fn mark_peer_down(&mut self, dst: ProcessId) {
-        self.writers[dst] = None;
-        self.redial_failures[dst] = 0;
-        self.redial_skip[dst] = 0;
-        self.fresh_writer[dst] = false;
-        self.link_down(dst);
+        self.listener.addr
     }
 
     /// Fault-injection hook (health campaign): cut the outbound stream to
@@ -628,43 +483,39 @@ impl TcpEndpoint {
     /// down — and veto every future redial so the link *stays* severed.
     /// Real traffic never calls this.
     pub fn sever_link(&mut self, dst: ProcessId) {
-        if dst >= self.n || dst == self.id {
-            return;
-        }
-        if let Some(stream) = self.writers[dst].take() {
+        let Some(peer) = self.peers.get_mut(dst).filter(|_| dst != self.id) else { return };
+        if let Some(stream) = peer.writer.take() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        self.outbox[dst].clear();
-        self.redial_quench[dst] = true;
-        self.link_down(dst);
+        peer.outbox.clear();
+        peer.redial_quench = true;
+        peer.link_down();
     }
 
     /// Lazily re-dial every down peer whose backoff allows an attempt; a
     /// success restores the writer and queues the peer for
     /// [`Transport::take_reconnects`].
     fn try_redials(&mut self) {
-        for dst in 0..self.n {
-            if dst == self.id || self.writers[dst].is_some() || self.redial_quench[dst] {
+        for (dst, peer) in self.peers.iter_mut().enumerate() {
+            if dst == self.id || peer.writer.is_some() || peer.redial_quench {
                 continue;
             }
-            if self.redial_skip[dst] > 0 {
-                self.redial_skip[dst] -= 1;
+            if peer.redial_skip > 0 {
+                peer.redial_skip -= 1;
                 continue;
             }
-            let attempt = TcpStream::connect(self.addrs[dst])
+            let attempt = TcpStream::connect(peer.addr)
                 .map_err(|e| e.to_string())
-                .and_then(|mut stream| {
-                    prove_identity(&mut stream, &self.auth, dst).map(|()| stream)
-                });
+                .and_then(|mut stream| self.shared.auth.prove(&mut stream, dst).map(|()| stream));
             match attempt {
                 Ok(stream) => {
-                    self.bytes_sent
+                    self.shared.bytes_sent
                         .fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
-                    self.writers[dst] = Some(stream);
-                    self.redial_failures[dst] = 0;
-                    self.redial_skip[dst] = 0;
-                    self.fresh_writer[dst] = true;
-                    self.links[dst].up = true;
+                    peer.writer = Some(stream);
+                    peer.redial_failures = 0;
+                    peer.redial_skip = 0;
+                    peer.fresh_writer = true;
+                    peer.link.up = true;
                     self.pending_reconnects.push(dst);
                     let (src, dst_s) = (self.id.to_string(), dst.to_string());
                     Registry::global()
@@ -676,9 +527,8 @@ impl TcpEndpoint {
                 }
                 Err(_) => {
                     dial_retry_counter().inc();
-                    self.redial_failures[dst] = self.redial_failures[dst].saturating_add(1);
-                    self.redial_skip[dst] =
-                        (1u32 << self.redial_failures[dst].min(6)).min(REDIAL_SKIP_CAP);
+                    peer.redial_failures = peer.redial_failures.saturating_add(1);
+                    peer.redial_skip = (1u32 << peer.redial_failures.min(6)).min(REDIAL_SKIP_CAP);
                 }
             }
         }
@@ -687,23 +537,26 @@ impl TcpEndpoint {
     /// Fold one reader event into endpoint state; delivers accepted frames
     /// (with their reader-thread arrival stamps) into `out`.
     fn absorb(&mut self, ev: RxEvent, out: &mut Vec<(ProcessId, u64, Vec<u8>)>) {
+        let generations = &self.shared.generations;
+        let live = |peer: ProcessId, gen: u64| gen == generations[peer].load(Ordering::SeqCst);
         match ev {
             RxEvent::Frame(peer, gen, arrived_us, bytes) => {
                 // A stale-generation frame arrived before its link was
                 // superseded; the restarted peer replays everything that
                 // matters, so dropping it here is safe and keeps one
                 // logical inbound stream per peer.
-                if gen == self.generations[peer].load(Ordering::SeqCst) {
+                if live(peer, gen) {
                     out.push((peer, arrived_us, bytes));
                 }
             }
             RxEvent::Verified(peer, gen) => {
                 self.pending_auth_events.push(AuthEvent::Established { peer, epoch: gen });
-                if gen != self.generations[peer].load(Ordering::SeqCst) {
+                if !live(peer, gen) {
                     return; // already superseded; the newer link reports itself
                 }
+                let row = &mut self.peers[peer];
                 if gen > 1 {
-                    if std::mem::take(&mut self.fresh_writer[peer]) {
+                    if std::mem::take(&mut row.fresh_writer) {
                         // This re-dial is the echo of our own redial — the
                         // peer registered our fresh dial as a reconnect and
                         // proactively re-dialed back. Our writer already
@@ -715,62 +568,45 @@ impl TcpEndpoint {
                         // and is dead or deaf. Tear it down now rather than
                         // waiting for a write failure, and let the next
                         // flush redial.
-                        self.mark_peer_down(peer);
+                        row.tear_down();
                     }
                 }
                 // After any outbound teardown: the inbound link is verified
                 // and live.
-                (self.links[peer].up, self.links[peer].auth) = (true, LinkAuthState::Authenticated);
+                (row.link.up, row.link.auth) = (true, LinkAuthState::Authenticated);
             }
             RxEvent::PeerDown(peer, gen) => {
-                if gen == self.generations[peer].load(Ordering::SeqCst) {
-                    self.mark_peer_down(peer);
+                if live(peer, gen) {
+                    self.peers[peer].tear_down();
                 }
             }
             RxEvent::LinkDown(link, reason) => {
                 // Only the live link's failure marks the peer down; a
                 // superseded reader's error is recorded and nothing more.
                 if let Some((p, gen)) = link {
-                    if gen == self.generations[p].load(Ordering::SeqCst) {
-                        self.link_down(p);
+                    if live(p, gen) {
+                        self.peers[p].link_down();
                     }
                 }
                 let peer = link.map(|(p, _)| p);
-                self.errors.lock().record(ProtocolError::Transport { peer, reason });
+                self.shared.errors.lock().record(ProtocolError::Transport { peer, reason });
             }
             RxEvent::AuthReject(peer, reason) => {
                 // Recorded and attributed, but deliberately *not* a peer
                 // teardown: a forged connection refused at the door must
                 // not mark the genuine live link down, nor discredit its
                 // session — the state only degrades when none is live.
-                if let Some(link) = peer.map(|p| &mut self.links[p]) {
+                if let Some(link) = peer.map(|p| &mut self.peers[p].link) {
                     if link.auth != LinkAuthState::Authenticated {
                         link.auth = LinkAuthState::Failed;
                     }
                 }
-                self.errors.lock().record(ProtocolError::Transport {
+                self.shared.errors.lock().record(ProtocolError::Transport {
                     peer,
                     reason: format!("handshake rejected: {reason}"),
                 });
                 self.pending_auth_events.push(AuthEvent::Rejected { peer, reason });
             }
-        }
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag and releases the
-        // listener (the campaign rebinds the same address on restart).
-        let woke =
-            TcpStream::connect_timeout(&self.listen_addr, Duration::from_millis(500)).is_ok();
-        if let Some(handle) = self.accept_handle.take() {
-            if woke {
-                let _ = handle.join();
-            }
-            // If the wakeup dial failed the listener is already dead and
-            // the loop exits on its own accept error; don't risk a hang.
         }
     }
 }
@@ -781,16 +617,16 @@ impl Transport for TcpEndpoint {
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.peers.len()
     }
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
-        if dst >= self.n {
+        if dst >= self.peers.len() {
             let e = ProtocolError::Transport {
                 peer: Some(dst),
-                reason: format!("ghost destination {dst} in a {}-process mesh", self.n),
+                reason: format!("ghost destination {dst} in a {}-process mesh", self.peers.len()),
             };
-            self.errors.lock().record(e.clone());
+            self.shared.errors.lock().record(e.clone());
             return Err(e);
         }
         if dst == self.id {
@@ -802,42 +638,41 @@ impl Transport for TcpEndpoint {
                 .send(RxEvent::Frame(self.id, 0, rbvc_obs::clock::now_us(), frame));
             return Ok(());
         }
-        if self.writers[dst].is_none() {
+        let peer = &mut self.peers[dst];
+        if peer.writer.is_none() {
             let e = ProtocolError::Transport {
                 peer: Some(dst),
                 reason: "link down awaiting redial".into(),
             };
-            self.errors.lock().record(e.clone());
+            self.shared.errors.lock().record(e.clone());
             return Err(e);
         }
-        let batch = &mut self.outbox[dst];
-        append_frame(batch, &frame);
-        self.tx_frames[dst].inc();
+        append_frame(&mut peer.outbox, &frame);
+        peer.tx_frames.inc();
         self.outbox_depth
-            .record_max(i64::try_from(batch.len()).unwrap_or(i64::MAX));
+            .record_max(i64::try_from(peer.outbox.len()).unwrap_or(i64::MAX));
         Ok(())
     }
 
     fn flush(&mut self) -> Result<(), ProtocolError> {
         self.try_redials();
         let mut first_err = None;
-        for dst in 0..self.n {
-            if self.outbox[dst].is_empty() {
+        for (dst, peer) in self.peers.iter_mut().enumerate() {
+            if peer.outbox.is_empty() {
                 continue;
             }
-            if self.writers[dst].is_none() {
+            let Some(stream) = peer.writer.as_mut() else {
                 // Link down: drop the batch — once the redial lands, the
                 // service replays its history to this peer, which covers
                 // everything discarded here.
-                self.outbox[dst].clear();
+                peer.outbox.clear();
                 continue;
-            }
-            let batch = std::mem::take(&mut self.outbox[dst]);
-            let stream = self.writers[dst].as_mut().expect("checked above");
+            };
+            let batch = std::mem::take(&mut peer.outbox);
             match stream.write_all(&batch) {
                 Ok(()) => {
-                    self.bytes_sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.tx_bytes[dst].add(batch.len() as u64);
+                    self.shared.bytes_sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    peer.tx_bytes.add(batch.len() as u64);
                 }
                 Err(e) => {
                     // This link is gone; degrade it, arm the lazy redial,
@@ -846,16 +681,13 @@ impl Transport for TcpEndpoint {
                         peer: Some(dst),
                         reason: format!("batched write failed: {e}"),
                     };
-                    self.errors.lock().record(err.clone());
-                    self.mark_peer_down(dst);
+                    self.shared.errors.lock().record(err.clone());
+                    peer.tear_down();
                     first_err.get_or_insert(err);
                 }
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
@@ -893,7 +725,7 @@ impl Transport for TcpEndpoint {
     /// `health.link.auth` gauges as a side effect.
     fn link_health(&self) -> Vec<LinkHealth> {
         let dst = self.id.to_string();
-        let others = self.links.iter().filter(|l| l.peer as usize != self.id);
+        let others = self.peers.iter().map(|p| &p.link).filter(|l| l.peer as usize != self.id);
         others
             .inspect(|l| {
                 let src = l.peer.to_string();
@@ -906,15 +738,15 @@ impl Transport for TcpEndpoint {
     }
 
     fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
+        self.shared.bytes_sent.load(Ordering::Relaxed)
     }
 
     fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
+        self.shared.bytes_received.load(Ordering::Relaxed)
     }
 
     fn errors(&self) -> ErrorLog {
-        self.errors.lock().clone()
+        self.shared.errors.lock().clone()
     }
 }
 
@@ -949,14 +781,8 @@ pub fn tcp_mesh_loopback_authenticated(
     let mut listeners = Vec::with_capacity(n);
     let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
-        let l = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| ProtocolError::Transport {
-            peer: None,
-            reason: format!("bind failed: {e}"),
-        })?;
-        addrs.push(l.local_addr().map_err(|e| ProtocolError::Transport {
-            peer: None,
-            reason: format!("local_addr failed: {e}"),
-        })?);
+        let l = TcpListener::bind(("127.0.0.1", 0)).map_err(io_error("bind"))?;
+        addrs.push(l.local_addr().map_err(io_error("local_addr"))?);
         listeners.push(l);
     }
     // Connect endpoints concurrently: every dial blocks until the target
@@ -1041,8 +867,9 @@ mod tests {
         // Byte-level attack: write a hostile length prefix directly into
         // endpoint 1's listener-side stream from endpoint 0.
         let poison = u32::MAX.to_le_bytes();
-        mesh[0].writers[1].as_mut().unwrap().write_all(&poison).unwrap();
-        mesh[0].writers[1].as_mut().unwrap().flush().unwrap();
+        let writer = mesh[0].peers[1].writer.as_mut().unwrap();
+        writer.write_all(&poison).unwrap();
+        writer.flush().unwrap();
         // Link 0→1 dies (recorded, not panicked); link 2→1 still works.
         let mut saw_linkdown = false;
         for _ in 0..100 {
@@ -1119,7 +946,7 @@ mod tests {
     fn forged_mac_is_rejected_and_never_delivers_frames() {
         let seed = [7u8; 32];
         let mut mesh = tcp_mesh_loopback_authenticated(2, &seed).expect("auth mesh");
-        let victim_addr = mesh[1].listen_addr;
+        let victim_addr = mesh[1].listen_addr();
         // The responder verifies asynchronously: let the genuine link from 0
         // reach its verdict first, or the forgery below races it.
         assert!(pump_until(&mut mesh[1], |e| e.auth_handshakes() == 1));
@@ -1208,9 +1035,9 @@ mod tests {
     fn plaintext_hello_is_a_downgrade_attempt_on_an_auth_mesh() {
         let seed = [9u8; 32];
         let mut mesh = tcp_mesh_loopback_authenticated(2, &seed).expect("auth mesh");
-        let victim_addr = mesh[1].listen_addr;
+        let victim_addr = mesh[1].listen_addr();
         let mut s = TcpStream::connect(victim_addr).expect("dial");
-        s.write_all(&hello(HELLO_VERSION, 0, 123_456)).expect("write v2 hello");
+        s.write_all(&auth::hello(auth::HELLO_VERSION, 0, 123_456)).expect("write v2 hello");
         assert!(pump_until(&mut mesh[1], |e| e.errors().total() > 0));
         let evs = mesh[1].take_auth_events();
         assert!(

@@ -136,7 +136,7 @@ fn wire_truncation_mid_handshake_is_rejected_and_attributed() {
     let addr = mesh[0].listen_addr();
     let mut s = std::net::TcpStream::connect(addr).expect("dial");
     // Valid v3 HELLO claiming peer 1…
-    s.write_all(&rbvc_transport::tcp::hello(AUTH_VERSION, 1, 777)).expect("hello");
+    s.write_all(&rbvc_transport::auth::hello(AUTH_VERSION, 1, 777)).expect("hello");
     let mut challenge = [0u8; CHALLENGE_LEN];
     s.read_exact(&mut challenge).expect("challenge");
     let nonce = decode_challenge(&challenge).expect("well-formed challenge");

@@ -10,7 +10,7 @@ use std::thread;
 use std::time::Duration;
 
 use rbvc_transport::auth;
-use rbvc_transport::tcp::{self, TcpEndpoint};
+use rbvc_transport::tcp::TcpEndpoint;
 use rbvc_transport::transport::Transport;
 
 const N: usize = 3;
@@ -100,13 +100,13 @@ fn restarted_timeline_supersedes_under_auth() {
     // claiming peer 1 under the *correct* pairwise key, handshake
     // generation back at 1 and t_tx = 1 — far below every stamp endpoint 0
     // has seen from peer 1. The HELLO is written out by hand: the layout's
-    // pin from outside `tcp::hello`, its one owner.
+    // pin from outside `auth::hello`, its one owner.
     let mut hello = Vec::new();
     hello.extend_from_slice(b"RBH");
     hello.push(auth::AUTH_VERSION);
     hello.extend_from_slice(&1u32.to_le_bytes()); // claims peer 1
     hello.extend_from_slice(&1u64.to_le_bytes()); // t_tx
-    assert_eq!(hello, tcp::hello(auth::AUTH_VERSION, 1, 1));
+    assert_eq!(hello, auth::hello(auth::AUTH_VERSION, 1, 1));
     let key = rbvc_transport::derive_pair_key(&seed, 1, 0);
     let mut restarted = std::net::TcpStream::connect(addrs[0]).expect("dial endpoint 0");
     restarted.write_all(&hello).unwrap();
