@@ -185,6 +185,10 @@ struct WorkerReport {
     open_loop_secs: f64,
 }
 
+/// Sleep of a worker between harvests while it waits for its next arrival
+/// or, after the last one, for its outstanding replies.
+const HARVEST_NAP: Duration = Duration::from_micros(100);
+
 /// The deterministic value session `s` submits as its `k`-th request.
 fn workload_value(cfg: &ClientExpConfig, session: u64, k: usize) -> VecD {
     let mut r = rng(
@@ -245,11 +249,17 @@ fn run_worker(
     };
 
     for k in 0..cfg.requests_per_session {
-        // Open loop: sleep *to the schedule*, not to the service. A late
-        // arrival fires immediately (the schedule does not stretch).
-        let now = Instant::now();
-        if next_arrival > now {
-            thread::sleep(next_arrival - now);
+        // Open loop: wait *to the schedule*, not to the service, harvesting
+        // replies meanwhile so a reply's latency never includes the wait
+        // for the next arrival. A late arrival fires immediately (the
+        // schedule does not stretch).
+        loop {
+            harvest(&mut handle, &mut pending, &mut replies, &mut latencies_ms, &mut reply_errors);
+            let now = Instant::now();
+            if next_arrival <= now {
+                break;
+            }
+            thread::sleep(HARVEST_NAP.min(next_arrival - now));
         }
         next_arrival += exp_draw();
         let value = workload_value(cfg, session, k);
@@ -257,7 +267,6 @@ fn run_worker(
             pending.insert(reqno, (Instant::now(), value));
             submitted += 1;
         }
-        harvest(&mut handle, &mut pending, &mut replies, &mut latencies_ms, &mut reply_errors);
     }
     let open_loop_secs = start.elapsed().as_secs_f64();
 
@@ -265,7 +274,7 @@ fn run_worker(
     let deadline = Instant::now() + cfg.drain_timeout;
     while !pending.is_empty() && Instant::now() < deadline {
         harvest(&mut handle, &mut pending, &mut replies, &mut latencies_ms, &mut reply_errors);
-        thread::sleep(Duration::from_millis(1));
+        thread::sleep(HARVEST_NAP);
     }
 
     // Idempotence replay: the highest answered reqno, retried blocking,
@@ -548,19 +557,24 @@ mod tests {
     fn low_rate_step_decides_everything_cleanly() {
         let mut cfg = ClientExpConfig::profile(true, 5);
         cfg.sessions = 2;
-        cfg.requests_per_session = 3;
+        cfg.requests_per_session = 10;
         cfg.rates = vec![30.0];
         let out = run_sweep(&cfg);
         assert_eq!(out.steps.len(), 1);
         let s = &out.steps[0];
-        assert_eq!(s.submitted, 6, "open loop offered everything");
-        assert_eq!(s.decided, 6, "under capacity nothing is shed: {s:?}");
+        assert_eq!(s.submitted, 20, "open loop offered everything");
+        assert_eq!(s.decided, 20, "under capacity nothing is shed: {s:?}");
         assert_eq!(s.reply_errors, 0);
         assert_eq!(s.dedup_mismatches, 0);
         assert!(s.dedup_hits >= 2, "one idempotence replay per session: {s:?}");
-        assert_eq!(s.instances, 6, "one instance per unique request, none for replays");
+        assert_eq!(s.instances, 20, "one instance per unique request, none for replays");
         assert_eq!(out.monitor_violations, 0);
         assert!(out.saturation_rate.is_none(), "a single clean step never saturates");
+        // Replies are harvested while a worker waits for its next arrival,
+        // so latency is the service's, not the arrival schedule's: p50 is
+        // below half the mean inter-arrival time of one session.
+        let half_gap_ms = 0.5 * 1e3 * cfg.sessions as f64 / cfg.rates[0];
+        assert!(s.p50_ms < half_gap_ms, "p50 {} ms, not below {half_gap_ms} ms: {s:?}", s.p50_ms);
         let report = report(&cfg, &out);
         assert!(report.gates.iter().all(|g| g.ok), "{:?}", report.gates);
         crate::campaign::assert_keys_match_committed(

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread;
@@ -112,7 +113,7 @@ struct NodeConn {
 
 fn spawn_reader(stream: TcpStream, tx: Sender<ClientFrame>) {
     thread::spawn(move || {
-        let mut stream = stream;
+        let mut stream = BufReader::new(stream);
         while let Ok(Some(bytes)) = read_client_frame_bytes(&mut stream) {
             match rbvc_transport::decode_client_frame(&bytes) {
                 Ok(frame) => {

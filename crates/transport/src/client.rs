@@ -37,7 +37,7 @@
 //! a client that stops reading must not stall.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -178,12 +178,12 @@ fn length_prefixed(frame: &ClientFrame) -> Vec<u8> {
     buf
 }
 
-/// Read one length-prefixed client frame's raw bytes:
-/// [`crate::tcp::read_frame`] under the client cap.
+/// Read one length-prefixed client frame's raw bytes off a buffered
+/// stream: [`crate::tcp::read_frame`] under the client cap.
 ///
 /// # Errors
 /// A human-readable reason; the connection is unusable afterwards.
-pub fn read_client_frame_bytes(stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
+pub fn read_client_frame_bytes(stream: &mut impl BufRead) -> Result<Option<Vec<u8>>, String> {
     crate::tcp::read_frame(stream, MAX_CLIENT_FRAME_LEN)
 }
 
@@ -312,12 +312,13 @@ impl ClientPort {
 /// into the port's queue until EOF, a framing violation, or shutdown. Any
 /// violation poisons only this connection.
 fn spawn_conn_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     conn: u64,
     tx: Sender<(u64, Vec<u8>)>,
     writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
 ) {
     thread::spawn(move || {
+        let mut stream = BufReader::new(stream);
         loop {
             match read_client_frame_bytes(&mut stream) {
                 Ok(Some(bytes)) => {
@@ -443,6 +444,23 @@ mod tests {
         assert_eq!(svc.client_stats().redirects, 50);
         assert_eq!(svc.client_stats().sessions, 0);
         assert_eq!(port.session_conns.len(), 0);
+    }
+
+    /// The reply writer of an accepted connection has Nagle off: a reply
+    /// leaves at once instead of waiting for the ACK of the one before it.
+    #[test]
+    fn the_reply_writer_has_nagle_off() {
+        let port = ClientPort::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let _client = TcpStream::connect(port.local_addr()).unwrap();
+        for _ in 0..2_000 {
+            if !port.writers.lock().is_empty() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        let writers = port.writers.lock();
+        assert_eq!(writers.len(), 1, "the connection was accepted");
+        assert!(writers.values().all(|w| w.nodelay().unwrap()));
     }
 
     /// A client that retries a decided request 60 000 times and never reads

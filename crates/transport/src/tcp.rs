@@ -16,49 +16,45 @@
 //! frame:      len u32  (1 ≤ len ≤ MAX_FRAME_LEN)  then len bytes
 //! ```
 //!
+//! Every cost on this path is paid per batch, not per frame: a flush hands
+//! each peer's queued frames to the socket in one `write_all`, Nagle is off
+//! on every stream (dialed or accepted), and a link's reader takes a batch
+//! in through one buffered `read` and hands the endpoint every whole frame
+//! of it as one event.
+//!
 //! ## Link identity
 //!
 //! Every link, first dial or re-dial, comes up through the keyed
 //! challenge–response handshake of [`crate::auth`], which owns both of its
 //! sides: the dialer proves itself with [`MeshAuth::prove`], and the reader
 //! thread of each accepted stream runs [`auth::respond_handshake`], then
-//! only claims the link's generation and pumps frames. A peer's identity is
-//! *proved*, not claimed; a refused handshake (`auth.reject{peer,reason}`)
-//! never touches the live link, and both verdicts surface as
-//! [`crate::transport::AuthEvent`]s via [`Transport::take_auth_events`].
-//!
-//! A verified handshake claims its peer's next inbound link *generation*,
-//! and that one number is the session epoch the `Established` event
-//! reports. A replayed handshake never verifies against a fresh nonce, so
-//! no ordering of dialer timestamps is needed: a genuinely restarted node,
-//! whose clock restarted near zero, supersedes its stale link the moment
-//! its handshake verifies. Protocol *frames* carry no timestamp.
+//! only claims the link's generation and pumps frames. A verified handshake
+//! claims its peer's next inbound link *generation*, the session epoch its
+//! `Established` [`AuthEvent`] reports; a refused one
+//! (`auth.reject{peer,reason}`) never touches the live link. A replayed
+//! handshake never verifies against a fresh nonce, so a genuinely restarted
+//! node supersedes its stale link the moment its handshake verifies, with
+//! no timestamp ordering. Protocol *frames* carry no timestamp.
 //!
 //! Degrade-don't-panic at every socket boundary: a bad HELLO, an oversized
 //! or zero length prefix, or a mid-stream read error poisons *that one
-//! connection* — it is closed, the event is recorded in the endpoint's
-//! [`ErrorLog`], and every other link keeps flowing. A length-prefix
-//! violation in particular MUST kill the stream: after it the byte stream
-//! has no recoverable frame boundary.
+//! connection* — it is closed, recorded in the endpoint's [`ErrorLog`], and
+//! every other link keeps flowing. A length-prefix violation MUST kill the
+//! stream: after it the byte stream has no recoverable frame boundary.
 //!
 //! ## Reconnection (crash-recovery support)
 //!
-//! Links are not permanent. The accept loop runs for the endpoint's whole
-//! lifetime, so a restarted peer can dial back in; each inbound link
-//! carries a per-peer *generation* — a freshly verified handshake from a
-//! peer supersedes that peer's previous inbound link (the stale reader
-//! winds down, its queued frames are discarded) and proactively tears down
-//! our outbound stream to that peer, since a peer that re-dialed has
-//! restarted and the old stream is dead or deaf (write-failure detection
-//! alone is lazy). Outbound links that died — by write failure, peer EOF,
-//! or that teardown — are re-dialed lazily on subsequent flushes with
-//! exponential backoff, reset on success. Every successful redial is
-//! reported through [`Transport::take_reconnects`] so the service layer
-//! can replay its outbound history to the returned peer; frames queued or
-//! in flight while the link was down are recovered by that replay, and
-//! receivers deduplicate.
+//! The accept loop runs for the endpoint's whole lifetime, so a restarted
+//! peer can dial back in. Its verified handshake supersedes its previous
+//! inbound link (the stale reader winds down, its queued frames are
+//! discarded) and tears down our outbound stream to it, which predates the
+//! restart and is dead or deaf. Outbound links that died — by write
+//! failure, peer EOF, or that teardown — are re-dialed lazily on later
+//! flushes with exponential backoff, reset on success. Every redial is
+//! reported through [`Transport::take_reconnects`], so the service replays
+//! its outbound history to the returned peer; receivers deduplicate.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -89,20 +85,22 @@ pub const DIAL_ATTEMPTS: u32 = 10;
 pub const DIAL_BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Backoff ceiling.
 pub const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(64);
+/// Read buffer of every frame reader: one `read` takes in a whole batched
+/// flush of small frames.
+const READ_BUF_LEN: usize = 64 << 10;
 /// Cap on the lazy-redial skip counter: a down peer is re-dialed at most
 /// every `REDIAL_SKIP_CAP` flushes once backoff saturates.
 pub const REDIAL_SKIP_CAP: u32 = 64;
 
-/// Events flowing from the reader threads to the endpoint. Frame and
-/// link-lifecycle events are tagged with the inbound link *generation*
-/// they were observed on, so the endpoint can discard anything from a
-/// link that a newer handshake has since superseded.
+/// Events flowing from the reader threads to the endpoint, tagged with the
+/// inbound link *generation* they were observed on, so the endpoint can
+/// discard anything from a link a newer handshake has since superseded.
 enum RxEvent {
-    /// A frame from `peer` on link generation `gen`, stamped with its
-    /// arrival time (µs on the `rbvc_obs::clock` timeline) in the reader
-    /// thread — the service layer uses the stamp to separate on-wire time
-    /// from time spent queued behind a busy poll loop.
-    Frame(ProcessId, u64, u64, Vec<u8>),
+    /// The frames one read brought in from `peer` on generation `gen` (the
+    /// self-link's one at a time), stamped with their arrival time (µs on
+    /// the `rbvc_obs::clock` timeline), which separates on-wire time from
+    /// time queued behind a busy poll loop.
+    Frames(ProcessId, u64, u64, Vec<Vec<u8>>),
     /// A keyed handshake from `peer` verified and its link claimed
     /// generation `gen`; a `gen` above 1 supersedes an older link.
     Verified(ProcessId, u64),
@@ -112,11 +110,9 @@ enum RxEvent {
     /// A connection died (IO error, framing violation): its `(peer, gen)`
     /// once the handshake verified, `None` before.
     LinkDown(Option<(ProcessId, u64)>, String),
-    /// A handshake failed verification and the connection was refused.
-    /// The claimed peer, when parseable, and the
+    /// A handshake was refused: the claimed peer, when parseable, and the
     /// stable reason label. Unlike [`RxEvent::LinkDown`] this must *not*
-    /// tear down or discredit the live link — a forged connection refused
-    /// at the door is not a failure of the genuine session.
+    /// tear down or discredit the live link.
     AuthReject(Option<ProcessId>, String),
 }
 
@@ -130,23 +126,18 @@ fn io_error(what: &'static str) -> impl FnOnce(std::io::Error) -> ProtocolError 
 ///
 /// # Errors
 /// [`ProtocolError::Transport`] once the retry budget is exhausted.
-pub fn dial_with_backoff(
-    addr: SocketAddr,
-    peer: ProcessId,
-) -> Result<TcpStream, ProtocolError> {
+pub fn dial_with_backoff(addr: SocketAddr, peer: ProcessId) -> Result<TcpStream, ProtocolError> {
     let mut backoff = DIAL_BACKOFF_BASE;
     let mut last_err = String::new();
-    for attempt in 0..DIAL_ATTEMPTS {
+    for attempt in 1..=DIAL_ATTEMPTS {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
-            Err(e) => {
-                dial_retry_counter().inc();
-                last_err = e.to_string();
-                if attempt + 1 < DIAL_ATTEMPTS {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(DIAL_BACKOFF_CAP);
-                }
-            }
+            Err(e) => last_err = e.to_string(),
+        }
+        dial_retry_counter().inc();
+        if attempt < DIAL_ATTEMPTS {
+            thread::sleep(backoff);
+            backoff = (backoff * 2).min(DIAL_BACKOFF_CAP);
         }
     }
     Err(ProtocolError::Transport {
@@ -157,12 +148,13 @@ pub fn dial_with_backoff(
 
 /// Read one length-prefixed frame of at most `cap` bytes — the one reader
 /// of this framing, shared with the client port ([`crate::client`], whose cap
-/// is smaller). `Ok(None)` on clean EOF at a frame boundary.
+/// is smaller). `stream` is buffered, so a batch of small frames costs one
+/// `read`, not two per frame. `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
 /// Truncation, IO failure, or a length prefix outside `1..=cap`; the stream
 /// has no recoverable frame boundary afterwards and must be closed.
-pub fn read_frame(stream: &mut TcpStream, cap: usize) -> Result<Option<Vec<u8>>, String> {
+pub fn read_frame(stream: &mut impl BufRead, cap: usize) -> Result<Option<Vec<u8>>, String> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -182,6 +174,21 @@ pub fn read_frame(stream: &mut TcpStream, cap: usize) -> Result<Option<Vec<u8>>,
     Ok(Some(buf))
 }
 
+/// Read one frame, blocking, then every further frame already whole in the
+/// buffer — what one `read` brought in — onto `frames`. `Ok(false)` at a
+/// clean EOF; on an error the frames read before it stay in `frames`.
+fn read_batch<R: Read>(r: &mut BufReader<R>, frames: &mut Vec<Vec<u8>>) -> Result<bool, String> {
+    loop {
+        let Some(frame) = read_frame(r, MAX_FRAME_LEN)? else { return Ok(false) };
+        frames.push(frame);
+        let buf = r.buffer();
+        let Some(&[a, b, c, d]) = buf.get(..4) else { return Ok(true) };
+        if buf.len() - 4 < u32::from_le_bytes([a, b, c, d]) as usize {
+            return Ok(true);
+        }
+    }
+}
+
 /// Append `frame` to `out` behind its length prefix — the one writer of this
 /// framing. Callers batch into `out` and hand the stream one `write_all`.
 pub fn append_frame(out: &mut Vec<u8>, frame: &[u8]) {
@@ -191,14 +198,13 @@ pub fn append_frame(out: &mut Vec<u8>, frame: &[u8]) {
 
 /// The accept loop of one bound listener — the one in this crate, shared by
 /// [`TcpEndpoint`] and [`crate::client::ClientPort`]. A thread hands every
-/// accepted connection to the owner's `on_accept`, for the owner's whole
-/// lifetime (a restarted peer re-dials in at any point), and every accept
-/// error too, after which it sleeps 1 ms rather than spin on a sick
-/// listener. Dropping it releases the port before returning — a restarted
-/// node rebinds its old address: it raises the shutdown flag, wakes the
-/// blocking accept with a self-dial, and joins the thread if that dial
-/// connected (a listener that refused it is already dead, and its thread
-/// exits on its own accept error).
+/// accepted connection, Nagle off, to the owner's `on_accept` for the
+/// owner's whole lifetime (a restarted peer re-dials in at any point), and
+/// every accept error too, after which it sleeps 1 ms rather than spin.
+/// Dropping it releases the port before returning — a restarted node
+/// rebinds its old address: it raises the shutdown flag, wakes the blocking
+/// accept with a self-dial, and joins the thread if that dial connected (a
+/// listener that refused it is already dead; its thread exits on its own).
 pub(crate) struct Listener {
     /// The address the listener is bound to.
     pub(crate) addr: SocketAddr,
@@ -217,6 +223,9 @@ impl Listener {
         let stop = Arc::clone(&shutdown);
         let thread = thread::spawn(move || loop {
             let conn = listener.accept().map(|(stream, _)| stream);
+            if let Ok(stream) = &conn {
+                stream.set_nodelay(true).ok();
+            }
             if stop.load(Ordering::SeqCst) {
                 return;
             }
@@ -251,21 +260,18 @@ struct Peer {
     /// Frames queued since the last flush, already length-prefixed,
     /// concatenated for a single write.
     outbox: Vec<u8>,
-    /// What [`Transport::link_health`] reports. `up` goes down on teardown,
-    /// on [`TcpEndpoint::sever_link`] and on the live generation's read
-    /// error, and up on a successful redial or a verified handshake; `auth`
-    /// starts `Pending` — identity is only believed once a handshake from
+    /// What [`Transport::link_health`] reports: `up` falls on teardown, on a
+    /// sever and on the live generation's read error, and rises on a redial
+    /// or a verified handshake; `auth` is `Pending` until a handshake from
     /// the peer verifies.
     link: LinkHealth,
     /// Consecutive failed redials, driving the skip backoff.
     redial_failures: u32,
     /// Flushes to skip before the next redial attempt.
     redial_skip: u32,
-    /// Set by a successful redial, cleared by the next superseding
-    /// handshake from the peer: our fresh outbound dial registers at the
-    /// peer as a reconnect, and its re-dial echo must not tear down the
-    /// very writer the redial just built — without this, two live
-    /// endpoints redialing each other feed an endless teardown/redial storm.
+    /// Set by a successful redial, cleared by the peer's next superseding
+    /// handshake — the echo of that redial, which must not tear down the
+    /// writer it just built (see [`TcpEndpoint::absorb`]).
     fresh_writer: bool,
     /// Redial veto, set by [`TcpEndpoint::sever_link`]: a severed link
     /// stays severed (fault-injection hook for the health campaign).
@@ -285,8 +291,7 @@ impl Peer {
         }
     }
 
-    /// Tear down the outbound link and arm an immediate redial on the next
-    /// flush.
+    /// Tear down the outbound link and arm a redial on the next flush.
     fn tear_down(&mut self) {
         self.writer = None;
         self.redial_failures = 0;
@@ -331,10 +336,27 @@ struct Shared {
     errors: Mutex<ErrorLog>,
 }
 
+impl Shared {
+    /// Record a transport error about `peer` and hand it back.
+    fn record(&self, peer: Option<ProcessId>, reason: String) -> ProtocolError {
+        let e = ProtocolError::Transport { peer, reason };
+        self.errors.lock().record(e.clone());
+        e
+    }
+
+    /// Prove this node to `dst` over a freshly dialed `stream`, counting
+    /// the handshake's bytes.
+    fn prove(&self, stream: &mut TcpStream, dst: ProcessId) -> Result<(), String> {
+        self.auth.prove(stream, dst)?;
+        self.bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
 /// Spawn the reader of one accepted connection: the [`auth`] responder
 /// proves its peer, then the thread claims the peer's next inbound
-/// generation and pumps frames into `tx` until the stream dies or a newer
-/// link supersedes it.
+/// generation and pumps frames into `tx`, one event per read, until the
+/// stream dies or a newer link supersedes it.
 fn spawn_reader(mut stream: TcpStream, shared: Arc<Shared>, tx: Sender<RxEvent>) {
     thread::spawn(move || {
         let (sent, received) = (&shared.bytes_sent, &shared.bytes_received);
@@ -359,21 +381,28 @@ fn spawn_reader(mut stream: TcpStream, shared: Arc<Shared>, tx: Sender<RxEvent>)
         let _ = tx.send(RxEvent::Verified(peer, gen));
         let rx_frames = Registry::global().counter_with("tcp.link.rx_frames", &labels);
         let rx_bytes = Registry::global().counter_with("tcp.link.rx_bytes", &labels);
+        // The handshake read exactly its own records off the raw stream.
+        let mut reader = BufReader::with_capacity(READ_BUF_LEN, stream);
         let end = loop {
-            match read_frame(&mut stream, MAX_FRAME_LEN) {
-                Ok(Some(frame)) => {
-                    if shared.generations[peer].load(Ordering::SeqCst) != gen {
-                        return; // superseded by a newer handshake
-                    }
-                    let arrived_us = rbvc_obs::clock::now_us();
-                    received.fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
-                    rx_frames.inc();
-                    rx_bytes.add(4 + frame.len() as u64);
-                    if tx.send(RxEvent::Frame(peer, gen, arrived_us, frame)).is_err() {
-                        return; // endpoint gone
-                    }
+            let mut frames = Vec::new();
+            let read = read_batch(&mut reader, &mut frames);
+            // Frames read before an EOF or a bad prefix are still delivered.
+            if !frames.is_empty() {
+                if shared.generations[peer].load(Ordering::SeqCst) != gen {
+                    return; // superseded by a newer handshake
                 }
-                Ok(None) => break RxEvent::PeerDown(peer, gen), // clean EOF
+                let arrived_us = rbvc_obs::clock::now_us();
+                let bytes = frames.iter().map(|f| 4 + f.len() as u64).sum();
+                received.fetch_add(bytes, Ordering::Relaxed);
+                rx_frames.add(frames.len() as u64);
+                rx_bytes.add(bytes);
+                if tx.send(RxEvent::Frames(peer, gen, arrived_us, frames)).is_err() {
+                    return; // endpoint gone
+                }
+            }
+            match read {
+                Ok(true) => {}
+                Ok(false) => break RxEvent::PeerDown(peer, gen), // clean EOF
                 Err(reason) => break RxEvent::LinkDown(Some((peer, gen)), reason),
             }
         };
@@ -413,7 +442,7 @@ impl TcpEndpoint {
         let (accepted, reader_tx) = (Arc::clone(&shared), tx.clone());
         let listener = Listener::spawn(listener, move |conn| match conn {
             Ok(stream) => spawn_reader(stream, Arc::clone(&accepted), reader_tx.clone()),
-            Err(e) => accepted.errors.lock().record(io_error("accept")(e)),
+            Err(e) => drop(accepted.record(None, format!("accept failed: {e}"))),
         })
         .map_err(io_error("local_addr"))?;
 
@@ -425,11 +454,10 @@ impl TcpEndpoint {
                 None
             } else {
                 let mut stream = dial_with_backoff(addr, dst)?;
-                shared.auth.prove(&mut stream, dst).map_err(|reason| ProtocolError::Transport {
+                shared.prove(&mut stream, dst).map_err(|reason| ProtocolError::Transport {
                     peer: Some(dst),
                     reason: format!("handshake with {dst} failed: {reason}"),
                 })?;
-                shared.bytes_sent.fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
                 Some(stream)
             };
             let dst_s = dst.to_string();
@@ -462,10 +490,9 @@ impl TcpEndpoint {
         })
     }
 
-    /// Responder-side count of verified inbound handshakes: the sum of the
-    /// per-peer link generations, one claimed per verified handshake.
-    /// Test/diagnostic accessor — campaign assertions use it without
-    /// touching the process-global registry.
+    /// Verified inbound handshakes: the sum of the per-peer link
+    /// generations, one claimed per handshake. Campaign assertions use it
+    /// without touching the process-global registry.
     #[must_use]
     pub fn auth_handshakes(&self) -> u64 {
         self.shared.generations.iter().map(|g| g.load(Ordering::SeqCst)).sum()
@@ -479,9 +506,8 @@ impl TcpEndpoint {
     }
 
     /// Fault-injection hook (health campaign): cut the outbound stream to
-    /// `dst` — the peer's reader observes EOF and marks the inbound link
-    /// down — and veto every future redial so the link *stays* severed.
-    /// Real traffic never calls this.
+    /// `dst` — the peer's reader sees EOF and marks the link down — and veto
+    /// every redial so the link *stays* severed. Real traffic never calls it.
     pub fn sever_link(&mut self, dst: ProcessId) {
         let Some(peer) = self.peers.get_mut(dst).filter(|_| dst != self.id) else { return };
         if let Some(stream) = peer.writer.take() {
@@ -492,9 +518,8 @@ impl TcpEndpoint {
         peer.link_down();
     }
 
-    /// Lazily re-dial every down peer whose backoff allows an attempt; a
-    /// success restores the writer and queues the peer for
-    /// [`Transport::take_reconnects`].
+    /// Re-dial every down peer whose backoff allows an attempt; a success
+    /// restores the writer and queues the peer for a reconnect report.
     fn try_redials(&mut self) {
         for (dst, peer) in self.peers.iter_mut().enumerate() {
             if dst == self.id || peer.writer.is_some() || peer.redial_quench {
@@ -506,11 +531,9 @@ impl TcpEndpoint {
             }
             let attempt = TcpStream::connect(peer.addr)
                 .map_err(|e| e.to_string())
-                .and_then(|mut stream| self.shared.auth.prove(&mut stream, dst).map(|()| stream));
+                .and_then(|mut stream| self.shared.prove(&mut stream, dst).map(|()| stream));
             match attempt {
                 Ok(stream) => {
-                    self.shared.bytes_sent
-                        .fetch_add(auth::DIAL_HANDSHAKE_TX_LEN, Ordering::Relaxed);
                     peer.writer = Some(stream);
                     peer.redial_failures = 0;
                     peer.redial_skip = 0;
@@ -518,12 +541,8 @@ impl TcpEndpoint {
                     peer.link.up = true;
                     self.pending_reconnects.push(dst);
                     let (src, dst_s) = (self.id.to_string(), dst.to_string());
-                    Registry::global()
-                        .counter_with(
-                            "tcp.link.reconnects",
-                            &[("src", src.as_str()), ("dst", dst_s.as_str())],
-                        )
-                        .inc();
+                    let labels = [("src", src.as_str()), ("dst", dst_s.as_str())];
+                    Registry::global().counter_with("tcp.link.reconnects", &labels).inc();
                 }
                 Err(_) => {
                     dial_retry_counter().inc();
@@ -540,13 +559,13 @@ impl TcpEndpoint {
         let generations = &self.shared.generations;
         let live = |peer: ProcessId, gen: u64| gen == generations[peer].load(Ordering::SeqCst);
         match ev {
-            RxEvent::Frame(peer, gen, arrived_us, bytes) => {
-                // A stale-generation frame arrived before its link was
+            RxEvent::Frames(peer, gen, arrived_us, frames) => {
+                // A stale-generation batch arrived before its link was
                 // superseded; the restarted peer replays everything that
                 // matters, so dropping it here is safe and keeps one
                 // logical inbound stream per peer.
                 if live(peer, gen) {
-                    out.push((peer, arrived_us, bytes));
+                    out.extend(frames.into_iter().map(|bytes| (peer, arrived_us, bytes)));
                 }
             }
             RxEvent::Verified(peer, gen) => {
@@ -555,21 +574,12 @@ impl TcpEndpoint {
                     return; // already superseded; the newer link reports itself
                 }
                 let row = &mut self.peers[peer];
-                if gen > 1 {
-                    if std::mem::take(&mut row.fresh_writer) {
-                        // This re-dial is the echo of our own redial — the
-                        // peer registered our fresh dial as a reconnect and
-                        // proactively re-dialed back. Our writer already
-                        // postdates its teardown; keep it, or the two live
-                        // endpoints chase each other in a redial storm.
-                    } else {
-                        // The peer re-dialed us first: it restarted, so the
-                        // outbound stream we still hold predates its crash
-                        // and is dead or deaf. Tear it down now rather than
-                        // waiting for a write failure, and let the next
-                        // flush redial.
-                        row.tear_down();
-                    }
+                // Unless it echoes our own redial (whose writer postdates its
+                // teardown; keeping it stops a redial storm), a re-dial means
+                // the peer restarted: our outbound stream predates its crash
+                // and is dead or deaf, so tear it down now; flush redials.
+                if gen > 1 && !std::mem::take(&mut row.fresh_writer) {
+                    row.tear_down();
                 }
                 // After any outbound teardown: the inbound link is verified
                 // and live.
@@ -588,8 +598,7 @@ impl TcpEndpoint {
                         self.peers[p].link_down();
                     }
                 }
-                let peer = link.map(|(p, _)| p);
-                self.shared.errors.lock().record(ProtocolError::Transport { peer, reason });
+                self.shared.record(link.map(|(p, _)| p), reason);
             }
             RxEvent::AuthReject(peer, reason) => {
                 // Recorded and attributed, but deliberately *not* a peer
@@ -601,10 +610,7 @@ impl TcpEndpoint {
                         link.auth = LinkAuthState::Failed;
                     }
                 }
-                self.shared.errors.lock().record(ProtocolError::Transport {
-                    peer,
-                    reason: format!("handshake rejected: {reason}"),
-                });
+                self.shared.record(peer, format!("handshake rejected: {reason}"));
                 self.pending_auth_events.push(AuthEvent::Rejected { peer, reason });
             }
         }
@@ -622,30 +628,20 @@ impl Transport for TcpEndpoint {
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
         if dst >= self.peers.len() {
-            let e = ProtocolError::Transport {
-                peer: Some(dst),
-                reason: format!("ghost destination {dst} in a {}-process mesh", self.peers.len()),
-            };
-            self.shared.errors.lock().record(e.clone());
-            return Err(e);
+            let reason = format!("ghost destination {dst} in a {}-process mesh", self.peers.len());
+            return Err(self.shared.record(Some(dst), reason));
         }
         if dst == self.id {
             // Self-link: deliver through the local queue, skip the wire.
             // Generation 0 matches the never-bumped self slot; the arrival
             // stamp is the send time (zero on-wire latency).
-            let _ = self
-                .self_tx
-                .send(RxEvent::Frame(self.id, 0, rbvc_obs::clock::now_us(), frame));
+            let now = rbvc_obs::clock::now_us();
+            let _ = self.self_tx.send(RxEvent::Frames(self.id, 0, now, vec![frame]));
             return Ok(());
         }
         let peer = &mut self.peers[dst];
         if peer.writer.is_none() {
-            let e = ProtocolError::Transport {
-                peer: Some(dst),
-                reason: "link down awaiting redial".into(),
-            };
-            self.shared.errors.lock().record(e.clone());
-            return Err(e);
+            return Err(self.shared.record(Some(dst), "link down awaiting redial".into()));
         }
         append_frame(&mut peer.outbox, &frame);
         peer.tx_frames.inc();
@@ -677,11 +673,7 @@ impl Transport for TcpEndpoint {
                 Err(e) => {
                     // This link is gone; degrade it, arm the lazy redial,
                     // and keep flushing the rest of the mesh.
-                    let err = ProtocolError::Transport {
-                        peer: Some(dst),
-                        reason: format!("batched write failed: {e}"),
-                    };
-                    self.shared.errors.lock().record(err.clone());
+                    let err = self.shared.record(Some(dst), format!("batched write failed: {e}"));
                     peer.tear_down();
                     first_err.get_or_insert(err);
                 }
@@ -691,21 +683,17 @@ impl Transport for TcpEndpoint {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
-        self.recv_timeout_stamped(timeout)
-            .into_iter()
-            .map(|(peer, _, bytes)| (peer, bytes))
-            .collect()
+        let frames = self.recv_timeout_stamped(timeout);
+        frames.into_iter().map(|(peer, _, bytes)| (peer, bytes)).collect()
     }
 
     fn recv_timeout_stamped(&mut self, timeout: Duration) -> Vec<(ProcessId, u64, Vec<u8>)> {
         let mut out = Vec::new();
         // Wait for the first event, then drain whatever else is ready.
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => self.absorb(ev, &mut out),
-            Err(_) => return out,
-        }
-        while let Ok(ev) = self.rx.try_recv() {
+        let mut next = self.rx.recv_timeout(timeout).ok();
+        while let Some(ev) = next {
             self.absorb(ev, &mut out);
+            next = self.rx.try_recv().ok();
         }
         out
     }
@@ -750,14 +738,11 @@ impl Transport for TcpEndpoint {
     }
 }
 
-/// Stand up a complete loopback mesh of `n` endpoints in this process
-/// under a fresh random mesh seed: [`tcp_mesh_loopback_authenticated`] for
-/// callers that never need the keys. Endpoint `i` of the result is process
-/// `i`.
+/// [`tcp_mesh_loopback_authenticated`] under a fresh random mesh seed, for
+/// callers that never need the keys.
 ///
 /// # Errors
-/// [`ProtocolError::Transport`] if binding, any dial, or any handshake
-/// fails.
+/// As [`tcp_mesh_loopback_authenticated`].
 pub fn tcp_mesh_loopback(n: usize) -> Result<Vec<TcpEndpoint>, ProtocolError> {
     let mut seed = [0u8; 32];
     seed[..16].copy_from_slice(&auth::fresh_nonce());
@@ -771,8 +756,7 @@ pub fn tcp_mesh_loopback(n: usize) -> Result<Vec<TcpEndpoint>, ProtocolError> {
 /// Endpoint `i` of the result is process `i`.
 ///
 /// # Errors
-/// [`ProtocolError::Transport`] if binding, any dial, or any handshake
-/// fails.
+/// [`ProtocolError::Transport`] if binding, any dial, or any handshake fails.
 pub fn tcp_mesh_loopback_authenticated(
     n: usize,
     seed: &[u8; 32],
@@ -1047,6 +1031,53 @@ mod tests {
             )),
             "expected a downgrade rejection, got {evs:?}"
         );
+    }
+
+    /// Every accepted stream reaches its owner with Nagle off.
+    #[test]
+    fn the_listener_hands_over_streams_with_nagle_off() {
+        let (tx, rx) = channel::unbounded();
+        let bound = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let listener = Listener::spawn(bound, move |s| drop(tx.send(s.and_then(|s| s.nodelay()))))
+            .unwrap();
+        let _dialer = TcpStream::connect(listener.addr).unwrap();
+        assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap());
+    }
+
+    /// One stream of frames written a byte per write, whole, and split inside
+    /// a frame, then again followed by a bad length prefix in the same write:
+    /// every frame arrives once and in order, every frame byte is counted
+    /// received, and the bad prefix then poisons only its own link.
+    #[test]
+    fn buffered_reads_deliver_every_split_of_the_stream() {
+        let mut mesh = tcp_mesh_loopback(3).expect("mesh");
+        assert!(pump_until(&mut mesh[1], |e| e.auth_handshakes() == 2));
+        let frames: Vec<Vec<u8>> = (1..=6u8).map(|k| vec![k; 9 * usize::from(k)]).collect();
+        let mut stream = Vec::new();
+        frames.iter().for_each(|f| append_frame(&mut stream, f));
+        let mut poisoned = stream.clone();
+        // A zero prefix reads as whole, so it fails inside the good batch.
+        poisoned.extend_from_slice(&0u32.to_le_bytes());
+        let (one_byte, second) = (stream.chunks(1).collect(), 4 + frames[0].len() + 2);
+        let splits = [one_byte, vec![&stream[..]], vec![&stream[..second], &stream[second..]]];
+        let expected: Vec<_> = frames.into_iter().map(|f| (0, f)).collect();
+        for writes in splits.into_iter().chain([vec![&poisoned[..]]]) {
+            let before = mesh[1].bytes_received();
+            let writer = mesh[0].peers[1].writer.as_mut().unwrap();
+            writes.iter().for_each(|w| writer.write_all(w).unwrap());
+            let mut got = Vec::new();
+            for _ in 0..100 {
+                if got.len() >= expected.len() {
+                    break;
+                }
+                got.extend(mesh[1].recv_timeout(Duration::from_millis(20)));
+            }
+            assert_eq!(got, expected);
+            assert_eq!(mesh[1].bytes_received() - before, stream.len() as u64);
+        }
+        assert!(pump_until(&mut mesh[1], |e| e.errors().total() == 1), "the bad prefix");
+        let up: Vec<bool> = mesh[1].link_health().iter().map(|l| l.up).collect();
+        assert_eq!(up, [false, true], "only the link from 0 is poisoned");
     }
 
     #[test]
