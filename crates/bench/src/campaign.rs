@@ -1,5 +1,5 @@
-//! The campaign harness: everything the systems campaigns E17, E18 and
-//! E20–E22 share, so each of them is one [`Scenario`] entry.
+//! The campaign harness: everything the systems campaigns E17 and E20–E22
+//! share, so each of them is one [`Scenario`] entry.
 //!
 //! A scenario supplies what is its own — the fault it injects, its
 //! per-run verdict, its table, JSON payload and gates (all returned as a
@@ -33,20 +33,19 @@ use rbvc_transport::transport::{in_proc_mesh, Transport};
 use rbvc_transport::{tcp_mesh_loopback_authenticated, Lockstep, TcpEndpoint};
 use serde_json::{json, Value};
 
-use crate::experiments::{byzantine, client, health, recovery, service};
+use crate::experiments::{byzantine, client, health, service};
 use crate::report::{print_table, with_envelope};
 
 /// Every systems campaign, in experiment order (`exp <name>` looks the
 /// name up here).
-pub const SCENARIOS: [&Scenario; 5] = [
+pub const SCENARIOS: [&Scenario; 4] = [
     &service::SCENARIO,
-    &recovery::SCENARIO,
     &byzantine::SCENARIO,
     &client::SCENARIO,
     &health::SCENARIO,
 ];
 
-/// Agreement tolerance of the online monitors (E18 tightens it to 0).
+/// Agreement tolerance of the campaigns' online monitors.
 pub const AGREEMENT_EPS: f64 = 1e-9;
 
 /// The mesh shape and workload seed every campaign is parameterised by.
@@ -150,8 +149,8 @@ impl MeshProfile {
     }
 
     /// Stand up the authenticated loopback TCP mesh (pairwise keys derived
-    /// from `key`) and return it with its listen addresses, which a
-    /// restarted victim rebinds and the wire attacks dial.
+    /// from `key`) and return it with its listen addresses, which the wire
+    /// attacks dial.
     ///
     /// # Panics
     /// If loopback sockets are unavailable or a handshake fails.
@@ -293,7 +292,9 @@ pub fn thread_per_node<S: Send, R: Send, C>(
     })
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample (NaN if empty).
+/// The element at index `round((N − 1) · p / 100)` of an ascending-sorted
+/// sample (NaN if empty): no interpolation, and not nearest rank — p50 of
+/// `[1, 2, 3, 4]` is 3, where nearest rank gives 2.
 #[must_use]
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -710,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank() {
+    fn percentile_is_the_element_at_the_rounded_index() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((percentile(&xs, 50.0) - 3.0).abs() < 1e-12);
         assert!((percentile(&xs, 99.0) - 4.0).abs() < 1e-12);

@@ -205,8 +205,9 @@ mod tests {
             &["lemmas", "2oo"][..],
             &["thm3", "6", "7"],
             &["nope"],
-            &["recovery", "--runs"],
-            &["recovery", "--runs", "many"],
+            &["byzantine", "--runs"],
+            &["byzantine", "--runs", "many"],
+            &["recovery"],
             &["chaos", "--seed", "3"],
             &["all", "3"],
             &["obs"],

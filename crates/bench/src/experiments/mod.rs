@@ -3,8 +3,8 @@
 //! them, and nothing else. [`EXPERIMENTS`] is the index of the paper
 //! experiments (`exp list` prints it; DESIGN.md §3 describes the rows).
 //!
-//! The systems campaigns — [`service`] (E17), [`recovery`] (E18),
-//! [`byzantine`] (E20), [`client`] (E21), [`health`] (E22) — are
+//! The systems campaigns — [`service`] (E17), [`byzantine`] (E20),
+//! [`client`] (E21), [`health`] (E22) — are
 //! [`Scenario`](crate::campaign::Scenario) entries of the one
 //! campaign harness ([`crate::campaign`]): each module holds only its fault
 //! injection, per-run verdict, table, JSON payload and gates, and exports a
@@ -23,7 +23,6 @@ pub mod conjecture_hunt;
 pub mod counterex;
 pub mod health;
 pub mod lemmas;
-pub mod recovery;
 pub mod service;
 pub mod table1;
 pub mod tverberg;

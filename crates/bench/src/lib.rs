@@ -8,7 +8,7 @@
 //!
 //! One program, `exp` ([`cli`]), over two tables: the paper experiments
 //! ([`experiments::EXPERIMENTS`], E1–E16) and the systems campaigns
-//! ([`campaign::SCENARIOS`], E17–E22) the [`campaign`] harness runs. Each
+//! ([`campaign::SCENARIOS`], E17, E20–E22) the [`campaign`] harness runs. Each
 //! row's module under [`experiments`] holds the typed row functions and the
 //! code that prints them, so tests assert on the same rows `exp` prints;
 //! [`workloads`] are the seeded input generators and [`report`] the table

@@ -8,7 +8,7 @@
 //! their exact power-of-two boundaries plus `_sum`/`_count`. The listener
 //! is deliberately minimal — one accept loop on a dedicated thread, one
 //! response per connection, `Connection: close` — because its job is to
-//! let E17/E18 be scraped *while hot* without pulling an HTTP stack into
+//! let the campaigns be scraped *while hot* without pulling an HTTP stack into
 //! the tree.
 
 use std::io::{Read as _, Write as _};
