@@ -15,6 +15,13 @@
 //! clocks (`phase_share` in `BENCH_service.json`: the share of the nodes'
 //! summed wall time per [`Phase`](rbvc_transport::service::Phase)). Like
 //! the rest of `/metrics`, they are always on: the run has no tracing mode.
+//!
+//! Beside the load run, exact frame counts: Verified-Averaging-only meshes
+//! of `n` = 4, 7, 10 and 13 (`f = ⌊(n−1)/3⌋`; the smoke profile runs n = 4
+//! only), driven by one thread over the in-process transport, report the
+//! frames and bytes each decision cost against what one Bracha broadcast
+//! per (instance, round, origin) costs: `n·R` broadcasts of `n + 2n²`
+//! frames each. These rows count; they time nothing.
 
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Barrier};
@@ -22,6 +29,8 @@ use std::time::{Duration, Instant};
 
 use rbvc_linalg::VecD;
 use rbvc_obs::Registry;
+use rbvc_sim::config::ProcessId;
+use rbvc_sim::error::{ErrorLog, ProtocolError};
 use rbvc_transport::service::{ConsensusService, PhaseNanos};
 use rbvc_transport::transport::{in_proc_mesh, Transport};
 use serde_json::json;
@@ -320,6 +329,126 @@ pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 
     (identical, [tcp, inproc])
 }
 
+/// A transport that counts the frames it is asked to send, and their bytes,
+/// the self-link included.
+struct Counted<T: Transport> {
+    inner: T,
+    frames: u64,
+    bytes: u64,
+}
+
+impl<T: Transport> Transport for Counted<T> {
+    fn local_id(&self) -> ProcessId {
+        self.inner.local_id()
+    }
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
+        self.frames += 1;
+        self.bytes += frame.len() as u64;
+        self.inner.send(dst, frame)
+    }
+    fn flush(&mut self) -> Result<(), ProtocolError> {
+        self.inner.flush()
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Vec<(ProcessId, Vec<u8>)> {
+        self.inner.recv_timeout(timeout)
+    }
+    fn take_reconnects(&mut self) -> Vec<ProcessId> {
+        self.inner.take_reconnects()
+    }
+    fn bytes_sent(&self) -> u64 {
+        self.inner.bytes_sent()
+    }
+    fn bytes_received(&self) -> u64 {
+        self.inner.bytes_received()
+    }
+    fn errors(&self) -> ErrorLog {
+        self.inner.errors()
+    }
+}
+
+/// What one VA-only mesh of the frame-count sweep sent, per decision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrameRow {
+    /// Mesh size.
+    pub n: usize,
+    /// Faults every instance tolerates, `⌊(n−1)/3⌋`.
+    pub f: usize,
+    /// Instances registered.
+    pub instances: usize,
+    /// Instances each node keeps launched and undecided.
+    pub window: usize,
+    /// Instances fully decided (all of them, or the row is a failure).
+    pub decided: usize,
+    /// Frames handed to the transports, per decided instance.
+    pub frames_per_decision: f64,
+    /// Their bytes, per decided instance.
+    pub bytes_per_decision: f64,
+    /// Frames per decision with one Bracha broadcast per (instance, round,
+    /// origin): `n·R·(n + 2n²)`.
+    pub model_frames_per_decision: usize,
+}
+
+/// Instances and closed-loop window of each frame-count row.
+fn frame_sweep_shape(smoke: bool) -> (usize, usize) {
+    if smoke { (12, 4) } else { (64, 16) }
+}
+
+/// One row of the frame-count sweep: `instances` VA instances at
+/// `f = ⌊(n−1)/3⌋` on an `n`-node in-process mesh, `window` launched per
+/// node at a time, swept by one thread with zero-timeout polls — a pure
+/// function of its arguments.
+#[must_use]
+pub fn frame_row(n: usize, mesh: &MeshProfile, instances: usize, window: usize) -> FrameRow {
+    let f = (n - 1) / 3;
+    let profile = MeshProfile { n, f, instances, poll_timeout: Duration::ZERO, ..mesh.clone() };
+    let inputs = profile.inputs(&mut rng(profile.seed));
+    let mut nodes: Vec<_> = in_proc_mesh(n)
+        .into_iter()
+        .map(|inner| ConsensusService::new(Counted { inner, frames: 0, bytes: 0 }))
+        .collect();
+    let window = window.clamp(1, instances.max(1)).min(instances);
+    for (id, svc) in nodes.iter_mut().enumerate() {
+        profile.register(svc, id, &inputs, |_| Proto::Va { f });
+        svc.start_deferred();
+        (1..=window as u64).for_each(|k| svc.launch(k).expect("launch"));
+        svc.flush().expect("flush the first window");
+    }
+    let mut next = vec![window; n];
+    for _ in 0..1_000_000 {
+        if nodes.iter().all(ConsensusService::all_decided) {
+            break;
+        }
+        for (id, svc) in nodes.iter_mut().enumerate() {
+            for _ in svc.poll(Duration::ZERO) {
+                if next[id] < instances {
+                    next[id] += 1;
+                    svc.launch(next[id] as u64).expect("launch");
+                }
+            }
+        }
+    }
+    let decided = (1..=instances as u64).filter(|&k| nodes.iter().all(|s| s.decision(k).is_some())).count();
+    let per = |total: u64| total as f64 / decided.max(1) as f64;
+    FrameRow {
+        n,
+        f,
+        instances,
+        window,
+        decided,
+        frames_per_decision: per(nodes.iter().map(|s| s.transport().frames).sum()),
+        bytes_per_decision: per(nodes.iter().map(|s| s.transport().bytes).sum()),
+        model_frames_per_decision: n * profile.rounds * (n + 2 * n * n),
+    }
+}
+
+/// The sweep's mesh sizes.
+fn frame_sweep_sizes(smoke: bool) -> &'static [usize] {
+    if smoke { &[4] } else { &[4, 7, 10, 13] }
+}
+
 fn run(args: &Args) -> Report {
     let seed = args.seed;
     let mut cfg = if args.smoke { ServiceConfig::smoke(seed) } else { ServiceConfig::load(seed) };
@@ -346,7 +475,10 @@ fn run(args: &Args) -> Report {
 
     // The load profile itself, over real sockets.
     let out = run_service(&cfg, TransportKind::Tcp);
-    report(&cfg, &references, &out, identical)
+    let (instances, window) = frame_sweep_shape(args.smoke);
+    let sizes = frame_sweep_sizes(args.smoke);
+    let frames: Vec<FrameRow> = sizes.iter().map(|&n| frame_row(n, &cfg.mesh, instances, window)).collect();
+    report(&cfg, &references, &out, identical, &frames)
 }
 
 fn row(out: &ServiceOutcome) -> Vec<String> {
@@ -383,12 +515,13 @@ fn render_shares(cells: &[(&'static str, u64)]) -> String {
 }
 
 /// Table, payload and gates of one load run (`references` are the
-/// identity-check rows shown above it).
+/// identity-check rows shown above it) and of the frame-count sweep.
 fn report(
     cfg: &ServiceConfig,
     references: &[ServiceOutcome],
     out: &ServiceOutcome,
     identical: bool,
+    frames: &[FrameRow],
 ) -> Report {
     // The sent/received byte counters rarely agree exactly: each node
     // snapshots its own counters *before* the end-of-run barrier, so
@@ -415,6 +548,25 @@ fn report(
             format!("{} transport/service error(s) on a clean loopback mesh", out.errors),
         ),
     ];
+    let gates = gates.into_iter().chain(frames.iter().map(|row| {
+        gate(
+            row.decided == row.instances,
+            format!("frame-count row n = {}: {}/{} decided", row.n, row.decided, row.instances),
+        )
+    }));
+    let sweep_notes = frames.iter().map(|row| {
+        format!(
+            "frames per decision, VA at n = {} f = {} ({} instances, window {}, one thread, \
+             in-process): {:.1} frames and {:.0} B; one Bracha broadcast per state: {} frames",
+            row.n,
+            row.f,
+            row.instances,
+            row.window,
+            row.frames_per_decision,
+            row.bytes_per_decision,
+            row.model_frames_per_decision
+        )
+    });
     Report {
         headers: vec![
             "transport", "n", "decided", "decided/s", "p50 ms", "p99 ms", "bytes sent",
@@ -434,7 +586,10 @@ fn report(
                 queue.percentile(50.0),
                 queue.percentile(99.0)
             ),
-        ],
+        ]
+        .into_iter()
+        .chain(sweep_notes)
+        .collect(),
         payload: json!({
             "n": out.n,
             "f_bvc": cfg.mesh.f,
@@ -458,8 +613,17 @@ fn report(
             "phase_share": serde_json::Value::Object(
                 cells.iter().map(|&(name, ns)| (name.to_string(), json!(ns as f64 / wall_ns))).collect(),
             ),
+            "frames_per_decision": frames.iter().map(|row| json!({
+                "n": row.n,
+                "f": row.f,
+                "instances": row.instances,
+                "window": row.window,
+                "frames": row.frames_per_decision,
+                "bytes": row.bytes_per_decision,
+                "per_state_bracha_model_frames": row.model_frames_per_decision,
+            })).collect::<Vec<_>>(),
         }),
-        gates,
+        gates: gates.collect(),
     }
     .with_monitor(out.monitor_violations)
 }
@@ -489,7 +653,13 @@ mod tests {
         for node in &out.decisions[1..] {
             assert_eq!(node, &out.decisions[0], "mesh-wide identical decisions");
         }
-        let report = report(&cfg, &[], &out, true);
+        let (instances, window) = frame_sweep_shape(true);
+        let row = frame_row(4, &cfg.mesh, instances, window);
+        assert_eq!(row, frame_row(4, &cfg.mesh, instances, window), "the counts are exact");
+        assert_eq!((row.decided, row.model_frames_per_decision), (instances, 4 * 2 * 36));
+        // A window of four: each broadcast carries four instances' states.
+        assert!(row.frames_per_decision * 4.0 <= row.model_frames_per_decision as f64, "{row:?}");
+        let report = report(&cfg, &[], &out, true, &[row]);
         let shares = report.payload.get("phase_share").and_then(|v| v.as_object()).expect("an object");
         let total: f64 = shares.iter().map(|(_, share)| share.as_f64().expect("a number")).sum();
         assert!((total - 1.0).abs() < 1e-9, "the phases partition the nodes' time: {shares:?}");

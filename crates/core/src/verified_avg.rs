@@ -13,10 +13,10 @@
 //! * **Rounds t ≥ 1** — each process reliably broadcasts its state
 //!   *together with the ids of the states it averaged* (the witness);
 //!   receivers **verify** the state by recomputing the arithmetic over the
-//!   values of their own reliably-delivered record — Bracha gives every
-//!   correct process the same value per tag, so the ids are all a witness
-//!   needs to carry — and a Byzantine process cannot inject a value that is
-//!   not a correct application of the averaging rule.
+//!   values of their own reliably-delivered record — reliable broadcast
+//!   gives every correct process the same value per (origin, round), so the
+//!   ids are all a witness needs to carry — and a Byzantine process cannot
+//!   inject a value that is not a correct application of the averaging rule.
 //!   Progress to round `t + 1` happens upon `n − f` *verified* round-`t`
 //!   states; the new value is their average.
 //! * **Decision** — after `R` rounds, output the current value.
@@ -25,6 +25,15 @@
 //!   validity follows because every verified round-1 value lies in
 //!   `H_(δ,p)`(correct inputs) and averaging preserves membership in that
 //!   convex set.
+//!
+//! Two ways in. The [`AsyncProtocol`] impl runs one Bracha broadcast per
+//! (origin, round) tag inside the instance — the simulator's shape. A host
+//! that reliably broadcasts many instances' states at once (the service
+//! batches them per origin, FIFO) calls [`VerifiedAveraging::start`] and
+//! [`VerifiedAveraging::deliver`] instead: the same verify, average and
+//! advance logic, fed one delivered (origin, round, state) at a time, with
+//! the first state delivered for an (origin, round) kept and any later one
+//! refused.
 
 use std::sync::Arc;
 
@@ -65,13 +74,6 @@ impl PartialEq for RoundState {
 /// Wire message: a Bracha message of one tagged instance.
 pub type VaMsg = (RoundTag, BrachaMsg<Arc<RoundState>>);
 
-/// One reliable-broadcast instance with the first state accepted for its tag;
-/// what it delivered is its machine's.
-struct Broadcast {
-    first: Arc<RoundState>,
-    machine: BrachaInstance<Arc<RoundState>>,
-}
-
 /// What the round-0 combining rule gives for one witness: the point and the
 /// δ it needed.
 type Round0 = Result<(VecD, f64), ProtocolError>;
@@ -98,6 +100,9 @@ pub struct Refusals {
     pub payload: u64,
     /// Delivered states that failed verification.
     pub verify: u64,
+    /// States delivered for an (origin, round) that already had one: the
+    /// first delivered state wins ([`VerifiedAveraging::deliver`]).
+    pub duplicate: u64,
 }
 
 /// The protocol instance for one process.
@@ -110,12 +115,16 @@ pub struct VerifiedAveraging {
     tol: Tol,
     input: VecD,
 
-    /// The broadcasts of this run, indexed `round · n + origin`: empty until
-    /// this process first takes part in one, then `n · total_rounds` slots.
-    /// Sized on first use, not in `new`: a registered instance that never
-    /// runs costs nothing.
-    rb: Vec<Option<Broadcast>>,
-    /// The delivered states verified OK, indexed like `rb` (sized with it).
+    /// The per-tag Bracha broadcasts of the [`AsyncProtocol`] impl, indexed
+    /// `round · n + origin`: empty until that impl first takes part in one,
+    /// then `n · total_rounds` slots. Sized on first use, not in `new`: a
+    /// registered instance that never runs costs nothing.
+    rb: Vec<Option<BrachaInstance<Arc<RoundState>>>>,
+    /// The delivered states, indexed like `rb`: empty until the first
+    /// delivery or own state, then `n · total_rounds` slots.
+    delivered: Vec<Option<Arc<RoundState>>>,
+    /// The delivered states verified OK, indexed like `delivered` (sized
+    /// with it).
     verified: Vec<Option<Arc<RoundState>>>,
     /// Round-0 combining results keyed by their exact witness, ids and
     /// values; see [`Self::combine_round0`].
@@ -164,6 +173,7 @@ impl VerifiedAveraging {
             tol,
             input,
             rb: Vec::new(),
+            delivered: Vec::new(),
             verified: Vec::new(),
             round0: Vec::new(),
             commits: 0,
@@ -199,21 +209,19 @@ impl VerifiedAveraging {
         Refusals { verify: self.rejected.len() as u64, ..self.refusals }
     }
 
-    /// The first state this process accepted for broadcast `tag` (its own, or
-    /// the first past the receive boundary), for a decoder to compare a frame
-    /// against before building the state again. A decoder asks with the tag
-    /// off the wire, ahead of the bounds gate: a tag no broadcast of this run
-    /// has is `None`.
+    /// The state delivered for `tag`, if one was: with [`Self::deliver`],
+    /// the first one.
     #[must_use]
-    pub fn first_state(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
-        self.broadcast(tag).map(|b| &b.first)
+    pub fn delivered_state(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
+        self.delivered.get(self.index(tag)?)?.as_ref()
     }
 
-    /// Slots of the broadcast table: 0 until this process first takes part
-    /// in a broadcast, then `n · total_rounds`, whatever tags arrive.
+    /// Slots of the delivered-state table: 0 until this process first
+    /// delivers or broadcasts a state, then `n · total_rounds`, whatever
+    /// tags arrive.
     #[must_use]
     pub fn broadcast_slots(&self) -> usize {
-        self.rb.len()
+        self.delivered.len()
     }
 
     /// The most recent combining error, if the node is degraded (e.g. Γ(X)
@@ -227,15 +235,6 @@ impl VerifiedAveraging {
     /// (`origin < n`, `round < total_rounds`).
     fn index(&self, (origin, round): RoundTag) -> Option<usize> {
         (origin < self.n && round < self.total_rounds).then(|| round * self.n + origin)
-    }
-
-    fn broadcast(&self, tag: RoundTag) -> Option<&Broadcast> {
-        self.rb.get(self.index(tag)?)?.as_ref()
-    }
-
-    /// The state broadcast `tag` delivered, if it has.
-    fn delivered(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
-        self.broadcast(tag)?.machine.delivered()
     }
 
     /// The value of state `tag`, if this process verified it.
@@ -252,17 +251,24 @@ impl VerifiedAveraging {
         ids.iter().map(move |&k| self.verified_value((k, round)).expect("a named state is verified"))
     }
 
-    /// The broadcast `tag` names, opened with `state` as its first state if
-    /// it is new. `tag` has passed the bounds gate.
-    fn instance(&mut self, tag: RoundTag, state: &Arc<RoundState>) -> &mut Broadcast {
+    /// Size the delivered and verified tables, once.
+    fn size_tables(&mut self) {
+        if self.delivered.is_empty() {
+            self.delivered.resize(self.n * self.total_rounds, None);
+            self.verified.resize(self.n * self.total_rounds, None);
+        }
+    }
+
+    /// The Bracha machine of broadcast `tag`, opened if it is new. `tag` has
+    /// passed the bounds gate.
+    fn instance(&mut self, tag: RoundTag) -> &mut BrachaInstance<Arc<RoundState>> {
         let i = self.index(tag).expect("a tag past the bounds gate names a broadcast of this run");
         if self.rb.is_empty() {
             self.rb.resize_with(self.n * self.total_rounds, || None);
-            self.verified.resize(self.n * self.total_rounds, None);
         }
+        self.size_tables();
         let (n, f) = (self.n, self.f);
-        let fresh = || Broadcast { first: Arc::clone(state), machine: BrachaInstance::new(n, f) };
-        self.rb[i].get_or_insert_with(fresh)
+        self.rb[i].get_or_insert_with(|| BrachaInstance::new(n, f))
     }
 
     /// Queue `msg` of broadcast `tag` for every process, this one included.
@@ -279,14 +285,54 @@ impl VerifiedAveraging {
     fn broadcast_state(
         &mut self,
         round: usize,
-        state: RoundState,
+        state: Arc<RoundState>,
         out: &mut Vec<(ProcessId, VaMsg)>,
     ) {
         let tag = (self.id, round);
-        let state = Arc::new(state);
-        if let Some(m) = self.instance(tag, &state).machine.start(state).broadcast {
+        if let Some(m) = self.instance(tag).start(state).broadcast {
             self.multicast(tag, m, out);
         }
+    }
+
+    /// This process's round-0 state, its input: what it reliably broadcasts
+    /// first. A host that broadcasts states itself sends this one when it
+    /// launches the instance.
+    #[must_use]
+    pub fn start(&self) -> Arc<RoundState> {
+        Arc::new(RoundState { value: self.input.clone(), witness: Vec::new() })
+    }
+
+    /// The delivery entry of a host that reliably broadcasts the states
+    /// itself: `state` is what it delivered as `origin`'s round-`round`
+    /// state. Refused and counted — with nothing else changed — when the
+    /// tag is outside this run ([`Refusals::bounds`]), the state fails the
+    /// payload check ([`Refusals::payload`]), or a state was already
+    /// delivered for the tag ([`Refusals::duplicate`]: the first one wins).
+    /// Otherwise it is verified (now, or once its witness is) and the
+    /// states this process moves on to are pushed to `own`, in round order,
+    /// for the host to broadcast and, in time, deliver back.
+    pub fn deliver(
+        &mut self,
+        origin: ProcessId,
+        round: usize,
+        state: Arc<RoundState>,
+        own: &mut Vec<(usize, Arc<RoundState>)>,
+    ) {
+        let Some(i) = self.index((origin, round)) else {
+            self.refusals.bounds += 1;
+            return;
+        };
+        if !self.payload_ok(&state) {
+            self.refusals.payload += 1;
+            return;
+        }
+        self.size_tables();
+        if self.delivered[i].is_some() {
+            self.refusals.duplicate += 1;
+            return;
+        }
+        self.delivered[i] = Some(state);
+        self.handle_delivery((origin, round), own);
     }
 
     /// Apply the round-0 combining rule to the verified round-0 values `ids`
@@ -401,8 +447,9 @@ impl VerifiedAveraging {
     }
 
     /// Process a newly delivered state plus any pending ones that become
-    /// verifiable; drive round progression.
-    fn handle_delivery(&mut self, tag: RoundTag, out: &mut Vec<(ProcessId, VaMsg)>) {
+    /// verifiable; drive round progression, pushing the states this process
+    /// moves on to to `own`.
+    fn handle_delivery(&mut self, tag: RoundTag, own: &mut Vec<(usize, Arc<RoundState>)>) {
         self.pending.push(tag);
         // Fixpoint: verification of one state can unblock others.
         loop {
@@ -410,7 +457,7 @@ impl VerifiedAveraging {
             let mut i = 0;
             while i < self.pending.len() {
                 let t = self.pending[i];
-                let s = Arc::clone(self.delivered(t).expect("pending implies delivered"));
+                let s = Arc::clone(self.delivered_state(t).expect("pending implies delivered"));
                 match self.try_verify(t, &s) {
                     Some(true) => {
                         self.pending.swap_remove(i);
@@ -429,16 +476,17 @@ impl VerifiedAveraging {
                     }
                 }
             }
-            let advanced = self.try_advance(out);
+            let advanced = self.try_advance(own);
             if !progressed && !advanced {
                 break;
             }
         }
     }
 
-    /// Advance to the next round if enough verified states are in. Returns
-    /// true if the process moved.
-    fn try_advance(&mut self, out: &mut Vec<(ProcessId, VaMsg)>) -> bool {
+    /// Advance to the next round if enough verified states are in, pushing
+    /// the new state to `own` unless that decided. Returns true if the
+    /// process moved.
+    fn try_advance(&mut self, own: &mut Vec<(usize, Arc<RoundState>)>) -> bool {
         if self.decided.is_some() {
             return false;
         }
@@ -479,14 +527,7 @@ impl VerifiedAveraging {
         if self.my_round >= self.total_rounds {
             self.decided = Some(next_value);
         } else {
-            self.broadcast_state(
-                self.my_round,
-                RoundState {
-                    value: next_value,
-                    witness,
-                },
-                out,
-            );
+            own.push((self.my_round, Arc::new(RoundState { value: next_value, witness })));
         }
         true
     }
@@ -498,15 +539,7 @@ impl AsyncProtocol for VerifiedAveraging {
 
     fn on_start(&mut self) -> Vec<(ProcessId, VaMsg)> {
         let mut out = Vec::new();
-        let input = self.input.clone();
-        self.broadcast_state(
-            0,
-            RoundState {
-                value: input,
-                witness: Vec::new(),
-            },
-            &mut out,
-        );
+        self.broadcast_state(0, self.start(), &mut out);
         out
     }
 
@@ -529,12 +562,18 @@ impl AsyncProtocol for VerifiedAveraging {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let actions = self.instance(tag, payload).machine.on_message(from, tag.0, bmsg);
+        let actions = self.instance(tag).on_message(from, tag.0, bmsg);
         if let Some(m) = actions.broadcast {
             self.multicast(tag, m, &mut out);
         }
-        if actions.delivered.is_some() {
-            self.handle_delivery(tag, &mut out);
+        if let Some(state) = actions.delivered {
+            let mut own = Vec::new();
+            let i = self.index(tag).expect("a delivered tag is of this run");
+            self.delivered[i] = Some(state);
+            self.handle_delivery(tag, &mut own);
+            for (round, state) in own {
+                self.broadcast_state(round, state, &mut out);
+            }
         }
         out
     }
@@ -771,7 +810,7 @@ mod tests {
         ] {
             assert!(node.on_message(from, msg).is_empty(), "{what} must be dropped silently");
         }
-        assert_eq!(node.refusals(), Refusals { bounds: 1, payload: 3, verify: 0 });
+        assert_eq!(node.refusals(), Refusals { bounds: 1, payload: 3, ..Refusals::default() });
         // Round `total_rounds`, which no honest process broadcasts: refused
         // at the bounds gate, and no Bracha instance is opened for it.
         let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
@@ -784,7 +823,7 @@ mod tests {
         let nan = state(f64::NAN);
         assert!(nan == Arc::clone(&nan) && *nan != RoundState::clone(&nan));
         // Nothing reached the broadcast substrate or the delivered record.
-        assert!(node.rb.iter().flatten().all(|b| b.machine.delivered().is_none()));
+        assert!(node.rb.iter().flatten().all(|b| b.delivered().is_none()));
         assert!(node.last_error().is_none());
         // The node is not wedged: a full run with the same shape decides.
         decide(&setup, vec![], &mut FifoScheduler);
@@ -800,7 +839,7 @@ mod tests {
         for (from, s) in [(0, &a), (1, &a), (2, &b), (3, &b)] {
             assert!(node.on_message(from, ((3, 0), BrachaMsg::Echo(Arc::clone(s)))).is_empty());
         }
-        assert!(Arc::ptr_eq(node.first_state((3, 0)).expect("open"), &a));
+        assert!(node.delivered_state((3, 0)).is_none());
         assert!(a.value == v(1.0) && b.value == v(2.0));
         // A shared state edited for the second half of the destinations: the
         // first half keeps the genuine one, still one allocation.
@@ -956,5 +995,44 @@ mod tests {
             })
             .count();
         assert!(errs > 0, "degraded nodes must report EmptyIntersection");
+    }
+
+    /// The delivery entry refuses what is out of the run, malformed or a
+    /// second state for a tag, keeping the first; four processes that hand
+    /// each other every state they move on to through a perfect reliable
+    /// broadcast (FIFO, to everyone) all decide, within ε of each other.
+    #[test]
+    fn deliver_keeps_the_first_state_per_tag_and_decides() {
+        let v = |x: f64| VecD::from_slice(&[x, 1.0 - x]);
+        let (n, mode) = (4, DeltaMode::MinDelta(Norm::L2));
+        let proto = |i: usize| VerifiedAveraging::new(i, n, 1, v(i as f64), mode, 6, t());
+        let state = |value: VecD| Arc::new(RoundState { value, witness: vec![] });
+        let mut node = proto(0);
+        let mut own = Vec::new();
+        node.deliver(4, 0, state(v(1.0)), &mut own);
+        node.deliver(3, 6, state(v(1.0)), &mut own);
+        node.deliver(3, 0, state(VecD::from_slice(&[1.0])), &mut own);
+        node.deliver(3, 0, state(v(3.0)), &mut own);
+        node.deliver(3, 0, state(v(9.0)), &mut own);
+        let refused = Refusals { bounds: 2, payload: 1, duplicate: 1, ..Refusals::default() };
+        assert_eq!(node.refusals(), refused);
+        assert_eq!(node.delivered_state((3, 0)).map(|s| &s.value), Some(&v(3.0)));
+        assert!(own.is_empty(), "one round-0 state is not n - f");
+
+        let mut nodes: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
+        let mut queue: std::collections::VecDeque<(ProcessId, usize, Arc<RoundState>)> =
+            nodes.iter().map(|p| (p.id, 0, p.start())).collect();
+        while let Some((origin, round, s)) = queue.pop_front() {
+            for p in &mut nodes {
+                let mut own = Vec::new();
+                p.deliver(origin, round, Arc::clone(&s), &mut own);
+                queue.extend(own.into_iter().map(|(r, st)| (p.id, r, st)));
+            }
+        }
+        let decided: Vec<VecD> = nodes.iter().map(|p| p.output().expect("decided")).collect();
+        assert!(nodes.iter().all(|p| p.refusals() == Refusals::default()));
+        for (a, b) in decided.iter().zip(&decided[1..]) {
+            assert!(a.dist(b, Norm::LInf) < 1e-3, "{a:?} vs {b:?}");
+        }
     }
 }

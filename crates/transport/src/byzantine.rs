@@ -12,8 +12,12 @@
 //! * **typed edits of the node's own sends** — [`Attack::Equivocate`],
 //!   [`Attack::MuteOwn`], [`Attack::LyingWitness`], [`Attack::MuteRelays`]:
 //!   the misbehaviours `rbvc_sim::fuzz::Edited` states over `(dst, msg)`
-//!   lists, here applied to a frame between [`decode_frame`] and
+//!   lists, here applied to a VA batch frame between [`decode_frame`] and
 //!   [`encode_frame`];
+//! * **one slot in two batches** — [`Attack::SlotTwice`]: the node's own
+//!   batches are muted and it broadcasts, instead, two batches of its own
+//!   that repeat one (instance, round) slot with two different states —
+//!   the attack the FIFO order of batches exists to close;
 //! * **malformed bytes** — [`PayloadCrafter`]: a valid frame of the node
 //!   codec ([`crate::wire`]) or the client codec ([`crate::client`]) plus one
 //!   `rbvc_sim::fuzz::ByteMutator` mutation at an offset that codec exports;
@@ -31,18 +35,20 @@
 //! ## Why every mix equivocates or mutes its own states
 //!
 //! Honest-node determinism (the E20 bit-identity oracle) rests on the
-//! Byzantine nodes' own broadcast states never reaching Bracha delivery at
-//! any honest node: with `n = 7, f = 2` the reliable broadcast needs
-//! `⌈(n+f+1)/2⌉ = 5` matching echoes, so a state sent *identically* to
+//! Byzantine nodes' own broadcast states never being *verified* at any
+//! honest node: with `n = 7, f = 2` the reliable broadcast needs
+//! `⌈(n+f+1)/2⌉ = 5` matching echoes, so a batch sent *identically* to
 //! even a subset of honest peers could be delivered by some honest nodes
 //! and not others, making the verified-set order (and hence the decision
 //! timing, though not its value) run-dependent. An active adversary
 //! therefore either equivocates (every destination sees a *different*
-//! value — at most one echo vote per value, delivery impossible) or stays
-//! mute: [`AttackRegistry::policy`] refuses a row with neither. Honest
-//! nodes then advance on exactly the `n - f` honest states, and their
-//! decisions are a pure function of the honest inputs — comparable
-//! bit-for-bit against a clean honest-only baseline.
+//! batch — at most one echo vote per value, delivery impossible) or stays
+//! mute: [`AttackRegistry::policy`] refuses a row with neither. The one
+//! batch a muted node does get delivered, [`Attack::SlotTwice`]'s, carries
+//! a state that fails verification and its repeat, which the first-slot
+//! rule refuses. Honest nodes then advance on exactly the `n - f` honest
+//! states, and their decisions are a pure function of the honest inputs —
+//! comparable bit-for-bit against a clean honest-only baseline.
 //!
 //! Degrade-don't-panic: the wrapper never unwraps socket results — a
 //! failed injection or refused raw dial is just an attack that missed, and
@@ -64,22 +70,19 @@ use crate::auth;
 use crate::client::{self, ClientFrame};
 use crate::tcp::append_frame;
 use crate::transport::{AuthEvent, Transport};
-use crate::wire::{self, decode_frame, encode_frame, Frame, Payload};
+use crate::wire::{self, decode_frame, encode_frame, Frame, Payload, VaBatch, VaSlot};
 
 /// How long a raw dial at a peer's listener or client port may take before
 /// the attack counts as missed.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// A small VA `Init` frame from `sender` about its own state — the valid
-/// frame the crafted, sprayed and sentinel frames all start from.
+/// A small VA batch `Init` frame from `sender`, its first batch, holding
+/// one state of its own — the valid frame the crafted, sprayed and sentinel
+/// frames all start from.
 fn va_init(instance: u64, sender: ProcessId, round: u32, xs: &[f64]) -> Frame {
-    let state = RoundState { value: VecD::from_slice(xs), witness: vec![] };
-    Frame {
-        instance,
-        sender,
-        round,
-        payload: Payload::Va(((sender, 0), BrachaMsg::Init(state.into()))),
-    }
+    let state = Arc::new(RoundState { value: VecD::from_slice(xs), witness: vec![] });
+    let batch = VaBatch { slots: vec![VaSlot { instance, round, state }] };
+    Frame::batch(sender, ((sender, 0), BrachaMsg::Init(Arc::new(batch))))
 }
 
 /// Crafts near-valid payloads for both codecs: a *valid* encoded frame plus
@@ -167,6 +170,14 @@ pub enum Attack {
     /// Drop every frame to `dst` in round `r` on the stripe
     /// `(dst + r) % modulus == seed % modulus`.
     MuteRelays(usize),
+    /// One slot in two batches: keep a round-`t ≥ 1` slot of the node's own
+    /// next batch, and at the next flush broadcast two batches of this
+    /// node — the same bytes to every peer, so both are delivered — that
+    /// hold that one (instance, round) slot with two different shifted
+    /// values. Every honest node keeps the first (whose value then fails
+    /// verification) and refuses the second. Runs beside
+    /// [`Attack::MuteOwn`], which leaves the node's sequence numbers to it.
+    SlotTwice,
     /// `n` crafted near-valid node frames ([`PayloadCrafter`]) at the
     /// decode gate.
     Garbage(usize),
@@ -214,6 +225,7 @@ impl Attack {
         match self {
             Attack::Equivocate | Attack::LyingWitness => Counter::FramesMutated,
             Attack::MuteOwn | Attack::MuteRelays(_) => Counter::FramesDropped,
+            Attack::SlotTwice => Counter::SlotsRepeated,
             Attack::Garbage(_) => Counter::GarbageInjected,
             Attack::GateSpray(_) => Counter::GateSprays,
             Attack::ClientSpray(_) => Counter::ClientSprays,
@@ -254,12 +266,14 @@ pub enum Counter {
     MacFlips,
     /// Plaintext HELLOs written to honest listeners.
     Downgrades,
+    /// Pairs of batches that repeat one slot, written to every peer.
+    SlotsRepeated,
 }
 
 impl Counter {
     /// Every counter with its key in `BENCH_byzantine.json`, in report (and
     /// discriminant) order.
-    pub const ALL: [(Counter, &'static str); 11] = [
+    pub const ALL: [(Counter, &'static str); 12] = [
         (Counter::FramesMutated, "frames_mutated"),
         (Counter::FramesDropped, "frames_dropped"),
         (Counter::GarbageInjected, "garbage_injected"),
@@ -271,6 +285,7 @@ impl Counter {
         (Counter::NonceReflects, "nonce_reflections"),
         (Counter::MacFlips, "mac_flips"),
         (Counter::Downgrades, "downgrades"),
+        (Counter::SlotsRepeated, "slots_repeated"),
     ];
 }
 
@@ -332,7 +347,7 @@ pub struct AttackRegistry;
 
 impl AttackRegistry {
     /// Every registered mix, in campaign cycling order.
-    pub const MIXES: [Mix; 13] = {
+    pub const MIXES: [Mix; 14] = {
         use Attack::*;
         const fn row(name: &'static str, attacks: &'static [Attack], counter: Counter) -> Mix {
             Mix { name, attacks, counter }
@@ -364,6 +379,7 @@ impl AttackRegistry {
             row("nonce-reflect", &[Equivocate, NonceReflect(8)], Counter::NonceReflects),
             row("mac-flip", &[Equivocate, MacFlip(8)], Counter::MacFlips),
             row("downgrade", &[Equivocate, Downgrade(6)], Counter::Downgrades),
+            row("slot-twice", &[SlotTwice, MuteOwn], Counter::SlotsRepeated),
         ]
     };
 
@@ -426,6 +442,10 @@ pub struct ByzantineEndpoint<T: Transport> {
     /// strictly positive, so every mutated value differs from the original
     /// and from every other destination's copy.
     eps: f64,
+    /// The slot [`Attack::SlotTwice`] repeats at the next flush.
+    twice: Option<VaSlot>,
+    /// The sequence number of this node's next forged batch.
+    forged_seq: u32,
 }
 
 impl<T: Transport> ByzantineEndpoint<T> {
@@ -446,6 +466,8 @@ impl<T: Transport> ByzantineEndpoint<T> {
             attack_generation: 0,
             auth_rejects: 0,
             eps: 0.25 + (seed % 16) as f64 / 32.0,
+            twice: None,
+            forged_seq: 0,
             policy,
         }
     }
@@ -504,18 +526,18 @@ impl<T: Transport> ByzantineEndpoint<T> {
             return Some(bytes);
         };
         let round = frame.round as usize;
-        // The state a VA frame carries: (this node's own?, a relayed vote?).
-        let mut state = match &mut frame.payload {
-            Payload::Va((tag, msg)) => {
+        // The batch a VA frame carries: (this node's own?, a relayed vote?).
+        let mut batch = match &mut frame.payload {
+            Payload::VaBatch(((origin, _), msg)) => {
                 let vote = !matches!(msg, BrachaMsg::Init(_));
-                let (BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s)) = msg;
-                Some((tag.0 == local, vote, s))
+                let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = msg;
+                Some((*origin == local, vote, b))
             }
             _ => None,
         };
         let mut mutated = false;
         for &attack in self.policy.attacks {
-            match (attack, &mut state) {
+            match (attack, &mut batch) {
                 (Attack::MuteRelays(modulus), _) => {
                     let m = modulus.max(1);
                     if (dst + round) % m == (self.policy.seed % m as u64) as usize {
@@ -523,27 +545,29 @@ impl<T: Transport> ByzantineEndpoint<T> {
                         return None;
                     }
                 }
+                (Attack::SlotTwice, Some((true, false, b))) if self.twice.is_none() => {
+                    self.twice = b.slots.iter().find(|slot| slot.round >= 1).cloned();
+                }
                 (Attack::MuteOwn, Some((true, _, _))) => {
                     self.bump(attack.counter());
                     return None;
                 }
                 // Only the node's own Init seeds echo votes for a new
-                // value; equivocating it per destination caps every forged
-                // value at one echo — undeliverable. (Its own Echo/Ready
+                // batch; equivocating it per destination caps every forged
+                // batch at one echo — undeliverable. (Its own Echo/Ready
                 // for the honest copy carry at most this node's single vote
                 // and are harmless, but shifting them too keeps the story
                 // uniform.)
-                (Attack::Equivocate, Some((true, _, s))) => {
-                    Arc::make_mut(s).value = shifted(&s.value, self.eps * (dst as f64 + 1.0));
+                (Attack::Equivocate, Some((true, _, b))) => {
+                    shift_batch(b, self.eps * (dst as f64 + 1.0));
                     mutated = true;
                 }
                 // A lying relay vote: still decodable, still finite, just
                 // wrong — it can never join the honest quorum for the true
-                // value, and at ≤ f liars per destination it can never
+                // batch, and at ≤ f liars per destination it can never
                 // reach the f+1 amplification threshold.
-                (Attack::LyingWitness, Some((false, true, s))) => {
-                    Arc::make_mut(s).value =
-                        shifted(&s.value, self.eps * 0.5 * (dst as f64 + 2.0));
+                (Attack::LyingWitness, Some((false, true, b))) => {
+                    shift_batch(b, self.eps * 0.5 * (dst as f64 + 2.0));
                     mutated = true;
                 }
                 _ => {}
@@ -580,8 +604,9 @@ impl<T: Transport> ByzantineEndpoint<T> {
             // link's authenticated peer.
             0 => Frame { sender: (local + 1) % n, ..tiny },
             // Instance gate: a well-formed frame for an instance id the
-            // victim never registered.
-            1 => Frame { instance: u64::MAX - 7, ..tiny },
+            // victim never registered (an EIG frame: a batch names its
+            // instances per slot, checked at delivery).
+            1 => Frame { instance: u64::MAX - 7, payload: Payload::Eig(vec![]), ..tiny },
             // Kind gate: an EIG payload addressed to a registered VA
             // instance.
             _ => Frame { payload: Payload::Eig(vec![]), ..tiny },
@@ -679,6 +704,30 @@ impl<T: Transport> ByzantineEndpoint<T> {
         Some(())
     }
 
+    /// [`Attack::SlotTwice`]'s pair: the kept slot, shifted once and then
+    /// twice, as this node's next two batches, each the same bytes to every
+    /// peer. Counted when a copy reached the inner transport.
+    fn repeat_slot(&mut self) {
+        let Some(slot) = self.twice.take() else { return };
+        let (n, local) = (self.inner.n(), self.inner.local_id());
+        let mut sent = false;
+        for k in 1..=2 {
+            let mut slot = slot.clone();
+            let state = Arc::make_mut(&mut slot.state);
+            state.value = shifted(&state.value, self.eps * k as f64);
+            let seq = self.forged_seq;
+            self.forged_seq = seq.wrapping_add(1);
+            let batch = Arc::new(VaBatch { slots: vec![slot] });
+            let bytes = encode_frame(&Frame::batch(local, ((local, seq), BrachaMsg::Init(batch))));
+            for dst in (0..n).filter(|&dst| dst != local) {
+                sent |= self.inner.send(dst, bytes.clone()).is_ok();
+            }
+        }
+        if sent {
+            self.bump(Counter::SlotsRepeated);
+        }
+    }
+
     /// Fire one attack of the policy at flush time, counting what reached a
     /// socket (or, for the in-band sprays, the inner transport).
     fn fire(&mut self, attack: Attack) {
@@ -688,6 +737,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
             | Attack::MuteOwn
             | Attack::LyingWitness
             | Attack::MuteRelays(_) => {}
+            Attack::SlotTwice => self.repeat_slot(),
             Attack::Garbage(n) | Attack::GateSpray(n) => {
                 for k in 0..n {
                     let Some(dst) = self.pick_peer() else { return };
@@ -737,6 +787,14 @@ impl<T: Transport> ByzantineEndpoint<T> {
 fn shifted(v: &VecD, delta: f64) -> VecD {
     let xs: Vec<f64> = v.as_slice().iter().map(|x| x + delta).collect();
     VecD::from_slice(&xs)
+}
+
+/// Every slot's value in `batch` shifted by `delta`, in a copy of its own.
+fn shift_batch(batch: &mut Arc<VaBatch>, delta: f64) {
+    for slot in &mut Arc::make_mut(batch).slots {
+        let state = Arc::make_mut(&mut slot.state);
+        state.value = shifted(&state.value, delta);
+    }
 }
 
 impl<T: Transport> Transport for ByzantineEndpoint<T> {
@@ -813,8 +871,8 @@ mod tests {
 
     fn decoded_value(bytes: &[u8]) -> VecD {
         match decode_frame(bytes, 0).expect("mutant must decode").payload {
-            Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
-                s.value.clone()
+            Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
+                b.slots[0].state.value.clone()
             }
             other => panic!("unexpected payload {other:?}"),
         }
@@ -1021,5 +1079,45 @@ mod tests {
             }
         }
         assert!(hit_auth && hit_instance && hit_kind, "all three gates targeted");
+    }
+
+    /// `slot-twice` keeps a round-t ≥ 1 slot of the node's own batch,
+    /// mutes the batch, and at the flush sends every peer the same two
+    /// batches of its own, seq 0 and 1, that repeat that slot with two
+    /// different values.
+    #[test]
+    fn slot_twice_repeats_one_own_slot_in_two_batches() {
+        let mut mesh = in_proc_mesh(3);
+        let mut peers: Vec<_> = mesh.drain(1..).collect();
+        let mut byz = ByzantineEndpoint::new(mesh.pop().unwrap(), AttackRegistry::policy("slot-twice", 4));
+        let state = |x: f64| Arc::new(RoundState { value: VecD::from_slice(&[x]), witness: vec![0, 1] });
+        let slots = vec![
+            VaSlot { instance: 1, round: 0, state: state(1.0) },
+            VaSlot { instance: 2, round: 1, state: state(2.0) },
+        ];
+        let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(Arc::new(VaBatch { slots })))));
+        for dst in 1..3 {
+            byz.send(dst, own.clone()).unwrap();
+        }
+        byz.flush().unwrap();
+        assert_eq!((byz.stats()[Counter::FramesDropped], byz.stats()[Counter::SlotsRepeated]), (2, 1));
+        let got: Vec<Vec<Vec<u8>>> = peers
+            .iter_mut()
+            .map(|ep| ep.recv_timeout(Duration::from_millis(100)).into_iter().map(|(_, b)| b).collect())
+            .collect();
+        assert_eq!(got[0], got[1], "the same bytes to every peer");
+        let batches: Vec<_> = got[0]
+            .iter()
+            .map(|bytes| match decode_frame(bytes, 0).expect("decodes").payload {
+                Payload::VaBatch((tag, BrachaMsg::Init(b))) => (tag, b),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(batches.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(), [(0, 0), (0, 1)]);
+        let [(_, a), (_, b)] = &batches[..] else { unreachable!() };
+        assert_eq!((a.slots.len(), b.slots.len()), (1, 1));
+        let (a, b) = (&a.slots[0], &b.slots[0]);
+        assert_eq!(((a.instance, a.round), (b.instance, b.round)), ((2, 1), (2, 1)));
+        assert!(a.state.value != b.state.value && a.state.witness == b.state.witness);
     }
 }

@@ -56,6 +56,7 @@
 //! `service.poll.phase_us{phase}` and `service.frame.queue_us` on
 //! `/metrics` (DESIGN.md §11).
 
+mod batch;
 mod client_table;
 mod health;
 mod node;
@@ -226,7 +227,8 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// Kick off every registered instance not yet launched (their
-    /// `on_start` sends), flushed as one batch per peer.
+    /// `on_start` sends; the VA instances' round-0 states as one batch),
+    /// flushed as one write per peer.
     ///
     /// # Errors
     /// Propagates transport-level send/flush failures (also recorded).
@@ -258,7 +260,8 @@ impl<T: Transport> ConsensusService<T> {
     /// its submission time. The sends ride the next flush — the upcoming
     /// [`ConsensusService::poll`] in the steady state, or an explicit
     /// [`ConsensusService::flush`] — so a burst of launches batches into
-    /// one write per peer instead of one per launch.
+    /// one write per peer instead of one per launch, and a burst of VA
+    /// launches into one reliable broadcast.
     ///
     /// # Errors
     /// [`ProtocolError::InvalidSpec`] if the service has not started, `id`
@@ -280,16 +283,20 @@ impl<T: Transport> ConsensusService<T> {
         self.send_out()
     }
 
-    /// Push everything queued on the transport out now (a poll does this
-    /// anyway; use after a launch burst outside the poll loop).
+    /// Push everything queued out now — the VA states launched since the
+    /// last seal as this node's next batch, then every frame queued on the
+    /// transport (a poll does this anyway; use after a launch burst outside
+    /// the poll loop).
     ///
     /// # Errors
-    /// Propagates transport-level flush failures.
+    /// Propagates transport-level send and flush failures.
     pub fn flush(&mut self) -> Result<(), ProtocolError> {
+        self.node.seal(&mut self.out);
+        let sent = self.send_out();
         self.commit();
         let flushed = self.transport.flush();
         self.clock.enter(Phase::Outside);
-        flushed
+        sent.and(flushed)
     }
 
     /// Queue the outbox's frames on the transport, in order; failures are
@@ -1021,7 +1028,7 @@ mod tests {
         };
         let first = std::mem::take(&mut svc.transport_mut().sent);
         for dst in 0..n {
-            assert!(to(&first, dst).len() >= 3, "one frame per instance at least");
+            assert_eq!(to(&first, dst).len(), 1, "one batch for the three instances");
             assert_eq!(to(&first, dst), svc.node.history(dst), "history mirrors the sends, per peer");
         }
 

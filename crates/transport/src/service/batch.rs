@@ -1,0 +1,383 @@
+//! FIFO reliable broadcast of Verified-Averaging batches: the service's one
+//! Bracha broadcast per origin per seal.
+//!
+//! Relaxed Verified Averaging (PAPER §10) reliably broadcasts every state of
+//! every round. Nothing in it asks for one broadcast per state, so a node
+//! collects the round states its live instances produce between two seals
+//! — launches between polls included — into one **batch**, and broadcasts
+//! the batch once, tagged (origin, seq) with a per-origin sequence number.
+//! [`Batches`] runs one `BrachaInstance` per open tag and delivers each
+//! origin's batches in seq order: a batch whose Bracha instance delivers
+//! waits until every earlier batch of its origin has, and the machines at
+//! and below the watermark are freed. Bracha gives every honest node the
+//! same batch per tag; FIFO order gives every honest node the same
+//! *sequence* of slots per origin, so "the first (instance, round) slot of
+//! an origin wins" — the rule `VerifiedAveraging::deliver` applies — picks
+//! the same state everywhere, and a slot a Byzantine origin repeats in a
+//! later batch is refused everywhere.
+//!
+//! What a batch must pass before this node echoes it is structural only:
+//! finite values and witnesses of at most `n` ids below `n` (the codec
+//! already capped slot counts, dimensions and rounds). Whether its
+//! instances exist, what protocol they run, their dimension and round
+//! budget are checked per slot at delivery, where every honest node holds
+//! the same batch: an echo that depended on this node's instance map would
+//! let two honest nodes disagree on whether a batch may be delivered at all.
+//! There is no refusal window ahead of the watermark: at `n = 3f + 1` every
+//! honest echo is needed, so a node echoes whatever seq arrives. The open
+//! machines are bounded by traffic, one per tag a frame names; retiring
+//! them under a cap is ROADMAP item 2.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
+use rbvc_sim::config::ProcessId;
+
+use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, VaBatch, VaSlot, MAX_BATCH_SLOTS};
+
+/// Encoded frames with their destinations, in send order.
+type Outbound = Vec<(ProcessId, Vec<u8>)>;
+
+/// One batch broadcast not yet delivered in order.
+struct Open {
+    seq: u32,
+    /// The first batch this node took for the tag: the decode hint.
+    first: Arc<VaBatch>,
+    machine: BrachaInstance<Arc<VaBatch>>,
+}
+
+/// One origin's broadcasts: the next seq to deliver, and the open tags at
+/// or ahead of it in seq order. Sequence numbers are compared by their
+/// distance ahead of the watermark, so they may wrap.
+#[derive(Default)]
+struct Origin {
+    next: u32,
+    open: VecDeque<Open>,
+}
+
+impl Origin {
+    /// How far `seq` is ahead of the watermark; `None` if it was delivered.
+    fn ahead(&self, seq: u32) -> Option<u32> {
+        Some(seq.wrapping_sub(self.next)).filter(|&d| d < 1 << 31)
+    }
+
+    /// Where tag `seq` (at most `ahead` of the watermark) is or belongs.
+    fn find(&self, ahead: u32) -> Result<usize, usize> {
+        self.open.binary_search_by_key(&ahead, |e| e.seq.wrapping_sub(self.next))
+    }
+}
+
+/// Batch messages refused before any tally, by check.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Refused {
+    /// An origin or sender outside the run.
+    pub(super) bounds: u64,
+    /// A slot with a non-finite value or a witness outside the run.
+    pub(super) payload: u64,
+}
+
+/// The batch layer of one node: its own sequence, every origin's open
+/// broadcasts and watermark, and the next batch.
+pub(super) struct Batches {
+    local: ProcessId,
+    n: usize,
+    /// The Bracha bound: the most faults an `n`-process mesh tolerates, so
+    /// that every instance's own `f` is covered.
+    f: usize,
+    /// This node's next sequence number.
+    next_seq: u32,
+    origins: Vec<Origin>,
+    /// The round states this node's instances produced since the last seal,
+    /// in production order: the next batch.
+    pub(super) pending: Vec<VaSlot>,
+    pub(super) refused: Refused,
+}
+
+impl Batches {
+    pub(super) fn new(local: ProcessId, n: usize) -> Self {
+        Batches {
+            local,
+            n,
+            f: n.saturating_sub(1) / 3,
+            next_seq: 0,
+            origins: (0..n).map(|_| Origin::default()).collect(),
+            pending: Vec::new(),
+            refused: Refused::default(),
+        }
+    }
+
+    /// The batch this node holds for `tag`, to compare a frame with before
+    /// decoding it.
+    pub(super) fn hint(&self, (origin, seq): BatchTag) -> Option<Arc<VaBatch>> {
+        let o = self.origins.get(origin)?;
+        let i = o.find(o.ahead(seq)?).ok()?;
+        Some(Arc::clone(&o.open[i].first))
+    }
+
+    /// Whether a node may echo `batch`: every value finite, every witness at
+    /// most `n` ids, each below `n`.
+    fn structural_ok(&self, batch: &VaBatch) -> bool {
+        batch.slots.iter().all(|slot| {
+            let state = &slot.state;
+            state.value.as_slice().iter().all(|x| x.is_finite())
+                && state.witness.len() <= self.n
+                && state.witness.iter().all(|&k| k < self.n)
+        })
+    }
+
+    /// Queue `msg` for every process, this one included: encoded once.
+    fn multicast(&self, msg: BatchMsg, out: &mut Outbound) {
+        let bytes = encode_frame(&Frame::batch(self.local, msg));
+        out.reserve(self.n);
+        out.extend((0..self.n - 1).map(|dst| (dst, bytes.clone())));
+        out.push((self.n - 1, bytes));
+    }
+
+    /// Broadcast what is pending as this node's next batch (several, past
+    /// [`MAX_BATCH_SLOTS`] slots): its `Init` to every process, after
+    /// whatever `out` holds. Nothing pending, nothing sent.
+    pub(super) fn seal(&mut self, out: &mut Outbound) {
+        let mut pending = std::mem::take(&mut self.pending);
+        for slots in pending.chunks(MAX_BATCH_SLOTS) {
+            let seq = self.next_seq;
+            self.next_seq = seq.wrapping_add(1);
+            let batch = Arc::new(VaBatch { slots: slots.to_vec() });
+            self.open((self.local, seq), &batch);
+            self.multicast(((self.local, seq), BrachaMsg::Init(batch)), out);
+        }
+        pending.clear();
+        self.pending = pending;
+    }
+
+    /// The open broadcast `tag` names — opened with `batch` as its first if
+    /// new — or `None` if `tag` was delivered.
+    fn open(&mut self, (origin, seq): BatchTag, batch: &Arc<VaBatch>) -> Option<&mut Open> {
+        let (n, f) = (self.n, self.f);
+        let o = &mut self.origins[origin];
+        let i = match o.find(o.ahead(seq)?) {
+            Ok(i) => i,
+            Err(i) => {
+                let first = Arc::clone(batch);
+                o.open.insert(i, Open { seq, first, machine: BrachaInstance::new(n, f) });
+                i
+            }
+        };
+        Some(&mut o.open[i])
+    }
+
+    /// One Bracha message from `from`: its echo or ready goes to `out`, and
+    /// the batches it lets this node deliver in order are pushed to
+    /// `delivered`, with their origin.
+    pub(super) fn on_message(
+        &mut self,
+        from: ProcessId,
+        (tag, msg): BatchMsg,
+        out: &mut Outbound,
+        delivered: &mut Vec<(ProcessId, Arc<VaBatch>)>,
+    ) {
+        let origin = tag.0;
+        if from >= self.n || origin >= self.n {
+            self.refused.bounds += 1;
+            return;
+        }
+        let (BrachaMsg::Init(batch) | BrachaMsg::Echo(batch) | BrachaMsg::Ready(batch)) = &msg;
+        // A frame decoded against the hint is the batch that passed already.
+        let o = &self.origins[origin];
+        let Some(ahead) = o.ahead(tag.1) else { return };
+        let known = matches!(o.find(ahead), Ok(i) if Arc::ptr_eq(&o.open[i].first, batch));
+        if !known && !self.structural_ok(batch) {
+            self.refused.payload += 1;
+            return;
+        }
+        let batch = Arc::clone(batch);
+        let Some(open) = self.open(tag, &batch) else { return };
+        let actions = open.machine.on_message(from, origin, msg);
+        if let Some(m) = actions.broadcast {
+            self.multicast((tag, m), out);
+        }
+        if actions.delivered.is_some() && ahead == 0 {
+            let o = &mut self.origins[origin];
+            while let Some(e) = o.open.front().filter(|e| e.seq == o.next) {
+                let Some(batch) = e.machine.delivered() else { break };
+                delivered.push((origin, Arc::clone(batch)));
+                o.open.pop_front();
+                o.next = o.next.wrapping_add(1);
+            }
+        }
+    }
+
+    /// Open broadcasts across origins: what the batch layer holds between
+    /// deliveries.
+    #[cfg(test)]
+    pub(super) fn open_count(&self) -> usize {
+        self.origins.iter().map(|o| o.open.len()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rbvc_core::verified_avg::{DeltaMode, Refusals, RoundState, VerifiedAveraging};
+    use rbvc_linalg::{Norm, Tol, VecD};
+    use rbvc_sim::asynch::AsyncProtocol;
+
+    use super::*;
+    use crate::service::node::tests::{gate_totals, now, run_cores, Queues};
+    use crate::service::node::{InstanceProto, Node, Outbox};
+    use crate::wire::{decode_frame, Payload, MAX_PID, MAX_ROUND};
+
+    fn batch(x: f64) -> Arc<VaBatch> {
+        let state = Arc::new(RoundState { value: VecD::from_slice(&[x]), witness: vec![] });
+        Arc::new(VaBatch { slots: vec![VaSlot { instance: 1, round: 0, state }] })
+    }
+
+    /// Four layers exchange what they multicast, FIFO: batches of one
+    /// origin delivered out of Bracha order come out in seq order, and the
+    /// machines they used are freed.
+    #[test]
+    fn batches_deliver_in_seq_order_and_free_their_machines() {
+        let n = 4;
+        let mut layers: Vec<Batches> = (0..n).map(|p| Batches::new(p, n)).collect();
+        let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
+        let mut out = Vec::new();
+        for x in [1.0, 2.0, 3.0] {
+            layers[0].pending.push(batch(x).slots[0].clone());
+            layers[0].seal(&mut out);
+        }
+        // The third batch first, then the other two.
+        let mut sent = std::mem::take(&mut out);
+        sent.rotate_left(2 * n);
+        wire.extend(sent.into_iter().map(|(dst, bytes)| (0, dst, bytes)));
+        let mut got: Vec<Vec<f64>> = vec![Vec::new(); n];
+        while let Some((from, dst, bytes)) = wire.pop_front() {
+            let Payload::VaBatch(msg) = decode_frame(&bytes, from).unwrap().payload else { unreachable!() };
+            let mut delivered = Vec::new();
+            layers[dst].on_message(from, msg, &mut out, &mut delivered);
+            for (origin, b) in delivered {
+                assert_eq!(origin, 0);
+                got[dst].push(b.slots[0].state.value.as_slice()[0]);
+            }
+            wire.extend(out.drain(..).map(|(to, bytes)| (dst, to, bytes)));
+        }
+        for (p, layer) in layers.iter().enumerate() {
+            assert_eq!(got[p], [1.0, 2.0, 3.0], "node {p}");
+            assert_eq!(layer.open_count(), 0, "node {p} freed every machine");
+        }
+    }
+
+    /// A batch with a non-finite value or a witness id past `n` is refused
+    /// before any tally; a ghost origin is a bounds refusal; a delivered
+    /// tag is dropped quietly.
+    #[test]
+    fn structural_checks_run_before_the_tally() {
+        let mut layer = Batches::new(1, 4);
+        let (mut out, mut delivered) = (Vec::new(), Vec::new());
+        let mut witness = (*batch(1.0)).clone();
+        Arc::make_mut(&mut witness.slots[0].state).witness = vec![0, 4];
+        for bad in [batch(f64::NAN), Arc::new(witness)] {
+            layer.on_message(0, ((0, 0), BrachaMsg::Init(bad)), &mut out, &mut delivered);
+        }
+        layer.on_message(0, ((4, 0), BrachaMsg::Init(batch(1.0))), &mut out, &mut delivered);
+        assert_eq!(layer.refused, Refused { bounds: 1, payload: 2 });
+        assert!(out.is_empty() && layer.open_count() == 0);
+        layer.origins[0].next = 5;
+        layer.on_message(0, ((0, 4), BrachaMsg::Init(batch(1.0))), &mut out, &mut delivered);
+        assert!(out.is_empty() && layer.open_count() == 0, "below the watermark");
+        assert_eq!(layer.refused, Refused { bounds: 1, payload: 2 });
+    }
+
+    /// Batch frames naming an origin outside the run — at `n` and at the
+    /// wire cap — are refused by the batch layer before any tally. A batch
+    /// of a Byzantine origin that is delivered, with slots whose rounds are
+    /// past the last or at the wire cap, reaches a launched and an
+    /// unlaunched instance: each slot is refused at the VA bounds gate and
+    /// sizes no table, neither table grows past `n · R` later, and the three
+    /// honest cores decide both.
+    #[test]
+    fn hostile_tags_stop_at_the_bounds_gates() {
+        let (n, rounds) = (4, 8);
+        let va = |p: usize, inst: u64| {
+            let input = VecD::from_slice(&[p as f64, inst as f64]);
+            let mode = DeltaMode::MinDelta(Norm::L2);
+            InstanceProto::Va(VerifiedAveraging::new(p, n, 1, input, mode, rounds, Tol::default()))
+        };
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        let mut out = Outbox::default();
+        for (p, node) in nodes.iter_mut().enumerate() {
+            for inst in [1, 2] {
+                node.add_instance(inst, va(p, inst)).unwrap();
+            }
+        }
+        nodes[0].launch(1, &now(), &mut out).unwrap();
+        let va = |node: &Node, inst| match &node.instances[&inst].proto {
+            InstanceProto::Va(p) => (p.broadcast_slots(), p.refusals()),
+            InstanceProto::Bvc(_) => unreachable!("VA instances only"),
+        };
+        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
+        let slot = |instance, round| VaSlot { instance, round, state: Arc::clone(&state) };
+        let frame = |origin, batch: &Arc<VaBatch>, msg: fn(Arc<VaBatch>) -> BrachaMsg<Arc<VaBatch>>| {
+            encode_frame(&Frame::batch(3, ((origin, 0), msg(Arc::clone(batch)))))
+        };
+        let one = Arc::new(VaBatch { slots: vec![slot(1, 0)] });
+        for origin in [n, MAX_PID - 1] {
+            nodes[0].on_frame(3, &frame(origin, &one, BrachaMsg::Init), &now(), &mut out);
+        }
+        assert_eq!(nodes[0].batches.refused.bounds, 2);
+        assert!(out.frames.is_empty() && nodes[0].batches.open_count() == 0, "no tally, no echo");
+        let cap = MAX_ROUND;
+        let hostile = Arc::new(VaBatch { slots: vec![slot(1, rounds as u32), slot(2, cap), slot(1, cap)] });
+        nodes[0].on_frame(3, &frame(3, &hostile, BrachaMsg::Init), &now(), &mut out);
+        // The readies of three processes deliver it here (the test plays the
+        // network: only this node ever delivers origin 3's batch).
+        for from in 1..n {
+            let bytes = encode_frame(&Frame::batch(from, ((3, 0), BrachaMsg::Ready(Arc::clone(&hostile)))));
+            nodes[0].on_frame(from, &bytes, &now(), &mut out);
+        }
+        let bounds = |k| Refusals { bounds: k, ..Refusals::default() };
+        assert_eq!((va(&nodes[0], 1).1, va(&nodes[0], 2).1), (bounds(2), bounds(1)));
+        assert_eq!((va(&nodes[0], 1).0, va(&nodes[0], 2).0), (0, 0));
+        out.frames.clear();
+        let mut queues: Queues = vec![VecDeque::new(); n];
+        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
+        for node in &nodes[..3] {
+            assert_eq!(gate_totals(node), [0; 4], "well-formed, authenticated, resident");
+            assert!([1, 2].iter().all(|&inst| va(node, inst).0 == n * rounds));
+        }
+        assert_eq!(va(&nodes[0], 1).1, bounds(2), "nothing else refused");
+    }
+
+    /// One slot in two batches: a Byzantine origin broadcasts two batches
+    /// that hold the same (instance, round) slot with two different states.
+    /// FIFO delivery hands every honest node the two in the same order, so
+    /// every one keeps the first state, refuses the second as a duplicate,
+    /// and the three honest cores decide.
+    #[test]
+    fn the_first_slot_of_an_origin_wins_everywhere() {
+        let n = 4;
+        let va = |p: usize| {
+            let input = VecD::from_slice(&[p as f64, 1.0 - p as f64]);
+            let mode = DeltaMode::MinDelta(Norm::L2);
+            InstanceProto::Va(VerifiedAveraging::new(p, n, 1, input, mode, 4, Tol::default()))
+        };
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        for (p, node) in nodes.iter_mut().enumerate() {
+            node.add_instance(1, va(p)).unwrap();
+        }
+        let state = |x: f64| Arc::new(RoundState { value: VecD::from_slice(&[x, x]), witness: vec![] });
+        let (first, second) = (state(0.5), state(9.0));
+        let mut queues: Queues = vec![VecDeque::new(); n];
+        for (seq, state) in [(0, &first), (1, &second)] {
+            let batch = VaBatch { slots: vec![VaSlot { instance: 1, round: 0, state: Arc::clone(state) }] };
+            let bytes = encode_frame(&Frame::batch(3, ((3, seq), BrachaMsg::Init(Arc::new(batch)))));
+            (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
+        }
+        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
+        for node in &nodes[..3] {
+            let InstanceProto::Va(p) = &node.instances[&1].proto else { unreachable!() };
+            let kept = p.delivered_state((3, 0)).expect("origin 3's round-0 slot was delivered");
+            assert_eq!(kept.value, first.value, "node {}", node.local);
+            assert_eq!(p.refusals(), Refusals { duplicate: 1, ..Refusals::default() }, "node {}", node.local);
+            assert!(p.output().is_some() && gate_totals(node) == [0; 4]);
+        }
+    }
+}

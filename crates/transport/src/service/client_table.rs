@@ -5,7 +5,7 @@
 //!
 //! The table never touches the transport, the WAL or a protocol instance:
 //! it hands the core verdicts and requests, the core launches and logs,
-//! the driver sends. The node-to-node side — `Launch` checks and the early-frame
+//! the driver sends. The node-to-node side — `Launch` checks and the early-slot
 //! stash — is always live so every node participates in client instances
 //! whether or not it fronts clients; enabling the front-end only opens the
 //! admission API.
@@ -17,7 +17,7 @@ use rbvc_obs::Registry;
 use rbvc_sim::config::ProcessId;
 
 use super::InstanceId;
-use crate::wire::{decode_frame, ClientLaunch, Frame, Payload, MAX_DIM};
+use crate::wire::{decode_frame, ClientLaunch, Frame, Payload, VaSlot, MAX_DIM};
 
 /// Base of the client-request instance-id space: ids are
 /// `CLIENT_INSTANCE_BASE | (owner << 24) | seq` with the owning process in
@@ -42,8 +42,8 @@ pub fn client_instance_owner(id: InstanceId) -> Option<ProcessId> {
 /// The per-owner sequence number's bits in a client instance id.
 const SEQ_MASK: u64 = 0xFF_FFFF;
 
-/// Frames for a client instance that arrive before its `Launch` are parked
-/// (per service), bounded by this; overflow is shed and counted.
+/// Batch slots for a client instance delivered before its `Launch` are
+/// parked (per service), bounded by this; overflow is shed and counted.
 const STASH_CAP: usize = 1024;
 
 /// Parameters of the client front-end (the consensus instances client
@@ -113,7 +113,7 @@ pub struct ClientStats {
     pub redirects: u64,
     /// Requests shed with `Busy` (in-flight and queue both full).
     pub shed: u64,
-    /// Early client-instance frames dropped because the stash was full.
+    /// Early client-instance batch slots dropped because the stash was full.
     pub stash_shed: u64,
     /// Requests admitted as new consensus instances.
     pub admitted: u64,
@@ -159,8 +159,13 @@ pub(super) struct ClientTable {
     queue: VecDeque<(u64, u64, VecD)>,
     /// Next per-owner sequence number for minting instance ids.
     next_seq: u64,
-    /// Client-instance frames that arrived before their `Launch`.
-    stash: VecDeque<Frame>,
+    /// Client-instance batch slots delivered before their `Launch`, with
+    /// their origin.
+    stash: VecDeque<(ProcessId, VaSlot)>,
+    /// The (instance, origin, round) tags of shed slots: a later slot with
+    /// one of these tags is not the first its origin sent, so it must never
+    /// be delivered in the shed one's place.
+    shed: Vec<(InstanceId, ProcessId, u32)>,
     /// Replies ready for the client port: (session, reqno, decision).
     replies_out: Vec<(u64, u64, VecD)>,
     /// The counters; the three sizes are filled in by [`Self::stats`].
@@ -179,6 +184,7 @@ impl ClientTable {
             queue: VecDeque::new(),
             next_seq: 0,
             stash: VecDeque::new(),
+            shed: Vec::new(),
             replies_out: Vec::new(),
             counters: ClientStats::default(),
         }
@@ -354,22 +360,30 @@ impl ClientTable {
         std::mem::take(&mut self.replies_out)
     }
 
-    /// A frame for a client instance may legitimately beat its `Launch`
-    /// here (different links race); park it, bounded.
-    pub(super) fn park(&mut self, frame: Frame) {
+    /// A slot of `origin`'s batch for a client instance may legitimately be
+    /// delivered before the instance's `Launch` arrives (different links
+    /// race); park it, bounded. A shed slot's tag is remembered.
+    pub(super) fn park(&mut self, origin: ProcessId, slot: VaSlot) {
         if self.stash.len() < STASH_CAP {
-            self.stash.push_back(frame);
+            self.stash.push_back((origin, slot));
         } else {
+            self.shed.push((slot.instance, origin, slot.round));
             self.counters.stash_shed += 1;
             Registry::global().counter("service.client.stash_shed").inc();
         }
     }
 
-    /// Take the frames parked for `instance`, in arrival order; everything
+    /// Whether a slot with this tag was shed: the state that wins its tag is
+    /// gone, and no later one may take its place.
+    pub(super) fn was_shed(&self, instance: InstanceId, origin: ProcessId, round: u32) -> bool {
+        !self.shed.is_empty() && self.shed.contains(&(instance, origin, round))
+    }
+
+    /// Take the slots parked for `instance`, in delivery order; everything
     /// else stays parked.
-    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<Frame> {
+    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<(ProcessId, VaSlot)> {
         let (matched, kept) =
-            std::mem::take(&mut self.stash).into_iter().partition(|f| f.instance == instance);
+            std::mem::take(&mut self.stash).into_iter().partition(|(_, s)| s.instance == instance);
         self.stash = kept;
         matched
     }
@@ -440,29 +454,37 @@ mod tests {
         Frame { instance, sender: 1, round, payload: Payload::Eig(vec![]) }
     }
 
+    fn slot(instance: InstanceId, round: u32) -> VaSlot {
+        let state = rbvc_core::verified_avg::RoundState { value: VecD::from_slice(&[1.0]), witness: vec![] };
+        VaSlot { instance, round, state: std::sync::Arc::new(state) }
+    }
+
     fn launch(session: u64) -> ClientLaunch {
         ClientLaunch { session, reqno: 1, f: 1, rounds: 8, value: VecD::from_slice(&[1.0, -2.0]) }
     }
 
-    /// Frames parked before their `Launch` come back in arrival order, for
-    /// that instance only; the stash is bounded and the overflow counted.
+    /// Slots parked before their `Launch` come back in delivery order, for
+    /// that instance only; the stash is bounded, the overflow counted and
+    /// its tag remembered.
     #[test]
-    fn parked_frames_return_in_order_per_instance_and_the_overflow_is_shed() {
+    fn parked_slots_return_in_order_per_instance_and_the_overflow_is_shed() {
         let (a, b) = (CLIENT_INSTANCE_BASE | 1, CLIENT_INSTANCE_BASE | 2);
         let mut table = ClientTable::new(0, 4);
         for round in 0..6 {
-            table.park(frame(if round % 2 == 0 { a } else { b }, round));
+            table.park(3, slot(if round % 2 == 0 { a } else { b }, round));
         }
-        let rounds = |frames: VecDeque<Frame>| frames.iter().map(|f| f.round).collect::<Vec<_>>();
+        let rounds = |slots: VecDeque<(ProcessId, VaSlot)>| slots.iter().map(|(_, s)| s.round).collect::<Vec<_>>();
         assert_eq!(rounds(table.unpark(a)), [0, 2, 4]);
         assert!(table.unpark(a).is_empty(), "taken once");
         for round in 6..6 + (STASH_CAP as u32 - 3) {
-            table.park(frame(a, round));
+            table.park(3, slot(a, round));
         }
         assert_eq!(table.stats().stash_shed, 0, "exactly at the cap");
-        table.park(frame(b, 9_999));
-        assert_eq!(table.stats().stash_shed, 1, "the 1025th frame is shed");
-        assert_eq!(rounds(table.unpark(b)), [1, 3, 5], "b's frames survived a's, in order");
+        assert!(!table.was_shed(b, 3, 9_999));
+        table.park(3, slot(b, 9_999));
+        assert_eq!(table.stats().stash_shed, 1, "the 1025th slot is shed");
+        assert!(table.was_shed(b, 3, 9_999) && !table.was_shed(b, 2, 9_999));
+        assert_eq!(rounds(table.unpark(b)), [1, 3, 5], "b's slots survived a's, in order");
     }
 
     /// A queued request is handed out exactly when an in-flight slot

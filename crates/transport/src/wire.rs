@@ -12,17 +12,23 @@
 //! the protocol receive boundaries that already enforce it).
 //!
 //! The kind byte names the payload: 1 a parallel-EIG round batch, 3 a client
-//! launch, 4 one Bracha message of a Verified-Averaging round state:
+//! launch, 5 one Bracha message of a Verified-Averaging **batch** — every
+//! round state one origin's live VA instances produced between two of its
+//! seals, broadcast once and delivered FIFO by origin (`service::batch`):
 //!
 //! ```text
-//! origin u32 | tag round u32 | bracha kind u8 | dim u32 | value f64… | count u32 | witness id u32…
+//! origin u32 | seq u32 | bracha kind u8 | state | (instance u64 | round u32 | state)…
+//! state: dim u32 | value f64… | count u32 | witness id u32…
 //! ```
 //!
+//! The header's instance and round are the first slot's, so a one-slot
+//! batch is no larger than the per-state frame it replaced; each further
+//! slot adds its instance and round. Slots run to the end of the frame.
 //! A witness names the origins whose states were averaged and does not copy
 //! their vectors: every receiver holds those in its own reliably delivered
-//! record. At (n, f, d) = (4, 1, 3) a round-0 frame is 61 B and a round-t
-//! frame 73 B. Kind 2, the retired layout that copied each named vector, is
-//! refused by name.
+//! record. At (n, f, d) = (4, 1, 3) a one-slot frame is 61 B at round 0 and
+//! 73 B after. Kinds 2 (a VA layout that copied each named vector) and 4 (one
+//! Bracha message per VA round state) are retired and refused by name.
 //!
 //! ## The frame boundary is a trust boundary
 //!
@@ -42,7 +48,7 @@
 
 use std::sync::Arc;
 
-use rbvc_core::verified_avg::{RoundState, RoundTag, VaMsg};
+use rbvc_core::verified_avg::RoundState;
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
@@ -56,10 +62,10 @@ pub const VERSION: u8 = 1;
 /// Bytes of the fixed header every frame starts with (magic, version, kind,
 /// instance, sender, round); the payload follows.
 pub const HEADER_LEN: usize = 20;
-/// Offset of the first vector-dimension field of a [`Payload::Va`] frame:
-/// the header, then origin u32, broadcast-tag round u32 and the Bracha kind
-/// byte. What a length forgery overwrites (`crate::byzantine`, the codec
-/// tests).
+/// Offset of the first vector-dimension field of a [`Payload::VaBatch`]
+/// frame (its first slot's): the header, then origin u32, seq u32 and the
+/// Bracha kind byte. What a length forgery overwrites (`crate::byzantine`,
+/// the codec tests).
 pub const VA_DIM_OFFSET: usize = HEADER_LEN + 9;
 
 /// Hard cap on a vector dimension.
@@ -74,6 +80,9 @@ pub const MAX_EIG_INSTANCES: usize = 1 << 12;
 pub const MAX_BATCH_MSGS: usize = 1 << 12;
 /// Hard cap on witness entries in a Verified-Averaging round state.
 pub const MAX_WITNESS: usize = 1 << 12;
+/// Hard cap on the round states in one Verified-Averaging batch; a node
+/// with more to send at one seal sends several batches.
+pub const MAX_BATCH_SLOTS: usize = 1 << 12;
 /// Hard cap on any process id on the wire (far above any real `n`).
 pub const MAX_PID: usize = 1 << 20;
 /// Hard cap on a round number on the wire.
@@ -88,9 +97,11 @@ pub enum Payload {
     /// with a label of any other length is checked like the rest and then
     /// left out, as the tree would leave it.
     Eig(Vec<EigMsg<VecD>>),
-    /// One Bracha message of a [`rbvc_core::VerifiedAveraging`] instance
-    /// (the frame-header round mirrors the broadcast tag's round).
-    Va(VaMsg),
+    /// One Bracha message of an origin's batch of
+    /// [`rbvc_core::VerifiedAveraging`] round states (the frame header's
+    /// instance and round are the first slot's; build it with
+    /// [`Frame::batch`]).
+    VaBatch(BatchMsg),
     /// A client-request launch: the session owner tells every peer to stand
     /// up the consensus instance named in the frame header for an external
     /// client's `(session, reqno)` request, with the client's vector as
@@ -114,6 +125,40 @@ pub struct ClientLaunch {
     pub value: VecD,
 }
 
+/// One round state of one Verified-Averaging instance, as a batch carries it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VaSlot {
+    /// The instance the state is of.
+    pub instance: u64,
+    /// The round it is the state of.
+    pub round: u32,
+    /// The state.
+    pub state: Arc<RoundState>,
+}
+
+/// What one origin reliably broadcasts at one seal: the round states its
+/// live VA instances produced since the last one, in production order.
+/// Never empty.
+#[derive(Debug, Clone)]
+pub struct VaBatch {
+    /// The states, one slot each.
+    pub slots: Vec<VaSlot>,
+}
+
+/// The one equality on batches: the same allocation, or equal slots (the
+/// short cut is sound as [`RoundState`]'s is: no tallied batch holds a NaN).
+impl PartialEq for VaBatch {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other) || self.slots == other.slots
+    }
+}
+
+/// Names one batch broadcast: (origin, the origin's sequence number).
+pub type BatchTag = (ProcessId, u32);
+
+/// One Bracha message of one batch broadcast.
+pub type BatchMsg = (BatchTag, BrachaMsg<Arc<VaBatch>>);
+
 /// One decoded service frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -122,11 +167,25 @@ pub struct Frame {
     /// Claimed protocol-level sender (the service cross-checks it against
     /// the transport-level link peer).
     pub sender: ProcessId,
-    /// Protocol round (lockstep round for [`Payload::Eig`], broadcast-tag
-    /// round for [`Payload::Va`]).
+    /// Protocol round (lockstep round for [`Payload::Eig`], the first
+    /// slot's round for [`Payload::VaBatch`]).
     pub round: u32,
     /// The protocol message.
     pub payload: Payload,
+}
+
+impl Frame {
+    /// The frame that carries `msg` from `sender`: its header names the
+    /// batch's first slot.
+    ///
+    /// # Panics
+    /// On an empty batch (local data: a seal never forms one).
+    #[must_use]
+    pub fn batch(sender: ProcessId, msg: BatchMsg) -> Frame {
+        let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = &msg.1;
+        let first = b.slots.first().expect("a batch is never empty");
+        Frame { instance: first.instance, sender, round: first.round, payload: Payload::VaBatch(msg) }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -172,13 +231,19 @@ fn put_round_state(out: &mut Vec<u8>, state: &RoundState) {
     state.witness.iter().for_each(|&pid| put_usize(out, pid));
 }
 
+/// Encoded bytes of a round state.
+fn round_state_len(state: &RoundState) -> usize {
+    8 + 8 * state.value.dim() + 4 * state.witness.len()
+}
+
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The two payloads a run is made of are sized once.
     let capacity = match &frame.payload {
-        Payload::Va((_, BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s))) => {
-            VA_DIM_OFFSET + 4 + 8 * s.value.dim() + 4 + 4 * s.witness.len()
+        Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
+            let slots = b.slots.iter().map(|slot| 12 + round_state_len(&slot.state));
+            VA_DIM_OFFSET - 12 + slots.sum::<usize>()
         }
         Payload::Eig(batch) => batch.iter().fold(HEADER_LEN + 4, |n, msg| {
             let items = msg.iter().map(|(_, label, v)| 8 + 4 * label.len() + 8 * v.dim());
@@ -192,7 +257,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out.push(match frame.payload {
         Payload::Eig(_) => 1,
         Payload::Launch(_) => 3,
-        Payload::Va(_) => 4,
+        Payload::VaBatch(_) => 5,
     });
     out.extend_from_slice(&frame.instance.to_le_bytes());
     put_usize(&mut out, frame.sender);
@@ -202,16 +267,23 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_usize(&mut out, batch.len());
             batch.iter().for_each(|msg| put_eig_round(&mut out, msg));
         }
-        Payload::Va((tag, bmsg)) => {
-            put_usize(&mut out, tag.0);
-            put_usize(&mut out, tag.1);
-            let (kind, state) = match bmsg {
-                BrachaMsg::Init(s) => (0u8, s),
-                BrachaMsg::Echo(s) => (1, s),
-                BrachaMsg::Ready(s) => (2, s),
+        Payload::VaBatch(((origin, seq), bmsg)) => {
+            put_usize(&mut out, *origin);
+            put_u32(&mut out, *seq);
+            let (kind, batch) = match bmsg {
+                BrachaMsg::Init(b) => (0u8, b),
+                BrachaMsg::Echo(b) => (1, b),
+                BrachaMsg::Ready(b) => (2, b),
             };
             out.push(kind);
-            put_round_state(&mut out, state);
+            // The header named the first slot; the others name themselves.
+            for (k, slot) in batch.slots.iter().enumerate() {
+                if k > 0 {
+                    out.extend_from_slice(&slot.instance.to_le_bytes());
+                    put_u32(&mut out, slot.round);
+                }
+                put_round_state(&mut out, &slot.state);
+            }
         }
         Payload::Launch(cl) => {
             out.extend_from_slice(&cl.session.to_le_bytes());
@@ -222,18 +294,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
     }
     out
-}
-
-/// Cheap header peek: the instance id of an encoded frame, without decoding
-/// (or validating) the rest. `None` if the bytes are too short or fail the
-/// magic/version check. The service looks up the instance a frame names
-/// with it, before the decode that instance's states can spare.
-#[must_use]
-pub fn peek_header(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < HEADER_LEN || bytes[..2] != MAGIC || bytes[2] != VERSION {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[4..12].try_into().ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -392,6 +452,54 @@ impl<'a> Reader<'a> {
         Ok(RoundState { value, witness })
     }
 
+    fn round(&mut self) -> Result<u32, String> {
+        match self.u32()? {
+            round if round <= MAX_ROUND => Ok(round),
+            round => Err(format!("round {round} beyond wire cap {MAX_ROUND}")),
+        }
+    }
+
+    /// A batch whose first slot is of `instance`, round `round` (the
+    /// header's): slots until the frame ends, at most [`MAX_BATCH_SLOTS`].
+    /// The slot list is sized on the first slot's length, so an honest batch
+    /// of like slots is allocated once.
+    fn batch(&mut self, instance: u64, round: u32) -> Result<VaBatch, String> {
+        let start = self.pos;
+        let state = Arc::new(self.round_state()?);
+        let like = 12 + (self.pos - start);
+        let mut slots = Vec::with_capacity((1 + self.remaining().div_ceil(like)).min(MAX_BATCH_SLOTS));
+        slots.push(VaSlot { instance, round, state });
+        while self.remaining() > 0 {
+            if slots.len() == MAX_BATCH_SLOTS {
+                return Err(format!("oversized batch: more than {MAX_BATCH_SLOTS} slots"));
+            }
+            let instance = self.u64()?;
+            let round = self.round()?;
+            slots.push(VaSlot { instance, round, state: Arc::new(self.round_state()?) });
+        }
+        Ok(VaBatch { slots })
+    }
+
+    /// Compare before decode: whether the batch that starts here (its first
+    /// slot of `instance`, round `round`) is `hint`, slot for slot, without
+    /// allocating; on anything but `Ok(true)` the caller rewinds.
+    fn is_batch(&mut self, hint: &VaBatch, instance: u64, round: u32) -> Result<bool, String> {
+        let Some((first, rest)) = hint.slots.split_first() else { return Ok(false) };
+        if (first.instance, first.round) != (instance, round) || !self.is_round_state(&first.state)? {
+            return Ok(false);
+        }
+        for slot in rest {
+            if self.remaining() == 0
+                || self.u64()? != slot.instance
+                || self.u32()? != slot.round
+                || !self.is_round_state(&slot.state)?
+            {
+                return Ok(false);
+            }
+        }
+        Ok(self.remaining() == 0)
+    }
+
     /// A frame is exactly one message: `Err` unless every byte was read.
     pub(crate) fn finish(&self) -> Result<(), String> {
         match self.remaining() {
@@ -410,24 +518,24 @@ pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolErro
     decode_frame_hinted(bytes, from, &|_| None)
 }
 
-/// How [`decode_frame_hinted`] asks its caller for the state it holds under a tag.
-pub type StateHint<'a> = &'a dyn Fn(RoundTag) -> Option<Arc<RoundState>>;
+/// How [`decode_frame_hinted`] asks its caller for the batch it holds under a tag.
+pub type BatchHint<'a> = &'a dyn Fn(BatchTag) -> Option<Arc<VaBatch>>;
 
-/// [`decode_frame`] with a hint: `hint(tag)` is a state the caller already
-/// holds for a [`Payload::Va`] frame's broadcast tag. A payload equal to it
-/// bit for bit comes back as that very `Arc`; any other decodes as without a
+/// [`decode_frame`] with a hint: `hint(tag)` is a batch the caller already
+/// holds for a [`Payload::VaBatch`] frame's tag. A payload equal to it bit
+/// for bit comes back as that very `Arc`; any other decodes as without a
 /// hint, so neither the result nor the error (as [`decode_frame`]'s) depends
 /// on the hint.
 pub fn decode_frame_hinted(
     bytes: &[u8],
     from: ProcessId,
-    hint: StateHint,
+    hint: BatchHint,
 ) -> Result<Frame, ProtocolError> {
     decode(&mut Reader::new(bytes), hint)
         .map_err(|reason| ProtocolError::MalformedPayload { from, reason })
 }
 
-fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
+fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
     if r.take(2)? != MAGIC {
         return Err("bad magic".into());
     }
@@ -451,29 +559,24 @@ fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
             }
             Payload::Eig(batch)
         }
-        4 => {
-            let origin = r.pid()?;
-            let tag_round = r.u32()?;
-            if tag_round > MAX_ROUND {
-                return Err(format!("broadcast-tag round {tag_round} beyond cap"));
-            }
+        5 => {
+            let tag = (r.pid()?, r.u32()?);
             let bkind = r.u8()?;
-            let tag = (origin, tag_round as usize);
             let start = r.pos;
-            let state = match hint(tag).filter(|h| matches!(r.is_round_state(h), Ok(true))) {
+            let batch = match hint(tag).filter(|h| matches!(r.is_batch(h, instance, round), Ok(true))) {
                 Some(shared) => shared,
                 None => {
                     r.pos = start;
-                    Arc::new(r.round_state()?)
+                    Arc::new(r.batch(instance, round)?)
                 }
             };
             let bmsg = match bkind {
-                0 => BrachaMsg::Init(state),
-                1 => BrachaMsg::Echo(state),
-                2 => BrachaMsg::Ready(state),
+                0 => BrachaMsg::Init(batch),
+                1 => BrachaMsg::Echo(batch),
+                2 => BrachaMsg::Ready(batch),
                 k => return Err(format!("unknown Bracha message kind {k}")),
             };
-            Payload::Va((tag, bmsg))
+            Payload::VaBatch((tag, bmsg))
         }
         3 => {
             let session = r.u64()?;
@@ -493,6 +596,7 @@ fn decode(r: &mut Reader, hint: StateHint) -> Result<Frame, String> {
             Payload::Launch(ClientLaunch { session, reqno, f, rounds, value })
         }
         2 => return Err("retired payload kind 2: a VA layout that copied witness values".into()),
+        4 => return Err("retired payload kind 4: one Bracha message per VA round state".into()),
         k => return Err(format!("unknown payload kind {k}")),
     };
     r.finish()?;
@@ -523,19 +627,19 @@ mod tests {
         }
     }
 
+    fn slot(instance: u64, round: u32, xs: &[f64], witness: Vec<ProcessId>) -> VaSlot {
+        VaSlot { instance, round, state: Arc::new(RoundState { value: VecD::from_slice(xs), witness }) }
+    }
+
+    /// A three-slot batch: two rounds of one instance and a round-0 state
+    /// of another.
     fn va_frame() -> Frame {
-        Frame {
-            instance: u64::MAX,
-            sender: 0,
-            round: 2,
-            payload: Payload::Va((
-                (5, 2),
-                BrachaMsg::Echo(Arc::new(RoundState {
-                    value: VecD::from_slice(&[0.25]),
-                    witness: vec![1, 2],
-                })),
-            )),
-        }
+        let slots = vec![
+            slot(u64::MAX, 2, &[0.25], vec![1, 2]),
+            slot(u64::MAX, 3, &[0.5], vec![2, 1, 0]),
+            slot(7, 0, &[-1.0], vec![]),
+        ];
+        Frame::batch(0, ((5, 9), BrachaMsg::Echo(Arc::new(VaBatch { slots }))))
     }
 
     fn launch_frame() -> Frame {
@@ -583,34 +687,59 @@ mod tests {
         }
         // NaN payloads survive the codec bit-exactly (semantic rejection is
         // the protocol layer's job, structural integrity is ours).
-        let frame = Frame {
-            instance: 0,
-            sender: 1,
-            round: 0,
-            payload: Payload::Va((
-                (1, 0),
-                BrachaMsg::Init(Arc::new(RoundState {
-                    value: VecD::from_slice(&[f64::NAN]),
-                    witness: vec![],
-                })),
-            )),
-        };
+        let batch = VaBatch { slots: vec![slot(0, 0, &[f64::NAN], vec![])] };
+        let frame = Frame::batch(1, ((1, 0), BrachaMsg::Init(Arc::new(batch))));
         let bytes = encode_frame(&frame);
         let back = decode_frame(&bytes, 1).expect("NaN is structurally fine");
         match back.payload {
-            Payload::Va((_, BrachaMsg::Init(s))) => assert!(s.value.as_slice()[0].is_nan()),
+            Payload::VaBatch((_, BrachaMsg::Init(b))) => assert!(b.slots[0].state.value.as_slice()[0].is_nan()),
             other => panic!("wrong payload: {other:?}"),
         }
     }
 
+    /// A batch's slot count and each slot's round are capped; a frame that
+    /// ends inside a slot, or whose header names a round past the cap, is
+    /// refused; a slot round past the cap is refused too.
     #[test]
-    fn every_truncation_is_rejected() {
-        let bytes = encode_frame(&va_frame());
+    fn batch_caps_hold() {
+        let one = slot(1, 0, &[1.0], vec![]);
+        let full = VaBatch { slots: vec![one.clone(); MAX_BATCH_SLOTS] };
+        let frame = |batch: VaBatch| encode_frame(&Frame::batch(2, ((2, 0), BrachaMsg::Init(Arc::new(batch)))));
+        assert!(decode_frame(&frame(full.clone()), 2).is_ok(), "exactly at the cap");
+        let mut over = full;
+        over.slots.push(one.clone());
+        let refused = decode_frame(&frame(over), 2).expect_err("over the cap").to_string();
+        assert!(refused.contains("oversized batch"), "{refused}");
+        let mut late = frame(VaBatch { slots: vec![one.clone(), one] });
+        let round_at = late.len() - 16 - 4;
+        late[round_at..round_at + 4].copy_from_slice(&(MAX_ROUND + 1).to_le_bytes());
+        assert!(decode_frame(&late, 2).expect_err("slot round").to_string().contains("beyond wire cap"));
+    }
+
+    /// Slots run to the end of a batch frame, so a prefix that ends where
+    /// a slot ends is the batch of the slots before it; every other strict
+    /// prefix is refused.
+    #[test]
+    fn every_truncation_is_rejected_or_a_shorter_batch() {
+        let frame = va_frame();
+        let bytes = encode_frame(&frame);
         assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
+        let Payload::VaBatch((tag, BrachaMsg::Echo(batch))) = &frame.payload else { unreachable!() };
+        let prefix = |k: usize| {
+            let slots = batch.slots[..k].to_vec();
+            encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(VaBatch { slots })))))
+        };
+        let whole: Vec<usize> = (1..batch.slots.len()).map(|k| prefix(k).len()).collect();
         for cut in 0..bytes.len() {
-            let e = decode_frame(&bytes[..cut], 7).expect_err("truncation must fail");
-            assert!(matches!(e, ProtocolError::MalformedPayload { from: 7, .. }));
+            match decode_frame(&bytes[..cut], 7) {
+                Ok(shorter) => {
+                    let k = whole.iter().position(|&len| len == cut).expect("a slot boundary") + 1;
+                    assert_eq!(encode_frame(&shorter), prefix(k));
+                }
+                Err(e) => assert!(matches!(e, ProtocolError::MalformedPayload { from: 7, .. })),
+            }
         }
+        assert_eq!(whole.iter().filter(|&&len| decode_frame(&bytes[..len], 7).is_ok()).count(), 2);
     }
 
     #[test]
@@ -630,14 +759,5 @@ mod tests {
         let mut bytes = encode_frame(&eig_frame());
         bytes.push(0xFF);
         assert!(decode_frame(&bytes, 0).is_err());
-    }
-
-    #[test]
-    fn peek_header_agrees_with_decode() {
-        for frame in [eig_frame(), va_frame(), launch_frame()] {
-            assert_eq!(peek_header(&encode_frame(&frame)), Some(frame.instance));
-        }
-        assert_eq!(peek_header(b"RB"), None);
-        assert_eq!(peek_header(&[0u8; 32]), None);
     }
 }

@@ -1,6 +1,7 @@
 //! Allocation budgets of the two message paths: a Verified-Averaging round
-//! state is allocated once per broadcast, not once per frame, and an EIG round
-//! message once per round, not once per item and destination. One thread
+//! state is allocated once, not once per frame, and a batch of them once per
+//! broadcast, and an EIG round message once per round, not once per item and
+//! destination. One thread
 //! drives an in-process mesh, so the schedule and the count repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,13 +15,16 @@ use rbvc_transport::service::{ConsensusService, InstanceProto};
 use rbvc_transport::transport::in_proc_mesh;
 use rbvc_transport::Lockstep;
 
-/// Allocations per decided instance over all four nodes (864 frames): ~10 %
-/// above the 2 010 this schedule makes — 2 396 while a witness copied the
-/// vectors it named (decoded per frame, cloned per verified state), 2 422
-/// before the reused outbox, 4 004 (3 930 when this budget was first set) with
-/// hashed broadcast tables, a voter list per tallied value, an encode per
-/// frame and a δ* solve per round-1 state; 19 383 with a state copy per frame.
-const BUDGET: u64 = 2_210;
+/// Allocations per decided instance over all four nodes (a batch of the
+/// sixteen instances' states per node per round: 27 frames per decision):
+/// ~10 % above the 1 055 this schedule makes — 2 010 with one Bracha
+/// broadcast per state (864 frames per decision), 2 396 while a witness
+/// copied the vectors it named (decoded per frame, cloned per verified
+/// state), 2 422 before the reused outbox, 4 004 (3 930 when this budget was
+/// first set) with hashed broadcast tables, a voter list per tallied value,
+/// an encode per frame and a δ* solve per round-1 state; 19 383 with a state
+/// copy per frame.
+const BUDGET: u64 = 1_160;
 /// The same for `SyncBvc` at (n, f, d) = (7, 2, 3) over all seven nodes (147
 /// frames carrying 1 813 relay items), under a decision rule that allocates
 /// next to nothing so that the message path is what is counted: ~10 % above

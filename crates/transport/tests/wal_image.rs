@@ -1,7 +1,9 @@
 //! The WAL image of a fixed run, pinned: four durable nodes on one thread,
 //! each with two VA instances at f = 1, one BVC instance and one client
 //! request. `Sent` records carry each outbound frame, so the digests pin
-//! every byte on the wire and the record order of every poll as well.
+//! every byte on the wire and the record order of every poll as well. Every
+//! node's log holds VA batch frames, so each digest moves with the VA wire
+//! format.
 
 use std::time::Duration;
 
@@ -51,10 +53,10 @@ fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
     assert_eq!(
         digests,
         [
-            "3331141ff50500e9e168b0b498cbc2d378d001709e210bba73251df634ac700a",
-            "2aa3c34e67bcf9ae284c72d43d5a15c5da7ba61937eaec8ffe80301207a76602",
-            "c2cb6670c48d86a237b9def98f87c8f84b3c6a27005e1c110fcf053e69c3406d",
-            "c4f59266ab6e67114b4b0c6bdd9558adc8512494a9b43ef06e62be7487256e51",
+            "c1414a6b8a336399f05d0567294b77114702a0f8fd6213935aec3748e74362ca",
+            "0f7782c8ed8660b55160edc007ed132ed211808e621643e5baf32038ae95e88c",
+            "831d601bc4f81f4ebedc63f84d0162caef319637e4af4ee37880c32f6dd2ffce",
+            "6883bba6de182d0c8d004d48c6b3d3adc3068268a46dd03256c7e525f527b1f2",
         ]
     );
 }

@@ -14,13 +14,14 @@ use rbvc_sim::error::ProtocolError;
 use rbvc_sim::fuzz::ByteMutator;
 use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
 use rbvc_transport::wire::{
-    decode_frame, decode_frame_hinted, encode_frame, Frame, Payload, HEADER_LEN, MAGIC,
-    VA_DIM_OFFSET, VERSION,
+    decode_frame, decode_frame_hinted, encode_frame, Frame, Payload, VaBatch, VaSlot, HEADER_LEN,
+    MAGIC, VA_DIM_OFFSET, VERSION,
 };
 use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
 
-/// Build a Verified-Averaging frame from raw generator output.
-fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize) -> Frame {
+/// Build a Verified-Averaging batch frame of `slots` slots from raw
+/// generator output: slot `k` is of instance `instance + k`.
+fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Frame {
     let vec_at = |k: usize| {
         VecD::from_slice(
             &raw[(k * dim) % raw.len()..]
@@ -31,19 +32,14 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
                 .collect::<Vec<_>>(),
         )
     };
-    let witness = (0..witnesses).collect();
-    Frame {
-        instance,
-        sender,
-        round: (sender % 7) as u32,
-        payload: Payload::Va((
-            (sender, sender % 7),
-            BrachaMsg::Ready(Arc::new(RoundState {
-                value: vec_at(0),
-                witness,
-            })),
-        )),
-    }
+    let slots = (0..slots)
+        .map(|k| VaSlot {
+            instance: instance.wrapping_add(k as u64),
+            round: ((sender + k) % 7) as u32,
+            state: Arc::new(RoundState { value: vec_at(k), witness: (0..witnesses + k).collect() }),
+        })
+        .collect();
+    Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(Arc::new(VaBatch { slots }))))
 }
 
 /// Build a parallel-EIG frame from raw generator output: `labels` items for
@@ -95,7 +91,7 @@ proptest! {
         shape in 0usize..5,
     ) {
         let frames = [
-            va_frame(instance, sender, dim, &raw, shape),
+            va_frame(instance, sender, dim, &raw, shape, 1 + shape % 3),
             eig_frame(instance, sender, dim, &raw, shape),
         ];
         for frame in frames {
@@ -105,15 +101,15 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a valid frame is rejected as malformed —
-    /// never accepted, never a panic.
+    /// Every strict prefix of a valid one-slot frame is rejected as
+    /// malformed — never accepted, never a panic.
     #[test]
     fn truncation_never_decodes(
         raw in prop::collection::vec(-1e3f64..1e3, 12),
         dim in 1usize..6,
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = va_frame(7, 3, dim, &raw, 2);
+        let frame = va_frame(7, 3, dim, &raw, 2, 1);
         let bytes = encode_frame(&frame);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
@@ -191,18 +187,19 @@ fn mutation_corpus_is_rejected(
 }
 
 /// ... and over the whole corpus a hinted decode is the plain decode, bit for
-/// bit and error for error, whatever the hint: the frame's own state (reused
-/// as it is), that state with one `0.0` flipped to `-0.0`, or another one.
+/// bit and error for error, whatever the hint: the frame's own batch (reused
+/// as it is), that batch with one `0.0` flipped to `-0.0`, or another one.
 #[test]
 fn node_codec_rejects_the_mutation_corpus() {
-    let frame = va_frame(1, 0, 2, &[1.0, 0.0, 3.0], 1);
+    let frame = va_frame(1, 0, 2, &[1.0, 0.0, 3.0], 1, 1);
     let base = encode_frame(&frame);
-    let Payload::Va((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
-    let mut negative_zero = RoundState::clone(&own);
-    negative_zero.value.0[1] = -0.0;
-    let other = RoundState { value: VecD::from_slice(&[9.0, 9.0]), witness: vec![] };
+    let Payload::VaBatch((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
+    let mut negative_zero = VaBatch::clone(&own);
+    Arc::make_mut(&mut negative_zero.slots[0].state).value.0[1] = -0.0;
+    let mut other = VaBatch::clone(&own);
+    other.slots[0].state = Arc::new(RoundState { value: VecD::from_slice(&[9.0, 9.0]), witness: vec![] });
     let hints = [own, Arc::new(negative_zero), Arc::new(other)];
-    let decode_with = |bytes: &[u8], hint: &Arc<RoundState>| {
+    let decode_with = |bytes: &[u8], hint: &Arc<VaBatch>| {
         decode_frame_hinted(bytes, 0, &|_| Some(Arc::clone(hint))).map_err(|e| e.to_string())
     };
     mutation_corpus_is_rejected(&base, HEADER_LEN, VA_DIM_OFFSET, |bytes| {
@@ -213,11 +210,11 @@ fn node_codec_rejects_the_mutation_corpus() {
         plain.map(drop)
     });
     for (i, hint) in hints.iter().enumerate() {
-        let Payload::Va((_, BrachaMsg::Ready(got))) = decode_with(&base, hint).unwrap().payload
+        let Payload::VaBatch((_, BrachaMsg::Ready(got))) = decode_with(&base, hint).unwrap().payload
         else {
             unreachable!()
         };
-        assert_eq!(Arc::ptr_eq(&got, hint), i == 0, "only the own state is reused");
+        assert_eq!(Arc::ptr_eq(&got, hint), i == 0, "only the own batch is reused");
     }
 }
 
@@ -372,58 +369,130 @@ fn honest_bvc_frames_are_the_bytes_they_always_were() {
     assert!(nodes.iter().all(|p| p.output() == nodes[0].output()));
 }
 
-/// The frames of one honest (n, f, d) = (4, 1, 3) Verified-Averaging instance
-/// of three rounds, in the order a FIFO network delivers them: a round-0 frame
-/// is 61 B and a round-t frame 73 B — its witness names the n − f states it
-/// averaged, it does not copy them — and the stream hashes to a pinned value.
-/// The retired kind 2, whose witness copied each named vector, is refused,
-/// and the decision is the one that layout gave.
-#[test]
-fn honest_va_frames_name_their_witness() {
-    use std::collections::VecDeque;
+/// A transport that keeps a copy of every frame it is asked to send.
+struct Recording {
+    inner: rbvc_transport::InProcEndpoint,
+    frames: Vec<Vec<u8>>,
+}
 
+impl rbvc_transport::Transport for Recording {
+    fn local_id(&self) -> usize {
+        self.inner.local_id()
+    }
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn send(&mut self, dst: usize, frame: Vec<u8>) -> Result<(), ProtocolError> {
+        self.frames.push(frame.clone());
+        self.inner.send(dst, frame)
+    }
+    fn flush(&mut self) -> Result<(), ProtocolError> {
+        self.inner.flush()
+    }
+    fn recv_timeout(&mut self, timeout: std::time::Duration) -> Vec<(usize, Vec<u8>)> {
+        self.inner.recv_timeout(timeout)
+    }
+    fn take_reconnects(&mut self) -> Vec<usize> {
+        Vec::new()
+    }
+    fn bytes_sent(&self) -> u64 {
+        self.inner.bytes_sent()
+    }
+    fn bytes_received(&self) -> u64 {
+        self.inner.bytes_received()
+    }
+    fn errors(&self) -> rbvc_sim::error::ErrorLog {
+        self.inner.errors()
+    }
+}
+
+/// What a run of [`honest_va_mesh`] sent and decided.
+struct MeshRun {
+    /// Every frame each node sent, in send order per node.
+    frames: Vec<Vec<Vec<u8>>>,
+    /// Each node's decisions, instance by instance, as bit patterns.
+    decisions: Vec<Vec<Vec<u64>>>,
+}
+
+/// Four services over the in-process mesh, one thread, each holding `k`
+/// honest (n, f, d) = (4, 1, 3) Verified-Averaging instances of three
+/// rounds.
+fn honest_va_mesh(k: u64) -> MeshRun {
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_linalg::{Norm, Tol};
-    use rbvc_sim::asynch::AsyncProtocol;
+    use rbvc_transport::{in_proc_mesh, ConsensusService, InstanceProto};
 
     let n = 4;
-    let mut nodes: Vec<VerifiedAveraging> = (0..n)
-        .map(|id| {
-            let x = id as f64;
-            let input = VecD::from_slice(&[x * 0.5 - 1.0, (x * x) % 3.0, 1.0 / (x + 1.0)]);
-            VerifiedAveraging::new(id, n, 1, input, DeltaMode::MinDelta(Norm::L2), 3, Tol::default())
-        })
+    let mut mesh: Vec<_> = in_proc_mesh(n)
+        .into_iter()
+        .map(|inner| ConsensusService::new(Recording { inner, frames: Vec::new() }))
         .collect();
-    let mut queue = VecDeque::new();
-    for (from, node) in nodes.iter_mut().enumerate() {
-        queue.extend(node.on_start().into_iter().map(|(dst, msg)| (from, dst, msg)));
+    for (id, svc) in mesh.iter_mut().enumerate() {
+        for inst in 0..k {
+            let x = id as f64 + inst as f64 / 8.0;
+            let input = VecD::from_slice(&[x * 0.5 - 1.0, (x * x) % 3.0, 1.0 / (x + 1.0)]);
+            let va = VerifiedAveraging::new(id, n, 1, input, DeltaMode::MinDelta(Norm::L2), 3, Tol::default());
+            svc.add_instance(inst, InstanceProto::Va(va)).expect("register");
+        }
+        svc.start().expect("start");
     }
-    let (mut stream, mut round_t) = (Vec::new(), 0);
-    while let Some((from, dst, msg)) = queue.pop_front() {
-        let round = msg.0 .1 as u32;
-        let frame = Frame { instance: 9, sender: from, round, payload: Payload::Va(msg) };
-        let bytes = encode_frame(&frame);
-        assert_eq!(bytes.len(), if round == 0 { 61 } else { 73 }, "round {round}");
-        assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
-        let back = decode_frame(&bytes, from).expect("an honest frame decodes");
-        assert_eq!(back, frame);
-        let mut retired = bytes.clone();
-        retired[3] = 2;
-        let refused = decode_frame(&retired, from).expect_err("kind 2 is retired").to_string();
-        assert!(refused.contains("retired payload kind 2"), "{refused}");
-        stream.extend_from_slice(&bytes);
-        round_t += usize::from(round > 0);
-        let Payload::Va(msg) = back.payload else { unreachable!() };
-        queue.extend(nodes[dst].on_message(from, msg).into_iter().map(|(to, m)| (dst, to, m)));
+    for _ in 0..1_000 {
+        mesh.iter_mut().for_each(|svc| drop(svc.poll(std::time::Duration::ZERO)));
     }
-    assert_eq!(round_t, 2 * 4 * 36);
-    assert_eq!(stream.len(), 4 * 36 * 61 + round_t * 73);
-    let hex: String = rbvc_transport::auth::sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, "7844da2be89f5ad3bb108bae005f89e2b46b88a1988080c12ce552029898a1ed");
-    // Every node decides what it decided when the witness copied its values.
-    let decision = [0xbfd943fd6c9221f8, 0x3feae9abc95f7441, 0x3fe092c64ef88994];
-    for p in &nodes {
-        let bits: Vec<u64> = p.output().expect("decided").as_slice().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(bits, decision);
+    assert!(mesh.iter().all(|svc| svc.all_decided() && svc.errors().is_empty()));
+    let bits = |v: VecD| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    MeshRun {
+        frames: mesh.iter().map(|svc| svc.transport().frames.clone()).collect(),
+        decisions: mesh.iter().map(|svc| (0..k).map(|i| bits(svc.decision(i).unwrap())).collect()).collect(),
+    }
+}
+
+/// The frames of four honest nodes running `k` (n, f, d) = (4, 1, 3)
+/// Verified-Averaging instances of three rounds, at k = 1 and k = 16. Every
+/// frame is one Bracha message of one batch: a one-slot frame is 61 B when
+/// its state is of round 0 and 73 B after — its witness names the n − f
+/// states it averaged, it does not copy them — and each further slot adds
+/// its instance and round to the same state layout. A batch broadcast is 36
+/// frames, whatever its k: at k = 16 the same 432 frames carry sixteen
+/// decisions. The streams hash to pinned values. The retired kinds 2 and 4
+/// (one Bracha message per VA round state) are refused by name.
+#[test]
+fn honest_va_frames_name_their_witness() {
+    for (k, pinned, one_slot_frames, stream_len) in [
+        (1, "91f517f9a817ccd7bd97b91126114742178ab2ac91daaa514d949856c7b39b42", [144, 288], 29_808),
+        (16, "bac889a61017871097b9d174d2e245a8c2d07362690bb437a4c85df8eb745cb5", [0, 0], 366_768),
+    ] {
+        let MeshRun { frames, decisions } = honest_va_mesh(k);
+        let stream: Vec<u8> = frames.iter().flatten().flatten().copied().collect();
+        let (mut one_slot, mut count) = ([0usize; 2], 0);
+        for (from, sent) in frames.iter().enumerate() {
+            for bytes in sent {
+                let frame = decode_frame(bytes, from).expect("an honest frame decodes");
+                assert_eq!(encode_frame(&frame), *bytes);
+                let Payload::VaBatch((_, msg)) = frame.payload else { panic!("only VA batches") };
+                let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = msg;
+                let state = |round: u32| if round == 0 { 61 - 29 } else { 73 - 29 };
+                let want: usize = 29 + b.slots.iter().map(|s| state(s.round)).sum::<usize>() + 12 * (b.slots.len() - 1);
+                assert_eq!(bytes.len(), want, "k = {k}: {} slots", b.slots.len());
+                if b.slots.len() == 1 {
+                    one_slot[usize::from(b.slots[0].round > 0)] += 1;
+                    assert_eq!(bytes.len(), if b.slots[0].round == 0 { 61 } else { 73 });
+                }
+                for (kind, what) in [(2, "retired payload kind 2"), (4, "retired payload kind 4")] {
+                    let mut retired = bytes.clone();
+                    retired[3] = kind;
+                    let refused = decode_frame(&retired, from).expect_err("retired").to_string();
+                    assert!(refused.contains(what), "{refused}");
+                }
+                count += 1;
+            }
+        }
+        assert_eq!((count, one_slot, stream.len()), (432, one_slot_frames, stream_len), "k = {k}");
+        let hex: String = rbvc_transport::auth::sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned, "k = {k}");
+        // Instance 0 has the same inputs at either k, and every node decides
+        // for it what it decided with one Bracha broadcast per state.
+        let decision = [0xbfd943fd6c9221f8, 0x3feae9abc95f7441, 0x3fe092c64ef88994];
+        assert!(decisions.iter().all(|d| d.len() == k as usize && d[0] == decision), "k = {k}");
     }
 }
