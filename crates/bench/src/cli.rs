@@ -44,8 +44,8 @@ impl Command {
     fn describe(self) -> [&'static str; 3] {
         match self {
             Command::List => ["list", "—", "this index"],
-            Command::All => ["all", "E1–E15", "every paper experiment, in order"],
-            Command::Json => ["json", "E1–E15", "their typed rows as one document"],
+            Command::All => ["all", "E1–E14", "every paper experiment, in order"],
+            Command::Json => ["json", "E1–E14", "their typed rows as one document"],
             Command::Experiment(e) => [e.name, e.ids, e.artefact],
             Command::Scenario(sc) => [sc.name, sc.id, sc.title],
         }
@@ -223,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_suite_is_the_twelve_rows_in_order_with_their_arguments() {
+    fn quick_suite_is_the_eleven_rows_in_order_with_their_arguments() {
         let quick: Vec<(&str, String)> =
             suite(true).into_iter().map(|(e, words)| (e.name, words.join(" "))).collect();
         let want = [
@@ -238,7 +238,6 @@ mod tests {
             ("async-delta", "3 5"),
             ("convergence", "8"),
             ("conjectures", "15 1000 1"),
-            ("broadcast", "5"),
         ];
         assert_eq!(quick, want.map(|(name, words)| (name, words.to_string())));
         for (e, words) in suite(false).into_iter().chain(suite(true)) {
@@ -253,7 +252,7 @@ mod tests {
         let want = [
             "paper", "trials", "seed", "e1_table1_l2", "e12_p_sweep", "e3_theorem3", "e4_theorem4",
             "e5_theorem5", "e6_theorem6", "e7_9_lemmas", "e10_tverberg", "e11_async_delta",
-            "e13_convergence", "e14_conjecture_hunt", "e15_broadcast_ablation",
+            "e13_convergence", "e14_conjecture_hunt",
         ];
         assert_eq!(keys, want);
     }
@@ -269,7 +268,7 @@ mod tests {
                 "thm3" | "thm4" => &["3"],
                 "thm5" | "thm6" => &["2"],
                 "conjectures" => &["1", "1"],
-                "figure1" | "convergence" | "broadcast" => &[],
+                "figure1" | "convergence" => &[],
                 _ => &["1"],
             };
             let args = parse_args(e.positionals, e.flags, words).expect("valid scale");

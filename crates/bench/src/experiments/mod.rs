@@ -15,7 +15,6 @@ use serde_json::Value;
 use crate::campaign::{gate, Args, Gate, Positional};
 
 pub mod asynchrony;
-pub mod broadcast_ablation;
 pub mod byzantine;
 pub mod chaos;
 pub mod client;
@@ -60,7 +59,7 @@ fn claim_per_row<R: serde::Serialize>(id: &str, rows: &[R], holds: impl Fn(&R) -
 }
 
 /// Every paper experiment, in experiment order.
-pub const EXPERIMENTS: [&Experiment; 13] = [
+pub const EXPERIMENTS: [&Experiment; 12] = [
     &table1::TABLE1,
     &counterex::FIGURE1,
     &counterex::THM3,
@@ -72,6 +71,5 @@ pub const EXPERIMENTS: [&Experiment; 13] = [
     &asynchrony::ASYNC_DELTA,
     &asynchrony::CONVERGENCE,
     &conjecture_hunt::CONJECTURES,
-    &broadcast_ablation::BROADCAST,
     &chaos::CHAOS,
 ];

@@ -7,7 +7,7 @@
 //! recorded paper-vs-measured outcomes).
 //!
 //! One program, `exp` ([`cli`]), over two tables: the paper experiments
-//! ([`experiments::EXPERIMENTS`], E1–E16) and the systems campaigns
+//! ([`experiments::EXPERIMENTS`], E1–E14 and E16) and the systems campaigns
 //! ([`campaign::SCENARIOS`], E17, E20–E22) the [`campaign`] harness runs. Each
 //! row's module under [`experiments`] holds the typed row functions and the
 //! code that prints them, so tests assert on the same rows `exp` prints;

@@ -15,8 +15,7 @@
 //! * [`rules`] — the deterministic Step-2 decision rules over the common
 //!   broadcast multiset `S`.
 //! * [`sync_protocols`] — broadcast-then-decide synchronous protocols:
-//!   Exact BVC, k-relaxed consensus, and ALGO (§9), written once over any
-//!   `rbvc_sim::sync::Broadcast` (EIG or Dolev–Strong).
+//!   Exact BVC, k-relaxed consensus, and ALGO (§9), over EIG broadcast.
 //! * [`verified_avg`] — the asynchronous (Relaxed) Verified Averaging
 //!   algorithm (§10) over Bracha reliable broadcast.
 //! * [`counterexamples`] — the impossibility matrices of Theorems 3–6 and

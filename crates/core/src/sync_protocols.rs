@@ -1,8 +1,8 @@
 //! Synchronous consensus protocols: Byzantine-broadcast-then-decide.
 //!
-//! [`SyncBvcOver`] is the executable form of the paper's synchronous
-//! algorithms, written once over any [`Broadcast`]: Step 1 runs `n` parallel
-//! Byzantine broadcasts so that all correct processes obtain the identical
+//! [`SyncBvc`] is the executable form of the paper's synchronous
+//! algorithms: Step 1 runs `n` parallel Byzantine broadcasts
+//! ([`ParallelEig`]) so that all correct processes obtain the identical
 //! multiset `S`; Step 2 applies a [`DecisionRule`]:
 //!
 //! * `GammaPoint` → Exact BVC (Theorem 1 regime) and k-relaxed exact
@@ -11,17 +11,14 @@
 //! * `MinDeltaPoint(p)` → ALGO (§9): input-dependent (δ,p)-relaxed exact
 //!   consensus at `n ≥ 3f + 1`.
 //!
-//! [`SyncBvc`] is the protocol over unauthenticated EIG, the substrate the
-//! runner, the service and the wire format use. Over
-//! [`rbvc_sim::dolev_strong::ParallelDolevStrong`] the same Step 2 gives the
-//! same decisions for `O(n³f)` messages instead of `O(n^{f+1})` (the
-//! ablation quantified by E15, `exp broadcast`).
+//! The broadcast is unauthenticated EIG, as in the paper's model: the
+//! runner, the service and the wire format all run this one protocol.
 
 use rbvc_linalg::{Tol, VecD};
 use rbvc_sim::config::ProcessId;
-use rbvc_sim::eig::ParallelEig;
+use rbvc_sim::eig::{EigMsg, ParallelEig};
 use rbvc_sim::fuzz::{follow, lying_relay, two_faced, SilentAdversary};
-use rbvc_sim::sync::{Broadcast, SyncNode, SyncProtocol};
+use rbvc_sim::sync::{SyncNode, SyncProtocol};
 
 use crate::rules::{Decision, DecisionRule};
 
@@ -35,19 +32,16 @@ fn value_ok(v: &VecD, default: &VecD) -> bool {
     v.dim() == default.dim() && v.as_slice().iter().all(|x| x.is_finite())
 }
 
-/// The broadcast-then-decide synchronous protocol over broadcast `B`.
-pub struct SyncBvcOver<B> {
-    broadcast: B,
+/// The broadcast-then-decide synchronous protocol.
+pub struct SyncBvc {
+    broadcast: ParallelEig<VecD>,
     rule: DecisionRule,
     f: usize,
     tol: Tol,
     decision: Option<Decision>,
 }
 
-/// Broadcast-then-decide over EIG.
-pub type SyncBvc = SyncBvcOver<ParallelEig<VecD>>;
-
-impl<B: Broadcast<VecD>> SyncBvcOver<B> {
+impl SyncBvc {
     /// Build the protocol instance for process `id` with its `input`.
     ///
     /// The broadcast default for silent/faulty senders is the origin `0^d` —
@@ -64,8 +58,8 @@ impl<B: Broadcast<VecD>> SyncBvcOver<B> {
         tol: Tol,
     ) -> Self {
         assert_eq!(input.dim(), d, "input dimension mismatch");
-        SyncBvcOver {
-            broadcast: B::new(id, n, f, input, VecD::zeros(d)).accepting(value_ok),
+        SyncBvc {
+            broadcast: ParallelEig::new(id, n, f, input, VecD::zeros(d)).accepting(value_ok),
             rule,
             f,
             tol,
@@ -94,8 +88,8 @@ impl<B: Broadcast<VecD>> SyncBvcOver<B> {
     }
 }
 
-impl<B: Broadcast<VecD>> SyncProtocol for SyncBvcOver<B> {
-    type Msg = B::Msg;
+impl SyncProtocol for SyncBvc {
+    type Msg = EigMsg<VecD>;
     type Output = VecD;
 
     fn round_messages(&mut self, round: usize) -> Vec<(ProcessId, Self::Msg)> {
@@ -140,15 +134,14 @@ pub enum ByzantineStrategy {
     FollowProtocol(VecD),
 }
 
-/// Materialize a node (honest or Byzantine) for the lockstep engine, over
-/// broadcast `B` (inferred from the node type the caller asks for).
+/// Materialize a node (honest or Byzantine) for the lockstep engine.
 ///
 /// # Panics
 /// Panics on an honest node without an input and on a `TwoFaced` table that
 /// does not have one value per process.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // flat spec mirrors the runner structs
-pub fn make_node<B: Broadcast<VecD> + 'static>(
+pub fn make_node(
     id: ProcessId,
     n: usize,
     f: usize,
@@ -157,23 +150,23 @@ pub fn make_node<B: Broadcast<VecD> + 'static>(
     strategy: Option<ByzantineStrategy>,
     rule: DecisionRule,
     tol: Tol,
-) -> SyncNode<SyncBvcOver<B>> {
+) -> SyncNode<SyncBvc> {
     let zero = VecD::zeros(d);
     match strategy {
         None => {
             let input = honest_input.expect("honest node needs an input");
-            SyncNode::Honest(SyncBvcOver::new(id, n, f, d, input, rule, tol))
+            SyncNode::Honest(SyncBvc::new(id, n, f, d, input, rule, tol))
         }
         Some(ByzantineStrategy::Silent) => SyncNode::Byzantine(Box::new(SilentAdversary)),
         Some(ByzantineStrategy::TwoFaced(values)) => {
-            SyncNode::Byzantine(Box::new(two_faced::<B, _>(id, n, f, values, zero)))
+            SyncNode::Byzantine(Box::new(two_faced(id, n, f, values, zero)))
         }
         Some(ByzantineStrategy::LyingRelay { input, corrupt }) => {
-            SyncNode::Byzantine(Box::new(lying_relay::<B, _>(id, n, f, input, zero, corrupt)))
+            SyncNode::Byzantine(Box::new(lying_relay(id, n, f, input, zero, corrupt)))
         }
         // The honest broadcast layer run verbatim, without Step 2.
         Some(ByzantineStrategy::FollowProtocol(input)) => {
-            SyncNode::Byzantine(Box::new(follow(B::new(id, n, f, input, zero))))
+            SyncNode::Byzantine(Box::new(follow(ParallelEig::new(id, n, f, input, zero))))
         }
     }
 }
@@ -183,21 +176,17 @@ mod tests {
     use super::*;
     use rbvc_linalg::Norm;
     use rbvc_sim::config::SystemConfig;
-    use rbvc_sim::dolev_strong::ParallelDolevStrong;
     use rbvc_sim::sync::RoundEngine;
 
     use crate::problem::{check_execution, Agreement, Validity, Verdict};
-
-    type Eig = ParallelEig<VecD>;
-    type Ds = ParallelDolevStrong<VecD>;
 
     fn t() -> Tol {
         Tol::default()
     }
 
-    /// Run a system over broadcast `B` where process ids in `byz` follow the
-    /// given strategies; the correct processes' decisions and inputs.
-    fn run<B: Broadcast<VecD> + 'static>(
+    /// Run a system where process ids in `byz` follow the given strategies;
+    /// the correct processes' decisions and inputs.
+    fn run(
         n: usize,
         f: usize,
         d: usize,
@@ -207,7 +196,7 @@ mod tests {
     ) -> (Vec<Option<VecD>>, Vec<VecD>) {
         let faulty: Vec<usize> = byz.iter().map(|(i, _)| *i).collect();
         let config = SystemConfig::new(n, f).with_faulty(faulty);
-        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
+        let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
             .map(|i| {
                 let strategy = byz.iter().find(|(j, _)| *j == i).map(|(_, s)| s.clone());
                 let honest_input = strategy.is_none().then(|| inputs[i].clone());
@@ -228,7 +217,8 @@ mod tests {
 
     /// d = 2, f = 1, n = max(4, 4) = 4: Exact BVC must succeed against an
     /// equivocator showing `shown[j]` to process `j`.
-    fn exact_bvc_survives_equivocation<B: Broadcast<VecD> + 'static>(shown: [[f64; 2]; 4]) {
+    #[test]
+    fn exact_bvc_at_theorem1_bound() {
         let (n, f, d) = (4, 1, 2);
         let inputs = vec![
             VecD::from_slice(&[0.0, 0.0]),
@@ -236,22 +226,16 @@ mod tests {
             VecD::from_slice(&[0.0, 2.0]),
             VecD::zeros(2), // ignored (faulty)
         ];
-        let table = shown.iter().map(|v| VecD::from_slice(v)).collect();
-        let byz = vec![(3, ByzantineStrategy::TwoFaced(table))];
-        let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
-        let v = exact(&correct, &decisions);
-        assert!(v.ok(), "Exact BVC failed at the Theorem 1 bound: {v:?}");
-    }
-
-    #[test]
-    fn exact_bvc_at_theorem1_bound() {
-        // One face per recipient, and one per network half (what a signing
-        // equivocator shows: ids `< n/2` against the rest).
+        // One face per recipient, and one per network half (ids `< n/2`
+        // against the rest).
         let faces = [[100.0, 100.0], [-100.0, -100.0], [0.0, 50.0], [0.0, 0.0]];
         let halves = [[50.0, 50.0], [50.0, 50.0], [-50.0, -50.0], [-50.0, -50.0]];
         for shown in [faces, halves] {
-            exact_bvc_survives_equivocation::<Eig>(shown);
-            exact_bvc_survives_equivocation::<Ds>(shown);
+            let table = shown.iter().map(|v| VecD::from_slice(v)).collect();
+            let byz = vec![(3, ByzantineStrategy::TwoFaced(table))];
+            let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+            let v = exact(&correct, &decisions);
+            assert!(v.ok(), "Exact BVC failed at the Theorem 1 bound: {v:?}");
         }
     }
 
@@ -264,7 +248,7 @@ mod tests {
             .map(|i| VecD((0..d).map(|c| (i * d + c) as f64).collect()))
             .collect();
         let byz = vec![(0, ByzantineStrategy::Silent)];
-        let (decisions, correct) = run::<Eig>(
+        let (decisions, correct) = run(
             n,
             f,
             d,
@@ -299,7 +283,7 @@ mod tests {
             ByzantineStrategy::FollowProtocol(inputs[2].clone()),
         )];
         let (decisions, correct) =
-            run::<Eig>(n, f, d, &inputs, &byz, DecisionRule::MinDeltaPoint(Norm::L2));
+            run(n, f, d, &inputs, &byz, DecisionRule::MinDeltaPoint(Norm::L2));
         // Theorem 9's bounds define the validity κ: max-edge/(n−2).
         let v = check_execution(
             &correct,
@@ -327,7 +311,7 @@ mod tests {
                 corrupt: VecD::from_slice(&[9e9, 9e9]),
             },
         )];
-        let (decisions, correct) = run::<Eig>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+        let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
         let v = exact(&correct, &decisions);
         assert!(v.ok(), "lying relays broke the protocol: {v:?}");
     }
@@ -338,16 +322,17 @@ mod tests {
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, -(i as f64)]))
             .collect();
-        let (decisions, correct) = run::<Eig>(n, f, d, &inputs, &[], DecisionRule::GammaPoint);
+        let (decisions, correct) = run(n, f, d, &inputs, &[], DecisionRule::GammaPoint);
         assert!(exact(&correct, &decisions).ok());
     }
 
     /// Values that are not finite `d`-vectors — injected into relays, or
     /// broadcast as the input of a faulty process that otherwise follows the
-    /// protocol (under signatures its chains are perfectly valid) — must be
-    /// dropped at the receive boundary: they would otherwise defeat every
-    /// trimming rule, since NaN comparisons are all false.
-    fn malformed_payloads_are_dropped<B: Broadcast<VecD> + 'static>() {
+    /// protocol — must be dropped at the receive boundary: they would
+    /// otherwise defeat every trimming rule, since NaN comparisons are all
+    /// false.
+    #[test]
+    fn non_finite_payloads_cannot_poison_the_run() {
         let (n, f, d) = (5, 1, 2);
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, 1.0]))
@@ -368,7 +353,7 @@ mod tests {
                 DecisionRule::MinDeltaPoint(Norm::L2),
             ] {
                 let byz = vec![(4, strategy.clone())];
-                let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, rule);
+                let (decisions, correct) = run(n, f, d, &inputs, &byz, rule);
                 for dec in &decisions {
                     let dec = dec.as_ref().expect("every honest process decides");
                     assert!(
@@ -384,89 +369,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn non_finite_payloads_cannot_poison_the_run() {
-        malformed_payloads_are_dropped::<Eig>();
-        malformed_payloads_are_dropped::<Ds>();
-    }
-
-    #[test]
-    fn algo_over_authenticated_broadcast_matches_eig_decision() {
-        // Same inputs, same rule: the two substrates deliver the same
-        // multiset S, hence the identical decision.
-        let (n, f, d) = (4, 1, 3);
-        let inputs = vec![
-            VecD::from_slice(&[0.0, 0.0, 0.0]),
-            VecD::from_slice(&[1.0, 0.0, 0.0]),
-            VecD::from_slice(&[0.0, 1.0, 0.0]),
-            VecD::from_slice(&[0.0, 0.0, 1.0]),
-        ];
-        let rule = DecisionRule::MinDeltaPoint(Norm::L2);
-        let (ds_decisions, _) = run::<Ds>(n, f, d, &inputs, &[], rule);
-
-        // EIG flavour via the main runner.
-        let spec = crate::runner::SyncSpec {
-            n,
-            f,
-            d,
-            rule,
-            inputs: inputs.clone(),
-            adversaries: vec![],
-            agreement: Agreement::Exact,
-            validity: Validity::Exact,
-        };
-        let eig_report = crate::runner::run_sync(&spec, t());
-        let a = ds_decisions[0].clone().unwrap();
-        let b = eig_report.decisions[0].clone().unwrap();
-        assert!(
-            a.approx_eq(&b, Tol(1e-9)),
-            "substrates disagree: {a} vs {b}"
-        );
-    }
-
     /// `0.0 == -0.0`, so Byzantine 0 can leave correct processes agreeing on
     /// a slot of `S` and still holding bit-different values in it: by
     /// relaying honest sender 1's `[0.0, 1.0]` as `[-0.0, 1.0]` to the odd
     /// recipients (which of the two a process keeps depends on what it counts
     /// first), or by showing them the two zeros as its own input.
-    fn signed_zero<B: Broadcast<VecD> + 'static>(liar: ByzantineStrategy) {
+    #[test]
+    fn signed_zero_relay_cannot_split_the_multiset() {
         let (n, f, d) = (4, 1, 2);
         let inputs: Vec<VecD> = (0..n).map(|i| VecD::from_slice(&[0.0, i as f64])).collect();
         let rule = DecisionRule::MinDeltaPoint(Norm::L2);
-        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
-            .map(|i| {
-                let strategy = (i == 0).then(|| liar.clone());
-                let input = strategy.is_none().then(|| inputs[i].clone());
-                make_node(i, n, f, d, input, strategy, rule, t())
-            })
-            .collect();
-        let mut engine = RoundEngine::new(SystemConfig::new(n, f).with_faulty(vec![0]), nodes);
-        let _ = engine.run(f + 2);
-        let bits = |v: &VecD| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let seen: Vec<_> = (1..n)
-            .map(|i| {
-                let SyncNode::Honest(p) = engine.node(i) else { unreachable!() };
-                let s = p.common_multiset().expect("Step 1 done");
-                (s.iter().map(bits).collect::<Vec<_>>(), bits(&p.output().expect("decided")))
-            })
-            .collect();
-        assert_eq!(seen[0].0[1], bits(&inputs[1]), "the sender's value, zero sign and all");
-        assert!(seen.iter().all(|s| s == &seen[0]), "bit-different S or decision: {seen:?}");
-    }
-
-    #[test]
-    fn signed_zero_relay_cannot_split_the_multiset() {
         let zero = |sign: f64, y: f64| VecD::from_slice(&[sign * 0.0, y]);
         for liar in [
             ByzantineStrategy::LyingRelay { input: zero(1.0, 0.0), corrupt: zero(-1.0, 1.0) },
             ByzantineStrategy::TwoFaced((0..4).map(|j| zero([1.0, -1.0][j % 2], 7.0)).collect()),
         ] {
-            signed_zero::<Eig>(liar.clone());
-            signed_zero::<Ds>(liar);
+            let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
+                .map(|i| {
+                    let strategy = (i == 0).then(|| liar.clone());
+                    let input = strategy.is_none().then(|| inputs[i].clone());
+                    make_node(i, n, f, d, input, strategy, rule, t())
+                })
+                .collect();
+            let mut engine = RoundEngine::new(SystemConfig::new(n, f).with_faulty(vec![0]), nodes);
+            let _ = engine.run(f + 2);
+            let bits = |v: &VecD| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let seen: Vec<_> = (1..n)
+                .map(|i| {
+                    let SyncNode::Honest(p) = engine.node(i) else { unreachable!() };
+                    let s = p.common_multiset().expect("Step 1 done");
+                    (s.iter().map(bits).collect::<Vec<_>>(), bits(&p.output().expect("decided")))
+                })
+                .collect();
+            assert_eq!(seen[0].0[1], bits(&inputs[1]), "the sender's value, zero sign and all");
+            assert!(seen.iter().all(|s| s == &seen[0]), "bit-different S or decision: {seen:?}");
         }
     }
 
-    fn silent_and_follow<B: Broadcast<VecD> + 'static>() {
+    #[test]
+    fn silent_and_follow_strategies() {
         let (n, f, d) = (7, 2, 2);
         let inputs: Vec<VecD> = (0..n)
             .map(|i| VecD::from_slice(&[i as f64, -(i as f64)]))
@@ -475,15 +416,9 @@ mod tests {
             (0, ByzantineStrategy::Silent),
             (4, ByzantineStrategy::FollowProtocol(VecD::from_slice(&[9.0, 9.0]))),
         ];
-        let (decisions, correct) = run::<B>(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
+        let (decisions, correct) = run(n, f, d, &inputs, &byz, DecisionRule::GammaPoint);
         let v = exact(&correct, &decisions);
         assert!(v.ok(), "{v:?}");
-    }
-
-    #[test]
-    fn silent_and_follow_strategies() {
-        silent_and_follow::<Eig>();
-        silent_and_follow::<Ds>();
     }
 
     #[test]

@@ -31,7 +31,14 @@ use std::iter::repeat_n;
 use std::sync::Arc;
 
 use crate::config::ProcessId;
-use crate::sync::{Broadcast, SyncProtocol, ValueCheck};
+use crate::sync::SyncProtocol;
+
+/// The receive-boundary predicate of a [`ParallelEig`]: `ok(value, default)`
+/// is asked of every value as it is read off the wire, with the instance's
+/// default beside it so that shape (e.g. dimension) can be checked without a
+/// capture. A rejected item is dropped exactly as a malformed label is, so
+/// its sender's slot ends at the default.
+pub type ValueCheck<V> = fn(value: &V, default: &V) -> bool;
 
 /// What one process says in one round, about all `n` broadcasts: relay items
 /// "(label σ, value)" grouped into entries, one entry per broadcast an
@@ -160,6 +167,48 @@ pub struct ParallelEig<V> {
 }
 
 impl<V: Clone + PartialEq> ParallelEig<V> {
+    /// Process `my_id`'s end of the `n` broadcasts, sending `input` on its
+    /// own; a broadcast nothing usable arrived for ends at `default`.
+    ///
+    /// # Panics
+    /// Panics unless `n > 3f`.
+    #[must_use]
+    pub fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
+        assert!(n > 3 * f, "EIG requires n > 3f");
+        ParallelEig {
+            my_id,
+            n,
+            f,
+            input,
+            accept: |_, _| true,
+            values: vec![default],
+            slots: Vec::new(),
+            seen: Vec::new(),
+            decided: None,
+        }
+    }
+
+    /// Drop every received value failing `ok` (the default accepts all).
+    #[must_use]
+    pub fn accepting(mut self, ok: ValueCheck<V>) -> Self {
+        self.accept = ok;
+        self
+    }
+
+    /// What a Byzantine process can do to the values inside one of its
+    /// outgoing messages: `edit(origin, value)` visits each carried value,
+    /// with the id of the broadcast it belongs to, and may overwrite it. The
+    /// message is unshared first, so the other destinations keep theirs.
+    pub fn tamper(msg: &mut EigMsg<V>, mut edit: impl FnMut(ProcessId, &mut V)) {
+        let msg = Arc::make_mut(msg);
+        // One value per item, as an adversary sees them.
+        let mut values: Vec<V> = msg.iter().map(|(_, _, value)| value.clone()).collect();
+        msg.indexed().zip(&mut values).for_each(|((origin, ..), value)| edit(origin, value));
+        let at = msg.items.iter_mut().skip(msg.stride).step_by(msg.stride + 1);
+        at.enumerate().for_each(|(item, v)| *v = item);
+        msg.values = values;
+    }
+
     /// Where the level of the labels with `len` ids starts in `slots`.
     fn level(&self, len: usize) -> usize {
         (1..len).map(|l| self.n.pow(l as u32)).sum()
@@ -211,42 +260,6 @@ impl<V: Clone + PartialEq> ParallelEig<V> {
             }
         }
         self.slots[..n].iter().map(|&v| self.values[v as usize].clone()).collect()
-    }
-}
-
-impl<V: Clone + PartialEq> Broadcast<V> for ParallelEig<V> {
-    fn new(my_id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self {
-        assert!(n > 3 * f, "EIG requires n > 3f");
-        ParallelEig {
-            my_id,
-            n,
-            f,
-            input,
-            accept: |_, _| true,
-            values: vec![default],
-            slots: Vec::new(),
-            seen: Vec::new(),
-            decided: None,
-        }
-    }
-
-    fn accepting(mut self, ok: ValueCheck<V>) -> Self {
-        self.accept = ok;
-        self
-    }
-
-    fn tamper(_me: ProcessId, msg: &mut Self::Msg, edit: &mut dyn FnMut(ProcessId, &mut V)) {
-        let msg = Arc::make_mut(msg);
-        // One value per item, as an adversary sees them.
-        let mut values: Vec<V> = msg.iter().map(|(_, _, value)| value.clone()).collect();
-        msg.indexed().zip(&mut values).for_each(|((origin, ..), value)| edit(origin, value));
-        let at = msg.items.iter_mut().skip(msg.stride).step_by(msg.stride + 1);
-        at.enumerate().for_each(|(item, v)| *v = item);
-        msg.values = values;
-    }
-
-    fn items(msg: &Self::Msg) -> usize {
-        msg.items.len() / (msg.stride + 1)
     }
 }
 
@@ -460,7 +473,7 @@ mod tests {
         let (n, f) = (4, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![3]);
         let mut nodes: Nodes = (0..3).map(|i| honest(i, n, f, i as i64)).collect();
-        nodes.push(SyncNode::Byzantine(Box::new(two_faced::<ParallelEig<i64>, _>(
+        nodes.push(SyncNode::Byzantine(Box::new(two_faced(
             3,
             n,
             f,
@@ -485,7 +498,7 @@ mod tests {
         let (n, f) = (5, 1);
         let config = SystemConfig::new(n, f).with_faulty(vec![4]);
         let mut nodes: Nodes = (0..4).map(|i| honest(i, n, f, 7 * i as i64)).collect();
-        nodes.push(SyncNode::Byzantine(Box::new(lying_relay::<ParallelEig<i64>, _>(
+        nodes.push(SyncNode::Byzantine(Box::new(lying_relay(
             4,
             n,
             f,
@@ -510,14 +523,14 @@ mod tests {
         let mut nodes: Nodes = Vec::new();
         for i in 0..n {
             match i {
-                1 => nodes.push(SyncNode::Byzantine(Box::new(two_faced::<ParallelEig<i64>, _>(
+                1 => nodes.push(SyncNode::Byzantine(Box::new(two_faced(
                     1,
                     n,
                     f,
                     (0..n as i64).map(|j| 1000 + j).collect(),
                     i64::MIN,
                 )))),
-                5 => nodes.push(SyncNode::Byzantine(Box::new(lying_relay::<ParallelEig<i64>, _>(
+                5 => nodes.push(SyncNode::Byzantine(Box::new(lying_relay(
                     5, n, f, 555, i64::MIN, -777,
                 )))),
                 _ => nodes.push(honest(i, n, f, i as i64)),
@@ -562,6 +575,31 @@ mod tests {
         }
     }
 
+    /// ALGO's Step 1 costs what the protocol says: in round `r` every
+    /// process tells all `n` the `(n−1)!/(n−1−r)!` labels of `r + 1` distinct
+    /// ids that end in its own id, so an all-honest run carries
+    /// n²·Σ_{r=0..f} (n−1)!/(n−1−r)! items.
+    #[test]
+    fn an_honest_run_carries_exactly_the_protocols_items() {
+        for ((n, f), expected) in [((4, 1), 64), ((5, 1), 125), ((7, 2), 1_813), ((10, 3), 58_600)] {
+            let mut nodes: Vec<_> = (0..n).map(|id| ParallelEig::new(id, n, f, id as i64, -1)).collect();
+            let mut items = 0;
+            for round in 0..=f {
+                let mut inboxes = vec![Vec::new(); n];
+                for (src, node) in nodes.iter_mut().enumerate() {
+                    for (dst, msg) in node.round_messages(round) {
+                        items += msg.iter().count();
+                        inboxes[dst].push((src, msg));
+                    }
+                }
+                nodes.iter_mut().zip(&inboxes).for_each(|(node, inbox)| node.receive(round, inbox));
+            }
+            let per_pair: usize = (0..=f).map(|r| (n - r..n).product::<usize>()).sum();
+            assert_eq!((items, n * n * per_pair), (expected, expected), "(n, f) = ({n}, {f})");
+            assert!(nodes.iter().all(|p| p.output() == Some((0..n as i64).collect())));
+        }
+    }
+
     #[test]
     #[should_panic(expected = "n > 3f")]
     fn rejects_insufficient_processes() {
@@ -578,7 +616,7 @@ mod tests {
         assert_eq!(round0[0].1.iter().collect::<Vec<_>>(), [(1, &[1][..], &7)]);
         // Tampering un-shares: the other destinations keep the honest message.
         let mut forged = Arc::clone(&round0[2].1);
-        ParallelEig::tamper(1, &mut forged, &mut |origin, v| *v += origin as i64);
+        ParallelEig::tamper(&mut forged, |origin, v| *v += origin as i64);
         assert_eq!(forged.iter().next(), Some((1, &[1][..], &8)));
         assert_eq!(round0[2].1.iter().next(), Some((1, &[1][..], &7)));
     }

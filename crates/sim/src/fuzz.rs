@@ -13,7 +13,7 @@
 //!   silent, between rounds or mid-send (the benign-fault end of the
 //!   spectrum, cf. the crash-fault model of Tseng–Vaidya \[16\]);
 //! * [`two_faced`] / [`lying_relay`] — equivocation at the source and
-//!   corruption in relays, over any [`Broadcast`];
+//!   corruption in relays, over [`ParallelEig`];
 //! * [`duplicating`] — duplicated and reordered sends.
 //!
 //! What wraps nothing stays a type of its own, each running under either
@@ -36,7 +36,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::asynch::{AsyncAdversary, AsyncProtocol};
 use crate::config::ProcessId;
-use crate::sync::{Broadcast, SyncAdversary, SyncProtocol};
+use crate::eig::{EigMsg, ParallelEig};
+use crate::sync::{SyncAdversary, SyncProtocol};
 
 /// Seeded, codec-agnostic byte-level mutator for wire fuzz corpora.
 ///
@@ -112,6 +113,9 @@ impl ByteMutator {
 
 /// What a process sends in one step: `(destination, message)` pairs.
 pub type Sends<M> = Vec<(ProcessId, M)>;
+
+/// What an EIG process sends in one round.
+type EigSends<V> = Sends<EigMsg<V>>;
 
 /// A Byzantine process as the honest machine `inner` with its sends edited:
 /// `inner` receives everything, and each outgoing list goes through
@@ -197,25 +201,24 @@ pub fn partial_crash<P: SyncProtocol>(
 
 /// Relays faithfully but *equivocates on its own input*: process `j` is
 /// shown `per_recipient[j]` in round 0. The strongest single-instance
-/// attack against broadcast consistency; under signatures this is the
-/// sender signing several values, which the relayed chains expose.
+/// attack against broadcast consistency.
 ///
 /// # Panics
 /// Panics unless `per_recipient` has one value per process.
 #[must_use]
-pub fn two_faced<B: Broadcast<V>, V: Clone>(
+pub fn two_faced<V: Clone + PartialEq>(
     my_id: ProcessId,
     n: usize,
     f: usize,
     per_recipient: Vec<V>,
     default: V,
-) -> Edited<B, impl FnMut(usize, &mut Sends<B::Msg>)> {
+) -> Edited<ParallelEig<V>, impl FnMut(usize, &mut EigSends<V>)> {
     assert_eq!(per_recipient.len(), n);
-    let inner = B::new(my_id, n, f, per_recipient[0].clone(), default);
-    Edited::new(inner, move |round, sends: &mut Sends<B::Msg>| {
+    let inner = ParallelEig::new(my_id, n, f, per_recipient[0].clone(), default);
+    Edited::new(inner, move |round, sends: &mut EigSends<V>| {
         if round == 0 {
             for (dst, msg) in sends {
-                B::tamper(my_id, msg, &mut |origin, value| {
+                ParallelEig::tamper(msg, |origin, value| {
                     if origin == my_id {
                         *value = per_recipient[*dst].clone();
                     }
@@ -229,19 +232,19 @@ pub fn two_faced<B: Broadcast<V>, V: Clone>(
 /// to an odd-indexed recipient is replaced by `corrupt` (split-brain
 /// relays).
 #[must_use]
-pub fn lying_relay<B: Broadcast<V>, V: Clone>(
+pub fn lying_relay<V: Clone + PartialEq>(
     my_id: ProcessId,
     n: usize,
     f: usize,
     input: V,
     default: V,
     corrupt: V,
-) -> Edited<B, impl FnMut(usize, &mut Sends<B::Msg>)> {
-    let inner = B::new(my_id, n, f, input, default);
-    Edited::new(inner, move |round, sends: &mut Sends<B::Msg>| {
+) -> Edited<ParallelEig<V>, impl FnMut(usize, &mut EigSends<V>)> {
+    let inner = ParallelEig::new(my_id, n, f, input, default);
+    Edited::new(inner, move |round, sends: &mut EigSends<V>| {
         if round > 0 {
             for (_, msg) in sends.iter_mut().filter(|(dst, _)| dst % 2 == 1) {
-                B::tamper(my_id, msg, &mut |_, value| *value = corrupt.clone());
+                ParallelEig::tamper(msg, |_, value| *value = corrupt.clone());
             }
         }
     })
@@ -343,7 +346,7 @@ pub fn duplicating<P: AsyncProtocol>(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::eig::{EigRound, ParallelEig};
+    use crate::eig::EigRound;
     use crate::sync::{RoundEngine, SyncNode};
 
     type Nodes = Vec<SyncNode<ParallelEig<i64>>>;

@@ -12,13 +12,12 @@
 //!
 //! * [`config`] — system configuration `(n, f)` and fault-set bookkeeping.
 //! * [`sync`] — deterministic lockstep round engine with pluggable Byzantine
-//!   adversaries (equivocation is per-recipient message control), and the
-//!   [`sync::Broadcast`] seam: what ALGO's Step 1 asks of a substrate.
-//! * [`dolev_strong`] — Dolev–Strong authenticated Byzantine broadcast
-//!   (simulated signatures), the polynomial-message alternative substrate.
+//!   adversaries (equivocation is per-recipient message control).
 //! * [`eig`] — Exponential Information Gathering Byzantine broadcast
 //!   (`f + 1` rounds, `n ≥ 3f + 1`), the "Byzantine broadcast … such as
-//!   \[12\]" that Step 1 of ALGO calls for.
+//!   \[12\]" that Step 1 of ALGO calls for. It is the only Step 1: the
+//!   paper's model has no signatures, and at `n ≥ 3f + 1` none are needed
+//!   (DESIGN.md §2 sizes a signed one in bytes).
 //! * [`fuzz`] — the adversary layer: [`fuzz::Edited`], the honest machine
 //!   with its sends edited, behind constructors that name the edits
 //!   (follow, crash, two-faced, lying relay, duplicating), and the seeded
@@ -35,7 +34,6 @@
 pub mod asynch;
 pub mod bracha;
 pub mod config;
-pub mod dolev_strong;
 pub mod eig;
 pub mod error;
 pub mod fuzz;
@@ -43,4 +41,4 @@ pub mod sync;
 
 pub use config::{ProcessId, SystemConfig};
 pub use error::{ErrorLog, ProtocolError};
-pub use sync::{Broadcast, RoundEngine, SyncAdversary, SyncNode, SyncProtocol};
+pub use sync::{RoundEngine, SyncAdversary, SyncNode, SyncProtocol};

@@ -40,40 +40,6 @@ pub trait SyncAdversary<M> {
     fn receive(&mut self, round: usize, inbox: &[(ProcessId, M)]);
 }
 
-/// The receive-boundary predicate of a [`Broadcast`]: `ok(value, default)`
-/// is asked of every value as it is read off the wire, with the instance's
-/// default beside it so that shape (e.g. dimension) can be checked without a
-/// capture. A rejected item is dropped exactly as a malformed label or chain
-/// is, so its sender's slot ends at the default.
-pub type ValueCheck<V> = fn(value: &V, default: &V) -> bool;
-
-/// ALGO's Step 1 (§9), "any Byzantine broadcast algorithm": `n` parallel
-/// broadcasts, one per process, after which every correct process outputs
-/// the same `Vec<V>` — slot `i` holding `i`'s input if `i` is correct and
-/// `default` if `i` said nothing usable. [`crate::eig::ParallelEig`]
-/// (unauthenticated) and [`crate::dolev_strong::ParallelDolevStrong`]
-/// (signed chains) are the two substrates; broadcast-then-decide and the
-/// structured adversaries in [`crate::fuzz`] are written once over this.
-pub trait Broadcast<V>: SyncProtocol<Output = Vec<V>> + Sized {
-    /// Process `id`'s end of the `n` broadcasts, sending `input` on its own.
-    fn new(id: ProcessId, n: usize, f: usize, input: V, default: V) -> Self;
-
-    /// Drop every received value failing `ok` (the default accepts all).
-    #[must_use]
-    fn accepting(self, ok: ValueCheck<V>) -> Self;
-
-    /// What Byzantine process `me` can do to the values inside one of its
-    /// outgoing messages: `edit(origin, value)` visits each carried value
-    /// with the id of the broadcast it belongs to. Without signatures the
-    /// value is simply overwritten; with them `me` re-signs as itself and
-    /// everyone else's signatures stay as they were, so a tampered relay no
-    /// longer verifies.
-    fn tamper(me: ProcessId, msg: &mut Self::Msg, edit: &mut dyn FnMut(ProcessId, &mut V));
-
-    /// Payload items (label/value pairs, signature chains) `msg` carries.
-    fn items(msg: &Self::Msg) -> usize;
-}
-
 /// A network node: honest or Byzantine.
 pub enum SyncNode<P: SyncProtocol> {
     /// Runs the protocol faithfully.

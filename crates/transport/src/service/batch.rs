@@ -346,8 +346,8 @@ mod tests {
         assert_eq!(va(&nodes[0], 1).1, bounds(2), "nothing else refused");
     }
 
-    /// One slot in two batches: a Byzantine origin broadcasts two batches
-    /// that hold the same (instance, round) slot with two different states.
+    /// One slot twice: a Byzantine origin broadcasts the same (instance,
+    /// round) slot with two different states, in two batches or twice in one.
     /// FIFO delivery hands every honest node the two in the same order, so
     /// every one keeps the first state, refuses the second as a duplicate,
     /// and the three honest cores decide.
@@ -359,25 +359,31 @@ mod tests {
             let mode = DeltaMode::MinDelta(Norm::L2);
             InstanceProto::Va(VerifiedAveraging::new(p, n, 1, input, mode, 4, Tol::default()))
         };
-        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
-        for (p, node) in nodes.iter_mut().enumerate() {
-            node.add_instance(1, va(p)).unwrap();
-        }
         let state = |x: f64| Arc::new(RoundState { value: VecD::from_slice(&[x, x]), witness: vec![] });
         let (first, second) = (state(0.5), state(9.0));
-        let mut queues: Queues = vec![VecDeque::new(); n];
-        for (seq, state) in [(0, &first), (1, &second)] {
-            let batch = VaBatch { slots: vec![VaSlot { instance: 1, round: 0, state: Arc::clone(state) }] };
-            let bytes = encode_frame(&Frame::batch(3, ((3, seq), BrachaMsg::Init(Arc::new(batch)))));
-            (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
-        }
-        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
-        for node in &nodes[..3] {
-            let InstanceProto::Va(p) = &node.instances[&1].proto else { unreachable!() };
-            let kept = p.delivered_state((3, 0)).expect("origin 3's round-0 slot was delivered");
-            assert_eq!(kept.value, first.value, "node {}", node.local);
-            assert_eq!(p.refusals(), Refusals { duplicate: 1, ..Refusals::default() }, "node {}", node.local);
-            assert!(p.output().is_some() && gate_totals(node) == [0; 4]);
+        // Origin 3's round-0 slot, in two batches, then twice in one.
+        let inputs = [vec![vec![&first], vec![&second]], vec![vec![&first, &second]]];
+        for batches in inputs {
+            let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+            for (p, node) in nodes.iter_mut().enumerate() {
+                node.add_instance(1, va(p)).unwrap();
+            }
+            let mut queues: Queues = vec![VecDeque::new(); n];
+            for (seq, states) in batches.iter().enumerate() {
+                let slot = |state: &&Arc<RoundState>| VaSlot { instance: 1, round: 0, state: Arc::clone(state) };
+                let batch = VaBatch { slots: states.iter().map(slot).collect() };
+                let bytes = encode_frame(&Frame::batch(3, ((3, seq as u32), BrachaMsg::Init(Arc::new(batch)))));
+                (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
+            }
+            run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
+            for node in &nodes[..3] {
+                let InstanceProto::Va(p) = &node.instances[&1].proto else { unreachable!() };
+                let kept = p.delivered_state((3, 0)).expect("origin 3's round-0 slot was delivered");
+                let at = format!("node {}, {} batches", node.local, batches.len());
+                assert_eq!(kept.value, first.value, "{at}");
+                assert_eq!(p.refusals(), Refusals { duplicate: 1, ..Refusals::default() }, "{at}");
+                assert!(p.output().is_some() && gate_totals(node) == [0; 4], "{at}");
+            }
         }
     }
 }

@@ -13,22 +13,18 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use relaxed_bvc::consensus::problem::{check_execution, Agreement, Validity};
 use relaxed_bvc::consensus::rules::DecisionRule;
-use relaxed_bvc::consensus::sync_protocols::{SyncBvc, SyncBvcOver};
+use relaxed_bvc::consensus::sync_protocols::SyncBvc;
 use relaxed_bvc::consensus::verified_avg::{DeltaMode, VaMsg, VerifiedAveraging};
 use relaxed_bvc::linalg::{Norm, Tol, VecD};
 use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
 use relaxed_bvc::sim::config::SystemConfig;
-use relaxed_bvc::sim::dolev_strong::ParallelDolevStrong;
 use relaxed_bvc::sim::eig::{EigRound, ParallelEig};
 use relaxed_bvc::sim::fuzz::{duplicating, partial_crash, FuzzAdversary};
-use relaxed_bvc::sim::sync::{Broadcast, RoundEngine, SyncNode};
+use relaxed_bvc::sim::sync::{RoundEngine, SyncNode};
 
 /// The single documented base seed of this file; every derived seed is
 /// `BASE_SEED + <small offset>` or `BASE_SEED ^ <trial index>`.
 const BASE_SEED: u64 = 20_160_601;
-
-type Eig = ParallelEig<VecD>;
-type Ds = ParallelDolevStrong<VecD>;
 
 fn tol() -> Tol {
     Tol::default()
@@ -41,14 +37,8 @@ fn random_inputs(seed: u64, n: usize, d: usize) -> Vec<VecD> {
         .collect()
 }
 
-fn honest_sync<B: Broadcast<VecD>>(
-    i: usize,
-    n: usize,
-    f: usize,
-    d: usize,
-    input: VecD,
-) -> SyncNode<SyncBvcOver<B>> {
-    SyncNode::Honest(SyncBvcOver::new(
+fn honest_sync(i: usize, n: usize, f: usize, d: usize, input: VecD) -> SyncNode<SyncBvc> {
+    SyncNode::Honest(SyncBvc::new(
         i,
         n,
         f,
@@ -86,11 +76,10 @@ fn check_sync_outcome(
     assert!(v.ok(), "{ctx}: {v:?}");
 }
 
-/// A crash is a legal Byzantine behaviour, so over either broadcast
-/// substrate agreement and validity must hold wherever process `faulty`
-/// dies: for each `(round, prefix)` it sends only the first `prefix`
-/// messages of `round` and nothing after.
-fn survives_crashes<B: Broadcast<VecD> + 'static>(
+/// A crash is a legal Byzantine behaviour, so agreement and validity must
+/// hold wherever process `faulty` dies: for each `(round, prefix)` it sends
+/// only the first `prefix` messages of `round` and nothing after.
+fn survives_crashes(
     seed_offset: u64,
     faulty: usize,
     crashes: impl Iterator<Item = (usize, usize)>,
@@ -99,11 +88,11 @@ fn survives_crashes<B: Broadcast<VecD> + 'static>(
     let inputs = random_inputs(BASE_SEED + seed_offset, n, d);
     for (round, prefix) in crashes {
         let config = SystemConfig::new(n, f).with_faulty(vec![faulty]);
-        let nodes: Vec<SyncNode<SyncBvcOver<B>>> = (0..n)
+        let nodes: Vec<SyncNode<SyncBvc>> = (0..n)
             .map(|i| {
                 if i == faulty {
                     SyncNode::Byzantine(Box::new(partial_crash(
-                        B::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
+                        ParallelEig::new(i, n, f, inputs[i].clone(), VecD::zeros(d)),
                         round,
                         prefix,
                     )))
@@ -137,22 +126,12 @@ fn every_round0_prefix() -> impl Iterator<Item = (usize, usize)> {
 
 #[test]
 fn sync_bvc_survives_crash_at_every_round() {
-    survives_crashes::<Eig>(1, 2, at_every_round());
-}
-
-#[test]
-fn dolev_strong_substrate_survives_crash_at_every_round() {
-    survives_crashes::<Ds>(6, 2, at_every_round());
+    survives_crashes(1, 2, at_every_round());
 }
 
 #[test]
 fn sync_bvc_survives_partial_crash_every_prefix() {
-    survives_crashes::<Eig>(2, 0, every_round0_prefix());
-}
-
-#[test]
-fn dolev_strong_substrate_survives_partial_crash_every_prefix() {
-    survives_crashes::<Ds>(7, 0, every_round0_prefix());
+    survives_crashes(2, 0, every_round0_prefix());
 }
 
 #[test]
