@@ -121,7 +121,7 @@ fn refused(mix: &Mix) -> bool {
 }
 
 impl ByzantineConfig {
-    /// The full profile (the whole registry cycled four times: 52 runs, two
+    /// The full profile (the whole registry cycled four times: 56 runs, two
     /// instances) or the CI profile — still 7 nodes and `f = 2` (shrinking
     /// the mesh would change the Byzantine regime, which is the whole
     /// point), but one instance, fewer rounds, and one run per mix so CI

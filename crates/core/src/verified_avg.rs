@@ -30,10 +30,10 @@
 //! (origin, round) tag inside the instance — the simulator's shape. A host
 //! that reliably broadcasts many instances' states at once (the service
 //! batches them per origin, FIFO) calls [`VerifiedAveraging::start`] and
-//! [`VerifiedAveraging::deliver`] instead: the same verify, average and
-//! advance logic, fed one delivered (origin, round, state) at a time, with
-//! the first state delivered for an (origin, round) kept and any later one
-//! refused.
+//! [`VerifiedAveraging::deliver`] instead, the entry the [`AsyncProtocol`]
+//! impl's deliveries take too: one delivered (origin, round, state) at a
+//! time, the first per (origin, round) kept, held once and never rewritten.
+//! Verification is a permanent flag over it, so witness ids fix the values.
 
 use std::sync::Arc;
 
@@ -121,15 +121,15 @@ pub struct VerifiedAveraging {
     /// registered instance that never runs costs nothing.
     rb: Vec<Option<BrachaInstance<Arc<RoundState>>>>,
     /// The delivered states, indexed like `rb`: empty until the first
-    /// delivery or own state, then `n · total_rounds` slots.
+    /// delivery, then `n · total_rounds` slots, each written once.
     delivered: Vec<Option<Arc<RoundState>>>,
-    /// The delivered states verified OK, indexed like `delivered` (sized
+    /// Whether the state in the same slot of `delivered` verified OK (sized
     /// with it).
-    verified: Vec<Option<Arc<RoundState>>>,
-    /// Round-0 combining results keyed by their exact witness, ids and
-    /// values; see [`Self::combine_round0`].
-    round0: Vec<(Vec<ProcessId>, Vec<VecD>, Round0)>,
-    /// Entries of `verified`, over all rounds.
+    verified: Vec<bool>,
+    /// Round-0 combining results keyed by their witness ids; see
+    /// [`Self::combine_round0`].
+    round0: Vec<(Vec<ProcessId>, Round0)>,
+    /// Set flags of `verified`, over all rounds.
     commits: u64,
     /// Delivered but not yet verifiable (waiting on witness deliveries).
     pending: Vec<RoundTag>,
@@ -217,8 +217,7 @@ impl VerifiedAveraging {
     }
 
     /// Slots of the delivered-state table: 0 until this process first
-    /// delivers or broadcasts a state, then `n · total_rounds`, whatever
-    /// tags arrive.
+    /// delivers a state, then `n · total_rounds`, whatever tags arrive.
     #[must_use]
     pub fn broadcast_slots(&self) -> usize {
         self.delivered.len()
@@ -239,7 +238,8 @@ impl VerifiedAveraging {
 
     /// The value of state `tag`, if this process verified it.
     fn verified_value(&self, tag: RoundTag) -> Option<&VecD> {
-        Some(&self.verified.get(self.index(tag)?)?.as_ref()?.value)
+        let i = self.index(tag).filter(|&i| self.verified.get(i) == Some(&true))?;
+        self.delivered[i].as_deref().map(|state| &state.value)
     }
 
     /// The verified round-`round` values `ids` name, in their order, borrowed.
@@ -251,14 +251,6 @@ impl VerifiedAveraging {
         ids.iter().map(move |&k| self.verified_value((k, round)).expect("a named state is verified"))
     }
 
-    /// Size the delivered and verified tables, once.
-    fn size_tables(&mut self) {
-        if self.delivered.is_empty() {
-            self.delivered.resize(self.n * self.total_rounds, None);
-            self.verified.resize(self.n * self.total_rounds, None);
-        }
-    }
-
     /// The Bracha machine of broadcast `tag`, opened if it is new. `tag` has
     /// passed the bounds gate.
     fn instance(&mut self, tag: RoundTag) -> &mut BrachaInstance<Arc<RoundState>> {
@@ -266,7 +258,6 @@ impl VerifiedAveraging {
         if self.rb.is_empty() {
             self.rb.resize_with(self.n * self.total_rounds, || None);
         }
-        self.size_tables();
         let (n, f) = (self.n, self.f);
         self.rb[i].get_or_insert_with(|| BrachaInstance::new(n, f))
     }
@@ -308,9 +299,10 @@ impl VerifiedAveraging {
     /// tag is outside this run ([`Refusals::bounds`]), the state fails the
     /// payload check ([`Refusals::payload`]), or a state was already
     /// delivered for the tag ([`Refusals::duplicate`]: the first one wins).
-    /// Otherwise it is verified (now, or once its witness is) and the
-    /// states this process moves on to are pushed to `own`, in round order,
-    /// for the host to broadcast and, in time, deliver back.
+    /// Otherwise it is verified (now, or once its witness is), with any
+    /// pending state that becomes verifiable, and the states this process
+    /// moves on to are pushed to `own`, in round order, for the host to
+    /// broadcast and, in time, deliver back.
     pub fn deliver(
         &mut self,
         origin: ProcessId,
@@ -326,37 +318,60 @@ impl VerifiedAveraging {
             self.refusals.payload += 1;
             return;
         }
-        self.size_tables();
+        if self.delivered.is_empty() {
+            self.delivered.resize(self.n * self.total_rounds, None);
+            self.verified.resize(self.n * self.total_rounds, false);
+        }
         if self.delivered[i].is_some() {
             self.refusals.duplicate += 1;
             return;
         }
         self.delivered[i] = Some(state);
-        self.handle_delivery((origin, round), own);
+        self.pending.push((origin, round));
+        // Fixpoint: verification of one state can unblock others.
+        loop {
+            let mut progressed = false;
+            let mut k = 0;
+            while k < self.pending.len() {
+                let t = self.pending[k];
+                let s = Arc::clone(self.delivered_state(t).expect("pending implies delivered"));
+                match self.try_verify(t, &s) {
+                    Some(true) => {
+                        self.pending.swap_remove(k);
+                        let slot = self.index(t).expect("a delivered tag is of this run");
+                        self.verified[slot] = true;
+                        self.commits += 1;
+                        progressed = true;
+                    }
+                    Some(false) => {
+                        self.pending.swap_remove(k);
+                        self.rejected.push(t);
+                        progressed = true;
+                    }
+                    None => k += 1,
+                }
+            }
+            let advanced = self.try_advance(own);
+            if !progressed && !advanced {
+                break;
+            }
+        }
     }
 
     /// Apply the round-0 combining rule to the verified round-0 values `ids`
-    /// name, in their order, memoised per instance on the exact witness: the
-    /// same ids and the same bits in every component, in the same order (so
-    /// ±0.0 and order count), and a hit returns the bits a fresh solve would.
-    /// Every round-1 state verified here and this process's own combine ask
-    /// for it — one witness per origin plus its own, so the memo keeps
-    /// `n + 1` entries and no more.
+    /// name, in their order, memoised per instance on the ids (order counts):
+    /// the values they name are fixed once verified, so a hit returns the
+    /// bits a fresh solve would. Every round-1 state verified here and this
+    /// process's own combine ask for it — one witness per origin plus its
+    /// own, so the memo keeps `n + 1` entries and no more.
     fn combine_round0(&mut self, ids: &[ProcessId]) -> Round0 {
-        let same_bits = |x: &VecD, y: &VecD| {
-            let (x, y) = (x.as_slice(), y.as_slice());
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
-        };
-        let same = |key: &[ProcessId], values: &[VecD]| {
-            key == ids && values.iter().zip(self.named(0, ids)).all(|(x, y)| same_bits(x, y))
-        };
-        if let Some((.., hit)) = self.round0.iter().find(|(key, values, _)| same(key, values)) {
+        if let Some((_, hit)) = self.round0.iter().find(|(key, _)| key == ids) {
             return hit.clone();
         }
         let values: Vec<VecD> = self.named(0, ids).cloned().collect();
         let result = self.solve_round0(&values);
         if self.round0.len() <= self.n {
-            self.round0.push((ids.to_vec(), values, result.clone()));
+            self.round0.push((ids.to_vec(), result.clone()));
         }
         result
     }
@@ -446,43 +461,6 @@ impl VerifiedAveraging {
         Tol(self.tol.value().max(1e-9) * 100.0)
     }
 
-    /// Process a newly delivered state plus any pending ones that become
-    /// verifiable; drive round progression, pushing the states this process
-    /// moves on to to `own`.
-    fn handle_delivery(&mut self, tag: RoundTag, own: &mut Vec<(usize, Arc<RoundState>)>) {
-        self.pending.push(tag);
-        // Fixpoint: verification of one state can unblock others.
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < self.pending.len() {
-                let t = self.pending[i];
-                let s = Arc::clone(self.delivered_state(t).expect("pending implies delivered"));
-                match self.try_verify(t, &s) {
-                    Some(true) => {
-                        self.pending.swap_remove(i);
-                        let slot = self.index(t).expect("a delivered tag is of this run");
-                        self.verified[slot] = Some(s);
-                        self.commits += 1;
-                        progressed = true;
-                    }
-                    Some(false) => {
-                        self.pending.swap_remove(i);
-                        self.rejected.push(t);
-                        progressed = true;
-                    }
-                    None => {
-                        i += 1;
-                    }
-                }
-            }
-            let advanced = self.try_advance(own);
-            if !progressed && !advanced {
-                break;
-            }
-        }
-    }
-
     /// Advance to the next round if enough verified states are in, pushing
     /// the new state to `own` unless that decided. Returns true if the
     /// process moved.
@@ -494,7 +472,7 @@ impl VerifiedAveraging {
         let Some(row) = self.verified.get(t * self.n..(t + 1) * self.n) else {
             return false;
         };
-        if row.iter().flatten().count() < self.n - self.f {
+        if row.iter().filter(|&&ok| ok).count() < self.n - self.f {
             return false;
         }
         // Canonicalize the combining order by origin id: float summation is
@@ -504,7 +482,7 @@ impl VerifiedAveraging {
         // wait-for-all regime) this makes decisions bit-identical across
         // transports; verifiers recompute over the witness as broadcast, so
         // the ascending order is self-consistent end to end.
-        let witness: Vec<ProcessId> = (0..self.n).filter(|&k| row[k].is_some()).collect();
+        let witness: Vec<ProcessId> = (0..self.n).filter(|&k| row[k]).collect();
         let next_value = if t == 0 {
             match self.combine_round0(&witness) {
                 Ok((v, delta)) => {
@@ -568,9 +546,7 @@ impl AsyncProtocol for VerifiedAveraging {
         }
         if let Some(state) = actions.delivered {
             let mut own = Vec::new();
-            let i = self.index(tag).expect("a delivered tag is of this run");
-            self.delivered[i] = Some(state);
-            self.handle_delivery(tag, &mut own);
+            self.deliver(tag.0, tag.1, state, &mut own);
             for (round, state) in own {
                 self.broadcast_state(round, state, &mut out);
             }
@@ -871,18 +847,21 @@ mod tests {
         }
     }
 
-    /// Record `states` as the round-`round` states this node verified.
+    /// Record `states` as the round-`round` states this node delivered and
+    /// verified.
     fn verify_round(node: &mut VerifiedAveraging, round: usize, states: &[(ProcessId, VecD)]) {
-        node.verified.resize(node.n * node.total_rounds, None);
+        node.delivered.resize(node.n * node.total_rounds, None);
+        node.verified.resize(node.n * node.total_rounds, false);
         for (k, value) in states {
             let state = RoundState { value: value.clone(), witness: vec![] };
-            node.verified[round * node.n + k] = Some(Arc::new(state));
+            node.delivered[round * node.n + k] = Some(Arc::new(state));
+            node.verified[round * node.n + k] = true;
         }
     }
 
     /// A memo hit is bit for bit the fresh solve, in both modes; a witness
-    /// that differs only by the sign of a zero or by entry order misses; the
-    /// memo stops growing at `n + 1` entries.
+    /// that differs only by entry order misses; the memo stops growing at
+    /// `n + 1` entries.
     #[test]
     fn round0_memo_is_keyed_on_the_exact_witness() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -922,16 +901,13 @@ mod tests {
         let mode = DeltaMode::MinDelta(Norm::L2);
         let mut node = VerifiedAveraging::new(0, 4, 1, VecD::zeros(2), mode, 2, t());
         let v = |x: f64, y: f64| VecD::from_slice(&[x, y]);
-        verify_round(&mut node, 0, &[(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0))]);
-        let _ = node.combine_round0(&[0, 1, 2]);
-        verify_round(&mut node, 0, &[(0, v(-0.0, 1.0))]);
-        let _ = node.combine_round0(&[0, 1, 2]);
-        assert_eq!(node.round0.len(), 2, "-0.0 is not 0.0 to the memo");
+        verify_round(&mut node, 0, &[(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0)), (3, v(-0.0, 1.0))]);
         let _ = node.combine_round0(&[0, 2, 1]);
-        assert_eq!(node.round0.len(), 3, "order counts");
-        for x in 2..6 {
-            verify_round(&mut node, 0, &[(0, v(x as f64, 0.0)), (1, v(0.0, 1.0)), (3, v(1.0, 1.0))]);
-            let _ = node.combine_round0(&[0, 1, 3]);
+        assert_eq!(node.round0.len(), 1);
+        let _ = node.combine_round0(&[0, 1, 2]);
+        assert_eq!(node.round0.len(), 2, "order counts");
+        for ids in [[0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 2, 1], [0, 1, 2]] {
+            let _ = node.combine_round0(&ids);
         }
         assert_eq!(node.round0.len(), 5, "at most n + 1 entries");
     }

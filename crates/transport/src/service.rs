@@ -462,8 +462,8 @@ impl<T: Transport> ConsensusService<T> {
         self.node.undecided == 0
     }
 
-    /// Decision of one instance, if reached. A decision pinned by recovery
-    /// wins over the replayed state machine's output: the pre-crash surfaced
+    /// Decision of one instance, if reached. A decided instance holds its
+    /// value alone — after recovery, the logged one: the pre-crash surfaced
     /// value is the only one this process may ever report.
     #[must_use]
     pub fn decision(&self, id: InstanceId) -> Option<VecD> {
@@ -607,9 +607,9 @@ impl<T: Transport> ConsensusService<T> {
     /// order: launches and authenticated inbound frames re-run through the
     /// deterministic state machines; every regenerated outbound frame is
     /// FIFO-matched against the logged `Sent` records (mismatches count as
-    /// divergences — see [`ConsensusService::replay_divergences`]); logged
-    /// decisions are pinned so the recovered node can never surface a
-    /// different value. The node then rejoins: every process gets its share
+    /// divergences — see [`ConsensusService::replay_divergences`]); a logged
+    /// decision becomes the instance's state, so the recovered node can never
+    /// surface a different value. The node then rejoins: every process gets its share
     /// of the regenerated outbound history again — peers deduplicate, and
     /// frames lost in the crash window are covered.
     ///
@@ -639,8 +639,8 @@ impl<T: Transport> ConsensusService<T> {
         Ok(svc)
     }
 
-    /// Decisions replayed out of the WAL: surfaced before the crash, pinned
-    /// by recovery, and excluded from future [`ConsensusService::poll`]
+    /// Decisions replayed out of the WAL: surfaced before the crash, held by
+    /// their instances, and excluded from future [`ConsensusService::poll`]
     /// results (their latency is reported as zero).
     #[must_use]
     pub fn recovered_decisions(&self) -> &[DecisionEvent] {
@@ -687,10 +687,12 @@ impl<T: Transport> Drop for ConsensusService<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, VecDeque};
     use std::sync::Arc;
 
     use super::*;
     use crate::lockstep::Lockstep;
+    use crate::service::node::tests::run_cores;
     use crate::transport::in_proc_mesh;
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_core::{DecisionRule, SyncBvc};
@@ -1085,5 +1087,44 @@ mod tests {
         svc.commit();
         assert!(svc.phase_nanos().get(Phase::Fsync) - before >= 5_000_000);
         assert!(svc.errors().is_empty());
+    }
+
+    /// A node restarted *without* its log is amnesiac: it re-runs from a
+    /// fresh state and can decide a second, different value for an instance
+    /// it already decided. The service monitor must flag that as a
+    /// `DuplicateDecision` and emit a structured `Violation` event.
+    #[test]
+    fn amnesiac_restart_redecides_and_is_flagged() {
+        use rbvc_core::problem::{Agreement, AlertKind, Monitor};
+
+        let n = 3;
+        let ring = flight("amnesiac");
+        let mut monitor = Monitor::new(n, Agreement::Epsilon(1e-9), BTreeMap::new(), Tol::default())
+            .with_obs(Obs::new(ring.clone()));
+        let decide = |inputs: [[f64; 2]; 3]| -> Vec<VecD> {
+            let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+            for (p, node) in nodes.iter_mut().enumerate() {
+                node.add_instance(7, va_instance(p, n, &inputs[p])).unwrap();
+            }
+            run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n], |_| {});
+            nodes.iter().map(|node| node.instances[&7].decision().unwrap()).collect()
+        };
+        let first = decide([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]);
+        for (p, d) in first.iter().enumerate() {
+            monitor.observe(7, p, d);
+        }
+        assert!(monitor.alerts().is_empty(), "the first run is violation-free");
+        // Node 0 "restarts" with no log: its pre-crash input and protocol
+        // state are gone, so it rejoins with whatever it has now and the
+        // nodes converge somewhere else.
+        let second = decide([[9.0, 9.0], [4.0, 0.0], [0.0, 4.0]]);
+        assert_ne!(first[0], second[0], "the amnesiac run must diverge");
+        monitor.observe(7, 0, &second[0]);
+        let flagged = monitor.alerts().iter().any(|a| {
+            a.instance == 7 && a.kind == AlertKind::DuplicateDecision { process: 0 }
+        });
+        assert!(flagged, "expected a DuplicateDecision for process 0: {:?}", monitor.alerts());
+        assert!(ring.events().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");
+        assert!(ring.dumps() >= 1, "the violation dumped the ring");
     }
 }

@@ -219,12 +219,11 @@ impl Batches {
 mod tests {
     use rbvc_core::verified_avg::{DeltaMode, Refusals, RoundState, VerifiedAveraging};
     use rbvc_linalg::{Norm, Tol, VecD};
-    use rbvc_sim::asynch::AsyncProtocol;
 
     use super::*;
-    use crate::service::node::tests::{gate_totals, now, run_cores, Queues};
+    use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
     use crate::service::node::{InstanceProto, Node, Outbox};
-    use crate::wire::{decode_frame, Payload, MAX_PID, MAX_ROUND};
+    use crate::wire::{decode_frame, Frame, Payload, MAX_PID, MAX_ROUND};
 
     fn batch(x: f64) -> Arc<VaBatch> {
         let state = Arc::new(RoundState { value: VecD::from_slice(&[x]), witness: vec![] });
@@ -291,8 +290,8 @@ mod tests {
     /// of a Byzantine origin that is delivered, with slots whose rounds are
     /// past the last or at the wire cap, reaches a launched and an
     /// unlaunched instance: each slot is refused at the VA bounds gate and
-    /// sizes no table, neither table grows past `n · R` later, and the three
-    /// honest cores decide both.
+    /// sizes no table, neither table grows past `n · R` before its decision
+    /// is collected, and the three honest cores decide both.
     #[test]
     fn hostile_tags_stop_at_the_bounds_gates() {
         let (n, rounds) = (4, 8);
@@ -309,10 +308,7 @@ mod tests {
             }
         }
         nodes[0].launch(1, &now(), &mut out).unwrap();
-        let va = |node: &Node, inst| match &node.instances[&inst].proto {
-            InstanceProto::Va(p) => (p.broadcast_slots(), p.refusals()),
-            InstanceProto::Bvc(_) => unreachable!("VA instances only"),
-        };
+        let va = |node: &Node, inst| running_va(node, inst).map(|p| (p.broadcast_slots(), p.refusals()));
         let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
         let slot = |instance, round| VaSlot { instance, round, state: Arc::clone(&state) };
         let frame = |origin, batch: &Arc<VaBatch>, msg: fn(Arc<VaBatch>) -> BrachaMsg<Arc<VaBatch>>| {
@@ -334,23 +330,29 @@ mod tests {
             nodes[0].on_frame(from, &bytes, &now(), &mut out);
         }
         let bounds = |k| Refusals { bounds: k, ..Refusals::default() };
-        assert_eq!((va(&nodes[0], 1).1, va(&nodes[0], 2).1), (bounds(2), bounds(1)));
-        assert_eq!((va(&nodes[0], 1).0, va(&nodes[0], 2).0), (0, 0));
+        assert_eq!((va(&nodes[0], 1), va(&nodes[0], 2)), (Some((0, bounds(2))), Some((0, bounds(1)))));
         out.frames.clear();
         let mut queues: Queues = vec![VecDeque::new(); n];
-        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
-        for node in &nodes[..3] {
+        // Each machine as its decision is collected.
+        let mut last = [[None; 2]; 3];
+        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n], |node| {
+            for (k, inst) in [1, 2].into_iter().enumerate() {
+                last[node.local][k] = va(node, inst).or(last[node.local][k]);
+            }
+        });
+        for (p, node) in nodes[..3].iter().enumerate() {
             assert_eq!(gate_totals(node), [0; 4], "well-formed, authenticated, resident");
-            assert!([1, 2].iter().all(|&inst| va(node, inst).0 == n * rounds));
+            assert!(last[p].iter().all(|seen| seen.is_some_and(|(slots, _)| slots == n * rounds)));
         }
-        assert_eq!(va(&nodes[0], 1).1, bounds(2), "nothing else refused");
+        assert_eq!(last[0][0].map(|(_, refused)| refused), Some(bounds(2)), "nothing else refused");
     }
 
     /// One slot twice: a Byzantine origin broadcasts the same (instance,
     /// round) slot with two different states, in two batches or twice in one.
     /// FIFO delivery hands every honest node the two in the same order, so
-    /// every one keeps the first state, refuses the second as a duplicate,
-    /// and the three honest cores decide.
+    /// every one keeps the first state and refuses the second as a duplicate
+    /// (read off the machine before its decision is collected), and the
+    /// three honest cores decide.
     #[test]
     fn the_first_slot_of_an_origin_wins_everywhere() {
         let n = 4;
@@ -375,15 +377,48 @@ mod tests {
                 let bytes = encode_frame(&Frame::batch(3, ((3, seq as u32), BrachaMsg::Init(Arc::new(batch)))));
                 (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
             }
-            run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n]);
-            for node in &nodes[..3] {
-                let InstanceProto::Va(p) = &node.instances[&1].proto else { unreachable!() };
-                let kept = p.delivered_state((3, 0)).expect("origin 3's round-0 slot was delivered");
+            let mut seen = vec![None; 3];
+            run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n], |node| {
+                if let Some(p) = running_va(node, 1) {
+                    seen[node.local] = p.delivered_state((3, 0)).map(|kept| (kept.value.clone(), p.refusals()));
+                }
+            });
+            for (node, seen) in nodes[..3].iter().zip(seen) {
                 let at = format!("node {}, {} batches", node.local, batches.len());
-                assert_eq!(kept.value, first.value, "{at}");
-                assert_eq!(p.refusals(), Refusals { duplicate: 1, ..Refusals::default() }, "{at}");
-                assert!(p.output().is_some() && gate_totals(node) == [0; 4], "{at}");
+                let (kept, refused) = seen.expect("origin 3's round-0 slot was delivered");
+                assert_eq!(kept, first.value, "{at}");
+                assert_eq!(refused, Refusals { duplicate: 1, ..Refusals::default() }, "{at}");
+                assert!(node.instances[&1].decision().is_some() && gate_totals(node) == [0; 4], "{at}");
             }
+        }
+    }
+
+    /// Late traffic to a decided instance is dropped before any machine
+    /// sees it: once VA instance 1 and BVC instance 2 have decided on four
+    /// cores, an EIG frame for 2 and a batch slot for 1 cost no gate count,
+    /// while an EIG frame for 1 and a VA slot for 2 are each charged once at
+    /// the kind gate, to their sender.
+    #[test]
+    fn late_traffic_to_a_decided_instance_is_dropped() {
+        let n = 4;
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        for (p, node) in nodes.iter_mut().enumerate() {
+            protos(p, n).into_iter().for_each(|(id, proto)| node.add_instance(id, proto).unwrap());
+        }
+        let (mut queues, mut logs): (Queues, _) = (vec![VecDeque::new(); n], vec![Vec::new(); n]);
+        run_cores(&mut nodes, &mut queues, &mut logs, |_| {});
+        let decisions = |node: &Node| [1, 2].map(|id| node.instances[&id].decision());
+        let before: Vec<_> = nodes.iter().map(decisions).collect();
+        let eig = |instance| encode_frame(&Frame { instance, sender: 1, round: 0, payload: Payload::Eig(vec![]) });
+        queues[0].extend([(1, eig(2)), (1, eig(1))]);
+        let state = Arc::new(RoundState { value: VecD::from_slice(&[0.5, 0.5]), witness: vec![] });
+        let slot = |instance| VaSlot { instance, round: 0, state: Arc::clone(&state) };
+        nodes[1].batches.pending.extend([slot(1), slot(2)]);
+        run_cores(&mut nodes, &mut queues, &mut logs, |_| {});
+        for (p, node) in nodes.iter().enumerate() {
+            let kind = 1 + u64::from(p == 0);
+            assert_eq!(node.gate_rejections_by_sender, [[0; 4], [0, 0, 0, kind], [0; 4], [0; 4]], "node {p}");
+            assert!(before[p].iter().all(Option::is_some) && decisions(node) == before[p], "node {p}");
         }
     }
 }

@@ -41,7 +41,9 @@
 //!
 //! [`Node::seal`] closes a step. It broadcasts everything this node's VA
 //! instances produced since the last seal, launches included, as one batch.
-//! It also logs the step's frames and collects its decisions. The walks it
+//! It also logs the step's frames and collects its decisions: a decided
+//! instance is its decision, its machine dropped (relaying is the batch
+//! layer's), and traffic of its kind is dropped unseen. The walks it
 //! makes, like [`Node::tick`]'s, visit the ready set only: the instances
 //! that are launched and undecided.
 //!
@@ -54,7 +56,8 @@
 //! `WitnessCommit`…, `Decided`…, `ClientReply`…: the order
 //! [`Node::replay`] relies on when it rebuilds a node from a log, the way
 //! `ConsensusService::recover` documents. Replay goes through the very
-//! launch and receive paths a live step uses, gates included.
+//! launch and receive paths a live step uses, gates included; at a `Decided`
+//! record the replayed machine must hold exactly the logged value.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
@@ -138,7 +141,7 @@ impl InstanceProto {
     /// Instance `instance`'s row as the stall detector sees it: lockstep
     /// round plus barrier occupancy for BVC (with the concrete missing
     /// senders), witness commits for VA (no barrier, so no named senders).
-    fn progress(&self, instance: InstanceId, launched: bool, decided: bool) -> InstanceProgress {
+    fn progress(&self, instance: InstanceId, launched: bool) -> InstanceProgress {
         let (round, progress_token, waiting_on) = match self {
             InstanceProto::Bvc(p) => {
                 let round = u32::try_from(p.current_round()).unwrap_or(u32::MAX);
@@ -148,7 +151,7 @@ impl InstanceProto {
             }
             InstanceProto::Va(p) => (0, progress_token(0, 0, p.witness_commits()), Vec::new()),
         };
-        InstanceProgress { instance, round, launched, decided, progress_token, waiting_on }
+        InstanceProgress { instance, round, launched, decided: false, progress_token, waiting_on }
     }
 
     fn encode_bvc(
@@ -184,15 +187,15 @@ impl InstanceProto {
     }
 }
 
+/// What a slot holds: the running machine or, once decided (collected by
+/// [`Node::seal`] or replayed), the decision and whether VA reached it.
+pub(super) enum Instance {
+    Running(Box<InstanceProto>),
+    Decided { value: VecD, va: bool },
+}
+
 pub(super) struct Slot {
-    pub(super) proto: InstanceProto,
-    /// Set when the decision is collected (or pinned by recovery).
-    pub(super) decided: bool,
-    /// Decision recovered from the WAL, pinned: [`Slot::decision`] returns
-    /// this over whatever the replayed state machine holds, so a recovered
-    /// node can never surface a value that differs from the one it already
-    /// surfaced before the crash.
-    pinned: Option<VecD>,
+    pub(super) state: Instance,
     /// The phase clock's cells when this instance's `on_start` sends went
     /// out — the submit side of the latency metric and of its split. `None`
     /// until then: un-launched instances still receive and buffer frames (so
@@ -206,10 +209,25 @@ pub(super) struct Slot {
 }
 
 impl Slot {
-    /// The decision this instance reports, if reached: a pinned one wins
-    /// over the replayed state machine's output.
+    /// The decision this instance reports, if reached.
     pub(super) fn decision(&self) -> Option<VecD> {
-        self.pinned.clone().or_else(|| self.proto.output())
+        match &self.state {
+            Instance::Running(p) => p.output(),
+            Instance::Decided { value, .. } => Some(value.clone()),
+        }
+    }
+
+    /// The machine of an instance in the ready set: it runs until its
+    /// decision is collected.
+    fn ready(&mut self) -> &mut InstanceProto {
+        let Instance::Running(p) = &mut self.state else { unreachable!("a ready instance runs") };
+        p
+    }
+
+    /// From here on the running slot is `value`: the machine is dropped.
+    fn decide(&mut self, value: VecD) {
+        let va = matches!(&self.state, Instance::Running(p) if matches!(**p, InstanceProto::Va(_)));
+        self.state = Instance::Decided { value, va };
     }
 }
 
@@ -260,8 +278,9 @@ pub(super) struct Node {
     /// Decisions replayed out of the log (surfaced before the crash).
     pub(super) recovered: Vec<DecisionEvent>,
     /// Replay anomalies: regenerated sends that failed the FIFO match against
-    /// the logged ones, undecodable records, or records referencing unknown
-    /// instances. Zero on a faithful recovery.
+    /// the logged ones, undecodable records, records referencing unknown
+    /// instances, or logged decisions the replayed machine does not hold.
+    /// Zero on a faithful recovery.
     pub(super) replay_divergence: u64,
     /// Client front-end: session table, admission bounds, reply cache.
     pub(super) client: ClientTable,
@@ -351,7 +370,7 @@ impl Node {
     /// never replaced, whoever asks.
     fn insert_slot(&mut self, id: InstanceId, proto: InstanceProto) {
         if let Entry::Vacant(entry) = self.instances.entry(id) {
-            entry.insert(Slot { proto, decided: false, pinned: None, launched: None, witness_logged: 0 });
+            entry.insert(Slot { state: Instance::Running(Box::new(proto)), launched: None, witness_logged: 0 });
             self.undecided += 1;
         }
     }
@@ -410,8 +429,8 @@ impl Node {
     fn start_instance(&mut self, id: InstanceId, now: &PhaseNanos, out: &mut Outbound) -> bool {
         let Some(slot) = self.instances.get_mut(&id) else { return false };
         slot.launched = Some(Box::new(*now));
-        slot.proto.on_start(id, self.local, out, &mut self.batches.pending);
-        if !slot.decided {
+        if let Instance::Running(p) = &mut slot.state {
+            p.on_start(id, self.local, out, &mut self.batches.pending);
             if let Err(at) = self.live.binary_search(&id) {
                 self.live.insert(at, id);
             }
@@ -464,7 +483,12 @@ impl Node {
             self.gate_reject(2, sender, format!("frame for unknown instance {instance}"));
             return;
         };
-        if !slot.proto.on_frame(self.local, frame, &mut out.frames) {
+        let kind_ok = match &mut slot.state {
+            Instance::Running(p) => p.on_frame(self.local, frame, &mut out.frames),
+            // Late traffic: a decided instance is its decision.
+            Instance::Decided { va, .. } => !*va && matches!(frame.payload, Payload::Eig(_)),
+        };
+        if !kind_ok {
             let reason = format!("payload kind does not match the protocol of instance {instance}");
             self.gate_reject(3, sender, reason);
         }
@@ -486,33 +510,38 @@ impl Node {
     /// Gates 3 and 4 for one slot of `origin`'s delivered batch, then its
     /// instance's delivery entry; the states that moves the instance on to
     /// join the next batch. A slot for a client instance not resident yet
-    /// is parked until its `Launch`.
+    /// is parked until its `Launch`; one for a decided VA instance is
+    /// dropped.
     fn deliver_slot(&mut self, origin: ProcessId, slot: &VaSlot) {
         let instance = slot.instance;
         if self.client.was_shed(instance, origin, slot.round) {
             return;
         }
-        match self.instances.get_mut(&instance) {
-            Some(Slot { proto: InstanceProto::Va(p), .. }) => {
-                p.deliver(origin, slot.round as usize, Arc::clone(&slot.state), &mut self.own);
-                self.batches.pending.extend(self.own.drain(..).map(|(round, state)| {
-                    VaSlot { instance, round: u32::try_from(round).expect("round fits u32"), state }
-                }));
-            }
-            Some(_) => {
-                let reason = format!("batch slot for instance {instance}, which does not run VA");
-                self.gate_reject(3, origin, reason);
-            }
-            None if client_instance_owner(instance).is_some() => self.client.park(origin, slot.clone()),
-            None => self.gate_reject(2, origin, format!("batch slot for unknown instance {instance}")),
-        }
+        let va = match self.instances.get_mut(&instance).map(|s| &mut s.state) {
+            Some(Instance::Running(p)) => match &mut **p {
+                InstanceProto::Va(p) => Some(p),
+                InstanceProto::Bvc(_) => None,
+            },
+            // Late traffic: a decided instance is its decision.
+            Some(Instance::Decided { va: true, .. }) => return,
+            Some(Instance::Decided { .. }) => None,
+            None if client_instance_owner(instance).is_some() => return self.client.park(origin, slot.clone()),
+            None => return self.gate_reject(2, origin, format!("batch slot for unknown instance {instance}")),
+        };
+        let Some(p) = va else {
+            return self.gate_reject(3, origin, format!("batch slot for instance {instance}, which does not run VA"));
+        };
+        p.deliver(origin, slot.round as usize, Arc::clone(&slot.state), &mut self.own);
+        self.batches.pending.extend(self.own.drain(..).map(|(round, state)| {
+            VaSlot { instance, round: u32::try_from(round).expect("round fits u32"), state }
+        }));
     }
 
     /// Drive the timers (lockstep round timeouts) of the ready set once.
     pub(super) fn tick(&mut self, out: &mut Outbox) {
         for id in &self.live {
             let slot = self.instances.get_mut(id).expect("a ready instance is resident");
-            slot.proto.on_tick(*id, self.local, &mut out.frames);
+            slot.ready().on_tick(*id, self.local, &mut out.frames);
         }
     }
 
@@ -520,13 +549,13 @@ impl Node {
     /// leaves as this node's next batch, after the step's other frames; the
     /// outbox's frames become `Sent` records (and history); then witness
     /// progress is logged where it changed, then the step's decisions are
-    /// collected into the (drained) outbox — each instance once, with the
-    /// `ClientReply` records of the client requests they answer. Both walks
-    /// visit the ready set only, so an un-launched instance is skipped even
-    /// if its state machine already holds an output: the latency clock
-    /// starts at launch. Nothing is surfaced here; the driver does that
-    /// after the commit — a surfaced decision or reply must survive any
-    /// crash.
+    /// collected into the (drained) outbox and the slots — each instance
+    /// once, with the `ClientReply` records of the client requests they
+    /// answer. Both walks visit the ready set only, so an un-launched
+    /// instance is skipped even if its state machine already holds an
+    /// output: the latency clock starts at launch. Nothing is surfaced here;
+    /// the driver does that after the commit — a surfaced decision or reply
+    /// must survive any crash.
     pub(super) fn seal(&mut self, out: &mut Outbox) {
         self.batches.seal(&mut out.frames);
         self.log_sent(&out.frames);
@@ -534,7 +563,7 @@ impl Node {
         if *durable {
             for id in live.iter() {
                 let slot = instances.get_mut(id).expect("a ready instance is resident");
-                let count = slot.proto.witness_commits();
+                let count = slot.ready().witness_commits();
                 if slot.witness_logged != count {
                     log(records, errors, WalRecordRef::WitnessCommit { instance: *id, count });
                     slot.witness_logged = count;
@@ -543,8 +572,8 @@ impl Node {
         }
         live.retain(|id| {
             let slot = instances.get_mut(id).expect("a ready instance is resident");
-            let Some(value) = slot.proto.output() else { return true };
-            slot.decided = true;
+            let Some(value) = slot.ready().output() else { return true };
+            slot.decide(value.clone());
             *undecided -= 1;
             if *durable {
                 log(records, errors, WalRecordRef::Decided { instance: *id, value: value.as_slice() });
@@ -705,14 +734,14 @@ impl Node {
                 WalRecord::WitnessCommit { instance, count } => {
                     // Appended after the step's `Inbound` records, so the
                     // replayed instance must stand at exactly this count.
-                    let Some(slot) = self.instances.get_mut(&instance) else {
+                    let Some(Slot { state: Instance::Running(p), witness_logged, .. }) = self.instances.get_mut(&instance) else {
                         self.replay_divergence += 1;
                         continue;
                     };
-                    if slot.proto.witness_commits() != count {
+                    if p.witness_commits() != count {
                         self.replay_divergence += 1;
                     }
-                    slot.witness_logged = count;
+                    *witness_logged = count;
                 }
                 WalRecord::Decided { instance, value } => {
                     let value = VecD::from_slice(&value);
@@ -720,19 +749,18 @@ impl Node {
                         self.replay_divergence += 1;
                         continue;
                     };
-                    if !slot.decided {
-                        slot.decided = true;
+                    // The amnesia check: the replayed machine must hold
+                    // exactly the logged value, which the slot keeps.
+                    if slot.decision().as_ref() != Some(&value) {
+                        self.replay_divergence += 1;
+                    }
+                    if let Instance::Running(_) = slot.state {
                         self.undecided -= 1;
                         self.live.retain(|id| *id != instance);
+                        slot.decide(value.clone());
                     }
-                    slot.pinned = Some(value.clone());
-                    self.recovered.push(DecisionEvent {
-                        instance,
-                        process: self.local,
-                        value,
-                        latency: Duration::ZERO,
-                        phases: PhaseNanos::default(),
-                    });
+                    let (latency, phases) = (Duration::ZERO, PhaseNanos::default());
+                    self.recovered.push(DecisionEvent { instance, process: self.local, value, latency, phases });
                 }
                 WalRecord::ClientReply { instance, session, reqno, value } => {
                     // A reply that was surfaced (or about to be) before the
@@ -749,24 +777,15 @@ impl Node {
             }
         }
         // Client instances that decided before the crash but whose reply
-        // record didn't make it: the pinned decision is durable, so cache
+        // record didn't make it: the logged decision is durable, so cache
         // and log the reply now — the retry path answers from here.
         for (instance, session, reqno) in self.client.in_flight() {
-            let Some(value) = self.instances.get(&instance).filter(|s| s.decided).and_then(Slot::decision)
-            else {
+            let Some(Slot { state: Instance::Decided { value, .. }, .. }) = self.instances.get(&instance) else {
                 continue;
             };
+            let value = value.clone();
             self.append(WalRecordRef::ClientReply { instance, session, reqno, value: value.as_slice() });
             self.client.cache_reply(instance, session, reqno, value);
-        }
-        // A replayed state machine that now disagrees with its own pinned
-        // decision is the amnesia signature — the pin wins, but flag it.
-        for slot in self.instances.values() {
-            if let (Some(pinned), Some(out)) = (&slot.pinned, slot.proto.output()) {
-                if *pinned != out {
-                    self.replay_divergence += 1;
-                }
-            }
         }
         Ok(())
     }
@@ -779,10 +798,13 @@ impl Node {
     pub(super) fn progress_rows(&self, decided_now: &[DecisionEvent]) -> Vec<InstanceProgress> {
         self.instances
             .iter()
-            .filter(|(id, slot)| {
-                !slot.decided || decided_now.iter().any(|ev| ev.instance == **id)
+            .filter_map(|(&instance, slot)| match &slot.state {
+                Instance::Running(p) => Some(p.progress(instance, slot.launched.is_some())),
+                Instance::Decided { .. } => decided_now.iter().any(|ev| ev.instance == instance).then(|| {
+                    let (round, progress_token, waiting_on) = (0, 0, Vec::new());
+                    InstanceProgress { instance, round, launched: true, decided: true, progress_token, waiting_on }
+                }),
             })
-            .map(|(id, slot)| slot.proto.progress(*id, slot.launched.is_some(), slot.decided))
             .collect()
     }
 }
@@ -806,6 +828,13 @@ pub(super) mod tests {
         PhaseNanos::default()
     }
 
+    /// The machine of VA instance `id`, while it runs.
+    pub(in crate::service) fn running_va(node: &Node, id: InstanceId) -> Option<&VerifiedAveraging> {
+        let Instance::Running(p) = &node.instances[&id].state else { return None };
+        let InstanceProto::Va(p) = &**p else { return None };
+        Some(p)
+    }
+
     /// Rejections per gate, summed over senders.
     pub(in crate::service) fn gate_totals(node: &Node) -> [u64; 4] {
         let mut totals = [0; 4];
@@ -818,7 +847,7 @@ pub(super) mod tests {
     }
 
     /// Process `p`'s instances at n = 4: VA at f = 1 under id 1, BVC under id 2.
-    fn protos(p: ProcessId, n: usize) -> Vec<(InstanceId, InstanceProto)> {
+    pub(in crate::service) fn protos(p: ProcessId, n: usize) -> Vec<(InstanceId, InstanceProto)> {
         let input = |k: f64| VecD::from_slice(&[p as f64 * k, 1.0 - k * p as f64]);
         let mode = DeltaMode::MinDelta(Norm::L2);
         let va = VerifiedAveraging::new(p, n, 1, input(1.0), mode, 6, Tol::default());
@@ -844,15 +873,17 @@ pub(super) mod tests {
     pub(in crate::service) type Queues = Vec<VecDeque<(ProcessId, Vec<u8>)>>;
 
     /// Drive `nodes` as one thread drives a service mesh over in-process
-    /// links, with no link and no file: each node launches whatever is not
+    /// links, with no link and no file, until every node has decided and
+    /// nothing is in flight to one: each node launches whatever is not
     /// launched yet and seals, as `start` does, then in turn takes what
     /// reached it, ticks and seals; its frames join their destinations'
     /// `queues` and its records `logs[p]`, as the driver's flush and commit
-    /// would.
-    pub(in crate::service) fn run_cores(nodes: &mut [Node], queues: &mut Queues, logs: &mut [Vec<u8>]) {
+    /// would. `inspect` sees each node before each of its seals.
+    pub(in crate::service) fn run_cores(nodes: &mut [Node], queues: &mut Queues, logs: &mut [Vec<u8>], mut inspect: impl FnMut(&Node)) {
         let mut out = Outbox::default();
         for sweep in 0..10_000 {
-            if sweep > 0 && nodes.iter().all(|node| node.undecided == 0) {
+            let idle = queues[..nodes.len()].iter().all(VecDeque::is_empty);
+            if sweep > 0 && idle && nodes.iter().all(|node| node.undecided == 0) {
                 return;
             }
             for (p, node) in nodes.iter_mut().enumerate() {
@@ -863,16 +894,15 @@ pub(super) mod tests {
                         node.launch(id, &now(), &mut out).unwrap();
                     }
                     out.frames.drain(..).for_each(|(dst, bytes)| queues[dst].push_back((p, bytes)));
-                    node.seal(&mut out);
-                    out.decided.clear();
                 } else {
                     while let Some((from, bytes)) = queues[p].pop_front() {
                         node.on_frame(from, &bytes, &now(), &mut out);
                     }
                     node.tick(&mut out);
-                    node.seal(&mut out);
-                    out.decided.clear();
                 }
+                inspect(node);
+                node.seal(&mut out);
+                out.decided.clear();
                 for (dst, bytes) in out.frames.drain(..) {
                     queues[dst].push_back((p, bytes));
                 }
@@ -887,7 +917,7 @@ pub(super) mod tests {
     /// is a `Sent` record and in its destination's history, in order, and
     /// witness progress is logged once per change. Replaying each core's
     /// records into a fresh core — no file either — diverges nowhere,
-    /// rebuilds the history, pins the same decisions and logs nothing again.
+    /// rebuilds the history, holds the same decisions and logs nothing again.
     #[test]
     fn cores_decide_as_the_service_mesh_and_replay_their_own_records() {
         let n = 4;
@@ -908,7 +938,7 @@ pub(super) mod tests {
             }
         }
         let mut logs = vec![Vec::new(); n];
-        run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut logs);
+        run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut logs, |_| {});
         for (p, node) in nodes.iter().enumerate() {
             for id in [1, 2] {
                 let decided = bits(node.instances[&id].decision());
@@ -1039,7 +1069,8 @@ pub(super) mod tests {
         assert_eq!(rejects, want);
         assert!(!node.instances.contains_key(&hostile.instance), "no instance, so no table");
         let slot = node.instances.get_mut(&honest.instance).expect("stood up");
-        let InstanceProto::Va(p) = &mut slot.proto else { unreachable!("client instances are VA") };
+        let Instance::Running(p) = &mut slot.state else { unreachable!("not decided yet") };
+        let InstanceProto::Va(p) = &mut **p else { unreachable!("client instances are VA") };
         let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
         p.deliver(1, 0, state, &mut Vec::new());
         assert_eq!(p.broadcast_slots(), n * budget, "sized on its first delivery");
@@ -1087,6 +1118,24 @@ pub(super) mod tests {
         assert_eq!(replay(&log).replay_divergence, 1, "an off-by-one witness count is a divergence");
     }
 
+    /// The amnesia check runs at the `Decided` record: a replayed machine
+    /// that does not hold the logged value — here one with no output, as no
+    /// `Inbound` record led to it — is a divergence, and the slot keeps the
+    /// logged value.
+    #[test]
+    fn a_logged_decision_the_replay_never_reached_is_a_divergence() {
+        let value = vec![1.0, 2.0];
+        let log = [
+            WalRecord::Registered { instance: 5, spec: Vec::new() },
+            WalRecord::Launched { instance: 5 },
+            WalRecord::Decided { instance: 5, value: value.clone() },
+        ];
+        let mut node = Node::new(0, 2);
+        node.replay(&log.map(|r| encode_record(&r)), &now(), |_, _| Ok(va_instance(0, 2, &[2.0, 0.0]))).unwrap();
+        assert_eq!((node.replay_divergence, node.recovered.len(), node.undecided), (1, 1, 0));
+        assert_eq!(node.instances[&5].decision(), Some(VecD::from_slice(&value)));
+    }
+
     #[test]
     fn duplicate_instance_ids_and_late_registration_are_rejected() {
         let mut node = Node::new(0, 1);
@@ -1096,45 +1145,6 @@ pub(super) mod tests {
         node.started = true;
         let late = node.add_instance(2, va_instance(0, 1, &[0.0]));
         assert!(matches!(late, Err(ProtocolError::InvalidSpec { .. })));
-    }
-
-    /// A node restarted *without* its log is amnesiac: it re-runs from a
-    /// fresh state and can decide a second, different value for an instance
-    /// it already decided. The service monitor must flag that as a
-    /// `DuplicateDecision` and emit a structured `Violation` event.
-    #[test]
-    fn amnesiac_restart_redecides_and_is_flagged() {
-        use rbvc_core::problem::{Agreement, AlertKind, Monitor};
-
-        let n = 3;
-        let ring = flight("amnesiac");
-        let mut monitor = Monitor::new(n, Agreement::Epsilon(1e-9), BTreeMap::new(), Tol::default())
-            .with_obs(Obs::new(ring.clone()));
-        let decide = |inputs: [[f64; 2]; 3]| -> Vec<VecD> {
-            let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
-            for (p, node) in nodes.iter_mut().enumerate() {
-                node.add_instance(7, va_instance(p, n, &inputs[p])).unwrap();
-            }
-            run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n]);
-            nodes.iter().map(|node| node.instances[&7].decision().unwrap()).collect()
-        };
-        let first = decide([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]);
-        for (p, d) in first.iter().enumerate() {
-            monitor.observe(7, p, d);
-        }
-        assert!(monitor.alerts().is_empty(), "the first run is violation-free");
-        // Node 0 "restarts" with no log: its pre-crash input and protocol
-        // state are gone, so it rejoins with whatever it has now and the
-        // nodes converge somewhere else.
-        let second = decide([[9.0, 9.0], [4.0, 0.0], [0.0, 4.0]]);
-        assert_ne!(first[0], second[0], "the amnesiac run must diverge");
-        monitor.observe(7, 0, &second[0]);
-        let flagged = monitor.alerts().iter().any(|a| {
-            a.instance == 7 && a.kind == AlertKind::DuplicateDecision { process: 0 }
-        });
-        assert!(flagged, "expected a DuplicateDecision for process 0: {:?}", monitor.alerts());
-        assert!(ring.events().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");
-        assert!(ring.dumps() >= 1, "the violation dumped the ring");
     }
 
     /// The ready set is what a poll walks: after a node of 10 000 instances
