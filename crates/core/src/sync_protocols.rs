@@ -73,6 +73,12 @@ impl SyncBvc {
         self.decision.as_ref()
     }
 
+    /// The decided value, moved out of the machine it ends.
+    #[must_use]
+    pub fn into_output(self) -> Option<VecD> {
+        self.decision.map(|d| d.value)
+    }
+
     /// The common multiset `S` obtained from Step 1, once available.
     ///
     /// Agreement on a broadcast is agreement up to `==`, and `0.0 == -0.0`:

@@ -194,6 +194,18 @@ impl VerifiedAveraging {
         self.round0_delta
     }
 
+    /// The decision, once reached, without a copy.
+    #[must_use]
+    pub fn decision(&self) -> Option<&VecD> {
+        self.decided.as_ref()
+    }
+
+    /// The decision, moved out of the machine it ends.
+    #[must_use]
+    pub fn into_output(self) -> Option<VecD> {
+        self.decided
+    }
+
     /// Total witness states this process has verified so far, across all
     /// rounds — monotone protocol progress, durable-logged by the service
     /// layer so a recovering node can assert its replayed state reached at

@@ -81,7 +81,7 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(50);
 /// frames all start from.
 fn va_init(instance: u64, sender: ProcessId, round: u32, xs: &[f64]) -> Frame {
     let state = Arc::new(RoundState { value: VecD::from_slice(xs), witness: vec![] });
-    let batch = VaBatch { slots: vec![VaSlot { instance, round, state }] };
+    let batch = VaBatch::new(vec![VaSlot { instance, round, state }]);
     Frame::batch(sender, ((sender, 0), BrachaMsg::Init(Arc::new(batch))))
 }
 
@@ -546,7 +546,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                     }
                 }
                 (Attack::SlotTwice, Some((true, false, b))) if self.twice.is_none() => {
-                    self.twice = b.slots.iter().find(|slot| slot.round >= 1).cloned();
+                    self.twice = b.slots().iter().find(|slot| slot.round >= 1).cloned();
                 }
                 (Attack::MuteOwn, Some((true, _, _))) => {
                     self.bump(attack.counter());
@@ -717,7 +717,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
             state.value = shifted(&state.value, self.eps * k as f64);
             let seq = self.forged_seq;
             self.forged_seq = seq.wrapping_add(1);
-            let batch = Arc::new(VaBatch { slots: vec![slot] });
+            let batch = Arc::new(VaBatch::new(vec![slot]));
             let bytes = encode_frame(&Frame::batch(local, ((local, seq), BrachaMsg::Init(batch))));
             for dst in (0..n).filter(|&dst| dst != local) {
                 sent |= self.inner.send(dst, bytes.clone()).is_ok();
@@ -789,12 +789,14 @@ fn shifted(v: &VecD, delta: f64) -> VecD {
     VecD::from_slice(&xs)
 }
 
-/// Every slot's value in `batch` shifted by `delta`, in a copy of its own.
+/// Every slot's value in `batch` shifted by `delta`, in a batch of its own.
 fn shift_batch(batch: &mut Arc<VaBatch>, delta: f64) {
-    for slot in &mut Arc::make_mut(batch).slots {
+    let mut slots = batch.slots().to_vec();
+    for slot in &mut slots {
         let state = Arc::make_mut(&mut slot.state);
         state.value = shifted(&state.value, delta);
     }
+    *batch = Arc::new(VaBatch::new(slots));
 }
 
 impl<T: Transport> Transport for ByzantineEndpoint<T> {
@@ -872,7 +874,7 @@ mod tests {
     fn decoded_value(bytes: &[u8]) -> VecD {
         match decode_frame(bytes, 0).expect("mutant must decode").payload {
             Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
-                b.slots[0].state.value.clone()
+                b.slots()[0].state.value.clone()
             }
             other => panic!("unexpected payload {other:?}"),
         }
@@ -1095,7 +1097,7 @@ mod tests {
             VaSlot { instance: 1, round: 0, state: state(1.0) },
             VaSlot { instance: 2, round: 1, state: state(2.0) },
         ];
-        let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(Arc::new(VaBatch { slots })))));
+        let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(Arc::new(VaBatch::new(slots))))));
         for dst in 1..3 {
             byz.send(dst, own.clone()).unwrap();
         }
@@ -1115,8 +1117,8 @@ mod tests {
             .collect();
         assert_eq!(batches.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(), [(0, 0), (0, 1)]);
         let [(_, a), (_, b)] = &batches[..] else { unreachable!() };
-        assert_eq!((a.slots.len(), b.slots.len()), (1, 1));
-        let (a, b) = (&a.slots[0], &b.slots[0]);
+        assert_eq!((a.slots().len(), b.slots().len()), (1, 1));
+        let (a, b) = (&a.slots()[0], &b.slots()[0]);
         assert_eq!(((a.instance, a.round), (b.instance, b.round)), ((2, 1), (2, 1)));
         assert!(a.state.value != b.state.value && a.state.witness == b.state.witness);
     }

@@ -106,6 +106,12 @@ impl<P: SyncProtocol> Lockstep<P> {
         &self.inner
     }
 
+    /// The wrapped protocol, the synchronizer dropped.
+    #[must_use]
+    pub fn into_inner(self) -> P {
+        self.inner
+    }
+
     /// The next round awaiting delivery at the barrier.
     #[must_use]
     pub fn current_round(&self) -> usize {

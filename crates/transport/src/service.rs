@@ -467,7 +467,7 @@ impl<T: Transport> ConsensusService<T> {
     /// value is the only one this process may ever report.
     #[must_use]
     pub fn decision(&self, id: InstanceId) -> Option<VecD> {
-        self.node.instances.get(&id)?.decision()
+        self.node.instances.get(&id)?.decision().cloned()
     }
 
     /// Enable the client front-end with `cfg`: this node will accept
@@ -1107,7 +1107,7 @@ mod tests {
                 node.add_instance(7, va_instance(p, n, &inputs[p])).unwrap();
             }
             run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n], |_| {});
-            nodes.iter().map(|node| node.instances[&7].decision().unwrap()).collect()
+            nodes.iter().map(|node| node.instances[&7].decision().cloned().unwrap()).collect()
         };
         let first = decide([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]);
         for (p, d) in first.iter().enumerate() {

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
 
-use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, VaBatch, VaSlot, MAX_BATCH_SLOTS};
+use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, Hint, VaBatch, VaSlot, MAX_BATCH_SLOTS};
 
 /// Encoded frames with their destinations, in send order.
 type Outbound = Vec<(ProcessId, Vec<u8>)>;
@@ -107,18 +107,19 @@ impl Batches {
         }
     }
 
-    /// The batch this node holds for `tag`, to compare a frame with before
-    /// decoding it.
-    pub(super) fn hint(&self, (origin, seq): BatchTag) -> Option<Arc<VaBatch>> {
-        let o = self.origins.get(origin)?;
-        let i = o.find(o.ahead(seq)?).ok()?;
-        Some(Arc::clone(&o.open[i].first))
+    /// What this node knows of `tag`, for the decoder: the batch it holds,
+    /// to compare a frame's bytes with, or that the tag delivered, so that a
+    /// late frame is checked and built into nothing.
+    pub(super) fn hint(&self, (origin, seq): BatchTag) -> Hint<'_> {
+        let Some(o) = self.origins.get(origin) else { return Hint::Unknown };
+        let Some(ahead) = o.ahead(seq) else { return Hint::Delivered };
+        o.find(ahead).map_or(Hint::Unknown, |i| Hint::Held(&o.open[i].first))
     }
 
     /// Whether a node may echo `batch`: every value finite, every witness at
     /// most `n` ids, each below `n`.
     fn structural_ok(&self, batch: &VaBatch) -> bool {
-        batch.slots.iter().all(|slot| {
+        batch.slots().iter().all(|slot| {
             let state = &slot.state;
             state.value.as_slice().iter().all(|x| x.is_finite())
                 && state.witness.len() <= self.n
@@ -126,7 +127,8 @@ impl Batches {
         })
     }
 
-    /// Queue `msg` for every process, this one included: encoded once.
+    /// Queue `msg` for every process, this one included: one prefix and a
+    /// copy of the batch's bytes, copied again per destination.
     fn multicast(&self, msg: BatchMsg, out: &mut Outbound) {
         let bytes = encode_frame(&Frame::batch(self.local, msg));
         out.reserve(self.n);
@@ -142,7 +144,7 @@ impl Batches {
         for slots in pending.chunks(MAX_BATCH_SLOTS) {
             let seq = self.next_seq;
             self.next_seq = seq.wrapping_add(1);
-            let batch = Arc::new(VaBatch { slots: slots.to_vec() });
+            let batch = Arc::new(VaBatch::new(slots.to_vec()));
             self.open((self.local, seq), &batch);
             self.multicast(((self.local, seq), BrachaMsg::Init(batch)), out);
         }
@@ -223,11 +225,16 @@ mod tests {
     use super::*;
     use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
     use crate::service::node::{InstanceProto, Node, Outbox};
-    use crate::wire::{decode_frame, Frame, Payload, MAX_PID, MAX_ROUND};
+    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, MAX_PID, MAX_ROUND};
+
+    /// A one-slot batch of instance 1, round 0.
+    fn witnessed(x: f64, witness: Vec<ProcessId>) -> Arc<VaBatch> {
+        let state = Arc::new(RoundState { value: VecD::from_slice(&[x]), witness });
+        Arc::new(VaBatch::new(vec![VaSlot { instance: 1, round: 0, state }]))
+    }
 
     fn batch(x: f64) -> Arc<VaBatch> {
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[x]), witness: vec![] });
-        Arc::new(VaBatch { slots: vec![VaSlot { instance: 1, round: 0, state }] })
+        witnessed(x, vec![])
     }
 
     /// Four layers exchange what they multicast, FIFO: batches of one
@@ -240,7 +247,7 @@ mod tests {
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
         let mut out = Vec::new();
         for x in [1.0, 2.0, 3.0] {
-            layers[0].pending.push(batch(x).slots[0].clone());
+            layers[0].pending.push(batch(x).slots()[0].clone());
             layers[0].seal(&mut out);
         }
         // The third batch first, then the other two.
@@ -254,7 +261,7 @@ mod tests {
             layers[dst].on_message(from, msg, &mut out, &mut delivered);
             for (origin, b) in delivered {
                 assert_eq!(origin, 0);
-                got[dst].push(b.slots[0].state.value.as_slice()[0]);
+                got[dst].push(b.slots()[0].state.value.as_slice()[0]);
             }
             wire.extend(out.drain(..).map(|(to, bytes)| (dst, to, bytes)));
         }
@@ -264,6 +271,57 @@ mod tests {
         }
     }
 
+    /// `bytes` from `from` to `layer`, decoded against the layer's hint as
+    /// the node's receive path decodes it: what the layer multicasts, and
+    /// the batches it delivers.
+    fn hand(layer: &mut Batches, from: ProcessId, bytes: &[u8]) -> (Option<Vec<u8>>, Vec<Arc<VaBatch>>) {
+        let frame = decode_frame_hinted(bytes, from, &|tag| layer.hint(tag)).expect("decodes");
+        let Payload::VaBatch(msg) = frame.payload else { unreachable!("a live tag") };
+        let (mut out, mut delivered) = (Vec::new(), Vec::new());
+        layer.on_message(from, msg, &mut out, &mut delivered);
+        (out.pop().map(|(_, bytes)| bytes), delivered.into_iter().map(|(_, batch)| batch).collect())
+    }
+
+    /// ±0.0 cannot split a batch. Byzantine origin 3 sends its batch to
+    /// layers 0 and 1 and its twin with `-0.0` for `0.0` — equal values,
+    /// other bytes — to layer 2, and echoes the first one itself. Echoes and
+    /// readies are handed over in an order under which a tally that pooled
+    /// equal values would have layer 0 complete its echo quorum with the twin
+    /// and its ready quorum with its own ready, and so deliver the twin while
+    /// layer 1 delivers the batch (as `SyncBvc::common_multiset` keeps the
+    /// same hole out of ALGO). Counted by bytes, every honest layer delivers
+    /// the same bytes.
+    #[test]
+    fn a_signed_zero_cannot_split_a_batch() {
+        let n = 4;
+        let mut layers: Vec<Batches> = (0..3).map(|p| Batches::new(p, n)).collect();
+        let (plus, minus) = (batch(0.0), batch(-0.0));
+        assert_eq!(plus.slots()[0].state.value, minus.slots()[0].state.value, "equal values");
+        let frame = |from, msg| encode_frame(&Frame::batch(from, ((3, 0), msg)));
+        let mut echoes = vec![frame(3, BrachaMsg::Echo(Arc::clone(&plus))); n];
+        for (p, init) in [&plus, &plus, &minus].into_iter().enumerate() {
+            let (echo, _) = hand(&mut layers[p], 3, &frame(3, BrachaMsg::Init(Arc::clone(init))));
+            echoes[p] = echo.expect("an honest layer echoes its Init");
+        }
+        let mut readies = vec![Vec::new(); 3];
+        for (p, order) in [[0, 3, 2, 1], [0, 2, 3, 1], [2, 0, 1, 3]].into_iter().enumerate() {
+            for from in order {
+                if let (Some(ready), _) = hand(&mut layers[p], from, &echoes[from]) {
+                    readies[p] = ready;
+                }
+            }
+        }
+        let mut delivered = Vec::new();
+        for (p, order) in [[1, 2, 0], [0, 2, 1], [0, 1, 2]].into_iter().enumerate() {
+            for from in order {
+                delivered.extend(hand(&mut layers[p], from, &readies[from]).1);
+            }
+        }
+        let bytes: Vec<Vec<u8>> = delivered.into_iter().map(|b| frame(3, BrachaMsg::Init(b))).collect();
+        assert_eq!(bytes.len(), 3, "every honest layer delivers");
+        assert!(bytes.iter().all(|b| *b == bytes[0]), "two honest layers delivered different bytes");
+    }
+
     /// A batch with a non-finite value or a witness id past `n` is refused
     /// before any tally; a ghost origin is a bounds refusal; a delivered
     /// tag is dropped quietly.
@@ -271,9 +329,7 @@ mod tests {
     fn structural_checks_run_before_the_tally() {
         let mut layer = Batches::new(1, 4);
         let (mut out, mut delivered) = (Vec::new(), Vec::new());
-        let mut witness = (*batch(1.0)).clone();
-        Arc::make_mut(&mut witness.slots[0].state).witness = vec![0, 4];
-        for bad in [batch(f64::NAN), Arc::new(witness)] {
+        for bad in [batch(f64::NAN), witnessed(1.0, vec![0, 4])] {
             layer.on_message(0, ((0, 0), BrachaMsg::Init(bad)), &mut out, &mut delivered);
         }
         layer.on_message(0, ((4, 0), BrachaMsg::Init(batch(1.0))), &mut out, &mut delivered);
@@ -314,14 +370,14 @@ mod tests {
         let frame = |origin, batch: &Arc<VaBatch>, msg: fn(Arc<VaBatch>) -> BrachaMsg<Arc<VaBatch>>| {
             encode_frame(&Frame::batch(3, ((origin, 0), msg(Arc::clone(batch)))))
         };
-        let one = Arc::new(VaBatch { slots: vec![slot(1, 0)] });
+        let one = Arc::new(VaBatch::new(vec![slot(1, 0)]));
         for origin in [n, MAX_PID - 1] {
             nodes[0].on_frame(3, &frame(origin, &one, BrachaMsg::Init), &now(), &mut out);
         }
         assert_eq!(nodes[0].batches.refused.bounds, 2);
         assert!(out.frames.is_empty() && nodes[0].batches.open_count() == 0, "no tally, no echo");
         let cap = MAX_ROUND;
-        let hostile = Arc::new(VaBatch { slots: vec![slot(1, rounds as u32), slot(2, cap), slot(1, cap)] });
+        let hostile = Arc::new(VaBatch::new(vec![slot(1, rounds as u32), slot(2, cap), slot(1, cap)]));
         nodes[0].on_frame(3, &frame(3, &hostile, BrachaMsg::Init), &now(), &mut out);
         // The readies of three processes deliver it here (the test plays the
         // network: only this node ever delivers origin 3's batch).
@@ -373,7 +429,7 @@ mod tests {
             let mut queues: Queues = vec![VecDeque::new(); n];
             for (seq, states) in batches.iter().enumerate() {
                 let slot = |state: &&Arc<RoundState>| VaSlot { instance: 1, round: 0, state: Arc::clone(state) };
-                let batch = VaBatch { slots: states.iter().map(slot).collect() };
+                let batch = VaBatch::new(states.iter().map(slot).collect());
                 let bytes = encode_frame(&Frame::batch(3, ((3, seq as u32), BrachaMsg::Init(Arc::new(batch)))));
                 (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
             }
@@ -407,7 +463,7 @@ mod tests {
         }
         let (mut queues, mut logs): (Queues, _) = (vec![VecDeque::new(); n], vec![Vec::new(); n]);
         run_cores(&mut nodes, &mut queues, &mut logs, |_| {});
-        let decisions = |node: &Node| [1, 2].map(|id| node.instances[&id].decision());
+        let decisions = |node: &Node| [1, 2].map(|id| node.instances[&id].decision().cloned());
         let before: Vec<_> = nodes.iter().map(decisions).collect();
         let eig = |instance| encode_frame(&Frame { instance, sender: 1, round: 0, payload: Payload::Eig(vec![]) });
         queues[0].extend([(1, eig(2)), (1, eig(1))]);
@@ -420,5 +476,34 @@ mod tests {
             assert_eq!(node.gate_rejections_by_sender, [[0; 4], [0, 0, 0, kind], [0; 4], [0; 4]], "node {p}");
             assert!(before[p].iter().all(Option::is_some) && decisions(node) == before[p], "node {p}");
         }
+    }
+
+    /// A frame for a tag that has delivered goes through the walk a full
+    /// decode makes and is built into nothing: once four cores have decided,
+    /// a well-formed echo of origin 1's first batch, whatever it carries,
+    /// costs node 0 no gate count and sends nothing, while the same echo cut
+    /// short, and one naming a witness past the wire cap, are each charged
+    /// once at gate 0, to their sender, with the error a plain decode gives.
+    #[test]
+    fn late_frames_are_checked_and_built_into_nothing() {
+        let n = 4;
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        for (p, node) in nodes.iter_mut().enumerate() {
+            protos(p, n).into_iter().for_each(|(id, proto)| node.add_instance(id, proto).unwrap());
+        }
+        run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n], |_| {});
+        let node = &mut nodes[0];
+        assert!(matches!(node.batches.hint((1, 0)), Hint::Delivered));
+        let echo = |batch| encode_frame(&Frame::batch(1, ((1, 0), BrachaMsg::Echo(batch))));
+        let (late, forged) = (echo(batch(7.0)), echo(witnessed(7.0, vec![MAX_PID])));
+        let mut out = Outbox::default();
+        node.on_frame(1, &late, &now(), &mut out);
+        assert!(gate_totals(node) == [0; 4] && out.frames.is_empty(), "well-formed: dropped");
+        for bad in [&late[..late.len() - 1], &forged] {
+            node.on_frame(1, bad, &now(), &mut out);
+            assert_eq!(node.errors.errors().last(), Some(&decode_frame(bad, 1).unwrap_err()));
+        }
+        assert_eq!(node.gate_rejections_by_sender, [[0; 4], [2, 0, 0, 0], [0; 4], [0; 4]]);
+        assert!(out.frames.is_empty());
     }
 }

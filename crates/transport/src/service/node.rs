@@ -122,10 +122,19 @@ impl InstanceProto {
         }
     }
 
-    fn output(&self) -> Option<VecD> {
+    /// The decision, once reached, without a copy.
+    fn decision(&self) -> Option<&VecD> {
         match self {
-            InstanceProto::Bvc(p) => p.output(),
-            InstanceProto::Va(p) => p.output(),
+            InstanceProto::Bvc(p) => p.inner().decision().map(|d| &d.value),
+            InstanceProto::Va(p) => p.decision(),
+        }
+    }
+
+    /// The decision, moved out of the machine it ends.
+    fn into_decision(self) -> Option<VecD> {
+        match self {
+            InstanceProto::Bvc(p) => p.into_inner().into_output(),
+            InstanceProto::Va(p) => p.into_output(),
         }
     }
 
@@ -210,10 +219,10 @@ pub(super) struct Slot {
 
 impl Slot {
     /// The decision this instance reports, if reached.
-    pub(super) fn decision(&self) -> Option<VecD> {
+    pub(super) fn decision(&self) -> Option<&VecD> {
         match &self.state {
-            Instance::Running(p) => p.output(),
-            Instance::Decided { value, .. } => Some(value.clone()),
+            Instance::Running(p) => p.decision(),
+            Instance::Decided { value, .. } => Some(value),
         }
     }
 
@@ -224,10 +233,16 @@ impl Slot {
         p
     }
 
-    /// From here on the running slot is `value`: the machine is dropped.
-    fn decide(&mut self, value: VecD) {
-        let va = matches!(&self.state, Instance::Running(p) if matches!(**p, InstanceProto::Va(_)));
+    /// From here on the running slot is its decision — `logged` on replay,
+    /// else the value moved out of its machine — and the machine is dropped.
+    fn decide(&mut self, logged: Option<VecD>) -> &VecD {
+        let placeholder = Instance::Decided { value: VecD::new(Vec::new()), va: false };
+        let Instance::Running(p) = std::mem::replace(&mut self.state, placeholder) else { unreachable!("it runs") };
+        let va = matches!(*p, InstanceProto::Va(_));
+        let value = logged.unwrap_or_else(|| p.into_decision().expect("the machine has decided"));
         self.state = Instance::Decided { value, va };
+        let Instance::Decided { value, .. } = &self.state else { unreachable!("just decided") };
+        value
     }
 }
 
@@ -446,7 +461,8 @@ impl Node {
     /// and a rejection re-occurs through the same gate counters.
     pub(super) fn on_frame(&mut self, link_peer: ProcessId, bytes: &[u8], now: &PhaseNanos, out: &mut Outbox) {
         // A batch frame is compared with the batch held under its tag before
-        // it is decoded: every echo and ready of a broadcast carries it.
+        // it is decoded, as bytes: every echo and ready of a broadcast
+        // carries them. One for a delivered tag is checked, not built.
         let batches = &self.batches;
         let frame = match decode_frame_hinted(bytes, link_peer, &|tag| batches.hint(tag)) {
             Ok(f) => f,
@@ -476,6 +492,8 @@ impl Node {
                 return self.dispatch_launch(instance, sender, launch, now, &mut out.frames)
             }
             Payload::VaBatch(msg) => return self.on_batch(sender, msg, &mut out.frames),
+            // Checked by the decoder, and nothing is left to do with it.
+            Payload::LateBatch(_) => return,
             payload => payload,
         };
         let frame = Frame { payload, ..frame };
@@ -501,7 +519,7 @@ impl Node {
         let mut delivered = Vec::new();
         self.batches.on_message(from, msg, out, &mut delivered);
         for (origin, batch) in delivered {
-            for slot in &batch.slots {
+            for slot in batch.slots() {
                 self.deliver_slot(origin, slot);
             }
         }
@@ -572,13 +590,15 @@ impl Node {
         }
         live.retain(|id| {
             let slot = instances.get_mut(id).expect("a ready instance is resident");
-            let Some(value) = slot.ready().output() else { return true };
-            slot.decide(value.clone());
+            if slot.ready().decision().is_none() {
+                return true;
+            }
+            let value = slot.decide(None);
             *undecided -= 1;
             if *durable {
                 log(records, errors, WalRecordRef::Decided { instance: *id, value: value.as_slice() });
             }
-            out.decided.push((*id, value));
+            out.decided.push((*id, value.clone()));
             false
         });
         for (instance, value) in &out.decided {
@@ -744,20 +764,20 @@ impl Node {
                     *witness_logged = count;
                 }
                 WalRecord::Decided { instance, value } => {
-                    let value = VecD::from_slice(&value);
+                    let value = VecD::new(value);
                     let Some(slot) = self.instances.get_mut(&instance) else {
                         self.replay_divergence += 1;
                         continue;
                     };
                     // The amnesia check: the replayed machine must hold
                     // exactly the logged value, which the slot keeps.
-                    if slot.decision().as_ref() != Some(&value) {
+                    if slot.decision() != Some(&value) {
                         self.replay_divergence += 1;
                     }
                     if let Instance::Running(_) = slot.state {
                         self.undecided -= 1;
                         self.live.retain(|id| *id != instance);
-                        slot.decide(value.clone());
+                        slot.decide(Some(value.clone()));
                     }
                     let (latency, phases) = (Duration::ZERO, PhaseNanos::default());
                     self.recovered.push(DecisionEvent { instance, process: self.local, value, latency, phases });
@@ -865,7 +885,7 @@ pub(super) mod tests {
         out
     }
 
-    fn bits(value: Option<VecD>) -> Option<Vec<u64>> {
+    fn bits(value: Option<&VecD>) -> Option<Vec<u64>> {
         value.map(|v| v.as_slice().iter().map(|x| x.to_bits()).collect())
     }
 
@@ -942,7 +962,7 @@ pub(super) mod tests {
         for (p, node) in nodes.iter().enumerate() {
             for id in [1, 2] {
                 let decided = bits(node.instances[&id].decision());
-                assert!(decided.is_some() && decided == bits(mesh[p].decision(id)), "{id} on {p}");
+                assert!(decided.is_some() && decided == bits(mesh[p].decision(id).as_ref()), "{id} on {p}");
             }
             let records: Vec<WalRecord> =
                 payloads(&logs[p]).iter().map(|r| decode_record(r).expect("decodes")).collect();
@@ -1006,7 +1026,7 @@ pub(super) mod tests {
         match crate::wire::decode_frame(&bytes, 0).expect("decodes").payload {
             Payload::VaBatch((tag, BrachaMsg::Init(batch))) => {
                 assert_eq!(tag, (0, 0));
-                assert_eq!(batch.slots.iter().map(|s| (s.instance, s.round)).collect::<Vec<_>>(), [(1, 0), (2, 0)]);
+                assert_eq!(batch.slots().iter().map(|s| (s.instance, s.round)).collect::<Vec<_>>(), [(1, 0), (2, 0)]);
             }
             other => panic!("{other:?}"),
         }
@@ -1028,7 +1048,7 @@ pub(super) mod tests {
         let budget = ClientConfig::default().rounds;
         node.client.enable(ClientConfig::default());
         let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0]), witness: vec![] });
-        let batch = VaBatch { slots: vec![VaSlot { instance: 5, round: 0, state }] };
+        let batch = VaBatch::new(vec![VaSlot { instance: 5, round: 0, state }]);
         // Claims process 0 on the link from 1.
         let spoof = Frame::batch(0, ((1, 0), BrachaMsg::Init(Arc::new(batch))));
         // Session 1 and the client instance ids below are node 1's.
@@ -1133,7 +1153,7 @@ pub(super) mod tests {
         let mut node = Node::new(0, 2);
         node.replay(&log.map(|r| encode_record(&r)), &now(), |_, _| Ok(va_instance(0, 2, &[2.0, 0.0]))).unwrap();
         assert_eq!((node.replay_divergence, node.recovered.len(), node.undecided), (1, 1, 0));
-        assert_eq!(node.instances[&5].decision(), Some(VecD::from_slice(&value)));
+        assert_eq!(node.instances[&5].decision(), Some(&VecD::new(value)));
     }
 
     #[test]

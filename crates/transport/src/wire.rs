@@ -24,6 +24,9 @@
 //! The header's instance and round are the first slot's, so a one-slot
 //! batch is no larger than the per-state frame it replaced; each further
 //! slot adds its instance and round. Slots run to the end of the frame.
+//! A [`VaBatch`] holds those bytes — everything after the Bracha kind byte —
+//! from the moment it is built, so every frame of its broadcast is a fixed
+//! 29-byte prefix and a copy, and two batches are equal when their bytes are.
 //! A witness names the origins whose states were averaged and does not copy
 //! their vectors: every receiver holds those in its own reliably delivered
 //! record. At (n, f, d) = (4, 1, 3) a one-slot frame is 61 B at round 0 and
@@ -45,6 +48,11 @@
 //!   exactly one message);
 //! * any violation returns [`ProtocolError::MalformedPayload`] naming the
 //!   link peer the bytes came from. No input byte sequence panics.
+//!
+//! [`decode_frame_hinted`] skips work the receiver has done already, never a
+//! check: a batch payload with the bytes of the batch the receiver holds for
+//! its tag is that batch, and one for a tag it has delivered goes through the
+//! same validating walk a full decode makes and is built into nothing.
 
 use std::sync::Arc;
 
@@ -102,6 +110,10 @@ pub enum Payload {
     /// instance and round are the first slot's; build it with
     /// [`Frame::batch`]).
     VaBatch(BatchMsg),
+    /// A batch message for a tag the receiver has delivered already: checked
+    /// as a [`Payload::VaBatch`] is, then built into nothing. Only
+    /// [`decode_frame_hinted`] makes one, and it is never sent.
+    LateBatch(BatchTag),
     /// A client-request launch: the session owner tells every peer to stand
     /// up the consensus instance named in the frame header for an external
     /// client's `(session, reqno)` request, with the client's vector as
@@ -137,21 +149,60 @@ pub struct VaSlot {
 }
 
 /// What one origin reliably broadcasts at one seal: the round states its
-/// live VA instances produced since the last one, in production order.
-/// Never empty.
+/// live VA instances produced since the last one, in production order, and
+/// their encoding. Never empty. It is built once, by [`VaBatch::new`] or by
+/// the decoder, and never edited, so its bytes cannot go stale.
 #[derive(Debug, Clone)]
 pub struct VaBatch {
-    /// The states, one slot each.
-    pub slots: Vec<VaSlot>,
+    slots: Vec<VaSlot>,
+    /// The slot list as a batch frame carries it after the Bracha kind byte:
+    /// the first slot's state (the header names its instance and round),
+    /// then each further slot whole.
+    bytes: Box<[u8]>,
 }
 
-/// The one equality on batches: the same allocation, or equal slots (the
-/// short cut is sound as [`RoundState`]'s is: no tallied batch holds a NaN).
-impl PartialEq for VaBatch {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self, other) || self.slots == other.slots
+impl VaBatch {
+    /// The batch of `slots`, encoded.
+    ///
+    /// # Panics
+    /// On an empty slot list (local data: a seal never forms one).
+    #[must_use]
+    pub fn new(slots: Vec<VaSlot>) -> Self {
+        assert!(!slots.is_empty(), "a batch is never empty");
+        let len = slots.iter().map(|slot| 12 + round_state_len(&slot.state)).sum::<usize>();
+        let mut bytes = Vec::with_capacity(len - 12);
+        for (k, slot) in slots.iter().enumerate() {
+            if k > 0 {
+                bytes.extend_from_slice(&slot.instance.to_le_bytes());
+                put_u32(&mut bytes, slot.round);
+            }
+            put_round_state(&mut bytes, &slot.state);
+        }
+        VaBatch { slots, bytes: bytes.into_boxed_slice() }
+    }
+
+    /// The states, one slot each.
+    #[must_use]
+    pub fn slots(&self) -> &[VaSlot] {
+        &self.slots
+    }
+
+    /// The first slot's instance and round: what a frame's header names.
+    fn head(&self) -> (u64, u32) {
+        (self.slots[0].instance, self.slots[0].round)
     }
 }
+
+/// The one equality on batches, the one Bracha's tally counts by: the same
+/// first slot and the same bytes. Two batches whose values differ only in
+/// the sign of a zero are two batches.
+impl PartialEq for VaBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.head() == other.head() && self.bytes == other.bytes
+    }
+}
+
+impl Eq for VaBatch {}
 
 /// Names one batch broadcast: (origin, the origin's sequence number).
 pub type BatchTag = (ProcessId, u32);
@@ -177,14 +228,11 @@ pub struct Frame {
 impl Frame {
     /// The frame that carries `msg` from `sender`: its header names the
     /// batch's first slot.
-    ///
-    /// # Panics
-    /// On an empty batch (local data: a seal never forms one).
     #[must_use]
     pub fn batch(sender: ProcessId, msg: BatchMsg) -> Frame {
         let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = &msg.1;
-        let first = b.slots.first().expect("a batch is never empty");
-        Frame { instance: first.instance, sender, round: first.round, payload: Payload::VaBatch(msg) }
+        let (instance, round) = b.head();
+        Frame { instance, sender, round, payload: Payload::VaBatch(msg) }
     }
 }
 
@@ -237,19 +285,22 @@ fn round_state_len(state: &RoundState) -> usize {
 }
 
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
+///
+/// # Panics
+/// On a [`Payload::LateBatch`], which holds no bytes to send.
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The two payloads a run is made of are sized once.
     let capacity = match &frame.payload {
         Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
-            let slots = b.slots.iter().map(|slot| 12 + round_state_len(&slot.state));
-            VA_DIM_OFFSET - 12 + slots.sum::<usize>()
+            VA_DIM_OFFSET + b.bytes.len()
         }
         Payload::Eig(batch) => batch.iter().fold(HEADER_LEN + 4, |n, msg| {
             let items = msg.iter().map(|(_, label, v)| 8 + 4 * label.len() + 8 * v.dim());
             n + 4 + 8 * msg.entries().len() + items.sum::<usize>()
         }),
         Payload::Launch(_) => 64,
+        Payload::LateBatch(_) => panic!("a late batch message is never sent"),
     };
     let mut out = Vec::with_capacity(capacity);
     out.extend_from_slice(&MAGIC);
@@ -257,7 +308,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out.push(match frame.payload {
         Payload::Eig(_) => 1,
         Payload::Launch(_) => 3,
-        Payload::VaBatch(_) => 5,
+        Payload::VaBatch(_) | Payload::LateBatch(_) => 5,
     });
     out.extend_from_slice(&frame.instance.to_le_bytes());
     put_usize(&mut out, frame.sender);
@@ -276,14 +327,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 BrachaMsg::Ready(b) => (2, b),
             };
             out.push(kind);
-            // The header named the first slot; the others name themselves.
-            for (k, slot) in batch.slots.iter().enumerate() {
-                if k > 0 {
-                    out.extend_from_slice(&slot.instance.to_le_bytes());
-                    put_u32(&mut out, slot.round);
-                }
-                put_round_state(&mut out, &slot.state);
-            }
+            out.extend_from_slice(&batch.bytes);
         }
         Payload::Launch(cl) => {
             out.extend_from_slice(&cl.session.to_le_bytes());
@@ -292,6 +336,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u32(&mut out, cl.rounds);
             put_vecd(&mut out, &cl.value);
         }
+        Payload::LateBatch(_) => unreachable!("refused above"),
     }
     out
 }
@@ -385,28 +430,6 @@ impl<'a> Reader<'a> {
         Ok(VecD::new(xs))
     }
 
-    /// Whether the next vector is `v`, bit pattern by bit pattern.
-    fn is_vecd(&mut self, v: &VecD) -> Result<bool, String> {
-        if self.len_capped(MAX_DIM, 8, "vector")? != v.dim() {
-            return Ok(false);
-        }
-        let bytes = self.take(8 * v.dim())?;
-        Ok(bytes.chunks_exact(8).zip(v.as_slice()).all(|(b, x)| b == x.to_bits().to_le_bytes()))
-    }
-
-    /// Compare before decode: whether the round state that starts here is
-    /// `hint`, checked as [`Self::round_state`] checks it but without
-    /// allocating. Lengths and ±0.0 count; on anything but `Ok(true)` the
-    /// caller rewinds and lets the full decode judge the bytes on its own.
-    fn is_round_state(&mut self, hint: &RoundState) -> Result<bool, String> {
-        let mut same = self.is_vecd(&hint.value)?
-            && self.len_capped(MAX_WITNESS, 4, "witness set")? == hint.witness.len();
-        for &pid in &hint.witness {
-            same = same && self.pid()? == pid;
-        }
-        Ok(same)
-    }
-
     /// One parallel-EIG message of the level whose labels have `stride` ids,
     /// in one pass: a label goes into the message's one buffer, and a value's
     /// bytes are compared with those of the item before it before anything is
@@ -445,11 +468,18 @@ impl<'a> Reader<'a> {
         Ok(msg)
     }
 
-    fn round_state(&mut self) -> Result<RoundState, String> {
-        let value = self.vecd()?;
+    /// One round state, checked as the decode checks it — every cap, every
+    /// length against the bytes that remain, every witness id — and built
+    /// into nothing.
+    fn state(&mut self) -> Result<StateBytes<'a>, String> {
+        let dim = self.len_capped(MAX_DIM, 8, "vector")?;
+        let value = self.take(8 * dim)?;
         let wlen = self.len_capped(MAX_WITNESS, 4, "witness set")?;
-        let witness = (0..wlen).map(|_| self.pid()).collect::<Result<_, _>>()?;
-        Ok(RoundState { value, witness })
+        let witness = self.take(4 * wlen)?;
+        for id in witness.chunks_exact(4) {
+            pid_of(u32::from_le_bytes([id[0], id[1], id[2], id[3]]))?;
+        }
+        Ok(StateBytes { value, witness })
     }
 
     fn round(&mut self) -> Result<u32, String> {
@@ -459,45 +489,43 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A batch whose first slot is of `instance`, round `round` (the
-    /// header's): slots until the frame ends, at most [`MAX_BATCH_SLOTS`].
-    /// The slot list is sized on the first slot's length, so an honest batch
-    /// of like slots is allocated once.
-    fn batch(&mut self, instance: u64, round: u32) -> Result<VaBatch, String> {
-        let start = self.pos;
-        let state = Arc::new(self.round_state()?);
-        let like = 12 + (self.pos - start);
-        let mut slots = Vec::with_capacity((1 + self.remaining().div_ceil(like)).min(MAX_BATCH_SLOTS));
-        slots.push(VaSlot { instance, round, state });
+    /// The one validating walk over a batch whose first slot is of
+    /// `instance`, round `round` (the header's): slots until the frame ends,
+    /// at most [`MAX_BATCH_SLOTS`]. `slot` sees each checked slot with the
+    /// count of bytes after it; a late frame's walk builds nothing.
+    fn walk_batch(
+        &mut self,
+        instance: u64,
+        round: u32,
+        mut slot: impl FnMut(u64, u32, StateBytes<'a>, usize),
+    ) -> Result<(), String> {
+        slot(instance, round, self.state()?, self.remaining());
+        let mut count = 1;
         while self.remaining() > 0 {
-            if slots.len() == MAX_BATCH_SLOTS {
+            if count == MAX_BATCH_SLOTS {
                 return Err(format!("oversized batch: more than {MAX_BATCH_SLOTS} slots"));
             }
             let instance = self.u64()?;
             let round = self.round()?;
-            slots.push(VaSlot { instance, round, state: Arc::new(self.round_state()?) });
+            slot(instance, round, self.state()?, self.remaining());
+            count += 1;
         }
-        Ok(VaBatch { slots })
+        Ok(())
     }
 
-    /// Compare before decode: whether the batch that starts here (its first
-    /// slot of `instance`, round `round`) is `hint`, slot for slot, without
-    /// allocating; on anything but `Ok(true)` the caller rewinds.
-    fn is_batch(&mut self, hint: &VaBatch, instance: u64, round: u32) -> Result<bool, String> {
-        let Some((first, rest)) = hint.slots.split_first() else { return Ok(false) };
-        if (first.instance, first.round) != (instance, round) || !self.is_round_state(&first.state)? {
-            return Ok(false);
-        }
-        for slot in rest {
-            if self.remaining() == 0
-                || self.u64()? != slot.instance
-                || self.u32()? != slot.round
-                || !self.is_round_state(&slot.state)?
-            {
-                return Ok(false);
+    /// The batch the walk checks, built: the slot list is sized on the first
+    /// slot's length, so an honest batch of like slots is allocated once, and
+    /// its bytes are the ones just walked.
+    fn batch(&mut self, instance: u64, round: u32) -> Result<VaBatch, String> {
+        let start = self.pos;
+        let mut slots = Vec::new();
+        self.walk_batch(instance, round, |instance, round, state, rest| {
+            if slots.is_empty() {
+                slots.reserve_exact((1 + rest.div_ceil(12 + state.len())).min(MAX_BATCH_SLOTS));
             }
-        }
-        Ok(self.remaining() == 0)
+            slots.push(VaSlot { instance, round, state: Arc::new(state.build()) });
+        })?;
+        Ok(VaBatch { slots, bytes: self.buf[start..self.pos].into() })
     }
 
     /// A frame is exactly one message: `Err` unless every byte was read.
@@ -509,23 +537,61 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// One round state's bytes, checked: its value's components and its witness
+/// ids, little-endian.
+struct StateBytes<'a> {
+    value: &'a [u8],
+    witness: &'a [u8],
+}
+
+impl StateBytes<'_> {
+    /// Encoded length, the two count fields included.
+    fn len(&self) -> usize {
+        8 + self.value.len() + self.witness.len()
+    }
+
+    fn build(&self) -> RoundState {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        let id = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk")) as ProcessId;
+        RoundState {
+            value: VecD::new(self.value.chunks_exact(8).map(|b| f64::from_bits(word(b))).collect()),
+            witness: self.witness.chunks_exact(4).map(id).collect(),
+        }
+    }
+}
+
 /// Decode one frame received from link peer `from`.
 ///
 /// # Errors
 /// [`ProtocolError::MalformedPayload`] on any structural violation; no byte
 /// sequence panics.
 pub fn decode_frame(bytes: &[u8], from: ProcessId) -> Result<Frame, ProtocolError> {
-    decode_frame_hinted(bytes, from, &|_| None)
+    decode_frame_hinted(bytes, from, &|_| Hint::Unknown)
 }
 
-/// How [`decode_frame_hinted`] asks its caller for the batch it holds under a tag.
-pub type BatchHint<'a> = &'a dyn Fn(BatchTag) -> Option<Arc<VaBatch>>;
+/// What the caller of [`decode_frame_hinted`] knows of a batch tag.
+#[derive(Debug, Clone, Copy)]
+pub enum Hint<'a> {
+    /// Nothing: the payload decodes as without a hint.
+    Unknown,
+    /// The batch the caller holds for the tag: a payload of the same bytes is
+    /// that very `Arc`.
+    Held(&'a Arc<VaBatch>),
+    /// The tag has delivered: a well-formed payload is a
+    /// [`Payload::LateBatch`].
+    Delivered,
+}
 
-/// [`decode_frame`] with a hint: `hint(tag)` is a batch the caller already
-/// holds for a [`Payload::VaBatch`] frame's tag. A payload equal to it bit
-/// for bit comes back as that very `Arc`; any other decodes as without a
-/// hint, so neither the result nor the error (as [`decode_frame`]'s) depends
-/// on the hint.
+/// How [`decode_frame_hinted`] asks its caller what it knows of a tag.
+pub type BatchHint<'a> = &'a dyn Fn(BatchTag) -> Hint<'a>;
+
+/// [`decode_frame`] with a hint for a [`Payload::VaBatch`] frame's tag. A
+/// payload whose bytes are those of the batch held for it comes back as that
+/// batch; a well-formed one for a delivered tag comes back as a
+/// [`Payload::LateBatch`], walked but not built; any other decodes as without
+/// a hint. Whether a frame decodes, and the error if not, never depends on
+/// the hint — only what a good one is built into. A held batch's bytes count
+/// as checked: the decoder walked them, or they are local data.
 pub fn decode_frame_hinted(
     bytes: &[u8],
     from: ProcessId,
@@ -562,21 +628,26 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
         5 => {
             let tag = (r.pid()?, r.u32()?);
             let bkind = r.u8()?;
-            let start = r.pos;
-            let batch = match hint(tag).filter(|h| matches!(r.is_batch(h, instance, round), Ok(true))) {
-                Some(shared) => shared,
-                None => {
-                    r.pos = start;
-                    Arc::new(r.batch(instance, round)?)
+            // An echo or ready of the held batch is its bytes, walked when
+            // it was built; a late frame is walked and built into nothing.
+            let batch = match hint(tag) {
+                Hint::Held(held) if held.head() == (instance, round) && r.buf[r.pos..] == *held.bytes => {
+                    r.pos = r.buf.len();
+                    Some(Arc::clone(held))
                 }
+                Hint::Delivered => {
+                    r.walk_batch(instance, round, |_, _, _, _| {})?;
+                    None
+                }
+                _ => Some(Arc::new(r.batch(instance, round)?)),
             };
             let bmsg = match bkind {
-                0 => BrachaMsg::Init(batch),
-                1 => BrachaMsg::Echo(batch),
-                2 => BrachaMsg::Ready(batch),
+                0 => BrachaMsg::Init,
+                1 => BrachaMsg::Echo,
+                2 => BrachaMsg::Ready,
                 k => return Err(format!("unknown Bracha message kind {k}")),
             };
-            Payload::VaBatch((tag, bmsg))
+            batch.map_or(Payload::LateBatch(tag), |batch| Payload::VaBatch((tag, bmsg(batch))))
         }
         3 => {
             let session = r.u64()?;
@@ -639,7 +710,7 @@ mod tests {
             slot(u64::MAX, 3, &[0.5], vec![2, 1, 0]),
             slot(7, 0, &[-1.0], vec![]),
         ];
-        Frame::batch(0, ((5, 9), BrachaMsg::Echo(Arc::new(VaBatch { slots }))))
+        Frame::batch(0, ((5, 9), BrachaMsg::Echo(Arc::new(VaBatch::new(slots)))))
     }
 
     fn launch_frame() -> Frame {
@@ -687,12 +758,12 @@ mod tests {
         }
         // NaN payloads survive the codec bit-exactly (semantic rejection is
         // the protocol layer's job, structural integrity is ours).
-        let batch = VaBatch { slots: vec![slot(0, 0, &[f64::NAN], vec![])] };
+        let batch = VaBatch::new(vec![slot(0, 0, &[f64::NAN], vec![])]);
         let frame = Frame::batch(1, ((1, 0), BrachaMsg::Init(Arc::new(batch))));
         let bytes = encode_frame(&frame);
         let back = decode_frame(&bytes, 1).expect("NaN is structurally fine");
         match back.payload {
-            Payload::VaBatch((_, BrachaMsg::Init(b))) => assert!(b.slots[0].state.value.as_slice()[0].is_nan()),
+            Payload::VaBatch((_, BrachaMsg::Init(b))) => assert!(b.slots()[0].state.value.as_slice()[0].is_nan()),
             other => panic!("wrong payload: {other:?}"),
         }
     }
@@ -703,14 +774,11 @@ mod tests {
     #[test]
     fn batch_caps_hold() {
         let one = slot(1, 0, &[1.0], vec![]);
-        let full = VaBatch { slots: vec![one.clone(); MAX_BATCH_SLOTS] };
-        let frame = |batch: VaBatch| encode_frame(&Frame::batch(2, ((2, 0), BrachaMsg::Init(Arc::new(batch)))));
-        assert!(decode_frame(&frame(full.clone()), 2).is_ok(), "exactly at the cap");
-        let mut over = full;
-        over.slots.push(one.clone());
-        let refused = decode_frame(&frame(over), 2).expect_err("over the cap").to_string();
+        let frame = |slots: Vec<VaSlot>| encode_frame(&Frame::batch(2, ((2, 0), BrachaMsg::Init(Arc::new(VaBatch::new(slots))))));
+        assert!(decode_frame(&frame(vec![one.clone(); MAX_BATCH_SLOTS]), 2).is_ok(), "exactly at the cap");
+        let refused = decode_frame(&frame(vec![one.clone(); MAX_BATCH_SLOTS + 1]), 2).expect_err("over the cap").to_string();
         assert!(refused.contains("oversized batch"), "{refused}");
-        let mut late = frame(VaBatch { slots: vec![one.clone(), one] });
+        let mut late = frame(vec![one.clone(), one]);
         let round_at = late.len() - 16 - 4;
         late[round_at..round_at + 4].copy_from_slice(&(MAX_ROUND + 1).to_le_bytes());
         assert!(decode_frame(&late, 2).expect_err("slot round").to_string().contains("beyond wire cap"));
@@ -726,10 +794,10 @@ mod tests {
         assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
         let Payload::VaBatch((tag, BrachaMsg::Echo(batch))) = &frame.payload else { unreachable!() };
         let prefix = |k: usize| {
-            let slots = batch.slots[..k].to_vec();
-            encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(VaBatch { slots })))))
+            let slots = batch.slots()[..k].to_vec();
+            encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(VaBatch::new(slots))))))
         };
-        let whole: Vec<usize> = (1..batch.slots.len()).map(|k| prefix(k).len()).collect();
+        let whole: Vec<usize> = (1..batch.slots().len()).map(|k| prefix(k).len()).collect();
         for cut in 0..bytes.len() {
             match decode_frame(&bytes[..cut], 7) {
                 Ok(shorter) => {

@@ -19,23 +19,27 @@ use rbvc_transport::Lockstep;
 
 /// Allocations per decided instance over all four nodes (a batch of the
 /// sixteen instances' states per node per round: 27 frames per decision):
-/// ~9 % above the 1 057 this schedule makes (1 055 before a decided slot
-/// held its own copy of the decision in place of the machine) — 2 010 with one Bracha
+/// ~10 % above the 775 this schedule makes — 1 057 while every batch frame
+/// was decoded into new round states (late ones for delivered tags too) and
+/// compared slot by slot, and a decided value was copied twice at the seal
+/// (1 055 before a decided slot held its own copy of the decision in place
+/// of the machine) — 2 010 with one Bracha
 /// broadcast per state (864 frames per decision), 2 396 while a witness
 /// copied the vectors it named (decoded per frame, cloned per verified
 /// state), 2 422 before the reused outbox, 4 004 (3 930 when this budget was
 /// first set) with hashed broadcast tables, a voter list per tallied value,
 /// an encode per frame and a δ* solve per round-1 state; 19 383 with a state
 /// copy per frame.
-const BUDGET: u64 = 1_150;
+const BUDGET: u64 = 850;
 /// The same for `SyncBvc` at (n, f, d) = (7, 2, 3) over all seven nodes (147
 /// frames carrying 1 813 relay items), under a decision rule that allocates
 /// next to nothing so that the message path is what is counted: ~10 % above
-/// the 2 271 this schedule makes (2 265 before a decided slot held its own
-/// copy of the decision; 21 265 with a label and a value allocated
+/// the 2 264 this schedule makes (2 271 while the seal copied a decided
+/// value twice, 2 265 before a decided slot held its own copy of the
+/// decision; 21 265 with a label and a value allocated
 /// per item, a copy of the round message per destination and a map insert
 /// per label).
-const BVC_BUDGET: u64 = 2_500;
+const BVC_BUDGET: u64 = 2_490;
 const INSTANCES: u64 = 16;
 
 thread_local! {

@@ -14,7 +14,7 @@ use rbvc_sim::error::ProtocolError;
 use rbvc_sim::fuzz::ByteMutator;
 use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
 use rbvc_transport::wire::{
-    decode_frame, decode_frame_hinted, encode_frame, Frame, Payload, VaBatch, VaSlot, HEADER_LEN,
+    decode_frame, decode_frame_hinted, encode_frame, Frame, Hint, Payload, VaBatch, VaSlot, HEADER_LEN,
     MAGIC, VA_DIM_OFFSET, VERSION,
 };
 use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
@@ -39,7 +39,7 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
             state: Arc::new(RoundState { value: vec_at(k), witness: (0..witnesses + k).collect() }),
         })
         .collect();
-    Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(Arc::new(VaBatch { slots }))))
+    Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(Arc::new(VaBatch::new(slots)))))
 }
 
 /// Build a parallel-EIG frame from raw generator output: `labels` items for
@@ -99,6 +99,44 @@ proptest! {
             let back = decode_frame(&bytes, sender);
             prop_assert_eq!(back.as_ref().ok(), Some(&frame));
         }
+    }
+
+    /// An `Echo` or a `Ready` frame is a prefix and a copy of its batch's
+    /// bytes: for a random batch it is, byte for byte, the frame written out
+    /// field by field and slot by slot, as the codec's docs lay it out.
+    #[test]
+    fn a_batch_frame_is_its_slots_written_out(
+        raw in prop::collection::vec(-1e9f64..1e9, 24),
+        dim in 1usize..8,
+        instance in 0u64..u64::MAX,
+        sender in 0usize..16,
+        shape in 0usize..5,
+        slots in 1usize..6,
+        kind in 1u8..3,
+    ) {
+        let frame = va_frame(instance, sender, dim, &raw, shape, slots);
+        let Payload::VaBatch((tag, BrachaMsg::Ready(batch))) = frame.payload else { unreachable!() };
+        let msg = if kind == 1 { BrachaMsg::Echo(Arc::clone(&batch)) } else { BrachaMsg::Ready(Arc::clone(&batch)) };
+        let first = &batch.slots()[0];
+        let mut want = [&MAGIC[..], &[VERSION, 5]].concat();
+        want.extend(first.instance.to_le_bytes());
+        want.extend((sender as u32).to_le_bytes());
+        want.extend(first.round.to_le_bytes());
+        want.extend((tag.0 as u32).to_le_bytes());
+        want.extend(tag.1.to_le_bytes());
+        want.push(kind);
+        for (k, slot) in batch.slots().iter().enumerate() {
+            if k > 0 {
+                want.extend(slot.instance.to_le_bytes());
+                want.extend(slot.round.to_le_bytes());
+            }
+            let state = &slot.state;
+            want.extend((state.value.dim() as u32).to_le_bytes());
+            state.value.as_slice().iter().for_each(|x| want.extend(x.to_bits().to_le_bytes()));
+            want.extend((state.witness.len() as u32).to_le_bytes());
+            state.witness.iter().for_each(|&id| want.extend((id as u32).to_le_bytes()));
+        }
+        prop_assert_eq!(encode_frame(&Frame::batch(sender, (tag, msg))), want);
     }
 
     /// Every strict prefix of a valid one-slot frame is rejected as
@@ -189,28 +227,47 @@ fn mutation_corpus_is_rejected(
 /// ... and over the whole corpus a hinted decode is the plain decode, bit for
 /// bit and error for error, whatever the hint: the frame's own batch (reused
 /// as it is), that batch with one `0.0` flipped to `-0.0`, or another one.
+/// Told the tag has delivered, it reaches the plain decode's verdict, error
+/// for error, and a frame that decodes is the same header with nothing built.
 #[test]
 fn node_codec_rejects_the_mutation_corpus() {
     let frame = va_frame(1, 0, 2, &[1.0, 0.0, 3.0], 1, 1);
     let base = encode_frame(&frame);
     let Payload::VaBatch((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
-    let mut negative_zero = VaBatch::clone(&own);
-    Arc::make_mut(&mut negative_zero.slots[0].state).value.0[1] = -0.0;
-    let mut other = VaBatch::clone(&own);
-    other.slots[0].state = Arc::new(RoundState { value: VecD::from_slice(&[9.0, 9.0]), witness: vec![] });
-    let hints = [own, Arc::new(negative_zero), Arc::new(other)];
-    let decode_with = |bytes: &[u8], hint: &Arc<VaBatch>| {
-        decode_frame_hinted(bytes, 0, &|_| Some(Arc::clone(hint))).map_err(|e| e.to_string())
+    let with_value = |xs: &[f64]| {
+        let mut slot = own.slots()[0].clone();
+        Arc::make_mut(&mut slot.state).value = VecD::from_slice(xs);
+        Arc::new(VaBatch::new(vec![slot]))
     };
+    let (negative_zero, other) = (with_value(&[1.0, -0.0]), with_value(&[9.0, 9.0]));
+    assert_eq!(own.slots()[0].state.value, negative_zero.slots()[0].state.value, "equal values");
+    let hints = [own, negative_zero, other];
+    let decode_with = |bytes: &[u8], hint: Hint| decode_frame_hinted(bytes, 0, &|_| hint).map_err(|e| e.to_string());
+    let header = |f: &Frame| (f.instance, f.sender, f.round);
     mutation_corpus_is_rejected(&base, HEADER_LEN, VA_DIM_OFFSET, |bytes| {
-        let plain = decode_frame(bytes, 0).map(|f| encode_frame(&f)).map_err(|e| e.to_string());
+        let plain = decode_frame(bytes, 0).map_err(|e| e.to_string());
+        let encoded = plain.as_ref().map(encode_frame).map_err(Clone::clone);
         for hint in &hints {
-            assert_eq!(decode_with(bytes, hint).map(|f| encode_frame(&f)), plain);
+            assert_eq!(decode_with(bytes, Hint::Held(hint)).map(|f| encode_frame(&f)), encoded);
+        }
+        match (decode_with(bytes, Hint::Delivered), &plain) {
+            (Ok(late), Ok(plain)) => {
+                assert_eq!(header(&late), header(plain));
+                let tag = match &plain.payload {
+                    Payload::VaBatch((tag, _)) => Some(*tag),
+                    _ => None,
+                };
+                match late.payload {
+                    Payload::LateBatch(late) => assert_eq!(Some(late), tag, "a batch frame, walked"),
+                    payload => assert_eq!(&payload, &plain.payload, "not a batch frame"),
+                }
+            }
+            (late, plain) => assert_eq!(late.map(drop), plain.clone().map(drop)),
         }
         plain.map(drop)
     });
     for (i, hint) in hints.iter().enumerate() {
-        let Payload::VaBatch((_, BrachaMsg::Ready(got))) = decode_with(&base, hint).unwrap().payload
+        let Payload::VaBatch((_, BrachaMsg::Ready(got))) = decode_with(&base, Hint::Held(hint)).unwrap().payload
         else {
             unreachable!()
         };
@@ -472,11 +529,12 @@ fn honest_va_frames_name_their_witness() {
                 let Payload::VaBatch((_, msg)) = frame.payload else { panic!("only VA batches") };
                 let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = msg;
                 let state = |round: u32| if round == 0 { 61 - 29 } else { 73 - 29 };
-                let want: usize = 29 + b.slots.iter().map(|s| state(s.round)).sum::<usize>() + 12 * (b.slots.len() - 1);
-                assert_eq!(bytes.len(), want, "k = {k}: {} slots", b.slots.len());
-                if b.slots.len() == 1 {
-                    one_slot[usize::from(b.slots[0].round > 0)] += 1;
-                    assert_eq!(bytes.len(), if b.slots[0].round == 0 { 61 } else { 73 });
+                let slots = b.slots();
+                let want: usize = 29 + slots.iter().map(|s| state(s.round)).sum::<usize>() + 12 * (slots.len() - 1);
+                assert_eq!(bytes.len(), want, "k = {k}: {} slots", slots.len());
+                if slots.len() == 1 {
+                    one_slot[usize::from(slots[0].round > 0)] += 1;
+                    assert_eq!(bytes.len(), if slots[0].round == 0 { 61 } else { 73 });
                 }
                 for (kind, what) in [(2, "retired payload kind 2"), (4, "retired payload kind 4")] {
                     let mut retired = bytes.clone();
