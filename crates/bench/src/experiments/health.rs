@@ -15,7 +15,7 @@
 //! | `clean` | none | zero stalls anywhere (false-positive floor) |
 //! | `muted` | victim stops polling; links stay up | peers: barrier stall, `waiting_on = [victim]` |
 //! | `severed` | victim severs all its outbound links | peers: barrier stall on the victim (their readers see the hangup, but their redial succeeds against the victim's still-live listener, so the link is back up — and still silent — by detection time) |
-//! | `fsync` | victim's group-commit throttled past the deadline | peers: barrier stall on the victim (its links are healthy, it is just slow) |
+//! | `slow` | victim sleeps past the deadline between its own polls | peers: barrier stall on the victim (its links are healthy, it is just slow) |
 //! | `kill` | victim's service + endpoint dropped | peers: wire stall on the victim |
 //!
 //! Honest survivors must still terminate (the lockstep force-advance is
@@ -66,7 +66,7 @@ pub const SCENARIO: Scenario = Scenario {
 };
 
 /// The five injected-stall classes, in cycling order.
-pub const CLASSES: [&str; 5] = ["clean", "muted", "severed", "fsync", "kill"];
+pub const CLASSES: [&str; 5] = ["clean", "muted", "severed", "slow", "kill"];
 
 /// Campaign configuration.
 #[derive(Clone)]
@@ -84,10 +84,9 @@ pub struct HealthCampaignConfig {
     /// force-advance horizon that guarantees survivor termination in the
     /// mute/sever/kill classes.
     pub timeout_ticks: u32,
-    /// Group-commit delay injected in the `fsync` class (must exceed
-    /// `deadline` so the peers' wait on the throttled node trips the
-    /// detector).
-    pub fsync_throttle: Duration,
+    /// The `slow` victim's sleep between its own polls (must exceed
+    /// `deadline` so the peers' wait on the slow node trips the detector).
+    pub slow_gap: Duration,
     /// Wall-clock budget per run before it is declared stuck.
     pub run_budget: Duration,
     /// Detection budget after injection: a stall reported later than this
@@ -111,7 +110,7 @@ impl HealthCampaignConfig {
             runs: if smoke { CLASSES.len() } else { 40 },
             deadline: Duration::from_millis(150),
             timeout_ticks: 600,
-            fsync_throttle: Duration::from_millis(400),
+            slow_gap: Duration::from_millis(400),
             run_budget: Duration::from_secs(20),
             detect_budget: Duration::from_millis(1500),
             flight_dir: None,
@@ -142,9 +141,6 @@ pub struct ClassReport {
     pub stalls_raised: u64,
     /// Stall reports that were eventually cleared.
     pub cleared: u64,
-    /// Victim self-diagnosed fsync-phase reports (the `fsync` class's
-    /// local-durability attribution; informational for other classes).
-    pub victim_fsync_reports: u64,
 }
 
 /// Outcome of the flight-recorder cross-check phase.
@@ -225,8 +221,6 @@ struct RunFacts {
     stalls_raised: u64,
     /// Reports that cleared.
     cleared: u64,
-    /// Fsync-phase reports raised by the victim itself.
-    victim_fsync_reports: u64,
 }
 
 /// Does `report` name only the victim? Empty blame lists frame nobody;
@@ -242,7 +236,7 @@ fn blames_only(report: &StallReport, victim: usize) -> bool {
 /// within milliseconds — their reader EOFs, `mark_peer_down` arms a
 /// redial, and the dial succeeds against the victim's still-live
 /// listener — leaving a live link with a silent peer behind it, which is
-/// exactly mutism: a barrier stall. `muted`/`fsync` never touch the
+/// exactly mutism: a barrier stall. `muted`/`slow` never touch the
 /// socket at all.
 fn expected_phase(class: &str) -> StallPhase {
     match class {
@@ -299,6 +293,7 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
         let t0 = Instant::now();
         let mut decisions: Vec<(u64, VecD)> = Vec::new();
         let muted = is_victim && class == "muted";
+        let slow = is_victim && class == "slow";
         if is_victim {
             // Before the victim's first poll: the mesh handshake has already
             // brought every link up, and a healthy mesh decides within a
@@ -320,7 +315,8 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
                         svc.transport_mut().sever_link(j);
                     }
                 }
-                "fsync" => svc.set_fsync_throttle(cfg.fsync_throttle),
+                // Polls, but sleeps past the deadline after each one.
+                "slow" => {}
                 "kill" => {
                     drop(svc);
                     return NodeFacts {
@@ -337,6 +333,9 @@ fn one_run(cfg: &HealthCampaignConfig, run: usize) -> RunFacts {
             let events = svc.poll(mesh.poll_timeout);
             if !is_victim {
                 decisions.extend(events.into_iter().map(|ev| (ev.instance, ev.value)));
+            }
+            if slow {
+                thread::sleep(cfg.slow_gap);
             }
         }
         if !is_victim {
@@ -382,11 +381,6 @@ fn judge_run(
         .flat_map(|f| &f.reports)
         .filter(|r| r.cleared_at_us.is_some())
         .count() as u64;
-    let victim_fsync_reports = if class == "clean" {
-        0
-    } else {
-        facts[victim].reports.iter().filter(|r| r.phase == StallPhase::Fsync).count() as u64
-    };
     let terminated =
         facts.iter().enumerate().filter(|(i, _)| survivor(*i)).all(|(_, f)| f.decided);
 
@@ -428,7 +422,6 @@ fn judge_run(
         violations: monitor.alerts().len(),
         stalls_raised,
         cleared,
-        victim_fsync_reports,
     }
 }
 
@@ -490,7 +483,6 @@ pub fn run_campaign(cfg: &HealthCampaignConfig) -> HealthOutcome {
         r.misblamed += f.misblamed;
         r.stalls_raised += f.stalls_raised;
         r.cleared += f.cleared;
-        r.victim_fsync_reports += f.victim_fsync_reports;
         if f.class == "clean" {
             false_positives += f.stalls_raised;
             r.diagnosed += usize::from(f.stalls_raised == 0);
@@ -554,13 +546,13 @@ fn run(args: &Args) -> Report {
     cfg.runs = args.runs.unwrap_or(cfg.runs);
     cfg.flight_dir = Some(args.flight_dir.clone().unwrap_or_else(|| "target/flight".into()));
     println!(
-        "{} seeded runs cycling clean/muted/severed/fsync/kill on {}-node authenticated \
-         loopback TCP meshes (f = {}, stall deadline {} ms, fsync throttle {} ms)",
+        "{} seeded runs cycling clean/muted/severed/slow/kill on {}-node authenticated \
+         loopback TCP meshes (f = {}, stall deadline {} ms, slow victim's poll gap {} ms)",
         cfg.runs,
         cfg.mesh.n,
         cfg.mesh.f,
         cfg.deadline.as_millis(),
-        cfg.fsync_throttle.as_millis()
+        cfg.slow_gap.as_millis()
     );
     report(&cfg, &run_campaign(&cfg))
 }
@@ -605,7 +597,7 @@ fn report(cfg: &HealthCampaignConfig, out: &HealthOutcome) -> Report {
     Report {
         headers: vec![
             "class", "runs", "diagnosed", "terminated", "misblamed", "detect p50 ms",
-            "detect max ms", "stalls", "cleared", "victim fsync",
+            "detect max ms", "stalls", "cleared",
         ],
         rows: out
             .reports
@@ -621,7 +613,6 @@ fn report(cfg: &HealthCampaignConfig, out: &HealthOutcome) -> Report {
                     fnum(r.detect_ms.last().copied().unwrap_or(f64::NAN)),
                     r.stalls_raised.to_string(),
                     r.cleared.to_string(),
-                    r.victim_fsync_reports.to_string(),
                 ]
             })
             .collect(),
@@ -642,7 +633,7 @@ fn report(cfg: &HealthCampaignConfig, out: &HealthOutcome) -> Report {
             "instances": cfg.mesh.instances,
             "runs": out.runs,
             "stall_deadline_ms": cfg.deadline.as_millis() as u64,
-            "fsync_throttle_ms": cfg.fsync_throttle.as_millis() as u64,
+            "slow_gap_ms": cfg.slow_gap.as_millis() as u64,
             "detect_budget_ms": cfg.detect_budget.as_millis() as u64,
             "diagnosis_rate": rate,
             "false_positives": out.false_positives,
@@ -655,7 +646,6 @@ fn report(cfg: &HealthCampaignConfig, out: &HealthOutcome) -> Report {
                 "misblamed": r.misblamed,
                 "stalls_raised": r.stalls_raised,
                 "cleared": r.cleared,
-                "victim_fsync_reports": r.victim_fsync_reports,
                 "detect_ms": r.detect_ms.clone(),
             })).collect::<Vec<_>>(),
             "flight": json!({
@@ -685,7 +675,7 @@ mod tests {
             mesh: MeshProfile { n: 4, f: 1, ..full.mesh.clone() },
             deadline: Duration::from_millis(60),
             timeout_ticks: 200,
-            fsync_throttle: Duration::from_millis(160),
+            slow_gap: Duration::from_millis(160),
             detect_budget: Duration::from_millis(1200),
             run_budget: Duration::from_secs(15),
             ..full

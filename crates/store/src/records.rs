@@ -13,13 +13,21 @@
 //! malformed and never panics, the same receive-boundary contract as
 //! `rbvc_transport::wire`.
 
+use std::borrow::Cow;
+
 /// One entry in the service's write-ahead log.
 ///
 /// The service appends a record *before* the step it describes takes
 /// effect externally (WAL-before-wire), so replaying the log in order
 /// re-derives exactly the state the process crashed with.
+///
+/// Byte fields borrow: the write path encodes a record straight from the
+/// frame or spec it describes into the log's buffer, and [`decode_record`]
+/// hands back spans of the payload it read. A decided vector is borrowed
+/// when written and owned once decoded — its components are not aligned
+/// in the payload.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// An instance was registered under `instance` with an opaque,
     /// caller-serialized construction spec (the recovery factory turns it
     /// back into a protocol state machine).
@@ -27,7 +35,7 @@ pub enum WalRecord {
         /// Service-wide instance id.
         instance: u64,
         /// Opaque spec bytes, meaningful to the registrar's factory.
-        spec: Vec<u8>,
+        spec: &'a [u8],
     },
     /// An instance was launched (its `on_start` sends were generated).
     Launched {
@@ -43,7 +51,7 @@ pub enum WalRecord {
         /// Transport-authenticated sender.
         from: u32,
         /// The encoded wire frame, verbatim.
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
     /// An outbound wire frame was handed to the transport. Logged before
     /// the transmit, so after a crash the log's `Sent` sequence is a
@@ -54,7 +62,7 @@ pub enum WalRecord {
         /// Destination process.
         dst: u32,
         /// The encoded wire frame, verbatim.
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
     /// A Verified-Averaging instance accepted witness commitments; `count`
     /// is the running total, recorded so recovery can assert the replayed
@@ -72,7 +80,7 @@ pub enum WalRecord {
         /// Which instance.
         instance: u64,
         /// The decided vector's components.
-        value: Vec<f64>,
+        value: Cow<'a, [f64]>,
     },
     /// A client request completed: the decision for `(session, reqno)` was
     /// cached in the client table (and is about to be sent to the client).
@@ -87,7 +95,7 @@ pub enum WalRecord {
         /// The session's request number this reply answers.
         reqno: u64,
         /// The decided vector's components, verbatim.
-        value: Vec<f64>,
+        value: Cow<'a, [f64]>,
     },
 }
 
@@ -106,55 +114,6 @@ const TAG_CLIENT_REPLY: u8 = 8;
 /// [`crate::wal::MAX_RECORD_LEN`]).
 const MAX_FIELD_LEN: usize = 16 * 1024 * 1024;
 
-/// Borrowed form of [`WalRecord`], variant for variant: what the write path
-/// encodes from, so logging a frame or a decision copies its bytes once —
-/// into the WAL's buffer — and never into an owned record first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // fields documented on `WalRecord`
-pub enum WalRecordRef<'a> {
-    /// See [`WalRecord::Registered`].
-    Registered { instance: u64, spec: &'a [u8] },
-    /// See [`WalRecord::Launched`].
-    Launched { instance: u64 },
-    /// See [`WalRecord::Inbound`].
-    Inbound { from: u32, bytes: &'a [u8] },
-    /// See [`WalRecord::Sent`].
-    Sent { dst: u32, bytes: &'a [u8] },
-    /// See [`WalRecord::WitnessCommit`].
-    WitnessCommit { instance: u64, count: u64 },
-    /// See [`WalRecord::Decided`].
-    Decided { instance: u64, value: &'a [f64] },
-    /// See [`WalRecord::ClientReply`].
-    ClientReply { instance: u64, session: u64, reqno: u64, value: &'a [f64] },
-}
-
-impl WalRecord {
-    /// Borrow this record for encoding.
-    #[must_use]
-    pub fn as_ref(&self) -> WalRecordRef<'_> {
-        match self {
-            WalRecord::Registered { instance, spec } => {
-                WalRecordRef::Registered { instance: *instance, spec }
-            }
-            WalRecord::Launched { instance } => WalRecordRef::Launched { instance: *instance },
-            WalRecord::Inbound { from, bytes } => WalRecordRef::Inbound { from: *from, bytes },
-            WalRecord::Sent { dst, bytes } => WalRecordRef::Sent { dst: *dst, bytes },
-            WalRecord::WitnessCommit { instance, count } => {
-                WalRecordRef::WitnessCommit { instance: *instance, count: *count }
-            }
-            WalRecord::Decided { instance, value } => {
-                WalRecordRef::Decided { instance: *instance, value }
-            }
-            WalRecord::ClientReply { instance, session, reqno, value } => WalRecordRef::ClientReply {
-                instance: *instance,
-                session: *session,
-                reqno: *reqno,
-                value,
-            },
-        }
-    }
-}
-
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(u32::try_from(b.len()).expect("field fits u32")).to_le_bytes());
     out.extend_from_slice(b);
@@ -167,49 +126,40 @@ fn put_vector(out: &mut Vec<u8>, value: &[f64]) {
     }
 }
 
-/// Encode one record into the payload bytes a [`crate::Wal`] append takes.
-#[must_use]
-pub fn encode_record(r: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    encode_record_into(r.as_ref(), &mut out);
-    out
-}
-
-/// Append one record's payload bytes to `out` (what [`encode_record`]
-/// returns, written in place). [`crate::Wal::append_record`] points this at
-/// the log's own buffer.
-pub fn encode_record_into(r: WalRecordRef<'_>, out: &mut Vec<u8>) {
+/// Append one record's payload bytes to `out` — the one encoder.
+/// [`crate::RecordBatch::append_record`] points it at a batch's own buffer.
+pub fn encode_record_into(r: &WalRecord<'_>, out: &mut Vec<u8>) {
     match r {
-        WalRecordRef::Registered { instance, spec } => {
+        WalRecord::Registered { instance, spec } => {
             out.push(TAG_REGISTERED);
             out.extend_from_slice(&instance.to_le_bytes());
             put_bytes(out, spec);
         }
-        WalRecordRef::Launched { instance } => {
+        WalRecord::Launched { instance } => {
             out.push(TAG_LAUNCHED);
             out.extend_from_slice(&instance.to_le_bytes());
         }
-        WalRecordRef::Inbound { from, bytes } => {
+        WalRecord::Inbound { from, bytes } => {
             out.push(TAG_INBOUND);
             out.extend_from_slice(&from.to_le_bytes());
             put_bytes(out, bytes);
         }
-        WalRecordRef::Sent { dst, bytes } => {
+        WalRecord::Sent { dst, bytes } => {
             out.push(TAG_SENT);
             out.extend_from_slice(&dst.to_le_bytes());
             put_bytes(out, bytes);
         }
-        WalRecordRef::WitnessCommit { instance, count } => {
+        WalRecord::WitnessCommit { instance, count } => {
             out.push(TAG_WITNESS);
             out.extend_from_slice(&instance.to_le_bytes());
             out.extend_from_slice(&count.to_le_bytes());
         }
-        WalRecordRef::Decided { instance, value } => {
+        WalRecord::Decided { instance, value } => {
             out.push(TAG_DECIDED);
             out.extend_from_slice(&instance.to_le_bytes());
             put_vector(out, value);
         }
-        WalRecordRef::ClientReply { instance, session, reqno, value } => {
+        WalRecord::ClientReply { instance, session, reqno, value } => {
             out.push(TAG_CLIENT_REPLY);
             out.extend_from_slice(&instance.to_le_bytes());
             out.extend_from_slice(&session.to_le_bytes());
@@ -252,15 +202,29 @@ impl<'a> Reader<'a> {
         Some(f64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    /// Length-prefixed byte field; the prefix is validated against both the
-    /// global cap and the bytes actually present, so a hostile length can
-    /// neither over-allocate nor over-read.
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    /// Length-prefixed byte field, borrowed; the prefix is validated
+    /// against both the global cap and the bytes actually present, so a
+    /// hostile length cannot over-read.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
         if len > MAX_FIELD_LEN {
             return None;
         }
-        Some(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// Length-prefixed `f64` vector, decoded into an owned one whose
+    /// pre-allocation is capped by what the buffer can actually hold.
+    fn vector(&mut self) -> Option<Cow<'a, [f64]>> {
+        let d = self.u32()? as usize;
+        if d > MAX_FIELD_LEN / 8 {
+            return None;
+        }
+        let mut value = Vec::with_capacity(d.min(self.buf.len().saturating_sub(self.pos) / 8));
+        for _ in 0..d {
+            value.push(self.f64()?);
+        }
+        Some(Cow::Owned(value))
     }
 
     fn done(&self) -> bool {
@@ -268,11 +232,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode one record payload. Total over arbitrary bytes: `None` on an
-/// unknown tag, short buffer, oversized field, or trailing garbage —
-/// never a panic, never a partial record.
+/// Decode one record payload, borrowing its byte fields from `payload`.
+/// Total over arbitrary bytes: `None` on an unknown tag, short buffer,
+/// oversized field, or trailing garbage — never a panic, never a partial
+/// record.
 #[must_use]
-pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
+pub fn decode_record(payload: &[u8]) -> Option<WalRecord<'_>> {
     let mut r = Reader { buf: payload, pos: 0 };
     let rec = match r.u8()? {
         TAG_REGISTERED => WalRecord::Registered { instance: r.u64()?, spec: r.bytes()? },
@@ -280,33 +245,13 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
         TAG_INBOUND => WalRecord::Inbound { from: r.u32()?, bytes: r.bytes()? },
         TAG_SENT => WalRecord::Sent { dst: r.u32()?, bytes: r.bytes()? },
         TAG_WITNESS => WalRecord::WitnessCommit { instance: r.u64()?, count: r.u64()? },
-        TAG_DECIDED => {
-            let instance = r.u64()?;
-            let d = r.u32()? as usize;
-            if d > MAX_FIELD_LEN / 8 {
-                return None;
-            }
-            // Cap the pre-allocation by what the buffer can actually hold.
-            let mut value = Vec::with_capacity(d.min(r.buf.len().saturating_sub(r.pos) / 8));
-            for _ in 0..d {
-                value.push(r.f64()?);
-            }
-            WalRecord::Decided { instance, value }
-        }
-        TAG_CLIENT_REPLY => {
-            let instance = r.u64()?;
-            let session = r.u64()?;
-            let reqno = r.u64()?;
-            let d = r.u32()? as usize;
-            if d > MAX_FIELD_LEN / 8 {
-                return None;
-            }
-            let mut value = Vec::with_capacity(d.min(r.buf.len().saturating_sub(r.pos) / 8));
-            for _ in 0..d {
-                value.push(r.f64()?);
-            }
-            WalRecord::ClientReply { instance, session, reqno, value }
-        }
+        TAG_DECIDED => WalRecord::Decided { instance: r.u64()?, value: r.vector()? },
+        TAG_CLIENT_REPLY => WalRecord::ClientReply {
+            instance: r.u64()?,
+            session: r.u64()?,
+            reqno: r.u64()?,
+            value: r.vector()?,
+        },
         _ => return None,
     };
     if !r.done() {
@@ -319,41 +264,47 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord> {
 mod tests {
     use super::*;
 
-    fn samples() -> Vec<WalRecord> {
+    fn samples() -> Vec<WalRecord<'static>> {
         vec![
-            WalRecord::Registered { instance: 7, spec: vec![1, 2, 3] },
-            WalRecord::Registered { instance: 0, spec: vec![] },
+            WalRecord::Registered { instance: 7, spec: &[1, 2, 3] },
+            WalRecord::Registered { instance: 0, spec: &[] },
             WalRecord::Launched { instance: u64::MAX },
-            WalRecord::Inbound { from: 3, bytes: vec![0xde, 0xad, 0xbe, 0xef] },
-            WalRecord::Sent { dst: 0, bytes: vec![] },
+            WalRecord::Inbound { from: 3, bytes: &[0xde, 0xad, 0xbe, 0xef] },
+            WalRecord::Sent { dst: 0, bytes: &[] },
             WalRecord::WitnessCommit { instance: 42, count: 19 },
-            WalRecord::Decided { instance: 9, value: vec![0.25, -1.5, f64::MAX] },
-            WalRecord::Decided { instance: 9, value: vec![] },
+            WalRecord::Decided { instance: 9, value: Cow::Borrowed(&[0.25, -1.5, f64::MAX]) },
+            WalRecord::Decided { instance: 9, value: Cow::Borrowed(&[]) },
             WalRecord::ClientReply {
                 instance: 1 << 44,
                 session: 12,
                 reqno: 3,
-                value: vec![1.5, -0.25],
+                value: Cow::Borrowed(&[1.5, -0.25]),
             },
-            WalRecord::ClientReply { instance: 0, session: 0, reqno: 0, value: vec![] },
+            WalRecord::ClientReply { instance: 0, session: 0, reqno: 0, value: Cow::Borrowed(&[]) },
         ]
+    }
+
+    fn encode(r: &WalRecord<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record_into(r, &mut out);
+        out
     }
 
     #[test]
     fn round_trips() {
         for r in samples() {
-            let bytes = encode_record(&r);
+            let bytes = encode(&r);
             assert_eq!(decode_record(&bytes), Some(r));
         }
     }
 
     #[test]
-    fn encoding_in_place_appends_the_same_bytes() {
+    fn encoding_appends_to_what_is_there() {
         let mut out = vec![0xAA, 0xBB];
         let mut want = out.clone();
         for r in samples() {
-            want.extend_from_slice(&encode_record(&r));
-            encode_record_into(r.as_ref(), &mut out);
+            want.extend_from_slice(&encode(&r));
+            encode_record_into(&r, &mut out);
             assert_eq!(out, want, "after {r:?}");
         }
     }
@@ -361,7 +312,7 @@ mod tests {
     #[test]
     fn truncations_and_trailing_bytes_are_rejected() {
         for r in samples() {
-            let bytes = encode_record(&r);
+            let bytes = encode(&r);
             for cut in 0..bytes.len() {
                 assert_eq!(decode_record(&bytes[..cut]), None, "prefix of {r:?}");
             }

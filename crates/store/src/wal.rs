@@ -12,12 +12,15 @@
 //! length field is zero or over [`MAX_RECORD_LEN`], or whose checksum
 //! fails (bit rot / injected corruption) — and the file is truncated right
 //! there, so subsequent appends extend a log that is valid end to end.
-//! Nothing in the replay path panics on hostile bytes.
+//! Nothing in the replay path panics on hostile bytes, and nothing in it
+//! copies a record: the valid prefix is read once, into a [`RecordBatch`]
+//! whose payloads are spans of it.
 //!
-//! The log is a group-commit log. [`Wal::append`] / [`Wal::append_record`]
-//! frame the record — length, checksum, payload — into a buffer in this
-//! process: no syscall, and no allocation once the buffer has grown to the
-//! batch size. [`Wal::sync`] hands the whole batch to the file with one
+//! The log is a group-commit log. [`Wal::append`] and
+//! [`RecordBatch::append_record`] frame the record — length, checksum,
+//! payload — into a buffer in this process: no syscall, and no allocation
+//! once the buffer has grown to the batch size; [`Wal::absorb`] moves a
+//! batch in whole. [`Wal::sync`] hands the whole batch to the file with one
 //! `write_all`, fdatasyncs, and advances [`Wal::synced_len`], the
 //! high-water mark below which records are guaranteed crash-durable. The
 //! service syncs once per poll, after the poll's decisions joined the batch
@@ -40,7 +43,7 @@ use std::time::Instant;
 use rbvc_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::crc32::crc32;
-use crate::records::{encode_record_into, WalRecordRef};
+use crate::records::{encode_record_into, WalRecord};
 
 /// File magic: identifies a relaxed-BVC WAL, version 1.
 pub const WAL_MAGIC: [u8; 8] = *b"RBVCWAL1";
@@ -101,8 +104,9 @@ impl From<std::io::Error> for StoreError {
 /// What [`Wal::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Valid record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
+    /// The valid records, in append order, framed as they lie in the file
+    /// past its magic: read once, each payload a span of them.
+    pub records: RecordBatch,
     /// Bytes discarded past the longest valid prefix (0 on a clean file).
     pub torn_bytes: u64,
     /// File length after truncation to the valid prefix (header included).
@@ -148,23 +152,35 @@ fn micros_since(t0: Instant) -> u64 {
 }
 
 /// Framed records in memory — length, checksum, payload each — as they go
-/// to a log file verbatim: the half of the log that does no I/O. A [`Wal`]
-/// keeps its pending batch in one; a caller that must not touch the file
-/// fills its own and hands it over with [`Wal::absorb`].
-#[derive(Debug, Default)]
+/// to a log file verbatim, or as [`Wal::open`] read them back: the half of
+/// the log that does no I/O. A [`Wal`] keeps its pending batch in one; a
+/// caller that must not touch the file fills its own and hands it over
+/// with [`Wal::absorb`].
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecordBatch {
     buf: Vec<u8>,
     records: u64,
 }
 
 impl RecordBatch {
-    /// Frame `encode_record(record)` at the end of the batch, encoded
-    /// straight into it from the borrowed fields.
+    /// Frame `record` at the end of the batch, encoded straight into it
+    /// from the borrowed fields.
     ///
     /// # Errors
     /// [`StoreError::RecordTooLarge`] above the cap; the batch is unchanged.
-    pub fn append_record(&mut self, record: WalRecordRef<'_>) -> Result<(), StoreError> {
+    pub fn append_record(&mut self, record: &WalRecord<'_>) -> Result<(), StoreError> {
         self.put(|out| encode_record_into(record, out)).map(drop)
+    }
+
+    /// Move every record of `other` to the end of this batch, leaving it
+    /// empty — a buffer swap when this one is empty.
+    pub fn append(&mut self, other: &mut RecordBatch) {
+        self.records += std::mem::take(&mut other.records);
+        if self.buf.is_empty() {
+            std::mem::swap(&mut self.buf, &mut other.buf);
+        } else {
+            self.buf.append(&mut other.buf);
+        }
     }
 
     /// Reserve the header, let `fill` append the payload, then back-patch
@@ -187,16 +203,21 @@ impl RecordBatch {
         Ok(FRAME_OVERHEAD + len)
     }
 
-    /// The framed bytes, as they go to the file.
+    /// Records in the batch.
     #[must_use]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+    pub fn len(&self) -> usize {
+        usize::try_from(self.records).unwrap_or(usize::MAX)
     }
 
     /// True when the batch holds no record.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The record payloads in order, each a span of the batch's bytes.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        frames(&self.buf).map(|(payload, ..)| payload)
     }
 }
 
@@ -214,8 +235,6 @@ pub struct Wal {
     /// A write failed part-way and the file may end in a partial batch:
     /// [`Wal::roll_back`] must succeed before the next write.
     torn: bool,
-    /// Records currently in the log (replayed + appended since open).
-    records: u64,
     /// Records appended since the last sync — the group-commit batch size
     /// (`wal.group_commit.records` histogram on each sync).
     pending_records: u64,
@@ -223,16 +242,15 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// A log whose file holds `len` valid, synced bytes and `records`
-    /// records, with the cursor at `len`.
-    fn at(file: File, len: u64, records: u64) -> Wal {
+    /// A log whose file holds `len` valid, synced bytes, with the cursor
+    /// at `len`.
+    fn at(file: File, len: u64) -> Wal {
         let wal = Wal {
             file,
             len,
             synced_len: len,
             batch: RecordBatch::default(),
             torn: false,
-            records,
             pending_records: 0,
             metrics: Metrics::lookup(),
         };
@@ -255,32 +273,36 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
+        let mut magic = Vec::with_capacity(WAL_MAGIC.len());
+        (&mut file).take(WAL_MAGIC.len() as u64).read_to_end(&mut magic)?;
 
         // A file shorter than the magic can only be a crash during creation
         // of an empty WAL; anything else with 8+ bytes must match exactly.
-        if raw.len() >= WAL_MAGIC.len() && raw[..WAL_MAGIC.len()] != WAL_MAGIC {
+        if magic.len() == WAL_MAGIC.len() && magic != WAL_MAGIC {
             return Err(StoreError::BadMagic { path: path.to_path_buf() });
         }
-        if raw.len() < WAL_MAGIC.len() {
+        if magic.len() < WAL_MAGIC.len() {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&WAL_MAGIC)?;
             file.sync_data()?;
             let len = WAL_MAGIC.len() as u64;
             let report = ReplayReport {
-                records: Vec::new(),
-                torn_bytes: raw.len() as u64,
+                records: RecordBatch::default(),
+                torn_bytes: magic.len() as u64,
                 valid_len: len,
                 created: true,
             };
-            return Ok((Wal::at(file, len, 0), report));
+            return Ok((Wal::at(file, len), report));
         }
 
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
         let t0 = Instant::now();
-        let (records, valid_len) = scan(&raw);
-        let torn_bytes = raw.len() as u64 - valid_len;
+        let (records, body_len) = scan(&buf);
+        let valid_len = (WAL_MAGIC.len() + body_len) as u64;
+        let torn_bytes = (buf.len() - body_len) as u64;
+        buf.truncate(body_len);
         let reg = Registry::global();
         if torn_bytes > 0 {
             file.set_len(valid_len)?;
@@ -288,9 +310,10 @@ impl Wal {
             reg.counter("wal.torn_bytes").add(torn_bytes);
         }
         file.seek(SeekFrom::Start(valid_len))?;
-        reg.counter("wal.replay.records").add(records.len() as u64);
+        reg.counter("wal.replay.records").add(records);
         reg.histogram("wal.replay_us").record(micros_since(t0));
-        let wal = Wal::at(file, valid_len, records.len() as u64);
+        let wal = Wal::at(file, valid_len);
+        let records = RecordBatch { buf, records };
         Ok((wal, ReplayReport { records, torn_bytes, valid_len, created: false }))
     }
 
@@ -300,21 +323,7 @@ impl Wal {
     /// # Errors
     /// [`StoreError::RecordTooLarge`] above the cap; the log is unchanged.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        self.append_framed(|out| out.extend_from_slice(payload))
-    }
-
-    /// [`Wal::append`] of `encode_record(record)`, encoded straight into the
-    /// batch from the borrowed fields.
-    ///
-    /// # Errors
-    /// Like [`Wal::append`].
-    pub fn append_record(&mut self, record: WalRecordRef<'_>) -> Result<(), StoreError> {
-        self.append_framed(|out| encode_record_into(record, out))
-    }
-
-    fn append_framed(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), StoreError> {
-        self.len += self.batch.put(fill)? as u64;
-        self.records += 1;
+        self.len += self.batch.put(|out| out.extend_from_slice(payload))? as u64;
         self.pending_records += 1;
         self.metrics.appends.inc();
         if self.batch.buf.len() >= SPILL_THRESHOLD {
@@ -329,16 +338,10 @@ impl Wal {
     /// [`Wal::append`] calls would do, moved in one piece — a buffer swap
     /// when nothing is pending here, as after every successful write.
     pub fn absorb(&mut self, batch: &mut RecordBatch) {
-        let records = std::mem::take(&mut batch.records);
         self.len += batch.buf.len() as u64;
-        self.records += records;
-        self.pending_records += records;
-        self.metrics.appends.add(records);
-        if self.batch.is_empty() {
-            std::mem::swap(&mut self.batch.buf, &mut batch.buf);
-        } else {
-            self.batch.buf.append(&mut batch.buf);
-        }
+        self.pending_records += batch.records;
+        self.metrics.appends.add(batch.records);
+        self.batch.append(batch);
     }
 
     /// Hand the buffered batch to the file with one `write_all` (no fsync) —
@@ -415,7 +418,7 @@ impl Wal {
     /// True when the log holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records == 0
+        self.len == WAL_MAGIC.len() as u64
     }
 
     /// Length up to which the file is known durable (a torn tail past this
@@ -423,12 +426,6 @@ impl Wal {
     #[must_use]
     pub fn synced_len(&self) -> u64 {
         self.synced_len
-    }
-
-    /// Records in the log (replayed at open + appended since).
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Export `wal.size_bytes` so a live `/metrics` scrape sees the log's
@@ -447,35 +444,36 @@ impl Drop for Wal {
     }
 }
 
-/// Scan `raw` (which starts with a valid magic) and return the valid
-/// record payloads plus the byte offset of the longest valid prefix.
-/// Total over arbitrary bytes.
-fn scan(raw: &[u8]) -> (Vec<Vec<u8>>, u64) {
-    let mut records = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    // A failed `get` means the file is torn inside a frame header.
-    while let Some(header) = raw.get(pos..pos + FRAME_OVERHEAD) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let want = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN {
-            break; // corrupt length field
-        }
-        let body_start = pos + FRAME_OVERHEAD;
-        let Some(payload) = raw.get(body_start..body_start + len) else {
-            break; // torn inside the payload
-        };
-        if crc32(payload) != want {
-            break; // checksum mismatch
-        }
-        records.push(payload.to_vec());
-        pos = body_start + len;
-    }
-    (records, pos as u64)
+/// The frames of `raw` (framed records, as past a log's magic) in order —
+/// each its payload, its stored checksum and the offset it ends at — up to
+/// the first one torn inside its header or payload. Total; copies nothing.
+fn frames(raw: &[u8]) -> impl Iterator<Item = (&[u8], u32, usize)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let (head, body) = raw.get(pos..)?.split_first_chunk::<FRAME_OVERHEAD>()?;
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let payload = body.get(..len)?;
+        pos += FRAME_OVERHEAD + len;
+        Some((payload, u32::from_le_bytes([head[4], head[5], head[6], head[7]]), pos))
+    })
+}
+
+/// How many records the longest valid prefix of `raw` holds, and that
+/// prefix's length: the walk stops at a torn frame, a length over the cap
+/// or a checksum mismatch.
+fn scan(raw: &[u8]) -> (u64, usize) {
+    frames(raw)
+        .take_while(|&(payload, crc, _)| payload.len() <= MAX_RECORD_LEN && crc32(payload) == crc)
+        .fold((0, 0), |(records, _), (.., end)| (records + 1, end))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn payloads(report: &ReplayReport) -> Vec<Vec<u8>> {
+        report.records.iter().map(<[u8]>::to_vec).collect()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -500,13 +498,13 @@ mod tests {
             assert!(wal.synced_len() < wal.len());
             wal.sync().unwrap();
             assert_eq!(wal.synced_len(), wal.len());
-            assert_eq!(wal.records(), 3);
         }
         let (wal, report) = Wal::open(&path).unwrap();
         assert!(!report.created);
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(report.records, vec![b"alpha".to_vec(), Vec::new(), vec![0u8; 300]]);
-        assert_eq!(wal.records(), 3);
+        assert_eq!(payloads(&report), vec![b"alpha".to_vec(), Vec::new(), vec![0u8; 300]]);
+        assert_eq!(report.records.len(), 3);
+        assert_eq!(wal.len(), report.valid_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -527,7 +525,7 @@ mod tests {
         for cut in keep_len..full.len() as u64 {
             std::fs::write(&path, &full[..cut as usize]).unwrap();
             let (wal, report) = Wal::open(&path).unwrap();
-            assert_eq!(report.records, vec![b"keep me".to_vec()], "cut at {cut}");
+            assert_eq!(payloads(&report), vec![b"keep me".to_vec()], "cut at {cut}");
             assert_eq!(report.torn_bytes, cut - keep_len);
             assert_eq!(report.valid_len, keep_len);
             assert_eq!(wal.len(), keep_len);
@@ -553,12 +551,12 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         {
             let (mut wal, report) = Wal::open(&path).unwrap();
-            assert_eq!(report.records, vec![b"one".to_vec()]);
+            assert_eq!(payloads(&report), vec![b"one".to_vec()]);
             wal.append(b"three").unwrap();
             wal.sync().unwrap();
         }
         let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(report.records, vec![b"one".to_vec(), b"three".to_vec()]);
+        assert_eq!(payloads(&report), vec![b"one".to_vec(), b"three".to_vec()]);
         assert_eq!(report.torn_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -584,7 +582,7 @@ mod tests {
         let (mut wal, _) = Wal::open(dir.join("a.wal")).unwrap();
         let err = wal.append(&vec![0u8; MAX_RECORD_LEN + 1]).expect_err("over cap");
         assert!(matches!(err, StoreError::RecordTooLarge { .. }));
-        assert_eq!(wal.records(), 0);
+        assert!(wal.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -599,8 +597,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&path).unwrap();
         let header = WAL_MAGIC.len() as u64;
         wal.append(b"one").unwrap();
-        wal.append_record(WalRecordRef::Launched { instance: 9 }).unwrap();
-        assert_eq!(wal.records(), 2);
+        wal.append(b"two").unwrap();
         assert_eq!(wal.synced_len(), header);
         assert_eq!(file_len(&path), header, "no byte reaches the file before sync");
         // The power-loss image of this moment: an empty log.
@@ -613,10 +610,7 @@ mod tests {
         assert!(report.records.is_empty() && report.torn_bytes == 0);
         drop(wal);
         let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(
-            report.records,
-            vec![b"one".to_vec(), crate::encode_record(&crate::WalRecord::Launched { instance: 9 })]
-        );
+        assert_eq!(payloads(&report), vec![b"one".to_vec(), b"two".to_vec()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -673,7 +667,7 @@ mod tests {
             assert_eq!(file_len(&path), wal.synced_len());
         }
         let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(report.records, vec![b"synced".to_vec(), b"tail".to_vec()]);
+        assert_eq!(payloads(&report), vec![b"synced".to_vec(), b"tail".to_vec()]);
         assert_eq!(report.torn_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -703,7 +697,7 @@ mod tests {
         drop(wal);
         let (_, report) = Wal::open(&path).unwrap();
         assert_eq!(report.records.len(), 17);
-        assert_eq!(report.records[16], b"after".to_vec());
+        assert_eq!(payloads(&report)[16], b"after".to_vec());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -733,10 +727,7 @@ mod tests {
         assert_eq!(file_len(&path), wal.len());
         drop(wal);
         let (_, report) = Wal::open(&path).unwrap();
-        assert_eq!(
-            report.records,
-            vec![b"durable".to_vec(), b"pending".to_vec(), b"later".to_vec()]
-        );
+        assert_eq!(payloads(&report), vec![b"durable".to_vec(), b"pending".to_vec(), b"later".to_vec()]);
         assert_eq!(report.torn_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,16 +9,17 @@
 //! lands.
 
 use proptest::prelude::*;
-use rbvc_store::{decode_record, encode_record, encode_record_into, Wal, WalRecord, WAL_MAGIC};
+use rbvc_store::{decode_record, encode_record_into, RecordBatch, Wal, WalRecord, WAL_MAGIC};
 
 /// Deterministic record zoo driven by the proptest RNG stream: covers
 /// every tag with variable-length fields of seeded sizes.
-fn record_from(words: &[u64]) -> WalRecord {
+fn record_from(words: &[u64]) -> WalRecord<'static> {
     let pick = words[0] % 7;
     let a = words[1];
-    let blob = |n: u64| -> Vec<u8> {
+    // Leaked: a few KiB per test run, so the records can borrow.
+    let blob = |n: u64| -> &'static [u8] {
         let len = (n % 200) as usize;
-        (0..len).map(|i| (n.wrapping_mul(31).wrapping_add(i as u64)) as u8).collect()
+        (0..len).map(|i| (n.wrapping_mul(31).wrapping_add(i as u64)) as u8).collect::<Vec<_>>().leak()
     };
     match pick {
         0 => WalRecord::Registered { instance: a, spec: blob(words[2]) },
@@ -28,20 +29,27 @@ fn record_from(words: &[u64]) -> WalRecord {
         4 => WalRecord::WitnessCommit { instance: a, count: words[2] },
         5 => {
             let d = (words[2] % 9) as usize;
-            let value = (0..d).map(|i| (words[3].rotate_left(i as u32) as f64) / 1e9).collect();
-            WalRecord::Decided { instance: a, value }
+            let value: Vec<f64> = (0..d).map(|i| (words[3].rotate_left(i as u32) as f64) / 1e9).collect();
+            WalRecord::Decided { instance: a, value: value.into() }
         }
         _ => {
             let d = (words[3] % 6) as usize;
-            let value = (0..d).map(|i| (words[3].rotate_right(i as u32) as f64) / 1e6).collect();
+            let value: Vec<f64> = (0..d).map(|i| (words[3].rotate_right(i as u32) as f64) / 1e6).collect();
             WalRecord::ClientReply {
                 instance: a,
                 session: words[2],
                 reqno: words[3] % 1024,
-                value,
+                value: value.into(),
             }
         }
     }
+}
+
+/// One record's payload bytes.
+fn encode(rec: &WalRecord<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_record_into(rec, &mut out);
+    out
 }
 
 fn tmp_wal(tag: &str, case: u64) -> std::path::PathBuf {
@@ -58,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Encode → decode is the identity on arbitrary record sequences, and
-    /// encoding in place from the borrowed form appends the identical bytes.
+    /// encoding after other records appends the identical bytes.
     #[test]
     fn typed_records_round_trip(
         seeds in prop::collection::vec(
@@ -67,8 +75,8 @@ proptest! {
         let (mut in_place, mut want) = (Vec::new(), Vec::new());
         for words in &seeds {
             let rec = record_from(words);
-            let bytes = encode_record(&rec);
-            encode_record_into(rec.as_ref(), &mut in_place);
+            let bytes = encode(&rec);
+            encode_record_into(&rec, &mut in_place);
             want.extend_from_slice(&bytes);
             prop_assert_eq!(&in_place, &want);
             prop_assert_eq!(decode_record(&bytes), Some(rec));
@@ -89,7 +97,7 @@ proptest! {
             .take(len)
             .collect();
         if let Some(rec) = decode_record(&bytes) {
-            prop_assert_eq!(encode_record(&rec), bytes);
+            prop_assert_eq!(encode(&rec), bytes.clone());
         }
     }
 
@@ -107,12 +115,15 @@ proptest! {
         let mut offsets = vec![WAL_MAGIC.len() as u64];
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
-            // Both append paths must frame a record the same way.
+            // Both append paths must frame a record the same way: a payload
+            // appended, and a typed record framed into a batch, absorbed.
             for (i, rec) in records.iter().enumerate() {
                 if i % 2 == 0 {
-                    wal.append(&encode_record(rec)).unwrap();
+                    wal.append(&encode(rec)).unwrap();
                 } else {
-                    wal.append_record(rec.as_ref()).unwrap();
+                    let mut batch = RecordBatch::default();
+                    batch.append_record(rec).unwrap();
+                    wal.absorb(&mut batch);
                 }
                 offsets.push(wal.len());
             }
@@ -150,7 +161,7 @@ proptest! {
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
             for rec in &records {
-                wal.append(&encode_record(rec)).unwrap();
+                wal.append(&encode(rec)).unwrap();
             }
             wal.sync().unwrap();
         }

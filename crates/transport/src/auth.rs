@@ -316,12 +316,15 @@ impl MeshAuth {
     /// Prove this node to `dst` on a freshly dialed `stream`: the honest
     /// dialer ([`dial_handshake`]) under the next generation and the current
     /// clock. Every dial and re-dial of an endpoint runs it, against the
-    /// responder's fresh nonce. Nagle is off for the stream from here on.
+    /// responder's fresh nonce. Nagle is off for the stream from here on,
+    /// and every write to it is bounded by [`crate::tcp::WRITE_TIMEOUT`]: a
+    /// peer that stops reading fails the flush to it, not the poll thread.
     ///
     /// # Errors
     /// As [`dial_handshake_with`].
     pub fn prove(&self, stream: &mut TcpStream, dst: ProcessId) -> Result<(), String> {
         stream.set_nodelay(true).ok();
+        stream.set_write_timeout(Some(crate::tcp::WRITE_TIMEOUT)).ok();
         let t_tx = rbvc_obs::clock::now_us().max(1);
         dial_handshake(stream, self.local, dst, self.key(dst), self.next_generation(), t_tx)
     }

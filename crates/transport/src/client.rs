@@ -33,7 +33,7 @@
 //! instances — back to the connections that asked. A framing violation
 //! (oversized or zero length prefix, mid-frame EOF) poisons only that one
 //! connection, and so does a reply write that does not finish within
-//! [`REPLY_WRITE_TIMEOUT`]: the pump runs on the node's poll thread, which
+//! [`WRITE_TIMEOUT`]: the pump runs on the node's poll thread, which
 //! a client that stops reading must not stall.
 
 use std::collections::HashMap;
@@ -41,7 +41,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
@@ -49,7 +48,7 @@ use rbvc_linalg::VecD;
 use rbvc_obs::Registry;
 
 use crate::service::{ClientAdmission, ConsensusService};
-use crate::tcp::{append_frame, Listener};
+use crate::tcp::{append_frame, Listener, WRITE_TIMEOUT};
 use crate::transport::Transport;
 use crate::wire::{put_vecd, Reader};
 
@@ -65,9 +64,6 @@ pub const CLIENT_HEADER_LEN: usize = 4;
 /// Offset of the vector-dimension field of a `Submit` (and `Reply`): the
 /// header, then session u64 and reqno u64. What a length forgery overwrites.
 pub const SUBMIT_DIM_OFFSET: usize = CLIENT_HEADER_LEN + 16;
-/// How long one reply write may block the pump before the connection is
-/// dropped as a client that stopped reading.
-pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// One message of the client protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,7 +216,7 @@ impl ClientPort {
             next_conn += 1;
             if let Ok(writer) = stream.try_clone() {
                 // The timeout is the socket's: it bounds `respond`'s write.
-                let _ = writer.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
+                let _ = writer.set_write_timeout(Some(WRITE_TIMEOUT));
                 conn_writers.lock().insert(conn, writer);
             }
             spawn_conn_reader(stream, conn, tx.clone(), Arc::clone(&conn_writers));
@@ -242,7 +238,7 @@ impl ClientPort {
     }
 
     /// Write `frame` to connection `conn` in one write, bounded by
-    /// [`REPLY_WRITE_TIMEOUT`]. A connection that fails it — dead, or full
+    /// [`WRITE_TIMEOUT`]. A connection that fails it — dead, or full
     /// because its client stopped reading — is shut down and dropped (the
     /// client's retry/failover path covers it); so is one that took only
     /// part of the frame, since its stream is left mid-frame.
@@ -342,6 +338,7 @@ mod tests {
     use super::*;
     use crate::service::ClientConfig;
     use crate::transport::in_proc_mesh;
+    use std::time::Duration;
 
     fn samples() -> Vec<ClientFrame> {
         vec![

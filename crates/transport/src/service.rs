@@ -68,7 +68,7 @@ use rbvc_linalg::VecD;
 use rbvc_obs::{Event, EventKind, Registry, StallReport};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_store::{ReplayReport, Wal, WalRecordRef};
+use rbvc_store::{ReplayReport, Wal, WalRecord};
 pub use rbvc_core::problem::InstanceId;
 
 pub use self::client_table::{
@@ -111,9 +111,6 @@ pub struct ConsensusService<T: Transport> {
     out: Outbox,
     /// Write-ahead log; `None` runs the service non-durable.
     wal: Option<Wal>,
-    /// Artificial delay added to every group-commit sync — fault injection
-    /// for the health campaign's slow-fsync class. Zero in real runs.
-    fsync_throttle: Duration,
     /// Stall detector and flight recorder; `None` until
     /// [`ConsensusService::enable_health`].
     health: Option<Health>,
@@ -131,7 +128,6 @@ impl<T: Transport> ConsensusService<T> {
             node,
             out: Outbox::default(),
             wal: None,
-            fsync_throttle: Duration::ZERO,
             health: None,
             clock: PhaseClock::new(),
         }
@@ -222,7 +218,7 @@ impl<T: Transport> ConsensusService<T> {
             });
         }
         self.node.add_instance(id, proto)?;
-        self.node.append(WalRecordRef::Registered { instance: id, spec: &spec });
+        self.node.append(WalRecord::Registered { instance: id, spec: &spec });
         Ok(())
     }
 
@@ -314,24 +310,15 @@ impl<T: Transport> ConsensusService<T> {
     /// the transport flush is what a commit is followed by. Failures degrade
     /// into the error log.
     fn commit(&mut self) {
-        if self.wal.is_none() && self.fsync_throttle.is_zero() {
+        let Some(wal) = self.wal.as_mut() else {
             self.clock.enter(Phase::Flush);
             return;
-        }
+        };
         self.clock.enter(Phase::Write);
-        let written = self.wal.as_mut().map_or(Ok(()), |wal| {
-            wal.absorb(&mut self.node.records);
-            wal.write_batch()
-        });
+        wal.absorb(&mut self.node.records);
+        let written = wal.write_batch();
         self.clock.enter(Phase::Fsync);
-        // Fault injection: a throttled "device" is slow whether or not a WAL
-        // is attached — the `fsync` cell includes the sleep, which is what
-        // the stall detector's fsync classifier reads.
-        if !self.fsync_throttle.is_zero() {
-            std::thread::sleep(self.fsync_throttle);
-        }
-        let synced = written.and_then(|()| self.wal.as_mut().map_or(Ok(()), Wal::sync));
-        if let Err(e) = synced {
+        if let Err(e) = written.and_then(|()| wal.sync()) {
             self.node.errors.record(ProtocolError::Transport {
                 peer: None,
                 reason: format!("wal sync failed: {e}"),
@@ -495,12 +482,6 @@ impl<T: Transport> ConsensusService<T> {
         self.health = Some(health);
     }
 
-    /// Inject an artificial delay into every group-commit sync — the
-    /// health campaign's slow-fsync fault. Zero (the default) disables it.
-    pub fn set_fsync_throttle(&mut self, throttle: Duration) {
-        self.fsync_throttle = throttle;
-    }
-
     /// Every stall the detector ever raised (bounded history), in
     /// detection order. Empty without [`ConsensusService::enable_health`].
     #[must_use]
@@ -624,7 +605,7 @@ impl<T: Transport> ConsensusService<T> {
     ) -> Result<Self, ProtocolError> {
         let t0 = Instant::now();
         let mut svc = Self::new(transport);
-        svc.node.replay(&report.records, &svc.clock.cells(), factory)?;
+        svc.node.replay(report.records.iter(), &svc.clock.cells(), factory)?;
         svc.wal = Some(wal);
         svc.commit();
         svc.node.client.publish_sessions();
@@ -693,6 +674,7 @@ mod tests {
     use super::*;
     use crate::lockstep::Lockstep;
     use crate::service::node::tests::run_cores;
+    use rbvc_store::RecordBatch;
     use crate::transport::in_proc_mesh;
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
     use rbvc_core::{DecisionRule, SyncBvc};
@@ -1073,22 +1055,6 @@ mod tests {
         }
     }
 
-    /// Non-durable: nothing is logged or remembered, but the throttled
-    /// "device" is still slow and the phase clock's `fsync` cell says so —
-    /// the health campaign's slow-fsync class runs without a WAL.
-    #[test]
-    fn without_a_wal_commit_still_reports_the_throttle() {
-        let mut svc = ConsensusService::new(in_proc_mesh(2).remove(0));
-        svc.add_instance(1, va_instance(0, 2, &[1.0])).unwrap();
-        svc.start().unwrap();
-        assert!(svc.node.history(1).is_empty() && svc.node.records.is_empty());
-        svc.set_fsync_throttle(Duration::from_millis(5));
-        let before = svc.phase_nanos().get(Phase::Fsync);
-        svc.commit();
-        assert!(svc.phase_nanos().get(Phase::Fsync) - before >= 5_000_000);
-        assert!(svc.errors().is_empty());
-    }
-
     /// A node restarted *without* its log is amnesiac: it re-runs from a
     /// fresh state and can decide a second, different value for an instance
     /// it already decided. The service monitor must flag that as a
@@ -1106,7 +1072,7 @@ mod tests {
             for (p, node) in nodes.iter_mut().enumerate() {
                 node.add_instance(7, va_instance(p, n, &inputs[p])).unwrap();
             }
-            run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n], |_| {});
+            run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![RecordBatch::default(); n], |_| {});
             nodes.iter().map(|node| node.instances[&7].decision().cloned().unwrap()).collect()
         };
         let first = decide([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]);

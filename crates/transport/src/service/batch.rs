@@ -224,6 +224,7 @@ mod tests {
 
     use super::*;
     use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
+    use rbvc_store::RecordBatch;
     use crate::service::node::{InstanceProto, Node, Outbox};
     use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, MAX_PID, MAX_ROUND};
 
@@ -391,7 +392,7 @@ mod tests {
         let mut queues: Queues = vec![VecDeque::new(); n];
         // Each machine as its decision is collected.
         let mut last = [[None; 2]; 3];
-        run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n], |node| {
+        run_cores(&mut nodes[..3], &mut queues, &mut vec![RecordBatch::default(); n], |node| {
             for (k, inst) in [1, 2].into_iter().enumerate() {
                 last[node.local][k] = va(node, inst).or(last[node.local][k]);
             }
@@ -434,7 +435,7 @@ mod tests {
                 (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
             }
             let mut seen = vec![None; 3];
-            run_cores(&mut nodes[..3], &mut queues, &mut vec![Vec::new(); n], |node| {
+            run_cores(&mut nodes[..3], &mut queues, &mut vec![RecordBatch::default(); n], |node| {
                 if let Some(p) = running_va(node, 1) {
                     seen[node.local] = p.delivered_state((3, 0)).map(|kept| (kept.value.clone(), p.refusals()));
                 }
@@ -461,7 +462,7 @@ mod tests {
         for (p, node) in nodes.iter_mut().enumerate() {
             protos(p, n).into_iter().for_each(|(id, proto)| node.add_instance(id, proto).unwrap());
         }
-        let (mut queues, mut logs): (Queues, _) = (vec![VecDeque::new(); n], vec![Vec::new(); n]);
+        let (mut queues, mut logs): (Queues, _) = (vec![VecDeque::new(); n], vec![RecordBatch::default(); n]);
         run_cores(&mut nodes, &mut queues, &mut logs, |_| {});
         let decisions = |node: &Node| [1, 2].map(|id| node.instances[&id].decision().cloned());
         let before: Vec<_> = nodes.iter().map(decisions).collect();
@@ -491,7 +492,7 @@ mod tests {
         for (p, node) in nodes.iter_mut().enumerate() {
             protos(p, n).into_iter().for_each(|(id, proto)| node.add_instance(id, proto).unwrap());
         }
-        run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![Vec::new(); n], |_| {});
+        run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut vec![RecordBatch::default(); n], |_| {});
         let node = &mut nodes[0];
         assert!(matches!(node.batches.hint((1, 0)), Hint::Delivered));
         let echo = |batch| encode_frame(&Frame::batch(1, ((1, 0), BrachaMsg::Echo(batch))));

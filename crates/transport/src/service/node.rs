@@ -70,7 +70,7 @@ use rbvc_obs::{progress_token, Event, EventKind, InstanceProgress, Obs, Registry
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_store::{decode_record, RecordBatch, WalRecord, WalRecordRef};
+use rbvc_store::{decode_record, RecordBatch, WalRecord};
 
 use super::batch::Batches;
 use super::client_table::{self, client_instance_owner, ClientTable, Request};
@@ -303,8 +303,8 @@ pub(super) struct Node {
 
 /// Frame `rec` into `records`; an append failure degrades — it is recorded,
 /// the node keeps running on its in-memory state.
-fn log(records: &mut RecordBatch, errors: &mut ErrorLog, rec: WalRecordRef<'_>) {
-    if let Err(e) = records.append_record(rec) {
+fn log(records: &mut RecordBatch, errors: &mut ErrorLog, rec: WalRecord<'_>) {
+    if let Err(e) = records.append_record(&rec) {
         errors.record(ProtocolError::Transport {
             peer: None,
             reason: format!("wal append failed: {e}"),
@@ -391,7 +391,7 @@ impl Node {
     }
 
     /// Frame one record into the step's batch, when durable.
-    pub(super) fn append(&mut self, rec: WalRecordRef<'_>) {
+    pub(super) fn append(&mut self, rec: WalRecord<'_>) {
         if self.durable {
             log(&mut self.records, &mut self.errors, rec);
         }
@@ -405,7 +405,7 @@ impl Node {
         }
         for (dst, bytes) in frames {
             let dst_id = u32::try_from(*dst).unwrap_or(u32::MAX);
-            log(&mut self.records, &mut self.errors, WalRecordRef::Sent { dst: dst_id, bytes });
+            log(&mut self.records, &mut self.errors, WalRecord::Sent { dst: dst_id, bytes });
             if let Some(sent) = self.history.get_mut(*dst) {
                 sent.push(bytes.clone());
             }
@@ -430,7 +430,7 @@ impl Node {
         if self.instances.get(&id).ok_or_else(unknown)?.launched.is_some() {
             return Ok(());
         }
-        self.append(WalRecordRef::Launched { instance: id });
+        self.append(WalRecord::Launched { instance: id });
         let from = out.frames.len();
         self.start_instance(id, now, &mut out.frames);
         self.log_sent(&out.frames[from..]);
@@ -484,7 +484,7 @@ impl Node {
         // replay re-runs the gates and the dispatch deterministically.
         if self.durable {
             let from = u32::try_from(link_peer).unwrap_or(u32::MAX);
-            log(&mut self.records, &mut self.errors, WalRecordRef::Inbound { from, bytes });
+            log(&mut self.records, &mut self.errors, WalRecord::Inbound { from, bytes });
         }
         let (sender, instance) = (frame.sender, frame.instance);
         let payload = match frame.payload {
@@ -583,7 +583,7 @@ impl Node {
                 let slot = instances.get_mut(id).expect("a ready instance is resident");
                 let count = slot.ready().witness_commits();
                 if slot.witness_logged != count {
-                    log(records, errors, WalRecordRef::WitnessCommit { instance: *id, count });
+                    log(records, errors, WalRecord::WitnessCommit { instance: *id, count });
                     slot.witness_logged = count;
                 }
             }
@@ -596,15 +596,15 @@ impl Node {
             let value = slot.decide(None);
             *undecided -= 1;
             if *durable {
-                log(records, errors, WalRecordRef::Decided { instance: *id, value: value.as_slice() });
+                log(records, errors, WalRecord::Decided { instance: *id, value: value.as_slice().into() });
             }
             out.decided.push((*id, value.clone()));
             false
         });
         for (instance, value) in &out.decided {
             if let Some((session, reqno)) = self.client.answered(*instance, value) {
-                let value = value.as_slice();
-                self.append(WalRecordRef::ClientReply { instance: *instance, session, reqno, value });
+                let value = value.as_slice().into();
+                self.append(WalRecord::ClientReply { instance: *instance, session, reqno, value });
             }
         }
     }
@@ -642,7 +642,7 @@ impl Node {
     pub(super) fn admit(&mut self, (instance, launch): Request, now: &PhaseNanos, out: &mut Outbox) {
         let payload = Payload::Launch(launch.clone());
         let frame = encode_frame(&Frame { instance, sender: self.local, round: 0, payload });
-        self.append(WalRecordRef::Registered { instance, spec: &frame });
+        self.append(WalRecord::Registered { instance, spec: &frame });
         let frames = self.open_client_instance(instance, launch, &frame);
         self.log_sent(&frames);
         out.frames.extend(frames);
@@ -680,9 +680,10 @@ impl Node {
         }
     }
 
-    /// Replay a log's record payloads into this fresh node, launches
-    /// stamped `now`; see the module docs. `factory` re-creates each
-    /// instance that is not a client request from its logged spec.
+    /// Replay a log's record payloads into this fresh node, each decoded
+    /// where it lies, launches stamped `now`; see the module docs.
+    /// `factory` re-creates each instance that is not a client request from
+    /// its logged spec.
     /// Afterwards the node is durable, its history is the regenerated
     /// outbound frames, and the replies of client requests that decided
     /// before the crash but whose reply record was lost are cached and in
@@ -690,9 +691,9 @@ impl Node {
     ///
     /// # Errors
     /// The first `factory` failure.
-    pub(super) fn replay(
+    pub(super) fn replay<'r>(
         &mut self,
-        records: &[Vec<u8>],
+        records: impl IntoIterator<Item = &'r [u8]>,
         now: &PhaseNanos,
         mut factory: impl FnMut(InstanceId, &[u8]) -> Result<InstanceProto, ProtocolError>,
     ) -> Result<(), ProtocolError> {
@@ -709,13 +710,13 @@ impl Node {
                     // rebuild them (and the client table's view of them)
                     // internally; everything else goes through the caller's
                     // factory.
-                    if let Some(launch) = client_table::launch_spec(instance, &spec) {
+                    if let Some(launch) = client_table::launch_spec(instance, spec) {
                         if self.instances.contains_key(&instance) {
                             self.replay_divergence += 1;
                             continue;
                         }
                         self.client.restore(instance, &launch);
-                        let frames = self.open_client_instance(instance, launch, &spec);
+                        let frames = self.open_client_instance(instance, launch, spec);
                         if client_instance_owner(instance) == Some(self.local) {
                             // The owner fanned the Launch out right after
                             // registering; those sends keep the FIFO `Sent`
@@ -723,7 +724,7 @@ impl Node {
                             regenerated.frames.extend(frames);
                         }
                     } else {
-                        let proto = factory(instance, &spec)?;
+                        let proto = factory(instance, spec)?;
                         if self.add_instance(instance, proto).is_err() {
                             self.replay_divergence += 1;
                         }
@@ -736,7 +737,7 @@ impl Node {
                     }
                 }
                 WalRecord::Inbound { from, bytes } => {
-                    self.on_frame(from as ProcessId, &bytes, now, &mut regenerated);
+                    self.on_frame(from as ProcessId, bytes, now, &mut regenerated);
                 }
                 WalRecord::Sent { dst, bytes } => {
                     // Nothing regenerated is left to match: the live node
@@ -744,8 +745,8 @@ impl Node {
                     if match_cursor == regenerated.frames.len() {
                         self.batches.seal(&mut regenerated.frames);
                     }
-                    let logged = (dst as ProcessId, bytes);
-                    if regenerated.frames.get(match_cursor) == Some(&logged) {
+                    let next = regenerated.frames.get(match_cursor);
+                    if next.is_some_and(|(d, b)| *d == dst as ProcessId && b.as_slice() == bytes) {
                         match_cursor += 1;
                     } else {
                         self.replay_divergence += 1;
@@ -764,7 +765,7 @@ impl Node {
                     *witness_logged = count;
                 }
                 WalRecord::Decided { instance, value } => {
-                    let value = VecD::new(value);
+                    let value = VecD::new(value.into_owned());
                     let Some(slot) = self.instances.get_mut(&instance) else {
                         self.replay_divergence += 1;
                         continue;
@@ -786,7 +787,7 @@ impl Node {
                     // A reply that was surfaced (or about to be) before the
                     // crash: rebuild the dedup cache so a retry of the same
                     // (session, reqno) gets the identical pre-crash bytes.
-                    self.client.cache_reply(instance, session, reqno, VecD::from_slice(&value));
+                    self.client.cache_reply(instance, session, reqno, VecD::new(value.into_owned()));
                 }
             }
         }
@@ -804,7 +805,7 @@ impl Node {
                 continue;
             };
             let value = value.clone();
-            self.append(WalRecordRef::ClientReply { instance, session, reqno, value: value.as_slice() });
+            self.append(WalRecord::ClientReply { instance, session, reqno, value: value.as_slice().into() });
             self.client.cache_reply(instance, session, reqno, value);
         }
         Ok(())
@@ -836,8 +837,6 @@ pub(super) mod tests {
 
     use rbvc_linalg::{Norm, Tol};
     use rbvc_sim::bracha::BrachaMsg;
-    use rbvc_store::encode_record;
-
     use super::*;
     use crate::service::tests::{bvc_instance, flight, va_instance};
     use crate::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
@@ -874,17 +873,6 @@ pub(super) mod tests {
         vec![(1, InstanceProto::Va(va)), (2, bvc_instance(p, n, 1, input(2.0).as_slice()))]
     }
 
-    /// The record payloads in a batch's framed bytes.
-    fn payloads(mut bytes: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Some((head, rest)) = bytes.split_first_chunk::<8>() {
-            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-            out.push(rest[..len].to_vec());
-            bytes = &rest[len..];
-        }
-        out
-    }
-
     fn bits(value: Option<&VecD>) -> Option<Vec<u64>> {
         value.map(|v| v.as_slice().iter().map(|x| x.to_bits()).collect())
     }
@@ -899,7 +887,7 @@ pub(super) mod tests {
     /// reached it, ticks and seals; its frames join their destinations'
     /// `queues` and its records `logs[p]`, as the driver's flush and commit
     /// would. `inspect` sees each node before each of its seals.
-    pub(in crate::service) fn run_cores(nodes: &mut [Node], queues: &mut Queues, logs: &mut [Vec<u8>], mut inspect: impl FnMut(&Node)) {
+    pub(in crate::service) fn run_cores(nodes: &mut [Node], queues: &mut Queues, logs: &mut [RecordBatch], mut inspect: impl FnMut(&Node)) {
         let mut out = Outbox::default();
         for sweep in 0..10_000 {
             let idle = queues[..nodes.len()].iter().all(VecDeque::is_empty);
@@ -926,7 +914,7 @@ pub(super) mod tests {
                 for (dst, bytes) in out.frames.drain(..) {
                     queues[dst].push_back((p, bytes));
                 }
-                logs[p].extend_from_slice(std::mem::take(&mut node.records).as_bytes());
+                logs[p].append(&mut node.records);
             }
         }
         panic!("cores failed to converge");
@@ -954,23 +942,22 @@ pub(super) mod tests {
             node.durable = true;
             for (id, proto) in protos(p, n) {
                 node.add_instance(id, proto).unwrap();
-                node.append(WalRecordRef::Registered { instance: id, spec: &[] });
+                node.append(WalRecord::Registered { instance: id, spec: &[] });
             }
         }
-        let mut logs = vec![Vec::new(); n];
+        let mut logs = vec![RecordBatch::default(); n];
         run_cores(&mut nodes, &mut vec![VecDeque::new(); n], &mut logs, |_| {});
         for (p, node) in nodes.iter().enumerate() {
             for id in [1, 2] {
                 let decided = bits(node.instances[&id].decision());
                 assert!(decided.is_some() && decided == bits(mesh[p].decision(id).as_ref()), "{id} on {p}");
             }
-            let records: Vec<WalRecord> =
-                payloads(&logs[p]).iter().map(|r| decode_record(r).expect("decodes")).collect();
+            let records: Vec<WalRecord> = logs[p].iter().map(|r| decode_record(r).expect("decodes")).collect();
             for dst in 0..n {
-                let sent: Vec<Vec<u8>> = records
+                let sent: Vec<&[u8]> = records
                     .iter()
                     .filter_map(|r| match r {
-                        WalRecord::Sent { dst: d, bytes } if *d as usize == dst => Some(bytes.clone()),
+                        WalRecord::Sent { dst: d, bytes } if *d as usize == dst => Some(*bytes),
                         _ => None,
                     })
                     .collect();
@@ -987,7 +974,7 @@ pub(super) mod tests {
 
             let mut fresh = Node::new(p, n);
             let factory = |id, _: &[u8]| Ok(protos(p, n).into_iter().find(|(k, _)| *k == id).unwrap().1);
-            fresh.replay(&payloads(&logs[p]), &now(), factory).unwrap();
+            fresh.replay(logs[p].iter(), &now(), factory).unwrap();
             assert_eq!((fresh.replay_divergence, fresh.recovered.len()), (0, 2), "node {p}");
             for id in [1, 2] {
                 assert_eq!(bits(fresh.instances[&id].decision()), bits(node.instances[&id].decision()));
@@ -1015,15 +1002,12 @@ pub(super) mod tests {
         svc.launch(1).unwrap();
         svc.start().unwrap();
         svc.start().unwrap();
-        let records = payloads(svc.node.records.as_bytes());
-        let count = |kind: fn(&WalRecord) -> bool| records.iter().filter(|r| decode_record(r).is_some_and(|r| kind(&r))).count();
-        let launched = count(|r| matches!(r, WalRecord::Launched { .. }));
-        let sent = count(|r| matches!(r, WalRecord::Sent { .. }));
+        let records: Vec<WalRecord> = svc.node.records.iter().map(|r| decode_record(r).expect("decodes")).collect();
+        let launched = records.iter().filter(|r| matches!(r, WalRecord::Launched { .. })).count();
+        let sent = records.iter().filter(|r| matches!(r, WalRecord::Sent { .. })).count();
         assert_eq!((launched, sent), (2, n), "one Launched record each, one batch Init to every process");
-        let Some(WalRecord::Sent { bytes, .. }) = records.iter().rev().find_map(|r| decode_record(r)) else {
-            panic!("the batch is the last record")
-        };
-        match crate::wire::decode_frame(&bytes, 0).expect("decodes").payload {
+        let Some(WalRecord::Sent { bytes, .. }) = records.last() else { panic!("the batch is the last record") };
+        match crate::wire::decode_frame(bytes, 0).expect("decodes").payload {
             Payload::VaBatch((tag, BrachaMsg::Init(batch))) => {
                 assert_eq!(tag, (0, 0));
                 assert_eq!(batch.slots().iter().map(|s| (s.instance, s.round)).collect::<Vec<_>>(), [(1, 0), (2, 0)]);
@@ -1114,27 +1098,27 @@ pub(super) mod tests {
         let mut live = Node::new(1, n);
         live.durable = true;
         live.add_instance(5, va_instance(1, n, &[2.0])).unwrap();
-        live.append(WalRecordRef::Registered { instance: 5, spec: &[] });
+        live.append(WalRecord::Registered { instance: 5, spec: &[] });
         let mut out = Outbox::default();
         live.launch(5, &now(), &mut out).unwrap();
         live.seal(&mut out);
         live.on_frame(0, &spoof, &now(), &mut out);
         assert_eq!(gate_totals(&live), [0, 1, 0, 0], "the sender gate fired live");
-        let mut log = payloads(live.records.as_bytes());
+        let mut log = std::mem::take(&mut live.records);
         let kinds: Vec<WalRecord> = log.iter().map(|r| decode_record(r).expect("decodes")).collect();
         assert!(matches!(kinds[1], WalRecord::Launched { instance: 5 }));
         assert!(matches!(kinds[2], WalRecord::Sent { .. }));
-        log.push(encode_record(&WalRecord::Inbound { from: 0, bytes: spoof }));
-        let replay = |log: &[Vec<u8>]| {
+        log.append_record(&WalRecord::Inbound { from: 0, bytes: &spoof }).unwrap();
+        let replay = |log: &RecordBatch| {
             let mut node = Node::new(1, n);
-            node.replay(log, &now(), |_, _| Ok(va_instance(1, n, &[2.0]))).unwrap();
+            node.replay(log.iter(), &now(), |_, _| Ok(va_instance(1, n, &[2.0]))).unwrap();
             node
         };
         let node = replay(&log);
         assert_eq!(node.replay_divergence, 0);
         assert_eq!(node.gate_rejections_by_sender, live.gate_rejections_by_sender);
         assert!(node.records.is_empty(), "nothing is logged twice");
-        log.push(encode_record(&WalRecord::WitnessCommit { instance: 5, count: 1 }));
+        log.append_record(&WalRecord::WitnessCommit { instance: 5, count: 1 }).unwrap();
         assert_eq!(replay(&log).replay_divergence, 1, "an off-by-one witness count is a divergence");
     }
 
@@ -1144,16 +1128,15 @@ pub(super) mod tests {
     /// logged value.
     #[test]
     fn a_logged_decision_the_replay_never_reached_is_a_divergence() {
-        let value = vec![1.0, 2.0];
-        let log = [
-            WalRecord::Registered { instance: 5, spec: Vec::new() },
-            WalRecord::Launched { instance: 5 },
-            WalRecord::Decided { instance: 5, value: value.clone() },
-        ];
+        let value = [1.0, 2.0];
+        let mut log = RecordBatch::default();
+        log.append_record(&WalRecord::Registered { instance: 5, spec: &[] }).unwrap();
+        log.append_record(&WalRecord::Launched { instance: 5 }).unwrap();
+        log.append_record(&WalRecord::Decided { instance: 5, value: value.as_slice().into() }).unwrap();
         let mut node = Node::new(0, 2);
-        node.replay(&log.map(|r| encode_record(&r)), &now(), |_, _| Ok(va_instance(0, 2, &[2.0, 0.0]))).unwrap();
+        node.replay(log.iter(), &now(), |_, _| Ok(va_instance(0, 2, &[2.0, 0.0]))).unwrap();
         assert_eq!((node.replay_divergence, node.recovered.len(), node.undecided), (1, 1, 0));
-        assert_eq!(node.instances[&5].decision(), Some(&VecD::new(value)));
+        assert_eq!(node.instances[&5].decision(), Some(&VecD::from_slice(&value)));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum Phase {
     Route,
     /// The group commit's one `write` of the batch.
     Write,
-    /// The group commit's `fdatasync` (an injected throttle included).
+    /// The group commit's `fdatasync`.
     Fsync,
     /// The transport flush.
     Flush,

@@ -79,6 +79,9 @@ fn dial_retry_counter() -> &'static Counter {
 
 /// Largest frame the framing layer accepts (16 MiB).
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+/// How long one write to a mesh peer or a client may block the poll thread
+/// before that connection is given up as one that stopped reading.
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 /// Dial retry budget.
 pub const DIAL_ATTEMPTS: u32 = 10;
 /// First-retry backoff; doubles per attempt, capped at [`DIAL_BACKOFF_CAP`].
@@ -671,8 +674,9 @@ impl Transport for TcpEndpoint {
                     peer.tx_bytes.add(batch.len() as u64);
                 }
                 Err(e) => {
-                    // This link is gone; degrade it, arm the lazy redial,
-                    // and keep flushing the rest of the mesh.
+                    // This link is gone, or its peer stopped reading for
+                    // `WRITE_TIMEOUT`; degrade it, arm the lazy redial, and
+                    // keep flushing the rest of the mesh.
                     let err = self.shared.record(Some(dst), format!("batched write failed: {e}"));
                     peer.tear_down();
                     first_err.get_or_insert(err);
@@ -782,14 +786,9 @@ pub fn tcp_mesh_loopback_authenticated(
             thread::spawn(move || TcpEndpoint::connect_with_auth(id, listener, &addrs, &seed))
         })
         .collect();
-    let mut endpoints = Vec::with_capacity(n);
-    for h in handles {
-        endpoints.push(h.join().map_err(|_| ProtocolError::Transport {
-            peer: None,
-            reason: "endpoint construction thread panicked".into(),
-        })??);
-    }
-    Ok(endpoints)
+    let panicked = "endpoint construction thread panicked";
+    let panicked = |_| ProtocolError::Transport { peer: None, reason: panicked.into() };
+    handles.into_iter().map(|h| h.join().map_err(panicked)?).collect()
 }
 
 #[cfg(test)]

@@ -6,11 +6,12 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
+use std::sync::atomic::AtomicU64;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rbvc_transport::auth;
-use rbvc_transport::tcp::TcpEndpoint;
+use rbvc_transport::tcp::{TcpEndpoint, WRITE_TIMEOUT};
 use rbvc_transport::transport::Transport;
 
 const N: usize = 3;
@@ -261,4 +262,39 @@ fn redial_storm_under_auth_reauthenticates() {
         .find(|l| l.peer == VICTIM as u32)
         .expect("victim row");
     assert_eq!(lv.auth, rbvc_obs::LinkAuthState::Authenticated);
+}
+
+/// A peer that answers the handshake and then never reads costs one link,
+/// not the poll thread: a flush flooding it with 1 MiB frames fails within a
+/// few `WRITE_TIMEOUT`s with that link's row down, and the frame queued to
+/// the other peer in the same flush still arrives.
+#[test]
+fn a_peer_that_stops_reading_costs_one_link_not_the_poll_thread() {
+    let seed = [0x3Cu8; 32];
+    let [l0, l1, l2] = std::array::from_fn(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind"));
+    let addrs: Vec<_> = [&l0, &l1, &l2].map(|l| l.local_addr().expect("addr")).into();
+    let keys = auth::MeshAuth::derive(&seed, 1, N);
+    // The dials of 0 and 2, answered, then held open and never read.
+    let deaf = thread::spawn(move || {
+        let (sent, received) = (AtomicU64::new(0), AtomicU64::new(0));
+        let answer = |stream: std::io::Result<_>| {
+            let mut stream = stream.expect("accept");
+            let _ = auth::respond_handshake(&mut stream, &keys, &sent, &received);
+            stream
+        };
+        l1.incoming().take(2).map(answer).collect::<Vec<_>>()
+    });
+    let [ep0, ep2] = [(0, l0), (2, l2)].map(|(id, listener)| {
+        let addrs = addrs.clone();
+        thread::spawn(move || TcpEndpoint::connect_with_auth(id, listener, &addrs, &seed).expect("connect"))
+    });
+    let (mut ep0, mut ep2) = (ep0.join().expect("no panic"), ep2.join().expect("no panic"));
+    let _held = deaf.join().expect("no panic");
+    (0..16).for_each(|_| ep0.send(1, vec![0xAB; 1 << 20]).expect("queued"));
+    ep0.send(2, b"still flowing".to_vec()).expect("queued");
+    let t0 = Instant::now();
+    assert!(ep0.flush().is_err(), "the flush to the deaf peer fails");
+    assert!(t0.elapsed() < 10 * WRITE_TIMEOUT, "the flush took {:?}", t0.elapsed());
+    assert!(ep0.link_health().iter().any(|l| l.peer == 1 && !l.up), "the deaf peer's link is down");
+    assert!(wait_for_frame(&mut ep2, 0, b"still flowing", 200), "2 still hears from 0");
 }
