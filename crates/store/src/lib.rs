@@ -30,5 +30,5 @@ pub mod crc32;
 pub mod records;
 pub mod wal;
 
-pub use records::{decode_record, encode_record_into, WalRecord};
+pub use records::{decode_record, encode_record_into, DstSet, WalRecord};
 pub use wal::{RecordBatch, ReplayReport, StoreError, Wal, MAX_RECORD_LEN, WAL_MAGIC};

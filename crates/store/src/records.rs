@@ -53,14 +53,17 @@ pub enum WalRecord<'a> {
         /// The encoded wire frame, verbatim.
         bytes: &'a [u8],
     },
-    /// An outbound wire frame was handed to the transport. Logged before
-    /// the transmit, so after a crash the log's `Sent` sequence is a
-    /// superset of what actually hit the wire; recovery re-sends them
-    /// (receivers deduplicate) and checks regenerated sends against this
-    /// sequence to detect divergence (accidental equivocation).
+    /// An outbound wire frame was handed to the transport once for every
+    /// process in `dsts`: a broadcast is one record. Logged before the
+    /// transmit, so after a crash the log's `Sent` sequence is a superset
+    /// of what actually hit the wire; recovery re-sends them (receivers
+    /// deduplicate) and checks regenerated sends against this sequence,
+    /// each set expanded in ascending order, to detect divergence
+    /// (accidental equivocation). So one record may only carry frames of
+    /// equal bytes sent to rising destinations, one after the other.
     Sent {
-        /// Destination process.
-        dst: u32,
+        /// Destination processes.
+        dsts: DstSet<'a>,
         /// The encoded wire frame, verbatim.
         bytes: &'a [u8],
     },
@@ -99,15 +102,58 @@ pub enum WalRecord<'a> {
     },
 }
 
+/// The destinations of a `Sent` record: a bitset, process `p` at bit
+/// `p % 8` of byte `p / 8`, in its one canonical form — at least one byte
+/// and no trailing zero byte — so the empty set has no encoding and no set
+/// has two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DstSet<'a>(&'a [u8]);
+
+impl<'a> DstSet<'a> {
+    /// `bits` read as a set; `None` unless canonical and within a
+    /// record field's cap.
+    #[must_use]
+    pub fn new(bits: &'a [u8]) -> Option<Self> {
+        let canonical = matches!(bits.last(), Some(&last) if last != 0);
+        (canonical && bits.len() <= MAX_FIELD_LEN).then_some(DstSet(bits))
+    }
+
+    /// Write the bitset of `members` over `buf` and read it as a set;
+    /// `None` when `members` is empty.
+    pub fn collect(members: impl IntoIterator<Item = u32>, buf: &'a mut Vec<u8>) -> Option<Self> {
+        buf.clear();
+        for p in members {
+            let byte = p as usize / 8;
+            if buf.len() <= byte {
+                buf.resize(byte + 1, 0);
+            }
+            buf[byte] |= 1 << (p % 8);
+        }
+        Self::new(buf)
+    }
+
+    /// The bitset, as encoded.
+    #[must_use]
+    pub fn bits(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The members, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        let bytes = (0u32..).zip(self.0);
+        bytes.flat_map(|(i, &byte)| (0..8).filter(move |bit| byte >> bit & 1 == 1).map(move |bit| 8 * i + bit))
+    }
+}
+
 const TAG_REGISTERED: u8 = 1;
 const TAG_LAUNCHED: u8 = 2;
 const TAG_INBOUND: u8 = 3;
-const TAG_SENT: u8 = 4;
 const TAG_WITNESS: u8 = 5;
 const TAG_DECIDED: u8 = 6;
-// Tag 7 (a retired record kind) stays unassigned, so an old log never
-// decodes it as something else.
 const TAG_CLIENT_REPLY: u8 = 8;
+const TAG_SENT: u8 = 9;
+// Tags 4 (one `Sent` record per destination) and 7 (retired record kinds)
+// stay unassigned, so an old log never decodes them as something else.
 
 /// Sanity cap on variable-length fields inside a record, matching the wire
 /// codec's allocation guard (a record payload is itself capped by
@@ -144,9 +190,9 @@ pub fn encode_record_into(r: &WalRecord<'_>, out: &mut Vec<u8>) {
             out.extend_from_slice(&from.to_le_bytes());
             put_bytes(out, bytes);
         }
-        WalRecord::Sent { dst, bytes } => {
+        WalRecord::Sent { dsts, bytes } => {
             out.push(TAG_SENT);
-            out.extend_from_slice(&dst.to_le_bytes());
+            put_bytes(out, dsts.bits());
             put_bytes(out, bytes);
         }
         WalRecord::WitnessCommit { instance, count } => {
@@ -243,7 +289,6 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord<'_>> {
         TAG_REGISTERED => WalRecord::Registered { instance: r.u64()?, spec: r.bytes()? },
         TAG_LAUNCHED => WalRecord::Launched { instance: r.u64()? },
         TAG_INBOUND => WalRecord::Inbound { from: r.u32()?, bytes: r.bytes()? },
-        TAG_SENT => WalRecord::Sent { dst: r.u32()?, bytes: r.bytes()? },
         TAG_WITNESS => WalRecord::WitnessCommit { instance: r.u64()?, count: r.u64()? },
         TAG_DECIDED => WalRecord::Decided { instance: r.u64()?, value: r.vector()? },
         TAG_CLIENT_REPLY => WalRecord::ClientReply {
@@ -252,6 +297,7 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord<'_>> {
             reqno: r.u64()?,
             value: r.vector()?,
         },
+        TAG_SENT => WalRecord::Sent { dsts: DstSet::new(r.bytes()?)?, bytes: r.bytes()? },
         _ => return None,
     };
     if !r.done() {
@@ -264,13 +310,19 @@ pub fn decode_record(payload: &[u8]) -> Option<WalRecord<'_>> {
 mod tests {
     use super::*;
 
+    fn set(bits: &'static [u8]) -> DstSet<'static> {
+        DstSet::new(bits).expect("canonical")
+    }
+
     fn samples() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::Registered { instance: 7, spec: &[1, 2, 3] },
             WalRecord::Registered { instance: 0, spec: &[] },
             WalRecord::Launched { instance: u64::MAX },
             WalRecord::Inbound { from: 3, bytes: &[0xde, 0xad, 0xbe, 0xef] },
-            WalRecord::Sent { dst: 0, bytes: &[] },
+            WalRecord::Sent { dsts: set(&[0x01]), bytes: &[] },
+            WalRecord::Sent { dsts: set(&[0x0f]), bytes: &[0x5a; 9] },
+            WalRecord::Sent { dsts: set(&[0xff, 0x03, 0x80]), bytes: &[7] },
             WalRecord::WitnessCommit { instance: 42, count: 19 },
             WalRecord::Decided { instance: 9, value: Cow::Borrowed(&[0.25, -1.5, f64::MAX]) },
             WalRecord::Decided { instance: 9, value: Cow::Borrowed(&[]) },
@@ -334,8 +386,51 @@ mod tests {
         b.extend_from_slice(&7u64.to_le_bytes());
         b.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_record(&b), None);
-        // Unknown tag.
+        // Sent claiming a huge destination set.
+        let mut b = vec![9u8];
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        b.push(0x01);
+        assert_eq!(decode_record(&b), None);
+        // Unknown tag, and the retired per-destination `Sent` tag.
         assert_eq!(decode_record(&[0x99, 0, 0]), None);
+        let mut b = vec![4u8];
+        b.extend_from_slice(&0u32.to_le_bytes());
+        b.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(decode_record(&b), None);
         assert_eq!(decode_record(&[]), None);
+    }
+
+    /// A set has one encoding: the empty bitset and one with a trailing
+    /// zero byte are refused, by the set and by the record decoder.
+    #[test]
+    fn a_destination_set_is_canonical() {
+        let sent = |bits: &[u8]| {
+            let mut b = vec![9u8];
+            put_bytes(&mut b, bits);
+            put_bytes(&mut b, &[1, 2]);
+            b
+        };
+        for bits in [&[][..], &[0x00], &[0x01, 0x00], &[0x0f, 0x00, 0x00]] {
+            assert_eq!(DstSet::new(bits), None, "{bits:?}");
+            assert_eq!(decode_record(&sent(bits)), None, "{bits:?}");
+        }
+        let payload = sent(&[0x00, 0x01]);
+        let rec = decode_record(&payload).expect("canonical");
+        assert!(matches!(rec, WalRecord::Sent { dsts, .. } if dsts.iter().eq([8])));
+    }
+
+    /// Collecting members and iterating the set give them back in
+    /// ascending order, for sets of one member, of four, and of more than
+    /// eight across several bytes; no member, no set.
+    #[test]
+    fn a_destination_set_holds_its_members_in_ascending_order() {
+        let mut buf = Vec::new();
+        for members in [vec![0], vec![3], vec![0, 1, 2, 3], (0..10).chain([17, 23, 64]).collect()] {
+            let set = DstSet::collect(members.iter().copied(), &mut buf).expect("not empty");
+            assert_eq!(set.iter().collect::<Vec<_>>(), members);
+            assert_eq!(set.bits().len(), *members.last().unwrap() as usize / 8 + 1);
+        }
+        assert_eq!(DstSet::collect([], &mut buf), None);
+        assert_eq!(set(&[0xff, 0x03, 0x80]).iter().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 23]);
     }
 }

@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 
-use rbvc_store::{decode_record, RecordBatch, Wal, WalRecord};
+use rbvc_store::{decode_record, DstSet, RecordBatch, Wal, WalRecord};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -32,15 +32,17 @@ static GLOBAL: Counting = Counting;
 /// About the size of a VA batch frame at n = 4.
 const FRAME: [u8; 100] = [0x5A; 100];
 
-/// Write `records` alternating `Inbound` and `Sent` records to `path`,
+/// Write `records` alternating `Inbound` and broadcast `Sent` records to `path`,
 /// then count the allocations of reopening it and decoding every record.
 fn replay_allocations(path: &Path, records: usize) -> u64 {
     let (mut wal, _) = Wal::open(path).expect("create");
     let mut batch = RecordBatch::default();
+    // Every process of an n = 4 mesh: a broadcast.
+    let dsts = DstSet::new(&[0x0f]).expect("canonical");
     for i in 0..records {
         let record = match i % 2 {
             0 => WalRecord::Inbound { from: 1, bytes: &FRAME },
-            _ => WalRecord::Sent { dst: 2, bytes: &FRAME },
+            _ => WalRecord::Sent { dsts, bytes: &FRAME },
         };
         batch.append_record(&record).expect("append");
     }
@@ -50,7 +52,8 @@ fn replay_allocations(path: &Path, records: usize) -> u64 {
     let before = ALLOCS.with(Cell::get);
     let (_wal, report) = Wal::open(path).expect("reopen");
     let frames = report.records.iter().filter(|payload| match decode_record(payload) {
-        Some(WalRecord::Inbound { bytes, .. } | WalRecord::Sent { bytes, .. }) => bytes == FRAME,
+        Some(WalRecord::Inbound { bytes, .. }) => bytes == FRAME,
+        Some(WalRecord::Sent { dsts, bytes }) => bytes == FRAME && dsts.iter().eq(0..4),
         _ => false,
     });
     assert_eq!(frames.count(), records);

@@ -9,7 +9,7 @@
 //! lands.
 
 use proptest::prelude::*;
-use rbvc_store::{decode_record, encode_record_into, RecordBatch, Wal, WalRecord, WAL_MAGIC};
+use rbvc_store::{decode_record, encode_record_into, DstSet, RecordBatch, Wal, WalRecord, WAL_MAGIC};
 
 /// Deterministic record zoo driven by the proptest RNG stream: covers
 /// every tag with variable-length fields of seeded sizes.
@@ -25,7 +25,16 @@ fn record_from(words: &[u64]) -> WalRecord<'static> {
         0 => WalRecord::Registered { instance: a, spec: blob(words[2]) },
         1 => WalRecord::Launched { instance: a },
         2 => WalRecord::Inbound { from: (a % 64) as u32, bytes: blob(words[2]) },
-        3 => WalRecord::Sent { dst: (a % 64) as u32, bytes: blob(words[2]) },
+        3 => {
+            // A set of one member, of four, or of the ~32 bits of `a`.
+            let members: Vec<u32> = match words[3] % 3 {
+                0 => vec![(a % 64) as u32],
+                1 => (0..4).collect(),
+                _ => (0..64).filter(|bit| a >> bit & 1 == 1).chain([64 + (a % 64) as u32]).collect(),
+            };
+            let dsts = DstSet::collect(members, Box::leak(Box::default())).expect("not empty");
+            WalRecord::Sent { dsts, bytes: blob(words[2]) }
+        }
         4 => WalRecord::WitnessCommit { instance: a, count: words[2] },
         5 => {
             let d = (words[2] % 9) as usize;
@@ -99,6 +108,47 @@ proptest! {
         if let Some(rec) = decode_record(&bytes) {
             prop_assert_eq!(encode(&rec), bytes.clone());
         }
+    }
+
+    /// A `Sent` record's destination set decodes only in canonical form —
+    /// not empty, no trailing zero byte — and then holds exactly the bits
+    /// set; a set length past the bytes present, up to `u32::MAX`, is
+    /// refused without a panic.
+    #[test]
+    fn a_destination_set_decodes_only_when_canonical(
+        raw in prop::collection::vec(0u16..256, 12),
+        len in 0usize..13,
+        zero_tail in 0u8..2,
+        hostile in 0u32..u32::MAX,
+    ) {
+        // Half the sets end in a zero byte, the form the decoder refuses.
+        let mut bits: Vec<u8> = raw[..len].iter().map(|&b| b as u8).collect();
+        if let (Some(last), 1) = (bits.last_mut(), zero_tail) {
+            *last = 0;
+        }
+        let sent = |len: u32, bits: &[u8]| {
+            let mut b = vec![9u8];
+            b.extend_from_slice(&len.to_le_bytes());
+            b.extend_from_slice(bits);
+            b.extend_from_slice(&2u32.to_le_bytes());
+            b.extend_from_slice(&[0xAB, 0xCD]);
+            b
+        };
+        let payload = sent(bits.len() as u32, &bits);
+        let canonical = bits.last().is_some_and(|&last| last != 0);
+        match decode_record(&payload) {
+            Some(WalRecord::Sent { dsts, bytes }) => {
+                prop_assert!(canonical);
+                prop_assert_eq!(bytes, &[0xAB, 0xCD][..]);
+                let want: Vec<u32> = (0..8 * bits.len() as u32).filter(|&p| bits[p as usize / 8] >> (p % 8) & 1 == 1).collect();
+                prop_assert_eq!(dsts.iter().collect::<Vec<_>>(), want);
+                prop_assert_eq!(encode(&WalRecord::Sent { dsts, bytes }), payload);
+            }
+            other => prop_assert!(!canonical && other.is_none(), "{:?}", other),
+        }
+        let long = bits.len() as u32 + 7 + hostile % (u32::MAX - bits.len() as u32 - 7);
+        let hostile = sent(long, &bits);
+        prop_assert_eq!(decode_record(&hostile), None);
     }
 
     /// A log truncated at ANY byte offset recovers exactly the records

@@ -60,6 +60,7 @@ mod batch;
 mod client_table;
 mod health;
 mod node;
+mod outbound;
 mod phase;
 
 use std::time::{Duration, Instant};
@@ -295,13 +296,18 @@ impl<T: Transport> ConsensusService<T> {
         sent.and(flushed)
     }
 
-    /// Queue the outbox's frames on the transport, in order; failures are
-    /// recorded and the remaining frames still go out.
+    /// Queue the outbox's frames on the transport, in order: the one place
+    /// a frame is copied per destination, since a send takes its own
+    /// buffer. Failures are recorded and the remaining frames still go out.
     fn send_out(&mut self) -> Result<(), ProtocolError> {
         let mut result = Ok(());
-        for (dst, bytes) in self.out.frames.drain(..) {
-            result = result.and(self.transport.send(dst, bytes));
-        }
+        let transport = &mut self.transport;
+        self.out.frames.drain_sends(|dst, bytes| {
+            let sent = transport.send(dst, bytes);
+            if result.is_ok() {
+                result = sent;
+            }
+        });
         result
     }
 
@@ -331,7 +337,7 @@ impl<T: Transport> ConsensusService<T> {
     /// fell into a gap is covered, and receivers deduplicate.
     fn rejoin(&mut self, peer: ProcessId) {
         for bytes in self.node.history(peer) {
-            let _ = self.transport.send(peer, bytes.clone());
+            let _ = self.transport.send(peer, bytes.to_vec());
         }
     }
 
@@ -366,7 +372,7 @@ impl<T: Transport> ConsensusService<T> {
         self.clock.enter(Phase::Route);
         // The rest of this poll's records, so one sync covers them all.
         self.node.seal(&mut self.out);
-        let n_tx = self.out.frames.len();
+        let n_tx = self.out.frames.fanout();
         // A refused send (a link awaiting redial) is recorded by the
         // transport and covered by the history replay once the link is back.
         let _ = self.send_out();
@@ -1010,10 +1016,13 @@ mod tests {
         let to = |sent: &[(ProcessId, Vec<u8>)], dst: ProcessId| -> Vec<Vec<u8>> {
             sent.iter().filter(|(d, _)| *d == dst).map(|(_, b)| b.clone()).collect()
         };
+        let kept = |svc: &ConsensusService<Scripted>, dst| -> Vec<Vec<u8>> {
+            svc.node.history(dst).iter().map(|b| b.to_vec()).collect()
+        };
         let first = std::mem::take(&mut svc.transport_mut().sent);
         for dst in 0..n {
             assert_eq!(to(&first, dst).len(), 1, "one batch for the three instances");
-            assert_eq!(to(&first, dst), svc.node.history(dst), "history mirrors the sends, per peer");
+            assert_eq!(to(&first, dst), kept(&svc, dst), "history mirrors the sends, per peer");
         }
 
         svc.transport_mut().reconnects = vec![rejoined];
@@ -1027,7 +1036,7 @@ mod tests {
         // Everything after it is new traffic: history grew by exactly that.
         for dst in 0..n {
             let old = to(&first, dst).len();
-            assert_eq!(to(&second[replay.len()..], dst)[..], svc.node.history(dst)[old..], "peer {dst}");
+            assert_eq!(to(&second[replay.len()..], dst)[..], kept(&svc, dst)[old..], "peer {dst}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -34,10 +34,8 @@ use std::sync::Arc;
 use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
 
+use super::outbound::Outbound;
 use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, Hint, VaBatch, VaSlot, MAX_BATCH_SLOTS};
-
-/// Encoded frames with their destinations, in send order.
-type Outbound = Vec<(ProcessId, Vec<u8>)>;
 
 /// One batch broadcast not yet delivered in order.
 struct Open {
@@ -128,12 +126,9 @@ impl Batches {
     }
 
     /// Queue `msg` for every process, this one included: one prefix and a
-    /// copy of the batch's bytes, copied again per destination.
+    /// copy of the batch's bytes, one frame for all of them.
     fn multicast(&self, msg: BatchMsg, out: &mut Outbound) {
-        let bytes = encode_frame(&Frame::batch(self.local, msg));
-        out.reserve(self.n);
-        out.extend((0..self.n - 1).map(|dst| (dst, bytes.clone())));
-        out.push((self.n - 1, bytes));
+        out.push(0..self.n, encode_frame(&Frame::batch(self.local, msg)));
     }
 
     /// Broadcast what is pending as this node's next batch (several, past
@@ -246,13 +241,13 @@ mod tests {
         let n = 4;
         let mut layers: Vec<Batches> = (0..n).map(|p| Batches::new(p, n)).collect();
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-        let mut out = Vec::new();
+        let mut out = Outbound::default();
         for x in [1.0, 2.0, 3.0] {
             layers[0].pending.push(batch(x).slots()[0].clone());
             layers[0].seal(&mut out);
         }
         // The third batch first, then the other two.
-        let mut sent = std::mem::take(&mut out);
+        let mut sent = sends(&mut out);
         sent.rotate_left(2 * n);
         wire.extend(sent.into_iter().map(|(dst, bytes)| (0, dst, bytes)));
         let mut got: Vec<Vec<f64>> = vec![Vec::new(); n];
@@ -264,12 +259,19 @@ mod tests {
                 assert_eq!(origin, 0);
                 got[dst].push(b.slots()[0].state.value.as_slice()[0]);
             }
-            wire.extend(out.drain(..).map(|(to, bytes)| (dst, to, bytes)));
+            wire.extend(sends(&mut out).into_iter().map(|(to, bytes)| (dst, to, bytes)));
         }
         for (p, layer) in layers.iter().enumerate() {
             assert_eq!(got[p], [1.0, 2.0, 3.0], "node {p}");
             assert_eq!(layer.open_count(), 0, "node {p} freed every machine");
         }
+    }
+
+    /// What `out` holds, send by send.
+    fn sends(out: &mut Outbound) -> Vec<(ProcessId, Vec<u8>)> {
+        let mut sends = Vec::new();
+        out.drain_sends(|dst, bytes| sends.push((dst, bytes)));
+        sends
     }
 
     /// `bytes` from `from` to `layer`, decoded against the layer's hint as
@@ -278,9 +280,9 @@ mod tests {
     fn hand(layer: &mut Batches, from: ProcessId, bytes: &[u8]) -> (Option<Vec<u8>>, Vec<Arc<VaBatch>>) {
         let frame = decode_frame_hinted(bytes, from, &|tag| layer.hint(tag)).expect("decodes");
         let Payload::VaBatch(msg) = frame.payload else { unreachable!("a live tag") };
-        let (mut out, mut delivered) = (Vec::new(), Vec::new());
+        let (mut out, mut delivered) = (Outbound::default(), Vec::new());
         layer.on_message(from, msg, &mut out, &mut delivered);
-        (out.pop().map(|(_, bytes)| bytes), delivered.into_iter().map(|(_, batch)| batch).collect())
+        (sends(&mut out).pop().map(|(_, bytes)| bytes), delivered.into_iter().map(|(_, batch)| batch).collect())
     }
 
     /// ±0.0 cannot split a batch. Byzantine origin 3 sends its batch to
@@ -329,7 +331,7 @@ mod tests {
     #[test]
     fn structural_checks_run_before_the_tally() {
         let mut layer = Batches::new(1, 4);
-        let (mut out, mut delivered) = (Vec::new(), Vec::new());
+        let (mut out, mut delivered) = (Outbound::default(), Vec::new());
         for bad in [batch(f64::NAN), witnessed(1.0, vec![0, 4])] {
             layer.on_message(0, ((0, 0), BrachaMsg::Init(bad)), &mut out, &mut delivered);
         }
@@ -388,7 +390,7 @@ mod tests {
         }
         let bounds = |k| Refusals { bounds: k, ..Refusals::default() };
         assert_eq!((va(&nodes[0], 1), va(&nodes[0], 2)), (Some((0, bounds(2))), Some((0, bounds(1)))));
-        out.frames.clear();
+        out.frames.drain(|_, _| {});
         let mut queues: Queues = vec![VecDeque::new(); n];
         // Each machine as its decision is collected.
         let mut last = [[None; 2]; 3];

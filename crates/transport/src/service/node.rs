@@ -70,10 +70,11 @@ use rbvc_obs::{progress_token, Event, EventKind, InstanceProgress, Obs, Registry
 use rbvc_sim::asynch::AsyncProtocol;
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::error::{ErrorLog, ProtocolError};
-use rbvc_store::{decode_record, RecordBatch, WalRecord};
+use rbvc_store::{decode_record, DstSet, RecordBatch, WalRecord};
 
 use super::batch::Batches;
 use super::client_table::{self, client_instance_owner, ClientTable, Request};
+use super::outbound::Outbound;
 use super::{DecisionEvent, InstanceId, PhaseNanos};
 use crate::lockstep::{Lockstep, RoundBatch};
 use crate::wire::{decode_frame_hinted, encode_frame, BatchMsg, ClientLaunch, Frame, Payload, VaSlot};
@@ -86,10 +87,6 @@ pub enum InstanceProto {
     /// An asynchronous Verified-Averaging instance.
     Va(VerifiedAveraging),
 }
-
-/// Encoded frames with their destinations, in send order. The state-machine
-/// calls below encode their sends straight into the caller's one.
-type Outbound = Vec<(ProcessId, Vec<u8>)>;
 
 /// Everything the service needs to know about *which* protocol an instance
 /// runs: the state-machine calls with their wire encoding on the way out
@@ -170,8 +167,7 @@ impl InstanceProto {
         out: &mut Outbound,
     ) {
         // A round's message is one allocation shared by every destination and
-        // its bytes do not name one: encode it once, copy it for the others.
-        out.reserve(sends.len());
+        // its bytes do not name one: encode it once, for all of them.
         let mut last: Option<Frame> = None;
         for (dst, batch) in sends {
             let round = u32::try_from(batch.round).expect("round fits u32");
@@ -179,19 +175,10 @@ impl InstanceProto {
                 if *r == round
                     && msgs.len() == batch.msgs.len()
                     && msgs.iter().zip(&batch.msgs).all(|(a, b)| Arc::ptr_eq(a, b)));
-            let bytes = match out.last() {
-                Some((_, bytes)) if repeats => bytes.clone(),
-                _ => {
-                    let frame = last.insert(Frame {
-                        instance,
-                        sender,
-                        round,
-                        payload: Payload::Eig(batch.msgs),
-                    });
-                    encode_frame(frame)
-                }
-            };
-            out.push((dst, bytes));
+            if !(repeats && out.also_to(dst)) {
+                let frame = last.insert(Frame { instance, sender, round, payload: Payload::Eig(batch.msgs) });
+                out.push([dst], encode_frame(frame));
+            }
         }
     }
 }
@@ -254,9 +241,9 @@ pub const GATE_NAMES: [&str; 4] = ["decode", "auth", "instance", "kind"];
 /// owns it and drains it after every input.
 #[derive(Default)]
 pub(super) struct Outbox {
-    /// Frames to queue on the link, in send order; logged as `Sent` records
-    /// by the input that closes the step ([`Node::seal`], or the launch that
-    /// made them).
+    /// Frames to queue on the link, each with its destinations, in send
+    /// order; logged as one `Sent` record each by the input that closes the
+    /// step ([`Node::seal`], or the launch that made them).
     pub(super) frames: Outbound,
     /// Instances the step decided, with their values, each once.
     pub(super) decided: Vec<(InstanceId, VecD)>,
@@ -288,8 +275,11 @@ pub(super) struct Node {
     /// The records of the current step, framed, awaiting the driver's commit.
     pub(super) records: RecordBatch,
     /// Full outbound frame history, `history[dst]` in send order, kept only
-    /// while durable: a peer that reconnects gets its own frames again.
-    history: Vec<Vec<Vec<u8>>>,
+    /// while durable: a peer that reconnects gets its own frames again. A
+    /// frame sent to several peers is one buffer in each of their rows.
+    history: Vec<Vec<Arc<[u8]>>>,
+    /// Reused by every `Sent` record: its destination set's bitset.
+    dst_bits: Vec<u8>,
     /// Decisions replayed out of the log (surfaced before the crash).
     pub(super) recovered: Vec<DecisionEvent>,
     /// Replay anomalies: regenerated sends that failed the FIFO match against
@@ -330,6 +320,7 @@ impl Node {
             durable: false,
             records: RecordBatch::default(),
             history: vec![Vec::new(); n],
+            dst_bits: Vec::new(),
             recovered: Vec::new(),
             replay_divergence: 0,
             client: ClientTable::new(local, n),
@@ -397,24 +388,33 @@ impl Node {
         }
     }
 
-    /// Frames about to be queued on the link, when durable: a `Sent` record
-    /// each, and a copy in its destination's history.
-    fn log_sent(&mut self, frames: &[(ProcessId, Vec<u8>)]) {
+    /// The frames of `frames` from the `from`-th on, about to be queued on
+    /// the link, when durable: a `Sent` record each, with its destination
+    /// set, and one shared copy in its destinations' history.
+    fn log_sent(&mut self, frames: &Outbound, from: usize) {
         if !self.durable {
             return;
         }
-        for (dst, bytes) in frames {
-            let dst_id = u32::try_from(*dst).unwrap_or(u32::MAX);
-            log(&mut self.records, &mut self.errors, WalRecord::Sent { dst: dst_id, bytes });
-            if let Some(sent) = self.history.get_mut(*dst) {
-                sent.push(bytes.clone());
+        for (dsts, bytes) in frames.iter().skip(from) {
+            let ids = dsts.iter().map(|&dst| u32::try_from(dst).expect("process id fits u32"));
+            let set = DstSet::collect(ids, &mut self.dst_bits).expect("a frame has a destination");
+            log(&mut self.records, &mut self.errors, WalRecord::Sent { dsts: set, bytes });
+            self.keep(dsts, bytes.into());
+        }
+    }
+
+    /// Keep `bytes` in the history of each of `dsts`.
+    fn keep(&mut self, dsts: &[ProcessId], bytes: Arc<[u8]>) {
+        for &dst in dsts {
+            if let Some(sent) = self.history.get_mut(dst) {
+                sent.push(Arc::clone(&bytes));
             }
         }
     }
 
     /// Everything ever sent to `peer`, in send order (empty when not
     /// durable).
-    pub(super) fn history(&self, peer: ProcessId) -> &[Vec<u8>] {
+    pub(super) fn history(&self, peer: ProcessId) -> &[Arc<[u8]>] {
         self.history.get(peer).map_or(&[], Vec::as_slice)
     }
 
@@ -433,7 +433,7 @@ impl Node {
         self.append(WalRecord::Launched { instance: id });
         let from = out.frames.len();
         self.start_instance(id, now, &mut out.frames);
-        self.log_sent(&out.frames[from..]);
+        self.log_sent(&out.frames, from);
         Ok(())
     }
 
@@ -576,7 +576,7 @@ impl Node {
     /// must survive any crash.
     pub(super) fn seal(&mut self, out: &mut Outbox) {
         self.batches.seal(&mut out.frames);
-        self.log_sent(&out.frames);
+        self.log_sent(&out.frames, 0);
         let Node { instances, live, undecided, records, errors, durable, .. } = self;
         if *durable {
             for id in live.iter() {
@@ -627,11 +627,11 @@ impl Node {
     }
 
     /// Owner side of one client instance, live and on replay: stand the
-    /// instance up and return its encoded `Launch` frame's fan-out, in
-    /// deterministic peer order (so the replay's FIFO `Sent` match holds).
-    fn open_client_instance(&mut self, id: InstanceId, launch: ClientLaunch, frame: &[u8]) -> Outbound {
+    /// instance up and queue its encoded `Launch` frame to every peer in
+    /// `out` (so the replay's FIFO `Sent` match holds).
+    fn open_client_instance(&mut self, id: InstanceId, launch: ClientLaunch, frame: &[u8], out: &mut Outbound) {
         self.insert_client_slot(id, launch.f as usize, launch.rounds as usize, launch.value);
-        (0..self.n).filter(|&dst| dst != self.local).map(|dst| (dst, frame.to_vec())).collect()
+        out.push((0..self.n).filter(|&dst| dst != self.local), frame.to_vec());
     }
 
     /// Owner side of one admitted request, launched at `now`: register it
@@ -643,9 +643,9 @@ impl Node {
         let payload = Payload::Launch(launch.clone());
         let frame = encode_frame(&Frame { instance, sender: self.local, round: 0, payload });
         self.append(WalRecord::Registered { instance, spec: &frame });
-        let frames = self.open_client_instance(instance, launch, &frame);
-        self.log_sent(&frames);
-        out.frames.extend(frames);
+        let from = out.frames.len();
+        self.open_client_instance(instance, launch, &frame, &mut out.frames);
+        self.log_sent(&out.frames, from);
         let _ = self.launch(instance, now, out);
     }
 
@@ -716,12 +716,13 @@ impl Node {
                             continue;
                         }
                         self.client.restore(instance, &launch);
-                        let frames = self.open_client_instance(instance, launch, spec);
                         if client_instance_owner(instance) == Some(self.local) {
                             // The owner fanned the Launch out right after
                             // registering; those sends keep the FIFO `Sent`
                             // match aligned.
-                            regenerated.frames.extend(frames);
+                            self.open_client_instance(instance, launch, spec, &mut regenerated.frames);
+                        } else {
+                            self.insert_client_slot(instance, launch.f as usize, launch.rounds as usize, launch.value);
                         }
                     } else {
                         let proto = factory(instance, spec)?;
@@ -739,16 +740,27 @@ impl Node {
                 WalRecord::Inbound { from, bytes } => {
                     self.on_frame(from as ProcessId, bytes, now, &mut regenerated);
                 }
-                WalRecord::Sent { dst, bytes } => {
-                    // Nothing regenerated is left to match: the live node
-                    // sealed here, so its batch went out next.
-                    if match_cursor == regenerated.frames.len() {
-                        self.batches.seal(&mut regenerated.frames);
+                WalRecord::Sent { dsts, bytes } => {
+                    // The set in ascending order, send by send; a frame's
+                    // bytes are compared with the record's once.
+                    let mut equal = None;
+                    for dst in dsts.iter() {
+                        // Nothing regenerated is left to match: the live
+                        // node sealed here, so its batch went out next.
+                        if match_cursor == regenerated.frames.fanout() {
+                            self.batches.seal(&mut regenerated.frames);
+                        }
+                        match regenerated.frames.send(match_cursor) {
+                            Some((d, i, b)) if d == dst as ProcessId && (equal == Some(i) || b == bytes) => {
+                                equal = Some(i);
+                                match_cursor += 1;
+                            }
+                            _ => self.replay_divergence += 1,
+                        }
                     }
-                    let next = regenerated.frames.get(match_cursor);
-                    if next.is_some_and(|(d, b)| *d == dst as ProcessId && b.as_slice() == bytes) {
-                        match_cursor += 1;
-                    } else {
+                    // A record is a whole frame's fan-out: one that stops
+                    // short of it misses a member.
+                    if !regenerated.frames.starts_frame(match_cursor) {
                         self.replay_divergence += 1;
                     }
                 }
@@ -792,11 +804,7 @@ impl Node {
             }
         }
         self.durable = true;
-        for (dst, bytes) in regenerated.frames {
-            if let Some(sent) = self.history.get_mut(dst) {
-                sent.push(bytes);
-            }
-        }
+        regenerated.frames.drain(|dsts, bytes| self.keep(dsts, bytes.into()));
         // Client instances that decided before the crash but whose reply
         // record didn't make it: the logged decision is durable, so cache
         // and log the reply now — the retry path answers from here.
@@ -901,7 +909,7 @@ pub(super) mod tests {
                     for id in ids {
                         node.launch(id, &now(), &mut out).unwrap();
                     }
-                    out.frames.drain(..).for_each(|(dst, bytes)| queues[dst].push_back((p, bytes)));
+                    out.frames.drain_sends(|dst, bytes| queues[dst].push_back((p, bytes)));
                 } else {
                     while let Some((from, bytes)) = queues[p].pop_front() {
                         node.on_frame(from, &bytes, &now(), &mut out);
@@ -911,9 +919,7 @@ pub(super) mod tests {
                 inspect(node);
                 node.seal(&mut out);
                 out.decided.clear();
-                for (dst, bytes) in out.frames.drain(..) {
-                    queues[dst].push_back((p, bytes));
-                }
+                out.frames.drain_sends(|dst, bytes| queues[dst].push_back((p, bytes)));
                 logs[p].append(&mut node.records);
             }
         }
@@ -957,11 +963,12 @@ pub(super) mod tests {
                 let sent: Vec<&[u8]> = records
                     .iter()
                     .filter_map(|r| match r {
-                        WalRecord::Sent { dst: d, bytes } if *d as usize == dst => Some(*bytes),
+                        WalRecord::Sent { dsts, bytes } if dsts.iter().any(|d| d as usize == dst) => Some(*bytes),
                         _ => None,
                     })
                     .collect();
-                assert!(!sent.is_empty() && sent == node.history(dst), "{p} to {dst}");
+                let kept: Vec<&[u8]> = node.history(dst).iter().map(|b| &b[..]).collect();
+                assert!(!sent.is_empty() && sent == kept, "{p} to {dst}");
             }
             assert!(node.history(9).is_empty());
             let mut witness = BTreeMap::new();
@@ -1005,8 +1012,9 @@ pub(super) mod tests {
         let records: Vec<WalRecord> = svc.node.records.iter().map(|r| decode_record(r).expect("decodes")).collect();
         let launched = records.iter().filter(|r| matches!(r, WalRecord::Launched { .. })).count();
         let sent = records.iter().filter(|r| matches!(r, WalRecord::Sent { .. })).count();
-        assert_eq!((launched, sent), (2, n), "one Launched record each, one batch Init to every process");
-        let Some(WalRecord::Sent { bytes, .. }) = records.last() else { panic!("the batch is the last record") };
+        assert_eq!((launched, sent), (2, 1), "one Launched record each, one batch Init");
+        let Some(WalRecord::Sent { dsts, bytes }) = records.last() else { panic!("the batch is the last record") };
+        assert!(dsts.iter().eq(0..n as u32), "to every process");
         match crate::wire::decode_frame(bytes, 0).expect("decodes").payload {
             Payload::VaBatch((tag, BrachaMsg::Init(batch))) => {
                 assert_eq!(tag, (0, 0));

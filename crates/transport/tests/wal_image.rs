@@ -1,18 +1,51 @@
 //! The WAL image of a fixed run, pinned: four durable nodes on one thread,
 //! each with two VA instances at f = 1, one BVC instance and one client
-//! request. `Sent` records carry each outbound frame, so the digests pin
-//! every byte on the wire and the record order of every poll as well. Every
-//! node's log holds VA batch frames, so each digest moves with the VA wire
-//! format.
+//! request. `Sent` records carry each outbound frame with its destinations,
+//! so the digests pin every byte on the wire and the record order of every
+//! poll as well. Every node's log holds VA batch frames, so each digest
+//! moves with the VA wire format.
+//!
+//! A second digest per node reads the log with every `Sent` record expanded
+//! into one (destination, frame) item per destination, in ascending order,
+//! and every other record as it is: the per-link sends the log stands for.
+//! Those four are the digests of the logs written when a `Sent` record had
+//! one destination, so they pin that folding a broadcast into one record
+//! left every byte on the wire, and its order, as it was.
 
 use std::time::Duration;
 
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::{DecisionRule, SyncBvc};
 use rbvc_linalg::{Norm, Tol, VecD};
-use rbvc_store::Wal;
+use std::path::Path;
+
+use rbvc_store::{decode_record, Wal, WalRecord};
 use rbvc_transport::service::{ClientAdmission, ClientConfig, ConsensusService, InstanceProto};
 use rbvc_transport::{in_proc_mesh, sha256, Lockstep};
+
+fn hex(digest: [u8; 32]) -> String {
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The digest of the log at `path` with every `Sent` record expanded: each
+/// item length-prefixed, a send as `S`, its destination and its frame.
+fn expanded_digest(path: &Path) -> String {
+    let (_, report) = Wal::open(path).expect("reopen");
+    let mut stream = Vec::new();
+    let mut item = |bytes: &[u8]| {
+        stream.extend_from_slice(&u32::try_from(bytes.len()).unwrap().to_le_bytes());
+        stream.extend_from_slice(bytes);
+    };
+    for payload in report.records.iter() {
+        match decode_record(payload).expect("decodes") {
+            WalRecord::Sent { dsts, bytes } => {
+                dsts.iter().for_each(|dst| item(&[&[b'S'][..], &dst.to_le_bytes(), bytes].concat()));
+            }
+            _ => item(payload),
+        }
+    }
+    hex(sha256(&stream))
+}
 
 #[test]
 fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
@@ -45,18 +78,26 @@ fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
     }
     assert!(mesh.iter().all(|s| s.errors().is_empty()));
     drop(mesh);
-    let digests: Vec<String> = (0..n)
-        .map(|p| sha256(&std::fs::read(path(p)).unwrap()).iter().map(|b| format!("{b:02x}")).collect())
-        .collect();
+    let digests: Vec<String> = (0..n).map(|p| hex(sha256(&std::fs::read(path(p)).unwrap()))).collect();
+    let expanded: Vec<String> = (0..n).map(|p| expanded_digest(&path(p))).collect();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(sweeps, 20);
     assert_eq!(
+        expanded,
+        [
+            "16771bccc3194e2d6f6d24cbbc1a20b58e517f5e673c2172fcfe1b8f90e7ef42",
+            "cd593566e32c37efcb289ad759f14d713f24242ad7d0e9bc37547ec7bd910bc7",
+            "443beac08588f08650082ec2bc620c4ebd0fa412fb545cc2f28eb7ba64e95d11",
+            "b6259519693fc67e5992c6d9b7275159c84b234b41323fa4352c3729c8fda80c",
+        ]
+    );
+    assert_eq!(
         digests,
         [
-            "c1414a6b8a336399f05d0567294b77114702a0f8fd6213935aec3748e74362ca",
-            "0f7782c8ed8660b55160edc007ed132ed211808e621643e5baf32038ae95e88c",
-            "831d601bc4f81f4ebedc63f84d0162caef319637e4af4ee37880c32f6dd2ffce",
-            "6883bba6de182d0c8d004d48c6b3d3adc3068268a46dd03256c7e525f527b1f2",
+            "6804a56338fd6b4b912ad36bc990d1551acadde3ad2baa0f59e891e55c2b425c",
+            "646ce17442342535d9db1fea63bf316dec29a49bdf03b6de73f94513a860598e",
+            "79c8f1deb09b2202c64e38643d54a7b44ce95b1ff1abc61da2e11b2b86023143",
+            "58a63a867f73748a40135b05586cfc01a0ef9be018f899c0128a3d6bac7cdda6",
         ]
     );
 }
