@@ -29,11 +29,13 @@
 //! Two ways in. The [`AsyncProtocol`] impl runs one Bracha broadcast per
 //! (origin, round) tag inside the instance — the simulator's shape. A host
 //! that reliably broadcasts many instances' states at once (the service
-//! batches them per origin, FIFO) calls [`VerifiedAveraging::start`] and
-//! [`VerifiedAveraging::deliver`] instead, the entry the [`AsyncProtocol`]
-//! impl's deliveries take too: one delivered (origin, round, state) at a
-//! time, the first per (origin, round) kept, held once and never rewritten.
-//! Verification is a permanent flag over it, so witness ids fix the values.
+//! batches them per origin, FIFO) calls [`VerifiedAveraging::input`] and
+//! [`VerifiedAveraging::deliver_parts`] instead, the entry the
+//! [`AsyncProtocol`] impl's deliveries take too: one delivered (origin,
+//! round) state at a time, by its parts, the first per (origin, round) kept.
+//! A delivered state is a row of the instance's record — `n · R` rows of `d`
+//! values, a witness row and a mark each — written once and never rewritten.
+//! Verification is a permanent mark on it, so witness ids fix the values.
 
 use std::sync::Arc;
 
@@ -49,9 +51,10 @@ use rbvc_sim::fuzz::{Edited, Sends};
 /// Identifies one reliable-broadcast instance: (origin process, round).
 pub type RoundTag = (ProcessId, usize);
 
-/// The payload a process reliably broadcasts each round. A node holds one
-/// allocation per distinct payload, shared through an [`Arc`] by messages,
-/// tallies and the delivered record; an adversary edits a copy (`make_mut`).
+/// The payload a process reliably broadcasts each round, as the simulator's
+/// messages carry it: one allocation per distinct payload, shared through an
+/// [`Arc`] by messages and tallies; an adversary edits a copy (`make_mut`).
+/// Delivered, it is copied into a row of the record and not kept.
 #[derive(Debug, Clone)]
 pub struct RoundState {
     /// Current value of the origin process at this round.
@@ -101,8 +104,108 @@ pub struct Refusals {
     /// Delivered states that failed verification.
     pub verify: u64,
     /// States delivered for an (origin, round) that already had one: the
-    /// first delivered state wins ([`VerifiedAveraging::deliver`]).
+    /// first delivered state wins ([`VerifiedAveraging::deliver_parts`]).
     pub duplicate: u64,
+}
+
+/// Where one row of the record stands.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Mark {
+    /// No state delivered for the tag.
+    #[default]
+    Empty,
+    /// Delivered, not verifiable yet: a state its witness names is not
+    /// verified.
+    Pending,
+    Verified,
+    /// Failed verification, for good.
+    Rejected,
+}
+
+/// The states one process delivered, one row per broadcast tag, indexed
+/// `round · n + origin`: no row until the first delivery, then `n · R`, each
+/// written once. Row `i` holds its mark and witness length in `rows[i]`, its
+/// value in `values[i·d ..][.. d]` and its witness in the first ids of
+/// `witnesses[i·n ..][.. n]` — the payload check lets no witness name more
+/// than `n`.
+#[derive(Default)]
+struct Record {
+    n: usize,
+    d: usize,
+    rows: Vec<(Mark, usize)>,
+    values: Vec<f64>,
+    witnesses: Vec<ProcessId>,
+}
+
+impl Record {
+    fn mark(&self, i: usize) -> Mark {
+        self.rows.get(i).map_or(Mark::Empty, |&(mark, _)| mark)
+    }
+
+    fn value(&self, i: usize) -> &[f64] {
+        &self.values[i * self.d..(i + 1) * self.d]
+    }
+
+    fn witness(&self, i: usize) -> &[ProcessId] {
+        &self.witnesses[i * self.n..][..self.rows[i].1]
+    }
+
+    /// Give the record its `slots` rows, all empty.
+    fn size(&mut self, slots: usize) {
+        self.rows.resize(slots, (Mark::Empty, 0));
+        self.values.resize(slots * self.d, 0.0);
+        self.witnesses.resize(slots * self.n, 0);
+    }
+
+    /// Copy a delivered state into empty row `i`, which becomes pending.
+    /// The payload check has run: `d` components and at most `n` ids.
+    fn write(&mut self, i: usize, value: impl Iterator<Item = f64>, witness: impl ExactSizeIterator<Item = ProcessId>) {
+        let (d, n) = (self.d, self.n);
+        self.rows[i] = (Mark::Pending, witness.len());
+        self.values[i * d..(i + 1) * d].iter_mut().zip(value).for_each(|(slot, x)| *slot = x);
+        self.witnesses[i * n..(i + 1) * n].iter_mut().zip(witness).for_each(|(slot, k)| *slot = k);
+    }
+
+    /// The round-`round` values `ids` name, as vectors: the δ* and Γ
+    /// kernels' input.
+    fn named(&self, round: usize, ids: &[ProcessId]) -> Vec<VecD> {
+        ids.iter().map(|&k| VecD::from_slice(self.value(round * self.n + k))).collect()
+    }
+
+    /// The average of the round-`round` values `ids` name (the `t ≥ 1` rule
+    /// of Definition 12), component by component: summed from zero in
+    /// witness order, then scaled by `1 / |ids|` — the bits a vector sum in
+    /// that order gives.
+    fn average<'a>(&'a self, round: usize, ids: &'a [ProcessId]) -> impl Iterator<Item = f64> + 'a {
+        let s = 1.0 / ids.len() as f64;
+        let row = move |k: ProcessId| (round * self.n + k) * self.d;
+        (0..self.d).map(move |j| ids.iter().fold(0.0, |acc, &k| acc + self.values[row(k) + j]) * s)
+    }
+}
+
+/// The round-0 combining rule over the ids `ids`, memoised in `memo` on the
+/// ids (order counts): the values they name are fixed once verified, so a
+/// hit returns the bits a fresh `solve` would. Every round-1 state verified
+/// here and this process's own combine ask for it — one witness per origin
+/// plus its own, so the memo keeps `n + 1` (`cap`) entries; past that, a new
+/// one takes the last one's place.
+fn combine_round0<'m>(
+    memo: &'m mut Vec<(Vec<ProcessId>, Round0)>,
+    cap: usize,
+    ids: &[ProcessId],
+    solve: impl FnOnce() -> Round0,
+) -> &'m Round0 {
+    let k = match memo.iter().position(|(key, _)| key == ids) {
+        Some(k) => k,
+        None => {
+            if memo.len() == cap {
+                memo.pop();
+            }
+            memo.push((ids.to_vec(), solve()));
+            memo.len() - 1
+        }
+    };
+    &memo[k].1
 }
 
 /// The protocol instance for one process.
@@ -120,24 +223,21 @@ pub struct VerifiedAveraging {
     /// then `n · total_rounds` slots. Sized on first use, not in `new`: a
     /// registered instance that never runs costs nothing.
     rb: Vec<Option<BrachaInstance<Arc<RoundState>>>>,
-    /// The delivered states, indexed like `rb`: empty until the first
-    /// delivery, then `n · total_rounds` slots, each written once.
-    delivered: Vec<Option<Arc<RoundState>>>,
-    /// Whether the state in the same slot of `delivered` verified OK (sized
-    /// with it).
-    verified: Vec<bool>,
+    /// The delivered states, indexed like `rb`.
+    record: Record,
     /// Round-0 combining results keyed by their witness ids; see
-    /// [`Self::combine_round0`].
+    /// [`combine_round0`].
     round0: Vec<(Vec<ProcessId>, Round0)>,
-    /// Set flags of `verified`, over all rounds.
+    /// Verified rows, over all rounds.
     commits: u64,
-    /// Delivered but not yet verifiable (waiting on witness deliveries).
-    pending: Vec<RoundTag>,
-    /// Tags that failed verification permanently.
-    rejected: Vec<RoundTag>,
-    /// Messages refused at the bounds and payload checks (`verify` is
-    /// `rejected`'s length).
+    /// Rows delivered but not yet verifiable (waiting on witness
+    /// deliveries), in delivery order.
+    pending: Vec<usize>,
     refusals: Refusals,
+    /// This process's next state, built in place and handed to the host:
+    /// its value and its witness.
+    next_value: Vec<f64>,
+    next_witness: Vec<ProcessId>,
 
     /// Highest round whose state this process has broadcast.
     my_round: usize,
@@ -171,15 +271,15 @@ impl VerifiedAveraging {
             total_rounds,
             mode,
             tol,
+            record: Record { n, d: input.dim(), ..Record::default() },
             input,
             rb: Vec::new(),
-            delivered: Vec::new(),
-            verified: Vec::new(),
             round0: Vec::new(),
             commits: 0,
             pending: Vec::new(),
-            rejected: Vec::new(),
             refusals: Refusals::default(),
+            next_value: Vec::new(),
+            next_witness: Vec::new(),
             my_round: 0,
             decided: None,
             round0_delta: None,
@@ -218,21 +318,21 @@ impl VerifiedAveraging {
     /// What this process refused so far, by check.
     #[must_use]
     pub fn refusals(&self) -> Refusals {
-        Refusals { verify: self.rejected.len() as u64, ..self.refusals }
+        self.refusals
     }
 
-    /// The state delivered for `tag`, if one was: with [`Self::deliver`],
-    /// the first one.
+    /// The value delivered for `tag`, if a state was: the first one.
     #[must_use]
-    pub fn delivered_state(&self, tag: RoundTag) -> Option<&Arc<RoundState>> {
-        self.delivered.get(self.index(tag)?)?.as_ref()
+    pub fn delivered_value(&self, tag: RoundTag) -> Option<&[f64]> {
+        let i = self.index(tag)?;
+        (self.record.mark(i) != Mark::Empty).then(|| self.record.value(i))
     }
 
-    /// Slots of the delivered-state table: 0 until this process first
-    /// delivers a state, then `n · total_rounds`, whatever tags arrive.
+    /// Rows of the record: 0 until this process first delivers a state,
+    /// then `n · total_rounds`, whatever tags arrive.
     #[must_use]
     pub fn broadcast_slots(&self) -> usize {
-        self.delivered.len()
+        self.record.rows.len()
     }
 
     /// The most recent combining error, if the node is degraded (e.g. Γ(X)
@@ -246,21 +346,6 @@ impl VerifiedAveraging {
     /// (`origin < n`, `round < total_rounds`).
     fn index(&self, (origin, round): RoundTag) -> Option<usize> {
         (origin < self.n && round < self.total_rounds).then(|| round * self.n + origin)
-    }
-
-    /// The value of state `tag`, if this process verified it.
-    fn verified_value(&self, tag: RoundTag) -> Option<&VecD> {
-        let i = self.index(tag).filter(|&i| self.verified.get(i) == Some(&true))?;
-        self.delivered[i].as_deref().map(|state| &state.value)
-    }
-
-    /// The verified round-`round` values `ids` name, in their order, borrowed.
-    fn named<'a>(
-        &'a self,
-        round: usize,
-        ids: &'a [ProcessId],
-    ) -> impl ExactSizeIterator<Item = &'a VecD> {
-        ids.iter().map(move |&k| self.verified_value((k, round)).expect("a named state is verified"))
     }
 
     /// The Bracha machine of broadcast `tag`, opened if it is new. `tag` has
@@ -297,71 +382,78 @@ impl VerifiedAveraging {
         }
     }
 
-    /// This process's round-0 state, its input: what it reliably broadcasts
-    /// first. A host that broadcasts states itself sends this one when it
-    /// launches the instance.
+    /// This process's input: the value of its round-0 state, which it
+    /// reliably broadcasts first, with an empty witness. A host that
+    /// broadcasts states itself sends it when it launches the instance.
+    #[must_use]
+    pub fn input(&self) -> &VecD {
+        &self.input
+    }
+
+    /// This process's round-0 state, as the simulator's messages carry it.
     #[must_use]
     pub fn start(&self) -> Arc<RoundState> {
         Arc::new(RoundState { value: self.input.clone(), witness: Vec::new() })
     }
 
     /// The delivery entry of a host that reliably broadcasts the states
-    /// itself: `state` is what it delivered as `origin`'s round-`round`
-    /// state. Refused and counted — with nothing else changed — when the
-    /// tag is outside this run ([`Refusals::bounds`]), the state fails the
-    /// payload check ([`Refusals::payload`]), or a state was already
-    /// delivered for the tag ([`Refusals::duplicate`]: the first one wins).
-    /// Otherwise it is verified (now, or once its witness is), with any
-    /// pending state that becomes verifiable, and the states this process
-    /// moves on to are pushed to `own`, in round order, for the host to
-    /// broadcast and, in time, deliver back.
-    pub fn deliver(
+    /// itself: `value` and `witness` are the parts of what it delivered as
+    /// `origin`'s round-`round` state. Refused and counted — with nothing
+    /// else changed, the record included — when the tag is outside this run
+    /// ([`Refusals::bounds`]), the state fails the payload check
+    /// ([`Refusals::payload`]), or a state was already delivered for the tag
+    /// ([`Refusals::duplicate`]: the first one wins). Otherwise its parts are
+    /// copied into the tag's row and it is verified (now, or once its
+    /// witness is), with any pending state that becomes verifiable; each
+    /// state this process moves on to is handed to `own` — its round, value
+    /// and witness, in round order — for the host to broadcast and, in time,
+    /// deliver back.
+    pub fn deliver_parts<V, W>(
         &mut self,
         origin: ProcessId,
         round: usize,
-        state: Arc<RoundState>,
-        own: &mut Vec<(usize, Arc<RoundState>)>,
-    ) {
+        value: V,
+        witness: W,
+        own: &mut impl FnMut(usize, &[f64], &[ProcessId]),
+    ) where
+        V: ExactSizeIterator<Item = f64> + Clone,
+        W: ExactSizeIterator<Item = ProcessId> + Clone,
+    {
         let Some(i) = self.index((origin, round)) else {
             self.refusals.bounds += 1;
             return;
         };
-        if !self.payload_ok(&state) {
+        if !self.payload_ok(value.clone(), witness.clone()) {
             self.refusals.payload += 1;
             return;
         }
-        if self.delivered.is_empty() {
-            self.delivered.resize(self.n * self.total_rounds, None);
-            self.verified.resize(self.n * self.total_rounds, false);
+        if self.record.rows.is_empty() {
+            self.record.size(self.n * self.total_rounds);
         }
-        if self.delivered[i].is_some() {
+        if self.record.mark(i) != Mark::Empty {
             self.refusals.duplicate += 1;
             return;
         }
-        self.delivered[i] = Some(state);
-        self.pending.push((origin, round));
+        self.record.write(i, value, witness);
+        self.pending.push(i);
         // Fixpoint: verification of one state can unblock others.
         loop {
             let mut progressed = false;
             let mut k = 0;
             while k < self.pending.len() {
-                let t = self.pending[k];
-                let s = Arc::clone(self.delivered_state(t).expect("pending implies delivered"));
-                match self.try_verify(t, &s) {
-                    Some(true) => {
-                        self.pending.swap_remove(k);
-                        let slot = self.index(t).expect("a delivered tag is of this run");
-                        self.verified[slot] = true;
-                        self.commits += 1;
-                        progressed = true;
-                    }
-                    Some(false) => {
-                        self.pending.swap_remove(k);
-                        self.rejected.push(t);
-                        progressed = true;
-                    }
-                    None => k += 1,
+                let row = self.pending[k];
+                let Some(ok) = self.try_verify(row) else {
+                    k += 1;
+                    continue;
+                };
+                self.pending.swap_remove(k);
+                self.record.rows[row].0 = if ok { Mark::Verified } else { Mark::Rejected };
+                if ok {
+                    self.commits += 1;
+                } else {
+                    self.refusals.verify += 1;
                 }
+                progressed = true;
             }
             let advanced = self.try_advance(own);
             if !progressed && !advanced {
@@ -370,101 +462,96 @@ impl VerifiedAveraging {
         }
     }
 
-    /// Apply the round-0 combining rule to the verified round-0 values `ids`
-    /// name, in their order, memoised per instance on the ids (order counts):
-    /// the values they name are fixed once verified, so a hit returns the
-    /// bits a fresh solve would. Every round-1 state verified here and this
-    /// process's own combine ask for it — one witness per origin plus its
-    /// own, so the memo keeps `n + 1` entries and no more.
-    fn combine_round0(&mut self, ids: &[ProcessId]) -> Round0 {
-        if let Some((_, hit)) = self.round0.iter().find(|(key, _)| key == ids) {
-            return hit.clone();
-        }
-        let values: Vec<VecD> = self.named(0, ids).cloned().collect();
-        let result = self.solve_round0(&values);
-        if self.round0.len() <= self.n {
-            self.round0.push((ids.to_vec(), result.clone()));
-        }
-        result
+    /// [`Self::deliver_parts`] for a state whole, as the [`AsyncProtocol`]
+    /// impl delivers it; the states this process moves on to are pushed to
+    /// `own`, whole.
+    pub fn deliver(&mut self, origin: ProcessId, round: usize, state: &RoundState, own: &mut Vec<(usize, Arc<RoundState>)>) {
+        let (value, witness) = (state.value.as_slice().iter().copied(), state.witness.iter().copied());
+        self.deliver_parts(origin, round, value, witness, &mut |round, value, witness| {
+            own.push((round, Arc::new(RoundState { value: VecD::from_slice(value), witness: witness.to_vec() })));
+        });
     }
 
     /// The round-0 combining rule itself. Fails (instead of panicking) when
     /// `Γ(X)` is empty in `DeltaMode::Zero` — which Byzantine inputs can
     /// provoke whenever the run violates `n ≥ (d+2)f + 1`.
-    fn solve_round0(&self, values: &[VecD]) -> Round0 {
-        match self.mode {
-            DeltaMode::Zero => gamma_point(values, self.f, self.tol)
+    fn solve_round0(mode: DeltaMode, f: usize, tol: Tol, values: &[VecD]) -> Round0 {
+        match mode {
+            DeltaMode::Zero => gamma_point(values, f, tol)
                 .map(|point| (point, 0.0))
                 .ok_or(ProtocolError::EmptyIntersection {
                     round: 0,
                     mode: "Γ(X) in DeltaMode::Zero",
                 }),
             DeltaMode::MinDelta(norm) => {
-                let ds = delta_star(values, self.f, norm, self.tol);
+                let ds = delta_star(values, f, norm, tol);
                 Ok((ds.witness, ds.delta))
             }
         }
     }
 
-    /// Average of an ordered multiset (the `t ≥ 1` rule of Definition 12),
-    /// summed from zero in witness order over the borrowed values.
-    fn combine_average<'a>(d: usize, values: impl ExactSizeIterator<Item = &'a VecD>) -> VecD {
-        let (mut acc, s) = (VecD::zeros(d), 1.0 / values.len() as f64);
-        for v in values {
-            assert_eq!(d, v.dim(), "average: dimension mismatch");
-            acc.0.iter_mut().zip(v.as_slice()).for_each(|(a, b)| *a += b);
-        }
-        acc.0.iter_mut().for_each(|a| *a *= s);
-        acc
-    }
-
-    /// Attempt to verify a delivered state. Returns:
-    /// `Some(true)` verified, `Some(false)` rejected, `None` undecidable yet.
-    fn try_verify(&mut self, tag: RoundTag, state: &RoundState) -> Option<bool> {
-        let (_, round) = tag;
+    /// Attempt to verify the state in row `i`, recomputing its arithmetic
+    /// in place over the record. Returns `Some(true)` verified,
+    /// `Some(false)` rejected, `None` undecidable yet.
+    fn try_verify(&mut self, i: usize) -> Option<bool> {
+        let tol = self.verify_tol();
+        let VerifiedAveraging { n, f, mode, tol: rule_tol, record, round0, .. } = self;
+        let (n, round) = (*n, i / *n);
         if round == 0 {
             // Inputs are unconstrained: any round-0 value verifies.
             return Some(true);
         }
         // Witness sanity: enough entries, distinct origins of this run.
-        let ids = &state.witness;
-        if ids.len() < self.n - self.f {
+        let ids = record.witness(i);
+        if ids.len() < n - *f {
             return Some(false);
         }
-        for (i, k) in ids.iter().enumerate() {
-            if *k >= self.n || ids[..i].contains(k) {
+        for (k, id) in ids.iter().enumerate() {
+            if *id >= n || ids[..k].contains(id) {
                 return Some(false);
             }
         }
         // Every name must be a state this process verified at t−1: one it
         // rejected never will be (rejection is permanent, and a correct
         // process names only what it verified); any other may be, later.
-        if let Some(&k) = ids.iter().find(|&&k| self.verified_value((k, round - 1)).is_none()) {
-            return if self.rejected.contains(&(k, round - 1)) { Some(false) } else { None };
+        let prior = (round - 1) * n;
+        if let Some(&k) = ids.iter().find(|&&k| record.mark(prior + k) != Mark::Verified) {
+            return (record.mark(prior + k) == Mark::Rejected).then_some(false);
         }
-        // Recompute the arithmetic.
-        let expected = if round == 1 {
-            match self.combine_round0(ids) {
-                Ok((v, _)) => v,
-                // A witness set whose combination is undefined cannot back
-                // an honest state: certain rejection, never a panic.
-                Err(_) => return Some(false),
+        let value = record.value(i);
+        if round > 1 {
+            return Some(record.average(round - 1, ids).zip(value).all(|(a, &b)| tol.eq(a, b)));
+        }
+        let solve = || Self::solve_round0(*mode, *f, *rule_tol, &record.named(0, ids));
+        match combine_round0(round0, n + 1, ids, solve) {
+            Ok((point, _)) => {
+                Some(point.dim() == value.len() && point.as_slice().iter().zip(value).all(|(&a, &b)| tol.eq(a, b)))
             }
-        } else {
-            Self::combine_average(self.input.dim(), self.named(round - 1, ids))
-        };
-        Some(expected.approx_eq(&state.value, self.verify_tol()))
+            // A witness set whose combination is undefined cannot back an
+            // honest state: certain rejection, never a panic.
+            Err(_) => Some(false),
+        }
     }
 
     /// Receive-boundary payload validation: dimension match against our own
-    /// input, finite components, and a witness of this run's ids. A
-    /// payload failing this never reaches the Bracha instance, so a single
-    /// poisoned message costs its sender influence — nothing else.
-    fn payload_ok(&self, state: &RoundState) -> bool {
-        state.value.dim() == self.input.dim()
-            && state.value.as_slice().iter().all(|x| x.is_finite())
-            && state.witness.len() <= self.n
-            && state.witness.iter().all(|&k| k < self.n)
+    /// input, finite components, and a witness of at most `n` of this run's
+    /// ids. A payload failing this never reaches the Bracha instance or the
+    /// record, so a single poisoned message costs its sender influence —
+    /// nothing else.
+    fn payload_ok(
+        &self,
+        mut value: impl ExactSizeIterator<Item = f64>,
+        mut witness: impl ExactSizeIterator<Item = ProcessId>,
+    ) -> bool {
+        value.len() == self.input.dim()
+            && witness.len() <= self.n
+            && value.all(f64::is_finite)
+            && witness.all(|k| k < self.n)
+    }
+
+    /// [`Self::payload_ok`] for a state whole.
+    fn state_ok(&self, state: &RoundState) -> bool {
+        self.payload_ok(state.value.as_slice().iter().copied(), state.witness.iter().copied())
     }
 
     fn verify_tol(&self) -> Tol {
@@ -473,20 +560,21 @@ impl VerifiedAveraging {
         Tol(self.tol.value().max(1e-9) * 100.0)
     }
 
-    /// Advance to the next round if enough verified states are in, pushing
+    /// Advance to the next round if enough verified states are in, handing
     /// the new state to `own` unless that decided. Returns true if the
     /// process moved.
-    fn try_advance(&mut self, own: &mut Vec<(usize, Arc<RoundState>)>) -> bool {
+    fn try_advance(&mut self, own: &mut impl FnMut(usize, &[f64], &[ProcessId])) -> bool {
+        let (n, t) = (self.n, self.my_round);
         if self.decided.is_some() {
             return false;
         }
-        let t = self.my_round;
-        let Some(row) = self.verified.get(t * self.n..(t + 1) * self.n) else {
+        let Some(row) = self.record.rows.get(t * n..(t + 1) * n) else {
             return false;
         };
-        if row.iter().filter(|&&ok| ok).count() < self.n - self.f {
+        if row.iter().filter(|(mark, _)| *mark == Mark::Verified).count() < n - self.f {
             return false;
         }
+        let VerifiedAveraging { record, round0, next_value, next_witness, mode, f, tol, .. } = self;
         // Canonicalize the combining order by origin id: float summation is
         // order-sensitive, and verification order is delivery-dependent, so
         // without this two transports (or two runs) computing over the same
@@ -494,30 +582,33 @@ impl VerifiedAveraging {
         // wait-for-all regime) this makes decisions bit-identical across
         // transports; verifiers recompute over the witness as broadcast, so
         // the ascending order is self-consistent end to end.
-        let witness: Vec<ProcessId> = (0..self.n).filter(|&k| row[k]).collect();
-        let next_value = if t == 0 {
-            match self.combine_round0(&witness) {
-                Ok((v, delta)) => {
-                    self.round0_delta = Some(delta);
+        next_witness.clear();
+        next_witness.extend((0..n).filter(|&k| record.mark(t * n + k) == Mark::Verified));
+        next_value.clear();
+        if t == 0 {
+            let solve = || Self::solve_round0(*mode, *f, *tol, &record.named(0, next_witness));
+            match combine_round0(round0, n + 1, next_witness, solve) {
+                Ok((point, delta)) => {
+                    next_value.extend_from_slice(point.as_slice());
+                    self.round0_delta = Some(*delta);
                     self.last_error = None;
-                    v
                 }
                 Err(e) => {
                     // Degrade this one node: it stays undecided (and may
                     // retry as more verified states arrive) instead of
                     // tearing down the whole run.
-                    self.last_error = Some(e);
+                    self.last_error = Some(e.clone());
                     return false;
                 }
             }
         } else {
-            Self::combine_average(self.input.dim(), self.named(t, &witness))
-        };
+            next_value.extend(record.average(t, next_witness));
+        }
         self.my_round = t + 1;
         if self.my_round >= self.total_rounds {
-            self.decided = Some(next_value);
+            self.decided = Some(VecD::from_slice(&self.next_value));
         } else {
-            own.push((self.my_round, Arc::new(RoundState { value: next_value, witness })));
+            own(self.my_round, &self.next_value, &self.next_witness);
         }
         true
     }
@@ -547,7 +638,7 @@ impl AsyncProtocol for VerifiedAveraging {
         let payload = match &bmsg {
             BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s) => s,
         };
-        if !self.payload_ok(payload) {
+        if !self.state_ok(payload) {
             self.refusals.payload += 1;
             return Vec::new();
         }
@@ -558,7 +649,7 @@ impl AsyncProtocol for VerifiedAveraging {
         }
         if let Some(state) = actions.delivered {
             let mut own = Vec::new();
-            self.deliver(tag.0, tag.1, state, &mut own);
+            self.deliver(tag.0, tag.1, &state, &mut own);
             for (round, state) in own {
                 self.broadcast_state(round, state, &mut out);
             }
@@ -570,6 +661,7 @@ impl AsyncProtocol for VerifiedAveraging {
         self.decided.clone()
     }
 }
+
 
 /// Byzantine strategy: attempts a split-brain on its own round-0 broadcast,
 /// sending `Init(a)` — `inner`'s input — to the first half of processes and
@@ -827,7 +919,7 @@ mod tests {
         for (from, s) in [(0, &a), (1, &a), (2, &b), (3, &b)] {
             assert!(node.on_message(from, ((3, 0), BrachaMsg::Echo(Arc::clone(s)))).is_empty());
         }
-        assert!(node.delivered_state((3, 0)).is_none());
+        assert!(node.delivered_value((3, 0)).is_none());
         assert!(a.value == v(1.0) && b.value == v(2.0));
         // A shared state edited for the second half of the destinations: the
         // first half keeps the genuine one, still one allocation.
@@ -843,37 +935,52 @@ mod tests {
         assert!(Arc::ptr_eq(&state(0), &state(1)) && !Arc::ptr_eq(&state(1), &state(2)));
     }
 
+    /// The record's average, summed in place in witness order, is bit for
+    /// bit the named vectors added up in that order and scaled.
     #[test]
-    fn borrowed_average_is_bit_equal_to_clone_and_add() {
+    fn the_record_average_is_bit_equal_to_clone_and_add() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(2016);
         for _ in 0..1000 {
-            let (len, d) = (rng.gen_range(1..8usize), rng.gen_range(1..6usize));
-            let mut vector = || VecD((0..d).map(|_| rng.gen_range(-1e6..1e6)).collect());
-            let values: Vec<VecD> = (0..len).map(|_| vector()).collect();
+            let (n, d) = (rng.gen_range(1..8usize), rng.gen_range(1..6usize));
+            let mut record = Record { n, d, ..Record::default() };
+            record.size(n);
+            let values: Vec<VecD> = (0..n).map(|_| VecD((0..d).map(|_| rng.gen_range(-1e6..1e6)).collect())).collect();
+            for (k, value) in values.iter().enumerate() {
+                record.write(k, value.as_slice().iter().copied(), std::iter::empty());
+            }
+            let mut ids: Vec<ProcessId> = (0..n).collect();
+            ids.swap(rng.gen_range(0..n), rng.gen_range(0..n));
+            ids.truncate(rng.gen_range(1..n + 1));
             let mut acc = VecD::zeros(d);
-            values.iter().for_each(|v| acc += v.clone());
-            let bits = |v: VecD| v.0.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            let new = VerifiedAveraging::combine_average(d, values.iter());
-            assert_eq!(bits(new), bits(acc.scale(1.0 / len as f64)));
+            ids.iter().for_each(|&k| acc += values[k].clone());
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let average: Vec<f64> = record.average(0, &ids).collect();
+            assert_eq!(bits(&average), bits(acc.scale(1.0 / ids.len() as f64).as_slice()));
         }
     }
 
     /// Record `states` as the round-`round` states this node delivered and
     /// verified.
     fn verify_round(node: &mut VerifiedAveraging, round: usize, states: &[(ProcessId, VecD)]) {
-        node.delivered.resize(node.n * node.total_rounds, None);
-        node.verified.resize(node.n * node.total_rounds, false);
+        node.record.size(node.n * node.total_rounds);
         for (k, value) in states {
-            let state = RoundState { value: value.clone(), witness: vec![] };
-            node.delivered[round * node.n + k] = Some(Arc::new(state));
-            node.verified[round * node.n + k] = true;
+            let i = round * node.n + k;
+            node.record.write(i, value.as_slice().iter().copied(), std::iter::empty());
+            node.record.rows[i].0 = Mark::Verified;
         }
+    }
+
+    /// The round-0 combining rule over `ids`, through the node's memo.
+    fn round0(node: &mut VerifiedAveraging, ids: &[ProcessId]) -> Round0 {
+        let VerifiedAveraging { record, round0, mode, f, tol, n, .. } = node;
+        let solve = || VerifiedAveraging::solve_round0(*mode, *f, *tol, &record.named(0, ids));
+        combine_round0(round0, *n + 1, ids, solve).clone()
     }
 
     /// A memo hit is bit for bit the fresh solve, in both modes; a witness
     /// that differs only by entry order misses; the memo stops growing at
-    /// `n + 1` entries.
+    /// `n + 1` entries, a new one taking the last one's place.
     #[test]
     fn round0_memo_is_keyed_on_the_exact_witness() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -901,8 +1008,8 @@ mod tests {
                     Some((ds.witness, ds.delta))
                 }
             };
-            let miss = node.combine_round0(&ids);
-            let hit = node.combine_round0(&ids);
+            let miss = round0(&mut node, &ids);
+            let hit = round0(&mut node, &ids);
             assert_eq!(node.round0.len(), 1, "case {case}: the second call is a hit");
             let fresh = fresh.map(|(p, delta)| {
                 (p.0.iter().map(|x| x.to_bits()).collect(), delta.to_bits())
@@ -914,14 +1021,15 @@ mod tests {
         let mut node = VerifiedAveraging::new(0, 4, 1, VecD::zeros(2), mode, 2, t());
         let v = |x: f64, y: f64| VecD::from_slice(&[x, y]);
         verify_round(&mut node, 0, &[(0, v(0.0, 1.0)), (1, v(1.0, 0.0)), (2, v(1.0, 1.0)), (3, v(-0.0, 1.0))]);
-        let _ = node.combine_round0(&[0, 2, 1]);
+        let _ = round0(&mut node, &[0, 2, 1]);
         assert_eq!(node.round0.len(), 1);
-        let _ = node.combine_round0(&[0, 1, 2]);
+        let _ = round0(&mut node, &[0, 1, 2]);
         assert_eq!(node.round0.len(), 2, "order counts");
         for ids in [[0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 2, 1], [0, 1, 2]] {
-            let _ = node.combine_round0(&ids);
+            let _ = round0(&mut node, &ids);
         }
         assert_eq!(node.round0.len(), 5, "at most n + 1 entries");
+        assert_eq!(node.round0[4].0, [3, 2, 1], "the newest in the last one's place");
     }
 
     /// A round-t state verifies only as the combine of the verified values
@@ -936,23 +1044,29 @@ mod tests {
         let record = [(0, v(0.0, 3.0)), (1, v(3.0, 0.0)), (2, v(3.0, 3.0))];
         verify_round(&mut node, 0, &record);
         verify_round(&mut node, 1, &record);
-        let state = |value: &VecD, witness| RoundState { value: value.clone(), witness };
+        // State (3, round) written into its row afresh, then verified.
+        fn verdict(node: &mut VerifiedAveraging, round: usize, value: &VecD, witness: &[ProcessId]) -> Option<bool> {
+            let i = round * node.n + 3;
+            node.record.rows[i] = (Mark::Empty, 0);
+            node.record.write(i, value.as_slice().iter().copied(), witness.iter().copied());
+            node.try_verify(i)
+        }
         let mean = v(2.0, 2.0);
-        for (ids, verdict) in [
+        for (ids, want) in [
             (vec![0, 1, 2], Some(true)),
             (vec![0, 0, 1], Some(false)),
             (vec![0, 1, 9], Some(false)),
             (vec![0, 1], Some(false)),
         ] {
-            assert_eq!(node.try_verify((3, 2), &state(&mean, ids.clone())), verdict, "{ids:?}");
+            assert_eq!(verdict(&mut node, 2, &mean, &ids), want, "{ids:?}");
         }
-        assert_eq!(node.try_verify((3, 2), &state(&v(2.0, 2.5), vec![0, 1, 2])), Some(false));
-        let (point, _) = node.combine_round0(&[0, 1, 2]).expect("δ* has a point");
-        assert_eq!(node.try_verify((3, 1), &state(&point, vec![0, 1, 2])), Some(true));
-        assert_eq!(node.try_verify((3, 1), &state(&(&point + &v(0.1, 0.0)), vec![0, 1, 2])), Some(false));
-        assert_eq!(node.try_verify((3, 2), &state(&mean, vec![0, 1, 3])), None, "3 may verify later");
-        node.rejected.push((3, 1));
-        assert_eq!(node.try_verify((3, 2), &state(&mean, vec![0, 1, 3])), Some(false));
+        assert_eq!(verdict(&mut node, 2, &v(2.0, 2.5), &[0, 1, 2]), Some(false));
+        let (point, _) = round0(&mut node, &[0, 1, 2]).expect("δ* has a point");
+        assert_eq!(verdict(&mut node, 1, &point, &[0, 1, 2]), Some(true));
+        assert_eq!(verdict(&mut node, 1, &(&point + &v(0.1, 0.0)), &[0, 1, 2]), Some(false));
+        assert_eq!(verdict(&mut node, 2, &mean, &[0, 1, 3]), None, "3 may verify later");
+        node.record.rows[4 + 3].0 = Mark::Rejected;
+        assert_eq!(node.try_verify(2 * 4 + 3), Some(false), "3 was rejected at round 1");
     }
 
     #[test]
@@ -997,14 +1111,14 @@ mod tests {
         let state = |value: VecD| Arc::new(RoundState { value, witness: vec![] });
         let mut node = proto(0);
         let mut own = Vec::new();
-        node.deliver(4, 0, state(v(1.0)), &mut own);
-        node.deliver(3, 6, state(v(1.0)), &mut own);
-        node.deliver(3, 0, state(VecD::from_slice(&[1.0])), &mut own);
-        node.deliver(3, 0, state(v(3.0)), &mut own);
-        node.deliver(3, 0, state(v(9.0)), &mut own);
+        node.deliver(4, 0, &state(v(1.0)), &mut own);
+        node.deliver(3, 6, &state(v(1.0)), &mut own);
+        node.deliver(3, 0, &state(VecD::from_slice(&[1.0])), &mut own);
+        node.deliver(3, 0, &state(v(3.0)), &mut own);
+        node.deliver(3, 0, &state(v(9.0)), &mut own);
         let refused = Refusals { bounds: 2, payload: 1, duplicate: 1, ..Refusals::default() };
         assert_eq!(node.refusals(), refused);
-        assert_eq!(node.delivered_state((3, 0)).map(|s| &s.value), Some(&v(3.0)));
+        assert_eq!(node.delivered_value((3, 0)), Some(v(3.0).as_slice()));
         assert!(own.is_empty(), "one round-0 state is not n - f");
 
         let mut nodes: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
@@ -1013,7 +1127,7 @@ mod tests {
         while let Some((origin, round, s)) = queue.pop_front() {
             for p in &mut nodes {
                 let mut own = Vec::new();
-                p.deliver(origin, round, Arc::clone(&s), &mut own);
+                p.deliver(origin, round, &s, &mut own);
                 queue.extend(own.into_iter().map(|(r, st)| (p.id, r, st)));
             }
         }
@@ -1022,5 +1136,76 @@ mod tests {
         for (a, b) in decided.iter().zip(&decided[1..]) {
             assert!(a.dist(b, Norm::LInf) < 1e-3, "{a:?} vs {b:?}");
         }
+    }
+
+    /// The parts entry and the whole-state entry are one entry. Two machines
+    /// per process — one fed states whole, one fed their parts — take the
+    /// same deliveries: a state out of the run, three malformed ones, a
+    /// round-1 state of origin 3 that fails verification and later its
+    /// honest twin, then everything four processes move on to. They hand on
+    /// the same states, refuse the same counts by check and decide the same
+    /// bits. A witness of `n + 1` ids, or a value of another dimension, is
+    /// refused before the record is written: the first delivery refused so
+    /// sizes no table, and on a sized one the tag stays open for a good
+    /// state.
+    #[test]
+    fn the_parts_entry_and_the_whole_state_entry_agree() {
+        let v = |x: f64| VecD::from_slice(&[x, 1.0 - x]);
+        let (n, mode) = (4, DeltaMode::MinDelta(Norm::L2));
+        let proto = |i: usize| VerifiedAveraging::new(i, n, 1, v(i as f64), mode, 4, t());
+        let state = |value: VecD, witness: Vec<ProcessId>| Arc::new(RoundState { value, witness });
+        type Own = Vec<(usize, Vec<u64>, Vec<ProcessId>)>;
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut whole: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
+        let mut parts: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
+        let mut queue: std::collections::VecDeque<(ProcessId, usize, Arc<RoundState>)> = [
+            (4, 0, state(v(1.0), vec![])),
+            (2, 0, state(VecD::from_slice(&[f64::NAN, 1.0]), vec![])),
+            (2, 0, state(VecD::from_slice(&[1.0]), vec![])),
+            (2, 1, state(v(1.0), vec![0, 1, 2, 3, 0])),
+            (3, 1, state(v(7.0), vec![0, 1, 2])),
+        ]
+        .into_iter()
+        .chain(whole.iter().map(|p| (p.id, 0, p.start())))
+        .collect();
+        while let Some((origin, round, s)) = queue.pop_front() {
+            for (p, q) in whole.iter_mut().zip(&mut parts) {
+                let mut own = Vec::new();
+                p.deliver(origin, round, &s, &mut own);
+                let mut got: Own = Vec::new();
+                let (value, witness) = (s.value.as_slice().iter().copied(), s.witness.iter().copied());
+                q.deliver_parts(origin, round, value, witness, &mut |r, value, witness| {
+                    got.push((r, bits(value), witness.to_vec()));
+                });
+                let want: Own = own.iter().map(|(r, st)| (*r, bits(st.value.as_slice()), st.witness.clone())).collect();
+                assert_eq!(got, want, "process {}", p.id);
+                queue.extend(own.into_iter().map(|(r, st)| (p.id, r, st)));
+            }
+        }
+        for (p, q) in whole.iter().zip(&parts) {
+            let refused = p.refusals();
+            assert_eq!(refused, q.refusals(), "process {}", p.id);
+            assert_eq!((refused.bounds, refused.payload, refused.verify), (1, 3, 1), "process {}", p.id);
+            assert!(refused.duplicate >= 1, "the honest twin of the rejected state");
+            assert_eq!(p.decision().map(|d| bits(d.as_slice())), q.decision().map(|d| bits(d.as_slice())));
+            assert!(p.decision().is_some(), "process {} decides", p.id);
+        }
+
+        let mut node = proto(0);
+        let deliver = |node: &mut VerifiedAveraging, origin, value: &[f64], witness: &[ProcessId]| {
+            let parts = (value.iter().copied(), witness.iter().copied());
+            node.deliver_parts(origin, 0, parts.0, parts.1, &mut |_, _: &[f64], _: &[ProcessId]| {});
+        };
+        deliver(&mut node, 3, &[0.5, 0.5], &[0, 1, 2, 3, 0]);
+        deliver(&mut node, 3, &[0.5], &[]);
+        assert_eq!((node.refusals().payload, node.broadcast_slots()), (2, 0), "no table");
+        deliver(&mut node, 2, &[0.5, 0.5], &[]);
+        assert_eq!(node.broadcast_slots(), n * 4);
+        deliver(&mut node, 3, &[0.5, 0.5], &[0, 1, 2, 3, 0]);
+        deliver(&mut node, 3, &[0.5, 0.5, 0.5], &[]);
+        assert_eq!((node.refusals().payload, node.delivered_value((3, 0))), (4, None));
+        deliver(&mut node, 3, &[0.25, 0.75], &[]);
+        assert_eq!(node.delivered_value((3, 0)), Some(&[0.25, 0.75][..]));
+        assert_eq!(node.refusals().duplicate, 0);
     }
 }

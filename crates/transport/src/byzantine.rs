@@ -546,7 +546,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                     }
                 }
                 (Attack::SlotTwice, Some((true, false, b))) if self.twice.is_none() => {
-                    self.twice = b.slots().iter().find(|slot| slot.round >= 1).cloned();
+                    self.twice = b.slots().find(|slot| slot.round >= 1).map(|slot| slot.to_slot());
                 }
                 (Attack::MuteOwn, Some((true, _, _))) => {
                     self.bump(attack.counter());
@@ -791,7 +791,7 @@ fn shifted(v: &VecD, delta: f64) -> VecD {
 
 /// Every slot's value in `batch` shifted by `delta`, in a batch of its own.
 fn shift_batch(batch: &mut Arc<VaBatch>, delta: f64) {
-    let mut slots = batch.slots().to_vec();
+    let mut slots: Vec<VaSlot> = batch.slots().map(|slot| slot.to_slot()).collect();
     for slot in &mut slots {
         let state = Arc::make_mut(&mut slot.state);
         state.value = shifted(&state.value, delta);
@@ -874,7 +874,7 @@ mod tests {
     fn decoded_value(bytes: &[u8]) -> VecD {
         match decode_frame(bytes, 0).expect("mutant must decode").payload {
             Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
-                b.slots()[0].state.value.clone()
+                VecD::new(b.slot(0).value().collect())
             }
             other => panic!("unexpected payload {other:?}"),
         }
@@ -1118,7 +1118,7 @@ mod tests {
         assert_eq!(batches.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(), [(0, 0), (0, 1)]);
         let [(_, a), (_, b)] = &batches[..] else { unreachable!() };
         assert_eq!((a.slots().len(), b.slots().len()), (1, 1));
-        let (a, b) = (&a.slots()[0], &b.slots()[0]);
+        let (a, b) = (a.slot(0).to_slot(), b.slot(0).to_slot());
         assert_eq!(((a.instance, a.round), (b.instance, b.round)), ((2, 1), (2, 1)));
         assert!(a.state.value != b.state.value && a.state.witness == b.state.witness);
     }

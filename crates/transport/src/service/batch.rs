@@ -12,7 +12,7 @@
 //! and below the watermark are freed. Bracha gives every honest node the
 //! same batch per tag; FIFO order gives every honest node the same
 //! *sequence* of slots per origin, so "the first (instance, round) slot of
-//! an origin wins" — the rule `VerifiedAveraging::deliver` applies — picks
+//! an origin wins" — the rule `VerifiedAveraging::deliver_parts` applies — picks
 //! the same state everywhere, and a slot a Byzantine origin repeats in a
 //! later batch is refused everywhere.
 //!
@@ -35,7 +35,7 @@ use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
 
 use super::outbound::Outbound;
-use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, Hint, VaBatch, VaSlot, MAX_BATCH_SLOTS};
+use crate::wire::{encode_frame, BatchMsg, BatchTag, BatchWriter, Frame, Hint, VaBatch, MAX_BATCH_SLOTS};
 
 /// One batch broadcast not yet delivered in order.
 struct Open {
@@ -87,8 +87,8 @@ pub(super) struct Batches {
     next_seq: u32,
     origins: Vec<Origin>,
     /// The round states this node's instances produced since the last seal,
-    /// in production order: the next batch.
-    pub(super) pending: Vec<VaSlot>,
+    /// in production order, written out: the next batch.
+    pub(super) pending: BatchWriter,
     pub(super) refused: Refused,
 }
 
@@ -100,7 +100,7 @@ impl Batches {
             f: n.saturating_sub(1) / 3,
             next_seq: 0,
             origins: (0..n).map(|_| Origin::default()).collect(),
-            pending: Vec::new(),
+            pending: BatchWriter::default(),
             refused: Refused::default(),
         }
     }
@@ -117,11 +117,8 @@ impl Batches {
     /// Whether a node may echo `batch`: every value finite, every witness at
     /// most `n` ids, each below `n`.
     fn structural_ok(&self, batch: &VaBatch) -> bool {
-        batch.slots().iter().all(|slot| {
-            let state = &slot.state;
-            state.value.as_slice().iter().all(|x| x.is_finite())
-                && state.witness.len() <= self.n
-                && state.witness.iter().all(|&k| k < self.n)
+        batch.slots().all(|slot| {
+            slot.value().all(f64::is_finite) && slot.witness().len() <= self.n && slot.witness().all(|k| k < self.n)
         })
     }
 
@@ -136,14 +133,13 @@ impl Batches {
     /// whatever `out` holds. Nothing pending, nothing sent.
     pub(super) fn seal(&mut self, out: &mut Outbound) {
         let mut pending = std::mem::take(&mut self.pending);
-        for slots in pending.chunks(MAX_BATCH_SLOTS) {
+        pending.drain(MAX_BATCH_SLOTS, |batch| {
             let seq = self.next_seq;
             self.next_seq = seq.wrapping_add(1);
-            let batch = Arc::new(VaBatch::new(slots.to_vec()));
+            let batch = Arc::new(batch);
             self.open((self.local, seq), &batch);
             self.multicast(((self.local, seq), BrachaMsg::Init(batch)), out);
-        }
-        pending.clear();
+        });
         self.pending = pending;
     }
 
@@ -221,7 +217,7 @@ mod tests {
     use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
     use rbvc_store::RecordBatch;
     use crate::service::node::{InstanceProto, Node, Outbox};
-    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, MAX_PID, MAX_ROUND};
+    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, VaSlot, MAX_PID, MAX_ROUND};
 
     /// A one-slot batch of instance 1, round 0.
     fn witnessed(x: f64, witness: Vec<ProcessId>) -> Arc<VaBatch> {
@@ -243,7 +239,7 @@ mod tests {
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
         let mut out = Outbound::default();
         for x in [1.0, 2.0, 3.0] {
-            layers[0].pending.push(batch(x).slots()[0].clone());
+            layers[0].pending.push(1, 0, [x].into_iter(), std::iter::empty());
             layers[0].seal(&mut out);
         }
         // The third batch first, then the other two.
@@ -257,7 +253,7 @@ mod tests {
             layers[dst].on_message(from, msg, &mut out, &mut delivered);
             for (origin, b) in delivered {
                 assert_eq!(origin, 0);
-                got[dst].push(b.slots()[0].state.value.as_slice()[0]);
+                got[dst].extend(b.slot(0).value());
             }
             wire.extend(sends(&mut out).into_iter().map(|(to, bytes)| (dst, to, bytes)));
         }
@@ -299,7 +295,7 @@ mod tests {
         let n = 4;
         let mut layers: Vec<Batches> = (0..3).map(|p| Batches::new(p, n)).collect();
         let (plus, minus) = (batch(0.0), batch(-0.0));
-        assert_eq!(plus.slots()[0].state.value, minus.slots()[0].state.value, "equal values");
+        assert!(plus.slot(0).value().eq(minus.slot(0).value()), "equal values");
         let frame = |from, msg| encode_frame(&Frame::batch(from, ((3, 0), msg)));
         let mut echoes = vec![frame(3, BrachaMsg::Echo(Arc::clone(&plus))); n];
         for (p, init) in [&plus, &plus, &minus].into_iter().enumerate() {
@@ -439,13 +435,13 @@ mod tests {
             let mut seen = vec![None; 3];
             run_cores(&mut nodes[..3], &mut queues, &mut vec![RecordBatch::default(); n], |node| {
                 if let Some(p) = running_va(node, 1) {
-                    seen[node.local] = p.delivered_state((3, 0)).map(|kept| (kept.value.clone(), p.refusals()));
+                    seen[node.local] = p.delivered_value((3, 0)).map(|kept| (kept.to_vec(), p.refusals()));
                 }
             });
             for (node, seen) in nodes[..3].iter().zip(seen) {
                 let at = format!("node {}, {} batches", node.local, batches.len());
                 let (kept, refused) = seen.expect("origin 3's round-0 slot was delivered");
-                assert_eq!(kept, first.value, "{at}");
+                assert_eq!(kept, first.value.as_slice(), "{at}");
                 assert_eq!(refused, Refusals { duplicate: 1, ..Refusals::default() }, "{at}");
                 assert!(node.instances[&1].decision().is_some() && gate_totals(node) == [0; 4], "{at}");
             }
@@ -470,9 +466,9 @@ mod tests {
         let before: Vec<_> = nodes.iter().map(decisions).collect();
         let eig = |instance| encode_frame(&Frame { instance, sender: 1, round: 0, payload: Payload::Eig(vec![]) });
         queues[0].extend([(1, eig(2)), (1, eig(1))]);
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[0.5, 0.5]), witness: vec![] });
-        let slot = |instance| VaSlot { instance, round: 0, state: Arc::clone(&state) };
-        nodes[1].batches.pending.extend([slot(1), slot(2)]);
+        for instance in [1, 2] {
+            nodes[1].batches.pending.push(instance, 0, [0.5, 0.5].into_iter(), std::iter::empty());
+        }
         run_cores(&mut nodes, &mut queues, &mut logs, |_| {});
         for (p, node) in nodes.iter().enumerate() {
             let kind = 1 + u64::from(p == 0);
@@ -508,5 +504,48 @@ mod tests {
         }
         assert_eq!(node.gate_rejections_by_sender, [[0; 4], [2, 0, 0, 0], [0; 4], [0; 4]]);
         assert!(out.frames.is_empty());
+    }
+
+    /// A shed slot's tag lives as long as its instance runs. Node 0, its
+    /// stash full, sheds origin 2's last-round slot of a client instance of
+    /// node 1 before the instance's `Launch` arrives; the instance launches
+    /// and decides on all four cores (at f = 1 node 0 does without that
+    /// state), and the tag goes with the decision. A late slot under the
+    /// same tag, in a batch of origin 2 that node 0 delivers, is still
+    /// refused: dropped unseen, with no gate count, nothing parked and the
+    /// decision as it was.
+    #[test]
+    fn a_shed_tag_goes_when_its_instance_decides() {
+        use crate::service::client_table::STASH_CAP;
+        use crate::service::CLIENT_INSTANCE_BASE;
+        use crate::wire::ClientLaunch;
+        let (n, rounds) = (4, 4);
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        let id = CLIENT_INSTANCE_BASE | (1 << 24);
+        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
+        let slot = |instance, round| VaSlot { instance, round, state: Arc::clone(&state) };
+        for round in 0..STASH_CAP as u32 {
+            nodes[0].client.park(3, slot(id + 1, round));
+        }
+        nodes[0].client.park(2, slot(id, rounds - 1));
+        assert!(nodes[0].client.was_shed(id, 2, rounds - 1));
+        let launch = ClientLaunch { session: 1, reqno: 1, f: 1, rounds, value: VecD::from_slice(&[1.0, 2.0]) };
+        let (mut queues, mut out): (Queues, _) = (vec![VecDeque::new(); n], Outbox::default());
+        nodes[1].admit((id, launch), &now(), &mut out);
+        out.frames.drain_sends(|dst, bytes| queues[dst].push_back((1, bytes)));
+        run_cores(&mut nodes, &mut queues, &mut vec![RecordBatch::default(); n], |_| {});
+        let decided = nodes[0].instances[&id].decision().cloned();
+        assert!(decided.is_some() && !nodes[0].client.was_shed(id, 2, rounds - 1), "the tag went");
+        let seq = nodes[0].batches.origins[2].next;
+        let late = Arc::new(VaBatch::new(vec![slot(id, rounds - 1)]));
+        let stats = nodes[0].client.stats();
+        for from in 1..n {
+            let bytes = encode_frame(&Frame::batch(from, ((2, seq), BrachaMsg::Ready(Arc::clone(&late)))));
+            nodes[0].on_frame(from, &bytes, &now(), &mut out);
+        }
+        assert_eq!(nodes[0].batches.origins[2].next, seq + 1, "delivered");
+        assert_eq!(gate_totals(&nodes[0]), [0; 4]);
+        assert!(!nodes[0].client.was_shed(id, 2, rounds - 1) && nodes[0].client.stats() == stats);
+        assert_eq!(nodes[0].instances[&id].decision(), decided.as_ref());
     }
 }

@@ -44,7 +44,7 @@ const SEQ_MASK: u64 = 0xFF_FFFF;
 
 /// Batch slots for a client instance delivered before its `Launch` are
 /// parked (per service), bounded by this; overflow is shed and counted.
-const STASH_CAP: usize = 1024;
+pub(super) const STASH_CAP: usize = 1024;
 
 /// Parameters of the client front-end (the consensus instances client
 /// requests are run through, and the admission bounds).
@@ -371,6 +371,13 @@ impl ClientTable {
             self.counters.stash_shed += 1;
             Registry::global().counter("service.client.stash_shed").inc();
         }
+    }
+
+    /// `instance` decided: its shed tags go, as a decided instance drops its
+    /// late slots itself. The list holds the tags of undecided instances
+    /// only.
+    pub(super) fn decided(&mut self, instance: InstanceId) {
+        self.shed.retain(|&(id, _, _)| id != instance);
     }
 
     /// Whether a slot with this tag was shed: the state that wins its tag is

@@ -63,7 +63,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rbvc_core::verified_avg::{DeltaMode, RoundState, VerifiedAveraging};
+use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::SyncBvc;
 use rbvc_linalg::VecD;
 use rbvc_obs::{progress_token, Event, EventKind, InstanceProgress, Obs, Registry};
@@ -77,7 +77,7 @@ use super::client_table::{self, client_instance_owner, ClientTable, Request};
 use super::outbound::Outbound;
 use super::{DecisionEvent, InstanceId, PhaseNanos};
 use crate::lockstep::{Lockstep, RoundBatch};
-use crate::wire::{decode_frame_hinted, encode_frame, BatchMsg, ClientLaunch, Frame, Payload, VaSlot};
+use crate::wire::{decode_frame_hinted, encode_frame, BatchMsg, BatchWriter, ClientLaunch, Frame, Payload, SlotView, VaBatch};
 
 /// One consensus instance as the service runs it.
 pub enum InstanceProto {
@@ -94,10 +94,10 @@ pub enum InstanceProto {
 impl InstanceProto {
     /// Start the instance: a BVC instance's frames go to `out`, a VA
     /// instance's round-0 state to the next batch.
-    fn on_start(&mut self, id: InstanceId, local: ProcessId, out: &mut Outbound, batch: &mut Vec<VaSlot>) {
+    fn on_start(&mut self, id: InstanceId, local: ProcessId, out: &mut Outbound, batch: &mut BatchWriter) {
         match self {
             InstanceProto::Bvc(p) => Self::encode_bvc(id, local, p.on_start(), out),
-            InstanceProto::Va(p) => batch.push(VaSlot { instance: id, round: 0, state: p.start() }),
+            InstanceProto::Va(p) => batch.push(id, 0, p.input().as_slice().iter().copied(), std::iter::empty()),
         }
     }
 
@@ -259,8 +259,6 @@ pub(super) struct Node {
     pub(super) undecided: usize,
     /// The FIFO reliable broadcast of VA batches, and the next batch.
     pub(super) batches: Batches,
-    /// Reused by every slot delivery: the states an instance moved on to.
-    own: Vec<(usize, Arc<RoundState>)>,
     /// The event handle: a no-op until the driver arms a flight recorder.
     pub(super) obs: Obs,
     /// Degradation events: gate rejections, failed appends and syncs.
@@ -312,7 +310,6 @@ impl Node {
             live: Vec::new(),
             undecided: 0,
             batches: Batches::new(local, n),
-            own: Vec::new(),
             obs: Obs::default(),
             errors: ErrorLog::new(),
             started: false,
@@ -519,18 +516,16 @@ impl Node {
         let mut delivered = Vec::new();
         self.batches.on_message(from, msg, out, &mut delivered);
         for (origin, batch) in delivered {
-            for slot in batch.slots() {
-                self.deliver_slot(origin, slot);
-            }
+            batch.slots().for_each(|slot| self.deliver_slot(origin, slot));
         }
     }
 
     /// Gates 3 and 4 for one slot of `origin`'s delivered batch, then its
-    /// instance's delivery entry; the states that moves the instance on to
-    /// join the next batch. A slot for a client instance not resident yet
-    /// is parked until its `Launch`; one for a decided VA instance is
-    /// dropped.
-    fn deliver_slot(&mut self, origin: ProcessId, slot: &VaSlot) {
+    /// instance's delivery entry, which copies the state's parts out of the
+    /// batch; the states that moves the instance on to are written into the
+    /// next batch. A slot for a client instance not resident yet is parked,
+    /// owned, until its `Launch`; one for a decided VA instance is dropped.
+    fn deliver_slot(&mut self, origin: ProcessId, slot: SlotView<'_>) {
         let instance = slot.instance;
         if self.client.was_shed(instance, origin, slot.round) {
             return;
@@ -543,16 +538,17 @@ impl Node {
             // Late traffic: a decided instance is its decision.
             Some(Instance::Decided { va: true, .. }) => return,
             Some(Instance::Decided { .. }) => None,
-            None if client_instance_owner(instance).is_some() => return self.client.park(origin, slot.clone()),
+            None if client_instance_owner(instance).is_some() => return self.client.park(origin, slot.to_slot()),
             None => return self.gate_reject(2, origin, format!("batch slot for unknown instance {instance}")),
         };
         let Some(p) = va else {
             return self.gate_reject(3, origin, format!("batch slot for instance {instance}, which does not run VA"));
         };
-        p.deliver(origin, slot.round as usize, Arc::clone(&slot.state), &mut self.own);
-        self.batches.pending.extend(self.own.drain(..).map(|(round, state)| {
-            VaSlot { instance, round: u32::try_from(round).expect("round fits u32"), state }
-        }));
+        let pending = &mut self.batches.pending;
+        p.deliver_parts(origin, slot.round as usize, slot.value(), slot.witness(), &mut |round, value, witness| {
+            let round = u32::try_from(round).expect("round fits u32");
+            pending.push(instance, round, value.iter().copied(), witness.iter().copied());
+        });
     }
 
     /// Drive the timers (lockstep round timeouts) of the ready set once.
@@ -602,6 +598,7 @@ impl Node {
             false
         });
         for (instance, value) in &out.decided {
+            self.client.decided(*instance);
             if let Some((session, reqno)) = self.client.answered(*instance, value) {
                 let value = value.as_slice().into();
                 self.append(WalRecord::ClientReply { instance: *instance, session, reqno, value });
@@ -674,9 +671,9 @@ impl Node {
         self.started = true;
         self.start_instance(instance, now, out);
         // Slots delivered before the launch reach the instance now, in the
-        // order they were delivered.
+        // order they were delivered, each read back as a batch of one.
         for (origin, slot) in self.client.unpark(instance) {
-            self.deliver_slot(origin, &slot);
+            self.deliver_slot(origin, VaBatch::new(vec![slot]).slot(0));
         }
     }
 
@@ -787,6 +784,7 @@ impl Node {
                     if slot.decision() != Some(&value) {
                         self.replay_divergence += 1;
                     }
+                    self.client.decided(instance);
                     if let Instance::Running(_) = slot.state {
                         self.undecided -= 1;
                         self.live.retain(|id| *id != instance);
@@ -849,7 +847,8 @@ pub(super) mod tests {
     use crate::service::tests::{bvc_instance, flight, va_instance};
     use crate::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
     use crate::transport::in_proc_mesh;
-    use crate::wire::{VaBatch, MAX_ROUND};
+    use crate::wire::{VaSlot, MAX_ROUND};
+    use rbvc_core::verified_avg::RoundState;
 
     pub(in crate::service) fn now() -> PhaseNanos {
         PhaseNanos::default()
@@ -1018,7 +1017,7 @@ pub(super) mod tests {
         match crate::wire::decode_frame(bytes, 0).expect("decodes").payload {
             Payload::VaBatch((tag, BrachaMsg::Init(batch))) => {
                 assert_eq!(tag, (0, 0));
-                assert_eq!(batch.slots().iter().map(|s| (s.instance, s.round)).collect::<Vec<_>>(), [(1, 0), (2, 0)]);
+                assert_eq!(batch.slots().map(|s| (s.instance, s.round)).collect::<Vec<_>>(), [(1, 0), (2, 0)]);
             }
             other => panic!("{other:?}"),
         }
@@ -1084,7 +1083,7 @@ pub(super) mod tests {
         let Instance::Running(p) = &mut slot.state else { unreachable!("not decided yet") };
         let InstanceProto::Va(p) = &mut **p else { unreachable!("client instances are VA") };
         let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
-        p.deliver(1, 0, state, &mut Vec::new());
+        p.deliver(1, 0, &state, &mut Vec::new());
         assert_eq!(p.broadcast_slots(), n * budget, "sized on its first delivery");
     }
 

@@ -24,9 +24,13 @@
 //! The header's instance and round are the first slot's, so a one-slot
 //! batch is no larger than the per-state frame it replaced; each further
 //! slot adds its instance and round. Slots run to the end of the frame.
-//! A [`VaBatch`] holds those bytes — everything after the Bracha kind byte —
-//! from the moment it is built, so every frame of its broadcast is a fixed
-//! 29-byte prefix and a copy, and two batches are equal when their bytes are.
+//! A [`VaBatch`] is those bytes — everything after the Bracha kind byte —
+//! and an index of where each slot's value and witness lie in them, from the
+//! moment it is built, so every frame of its broadcast is a fixed 29-byte
+//! prefix and a copy, and two batches are equal when their bytes are. A slot
+//! is read in place, through a borrowed [`SlotView`]: decoding a batch builds
+//! no round state, and a node writes its own states straight into its next
+//! batch ([`BatchWriter`]).
 //! A witness names the origins whose states were averaged and does not copy
 //! their vectors: every receiver holds those in its own reliably delivered
 //! record. At (n, f, d) = (4, 1, 3) a one-slot frame is 61 B at round 0 and
@@ -137,7 +141,9 @@ pub struct ClientLaunch {
     pub value: VecD,
 }
 
-/// One round state of one Verified-Averaging instance, as a batch carries it.
+/// One round state of one Verified-Averaging instance, owned: what a test or
+/// an adversary builds a batch from ([`VaBatch::new`]) and what a slot is
+/// parked as ([`SlotView::to_slot`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaSlot {
     /// The instance the state is of.
@@ -148,13 +154,67 @@ pub struct VaSlot {
     pub state: Arc<RoundState>,
 }
 
+/// Where one slot's state lies in its batch's bytes: the byte ranges of its
+/// value's components and of its witness ids.
+#[derive(Debug, Clone, Copy)]
+struct SlotIndex {
+    instance: u64,
+    round: u32,
+    value: (usize, usize),
+    witness: (usize, usize),
+}
+
+impl SlotIndex {
+    /// The same slot, its byte ranges counted from `start`.
+    fn rebased(self, start: usize) -> SlotIndex {
+        let at = |(from, to): (usize, usize)| (from - start, to - start);
+        SlotIndex { value: at(self.value), witness: at(self.witness), ..self }
+    }
+}
+
+/// One slot of a batch, borrowed from the batch's bytes: its instance and
+/// round, and its state's value and witness ids, read where they lie.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotView<'a> {
+    /// The instance the state is of.
+    pub instance: u64,
+    /// The round it is the state of.
+    pub round: u32,
+    value: &'a [u8],
+    witness: &'a [u8],
+}
+
+impl<'a> SlotView<'a> {
+    /// The value's components, in order, bit for bit.
+    #[must_use]
+    pub fn value(&self) -> impl ExactSizeIterator<Item = f64> + Clone + 'a {
+        let word = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
+        self.value.chunks_exact(8).map(word)
+    }
+
+    /// The witness ids, in combining order.
+    #[must_use]
+    pub fn witness(&self) -> impl ExactSizeIterator<Item = ProcessId> + Clone + 'a {
+        let id = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk")) as ProcessId;
+        self.witness.chunks_exact(4).map(id)
+    }
+
+    /// The slot, owned: an adversary edits it, a node parks it.
+    #[must_use]
+    pub fn to_slot(&self) -> VaSlot {
+        let state = RoundState { value: VecD::new(self.value().collect()), witness: self.witness().collect() };
+        VaSlot { instance: self.instance, round: self.round, state: Arc::new(state) }
+    }
+}
+
 /// What one origin reliably broadcasts at one seal: the round states its
-/// live VA instances produced since the last one, in production order, and
-/// their encoding. Never empty. It is built once, by [`VaBatch::new`] or by
-/// the decoder, and never edited, so its bytes cannot go stale.
+/// live VA instances produced since the last one, in production order — as
+/// their encoding and an index of where each slot's state lies in it. Never
+/// empty. It is built once, by a [`BatchWriter`] or by the decoder, and
+/// never edited, so its bytes cannot go stale.
 #[derive(Debug, Clone)]
 pub struct VaBatch {
-    slots: Vec<VaSlot>,
+    index: Box<[SlotIndex]>,
     /// The slot list as a batch frame carries it after the Bracha kind byte:
     /// the first slot's state (the header names its instance and round),
     /// then each further slot whole.
@@ -168,28 +228,86 @@ impl VaBatch {
     /// On an empty slot list (local data: a seal never forms one).
     #[must_use]
     pub fn new(slots: Vec<VaSlot>) -> Self {
-        assert!(!slots.is_empty(), "a batch is never empty");
-        let len = slots.iter().map(|slot| 12 + round_state_len(&slot.state)).sum::<usize>();
-        let mut bytes = Vec::with_capacity(len - 12);
-        for (k, slot) in slots.iter().enumerate() {
-            if k > 0 {
-                bytes.extend_from_slice(&slot.instance.to_le_bytes());
-                put_u32(&mut bytes, slot.round);
-            }
-            put_round_state(&mut bytes, &slot.state);
+        let mut writer = BatchWriter::default();
+        for slot in &slots {
+            let state = &slot.state;
+            writer.push(slot.instance, slot.round, state.value.as_slice().iter().copied(), state.witness.iter().copied());
         }
-        VaBatch { slots, bytes: bytes.into_boxed_slice() }
+        let mut batch = None;
+        writer.drain(usize::MAX, |b| batch = Some(b));
+        batch.expect("a batch is never empty")
     }
 
-    /// The states, one slot each.
+    /// Its slots, in order.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = SlotView<'_>> {
+        self.index.iter().map(|at| SlotView {
+            instance: at.instance,
+            round: at.round,
+            value: &self.bytes[at.value.0..at.value.1],
+            witness: &self.bytes[at.witness.0..at.witness.1],
+        })
+    }
+
+    /// Slot `k`.
+    ///
+    /// # Panics
+    /// If the batch has no slot `k`.
     #[must_use]
-    pub fn slots(&self) -> &[VaSlot] {
-        &self.slots
+    pub fn slot(&self, k: usize) -> SlotView<'_> {
+        self.slots().nth(k).expect("a slot of the batch")
     }
 
     /// The first slot's instance and round: what a frame's header names.
     fn head(&self) -> (u64, u32) {
-        (self.slots[0].instance, self.slots[0].round)
+        (self.index[0].instance, self.index[0].round)
+    }
+}
+
+/// Round states written out as batches, slot by slot, as a node's instances
+/// produce them between two seals: each slot whole (instance, round, state)
+/// into one buffer, cut into batches at the seal. Its buffers are kept from
+/// one seal to the next.
+#[derive(Debug, Default)]
+pub struct BatchWriter {
+    bytes: Vec<u8>,
+    index: Vec<SlotIndex>,
+}
+
+impl BatchWriter {
+    /// Write one round state of `instance`, round `round`: `value`'s
+    /// components and the `witness` ids.
+    pub fn push(
+        &mut self,
+        instance: u64,
+        round: u32,
+        value: impl ExactSizeIterator<Item = f64>,
+        witness: impl ExactSizeIterator<Item = ProcessId>,
+    ) {
+        let out = &mut self.bytes;
+        out.extend_from_slice(&instance.to_le_bytes());
+        put_u32(out, round);
+        put_usize(out, value.len());
+        let start = out.len();
+        value.for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes()));
+        let value = (start, out.len());
+        put_usize(out, witness.len());
+        let start = out.len();
+        witness.for_each(|id| put_usize(out, id));
+        self.index.push(SlotIndex { instance, round, value, witness: (start, out.len()) });
+    }
+
+    /// Hand what was written to `each` as batches of at most `max` slots,
+    /// in order, each sized once; the writer is left empty.
+    pub fn drain(&mut self, max: usize, mut each: impl FnMut(VaBatch)) {
+        for chunk in self.index.chunks(max) {
+            // The first slot's instance and round are the header's.
+            let start = chunk[0].value.0 - 4;
+            let end = chunk[chunk.len() - 1].witness.1;
+            let index = chunk.iter().map(|slot| slot.rebased(start)).collect();
+            each(VaBatch { index, bytes: self.bytes[start..end].into() });
+        }
+        self.bytes.clear();
+        self.index.clear();
     }
 }
 
@@ -271,17 +389,6 @@ fn put_eig_round(out: &mut Vec<u8>, msg: &EigRound<VecD>) {
             put_vecd(out, value);
         }
     }
-}
-
-fn put_round_state(out: &mut Vec<u8>, state: &RoundState) {
-    put_vecd(out, &state.value);
-    put_usize(out, state.witness.len());
-    state.witness.iter().for_each(|&pid| put_usize(out, pid));
-}
-
-/// Encoded bytes of a round state.
-fn round_state_len(state: &RoundState) -> usize {
-    8 + 8 * state.value.dim() + 4 * state.witness.len()
 }
 
 /// Encode a frame into its wire bytes (infallible: local data is trusted).
@@ -468,18 +575,20 @@ impl<'a> Reader<'a> {
         Ok(msg)
     }
 
-    /// One round state, checked as the decode checks it — every cap, every
-    /// length against the bytes that remain, every witness id — and built
-    /// into nothing.
-    fn state(&mut self) -> Result<StateBytes<'a>, String> {
+    /// One round state of `instance`, round `round`, checked as the decode
+    /// checks it — every cap, every length against the bytes that remain,
+    /// every witness id — and built into nothing: where it lies.
+    fn state(&mut self, instance: u64, round: u32) -> Result<SlotIndex, String> {
         let dim = self.len_capped(MAX_DIM, 8, "vector")?;
-        let value = self.take(8 * dim)?;
+        let start = self.pos;
+        self.take(8 * dim)?;
+        let value = (start, self.pos);
         let wlen = self.len_capped(MAX_WITNESS, 4, "witness set")?;
-        let witness = self.take(4 * wlen)?;
-        for id in witness.chunks_exact(4) {
+        let start = self.pos;
+        for id in self.take(4 * wlen)?.chunks_exact(4) {
             pid_of(u32::from_le_bytes([id[0], id[1], id[2], id[3]]))?;
         }
-        Ok(StateBytes { value, witness })
+        Ok(SlotIndex { instance, round, value, witness: (start, self.pos) })
     }
 
     fn round(&mut self) -> Result<u32, String> {
@@ -491,15 +600,11 @@ impl<'a> Reader<'a> {
 
     /// The one validating walk over a batch whose first slot is of
     /// `instance`, round `round` (the header's): slots until the frame ends,
-    /// at most [`MAX_BATCH_SLOTS`]. `slot` sees each checked slot with the
-    /// count of bytes after it; a late frame's walk builds nothing.
-    fn walk_batch(
-        &mut self,
-        instance: u64,
-        round: u32,
-        mut slot: impl FnMut(u64, u32, StateBytes<'a>, usize),
-    ) -> Result<(), String> {
-        slot(instance, round, self.state()?, self.remaining());
+    /// at most [`MAX_BATCH_SLOTS`]. `slot` sees where each checked slot lies
+    /// in the frame, with the count of bytes after it; a late frame's walk
+    /// builds nothing.
+    fn walk_batch(&mut self, instance: u64, round: u32, mut slot: impl FnMut(SlotIndex, usize)) -> Result<(), String> {
+        slot(self.state(instance, round)?, self.remaining());
         let mut count = 1;
         while self.remaining() > 0 {
             if count == MAX_BATCH_SLOTS {
@@ -507,25 +612,26 @@ impl<'a> Reader<'a> {
             }
             let instance = self.u64()?;
             let round = self.round()?;
-            slot(instance, round, self.state()?, self.remaining());
+            slot(self.state(instance, round)?, self.remaining());
             count += 1;
         }
         Ok(())
     }
 
-    /// The batch the walk checks, built: the slot list is sized on the first
-    /// slot's length, so an honest batch of like slots is allocated once, and
-    /// its bytes are the ones just walked.
+    /// The batch the walk checks, built into its bytes — the ones just
+    /// walked — and an index of its slots, sized on the first slot's length,
+    /// so an honest batch of like slots indexes them in one allocation.
     fn batch(&mut self, instance: u64, round: u32) -> Result<VaBatch, String> {
         let start = self.pos;
-        let mut slots = Vec::new();
-        self.walk_batch(instance, round, |instance, round, state, rest| {
-            if slots.is_empty() {
-                slots.reserve_exact((1 + rest.div_ceil(12 + state.len())).min(MAX_BATCH_SLOTS));
+        let mut index = Vec::new();
+        self.walk_batch(instance, round, |slot, rest| {
+            if index.is_empty() {
+                let len = 16 + slot.witness.1 - slot.value.0;
+                index.reserve_exact((1 + rest.div_ceil(len)).min(MAX_BATCH_SLOTS));
             }
-            slots.push(VaSlot { instance, round, state: Arc::new(state.build()) });
+            index.push(slot.rebased(start));
         })?;
-        Ok(VaBatch { slots, bytes: self.buf[start..self.pos].into() })
+        Ok(VaBatch { index: index.into_boxed_slice(), bytes: self.buf[start..self.pos].into() })
     }
 
     /// A frame is exactly one message: `Err` unless every byte was read.
@@ -533,29 +639,6 @@ impl<'a> Reader<'a> {
         match self.remaining() {
             0 => Ok(()),
             n => Err(format!("{n} trailing bytes after a complete frame")),
-        }
-    }
-}
-
-/// One round state's bytes, checked: its value's components and its witness
-/// ids, little-endian.
-struct StateBytes<'a> {
-    value: &'a [u8],
-    witness: &'a [u8],
-}
-
-impl StateBytes<'_> {
-    /// Encoded length, the two count fields included.
-    fn len(&self) -> usize {
-        8 + self.value.len() + self.witness.len()
-    }
-
-    fn build(&self) -> RoundState {
-        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-        let id = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk")) as ProcessId;
-        RoundState {
-            value: VecD::new(self.value.chunks_exact(8).map(|b| f64::from_bits(word(b))).collect()),
-            witness: self.witness.chunks_exact(4).map(id).collect(),
         }
     }
 }
@@ -636,7 +719,7 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
                     Some(Arc::clone(held))
                 }
                 Hint::Delivered => {
-                    r.walk_batch(instance, round, |_, _, _, _| {})?;
+                    r.walk_batch(instance, round, |_, _| {})?;
                     None
                 }
                 _ => Some(Arc::new(r.batch(instance, round)?)),
@@ -763,7 +846,7 @@ mod tests {
         let bytes = encode_frame(&frame);
         let back = decode_frame(&bytes, 1).expect("NaN is structurally fine");
         match back.payload {
-            Payload::VaBatch((_, BrachaMsg::Init(b))) => assert!(b.slots()[0].state.value.as_slice()[0].is_nan()),
+            Payload::VaBatch((_, BrachaMsg::Init(b))) => assert!(b.slot(0).value().all(f64::is_nan)),
             other => panic!("wrong payload: {other:?}"),
         }
     }
@@ -794,7 +877,7 @@ mod tests {
         assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
         let Payload::VaBatch((tag, BrachaMsg::Echo(batch))) = &frame.payload else { unreachable!() };
         let prefix = |k: usize| {
-            let slots = batch.slots()[..k].to_vec();
+            let slots = batch.slots().take(k).map(|slot| slot.to_slot()).collect();
             encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(VaBatch::new(slots))))))
         };
         let whole: Vec<usize> = (1..batch.slots().len()).map(|k| prefix(k).len()).collect();

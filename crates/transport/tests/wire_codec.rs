@@ -19,9 +19,9 @@ use rbvc_transport::wire::{
 };
 use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
 
-/// Build a Verified-Averaging batch frame of `slots` slots from raw
-/// generator output: slot `k` is of instance `instance + k`.
-fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Frame {
+/// The slots of a Verified-Averaging batch built from raw generator
+/// output: slot `k` is of instance `instance + k`.
+fn va_slots(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Vec<VaSlot> {
     let vec_at = |k: usize| {
         VecD::from_slice(
             &raw[(k * dim) % raw.len()..]
@@ -32,13 +32,18 @@ fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
                 .collect::<Vec<_>>(),
         )
     };
-    let slots = (0..slots)
+    (0..slots)
         .map(|k| VaSlot {
             instance: instance.wrapping_add(k as u64),
             round: ((sender + k) % 7) as u32,
             state: Arc::new(RoundState { value: vec_at(k), witness: (0..witnesses + k).collect() }),
         })
-        .collect();
+        .collect()
+}
+
+/// A `Ready` frame of the batch of [`va_slots`].
+fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Frame {
+    let slots = va_slots(instance, sender, dim, raw, witnesses, slots);
     Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(Arc::new(VaBatch::new(slots)))))
 }
 
@@ -102,11 +107,16 @@ proptest! {
     }
 
     /// An `Echo` or a `Ready` frame is a prefix and a copy of its batch's
-    /// bytes: for a random batch it is, byte for byte, the frame written out
-    /// field by field and slot by slot, as the codec's docs lay it out.
+    /// bytes: for a random batch — its values drawn with ±0.0, NaNs with a
+    /// payload and subnormals among them — it is, byte for byte, the frame
+    /// written out field by field and slot by slot, as the codec's docs lay
+    /// it out. Decoded, each slot's view reads back the instance, round,
+    /// value bits and witness it was built from, and the views, made owned
+    /// again, encode to the same frame.
     #[test]
     fn a_batch_frame_is_its_slots_written_out(
         raw in prop::collection::vec(-1e9f64..1e9, 24),
+        special in prop::collection::vec(0usize..10, 24),
         dim in 1usize..8,
         instance in 0u64..u64::MAX,
         sender in 0usize..16,
@@ -114,18 +124,20 @@ proptest! {
         slots in 1usize..6,
         kind in 1u8..3,
     ) {
+        let odd = [-0.0, 0.0, f64::from_bits(0x7ff8_0000_dead_beef), f64::from_bits(0xfff0_0000_0000_0001), f64::from_bits(1), -f64::MIN_POSITIVE / 3.0];
+        let raw: Vec<f64> = raw.iter().zip(&special).map(|(&x, &k)| odd.get(k).copied().unwrap_or(x)).collect();
+        let built = va_slots(instance, sender, dim, &raw, shape, slots);
         let frame = va_frame(instance, sender, dim, &raw, shape, slots);
         let Payload::VaBatch((tag, BrachaMsg::Ready(batch))) = frame.payload else { unreachable!() };
         let msg = if kind == 1 { BrachaMsg::Echo(Arc::clone(&batch)) } else { BrachaMsg::Ready(Arc::clone(&batch)) };
-        let first = &batch.slots()[0];
         let mut want = [&MAGIC[..], &[VERSION, 5]].concat();
-        want.extend(first.instance.to_le_bytes());
+        want.extend(built[0].instance.to_le_bytes());
         want.extend((sender as u32).to_le_bytes());
-        want.extend(first.round.to_le_bytes());
+        want.extend(built[0].round.to_le_bytes());
         want.extend((tag.0 as u32).to_le_bytes());
         want.extend(tag.1.to_le_bytes());
         want.push(kind);
-        for (k, slot) in batch.slots().iter().enumerate() {
+        for (k, slot) in built.iter().enumerate() {
             if k > 0 {
                 want.extend(slot.instance.to_le_bytes());
                 want.extend(slot.round.to_le_bytes());
@@ -136,7 +148,22 @@ proptest! {
             want.extend((state.witness.len() as u32).to_le_bytes());
             state.witness.iter().for_each(|&id| want.extend((id as u32).to_le_bytes()));
         }
-        prop_assert_eq!(encode_frame(&Frame::batch(sender, (tag, msg))), want);
+        let bytes = encode_frame(&Frame::batch(sender, (tag, msg)));
+        prop_assert_eq!(&bytes, &want);
+        let Payload::VaBatch((_, msg)) = decode_frame(&bytes, sender).expect("decodes").payload else { unreachable!() };
+        let (BrachaMsg::Echo(decoded) | BrachaMsg::Ready(decoded) | BrachaMsg::Init(decoded)) = msg;
+        let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(decoded.slots().len(), built.len());
+        for (view, slot) in decoded.slots().zip(&built) {
+            prop_assert_eq!((view.instance, view.round), (slot.instance, slot.round));
+            prop_assert_eq!(bits(&mut view.value()), bits(&mut slot.state.value.as_slice().iter().copied()));
+            prop_assert!(view.witness().eq(slot.state.witness.iter().copied()));
+        }
+        let owned = VaBatch::new(decoded.slots().map(|view| view.to_slot()).collect());
+        let again = Frame::batch(sender, (tag, BrachaMsg::Init(Arc::new(owned))));
+        let mut init = want.clone();
+        init[VA_DIM_OFFSET - 1] = 0;
+        prop_assert_eq!(encode_frame(&again), init);
     }
 
     /// Every strict prefix of a valid one-slot frame is rejected as
@@ -235,12 +262,12 @@ fn node_codec_rejects_the_mutation_corpus() {
     let base = encode_frame(&frame);
     let Payload::VaBatch((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
     let with_value = |xs: &[f64]| {
-        let mut slot = own.slots()[0].clone();
+        let mut slot = own.slot(0).to_slot();
         Arc::make_mut(&mut slot.state).value = VecD::from_slice(xs);
         Arc::new(VaBatch::new(vec![slot]))
     };
     let (negative_zero, other) = (with_value(&[1.0, -0.0]), with_value(&[9.0, 9.0]));
-    assert_eq!(own.slots()[0].state.value, negative_zero.slots()[0].state.value, "equal values");
+    assert!(own.slot(0).value().eq(negative_zero.slot(0).value()), "equal values");
     let hints = [own, negative_zero, other];
     let decode_with = |bytes: &[u8], hint: Hint| decode_frame_hinted(bytes, 0, &|_| hint).map_err(|e| e.to_string());
     let header = |f: &Frame| (f.instance, f.sender, f.round);
@@ -529,7 +556,7 @@ fn honest_va_frames_name_their_witness() {
                 let Payload::VaBatch((_, msg)) = frame.payload else { panic!("only VA batches") };
                 let (BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b)) = msg;
                 let state = |round: u32| if round == 0 { 61 - 29 } else { 73 - 29 };
-                let slots = b.slots();
+                let slots: Vec<_> = b.slots().collect();
                 let want: usize = 29 + slots.iter().map(|s| state(s.round)).sum::<usize>() + 12 * (slots.len() - 1);
                 assert_eq!(bytes.len(), want, "k = {k}: {} slots", slots.len());
                 if slots.len() == 1 {
