@@ -18,6 +18,9 @@
 //!   Exact BVC, k-relaxed consensus, and ALGO (§9), over EIG broadcast.
 //! * [`verified_avg`] — the asynchronous (Relaxed) Verified Averaging
 //!   algorithm (§10) over Bracha reliable broadcast.
+//! * [`va_batch`] — the one form a Verified-Averaging round state takes
+//!   outside a record: a batch slot's bytes, written, walked and read in
+//!   place, in the simulator and on the wire alike.
 //! * [`counterexamples`] — the impossibility matrices of Theorems 3–6 and
 //!   the Figure 1 (Lemma 10) scenario analysis, with LP certificates.
 //! * [`runner`] — one-call experiment orchestration.
@@ -31,6 +34,7 @@ pub mod problem;
 pub mod rules;
 pub mod runner;
 pub mod sync_protocols;
+pub mod va_batch;
 pub mod verified_avg;
 
 pub use bounds::{exact_bvc_min_n, approx_bvc_min_n, kappa_l2, kappa_lp, kappa_async};

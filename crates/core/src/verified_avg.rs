@@ -26,15 +26,18 @@
 //!   `H_(δ,p)`(correct inputs) and averaging preserves membership in that
 //!   convex set.
 //!
-//! Two ways in. The [`AsyncProtocol`] impl runs one Bracha broadcast per
-//! (origin, round) tag inside the instance — the simulator's shape. A host
-//! that reliably broadcasts many instances' states at once (the service
-//! batches them per origin, FIFO) calls [`VerifiedAveraging::input`] and
-//! [`VerifiedAveraging::deliver_parts`] instead, the entry the
+//! One form of a state, two hosts. A state travels as a slot of a batch
+//! ([`crate::va_batch`]), read in place and compared as bytes. The
+//! [`AsyncProtocol`] impl — the simulator's shape — runs one Bracha
+//! broadcast per (origin, round) tag inside the instance, its message a batch
+//! of that one slot. A host that reliably broadcasts many instances' states
+//! at once (the service batches them per origin, FIFO) writes
+//! [`VerifiedAveraging::input`] into its own batch and hands each delivered
+//! slot to [`VerifiedAveraging::deliver_slot`] — the entry the
 //! [`AsyncProtocol`] impl's deliveries take too: one delivered (origin,
-//! round) state at a time, by its parts, the first per (origin, round) kept.
-//! A delivered state is a row of the instance's record — `n · R` rows of `d`
-//! values, a witness row and a mark each — written once and never rewritten.
+//! round) state at a time, the first per (origin, round) kept. A delivered
+//! state is a row of the instance's record — `n · R` rows of `d` values, a
+//! witness row and a mark each — written once and never rewritten.
 //! Verification is a permanent mark on it, so witness ids fix the values.
 
 use std::sync::Arc;
@@ -48,34 +51,16 @@ use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
 use rbvc_sim::fuzz::{Edited, Sends};
 
+use crate::va_batch::{BatchWriter, SlotView, VaBatch};
+
 /// Identifies one reliable-broadcast instance: (origin process, round).
 pub type RoundTag = (ProcessId, usize);
 
-/// The payload a process reliably broadcasts each round, as the simulator's
-/// messages carry it: one allocation per distinct payload, shared through an
-/// [`Arc`] by messages and tallies; an adversary edits a copy (`make_mut`).
-/// Delivered, it is copied into a row of the record and not kept.
-#[derive(Debug, Clone)]
-pub struct RoundState {
-    /// Current value of the origin process at this round.
-    pub value: VecD,
-    /// For rounds `t ≥ 1`: the origins of the round-`t−1` states averaged to
-    /// produce `value`, in combining order. A receiver reads each named
-    /// value from its own verified record. Empty for round 0.
-    pub witness: Vec<ProcessId>,
-}
-
-/// The one equality on states: the same allocation, or equal components. The
-/// identity short cut is sound because no compared state holds a NaN (≠
-/// itself): `payload_ok` refuses non-finite components ahead of every tally.
-impl PartialEq for RoundState {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self, other) || (self.value == other.value && self.witness == other.witness)
-    }
-}
-
-/// Wire message: a Bracha message of one tagged instance.
-pub type VaMsg = (RoundTag, BrachaMsg<Arc<RoundState>>);
+/// Wire message: a Bracha message of one tagged broadcast, its payload the
+/// batch of one slot — the tag's round state — shared through an [`Arc`] by
+/// messages and tallies, and compared as bytes. Delivered, the state is
+/// copied into a row of the record and the batch is not kept.
+pub type VaMsg = (RoundTag, BrachaMsg<Arc<VaBatch>>);
 
 /// What the round-0 combining rule gives for one witness: the point and the
 /// δ it needed.
@@ -104,7 +89,7 @@ pub struct Refusals {
     /// Delivered states that failed verification.
     pub verify: u64,
     /// States delivered for an (origin, round) that already had one: the
-    /// first delivered state wins ([`VerifiedAveraging::deliver_parts`]).
+    /// first delivered state wins ([`VerifiedAveraging::deliver_slot`]).
     pub duplicate: u64,
 }
 
@@ -222,7 +207,7 @@ pub struct VerifiedAveraging {
     /// `round · n + origin`: empty until that impl first takes part in one,
     /// then `n · total_rounds` slots. Sized on first use, not in `new`: a
     /// registered instance that never runs costs nothing.
-    rb: Vec<Option<BrachaInstance<Arc<RoundState>>>>,
+    rb: Vec<Option<BrachaInstance<Arc<VaBatch>>>>,
     /// The delivered states, indexed like `rb`.
     record: Record,
     /// Round-0 combining results keyed by their witness ids; see
@@ -350,7 +335,7 @@ impl VerifiedAveraging {
 
     /// The Bracha machine of broadcast `tag`, opened if it is new. `tag` has
     /// passed the bounds gate.
-    fn instance(&mut self, tag: RoundTag) -> &mut BrachaInstance<Arc<RoundState>> {
+    fn instance(&mut self, tag: RoundTag) -> &mut BrachaInstance<Arc<VaBatch>> {
         let i = self.index(tag).expect("a tag past the bounds gate names a broadcast of this run");
         if self.rb.is_empty() {
             self.rb.resize_with(self.n * self.total_rounds, || None);
@@ -360,26 +345,17 @@ impl VerifiedAveraging {
     }
 
     /// Queue `msg` of broadcast `tag` for every process, this one included.
-    fn multicast(
-        &self,
-        tag: RoundTag,
-        msg: BrachaMsg<Arc<RoundState>>,
-        out: &mut Vec<(ProcessId, VaMsg)>,
-    ) {
+    fn multicast(&self, tag: RoundTag, msg: BrachaMsg<Arc<VaBatch>>, out: &mut Vec<(ProcessId, VaMsg)>) {
         out.extend((0..self.n).map(|dst| (dst, (tag, msg.clone()))));
     }
 
-    /// Broadcast `state` as this process's round-`round` message.
-    fn broadcast_state(
-        &mut self,
-        round: usize,
-        state: Arc<RoundState>,
-        out: &mut Vec<(ProcessId, VaMsg)>,
-    ) {
-        let tag = (self.id, round);
-        if let Some(m) = self.instance(tag).start(state).broadcast {
-            self.multicast(tag, m, out);
-        }
+    /// Broadcast each state `own` holds — one slot each, in round order — as
+    /// this process's `Init` for its round.
+    fn broadcast_own(&self, mut own: BatchWriter, out: &mut Vec<(ProcessId, VaMsg)>) {
+        own.drain(1, |state| {
+            let tag = (self.id, state.head().1 as usize);
+            self.multicast(tag, BrachaMsg::Init(Arc::new(state)), out);
+        });
     }
 
     /// This process's input: the value of its round-0 state, which it
@@ -390,40 +366,23 @@ impl VerifiedAveraging {
         &self.input
     }
 
-    /// This process's round-0 state, as the simulator's messages carry it.
-    #[must_use]
-    pub fn start(&self) -> Arc<RoundState> {
-        Arc::new(RoundState { value: self.input.clone(), witness: Vec::new() })
-    }
-
-    /// The delivery entry of a host that reliably broadcasts the states
-    /// itself: `value` and `witness` are the parts of what it delivered as
-    /// `origin`'s round-`round` state. Refused and counted — with nothing
-    /// else changed, the record included — when the tag is outside this run
+    /// The delivery entry: `slot` is what the host delivered as `origin`'s
+    /// state of round `slot.round`. Refused and counted — with nothing else
+    /// changed, the record included — when the tag is outside this run
     /// ([`Refusals::bounds`]), the state fails the payload check
     /// ([`Refusals::payload`]), or a state was already delivered for the tag
-    /// ([`Refusals::duplicate`]: the first one wins). Otherwise its parts are
-    /// copied into the tag's row and it is verified (now, or once its
-    /// witness is), with any pending state that becomes verifiable; each
-    /// state this process moves on to is handed to `own` — its round, value
-    /// and witness, in round order — for the host to broadcast and, in time,
-    /// deliver back.
-    pub fn deliver_parts<V, W>(
-        &mut self,
-        origin: ProcessId,
-        round: usize,
-        value: V,
-        witness: W,
-        own: &mut impl FnMut(usize, &[f64], &[ProcessId]),
-    ) where
-        V: ExactSizeIterator<Item = f64> + Clone,
-        W: ExactSizeIterator<Item = ProcessId> + Clone,
-    {
-        let Some(i) = self.index((origin, round)) else {
+    /// ([`Refusals::duplicate`]: the first one wins). Otherwise its value and
+    /// witness are copied into the tag's row and it is verified (now, or
+    /// once its witness is), with any pending state that becomes verifiable;
+    /// each state this process moves on to is written into `own`, in round
+    /// order, as a slot of `slot.instance` — for the host to broadcast and,
+    /// in time, deliver back.
+    pub fn deliver_slot(&mut self, origin: ProcessId, slot: SlotView<'_>, own: &mut BatchWriter) {
+        let Some(i) = self.index((origin, slot.round as usize)) else {
             self.refusals.bounds += 1;
             return;
         };
-        if !self.payload_ok(value.clone(), witness.clone()) {
+        if !self.payload_ok(&slot) {
             self.refusals.payload += 1;
             return;
         }
@@ -434,7 +393,7 @@ impl VerifiedAveraging {
             self.refusals.duplicate += 1;
             return;
         }
-        self.record.write(i, value, witness);
+        self.record.write(i, slot.value(), slot.witness());
         self.pending.push(i);
         // Fixpoint: verification of one state can unblock others.
         loop {
@@ -455,21 +414,11 @@ impl VerifiedAveraging {
                 }
                 progressed = true;
             }
-            let advanced = self.try_advance(own);
+            let advanced = self.try_advance(slot.instance, own);
             if !progressed && !advanced {
                 break;
             }
         }
-    }
-
-    /// [`Self::deliver_parts`] for a state whole, as the [`AsyncProtocol`]
-    /// impl delivers it; the states this process moves on to are pushed to
-    /// `own`, whole.
-    pub fn deliver(&mut self, origin: ProcessId, round: usize, state: &RoundState, own: &mut Vec<(usize, Arc<RoundState>)>) {
-        let (value, witness) = (state.value.as_slice().iter().copied(), state.witness.iter().copied());
-        self.deliver_parts(origin, round, value, witness, &mut |round, value, witness| {
-            own.push((round, Arc::new(RoundState { value: VecD::from_slice(value), witness: witness.to_vec() })));
-        });
     }
 
     /// The round-0 combining rule itself. Fails (instead of panicking) when
@@ -534,24 +483,12 @@ impl VerifiedAveraging {
     }
 
     /// Receive-boundary payload validation: dimension match against our own
-    /// input, finite components, and a witness of at most `n` of this run's
-    /// ids. A payload failing this never reaches the Bracha instance or the
-    /// record, so a single poisoned message costs its sender influence —
-    /// nothing else.
-    fn payload_ok(
-        &self,
-        mut value: impl ExactSizeIterator<Item = f64>,
-        mut witness: impl ExactSizeIterator<Item = ProcessId>,
-    ) -> bool {
-        value.len() == self.input.dim()
-            && witness.len() <= self.n
-            && value.all(f64::is_finite)
-            && witness.all(|k| k < self.n)
-    }
-
-    /// [`Self::payload_ok`] for a state whole.
-    fn state_ok(&self, state: &RoundState) -> bool {
-        self.payload_ok(state.value.as_slice().iter().copied(), state.witness.iter().copied())
+    /// input, and a sound slot ([`SlotView::is_sound`]: finite components,
+    /// a witness of at most `n` of this run's ids). A payload failing this
+    /// never reaches the Bracha instance or the record, so a single poisoned
+    /// message costs its sender influence — nothing else.
+    fn payload_ok(&self, slot: &SlotView<'_>) -> bool {
+        slot.value().len() == self.input.dim() && slot.is_sound(self.n)
     }
 
     fn verify_tol(&self) -> Tol {
@@ -560,10 +497,10 @@ impl VerifiedAveraging {
         Tol(self.tol.value().max(1e-9) * 100.0)
     }
 
-    /// Advance to the next round if enough verified states are in, handing
-    /// the new state to `own` unless that decided. Returns true if the
-    /// process moved.
-    fn try_advance(&mut self, own: &mut impl FnMut(usize, &[f64], &[ProcessId])) -> bool {
+    /// Advance to the next round if enough verified states are in, writing
+    /// the new state into `own` as a slot of `instance` unless that decided.
+    /// Returns true if the process moved.
+    fn try_advance(&mut self, instance: u64, own: &mut BatchWriter) -> bool {
         let (n, t) = (self.n, self.my_round);
         if self.decided.is_some() {
             return false;
@@ -608,7 +545,8 @@ impl VerifiedAveraging {
         if self.my_round >= self.total_rounds {
             self.decided = Some(VecD::from_slice(&self.next_value));
         } else {
-            own(self.my_round, &self.next_value, &self.next_witness);
+            let round = u32::try_from(self.my_round).expect("round fits u32");
+            own.push(instance, round, self.next_value.iter().copied(), self.next_witness.iter().copied());
         }
         true
     }
@@ -619,8 +557,9 @@ impl AsyncProtocol for VerifiedAveraging {
     type Output = VecD;
 
     fn on_start(&mut self) -> Vec<(ProcessId, VaMsg)> {
-        let mut out = Vec::new();
-        self.broadcast_state(0, self.start(), &mut out);
+        let (mut own, mut out) = (BatchWriter::default(), Vec::new());
+        own.push(0, 0, self.input.as_slice().iter().copied(), std::iter::empty());
+        self.broadcast_own(own, &mut out);
         out
     }
 
@@ -634,11 +573,10 @@ impl AsyncProtocol for VerifiedAveraging {
             return Vec::new();
         }
         // Receive-boundary payload validation before the broadcast substrate
-        // ever sees the message.
-        let payload = match &bmsg {
-            BrachaMsg::Init(s) | BrachaMsg::Echo(s) | BrachaMsg::Ready(s) => s,
-        };
-        if !self.state_ok(payload) {
+        // ever sees the message: one slot, of instance 0, the tag's state.
+        let (BrachaMsg::Init(batch) | BrachaMsg::Echo(batch) | BrachaMsg::Ready(batch)) = &bmsg;
+        let slot = batch.slot(0);
+        if batch.slots().len() != 1 || (slot.instance, slot.round as usize) != (0, tag.1) || !self.payload_ok(&slot) {
             self.refusals.payload += 1;
             return Vec::new();
         }
@@ -647,12 +585,10 @@ impl AsyncProtocol for VerifiedAveraging {
         if let Some(m) = actions.broadcast {
             self.multicast(tag, m, &mut out);
         }
-        if let Some(state) = actions.delivered {
-            let mut own = Vec::new();
-            self.deliver(tag.0, tag.1, &state, &mut own);
-            for (round, state) in own {
-                self.broadcast_state(round, state, &mut out);
-            }
+        if let Some(batch) = actions.delivered {
+            let mut own = BatchWriter::default();
+            self.deliver_slot(tag.0, batch.slot(0), &mut own);
+            self.broadcast_own(own, &mut out);
         }
         out
     }
@@ -681,7 +617,7 @@ pub fn split_brain_input(
         for (dst, (tag, m)) in sends {
             if *dst >= n / 2 && tag.1 == 0 {
                 if let BrachaMsg::Init(state) = m {
-                    Arc::make_mut(state).value = alt.clone();
+                    *state = Arc::new(state.edited(|_, value| value.clone_from(&alt.0)));
                 }
             }
         }
@@ -701,8 +637,7 @@ pub fn corrupt_average(
         for (_, (tag, m)) in sends {
             if tag.0 == id && tag.1 >= 1 {
                 if let BrachaMsg::Init(state) = m {
-                    let state = Arc::make_mut(state);
-                    state.value = &state.value + &offset;
+                    *state = Arc::new(state.edited(|_, value| value.iter_mut().zip(&offset.0).for_each(|(x, o)| *x += o)));
                 }
             }
         }
@@ -870,38 +805,47 @@ mod tests {
         );
     }
 
+    /// The batch of one round-`round` state of instance 0: `xs` and
+    /// `witness` — a simulator message's payload.
+    fn state(round: u32, xs: &[f64], witness: &[ProcessId]) -> Arc<VaBatch> {
+        let mut writer = BatchWriter::default();
+        writer.push(0, round, xs.iter().copied(), witness.iter().copied());
+        Arc::new(writer.finish())
+    }
+
     #[test]
     fn malformed_payloads_are_dropped_at_the_receive_boundary() {
-        // NaN components, wrong dimension, ghost witness ids, ghost senders:
-        // each must be discarded without panicking or polluting state, and
-        // the node must still decide with the honest majority afterwards.
+        // NaN components, wrong dimension, ghost witness ids, a batch of two
+        // slots, a slot of another round than its tag or of another instance
+        // than 0, ghost senders: each
+        // must be discarded without panicking or polluting state, and the
+        // node must still decide with the honest majority afterwards.
         let inputs: Vec<VecD> = (0..4).map(|i| VecD::from_slice(&[i as f64, 1.0])).collect();
         let setup = Setup { n: 4, f: 1, inputs, mode: DeltaMode::MinDelta(Norm::L2), rounds: 5 };
         let mut node = VerifiedAveraging::new(0, 4, 1, setup.inputs[0].clone(), setup.mode, 5, t());
         let _ = node.on_start();
-        let poison = |xs: &[f64], witness| {
-            ((3, 0), BrachaMsg::Init(Arc::new(RoundState { value: VecD::from_slice(xs), witness })))
-        };
+        let poison = |batch: Arc<VaBatch>| ((3, 0), BrachaMsg::Init(batch));
+        let mut two = BatchWriter::default();
+        (0..2).for_each(|_| two.push(0, 0, [1.0, 1.0].into_iter(), std::iter::empty()));
+        let mut other = BatchWriter::default();
+        other.push(1, 0, [1.0, 1.0].into_iter(), std::iter::empty());
         for (from, msg, what) in [
-            (3, poison(&[f64::NAN, 0.0], vec![]), "a non-finite component"),
-            (3, poison(&[1.0, 2.0, 3.0], vec![]), "a dimension mismatch"),
-            (3, poison(&[1.0, 1.0], vec![0, 99, 1]), "an out-of-range witness id"),
-            (42, poison(&[1.0, 1.0], vec![]), "a ghost sender"),
+            (3, poison(state(0, &[f64::NAN, 0.0], &[])), "a non-finite component"),
+            (3, poison(state(0, &[1.0, 2.0, 3.0], &[])), "a dimension mismatch"),
+            (3, poison(state(0, &[1.0, 1.0], &[0, 99, 1])), "an out-of-range witness id"),
+            (3, poison(Arc::new(two.finish())), "a batch of two slots"),
+            (3, poison(state(1, &[1.0, 1.0], &[])), "a slot of another round"),
+            (3, poison(Arc::new(other.finish())), "a slot of another instance"),
+            (42, poison(state(0, &[1.0, 1.0], &[])), "a ghost sender"),
         ] {
             assert!(node.on_message(from, msg).is_empty(), "{what} must be dropped silently");
         }
-        assert_eq!(node.refusals(), Refusals { bounds: 1, payload: 3, ..Refusals::default() });
+        assert_eq!(node.refusals(), Refusals { bounds: 1, payload: 6, ..Refusals::default() });
         // Round `total_rounds`, which no honest process broadcasts: refused
         // at the bounds gate, and no Bracha instance is opened for it.
-        let state = |x| Arc::new(RoundState { value: VecD::from_slice(&[x, 1.0]), witness: vec![] });
-        let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(1.0))));
-        let open = || node.rb.iter().flatten().count();
-        assert!(r.is_empty() && open() == 1, "only its own round-0 broadcast is open");
+        let r = node.on_message(3, ((3, 5), BrachaMsg::Init(state(5, &[1.0, 1.0], &[]))));
+        assert!(r.is_empty() && node.rb.iter().flatten().count() == 0, "no broadcast is open");
         assert_eq!(node.refusals().bounds, 2, "the refusal is counted at the bounds gate");
-        // Why state equality needs the payload gate: by identity this state
-        // equals itself, by its components it does not.
-        let nan = state(f64::NAN);
-        assert!(nan == Arc::clone(&nan) && *nan != RoundState::clone(&nan));
         // Nothing reached the broadcast substrate or the delivered record.
         assert!(node.rb.iter().flatten().all(|b| b.delivered().is_none()));
         assert!(node.last_error().is_none());
@@ -914,13 +858,12 @@ mod tests {
         let v = |x: f64| VecD::from_slice(&[x, 1.0]);
         let proto = |id| VerifiedAveraging::new(id, 4, 1, v(5.0), DeltaMode::Zero, 3, t());
         // Two payloads under one tag: a 2 + 2 split reaches no echo quorum.
-        let state = |x| Arc::new(RoundState { value: v(x), witness: vec![] });
-        let (mut node, a, b) = (proto(0), state(1.0), state(2.0));
+        let (mut node, a, b) = (proto(0), state(0, &[1.0, 1.0], &[]), state(0, &[2.0, 1.0], &[]));
         for (from, s) in [(0, &a), (1, &a), (2, &b), (3, &b)] {
             assert!(node.on_message(from, ((3, 0), BrachaMsg::Echo(Arc::clone(s)))).is_empty());
         }
         assert!(node.delivered_value((3, 0)).is_none());
-        assert!(a.value == v(1.0) && b.value == v(2.0));
+        assert!(a.slot(0).value().eq([1.0, 1.0]) && b.slot(0).value().eq([2.0, 1.0]));
         // A shared state edited for the second half of the destinations: the
         // first half keeps the genuine one, still one allocation.
         use rbvc_sim::asynch::AsyncAdversary;
@@ -933,6 +876,48 @@ mod tests {
             other => panic!("round 0 sends Inits, not {other:?}"),
         };
         assert!(Arc::ptr_eq(&state(0), &state(1)) && !Arc::ptr_eq(&state(1), &state(2)));
+        assert!(state(2).slot(0).value().eq([-9.0, 1.0]), "the edit is the alternative value");
+    }
+
+    /// ±0.0 cannot split a broadcast. Byzantine origin 3 sends its round-0
+    /// state `[0.0]` to processes 0 and 1 and its twin `[-0.0]` — an equal
+    /// value, other bytes — to process 2, and echoes the first itself.
+    /// Echoes and readies are handed over in an order under which a tally
+    /// that pooled equal values would have process 0 complete its echo
+    /// quorum with the twin and its ready quorum with its own ready, and so
+    /// deliver `-0.0` while processes 1 and 2 deliver `0.0`. Counted by
+    /// bytes, every honest process delivers the same bits.
+    #[test]
+    fn a_signed_zero_cannot_split_a_broadcast() {
+        let n = 4;
+        let mut procs: Vec<VerifiedAveraging> =
+            (0..3).map(|i| VerifiedAveraging::new(i, n, 1, VecD::from_slice(&[1.0]), DeltaMode::Zero, 2, t())).collect();
+        let (plus, minus) = (state(0, &[0.0], &[]), state(0, &[-0.0], &[]));
+        // What a process multicasts in answer to `msg` (one message, to all).
+        let hand = |p: &mut VerifiedAveraging, from, msg| {
+            let sent: Vec<_> = p.on_message(from, ((3, 0), msg)).into_iter().filter(|(_, (tag, _))| *tag == (3, 0)).collect();
+            sent.into_iter().next().map(|(_, (_, m))| m)
+        };
+        let mut echoes = vec![BrachaMsg::Echo(Arc::clone(&plus)); n];
+        for (p, init) in [&plus, &plus, &minus].into_iter().enumerate() {
+            echoes[p] = hand(&mut procs[p], 3, BrachaMsg::Init(Arc::clone(init))).expect("an echo of its Init");
+        }
+        let mut readies = vec![None; 3];
+        for (p, order) in [[0, 3, 2, 1], [0, 2, 3, 1], [2, 0, 1, 3]].into_iter().enumerate() {
+            for from in order {
+                readies[p] = hand(&mut procs[p], from, echoes[from].clone()).or(readies[p].take());
+            }
+        }
+        for (p, order) in [[1, 2, 0], [0, 2, 1], [0, 1, 2]].into_iter().enumerate() {
+            for from in order {
+                let _ = hand(&mut procs[p], from, readies[from].clone().expect("every process readies"));
+            }
+        }
+        let bits: Vec<Vec<u64>> = procs
+            .iter()
+            .map(|p| p.delivered_value((3, 0)).expect("delivered").iter().map(|x| x.to_bits()).collect())
+            .collect();
+        assert!(bits.iter().all(|b| *b == bits[0]), "two honest processes delivered different bits: {bits:x?}");
     }
 
     /// The record's average, summed in place in witness order, is bit for
@@ -1100,35 +1085,48 @@ mod tests {
     }
 
     /// The delivery entry refuses what is out of the run, malformed or a
-    /// second state for a tag, keeping the first; four processes that hand
+    /// second state for a tag, keeping the first; a witness of `n + 1` ids,
+    /// or a value of another dimension, is refused before the record is
+    /// written: the first delivery refused so sizes no table, and on a sized
+    /// one the tag stays open for a good state. Four processes that hand
     /// each other every state they move on to through a perfect reliable
     /// broadcast (FIFO, to everyone) all decide, within ε of each other.
     #[test]
     fn deliver_keeps_the_first_state_per_tag_and_decides() {
-        let v = |x: f64| VecD::from_slice(&[x, 1.0 - x]);
+        let v = |x: f64| [x, 1.0 - x];
         let (n, mode) = (4, DeltaMode::MinDelta(Norm::L2));
-        let proto = |i: usize| VerifiedAveraging::new(i, n, 1, v(i as f64), mode, 6, t());
-        let state = |value: VecD| Arc::new(RoundState { value, witness: vec![] });
+        let proto = |i: usize| VerifiedAveraging::new(i, n, 1, VecD::from_slice(&v(i as f64)), mode, 6, t());
+        let deliver = |node: &mut VerifiedAveraging, origin, round, xs: &[f64], witness: &[ProcessId]| {
+            let mut own = BatchWriter::default();
+            node.deliver_slot(origin, state(round, xs, witness).slot(0), &mut own);
+            own.drain(1, |_| panic!("no state moves it on"));
+        };
         let mut node = proto(0);
-        let mut own = Vec::new();
-        node.deliver(4, 0, &state(v(1.0)), &mut own);
-        node.deliver(3, 6, &state(v(1.0)), &mut own);
-        node.deliver(3, 0, &state(VecD::from_slice(&[1.0])), &mut own);
-        node.deliver(3, 0, &state(v(3.0)), &mut own);
-        node.deliver(3, 0, &state(v(9.0)), &mut own);
-        let refused = Refusals { bounds: 2, payload: 1, duplicate: 1, ..Refusals::default() };
+        deliver(&mut node, 3, 0, &[0.5, 0.5], &[0, 1, 2, 3, 0]);
+        deliver(&mut node, 3, 0, &[0.5], &[]);
+        assert_eq!((node.refusals().payload, node.broadcast_slots()), (2, 0), "no table");
+        deliver(&mut node, 4, 0, &v(1.0), &[]);
+        deliver(&mut node, 3, 6, &v(1.0), &[]);
+        deliver(&mut node, 3, 0, &[f64::NAN, 1.0], &[]);
+        assert_eq!((node.refusals().bounds, node.broadcast_slots()), (2, 0), "no table");
+        deliver(&mut node, 2, 0, &v(2.0), &[]);
+        assert_eq!(node.broadcast_slots(), n * 6);
+        deliver(&mut node, 3, 0, &[0.5, 0.5, 0.5], &[]);
+        assert_eq!(node.delivered_value((3, 0)), None);
+        deliver(&mut node, 3, 0, &v(3.0), &[]);
+        deliver(&mut node, 3, 0, &v(9.0), &[]);
+        let refused = Refusals { bounds: 2, payload: 4, duplicate: 1, ..Refusals::default() };
         assert_eq!(node.refusals(), refused);
-        assert_eq!(node.delivered_value((3, 0)), Some(v(3.0).as_slice()));
-        assert!(own.is_empty(), "one round-0 state is not n - f");
+        assert_eq!(node.delivered_value((3, 0)), Some(&v(3.0)[..]));
 
         let mut nodes: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
-        let mut queue: std::collections::VecDeque<(ProcessId, usize, Arc<RoundState>)> =
-            nodes.iter().map(|p| (p.id, 0, p.start())).collect();
-        while let Some((origin, round, s)) = queue.pop_front() {
+        let mut queue: std::collections::VecDeque<(ProcessId, Arc<VaBatch>)> =
+            nodes.iter().map(|p| (p.id, state(0, p.input().as_slice(), &[]))).collect();
+        while let Some((origin, s)) = queue.pop_front() {
             for p in &mut nodes {
-                let mut own = Vec::new();
-                p.deliver(origin, round, &s, &mut own);
-                queue.extend(own.into_iter().map(|(r, st)| (p.id, r, st)));
+                let mut own = BatchWriter::default();
+                p.deliver_slot(origin, s.slot(0), &mut own);
+                own.drain(1, |state| queue.push_back((p.id, Arc::new(state))));
             }
         }
         let decided: Vec<VecD> = nodes.iter().map(|p| p.output().expect("decided")).collect();
@@ -1136,76 +1134,5 @@ mod tests {
         for (a, b) in decided.iter().zip(&decided[1..]) {
             assert!(a.dist(b, Norm::LInf) < 1e-3, "{a:?} vs {b:?}");
         }
-    }
-
-    /// The parts entry and the whole-state entry are one entry. Two machines
-    /// per process — one fed states whole, one fed their parts — take the
-    /// same deliveries: a state out of the run, three malformed ones, a
-    /// round-1 state of origin 3 that fails verification and later its
-    /// honest twin, then everything four processes move on to. They hand on
-    /// the same states, refuse the same counts by check and decide the same
-    /// bits. A witness of `n + 1` ids, or a value of another dimension, is
-    /// refused before the record is written: the first delivery refused so
-    /// sizes no table, and on a sized one the tag stays open for a good
-    /// state.
-    #[test]
-    fn the_parts_entry_and_the_whole_state_entry_agree() {
-        let v = |x: f64| VecD::from_slice(&[x, 1.0 - x]);
-        let (n, mode) = (4, DeltaMode::MinDelta(Norm::L2));
-        let proto = |i: usize| VerifiedAveraging::new(i, n, 1, v(i as f64), mode, 4, t());
-        let state = |value: VecD, witness: Vec<ProcessId>| Arc::new(RoundState { value, witness });
-        type Own = Vec<(usize, Vec<u64>, Vec<ProcessId>)>;
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut whole: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
-        let mut parts: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
-        let mut queue: std::collections::VecDeque<(ProcessId, usize, Arc<RoundState>)> = [
-            (4, 0, state(v(1.0), vec![])),
-            (2, 0, state(VecD::from_slice(&[f64::NAN, 1.0]), vec![])),
-            (2, 0, state(VecD::from_slice(&[1.0]), vec![])),
-            (2, 1, state(v(1.0), vec![0, 1, 2, 3, 0])),
-            (3, 1, state(v(7.0), vec![0, 1, 2])),
-        ]
-        .into_iter()
-        .chain(whole.iter().map(|p| (p.id, 0, p.start())))
-        .collect();
-        while let Some((origin, round, s)) = queue.pop_front() {
-            for (p, q) in whole.iter_mut().zip(&mut parts) {
-                let mut own = Vec::new();
-                p.deliver(origin, round, &s, &mut own);
-                let mut got: Own = Vec::new();
-                let (value, witness) = (s.value.as_slice().iter().copied(), s.witness.iter().copied());
-                q.deliver_parts(origin, round, value, witness, &mut |r, value, witness| {
-                    got.push((r, bits(value), witness.to_vec()));
-                });
-                let want: Own = own.iter().map(|(r, st)| (*r, bits(st.value.as_slice()), st.witness.clone())).collect();
-                assert_eq!(got, want, "process {}", p.id);
-                queue.extend(own.into_iter().map(|(r, st)| (p.id, r, st)));
-            }
-        }
-        for (p, q) in whole.iter().zip(&parts) {
-            let refused = p.refusals();
-            assert_eq!(refused, q.refusals(), "process {}", p.id);
-            assert_eq!((refused.bounds, refused.payload, refused.verify), (1, 3, 1), "process {}", p.id);
-            assert!(refused.duplicate >= 1, "the honest twin of the rejected state");
-            assert_eq!(p.decision().map(|d| bits(d.as_slice())), q.decision().map(|d| bits(d.as_slice())));
-            assert!(p.decision().is_some(), "process {} decides", p.id);
-        }
-
-        let mut node = proto(0);
-        let deliver = |node: &mut VerifiedAveraging, origin, value: &[f64], witness: &[ProcessId]| {
-            let parts = (value.iter().copied(), witness.iter().copied());
-            node.deliver_parts(origin, 0, parts.0, parts.1, &mut |_, _: &[f64], _: &[ProcessId]| {});
-        };
-        deliver(&mut node, 3, &[0.5, 0.5], &[0, 1, 2, 3, 0]);
-        deliver(&mut node, 3, &[0.5], &[]);
-        assert_eq!((node.refusals().payload, node.broadcast_slots()), (2, 0), "no table");
-        deliver(&mut node, 2, &[0.5, 0.5], &[]);
-        assert_eq!(node.broadcast_slots(), n * 4);
-        deliver(&mut node, 3, &[0.5, 0.5], &[0, 1, 2, 3, 0]);
-        deliver(&mut node, 3, &[0.5, 0.5, 0.5], &[]);
-        assert_eq!((node.refusals().payload, node.delivered_value((3, 0))), (4, None));
-        deliver(&mut node, 3, &[0.25, 0.75], &[]);
-        assert_eq!(node.delivered_value((3, 0)), Some(&[0.25, 0.75][..]));
-        assert_eq!(node.refusals().duplicate, 0);
     }
 }

@@ -78,12 +78,6 @@ impl<V: Clone + PartialEq> BrachaInstance<V> {
         (self.n + self.f + 1).div_ceil(2)
     }
 
-    /// Start the broadcast as the broadcaster: emits INIT.
-    #[must_use]
-    pub fn start(&mut self, value: V) -> BrachaActions<V> {
-        BrachaActions { broadcast: Some(BrachaMsg::Init(value)), delivered: None }
-    }
-
     /// Feed a received message; returns the actions to take.
     #[must_use]
     pub fn on_message(
@@ -214,11 +208,9 @@ mod tests {
             (0..n).map(|_| BrachaInstance::new(n, f)).collect();
         let mut inflight: Vec<(ProcessId, ProcessId, BrachaMsg<i64>)> = Vec::new();
 
-        let start = instances[broadcaster].start(value);
-        if let Some(m) = start.broadcast {
-            for dst in 0..n {
-                inflight.push((broadcaster, dst, m.clone()));
-            }
+        // The broadcaster starts by sending its INIT to everyone.
+        for dst in 0..n {
+            inflight.push((broadcaster, dst, BrachaMsg::Init(value)));
         }
         let mut delivered: Vec<Option<i64>> = vec![None; n];
         while let Some((src, dst, msg)) = inflight.pop() {

@@ -59,7 +59,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rbvc_core::verified_avg::RoundState;
+use rbvc_core::va_batch::{BatchWriter, VaBatch};
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
@@ -70,7 +70,7 @@ use crate::auth;
 use crate::client::{self, ClientFrame};
 use crate::tcp::append_frame;
 use crate::transport::{AuthEvent, Transport};
-use crate::wire::{self, decode_frame, encode_frame, Frame, Payload, VaBatch, VaSlot};
+use crate::wire::{self, decode_frame, encode_frame, Frame, Payload};
 
 /// How long a raw dial at a peer's listener or client port may take before
 /// the attack counts as missed.
@@ -80,9 +80,9 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(50);
 /// one state of its own — the valid frame the crafted, sprayed and sentinel
 /// frames all start from.
 fn va_init(instance: u64, sender: ProcessId, round: u32, xs: &[f64]) -> Frame {
-    let state = Arc::new(RoundState { value: VecD::from_slice(xs), witness: vec![] });
-    let batch = VaBatch::new(vec![VaSlot { instance, round, state }]);
-    Frame::batch(sender, ((sender, 0), BrachaMsg::Init(Arc::new(batch))))
+    let mut batch = BatchWriter::default();
+    batch.push(instance, round, xs.iter().copied(), std::iter::empty());
+    Frame::batch(sender, ((sender, 0), BrachaMsg::Init(Arc::new(batch.finish()))))
 }
 
 /// Crafts near-valid payloads for both codecs: a *valid* encoded frame plus
@@ -442,8 +442,9 @@ pub struct ByzantineEndpoint<T: Transport> {
     /// strictly positive, so every mutated value differs from the original
     /// and from every other destination's copy.
     eps: f64,
-    /// The slot [`Attack::SlotTwice`] repeats at the next flush.
-    twice: Option<VaSlot>,
+    /// The slot [`Attack::SlotTwice`] repeats at the next flush, as a batch
+    /// of one.
+    twice: Option<VaBatch>,
     /// The sequence number of this node's next forged batch.
     forged_seq: u32,
 }
@@ -546,7 +547,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                     }
                 }
                 (Attack::SlotTwice, Some((true, false, b))) if self.twice.is_none() => {
-                    self.twice = b.slots().find(|slot| slot.round >= 1).map(|slot| slot.to_slot());
+                    self.twice = b.slots().find(|slot| slot.round >= 1).map(|slot| slot.to_batch());
                 }
                 (Attack::MuteOwn, Some((true, _, _))) => {
                     self.bump(attack.counter());
@@ -559,7 +560,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                 // and are harmless, but shifting them too keeps the story
                 // uniform.)
                 (Attack::Equivocate, Some((true, _, b))) => {
-                    shift_batch(b, self.eps * (dst as f64 + 1.0));
+                    **b = shifted(b, self.eps * (dst as f64 + 1.0));
                     mutated = true;
                 }
                 // A lying relay vote: still decodable, still finite, just
@@ -567,7 +568,7 @@ impl<T: Transport> ByzantineEndpoint<T> {
                 // batch, and at ≤ f liars per destination it can never
                 // reach the f+1 amplification threshold.
                 (Attack::LyingWitness, Some((false, true, b))) => {
-                    shift_batch(b, self.eps * 0.5 * (dst as f64 + 2.0));
+                    **b = shifted(b, self.eps * 0.5 * (dst as f64 + 2.0));
                     mutated = true;
                 }
                 _ => {}
@@ -712,12 +713,9 @@ impl<T: Transport> ByzantineEndpoint<T> {
         let (n, local) = (self.inner.n(), self.inner.local_id());
         let mut sent = false;
         for k in 1..=2 {
-            let mut slot = slot.clone();
-            let state = Arc::make_mut(&mut slot.state);
-            state.value = shifted(&state.value, self.eps * k as f64);
             let seq = self.forged_seq;
             self.forged_seq = seq.wrapping_add(1);
-            let batch = Arc::new(VaBatch::new(vec![slot]));
+            let batch = shifted(&slot, self.eps * k as f64);
             let bytes = encode_frame(&Frame::batch(local, ((local, seq), BrachaMsg::Init(batch))));
             for dst in (0..n).filter(|&dst| dst != local) {
                 sent |= self.inner.send(dst, bytes.clone()).is_ok();
@@ -780,23 +778,12 @@ impl<T: Transport> ByzantineEndpoint<T> {
     }
 }
 
-/// `v` with `delta` added to every component (values stay finite for any
-/// finite input — the mutation must survive the receiver's decode and
-/// payload gates to reach the protocol layer, where verification starves
-/// it instead).
-fn shifted(v: &VecD, delta: f64) -> VecD {
-    let xs: Vec<f64> = v.as_slice().iter().map(|x| x + delta).collect();
-    VecD::from_slice(&xs)
-}
-
-/// Every slot's value in `batch` shifted by `delta`, in a batch of its own.
-fn shift_batch(batch: &mut Arc<VaBatch>, delta: f64) {
-    let mut slots: Vec<VaSlot> = batch.slots().map(|slot| slot.to_slot()).collect();
-    for slot in &mut slots {
-        let state = Arc::make_mut(&mut slot.state);
-        state.value = shifted(&state.value, delta);
-    }
-    *batch = Arc::new(VaBatch::new(slots));
+/// `batch` with `delta` added to every component of every slot's value, in
+/// a batch of its own ([`VaBatch::edited`]; values stay finite for any finite
+/// input — the mutation must survive the receiver's decode and payload gates
+/// to reach the protocol layer, where verification starves it instead).
+fn shifted(batch: &VaBatch, delta: f64) -> Arc<VaBatch> {
+    Arc::new(batch.edited(|_, value| value.iter_mut().for_each(|x| *x += delta)))
 }
 
 impl<T: Transport> Transport for ByzantineEndpoint<T> {
@@ -1092,12 +1079,10 @@ mod tests {
         let mut mesh = in_proc_mesh(3);
         let mut peers: Vec<_> = mesh.drain(1..).collect();
         let mut byz = ByzantineEndpoint::new(mesh.pop().unwrap(), AttackRegistry::policy("slot-twice", 4));
-        let state = |x: f64| Arc::new(RoundState { value: VecD::from_slice(&[x]), witness: vec![0, 1] });
-        let slots = vec![
-            VaSlot { instance: 1, round: 0, state: state(1.0) },
-            VaSlot { instance: 2, round: 1, state: state(2.0) },
-        ];
-        let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(Arc::new(VaBatch::new(slots))))));
+        let mut slots = BatchWriter::default();
+        slots.push(1, 0, [1.0].into_iter(), [0, 1].into_iter());
+        slots.push(2, 1, [2.0].into_iter(), [0, 1].into_iter());
+        let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(Arc::new(slots.finish())))));
         for dst in 1..3 {
             byz.send(dst, own.clone()).unwrap();
         }
@@ -1118,8 +1103,8 @@ mod tests {
         assert_eq!(batches.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(), [(0, 0), (0, 1)]);
         let [(_, a), (_, b)] = &batches[..] else { unreachable!() };
         assert_eq!((a.slots().len(), b.slots().len()), (1, 1));
-        let (a, b) = (a.slot(0).to_slot(), b.slot(0).to_slot());
+        let (a, b) = (a.slot(0), b.slot(0));
         assert_eq!(((a.instance, a.round), (b.instance, b.round)), ((2, 1), (2, 1)));
-        assert!(a.state.value != b.state.value && a.state.witness == b.state.witness);
+        assert!(!a.value().eq(b.value()) && a.witness().eq(b.witness()));
     }
 }

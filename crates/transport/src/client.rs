@@ -44,13 +44,14 @@ use std::thread;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
+use rbvc_core::va_batch::Reader;
 use rbvc_linalg::VecD;
 use rbvc_obs::Registry;
 
 use crate::service::{ClientAdmission, ConsensusService};
 use crate::tcp::{append_frame, Listener, WRITE_TIMEOUT};
 use crate::transport::Transport;
-use crate::wire::{put_vecd, Reader};
+use crate::wire::put_vecd;
 
 /// Client frame magic: distinct from the node-to-node `"RB"`.
 pub const CLIENT_MAGIC: [u8; 2] = *b"RC";

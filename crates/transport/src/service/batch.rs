@@ -12,13 +12,14 @@
 //! and below the watermark are freed. Bracha gives every honest node the
 //! same batch per tag; FIFO order gives every honest node the same
 //! *sequence* of slots per origin, so "the first (instance, round) slot of
-//! an origin wins" — the rule `VerifiedAveraging::deliver_parts` applies — picks
+//! an origin wins" — the rule `VerifiedAveraging::deliver_slot` applies — picks
 //! the same state everywhere, and a slot a Byzantine origin repeats in a
 //! later batch is refused everywhere.
 //!
 //! What a batch must pass before this node echoes it is structural only:
-//! finite values and witnesses of at most `n` ids below `n` (the codec
-//! already capped slot counts, dimensions and rounds). Whether its
+//! every slot sound — finite values and witnesses of at most `n` ids below
+//! `n`, the definition Verified Averaging's own payload check uses (the
+//! codec already capped slot counts, dimensions and rounds). Whether its
 //! instances exist, what protocol they run, their dimension and round
 //! budget are checked per slot at delivery, where every honest node holds
 //! the same batch: an echo that depended on this node's instance map would
@@ -31,11 +32,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use rbvc_core::va_batch::{BatchWriter, VaBatch, MAX_BATCH_SLOTS};
 use rbvc_sim::bracha::{BrachaInstance, BrachaMsg};
 use rbvc_sim::config::ProcessId;
 
 use super::outbound::Outbound;
-use crate::wire::{encode_frame, BatchMsg, BatchTag, BatchWriter, Frame, Hint, VaBatch, MAX_BATCH_SLOTS};
+use crate::wire::{encode_frame, BatchMsg, BatchTag, Frame, Hint};
 
 /// One batch broadcast not yet delivered in order.
 struct Open {
@@ -114,14 +116,6 @@ impl Batches {
         o.find(ahead).map_or(Hint::Unknown, |i| Hint::Held(&o.open[i].first))
     }
 
-    /// Whether a node may echo `batch`: every value finite, every witness at
-    /// most `n` ids, each below `n`.
-    fn structural_ok(&self, batch: &VaBatch) -> bool {
-        batch.slots().all(|slot| {
-            slot.value().all(f64::is_finite) && slot.witness().len() <= self.n && slot.witness().all(|k| k < self.n)
-        })
-    }
-
     /// Queue `msg` for every process, this one included: one prefix and a
     /// copy of the batch's bytes, one frame for all of them.
     fn multicast(&self, msg: BatchMsg, out: &mut Outbound) {
@@ -175,11 +169,12 @@ impl Batches {
             return;
         }
         let (BrachaMsg::Init(batch) | BrachaMsg::Echo(batch) | BrachaMsg::Ready(batch)) = &msg;
-        // A frame decoded against the hint is the batch that passed already.
+        // A frame decoded against the hint is the batch that passed already;
+        // any other is echoed only if every slot is sound.
         let o = &self.origins[origin];
         let Some(ahead) = o.ahead(tag.1) else { return };
         let known = matches!(o.find(ahead), Ok(i) if Arc::ptr_eq(&o.open[i].first, batch));
-        if !known && !self.structural_ok(batch) {
+        if !known && !batch.slots().all(|slot| slot.is_sound(self.n)) {
             self.refused.payload += 1;
             return;
         }
@@ -210,19 +205,30 @@ impl Batches {
 
 #[cfg(test)]
 mod tests {
-    use rbvc_core::verified_avg::{DeltaMode, Refusals, RoundState, VerifiedAveraging};
+    use rbvc_core::verified_avg::{DeltaMode, Refusals, VerifiedAveraging};
     use rbvc_linalg::{Norm, Tol, VecD};
 
     use super::*;
     use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
     use rbvc_store::RecordBatch;
     use crate::service::node::{InstanceProto, Node, Outbox};
-    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, VaSlot, MAX_PID, MAX_ROUND};
+    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, MAX_PID, MAX_ROUND};
+
+    /// The batch of `slots`: (instance, round) each, every state `value` with
+    /// no witness.
+    fn states(slots: &[(u64, u32)], value: &[f64]) -> Arc<VaBatch> {
+        let mut writer = BatchWriter::default();
+        for &(instance, round) in slots {
+            writer.push(instance, round, value.iter().copied(), std::iter::empty());
+        }
+        Arc::new(writer.finish())
+    }
 
     /// A one-slot batch of instance 1, round 0.
     fn witnessed(x: f64, witness: Vec<ProcessId>) -> Arc<VaBatch> {
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[x]), witness });
-        Arc::new(VaBatch::new(vec![VaSlot { instance: 1, round: 0, state }]))
+        let mut writer = BatchWriter::default();
+        writer.push(1, 0, [x].into_iter(), witness.into_iter());
+        Arc::new(writer.finish())
     }
 
     fn batch(x: f64) -> Arc<VaBatch> {
@@ -364,19 +370,17 @@ mod tests {
         }
         nodes[0].launch(1, &now(), &mut out).unwrap();
         let va = |node: &Node, inst| running_va(node, inst).map(|p| (p.broadcast_slots(), p.refusals()));
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
-        let slot = |instance, round| VaSlot { instance, round, state: Arc::clone(&state) };
         let frame = |origin, batch: &Arc<VaBatch>, msg: fn(Arc<VaBatch>) -> BrachaMsg<Arc<VaBatch>>| {
             encode_frame(&Frame::batch(3, ((origin, 0), msg(Arc::clone(batch)))))
         };
-        let one = Arc::new(VaBatch::new(vec![slot(1, 0)]));
+        let one = states(&[(1, 0)], &[1.0, 2.0]);
         for origin in [n, MAX_PID - 1] {
             nodes[0].on_frame(3, &frame(origin, &one, BrachaMsg::Init), &now(), &mut out);
         }
         assert_eq!(nodes[0].batches.refused.bounds, 2);
         assert!(out.frames.is_empty() && nodes[0].batches.open_count() == 0, "no tally, no echo");
         let cap = MAX_ROUND;
-        let hostile = Arc::new(VaBatch::new(vec![slot(1, rounds as u32), slot(2, cap), slot(1, cap)]));
+        let hostile = states(&[(1, rounds as u32), (2, cap), (1, cap)], &[1.0, 2.0]);
         nodes[0].on_frame(3, &frame(3, &hostile, BrachaMsg::Init), &now(), &mut out);
         // The readies of three processes deliver it here (the test plays the
         // network: only this node ever delivers origin 3's batch).
@@ -416,20 +420,19 @@ mod tests {
             let mode = DeltaMode::MinDelta(Norm::L2);
             InstanceProto::Va(VerifiedAveraging::new(p, n, 1, input, mode, 4, Tol::default()))
         };
-        let state = |x: f64| Arc::new(RoundState { value: VecD::from_slice(&[x, x]), witness: vec![] });
-        let (first, second) = (state(0.5), state(9.0));
+        let (first, second) = ([0.5, 0.5], [9.0, 9.0]);
         // Origin 3's round-0 slot, in two batches, then twice in one.
-        let inputs = [vec![vec![&first], vec![&second]], vec![vec![&first, &second]]];
+        let inputs = [vec![vec![first], vec![second]], vec![vec![first, second]]];
         for batches in inputs {
             let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
             for (p, node) in nodes.iter_mut().enumerate() {
                 node.add_instance(1, va(p)).unwrap();
             }
             let mut queues: Queues = vec![VecDeque::new(); n];
-            for (seq, states) in batches.iter().enumerate() {
-                let slot = |state: &&Arc<RoundState>| VaSlot { instance: 1, round: 0, state: Arc::clone(state) };
-                let batch = VaBatch::new(states.iter().map(slot).collect());
-                let bytes = encode_frame(&Frame::batch(3, ((3, seq as u32), BrachaMsg::Init(Arc::new(batch)))));
+            for (seq, values) in batches.iter().enumerate() {
+                let mut batch = BatchWriter::default();
+                values.iter().for_each(|value| batch.push(1, 0, value.iter().copied(), std::iter::empty()));
+                let bytes = encode_frame(&Frame::batch(3, ((3, seq as u32), BrachaMsg::Init(Arc::new(batch.finish())))));
                 (0..3).for_each(|dst| queues[dst].push_back((3, bytes.clone())));
             }
             let mut seen = vec![None; 3];
@@ -441,7 +444,7 @@ mod tests {
             for (node, seen) in nodes[..3].iter().zip(seen) {
                 let at = format!("node {}, {} batches", node.local, batches.len());
                 let (kept, refused) = seen.expect("origin 3's round-0 slot was delivered");
-                assert_eq!(kept, first.value.as_slice(), "{at}");
+                assert_eq!(kept, first, "{at}");
                 assert_eq!(refused, Refusals { duplicate: 1, ..Refusals::default() }, "{at}");
                 assert!(node.instances[&1].decision().is_some() && gate_totals(node) == [0; 4], "{at}");
             }
@@ -507,8 +510,9 @@ mod tests {
     }
 
     /// A shed slot's tag lives as long as its instance runs. Node 0, its
-    /// stash full, sheds origin 2's last-round slot of a client instance of
-    /// node 1 before the instance's `Launch` arrives; the instance launches
+    /// stash cell for origin 2's slots of node 1's client instances full,
+    /// sheds origin 2's last-round slot of a client instance of node 1
+    /// before the instance's `Launch` arrives; the instance launches
     /// and decides on all four cores (at f = 1 node 0 does without that
     /// state), and the tag goes with the decision. A late slot under the
     /// same tag, in a batch of origin 2 that node 0 delivers, is still
@@ -522,12 +526,11 @@ mod tests {
         let (n, rounds) = (4, 4);
         let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
         let id = CLIENT_INSTANCE_BASE | (1 << 24);
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
-        let slot = |instance, round| VaSlot { instance, round, state: Arc::clone(&state) };
+        let slot = |instance, round| states(&[(instance, round)], &[1.0, 2.0]);
         for round in 0..STASH_CAP as u32 {
-            nodes[0].client.park(3, slot(id + 1, round));
+            assert!(nodes[0].client.park(2, slot(id + 1, round).slot(0)));
         }
-        nodes[0].client.park(2, slot(id, rounds - 1));
+        assert!(nodes[0].client.park(2, slot(id, rounds - 1).slot(0)));
         assert!(nodes[0].client.was_shed(id, 2, rounds - 1));
         let launch = ClientLaunch { session: 1, reqno: 1, f: 1, rounds, value: VecD::from_slice(&[1.0, 2.0]) };
         let (mut queues, mut out): (Queues, _) = (vec![VecDeque::new(); n], Outbox::default());
@@ -537,7 +540,7 @@ mod tests {
         let decided = nodes[0].instances[&id].decision().cloned();
         assert!(decided.is_some() && !nodes[0].client.was_shed(id, 2, rounds - 1), "the tag went");
         let seq = nodes[0].batches.origins[2].next;
-        let late = Arc::new(VaBatch::new(vec![slot(id, rounds - 1)]));
+        let late = slot(id, rounds - 1);
         let stats = nodes[0].client.stats();
         for from in 1..n {
             let bytes = encode_frame(&Frame::batch(from, ((2, seq), BrachaMsg::Ready(Arc::clone(&late)))));
@@ -547,5 +550,41 @@ mod tests {
         assert_eq!(gate_totals(&nodes[0]), [0; 4]);
         assert!(!nodes[0].client.was_shed(id, 2, rounds - 1) && nodes[0].client.stats() == stats);
         assert_eq!(nodes[0].instances[&id].decision(), decided.as_ref());
+    }
+
+    /// A full stash cell sheds only its own (owner, origin) pair. Byzantine
+    /// origin 3 fills node 0's cell for node 1's client instances with one
+    /// delivered batch of `STASH_CAP` slots for ids node 1 never launched,
+    /// and one more slot of its own is shed. Then honest origin 2's round-0
+    /// slot of node 1's next client instance races that instance's `Launch`:
+    /// it is parked, not shed, and delivered when the `Launch` arrives.
+    #[test]
+    fn a_full_stash_cell_sheds_only_its_own_pair() {
+        use crate::service::client_table::STASH_CAP;
+        use crate::service::CLIENT_INSTANCE_BASE;
+        use crate::wire::ClientLaunch;
+        let n = 4;
+        let mut node = Node::new(0, n);
+        let mut out = Outbox::default();
+        let id = CLIENT_INSTANCE_BASE | (1 << 24);
+        let mut deliver = |node: &mut Node, origin: ProcessId, batch: &Arc<VaBatch>| {
+            let seq = node.batches.origins[origin].next;
+            for from in 1..n {
+                let bytes = encode_frame(&Frame::batch(from, ((origin, seq), BrachaMsg::Ready(Arc::clone(batch)))));
+                node.on_frame(from, &bytes, &now(), &mut out);
+            }
+            assert_eq!(node.batches.origins[origin].next, seq + 1, "delivered");
+        };
+        let flood: Vec<(u64, u32)> = (0..=STASH_CAP as u64).map(|k| (id + 1 + k, 0)).collect();
+        deliver(&mut node, 3, &states(&flood, &[1.0, 2.0]));
+        assert_eq!(node.client.stats().stash_shed, 1, "origin 3's cell is full");
+        deliver(&mut node, 2, &states(&[(id, 0)], &[0.5, 0.5]));
+        assert_eq!(node.client.stats().stash_shed, 1, "origin 2's slot is parked");
+        let launch = ClientLaunch { session: 1, reqno: 1, f: 1, rounds: 4, value: VecD::from_slice(&[1.0, 2.0]) };
+        let bytes = encode_frame(&Frame { instance: id, sender: 1, round: 0, payload: Payload::Launch(launch) });
+        node.on_frame(1, &bytes, &now(), &mut out);
+        let va = running_va(&node, id).expect("launched");
+        assert_eq!(va.delivered_value((2, 0)), Some(&[0.5, 0.5][..]), "delivered at the launch");
+        assert_eq!(gate_totals(&node), [0; 4]);
     }
 }

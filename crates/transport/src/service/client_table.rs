@@ -12,12 +12,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use rbvc_core::va_batch::{SlotView, VaBatch};
 use rbvc_linalg::VecD;
 use rbvc_obs::Registry;
 use rbvc_sim::config::ProcessId;
 
 use super::InstanceId;
-use crate::wire::{decode_frame, ClientLaunch, Frame, Payload, VaSlot, MAX_DIM};
+use crate::wire::{decode_frame, ClientLaunch, Frame, Payload, MAX_DIM};
 
 /// Base of the client-request instance-id space: ids are
 /// `CLIENT_INSTANCE_BASE | (owner << 24) | seq` with the owning process in
@@ -43,8 +44,22 @@ pub fn client_instance_owner(id: InstanceId) -> Option<ProcessId> {
 const SEQ_MASK: u64 = 0xFF_FFFF;
 
 /// Batch slots for a client instance delivered before its `Launch` are
-/// parked (per service), bounded by this; overflow is shed and counted.
+/// parked, at most this many per (owner, origin) cell, and a cell remembers
+/// at most this many tags of the slots it shed. An honest owner races at
+/// most `max_inflight · rounds` slots per origin (512 at the defaults), so
+/// only a Byzantine owner or origin fills a cell: its own.
 pub(super) const STASH_CAP: usize = 1024;
+
+/// One (owner, origin) cell of the stash.
+#[derive(Default)]
+struct Cell {
+    parked: usize,
+    /// (instance, round) tags of shed slots: a later slot with one of these
+    /// is not the first its origin sent, and never takes the shed one's place.
+    shed: Vec<(InstanceId, u32)>,
+    /// More tags were shed than `shed` holds: every later slot is refused.
+    sealed: bool,
+}
 
 /// Parameters of the client front-end (the consensus instances client
 /// requests are run through, and the admission bounds).
@@ -159,13 +174,13 @@ pub(super) struct ClientTable {
     queue: VecDeque<(u64, u64, VecD)>,
     /// Next per-owner sequence number for minting instance ids.
     next_seq: u64,
-    /// Client-instance batch slots delivered before their `Launch`, with
-    /// their origin.
-    stash: VecDeque<(ProcessId, VaSlot)>,
-    /// The (instance, origin, round) tags of shed slots: a later slot with
-    /// one of these tags is not the first its origin sent, so it must never
-    /// be delivered in the shed one's place.
-    shed: Vec<(InstanceId, ProcessId, u32)>,
+    /// Client-instance batch slots delivered before their `Launch`, each a
+    /// batch of one, with their origin, in delivery order.
+    stash: VecDeque<(ProcessId, VaBatch)>,
+    /// The stash's bound and shed tags per (owner, origin), indexed
+    /// `owner · n + origin`: none until the first slot is parked (set-up
+    /// pays nothing for it), then `n²`.
+    cells: Vec<Cell>,
     /// Replies ready for the client port: (session, reqno, decision).
     replies_out: Vec<(u64, u64, VecD)>,
     /// The counters; the three sizes are filled in by [`Self::stats`].
@@ -184,7 +199,7 @@ impl ClientTable {
             queue: VecDeque::new(),
             next_seq: 0,
             stash: VecDeque::new(),
-            shed: Vec::new(),
+            cells: Vec::new(),
             replies_out: Vec::new(),
             counters: ClientStats::default(),
         }
@@ -360,38 +375,67 @@ impl ClientTable {
         std::mem::take(&mut self.replies_out)
     }
 
+    /// The cell of `origin`'s slots for `instance`, if that is a client
+    /// instance whose owner is a process of this run.
+    fn cell(&self, instance: InstanceId, origin: ProcessId) -> Option<usize> {
+        let owner = client_instance_owner(instance).filter(|&owner| owner < self.n)?;
+        Some(owner * self.n + origin)
+    }
+
     /// A slot of `origin`'s batch for a client instance may legitimately be
     /// delivered before the instance's `Launch` arrives (different links
-    /// race); park it, bounded. A shed slot's tag is remembered.
-    pub(super) fn park(&mut self, origin: ProcessId, slot: VaSlot) {
-        if self.stash.len() < STASH_CAP {
-            self.stash.push_back((origin, slot));
-        } else {
-            self.shed.push((slot.instance, origin, slot.round));
-            self.counters.stash_shed += 1;
-            Registry::global().counter("service.client.stash_shed").inc();
+    /// race): park it as a batch of one, bounded per (owner, origin) cell.
+    /// A shed slot's tag is remembered. False, with nothing parked, when no
+    /// `Launch` can ever stand the instance up: it is not a client instance
+    /// of an owner in this run.
+    pub(super) fn park(&mut self, origin: ProcessId, slot: SlotView<'_>) -> bool {
+        let Some(k) = self.cell(slot.instance, origin) else { return false };
+        if self.cells.is_empty() {
+            self.cells.resize_with(self.n * self.n, Cell::default);
         }
+        let cell = &mut self.cells[k];
+        if cell.parked < STASH_CAP {
+            cell.parked += 1;
+            self.stash.push_back((origin, slot.to_batch()));
+            return true;
+        }
+        if cell.shed.len() < STASH_CAP {
+            cell.shed.push((slot.instance, slot.round));
+        } else {
+            cell.sealed = true;
+        }
+        self.counters.stash_shed += 1;
+        Registry::global().counter("service.client.stash_shed").inc();
+        true
     }
 
     /// `instance` decided: its shed tags go, as a decided instance drops its
-    /// late slots itself. The list holds the tags of undecided instances
+    /// late slots itself. The lists hold the tags of undecided instances
     /// only.
     pub(super) fn decided(&mut self, instance: InstanceId) {
-        self.shed.retain(|&(id, _, _)| id != instance);
+        let Some(first) = self.cell(instance, 0) else { return };
+        for cell in self.cells.iter_mut().skip(first).take(self.n) {
+            cell.shed.retain(|&(id, _)| id != instance);
+        }
     }
 
     /// Whether a slot with this tag was shed: the state that wins its tag is
     /// gone, and no later one may take its place.
     pub(super) fn was_shed(&self, instance: InstanceId, origin: ProcessId, round: u32) -> bool {
-        !self.shed.is_empty() && self.shed.contains(&(instance, origin, round))
+        let cell = self.cell(instance, origin).and_then(|k| self.cells.get(k));
+        cell.is_some_and(|cell| cell.sealed || cell.shed.contains(&(instance, round)))
     }
 
     /// Take the slots parked for `instance`, in delivery order; everything
     /// else stays parked.
-    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<(ProcessId, VaSlot)> {
-        let (matched, kept) =
-            std::mem::take(&mut self.stash).into_iter().partition(|(_, s)| s.instance == instance);
+    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<(ProcessId, VaBatch)> {
+        let (matched, kept): (VecDeque<_>, _) =
+            std::mem::take(&mut self.stash).into_iter().partition(|(_, slot)| slot.head().0 == instance);
         self.stash = kept;
+        for &(origin, _) in &matched {
+            let k = self.cell(instance, origin).expect("a parked slot has its cell");
+            self.cells[k].parked -= 1;
+        }
         matched
     }
 
@@ -461,9 +505,11 @@ mod tests {
         Frame { instance, sender: 1, round, payload: Payload::Eig(vec![]) }
     }
 
-    fn slot(instance: InstanceId, round: u32) -> VaSlot {
-        let state = rbvc_core::verified_avg::RoundState { value: VecD::from_slice(&[1.0]), witness: vec![] };
-        VaSlot { instance, round, state: std::sync::Arc::new(state) }
+    /// The batch of one slot of `instance`, round `round`.
+    fn slot(instance: InstanceId, round: u32) -> VaBatch {
+        let mut writer = rbvc_core::va_batch::BatchWriter::default();
+        writer.push(instance, round, [1.0].into_iter(), std::iter::empty());
+        writer.finish()
     }
 
     fn launch(session: u64) -> ClientLaunch {
@@ -471,27 +517,41 @@ mod tests {
     }
 
     /// Slots parked before their `Launch` come back in delivery order, for
-    /// that instance only; the stash is bounded, the overflow counted and
-    /// its tag remembered.
+    /// that instance only. The stash is bounded per (owner, origin) cell:
+    /// the overflow of one cell is counted and its tag remembered while
+    /// every other cell still parks; a cell that sheds more tags than it
+    /// remembers refuses every later slot; a slot of no client instance of
+    /// this run's owners is not parked.
     #[test]
-    fn parked_slots_return_in_order_per_instance_and_the_overflow_is_shed() {
+    fn parked_slots_return_in_order_per_instance_and_each_cell_is_bounded() {
         let (a, b) = (CLIENT_INSTANCE_BASE | 1, CLIENT_INSTANCE_BASE | 2);
         let mut table = ClientTable::new(0, 4);
         for round in 0..6 {
-            table.park(3, slot(if round % 2 == 0 { a } else { b }, round));
+            assert!(table.park(3 - round as usize % 2, slot(if round % 2 == 0 { a } else { b }, round).slot(0)));
         }
-        let rounds = |slots: VecDeque<(ProcessId, VaSlot)>| slots.iter().map(|(_, s)| s.round).collect::<Vec<_>>();
+        let rounds = |slots: VecDeque<(ProcessId, VaBatch)>| slots.iter().map(|(_, s)| s.head().1).collect::<Vec<_>>();
         assert_eq!(rounds(table.unpark(a)), [0, 2, 4]);
         assert!(table.unpark(a).is_empty(), "taken once");
-        for round in 6..6 + (STASH_CAP as u32 - 3) {
-            table.park(3, slot(a, round));
+        for round in 6..6 + STASH_CAP as u32 {
+            table.park(3, slot(a, round).slot(0));
         }
         assert_eq!(table.stats().stash_shed, 0, "exactly at the cap");
         assert!(!table.was_shed(b, 3, 9_999));
-        table.park(3, slot(b, 9_999));
-        assert_eq!(table.stats().stash_shed, 1, "the 1025th slot is shed");
+        table.park(3, slot(b, 9_999).slot(0));
+        assert_eq!(table.stats().stash_shed, 1, "the cell's 1025th slot is shed");
         assert!(table.was_shed(b, 3, 9_999) && !table.was_shed(b, 2, 9_999));
-        assert_eq!(rounds(table.unpark(b)), [1, 3, 5], "b's slots survived a's, in order");
+        table.park(2, slot(b, 9_999).slot(0));
+        assert_eq!(table.stats().stash_shed, 1, "another origin's cell parks");
+        assert_eq!(rounds(table.unpark(b)), [1, 3, 5, 9_999], "b's slots survived a's, in order");
+        table.decided(b);
+        assert!(!table.was_shed(b, 3, 9_999), "the tag goes with the decision");
+        for round in 0..=STASH_CAP as u32 {
+            table.park(3, slot(b, round).slot(0));
+        }
+        assert!(table.was_shed(b, 3, 0) && table.was_shed(a, 3, 0), "sealed: every slot of the cell is refused");
+        assert!(!table.was_shed(a, 2, 0), "the other cells are not");
+        let foreign = CLIENT_INSTANCE_BASE | (4 << 24);
+        assert!(!table.park(3, slot(foreign, 0).slot(0)) && !table.park(3, slot(7, 0).slot(0)), "no owner in the run");
     }
 
     /// A queued request is handed out exactly when an in-flight slot

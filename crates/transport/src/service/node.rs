@@ -63,6 +63,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use std::time::Duration;
 
+use rbvc_core::va_batch::{BatchWriter, SlotView};
 use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
 use rbvc_core::SyncBvc;
 use rbvc_linalg::VecD;
@@ -77,7 +78,7 @@ use super::client_table::{self, client_instance_owner, ClientTable, Request};
 use super::outbound::Outbound;
 use super::{DecisionEvent, InstanceId, PhaseNanos};
 use crate::lockstep::{Lockstep, RoundBatch};
-use crate::wire::{decode_frame_hinted, encode_frame, BatchMsg, BatchWriter, ClientLaunch, Frame, Payload, SlotView, VaBatch};
+use crate::wire::{decode_frame_hinted, encode_frame, BatchMsg, ClientLaunch, Frame, Payload};
 
 /// One consensus instance as the service runs it.
 pub enum InstanceProto {
@@ -521,10 +522,11 @@ impl Node {
     }
 
     /// Gates 3 and 4 for one slot of `origin`'s delivered batch, then its
-    /// instance's delivery entry, which copies the state's parts out of the
-    /// batch; the states that moves the instance on to are written into the
-    /// next batch. A slot for a client instance not resident yet is parked,
-    /// owned, until its `Launch`; one for a decided VA instance is dropped.
+    /// instance's delivery entry, which copies the state out of the batch;
+    /// the states that moves the instance on to are written into the next
+    /// batch. A slot for a client instance not resident yet is parked, as a
+    /// batch of one, until its `Launch`; one for a decided VA instance is
+    /// dropped.
     fn deliver_slot(&mut self, origin: ProcessId, slot: SlotView<'_>) {
         let instance = slot.instance;
         if self.client.was_shed(instance, origin, slot.round) {
@@ -538,17 +540,13 @@ impl Node {
             // Late traffic: a decided instance is its decision.
             Some(Instance::Decided { va: true, .. }) => return,
             Some(Instance::Decided { .. }) => None,
-            None if client_instance_owner(instance).is_some() => return self.client.park(origin, slot.to_slot()),
+            None if self.client.park(origin, slot) => return,
             None => return self.gate_reject(2, origin, format!("batch slot for unknown instance {instance}")),
         };
         let Some(p) = va else {
             return self.gate_reject(3, origin, format!("batch slot for instance {instance}, which does not run VA"));
         };
-        let pending = &mut self.batches.pending;
-        p.deliver_parts(origin, slot.round as usize, slot.value(), slot.witness(), &mut |round, value, witness| {
-            let round = u32::try_from(round).expect("round fits u32");
-            pending.push(instance, round, value.iter().copied(), witness.iter().copied());
-        });
+        p.deliver_slot(origin, slot, &mut self.batches.pending);
     }
 
     /// Drive the timers (lockstep round timeouts) of the ready set once.
@@ -671,9 +669,9 @@ impl Node {
         self.started = true;
         self.start_instance(instance, now, out);
         // Slots delivered before the launch reach the instance now, in the
-        // order they were delivered, each read back as a batch of one.
+        // order they were delivered.
         for (origin, slot) in self.client.unpark(instance) {
-            self.deliver_slot(origin, VaBatch::new(vec![slot]).slot(0));
+            self.deliver_slot(origin, slot.slot(0));
         }
     }
 
@@ -847,8 +845,7 @@ pub(super) mod tests {
     use crate::service::tests::{bvc_instance, flight, va_instance};
     use crate::service::{ClientConfig, ConsensusService, CLIENT_INSTANCE_BASE};
     use crate::transport::in_proc_mesh;
-    use crate::wire::{VaSlot, MAX_ROUND};
-    use rbvc_core::verified_avg::RoundState;
+    use crate::wire::MAX_ROUND;
 
     pub(in crate::service) fn now() -> PhaseNanos {
         PhaseNanos::default()
@@ -1038,10 +1035,10 @@ pub(super) mod tests {
         node.add_instance(5, va_instance(0, n, &[0.0])).unwrap();
         let budget = ClientConfig::default().rounds;
         node.client.enable(ClientConfig::default());
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0]), witness: vec![] });
-        let batch = VaBatch::new(vec![VaSlot { instance: 5, round: 0, state }]);
+        let mut batch = BatchWriter::default();
+        batch.push(5, 0, [1.0].into_iter(), std::iter::empty());
         // Claims process 0 on the link from 1.
-        let spoof = Frame::batch(0, ((1, 0), BrachaMsg::Init(Arc::new(batch))));
+        let spoof = Frame::batch(0, ((1, 0), BrachaMsg::Init(Arc::new(batch.finish()))));
         // Session 1 and the client instance ids below are node 1's.
         let launch = |seq: u64, rounds: u32| Frame {
             instance: CLIENT_INSTANCE_BASE | (1 << 24) | seq,
@@ -1082,8 +1079,9 @@ pub(super) mod tests {
         let slot = node.instances.get_mut(&honest.instance).expect("stood up");
         let Instance::Running(p) = &mut slot.state else { unreachable!("not decided yet") };
         let InstanceProto::Va(p) = &mut **p else { unreachable!("client instances are VA") };
-        let state = Arc::new(RoundState { value: VecD::from_slice(&[1.0, 2.0]), witness: vec![] });
-        p.deliver(1, 0, &state, &mut Vec::new());
+        let mut state = BatchWriter::default();
+        state.push(honest.instance, 0, [1.0, 2.0].into_iter(), std::iter::empty());
+        p.deliver_slot(1, state.finish().slot(0), &mut BatchWriter::default());
         assert_eq!(p.broadcast_slots(), n * budget, "sized on its first delivery");
     }
 

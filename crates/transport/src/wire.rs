@@ -16,26 +16,16 @@
 //! round state one origin's live VA instances produced between two of its
 //! seals, broadcast once and delivered FIFO by origin (`service::batch`):
 //!
-//! ```text
-//! origin u32 | seq u32 | bracha kind u8 | state | (instance u64 | round u32 | state)…
-//! state: dim u32 | value f64… | count u32 | witness id u32…
-//! ```
-//!
-//! The header's instance and round are the first slot's, so a one-slot
-//! batch is no larger than the per-state frame it replaced; each further
-//! slot adds its instance and round. Slots run to the end of the frame.
-//! A [`VaBatch`] is those bytes — everything after the Bracha kind byte —
-//! and an index of where each slot's value and witness lie in them, from the
-//! moment it is built, so every frame of its broadcast is a fixed 29-byte
-//! prefix and a copy, and two batches are equal when their bytes are. A slot
-//! is read in place, through a borrowed [`SlotView`]: decoding a batch builds
-//! no round state, and a node writes its own states straight into its next
-//! batch ([`BatchWriter`]).
-//! A witness names the origins whose states were averaged and does not copy
-//! their vectors: every receiver holds those in its own reliably delivered
-//! record. At (n, f, d) = (4, 1, 3) a one-slot frame is 61 B at round 0 and
-//! 73 B after. Kinds 2 (a VA layout that copied each named vector) and 4 (one
-//! Bracha message per VA round state) are retired and refused by name.
+//! `origin u32 | seq u32 | bracha kind u8 | slot list`. The slot list — a
+//! [`VaBatch`]'s bytes — is written, walked and read by its one owner,
+//! [`rbvc_core::va_batch`], which this codec hands the frame's tail with the
+//! header's instance and round, those of the first slot. So every frame of
+//! a broadcast is a fixed 29-byte prefix and a copy, and decoding a batch
+//! builds no round state. A witness names the origins whose states were
+//! averaged and does not copy their vectors: at (n, f, d) = (4, 1, 3) a
+//! one-slot frame is 61 B at round 0 and 73 B after. Kinds 2 (a VA layout
+//! that copied each named vector) and 4 (one Bracha message per VA round
+//! state) are retired and refused by name.
 //!
 //! ## The frame boundary is a trust boundary
 //!
@@ -60,7 +50,7 @@
 
 use std::sync::Arc;
 
-use rbvc_core::verified_avg::RoundState;
+use rbvc_core::va_batch::{put_count, Reader, VaBatch};
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::config::ProcessId;
@@ -80,8 +70,8 @@ pub const HEADER_LEN: usize = 20;
 /// the codec tests).
 pub const VA_DIM_OFFSET: usize = HEADER_LEN + 9;
 
-/// Hard cap on a vector dimension.
-pub const MAX_DIM: usize = 1 << 12;
+pub use rbvc_core::va_batch::{MAX_BATCH_SLOTS, MAX_DIM, MAX_PID, MAX_ROUND, MAX_WITNESS};
+
 /// Hard cap on an EIG label length (labels hold ≤ f+1 distinct ids).
 pub const MAX_LABEL: usize = 64;
 /// Hard cap on relay items in one EIG instance message.
@@ -90,15 +80,6 @@ pub const MAX_EIG_ITEMS: usize = 1 << 16;
 pub const MAX_EIG_INSTANCES: usize = 1 << 12;
 /// Hard cap on protocol messages inside one lockstep round batch.
 pub const MAX_BATCH_MSGS: usize = 1 << 12;
-/// Hard cap on witness entries in a Verified-Averaging round state.
-pub const MAX_WITNESS: usize = 1 << 12;
-/// Hard cap on the round states in one Verified-Averaging batch; a node
-/// with more to send at one seal sends several batches.
-pub const MAX_BATCH_SLOTS: usize = 1 << 12;
-/// Hard cap on any process id on the wire (far above any real `n`).
-pub const MAX_PID: usize = 1 << 20;
-/// Hard cap on a round number on the wire.
-pub const MAX_ROUND: u32 = 1 << 20;
 
 /// Typed payload of one frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,187 +122,6 @@ pub struct ClientLaunch {
     pub value: VecD,
 }
 
-/// One round state of one Verified-Averaging instance, owned: what a test or
-/// an adversary builds a batch from ([`VaBatch::new`]) and what a slot is
-/// parked as ([`SlotView::to_slot`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VaSlot {
-    /// The instance the state is of.
-    pub instance: u64,
-    /// The round it is the state of.
-    pub round: u32,
-    /// The state.
-    pub state: Arc<RoundState>,
-}
-
-/// Where one slot's state lies in its batch's bytes: the byte ranges of its
-/// value's components and of its witness ids.
-#[derive(Debug, Clone, Copy)]
-struct SlotIndex {
-    instance: u64,
-    round: u32,
-    value: (usize, usize),
-    witness: (usize, usize),
-}
-
-impl SlotIndex {
-    /// The same slot, its byte ranges counted from `start`.
-    fn rebased(self, start: usize) -> SlotIndex {
-        let at = |(from, to): (usize, usize)| (from - start, to - start);
-        SlotIndex { value: at(self.value), witness: at(self.witness), ..self }
-    }
-}
-
-/// One slot of a batch, borrowed from the batch's bytes: its instance and
-/// round, and its state's value and witness ids, read where they lie.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotView<'a> {
-    /// The instance the state is of.
-    pub instance: u64,
-    /// The round it is the state of.
-    pub round: u32,
-    value: &'a [u8],
-    witness: &'a [u8],
-}
-
-impl<'a> SlotView<'a> {
-    /// The value's components, in order, bit for bit.
-    #[must_use]
-    pub fn value(&self) -> impl ExactSizeIterator<Item = f64> + Clone + 'a {
-        let word = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
-        self.value.chunks_exact(8).map(word)
-    }
-
-    /// The witness ids, in combining order.
-    #[must_use]
-    pub fn witness(&self) -> impl ExactSizeIterator<Item = ProcessId> + Clone + 'a {
-        let id = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk")) as ProcessId;
-        self.witness.chunks_exact(4).map(id)
-    }
-
-    /// The slot, owned: an adversary edits it, a node parks it.
-    #[must_use]
-    pub fn to_slot(&self) -> VaSlot {
-        let state = RoundState { value: VecD::new(self.value().collect()), witness: self.witness().collect() };
-        VaSlot { instance: self.instance, round: self.round, state: Arc::new(state) }
-    }
-}
-
-/// What one origin reliably broadcasts at one seal: the round states its
-/// live VA instances produced since the last one, in production order — as
-/// their encoding and an index of where each slot's state lies in it. Never
-/// empty. It is built once, by a [`BatchWriter`] or by the decoder, and
-/// never edited, so its bytes cannot go stale.
-#[derive(Debug, Clone)]
-pub struct VaBatch {
-    index: Box<[SlotIndex]>,
-    /// The slot list as a batch frame carries it after the Bracha kind byte:
-    /// the first slot's state (the header names its instance and round),
-    /// then each further slot whole.
-    bytes: Box<[u8]>,
-}
-
-impl VaBatch {
-    /// The batch of `slots`, encoded.
-    ///
-    /// # Panics
-    /// On an empty slot list (local data: a seal never forms one).
-    #[must_use]
-    pub fn new(slots: Vec<VaSlot>) -> Self {
-        let mut writer = BatchWriter::default();
-        for slot in &slots {
-            let state = &slot.state;
-            writer.push(slot.instance, slot.round, state.value.as_slice().iter().copied(), state.witness.iter().copied());
-        }
-        let mut batch = None;
-        writer.drain(usize::MAX, |b| batch = Some(b));
-        batch.expect("a batch is never empty")
-    }
-
-    /// Its slots, in order.
-    pub fn slots(&self) -> impl ExactSizeIterator<Item = SlotView<'_>> {
-        self.index.iter().map(|at| SlotView {
-            instance: at.instance,
-            round: at.round,
-            value: &self.bytes[at.value.0..at.value.1],
-            witness: &self.bytes[at.witness.0..at.witness.1],
-        })
-    }
-
-    /// Slot `k`.
-    ///
-    /// # Panics
-    /// If the batch has no slot `k`.
-    #[must_use]
-    pub fn slot(&self, k: usize) -> SlotView<'_> {
-        self.slots().nth(k).expect("a slot of the batch")
-    }
-
-    /// The first slot's instance and round: what a frame's header names.
-    fn head(&self) -> (u64, u32) {
-        (self.index[0].instance, self.index[0].round)
-    }
-}
-
-/// Round states written out as batches, slot by slot, as a node's instances
-/// produce them between two seals: each slot whole (instance, round, state)
-/// into one buffer, cut into batches at the seal. Its buffers are kept from
-/// one seal to the next.
-#[derive(Debug, Default)]
-pub struct BatchWriter {
-    bytes: Vec<u8>,
-    index: Vec<SlotIndex>,
-}
-
-impl BatchWriter {
-    /// Write one round state of `instance`, round `round`: `value`'s
-    /// components and the `witness` ids.
-    pub fn push(
-        &mut self,
-        instance: u64,
-        round: u32,
-        value: impl ExactSizeIterator<Item = f64>,
-        witness: impl ExactSizeIterator<Item = ProcessId>,
-    ) {
-        let out = &mut self.bytes;
-        out.extend_from_slice(&instance.to_le_bytes());
-        put_u32(out, round);
-        put_usize(out, value.len());
-        let start = out.len();
-        value.for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes()));
-        let value = (start, out.len());
-        put_usize(out, witness.len());
-        let start = out.len();
-        witness.for_each(|id| put_usize(out, id));
-        self.index.push(SlotIndex { instance, round, value, witness: (start, out.len()) });
-    }
-
-    /// Hand what was written to `each` as batches of at most `max` slots,
-    /// in order, each sized once; the writer is left empty.
-    pub fn drain(&mut self, max: usize, mut each: impl FnMut(VaBatch)) {
-        for chunk in self.index.chunks(max) {
-            // The first slot's instance and round are the header's.
-            let start = chunk[0].value.0 - 4;
-            let end = chunk[chunk.len() - 1].witness.1;
-            let index = chunk.iter().map(|slot| slot.rebased(start)).collect();
-            each(VaBatch { index, bytes: self.bytes[start..end].into() });
-        }
-        self.bytes.clear();
-        self.index.clear();
-    }
-}
-
-/// The one equality on batches, the one Bracha's tally counts by: the same
-/// first slot and the same bytes. Two batches whose values differ only in
-/// the sign of a zero are two batches.
-impl PartialEq for VaBatch {
-    fn eq(&self, other: &Self) -> bool {
-        self.head() == other.head() && self.bytes == other.bytes
-    }
-}
-
-impl Eq for VaBatch {}
-
 /// Names one batch broadcast: (origin, the origin's sequence number).
 pub type BatchTag = (ProcessId, u32);
 
@@ -362,29 +162,23 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    // Local data only ever holds counts far below u32::MAX; a violation is
-    // a harness bug, not remote input, so a panic is in-contract.
-    put_u32(out, u32::try_from(v).expect("count exceeds wire format range"));
-}
-
 pub(crate) fn put_vecd(out: &mut Vec<u8>, v: &VecD) {
-    put_usize(out, v.dim());
+    put_count(out, v.dim());
     for &x in v.as_slice() {
         out.extend_from_slice(&x.to_bits().to_le_bytes());
     }
 }
 
 fn put_eig_round(out: &mut Vec<u8>, msg: &EigRound<VecD>) {
-    put_usize(out, msg.entries().len());
+    put_count(out, msg.entries().len());
     let mut items = msg.iter();
     for &(origin, count) in msg.entries() {
-        put_usize(out, origin);
-        put_usize(out, count);
+        put_count(out, origin);
+        put_count(out, count);
         for (_, label, value) in items.by_ref().take(count) {
-            put_usize(out, label.len());
+            put_count(out, label.len());
             for &pid in label {
-                put_usize(out, pid);
+                put_count(out, pid);
             }
             put_vecd(out, value);
         }
@@ -400,7 +194,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The two payloads a run is made of are sized once.
     let capacity = match &frame.payload {
         Payload::VaBatch((_, BrachaMsg::Init(b) | BrachaMsg::Echo(b) | BrachaMsg::Ready(b))) => {
-            VA_DIM_OFFSET + b.bytes.len()
+            VA_DIM_OFFSET + b.bytes().len()
         }
         Payload::Eig(batch) => batch.iter().fold(HEADER_LEN + 4, |n, msg| {
             let items = msg.iter().map(|(_, label, v)| 8 + 4 * label.len() + 8 * v.dim());
@@ -418,15 +212,15 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Payload::VaBatch(_) | Payload::LateBatch(_) => 5,
     });
     out.extend_from_slice(&frame.instance.to_le_bytes());
-    put_usize(&mut out, frame.sender);
+    put_count(&mut out, frame.sender);
     put_u32(&mut out, frame.round);
     match &frame.payload {
         Payload::Eig(batch) => {
-            put_usize(&mut out, batch.len());
+            put_count(&mut out, batch.len());
             batch.iter().for_each(|msg| put_eig_round(&mut out, msg));
         }
         Payload::VaBatch(((origin, seq), bmsg)) => {
-            put_usize(&mut out, *origin);
+            put_count(&mut out, *origin);
             put_u32(&mut out, *seq);
             let (kind, batch) = match bmsg {
                 BrachaMsg::Init(b) => (0u8, b),
@@ -434,7 +228,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 BrachaMsg::Ready(b) => (2, b),
             };
             out.push(kind);
-            out.extend_from_slice(&batch.bytes);
+            out.extend_from_slice(batch.bytes());
         }
         Payload::Launch(cl) => {
             out.extend_from_slice(&cl.session.to_le_bytes());
@@ -452,195 +246,42 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn pid_of(raw: u32) -> Result<ProcessId, String> {
-    match raw as usize {
-        id if id < MAX_PID => Ok(id),
-        id => Err(format!("process id {id} beyond wire cap {MAX_PID}")),
-    }
-}
-
-/// Checked reader over untrusted bytes, shared with the client codec
-/// ([`crate::client`]). Every accessor returns `Err(reason)` instead of
-/// reading past the end; the caller attaches who the bytes came from.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < len {
-            return Err(format!(
-                "truncated frame: wanted {len} more bytes, have {}",
-                self.remaining()
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length field and validate it against a hard `cap` *and*
-    /// against the bytes remaining (each element occupies at least
-    /// `min_elem` bytes) — the allocation-bomb guard.
-    fn len_capped(&mut self, cap: usize, min_elem: usize, what: &str) -> Result<usize, String> {
-        let len = self.u32()? as usize;
-        if len > cap {
-            return Err(format!("oversized {what} length {len} (cap {cap})"));
-        }
-        if len.saturating_mul(min_elem) > self.remaining() {
-            return Err(format!(
-                "forged {what} length {len}: would need {} bytes, {} remain",
-                len * min_elem,
-                self.remaining()
-            ));
-        }
-        Ok(len)
-    }
-
-    fn pid(&mut self) -> Result<ProcessId, String> {
-        pid_of(self.u32()?)
-    }
-
-    pub(crate) fn vecd(&mut self) -> Result<VecD, String> {
-        let dim = self.len_capped(MAX_DIM, 8, "vector")?;
-        let mut xs = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            xs.push(self.f64()?);
-        }
-        Ok(VecD::new(xs))
-    }
-
-    /// One parallel-EIG message of the level whose labels have `stride` ids,
-    /// in one pass: a label goes into the message's one buffer, and a value's
-    /// bytes are compared with those of the item before it before anything is
-    /// allocated for it — an honest relay says each of its `n` values
-    /// `(n − 2)…` times in a row. A well-formed item of another level is
-    /// left out. The frame holds `of` messages (an honest one holds one), which
-    /// split its bytes evenly when their buffers are sized.
-    fn eig_round(&mut self, stride: usize, of: usize) -> Result<EigRound<VecD>, String> {
-        let entries = self.len_capped(MAX_EIG_INSTANCES, 8, "parallel EIG batch")?;
-        // An item that stays takes 8 + 4 · stride bytes or more, so a frame's
-        // messages together reserve within twice the frame's own size,
-        // whatever the counts below claim.
-        let items = self.remaining() / (8 + 4 * stride) / of;
-        let mut msg = EigRound::with_capacity(stride, entries, items);
-        let (mut label, mut last) = ([0; MAX_LABEL], &self.buf[..0]);
-        for _ in 0..entries {
-            msg.begin(self.pid()?);
-            for _ in 0..self.len_capped(MAX_EIG_ITEMS, 8, "EIG item list")? {
-                let llen = self.len_capped(MAX_LABEL, 4, "EIG label")?;
-                for (id, raw) in label.iter_mut().zip(self.take(4 * llen)?.chunks_exact(4)) {
-                    *id = pid_of(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))?;
-                }
-                let start = self.pos;
-                if llen == stride && !last.is_empty() && self.buf[start..].starts_with(last) {
-                    self.pos += last.len();
-                    msg.push_shared(&label[..llen]);
-                    continue;
-                }
-                let value = self.vecd()?;
-                if llen == stride {
-                    last = &self.buf[start..self.pos];
-                    msg.push(&label[..llen], value);
-                }
+/// One parallel-EIG message of the level whose labels have `stride` ids,
+/// in one pass: a label goes into the message's one buffer, and a value's
+/// bytes are compared with those of the item before it before anything is
+/// allocated for it — an honest relay says each of its `n` values
+/// `(n − 2)…` times in a row. A well-formed item of another level is left
+/// out. The frame holds `of` messages (an honest one holds one), which split
+/// its bytes evenly when their buffers are sized.
+fn eig_round(r: &mut Reader, stride: usize, of: usize) -> Result<EigRound<VecD>, String> {
+    let entries = r.len_capped(MAX_EIG_INSTANCES, 8, "parallel EIG batch")?;
+    // An item that stays takes 8 + 4 · stride bytes or more, so a frame's
+    // messages together reserve within twice the frame's own size, whatever
+    // the counts below claim.
+    let items = r.peek().len() / (8 + 4 * stride) / of;
+    let mut msg = EigRound::with_capacity(stride, entries, items);
+    let (mut label, mut last): ([ProcessId; MAX_LABEL], &[u8]) = ([0; MAX_LABEL], &[]);
+    for _ in 0..entries {
+        msg.begin(r.pid()?);
+        for _ in 0..r.len_capped(MAX_EIG_ITEMS, 8, "EIG item list")? {
+            let llen = r.len_capped(MAX_LABEL, 4, "EIG label")?;
+            for id in &mut label[..llen] {
+                *id = r.pid()?;
+            }
+            let rest = r.peek();
+            if llen == stride && !last.is_empty() && rest.starts_with(last) {
+                r.take(last.len())?;
+                msg.push_shared(&label[..llen]);
+                continue;
+            }
+            let value = r.vecd()?;
+            if llen == stride {
+                last = &rest[..rest.len() - r.peek().len()];
+                msg.push(&label[..llen], value);
             }
         }
-        Ok(msg)
     }
-
-    /// One round state of `instance`, round `round`, checked as the decode
-    /// checks it — every cap, every length against the bytes that remain,
-    /// every witness id — and built into nothing: where it lies.
-    fn state(&mut self, instance: u64, round: u32) -> Result<SlotIndex, String> {
-        let dim = self.len_capped(MAX_DIM, 8, "vector")?;
-        let start = self.pos;
-        self.take(8 * dim)?;
-        let value = (start, self.pos);
-        let wlen = self.len_capped(MAX_WITNESS, 4, "witness set")?;
-        let start = self.pos;
-        for id in self.take(4 * wlen)?.chunks_exact(4) {
-            pid_of(u32::from_le_bytes([id[0], id[1], id[2], id[3]]))?;
-        }
-        Ok(SlotIndex { instance, round, value, witness: (start, self.pos) })
-    }
-
-    fn round(&mut self) -> Result<u32, String> {
-        match self.u32()? {
-            round if round <= MAX_ROUND => Ok(round),
-            round => Err(format!("round {round} beyond wire cap {MAX_ROUND}")),
-        }
-    }
-
-    /// The one validating walk over a batch whose first slot is of
-    /// `instance`, round `round` (the header's): slots until the frame ends,
-    /// at most [`MAX_BATCH_SLOTS`]. `slot` sees where each checked slot lies
-    /// in the frame, with the count of bytes after it; a late frame's walk
-    /// builds nothing.
-    fn walk_batch(&mut self, instance: u64, round: u32, mut slot: impl FnMut(SlotIndex, usize)) -> Result<(), String> {
-        slot(self.state(instance, round)?, self.remaining());
-        let mut count = 1;
-        while self.remaining() > 0 {
-            if count == MAX_BATCH_SLOTS {
-                return Err(format!("oversized batch: more than {MAX_BATCH_SLOTS} slots"));
-            }
-            let instance = self.u64()?;
-            let round = self.round()?;
-            slot(self.state(instance, round)?, self.remaining());
-            count += 1;
-        }
-        Ok(())
-    }
-
-    /// The batch the walk checks, built into its bytes — the ones just
-    /// walked — and an index of its slots, sized on the first slot's length,
-    /// so an honest batch of like slots indexes them in one allocation.
-    fn batch(&mut self, instance: u64, round: u32) -> Result<VaBatch, String> {
-        let start = self.pos;
-        let mut index = Vec::new();
-        self.walk_batch(instance, round, |slot, rest| {
-            if index.is_empty() {
-                let len = 16 + slot.witness.1 - slot.value.0;
-                index.reserve_exact((1 + rest.div_ceil(len)).min(MAX_BATCH_SLOTS));
-            }
-            index.push(slot.rebased(start));
-        })?;
-        Ok(VaBatch { index: index.into_boxed_slice(), bytes: self.buf[start..self.pos].into() })
-    }
-
-    /// A frame is exactly one message: `Err` unless every byte was read.
-    pub(crate) fn finish(&self) -> Result<(), String> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(format!("{n} trailing bytes after a complete frame")),
-        }
-    }
+    Ok(msg)
 }
 
 /// Decode one frame received from link peer `from`.
@@ -695,34 +336,30 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
     let kind = r.u8()?;
     let instance = r.u64()?;
     let sender = r.pid()?;
-    let round = r.u32()?;
-    if round > MAX_ROUND {
-        return Err(format!("round {round} beyond wire cap {MAX_ROUND}"));
-    }
+    let round = r.round()?;
     let payload = match kind {
         1 => {
             let batch_len = r.len_capped(MAX_BATCH_MSGS, 4, "round batch")?;
             let mut batch = Vec::with_capacity(batch_len);
             for _ in 0..batch_len {
-                batch.push(Arc::new(r.eig_round(round as usize + 1, batch_len)?));
+                batch.push(Arc::new(eig_round(r, round as usize + 1, batch_len)?));
             }
             Payload::Eig(batch)
         }
         5 => {
             let tag = (r.pid()?, r.u32()?);
             let bkind = r.u8()?;
-            // An echo or ready of the held batch is its bytes, walked when
-            // it was built; a late frame is walked and built into nothing.
+            // The rest of the frame is the slot list. An echo or ready of
+            // the held batch is its bytes, walked when it was built; a late
+            // frame is walked and built into nothing.
+            let tail = r.take(r.peek().len())?;
             let batch = match hint(tag) {
-                Hint::Held(held) if held.head() == (instance, round) && r.buf[r.pos..] == *held.bytes => {
-                    r.pos = r.buf.len();
-                    Some(Arc::clone(held))
-                }
+                Hint::Held(held) if held.head() == (instance, round) && tail == held.bytes() => Some(Arc::clone(held)),
                 Hint::Delivered => {
-                    r.walk_batch(instance, round, |_, _| {})?;
+                    VaBatch::check(tail, instance, round)?;
                     None
                 }
-                _ => Some(Arc::new(r.batch(instance, round)?)),
+                _ => Some(Arc::new(VaBatch::decode(tail, instance, round)?)),
             };
             let bmsg = match bkind {
                 0 => BrachaMsg::Init,
@@ -764,6 +401,8 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
 
 #[cfg(test)]
 mod tests {
+    use rbvc_core::va_batch::BatchWriter;
+
     use super::*;
 
     fn eig_frame() -> Frame {
@@ -781,19 +420,20 @@ mod tests {
         }
     }
 
-    fn slot(instance: u64, round: u32, xs: &[f64], witness: Vec<ProcessId>) -> VaSlot {
-        VaSlot { instance, round, state: Arc::new(RoundState { value: VecD::from_slice(xs), witness }) }
+    /// The batch of `slots`: (instance, round, value, witness) each.
+    fn batch(slots: &[(u64, u32, &[f64], &[ProcessId])]) -> Arc<VaBatch> {
+        let mut writer = BatchWriter::default();
+        for &(instance, round, xs, witness) in slots {
+            writer.push(instance, round, xs.iter().copied(), witness.iter().copied());
+        }
+        Arc::new(writer.finish())
     }
 
     /// A three-slot batch: two rounds of one instance and a round-0 state
     /// of another.
     fn va_frame() -> Frame {
-        let slots = vec![
-            slot(u64::MAX, 2, &[0.25], vec![1, 2]),
-            slot(u64::MAX, 3, &[0.5], vec![2, 1, 0]),
-            slot(7, 0, &[-1.0], vec![]),
-        ];
-        Frame::batch(0, ((5, 9), BrachaMsg::Echo(Arc::new(VaBatch::new(slots)))))
+        let slots = batch(&[(u64::MAX, 2, &[0.25], &[1, 2]), (u64::MAX, 3, &[0.5], &[2, 1, 0]), (7, 0, &[-1.0], &[])]);
+        Frame::batch(0, ((5, 9), BrachaMsg::Echo(slots)))
     }
 
     fn launch_frame() -> Frame {
@@ -841,8 +481,7 @@ mod tests {
         }
         // NaN payloads survive the codec bit-exactly (semantic rejection is
         // the protocol layer's job, structural integrity is ours).
-        let batch = VaBatch::new(vec![slot(0, 0, &[f64::NAN], vec![])]);
-        let frame = Frame::batch(1, ((1, 0), BrachaMsg::Init(Arc::new(batch))));
+        let frame = Frame::batch(1, ((1, 0), BrachaMsg::Init(batch(&[(0, 0, &[f64::NAN], &[])]))));
         let bytes = encode_frame(&frame);
         let back = decode_frame(&bytes, 1).expect("NaN is structurally fine");
         match back.payload {
@@ -856,12 +495,12 @@ mod tests {
     /// refused; a slot round past the cap is refused too.
     #[test]
     fn batch_caps_hold() {
-        let one = slot(1, 0, &[1.0], vec![]);
-        let frame = |slots: Vec<VaSlot>| encode_frame(&Frame::batch(2, ((2, 0), BrachaMsg::Init(Arc::new(VaBatch::new(slots))))));
-        assert!(decode_frame(&frame(vec![one.clone(); MAX_BATCH_SLOTS]), 2).is_ok(), "exactly at the cap");
-        let refused = decode_frame(&frame(vec![one.clone(); MAX_BATCH_SLOTS + 1]), 2).expect_err("over the cap").to_string();
+        let one: (u64, u32, &[f64], &[ProcessId]) = (1, 0, &[1.0], &[]);
+        let frame = |k: usize| encode_frame(&Frame::batch(2, ((2, 0), BrachaMsg::Init(batch(&vec![one; k])))));
+        assert!(decode_frame(&frame(MAX_BATCH_SLOTS), 2).is_ok(), "exactly at the cap");
+        let refused = decode_frame(&frame(MAX_BATCH_SLOTS + 1), 2).expect_err("over the cap").to_string();
         assert!(refused.contains("oversized batch"), "{refused}");
-        let mut late = frame(vec![one.clone(), one]);
+        let mut late = frame(2);
         let round_at = late.len() - 16 - 4;
         late[round_at..round_at + 4].copy_from_slice(&(MAX_ROUND + 1).to_le_bytes());
         assert!(decode_frame(&late, 2).expect_err("slot round").to_string().contains("beyond wire cap"));
@@ -875,12 +514,13 @@ mod tests {
         let frame = va_frame();
         let bytes = encode_frame(&frame);
         assert_eq!(bytes.capacity(), bytes.len(), "a VA frame's buffer is sized once");
-        let Payload::VaBatch((tag, BrachaMsg::Echo(batch))) = &frame.payload else { unreachable!() };
+        let Payload::VaBatch((tag, BrachaMsg::Echo(whole_batch))) = &frame.payload else { unreachable!() };
         let prefix = |k: usize| {
-            let slots = batch.slots().take(k).map(|slot| slot.to_slot()).collect();
-            encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(VaBatch::new(slots))))))
+            let mut writer = BatchWriter::default();
+            whole_batch.slots().take(k).for_each(|s| writer.push(s.instance, s.round, s.value(), s.witness()));
+            encode_frame(&Frame::batch(0, (*tag, BrachaMsg::Echo(Arc::new(writer.finish())))))
         };
-        let whole: Vec<usize> = (1..batch.slots().len()).map(|k| prefix(k).len()).collect();
+        let whole: Vec<usize> = (1..whole_batch.slots().len()).map(|k| prefix(k).len()).collect();
         for cut in 0..bytes.len() {
             match decode_frame(&bytes[..cut], 7) {
                 Ok(shorter) => {

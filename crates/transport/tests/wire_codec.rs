@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rbvc_core::verified_avg::RoundState;
+use rbvc_core::va_batch::{BatchWriter, VaBatch};
 use rbvc_linalg::VecD;
 use rbvc_sim::bracha::BrachaMsg;
 use rbvc_sim::eig::EigRound;
@@ -14,14 +14,17 @@ use rbvc_sim::error::ProtocolError;
 use rbvc_sim::fuzz::ByteMutator;
 use rbvc_transport::client::{CLIENT_HEADER_LEN, SUBMIT_DIM_OFFSET};
 use rbvc_transport::wire::{
-    decode_frame, decode_frame_hinted, encode_frame, Frame, Hint, Payload, VaBatch, VaSlot, HEADER_LEN,
-    MAGIC, VA_DIM_OFFSET, VERSION,
+    decode_frame, decode_frame_hinted, encode_frame, Frame, Hint, Payload, HEADER_LEN, MAGIC, VA_DIM_OFFSET,
+    VERSION,
 };
 use rbvc_transport::{decode_client_frame, encode_client_frame, ClientFrame, PayloadCrafter};
 
+/// One round state of one instance: (instance, round, value, witness).
+type Slot = (u64, u32, VecD, Vec<usize>);
+
 /// The slots of a Verified-Averaging batch built from raw generator
 /// output: slot `k` is of instance `instance + k`.
-fn va_slots(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Vec<VaSlot> {
+fn va_slots(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Vec<Slot> {
     let vec_at = |k: usize| {
         VecD::from_slice(
             &raw[(k * dim) % raw.len()..]
@@ -33,18 +36,23 @@ fn va_slots(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: us
         )
     };
     (0..slots)
-        .map(|k| VaSlot {
-            instance: instance.wrapping_add(k as u64),
-            round: ((sender + k) % 7) as u32,
-            state: Arc::new(RoundState { value: vec_at(k), witness: (0..witnesses + k).collect() }),
-        })
+        .map(|k| (instance.wrapping_add(k as u64), ((sender + k) % 7) as u32, vec_at(k), (0..witnesses + k).collect()))
         .collect()
+}
+
+/// The batch of `slots`, as a node writes it.
+fn va_batch(slots: &[Slot]) -> Arc<VaBatch> {
+    let mut writer = BatchWriter::default();
+    for (instance, round, value, witness) in slots {
+        writer.push(*instance, *round, value.as_slice().iter().copied(), witness.iter().copied());
+    }
+    Arc::new(writer.finish())
 }
 
 /// A `Ready` frame of the batch of [`va_slots`].
 fn va_frame(instance: u64, sender: usize, dim: usize, raw: &[f64], witnesses: usize, slots: usize) -> Frame {
-    let slots = va_slots(instance, sender, dim, raw, witnesses, slots);
-    Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(Arc::new(VaBatch::new(slots)))))
+    let slots = va_batch(&va_slots(instance, sender, dim, raw, witnesses, slots));
+    Frame::batch(sender, ((sender, (sender * 31) as u32), BrachaMsg::Ready(slots)))
 }
 
 /// Build a parallel-EIG frame from raw generator output: `labels` items for
@@ -111,8 +119,10 @@ proptest! {
     /// payload and subnormals among them — it is, byte for byte, the frame
     /// written out field by field and slot by slot, as the codec's docs lay
     /// it out. Decoded, each slot's view reads back the instance, round,
-    /// value bits and witness it was built from, and the views, made owned
-    /// again, encode to the same frame.
+    /// value bits and witness it was built from, and the views, written
+    /// again, encode to the same frame. The simulator's message for the
+    /// first slot's state — a Verified-Averaging process's round-0 `Init`
+    /// — is the batch a node writes for that one slot, as instance 0.
     #[test]
     fn a_batch_frame_is_its_slots_written_out(
         raw in prop::collection::vec(-1e9f64..1e9, 24),
@@ -131,22 +141,21 @@ proptest! {
         let Payload::VaBatch((tag, BrachaMsg::Ready(batch))) = frame.payload else { unreachable!() };
         let msg = if kind == 1 { BrachaMsg::Echo(Arc::clone(&batch)) } else { BrachaMsg::Ready(Arc::clone(&batch)) };
         let mut want = [&MAGIC[..], &[VERSION, 5]].concat();
-        want.extend(built[0].instance.to_le_bytes());
+        want.extend(built[0].0.to_le_bytes());
         want.extend((sender as u32).to_le_bytes());
-        want.extend(built[0].round.to_le_bytes());
+        want.extend(built[0].1.to_le_bytes());
         want.extend((tag.0 as u32).to_le_bytes());
         want.extend(tag.1.to_le_bytes());
         want.push(kind);
-        for (k, slot) in built.iter().enumerate() {
+        for (k, (instance, round, value, witness)) in built.iter().enumerate() {
             if k > 0 {
-                want.extend(slot.instance.to_le_bytes());
-                want.extend(slot.round.to_le_bytes());
+                want.extend(instance.to_le_bytes());
+                want.extend(round.to_le_bytes());
             }
-            let state = &slot.state;
-            want.extend((state.value.dim() as u32).to_le_bytes());
-            state.value.as_slice().iter().for_each(|x| want.extend(x.to_bits().to_le_bytes()));
-            want.extend((state.witness.len() as u32).to_le_bytes());
-            state.witness.iter().for_each(|&id| want.extend((id as u32).to_le_bytes()));
+            want.extend((value.dim() as u32).to_le_bytes());
+            value.as_slice().iter().for_each(|x| want.extend(x.to_bits().to_le_bytes()));
+            want.extend((witness.len() as u32).to_le_bytes());
+            witness.iter().for_each(|&id| want.extend((id as u32).to_le_bytes()));
         }
         let bytes = encode_frame(&Frame::batch(sender, (tag, msg)));
         prop_assert_eq!(&bytes, &want);
@@ -154,16 +163,29 @@ proptest! {
         let (BrachaMsg::Echo(decoded) | BrachaMsg::Ready(decoded) | BrachaMsg::Init(decoded)) = msg;
         let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(decoded.slots().len(), built.len());
-        for (view, slot) in decoded.slots().zip(&built) {
-            prop_assert_eq!((view.instance, view.round), (slot.instance, slot.round));
-            prop_assert_eq!(bits(&mut view.value()), bits(&mut slot.state.value.as_slice().iter().copied()));
-            prop_assert!(view.witness().eq(slot.state.witness.iter().copied()));
+        for (view, (instance, round, value, witness)) in decoded.slots().zip(&built) {
+            prop_assert_eq!((view.instance, view.round), (*instance, *round));
+            prop_assert_eq!(bits(&mut view.value()), bits(&mut value.as_slice().iter().copied()));
+            prop_assert!(view.witness().eq(witness.iter().copied()));
         }
-        let owned = VaBatch::new(decoded.slots().map(|view| view.to_slot()).collect());
-        let again = Frame::batch(sender, (tag, BrachaMsg::Init(Arc::new(owned))));
+        let mut again = BatchWriter::default();
+        decoded.slots().for_each(|view| again.push(view.instance, view.round, view.value(), view.witness()));
+        let again = Frame::batch(sender, (tag, BrachaMsg::Init(Arc::new(again.finish()))));
         let mut init = want.clone();
         init[VA_DIM_OFFSET - 1] = 0;
         prop_assert_eq!(encode_frame(&again), init);
+        // The simulator's one-slot message for a state is the node's batch.
+        use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
+        use rbvc_sim::asynch::AsyncProtocol;
+        let value = &built[0].2;
+        let mut process = VerifiedAveraging::new(0, 4, 1, value.clone(), DeltaMode::Zero, 2, rbvc_linalg::Tol::default());
+        let node = va_batch(&[(0, 0, value.clone(), vec![])]);
+        for (_, (tag, msg)) in process.on_start() {
+            prop_assert_eq!(tag, (0, 0));
+            let BrachaMsg::Init(sim) = msg else { unreachable!("round 0 sends Inits") };
+            prop_assert_eq!(sim.bytes(), node.bytes());
+            prop_assert_eq!(&sim, &node);
+        }
     }
 
     /// Every strict prefix of a valid one-slot frame is rejected as
@@ -261,11 +283,7 @@ fn node_codec_rejects_the_mutation_corpus() {
     let frame = va_frame(1, 0, 2, &[1.0, 0.0, 3.0], 1, 1);
     let base = encode_frame(&frame);
     let Payload::VaBatch((_, BrachaMsg::Ready(own))) = frame.payload else { unreachable!() };
-    let with_value = |xs: &[f64]| {
-        let mut slot = own.slot(0).to_slot();
-        Arc::make_mut(&mut slot.state).value = VecD::from_slice(xs);
-        Arc::new(VaBatch::new(vec![slot]))
-    };
+    let with_value = |xs: &[f64]| Arc::new(own.edited(|_, value| value.clone_from(&xs.to_vec())));
     let (negative_zero, other) = (with_value(&[1.0, -0.0]), with_value(&[9.0, 9.0]));
     assert!(own.slot(0).value().eq(negative_zero.slot(0).value()), "equal values");
     let hints = [own, negative_zero, other];
@@ -580,4 +598,91 @@ fn honest_va_frames_name_their_witness() {
         let decision = [0xbfd943fd6c9221f8, 0x3feae9abc95f7441, 0x3fe092c64ef88994];
         assert!(decisions.iter().all(|d| d.len() == k as usize && d[0] == decision), "k = {k}");
     }
+}
+
+/// The one value edit ([`VaBatch::edited`]) reproduces, byte for byte, what
+/// each adversary sent when it edited states of its own: the frames the
+/// wire's `equivocate`, `lying-witness` and `slot-twice` mixes send for one
+/// own batch and one relayed echo, and the messages of the simulator's
+/// `split_brain_input` at its start and of `corrupt_average` through a
+/// whole FIFO run — each message its destination, tag, Bracha kind and
+/// state, laid out as a slot. The digests were taken while adversaries
+/// edited an owned copy of a state and rebuilt the batch from it.
+#[test]
+fn va_edits_are_the_bytes_they_were() {
+    use std::collections::VecDeque;
+    use std::time::Duration;
+
+    use rbvc_core::verified_avg::{corrupt_average, split_brain_input, DeltaMode, VaMsg, VerifiedAveraging};
+    use rbvc_linalg::{Norm, Tol};
+    use rbvc_sim::asynch::{AsyncAdversary, AsyncProtocol};
+    use rbvc_transport::{in_proc_mesh, AttackRegistry, ByzantineEndpoint, Transport};
+
+    let hex = |bytes: &[u8]| -> String { rbvc_transport::sha256(bytes).iter().map(|b| format!("{b:02x}")).collect() };
+    let slot = |instance, round, xs: &[f64], witness: &[usize]| (instance, round, VecD::from_slice(xs), witness.to_vec());
+    let own = va_batch(&[slot(1, 0, &[1.0, -0.0], &[]), slot(2, 1, &[2.5, 0.25], &[0, 1, 3])]);
+    let own = encode_frame(&Frame::batch(0, ((0, 5), BrachaMsg::Init(own))));
+    let relay = va_batch(&[slot(1, 2, &[-3.0, 1e-300], &[3, 2, 1])]);
+    let relay = encode_frame(&Frame::batch(0, ((2, 3), BrachaMsg::Echo(relay))));
+    let mut wire = Vec::new();
+    for (mix, frames) in [("equivocate", 2), ("lying-witness", 2), ("slot-twice", 3)] {
+        let mut mesh = in_proc_mesh(4);
+        let mut peers: Vec<_> = mesh.drain(1..).collect();
+        let mut byz = ByzantineEndpoint::new(mesh.pop().unwrap(), AttackRegistry::policy(mix, 7));
+        for dst in 1..4 {
+            byz.send(dst, own.clone()).unwrap();
+            byz.send(dst, relay.clone()).unwrap();
+        }
+        byz.flush().unwrap();
+        for ep in &mut peers {
+            let got = ep.recv_timeout(Duration::from_millis(100));
+            assert_eq!(got.len(), frames, "{mix}");
+            got.into_iter().for_each(|(_, bytes)| wire.extend(bytes));
+        }
+    }
+    assert_eq!(hex(&wire), "01f6d875b26a16ac30222a321881f2304b80979da3bd75b285965b34cce27177");
+
+    let render = |out: &mut Vec<u8>, (dst, ((origin, round), msg)): &(usize, VaMsg)| {
+        let (kind, state) = match msg {
+            BrachaMsg::Init(s) => (0u8, s),
+            BrachaMsg::Echo(s) => (1, s),
+            BrachaMsg::Ready(s) => (2, s),
+        };
+        [*dst, *origin, *round].iter().for_each(|&x| out.extend((x as u32).to_le_bytes()));
+        out.push(kind);
+        let state = state.slot(0);
+        out.extend((state.value().len() as u32).to_le_bytes());
+        state.value().for_each(|x| out.extend(x.to_bits().to_le_bytes()));
+        out.extend((state.witness().len() as u32).to_le_bytes());
+        state.witness().for_each(|k| out.extend((k as u32).to_le_bytes()));
+    };
+    let (n, f) = (4, 1);
+    let proto = |i: usize| {
+        let input = VecD::from_slice(&[i as f64, 1.0 - 0.5 * i as f64]);
+        VerifiedAveraging::new(i, n, f, input, DeltaMode::MinDelta(Norm::L2), 3, Tol::default())
+    };
+    let mut sim = Vec::new();
+    for sent in split_brain_input(proto(2), VecD::from_slice(&[-9.0, 9.0])).on_start() {
+        render(&mut sim, &sent);
+    }
+    let mut adversary = corrupt_average(proto(0), VecD::from_slice(&[0.5, -0.25]));
+    let mut honest: Vec<VerifiedAveraging> = (1..n).map(proto).collect();
+    let mut queue: VecDeque<(usize, usize, VaMsg)> = VecDeque::new();
+    let sent = adversary.on_start();
+    sent.iter().for_each(|m| render(&mut sim, m));
+    queue.extend(sent.into_iter().map(|(dst, m)| (0, dst, m)));
+    for (k, p) in honest.iter_mut().enumerate() {
+        queue.extend(p.on_start().into_iter().map(|(dst, m)| (k + 1, dst, m)));
+    }
+    while let Some((from, dst, msg)) = queue.pop_front() {
+        if dst == 0 {
+            let sent = adversary.on_message(from, msg);
+            sent.iter().for_each(|m| render(&mut sim, m));
+            queue.extend(sent.into_iter().map(|(to, m)| (0, to, m)));
+        } else {
+            queue.extend(honest[dst - 1].on_message(from, msg).into_iter().map(|(to, m)| (dst, to, m)));
+        }
+    }
+    assert!(honest.iter().all(|p| p.output().is_some()));
+    assert_eq!((sim.len(), hex(&sim).as_str()), (5008, "a4defce068a8982e2fcfdce3f08453e931f719c07158ae2832e8000d680efd0b"));
 }

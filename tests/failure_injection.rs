@@ -14,6 +14,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use relaxed_bvc::consensus::problem::{check_execution, Agreement, Validity};
 use relaxed_bvc::consensus::rules::DecisionRule;
 use relaxed_bvc::consensus::sync_protocols::SyncBvc;
+use relaxed_bvc::consensus::va_batch::BatchWriter;
 use relaxed_bvc::consensus::verified_avg::{DeltaMode, VaMsg, VerifiedAveraging};
 use relaxed_bvc::linalg::{Norm, Tol, VecD};
 use relaxed_bvc::sim::asynch::{AsyncEngine, AsyncNode, RandomScheduler};
@@ -189,10 +190,10 @@ fn verified_averaging_survives_async_fuzzing() {
                     // Random Bracha messages for random tags.
                     let generator = Box::new(move |rng: &mut StdRng, _: usize| -> VaMsg {
                         let tag = (rng.gen_range(0..n), rng.gen_range(0..6usize));
-                        let state = std::sync::Arc::new(relaxed_bvc::consensus::verified_avg::RoundState {
-                            value: VecD((0..d).map(|_| rng.gen_range(-9.0..9.0)).collect()),
-                            witness: Vec::new(),
-                        });
+                        let value: Vec<f64> = (0..d).map(|_| rng.gen_range(-9.0..9.0)).collect();
+                        let mut state = BatchWriter::default();
+                        state.push(0, tag.1 as u32, value.into_iter(), std::iter::empty());
+                        let state = std::sync::Arc::new(state.finish());
                         let msg = match rng.gen_range(0..3) {
                             0 => relaxed_bvc::sim::bracha::BrachaMsg::Init(state),
                             1 => relaxed_bvc::sim::bracha::BrachaMsg::Echo(state),
