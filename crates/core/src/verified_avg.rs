@@ -105,6 +105,9 @@ enum Mark {
     Verified,
     /// Failed verification, for good.
     Rejected,
+    /// Closed by the host with no state: the one that won the tag never
+    /// reached this process ([`VerifiedAveraging::close_origin`]).
+    Closed,
 }
 
 /// The states one process delivered, one row per broadcast tag, indexed
@@ -310,7 +313,7 @@ impl VerifiedAveraging {
     #[must_use]
     pub fn delivered_value(&self, tag: RoundTag) -> Option<&[f64]> {
         let i = self.index(tag)?;
-        (self.record.mark(i) != Mark::Empty).then(|| self.record.value(i))
+        matches!(self.record.mark(i), Mark::Pending | Mark::Verified | Mark::Rejected).then(|| self.record.value(i))
     }
 
     /// Rows of the record: 0 until this process first delivers a state,
@@ -419,6 +422,21 @@ impl VerifiedAveraging {
                 break;
             }
         }
+    }
+
+    /// Close every tag of `origin` that holds no state, for a host that
+    /// dropped a state of `origin`'s unseen (that one won its tag): a later
+    /// state for a closed tag is a duplicate, and one naming it never
+    /// verifies here. An `origin` outside the run closes nothing.
+    pub fn close_origin(&mut self, origin: ProcessId) {
+        if origin >= self.n {
+            return;
+        }
+        if self.record.rows.is_empty() {
+            self.record.size(self.n * self.total_rounds);
+        }
+        let open = self.record.rows.iter_mut().skip(origin).step_by(self.n).filter(|row| row.0 == Mark::Empty);
+        open.for_each(|row| row.0 = Mark::Closed);
     }
 
     /// The round-0 combining rule itself. Fails (instead of panicking) when
@@ -1084,13 +1102,42 @@ mod tests {
         assert!(errs > 0, "degraded nodes must report EmptyIntersection");
     }
 
+    /// A closed origin keeps the states it delivered and takes no other: a
+    /// later state for one of its tags is a duplicate, the tag reads as
+    /// undelivered, and a state whose witness names it waits unverified.
+    #[test]
+    fn a_closed_origin_takes_no_later_state() {
+        let v = |x: f64| [x, 1.0 - x];
+        let n = 4;
+        let mut node = VerifiedAveraging::new(0, n, 1, VecD::from_slice(&v(0.0)), DeltaMode::MinDelta(Norm::L2), 4, t());
+        let mut own = BatchWriter::default();
+        let mut deliver = |node: &mut VerifiedAveraging, origin, round, x, witness: &[ProcessId]| {
+            node.deliver_slot(origin, state(round, &v(x), witness).slot(0), &mut own);
+        };
+        deliver(&mut node, 1, 0, 1.0, &[]);
+        node.close_origin(1);
+        node.close_origin(n);
+        deliver(&mut node, 1, 0, 5.0, &[]);
+        deliver(&mut node, 1, 1, 1.0, &[0, 1, 2]);
+        assert_eq!(node.delivered_value((1, 0)), Some(&v(1.0)[..]));
+        assert_eq!(node.delivered_value((1, 1)), None);
+        assert_eq!(node.refusals(), Refusals { duplicate: 2, ..Refusals::default() });
+        deliver(&mut node, 2, 0, 2.0, &[]);
+        deliver(&mut node, 3, 0, 3.0, &[]);
+        deliver(&mut node, 2, 2, 2.0, &[1, 2, 3]);
+        assert_eq!((node.pending.len(), node.refusals().verify), (1, 0), "waits on (1, 1)");
+    }
+
     /// The delivery entry refuses what is out of the run, malformed or a
     /// second state for a tag, keeping the first; a witness of `n + 1` ids,
     /// or a value of another dimension, is refused before the record is
     /// written: the first delivery refused so sizes no table, and on a sized
     /// one the tag stays open for a good state. Four processes that hand
     /// each other every state they move on to through a perfect reliable
-    /// broadcast (FIFO, to everyone) all decide, within ε of each other.
+    /// broadcast (FIFO, to everyone) all decide, within ε of each other,
+    /// though a round-1 state of origin 3 that fails verification comes
+    /// first: each rejects it once and refuses its honest twin as a
+    /// duplicate.
     #[test]
     fn deliver_keeps_the_first_state_per_tag_and_decides() {
         let v = |x: f64| [x, 1.0 - x];
@@ -1120,8 +1167,9 @@ mod tests {
         assert_eq!(node.delivered_value((3, 0)), Some(&v(3.0)[..]));
 
         let mut nodes: Vec<VerifiedAveraging> = (0..n).map(proto).collect();
+        let bad = (3, state(1, &v(7.0), &[0, 1, 2]));
         let mut queue: std::collections::VecDeque<(ProcessId, Arc<VaBatch>)> =
-            nodes.iter().map(|p| (p.id, state(0, p.input().as_slice(), &[]))).collect();
+            std::iter::once(bad).chain(nodes.iter().map(|p| (p.id, state(0, p.input().as_slice(), &[])))).collect();
         while let Some((origin, s)) = queue.pop_front() {
             for p in &mut nodes {
                 let mut own = BatchWriter::default();
@@ -1130,7 +1178,11 @@ mod tests {
             }
         }
         let decided: Vec<VecD> = nodes.iter().map(|p| p.output().expect("decided")).collect();
-        assert!(nodes.iter().all(|p| p.refusals() == Refusals::default()));
+        for p in &nodes {
+            let refused = p.refusals();
+            assert_eq!((refused.bounds, refused.payload, refused.verify), (0, 0, 1), "process {}", p.id);
+            assert!(refused.duplicate >= 1, "process {}: the honest twin of the rejected state", p.id);
+        }
         for (a, b) in decided.iter().zip(&decided[1..]) {
             assert!(a.dist(b, Norm::LInf) < 1e-3, "{a:?} vs {b:?}");
         }

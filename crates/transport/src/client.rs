@@ -51,7 +51,7 @@ use rbvc_obs::Registry;
 use crate::service::{ClientAdmission, ConsensusService};
 use crate::tcp::{append_frame, Listener, WRITE_TIMEOUT};
 use crate::transport::Transport;
-use crate::wire::put_vecd;
+use crate::wire::{finish, put_vecd, vecd};
 
 /// Client frame magic: distinct from the node-to-node `"RB"`.
 pub const CLIENT_MAGIC: [u8; 2] = *b"RC";
@@ -136,26 +136,26 @@ pub fn decode_client_frame(bytes: &[u8]) -> Result<ClientFrame, String> {
     if r.take(2)? != CLIENT_MAGIC {
         return Err("bad client magic".into());
     }
-    let version = r.u8()?;
+    let version = r.take(1)?[0];
     if version != CLIENT_VERSION {
         return Err(format!("unsupported client wire version {version}"));
     }
-    let frame = match r.u8()? {
+    let frame = match r.take(1)?[0] {
         1 => {
             let session = r.u64()?;
             let reqno = r.u64()?;
-            let value = r.vecd()?;
+            let value = vecd(&mut r)?;
             if value.dim() == 0 {
                 return Err("empty client vector".into());
             }
             ClientFrame::Submit { session, reqno, value }
         }
-        2 => ClientFrame::Reply { session: r.u64()?, reqno: r.u64()?, decision: r.vecd()? },
+        2 => ClientFrame::Reply { session: r.u64()?, reqno: r.u64()?, decision: vecd(&mut r)? },
         3 => ClientFrame::Redirect { node: r.u32()? },
         4 => ClientFrame::Busy,
         k => return Err(format!("unknown client frame kind {k}")),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok(frame)
 }
 

@@ -212,7 +212,9 @@ mod tests {
     use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
     use rbvc_store::RecordBatch;
     use crate::service::node::{InstanceProto, Node, Outbox};
-    use crate::wire::{decode_frame, decode_frame_hinted, Frame, Payload, MAX_PID, MAX_ROUND};
+    use crate::service::client_table::STASH_CAP;
+    use crate::service::{InstanceId, CLIENT_INSTANCE_BASE};
+    use crate::wire::{decode_frame, decode_frame_hinted, ClientLaunch, Frame, Payload, MAX_PID, MAX_ROUND};
 
     /// The batch of `slots`: (instance, round) each, every state `value` with
     /// no witness.
@@ -509,47 +511,88 @@ mod tests {
         assert!(out.frames.is_empty());
     }
 
-    /// A shed slot's tag lives as long as its instance runs. Node 0, its
-    /// stash cell for origin 2's slots of node 1's client instances full,
-    /// sheds origin 2's last-round slot of a client instance of node 1
-    /// before the instance's `Launch` arrives; the instance launches
-    /// and decides on all four cores (at f = 1 node 0 does without that
-    /// state), and the tag goes with the decision. A late slot under the
-    /// same tag, in a batch of origin 2 that node 0 delivers, is still
-    /// refused: dropped unseen, with no gate count, nothing parked and the
-    /// decision as it was.
+    /// Node 1's client instance `seq`: its id and the `Launch` it sends, at
+    /// f = 1 over 8 rounds.
+    fn client_launch(seq: u64) -> (InstanceId, ClientLaunch) {
+        let value = VecD::from_slice(&[1.0, 2.0]);
+        (CLIENT_INSTANCE_BASE | (1 << 24) | seq, ClientLaunch { session: 1, reqno: seq + 1, f: 1, rounds: 8, value })
+    }
+
+    /// Each node takes what reached it, ticks and seals, as in `run_cores`,
+    /// with `inspect` seeing it before each seal, until nothing is in
+    /// flight; node 1 first admits its client instances `seqs`, one per
+    /// sweep. Node 1's frames to node 0 wait in `held` while `lag`.
+    fn settle(
+        nodes: &mut [Node],
+        queues: &mut Queues,
+        held: &mut Vec<Vec<u8>>,
+        (seqs, lag): (std::ops::Range<u64>, bool),
+        inspect: &mut impl FnMut(&Node),
+    ) {
+        let mut out = Outbox::default();
+        let mut send = |p: ProcessId, out: &mut Outbox, queues: &mut Queues| {
+            out.frames.drain_sends(|dst, bytes| match dst {
+                0 if p == 1 && lag => held.push(bytes),
+                _ => queues[dst].push_back((p, bytes)),
+            });
+        };
+        let mut seqs = seqs.peekable();
+        while seqs.peek().is_some() || queues.iter().any(|q| !q.is_empty()) {
+            if let Some(seq) = seqs.next() {
+                nodes[1].admit(client_launch(seq), &now(), &mut out);
+                send(1, &mut out, queues);
+            }
+            for (p, node) in nodes.iter_mut().enumerate() {
+                while let Some((from, bytes)) = queues[p].pop_front() {
+                    node.on_frame(from, &bytes, &now(), &mut out);
+                }
+                node.tick(&mut out);
+                inspect(node);
+                node.seal(&mut out);
+                out.decided.clear();
+                send(p, &mut out, queues);
+            }
+        }
+    }
+
+    /// A full cell's shed slot closes its origin for the instances it may
+    /// have been a slot of, and for no running or later one. Node 0 runs
+    /// node 1's client instance 0 when its stash cell for origin 2's slots
+    /// of node 1's instances, full, sheds origin 2's slot of instance 1,
+    /// whose `Launch` has not arrived. Then node 1 runs instances 0 to 3
+    /// with everyone: instance 0, running at the overflow, and instances 2
+    /// and 3, minted after the shed one, decide on all four cores; node 0
+    /// closes origin 2 for instance 1 at its launch and takes none of origin
+    /// 2's states for it, refusing them as duplicates, with no gate count.
     #[test]
-    fn a_shed_tag_goes_when_its_instance_decides() {
-        use crate::service::client_table::STASH_CAP;
-        use crate::service::CLIENT_INSTANCE_BASE;
-        use crate::wire::ClientLaunch;
-        let (n, rounds) = (4, 4);
+    fn a_shed_slot_closes_its_origin_for_its_instance_only() {
+        let n = 4;
         let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
-        let id = CLIENT_INSTANCE_BASE | (1 << 24);
-        let slot = |instance, round| states(&[(instance, round)], &[1.0, 2.0]);
+        nodes.iter_mut().for_each(|node| node.started = true);
+        let (id, launch) = client_launch(0);
+        let bytes = encode_frame(&Frame { instance: id, sender: 1, round: 0, payload: Payload::Launch(launch) });
+        nodes[0].on_frame(1, &bytes, &now(), &mut Outbox::default());
+        let slot = |seq, round| states(&[(client_launch(seq).0, round)], &[1.0, 2.0]);
         for round in 0..STASH_CAP as u32 {
-            assert!(nodes[0].client.park(2, slot(id + 1, round).slot(0)));
+            assert!(nodes[0].client.park(2, slot(9, round).slot(0)));
         }
-        assert!(nodes[0].client.park(2, slot(id, rounds - 1).slot(0)));
-        assert!(nodes[0].client.was_shed(id, 2, rounds - 1));
-        let launch = ClientLaunch { session: 1, reqno: 1, f: 1, rounds, value: VecD::from_slice(&[1.0, 2.0]) };
-        let (mut queues, mut out): (Queues, _) = (vec![VecDeque::new(); n], Outbox::default());
-        nodes[1].admit((id, launch), &now(), &mut out);
-        out.frames.drain_sends(|dst, bytes| queues[dst].push_back((1, bytes)));
-        run_cores(&mut nodes, &mut queues, &mut vec![RecordBatch::default(); n], |_| {});
-        let decided = nodes[0].instances[&id].decision().cloned();
-        assert!(decided.is_some() && !nodes[0].client.was_shed(id, 2, rounds - 1), "the tag went");
-        let seq = nodes[0].batches.origins[2].next;
-        let late = slot(id, rounds - 1);
-        let stats = nodes[0].client.stats();
-        for from in 1..n {
-            let bytes = encode_frame(&Frame::batch(from, ((2, seq), BrachaMsg::Ready(Arc::clone(&late)))));
-            nodes[0].on_frame(from, &bytes, &now(), &mut out);
+        assert!(nodes[0].client.park(2, slot(1, 3).slot(0)));
+        assert_eq!(nodes[0].client.stats().stash_shed, 1);
+        let (mut queues, mut held): (Queues, _) = (vec![VecDeque::new(); n], Vec::new());
+        let shed = client_launch(1).0;
+        let mut duplicates = 0;
+        settle(&mut nodes, &mut queues, &mut held, (0..4, false), &mut |node| {
+            if let Some(va) = (node.local == 0 && node.instances.contains_key(&shed)).then(|| running_va(node, shed)).flatten() {
+                assert!((0..8).all(|round| va.delivered_value((2, round)).is_none()));
+                duplicates = va.refusals().duplicate;
+            }
+        });
+        assert!(duplicates >= 1, "origin 2's states for instance 1 reached node 0");
+        for seq in [0, 2, 3] {
+            assert!(nodes.iter().all(|node| node.instances[&client_launch(seq).0].decision().is_some()), "{seq}");
         }
-        assert_eq!(nodes[0].batches.origins[2].next, seq + 1, "delivered");
+        assert!(nodes[1..].iter().all(|node| node.instances[&shed].decision().is_some()));
         assert_eq!(gate_totals(&nodes[0]), [0; 4]);
-        assert!(!nodes[0].client.was_shed(id, 2, rounds - 1) && nodes[0].client.stats() == stats);
-        assert_eq!(nodes[0].instances[&id].decision(), decided.as_ref());
     }
 
     /// A full stash cell sheds only its own (owner, origin) pair. Byzantine
@@ -560,9 +603,6 @@ mod tests {
     /// it is parked, not shed, and delivered when the `Launch` arrives.
     #[test]
     fn a_full_stash_cell_sheds_only_its_own_pair() {
-        use crate::service::client_table::STASH_CAP;
-        use crate::service::CLIENT_INSTANCE_BASE;
-        use crate::wire::ClientLaunch;
         let n = 4;
         let mut node = Node::new(0, n);
         let mut out = Outbox::default();
@@ -586,5 +626,55 @@ mod tests {
         let va = running_va(&node, id).expect("launched");
         assert_eq!(va.delivered_value((2, 0)), Some(&[0.5, 0.5][..]), "delivered at the launch");
         assert_eq!(gate_totals(&node), [0; 4]);
+    }
+
+    /// The owner takes the slots parked for its own instance at its launch,
+    /// as a peer does: Byzantine origin 3's round-0 slot for node 1's next
+    /// client instance, delivered at node 1 before the instance exists, is
+    /// the state node 1 keeps for that tag.
+    #[test]
+    fn the_owner_takes_the_slots_parked_for_its_instance() {
+        let n = 4;
+        let mut node = Node::new(1, n);
+        node.started = true;
+        let (id, launch) = client_launch(0);
+        let early = states(&[(id, 0)], &[0.5, 0.5]);
+        for from in [0, 2, 3] {
+            let bytes = encode_frame(&Frame::batch(from, ((3, 0), BrachaMsg::Ready(Arc::clone(&early)))));
+            node.on_frame(from, &bytes, &now(), &mut Outbox::default());
+        }
+        assert!(!node.instances.contains_key(&id) && node.batches.origins[3].next == 1, "parked");
+        node.admit((id, launch), &now(), &mut Outbox::default());
+        let va = running_va(&node, id).expect("launched");
+        assert_eq!(va.delivered_value((3, 0)), Some(&[0.5, 0.5][..]));
+        assert_eq!(gate_totals(&node), [0; 4]);
+    }
+
+    /// An honest cell that overflows holds back no instance minted after
+    /// the overflow. At client f = 1 node 1 runs 700 client instances with
+    /// nodes 2 and 3 while every frame it sends node 0 lags, its `Launch`
+    /// frames first: node 0 delivers the batches of origins 1 to 3 through
+    /// the others' readies, some 2 000 slots each, and parks them until each
+    /// cell is full; the rest are shed or refused. Once the link catches up,
+    /// node 0 launches every lagging instance, and the instances node 1
+    /// launches next decide on all four cores.
+    #[test]
+    fn an_overflowing_cell_holds_back_no_later_instance() {
+        let (n, lagging) = (4, 700);
+        let mut nodes: Vec<Node> = (0..n).map(|p| Node::new(p, n)).collect();
+        nodes.iter_mut().for_each(|node| node.started = true);
+        let (mut queues, mut held): (Queues, _) = (vec![VecDeque::new(); n], Vec::new());
+        settle(&mut nodes, &mut queues, &mut held, (0..lagging, true), &mut |_| {});
+        assert!(nodes[1..].iter().all(|node| node.undecided == 0), "decided without node 0");
+        let last = client_launch(lagging - 1).0;
+        assert!((1..n).all(|origin| nodes[0].client.refused(last, origin)), "every cell overflowed");
+        assert!(nodes[0].client.stats().stash_shed > STASH_CAP as u64);
+        queues[0].extend(held.drain(..).map(|bytes| (1, bytes)));
+        settle(&mut nodes, &mut queues, &mut held, (lagging..lagging + 4, false), &mut |_| {});
+        for node in &nodes {
+            let later = (lagging..lagging + 4).filter(|&seq| node.instances[&client_launch(seq).0].decision().is_some());
+            assert_eq!(later.count(), 4, "node {}", node.local);
+        }
+        assert_eq!(gate_totals(&nodes[0]), [0; 4]);
     }
 }

@@ -44,21 +44,22 @@ pub fn client_instance_owner(id: InstanceId) -> Option<ProcessId> {
 const SEQ_MASK: u64 = 0xFF_FFFF;
 
 /// Batch slots for a client instance delivered before its `Launch` are
-/// parked, at most this many per (owner, origin) cell, and a cell remembers
-/// at most this many tags of the slots it shed. An honest owner races at
-/// most `max_inflight · rounds` slots per origin (512 at the defaults), so
-/// only a Byzantine owner or origin fills a cell: its own.
+/// parked, at most this many per (owner, origin) cell. An honest owner races
+/// at most `max_inflight · rounds` slots per origin (512 at the defaults) at
+/// client `f = 0` only: at `f ≥ 1` it decides and launches on without a node
+/// whose `Launch` frames lag, and that node's honest cells can overflow.
 pub(super) const STASH_CAP: usize = 1024;
 
 /// One (owner, origin) cell of the stash.
 #[derive(Default)]
 struct Cell {
     parked: usize,
-    /// (instance, round) tags of shed slots: a later slot with one of these
-    /// is not the first its origin sent, and never takes the shed one's place.
-    shed: Vec<(InstanceId, u32)>,
-    /// More tags were shed than `shed` holds: every later slot is refused.
-    sealed: bool,
+    /// One past the highest sequence number of the owner's instances the
+    /// cell shed a slot of (that slot won its tag): a lower one closes the
+    /// origin at its launch, and its slots are refused until then. Owners
+    /// mint ids in increasing order, so this reaches no instance minted after
+    /// the overflow, and none running at it.
+    shed_below: u64,
 }
 
 /// Parameters of the client front-end (the consensus instances client
@@ -177,7 +178,7 @@ pub(super) struct ClientTable {
     /// Client-instance batch slots delivered before their `Launch`, each a
     /// batch of one, with their origin, in delivery order.
     stash: VecDeque<(ProcessId, VaBatch)>,
-    /// The stash's bound and shed tags per (owner, origin), indexed
+    /// The stash's bound and refusal per (owner, origin), indexed
     /// `owner · n + origin`: none until the first slot is parked (set-up
     /// pays nothing for it), then `n²`.
     cells: Vec<Cell>,
@@ -384,10 +385,10 @@ impl ClientTable {
 
     /// A slot of `origin`'s batch for a client instance may legitimately be
     /// delivered before the instance's `Launch` arrives (different links
-    /// race): park it as a batch of one, bounded per (owner, origin) cell.
-    /// A shed slot's tag is remembered. False, with nothing parked, when no
-    /// `Launch` can ever stand the instance up: it is not a client instance
-    /// of an owner in this run.
+    /// race): park it as a batch of one, bounded per (owner, origin) cell;
+    /// a slot a full cell sheds raises the cell's refusal to its instance.
+    /// False, with nothing parked, when no `Launch` can ever stand the
+    /// instance up: it is not a client instance of an owner in this run.
     pub(super) fn park(&mut self, origin: ProcessId, slot: SlotView<'_>) -> bool {
         let Some(k) = self.cell(slot.instance, origin) else { return false };
         if self.cells.is_empty() {
@@ -397,33 +398,20 @@ impl ClientTable {
         if cell.parked < STASH_CAP {
             cell.parked += 1;
             self.stash.push_back((origin, slot.to_batch()));
-            return true;
-        }
-        if cell.shed.len() < STASH_CAP {
-            cell.shed.push((slot.instance, slot.round));
         } else {
-            cell.sealed = true;
+            cell.shed_below = cell.shed_below.max((slot.instance & SEQ_MASK) + 1);
+            self.counters.stash_shed += 1;
+            Registry::global().counter("service.client.stash_shed").inc();
         }
-        self.counters.stash_shed += 1;
-        Registry::global().counter("service.client.stash_shed").inc();
         true
     }
 
-    /// `instance` decided: its shed tags go, as a decided instance drops its
-    /// late slots itself. The lists hold the tags of undecided instances
-    /// only.
-    pub(super) fn decided(&mut self, instance: InstanceId) {
-        let Some(first) = self.cell(instance, 0) else { return };
-        for cell in self.cells.iter_mut().skip(first).take(self.n) {
-            cell.shed.retain(|&(id, _)| id != instance);
-        }
-    }
-
-    /// Whether a slot with this tag was shed: the state that wins its tag is
-    /// gone, and no later one may take its place.
-    pub(super) fn was_shed(&self, instance: InstanceId, origin: ProcessId, round: u32) -> bool {
+    /// Whether `origin`'s slots for `instance` are refused until its launch
+    /// and its tags closed at the launch: its cell shed a slot of an
+    /// instance the owner minted no earlier.
+    pub(super) fn refused(&self, instance: InstanceId, origin: ProcessId) -> bool {
         let cell = self.cell(instance, origin).and_then(|k| self.cells.get(k));
-        cell.is_some_and(|cell| cell.sealed || cell.shed.contains(&(instance, round)))
+        cell.is_some_and(|cell| instance & SEQ_MASK < cell.shed_below)
     }
 
     /// Take the slots parked for `instance`, in delivery order; everything
@@ -518,13 +506,13 @@ mod tests {
 
     /// Slots parked before their `Launch` come back in delivery order, for
     /// that instance only. The stash is bounded per (owner, origin) cell:
-    /// the overflow of one cell is counted and its tag remembered while
-    /// every other cell still parks; a cell that sheds more tags than it
-    /// remembers refuses every later slot; a slot of no client instance of
-    /// this run's owners is not parked.
+    /// the overflow of one cell is counted and refuses that origin's slots
+    /// for the owner's instances up to the shed one, while every later
+    /// instance and every other cell still parks; a slot of no client
+    /// instance of this run's owners is not parked.
     #[test]
     fn parked_slots_return_in_order_per_instance_and_each_cell_is_bounded() {
-        let (a, b) = (CLIENT_INSTANCE_BASE | 1, CLIENT_INSTANCE_BASE | 2);
+        let (a, b, c) = (CLIENT_INSTANCE_BASE | 1, CLIENT_INSTANCE_BASE | 2, CLIENT_INSTANCE_BASE | 3);
         let mut table = ClientTable::new(0, 4);
         for round in 0..6 {
             assert!(table.park(3 - round as usize % 2, slot(if round % 2 == 0 { a } else { b }, round).slot(0)));
@@ -536,20 +524,17 @@ mod tests {
             table.park(3, slot(a, round).slot(0));
         }
         assert_eq!(table.stats().stash_shed, 0, "exactly at the cap");
-        assert!(!table.was_shed(b, 3, 9_999));
+        assert!(!table.refused(b, 3));
         table.park(3, slot(b, 9_999).slot(0));
         assert_eq!(table.stats().stash_shed, 1, "the cell's 1025th slot is shed");
-        assert!(table.was_shed(b, 3, 9_999) && !table.was_shed(b, 2, 9_999));
+        assert!(table.refused(a, 3) && table.refused(b, 3), "up to the shed slot's instance");
+        assert!(!table.refused(c, 3) && !table.refused(b, 2), "not a later instance, nor another cell");
         table.park(2, slot(b, 9_999).slot(0));
         assert_eq!(table.stats().stash_shed, 1, "another origin's cell parks");
         assert_eq!(rounds(table.unpark(b)), [1, 3, 5, 9_999], "b's slots survived a's, in order");
-        table.decided(b);
-        assert!(!table.was_shed(b, 3, 9_999), "the tag goes with the decision");
-        for round in 0..=STASH_CAP as u32 {
-            table.park(3, slot(b, round).slot(0));
-        }
-        assert!(table.was_shed(b, 3, 0) && table.was_shed(a, 3, 0), "sealed: every slot of the cell is refused");
-        assert!(!table.was_shed(a, 2, 0), "the other cells are not");
+        assert_eq!(table.unpark(a).len(), STASH_CAP, "a's launch empties the cell");
+        table.park(3, slot(c, 0).slot(0));
+        assert_eq!((table.stats().stash_shed, rounds(table.unpark(c))), (1, vec![0]), "a later instance parks");
         let foreign = CLIENT_INSTANCE_BASE | (4 << 24);
         assert!(!table.park(3, slot(foreign, 0).slot(0)) && !table.park(3, slot(7, 0).slot(0)), "no owner in the run");
     }

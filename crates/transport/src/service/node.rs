@@ -436,9 +436,12 @@ impl Node {
     }
 
     /// Mark `id` launched at `now`, enter it in the ready set, and start it:
-    /// frames into `out`, a VA round-0 state into the next batch — what a
-    /// local launch, a peer's `Launch` frame and the replay of a `Launched`
-    /// record all do. False if `id` is not registered.
+    /// frames into `out`, a VA round-0 state into the next batch; the slots
+    /// parked for it reach it in delivery order, each the first of its tag,
+    /// then each origin whose stash cell refuses the instance is closed (a
+    /// shed slot won its tag) — what a local launch, a peer's `Launch` frame
+    /// and the replay of a `Launched` record all do. False if `id` is not
+    /// registered.
     fn start_instance(&mut self, id: InstanceId, now: &PhaseNanos, out: &mut Outbound) -> bool {
         let Some(slot) = self.instances.get_mut(&id) else { return false };
         slot.launched = Some(Box::new(*now));
@@ -446,6 +449,14 @@ impl Node {
             p.on_start(id, self.local, out, &mut self.batches.pending);
             if let Err(at) = self.live.binary_search(&id) {
                 self.live.insert(at, id);
+            }
+        }
+        for (origin, slot) in self.client.unpark(id) {
+            self.deliver_slot(origin, slot.slot(0));
+        }
+        if let Some(Instance::Running(p)) = self.instances.get_mut(&id).map(|slot| &mut slot.state) {
+            if let InstanceProto::Va(p) = &mut **p {
+                (0..self.n).filter(|&origin| self.client.refused(id, origin)).for_each(|origin| p.close_origin(origin));
             }
         }
         true
@@ -525,13 +536,10 @@ impl Node {
     /// instance's delivery entry, which copies the state out of the batch;
     /// the states that moves the instance on to are written into the next
     /// batch. A slot for a client instance not resident yet is parked, as a
-    /// batch of one, until its `Launch`; one for a decided VA instance is
-    /// dropped.
+    /// batch of one, until its `Launch`, unless its stash cell refuses it;
+    /// one for a decided VA instance is dropped.
     fn deliver_slot(&mut self, origin: ProcessId, slot: SlotView<'_>) {
         let instance = slot.instance;
-        if self.client.was_shed(instance, origin, slot.round) {
-            return;
-        }
         let va = match self.instances.get_mut(&instance).map(|s| &mut s.state) {
             Some(Instance::Running(p)) => match &mut **p {
                 InstanceProto::Va(p) => Some(p),
@@ -540,7 +548,7 @@ impl Node {
             // Late traffic: a decided instance is its decision.
             Some(Instance::Decided { va: true, .. }) => return,
             Some(Instance::Decided { .. }) => None,
-            None if self.client.park(origin, slot) => return,
+            None if self.client.refused(instance, origin) || self.client.park(origin, slot) => return,
             None => return self.gate_reject(2, origin, format!("batch slot for unknown instance {instance}")),
         };
         let Some(p) = va else {
@@ -596,7 +604,6 @@ impl Node {
             false
         });
         for (instance, value) in &out.decided {
-            self.client.decided(*instance);
             if let Some((session, reqno)) = self.client.answered(*instance, value) {
                 let value = value.as_slice().into();
                 self.append(WalRecord::ClientReply { instance: *instance, session, reqno, value });
@@ -668,11 +675,6 @@ impl Node {
         self.insert_client_slot(instance, launch.f as usize, launch.rounds as usize, launch.value);
         self.started = true;
         self.start_instance(instance, now, out);
-        // Slots delivered before the launch reach the instance now, in the
-        // order they were delivered.
-        for (origin, slot) in self.client.unpark(instance) {
-            self.deliver_slot(origin, slot.slot(0));
-        }
     }
 
     /// Replay a log's record payloads into this fresh node, each decoded
@@ -782,7 +784,6 @@ impl Node {
                     if slot.decision() != Some(&value) {
                         self.replay_divergence += 1;
                     }
-                    self.client.decided(instance);
                     if let Instance::Running(_) = slot.state {
                         self.undecided -= 1;
                         self.live.retain(|id| *id != instance);

@@ -246,6 +246,21 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// A vector off `r`: its dimension, held to [`MAX_DIM`], then its components.
+pub(crate) fn vecd(r: &mut Reader) -> Result<VecD, String> {
+    let dim = r.len_capped(MAX_DIM, 8, "vector")?;
+    let word = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes")));
+    Ok(VecD::new(r.take(8 * dim)?.chunks_exact(8).map(word).collect()))
+}
+
+/// A frame is exactly its bytes: `Err` unless `r` read every byte.
+pub(crate) fn finish(r: &Reader) -> Result<(), String> {
+    match r.peek().len() {
+        0 => Ok(()),
+        n => Err(format!("{n} trailing bytes after a complete frame")),
+    }
+}
+
 /// One parallel-EIG message of the level whose labels have `stride` ids,
 /// in one pass: a label goes into the message's one buffer, and a value's
 /// bytes are compared with those of the item before it before anything is
@@ -274,7 +289,7 @@ fn eig_round(r: &mut Reader, stride: usize, of: usize) -> Result<EigRound<VecD>,
                 msg.push_shared(&label[..llen]);
                 continue;
             }
-            let value = r.vecd()?;
+            let value = vecd(r)?;
             if llen == stride {
                 last = &rest[..rest.len() - r.peek().len()];
                 msg.push(&label[..llen], value);
@@ -329,11 +344,11 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
     if r.take(2)? != MAGIC {
         return Err("bad magic".into());
     }
-    let version = r.u8()?;
+    let version = r.take(1)?[0];
     if version != VERSION {
         return Err(format!("unsupported wire version {version}"));
     }
-    let kind = r.u8()?;
+    let kind = r.take(1)?[0];
     let instance = r.u64()?;
     let sender = r.pid()?;
     let round = r.round()?;
@@ -348,7 +363,7 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
         }
         5 => {
             let tag = (r.pid()?, r.u32()?);
-            let bkind = r.u8()?;
+            let bkind = r.take(1)?[0];
             // The rest of the frame is the slot list. An echo or ready of
             // the held batch is its bytes, walked when it was built; a late
             // frame is walked and built into nothing.
@@ -380,7 +395,7 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
             if rounds == 0 || rounds > MAX_ROUND {
                 return Err(format!("launch round count {rounds} outside 1..={MAX_ROUND}"));
             }
-            let value = r.vecd()?;
+            let value = vecd(r)?;
             if value.dim() == 0 {
                 return Err("launch with an empty client vector".into());
             }
@@ -390,7 +405,7 @@ fn decode(r: &mut Reader, hint: BatchHint) -> Result<Frame, String> {
         4 => return Err("retired payload kind 4: one Bracha message per VA round state".into()),
         k => return Err(format!("unknown payload kind {k}")),
     };
-    r.finish()?;
+    finish(r)?;
     Ok(Frame {
         instance,
         sender,
