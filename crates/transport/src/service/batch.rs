@@ -654,7 +654,7 @@ mod tests {
     /// the overflow. At client f = 1 node 1 runs 700 client instances with
     /// nodes 2 and 3 while every frame it sends node 0 lags, its `Launch`
     /// frames first: node 0 delivers the batches of origins 1 to 3 through
-    /// the others' readies, some 2 000 slots each, and parks them until each
+    /// the others' readies, 5 600 slots each, and parks them until each
     /// cell is full; the rest are shed or refused. Once the link catches up,
     /// node 0 launches every lagging instance, and the instances node 1
     /// launches next decide on all four cores.
