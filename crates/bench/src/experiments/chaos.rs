@@ -196,8 +196,8 @@ impl Faults {
 /// duplicated, delayed or reordered on its way into the inner endpoint, as
 /// the [`FaultShape`] and drop probability say. A lost or cut link refuses
 /// sends, as a TCP link awaiting redial does, and is reported from
-/// [`Transport::take_reconnects`] once it is back. The self-link is never
-/// faulted. The clock is the endpoint's own flush count.
+/// [`Transport::take_reconnects`] once it is back. The clock is the
+/// endpoint's own flush count.
 pub struct ChaosEndpoint<T: Transport> {
     inner: T,
     shape: FaultShape,
@@ -327,7 +327,7 @@ impl<T: Transport> Transport for ChaosEndpoint<T> {
     }
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
-        if dst == self.inner.local_id() || dst >= self.outbox.len() {
+        if dst >= self.outbox.len() {
             return self.inner.send(dst, frame);
         }
         self.faults.frames += 1;

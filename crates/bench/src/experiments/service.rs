@@ -329,8 +329,7 @@ pub fn cross_transport_identity(cfg: &ServiceConfig) -> (bool, [ServiceOutcome; 
     (identical, [tcp, inproc])
 }
 
-/// A transport that counts the frames it is asked to send, and their bytes,
-/// the self-link included.
+/// A transport that counts the frames it is asked to send, and their bytes.
 struct Counted<T: Transport> {
     inner: T,
     frames: u64,
@@ -387,7 +386,8 @@ pub struct FrameRow {
     /// Their bytes, per decided instance.
     pub bytes_per_decision: f64,
     /// Frames per decision with one Bracha broadcast per (instance, round,
-    /// origin): `n·R·(n + 2n²)`.
+    /// origin) — its Init, and every process's Echo and Ready, each to the
+    /// `n − 1` others: `n·R·(n − 1)(2n + 1)`.
     pub model_frames_per_decision: usize,
 }
 
@@ -440,7 +440,7 @@ pub fn frame_row(n: usize, mesh: &MeshProfile, instances: usize, window: usize) 
         decided,
         frames_per_decision: per(nodes.iter().map(|s| s.transport().frames).sum()),
         bytes_per_decision: per(nodes.iter().map(|s| s.transport().bytes).sum()),
-        model_frames_per_decision: n * profile.rounds * (n + 2 * n * n),
+        model_frames_per_decision: n * profile.rounds * (n - 1) * (2 * n + 1),
     }
 }
 
@@ -656,7 +656,7 @@ mod tests {
         let (instances, window) = frame_sweep_shape(true);
         let row = frame_row(4, &cfg.mesh, instances, window);
         assert_eq!(row, frame_row(4, &cfg.mesh, instances, window), "the counts are exact");
-        assert_eq!((row.decided, row.model_frames_per_decision), (instances, 4 * 2 * 36));
+        assert_eq!((row.decided, row.model_frames_per_decision), (instances, 4 * 2 * 27));
         // A window of four: each broadcast carries four instances' states.
         assert!(row.frames_per_decision * 4.0 <= row.model_frames_per_decision as f64, "{row:?}");
         let report = report(&cfg, &[], &out, true, &[row]);

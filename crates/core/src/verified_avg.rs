@@ -439,6 +439,13 @@ impl VerifiedAveraging {
         open.for_each(|row| row.0 = Mark::Closed);
     }
 
+    /// Whether some round has more than `f` rows closed: no `n − f` states
+    /// of it can ever verify here, so this process can never decide.
+    #[must_use]
+    pub fn starved(&self) -> bool {
+        self.record.rows.chunks(self.n).any(|round| round.iter().filter(|row| row.0 == Mark::Closed).count() > self.f)
+    }
+
     /// The round-0 combining rule itself. Fails (instead of panicking) when
     /// `Γ(X)` is empty in `DeltaMode::Zero` — which Byzantine inputs can
     /// provoke whenever the run violates `n ≥ (d+2)f + 1`.

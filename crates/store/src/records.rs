@@ -50,7 +50,8 @@ pub enum WalRecord<'a> {
     Inbound {
         /// Transport-authenticated sender.
         from: u32,
-        /// The encoded wire frame, verbatim.
+        /// The encoded wire frame, verbatim; empty for a frame the node
+        /// sent itself, which its `Sent` record holds.
         bytes: &'a [u8],
     },
     /// An outbound wire frame was handed to the transport once for every

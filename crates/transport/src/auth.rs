@@ -703,8 +703,8 @@ fn judge(
     }
     let peer = claimed.ok_or((None, "ghost-peer"))?;
     let require = |holds: bool, reason| if holds { Ok(()) } else { Err((Some(peer), reason)) };
-    // A node never dials itself over the wire (the self-link is
-    // process-internal).
+    // A node never dials itself over the wire (its frames to itself never
+    // reach a transport).
     require(peer != keys.local(), "self")?;
     let nonce = fresh_nonce();
     require(stream.write_all(&encode_challenge(&nonce)).is_ok(), "challenge-write")?;

@@ -409,8 +409,9 @@ impl AttackRegistry {
 /// A [`Transport`] that delegates to an inner endpoint while attacking the
 /// traffic per an [`AttackPolicy`]. Wrap honest nodes with
 /// [`AttackPolicy::honest`] for a uniform endpoint type; wrap malicious
-/// ones with a registry mix. The self-link is never touched — a node,
-/// however Byzantine, hears its own genuine state.
+/// ones with a registry mix. A node's frames to itself never reach it — the
+/// service delivers them — so a node, however Byzantine, hears its own
+/// genuine state.
 pub struct ByzantineEndpoint<T: Transport> {
     inner: T,
     policy: AttackPolicy,
@@ -796,8 +797,7 @@ impl<T: Transport> Transport for ByzantineEndpoint<T> {
     }
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
-        if self.policy.attacks.is_empty() || dst == self.inner.local_id() {
-            // Honest wrapper, or the self-link: untouched.
+        if self.policy.attacks.is_empty() {
             return self.inner.send(dst, frame);
         }
         match self.edit_outbound(dst, frame) {
@@ -875,12 +875,10 @@ mod tests {
             ByzantineEndpoint::new(mesh.pop().unwrap(), AttackRegistry::policy("equivocate", 7));
         let original = [1.0, 2.0];
         let genuine = encode_frame(&va_init(1, 0, 0, &original));
-        for dst in 0..4 {
+        for dst in 1..4 {
             byz.send(dst, genuine.clone()).unwrap();
         }
         byz.flush().unwrap();
-        // No edit reaches another destination: the self-link hears the genuine bytes.
-        assert_eq!(byz.recv_timeout(Duration::from_millis(100)), vec![(0, genuine)]);
         let mut seen = Vec::new();
         for mut ep in honest {
             let got = ep.recv_timeout(Duration::from_millis(100));

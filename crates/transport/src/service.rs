@@ -4,15 +4,15 @@
 //! One [`ConsensusService`] per process owns one [`Transport`] endpoint and
 //! any number of consensus instances, each identified by a service-wide
 //! [`InstanceId`]. It is the one driver of `node`, the core that holds all
-//! protocol and bookkeeping state and does no I/O, and it owns everything
-//! that touches the outside: the transport, the [`Wal`], the phase clock
-//! and the health part. [`ConsensusService::poll`] feeds the core every
-//! received frame and one tick, then carries out what it produced: the
-//! group commit, the transport flush (one batch per peer) and the
-//! decisions. The other private parts are `client_table` (sessions,
-//! admission, the client instance-id layout, the recovery-spec codec),
-//! `health` (stall detector, flight recorder) and `phase` (the always-on
-//! clock of where the node's wall time goes).
+//! protocol and bookkeeping state and does no I/O; it owns everything that
+//! touches the outside (the transport, the [`Wal`], the phase clock, the
+//! health part) and alone delivers the node's frames to itself.
+//! [`ConsensusService::poll`] feeds the core those, every received frame
+//! and one tick, then carries out what it produced: the group commit, the
+//! transport flush (one batch per peer) and the decisions. Its other parts
+//! are `client_table` (sessions, admission, the client instance-id layout,
+//! the recovery-spec codec), `health` (stall detector, flight recorder)
+//! and `phase` (the always-on clock of where the node's wall time goes).
 //!
 //! ## Durability and crash recovery
 //!
@@ -28,7 +28,8 @@
 //! [`ConsensusService::recover`] is the core's replay of the log, a commit,
 //! and a rejoin: every peer gets its share of the regenerated history
 //! through the same per-peer replay a peer the transport reports through
-//! [`Transport::take_reconnects`] gets. Receivers deduplicate.
+//! [`Transport::take_reconnects`] gets, and the node itself its frames to
+//! itself the log never saw delivered. Receivers deduplicate.
 //!
 //! ## Self-diagnosis
 //!
@@ -117,6 +118,11 @@ pub struct ConsensusService<T: Transport> {
     health: Option<Health>,
     /// Where this node's wall time goes, advanced at `poll`'s boundaries.
     clock: PhaseClock,
+    /// This node's frames to itself, in send order, which never reach the
+    /// transport: the first `own_due` were queued before the last flush, and
+    /// the next poll feeds them to the core before the transport's frames.
+    own: Vec<Vec<u8>>,
+    own_due: usize,
 }
 
 impl<T: Transport> ConsensusService<T> {
@@ -131,6 +137,8 @@ impl<T: Transport> ConsensusService<T> {
             wal: None,
             health: None,
             clock: PhaseClock::new(),
+            own: Vec::new(),
+            own_due: 0,
         }
     }
 
@@ -291,24 +299,30 @@ impl<T: Transport> ConsensusService<T> {
         self.node.seal(&mut self.out);
         let sent = self.send_out();
         self.commit();
-        let flushed = self.transport.flush();
+        let flushed = self.flush_links();
         self.clock.enter(Phase::Outside);
         sent.and(flushed)
     }
 
-    /// Queue the outbox's frames on the transport, in order: the one place
-    /// a frame is copied per destination, since a send takes its own
-    /// buffer. Failures are recorded and the remaining frames still go out.
+    /// Queue the outbox's frames on the transport (on `own` if to itself),
+    /// in order: the one place a frame is copied per destination, since a
+    /// send takes its own buffer. Failures are recorded and the rest go out.
     fn send_out(&mut self) -> Result<(), ProtocolError> {
         let mut result = Ok(());
-        let transport = &mut self.transport;
+        let (transport, own, local) = (&mut self.transport, &mut self.own, self.node.local);
         self.out.frames.drain_sends(|dst, bytes| {
-            let sent = transport.send(dst, bytes);
+            let sent = if dst == local { own.push(bytes); Ok(()) } else { transport.send(dst, bytes) };
             if result.is_ok() {
                 result = sent;
             }
         });
         result
+    }
+
+    /// The transport flush, which makes every frame on `own` due.
+    fn flush_links(&mut self) -> Result<(), ProtocolError> {
+        self.own_due = self.own.len();
+        self.transport.flush()
     }
 
     /// Group commit: hand the core's batch to the log and write and fsync
@@ -342,10 +356,10 @@ impl<T: Transport> ConsensusService<T> {
     }
 
     /// One service step: receive (waiting up to `timeout` for the first
-    /// frame), feed every frame and one tick to the core, queue what it
-    /// produced, commit, flush as one batch per peer, then surface the
-    /// decisions. Returns the decisions newly reached during this poll. Each
-    /// `clock.enter` below is a phase boundary; there is none per frame.
+    /// frame, unless own frames are due), feed those, every frame received
+    /// and one tick to the core, queue what it produced, commit, flush as
+    /// one batch per peer, then surface and return the decisions it reached.
+    /// Each `clock.enter` below is a phase boundary; there is none per frame.
     pub fn poll(&mut self, timeout: Duration) -> Vec<DecisionEvent> {
         self.clock.enter(Phase::Wait);
         // A peer whose outbound link was re-established (it restarted, or
@@ -355,16 +369,18 @@ impl<T: Transport> ConsensusService<T> {
             self.rejoin(peer);
             self.clock.enter(Phase::Wait);
         }
-        let inbound = self.transport.recv_timeout_stamped(timeout);
+        let due = std::mem::take(&mut self.own_due);
+        let inbound = self.transport.recv_timeout_stamped(if due > 0 { Duration::ZERO } else { timeout });
         self.clock.enter(Phase::Dispatch);
         let now = self.clock.cells();
         self.drain_auth_events();
-        let n_rx = inbound.len();
+        let n_rx = due + inbound.len();
         // The one per-frame quantity worth a series, taken once per poll:
         // how long the batch's oldest frame sat behind a busy poll loop.
         if let Some(oldest_us) = inbound.iter().map(|&(_, arrived_us, _)| arrived_us).min() {
             phase::record_queue(rbvc_obs::clock::now_us().saturating_sub(oldest_us));
         }
+        self.own.drain(..due).for_each(|bytes| self.node.on_frame(self.node.local, &bytes, &now, &mut self.out));
         for (link_peer, _, bytes) in inbound {
             self.node.on_frame(link_peer, &bytes, &now, &mut self.out);
         }
@@ -384,7 +400,7 @@ impl<T: Transport> ConsensusService<T> {
         // poll's frames now, and a TCP endpoint's lazy redial runs in here.
         // A failed write is already recorded by the transport; the poll loop
         // continues on the surviving links.
-        let _ = self.transport.flush();
+        let _ = self.flush_links();
         self.clock.enter(Phase::Rest);
         let decisions = self.surface_decisions();
         // Backfill freed in-flight slots from the admission queue, after
@@ -596,9 +612,10 @@ impl<T: Transport> ConsensusService<T> {
     /// FIFO-matched against the logged `Sent` records (mismatches count as
     /// divergences — see [`ConsensusService::replay_divergences`]); a logged
     /// decision becomes the instance's state, so the recovered node can never
-    /// surface a different value. The node then rejoins: every process gets its share
-    /// of the regenerated outbound history again — peers deduplicate, and
-    /// frames lost in the crash window are covered.
+    /// surface a different value. The node then rejoins: every peer gets its
+    /// share of the regenerated outbound history again — peers deduplicate,
+    /// and frames lost in the crash window are covered — and its own due
+    /// queue holds the regenerated frames to itself the log never delivered.
     ///
     /// # Errors
     /// Propagates the first `factory` failure (an unrecoverable spec means
@@ -611,14 +628,14 @@ impl<T: Transport> ConsensusService<T> {
     ) -> Result<Self, ProtocolError> {
         let t0 = Instant::now();
         let mut svc = Self::new(transport);
-        svc.node.replay(report.records.iter(), &svc.clock.cells(), factory)?;
+        svc.own = svc.node.replay(report.records.iter(), &svc.clock.cells(), factory)?;
         svc.wal = Some(wal);
         svc.commit();
         svc.node.client.publish_sessions();
         for peer in 0..svc.transport.n() {
             svc.rejoin(peer);
         }
-        let _ = svc.transport.flush();
+        let _ = svc.flush_links();
         svc.clock.enter(Phase::Outside);
         let recover_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         Registry::global().histogram("service.recover_us").record(recover_us);
@@ -679,7 +696,7 @@ mod tests {
 
     use super::*;
     use crate::lockstep::Lockstep;
-    use crate::service::node::tests::run_cores;
+    use crate::service::node::tests::{ready, run_cores};
     use rbvc_store::RecordBatch;
     use crate::transport::in_proc_mesh;
     use rbvc_core::verified_avg::{DeltaMode, VerifiedAveraging};
@@ -998,12 +1015,13 @@ mod tests {
     }
 
     /// A reconnected peer gets exactly its own frames again, in the order
-    /// they were first sent; nobody else gets anything replayed.
+    /// they were first sent; nobody else gets anything replayed, and no
+    /// send names node 0 itself.
     #[test]
     fn reconnect_replays_only_that_peers_frames_in_order() {
         let (n, rejoined) = (4usize, 2usize);
         let dir = tmp_dir("rejoin");
-        // The other endpoints stay alive (and silent): node 0 talks to itself.
+        // The other endpoints stay alive (and silent): node 0 hears itself.
         let mut endpoints = in_proc_mesh(n);
         let inner = endpoints.remove(0);
         let mut svc = ConsensusService::new(Scripted { inner, reconnects: vec![], down: vec![], sent: vec![] });
@@ -1020,10 +1038,11 @@ mod tests {
             svc.node.history(dst).iter().map(|b| b.to_vec()).collect()
         };
         let first = std::mem::take(&mut svc.transport_mut().sent);
-        for dst in 0..n {
+        for dst in 1..n {
             assert_eq!(to(&first, dst).len(), 1, "one batch for the three instances");
             assert_eq!(to(&first, dst), kept(&svc, dst), "history mirrors the sends, per peer");
         }
+        assert!(to(&first, 0).is_empty() && kept(&svc, 0).is_empty(), "no row for node 0 itself");
 
         svc.transport_mut().reconnects = vec![rejoined];
         let _ = svc.poll(Duration::ZERO);
@@ -1034,11 +1053,37 @@ mod tests {
         assert!(second[..replay.len()].iter().all(|(dst, _)| *dst == rejoined));
         assert_eq!(to(&second[..replay.len()], rejoined), replay);
         // Everything after it is new traffic: history grew by exactly that.
-        for dst in 0..n {
+        assert!(to(&second, 0).is_empty());
+        for dst in 1..n {
             let old = to(&first, dst).len();
             assert_eq!(to(&second[replay.len()..], dst)[..], kept(&svc, dst)[old..], "peer {dst}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No frame a node sends itself reaches its transport: four services
+    /// over recording transports, each with a VA and a BVC instance, decide
+    /// both, and no send names its sender.
+    #[test]
+    fn a_nodes_frames_to_itself_never_reach_its_transport() {
+        let n = 4;
+        let mut mesh: Vec<_> = in_proc_mesh(n)
+            .into_iter()
+            .map(|inner| ConsensusService::new(Scripted { inner, reconnects: vec![], down: vec![], sent: vec![] }))
+            .collect();
+        for (p, svc) in mesh.iter_mut().enumerate() {
+            svc.add_instance(1, va_instance(p, n, &[p as f64, 1.0])).unwrap();
+            svc.add_instance(2, bvc_instance(p, n, 1, &[1.0, p as f64])).unwrap();
+            svc.start().unwrap();
+        }
+        for _ in 0..10_000 {
+            mesh.iter_mut().for_each(|svc| drop(svc.poll(Duration::ZERO)));
+        }
+        for (p, svc) in mesh.iter().enumerate() {
+            assert!(svc.all_decided() && svc.errors().is_empty() && svc.transport().errors().is_empty(), "node {p}");
+            let sent = &svc.transport().sent;
+            assert!(!sent.is_empty() && sent.iter().all(|(dst, _)| *dst != p), "node {p}");
+        }
     }
 
     /// A poll whose routing met a dead link still flushes: the healthy
@@ -1101,5 +1146,29 @@ mod tests {
         assert!(flagged, "expected a DuplicateDecision for process 0: {:?}", monitor.alerts());
         assert!(ring.events().iter().any(|e| e.kind == EventKind::Violation), "a Violation event");
         assert!(ring.dumps() >= 1, "the violation dumped the ring");
+    }
+
+    /// The ready set is what a poll walks: after a node of 10 000 instances
+    /// has decided them all, it holds none, and a poll more leaves it so.
+    #[test]
+    fn decided_instances_leave_the_ready_set() {
+        let mut svc = ConsensusService::new(in_proc_mesh(1).remove(0));
+        for id in 0..10_000u64 {
+            let input = VecD::from_slice(&[id as f64, 1.0]);
+            let va = VerifiedAveraging::new(0, 1, 0, input, DeltaMode::MinDelta(rbvc_linalg::Norm::L2), 1, Tol::default());
+            svc.add_instance(id, InstanceProto::Va(va)).unwrap();
+        }
+        svc.start().unwrap();
+        assert_eq!(ready(&svc.node).len(), 10_000);
+        let mut decided = 0;
+        for _ in 0..100 {
+            decided += svc.poll(Duration::ZERO).len();
+            if svc.all_decided() {
+                break;
+            }
+        }
+        assert_eq!(decided, 10_000);
+        assert!(ready(&svc.node).is_empty());
+        assert!(svc.poll(Duration::ZERO).is_empty() && ready(&svc.node).is_empty());
     }
 }

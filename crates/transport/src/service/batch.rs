@@ -209,7 +209,7 @@ mod tests {
     use rbvc_linalg::{Norm, Tol, VecD};
 
     use super::*;
-    use crate::service::node::tests::{gate_totals, now, protos, run_cores, running_va, Queues};
+    use crate::service::node::tests::{gate_totals, now, protos, ready, run_cores, running_va, Queues};
     use rbvc_store::RecordBatch;
     use crate::service::node::{InstanceProto, Node, Outbox};
     use crate::service::client_table::STASH_CAP;
@@ -657,7 +657,9 @@ mod tests {
     /// the others' readies, 5 600 slots each, and parks them until each
     /// cell is full; the rest are shed or refused. Once the link catches up,
     /// node 0 launches every lagging instance, and the instances node 1
-    /// launches next decide on all four cores.
+    /// launches next decide on all four cores. The 581 lagging instances
+    /// whose closed origins leave a round short of `n − f` states at node 0
+    /// stay there undecided, and out of its ready set.
     #[test]
     fn an_overflowing_cell_holds_back_no_later_instance() {
         let (n, lagging) = (4, 700);
@@ -671,6 +673,9 @@ mod tests {
         assert!(nodes[0].client.stats().stash_shed > STASH_CAP as u64);
         queues[0].extend(held.drain(..).map(|bytes| (1, bytes)));
         settle(&mut nodes, &mut queues, &mut held, (lagging..lagging + 4, false), &mut |_| {});
+        let starved = |id: &InstanceId| running_va(&nodes[0], *id).is_some_and(|va| va.starved());
+        assert_eq!((nodes[0].instances.keys().filter(|id| starved(id)).count(), nodes[0].undecided), (581, 581));
+        assert!(!ready(&nodes[0]).iter().any(starved), "a tick or a seal walks a starved instance");
         for node in &nodes {
             let later = (lagging..lagging + 4).filter(|&seq| node.instances[&client_launch(seq).0].decision().is_some());
             assert_eq!(later.count(), 4, "node {}", node.local);

@@ -176,8 +176,8 @@ pub(super) struct ClientTable {
     /// Next per-owner sequence number for minting instance ids.
     next_seq: u64,
     /// Client-instance batch slots delivered before their `Launch`, each a
-    /// batch of one, with their origin, in delivery order.
-    stash: VecDeque<(ProcessId, VaBatch)>,
+    /// batch of one, with their origin, per instance in delivery order.
+    stash: BTreeMap<InstanceId, Vec<(ProcessId, VaBatch)>>,
     /// The stash's bound and refusal per (owner, origin), indexed
     /// `owner · n + origin`: none until the first slot is parked (set-up
     /// pays nothing for it), then `n²`.
@@ -199,7 +199,7 @@ impl ClientTable {
             in_flight: BTreeMap::new(),
             queue: VecDeque::new(),
             next_seq: 0,
-            stash: VecDeque::new(),
+            stash: BTreeMap::new(),
             cells: Vec::new(),
             replies_out: Vec::new(),
             counters: ClientStats::default(),
@@ -397,7 +397,7 @@ impl ClientTable {
         let cell = &mut self.cells[k];
         if cell.parked < STASH_CAP {
             cell.parked += 1;
-            self.stash.push_back((origin, slot.to_batch()));
+            self.stash.entry(slot.instance).or_default().push((origin, slot.to_batch()));
         } else {
             cell.shed_below = cell.shed_below.max((slot.instance & SEQ_MASK) + 1);
             self.counters.stash_shed += 1;
@@ -416,10 +416,8 @@ impl ClientTable {
 
     /// Take the slots parked for `instance`, in delivery order; everything
     /// else stays parked.
-    pub(super) fn unpark(&mut self, instance: InstanceId) -> VecDeque<(ProcessId, VaBatch)> {
-        let (matched, kept): (VecDeque<_>, _) =
-            std::mem::take(&mut self.stash).into_iter().partition(|(_, slot)| slot.head().0 == instance);
-        self.stash = kept;
+    pub(super) fn unpark(&mut self, instance: InstanceId) -> Vec<(ProcessId, VaBatch)> {
+        let matched = self.stash.remove(&instance).unwrap_or_default();
         for &(origin, _) in &matched {
             let k = self.cell(instance, origin).expect("a parked slot has its cell");
             self.cells[k].parked -= 1;
@@ -505,7 +503,8 @@ mod tests {
     }
 
     /// Slots parked before their `Launch` come back in delivery order, for
-    /// that instance only. The stash is bounded per (owner, origin) cell:
+    /// that instance only: every other instance's stay parked, in order.
+    /// The stash is bounded per (owner, origin) cell:
     /// the overflow of one cell is counted and refuses that origin's slots
     /// for the owner's instances up to the shed one, while every later
     /// instance and every other cell still parks; a slot of no client
@@ -517,8 +516,9 @@ mod tests {
         for round in 0..6 {
             assert!(table.park(3 - round as usize % 2, slot(if round % 2 == 0 { a } else { b }, round).slot(0)));
         }
-        let rounds = |slots: VecDeque<(ProcessId, VaBatch)>| slots.iter().map(|(_, s)| s.head().1).collect::<Vec<_>>();
-        assert_eq!(rounds(table.unpark(a)), [0, 2, 4]);
+        let rounds = |slots: &[(ProcessId, VaBatch)]| slots.iter().map(|(_, s)| s.head().1).collect::<Vec<_>>();
+        assert_eq!(rounds(&table.unpark(a)), [0, 2, 4]);
+        assert_eq!(rounds(&table.stash[&b]), [1, 3, 5], "every other instance's slots stay parked, in order");
         assert!(table.unpark(a).is_empty(), "taken once");
         for round in 6..6 + STASH_CAP as u32 {
             table.park(3, slot(a, round).slot(0));
@@ -531,10 +531,10 @@ mod tests {
         assert!(!table.refused(c, 3) && !table.refused(b, 2), "not a later instance, nor another cell");
         table.park(2, slot(b, 9_999).slot(0));
         assert_eq!(table.stats().stash_shed, 1, "another origin's cell parks");
-        assert_eq!(rounds(table.unpark(b)), [1, 3, 5, 9_999], "b's slots survived a's, in order");
+        assert_eq!(rounds(&table.unpark(b)), [1, 3, 5, 9_999], "b's slots survived a's, in order");
         assert_eq!(table.unpark(a).len(), STASH_CAP, "a's launch empties the cell");
         table.park(3, slot(c, 0).slot(0));
-        assert_eq!((table.stats().stash_shed, rounds(table.unpark(c))), (1, vec![0]), "a later instance parks");
+        assert_eq!((table.stats().stash_shed, rounds(&table.unpark(c))), (1, vec![0]), "a later instance parks");
         let foreign = CLIENT_INSTANCE_BASE | (4 << 24);
         assert!(!table.park(3, slot(foreign, 0).slot(0)) && !table.park(3, slot(7, 0).slot(0)), "no owner in the run");
     }

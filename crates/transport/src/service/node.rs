@@ -55,9 +55,11 @@
 //! client replies. Within a step they go in the order `Inbound`…, `Sent`…,
 //! `WitnessCommit`…, `Decided`…, `ClientReply`…: the order
 //! [`Node::replay`] relies on when it rebuilds a node from a log, the way
-//! `ConsensusService::recover` documents. Replay goes through the very
-//! launch and receive paths a live step uses, gates included; at a `Decided`
-//! record the replayed machine must hold exactly the logged value.
+//! `ConsensusService::recover` documents: a frame to itself is logged once,
+//! as its `Sent` record, its delivery as an `Inbound` without bytes. Replay
+//! goes through the very launch and receive paths a live step uses, gates
+//! included; at a `Decided` record the replayed machine must hold exactly
+//! the logged value.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
@@ -274,8 +276,8 @@ pub(super) struct Node {
     /// The records of the current step, framed, awaiting the driver's commit.
     pub(super) records: RecordBatch,
     /// Full outbound frame history, `history[dst]` in send order, kept only
-    /// while durable: a peer that reconnects gets its own frames again. A
-    /// frame sent to several peers is one buffer in each of their rows.
+    /// while durable, for peers only: a peer that reconnects gets its frames
+    /// again. A frame sent to several peers is one buffer in each row.
     history: Vec<Vec<Arc<[u8]>>>,
     /// Reused by every `Sent` record: its destination set's bitset.
     dst_bits: Vec<u8>,
@@ -401,9 +403,9 @@ impl Node {
         }
     }
 
-    /// Keep `bytes` in the history of each of `dsts`.
+    /// Keep `bytes` in the history of each peer among `dsts`.
     fn keep(&mut self, dsts: &[ProcessId], bytes: Arc<[u8]>) {
-        for &dst in dsts {
+        for &dst in dsts.iter().filter(|&&dst| dst != self.local) {
             if let Some(sent) = self.history.get_mut(dst) {
                 sent.push(Arc::clone(&bytes));
             }
@@ -435,29 +437,31 @@ impl Node {
         Ok(())
     }
 
-    /// Mark `id` launched at `now`, enter it in the ready set, and start it:
-    /// frames into `out`, a VA round-0 state into the next batch; the slots
-    /// parked for it reach it in delivery order, each the first of its tag,
-    /// then each origin whose stash cell refuses the instance is closed (a
-    /// shed slot won its tag) — what a local launch, a peer's `Launch` frame
-    /// and the replay of a `Launched` record all do. False if `id` is not
-    /// registered.
+    /// Mark `id` launched at `now` and start it: frames into `out`, a VA
+    /// round-0 state into the next batch; the slots parked for it reach it
+    /// in delivery order, each the first of its tag, then each origin whose
+    /// stash cell refuses the instance is closed (a shed slot won its tag);
+    /// then it enters the ready set, unless that starved it — what a local
+    /// launch, a peer's `Launch` frame and the replay of a `Launched` record
+    /// all do. False if `id` is not registered.
     fn start_instance(&mut self, id: InstanceId, now: &PhaseNanos, out: &mut Outbound) -> bool {
         let Some(slot) = self.instances.get_mut(&id) else { return false };
         slot.launched = Some(Box::new(*now));
         if let Instance::Running(p) = &mut slot.state {
             p.on_start(id, self.local, out, &mut self.batches.pending);
-            if let Err(at) = self.live.binary_search(&id) {
-                self.live.insert(at, id);
-            }
         }
         for (origin, slot) in self.client.unpark(id) {
             self.deliver_slot(origin, slot.slot(0));
         }
-        if let Some(Instance::Running(p)) = self.instances.get_mut(&id).map(|slot| &mut slot.state) {
-            if let InstanceProto::Va(p) = &mut **p {
-                (0..self.n).filter(|&origin| self.client.refused(id, origin)).for_each(|origin| p.close_origin(origin));
+        let Some(Instance::Running(p)) = self.instances.get_mut(&id).map(|slot| &mut slot.state) else { return true };
+        if let InstanceProto::Va(p) = &mut **p {
+            (0..self.n).filter(|&origin| self.client.refused(id, origin)).for_each(|origin| p.close_origin(origin));
+            if p.starved() {
+                return true;
             }
+        }
+        if let Err(at) = self.live.binary_search(&id) {
+            self.live.insert(at, id);
         }
         true
     }
@@ -490,9 +494,11 @@ impl Node {
             return;
         }
         // Log the authenticated frame *before* it mutates protocol state:
-        // replay re-runs the gates and the dispatch deterministically.
+        // replay re-runs the gates and the dispatch deterministically. One
+        // to itself is in the log already, as its `Sent` record.
         if self.durable {
             let from = u32::try_from(link_peer).unwrap_or(u32::MAX);
+            let bytes = if link_peer == self.local { &[] } else { bytes };
             log(&mut self.records, &mut self.errors, WalRecord::Inbound { from, bytes });
         }
         let (sender, instance) = (frame.sender, frame.instance);
@@ -682,9 +688,10 @@ impl Node {
     /// `factory` re-creates each instance that is not a client request from
     /// its logged spec.
     /// Afterwards the node is durable, its history is the regenerated
-    /// outbound frames, and the replies of client requests that decided
+    /// frames to peers, and the replies of client requests that decided
     /// before the crash but whose reply record was lost are cached and in
-    /// [`Node::records`].
+    /// [`Node::records`]. Returns the regenerated frames to itself that the
+    /// log never saw delivered.
     ///
     /// # Errors
     /// The first `factory` failure.
@@ -693,9 +700,9 @@ impl Node {
         records: impl IntoIterator<Item = &'r [u8]>,
         now: &PhaseNanos,
         mut factory: impl FnMut(InstanceId, &[u8]) -> Result<InstanceProto, ProtocolError>,
-    ) -> Result<(), ProtocolError> {
+    ) -> Result<Vec<Vec<u8>>, ProtocolError> {
         let mut regenerated = Outbox::default();
-        let mut match_cursor = 0usize;
+        let (mut match_cursor, mut own_cursor) = (0usize, 0usize);
         for raw in records {
             let Some(rec) = decode_record(raw) else {
                 self.replay_divergence += 1;
@@ -733,6 +740,16 @@ impl Node {
                     if !self.start_instance(instance, now, &mut regenerated.frames) {
                         self.replay_divergence += 1;
                     }
+                }
+                WalRecord::Inbound { from, bytes } if from as ProcessId == self.local => {
+                    // A frame to itself: the next regenerated, as its `Sent` record holds it.
+                    let next = regenerated.frames.sends_to(self.local, own_cursor).next();
+                    let Some((k, frame)) = next.filter(|_| bytes.is_empty()).map(|(k, frame)| (k, frame.to_vec())) else {
+                        self.replay_divergence += 1;
+                        continue;
+                    };
+                    own_cursor = k + 1;
+                    self.on_frame(self.local, &frame, now, &mut regenerated);
                 }
                 WalRecord::Inbound { from, bytes } => {
                     self.on_frame(from as ProcessId, bytes, now, &mut regenerated);
@@ -801,6 +818,7 @@ impl Node {
             }
         }
         self.durable = true;
+        let own = regenerated.frames.sends_to(self.local, own_cursor).map(|(_, frame)| frame.to_vec()).collect();
         regenerated.frames.drain(|dsts, bytes| self.keep(dsts, bytes.into()));
         // Client instances that decided before the crash but whose reply
         // record didn't make it: the logged decision is durable, so cache
@@ -813,7 +831,7 @@ impl Node {
             self.append(WalRecord::ClientReply { instance, session, reqno, value: value.as_slice().into() });
             self.client.cache_reply(instance, session, reqno, value);
         }
-        Ok(())
+        Ok(own)
     }
 
     /// Per-instance progress as the stall detector needs it: a row for
@@ -857,6 +875,11 @@ pub(super) mod tests {
         let Instance::Running(p) = &node.instances[&id].state else { return None };
         let InstanceProto::Va(p) = &**p else { return None };
         Some(p)
+    }
+
+    /// The ready set: the instances a tick or a seal walks.
+    pub(in crate::service) fn ready(node: &Node) -> &[InstanceId] {
+        &node.live
     }
 
     /// Rejections per gate, summed over senders.
@@ -925,8 +948,10 @@ pub(super) mod tests {
 
     /// Four cores decide a VA instance at f = 1 and a BVC instance bit for
     /// bit as four services over `in_proc_mesh` do. Every frame a core sent
-    /// is a `Sent` record and in its destination's history, in order, and
-    /// witness progress is logged once per change. Replaying each core's
+    /// is a `Sent` record and in each peer's history among its
+    /// destinations, in order; one to itself is delivered once, logged as
+    /// an `Inbound` from itself without bytes, and witness progress is
+    /// logged once per change. Replaying each core's
     /// records into a fresh core — no file either — diverges nowhere,
     /// rebuilds the history, holds the same decisions and logs nothing again.
     #[test]
@@ -965,7 +990,12 @@ pub(super) mod tests {
                     })
                     .collect();
                 let kept: Vec<&[u8]> = node.history(dst).iter().map(|b| &b[..]).collect();
-                assert!(!sent.is_empty() && sent == kept, "{p} to {dst}");
+                assert!(!sent.is_empty() && kept == if dst == p { Vec::new() } else { sent.clone() }, "{p} to {dst}");
+                if dst == p {
+                    // Each frame to itself is delivered once, logged without bytes.
+                    let own: Vec<_> = records.iter().filter(|r| matches!(r, WalRecord::Inbound { from, .. } if *from as usize == p)).collect();
+                    assert!(own.len() == sent.len() && own.iter().all(|r| matches!(r, WalRecord::Inbound { bytes: [], .. })));
+                }
             }
             assert!(node.history(9).is_empty());
             let mut witness = BTreeMap::new();
@@ -978,8 +1008,8 @@ pub(super) mod tests {
 
             let mut fresh = Node::new(p, n);
             let factory = |id, _: &[u8]| Ok(protos(p, n).into_iter().find(|(k, _)| *k == id).unwrap().1);
-            fresh.replay(logs[p].iter(), &now(), factory).unwrap();
-            assert_eq!((fresh.replay_divergence, fresh.recovered.len()), (0, 2), "node {p}");
+            let undelivered = fresh.replay(logs[p].iter(), &now(), factory).unwrap();
+            assert_eq!((fresh.replay_divergence, fresh.recovered.len(), undelivered.len()), (0, 2, 0), "node {p}");
             for id in [1, 2] {
                 assert_eq!(bits(fresh.instances[&id].decision()), bits(node.instances[&id].decision()));
             }
@@ -1154,29 +1184,5 @@ pub(super) mod tests {
         node.started = true;
         let late = node.add_instance(2, va_instance(0, 1, &[0.0]));
         assert!(matches!(late, Err(ProtocolError::InvalidSpec { .. })));
-    }
-
-    /// The ready set is what a poll walks: after a node of 10 000 instances
-    /// has decided them all, it holds none, and a poll more leaves it so.
-    #[test]
-    fn decided_instances_leave_the_ready_set() {
-        let mut svc = ConsensusService::new(in_proc_mesh(1).remove(0));
-        for id in 0..10_000u64 {
-            let input = VecD::from_slice(&[id as f64, 1.0]);
-            let va = VerifiedAveraging::new(0, 1, 0, input, DeltaMode::MinDelta(Norm::L2), 1, Tol::default());
-            svc.add_instance(id, InstanceProto::Va(va)).unwrap();
-        }
-        svc.start().unwrap();
-        assert_eq!(svc.node.live.len(), 10_000);
-        let mut decided = 0;
-        for _ in 0..100 {
-            decided += svc.poll(Duration::ZERO).len();
-            if svc.all_decided() {
-                break;
-            }
-        }
-        assert_eq!(decided, 10_000);
-        assert!(svc.node.live.is_empty());
-        assert!(svc.poll(Duration::ZERO).is_empty() && svc.node.live.is_empty());
     }
 }

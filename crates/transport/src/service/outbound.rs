@@ -72,6 +72,11 @@ impl Outbound {
         Some((dst, i, &self.frames[i].1))
     }
 
+    /// The sends from the `k`-th on that go to `dst`: each one's index and frame.
+    pub(super) fn sends_to(&self, dst: ProcessId, k: usize) -> impl Iterator<Item = (usize, &[u8])> {
+        (k..self.fanout()).filter_map(move |i| self.send(i).filter(|s| s.0 == dst).map(|(_, _, bytes)| (i, bytes)))
+    }
+
     /// Whether send `k` starts a frame (or ends the fan-out).
     pub(super) fn starts_frame(&self, k: usize) -> bool {
         k == 0 || self.frames.binary_search_by_key(&k, |(end, _)| *end).is_ok()
@@ -136,9 +141,10 @@ mod tests {
 
     /// A broadcast is one buffer: after a durable run of four cores, each
     /// with a VA and a BVC instance, every `Sent` record's frame is one
-    /// `Arc` at the next place of each of its destinations' history rows,
-    /// the rows hold nothing else, and they hold as many distinct buffers
-    /// as there are `Sent` records.
+    /// `Arc` at the next place of the history row of each peer among its
+    /// destinations, the rows hold nothing else — a core keeps no row for
+    /// itself — and they hold as many distinct buffers as there are `Sent`
+    /// records.
     #[test]
     fn a_broadcast_is_one_buffer_in_every_history_row() {
         let n = 4;
@@ -158,6 +164,7 @@ mod tests {
                 broadcasts += usize::from(dsts.iter().count() == n);
                 let kept: Vec<&Arc<[u8]>> = dsts
                     .iter()
+                    .filter(|&dst| dst as usize != p)
                     .map(|dst| {
                         let row = node.history(dst as usize);
                         next[dst as usize] += 1;
@@ -168,6 +175,7 @@ mod tests {
             }
             let buffers: BTreeSet<usize> = (0..n).flat_map(|dst| node.history(dst).iter().map(address)).collect();
             assert!(broadcasts > 0 && (0..n).all(|dst| next[dst] == node.history(dst).len()), "node {p}");
+            assert!(node.history(p).is_empty(), "node {p}");
             assert_eq!(buffers.len(), records, "node {p}");
         }
     }
@@ -210,5 +218,50 @@ mod tests {
             let members: Vec<u32> = (0..4).filter(|&dst| dst != missing).collect();
             assert!(divergences(&members) > 0, "misses {missing}");
         }
+    }
+
+    /// A frame to itself is logged once, as its `Sent` record, and its
+    /// delivery as an `Inbound` from the node with no bytes. Replay feeds
+    /// each such record the next regenerated frame to the node and hands back
+    /// those the log never saw delivered: a node that crashed with its batch
+    /// due to itself gets that batch due again, one that crashed after
+    /// delivering it the echo it regenerated. An own `Inbound` that carries
+    /// bytes, or that finds no regenerated frame to the node, is a divergence
+    /// and is not fed.
+    #[test]
+    fn replay_feeds_the_node_each_frame_to_itself_once() {
+        let n = 2;
+        let mut live = Node::new(0, n);
+        live.durable = true;
+        live.add_instance(5, va_instance(0, n, &[2.0])).unwrap();
+        live.append(WalRecord::Registered { instance: 5, spec: &[] });
+        let mut out = Outbox::default();
+        live.launch(5, &now(), &mut out).unwrap();
+        let launched = live.records.clone();
+        live.seal(&mut out);
+        let to_itself = |out: &mut Outbox| {
+            let mut own = Vec::new();
+            out.frames.drain_sends(|dst, bytes| if dst == 0 { own.push(bytes) });
+            own
+        };
+        let init = to_itself(&mut out);
+        let crashed = live.records.clone();
+        live.on_frame(0, &init[0], &now(), &mut out);
+        let echo = to_itself(&mut out);
+        let replay = |log: &RecordBatch| {
+            let mut node = Node::new(0, n);
+            let due = node.replay(log.iter(), &now(), |_, _| Ok(va_instance(0, n, &[2.0]))).unwrap();
+            (node.replay_divergence, due)
+        };
+        assert!(matches!(decode_record(live.records.iter().last().unwrap()), Some(WalRecord::Inbound { from: 0, bytes: [] })));
+        assert_eq!((init.len(), echo.len()), (1, 1));
+        assert_eq!(replay(&crashed), (0, init.clone()), "the batch due to itself is due again");
+        assert_eq!(replay(&live.records), (0, echo), "the Init delivered, its echo regenerated");
+        let mut log = crashed.clone();
+        log.append_record(&WalRecord::Inbound { from: 0, bytes: &init[0] }).unwrap();
+        assert_eq!(replay(&log), (1, init), "an own Inbound with bytes");
+        let mut log = launched;
+        log.append_record(&WalRecord::Inbound { from: 0, bytes: &[] }).unwrap();
+        assert_eq!(replay(&log), (1, Vec::new()), "nothing regenerated to itself yet");
     }
 }

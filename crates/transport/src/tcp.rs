@@ -99,10 +99,10 @@ pub const REDIAL_SKIP_CAP: u32 = 64;
 /// inbound link *generation* they were observed on, so the endpoint can
 /// discard anything from a link a newer handshake has since superseded.
 enum RxEvent {
-    /// The frames one read brought in from `peer` on generation `gen` (the
-    /// self-link's one at a time), stamped with their arrival time (µs on
-    /// the `rbvc_obs::clock` timeline), which separates on-wire time from
-    /// time queued behind a busy poll loop.
+    /// The frames one read brought in from `peer` on generation `gen`,
+    /// stamped with their arrival time (µs on the `rbvc_obs::clock`
+    /// timeline), which separates on-wire time from time queued behind a
+    /// busy poll loop.
     Frames(ProcessId, u64, u64, Vec<Vec<u8>>),
     /// A keyed handshake from `peer` verified and its link claimed
     /// generation `gen`; a `gen` above 1 supersedes an older link.
@@ -313,8 +313,6 @@ pub struct TcpEndpoint {
     /// One row per process, indexed by id.
     peers: Vec<Peer>,
     rx: Receiver<RxEvent>,
-    /// Clone source for reader threads; also serves the self-link.
-    self_tx: Sender<RxEvent>,
     shared: Arc<Shared>,
     /// Peers re-established since the last [`Transport::take_reconnects`].
     pending_reconnects: Vec<ProcessId>,
@@ -442,7 +440,7 @@ impl TcpEndpoint {
         });
         // Each inbound stream gets its own reader; a restarted peer's
         // verified handshake supersedes its stale link.
-        let (accepted, reader_tx) = (Arc::clone(&shared), tx.clone());
+        let (accepted, reader_tx) = (Arc::clone(&shared), tx);
         let listener = Listener::spawn(listener, move |conn| match conn {
             Ok(stream) => spawn_reader(stream, Arc::clone(&accepted), reader_tx.clone()),
             Err(e) => drop(accepted.record(None, format!("accept failed: {e}"))),
@@ -485,7 +483,6 @@ impl TcpEndpoint {
             id,
             peers,
             rx,
-            self_tx: tx,
             shared,
             pending_reconnects: Vec::new(),
             pending_auth_events: Vec::new(),
@@ -630,17 +627,9 @@ impl Transport for TcpEndpoint {
     }
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
-        if dst >= self.peers.len() {
-            let reason = format!("ghost destination {dst} in a {}-process mesh", self.peers.len());
+        if dst >= self.peers.len() || dst == self.id {
+            let reason = format!("no link from {} to {dst} in a {}-process mesh", self.id, self.peers.len());
             return Err(self.shared.record(Some(dst), reason));
-        }
-        if dst == self.id {
-            // Self-link: deliver through the local queue, skip the wire.
-            // Generation 0 matches the never-bumped self slot; the arrival
-            // stamp is the send time (zero on-wire latency).
-            let now = rbvc_obs::clock::now_us();
-            let _ = self.self_tx.send(RxEvent::Frames(self.id, 0, now, vec![frame]));
-            return Ok(());
         }
         let peer = &mut self.peers[dst];
         if peer.writer.is_none() {
@@ -795,12 +784,18 @@ pub fn tcp_mesh_loopback_authenticated(
 mod tests {
     use super::*;
 
+    /// Frames cross each way; a send to the endpoint's own id is refused
+    /// and recorded as a ghost destination's is, since there is no
+    /// self-link.
     #[test]
     fn loopback_mesh_moves_frames_both_ways() {
         let mut mesh = tcp_mesh_loopback(3).expect("mesh");
         mesh[0].send(1, vec![1, 2, 3]).unwrap();
         mesh[1].send(0, vec![4, 5]).unwrap();
-        mesh[2].send(2, vec![9]).unwrap(); // self-link
+        for dst in [2, 3] {
+            assert!(matches!(mesh[2].send(dst, vec![6]), Err(ProtocolError::Transport { peer: Some(p), .. }) if p == dst));
+        }
+        assert_eq!(mesh[2].errors().total(), 2);
         for e in &mut mesh {
             e.flush().unwrap();
         }
@@ -815,7 +810,7 @@ mod tests {
         };
         assert_eq!(recv_one(&mut mesh[1]), (0, vec![1, 2, 3]));
         assert_eq!(recv_one(&mut mesh[0]), (1, vec![4, 5]));
-        assert_eq!(recv_one(&mut mesh[2]), (2, vec![9]));
+        assert!(mesh[2].recv_timeout(Duration::from_millis(50)).is_empty());
         assert!(mesh[0].bytes_sent() > 0);
         assert!(mesh[1].bytes_received() > 0);
     }

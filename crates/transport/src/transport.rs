@@ -48,9 +48,9 @@ pub enum AuthEvent {
 /// * [`Transport::send`] *queues* an encoded frame for `dst`; nothing hits
 ///   the wire until [`Transport::flush`], which writes each peer's queued
 ///   frames as one batch (one syscall per peer on the TCP transport).
-/// * Self-addressed frames bypass the network entirely: the self-link is a
-///   process-internal queue, delivered by the next
-///   [`Transport::recv_timeout`] and excluded from the byte counters.
+/// * There is no self-link: a node's frames to itself never reach its
+///   transport (the service delivers them), and a send to the local id is
+///   refused like one to a ghost.
 /// * [`Transport::recv_timeout`] returns every frame available within the
 ///   timeout as `(link peer, bytes)` pairs. The link peer is
 ///   *transport-authenticated* (channel index in-process, HELLO handshake
@@ -68,8 +68,8 @@ pub trait Transport: Send {
     /// Queue one encoded frame for `dst`.
     ///
     /// # Errors
-    /// [`ProtocolError::Transport`] if `dst` is not a process of this mesh
-    /// or its link has degraded permanently (the error is also recorded).
+    /// [`ProtocolError::Transport`] if `dst` is not another process of this
+    /// mesh or its link has degraded permanently (the error is also recorded).
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError>;
 
     /// Push all queued frames onto the wire, one batch per peer.
@@ -124,8 +124,7 @@ pub trait Transport: Send {
         Vec::new()
     }
 
-    /// Bytes put on the wire by this endpoint (length prefixes included;
-    /// self-delivery excluded).
+    /// Bytes put on the wire by this endpoint (length prefixes included).
     fn bytes_sent(&self) -> u64;
 
     /// Bytes received off the wire by this endpoint.
@@ -189,10 +188,10 @@ impl Transport for InProcEndpoint {
     }
 
     fn send(&mut self, dst: ProcessId, frame: Vec<u8>) -> Result<(), ProtocolError> {
-        if dst >= self.n {
+        if dst >= self.n || dst == self.id {
             let e = ProtocolError::Transport {
                 peer: Some(dst),
-                reason: format!("ghost destination {dst} in a {}-process mesh", self.n),
+                reason: format!("no link from {} to {dst} in a {}-process mesh", self.id, self.n),
             };
             self.errors.record(e.clone());
             return Err(e);
@@ -209,9 +208,7 @@ impl Transport for InProcEndpoint {
             if queued.is_empty() {
                 continue;
             }
-            if dst != self.id {
-                self.bytes_sent += queued.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
-            }
+            self.bytes_sent += queued.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
             // A dead receiver is indistinguishable from a slow one in an
             // asynchronous network; dropping the frames is the honest
             // semantics, not an error.
@@ -231,9 +228,7 @@ impl Transport for InProcEndpoint {
         }
         let mut out = Vec::with_capacity(batches.iter().map(|(_, frames)| frames.len()).sum());
         for (src, frames) in batches {
-            if src != self.id {
-                self.bytes_received += frames.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
-            }
+            self.bytes_received += frames.iter().map(|bytes| bytes.len() as u64).sum::<u64>();
             out.extend(frames.into_iter().map(|bytes| (src, bytes)));
         }
         out
@@ -261,24 +256,26 @@ mod tests {
         let mut mesh = in_proc_mesh(3);
         mesh[0].send(1, vec![1, 2, 3]).unwrap();
         mesh[0].send(2, vec![4]).unwrap();
-        mesh[0].send(0, vec![9]).unwrap(); // self
         mesh[0].flush().unwrap();
         let got = mesh[1].recv_timeout(Duration::from_millis(100));
         assert_eq!(got, vec![(0, vec![1, 2, 3])]);
         let got = mesh[2].recv_timeout(Duration::from_millis(100));
         assert_eq!(got, vec![(0, vec![4])]);
-        let got = mesh[0].recv_timeout(Duration::from_millis(100));
-        assert_eq!(got, vec![(0, vec![9])]);
-        assert_eq!(mesh[0].bytes_sent(), 4, "self-delivery is not wire bytes");
+        assert_eq!(mesh[0].bytes_sent(), 4);
         assert_eq!(mesh[1].bytes_received(), 3);
     }
 
+    /// A ghost destination and the endpoint's own id — there is no
+    /// self-link — are refused alike: the send fails and is recorded,
+    /// nothing arrives, and the endpoint keeps working.
     #[test]
     fn ghost_destination_degrades_and_is_recorded() {
         let mut mesh = in_proc_mesh(2);
-        let e = mesh[0].send(7, vec![1]).expect_err("ghost must fail");
-        assert!(matches!(e, ProtocolError::Transport { peer: Some(7), .. }));
-        assert_eq!(mesh[0].errors().total(), 1);
+        for dst in [7, 0] {
+            let e = mesh[0].send(dst, vec![1]).expect_err("no link to a ghost or to itself");
+            assert!(matches!(e, ProtocolError::Transport { peer: Some(p), .. } if p == dst));
+        }
+        assert_eq!(mesh[0].errors().total(), 2);
         // The endpoint keeps working afterwards.
         mesh[0].send(1, vec![2]).unwrap();
         mesh[0].flush().unwrap();
@@ -286,31 +283,22 @@ mod tests {
             mesh[1].recv_timeout(Duration::from_millis(100)),
             vec![(0, vec![2])]
         );
+        assert!(mesh[0].recv_timeout(Duration::ZERO).is_empty());
+        assert_eq!((mesh[0].bytes_sent(), mesh[0].bytes_received()), (1, 0));
     }
 
-    #[test]
-    fn self_delivery_is_outside_both_byte_counters() {
-        let mut mesh = in_proc_mesh(2);
-        mesh[0].send(0, vec![1, 2, 3]).unwrap();
-        mesh[0].flush().unwrap();
-        assert_eq!(mesh[0].recv_timeout(Duration::from_millis(100)), vec![(0, vec![1, 2, 3])]);
-        assert_eq!((mesh[0].bytes_sent(), mesh[0].bytes_received()), (0, 0));
-    }
-
-    /// Two senders, three destinations (each sender's own among them), sends
-    /// interleaved across senders and destinations over two flushes each:
-    /// every receiver gets what a channel hop per frame gave — the frames in
-    /// flush order, each flush's in send order — and the byte counters count
-    /// every frame that crossed a link, none on a self-link.
+    /// Two senders, three destinations, sends interleaved across senders and
+    /// destinations over two flushes each: every receiver gets what a
+    /// channel hop per frame gave — the frames in flush order, each flush's
+    /// in send order — and the byte counters count every frame.
     #[test]
     fn delivery_is_fifo_per_link() {
         let mut mesh = in_proc_mesh(3);
         // (sender, Some((destination, payload))) is a send, (sender, None) a flush.
-        let script: [(ProcessId, Option<(ProcessId, u8)>); 16] = [
+        let script: [(ProcessId, Option<(ProcessId, u8)>); 13] = [
             (0, Some((1, 1))), (1, Some((0, 5))), (0, Some((2, 2))), (1, Some((2, 6))),
-            (0, Some((0, 3))), (1, Some((1, 7))), (0, Some((1, 4))), (0, None),
-            (1, Some((2, 8))), (1, None), (0, Some((2, 9))), (1, Some((0, 11))),
-            (0, Some((1, 10))), (1, Some((1, 12))), (1, None), (0, None),
+            (0, Some((1, 4))), (0, None), (1, Some((2, 8))), (1, None),
+            (0, Some((2, 9))), (1, Some((0, 11))), (0, Some((1, 10))), (1, None), (0, None),
         ];
         let mut want: Vec<Vec<(ProcessId, Vec<u8>)>> = vec![Vec::new(); 3];
         let mut queued: Vec<(ProcessId, ProcessId, Vec<u8>)> = Vec::new();
@@ -331,7 +319,7 @@ mod tests {
         }
         let across = |id: ProcessId, end: fn(ProcessId, ProcessId) -> ProcessId| -> u64 {
             let sends = script.iter().filter_map(|&(src, send)| send.map(|(dst, b)| (src, dst, b)));
-            let counted = sends.filter(|&(src, dst, _)| src != dst && end(src, dst) == id);
+            let counted = sends.filter(|&(src, dst, _)| end(src, dst) == id);
             counted.map(|(.., b)| u64::from(b)).sum()
         };
         for (id, endpoint) in mesh.iter().enumerate() {

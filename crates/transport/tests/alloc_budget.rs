@@ -19,7 +19,8 @@ use rbvc_transport::Lockstep;
 
 /// Allocations per decided instance over all four nodes (a batch of the
 /// sixteen instances' states per node per round: 27 frames per decision):
-/// ~10 % above the 434 this schedule makes — 775 while a decoded batch built
+/// ~10 % above the 429 this schedule makes — 434 while a node's frames to
+/// itself went through its in-process channel, 775 while a decoded batch built
 /// a round state (an `Arc`, its vector and its witness) per slot, an own
 /// state was built the same way and verification built the vector it
 /// compared; 1 057 while every batch frame
@@ -33,11 +34,12 @@ use rbvc_transport::Lockstep;
 /// first set) with hashed broadcast tables, a voter list per tallied value,
 /// an encode per frame and a δ* solve per round-1 state; 19 383 with a state
 /// copy per frame.
-const BUDGET: u64 = 480;
+const BUDGET: u64 = 470;
 /// The same for `SyncBvc` at (n, f, d) = (7, 2, 3) over all seven nodes (147
 /// frames carrying 1 813 relay items), under a decision rule that allocates
 /// next to nothing so that the message path is what is counted: ~10 % above
-/// the 2 264 this schedule makes (2 271 while the seal copied a decided
+/// the 2 263 this schedule makes (2 266 while a node's frames to itself went
+/// through its in-process channel, 2 271 while the seal copied a decided
 /// value twice, 2 265 before a decided slot held its own copy of the
 /// decision; 21 265 with a label and a value allocated
 /// per item, a copy of the round message per destination and a map insert

@@ -8,9 +8,9 @@
 //! A second digest per node reads the log with every `Sent` record expanded
 //! into one (destination, frame) item per destination, in ascending order,
 //! and every other record as it is: the per-link sends the log stands for.
-//! Those four are the digests of the logs written when a `Sent` record had
-//! one destination, so they pin that folding a broadcast into one record
-//! left every byte on the wire, and its order, as it was.
+//! A node's frame to itself is in its log once, as its `Sent` record (the
+//! node among its destinations); its delivery is an `Inbound` record from
+//! the node that carries no bytes.
 
 use std::time::Duration;
 
@@ -85,19 +85,19 @@ fn the_wal_image_of_a_mixed_durable_run_is_pinned() {
     assert_eq!(
         expanded,
         [
-            "16771bccc3194e2d6f6d24cbbc1a20b58e517f5e673c2172fcfe1b8f90e7ef42",
-            "cd593566e32c37efcb289ad759f14d713f24242ad7d0e9bc37547ec7bd910bc7",
-            "443beac08588f08650082ec2bc620c4ebd0fa412fb545cc2f28eb7ba64e95d11",
-            "b6259519693fc67e5992c6d9b7275159c84b234b41323fa4352c3729c8fda80c",
+            "aef5afbddef83e506739dc0790faa46edc7e86d649f1fe81b1203de0d10b17c3",
+            "e2dadeedc62d37fa2be8baad9c41667ae9c7c1af02ba0e090a870cf5521f5fc1",
+            "a8899e39461302128f4e503a88b5255c70bd96c4c0f15021f6bf31abedd1315b",
+            "c33239981123aa90f24cb1b8e14601262c06d74fefadc6638f9e04e914746b29",
         ]
     );
     assert_eq!(
         digests,
         [
-            "6804a56338fd6b4b912ad36bc990d1551acadde3ad2baa0f59e891e55c2b425c",
-            "646ce17442342535d9db1fea63bf316dec29a49bdf03b6de73f94513a860598e",
-            "79c8f1deb09b2202c64e38643d54a7b44ce95b1ff1abc61da2e11b2b86023143",
-            "58a63a867f73748a40135b05586cfc01a0ef9be018f899c0128a3d6bac7cdda6",
+            "cb9313f18fc283b5a6f90bed10f067a16a71e25935b6558bdc14d7d1e76e2358",
+            "265aa1b7bf17b9ee939461a2b8cc9954335cf804364a436dc46e354f5306dd98",
+            "62f19c4cd80889d9f37ca4cdadf1b96b6f481c9b3812b6e4df81bbe643ba3fb7",
+            "d6d164607193678bda41b65d22a7b75957f2d1a3edac81a97cd031d21296bb6f",
         ]
     );
 }

@@ -485,6 +485,7 @@ impl rbvc_transport::Transport for Recording {
         self.inner.n()
     }
     fn send(&mut self, dst: usize, frame: Vec<u8>) -> Result<(), ProtocolError> {
+        assert_ne!(dst, self.inner.local_id(), "a node's frame to itself reached its transport");
         self.frames.push(frame.clone());
         self.inner.send(dst, frame)
     }
@@ -554,17 +555,28 @@ fn honest_va_mesh(k: u64) -> MeshRun {
 /// frame is one Bracha message of one batch: a one-slot frame is 61 B when
 /// its state is of round 0 and 73 B after — its witness names the n − f
 /// states it averaged, it does not copy them — and each further slot adds
-/// its instance and round to the same state layout. A batch broadcast is 36
-/// frames, whatever its k: at k = 16 the same 432 frames carry sixteen
-/// decisions. The streams hash to pinned values. The retired kinds 2 and 4
-/// (one Bracha message per VA round state) are refused by name.
+/// its instance and round to the same state layout. A batch broadcast is 27
+/// frames on the wire, whatever its k — a node's frames to itself never
+/// reach its transport — so at k = 16 the same 324 frames carry sixteen
+/// decisions. The streams hash to pinned values, and so do they with each
+/// node's frames sorted: the second pair is also what each node sent when
+/// its frames to itself went through a self-link, those sends left out —
+/// starting every node before the first poll then ordered a node's first
+/// frames differently, nothing else. The retired kinds 2 and 4 (one
+/// Bracha message per VA round state) are refused by name.
 #[test]
 fn honest_va_frames_name_their_witness() {
     for (k, pinned, one_slot_frames, stream_len) in [
-        (1, "91f517f9a817ccd7bd97b91126114742178ab2ac91daaa514d949856c7b39b42", [144, 288], 29_808),
-        (16, "bac889a61017871097b9d174d2e245a8c2d07362690bb437a4c85df8eb745cb5", [0, 0], 366_768),
+        (1, [
+            "2e81972c5dd8bd86a9a0e14857af2f91ef30d564a9e6beeb27d6e4dbd1ec9304",
+            "27bd25b7225514ae5c391a1f2ee34eefd4fc547cf453709440b8416f51b95937",
+        ], [108, 216], 22_356),
+        (16, [
+            "d23c28e83e02a7667eea6b7d1f388b03e75e9e990a2bef5411966e8c8200f73c",
+            "745bc89e3edc378f2b2c34a78d50d73d23299ffa1dfeba37782a9704ffa778ec",
+        ], [0, 0], 275_076),
     ] {
-        let MeshRun { frames, decisions } = honest_va_mesh(k);
+        let MeshRun { mut frames, decisions } = honest_va_mesh(k);
         let stream: Vec<u8> = frames.iter().flatten().flatten().copied().collect();
         let (mut one_slot, mut count) = ([0usize; 2], 0);
         for (from, sent) in frames.iter().enumerate() {
@@ -590,9 +602,11 @@ fn honest_va_frames_name_their_witness() {
                 count += 1;
             }
         }
-        assert_eq!((count, one_slot, stream.len()), (432, one_slot_frames, stream_len), "k = {k}");
-        let hex: String = rbvc_transport::auth::sha256(&stream).iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, pinned, "k = {k}");
+        assert_eq!((count, one_slot, stream.len()), (324, one_slot_frames, stream_len), "k = {k}");
+        frames.iter_mut().for_each(|sent| sent.sort());
+        let sorted: Vec<u8> = frames.iter().flatten().flatten().copied().collect();
+        let hex = |bytes: &[u8]| -> String { rbvc_transport::auth::sha256(bytes).iter().map(|b| format!("{b:02x}")).collect() };
+        assert_eq!([hex(&stream), hex(&sorted)], pinned, "k = {k}");
         // Instance 0 has the same inputs at either k, and every node decides
         // for it what it decided with one Bracha broadcast per state.
         let decision = [0xbfd943fd6c9221f8, 0x3feae9abc95f7441, 0x3fe092c64ef88994];
